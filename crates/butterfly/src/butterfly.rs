@@ -8,14 +8,11 @@
 
 use crate::{log2_exact, ButterflyError};
 use fab_tensor::simd;
-use fab_tensor::Tensor;
+use fab_tensor::{Tensor, PAR_GRAIN_OPS};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rayon::prelude::*;
 
-/// Row-batched butterfly kernels below this many total elements run serially;
-/// the rayon shim spawns OS threads per call, which only pays off for real work.
-const PAR_MIN_ELEMS: usize = 1 << 14;
 /// Target elements per parallel row chunk.
 const CHUNK_ELEMS: usize = 1 << 13;
 
@@ -32,7 +29,7 @@ pub struct ButterflyScratch {
     grad: Vec<f32>,
     grad_tmp: Vec<f32>,
     /// Chunk-local weight-gradient accumulator (`log2 n · 2 n`), used by the
-    /// single-worker batched backward so it needs no per-call allocation
+    /// one-thread batched backward so it needs no per-call allocation
     /// while keeping the parallel path's exact chunk summation order.
     gw_partial: Vec<f32>,
     n: usize,
@@ -401,6 +398,32 @@ impl ButterflyMatrix {
         self.stages.len()
     }
 
+    /// Applies every stage in place to each `n`-element row of `data`, rows
+    /// fanned out in [`CHUNK_ELEMS`] chunks once the batch reaches the grain.
+    fn transform_rows_in_place(&self, data: &mut [f32]) {
+        let n = self.n;
+        let transform_rows = |chunk: &mut [f32]| {
+            for row in chunk.chunks_mut(n) {
+                for stage in &self.stages {
+                    stage.apply_in_place(row);
+                }
+            }
+        };
+        if !self.fans_out(data.len() / n, 1) {
+            transform_rows(data);
+        } else {
+            let rows_per_chunk = (CHUNK_ELEMS / n).max(1);
+            data.par_chunks_mut(rows_per_chunk * n).for_each(transform_rows);
+        }
+    }
+
+    /// Whether `passes` butterfly transforms of `rows` rows (1 for a
+    /// forward, 3 for a backward: the input gradient plus the two weight
+    /// gradient products per stage) reach the workspace fan-out grain.
+    fn fans_out(&self, rows: usize, passes: u64) -> bool {
+        passes * crate::flops::butterfly_linear_flops(rows, self.n) >= PAR_GRAIN_OPS
+    }
+
     /// The individual butterfly factors, ordered from smallest to largest
     /// half-block size (application order).
     pub fn stages(&self) -> &[ButterflyStage] {
@@ -441,19 +464,7 @@ impl ButterflyMatrix {
         let rows = x.rows();
         let n = self.n;
         let mut data = x.as_slice().to_vec();
-        let transform_rows = |chunk: &mut [f32]| {
-            for row in chunk.chunks_mut(n) {
-                for stage in &self.stages {
-                    stage.apply_in_place(row);
-                }
-            }
-        };
-        if data.len() < PAR_MIN_ELEMS {
-            transform_rows(&mut data);
-        } else {
-            let rows_per_chunk = (CHUNK_ELEMS / n).max(1);
-            data.par_chunks_mut(rows_per_chunk * n).for_each(transform_rows);
-        }
+        self.transform_rows_in_place(&mut data);
         Tensor::from_vec(data, &[rows, n]).expect("forward_rows shape")
     }
 
@@ -478,19 +489,7 @@ impl ButterflyMatrix {
         for (drow, srow) in data.chunks_mut(n).zip(x.as_slice().chunks(d_in)) {
             drow[..d_in].copy_from_slice(srow);
         }
-        let transform_rows = |chunk: &mut [f32]| {
-            for row in chunk.chunks_mut(n) {
-                for stage in &self.stages {
-                    stage.apply_in_place(row);
-                }
-            }
-        };
-        if data.len() < PAR_MIN_ELEMS {
-            transform_rows(&mut data);
-        } else {
-            let rows_per_chunk = (CHUNK_ELEMS / n).max(1);
-            data.par_chunks_mut(rows_per_chunk * n).for_each(transform_rows);
-        }
+        self.transform_rows_in_place(&mut data);
         Tensor::from_vec(data, &[rows, n]).expect("forward_rows_padded shape")
     }
 
@@ -508,19 +507,7 @@ impl ButterflyMatrix {
         out.resize_to(&[rows, n]);
         let data = out.as_mut_slice();
         data.copy_from_slice(x.as_slice());
-        let transform_rows = |chunk: &mut [f32]| {
-            for row in chunk.chunks_mut(n) {
-                for stage in &self.stages {
-                    stage.apply_in_place(row);
-                }
-            }
-        };
-        if data.len() < PAR_MIN_ELEMS {
-            transform_rows(data);
-        } else {
-            let rows_per_chunk = (CHUNK_ELEMS / n).max(1);
-            data.par_chunks_mut(rows_per_chunk * n).for_each(transform_rows);
-        }
+        self.transform_rows_in_place(data);
     }
 
     /// Fused pad + transform + truncate over rows, writing into `out`: rows
@@ -552,7 +539,7 @@ impl ButterflyMatrix {
             }
         };
         let data = out.as_mut_slice();
-        if rows * n < PAR_MIN_ELEMS {
+        if !self.fans_out(rows, 1) {
             with_tls_scratch(n, |scratch| run_rows(0, data, &mut scratch.grad));
         } else {
             let rows_per_chunk = (CHUNK_ELEMS / n).max(1);
@@ -933,7 +920,7 @@ impl ButterflyMatrix {
                     self.backward_with_scratch(xrow, gorow, s, gw);
                 }
             };
-        if rows * n < PAR_MIN_ELEMS {
+        if !self.fans_out(rows, 3) {
             // Serial path: accumulate straight into the caller's buffers,
             // reusing the thread-local scratch (zero allocation).
             with_tls_scratch(n, |scratch| {
@@ -1038,7 +1025,7 @@ impl ButterflyMatrix {
                 }
             }
         };
-        if rows * n < PAR_MIN_ELEMS {
+        if !self.fans_out(rows, 3) {
             with_tls_scratch(n, |scratch| run_rows(0, grad_x, scratch, grad_w));
             return;
         }

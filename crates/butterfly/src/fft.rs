@@ -7,11 +7,8 @@
 //! the paper.
 
 use crate::{log2_exact, Complex};
+use fab_tensor::PAR_GRAIN_OPS;
 use rayon::prelude::*;
-
-/// 2-D transforms below this many complex elements run serially; the rayon
-/// shim spawns OS threads per call, which only pays off for real work.
-const PAR_MIN_ELEMS: usize = 1 << 13;
 
 /// Returns the bit-reversal permutation of `0..n`.
 ///
@@ -224,7 +221,7 @@ fn cached_plan(n: usize) -> std::rc::Rc<FftPlan> {
 /// Panics when `x.len() != seq * hidden` or a dimension is not a power of two.
 pub fn fft2_real(x: &[f32], seq: usize, hidden: usize) -> Vec<f32> {
     assert_eq!(x.len(), seq * hidden, "fft2_real input length mismatch");
-    let parallel = seq * hidden >= PAR_MIN_ELEMS;
+    let parallel = crate::flops::fourier_mix_flops(seq, hidden) >= PAR_GRAIN_OPS;
     let row_plan = cached_plan(hidden);
     let mut grid: Vec<Complex> = x.iter().map(|&v| Complex::from(v)).collect();
     // FFT along the hidden dimension (each row), rows fanned out in parallel.

@@ -3,8 +3,9 @@
 //! counts, including `RAYON_NUM_THREADS=1`.
 
 use fab_butterfly::fft::{fft, fft2_real};
+use fab_butterfly::flops::{butterfly_linear_flops, fourier_mix_flops};
 use fab_butterfly::{ButterflyMatrix, Complex};
-use fab_tensor::Tensor;
+use fab_tensor::{Tensor, PAR_GRAIN_OPS};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -19,6 +20,14 @@ fn filled(rows: usize, n: usize, salt: usize) -> Tensor {
         &[rows, n],
     )
     .expect("valid shape")
+}
+
+/// An odd row count at which one size-`n` butterfly pass (the forward; the
+/// backward counts three) reaches [`PAR_GRAIN_OPS`] — derived from the shared
+/// constant so that moving the grain cannot silently turn the thread-count
+/// comparisons below into serial-vs-serial.
+fn grain_rows(n: usize) -> usize {
+    (PAR_GRAIN_OPS.div_ceil(butterfly_linear_flops(1, n)) as usize) | 1
 }
 
 /// Reference 2-D real FFT built from 1-D transforms and an explicit strided
@@ -97,20 +106,24 @@ proptest! {
 
 #[test]
 fn large_batches_cross_the_parallel_threshold_and_stay_exact() {
-    // 301 rows x 128 wide crosses the 16k-element parallel threshold with an
-    // odd, non-chunk-aligned row count.
+    // Past the fan-out grain, with an odd, non-chunk-aligned row count.
     let mut rng = StdRng::seed_from_u64(99);
     let bfly = ButterflyMatrix::random(128, &mut rng).unwrap();
-    let x = filled(301, 128, 1);
+    let rows = grain_rows(128);
+    let x = filled(rows, 128, 1);
     let batched = bfly.forward_rows(&x);
-    for r in [0usize, 1, 150, 299, 300] {
+    for r in [0usize, 1, rows / 2, rows - 2, rows - 1] {
         let row = x.as_slice()[r * 128..(r + 1) * 128].to_vec();
         assert!(batched.as_slice()[r * 128..(r + 1) * 128] == bfly.forward(&row)[..]);
     }
 
-    let big: Vec<f32> = (0..128 * 128).map(|i| ((i % 331) as f32) * 0.01 - 1.6).collect();
-    let fast = fft2_real(&big, 128, 128);
-    let reference = fft2_real_reference(&big, 128, 128);
+    let mut seq = 128;
+    while fourier_mix_flops(seq, 128) < PAR_GRAIN_OPS {
+        seq *= 2;
+    }
+    let big: Vec<f32> = (0..seq * 128).map(|i| ((i % 331) as f32) * 0.01 - 1.6).collect();
+    let fast = fft2_real(&big, seq, 128);
+    let reference = fft2_real_reference(&big, seq, 128);
     for (a, b) in fast.iter().zip(reference.iter()) {
         assert!((a - b).abs() <= 1e-4 * (1.0 + b.abs()));
     }
@@ -121,8 +134,9 @@ fn batched_kernels_match_with_a_single_rayon_thread() {
     let _guard = THREAD_ENV_LOCK.lock().expect("env lock");
     let mut rng = StdRng::seed_from_u64(7);
     let bfly = ButterflyMatrix::random(64, &mut rng).unwrap();
-    let x = filled(260, 64, 2);
-    let g = filled(260, 64, 3);
+    let rows = grain_rows(64);
+    let x = filled(rows, 64, 2);
+    let g = filled(rows, 64, 3);
 
     std::env::set_var("RAYON_NUM_THREADS", "1");
     let forward_serial = bfly.forward_rows(&x);

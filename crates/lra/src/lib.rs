@@ -37,10 +37,6 @@ use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-/// Below this many samples, generation stays on the calling thread — the
-/// rayon shim spawns OS threads per call, which only pays off for real work.
-const PAR_MIN_SAMPLES: usize = 64;
-
 /// Seed salt separating [`LraTask::calibration_batches`] streams from the
 /// train/eval streams of [`LraTask::generate`] under the same user seed.
 pub const CALIBRATION_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -163,11 +159,7 @@ impl LraTask {
                 LraTask::Pathfinder => pathfinder::sample(seq_len, i, &mut sample_rng),
             }
         };
-        if n < PAR_MIN_SAMPLES {
-            seeds.into_iter().enumerate().map(make).collect()
-        } else {
-            seeds.into_iter().enumerate().collect::<Vec<_>>().into_par_iter().map(make).collect()
-        }
+        seeds.into_iter().enumerate().collect::<Vec<_>>().into_par_iter().map(make).collect()
     }
 
     /// Generates `n` deterministic calibration samples for post-training

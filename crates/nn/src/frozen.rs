@@ -32,14 +32,10 @@
 //! composition — batching never changes a fast-math answer either.
 
 use crate::config::{ModelConfig, ModelKind};
+use fab_butterfly::flops::{attention_core_flops, fourier_mix_flops};
 use fab_butterfly::{fourier_mix, ButterflyMatrix};
-use fab_tensor::Tensor;
+use fab_tensor::{Tensor, PAR_GRAIN_OPS};
 use rayon::prelude::*;
-
-/// Below this many activation elements the per-example mixing loop stays on
-/// the calling thread; the rayon shim spawns OS threads per call, which only
-/// pays off for real work.
-const PAR_MIN_ELEMS: usize = 1 << 14;
 
 /// A frozen (inference-only) linear map: the tape-free counterpart of the
 /// [`crate::Linear`] layer implementations.
@@ -277,7 +273,8 @@ impl FrozenAttention {
             );
             attention_mix_rows(&qi, &ki, &vi, self.num_heads, fast_math, &mut chunk[..len * dim]);
         };
-        run_per_example(&mut mixed, pad_to * dim, core);
+        let ops = lengths.iter().map(|&len| attention_core_flops(len, dim)).sum();
+        run_per_example(&mut mixed, pad_to * dim, ops, core);
         let mixed = Tensor::from_vec(mixed, &[x.rows(), dim]).expect("attention batch shape");
         self.wo.forward(&mixed)
     }
@@ -416,16 +413,22 @@ fn fourier_batch(x: &Tensor, pad_to: usize, lengths: &[usize]) -> Tensor {
         let yi = fourier_mix(&xi);
         chunk[..len * hidden].copy_from_slice(yi.as_slice());
     };
-    run_per_example(&mut mixed, pad_to * hidden, mix);
+    let ops = lengths.iter().map(|&len| fourier_mix_flops(len, hidden)).sum();
+    run_per_example(&mut mixed, pad_to * hidden, ops, mix);
     Tensor::from_vec(mixed, &[x.rows(), hidden]).expect("fourier batch shape")
 }
 
 /// Runs `f(example_index, example_chunk)` over the per-example chunks of
-/// `out`, in parallel when the batch is large enough to amortise thread
-/// spawns. Each example is computed independently, so results do not depend
-/// on the thread count.
-fn run_per_example(out: &mut [f32], chunk_elems: usize, f: impl Fn(usize, &mut [f32]) + Sync) {
-    if out.len() < PAR_MIN_ELEMS || out.len() <= chunk_elems {
+/// `out`, in parallel when the batch's `ops` operations reach the workspace
+/// fan-out grain. Each example is computed independently, so results do not
+/// depend on the thread count.
+fn run_per_example(
+    out: &mut [f32],
+    chunk_elems: usize,
+    ops: u64,
+    f: impl Fn(usize, &mut [f32]) + Sync,
+) {
+    if ops < PAR_GRAIN_OPS {
         for (i, chunk) in out.chunks_mut(chunk_elems).enumerate() {
             f(i, chunk);
         }

@@ -9,11 +9,6 @@ use fab_tensor::{Tape, Tensor, VarId};
 use rand::rngs::StdRng;
 use rayon::prelude::*;
 
-/// Below this many examples, batch prediction stays on the calling thread;
-/// the rayon shim spawns OS threads per call, which only pays off when there
-/// are several forward passes to fan out.
-pub(crate) const PAR_MIN_EXAMPLES: usize = 4;
-
 /// A sequence-classification model assembled from encoder blocks according to
 /// a [`ModelConfig`] and [`ModelKind`].
 ///
@@ -185,9 +180,6 @@ impl Model {
     /// [`Model::predict`] on that sequence (the tape and frozen paths run
     /// the same kernels in the same order).
     pub fn predict_batch(&self, batch: &[Vec<usize>]) -> Vec<Vec<f32>> {
-        if batch.len() < PAR_MIN_EXAMPLES {
-            return batch.iter().map(|tokens| self.predict(tokens)).collect();
-        }
         let frozen = self.freeze();
         (0..batch.len()).into_par_iter().map(|i| frozen.logits(&batch[i])).collect()
     }

@@ -10,12 +10,14 @@
 //! bit-identical to their reference counterparts.
 
 use crate::param::Bindings;
-use fab_tensor::{Tape, Tensor};
+use fab_tensor::{Tape, Tensor, PAR_GRAIN_OPS};
 use rayon::prelude::*;
 
-/// Elements below which a fused update stays on the calling thread (the
-/// rayon shim spawns OS threads per call).
-const PAR_MIN_ELEMS: usize = 1 << 14;
+/// Approximate operations per parameter element of the fused updates, for
+/// the workspace fan-out grain: AdamW's two moment updates, bias
+/// corrections, square root, divide and decay; SGD's scale, decay and step.
+const ADAMW_OPS: u64 = 16;
+const SGD_OPS: u64 = 4;
 /// Target elements per parallel chunk of a fused update.
 const CHUNK_ELEMS: usize = 1 << 13;
 
@@ -159,13 +161,13 @@ fn clip_scale(tape: &Tape, bindings: &Bindings, clip_norm: Option<f32>) -> f32 {
 type UpdateChunk<'a> = (&'a mut [f32], &'a [f32], &'a mut [f32], &'a mut [f32]);
 
 /// Splits four parameter-length slices into matched chunks and runs `f` over
-/// them, in parallel when the parameter is large enough to amortise thread
-/// spawns. Small (i.e. most) parameters run serially with zero allocation.
+/// them, in parallel when the parameter's update reaches the fan-out grain.
+/// Small (i.e. most) parameters run serially with zero allocation.
 fn for_each_update_chunk<F>(p: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32], f: F)
 where
     F: Fn(&mut [f32], &[f32], &mut [f32], &mut [f32]) + Sync,
 {
-    if p.len() < PAR_MIN_ELEMS {
+    if p.len() as u64 * ADAMW_OPS < PAR_GRAIN_OPS {
         f(p, g, m, v);
         return;
     }
@@ -373,7 +375,7 @@ impl Optimizer for FusedSgd {
                         }
                     };
                     let p = p.as_mut_slice();
-                    if p.len() < PAR_MIN_ELEMS {
+                    if p.len() as u64 * SGD_OPS < PAR_GRAIN_OPS {
                         update(p, grad.as_slice());
                     } else {
                         let chunks: Vec<(&mut [f32], &[f32])> = p

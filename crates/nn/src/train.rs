@@ -1,7 +1,7 @@
 //! A small training loop for sequence-classification models, built around
 //! the allocation-free [`TrainStep`] scratch object.
 
-use crate::models::{Model, PAR_MIN_EXAMPLES};
+use crate::models::Model;
 use crate::optim::{FusedAdamW, Optimizer};
 use crate::param::Bindings;
 use fab_tensor::Tape;
@@ -68,15 +68,13 @@ pub fn evaluate(model: &Model, examples: &[Example]) -> f32 {
     if examples.is_empty() {
         return 0.0;
     }
-    let correct: usize = if examples.len() < PAR_MIN_EXAMPLES {
-        examples.iter().filter(|ex| model.predict_class(&ex.tokens) == ex.label).count()
-    } else {
-        let frozen = model.freeze();
-        (0..examples.len())
-            .into_par_iter()
-            .map(|i| usize::from(frozen.predict_class(&examples[i].tokens) == examples[i].label))
-            .sum()
-    };
+    // One forward pass per item is far above the pool's dispatch cost, so
+    // the examples fan out whatever their number.
+    let frozen = model.freeze();
+    let correct: usize = (0..examples.len())
+        .into_par_iter()
+        .map(|i| usize::from(frozen.predict_class(&examples[i].tokens) == examples[i].label))
+        .sum();
     correct as f32 / examples.len() as f32
 }
 

@@ -58,13 +58,3 @@ fn evaluate_matches_serial_accuracy_across_thread_counts() {
         assert_eq!(serial, parallel, "accuracy diverged at {threads} threads");
     }
 }
-
-#[test]
-fn small_batches_use_the_serial_path_and_still_match() {
-    let config = ModelConfig::tiny_for_tests();
-    let mut rng = StdRng::seed_from_u64(3);
-    let model = Model::new(&config, ModelKind::FNet, &mut rng);
-    let batch = mixed_length_batch(&mut rng, 2, config.vocab_size, 10);
-    let serial: Vec<Vec<f32>> = batch.iter().map(|t| model.predict(t)).collect();
-    assert_eq!(serial, model.predict_batch(&batch));
-}

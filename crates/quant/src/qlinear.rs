@@ -1,13 +1,9 @@
 //! Quantized linear maps and embedding tables.
 
+use fab_butterfly::flops::dense_linear_flops;
 use fab_nn::FrozenLinear;
-use fab_tensor::{simd, Tensor};
+use fab_tensor::{simd, Tensor, PAR_GRAIN_OPS};
 use rayon::prelude::*;
-
-/// Below this many output elements the int8 GEMM stays on the calling
-/// thread; the rayon shim spawns OS threads per call, which only pays off
-/// for real work.
-const PAR_MIN_OUT: usize = 1 << 15;
 
 /// Rows per parallel band of the int8 GEMM (each band is an independent
 /// exact computation, so the split never changes results).
@@ -179,7 +175,7 @@ impl QuantLinear {
                 simd::q8_dequant_bias_rows(&acc, &self.combined, &self.bias, out_band);
             }
         };
-        if out.len() < PAR_MIN_OUT || rows <= PAR_BAND_ROWS {
+        if dense_linear_flops(rows, self.d_in, self.d_out) < PAR_GRAIN_OPS {
             run_band(qx, &mut out);
         } else {
             // Row bands are independent exact computations: the parallel

@@ -4,9 +4,11 @@
 //! accumulation, and a close approximation of the f32 model it was
 //! quantized from.
 
+use fab_butterfly::flops::{attention_core_flops, dense_linear_flops};
 use fab_nn::{Model, ModelConfig, ModelKind};
 use fab_quant::{calibrate, quantize_frozen, CalibrationConfig, ObserverKind, QuantModel};
 use fab_tensor::simd::{self, Backend};
+use fab_tensor::PAR_GRAIN_OPS;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -110,16 +112,23 @@ proptest! {
 #[test]
 fn quant_logits_do_not_depend_on_the_thread_count() {
     // The per-example mixing fan-out and the banded int8 GEMM must both be
-    // bit-invariant to rayon's worker count. The batch is sized so the
-    // parallel branches actually trigger on the tiny test model: 128
-    // examples × pad 8 = 1024 rows, putting the mixing buffer at
-    // 1024·16 = 16384 elements (the `PAR_MIN_ELEMS` fan-out threshold in
-    // qmodel.rs) and the first FFN output at 1024·32 = 32768 elements (the
-    // `PAR_MIN_OUT` band threshold in qlinear.rs, with 1024 rows > the
-    // 64-row band). `RAYON_NUM_THREADS` is process-global, hence the lock.
+    // bit-invariant to rayon's worker count. The batch is sized from the
+    // shared grain so both parallel branches trigger on the tiny test model
+    // wherever the grain is moved: enough 8-token examples that the summed
+    // attention cores (the fan-out test in qmodel.rs) and the first FFN
+    // GEMM (the band test in qlinear.rs; the rows far exceed one 64-row
+    // band) each reach `PAR_GRAIN_OPS`. `RAYON_NUM_THREADS` is
+    // process-global, hence the lock.
     let _g = lock();
     let (_model, quant) = quantized(6, ModelKind::Transformer);
-    let batch: Vec<Vec<usize>> = (0..128).map(|i| vec![(i % 14) + 1; 8]).collect();
+    let config = tiny();
+    let per_example = attention_core_flops(8, config.hidden).min(dense_linear_flops(
+        8,
+        config.hidden,
+        config.hidden * config.ffn_ratio,
+    ));
+    let examples = PAR_GRAIN_OPS.div_ceil(per_example) as usize;
+    let batch: Vec<Vec<usize>> = (0..examples).map(|i| vec![(i % 14) + 1; 8]).collect();
     let baseline = quant.logits_batch(&batch, 8);
     for threads in ["1", "5", "7"] {
         std::env::set_var("RAYON_NUM_THREADS", threads);

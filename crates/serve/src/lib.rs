@@ -8,8 +8,8 @@
 //!
 //! - [`InferenceSession`] — a trained model frozen into a tape-free,
 //!   `Send + Sync` forward path ([`fab_nn::FrozenModel`]) shared by all
-//!   workers, each of which stages batches through its own reusable
-//!   [`SessionScratch`] buffers.
+//!   workers; a batch is one forward per sequence, fanned out over the
+//!   rayon shim's worker pool.
 //! - [`Server`] — a bounded MPSC request queue with admission control,
 //!   drained into micro-batches by a pool of std-thread workers; knobs live
 //!   in [`ServeConfig`] (`max_batch`, `max_wait_us`, `queue_capacity`,

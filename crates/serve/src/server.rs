@@ -415,8 +415,7 @@ impl Server {
         // Every live worker drains the queue before exiting; this inline
         // drain only runs work when all workers died (e.g. fault injection
         // mid-shutdown) so admitted requests are still never dropped.
-        let mut scratch =
-            SessionScratch::with_capacity(self.shared.config.max_batch, self.shared.max_seq);
+        let mut scratch = SessionScratch::new();
         while let Some(batch) = next_batch(&self.shared) {
             run_batch(&self.shared, batch, &mut scratch);
         }
@@ -610,7 +609,7 @@ struct DrainedBatch {
 /// The worker loop: form a batch (blocking on the condvar while the queue
 /// is empty or the head batch is still filling), run the session, respond.
 fn worker_loop(shared: &Shared) {
-    let mut scratch = SessionScratch::with_capacity(shared.config.max_batch, shared.max_seq);
+    let mut scratch = SessionScratch::new();
     loop {
         if take_injected_kill(shared) {
             return; // fault injection: this worker "dies" without cleanup

@@ -1,9 +1,12 @@
-//! Preallocated inference sessions: a frozen (f32) or quantized (int8)
-//! model plus per-worker reusable scratch buffers.
+//! Inference sessions: a frozen (f32) or quantized (int8) model behind one
+//! forward API, evaluated per example.
 
 use fab_chaos::{ChaosInjector, ChaosSite};
+use fab_nn::flops::flops_breakdown;
 use fab_nn::{FrozenModel, Model};
 use fab_quant::QuantModel;
+use fab_tensor::PAR_GRAIN_OPS;
+use rayon::prelude::*;
 use std::sync::Arc;
 
 /// Which forward path a session runs — reported by
@@ -46,11 +49,9 @@ enum SessionModel {
 /// [`QuantModel`].
 ///
 /// The session is immutable and `Send + Sync`: one session is shared by
-/// every worker of a [`crate::Server`], while each worker owns a private
-/// [`SessionScratch`] whose staging buffers are reused across batches. Both
-/// paths guarantee batch invariance — a request's logits are bit-identical
-/// whatever batch it rides in (see [`fab_nn::frozen`] and [`fab_quant`]) —
-/// so the dynamic batcher serves either transparently.
+/// every worker of a [`crate::Server`]. A batch is evaluated one sequence at
+/// a time, so a request's logits are bit-identical whatever batch it rides
+/// in and the dynamic batcher serves either model variant transparently.
 #[derive(Debug, Clone)]
 pub struct InferenceSession {
     model: SessionModel,
@@ -206,9 +207,8 @@ impl InferenceSession {
     }
 
     /// The forward pass itself, with no fault-injection draws — shared by
-    /// [`InferenceSession::logits`] and the per-example fallback of
-    /// [`InferenceSession::logits_batch`] so a batch draws the chaos
-    /// schedule exactly once whichever route serves it.
+    /// [`InferenceSession::logits`] and [`InferenceSession::logits_batch`]
+    /// so a batch draws the chaos schedule exactly once.
     fn logits_raw(&self, tokens: &[usize]) -> Vec<f32> {
         match &self.model {
             SessionModel::F32(m) => m.logits(tokens),
@@ -224,9 +224,13 @@ impl InferenceSession {
         }
     }
 
-    /// Per-example logits for a batch padded to `pad_to`, staging the token
-    /// ids through `scratch`'s reusable flat buffer (no per-request
-    /// collection, no buffer growth once warmed up).
+    /// Per-example logits for a batch the caller padded to `pad_to`.
+    ///
+    /// Every sequence is evaluated on its own, as [`InferenceSession::logits`]
+    /// would: no padded batch tensor is built, so padding rows cost nothing
+    /// and the answers equal the unbatched ones by construction. The
+    /// sequences fan out over the rayon shim's pool once the batch's
+    /// analytical operation count reaches [`PAR_GRAIN_OPS`].
     ///
     /// # Panics
     ///
@@ -237,67 +241,39 @@ impl InferenceSession {
         &self,
         batch: &[&[usize]],
         pad_to: usize,
-        scratch: &mut SessionScratch,
+        _scratch: &mut SessionScratch,
     ) -> Vec<Vec<f32>> {
-        // On a single-worker rayon configuration the batched kernels cannot
-        // fan rows out, so the wide batch tensors only trade cache locality
-        // for nothing; per-example evaluation keeps each forward's working
-        // set cache-resident. Either route produces bit-identical logits
-        // (both model variants' padding-invariance guarantee), so this is
-        // purely a throughput decision.
         self.chaos_forward();
+        assert!(!batch.is_empty(), "cannot run a session on an empty batch");
+        let max_seq = self.max_seq();
+        assert!(pad_to <= max_seq, "padded length {pad_to} exceeds max_seq {max_seq}");
         for tokens in batch {
+            let len = tokens.len();
+            assert!(len >= 1 && len <= pad_to, "sequence length {len} outside 1..={pad_to}");
             self.check_panic_token(tokens);
         }
-        if rayon::current_num_threads() <= 1 {
+        let (config, kind) = match &self.model {
+            SessionModel::F32(m) => (m.config(), m.kind()),
+            SessionModel::Int8(m) => (m.config(), m.kind()),
+        };
+        let ops: u64 =
+            batch.iter().map(|tokens| flops_breakdown(config, kind, tokens.len()).total()).sum();
+        if ops < PAR_GRAIN_OPS {
             return batch.iter().map(|tokens| self.logits_raw(tokens)).collect();
         }
-        scratch.stage(batch, pad_to);
-        match &self.model {
-            SessionModel::F32(m) => m.logits_batch_flat(&scratch.tokens, &scratch.lengths, pad_to),
-            SessionModel::Int8(m) => m.logits_batch_flat(&scratch.tokens, &scratch.lengths, pad_to),
-        }
+        (0..batch.len()).into_par_iter().map(|i| self.logits_raw(batch[i])).collect()
     }
 }
 
-/// Reusable per-worker staging buffers for batched inference.
-///
-/// Holds the flat padded token buffer and the per-example length list that
-/// [`InferenceSession::logits_batch`] feeds to the model; capacity is
-/// retained across batches, so a warmed-up worker stages each new batch
-/// without heap growth.
+/// Per-worker state handed to [`InferenceSession::logits_batch`]. Per-example
+/// evaluation stages nothing, so it holds no buffers.
 #[derive(Debug, Default, Clone)]
-pub struct SessionScratch {
-    tokens: Vec<usize>,
-    lengths: Vec<usize>,
-}
+pub struct SessionScratch;
 
 impl SessionScratch {
-    /// Creates empty scratch (buffers grow to steady-state on first use).
+    /// Creates the (empty) per-worker state.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates scratch preallocated for `max_batch` sequences of `pad_to`
-    /// tokens.
-    pub fn with_capacity(max_batch: usize, pad_to: usize) -> Self {
-        Self {
-            tokens: Vec::with_capacity(max_batch * pad_to),
-            lengths: Vec::with_capacity(max_batch),
-        }
-    }
-
-    /// Writes `batch` into the flat padded layout expected by
-    /// [`fab_nn::FrozenModel::logits_batch_flat`] (padding slots hold 0).
-    fn stage(&mut self, batch: &[&[usize]], pad_to: usize) {
-        self.tokens.clear();
-        self.tokens.resize(batch.len() * pad_to, 0);
-        self.lengths.clear();
-        for (dst, src) in self.tokens.chunks_mut(pad_to).zip(batch.iter()) {
-            let take = src.len().min(pad_to);
-            dst[..take].copy_from_slice(&src[..take]);
-            self.lengths.push(src.len());
-        }
+        Self
     }
 }
 
@@ -369,18 +345,20 @@ mod tests {
     }
 
     #[test]
-    fn scratch_is_reused_across_batches() {
+    fn batch_level_checks_still_panic() {
         let (_model, session) = session();
-        let mut scratch = SessionScratch::with_capacity(4, 8);
-        let a: Vec<&[usize]> = vec![&[1, 2, 3], &[4, 5]];
-        let b: Vec<&[usize]> = vec![&[6, 7, 8, 9]];
-        let first = session.logits_batch(&a, 8, &mut scratch);
-        let cap = (scratch.tokens.capacity(), scratch.lengths.capacity());
-        let second = session.logits_batch(&b, 8, &mut scratch);
-        assert_eq!((scratch.tokens.capacity(), scratch.lengths.capacity()), cap);
-        assert_eq!(first.len(), 2);
-        assert_eq!(second.len(), 1);
-        assert_eq!(first[0], session.logits(&[1, 2, 3]));
-        assert_eq!(second[0], session.logits(&[6, 7, 8, 9]));
+        let max_seq = session.max_seq();
+        let run = |batch: &[&[usize]], pad_to: usize| {
+            std::panic::catch_unwind(|| {
+                session.logits_batch(batch, pad_to, &mut SessionScratch::new())
+            })
+            .is_err()
+        };
+        assert!(run(&[], 8), "empty batch");
+        assert!(run(&[&[1, 2], &[]], 8), "empty sequence");
+        assert!(run(&[&[1, 2, 3]], 2), "sequence longer than pad_to");
+        assert!(run(&[&[1, 2]], max_seq + 1), "pad_to beyond max_seq");
+        assert!(run(&[&[1, session.vocab_size()]], 8), "out-of-vocabulary token");
+        assert!(!run(&[&[1, 2]], 8));
     }
 }

@@ -1,10 +1,15 @@
 //! PR-2 batcher property tests: logits served through the dynamic batcher
-//! (bucketed, padded, fused batches) must match the single-request tape path
-//! bit-for-bit at `RAYON_NUM_THREADS=1` and to 1e-5 at any thread count,
-//! across odd batch sizes and mixed sequence lengths.
+//! (bucketed, padded batches, evaluated per example) must equal the same
+//! session's single-request answer bit for bit at any thread count — which
+//! for an exact session is the tape path's answer, and for a fast-math
+//! session lies within 1e-5 of it — across odd batch sizes and mixed
+//! sequence lengths.
 
+use fab_nn::flops::flops_breakdown;
 use fab_nn::{Model, ModelConfig, ModelKind};
-use fab_serve::{InferenceSession, ServeConfig, Server};
+use fab_quant::{quantize_frozen, CalibrationConfig};
+use fab_serve::{InferenceSession, ServeConfig, Server, SessionScratch};
+use fab_tensor::PAR_GRAIN_OPS;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -133,6 +138,48 @@ proptest! {
                 "served logits diverged by {max_diff} for len {}",
                 tokens.len()
             );
+        }
+    }
+}
+
+/// `logits_batch` is `logits` per sequence, bit for bit, for every session
+/// kind at every thread count — with the batch sized from the shared grain
+/// so the per-example fan-out really runs on the pool.
+#[test]
+fn logits_batch_equals_logits_per_sequence_for_every_session_kind_and_thread_count() {
+    let _guard = THREAD_ENV_LOCK.lock().unwrap();
+    let config = ModelConfig::tiny_for_tests();
+    for (seed, kind) in [(5u64, ModelKind::FabNet), (6, ModelKind::Transformer)] {
+        let model = model_for(seed, kind);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xfa11);
+        let mut batch: Vec<Vec<usize>> = Vec::new();
+        let mut ops = 0;
+        while ops < 2 * PAR_GRAIN_OPS {
+            batch.extend(mixed_batch(&mut rng, 1, config.vocab_size, config.max_seq));
+            ops += flops_breakdown(&config, kind, batch.last().unwrap().len()).total();
+        }
+        let refs: Vec<&[usize]> = batch.iter().map(Vec::as_slice).collect();
+        let frozen = model.freeze().with_fast_math(true);
+        let int8 = quantize_frozen(&frozen, &batch[..8], &CalibrationConfig::default());
+        let sessions = [
+            InferenceSession::exact(&model),
+            InferenceSession::new(&model),
+            InferenceSession::quantized(int8),
+        ];
+        for session in &sessions {
+            std::env::set_var("RAYON_NUM_THREADS", "1");
+            let single: Vec<Vec<f32>> = batch.iter().map(|t| session.logits(t)).collect();
+            for threads in ["1", "2", "5", "7"] {
+                std::env::set_var("RAYON_NUM_THREADS", threads);
+                let batched =
+                    session.logits_batch(&refs, config.max_seq, &mut SessionScratch::new());
+                assert!(
+                    batched == single,
+                    "{kind:?} {} session: logits_batch != logits at {threads} threads",
+                    session.kind().name()
+                );
+            }
+            std::env::remove_var("RAYON_NUM_THREADS");
         }
     }
 }

@@ -28,29 +28,77 @@ const MATMUL_KC: usize = 128;
 const MATMUL_NC: usize = 512;
 /// Tile edge for the blocked transpose.
 const TRANSPOSE_TILE: usize = 32;
-/// Tensors smaller than this many elements are processed serially: the rayon
-/// shim spawns OS threads per call, which only pays off for real work.
-const PAR_MIN_ELEMS: usize = 1 << 14;
+/// The workspace's one fan-out grain: a kernel call estimated at fewer
+/// scalar operations than this runs on the calling thread.
+///
+/// Every kernel that can split its work over the rayon shim's worker pool
+/// (here, in `fab-butterfly`, `fab-nn`, `fab-quant` and `fab-serve`)
+/// estimates the call's operations — multiply and add counted separately,
+/// as in `fab_butterfly::flops` — and compares them with this constant. A
+/// pool dispatch costs about 1 µs when the call is over before a worker
+/// arrives and 5–10 µs (wake-up, hand-back) when one joins; one core
+/// sustains 3 Gop/s (Fourier mixing, softmax) to 40 Gop/s (FMA GEMM), so
+/// this many operations are 25–350 µs of work and the dispatch stays a
+/// small share of any call that pays it.
+pub const PAR_GRAIN_OPS: u64 = 1 << 20;
 /// Target elements per parallel chunk for row-wise and element-wise kernels.
 const CHUNK_ELEMS: usize = 1 << 13;
 
-/// Splits `out` into row-aligned chunks and applies `f` to each chunk, in
-/// parallel when the tensor is large enough to amortise thread spawns.
-///
+/// Approximate operations per element of the transcendental and normalising
+/// kernels, for [`chunked_op`]; plain arithmetic kernels count 1.
+/// `Tensor::map` takes an opaque closure and counts 1 as well (its callers
+/// are ReLU and add-scalar).
+const SOFTMAX_OPS: u64 = 16; // max, exp, sum, divide
+const LAYER_NORM_OPS: u64 = 8; // mean, variance, normalise, scale, shift
+const GELU_OPS: u64 = 16; // rational tanh
+const MAP_OPS: u64 = 1;
+
+/// Runs `f(chunk_index, chunk)` over `out` cut into `chunk_len`-element
+/// chunks — on the rayon pool when the kernel, at about `ops_per_elem`
+/// operations per output element, reaches [`PAR_GRAIN_OPS`], else as one
+/// call `f(0, out)` on the calling thread. The one fan-out decision of
+/// every kernel in this file; `f` must give the same result however `out`
+/// is cut at chunk boundaries.
+fn chunked_op(
+    out: &mut [f32],
+    chunk_len: usize,
+    ops_per_elem: u64,
+    f: impl Fn(usize, &mut [f32]) + Sync,
+) {
+    if (out.len() as u64) * ops_per_elem < PAR_GRAIN_OPS {
+        f(0, out);
+    } else {
+        out.par_chunks_mut(chunk_len).enumerate().for_each(|(c, chunk)| f(c, chunk));
+    }
+}
+
+/// [`chunked_op`] over row-aligned chunks of about [`CHUNK_ELEMS`] elements:
 /// `f` receives `(first_row_of_chunk, chunk)` where every chunk holds a whole
 /// number of `n`-element rows.
-fn for_each_row_band(out: &mut [f32], n: usize, f: impl Fn(usize, &mut [f32]) + Sync) {
+fn for_each_row_band(
+    out: &mut [f32],
+    n: usize,
+    ops_per_elem: u64,
+    f: impl Fn(usize, &mut [f32]) + Sync,
+) {
     debug_assert!(n > 0 && out.len().is_multiple_of(n));
     let rows_per_chunk = (CHUNK_ELEMS / n).max(1);
-    if out.len() < PAR_MIN_ELEMS {
-        for (c, chunk) in out.chunks_mut(rows_per_chunk * n).enumerate() {
-            f(c * rows_per_chunk, chunk);
-        }
-    } else {
-        out.par_chunks_mut(rows_per_chunk * n)
-            .enumerate()
-            .for_each(|(c, chunk)| f(c * rows_per_chunk, chunk));
-    }
+    chunked_op(out, rows_per_chunk * n, ops_per_elem, |c, chunk| f(c * rows_per_chunk, chunk));
+}
+
+/// [`chunked_op`] in [`CHUNK_ELEMS`] chunks for a slice kernel
+/// `f(src_chunk, out_chunk)` — the shared chunking of every dispatched
+/// element-wise kernel.
+fn chunked_slice_op(
+    src: &[f32],
+    out: &mut [f32],
+    ops_per_elem: u64,
+    f: impl Fn(&[f32], &mut [f32]) + Sync,
+) {
+    debug_assert_eq!(src.len(), out.len());
+    chunked_op(out, CHUNK_ELEMS, ops_per_elem, |c, chunk| {
+        f(&src[c * CHUNK_ELEMS..c * CHUNK_ELEMS + chunk.len()], chunk)
+    });
 }
 
 /// A dense, row-major, `f32` tensor.
@@ -359,14 +407,9 @@ impl Tensor {
                 }
             }
         };
-        // 2·m·k·n flops: only fan the bands out when there is real work.
-        if m * k * n < (1 << 16) {
-            band(0, out);
-        } else {
-            out.par_chunks_mut(MATMUL_BAND_ROWS * n)
-                .enumerate()
-                .for_each(|(c, chunk)| band(c * MATMUL_BAND_ROWS, chunk));
-        }
+        chunked_op(out, MATMUL_BAND_ROWS * n, 2 * k as u64, |c, chunk| {
+            band(c * MATMUL_BAND_ROWS, chunk)
+        });
     }
 
     /// Accumulates `selfᵀ × rhs` into `out`: `out[p][j] += Σ_i self[i][p] ·
@@ -404,13 +447,9 @@ impl Tensor {
             let (t, prod) = scratch.split_at_mut(k * m);
             self.transpose_acc(t);
             let t = &*t;
-            if k * m * n < (1 << 16) {
-                crate::simd::matmul_band(t, m, &rhs.data, n, 0, prod);
-            } else {
-                prod.par_chunks_mut(MATMUL_BAND_ROWS * n).enumerate().for_each(|(c, chunk)| {
-                    crate::simd::matmul_band(t, m, &rhs.data, n, c * MATMUL_BAND_ROWS, chunk)
-                });
-            }
+            chunked_op(prod, MATMUL_BAND_ROWS * n, 2 * m as u64, |c, chunk| {
+                crate::simd::matmul_band(t, m, &rhs.data, n, c * MATMUL_BAND_ROWS, chunk)
+            });
             crate::simd::add_acc(out, prod);
             return;
         }
@@ -431,14 +470,9 @@ impl Tensor {
                 }
             }
         };
-        if m * k * n < (1 << 16) {
-            band(0, scratch);
-        } else {
-            scratch
-                .par_chunks_mut(MATMUL_BAND_ROWS * n)
-                .enumerate()
-                .for_each(|(c, chunk)| band(c * MATMUL_BAND_ROWS, chunk));
-        }
+        chunked_op(scratch, MATMUL_BAND_ROWS * n, 2 * m as u64, |c, chunk| {
+            band(c * MATMUL_BAND_ROWS, chunk)
+        });
         for (d, &s) in out.iter_mut().zip(scratch.iter()) {
             *d += s;
         }
@@ -512,13 +546,7 @@ impl Tensor {
                 }
             }
         };
-        if m * n < PAR_MIN_ELEMS {
-            tile_band(0, out);
-        } else {
-            out.par_chunks_mut(TRANSPOSE_TILE * m)
-                .enumerate()
-                .for_each(|(c, chunk)| tile_band(c * TRANSPOSE_TILE, chunk));
-        }
+        chunked_op(out, TRANSPOSE_TILE * m, 1, |c, chunk| tile_band(c * TRANSPOSE_TILE, chunk));
     }
 
     /// Accumulates the transpose of `self` (shape `[m, n]`) into `out`
@@ -590,20 +618,9 @@ impl Tensor {
     /// Large tensors are processed in parallel chunks; `f` must therefore be
     /// [`Sync`] (pure element-wise closures always are).
     pub fn map<F: Fn(f32) -> f32 + Sync>(&self, f: F) -> Tensor {
-        let mut out = vec![0.0f32; self.data.len()];
-        if out.len() < PAR_MIN_ELEMS {
-            for (d, &x) in out.iter_mut().zip(self.data.iter()) {
-                *d = f(x);
-            }
-        } else {
-            out.par_chunks_mut(CHUNK_ELEMS).enumerate().for_each(|(c, chunk)| {
-                let src = &self.data[c * CHUNK_ELEMS..c * CHUNK_ELEMS + chunk.len()];
-                for (d, &x) in chunk.iter_mut().zip(src.iter()) {
-                    *d = f(x);
-                }
-            });
-        }
-        Tensor { shape: self.shape.clone(), data: out }
+        let mut out = Tensor::default();
+        self.map_into(f, &mut out);
+        out
     }
 
     /// Adds a `[1, cols]` (or 1-D `[cols]`) row vector to every row of a 2-D tensor.
@@ -628,7 +645,7 @@ impl Tensor {
         assert_eq!(row.len(), n, "broadcast row length {} != cols {}", row.len(), n);
         out_t.resize_to(&self.shape);
         out_t.data.copy_from_slice(&self.data);
-        for_each_row_band(&mut out_t.data, n, |_, chunk| {
+        for_each_row_band(&mut out_t.data, n, 1, |_, chunk| {
             for orow in chunk.chunks_mut(n) {
                 for (d, &b) in orow.iter_mut().zip(row.data.iter()) {
                     *d += b;
@@ -658,7 +675,7 @@ impl Tensor {
         let (m, n) = (self.shape[0], self.shape[1]);
         out_t.resize_to(&[m, n]);
         let out = out_t.data.as_mut_slice();
-        for_each_row_band(out, n, |r0, chunk| {
+        for_each_row_band(out, n, SOFTMAX_OPS, |r0, chunk| {
             for (i, orow) in chunk.chunks_mut(n).enumerate() {
                 let row = &self.data[(r0 + i) * n..(r0 + i + 1) * n];
                 crate::simd::softmax_row(row, orow);
@@ -675,7 +692,7 @@ impl Tensor {
         assert_eq!(self.shape.len(), 2, "log_softmax_rows requires a 2-D tensor");
         let (m, n) = (self.shape[0], self.shape[1]);
         let mut out = vec![0.0f32; m * n];
-        for_each_row_band(&mut out, n, |r0, chunk| {
+        for_each_row_band(&mut out, n, SOFTMAX_OPS, |r0, chunk| {
             for (i, orow) in chunk.chunks_mut(n).enumerate() {
                 let row = &self.data[(r0 + i) * n..(r0 + i + 1) * n];
                 crate::simd::log_softmax_row(row, orow);
@@ -707,7 +724,7 @@ impl Tensor {
         assert_eq!(gamma.len(), n, "gamma length mismatch");
         assert_eq!(beta.len(), n, "beta length mismatch");
         let mut out = vec![0.0f32; m * n];
-        for_each_row_band(&mut out, n, |r0, chunk| {
+        for_each_row_band(&mut out, n, LAYER_NORM_OPS, |r0, chunk| {
             for (i, orow) in chunk.chunks_mut(n).enumerate() {
                 let a = &self.data[(r0 + i) * n..(r0 + i + 1) * n];
                 let b = &rhs.data[(r0 + i) * n..(r0 + i + 1) * n];
@@ -746,7 +763,7 @@ impl Tensor {
         assert_eq!(beta.len(), n, "beta length mismatch");
         out_t.resize_to(&[m, n]);
         let out = out_t.data.as_mut_slice();
-        for_each_row_band(out, n, |r0, chunk| {
+        for_each_row_band(out, n, LAYER_NORM_OPS, |r0, chunk| {
             for (i, orow) in chunk.chunks_mut(n).enumerate() {
                 let row = &self.data[(r0 + i) * n..(r0 + i + 1) * n];
                 crate::simd::layer_norm_row(row, &gamma.data, &beta.data, eps, orow);
@@ -771,7 +788,7 @@ impl Tensor {
     /// [`Tensor::gelu`] writing into `out` (resized in place).
     pub fn gelu_into(&self, out_t: &mut Tensor) {
         out_t.resize_to(&self.shape);
-        chunked_slice_op(&self.data, &mut out_t.data, crate::simd::gelu_slice);
+        chunked_slice_op(&self.data, &mut out_t.data, GELU_OPS, crate::simd::gelu_slice);
     }
 
     /// GELU on [`crate::fastmath::gelu_fast`]. Since PR 3 the canonical
@@ -970,25 +987,17 @@ impl Tensor {
     /// [`Tensor::scale`] writing into `out` (resized in place).
     pub fn scale_into(&self, c: f32, out_t: &mut Tensor) {
         out_t.resize_to(&self.shape);
-        chunked_slice_op(&self.data, &mut out_t.data, |s, d| crate::simd::scale_slice(s, c, d));
+        chunked_slice_op(&self.data, &mut out_t.data, 1, |s, d| crate::simd::scale_slice(s, c, d));
     }
 
     /// [`Tensor::map`] writing into `out` (resized in place).
     pub fn map_into<F: Fn(f32) -> f32 + Sync>(&self, f: F, out_t: &mut Tensor) {
         out_t.resize_to(&self.shape);
-        let out = out_t.data.as_mut_slice();
-        if out.len() < PAR_MIN_ELEMS {
-            for (d, &x) in out.iter_mut().zip(self.data.iter()) {
+        chunked_slice_op(&self.data, &mut out_t.data, MAP_OPS, |src, dst| {
+            for (d, &x) in dst.iter_mut().zip(src.iter()) {
                 *d = f(x);
             }
-        } else {
-            out.par_chunks_mut(CHUNK_ELEMS).enumerate().for_each(|(c, chunk)| {
-                let src = &self.data[c * CHUNK_ELEMS..c * CHUNK_ELEMS + chunk.len()];
-                for (d, &x) in chunk.iter_mut().zip(src.iter()) {
-                    *d = f(x);
-                }
-            });
-        }
+        });
     }
 
     fn zip_into(
@@ -1004,38 +1013,16 @@ impl Tensor {
             self.shape, rhs.shape
         );
         out_t.resize_to(&self.shape);
-        let out = out_t.data.as_mut_slice();
-        if out.len() < PAR_MIN_ELEMS {
-            crate::simd::binary_slice(kind, &self.data, &rhs.data, out);
-        } else {
-            out.par_chunks_mut(CHUNK_ELEMS).enumerate().for_each(|(c, chunk)| {
-                let start = c * CHUNK_ELEMS;
-                let lhs = &self.data[start..start + chunk.len()];
-                let rhv = &rhs.data[start..start + chunk.len()];
-                crate::simd::binary_slice(kind, lhs, rhv, chunk);
-            });
-        }
+        chunked_op(&mut out_t.data, CHUNK_ELEMS, 1, |c, chunk| {
+            let span = c * CHUNK_ELEMS..c * CHUNK_ELEMS + chunk.len();
+            crate::simd::binary_slice(kind, &self.data[span.clone()], &rhs.data[span], chunk);
+        });
     }
 
     fn zip_with(&self, rhs: &Tensor, op: &'static str, kind: crate::simd::BinOp) -> Tensor {
         let mut out = Tensor::default();
         self.zip_into(rhs, op, kind, &mut out);
         out
-    }
-}
-
-/// Applies the slice kernel `f` to `(src, out)` in parallel [`CHUNK_ELEMS`]
-/// chunks once the tensor is large enough to amortise thread spawns — the
-/// shared chunking of every dispatched element-wise kernel.
-fn chunked_slice_op(src: &[f32], out: &mut [f32], f: impl Fn(&[f32], &mut [f32]) + Sync) {
-    debug_assert_eq!(src.len(), out.len());
-    if out.len() < PAR_MIN_ELEMS {
-        f(src, out);
-    } else {
-        out.par_chunks_mut(CHUNK_ELEMS).enumerate().for_each(|(c, chunk)| {
-            let s = &src[c * CHUNK_ELEMS..c * CHUNK_ELEMS + chunk.len()];
-            f(s, chunk);
-        });
     }
 }
 

@@ -10,7 +10,7 @@
 //! because both `RAYON_NUM_THREADS` and the forced backend are process-global.
 
 use fab_tensor::simd::{self, Backend};
-use fab_tensor::Tensor;
+use fab_tensor::{Tensor, PAR_GRAIN_OPS};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
 
@@ -20,6 +20,21 @@ static GLOBAL_LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> MutexGuard<'static, ()> {
     GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// An odd row count at which a `cols`-wide tensor holds at least
+/// [`PAR_GRAIN_OPS`] elements. Every kernel counts at least one operation
+/// per element, so such a tensor takes the parallel path wherever the grain
+/// is moved — the thread-count comparisons below can never silently become
+/// serial-vs-serial.
+fn grain_rows(cols: usize) -> usize {
+    (PAR_GRAIN_OPS as usize).div_ceil(cols) | 1
+}
+
+/// A row count of at least `at_least` at which an `[m, k] x [k, n]` matmul
+/// (2·m·k·n operations) crosses the grain.
+fn grain_matmul_rows(at_least: usize, k: usize, n: usize) -> usize {
+    at_least.max((PAR_GRAIN_OPS as usize).div_ceil(2 * k * n))
 }
 
 fn with_backend<R>(b: Backend, f: impl FnOnce() -> R) -> R {
@@ -93,18 +108,18 @@ proptest! {
 #[test]
 fn large_kernels_cross_the_parallel_threshold_and_stay_exact() {
     let _g = lock();
-    // 300 x 257 x 129 is odd-shaped and big enough (m*k*n ≈ 10M flops,
-    // m*n > 16k elements) to take the parallel band path.
-    let a = filled(&[300, 257], 7);
+    // Odd-shaped, several 64-row bands, and past the fan-out grain.
+    let a = filled(&[grain_matmul_rows(300, 257, 129), 257], 7);
     let b = filled(&[257, 129], 8);
     let (fast, slow) = with_backend(Backend::Scalar, || (a.matmul(&b), a.matmul_reference(&b)));
     assert!(fast == slow, "scalar parallel matmul diverged from the reference");
     let diff = normalized_max_diff(&a.matmul(&b), &slow);
     assert!(diff <= 1e-5, "SIMD parallel matmul off by {diff}");
 
-    let x = filled(&[301, 129], 9);
+    let rows = grain_rows(129);
+    let x = filled(&[rows, 129], 9);
     let soft = x.softmax_rows();
-    for r in (0..301).step_by(37) {
+    for r in (0..rows).step_by(rows / 8) {
         assert!(soft.slice_rows(r, r + 1) == x.slice_rows(r, r + 1).softmax_rows());
     }
     assert!(x.transpose().transpose() == x);
@@ -138,7 +153,7 @@ fn zero_lhs_elements_skip_non_finite_rhs_rows_like_the_reference() {
 fn kernels_match_reference_with_a_single_rayon_thread() {
     let _g = lock();
     std::env::set_var("RAYON_NUM_THREADS", "1");
-    let a = filled(&[130, 127], 10);
+    let a = filled(&[grain_matmul_rows(130, 127, 140), 127], 10);
     let b = filled(&[127, 140], 11);
     let serial = a.matmul(&b);
     std::env::remove_var("RAYON_NUM_THREADS");
@@ -153,7 +168,7 @@ fn kernels_match_reference_with_a_single_rayon_thread() {
 fn kernels_match_reference_with_many_rayon_threads() {
     let _g = lock();
     std::env::set_var("RAYON_NUM_THREADS", "7");
-    let x = filled(&[257, 65], 12);
+    let x = filled(&[grain_rows(65), 65], 12);
     let many = x.softmax_rows();
     let gamma = filled(&[65], 13);
     let beta = filled(&[65], 14);
