@@ -5,6 +5,15 @@
 //! distance `2^s` inside blocks of size `2^{s+1}` and mixes each pair through
 //! a trainable 2×2 matrix (the paper's Section II-B). Multiplying a vector by
 //! the full butterfly matrix therefore costs `O(N log N)` instead of `O(N^2)`.
+//!
+//! Two routes run the stages. A single vector ([`ButterflyMatrix::forward`],
+//! and the backward pass, which works row by row) goes through the
+//! per-stage kernels of [`ButterflyStage`], SIMD lanes along the vector.
+//! Every batched forward goes through
+//! [`ButterflyMatrix::forward_rows_fused_into`], where the lanes run across
+//! independent rows instead: the engine of [`fab_tensor::simd`] that the 2-D
+//! FFT of [`crate::fft`] runs on as well, there with a complex twiddle as
+//! the pair operation. The two routes agree bit for bit.
 
 use crate::{log2_exact, ButterflyError};
 use fab_tensor::simd;
@@ -398,25 +407,6 @@ impl ButterflyMatrix {
         self.stages.len()
     }
 
-    /// Applies every stage in place to each `n`-element row of `data`, rows
-    /// fanned out in [`CHUNK_ELEMS`] chunks once the batch reaches the grain.
-    fn transform_rows_in_place(&self, data: &mut [f32]) {
-        let n = self.n;
-        let transform_rows = |chunk: &mut [f32]| {
-            for row in chunk.chunks_mut(n) {
-                for stage in &self.stages {
-                    stage.apply_in_place(row);
-                }
-            }
-        };
-        if !self.fans_out(data.len() / n, 1) {
-            transform_rows(data);
-        } else {
-            let rows_per_chunk = (CHUNK_ELEMS / n).max(1);
-            data.par_chunks_mut(rows_per_chunk * n).for_each(transform_rows);
-        }
-    }
-
     /// Whether `passes` butterfly transforms of `rows` rows (1 for a
     /// forward, 3 for a backward: the input gradient plus the two weight
     /// gradient products per stage) reach the workspace fan-out grain.
@@ -449,104 +439,91 @@ impl ButterflyMatrix {
         v
     }
 
-    /// Applies the butterfly matrix to every row of a `[rows, n]` tensor.
-    ///
-    /// The whole batch is transformed through the per-stage in-place kernel
-    /// with rayon fanning the rows out in parallel chunks — a single buffer
-    /// copy up front and no further allocation, in contrast to the seed's
-    /// per-row gather/`forward`/scatter loop.
+    /// Applies the butterfly matrix to every row of a `[rows, n]` tensor
+    /// ([`ButterflyMatrix::forward_rows_into`] into a fresh tensor).
     ///
     /// # Panics
     ///
     /// Panics when the tensor is not 2-D with `n` columns.
     pub fn forward_rows(&self, x: &Tensor) -> Tensor {
-        assert_eq!(x.cols(), self.n, "butterfly row width mismatch");
-        let rows = x.rows();
-        let n = self.n;
-        let mut data = x.as_slice().to_vec();
-        self.transform_rows_in_place(&mut data);
-        Tensor::from_vec(data, &[rows, n]).expect("forward_rows shape")
-    }
-
-    /// Applies the butterfly matrix to every row of a `[rows, d_in]` tensor
-    /// whose rows are first zero-padded on the right to the transform size
-    /// `n` — fusing the `concat_cols(x, zeros)` a caller would otherwise
-    /// materialise into the batch copy [`ButterflyMatrix::forward_rows`]
-    /// performs anyway. Results are bit-identical to padding explicitly.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the tensor is not 2-D or has more than `n` columns.
-    pub fn forward_rows_padded(&self, x: &Tensor) -> Tensor {
-        let d_in = x.cols();
-        let n = self.n;
-        assert!(d_in <= n, "butterfly pad width {d_in} exceeds transform size {n}");
-        if d_in == n {
-            return self.forward_rows(x);
-        }
-        let rows = x.rows();
-        let mut data = vec![0.0f32; rows * n];
-        for (drow, srow) in data.chunks_mut(n).zip(x.as_slice().chunks(d_in)) {
-            drow[..d_in].copy_from_slice(srow);
-        }
-        self.transform_rows_in_place(&mut data);
-        Tensor::from_vec(data, &[rows, n]).expect("forward_rows_padded shape")
+        let mut out = Tensor::default();
+        self.forward_rows_into(x, &mut out);
+        out
     }
 
     /// [`ButterflyMatrix::forward_rows`] writing into `out` (resized in
-    /// place; no allocation once `out`'s capacity suffices). Bit-identical
-    /// to `forward_rows`.
+    /// place; no allocation once `out`'s capacity suffices). Row `r` of the
+    /// result is bit-identical to `forward(row r)`.
     ///
     /// # Panics
     ///
     /// Panics when the tensor is not 2-D with `n` columns.
     pub fn forward_rows_into(&self, x: &Tensor, out: &mut Tensor) {
         assert_eq!(x.cols(), self.n, "butterfly row width mismatch");
-        let rows = x.rows();
-        let n = self.n;
-        out.resize_to(&[rows, n]);
-        let data = out.as_mut_slice();
-        data.copy_from_slice(x.as_slice());
-        self.transform_rows_in_place(data);
+        self.forward_rows_fused_into(x, self.n, &[], false, out);
     }
 
-    /// Fused pad + transform + truncate over rows, writing into `out`: rows
-    /// of `x` (`[rows, d_in]`, `d_in <= n`) are implicitly zero-padded,
-    /// transformed, and only the first `d_out` output columns are kept. This
-    /// collapses the `concat → butterfly → slice` chain of the padded
-    /// butterfly layer into one kernel; results are bit-identical to the
-    /// unfused chain.
+    /// The whole butterfly linear layer over rows, the one batched forward
+    /// route of this type: `out[r] = act(B · pad(x[r]) + bias)[..d_out]` for
+    /// a `[rows, d_in]` input with `d_in <= n`, where an empty `bias` adds
+    /// nothing and `act` is [`fab_tensor::fastmath::gelu_fast`] when `gelu`
+    /// is set. It collapses the `concat → butterfly → slice → bias → GELU`
+    /// chain of the padded butterfly layer into one kernel, bit-identical
+    /// to zero-padding, [`ButterflyMatrix::forward`] per row, slicing,
+    /// adding the bias and applying `Tensor::gelu`.
+    ///
+    /// Rows are processed in tiles of as many rows as the SIMD backend has
+    /// lanes: a tile is transposed to `[n][lanes]`, every stage is then one
+    /// vertical `w1·a + w2·b` / `w3·a + w4·b` with the pair's weights loaded
+    /// once and broadcast ([`simd::butterfly_stage_lanes`] — stages with
+    /// `half` 1, 2 and 4 are no different), and bias, activation and
+    /// truncation are applied while the tile is transposed back
+    /// ([`simd::lanes_to_rows`]). Batches that reach the fan-out grain are
+    /// split on tile boundaries; no split changes any output bit.
     ///
     /// # Panics
     ///
-    /// Panics when `d_in` or `d_out` exceed the transform size.
-    pub fn forward_rows_padded_trunc_into(&self, x: &Tensor, d_out: usize, out: &mut Tensor) {
+    /// Panics when `d_in` or `d_out` exceed the transform size, `d_out` is
+    /// zero, or `bias` is neither empty nor `d_out` long.
+    pub fn forward_rows_fused_into(
+        &self,
+        x: &Tensor,
+        d_out: usize,
+        bias: &[f32],
+        gelu: bool,
+        out: &mut Tensor,
+    ) {
         let n = self.n;
-        let d_in = x.cols();
+        let (rows, d_in) = (x.rows(), x.cols());
         assert!(d_in <= n, "butterfly pad width {d_in} exceeds transform size {n}");
-        assert!(d_out <= n, "butterfly output width {d_out} exceeds transform size {n}");
-        let rows = x.rows();
+        assert!((1..=n).contains(&d_out), "butterfly output width {d_out} outside 1..={n}");
+        assert!(bias.is_empty() || bias.len() == d_out, "butterfly bias length mismatch");
         out.resize_to(&[rows, d_out]);
-        let run_rows = |r0: usize, chunk: &mut [f32], row_buf: &mut [f32]| {
-            for (i, orow) in chunk.chunks_mut(d_out).enumerate() {
-                let r = r0 + i;
-                row_buf[..d_in].copy_from_slice(&x.as_slice()[r * d_in..(r + 1) * d_in]);
-                row_buf[d_in..].fill(0.0);
-                for stage in &self.stages {
-                    stage.apply_in_place(row_buf);
+        let lanes = simd::backend().lanes();
+        let xs = x.as_slice();
+        let run_rows = |r0: usize, chunk: &mut [f32]| {
+            crate::with_scratch(n * lanes, |tile| {
+                for (t, orows) in chunk.chunks_mut(lanes * d_out).enumerate() {
+                    let (r, nr) = (r0 + t * lanes, orows.len() / d_out);
+                    simd::rows_to_lanes(&xs[r * d_in..], d_in, nr, d_in, &[], tile, lanes);
+                    tile[d_in * lanes..].fill(0.0);
+                    for s in &self.stages {
+                        simd::butterfly_stage_lanes(
+                            s.half, &s.w1, &s.w2, &s.w3, &s.w4, tile, lanes,
+                        );
+                    }
+                    simd::lanes_to_rows(tile, lanes, nr, d_out, bias, gelu, orows, d_out);
                 }
-                orow.copy_from_slice(&row_buf[..d_out]);
-            }
+            });
         };
         let data = out.as_mut_slice();
         if !self.fans_out(rows, 1) {
-            with_tls_scratch(n, |scratch| run_rows(0, data, &mut scratch.grad));
+            run_rows(0, data);
         } else {
-            let rows_per_chunk = (CHUNK_ELEMS / n).max(1);
-            data.par_chunks_mut(rows_per_chunk * d_out).enumerate().for_each(|(c, chunk)| {
-                let mut row_buf = vec![0.0f32; n];
-                run_rows(c * rows_per_chunk, chunk, &mut row_buf);
-            });
+            let rows_per_chunk = (CHUNK_ELEMS / n).max(1).next_multiple_of(lanes);
+            data.par_chunks_mut(rows_per_chunk * d_out)
+                .enumerate()
+                .for_each(|(c, chunk)| run_rows(c * rows_per_chunk, chunk));
         }
     }
 
@@ -1339,6 +1316,74 @@ mod tests {
         for c in 0..4 {
             assert!((y.at(0, c) - r0[c]).abs() < 1e-6);
             assert!((y.at(1, c) - r1[c]).abs() < 1e-6);
+        }
+    }
+
+    /// The layer the rows kernel fuses, spelled out on the retained seed
+    /// stage loop: pad, every stage through `apply_into_reference`,
+    /// truncate, add the bias, apply GELU.
+    fn reference_layer(
+        b: &ButterflyMatrix,
+        x: &Tensor,
+        d_out: usize,
+        bias: &[f32],
+        gelu: bool,
+    ) -> Vec<f32> {
+        let n = b.size();
+        let mut out = Vec::with_capacity(x.rows() * d_out);
+        for row in x.as_slice().chunks(x.cols()) {
+            let mut cur = row.to_vec();
+            cur.resize(n, 0.0);
+            let mut next = vec![0.0f32; n];
+            for stage in b.stages() {
+                stage.apply_into_reference(&cur, &mut next);
+                std::mem::swap(&mut cur, &mut next);
+            }
+            for (c, &v) in cur[..d_out].iter().enumerate() {
+                let y = if bias.is_empty() { v } else { v + bias[c] };
+                out.push(if gelu { fab_tensor::fastmath::gelu_fast(y) } else { y });
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn rows_kernel_is_bit_equal_to_the_reference_stage_chain() {
+        let lanes = simd::backend().lanes();
+        let mut rng = StdRng::seed_from_u64(41);
+        for log_n in 1..=9 {
+            let n = 1usize << log_n;
+            let b = ButterflyMatrix::random(n, &mut rng).unwrap();
+            let bias: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+            // Whole, padded, truncated, and both at once.
+            let widths = [(n, n), (n - n / 4, n), (n, n / 2 + 1), ((n / 3).max(1), (n / 5).max(1))];
+            for rows in [1, lanes - 1, lanes, lanes + 1, 1023] {
+                if rows == 0 {
+                    continue;
+                }
+                for (d_in, d_out) in widths {
+                    let x = Tensor::from_vec(
+                        (0..rows * d_in).map(|_| rng.gen_range(-2.0f32..2.0)).collect(),
+                        &[rows, d_in],
+                    )
+                    .unwrap();
+                    for (bias, gelu) in
+                        [(&[][..], false), (&bias[..d_out], false), (&bias[..d_out], true)]
+                    {
+                        let mut out = Tensor::default();
+                        b.forward_rows_fused_into(&x, d_out, bias, gelu, &mut out);
+                        let expected = reference_layer(&b, &x, d_out, bias, gelu);
+                        assert!(
+                            out.as_slice()
+                                .iter()
+                                .map(|v| v.to_bits())
+                                .eq(expected.iter().map(|v| v.to_bits())),
+                            "n={n} rows={rows} d_in={d_in} d_out={d_out} bias={} gelu={gelu}",
+                            !bias.is_empty()
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -5,10 +5,36 @@
 //! `s` pairs elements at distance `2^s` and applies a complex twiddle
 //! multiply followed by an add/subtract — exactly the Fig. 7(c) datapath of
 //! the paper.
+//!
+//! [`FftPlan::execute`] is that formulation on one array-of-structs vector,
+//! kept as the readable reference and the oracle of the tests. The hot
+//! path, [`fft2_real`], runs on the lane-per-row engine of
+//! [`fab_tensor::simd`] that the butterfly-linear forward uses too — the
+//! same vertical stage loop with a complex twiddle as the pair operation, on
+//! split real/imaginary planes:
+//!
+//! 1. **Sequence dimension, whole rows.** The input is real, so the
+//!    `seq`-point transform of every column is one `seq/2`-point complex FFT
+//!    of the packed rows `x[2j] + i·x[2j+1]` plus a split step, and it
+//!    yields bins `0..=seq/2` only. The hidden dimension is the lane axis:
+//!    a butterfly pair is two rows, so nothing is transposed. Columns are
+//!    cut into strips narrow enough for a strip's planes to stay in cache
+//!    across the stages; strips are also the unit of the fan-out.
+//! 2. **Hidden dimension, tiles of rows.** Each of the `seq/2 + 1` bin rows
+//!    needs a complex `hidden`-point FFT; a tile of as many rows as the
+//!    backend has lanes is transposed into lane layout (bit-reversal folded
+//!    into the gather) and run through the same stages. Only the real part
+//!    leaves the tile, and every row `s` also yields row `seq − s` by the
+//!    mirror `Re Z[seq − s, h] = Re Z[s, (hidden − h) mod hidden]`.
+//!
+//! Plans are built once per size for the whole process; work buffers come
+//! from a per-thread pool and are reused across calls.
 
-use crate::{log2_exact, Complex};
-use fab_tensor::PAR_GRAIN_OPS;
+use crate::flops::fourier_mix_flops;
+use crate::{log2_exact, next_pow2, with_scratch, Complex};
+use fab_tensor::{simd, PAR_GRAIN_OPS};
 use rayon::prelude::*;
+use std::sync::OnceLock;
 
 /// Returns the bit-reversal permutation of `0..n`.
 ///
@@ -52,9 +78,12 @@ pub fn bit_reverse_permutation(n: usize) -> Vec<usize> {
 pub struct FftPlan {
     n: usize,
     perm: Vec<usize>,
-    /// Forward twiddles, stage-major: stage with half-size `2^s` occupies
-    /// `2^s` entries starting at offset `2^s - 1` (total `n - 1`).
-    twiddles: Vec<Complex>,
+    /// Forward twiddles as split planes, stage-major: the stage with
+    /// half-size `2^s` occupies `2^s` entries starting at offset `2^s - 1`
+    /// (total `n - 1`) — the table layout of
+    /// [`fab_tensor::simd::fft_stages_lanes`].
+    tw_re: Vec<f32>,
+    tw_im: Vec<f32>,
 }
 
 impl FftPlan {
@@ -66,14 +95,18 @@ impl FftPlan {
     pub fn new(n: usize) -> Self {
         let _ = log2_exact(n);
         let perm = bit_reverse_permutation(n);
-        let mut twiddles = Vec::with_capacity(n - 1);
+        let (mut tw_re, mut tw_im) = (Vec::with_capacity(n - 1), Vec::with_capacity(n - 1));
         let mut half = 1usize;
         while half < n {
             let step = -std::f32::consts::PI / half as f32;
-            twiddles.extend((0..half).map(|k| Complex::from_polar(step * k as f32)));
+            for k in 0..half {
+                let w = Complex::from_polar(step * k as f32);
+                tw_re.push(w.re);
+                tw_im.push(w.im);
+            }
             half *= 2;
         }
-        Self { n, perm, twiddles }
+        Self { n, perm, tw_re, tw_im }
     }
 
     /// Transform size.
@@ -99,10 +132,12 @@ impl FftPlan {
         // Butterfly stages: half = 1, 2, 4, ... n/2.
         let mut half = 1usize;
         while half < n {
-            let stage_tw = &self.twiddles[half - 1..2 * half - 1];
+            let stage = half - 1..2 * half - 1;
+            let stage_tw = self.tw_re[stage.clone()].iter().zip(&self.tw_im[stage]);
             for block in data.chunks_mut(2 * half) {
                 let (lo, hi) = block.split_at_mut(half);
-                for ((l, h), &tw) in lo.iter_mut().zip(hi.iter_mut()).zip(stage_tw.iter()) {
+                for ((l, h), (&re, &im)) in lo.iter_mut().zip(hi.iter_mut()).zip(stage_tw.clone()) {
+                    let tw = Complex::new(re, im);
                     let w = if inverse { tw.conj() } else { tw };
                     let a = *l;
                     let b = *h * w;
@@ -168,7 +203,9 @@ pub fn fft_real(data: &[f32]) -> Vec<Complex> {
 
 /// Naive `O(n^2)` DFT, used as a ground-truth oracle in tests and by the
 /// baseline accelerator model (which implements Fourier layers as dense
-/// matrix multiplications, as in the paper's Section VI-D).
+/// matrix multiplications, as in the paper's Section VI-D). The phase index
+/// `k·j` is reduced modulo `n` before it becomes an angle, so the twiddles
+/// stay accurate to an `f32` ulp of `2π` however large `n` is.
 ///
 /// # Panics
 ///
@@ -180,7 +217,7 @@ pub fn dft_naive(data: &[Complex]) -> Vec<Complex> {
         .map(|k| {
             let mut acc = Complex::zero();
             for (j, &x) in data.iter().enumerate() {
-                let theta = -2.0 * std::f32::consts::PI * (k * j) as f32 / n as f32;
+                let theta = -2.0 * std::f32::consts::PI * (k * j % n) as f32 / n as f32;
                 acc += x * Complex::from_polar(theta);
             }
             acc
@@ -188,31 +225,24 @@ pub fn dft_naive(data: &[Complex]) -> Vec<Complex> {
         .collect()
 }
 
-thread_local! {
-    /// Per-thread memo of the plans `fft2_real` uses, keyed by transform
-    /// size. Serving and training sweep the same few sequence/hidden sizes
-    /// over and over; caching makes the twiddle trigonometry a one-time
-    /// cost per thread instead of a per-call one.
-    static PLAN_CACHE: std::cell::RefCell<Vec<std::rc::Rc<FftPlan>>> =
-        const { std::cell::RefCell::new(Vec::new()) };
+/// One plan per transform size for the whole process (slot `log2 n`):
+/// every thread of the pool reads the same tables.
+static PLANS: [OnceLock<FftPlan>; usize::BITS as usize] =
+    [const { OnceLock::new() }; usize::BITS as usize];
+
+fn shared_plan(n: usize) -> &'static FftPlan {
+    PLANS[log2_exact(n)].get_or_init(|| FftPlan::new(n))
 }
 
-/// Returns the per-thread cached plan of size `n`, building it on first use.
-fn cached_plan(n: usize) -> std::rc::Rc<FftPlan> {
-    PLAN_CACHE.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        if let Some(plan) = cache.iter().find(|p| p.size() == n) {
-            return std::rc::Rc::clone(plan);
-        }
-        let plan = std::rc::Rc::new(FftPlan::new(n));
-        cache.push(std::rc::Rc::clone(&plan));
-        plan
-    })
-}
+/// Columns per strip of the sequence-dimension pass: a multiple of every
+/// backend's lane count (one vector per row on AVX2, the stage loop's
+/// tightest form), and narrow enough that the two planes of a 1024-point
+/// strip (32 KB) stay in L1 while the stages sweep them.
+const STRIP: usize = 8;
 
 /// The real part of the 2-D discrete Fourier transform used by FNet and by
-/// FABNet's FBfly block: a 1-D FFT along the hidden dimension followed by a
-/// 1-D FFT along the sequence dimension, keeping only the real component.
+/// FABNet's FBfly block, `Re(F_seq · X · F_hid)`; see the [module docs](self)
+/// for how it is computed.
 ///
 /// `x` is row-major `[seq, hidden]`; both dimensions must be powers of two.
 ///
@@ -220,53 +250,129 @@ fn cached_plan(n: usize) -> std::rc::Rc<FftPlan> {
 ///
 /// Panics when `x.len() != seq * hidden` or a dimension is not a power of two.
 pub fn fft2_real(x: &[f32], seq: usize, hidden: usize) -> Vec<f32> {
-    assert_eq!(x.len(), seq * hidden, "fft2_real input length mismatch");
-    let parallel = crate::flops::fourier_mix_flops(seq, hidden) >= PAR_GRAIN_OPS;
-    let row_plan = cached_plan(hidden);
-    let mut grid: Vec<Complex> = x.iter().map(|&v| Complex::from(v)).collect();
-    // FFT along the hidden dimension (each row), rows fanned out in parallel.
-    if parallel {
-        let row_plan = &*row_plan;
-        grid.par_chunks_mut(hidden).for_each(|row| row_plan.execute(row, false));
-    } else {
-        for row in grid.chunks_mut(hidden) {
-            row_plan.execute(row, false);
-        }
-    }
-    // FFT along the sequence dimension: transpose so columns become
-    // contiguous rows (cache-friendly and parallelisable across the hidden
-    // dimension), transform, and transpose back.
-    let col_plan = cached_plan(seq);
-    let mut t = transpose_grid(&grid, seq, hidden);
-    if parallel {
-        let col_plan = &*col_plan;
-        t.par_chunks_mut(seq).for_each(|col| col_plan.execute(col, false));
-    } else {
-        for col in t.chunks_mut(seq) {
-            col_plan.execute(col, false);
-        }
-    }
-    let grid = transpose_grid(&t, hidden, seq);
-    grid.iter().map(|v| v.re).collect()
+    let _ = (log2_exact(seq), log2_exact(hidden));
+    let mut out = vec![0.0f32; seq * hidden];
+    fft2_real_padded_into(x, seq, hidden, &mut out);
+    out
 }
 
-/// Out-of-place transpose of a row-major `[rows, cols]` complex grid.
-fn transpose_grid(grid: &[Complex], rows: usize, cols: usize) -> Vec<Complex> {
-    const TILE: usize = 32;
-    let mut out = vec![Complex::zero(); grid.len()];
-    for ii in (0..rows).step_by(TILE) {
-        let ib = TILE.min(rows - ii);
-        for jj in (0..cols).step_by(TILE) {
-            let jb = TILE.min(cols - jj);
-            for di in 0..ib {
-                let src = &grid[(ii + di) * cols + jj..(ii + di) * cols + jj + jb];
-                for (dj, &v) in src.iter().enumerate() {
-                    out[(jj + dj) * rows + ii + di] = v;
+/// [`fft2_real`] of `x` zero-padded to the next power of two in each
+/// dimension, truncated back to `[seq, hid]` on the way out. The padding
+/// never exists in memory: pass 1 gathers zeros for the rows and columns
+/// beyond `x`, pass 2 writes only the rows and columns of `out`.
+///
+/// # Panics
+///
+/// Panics when `x` or `out` does not hold `seq * hid` values.
+pub(crate) fn fft2_real_padded_into(x: &[f32], seq: usize, hid: usize, out: &mut [f32]) {
+    assert_eq!(x.len(), seq * hid, "fft2_real input length mismatch");
+    assert_eq!(out.len(), seq * hid, "fft2_real output length mismatch");
+    if out.is_empty() {
+        return;
+    }
+    let (s, h) = (next_pow2(seq), next_pow2(hid));
+    let m = s / 2;
+    let (plan_s, plan_h) = (shared_plan(s), shared_plan(h));
+    let w = h.min(STRIP);
+    // A strip holds its real plane, then its imaginary plane, `m + 1` rows
+    // of `w` columns each.
+    let strip_len = 2 * (m + 1) * w;
+    // The nominal count, as everywhere the grain is consulted.
+    let parallel = fourier_mix_flops(s, h) >= PAR_GRAIN_OPS;
+    let lanes = simd::backend().lanes();
+    with_scratch(h / w * strip_len, |y| {
+        let pass1 = |(j, strip): (usize, &mut [f32])| {
+            seq_pass(x, seq, hid, plan_s, j * w, w, strip);
+        };
+        if parallel {
+            y.par_chunks_mut(strip_len).enumerate().for_each(pass1);
+        } else {
+            y.chunks_mut(strip_len).enumerate().for_each(pass1);
+        }
+
+        let y = &*y;
+        // A tile covers bin rows `a..b`: it writes those rows of `out`
+        // (`direct`) and the mirror rows `s − s'` of its `s'` below `hi`.
+        let tile = |(a, b, hi): (usize, usize, usize), direct: &mut [f32], mirror: &mut [f32]| {
+            with_scratch(3 * h * lanes, |buf| {
+                let (tre, buf) = buf.split_at_mut(h * lanes);
+                let (tim, rows) = buf.split_at_mut(h * lanes);
+                for (j, strip) in y.chunks(strip_len).enumerate() {
+                    let (re, im) = strip.split_at((m + 1) * w);
+                    let perm = &plan_h.perm[j * w..(j + 1) * w];
+                    simd::rows_to_lanes(&re[a * w..], w, b - a, w, perm, tre, lanes);
+                    simd::rows_to_lanes(&im[a * w..], w, b - a, w, perm, tim, lanes);
                 }
+                simd::fft_stages_lanes(&plan_h.tw_re, &plan_h.tw_im, tre, tim, lanes);
+                simd::lanes_to_rows(tre, lanes, b - a, h, &[], false, rows, h);
+                for (drow, z) in direct.chunks_mut(hid).zip(rows.chunks(h)) {
+                    drow.copy_from_slice(&z[..hid]);
+                }
+                // Mirror rows ascend in `out` as their bin rows descend.
+                for (i, mrow) in mirror.chunks_mut(hid).enumerate() {
+                    let z = &rows[(hi - 1 - i - a) * h..][..h];
+                    mrow[0] = z[0];
+                    for (d, &v) in mrow[1..].iter_mut().zip(z[h + 1 - hid..].iter().rev()) {
+                        *d = v;
+                    }
+                }
+            });
+        };
+        // Direct rows are handed out from the front of `out`, mirror rows
+        // from its back, so every tile gets two disjoint plain slices.
+        let mut rest = out;
+        let mut jobs = Vec::new();
+        for a in (0..=m).step_by(lanes) {
+            let b = (a + lanes).min(m + 1);
+            // Bin rows 0 and `m` mirror onto themselves, and rows of the
+            // padded grid beyond `seq` are not part of `out`.
+            let (lo, hi) = (a.max(1).max(s - seq + 1), b.min(m));
+            let (direct, tail) =
+                std::mem::take(&mut rest).split_at_mut(b.min(seq).saturating_sub(a) * hid);
+            let (middle, mirror) = tail.split_at_mut(tail.len() - hi.saturating_sub(lo) * hid);
+            rest = middle;
+            if parallel {
+                jobs.push(((a, b, hi), direct, mirror));
+            } else {
+                tile((a, b, hi), direct, mirror);
             }
         }
+        debug_assert!(rest.is_empty());
+        if parallel {
+            jobs.into_par_iter().for_each(|(rows, direct, mirror)| tile(rows, direct, mirror));
+        }
+    });
+}
+
+/// Pass 1 for the columns `c0 .. c0 + w`: the real-input FFT along the
+/// sequence dimension, leaving bins `0..=m` in the strip's planes.
+fn seq_pass(
+    x: &[f32],
+    seq: usize,
+    hid: usize,
+    plan: &FftPlan,
+    c0: usize,
+    w: usize,
+    strip: &mut [f32],
+) {
+    let m = plan.n / 2;
+    let (re, im) = strip.split_at_mut((m + 1) * w);
+    // Packed row `j` is input rows `2j` (real plane) and `2j + 1`
+    // (imaginary plane); the first `m` entries of the `2m`-point
+    // bit-reversal are exactly the even rows in `m`-point reversed order.
+    let cols = hid.saturating_sub(c0).min(w);
+    for (j, &even) in plan.perm[..m].iter().enumerate() {
+        for (plane, row) in [(&mut *re, even), (&mut *im, even + 1)] {
+            let dst = &mut plane[j * w..(j + 1) * w];
+            let real = if row < seq { cols } else { 0 };
+            if real > 0 {
+                dst[..real].copy_from_slice(&x[row * hid + c0..][..real]);
+            }
+            dst[real..].fill(0.0);
+        }
     }
-    out
+    simd::fft_stages_lanes(&plan.tw_re, &plan.tw_im, &mut re[..m * w], &mut im[..m * w], w);
+    simd::fft_real_split_lanes(&plan.tw_re[m - 1..], &plan.tw_im[m - 1..], re, im, w);
 }
 
 #[cfg(test)]

@@ -25,7 +25,14 @@ pub fn fft_flops(n: usize) -> u64 {
 }
 
 /// FLOPs of the FNet/FBfly 2-D Fourier mixing over a `[seq, hidden]` tile:
-/// one FFT per row plus one FFT per column.
+/// one full complex FFT per row plus one per column.
+///
+/// This is the *nominal* count — what the paper's operation accounting
+/// charges a Fourier layer, and what the fan-out decisions compare against
+/// [`fab_tensor::PAR_GRAIN_OPS`]. It is not the executed count:
+/// [`crate::fft::fft2_real`] exploits the real input and the real output
+/// (a half-size packed transform along the sequence, then only `seq/2 + 1`
+/// hidden-dimension transforms), so it performs a bit under half of this.
 pub fn fourier_mix_flops(seq: usize, hidden: usize) -> u64 {
     seq as u64 * fft_flops(hidden) + hidden as u64 * fft_flops(seq)
 }

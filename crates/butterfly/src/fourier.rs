@@ -1,7 +1,6 @@
 //! FNet-style 2-D Fourier token mixing used by the FBfly block.
 
-use crate::fft::fft2_real;
-use crate::next_pow2;
+use crate::fft::fft2_real_padded_into;
 use fab_tensor::Tensor;
 
 /// Applies the FNet token-mixing transform `Y = Re(F_seq · X · F_hid)` to a
@@ -21,10 +20,11 @@ pub fn fourier_mix(x: &Tensor) -> Tensor {
     out
 }
 
-/// [`fourier_mix`] writing into `out` (resized in place). The FFT itself
-/// still stages its work in plan-cached internal buffers; this variant only
-/// avoids allocating the output tensor, which is what the autodiff tape
-/// reuses across training steps.
+/// [`fourier_mix`] writing into `out` (resized in place). The padding is
+/// folded into the transform's gather and the truncation into its output
+/// pass ([`crate::fft`]), and the work buffers come from a per-thread pool,
+/// so a steady-state call allocates nothing — which is what the autodiff
+/// tape relies on across training steps.
 ///
 /// # Panics
 ///
@@ -32,22 +32,8 @@ pub fn fourier_mix(x: &Tensor) -> Tensor {
 pub fn fourier_mix_into(x: &Tensor, out: &mut Tensor) {
     assert_eq!(x.shape().len(), 2, "fourier_mix requires a 2-D tensor");
     let (seq, hid) = (x.rows(), x.cols());
-    let (pseq, phid) = (next_pow2(seq), next_pow2(hid));
     out.resize_to(&[seq, hid]);
-    if (pseq, phid) == (seq, hid) {
-        // Already power-of-two sized: transform without the padding copies.
-        let mixed = fft2_real(x.as_slice(), seq, hid);
-        out.as_mut_slice().copy_from_slice(&mixed);
-        return;
-    }
-    let mut padded = vec![0.0f32; pseq * phid];
-    for (prow, row) in padded.chunks_mut(phid).zip(x.as_slice().chunks(hid)) {
-        prow[..hid].copy_from_slice(row);
-    }
-    let mixed = fft2_real(&padded, pseq, phid);
-    for (orow, mrow) in out.as_mut_slice().chunks_mut(hid).zip(mixed.chunks(phid)) {
-        orow.copy_from_slice(&mrow[..hid]);
-    }
+    fft2_real_padded_into(x.as_slice(), seq, hid, out.as_mut_slice());
 }
 
 /// Gradient of [`fourier_mix`] with respect to its input.

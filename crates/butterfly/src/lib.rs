@@ -48,6 +48,30 @@ pub use error::ButterflyError;
 pub use fourier::{fourier_mix, fourier_mix_backward, fourier_mix_into};
 pub use ops::{butterfly_linear_op, butterfly_linear_padded_op, fourier_mix_op};
 
+thread_local! {
+    /// Per-thread pool of work buffers for the forward kernels (a stack, so
+    /// a kernel may hold one buffer while a nested step takes another).
+    static SCRATCH: std::cell::RefCell<Vec<Vec<f32>>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` on a pooled per-thread buffer of `len` values whose contents
+/// are unspecified: once the pool has warmed up, no allocation. The buffer
+/// starts on a cache-line boundary, so the 32-byte lane rows the kernels cut
+/// it into never straddle two lines.
+pub(crate) fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+    const LINE: usize = 64;
+    let mut buf = SCRATCH.with(|s| s.borrow_mut().pop()).unwrap_or_default();
+    let padded = len + LINE / std::mem::size_of::<f32>();
+    if buf.len() < padded {
+        buf.resize(padded, 0.0);
+    }
+    let start = buf.as_ptr().align_offset(LINE);
+    let r = f(&mut buf[start..start + len]);
+    SCRATCH.with(|s| s.borrow_mut().push(buf));
+    r
+}
+
 /// Returns the smallest power of two greater than or equal to `n` (minimum 2).
 ///
 /// Butterfly matrices and FFTs are defined for power-of-two sizes; model

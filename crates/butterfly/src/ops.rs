@@ -80,7 +80,7 @@ pub fn butterfly_linear_padded_op(tape: &Tape, x: VarId, weights: VarId, d_out: 
         .with_value(weights, PooledButterfly::from_weight_tensor)
         .expect("invalid butterfly weight tensor");
     let y = tape.push_custom_deferred("butterfly_linear_padded", &[x, weights], |pv, out| {
-        bfly.forward_rows_padded_trunc_into(pv.get(0), d_out, out);
+        bfly.forward_rows_fused_into(pv.get(0), d_out, &[], false, out);
     });
     tape.set_backward(
         y,

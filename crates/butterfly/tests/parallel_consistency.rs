@@ -1,18 +1,72 @@
-//! PR-1 property tests: the batched butterfly and FFT kernels must agree
-//! with the per-vector seed path across odd row counts and worker-thread
-//! counts, including `RAYON_NUM_THREADS=1`.
+//! The batched butterfly and FFT kernels against their per-vector and
+//! `O(n²)` oracles, across odd row counts, non-square and padded shapes —
+//! and bit for bit across worker-thread counts (`RAYON_NUM_THREADS`
+//! 1/2/5/7) and SIMD backends (scalar vs native).
 
-use fab_butterfly::fft::{fft, fft2_real};
+use fab_butterfly::fft::{dft_naive, fft, fft2_real};
 use fab_butterfly::flops::{butterfly_linear_flops, fourier_mix_flops};
-use fab_butterfly::{ButterflyMatrix, Complex};
+use fab_butterfly::{fourier_mix, fourier_mix_backward, ButterflyMatrix, Complex};
+use fab_tensor::simd::{self, Backend};
 use fab_tensor::{Tensor, PAR_GRAIN_OPS};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Mutex;
 
-/// Serialises tests that mutate `RAYON_NUM_THREADS`, which is process-global.
+/// Serialises tests that mutate `RAYON_NUM_THREADS` or the forced SIMD
+/// backend, which are process-global.
 static THREAD_ENV_LOCK: Mutex<()> = Mutex::new(());
+
+/// Runs `f` under every thread count × backend combination and checks that
+/// every run returns the bits of the first.
+fn assert_same_bits_in_every_configuration(what: &str, f: impl Fn() -> Vec<f32>) {
+    let _guard = THREAD_ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let previous = simd::backend();
+    let mut first: Option<Vec<u32>> = None;
+    for backend in [Backend::Scalar, simd::default_backend()] {
+        simd::force_backend(backend);
+        for threads in ["1", "2", "5", "7"] {
+            std::env::set_var("RAYON_NUM_THREADS", threads);
+            let bits: Vec<u32> = f().iter().map(|v| v.to_bits()).collect();
+            match &first {
+                None => first = Some(bits),
+                Some(expected) => assert!(
+                    *expected == bits,
+                    "{what}: {} backend with {threads} threads changed the output bits",
+                    backend.name()
+                ),
+            }
+        }
+    }
+    std::env::remove_var("RAYON_NUM_THREADS");
+    simd::force_backend(previous);
+}
+
+fn random_vec(len: usize, rng: &mut StdRng) -> Vec<f32> {
+    (0..len).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
+}
+
+/// `max |a − b| / max |b|`: the normalised error the Fourier contract bounds.
+fn normalised_error(a: &[f32], b: &[f64]) -> f64 {
+    let scale = b.iter().fold(f64::MIN_POSITIVE, |m, v| m.max(v.abs()));
+    a.iter().zip(b).map(|(x, y)| (*x as f64 - y).abs()).fold(0.0, f64::max) / scale
+}
+
+/// The real part of the 2-D DFT of a dense `[seq, hid]` grid, from
+/// [`dft_naive`] along the rows and then along the columns.
+fn dft2_real_oracle(x: &[f32], seq: usize, hid: usize) -> Vec<f64> {
+    let mut grid: Vec<Complex> = x.iter().map(|&v| Complex::from(v)).collect();
+    for row in grid.chunks_mut(hid) {
+        row.copy_from_slice(&dft_naive(row));
+    }
+    for c in 0..hid {
+        let col: Vec<Complex> = (0..seq).map(|r| grid[r * hid + c]).collect();
+        for (r, v) in dft_naive(&col).into_iter().enumerate() {
+            grid[r * hid + c] = v;
+        }
+    }
+    grid.iter().map(|v| v.re as f64).collect()
+}
 
 fn filled(rows: usize, n: usize, salt: usize) -> Tensor {
     Tensor::from_vec(
@@ -97,10 +151,10 @@ proptest! {
             .map(|i| (((i * 37 + seed as usize * 11) % 613) as f32) * 0.017 - 5.2)
             .collect();
         let fast = fft2_real(&x, seq, hidden);
-        let reference = fft2_real_reference(&x, seq, hidden);
-        for (a, b) in fast.iter().zip(reference.iter()) {
-            prop_assert!((a - b).abs() <= 1e-5 * (1.0 + b.abs()), "{a} vs {b}");
-        }
+        let reference: Vec<f64> =
+            fft2_real_reference(&x, seq, hidden).iter().map(|&v| v as f64).collect();
+        let err = normalised_error(&fast, &reference);
+        prop_assert!(err <= 1e-5, "{seq}x{hidden}: normalised error {err}");
     }
 }
 
@@ -123,32 +177,180 @@ fn large_batches_cross_the_parallel_threshold_and_stay_exact() {
     }
     let big: Vec<f32> = (0..seq * 128).map(|i| ((i % 331) as f32) * 0.01 - 1.6).collect();
     let fast = fft2_real(&big, seq, 128);
-    let reference = fft2_real_reference(&big, seq, 128);
-    for (a, b) in fast.iter().zip(reference.iter()) {
-        assert!((a - b).abs() <= 1e-4 * (1.0 + b.abs()));
-    }
+    let reference: Vec<f64> =
+        fft2_real_reference(&big, seq, 128).iter().map(|&v| v as f64).collect();
+    assert!(normalised_error(&fast, &reference) <= 1e-5);
 }
 
+/// Every thread count × backend must reproduce the bits of the first
+/// configuration, the scalar backend on a single rayon thread.
 #[test]
 fn batched_kernels_match_with_a_single_rayon_thread() {
-    let _guard = THREAD_ENV_LOCK.lock().expect("env lock");
     let mut rng = StdRng::seed_from_u64(7);
     let bfly = ButterflyMatrix::random(64, &mut rng).unwrap();
     let rows = grain_rows(64);
     let x = filled(rows, 64, 2);
     let g = filled(rows, 64, 3);
+    assert_same_bits_in_every_configuration("forward_rows + backward_rows", || {
+        let (gx, gw) = bfly.backward_rows(&x, &g);
+        // Chunk boundaries are thread-count independent, so even the
+        // reduced weight gradients must match exactly.
+        [bfly.forward_rows(&x).into_vec(), gx.into_vec(), gw.into_vec()].concat()
+    });
+}
 
-    std::env::set_var("RAYON_NUM_THREADS", "1");
-    let forward_serial = bfly.forward_rows(&x);
-    let (gx_serial, gw_serial) = bfly.backward_rows(&x, &g);
-    std::env::set_var("RAYON_NUM_THREADS", "5");
-    let forward_parallel = bfly.forward_rows(&x);
-    let (gx_parallel, gw_parallel) = bfly.backward_rows(&x, &g);
-    std::env::remove_var("RAYON_NUM_THREADS");
+/// The fused layer — padded input, truncated output, bias, GELU — past the
+/// fan-out grain with a row count that leaves a partial tile on every
+/// backend, against the per-row `forward` with the epilogue spelled out.
+#[test]
+fn fused_butterfly_layer_is_bit_identical_at_every_thread_count_and_backend() {
+    let mut rng = StdRng::seed_from_u64(21);
+    for (n, d_in, d_out) in [(128usize, 128usize, 128usize), (512, 128, 512), (512, 500, 77)] {
+        let bfly = ButterflyMatrix::random(n, &mut rng).unwrap();
+        let rows = grain_rows(n);
+        let x = filled(rows, d_in, n);
+        let bias = random_vec(d_out, &mut rng);
+        for gelu in [false, true] {
+            let mut expected = Vec::with_capacity(rows * d_out);
+            for row in x.as_slice().chunks(d_in) {
+                let mut padded = row.to_vec();
+                padded.resize(n, 0.0);
+                let y: Vec<f32> =
+                    bfly.forward(&padded)[..d_out].iter().zip(&bias).map(|(v, b)| v + b).collect();
+                let y = Tensor::from_vec(y, &[1, d_out]).unwrap();
+                expected.extend_from_slice(if gelu { y.gelu() } else { y }.as_slice());
+            }
+            assert_same_bits_in_every_configuration("forward_rows_fused_into", || {
+                let mut out = Tensor::default();
+                bfly.forward_rows_fused_into(&x, d_out, &bias, gelu, &mut out);
+                assert!(
+                    out.as_slice()
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .eq(expected.iter().map(|v| v.to_bits())),
+                    "fused layer diverged from the per-row chain at n={n} gelu={gelu}"
+                );
+                out.into_vec()
+            });
+        }
+    }
+}
 
-    assert!(forward_serial == forward_parallel, "thread count changed forward_rows");
-    assert!(gx_serial == gx_parallel, "thread count changed input gradients");
-    // Chunk boundaries are thread-count independent, so even the reduced
-    // weight gradients must match exactly.
-    assert!(gw_serial == gw_parallel, "thread count changed weight gradients");
+const FOURIER_SIZES: [usize; 6] = [2, 4, 8, 64, 128, 1024];
+
+/// `fft2_real` against the `dft_naive`-built 2-D oracle at every pairing of
+/// the sizes above. A dense random grid is transformed naively where that
+/// is affordable; the large shapes use a rank-3 grid `Σ u_k v_kᵀ`, whose
+/// transform is `Σ dft(u_k) dft(v_k)ᵀ` — still two naive 1-D DFTs per term,
+/// and still dense in every input and output position.
+#[test]
+fn fft2_real_matches_the_naive_dft_oracle_at_every_shape() {
+    let mut rng = StdRng::seed_from_u64(42);
+    let terms: Vec<Vec<(Vec<f32>, Vec<Complex>)>> = FOURIER_SIZES
+        .iter()
+        .map(|&n| {
+            (0..6)
+                .map(|_| {
+                    let u = random_vec(n, &mut rng);
+                    let spectrum =
+                        dft_naive(&u.iter().map(|&v| Complex::from(v)).collect::<Vec<_>>());
+                    (u, spectrum)
+                })
+                .collect()
+        })
+        .collect();
+    for (si, &seq) in FOURIER_SIZES.iter().enumerate() {
+        for (hi, &hid) in FOURIER_SIZES.iter().enumerate() {
+            let (x, oracle) = if seq * hid * (seq + hid) <= 1 << 22 {
+                let x = random_vec(seq * hid, &mut rng);
+                let oracle = dft2_real_oracle(&x, seq, hid);
+                (x, oracle)
+            } else {
+                let (mut x, mut oracle) = (vec![0.0f32; seq * hid], vec![0.0f64; seq * hid]);
+                for k in 0..3 {
+                    let ((u, us), (v, vs)) = (&terms[si][k], &terms[hi][3 + k]);
+                    for s in 0..seq {
+                        for h in 0..hid {
+                            x[s * hid + h] += u[s] * v[h];
+                            oracle[s * hid + h] += us[s].re as f64 * vs[h].re as f64
+                                - us[s].im as f64 * vs[h].im as f64;
+                        }
+                    }
+                }
+                // The grid is the f32 sum the transform sees; the oracle is
+                // the transform of the exact sum, equal to within rounding.
+                (x, oracle)
+            };
+            let err = normalised_error(&fft2_real(&x, seq, hid), &oracle);
+            assert!(err <= 1e-5, "{seq}x{hid}: normalised error {err}");
+        }
+    }
+}
+
+/// `x` zero-padded to `[pseq, phid]`.
+fn zero_padded(x: &Tensor, pseq: usize, phid: usize) -> Vec<f32> {
+    let mut padded = vec![0.0f32; pseq * phid];
+    for (prow, row) in padded.chunks_mut(phid).zip(x.as_slice().chunks(x.cols())) {
+        prow[..x.cols()].copy_from_slice(row);
+    }
+    padded
+}
+
+/// The top-left `[seq, hid]` corner of a `[_, phid]` grid.
+fn truncated<T: Copy>(full: &[T], phid: usize, seq: usize, hid: usize) -> Vec<T> {
+    full.chunks(phid).take(seq).flat_map(|row| row[..hid].to_vec()).collect()
+}
+
+/// Dimensions that are not powers of two (1 and 3 included, which pad to 2
+/// and 4): the padding folded into the gather must give the bits of
+/// padding explicitly, and both must match the oracle of the padded grid.
+#[test]
+fn non_power_of_two_fourier_mix_equals_explicit_pad_then_truncate() {
+    let mut rng = StdRng::seed_from_u64(5);
+    for (seq, hid) in
+        [(1, 1), (1, 8), (8, 1), (3, 3), (3, 5), (6, 3), (100, 24), (37, 128), (600, 100)]
+    {
+        let x = Tensor::from_vec(random_vec(seq * hid, &mut rng), &[seq, hid]).unwrap();
+        let (pseq, phid) = (fab_butterfly::next_pow2(seq), fab_butterfly::next_pow2(hid));
+        let mixed = fourier_mix(&x);
+        assert_eq!(mixed.shape(), &[seq, hid]);
+        let padded = zero_padded(&x, pseq, phid);
+        let explicit = truncated(&fft2_real(&padded, pseq, phid), phid, seq, hid);
+        assert!(
+            mixed.as_slice().iter().map(|v| v.to_bits()).eq(explicit.iter().map(|v| v.to_bits())),
+            "{seq}x{hid}: folded padding changed bits"
+        );
+        let oracle = truncated(&dft2_real_oracle(&padded, pseq, phid), phid, seq, hid);
+        let err = normalised_error(mixed.as_slice(), &oracle);
+        assert!(err <= 1e-5, "{seq}x{hid}: normalised error {err}");
+    }
+}
+
+/// `fourier_mix_backward` applies the forward transform to the gradient,
+/// which is only right while the map is symmetric: `⟨F x, y⟩ = ⟨x, F y⟩`,
+/// padded shapes included.
+#[test]
+fn fourier_mix_is_its_own_adjoint() {
+    let mut rng = StdRng::seed_from_u64(17);
+    for (seq, hid) in [(8, 4), (64, 32), (128, 64), (6, 3), (100, 24), (1024, 128)] {
+        let x = Tensor::from_vec(random_vec(seq * hid, &mut rng), &[seq, hid]).unwrap();
+        let y = Tensor::from_vec(random_vec(seq * hid, &mut rng), &[seq, hid]).unwrap();
+        let dot = |a: &Tensor, b: &Tensor| -> f64 {
+            a.as_slice().iter().zip(b.as_slice()).map(|(p, q)| *p as f64 * *q as f64).sum()
+        };
+        let (lhs, rhs) = (dot(&fourier_mix(&x), &y), dot(&x, &fourier_mix_backward(&y)));
+        // Each side is a sum of seq·hid products of O(√(seq·hid)) values.
+        let scale = (seq * hid) as f64;
+        assert!((lhs - rhs).abs() <= 1e-5 * scale, "{seq}x{hid}: {lhs} vs {rhs}");
+    }
+}
+
+#[test]
+fn fourier_mix_is_bit_identical_at_every_thread_count_and_backend() {
+    let mut rng = StdRng::seed_from_u64(9);
+    // Below and past the fan-out grain, square and not, padded and not.
+    for (seq, hid) in [(2, 2), (8, 64), (128, 64), (1024, 128), (128, 1024), (600, 100), (3, 5)] {
+        let x = Tensor::from_vec(random_vec(seq * hid, &mut rng), &[seq, hid]).unwrap();
+        assert_same_bits_in_every_configuration("fourier_mix", || fourier_mix(&x).into_vec());
+    }
 }

@@ -45,8 +45,10 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// How often the accept loop polls for new connections / the drain flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// How often `join` re-checks the in-flight request count while draining,
+/// and how long the accept loop backs off after a failed `accept` (fd
+/// exhaustion, an aborted handshake) so a persistent error cannot spin it.
+const DRAIN_POLL: Duration = Duration::from_millis(5);
 
 /// Daemon-level counters (the per-model ones live in [`ServerStats`]).
 #[derive(Default)]
@@ -98,6 +100,9 @@ struct DaemonShared {
     /// sites are armed — via config (requires `fault_injection`) or
     /// `POST /admin/chaos` (403 without `fault_injection`).
     chaos: Arc<ChaosInjector>,
+    /// The bound listener address; a drain connects to it once to wake the
+    /// accept thread out of its blocking `accept`.
+    addr: SocketAddr,
     draining: AtomicBool,
     open_connections: AtomicUsize,
     /// Requests currently between "fully read" and "response written". The
@@ -172,7 +177,6 @@ impl Daemon {
         let listener =
             TcpListener::bind(&config.addr).map_err(|e| format!("bind {}: {e}", config.addr))?;
         let addr = listener.local_addr().map_err(|e| format!("local_addr: {e}"))?;
-        listener.set_nonblocking(true).map_err(|e| format!("set_nonblocking: {e}"))?;
 
         let fleet = Fleet::new(config.fleet_config());
         let profiles =
@@ -194,6 +198,7 @@ impl Daemon {
             snapshot_versions: Mutex::new(HashMap::new()),
             artifacts: Mutex::new(HashMap::new()),
             chaos,
+            addr,
             draining: AtomicBool::new(false),
             open_connections: AtomicUsize::new(0),
             active_requests: AtomicUsize::new(0),
@@ -211,7 +216,7 @@ impl Daemon {
             if let Err(e) = boot_profile(&shared, &p) {
                 // Tear the half-started daemon down cleanly: stop the
                 // accept loop before reporting the failure.
-                shared.draining.store(true, Ordering::SeqCst);
+                shared.begin_drain();
                 let _ = accept_thread.join();
                 return Err(e);
             }
@@ -241,7 +246,7 @@ impl Daemon {
     /// stops taking connections, in-flight requests keep being served.
     /// Idempotent.
     pub fn initiate_drain(&self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
+        self.shared.begin_drain();
     }
 
     /// Whether a drain is in progress.
@@ -266,12 +271,12 @@ impl Daemon {
         }
         let deadline = Instant::now() + Duration::from_millis(self.shared.config.drain_timeout_ms);
         while self.shared.active_requests.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
-            thread::sleep(ACCEPT_POLL);
+            thread::sleep(DRAIN_POLL);
         }
         // Brief grace for requests whose bytes arrived but whose handler
         // hasn't registered yet; anything slower gets an explicit
         // ServerStopped (503) answer rather than a hang.
-        thread::sleep(ACCEPT_POLL.saturating_mul(4));
+        thread::sleep(DRAIN_POLL.saturating_mul(4));
         // Drains every queued request of every model to an answer
         // (zero-drop), including versions still draining after a reload.
         self.shared.fleet.shutdown();
@@ -365,8 +370,32 @@ fn persist_artifact(
     Some(version)
 }
 
+impl DaemonShared {
+    /// Flips the daemon into draining and, the first time only, wakes the
+    /// accept thread: it parks in a blocking `accept`, so the flag alone
+    /// would not be seen until the next client happened to connect. The
+    /// wake is a loopback connection to the daemon's own listener, which
+    /// the accept loop drops on sight of the flag. Should the connect fail
+    /// (descriptors exhausted, backlog full), `accept` is not parked either:
+    /// it is failing or returning queued connections, and sees the flag.
+    fn begin_drain(&self) {
+        if self.draining.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+    }
+}
+
 fn accept_loop(listener: TcpListener, shared: Arc<DaemonShared>) {
     loop {
+        let accepted = listener.accept();
         if shared.draining.load(Ordering::SeqCst) {
             return;
         }
@@ -376,7 +405,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<DaemonShared>) {
         if let Some(delay) = shared.chaos.stall(ChaosSite::AcceptStall) {
             thread::sleep(delay);
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _)) => {
                 shared.counters.connections_total.fetch_add(1, Ordering::Relaxed);
                 let open = shared.open_connections.fetch_add(1, Ordering::AcqRel) + 1;
@@ -408,8 +437,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<DaemonShared>) {
                     shared.counters.connections_rejected.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-            Err(_) => thread::sleep(ACCEPT_POLL),
+            Err(_) => thread::sleep(DRAIN_POLL),
         }
     }
 }
@@ -520,7 +548,7 @@ fn route(shared: &Arc<DaemonShared>, request: &Request) -> Response {
         ("POST", "/v1/predict") => predict(shared, request, false),
         ("POST", "/v1/predict_batch") => predict(shared, request, true),
         ("POST", "/admin/shutdown") => {
-            shared.draining.store(true, Ordering::SeqCst);
+            shared.begin_drain();
             Response::json(200, Json::Obj(vec![("draining".to_string(), Json::Bool(true))]))
         }
         ("POST", "/admin/models") => admin_models(shared, request),

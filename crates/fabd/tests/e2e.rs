@@ -255,6 +255,22 @@ fn drain_flips_readyz_stops_accepting_and_join_completes() {
     daemon.join();
 }
 
+/// The accept thread parks in a blocking `accept`; a drain has to wake it
+/// itself, because no client may ever connect to do so.
+#[test]
+fn join_returns_when_no_connection_ever_arrived() {
+    let daemon = Daemon::start(test_config()).expect("daemon starts");
+    let (done, joined) = std::sync::mpsc::channel();
+    let joiner = std::thread::spawn(move || {
+        daemon.join();
+        let _ = done.send(());
+    });
+    joined
+        .recv_timeout(Duration::from_secs(10))
+        .expect("join() hung: nothing woke the accept thread");
+    joiner.join().expect("joiner thread");
+}
+
 #[test]
 fn hot_reload_bumps_the_version_and_keeps_serving() {
     let daemon = Daemon::start(test_config()).expect("daemon starts");

@@ -30,7 +30,8 @@
 //!
 //! Scheduling never changes results: logits stay bit-identical to the
 //! same session answering the request alone, whatever batch, order, or
-//! worker count the policy produces (fab-serve's padding invariance).
+//! worker count the policy produces (the session runs every sequence of
+//! a batch on its own).
 
 #![warn(missing_docs)]
 

@@ -13,10 +13,10 @@
 //! virtual clock, so an idle tenant cannot hoard credit and burst past
 //! active ones.
 //!
-//! Batch *shapes* come out mixed (no length bucketing); the server pads
-//! to the longest survivor, and the session's padding invariance keeps
-//! logits bit-identical to serving each request alone — scheduling order
-//! never changes results, only latency.
+//! Batch *shapes* come out mixed (no length bucketing). That costs
+//! nothing: the session evaluates every sequence of a batch on its own, at
+//! its own length, so logits are bit-identical to serving each request
+//! alone — scheduling order never changes results, only latency.
 
 use crate::qos::TenantTable;
 use fab_serve::policy::{BatchDecision, BatchPolicy, QueuedRequest};
@@ -194,7 +194,7 @@ impl BatchPolicy for QosPolicy {
         }
         let take = self.depth.min(max_batch);
         let requests: Vec<QueuedRequest> = (0..take).map(|_| self.dequeue()).collect();
-        BatchDecision::Dispatch { requests, pad_to: None }
+        BatchDecision::Dispatch { requests }
     }
 
     fn depth(&self) -> usize {
@@ -341,10 +341,7 @@ mod tests {
             p.admit(req("t", Priority::Interactive)).unwrap();
         }
         match p.next_batch(8, Instant::now(), false) {
-            BatchDecision::Dispatch { requests, pad_to } => {
-                assert_eq!(requests.len(), 8);
-                assert_eq!(pad_to, None);
-            }
+            BatchDecision::Dispatch { requests } => assert_eq!(requests.len(), 8),
             _ => panic!("a full batch must dispatch immediately"),
         }
     }

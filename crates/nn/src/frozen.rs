@@ -70,15 +70,29 @@ impl FrozenLinear {
     ///
     /// Panics when `x` does not have `d_in` columns.
     pub fn forward(&self, x: &Tensor) -> Tensor {
+        self.forward_act(x, false)
+    }
+
+    /// [`FrozenLinear::forward`] followed by GELU when `gelu` is set. The
+    /// butterfly map applies padding, bias, activation and truncation
+    /// inside its own tile loop
+    /// ([`ButterflyMatrix::forward_rows_fused_into`]), bit-identical to the
+    /// separate passes the dense map still makes.
+    fn forward_act(&self, x: &Tensor, gelu: bool) -> Tensor {
         match self {
-            FrozenLinear::Dense { w, b } => x.matmul(w).add_row_broadcast(b),
+            FrozenLinear::Dense { w, b } => {
+                let y = x.matmul(w).add_row_broadcast(b);
+                if gelu {
+                    y.gelu()
+                } else {
+                    y
+                }
+            }
             FrozenLinear::Butterfly { bfly, b, d_in, d_out } => {
                 assert_eq!(x.cols(), *d_in, "frozen butterfly input width mismatch");
-                // Zero-padding to the transform size is fused into the
-                // butterfly's batch copy (bit-identical to concat + forward).
-                let y = bfly.forward_rows_padded(x);
-                let trimmed = if *d_out < bfly.size() { y.slice_cols(0, *d_out) } else { y };
-                trimmed.add_row_broadcast(b)
+                let mut y = Tensor::default();
+                bfly.forward_rows_fused_into(x, *d_out, b.as_slice(), gelu, &mut y);
+                y
             }
         }
     }
@@ -164,13 +178,12 @@ impl FrozenFeedForward {
         &self.lin2
     }
 
-    /// Applies `lin2(gelu(lin1(x)))` over a whole `[rows, hidden]` batch;
-    /// `fast_math` selects the serving-grade GELU kernel (absolute error
-    /// ≤ 1e-6, see [`fab_tensor::fastmath`]).
-    pub fn forward(&self, x: &Tensor, fast_math: bool) -> Tensor {
-        let h = self.lin1.forward(x);
-        let a = if fast_math { h.gelu_fastmath() } else { h.gelu() };
-        self.lin2.forward(&a)
+    /// Applies `lin2(gelu(lin1(x)))` over a whole `[rows, hidden]` batch,
+    /// the GELU fused into `lin1`'s epilogue. `fast_math` changes nothing
+    /// here: since PR 3 the exact and the serving-grade GELU are the same
+    /// kernel ([`fab_tensor::fastmath`]).
+    pub fn forward(&self, x: &Tensor, _fast_math: bool) -> Tensor {
+        self.lin2.forward(&self.lin1.forward_act(x, true))
     }
 }
 

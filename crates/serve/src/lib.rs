@@ -15,8 +15,8 @@
 //!   in [`ServeConfig`] (`max_batch`, `max_wait_us`, `queue_capacity`,
 //!   `num_workers`, `buckets`). Batch formation is a pluggable
 //!   [`BatchPolicy`]: [`Server::start`] installs the sequence-length
-//!   [`LengthBucketPolicy`] (padded to the longest sequence in the batch by
-//!   default, to the bucket boundary with `pad_to_bucket_boundary`), and
+//!   [`LengthBucketPolicy`] (sequences of similar length ride together;
+//!   nothing is padded), and
 //!   [`Server::start_with_policy`] accepts any other scheduler — e.g.
 //!   fab-fleet's tenant-aware weighted-fair policy over [`RequestQos`]
 //!   labels ([`ServerHandle::submit_with_qos`]).

@@ -14,8 +14,8 @@
 //! The contract: the server validates and constructs a [`QueuedRequest`],
 //! the policy queues it ([`BatchPolicy::admit`]) and later hands back a
 //! batch ([`BatchPolicy::next_batch`]). Everything around that decision —
-//! admission capacity, deadline shedding, padding, panic isolation,
-//! metrics, zero-drop drain — stays in the server, so every policy
+//! admission capacity, deadline shedding, panic isolation, metrics,
+//! zero-drop drain — stays in the server, so every policy
 //! inherits the PR-6 robustness guarantees unchanged.
 
 use crate::server::{Prediction, ServeError};
@@ -144,15 +144,11 @@ impl QueuedRequest {
 
 /// What a policy wants the calling worker to do next.
 pub enum BatchDecision {
-    /// Run these requests as one batch. `pad_to` fixes the padded length
-    /// (e.g. a bucket boundary); `None` lets the server pad to the longest
-    /// surviving sequence. Expired requests may be included — the server
-    /// sheds them after the policy hands the batch over.
+    /// Run these requests as one batch. Expired requests may be included —
+    /// the server sheds them after the policy hands the batch over.
     Dispatch {
         /// The requests riding this batch, oldest first.
         requests: Vec<QueuedRequest>,
-        /// Fixed padded length, or `None` to pad to the longest sequence.
-        pad_to: Option<usize>,
     },
     /// Work is queued but still coalescing; sleep until this instant (or
     /// the next submission) and ask again.
@@ -210,10 +206,6 @@ pub struct LengthBucketPolicy {
     queues: Vec<VecDeque<QueuedRequest>>,
     depth: usize,
     max_wait: Duration,
-    /// Pad every batch to its bucket boundary instead of the longest
-    /// sequence in the batch (uniform shapes for shape-specialised
-    /// backends).
-    pad_to_bucket_boundary: bool,
 }
 
 impl LengthBucketPolicy {
@@ -222,10 +214,10 @@ impl LengthBucketPolicy {
     /// # Panics
     ///
     /// Panics when `buckets` is empty.
-    pub fn new(buckets: Vec<usize>, max_wait: Duration, pad_to_bucket_boundary: bool) -> Self {
+    pub fn new(buckets: Vec<usize>, max_wait: Duration) -> Self {
         assert!(!buckets.is_empty(), "at least one bucket boundary");
         let queues = (0..buckets.len()).map(|_| VecDeque::new()).collect();
-        Self { buckets, queues, depth: 0, max_wait, pad_to_bucket_boundary }
+        Self { buckets, queues, depth: 0, max_wait }
     }
 }
 
@@ -270,8 +262,7 @@ impl BatchPolicy for LengthBucketPolicy {
         let take = self.queues[bucket].len().min(max_batch);
         self.depth -= take;
         let requests: Vec<QueuedRequest> = self.queues[bucket].drain(..take).collect();
-        let pad_to = self.pad_to_bucket_boundary.then(|| self.buckets[bucket]);
-        BatchDecision::Dispatch { requests, pad_to }
+        BatchDecision::Dispatch { requests }
     }
 
     fn depth(&self) -> usize {
@@ -302,15 +293,12 @@ mod tests {
 
     #[test]
     fn full_bucket_dispatches_before_max_wait() {
-        let mut p = LengthBucketPolicy::new(vec![8, 16], Duration::from_secs(10), false);
+        let mut p = LengthBucketPolicy::new(vec![8, 16], Duration::from_secs(10));
         for _ in 0..4 {
             p.admit(req(5)).unwrap();
         }
         match p.next_batch(4, Instant::now(), false) {
-            BatchDecision::Dispatch { requests, pad_to } => {
-                assert_eq!(requests.len(), 4);
-                assert_eq!(pad_to, None);
-            }
+            BatchDecision::Dispatch { requests } => assert_eq!(requests.len(), 4),
             _ => panic!("full bucket must dispatch immediately"),
         }
         assert_eq!(p.depth(), 0);
@@ -318,7 +306,7 @@ mod tests {
 
     #[test]
     fn partial_bucket_waits_until_its_head_deadline() {
-        let mut p = LengthBucketPolicy::new(vec![8], Duration::from_secs(10), false);
+        let mut p = LengthBucketPolicy::new(vec![8], Duration::from_secs(10));
         p.admit(req(3)).unwrap();
         match p.next_batch(4, Instant::now(), false) {
             BatchDecision::WaitUntil(at) => assert!(at > Instant::now()),
@@ -332,18 +320,8 @@ mod tests {
     }
 
     #[test]
-    fn bucket_boundary_padding_is_reported() {
-        let mut p = LengthBucketPolicy::new(vec![8, 16], Duration::ZERO, true);
-        p.admit(req(10)).unwrap();
-        match p.next_batch(4, Instant::now(), false) {
-            BatchDecision::Dispatch { pad_to, .. } => assert_eq!(pad_to, Some(16)),
-            _ => panic!("zero max_wait dispatches immediately"),
-        }
-    }
-
-    #[test]
     fn empty_policy_is_idle() {
-        let mut p = LengthBucketPolicy::new(vec![8], Duration::ZERO, false);
+        let mut p = LengthBucketPolicy::new(vec![8], Duration::ZERO);
         assert!(matches!(p.next_batch(4, Instant::now(), true), BatchDecision::Idle));
         assert_eq!(p.max_seq_len(), 8);
     }

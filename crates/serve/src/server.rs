@@ -8,8 +8,9 @@
 //!                          │  drain ≤ max_batch, wait ≤ max_wait_us,
 //!                          │  shed expired requests before the forward pass
 //!                          ▼
-//!                length-bucketed micro-batch (padded to the longest
-//!                sequence in the batch; bucket boundary = upper bound)
+//!                length-bucketed micro-batch (sequences of similar
+//!                length; nothing is padded — the session runs one
+//!                forward per sequence, fanned out over the rayon pool)
 //!                          │
 //!                          ▼
 //!        worker pool ──▶ InferenceSession::logits_batch ──▶ responses
@@ -84,11 +85,6 @@ pub struct ServeConfig {
     /// doubling boundaries from the session's `max_seq` (16, 32, …,
     /// max_seq).
     pub buckets: Vec<usize>,
-    /// When `true`, every batch is padded all the way to its bucket
-    /// boundary (uniform shapes, e.g. for shape-specialised backends). The
-    /// default `false` pads only to the longest sequence in the batch —
-    /// the boundary stays the upper bound, but stragglers cost less.
-    pub pad_to_bucket_boundary: bool,
     /// Initial supervisor backoff before respawning a dead worker, in
     /// milliseconds. Doubles on every consecutive death (capped at
     /// [`ServeConfig::restart_backoff_max_ms`]) and resets once a worker
@@ -106,7 +102,6 @@ impl Default for ServeConfig {
             queue_capacity: 1024,
             num_workers: 0,
             buckets: Vec::new(),
-            pad_to_bucket_boundary: false,
             restart_backoff_ms: 10,
             restart_backoff_max_ms: 1000,
         }
@@ -234,7 +229,8 @@ pub struct Prediction {
     pub service_us: u64,
     /// Number of requests in that batch.
     pub batch_size: usize,
-    /// Bucket boundary the batch was padded to.
+    /// Length of the longest sequence in that batch (the session
+    /// evaluates each sequence at its own length; nothing is padded).
     pub padded_len: usize,
 }
 
@@ -301,16 +297,14 @@ impl Server {
         let policy = LengthBucketPolicy::new(
             config.buckets.clone(),
             Duration::from_micros(config.max_wait_us),
-            config.pad_to_bucket_boundary,
         );
         Self::launch(session, config, Box::new(policy))
     }
 
     /// Like [`Server::start`], but with a caller-supplied [`BatchPolicy`]
-    /// instead of the default length-bucket batcher. `config.buckets` and
-    /// `config.pad_to_bucket_boundary` are ignored (batch formation
-    /// belongs to the policy); the pool, capacity, and supervision knobs
-    /// still apply.
+    /// instead of the default length-bucket batcher. `config.buckets` is
+    /// ignored (batch formation belongs to the policy); the pool, capacity,
+    /// and supervision knobs still apply.
     ///
     /// # Panics
     ///
@@ -646,7 +640,7 @@ fn next_batch(shared: &Shared) -> Option<DrainedBatch> {
         }
         let rush = st.shutdown;
         match st.policy.next_batch(max_batch, Instant::now(), rush) {
-            BatchDecision::Dispatch { requests, pad_to } => {
+            BatchDecision::Dispatch { requests } => {
                 // Shed requests whose deadline expired while queued —
                 // answered without spending a forward pass on them.
                 let now = Instant::now();
@@ -661,9 +655,8 @@ fn next_batch(shared: &Shared) -> Option<DrainedBatch> {
                 if live.is_empty() {
                     continue; // the whole batch expired; look for more work
                 }
-                let padded_len = pad_to.unwrap_or_else(|| {
-                    live.iter().map(|r| r.tokens.len()).max().expect("non-empty batch")
-                });
+                let padded_len =
+                    live.iter().map(|r| r.tokens.len()).max().expect("non-empty batch");
                 return Some(DrainedBatch { requests: live, padded_len });
             }
             BatchDecision::Idle => {

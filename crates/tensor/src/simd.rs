@@ -278,6 +278,115 @@ trait Vf32: Copy {
     /// `2^k` per lane via exponent-bit construction; lanes must hold exact
     /// integers in `[-127, 127]` (the clamped range of [`exp_slice`]).
     fn pow2i(self) -> Self;
+    /// Loads one value and broadcasts it to every lane.
+    ///
+    /// # Safety
+    ///
+    /// `p` must be valid for reading one `f32`.
+    #[inline(always)]
+    unsafe fn splat_ptr(p: *const f32) -> Self {
+        Self::splat(unsafe { *p })
+    }
+    /// `LANES` vectors, indexable by position.
+    type Block: IntoIterator<Item = Self>;
+    /// Transposes the `LANES × LANES` block whose row `r` starts at
+    /// `src + r * stride`: vector `c` of the result holds element `c` of
+    /// every row, row `r` in lane `r`.
+    ///
+    /// # Safety
+    ///
+    /// Every row must be valid for reading `LANES` `f32`s.
+    unsafe fn transpose(src: *const f32, stride: usize) -> Self::Block;
+}
+
+/// One-lane "vector": the scalar backend of the lane kernels, which run
+/// the same generic bodies as the SIMD backends with `LANES = 1`. `max` and
+/// `min` keep a NaN operand like `f32::clamp` does, so [`kernels::gelu_v`]
+/// on this type is [`crate::fastmath::gelu_fast`] operation for operation.
+#[derive(Clone, Copy)]
+struct F32x1(f32);
+
+impl Vf32 for F32x1 {
+    const LANES: usize = 1;
+    type Block = [Self; 1];
+
+    #[inline(always)]
+    unsafe fn load(p: *const f32) -> Self {
+        F32x1(unsafe { *p })
+    }
+
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f32) {
+        unsafe { *p = self.0 }
+    }
+
+    #[inline(always)]
+    fn splat(x: f32) -> Self {
+        F32x1(x)
+    }
+
+    #[inline(always)]
+    fn add(self, o: Self) -> Self {
+        F32x1(self.0 + o.0)
+    }
+
+    #[inline(always)]
+    fn sub(self, o: Self) -> Self {
+        F32x1(self.0 - o.0)
+    }
+
+    #[inline(always)]
+    fn mul(self, o: Self) -> Self {
+        F32x1(self.0 * o.0)
+    }
+
+    #[inline(always)]
+    fn div(self, o: Self) -> Self {
+        F32x1(self.0 / o.0)
+    }
+
+    #[inline(always)]
+    fn max(self, o: Self) -> Self {
+        if self.0 < o.0 {
+            o
+        } else {
+            self
+        }
+    }
+
+    #[inline(always)]
+    fn min(self, o: Self) -> Self {
+        if self.0 > o.0 {
+            o
+        } else {
+            self
+        }
+    }
+
+    #[inline(always)]
+    fn fma(self, m: Self, a: Self) -> Self {
+        F32x1(self.0.mul_add(m.0, a.0))
+    }
+
+    #[inline(always)]
+    fn reduce_add(self) -> f32 {
+        self.0
+    }
+
+    #[inline(always)]
+    fn reduce_max(self) -> f32 {
+        self.0
+    }
+
+    #[inline(always)]
+    fn pow2i(self) -> Self {
+        F32x1(f32::from_bits(((self.0 as i32 + 127) << 23) as u32))
+    }
+
+    #[inline(always)]
+    unsafe fn transpose(src: *const f32, _stride: usize) -> [Self; 1] {
+        [F32x1(unsafe { *src })]
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1112,6 +1221,399 @@ mod kernels {
             base += 2 * half;
         }
     }
+
+    // -- lane-per-row butterfly engine --------------------------------------
+    //
+    // The kernels below work on `[n][width]` buffers: logical element `i` of
+    // `width` independent transforms sits in the contiguous row `i`, so a
+    // butterfly pair is two rows, its weights are scalars broadcast across
+    // the row, and every stage — `half` 1, 2 and 4 included — is the same
+    // vertical vector operation. `rows_to_lanes` / `lanes_to_rows` move a
+    // tile of ordinary row-major rows into and out of that layout.
+
+    /// The operation one butterfly pair applies to its two rows; the
+    /// difference between a butterfly-linear stage and an FFT stage.
+    trait PairOp<V: Vf32> {
+        /// The pair's weights, broadcast.
+        type W: Copy;
+        /// Loads and broadcasts the weights of pair `p`.
+        unsafe fn weights(&self, p: usize) -> Self::W;
+        /// Applies the pair to the `LANES` elements at offsets `lo` / `hi`.
+        unsafe fn apply(&self, w: Self::W, lo: usize, hi: usize);
+        /// [`PairOp::apply`] on the single element at `lo` / `hi`.
+        unsafe fn apply_one(&self, p: usize, lo: usize, hi: usize);
+    }
+
+    /// The stage driver shared by both pair operations: blocks of `2·half`
+    /// rows, `half` pairs per block, each pair swept across `width` in
+    /// vectors with an element-wise tail. Pair `i` of a block takes weight
+    /// `i` plus `block_step` per preceding block (`half` for butterfly
+    /// weights, which differ per block; 0 for FFT twiddles, which repeat).
+    ///
+    /// # Safety
+    ///
+    /// The rows `0..n` of width `width` and the weights `op` indexes must be
+    /// in bounds of the buffers behind `op`.
+    #[inline(always)]
+    unsafe fn stage_lanes<V: Vf32, Op: PairOp<V>>(
+        op: &Op,
+        n: usize,
+        half: usize,
+        width: usize,
+        block_step: usize,
+    ) {
+        let main = width - width % V::LANES;
+        let mut wbase = 0;
+        let mut base = 0;
+        while base < n {
+            let (mut lo, mut hi) = (base * width, (base + half) * width);
+            if width == V::LANES {
+                // One vector per row (a tile of rows on the backend's own
+                // width): nothing but the pair operation in the loop.
+                for i in 0..half {
+                    unsafe { op.apply(op.weights(wbase + i), lo, hi) };
+                    lo += V::LANES;
+                    hi += V::LANES;
+                }
+            } else {
+                for i in 0..half {
+                    let w = unsafe { op.weights(wbase + i) };
+                    let mut v = 0;
+                    while v < main {
+                        unsafe { op.apply(w, lo + v, hi + v) };
+                        v += V::LANES;
+                    }
+                    while v < width {
+                        unsafe { op.apply_one(wbase + i, lo + v, hi + v) };
+                        v += 1;
+                    }
+                    lo += width;
+                    hi += width;
+                }
+            }
+            wbase += block_step;
+            base += 2 * half;
+        }
+    }
+
+    /// Butterfly-linear pair: `lo' = w1·lo + w2·hi`, `hi' = w3·lo + w4·hi`,
+    /// mul-then-add.
+    struct Real2x2 {
+        w: [*const f32; 4],
+        x: *mut f32,
+    }
+
+    impl<V: Vf32> PairOp<V> for Real2x2 {
+        type W = [V; 4];
+
+        #[inline(always)]
+        unsafe fn weights(&self, p: usize) -> [V; 4] {
+            let [w1, w2, w3, w4] = self.w;
+            unsafe {
+                [
+                    V::splat_ptr(w1.add(p)),
+                    V::splat_ptr(w2.add(p)),
+                    V::splat_ptr(w3.add(p)),
+                    V::splat_ptr(w4.add(p)),
+                ]
+            }
+        }
+
+        #[inline(always)]
+        unsafe fn apply(&self, [w1, w2, w3, w4]: [V; 4], lo: usize, hi: usize) {
+            unsafe {
+                let (a, b) = (V::load(self.x.add(lo)), V::load(self.x.add(hi)));
+                w1.mul(a).add(w2.mul(b)).store(self.x.add(lo));
+                w3.mul(a).add(w4.mul(b)).store(self.x.add(hi));
+            }
+        }
+
+        #[inline(always)]
+        unsafe fn apply_one(&self, p: usize, lo: usize, hi: usize) {
+            unsafe {
+                let [w1, w2, w3, w4] = self.w;
+                let (w1, w2, w3, w4) = (*w1.add(p), *w2.add(p), *w3.add(p), *w4.add(p));
+                let (a, b) = (*self.x.add(lo), *self.x.add(hi));
+                *self.x.add(lo) = w1 * a + w2 * b;
+                *self.x.add(hi) = w3 * a + w4 * b;
+            }
+        }
+    }
+
+    /// Radix-2 decimation-in-time FFT pair on split planes: `t = w·hi`,
+    /// `lo' = lo + t`, `hi' = lo − t`, the complex product spelled as
+    /// `re·re − im·im` / `re·im + im·re` with no FMA.
+    struct Twiddle {
+        w: [*const f32; 2],
+        re: *mut f32,
+        im: *mut f32,
+    }
+
+    impl<V: Vf32> PairOp<V> for Twiddle {
+        type W = [V; 2];
+
+        #[inline(always)]
+        unsafe fn weights(&self, p: usize) -> [V; 2] {
+            let [wr, wi] = self.w;
+            unsafe { [V::splat_ptr(wr.add(p)), V::splat_ptr(wi.add(p))] }
+        }
+
+        #[inline(always)]
+        unsafe fn apply(&self, [wr, wi]: [V; 2], lo: usize, hi: usize) {
+            unsafe {
+                let (ar, ai) = (V::load(self.re.add(lo)), V::load(self.im.add(lo)));
+                let (br, bi) = (V::load(self.re.add(hi)), V::load(self.im.add(hi)));
+                let tr = br.mul(wr).sub(bi.mul(wi));
+                let ti = br.mul(wi).add(bi.mul(wr));
+                ar.add(tr).store(self.re.add(lo));
+                ai.add(ti).store(self.im.add(lo));
+                ar.sub(tr).store(self.re.add(hi));
+                ai.sub(ti).store(self.im.add(hi));
+            }
+        }
+
+        #[inline(always)]
+        unsafe fn apply_one(&self, p: usize, lo: usize, hi: usize) {
+            unsafe {
+                let (wr, wi) = (*self.w[0].add(p), *self.w[1].add(p));
+                let (ar, ai) = (*self.re.add(lo), *self.im.add(lo));
+                let (br, bi) = (*self.re.add(hi), *self.im.add(hi));
+                let tr = br * wr - bi * wi;
+                let ti = br * wi + bi * wr;
+                *self.re.add(lo) = ar + tr;
+                *self.im.add(lo) = ai + ti;
+                *self.re.add(hi) = ar - tr;
+                *self.im.add(hi) = ai - ti;
+            }
+        }
+    }
+
+    /// One butterfly-linear stage over an `[n][width]` buffer, `n = 2 ·
+    /// w1.len()`.
+    ///
+    /// # Safety
+    ///
+    /// Caller guarantees the backend's target features are available, that
+    /// the four weight slices have equal length `pairs`, that `half` divides
+    /// `pairs`, and that `x.len() == 2 * pairs * width`.
+    #[inline(always)]
+    pub unsafe fn butterfly_stage_lanes<V: Vf32>(
+        half: usize,
+        w1: &[f32],
+        w2: &[f32],
+        w3: &[f32],
+        w4: &[f32],
+        x: &mut [f32],
+        width: usize,
+    ) {
+        let n = 2 * w1.len();
+        debug_assert!(half > 0 && w1.len().is_multiple_of(half));
+        debug_assert!(w2.len() == w1.len() && w3.len() == w1.len() && w4.len() == w1.len());
+        debug_assert_eq!(x.len(), n * width);
+        let op =
+            Real2x2 { w: [w1.as_ptr(), w2.as_ptr(), w3.as_ptr(), w4.as_ptr()], x: x.as_mut_ptr() };
+        unsafe { stage_lanes::<V, _>(&op, n, half, width, half) };
+    }
+
+    /// Every stage (`half` = 1, 2, … `n/2`) of an `n`-point FFT over split
+    /// `[n][width]` planes whose rows are already in bit-reversed order.
+    /// `tw_re` / `tw_im` are stage-major: the stage with half-size `h` reads
+    /// entries `h − 1 .. 2h − 1`.
+    ///
+    /// # Safety
+    ///
+    /// Caller guarantees the backend's target features are available, that
+    /// `re.len() == im.len() == n * width` for a power of two `n`, and that
+    /// both twiddle slices hold at least `n − 1` entries.
+    #[inline(always)]
+    pub unsafe fn fft_stages_lanes<V: Vf32>(
+        tw_re: &[f32],
+        tw_im: &[f32],
+        re: &mut [f32],
+        im: &mut [f32],
+        width: usize,
+    ) {
+        let n = re.len() / width;
+        debug_assert!(n.is_power_of_two() && re.len() == n * width && im.len() == re.len());
+        debug_assert!(tw_re.len() >= n - 1 && tw_im.len() >= n - 1);
+        let mut half = 1;
+        while half < n {
+            let op = Twiddle {
+                w: unsafe { [tw_re.as_ptr().add(half - 1), tw_im.as_ptr().add(half - 1)] },
+                re: re.as_mut_ptr(),
+                im: im.as_mut_ptr(),
+            };
+            unsafe { stage_lanes::<V, _>(&op, n, half, width, 0) };
+            half *= 2;
+        }
+    }
+
+    /// The real-input split: `re`/`im` hold rows `0..m` of `Z = FFT_m(z)`
+    /// with `z[j] = x[2j] + i·x[2j+1]`; on return rows `0..=m` hold
+    /// `X = FFT_2m(x)` for bins `0..=m` (the other bins are the conjugate
+    /// mirror). With `A = (Z[k] + conj Z[m−k]) / 2` and
+    /// `B = (Z[k] − conj Z[m−k]) / 2i`, `X[k] = A + w^k·B` and
+    /// `X[m−k] = conj(A − w^k·B)`; `tw_re`/`tw_im` hold `w^k = e^{−iπk/m}`.
+    ///
+    /// # Safety
+    ///
+    /// Caller guarantees the backend's target features are available, that
+    /// `re.len() == im.len() == (m + 1) * width` for a power of two `m`, and
+    /// that both twiddle slices hold at least `m / 2 + 1` entries.
+    #[inline(always)]
+    pub unsafe fn fft_real_split_lanes<V: Vf32>(
+        tw_re: &[f32],
+        tw_im: &[f32],
+        re: &mut [f32],
+        im: &mut [f32],
+        width: usize,
+    ) {
+        let m = re.len() / width - 1;
+        debug_assert!(m.is_power_of_two() && re.len() == (m + 1) * width && im.len() == re.len());
+        debug_assert!(tw_re.len() > m / 2 && tw_im.len() > m / 2);
+        let main = width - width % V::LANES;
+        let (rp, ip) = (re.as_mut_ptr(), im.as_mut_ptr());
+        let half = V::splat(0.5);
+        for k in 0..=m / 2 {
+            // Bin 0 pairs with itself and its partner lands in the extra row.
+            let (src, dst) = (if k == 0 { 0 } else { (m - k) * width }, (m - k) * width);
+            let lo = k * width;
+            let (c, s) = unsafe { (*tw_re.as_ptr().add(k), *tw_im.as_ptr().add(k)) };
+            let (cv, sv) = (V::splat(c), V::splat(s));
+            let mut v = 0;
+            while v < main {
+                unsafe {
+                    let (zr, zi) = (V::load(rp.add(lo + v)), V::load(ip.add(lo + v)));
+                    let (yr, yi) = (V::load(rp.add(src + v)), V::load(ip.add(src + v)));
+                    let (ar, ai) = (half.mul(zr.add(yr)), half.mul(zi.sub(yi)));
+                    let (br, bi) = (half.mul(zi.add(yi)), half.mul(yr.sub(zr)));
+                    let tr = cv.mul(br).sub(sv.mul(bi));
+                    let ti = cv.mul(bi).add(sv.mul(br));
+                    ar.sub(tr).store(rp.add(dst + v));
+                    ti.sub(ai).store(ip.add(dst + v));
+                    ar.add(tr).store(rp.add(lo + v));
+                    ai.add(ti).store(ip.add(lo + v));
+                }
+                v += V::LANES;
+            }
+            while v < width {
+                unsafe {
+                    let (zr, zi) = (*rp.add(lo + v), *ip.add(lo + v));
+                    let (yr, yi) = (*rp.add(src + v), *ip.add(src + v));
+                    let (ar, ai) = (0.5 * (zr + yr), 0.5 * (zi - yi));
+                    let (br, bi) = (0.5 * (zi + yi), 0.5 * (yr - zr));
+                    let tr = c * br - s * bi;
+                    let ti = c * bi + s * br;
+                    *rp.add(dst + v) = ar - tr;
+                    *ip.add(dst + v) = ti - ai;
+                    *rp.add(lo + v) = ar + tr;
+                    *ip.add(lo + v) = ai + ti;
+                }
+                v += 1;
+            }
+        }
+    }
+
+    /// Gathers a tile of up to `width` rows into lane layout:
+    /// `dst[at(c)·width + r] = src[r·stride + c]` for `r < rows`, `c < cols`,
+    /// with `at(c) = perm[c]` (or `c` when `perm` is empty) and zeros in the
+    /// lanes `rows..width`. Full tiles on the backend's own width go through
+    /// the register transpose.
+    ///
+    /// # Safety
+    ///
+    /// Caller guarantees the backend's target features are available, that
+    /// `rows <= width`, that `src` holds `rows` rows of `cols` values at
+    /// `stride`, that `perm` is empty or `cols` long, and that every
+    /// `at(c) · width + width <= dst.len()`.
+    #[inline(always)]
+    pub unsafe fn rows_to_lanes<V: Vf32>(
+        src: &[f32],
+        stride: usize,
+        rows: usize,
+        cols: usize,
+        perm: &[usize],
+        dst: &mut [f32],
+        width: usize,
+    ) {
+        debug_assert!(rows <= width && (perm.is_empty() || perm.len() == cols));
+        debug_assert!(rows == 0 || (rows - 1) * stride + cols <= src.len());
+        let at = |c: usize| if perm.is_empty() { c } else { perm[c] };
+        let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
+        let mut c = 0;
+        if width == V::LANES && rows == V::LANES {
+            while c + V::LANES <= cols {
+                let block = unsafe { V::transpose(sp.add(c), stride) };
+                for (k, v) in block.into_iter().enumerate() {
+                    debug_assert!((at(c + k) + 1) * width <= dst.len());
+                    unsafe { v.store(dp.add(at(c + k) * width)) };
+                }
+                c += V::LANES;
+            }
+        }
+        while c < cols {
+            debug_assert!((at(c) + 1) * width <= dst.len());
+            for r in 0..width {
+                unsafe {
+                    *dp.add(at(c) * width + r) =
+                        if r < rows { *sp.add(r * stride + c) } else { 0.0 };
+                }
+            }
+            c += 1;
+        }
+    }
+
+    /// Scatters a lane-layout tile back to row-major rows with the
+    /// epilogue applied on the way: `dst[r·stride + c] = act(src[c·width +
+    /// r] + bias[c])` for `r < rows`, `c < cols`; an empty `bias` adds
+    /// nothing and `act` is GELU or the identity.
+    ///
+    /// # Safety
+    ///
+    /// Caller guarantees the backend's target features are available, that
+    /// `rows <= width`, `cols * width <= src.len()`, `bias` is empty or
+    /// `cols` long, and `dst` holds `rows` rows of `cols` values at `stride`.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    pub unsafe fn lanes_to_rows<V: Vf32>(
+        src: &[f32],
+        width: usize,
+        rows: usize,
+        cols: usize,
+        bias: &[f32],
+        gelu: bool,
+        dst: &mut [f32],
+        stride: usize,
+    ) {
+        debug_assert!(rows <= width && cols * width <= src.len());
+        debug_assert!(bias.is_empty() || bias.len() == cols);
+        debug_assert!(rows == 0 || (rows - 1) * stride + cols <= dst.len());
+        let (sp, bp, dp) = (src.as_ptr(), bias.as_ptr(), dst.as_mut_ptr());
+        let mut c = 0;
+        if width == V::LANES {
+            while c + V::LANES <= cols {
+                let block = unsafe { V::transpose(sp.add(c * width), width) };
+                for (r, v) in block.into_iter().enumerate().take(rows) {
+                    unsafe {
+                        let v = if bias.is_empty() { v } else { v.add(V::load(bp.add(c))) };
+                        let v = if gelu { gelu_v(v) } else { v };
+                        v.store(dp.add(r * stride + c));
+                    }
+                }
+                c += V::LANES;
+            }
+        }
+        while c < cols {
+            for r in 0..rows {
+                unsafe {
+                    let y = *sp.add(c * width + r);
+                    let y = if bias.is_empty() { y } else { y + *bp.add(c) };
+                    *dp.add(r * stride + c) = if gelu { gelu_fast(y) } else { y };
+                }
+            }
+            c += 1;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1212,6 +1714,56 @@ mod x86 {
                 F32x8(_mm256_castsi256_ps(bits))
             }
         }
+
+        #[inline(always)]
+        unsafe fn splat_ptr(p: *const f32) -> Self {
+            F32x8(unsafe { _mm256_broadcast_ss(&*p) })
+        }
+
+        type Block = [Self; 8];
+
+        /// Rows `r` and `r + 4` share one register (128-bit halves), so the
+        /// unpack/shuffle pairs below finish the transpose inside the
+        /// 128-bit lanes: 16 shuffles per block, no cross-lane permute.
+        #[inline(always)]
+        unsafe fn transpose(src: *const f32, stride: usize) -> [Self; 8] {
+            unsafe {
+                let [c0, c1, c2, c3] = transpose_8x4(src, stride);
+                let [c4, c5, c6, c7] = transpose_8x4(src.add(4), stride);
+                [c0, c1, c2, c3, c4, c5, c6, c7]
+            }
+        }
+    }
+
+    /// Columns `0..4` of the eight rows at `src + r * stride`, one column
+    /// per vector.
+    #[inline(always)]
+    unsafe fn transpose_8x4(src: *const f32, stride: usize) -> [F32x8; 4] {
+        unsafe {
+            let (r0, r1) = (load_rows_r_r4(src, stride), load_rows_r_r4(src.add(stride), stride));
+            let (r2, r3) = (
+                load_rows_r_r4(src.add(2 * stride), stride),
+                load_rows_r_r4(src.add(3 * stride), stride),
+            );
+            let (t0, t1) = (_mm256_unpacklo_ps(r0, r1), _mm256_unpackhi_ps(r0, r1));
+            let (t2, t3) = (_mm256_unpacklo_ps(r2, r3), _mm256_unpackhi_ps(r2, r3));
+            [
+                F32x8(_mm256_shuffle_ps::<0x44>(t0, t2)),
+                F32x8(_mm256_shuffle_ps::<0xEE>(t0, t2)),
+                F32x8(_mm256_shuffle_ps::<0x44>(t1, t3)),
+                F32x8(_mm256_shuffle_ps::<0xEE>(t1, t3)),
+            ]
+        }
+    }
+
+    /// Four values of the row at `p` in the low half, of the row four
+    /// strides further on in the high half.
+    #[inline(always)]
+    unsafe fn load_rows_r_r4(p: *const f32, stride: usize) -> __m256 {
+        unsafe {
+            let (lo, hi) = (_mm_loadu_ps(p), _mm_loadu_ps(p.add(4 * stride)));
+            _mm256_insertf128_ps::<1>(_mm256_castps128_ps256(lo), hi)
+        }
     }
 
     macro_rules! avx2_entry {
@@ -1281,6 +1833,48 @@ mod x86 {
             grad: &[f32],
             grad_in: &mut [f32],
             gw: [&mut [f32]; 4],
+        );
+        fn butterfly_stage_lanes(
+            half: usize,
+            w1: &[f32],
+            w2: &[f32],
+            w3: &[f32],
+            w4: &[f32],
+            x: &mut [f32],
+            width: usize,
+        );
+        fn fft_stages_lanes(
+            tw_re: &[f32],
+            tw_im: &[f32],
+            re: &mut [f32],
+            im: &mut [f32],
+            width: usize,
+        );
+        fn fft_real_split_lanes(
+            tw_re: &[f32],
+            tw_im: &[f32],
+            re: &mut [f32],
+            im: &mut [f32],
+            width: usize,
+        );
+        fn rows_to_lanes(
+            src: &[f32],
+            stride: usize,
+            rows: usize,
+            cols: usize,
+            perm: &[usize],
+            dst: &mut [f32],
+            width: usize,
+        );
+        fn lanes_to_rows(
+            src: &[f32],
+            width: usize,
+            rows: usize,
+            cols: usize,
+            bias: &[f32],
+            gelu: bool,
+            dst: &mut [f32],
+            stride: usize,
         );
     }
 
@@ -1540,6 +2134,31 @@ mod neon {
                 F32x4(vreinterpretq_f32_s32(bits))
             }
         }
+
+        #[inline(always)]
+        unsafe fn splat_ptr(p: *const f32) -> Self {
+            F32x4(unsafe { vld1q_dup_f32(p) })
+        }
+
+        type Block = [Self; 4];
+
+        #[inline(always)]
+        unsafe fn transpose(src: *const f32, stride: usize) -> [Self; 4] {
+            unsafe {
+                let (r0, r1) = (vld1q_f32(src), vld1q_f32(src.add(stride)));
+                let (r2, r3) = (vld1q_f32(src.add(2 * stride)), vld1q_f32(src.add(3 * stride)));
+                // t0 = a0 b0 a2 b2, t1 = a1 b1 a3 b3 (rows a, b); t2, t3
+                // the same for rows c, d.
+                let (t0, t1) = (vtrn1q_f32(r0, r1), vtrn2q_f32(r0, r1));
+                let (t2, t3) = (vtrn1q_f32(r2, r3), vtrn2q_f32(r2, r3));
+                [
+                    F32x4(vcombine_f32(vget_low_f32(t0), vget_low_f32(t2))),
+                    F32x4(vcombine_f32(vget_low_f32(t1), vget_low_f32(t3))),
+                    F32x4(vcombine_f32(vget_high_f32(t0), vget_high_f32(t2))),
+                    F32x4(vcombine_f32(vget_high_f32(t1), vget_high_f32(t3))),
+                ]
+            }
+        }
     }
 
     macro_rules! neon_entry {
@@ -1607,6 +2226,48 @@ mod neon {
             grad: &[f32],
             grad_in: &mut [f32],
             gw: [&mut [f32]; 4],
+        );
+        fn butterfly_stage_lanes(
+            half: usize,
+            w1: &[f32],
+            w2: &[f32],
+            w3: &[f32],
+            w4: &[f32],
+            x: &mut [f32],
+            width: usize,
+        );
+        fn fft_stages_lanes(
+            tw_re: &[f32],
+            tw_im: &[f32],
+            re: &mut [f32],
+            im: &mut [f32],
+            width: usize,
+        );
+        fn fft_real_split_lanes(
+            tw_re: &[f32],
+            tw_im: &[f32],
+            re: &mut [f32],
+            im: &mut [f32],
+            width: usize,
+        );
+        fn rows_to_lanes(
+            src: &[f32],
+            stride: usize,
+            rows: usize,
+            cols: usize,
+            perm: &[usize],
+            dst: &mut [f32],
+            width: usize,
+        );
+        fn lanes_to_rows(
+            src: &[f32],
+            width: usize,
+            rows: usize,
+            cols: usize,
+            bias: &[f32],
+            gelu: bool,
+            dst: &mut [f32],
+            stride: usize,
         );
     }
 
@@ -2150,6 +2811,183 @@ pub fn butterfly_stage_backward(
             }
             p += half;
         }
+    })
+}
+
+// ---------------------------------------------------------------------------
+// Lane-per-row butterfly engine: `[n][width]` buffers in which element `i` of
+// `width` independent transforms is the contiguous row `i`, so that every
+// butterfly stage is a vertical vector operation with broadcast weights. The
+// butterfly-linear forward and the 2-D FFT of `fab-butterfly` both run on
+// these five entry points; all of them are mul-then-add without FMA and
+// bit-identical across backends (the scalar backend runs the same generic
+// bodies one lane wide).
+// ---------------------------------------------------------------------------
+
+/// One butterfly-linear stage, in place, over `width` transforms at once:
+/// `x` is `[n][width]` with `n = 2·pairs`, and for every pair `p` of the
+/// stage (rows `i1`, `i2 = i1 + half` as in [`butterfly_stage_in_place`])
+/// each of the `width` columns gets `x[i1] = w1[p]·a + w2[p]·b`,
+/// `x[i2] = w3[p]·a + w4[p]·b`. A prefix of the rows is itself a valid
+/// buffer: passing `x[..m·width]` with the first `m/2` weights applies the
+/// stage to the blocks inside the first `m` rows only.
+///
+/// # Panics
+///
+/// Panics when slice lengths disagree, `width` is zero, or `half` does not
+/// divide the pair count.
+pub fn butterfly_stage_lanes(
+    half: usize,
+    w1: &[f32],
+    w2: &[f32],
+    w3: &[f32],
+    w4: &[f32],
+    x: &mut [f32],
+    width: usize,
+) {
+    let pairs = w1.len();
+    assert!(
+        half > 0 && pairs.is_multiple_of(half),
+        "butterfly_stage_lanes half {half} does not divide {pairs} pairs"
+    );
+    assert!(
+        width > 0
+            && w2.len() == pairs
+            && w3.len() == pairs
+            && w4.len() == pairs
+            && x.len() == 2 * pairs * width,
+        "butterfly_stage_lanes length mismatch"
+    );
+    dispatch!((half, w1, w2, w3, w4, x, width), butterfly_stage_lanes, {
+        unsafe { kernels::butterfly_stage_lanes::<F32x1>(half, w1, w2, w3, w4, x, width) }
+    })
+}
+
+/// All `log2 n` radix-2 decimation-in-time stages of `width` independent
+/// `n`-point FFTs, in place on split `[n][width]` planes whose rows are
+/// already in bit-reversed order (`n = re.len() / width`, a power of two;
+/// `n = 1` is a no-op). The twiddle tables are stage-major: the stage with
+/// half-size `h` reads `tw[h − 1 + k] = e^{−iπk/h}` for `k < h`, so the table
+/// of a larger transform serves every smaller one.
+///
+/// # Panics
+///
+/// Panics when the plane lengths differ or are not a power-of-two multiple
+/// of `width`, or a twiddle table holds fewer than `n − 1` entries.
+pub fn fft_stages_lanes(
+    tw_re: &[f32],
+    tw_im: &[f32],
+    re: &mut [f32],
+    im: &mut [f32],
+    width: usize,
+) {
+    assert!(width > 0 && re.len() == im.len(), "fft_stages_lanes plane mismatch");
+    let n = re.len() / width;
+    assert!(n.is_power_of_two() && re.len() == n * width, "fft_stages_lanes size {n}");
+    assert!(tw_re.len() >= n - 1 && tw_im.len() >= n - 1, "fft_stages_lanes twiddles too short");
+    dispatch!((tw_re, tw_im, re, im, width), fft_stages_lanes, {
+        unsafe { kernels::fft_stages_lanes::<F32x1>(tw_re, tw_im, re, im, width) }
+    })
+}
+
+/// The split step of a real-input FFT, for `width` transforms at once. On
+/// entry rows `0..m` of the `[m + 1][width]` planes hold `FFT_m(z)` of the
+/// packed sequence `z[j] = x[2j] + i·x[2j + 1]`; on return rows `0..=m` hold
+/// bins `0..=m` of `FFT_2m(x)` (the remaining bins are their conjugate
+/// mirror). `tw[k] = e^{−iπk/m}` for `k <= m/2` — the last stage of the
+/// `2m`-point table of [`fft_stages_lanes`].
+///
+/// # Panics
+///
+/// Panics when the plane lengths differ or are not `(m + 1)·width` for a
+/// power of two `m`, or a twiddle table holds fewer than `m/2 + 1` entries.
+pub fn fft_real_split_lanes(
+    tw_re: &[f32],
+    tw_im: &[f32],
+    re: &mut [f32],
+    im: &mut [f32],
+    width: usize,
+) {
+    assert!(width > 0 && re.len() == im.len(), "fft_real_split_lanes plane mismatch");
+    let rows = re.len() / width;
+    assert!(
+        rows >= 2 && (rows - 1).is_power_of_two() && re.len() == rows * width,
+        "fft_real_split_lanes needs 2^k + 1 rows, got {rows}"
+    );
+    let m = rows - 1;
+    assert!(tw_re.len() > m / 2 && tw_im.len() > m / 2, "fft_real_split_lanes twiddles too short");
+    dispatch!((tw_re, tw_im, re, im, width), fft_real_split_lanes, {
+        unsafe { kernels::fft_real_split_lanes::<F32x1>(tw_re, tw_im, re, im, width) }
+    })
+}
+
+/// Gathers a tile of `rows <= width` row-major rows into lane layout:
+/// `dst[at(c)·width + r] = src[r·stride + c]` for `c < cols`, where `at(c)`
+/// is `perm[c]` (`c` itself when `perm` is empty) and the lanes `rows..width`
+/// are zero-filled. Rows of `dst` that no column maps to are left untouched.
+/// A full tile (`rows == width`) on the active backend's own lane count
+/// ([`Backend::lanes`]) goes through the register transpose; every other
+/// shape takes the element-wise path with the same result.
+///
+/// # Panics
+///
+/// Panics when `rows > width`, `cols > stride`, `src` is too short for
+/// `rows` rows, `perm` is neither empty nor `cols` long, or a destination
+/// row lies outside `dst`.
+pub fn rows_to_lanes(
+    src: &[f32],
+    stride: usize,
+    rows: usize,
+    cols: usize,
+    perm: &[usize],
+    dst: &mut [f32],
+    width: usize,
+) {
+    assert!(width > 0 && rows <= width && cols <= stride, "rows_to_lanes tile shape");
+    assert!(rows == 0 || (rows - 1) * stride + cols <= src.len(), "rows_to_lanes src too short");
+    let dst_rows = dst.len() / width;
+    if perm.is_empty() {
+        assert!(cols <= dst_rows, "rows_to_lanes dst too short");
+    } else {
+        assert!(
+            perm.len() == cols && perm.iter().all(|&p| p < dst_rows),
+            "rows_to_lanes permutation out of range"
+        );
+    }
+    dispatch!((src, stride, rows, cols, perm, dst, width), rows_to_lanes, {
+        unsafe { kernels::rows_to_lanes::<F32x1>(src, stride, rows, cols, perm, dst, width) }
+    })
+}
+
+/// Scatters a lane-layout tile back to `rows <= width` row-major rows,
+/// applying the linear-layer epilogue while the tile is in cache:
+/// `dst[r·stride + c] = act(src[c·width + r] + bias[c])` for `c < cols`.
+/// An empty `bias` adds nothing (not even `+0.0`); `act` is
+/// [`crate::fastmath::gelu_fast`] when `gelu` is set, else the identity.
+/// Taking `cols` smaller than the tile truncates the output for free.
+///
+/// # Panics
+///
+/// Panics when `rows > width`, `cols > stride`, `src` holds fewer than
+/// `cols` lane rows, `bias` is neither empty nor `cols` long, or `dst` is too
+/// short for `rows` rows.
+#[allow(clippy::too_many_arguments)]
+pub fn lanes_to_rows(
+    src: &[f32],
+    width: usize,
+    rows: usize,
+    cols: usize,
+    bias: &[f32],
+    gelu: bool,
+    dst: &mut [f32],
+    stride: usize,
+) {
+    assert!(width > 0 && rows <= width && cols <= stride, "lanes_to_rows tile shape");
+    assert!(cols * width <= src.len(), "lanes_to_rows src too short");
+    assert!(bias.is_empty() || bias.len() == cols, "lanes_to_rows bias length mismatch");
+    assert!(rows == 0 || (rows - 1) * stride + cols <= dst.len(), "lanes_to_rows dst too short");
+    dispatch!((src, width, rows, cols, bias, gelu, dst, stride), lanes_to_rows, {
+        unsafe { kernels::lanes_to_rows::<F32x1>(src, width, rows, cols, bias, gelu, dst, stride) }
     })
 }
 

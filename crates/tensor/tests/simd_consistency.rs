@@ -348,3 +348,308 @@ fn scalar_backend_matches_env_override() {
         assert_eq!(simd::backend().lanes(), 1);
     });
 }
+
+// -- lane-per-row butterfly engine ---------------------------------------------
+
+/// Equal bits, or both NaN: which NaN payload survives `w1·a + w2·b` is the
+/// one thing the compiler may decide differently per backend.
+fn same_bits_or_both_nan(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+}
+
+/// The values every kernel must carry through unharmed or combine the same
+/// way on every backend.
+const SPECIALS: [f32; 8] = [
+    f32::NAN,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    -0.0,
+    0.0,
+    1.0e-41,  // denormal
+    -3.0e-39, // denormal
+    f32::MAX,
+];
+
+/// `data` with the special values planted at scattered positions.
+fn data_with_specials(n: usize, salt: usize) -> Vec<f32> {
+    let mut v = data(n, salt);
+    for (k, s) in SPECIALS.iter().enumerate() {
+        if n > 0 {
+            v[(k * 37 + salt * 5) % n] = *s;
+        }
+    }
+    v
+}
+
+/// Tile widths on, below and beyond every backend's lane count.
+const WIDTHS: &[usize] = &[1, 3, 4, 7, 8, 9, 16, 24];
+/// Offsets of the sub-slices the kernels are handed (4-byte alignment only).
+const OFFSETS: &[usize] = &[0, 1, 3, 7];
+
+#[test]
+fn lane_transposes_match_their_index_definition_at_every_shape_and_offset() {
+    let _g = lock();
+    let bitrev4 = [0usize, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15];
+    for backend in [Backend::Scalar, simd::default_backend()] {
+        for &width in WIDTHS {
+            for &off in OFFSETS {
+                for rows in [0, 1, width / 2, width] {
+                    for (cols, stride, perm) in
+                        [(16usize, 16usize, &bitrev4[..]), (21, 29, &[][..]), (5, 5, &[][..])]
+                    {
+                        let src_back = data_with_specials(off + width * stride, width + off);
+                        let src = &src_back[off..];
+                        let mut dst_back = vec![7.0f32; off + cols * width];
+                        with_backend(backend, || {
+                            simd::rows_to_lanes(
+                                src,
+                                stride,
+                                rows,
+                                cols,
+                                perm,
+                                &mut dst_back[off..],
+                                width,
+                            )
+                        });
+                        let tile = &dst_back[off..];
+                        for c in 0..cols {
+                            let at = if perm.is_empty() { c } else { perm[c] };
+                            for r in 0..width {
+                                let want = if r < rows { src[r * stride + c] } else { 0.0 };
+                                assert_eq!(
+                                    tile[at * width + r].to_bits(),
+                                    want.to_bits(),
+                                    "rows_to_lanes width={width} rows={rows} cols={cols} off={off}"
+                                );
+                            }
+                        }
+
+                        // And back, with and without the epilogue.
+                        let bias = data_with_specials(cols, 3);
+                        for (bias, gelu) in
+                            [(&[][..], false), (&bias[..], false), (&bias[..], true)]
+                        {
+                            let mut out_back = vec![7.0f32; off + width * stride];
+                            with_backend(backend, || {
+                                simd::lanes_to_rows(
+                                    tile,
+                                    width,
+                                    rows,
+                                    cols,
+                                    bias,
+                                    gelu,
+                                    &mut out_back[off..],
+                                    stride,
+                                )
+                            });
+                            let out = &out_back[off..];
+                            for r in 0..rows {
+                                for c in 0..cols {
+                                    let y = tile[c * width + r];
+                                    let y = if bias.is_empty() { y } else { y + bias[c] };
+                                    let want =
+                                        if gelu { fab_tensor::fastmath::gelu_fast(y) } else { y };
+                                    assert!(
+                                        same_bits_or_both_nan(&[out[r * stride + c]], &[want]),
+                                        "lanes_to_rows width={width} rows={rows} cols={cols} \
+                                         off={off} gelu={gelu}: {} vs {want}",
+                                        out[r * stride + c]
+                                    );
+                                }
+                            }
+                            // Nothing outside the `rows × cols` window is written.
+                            for (i, v) in out.iter().enumerate() {
+                                if i / stride >= rows || i % stride >= cols {
+                                    assert_eq!(*v, 7.0, "lanes_to_rows wrote outside its window");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn butterfly_stage_lanes_is_the_per_vector_stage_in_every_column() {
+    let _g = lock();
+    for &width in WIDTHS {
+        for &off in OFFSETS {
+            for (pairs, half) in [(1usize, 1usize), (4, 1), (4, 2), (4, 4), (16, 4), (64, 16)] {
+                let n = 2 * pairs;
+                let w: Vec<Vec<f32>> =
+                    (0..4).map(|k| data_with_specials(pairs, k + width)).collect();
+                let back = data_with_specials(off + n * width, half + off);
+                let run = |backend| {
+                    let mut x = back.clone();
+                    with_backend(backend, || {
+                        simd::butterfly_stage_lanes(
+                            half,
+                            &w[0],
+                            &w[1],
+                            &w[2],
+                            &w[3],
+                            &mut x[off..],
+                            width,
+                        )
+                    });
+                    x
+                };
+                let (scalar, native) = (run(Backend::Scalar), run(simd::default_backend()));
+                assert!(
+                    same_bits_or_both_nan(&scalar, &native),
+                    "backends diverged at width={width} pairs={pairs} half={half} off={off}"
+                );
+                // Column by column it is the existing per-vector stage kernel.
+                for col in 0..width {
+                    let mut v: Vec<f32> = (0..n).map(|i| back[off + i * width + col]).collect();
+                    with_backend(Backend::Scalar, || {
+                        simd::butterfly_stage_in_place(half, &w[0], &w[1], &w[2], &w[3], &mut v)
+                    });
+                    let got: Vec<f32> = (0..n).map(|i| native[off + i * width + col]).collect();
+                    assert!(
+                        same_bits_or_both_nan(&got, &v),
+                        "column {col} diverged at width={width} pairs={pairs} half={half}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Stage-major twiddle tables of an `n`-point transform.
+fn twiddles(n: usize) -> (Vec<f32>, Vec<f32>) {
+    let (mut re, mut im) = (Vec::new(), Vec::new());
+    let mut half = 1;
+    while half < n {
+        for k in 0..half {
+            let theta = -std::f32::consts::PI * k as f32 / half as f32;
+            re.push(theta.cos());
+            im.push(theta.sin());
+        }
+        half *= 2;
+    }
+    (re, im)
+}
+
+fn bit_reverse(i: usize, bits: u32) -> usize {
+    if bits == 0 {
+        0
+    } else {
+        i.reverse_bits() >> (usize::BITS - bits)
+    }
+}
+
+/// The whole real-input pipeline of one column — pack, bit-reverse, stages,
+/// split — against an `f64` DFT, on every backend, width and offset.
+#[test]
+fn fft_lane_kernels_compute_the_real_input_dft_of_every_column() {
+    let _g = lock();
+    for m in [1usize, 2, 4, 16, 64] {
+        let (tw_re, tw_im) = twiddles(2 * m);
+        for &width in WIDTHS {
+            for &off in OFFSETS {
+                let x: Vec<f32> = data(2 * m * width, m + width);
+                let run = |backend| {
+                    let mut re = vec![0.0f32; off + (m + 1) * width];
+                    let mut im = re.clone();
+                    for j in 0..m {
+                        let src = 2 * bit_reverse(j, m.trailing_zeros());
+                        for c in 0..width {
+                            re[off + j * width + c] = x[src * width + c];
+                            im[off + j * width + c] = x[(src + 1) * width + c];
+                        }
+                    }
+                    with_backend(backend, || {
+                        let (r, i) = (&mut re[off..], &mut im[off..]);
+                        simd::fft_stages_lanes(
+                            &tw_re,
+                            &tw_im,
+                            &mut r[..m * width],
+                            &mut i[..m * width],
+                            width,
+                        );
+                        simd::fft_real_split_lanes(&tw_re[m - 1..], &tw_im[m - 1..], r, i, width);
+                    });
+                    (re, im)
+                };
+                let scalar = run(Backend::Scalar);
+                let native = run(simd::default_backend());
+                assert!(scalar == native, "fft lanes diverged at m={m} width={width} off={off}");
+                let scale = (2 * m) as f64;
+                for c in 0..width {
+                    for k in 0..=m {
+                        let (mut er, mut ei) = (0.0f64, 0.0f64);
+                        for j in 0..2 * m {
+                            let theta = -std::f64::consts::PI * (k * j) as f64 / m as f64;
+                            er += x[j * width + c] as f64 * theta.cos();
+                            ei += x[j * width + c] as f64 * theta.sin();
+                        }
+                        let (gr, gi) =
+                            (native.0[off + k * width + c], native.1[off + k * width + c]);
+                        assert!(
+                            (gr as f64 - er).abs() <= 1e-5 * scale
+                                && (gi as f64 - ei).abs() <= 1e-5 * scale,
+                            "m={m} width={width} column {c} bin {k}: ({gr}, {gi}) vs ({er}, {ei})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Non-finite and denormal inputs through the FFT lanes: whatever comes
+/// out, every backend agrees on it.
+#[test]
+fn fft_lane_kernels_agree_across_backends_on_special_values() {
+    let _g = lock();
+    let m = 8;
+    let (tw_re, tw_im) = twiddles(2 * m);
+    for &width in WIDTHS {
+        let (re0, im0) =
+            (data_with_specials((m + 1) * width, 1), data_with_specials((m + 1) * width, 2));
+        let run = |backend| {
+            let (mut re, mut im) = (re0.clone(), im0.clone());
+            with_backend(backend, || {
+                simd::fft_stages_lanes(
+                    &tw_re,
+                    &tw_im,
+                    &mut re[..m * width],
+                    &mut im[..m * width],
+                    width,
+                );
+                simd::fft_real_split_lanes(
+                    &tw_re[m - 1..],
+                    &tw_im[m - 1..],
+                    &mut re,
+                    &mut im,
+                    width,
+                );
+            });
+            (re, im)
+        };
+        let (scalar, native) = (run(Backend::Scalar), run(simd::default_backend()));
+        assert!(
+            same_bits_or_both_nan(&scalar.0, &native.0)
+                && same_bits_or_both_nan(&scalar.1, &native.1),
+            "fft lanes diverged on special values at width={width}"
+        );
+    }
+}
+
+#[test]
+#[should_panic(expected = "rows_to_lanes permutation out of range")]
+fn rows_to_lanes_rejects_a_permutation_that_leaves_the_tile() {
+    let mut dst = vec![0.0f32; 4 * 8];
+    simd::rows_to_lanes(&[0.0; 32], 4, 8, 4, &[0, 1, 2, 4], &mut dst, 8);
+}
+
+#[test]
+#[should_panic(expected = "lanes_to_rows dst too short")]
+fn lanes_to_rows_rejects_a_short_destination() {
+    let mut dst = vec![0.0f32; 8 * 4 - 1];
+    simd::lanes_to_rows(&[0.0; 32], 8, 8, 4, &[], false, &mut dst, 4);
+}
