@@ -109,10 +109,11 @@ fn bench_simd_kernels(c: &mut Criterion, rng: &mut StdRng) {
     group.finish();
 }
 
-/// PR-3: the backward kernels of the training path — the specialized
-/// small-half butterfly backward against the seed's generic loop, and the
-/// dense matmul-gradient pair at the same sizes for contrast — from
-/// cache-resident to memory-bound transforms.
+/// The backward kernels of the training path — the lane-per-row butterfly
+/// backward (eight rows per tile, every stage one vertical operation)
+/// against the scalar per-row oracle that takes the same sums in the same
+/// order, and the dense matmul-gradient pair at the same sizes for contrast
+/// — from cache-resident to memory-bound transforms.
 fn bench_backward_kernels(c: &mut Criterion, rng: &mut StdRng) {
     let mut group = c.benchmark_group("backward_kernels");
     group.sample_size(10);
@@ -124,7 +125,7 @@ fn bench_backward_kernels(c: &mut Criterion, rng: &mut StdRng) {
         group.bench_function(format!("butterfly_backward_reference_{rows}x{n}"), |bch| {
             bch.iter(|| bfly.backward_rows_reference(black_box(&x), black_box(&g)))
         });
-        group.bench_function(format!("butterfly_backward_specialized_{rows}x{n}"), |bch| {
+        group.bench_function(format!("butterfly_backward_lanes_{rows}x{n}"), |bch| {
             bch.iter(|| bfly.backward_rows(black_box(&x), black_box(&g)))
         });
         // Dense gradients (dX = g Wᵀ, dW = xᵀ g) at the same size.

@@ -137,8 +137,9 @@ fn bench_butterfly_backward(rng: &mut StdRng, rows: usize, n: usize) -> Row {
     let bfly = ButterflyMatrix::random(n, rng).expect("butterfly size");
     let x = random_tensor(rng, &[rows, n]);
     let g = random_tensor(rng, &[rows, n]);
-    // The seed's path: per-row `backward` (which re-ran the forward with one
-    // clone per stage) plus a full-tensor add per row for the weight grads.
+    // The seed's shape of the work: one `backward` call per row (since PR 15
+    // a one-row tile of the lane kernel, so the ratio below is batching
+    // alone) plus a full-tensor add per row for the weight grads.
     let (before_ms, before) = time_ms(|| {
         let mut grad_x = Tensor::zeros(&[rows, n]);
         let mut grad_w = Tensor::zeros(&[bfly.num_stages(), 2 * n]);

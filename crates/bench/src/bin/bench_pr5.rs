@@ -142,7 +142,7 @@ fn run_task(
         &model,
         &to_examples(&train),
         &[],
-        &TrainOptions { epochs, learning_rate: 1e-3, batch_size: 1 },
+        &TrainOptions { epochs, learning_rate: 1e-3 },
     );
 
     // Freeze (f32 serving path) and post-training-quantize on the

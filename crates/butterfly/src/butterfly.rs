@@ -6,14 +6,14 @@
 //! a trainable 2×2 matrix (the paper's Section II-B). Multiplying a vector by
 //! the full butterfly matrix therefore costs `O(N log N)` instead of `O(N^2)`.
 //!
-//! Two routes run the stages. A single vector ([`ButterflyMatrix::forward`],
-//! and the backward pass, which works row by row) goes through the
-//! per-stage kernels of [`ButterflyStage`], SIMD lanes along the vector.
-//! Every batched forward goes through
-//! [`ButterflyMatrix::forward_rows_fused_into`], where the lanes run across
-//! independent rows instead: the engine of [`fab_tensor::simd`] that the 2-D
-//! FFT of [`crate::fft`] runs on as well, there with a complex twiddle as
-//! the pair operation. The two routes agree bit for bit.
+//! Two routes run the stages. A single vector ([`ButterflyMatrix::forward`])
+//! goes through [`ButterflyStage::apply_in_place`], SIMD lanes along the
+//! vector. Everything batched — [`ButterflyMatrix::forward_rows_fused_into`]
+//! and the gradients of [`ButterflyMatrix::backward_rows_padded_into`] — runs
+//! the lanes across independent rows instead: the engine of
+//! [`fab_tensor::simd`] that the 2-D FFT of [`crate::fft`] runs on as well,
+//! there with a complex twiddle as the pair operation. The two routes agree
+//! bit for bit.
 
 use crate::{log2_exact, ButterflyError};
 use fab_tensor::simd;
@@ -25,38 +25,11 @@ use rayon::prelude::*;
 /// Target elements per parallel row chunk.
 const CHUNK_ELEMS: usize = 1 << 13;
 
-/// Reusable scratch for repeated butterfly backward passes: holds every
-/// per-stage activation plus two ping-pong gradient buffers, so a backward
-/// pass performs **zero** heap allocation (the seed cloned the activation
-/// vector once per stage, ~`log2 n` allocations per row).
-#[derive(Debug, Clone)]
-pub struct ButterflyScratch {
-    /// `(stages + 1) × n` flat buffer; slot `s` holds the input of stage `s`,
-    /// slot `stages` the transform output.
-    states: Vec<f32>,
-    /// Gradient ping-pong buffers, `n` elements each.
-    grad: Vec<f32>,
-    grad_tmp: Vec<f32>,
-    /// Chunk-local weight-gradient accumulator (`log2 n · 2 n`), used by the
-    /// one-thread batched backward so it needs no per-call allocation
-    /// while keeping the parallel path's exact chunk summation order.
-    gw_partial: Vec<f32>,
-    n: usize,
-}
-
-impl ButterflyScratch {
-    /// Allocates scratch for a butterfly of size `n` (power of two).
-    pub fn new(n: usize) -> Self {
-        let stages = log2_exact(n);
-        Self {
-            states: vec![0.0; (stages + 1) * n],
-            grad: vec![0.0; n],
-            grad_tmp: vec![0.0; n],
-            gw_partial: vec![0.0; stages * 2 * n],
-            n,
-        }
-    }
-}
+/// Rows per tile of the batched backward, and partial sums per chunk of its
+/// weight gradient. Fixed on every backend rather than taken from
+/// [`simd::Backend::lanes`]: the weight gradient sums across rows, so the
+/// tile width is part of the result.
+const GRAD_TILE: usize = 8;
 
 /// One butterfly factor (stage): a block-diagonal matrix of 2×2 blocks of
 /// diagonal matrices with half-block size `half`.
@@ -164,60 +137,10 @@ impl ButterflyStage {
         }
     }
 
-    /// Applies the stage out of place: reads `src`, writes every element of
-    /// `dst` exactly once. Used by the allocation-free batched forward and
-    /// the backward pass's activation recompute.
-    ///
-    /// Mirrors [`ButterflyStage::apply_in_place`]'s structure: the first two
-    /// stages (`half` of 1 and 2) use dedicated unrolled loops with the
-    /// identical per-pair arithmetic, so results are bit-equal to the
-    /// generic path.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the slice lengths differ from `2 * pairs`.
-    pub fn apply_into(&self, src: &[f32], dst: &mut [f32]) {
-        assert_eq!(src.len(), 2 * self.pairs(), "stage input length mismatch");
-        assert_eq!(dst.len(), src.len(), "stage output length mismatch");
-        let half = self.half;
-        match half {
-            1 => {
-                let ws = self.w1.iter().zip(&self.w2).zip(self.w3.iter().zip(&self.w4));
-                for ((spair, dpair), ((w1, w2), (w3, w4))) in
-                    src.chunks_exact(2).zip(dst.chunks_exact_mut(2)).zip(ws)
-                {
-                    let (a, b) = (spair[0], spair[1]);
-                    dpair[0] = w1 * a + w2 * b;
-                    dpair[1] = w3 * a + w4 * b;
-                }
-            }
-            2 => {
-                let ws = self
-                    .w1
-                    .chunks_exact(2)
-                    .zip(self.w2.chunks_exact(2))
-                    .zip(self.w3.chunks_exact(2).zip(self.w4.chunks_exact(2)));
-                for ((squad, dquad), ((w1, w2), (w3, w4))) in
-                    src.chunks_exact(4).zip(dst.chunks_exact_mut(4)).zip(ws)
-                {
-                    let (a0, b0) = (squad[0], squad[2]);
-                    let (a1, b1) = (squad[1], squad[3]);
-                    dquad[0] = w1[0] * a0 + w2[0] * b0;
-                    dquad[2] = w3[0] * a0 + w4[0] * b0;
-                    dquad[1] = w1[1] * a1 + w2[1] * b1;
-                    dquad[3] = w3[1] * a1 + w4[1] * b1;
-                }
-            }
-            _ => {
-                simd::butterfly_stage_into(half, &self.w1, &self.w2, &self.w3, &self.w4, src, dst);
-            }
-        }
-    }
-
     /// The seed's generic out-of-place stage application, kept verbatim as
-    /// part of the reference backward path (the pre-PR backward recomputed
+    /// part of the reference backward path (the seed's backward recomputed
     /// activations through exactly this loop). Bit-identical to
-    /// [`ButterflyStage::apply_into`].
+    /// [`ButterflyStage::apply_in_place`].
     fn apply_into_reference(&self, src: &[f32], dst: &mut [f32]) {
         assert_eq!(src.len(), 2 * self.pairs(), "stage input length mismatch");
         assert_eq!(dst.len(), src.len(), "stage output length mismatch");
@@ -235,100 +158,6 @@ impl ButterflyStage {
                 *h = w3[i] * a + w4[i] * b;
             }
             p += half;
-        }
-    }
-
-    /// Backward pass through this stage: given the stage `input` and the
-    /// upstream gradient `grad` (both length `2 · pairs`), writes the input
-    /// gradient into `grad_in` and **accumulates** the weight gradients into
-    /// `gw` (laid out `[w1 | w2 | w3 | w4]`, each of length `pairs`).
-    ///
-    /// Mirrors [`ButterflyStage::apply_in_place`]'s structure: the first two
-    /// stages use dedicated unrolled loops, larger half-blocks walk
-    /// `split_at` slices so the inner loop is branch- and division-free. The
-    /// arithmetic per pair is identical to the seed's generic backward loop,
-    /// so results are bit-equal to
-    /// [`ButterflyStage::backward_into_reference`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when any slice length mismatches.
-    pub fn backward_into(&self, input: &[f32], grad: &[f32], grad_in: &mut [f32], gw: &mut [f32]) {
-        let pairs = self.pairs();
-        assert_eq!(input.len(), 2 * pairs, "stage input length mismatch");
-        assert_eq!(grad.len(), 2 * pairs, "stage gradient length mismatch");
-        assert_eq!(grad_in.len(), 2 * pairs, "stage input-gradient length mismatch");
-        assert_eq!(gw.len(), 4 * pairs, "stage weight-gradient length mismatch");
-        let (gw1, rest) = gw.split_at_mut(pairs);
-        let (gw2, rest) = rest.split_at_mut(pairs);
-        let (gw3, gw4) = rest.split_at_mut(pairs);
-        let half = self.half;
-        match half {
-            1 => {
-                let ws = self.w1.iter().zip(&self.w2).zip(self.w3.iter().zip(&self.w4));
-                let gws =
-                    gw1.iter_mut().zip(gw2.iter_mut()).zip(gw3.iter_mut().zip(gw4.iter_mut()));
-                for ((((pair_in, pair_g), pair_o), ((w1, w2), (w3, w4))), ((d1, d2), (d3, d4))) in
-                    input
-                        .chunks_exact(2)
-                        .zip(grad.chunks_exact(2))
-                        .zip(grad_in.chunks_exact_mut(2))
-                        .zip(ws)
-                        .zip(gws)
-                {
-                    let (a, b) = (pair_in[0], pair_in[1]);
-                    let (g1, g2) = (pair_g[0], pair_g[1]);
-                    *d1 += g1 * a;
-                    *d2 += g1 * b;
-                    *d3 += g2 * a;
-                    *d4 += g2 * b;
-                    pair_o[0] = w1 * g1 + w3 * g2;
-                    pair_o[1] = w2 * g1 + w4 * g2;
-                }
-            }
-            2 => {
-                let ws = self
-                    .w1
-                    .chunks_exact(2)
-                    .zip(self.w2.chunks_exact(2))
-                    .zip(self.w3.chunks_exact(2).zip(self.w4.chunks_exact(2)));
-                let gws = gw1
-                    .chunks_exact_mut(2)
-                    .zip(gw2.chunks_exact_mut(2))
-                    .zip(gw3.chunks_exact_mut(2).zip(gw4.chunks_exact_mut(2)));
-                for ((((quad_in, quad_g), quad_o), ((w1, w2), (w3, w4))), ((d1, d2), (d3, d4))) in
-                    input
-                        .chunks_exact(4)
-                        .zip(grad.chunks_exact(4))
-                        .zip(grad_in.chunks_exact_mut(4))
-                        .zip(ws)
-                        .zip(gws)
-                {
-                    for lane in 0..2 {
-                        let (a, b) = (quad_in[lane], quad_in[lane + 2]);
-                        let (g1, g2) = (quad_g[lane], quad_g[lane + 2]);
-                        d1[lane] += g1 * a;
-                        d2[lane] += g1 * b;
-                        d3[lane] += g2 * a;
-                        d4[lane] += g2 * b;
-                        quad_o[lane] = w1[lane] * g1 + w3[lane] * g2;
-                        quad_o[lane + 2] = w2[lane] * g1 + w4[lane] * g2;
-                    }
-                }
-            }
-            _ => {
-                simd::butterfly_stage_backward(
-                    half,
-                    &self.w1,
-                    &self.w2,
-                    &self.w3,
-                    &self.w4,
-                    input,
-                    grad,
-                    grad_in,
-                    [gw1, gw2, gw3, gw4],
-                );
-            }
         }
     }
 }
@@ -569,182 +398,297 @@ impl ButterflyMatrix {
         Ok(())
     }
 
-    /// Runs the forward pass, recording the input of every stage into the
-    /// flat `states` buffer of `scratch` (slot `s` holds the input of stage
-    /// `s`; the final slot holds the output).
-    fn forward_stages_into(&self, x: &[f32], states: &mut [f32]) {
-        let n = self.n;
-        debug_assert_eq!(states.len(), (self.stages.len() + 1) * n);
-        states[..n].copy_from_slice(x);
-        for (s, stage) in self.stages.iter().enumerate() {
-            let (src, rest) = states[s * n..].split_at_mut(n);
-            stage.apply_into(src, &mut rest[..n]);
-        }
-    }
-
-    /// Applies the butterfly matrix, also returning the input of every stage
-    /// (needed by the backward pass).
-    pub fn forward_with_intermediates(&self, x: &[f32]) -> (Vec<f32>, Vec<Vec<f32>>) {
-        assert_eq!(x.len(), self.n, "butterfly input length mismatch");
-        let mut scratch = ButterflyScratch::new(self.n);
-        self.forward_stages_into(x, &mut scratch.states);
-        let n = self.n;
-        let stages = self.stages.len();
-        let intermediates =
-            (0..stages).map(|s| scratch.states[s * n..(s + 1) * n].to_vec()).collect();
-        (scratch.states[stages * n..].to_vec(), intermediates)
-    }
-
     /// Backward pass for one vector: given the gradient with respect to the
     /// output, returns the gradient with respect to the input and the
     /// gradient with respect to the weight tensor (same layout as
-    /// [`ButterflyMatrix::to_weight_tensor`]).
+    /// [`ButterflyMatrix::to_weight_tensor`]) — a one-row
+    /// [`ButterflyMatrix::backward_rows`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `x` or `grad_out` are not `n` long.
     pub fn backward(&self, x: &[f32], grad_out: &[f32]) -> (Vec<f32>, Tensor) {
-        let mut scratch = ButterflyScratch::new(self.n);
+        let row = |v: &[f32]| {
+            assert_eq!(v.len(), self.n, "butterfly vector length mismatch");
+            Tensor::from_vec(v.to_vec(), &[1, self.n]).expect("one row of n values")
+        };
+        let (grad_x, grad_w) = self.backward_rows(&row(x), &row(grad_out));
+        (grad_x.into_vec(), grad_w)
+    }
+
+    /// Batched backward pass over every row of `x` (shape `[rows, n]`) given
+    /// the output gradients `grad_out` (same shape): returns `(grad_x,
+    /// grad_w)` where `grad_x` has the shape of `x` and `grad_w` the
+    /// `[log2 n, 2 n]` weight layout, summed over rows
+    /// ([`ButterflyMatrix::backward_rows_into`] into fresh tensors).
+    ///
+    /// # Panics
+    ///
+    /// Panics when shapes do not match the butterfly size.
+    pub fn backward_rows(&self, x: &Tensor, grad_out: &Tensor) -> (Tensor, Tensor) {
+        let mut grad_x = Tensor::zeros(&[x.rows(), self.n]);
         let mut grad_w = Tensor::zeros(&[self.num_stages(), 2 * self.n]);
-        self.backward_with_scratch(x, grad_out, &mut scratch, grad_w.as_mut_slice());
-        (scratch.grad.clone(), grad_w)
+        self.backward_rows_into(x, grad_out, grad_x.as_mut_slice(), grad_w.as_mut_slice());
+        (grad_x, grad_w)
     }
 
-    /// Allocation-free backward pass for one vector on the specialized
-    /// per-stage kernels ([`ButterflyStage::backward_into`]).
-    ///
-    /// On return `scratch.grad` holds the input gradient and the weight
-    /// gradients have been **accumulated** (`+=`) into `grad_w`, which must
-    /// have the `[log2 n, 2 n]` layout of [`ButterflyMatrix::to_weight_tensor`]
-    /// flattened row-major. Results are bit-identical to
-    /// [`ButterflyMatrix::backward_with_scratch_reference`].
+    /// [`ButterflyMatrix::backward_rows`] accumulating into caller-provided
+    /// buffers: `grad_x` (length `rows · n`) and `grad_w` (length
+    /// `log2 n · 2 n`) both receive `+=` contributions, so the kernel can
+    /// write straight into the autodiff tape's reusable gradient buffers.
+    /// The unpadded case of [`ButterflyMatrix::backward_rows_padded_into`].
     ///
     /// # Panics
     ///
-    /// Panics when `x`, `grad_out`, `scratch` or `grad_w` have the wrong size.
-    pub fn backward_with_scratch(
+    /// Panics when shapes do not match the butterfly size.
+    pub fn backward_rows_into(
         &self,
-        x: &[f32],
-        grad_out: &[f32],
-        scratch: &mut ButterflyScratch,
+        x: &Tensor,
+        grad_out: &Tensor,
+        grad_x: &mut [f32],
         grad_w: &mut [f32],
     ) {
-        let n = self.n;
-        assert_eq!(x.len(), n, "butterfly input length mismatch");
-        assert_eq!(grad_out.len(), n, "butterfly gradient length mismatch");
-        self.forward_stages_into(x, &mut scratch.states);
-        self.backward_stages(grad_out, scratch, grad_w);
+        assert_eq!(x.cols(), self.n, "butterfly row width mismatch");
+        assert_eq!(grad_out.shape(), x.shape(), "gradient shape mismatch");
+        self.backward_rows_padded_into(x, grad_out, grad_x, grad_w);
     }
 
-    /// Fused pad + backward for one vector: `x` holds only the first `d_in`
-    /// elements (the rest of the transform input is an implicit zero pad) and
-    /// `grad_out` only the first `d_out` output gradients (the truncated
-    /// columns receive zero gradient). On return `scratch.grad[..d_in]`
-    /// holds the input gradient; weight gradients are accumulated into
-    /// `grad_w`. Bit-identical to materialising the pads and calling
-    /// [`ButterflyMatrix::backward_with_scratch`].
+    /// The gradients of [`ButterflyMatrix::forward_rows_fused_into`] without
+    /// its bias and activation, and the one batched backward route of this
+    /// type: `x` is `[rows, d_in]` (implicitly zero-padded to the transform
+    /// size), `grad_out` is `[rows, d_out]` (the truncated output columns
+    /// receive zero gradient). The `[rows, d_in]` input gradient is added
+    /// into `grad_x` and the `[log2 n, 2 n]` weight gradient into `grad_w`;
+    /// neither padded tensor is ever materialised.
+    ///
+    /// Rows go through the lane engine in tiles of [`GRAD_TILE`]: a tile is
+    /// transposed to `[n][8]`, the forward is recomputed stage by stage
+    /// keeping every stage's input, and the stages then run in reverse
+    /// ([`simd::butterfly_stage_backward_lanes`]), each turning the gradient
+    /// of its output into that of its input and adding its `g · input`
+    /// products to per-lane accumulators. Row `r`'s input gradient involves
+    /// no other row and is bit-identical to [`ButterflyMatrix::backward`] of
+    /// that row.
+    ///
+    /// The weight gradient is a sum over rows, and this is **the** order it
+    /// is taken in, on every backend, at every `RAYON_NUM_THREADS` and
+    /// whether or not the call fans out: rows are cut into chunks of
+    /// `CHUNK_ELEMS / n` (at least one); inside a chunk the row at offset
+    /// `i` adds its products to partial sum `i mod 8`, rows in ascending
+    /// order; the chunk's gradient is `p0 + p1 + … + p7` evaluated left to
+    /// right; and the chunks are added to `grad_w` in ascending order.
+    /// [`ButterflyMatrix::backward_rows_reference_into`] spells the same
+    /// sum out on plain scalar loops. (A partial last tile runs its unused
+    /// lanes on zeros, which add exact zeros unless a weight is not finite.)
     ///
     /// # Panics
     ///
-    /// Panics when `x` or `grad_out` are wider than the transform.
-    pub fn backward_padded_with_scratch(
+    /// Panics when widths exceed the transform size, row counts differ, or
+    /// a gradient buffer has the wrong length.
+    pub fn backward_rows_padded_into(
         &self,
-        x: &[f32],
-        grad_out: &[f32],
-        scratch: &mut ButterflyScratch,
+        x: &Tensor,
+        grad_out: &Tensor,
+        grad_x: &mut [f32],
         grad_w: &mut [f32],
     ) {
-        self.forward_stages_padded_into(x, grad_out, scratch);
-        self.backward_stages(grad_out, scratch, grad_w);
+        let n = self.n;
+        let (rows, d_in, d_out) = (x.rows(), x.cols(), grad_out.cols());
+        assert!(d_in <= n, "butterfly pad width {d_in} exceeds transform size {n}");
+        assert!(d_out <= n, "butterfly gradient width {d_out} exceeds transform size {n}");
+        assert_eq!(grad_out.rows(), rows, "gradient row count mismatch");
+        assert_eq!(grad_x.len(), rows * d_in, "input gradient length mismatch");
+        let gw_len = self.num_stages() * 2 * n;
+        assert_eq!(grad_w.len(), gw_len, "weight gradient length mismatch");
+        let rows_per_chunk = (CHUNK_ELEMS / n).max(1);
+        let gx_chunks = grad_x.chunks_mut(rows_per_chunk * d_in);
+        if !self.fans_out(rows, 3) {
+            crate::with_scratch(gw_len, |partial| {
+                for (c, gx) in gx_chunks.enumerate() {
+                    self.backward_chunk(x, grad_out, c * rows_per_chunk, gx, partial);
+                    simd::add_acc(grad_w, partial);
+                }
+            });
+            return;
+        }
+        crate::with_scratch(gx_chunks.len() * gw_len, |partials| {
+            gx_chunks
+                .zip(partials.chunks_mut(gw_len))
+                .collect::<Vec<_>>()
+                .into_par_iter()
+                .enumerate()
+                .for_each(|(c, (gx, partial))| {
+                    self.backward_chunk(x, grad_out, c * rows_per_chunk, gx, partial);
+                });
+            for partial in partials.chunks(gw_len) {
+                simd::add_acc(grad_w, partial);
+            }
+        });
     }
 
-    /// Padded-variant of [`ButterflyMatrix::backward_padded_with_scratch`]
-    /// accumulating into the scratch's own `gw_partial`.
-    fn backward_padded_with_scratch_split(
+    /// One chunk of [`ButterflyMatrix::backward_rows_padded_into`]: the rows
+    /// from `r0` on that `gx` has room for. Adds their input gradients into
+    /// `gx` and overwrites `gw` with the chunk's weight gradient.
+    fn backward_chunk(
         &self,
-        x: &[f32],
-        grad_out: &[f32],
-        s: &mut ButterflyScratch,
+        x: &Tensor,
+        grad_out: &Tensor,
+        r0: usize,
+        gx: &mut [f32],
+        gw: &mut [f32],
     ) {
-        self.forward_stages_padded_into(x, grad_out, s);
-        let ButterflyScratch { states, grad, grad_tmp, gw_partial, .. } = s;
-        self.backward_stages_raw(grad_out, states, grad, grad_tmp, gw_partial);
+        const T: usize = GRAD_TILE;
+        let n = self.n;
+        let (d_in, d_out) = (x.cols(), grad_out.cols());
+        let (xs, gs) = (x.as_slice(), grad_out.as_slice());
+        let stages = self.stages.len();
+        // One stage's slice of every per-tile buffer: `[n][T]` values, twice
+        // that many `[pair][4][T]` accumulators.
+        let tile = n * T;
+        crate::with_scratch((3 * stages + 2) * tile, |buf| {
+            let (acc, buf) = buf.split_at_mut(stages * 2 * tile);
+            let (inputs, buf) = buf.split_at_mut(stages * tile);
+            let (grad, dx) = buf.split_at_mut(tile);
+            acc.fill(0.0);
+            for (t, gx_rows) in gx.chunks_mut(T * d_in).enumerate() {
+                let (r, nr) = (r0 + t * T, gx_rows.len() / d_in);
+                // Recompute the forward, keeping the input of every stage.
+                simd::rows_to_lanes(&xs[r * d_in..], d_in, nr, d_in, &[], &mut inputs[..tile], T);
+                inputs[d_in * T..tile].fill(0.0);
+                for (s, stage) in self.stages[..stages - 1].iter().enumerate() {
+                    let (seen, next) = inputs[s * tile..(s + 2) * tile].split_at_mut(tile);
+                    next.copy_from_slice(seen);
+                    simd::butterfly_stage_lanes(
+                        stage.half, &stage.w1, &stage.w2, &stage.w3, &stage.w4, next, T,
+                    );
+                }
+                simd::rows_to_lanes(&gs[r * d_out..], d_out, nr, d_out, &[], grad, T);
+                grad[d_out * T..].fill(0.0);
+                for (s, stage) in self.stages.iter().enumerate().rev() {
+                    simd::butterfly_stage_backward_lanes(
+                        stage.half,
+                        &stage.w1,
+                        &stage.w2,
+                        &stage.w3,
+                        &stage.w4,
+                        &inputs[s * tile..(s + 1) * tile],
+                        grad,
+                        &mut acc[s * 2 * tile..(s + 1) * 2 * tile],
+                        T,
+                    );
+                }
+                let dx = &mut dx[..nr * d_in];
+                simd::lanes_to_rows(grad, T, nr, d_in, &[], false, dx, d_in);
+                simd::add_acc(gx_rows, dx);
+            }
+            // Fold each accumulator's lanes, first to last.
+            let half_n = n / 2;
+            for (gw_stage, acc_stage) in gw.chunks_mut(2 * n).zip(acc.chunks(2 * tile)) {
+                for (i, lanes) in acc_stage.chunks_exact(T).enumerate() {
+                    let (p, k) = (i / 4, i % 4);
+                    gw_stage[k * half_n + p] = lanes[1..].iter().fold(lanes[0], |sum, &l| sum + l);
+                }
+            }
+        });
     }
 
-    fn forward_stages_padded_into(
+    /// [`ButterflyMatrix::backward_rows_into`] on the seed's scalar per-row
+    /// stage loops, one row at a time and allocating as it goes — the oracle
+    /// the lane route is validated against, and the baseline kernel of the
+    /// training benches. Row `r`'s input gradient is the seed's arithmetic
+    /// unchanged; its weight-gradient products land in the partial sum the
+    /// order documented on [`ButterflyMatrix::backward_rows_padded_into`]
+    /// assigns it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when shapes do not match the butterfly size.
+    pub fn backward_rows_reference_into(
         &self,
-        x: &[f32],
-        grad_out: &[f32],
-        scratch: &mut ButterflyScratch,
+        x: &Tensor,
+        grad_out: &Tensor,
+        grad_x: &mut [f32],
+        grad_w: &mut [f32],
     ) {
         let n = self.n;
-        assert!(x.len() <= n, "butterfly pad width {} exceeds transform size {n}", x.len());
-        assert!(grad_out.len() <= n, "butterfly gradient width exceeds transform size {n}");
-        assert_eq!(scratch.n, n, "scratch size mismatch");
-        scratch.states[..x.len()].copy_from_slice(x);
-        scratch.states[x.len()..n].fill(0.0);
-        for (s, stage) in self.stages.iter().enumerate() {
-            let (src, rest) = scratch.states[s * n..].split_at_mut(n);
-            stage.apply_into(src, &mut rest[..n]);
+        assert_eq!(x.cols(), n, "butterfly row width mismatch");
+        assert_eq!(grad_out.shape(), x.shape(), "gradient shape mismatch");
+        assert_eq!(grad_x.len(), x.rows() * n, "input gradient length mismatch");
+        let stages = self.num_stages();
+        let gw_len = stages * 2 * n;
+        assert_eq!(grad_w.len(), gw_len, "weight gradient length mismatch");
+        let mut states = vec![0.0f32; stages * n];
+        let (mut grad, mut grad_tmp) = (vec![0.0f32; n], vec![0.0f32; n]);
+        let mut partials = vec![0.0f32; GRAD_TILE * gw_len];
+        let rows_per_chunk = (CHUNK_ELEMS / n).max(1);
+        let (xs, gs) = (x.as_slice(), grad_out.as_slice());
+        for (c, gx_chunk) in grad_x.chunks_mut(rows_per_chunk * n).enumerate() {
+            partials.fill(0.0);
+            for (i, gx_row) in gx_chunk.chunks_mut(n).enumerate() {
+                let r = c * rows_per_chunk + i;
+                let (x_row, go_row) = (&xs[r * n..(r + 1) * n], &gs[r * n..(r + 1) * n]);
+                let partial = i % GRAD_TILE;
+                let gw = &mut partials[partial * gw_len..(partial + 1) * gw_len];
+                self.backward_row_reference(
+                    x_row,
+                    go_row,
+                    &mut states,
+                    &mut grad,
+                    &mut grad_tmp,
+                    gw,
+                );
+                for (d, &v) in gx_row.iter_mut().zip(grad.iter()) {
+                    *d += v;
+                }
+            }
+            for (i, d) in grad_w.iter_mut().enumerate() {
+                let mut sum = partials[i];
+                for partial in 1..GRAD_TILE {
+                    sum += partials[partial * gw_len + i];
+                }
+                *d += sum;
+            }
         }
     }
 
-    /// Reverse sweep shared by the backward entry points: expects
-    /// `scratch.states` to hold the per-stage activations, seeds the gradient
-    /// ping-pong buffers from `grad_out` (zero-extended to the transform
-    /// size) and runs the specialized stage kernels.
-    fn backward_stages(
-        &self,
-        grad_out: &[f32],
-        scratch: &mut ButterflyScratch,
-        grad_w: &mut [f32],
-    ) {
-        assert_eq!(scratch.n, self.n, "scratch size mismatch");
-        let ButterflyScratch { states, grad, grad_tmp, .. } = scratch;
-        self.backward_stages_raw(grad_out, states, grad, grad_tmp, grad_w);
+    /// [`ButterflyMatrix::backward_rows`] on the seed reference kernel.
+    pub fn backward_rows_reference(&self, x: &Tensor, grad_out: &Tensor) -> (Tensor, Tensor) {
+        let mut grad_x = Tensor::zeros(&[x.rows(), self.n]);
+        let mut grad_w = Tensor::zeros(&[self.num_stages(), 2 * self.n]);
+        self.backward_rows_reference_into(
+            x,
+            grad_out,
+            grad_x.as_mut_slice(),
+            grad_w.as_mut_slice(),
+        );
+        (grad_x, grad_w)
     }
 
-    fn backward_stages_raw(
+    /// The seed's backward for one row, loops verbatim: recomputes the
+    /// activations through [`ButterflyStage::apply_into_reference`] (slot `s`
+    /// of `states` is the input of stage `s`), then walks the stages in
+    /// reverse, adding the weight-gradient products into `gw` and leaving
+    /// the input gradient in `grad`.
+    fn backward_row_reference(
         &self,
+        x: &[f32],
         grad_out: &[f32],
-        states: &[f32],
+        states: &mut [f32],
         grad: &mut Vec<f32>,
         grad_tmp: &mut Vec<f32>,
-        grad_w: &mut [f32],
+        gw: &mut [f32],
     ) {
         let n = self.n;
-        assert_eq!(grad_w.len(), self.num_stages() * 2 * n, "weight gradient length mismatch");
-        grad[..grad_out.len()].copy_from_slice(grad_out);
-        grad[grad_out.len()..].fill(0.0);
-        for (s, stage) in self.stages.iter().enumerate().rev() {
-            let input = &states[s * n..(s + 1) * n];
-            let gw = &mut grad_w[s * 2 * n..(s + 1) * 2 * n];
-            stage.backward_into(input, grad, grad_tmp, gw);
-            std::mem::swap(grad, grad_tmp);
+        states[..n].copy_from_slice(x);
+        for (s, stage) in self.stages[..self.stages.len() - 1].iter().enumerate() {
+            let (src, rest) = states[s * n..].split_at_mut(n);
+            stage.apply_into_reference(src, &mut rest[..n]);
         }
-    }
-
-    /// [`ButterflyMatrix::backward_with_scratch`] accumulating the weight
-    /// gradient into the scratch's own `gw_partial` buffer.
-    fn backward_with_scratch_split(&self, x: &[f32], grad_out: &[f32], s: &mut ButterflyScratch) {
-        assert_eq!(s.n, self.n, "scratch size mismatch");
-        self.forward_stages_into(x, &mut s.states);
-        let ButterflyScratch { states, grad, grad_tmp, gw_partial, .. } = s;
-        self.backward_stages_raw(grad_out, states, grad, grad_tmp, gw_partial);
-    }
-
-    /// The seed's generic reverse stage loop over raw scratch slices.
-    fn backward_stages_reference_raw(
-        &self,
-        grad_out: &[f32],
-        states: &[f32],
-        grad: &mut Vec<f32>,
-        grad_tmp: &mut Vec<f32>,
-        grad_w: &mut [f32],
-    ) {
-        let n = self.n;
-        assert_eq!(grad_w.len(), self.num_stages() * 2 * n, "weight gradient length mismatch");
         grad.copy_from_slice(grad_out);
         let half_n = n / 2;
         for (s, stage) in self.stages.iter().enumerate().rev() {
             let input = &states[s * n..(s + 1) * n];
-            let gw = &mut grad_w[s * 2 * n..(s + 1) * 2 * n];
+            let gw = &mut gw[s * 2 * n..(s + 1) * 2 * n];
             let half = stage.half;
             let grad_in = &mut *grad_tmp;
             let mut p = 0;
@@ -765,285 +709,6 @@ impl ButterflyMatrix {
                 p += half;
             }
             std::mem::swap(grad, grad_tmp);
-        }
-    }
-
-    /// The seed's generic backward loop, kept verbatim as the ground-truth
-    /// oracle for the specialized stage kernels (the PR-1 tape used exactly
-    /// this inner loop). Semantics match
-    /// [`ButterflyMatrix::backward_with_scratch`] bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `x`, `grad_out`, `scratch` or `grad_w` have the wrong size.
-    pub fn backward_with_scratch_reference(
-        &self,
-        x: &[f32],
-        grad_out: &[f32],
-        scratch: &mut ButterflyScratch,
-        grad_w: &mut [f32],
-    ) {
-        let n = self.n;
-        assert_eq!(x.len(), n, "butterfly input length mismatch");
-        assert_eq!(grad_out.len(), n, "butterfly gradient length mismatch");
-        assert_eq!(scratch.n, n, "scratch size mismatch");
-        // Recompute the activations through the seed's generic stage loop,
-        // exactly as the pre-PR backward did, then run its reverse sweep.
-        scratch.states[..n].copy_from_slice(x);
-        for (s, stage) in self.stages.iter().enumerate() {
-            let (src, rest) = scratch.states[s * n..].split_at_mut(n);
-            stage.apply_into_reference(src, &mut rest[..n]);
-        }
-        let ButterflyScratch { states, grad, grad_tmp, .. } = scratch;
-        self.backward_stages_reference_raw(grad_out, states, grad, grad_tmp, grad_w);
-    }
-
-    /// Batched backward pass over every row of `x` (shape `[rows, n]`) given
-    /// the output gradients `grad_out` (same shape).
-    ///
-    /// Returns `(grad_x, grad_w)` where `grad_x` has the shape of `x` and
-    /// `grad_w` the `[log2 n, 2 n]` weight layout, summed over rows. Rows are
-    /// processed in parallel chunks, each chunk reusing one
-    /// [`ButterflyScratch`] and accumulating into a chunk-local weight
-    /// gradient that is reduced at the end — so the per-row inner loop never
-    /// touches the heap.
-    ///
-    /// # Panics
-    ///
-    /// Panics when shapes do not match the butterfly size.
-    pub fn backward_rows(&self, x: &Tensor, grad_out: &Tensor) -> (Tensor, Tensor) {
-        let mut grad_x = Tensor::zeros(&[x.rows(), self.n]);
-        let mut grad_w = Tensor::zeros(&[self.num_stages(), 2 * self.n]);
-        self.backward_rows_into(x, grad_out, grad_x.as_mut_slice(), grad_w.as_mut_slice());
-        (grad_x, grad_w)
-    }
-
-    /// [`ButterflyMatrix::backward_rows`] accumulating into caller-provided
-    /// buffers: `grad_x` (length `rows · n`) and `grad_w` (length
-    /// `log2 n · 2 n`) both receive `+=` contributions, so the kernel can
-    /// write straight into the autodiff tape's reusable gradient buffers.
-    /// The serial path reuses a thread-local [`ButterflyScratch`], making
-    /// steady-state training backward passes allocation-free.
-    ///
-    /// Chunking is fixed by [`CHUNK_ELEMS`] (never by the worker count) and
-    /// chunk partials are reduced in ascending order, so results are
-    /// independent of `RAYON_NUM_THREADS`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when shapes do not match the butterfly size.
-    pub fn backward_rows_into(
-        &self,
-        x: &Tensor,
-        grad_out: &Tensor,
-        grad_x: &mut [f32],
-        grad_w: &mut [f32],
-    ) {
-        self.backward_rows_into_impl(x, grad_out, grad_x, grad_w, false);
-    }
-
-    /// [`ButterflyMatrix::backward_rows_into`] on the seed's generic
-    /// per-stage backward loop
-    /// ([`ButterflyMatrix::backward_with_scratch_reference`]) with identical
-    /// chunking — the oracle the specialized path is validated against, and
-    /// the baseline kernel of the training benches.
-    ///
-    /// # Panics
-    ///
-    /// Panics when shapes do not match the butterfly size.
-    pub fn backward_rows_reference_into(
-        &self,
-        x: &Tensor,
-        grad_out: &Tensor,
-        grad_x: &mut [f32],
-        grad_w: &mut [f32],
-    ) {
-        self.backward_rows_into_impl(x, grad_out, grad_x, grad_w, true);
-    }
-
-    /// [`ButterflyMatrix::backward_rows`] on the seed reference kernel.
-    pub fn backward_rows_reference(&self, x: &Tensor, grad_out: &Tensor) -> (Tensor, Tensor) {
-        let mut grad_x = Tensor::zeros(&[x.rows(), self.n]);
-        let mut grad_w = Tensor::zeros(&[self.num_stages(), 2 * self.n]);
-        self.backward_rows_reference_into(
-            x,
-            grad_out,
-            grad_x.as_mut_slice(),
-            grad_w.as_mut_slice(),
-        );
-        (grad_x, grad_w)
-    }
-
-    fn backward_rows_into_impl(
-        &self,
-        x: &Tensor,
-        grad_out: &Tensor,
-        grad_x: &mut [f32],
-        grad_w: &mut [f32],
-        reference: bool,
-    ) {
-        let n = self.n;
-        assert_eq!(x.cols(), n, "butterfly row width mismatch");
-        assert_eq!(grad_out.shape(), x.shape(), "gradient shape mismatch");
-        let rows = x.rows();
-        assert_eq!(grad_x.len(), rows * n, "input gradient length mismatch");
-        let gw_len = self.num_stages() * 2 * n;
-        assert_eq!(grad_w.len(), gw_len, "weight gradient length mismatch");
-        let row_backward =
-            |xrow: &[f32], gorow: &[f32], s: &mut ButterflyScratch, gw: &mut [f32]| {
-                if reference {
-                    self.backward_with_scratch_reference(xrow, gorow, s, gw);
-                } else {
-                    self.backward_with_scratch(xrow, gorow, s, gw);
-                }
-            };
-        if !self.fans_out(rows, 3) {
-            // Serial path: accumulate straight into the caller's buffers,
-            // reusing the thread-local scratch (zero allocation).
-            with_tls_scratch(n, |scratch| {
-                for (r, grow) in grad_x.chunks_mut(n).enumerate() {
-                    let xrow = &x.as_slice()[r * n..(r + 1) * n];
-                    let gorow = &grad_out.as_slice()[r * n..(r + 1) * n];
-                    row_backward(xrow, gorow, scratch, grad_w);
-                    for (d, &s) in grow.iter_mut().zip(scratch.grad.iter()) {
-                        *d += s;
-                    }
-                }
-            });
-            return;
-        }
-        let rows_per_chunk = (CHUNK_ELEMS / n).max(1);
-        if rayon::current_num_threads() <= 1 && !reference {
-            // One worker: walk the same fixed-size chunks serially, staging
-            // each chunk's weight gradient in the reused scratch accumulator
-            // — bit-identical to the parallel reduction below, with zero
-            // per-call allocation. (The reference path keeps the seed's
-            // per-call chunk allocations, being the pre-PR cost model.)
-            with_tls_scratch(n, |scratch| {
-                for (c, gchunk) in grad_x.chunks_mut(rows_per_chunk * n).enumerate() {
-                    scratch.gw_partial.fill(0.0);
-                    let r0 = c * rows_per_chunk;
-                    for (i, grow) in gchunk.chunks_mut(n).enumerate() {
-                        let r = r0 + i;
-                        let xrow = &x.as_slice()[r * n..(r + 1) * n];
-                        let gorow = &grad_out.as_slice()[r * n..(r + 1) * n];
-                        self.backward_with_scratch_split(xrow, gorow, scratch);
-                        for (d, &s) in grow.iter_mut().zip(scratch.grad.iter()) {
-                            *d += s;
-                        }
-                    }
-                    for (d, &v) in grad_w.iter_mut().zip(scratch.gw_partial.iter()) {
-                        *d += v;
-                    }
-                }
-            });
-            return;
-        }
-        let partials: Vec<Vec<f32>> = grad_x
-            .par_chunks_mut(rows_per_chunk * n)
-            .enumerate()
-            .map(|(c, chunk)| {
-                let r0 = c * rows_per_chunk;
-                let mut scratch = ButterflyScratch::new(n);
-                let mut gw = vec![0.0f32; gw_len];
-                for (i, grow) in chunk.chunks_mut(n).enumerate() {
-                    let r = r0 + i;
-                    let xrow = &x.as_slice()[r * n..(r + 1) * n];
-                    let gorow = &grad_out.as_slice()[r * n..(r + 1) * n];
-                    row_backward(xrow, gorow, &mut scratch, &mut gw);
-                    for (d, &s) in grow.iter_mut().zip(scratch.grad.iter()) {
-                        *d += s;
-                    }
-                }
-                gw
-            })
-            .collect();
-        for partial in &partials {
-            for (d, &v) in grad_w.iter_mut().zip(partial.iter()) {
-                *d += v;
-            }
-        }
-    }
-
-    /// Fused pad + backward over rows: `x` is `[rows, d_in]` (implicitly
-    /// zero-padded to the transform size), `grad_out` is `[rows, d_out]`
-    /// (the truncated output columns receive zero gradient). Accumulates the
-    /// `[rows, d_in]` input gradient into `grad_x` and the weight gradient
-    /// into `grad_w` — without ever materialising the padded tensors the
-    /// unfused `concat → butterfly → slice` graph would allocate.
-    ///
-    /// # Panics
-    ///
-    /// Panics when widths exceed the transform size or row counts differ.
-    pub fn backward_rows_padded_into(
-        &self,
-        x: &Tensor,
-        grad_out: &Tensor,
-        grad_x: &mut [f32],
-        grad_w: &mut [f32],
-    ) {
-        let n = self.n;
-        let (d_in, d_out) = (x.cols(), grad_out.cols());
-        assert!(d_in <= n, "butterfly pad width {d_in} exceeds transform size {n}");
-        assert!(d_out <= n, "butterfly gradient width {d_out} exceeds transform size {n}");
-        let rows = x.rows();
-        assert_eq!(grad_out.rows(), rows, "gradient row count mismatch");
-        assert_eq!(grad_x.len(), rows * d_in, "input gradient length mismatch");
-        let gw_len = self.num_stages() * 2 * n;
-        assert_eq!(grad_w.len(), gw_len, "weight gradient length mismatch");
-        let run_rows = |r0: usize, gx: &mut [f32], s: &mut ButterflyScratch, gw: &mut [f32]| {
-            for (i, grow) in gx.chunks_mut(d_in).enumerate() {
-                let r = r0 + i;
-                let xrow = &x.as_slice()[r * d_in..(r + 1) * d_in];
-                let gorow = &grad_out.as_slice()[r * d_out..(r + 1) * d_out];
-                self.backward_padded_with_scratch(xrow, gorow, s, gw);
-                for (d, &v) in grow.iter_mut().zip(s.grad[..d_in].iter()) {
-                    *d += v;
-                }
-            }
-        };
-        if !self.fans_out(rows, 3) {
-            with_tls_scratch(n, |scratch| run_rows(0, grad_x, scratch, grad_w));
-            return;
-        }
-        let rows_per_chunk = (CHUNK_ELEMS / n).max(1);
-        if rayon::current_num_threads() <= 1 {
-            // One worker: same fixed-size chunks, reused scratch accumulator
-            // (see `backward_rows_into_impl`).
-            with_tls_scratch(n, |scratch| {
-                for (c, gchunk) in grad_x.chunks_mut(rows_per_chunk * d_in).enumerate() {
-                    scratch.gw_partial.fill(0.0);
-                    let r0 = c * rows_per_chunk;
-                    for (i, grow) in gchunk.chunks_mut(d_in).enumerate() {
-                        let r = r0 + i;
-                        let xrow = &x.as_slice()[r * d_in..(r + 1) * d_in];
-                        let gorow = &grad_out.as_slice()[r * d_out..(r + 1) * d_out];
-                        self.backward_padded_with_scratch_split(xrow, gorow, scratch);
-                        for (d, &v) in grow.iter_mut().zip(scratch.grad[..d_in].iter()) {
-                            *d += v;
-                        }
-                    }
-                    for (d, &v) in grad_w.iter_mut().zip(scratch.gw_partial.iter()) {
-                        *d += v;
-                    }
-                }
-            });
-            return;
-        }
-        let partials: Vec<Vec<f32>> = grad_x
-            .par_chunks_mut(rows_per_chunk * d_in)
-            .enumerate()
-            .map(|(c, chunk)| {
-                let mut scratch = ButterflyScratch::new(n);
-                let mut gw = vec![0.0f32; gw_len];
-                run_rows(c * rows_per_chunk, chunk, &mut scratch, &mut gw);
-                gw
-            })
-            .collect();
-        for partial in &partials {
-            for (d, &v) in grad_w.iter_mut().zip(partial.iter()) {
-                *d += v;
-            }
         }
     }
 
@@ -1118,28 +783,10 @@ impl ButterflyMatrix {
 }
 
 thread_local! {
-    /// Per-thread freelist of [`ButterflyScratch`] buffers, keyed by size.
-    static SCRATCH_POOL: std::cell::RefCell<Vec<ButterflyScratch>> =
-        const { std::cell::RefCell::new(Vec::new()) };
     /// Per-thread freelist of [`ButterflyMatrix`] objects for
     /// [`PooledButterfly`].
     static MATRIX_POOL: std::cell::RefCell<Vec<ButterflyMatrix>> =
         const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Runs `f` with a thread-locally pooled [`ButterflyScratch`] of size `n`:
-/// after the first call on a given thread, no allocation is performed.
-pub fn with_tls_scratch<R>(n: usize, f: impl FnOnce(&mut ButterflyScratch) -> R) -> R {
-    let mut scratch = SCRATCH_POOL.with(|p| {
-        let mut pool = p.borrow_mut();
-        match pool.iter().position(|s| s.n == n) {
-            Some(i) => pool.swap_remove(i),
-            None => ButterflyScratch::new(n),
-        }
-    });
-    let r = f(&mut scratch);
-    SCRATCH_POOL.with(|p| p.borrow_mut().push(scratch));
-    r
 }
 
 /// A [`ButterflyMatrix`] checked out of a thread-local pool and loaded from a

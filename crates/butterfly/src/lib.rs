@@ -40,16 +40,14 @@ mod fourier;
 mod ops;
 pub mod sparsity;
 
-pub use butterfly::{
-    with_tls_scratch, ButterflyMatrix, ButterflyScratch, ButterflyStage, PooledButterfly,
-};
+pub use butterfly::{ButterflyMatrix, ButterflyStage, PooledButterfly};
 pub use complex::Complex;
 pub use error::ButterflyError;
 pub use fourier::{fourier_mix, fourier_mix_backward, fourier_mix_into};
 pub use ops::{butterfly_linear_op, butterfly_linear_padded_op, fourier_mix_op};
 
 thread_local! {
-    /// Per-thread pool of work buffers for the forward kernels (a stack, so
+    /// Per-thread pool of work buffers for the batched kernels (a stack, so
     /// a kernel may hold one buffer while a nested step takes another).
     static SCRATCH: std::cell::RefCell<Vec<Vec<f32>>> =
         const { std::cell::RefCell::new(Vec::new()) };

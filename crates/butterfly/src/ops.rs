@@ -6,10 +6,12 @@
 //! buffers, the factorised [`ButterflyMatrix`] is checked out of a
 //! thread-local pool (and reloaded in place) instead of being rebuilt from
 //! the weight tensor on every step, and the backward closures accumulate
-//! into the tape's gradient buffers through the batched scratch-reusing
-//! kernels. Under [`Tape::backward_reference`](fab_tensor::Tape) the same
-//! closures route to the seed reference kernels, so the reference pass stays
-//! a faithful oracle.
+//! into the tape's gradient buffers through the batched lane kernels, whose
+//! work buffers come from the crate's per-thread scratch pool — no
+//! allocation once warm. Under
+//! [`Tape::backward_reference`](fab_tensor::Tape) the same closures route to
+//! the scalar per-row reference kernel, which takes the weight-gradient sum
+//! in the same order, so the reference pass is a bit-exact oracle.
 
 use crate::fourier::fourier_mix_into;
 use crate::PooledButterfly;
@@ -29,9 +31,10 @@ thread_local! {
 ///
 /// Gradients are computed directly on the factorised form — the dense `n × n`
 /// matrix is never materialised, matching the `O(n log n)` compute of the
-/// paper's butterfly layers. The backward pass runs the specialized
-/// small-half stage kernels ([`ButterflyMatrix::backward_rows_into`]);
-/// under the reference backward it runs the seed's generic loop instead.
+/// paper's butterfly layers. The backward pass runs eight rows per lane
+/// tile through [`ButterflyMatrix::backward_rows_into`], which also fixes the
+/// order the weight gradient is summed in; under the reference backward it
+/// runs the seed's scalar per-row loops instead, with bit-identical results.
 ///
 /// # Panics
 ///

@@ -182,8 +182,27 @@ fn large_batches_cross_the_parallel_threshold_and_stay_exact() {
     assert!(normalised_error(&fast, &reference) <= 1e-5);
 }
 
+/// The oracle of the padded backward: both pads materialised, the scalar
+/// per-row reference, `dx` cut back to the `d_in` columns that exist.
+fn padded_backward_oracle(bfly: &ButterflyMatrix, x: &Tensor, g: &Tensor) -> (Vec<f32>, Vec<f32>) {
+    let (n, rows) = (bfly.size(), x.rows());
+    let pad = |t: &Tensor| Tensor::from_vec(zero_padded(t, rows, n), &[rows, n]).unwrap();
+    let (gx, gw) = bfly.backward_rows_reference(&pad(x), &pad(g));
+    (truncated(gx.as_slice(), n, rows, x.cols()), gw.into_vec())
+}
+
+/// `backward_rows_padded_into` into zeroed buffers, `dx` then `dw`.
+fn padded_backward(bfly: &ButterflyMatrix, x: &Tensor, g: &Tensor) -> (Vec<f32>, Vec<f32>) {
+    let mut gx = vec![0.0f32; x.len()];
+    let mut gw = vec![0.0f32; bfly.num_params()];
+    bfly.backward_rows_padded_into(x, g, &mut gx, &mut gw);
+    (gx, gw)
+}
+
 /// Every thread count × backend must reproduce the bits of the first
-/// configuration, the scalar backend on a single rayon thread.
+/// configuration, the scalar backend on a single rayon thread — and, for
+/// the gradients, the bits of the scalar per-row oracle: whole, padded and
+/// truncated, with row counts on both sides of every tile boundary.
 #[test]
 fn batched_kernels_match_with_a_single_rayon_thread() {
     let mut rng = StdRng::seed_from_u64(7);
@@ -191,12 +210,58 @@ fn batched_kernels_match_with_a_single_rayon_thread() {
     let rows = grain_rows(64);
     let x = filled(rows, 64, 2);
     let g = filled(rows, 64, 3);
+    let reference = bfly.backward_rows_reference(&x, &g);
     assert_same_bits_in_every_configuration("forward_rows + backward_rows", || {
         let (gx, gw) = bfly.backward_rows(&x, &g);
-        // Chunk boundaries are thread-count independent, so even the
-        // reduced weight gradients must match exactly.
+        assert!(gx == reference.0 && gw == reference.1, "backward_rows left the oracle");
         [bfly.forward_rows(&x).into_vec(), gx.into_vec(), gw.into_vec()].concat()
     });
+
+    for log_n in 1..=9 {
+        let n = 1usize << log_n;
+        let bfly = ButterflyMatrix::random(n, &mut rng).unwrap();
+        let widths = [(n, n), (n - n / 4, n), (n, n / 2 + 1), ((n / 3).max(1), (n / 5).max(1))];
+        for rows in [1, 7, 8, 9, 63, 64, 65, 1023] {
+            for (d_in, d_out) in widths {
+                let x = Tensor::from_vec(random_vec(rows * d_in, &mut rng), &[rows, d_in]).unwrap();
+                let g =
+                    Tensor::from_vec(random_vec(rows * d_out, &mut rng), &[rows, d_out]).unwrap();
+                let (dx, dw) = padded_backward_oracle(&bfly, &x, &g);
+                assert_same_bits_in_every_configuration("backward_rows_padded_into", || {
+                    let (gx, gw) = padded_backward(&bfly, &x, &g);
+                    assert_eq!(gx, dx, "dx left the oracle at n={n} rows={rows} {d_in}/{d_out}");
+                    assert_eq!(gw, dw, "dw left the oracle at n={n} rows={rows} {d_in}/{d_out}");
+                    [gx, gw].concat()
+                });
+            }
+        }
+    }
+}
+
+/// The weight gradient's summation order does not depend on whether a call
+/// fans out: a batch made of one chunk of rows repeated `k` times has that
+/// chunk's gradient added `k` times over, below the grain and above it.
+#[test]
+fn weight_gradient_order_is_the_same_on_both_sides_of_the_fan_out_grain() {
+    let n = 64;
+    // Rows per chunk: `CHUNK_ELEMS / n` of `butterfly.rs`.
+    let chunk_rows = (1 << 13) / n;
+    let grain_chunks = PAR_GRAIN_OPS.div_ceil(3 * butterfly_linear_flops(chunk_rows, n)) as usize;
+    assert!(grain_chunks >= 3, "the grain moved below two chunks; pick a smaller n");
+    let mut rng = StdRng::seed_from_u64(33);
+    let bfly = ButterflyMatrix::random(n, &mut rng).unwrap();
+    let (x, g) = (random_vec(chunk_rows * n, &mut rng), random_vec(chunk_rows * n, &mut rng));
+    let repeated =
+        |v: &[f32], k: usize| Tensor::from_vec(v.repeat(k), &[k * chunk_rows, n]).unwrap();
+    let (_, one_chunk) = bfly.backward_rows(&repeated(&x, 1), &repeated(&g, 1));
+    for chunks in [grain_chunks - 1, grain_chunks] {
+        let (_, gw) = bfly.backward_rows(&repeated(&x, chunks), &repeated(&g, chunks));
+        let mut expected = vec![0.0f32; gw.len()];
+        for _ in 0..chunks {
+            expected.iter_mut().zip(one_chunk.as_slice()).for_each(|(e, c)| *e += c);
+        }
+        assert_eq!(gw.as_slice(), expected, "{chunks} chunks of {chunk_rows} rows");
+    }
 }
 
 /// The fused layer — padded input, truncated output, bias, GELU — past the

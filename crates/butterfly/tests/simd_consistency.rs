@@ -1,8 +1,8 @@
-//! PR-4 SIMD consistency for the butterfly stage kernels: the dispatched
-//! forward/backward stages must stay bit-identical to the seed reference
-//! kernels on every backend (the SIMD lanes run mul-then-add in the same
-//! order as the scalar loops), and the analytic gradients flowing through
-//! the SIMD backward stages must survive gradcheck.
+//! SIMD consistency for the butterfly kernels: the batched forward and
+//! backward must stay bit-identical to the seed reference kernels on every
+//! backend (the lanes run mul-then-add in the same order as the scalar
+//! loops), and the analytic gradients flowing through the lane backward must
+//! survive gradcheck.
 //!
 //! Tests serialise on one lock because the forced backend is process-global.
 
@@ -59,7 +59,7 @@ proptest! {
         prop_assert!(scalar == native, "butterfly stages diverged across backends at n={n}");
         // And both match the seed reference kernels bit for bit.
         let reference = bfly.backward_rows_reference(&x, &grad);
-        prop_assert!(native.1 == reference, "specialized backward diverged from the seed oracle");
+        prop_assert!(native.1 == reference, "lane backward diverged from the seed oracle");
     }
 
     #[test]
@@ -70,7 +70,7 @@ proptest! {
         let bfly = ButterflyMatrix::random(n, &mut StdRng::seed_from_u64(7)).expect("size");
         let w = bfly.to_weight_tensor();
         let x = filled(&[rows, n], 3);
-        // d/dx through the SIMD stage backward.
+        // d/dx through the lane backward.
         prop_assert!(check_gradient(
             |tape, v| {
                 let wv = tape.leaf(w.clone());
@@ -80,7 +80,7 @@ proptest! {
             &x,
             1e-2
         ));
-        // d/dw through the SIMD stage backward (weights as the checked leaf).
+        // d/dw through the lane backward (weights as the checked leaf).
         prop_assert!(check_gradient(
             |tape, v| {
                 let xv = tape.leaf(x.clone());
@@ -96,7 +96,7 @@ proptest! {
 #[test]
 fn gradcheck_through_simd_padded_butterfly() {
     let _g = lock();
-    // The fused pad + truncate op drives the padded SIMD backward stages.
+    // The fused pad + truncate op drives the padded lane backward.
     let n = 16usize;
     let (d_in, d_out) = (11usize, 9usize);
     let bfly = ButterflyMatrix::random(n, &mut StdRng::seed_from_u64(11)).expect("size");
@@ -111,4 +111,24 @@ fn gradcheck_through_simd_padded_butterfly() {
         &x,
         1e-2
     ));
+}
+
+/// Finite differences through a batch that crosses tile boundaries (rows 8
+/// and 16) and a chunk boundary (16 rows per chunk at n = 512), so the
+/// checked weight gradient is a fold of lane partials plus a second chunk.
+#[test]
+fn gradcheck_across_tile_and_chunk_boundaries() {
+    let _g = lock();
+    let (n, rows, d_in, d_out) = (512usize, 19usize, 5usize, 7usize);
+    let bfly = ButterflyMatrix::random(n, &mut StdRng::seed_from_u64(13)).expect("size");
+    let w = bfly.to_weight_tensor();
+    let x = filled(&[rows, d_in], 5);
+    let mask = filled(&[rows, d_out], 6);
+    let loss = |tape: &fab_tensor::Tape, xv, wv| {
+        let y = butterfly_linear_padded_op(tape, xv, wv, d_out);
+        let m = tape.leaf(mask.clone());
+        tape.sum(tape.mul(y, m))
+    };
+    assert!(check_gradient(|tape, v| loss(tape, v, tape.leaf(w.clone())), &x, 1e-2));
+    assert!(check_gradient(|tape, v| loss(tape, tape.leaf(x.clone()), v), &w, 1e-2));
 }

@@ -123,7 +123,7 @@ impl TrainedAccuracy {
         let mut model_config = config.clone();
         model_config.vocab_size = self.task.vocab_size();
         model_config.num_classes = self.task.num_classes();
-        model_config.max_seq = self.seq_len.max(model_config.max_seq.min(self.seq_len));
+        model_config.max_seq = self.seq_len;
         let model = Model::new(&model_config, kind, &mut rng);
         let to_examples = |samples: &[fab_lra::Sample]| {
             samples
@@ -136,7 +136,7 @@ impl TrainedAccuracy {
             &model,
             &to_examples(&train),
             &test_examples,
-            &TrainOptions { epochs: self.epochs, learning_rate: 2e-3, batch_size: 1 },
+            &TrainOptions { epochs: self.epochs, learning_rate: 2e-3 },
         );
         (model, test_examples, report.test_accuracy as f64)
     }

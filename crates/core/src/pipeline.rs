@@ -103,7 +103,7 @@ impl TrainingPipeline {
             &model,
             &train,
             &test,
-            &TrainOptions { epochs: self.epochs, learning_rate: self.learning_rate, batch_size: 1 },
+            &TrainOptions { epochs: self.epochs, learning_rate: self.learning_rate },
         );
         TrainedFabNet {
             config,

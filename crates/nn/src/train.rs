@@ -30,13 +30,11 @@ pub struct TrainOptions {
     pub epochs: usize,
     /// Adam learning rate.
     pub learning_rate: f32,
-    /// Gradient accumulation: parameters are updated every `batch_size` examples.
-    pub batch_size: usize,
 }
 
 impl Default for TrainOptions {
     fn default() -> Self {
-        Self { epochs: 3, learning_rate: 1e-3, batch_size: 1 }
+        Self { epochs: 3, learning_rate: 1e-3 }
     }
 }
 
@@ -214,7 +212,7 @@ mod tests {
             &model,
             &train,
             &test,
-            &TrainOptions { epochs: 6, learning_rate: 5e-3, batch_size: 1 },
+            &TrainOptions { epochs: 6, learning_rate: 5e-3 },
         );
         assert!(
             report.test_accuracy >= 0.75,

@@ -983,9 +983,20 @@ fn grad_buf<'g>(
     grads[p].as_mut_slice()
 }
 
-/// Fused layer-norm backward: one pass per row computing `dx` directly into
-/// the parent gradient and staging `dgamma`/`dbeta` in reusable scratch (so
-/// their row-accumulation order matches the reference exactly).
+/// Rows per tile of [`layer_norm_backward_fused`]'s statistics pass.
+const LN_TILE: usize = 8;
+
+/// Fused layer-norm backward: `dx` goes directly into the parent gradient and
+/// `dgamma`/`dbeta` are staged in reusable scratch (so their row-accumulation
+/// order matches the reference exactly).
+///
+/// A row needs four sums over its columns (mean, variance, and the means of
+/// `dxhat` and `dxhat·xhat`), each a chain of dependent adds. They are taken
+/// for [`LN_TILE`] rows at once in lane layout — row `r` of the tile in lane
+/// `r`, every lane adding its own row's terms in column order from
+/// `f32::sum`'s identity, so each statistic has the bits of the reference's
+/// scalar `sum` — and the element-wise pass then runs row-major, rows in
+/// order.
 #[allow(clippy::too_many_arguments)]
 fn layer_norm_backward_fused(
     g: &Tensor,
@@ -996,44 +1007,63 @@ fn layer_norm_backward_fused(
     has_grad: &mut [bool],
     scratch: &mut [Vec<f32>; 4],
 ) {
+    const T: usize = LN_TILE;
     let xv = &values[parents[0]];
     let gammav = &values[parents[1]];
     let n = xv.cols();
-    let [dgamma, dbeta, xhat, dxhat] = scratch;
+    let [dgamma, dbeta, x_lanes, g_lanes] = scratch;
     dgamma.clear();
     dgamma.resize(n, 0.0);
     dbeta.clear();
     dbeta.resize(n, 0.0);
-    xhat.clear();
-    xhat.resize(n, 0.0);
-    dxhat.clear();
-    dxhat.resize(n, 0.0);
+    x_lanes.resize(n * T, 0.0);
+    g_lanes.resize(n * T, 0.0);
     let gamma = gammav.as_slice();
+    let inv_n = |sum: [f32; T]| sum.map(|s| s / n as f32);
     {
         let dst = grad_buf(values, grads, has_grad, parents[0]);
-        for ((dxr, row), gr) in
-            dst.chunks_mut(n).zip(xv.as_slice().chunks(n)).zip(g.as_slice().chunks(n))
+        for ((dx_tile, x_tile), g_tile) in
+            dst.chunks_mut(T * n).zip(xv.as_slice().chunks(T * n)).zip(g.as_slice().chunks(T * n))
         {
-            let mean = row.iter().sum::<f32>() / n as f32;
-            let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / n as f32;
-            let inv = 1.0 / (var + eps).sqrt();
-            for (h, &v) in xhat.iter_mut().zip(row.iter()) {
-                *h = (v - mean) * inv;
+            let rows = x_tile.len() / n;
+            crate::simd::rows_to_lanes(x_tile, n, rows, n, &[], x_lanes, T);
+            crate::simd::rows_to_lanes(g_tile, n, rows, n, &[], g_lanes, T);
+            let mut sum = [-0.0f32; T];
+            for xs in x_lanes.chunks_exact(T) {
+                for (s, &v) in sum.iter_mut().zip(xs) {
+                    *s += v;
+                }
             }
-            for (((dg, db), &gv), &h) in
-                dgamma.iter_mut().zip(dbeta.iter_mut()).zip(gr.iter()).zip(xhat.iter())
+            let mean = inv_n(sum);
+            let mut sum = [-0.0f32; T];
+            for xs in x_lanes.chunks_exact(T) {
+                for ((s, &v), &m) in sum.iter_mut().zip(xs).zip(&mean) {
+                    *s += (v - m) * (v - m);
+                }
+            }
+            let inv = inv_n(sum).map(|var| 1.0 / (var + eps).sqrt());
+            let (mut sum_dxhat, mut sum_dxhat_xhat) = ([-0.0f32; T], [-0.0f32; T]);
+            for ((xs, gs), &gm) in x_lanes.chunks_exact(T).zip(g_lanes.chunks_exact(T)).zip(gamma) {
+                for l in 0..T {
+                    let (xhat, dxhat) = ((xs[l] - mean[l]) * inv[l], gs[l] * gm);
+                    sum_dxhat[l] += dxhat;
+                    sum_dxhat_xhat[l] += dxhat * xhat;
+                }
+            }
+            let (mean_dxhat, mean_dxhat_xhat) = (inv_n(sum_dxhat), inv_n(sum_dxhat_xhat));
+            for (r, ((dxr, row), gr)) in
+                dx_tile.chunks_mut(n).zip(x_tile.chunks(n)).zip(g_tile.chunks(n)).enumerate()
             {
-                *dg += gv * h;
-                *db += gv;
-            }
-            for ((dh, &gv), &gm) in dxhat.iter_mut().zip(gr.iter()).zip(gamma.iter()) {
-                *dh = gv * gm;
-            }
-            let mean_dxhat = dxhat.iter().sum::<f32>() / n as f32;
-            let mean_dxhat_xhat =
-                dxhat.iter().zip(xhat.iter()).map(|(a, b)| a * b).sum::<f32>() / n as f32;
-            for ((d, &dh), &h) in dxr.iter_mut().zip(dxhat.iter()).zip(xhat.iter()) {
-                *d += inv * (dh - mean_dxhat - h * mean_dxhat_xhat);
+                let (mean, inv) = (mean[r], inv[r]);
+                let (mean_dxhat, mean_dxhat_xhat) = (mean_dxhat[r], mean_dxhat_xhat[r]);
+                let columns = row.iter().zip(gr).zip(gamma);
+                let sums = dgamma.iter_mut().zip(dbeta.iter_mut());
+                for ((d, ((&v, &gv), &gm)), (dg, db)) in dxr.iter_mut().zip(columns).zip(sums) {
+                    let (xhat, dxhat) = ((v - mean) * inv, gv * gm);
+                    *dg += gv * xhat;
+                    *db += gv;
+                    *d += inv * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat);
+                }
             }
         }
     }
@@ -1503,6 +1533,31 @@ mod tests {
                 .map(|(a, b)| (a - b).abs())
                 .fold(0.0f32, f32::max);
             assert!(max <= 1e-6, "leaf {i}: fused vs reference grad diff {max}");
+        }
+    }
+
+    /// The lane statistics of the fused layer-norm backward against the
+    /// reference's scalar sums, bit for bit, with row counts on both sides
+    /// of a tile boundary.
+    #[test]
+    fn layer_norm_backward_is_bit_identical_to_the_reference() {
+        for (rows, cols) in [(1, 1), (7, 5), (8, 64), (9, 64), (19, 3), (64, 33)] {
+            let fill = |len: usize, salt: usize| -> Vec<f32> {
+                (0..len).map(|i| (((i * 37 + salt * 11) % 101) as f32) * 0.037 - 1.9).collect()
+            };
+            let tape = Tape::new();
+            let leaves = [
+                tape.leaf(t(fill(rows * cols, 1), &[rows, cols])),
+                tape.leaf(t(fill(cols, 2), &[cols])),
+                tape.leaf(t(fill(cols, 3), &[cols])),
+            ];
+            let y = tape.layer_norm(leaves[0], leaves[1], leaves[2], 1e-5);
+            let mask = tape.leaf(t(fill(rows * cols, 4), &[rows, cols]));
+            let loss = tape.sum(tape.mul(y, mask));
+            tape.backward(loss);
+            let fused = leaves.map(|l| tape.grad(l));
+            tape.backward_reference(loss);
+            assert_eq!(fused, leaves.map(|l| tape.grad(l)), "{rows}x{cols}");
         }
     }
 

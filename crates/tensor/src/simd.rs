@@ -1037,66 +1037,13 @@ mod kernels {
 
     // -- butterfly pair kernels --------------------------------------------
 
-    /// One whole butterfly stage, out of place: the block loop runs inside
-    /// the vector context so a stage costs a single dispatch. `w1..w4` hold
-    /// `pairs` weights, `src`/`dst` hold `2·pairs` elements, and `half` is
-    /// the stage's half-block size (pairs `p` of block `b` couple
-    /// `src[2bh + i]` with `src[2bh + h + i]`). Mul-then-add per lane with a
+    /// One whole butterfly stage on one vector, in place: the block loop
+    /// runs inside the vector context so a stage costs a single dispatch.
+    /// `w1..w4` hold `pairs` weights, `x` holds `2·pairs` elements, and
+    /// `half` is the stage's half-block size (pair `i` of block `b` couples
+    /// `x[2bh + i]` with `x[2bh + h + i]`). Mul-then-add per lane with a
     /// scalar tail for `half` below the vector width — bit-identical to the
     /// scalar stage loop.
-    ///
-    /// # Safety
-    ///
-    /// Caller guarantees the backend's target features are available and
-    /// that `half` divides `w1.len()`.
-    #[inline(always)]
-    pub unsafe fn butterfly_stage_into<V: Vf32>(
-        half: usize,
-        w1: &[f32],
-        w2: &[f32],
-        w3: &[f32],
-        w4: &[f32],
-        src: &[f32],
-        dst: &mut [f32],
-    ) {
-        let pairs = w1.len();
-        let main = half - half % V::LANES;
-        let (w1p, w2p, w3p, w4p) = (w1.as_ptr(), w2.as_ptr(), w3.as_ptr(), w4.as_ptr());
-        let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
-        let mut p = 0;
-        let mut base = 0;
-        while p < pairs {
-            let mut i = 0;
-            while i < main {
-                unsafe {
-                    let a = V::load(sp.add(base + i));
-                    let b = V::load(sp.add(base + half + i));
-                    V::load(w1p.add(p + i))
-                        .mul(a)
-                        .add(V::load(w2p.add(p + i)).mul(b))
-                        .store(dp.add(base + i));
-                    V::load(w3p.add(p + i))
-                        .mul(a)
-                        .add(V::load(w4p.add(p + i)).mul(b))
-                        .store(dp.add(base + half + i));
-                }
-                i += V::LANES;
-            }
-            while i < half {
-                unsafe {
-                    let a = *sp.add(base + i);
-                    let b = *sp.add(base + half + i);
-                    *dp.add(base + i) = *w1p.add(p + i) * a + *w2p.add(p + i) * b;
-                    *dp.add(base + half + i) = *w3p.add(p + i) * a + *w4p.add(p + i) * b;
-                }
-                i += 1;
-            }
-            p += half;
-            base += 2 * half;
-        }
-    }
-
-    /// [`butterfly_stage_into`] reading and overwriting `x` in place.
     ///
     /// # Safety
     ///
@@ -1148,80 +1095,6 @@ mod kernels {
         }
     }
 
-    /// One whole butterfly stage backward (block loop inside the vector
-    /// context): accumulates the four weight gradients and writes the input
-    /// gradient — mul-then-add per lane, bit-identical to the scalar stage
-    /// backward loop.
-    ///
-    /// # Safety
-    ///
-    /// Caller guarantees the backend's target features are available and
-    /// that `half` divides `w1.len()`.
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    pub unsafe fn butterfly_stage_backward<V: Vf32>(
-        half: usize,
-        w1: &[f32],
-        w2: &[f32],
-        w3: &[f32],
-        w4: &[f32],
-        input: &[f32],
-        grad: &[f32],
-        grad_in: &mut [f32],
-        gw: [&mut [f32]; 4],
-    ) {
-        let pairs = w1.len();
-        let main = half - half % V::LANES;
-        let (w1p, w2p, w3p, w4p) = (w1.as_ptr(), w2.as_ptr(), w3.as_ptr(), w4.as_ptr());
-        let (ip, gp, op) = (input.as_ptr(), grad.as_ptr(), grad_in.as_mut_ptr());
-        let [d1, d2, d3, d4] = gw;
-        let (d1p, d2p, d3p, d4p) =
-            (d1.as_mut_ptr(), d2.as_mut_ptr(), d3.as_mut_ptr(), d4.as_mut_ptr());
-        let mut p = 0;
-        let mut base = 0;
-        while p < pairs {
-            let mut i = 0;
-            while i < main {
-                unsafe {
-                    let a = V::load(ip.add(base + i));
-                    let b = V::load(ip.add(base + half + i));
-                    let g1 = V::load(gp.add(base + i));
-                    let g2 = V::load(gp.add(base + half + i));
-                    V::load(d1p.add(p + i)).add(g1.mul(a)).store(d1p.add(p + i));
-                    V::load(d2p.add(p + i)).add(g1.mul(b)).store(d2p.add(p + i));
-                    V::load(d3p.add(p + i)).add(g2.mul(a)).store(d3p.add(p + i));
-                    V::load(d4p.add(p + i)).add(g2.mul(b)).store(d4p.add(p + i));
-                    V::load(w1p.add(p + i))
-                        .mul(g1)
-                        .add(V::load(w3p.add(p + i)).mul(g2))
-                        .store(op.add(base + i));
-                    V::load(w2p.add(p + i))
-                        .mul(g1)
-                        .add(V::load(w4p.add(p + i)).mul(g2))
-                        .store(op.add(base + half + i));
-                }
-                i += V::LANES;
-            }
-            while i < half {
-                unsafe {
-                    let a = *ip.add(base + i);
-                    let b = *ip.add(base + half + i);
-                    let g1 = *gp.add(base + i);
-                    let g2 = *gp.add(base + half + i);
-                    *d1p.add(p + i) += g1 * a;
-                    *d2p.add(p + i) += g1 * b;
-                    *d3p.add(p + i) += g2 * a;
-                    *d4p.add(p + i) += g2 * b;
-                    *op.add(base + i) = *w1p.add(p + i) * g1 + *w3p.add(p + i) * g2;
-                    *op.add(base + half + i) = *w2p.add(p + i) * g1 + *w4p.add(p + i) * g2;
-                }
-                i += 1;
-            }
-            p += half;
-            base += 2 * half;
-        }
-    }
-
     // -- lane-per-row butterfly engine --------------------------------------
     //
     // The kernels below work on `[n][width]` buffers: logical element `i` of
@@ -1238,13 +1111,14 @@ mod kernels {
         type W: Copy;
         /// Loads and broadcasts the weights of pair `p`.
         unsafe fn weights(&self, p: usize) -> Self::W;
-        /// Applies the pair to the `LANES` elements at offsets `lo` / `hi`.
-        unsafe fn apply(&self, w: Self::W, lo: usize, hi: usize);
+        /// Applies the pair to the `LANES` elements at offsets `lo` / `hi`,
+        /// which lie `col` elements into their rows.
+        unsafe fn apply(&self, w: Self::W, lo: usize, hi: usize, col: usize);
         /// [`PairOp::apply`] on the single element at `lo` / `hi`.
-        unsafe fn apply_one(&self, p: usize, lo: usize, hi: usize);
+        unsafe fn apply_one(&self, p: usize, lo: usize, hi: usize, col: usize);
     }
 
-    /// The stage driver shared by both pair operations: blocks of `2·half`
+    /// The stage driver shared by every pair operation: blocks of `2·half`
     /// rows, `half` pairs per block, each pair swept across `width` in
     /// vectors with an element-wise tail. Pair `i` of a block takes weight
     /// `i` plus `block_step` per preceding block (`half` for butterfly
@@ -1271,7 +1145,7 @@ mod kernels {
                 // One vector per row (a tile of rows on the backend's own
                 // width): nothing but the pair operation in the loop.
                 for i in 0..half {
-                    unsafe { op.apply(op.weights(wbase + i), lo, hi) };
+                    unsafe { op.apply(op.weights(wbase + i), lo, hi, 0) };
                     lo += V::LANES;
                     hi += V::LANES;
                 }
@@ -1280,11 +1154,11 @@ mod kernels {
                     let w = unsafe { op.weights(wbase + i) };
                     let mut v = 0;
                     while v < main {
-                        unsafe { op.apply(w, lo + v, hi + v) };
+                        unsafe { op.apply(w, lo + v, hi + v, v) };
                         v += V::LANES;
                     }
                     while v < width {
-                        unsafe { op.apply_one(wbase + i, lo + v, hi + v) };
+                        unsafe { op.apply_one(wbase + i, lo + v, hi + v, v) };
                         v += 1;
                     }
                     lo += width;
@@ -1293,6 +1167,25 @@ mod kernels {
             }
             wbase += block_step;
             base += 2 * half;
+        }
+    }
+
+    /// The four weights of butterfly-linear pair `p`, each broadcast.
+    ///
+    /// # Safety
+    ///
+    /// Every pointer of `w` must be valid for reading element `p`.
+    #[inline(always)]
+    unsafe fn splat4<V: Vf32>(w: [*const f32; 4], p: usize) -> [V; 4] {
+        let [w1, w2, w3, w4] = w;
+        // SAFETY: the caller guarantees element `p` of all four slices.
+        unsafe {
+            [
+                V::splat_ptr(w1.add(p)),
+                V::splat_ptr(w2.add(p)),
+                V::splat_ptr(w3.add(p)),
+                V::splat_ptr(w4.add(p)),
+            ]
         }
     }
 
@@ -1308,19 +1201,11 @@ mod kernels {
 
         #[inline(always)]
         unsafe fn weights(&self, p: usize) -> [V; 4] {
-            let [w1, w2, w3, w4] = self.w;
-            unsafe {
-                [
-                    V::splat_ptr(w1.add(p)),
-                    V::splat_ptr(w2.add(p)),
-                    V::splat_ptr(w3.add(p)),
-                    V::splat_ptr(w4.add(p)),
-                ]
-            }
+            unsafe { splat4(self.w, p) }
         }
 
         #[inline(always)]
-        unsafe fn apply(&self, [w1, w2, w3, w4]: [V; 4], lo: usize, hi: usize) {
+        unsafe fn apply(&self, [w1, w2, w3, w4]: [V; 4], lo: usize, hi: usize, _col: usize) {
             unsafe {
                 let (a, b) = (V::load(self.x.add(lo)), V::load(self.x.add(hi)));
                 w1.mul(a).add(w2.mul(b)).store(self.x.add(lo));
@@ -1329,7 +1214,7 @@ mod kernels {
         }
 
         #[inline(always)]
-        unsafe fn apply_one(&self, p: usize, lo: usize, hi: usize) {
+        unsafe fn apply_one(&self, p: usize, lo: usize, hi: usize, _col: usize) {
             unsafe {
                 let [w1, w2, w3, w4] = self.w;
                 let (w1, w2, w3, w4) = (*w1.add(p), *w2.add(p), *w3.add(p), *w4.add(p));
@@ -1359,7 +1244,7 @@ mod kernels {
         }
 
         #[inline(always)]
-        unsafe fn apply(&self, [wr, wi]: [V; 2], lo: usize, hi: usize) {
+        unsafe fn apply(&self, [wr, wi]: [V; 2], lo: usize, hi: usize, _col: usize) {
             unsafe {
                 let (ar, ai) = (V::load(self.re.add(lo)), V::load(self.im.add(lo)));
                 let (br, bi) = (V::load(self.re.add(hi)), V::load(self.im.add(hi)));
@@ -1373,7 +1258,7 @@ mod kernels {
         }
 
         #[inline(always)]
-        unsafe fn apply_one(&self, p: usize, lo: usize, hi: usize) {
+        unsafe fn apply_one(&self, p: usize, lo: usize, hi: usize, _col: usize) {
             unsafe {
                 let (wr, wi) = (*self.w[0].add(p), *self.w[1].add(p));
                 let (ar, ai) = (*self.re.add(lo), *self.im.add(lo));
@@ -1412,6 +1297,105 @@ mod kernels {
         debug_assert_eq!(x.len(), n * width);
         let op =
             Real2x2 { w: [w1.as_ptr(), w2.as_ptr(), w3.as_ptr(), w4.as_ptr()], x: x.as_mut_ptr() };
+        unsafe { stage_lanes::<V, _>(&op, n, half, width, half) };
+    }
+
+    /// The reverse of [`Real2x2`] for the butterfly-linear gradients. With
+    /// `a`, `b` the pair's forward inputs and `g1`, `g2` the gradients of its
+    /// outputs: the four products `g1·a`, `g1·b`, `g2·a`, `g2·b` are added to
+    /// the pair's accumulator rows, then `g1' = w1·g1 + w3·g2` and
+    /// `g2' = w2·g1 + w4·g2` replace the gradients — mul-then-add.
+    struct Real2x2Backward {
+        w: [*const f32; 4],
+        input: *const f32,
+        grad: *mut f32,
+        /// `[pairs][4][width]`.
+        acc: *mut f32,
+        width: usize,
+    }
+
+    impl<V: Vf32> PairOp<V> for Real2x2Backward {
+        /// The broadcast weights and the pair's first accumulator row.
+        type W = ([V; 4], *mut f32);
+
+        #[inline(always)]
+        unsafe fn weights(&self, p: usize) -> Self::W {
+            unsafe { (splat4(self.w, p), self.acc.add(4 * p * self.width)) }
+        }
+
+        #[inline(always)]
+        unsafe fn apply(&self, ([w1, w2, w3, w4], acc): Self::W, lo: usize, hi: usize, col: usize) {
+            unsafe {
+                let (a, b) = (V::load(self.input.add(lo)), V::load(self.input.add(hi)));
+                let (g1, g2) = (V::load(self.grad.add(lo)), V::load(self.grad.add(hi)));
+                let (d1, d2) = (acc.add(col), acc.add(self.width + col));
+                let (d3, d4) = (acc.add(2 * self.width + col), acc.add(3 * self.width + col));
+                V::load(d1).add(g1.mul(a)).store(d1);
+                V::load(d2).add(g1.mul(b)).store(d2);
+                V::load(d3).add(g2.mul(a)).store(d3);
+                V::load(d4).add(g2.mul(b)).store(d4);
+                w1.mul(g1).add(w3.mul(g2)).store(self.grad.add(lo));
+                w2.mul(g1).add(w4.mul(g2)).store(self.grad.add(hi));
+            }
+        }
+
+        #[inline(always)]
+        unsafe fn apply_one(&self, p: usize, lo: usize, hi: usize, col: usize) {
+            unsafe {
+                let [w1, w2, w3, w4] = self.w;
+                let (w1, w2, w3, w4) = (*w1.add(p), *w2.add(p), *w3.add(p), *w4.add(p));
+                let (a, b) = (*self.input.add(lo), *self.input.add(hi));
+                let (g1, g2) = (*self.grad.add(lo), *self.grad.add(hi));
+                let acc = self.acc.add(4 * p * self.width + col);
+                *acc += g1 * a;
+                *acc.add(self.width) += g1 * b;
+                *acc.add(2 * self.width) += g2 * a;
+                *acc.add(3 * self.width) += g2 * b;
+                *self.grad.add(lo) = w1 * g1 + w3 * g2;
+                *self.grad.add(hi) = w2 * g1 + w4 * g2;
+            }
+        }
+    }
+
+    /// One butterfly-linear stage backward over `[n][width]` buffers,
+    /// `n = 2 · w1.len()`: `input` is what the stage saw going forward,
+    /// `grad` the gradient of its output on entry and of its input on
+    /// return, `acc` the `[pairs][4][width]` weight-gradient accumulators.
+    ///
+    /// # Safety
+    ///
+    /// Caller guarantees the backend's target features are available, that
+    /// the four weight slices have equal length `pairs`, that `half` divides
+    /// `pairs`, that `input.len() == grad.len() == 2 * pairs * width` and
+    /// that `acc.len() == 4 * pairs * width`.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    pub unsafe fn butterfly_stage_backward_lanes<V: Vf32>(
+        half: usize,
+        w1: &[f32],
+        w2: &[f32],
+        w3: &[f32],
+        w4: &[f32],
+        input: &[f32],
+        grad: &mut [f32],
+        acc: &mut [f32],
+        width: usize,
+    ) {
+        let n = 2 * w1.len();
+        debug_assert!(half > 0 && w1.len().is_multiple_of(half));
+        debug_assert!(w2.len() == w1.len() && w3.len() == w1.len() && w4.len() == w1.len());
+        debug_assert!(input.len() == n * width && grad.len() == n * width);
+        debug_assert_eq!(acc.len(), 2 * n * width);
+        let op = Real2x2Backward {
+            w: [w1.as_ptr(), w2.as_ptr(), w3.as_ptr(), w4.as_ptr()],
+            input: input.as_ptr(),
+            grad: grad.as_mut_ptr(),
+            acc: acc.as_mut_ptr(),
+            width,
+        };
+        // SAFETY: the driver visits rows `0..n` of `input` / `grad` and
+        // pairs `0..n/2` of the weights and of `acc`, all inside the
+        // lengths asserted above.
         unsafe { stage_lanes::<V, _>(&op, n, half, width, half) };
     }
 
@@ -1806,15 +1790,6 @@ mod x86 {
             out: &mut [f32],
         );
         fn matmul_band(lhs: &[f32], k: usize, rhs: &[f32], n: usize, i0: usize, dst: &mut [f32]);
-        fn butterfly_stage_into(
-            half: usize,
-            w1: &[f32],
-            w2: &[f32],
-            w3: &[f32],
-            w4: &[f32],
-            src: &[f32],
-            dst: &mut [f32],
-        );
         fn butterfly_stage_in_place(
             half: usize,
             w1: &[f32],
@@ -1823,17 +1798,6 @@ mod x86 {
             w4: &[f32],
             x: &mut [f32],
         );
-        fn butterfly_stage_backward(
-            half: usize,
-            w1: &[f32],
-            w2: &[f32],
-            w3: &[f32],
-            w4: &[f32],
-            input: &[f32],
-            grad: &[f32],
-            grad_in: &mut [f32],
-            gw: [&mut [f32]; 4],
-        );
         fn butterfly_stage_lanes(
             half: usize,
             w1: &[f32],
@@ -1841,6 +1805,17 @@ mod x86 {
             w3: &[f32],
             w4: &[f32],
             x: &mut [f32],
+            width: usize,
+        );
+        fn butterfly_stage_backward_lanes(
+            half: usize,
+            w1: &[f32],
+            w2: &[f32],
+            w3: &[f32],
+            w4: &[f32],
+            input: &[f32],
+            grad: &mut [f32],
+            acc: &mut [f32],
             width: usize,
         );
         fn fft_stages_lanes(
@@ -2199,15 +2174,6 @@ mod neon {
             out: &mut [f32],
         );
         fn matmul_band(lhs: &[f32], k: usize, rhs: &[f32], n: usize, i0: usize, dst: &mut [f32]);
-        fn butterfly_stage_into(
-            half: usize,
-            w1: &[f32],
-            w2: &[f32],
-            w3: &[f32],
-            w4: &[f32],
-            src: &[f32],
-            dst: &mut [f32],
-        );
         fn butterfly_stage_in_place(
             half: usize,
             w1: &[f32],
@@ -2216,17 +2182,6 @@ mod neon {
             w4: &[f32],
             x: &mut [f32],
         );
-        fn butterfly_stage_backward(
-            half: usize,
-            w1: &[f32],
-            w2: &[f32],
-            w3: &[f32],
-            w4: &[f32],
-            input: &[f32],
-            grad: &[f32],
-            grad_in: &mut [f32],
-            gw: [&mut [f32]; 4],
-        );
         fn butterfly_stage_lanes(
             half: usize,
             w1: &[f32],
@@ -2234,6 +2189,17 @@ mod neon {
             w3: &[f32],
             w4: &[f32],
             x: &mut [f32],
+            width: usize,
+        );
+        fn butterfly_stage_backward_lanes(
+            half: usize,
+            w1: &[f32],
+            w2: &[f32],
+            w3: &[f32],
+            w4: &[f32],
+            input: &[f32],
+            grad: &mut [f32],
+            acc: &mut [f32],
             width: usize,
         );
         fn fft_stages_lanes(
@@ -2670,54 +2636,11 @@ pub fn matmul_band(lhs: &[f32], k: usize, rhs: &[f32], n: usize, i0: usize, dst:
     })
 }
 
-/// Applies one whole butterfly stage out of place: `w1..w4` hold the stage's
-/// `pairs` weights, `half` its half-block size, and `src`/`dst` one
-/// transform vector of `2·pairs` elements. The block loop runs inside the
-/// vector context, so a stage costs one dispatch. Bit-identical across
-/// backends (mul-then-add lanes, scalar tail below the vector width).
-///
-/// # Panics
-///
-/// Panics when slice lengths disagree or `half` does not divide the pair
-/// count.
-pub fn butterfly_stage_into(
-    half: usize,
-    w1: &[f32],
-    w2: &[f32],
-    w3: &[f32],
-    w4: &[f32],
-    src: &[f32],
-    dst: &mut [f32],
-) {
-    let pairs = w1.len();
-    assert!(
-        half > 0 && pairs.is_multiple_of(half),
-        "butterfly_stage_into half {half} does not divide {pairs} pairs"
-    );
-    assert!(
-        w2.len() == pairs
-            && w3.len() == pairs
-            && w4.len() == pairs
-            && src.len() == 2 * pairs
-            && dst.len() == 2 * pairs,
-        "butterfly_stage_into length mismatch"
-    );
-    dispatch!((half, w1, w2, w3, w4, src, dst), butterfly_stage_into, {
-        let mut p = 0;
-        for (sblock, dblock) in src.chunks(2 * half).zip(dst.chunks_mut(2 * half)) {
-            let (slo, shi) = sblock.split_at(half);
-            let (dlo, dhi) = dblock.split_at_mut(half);
-            for i in 0..half {
-                let (a, b) = (slo[i], shi[i]);
-                dlo[i] = w1[p + i] * a + w2[p + i] * b;
-                dhi[i] = w3[p + i] * a + w4[p + i] * b;
-            }
-            p += half;
-        }
-    })
-}
-
-/// [`butterfly_stage_into`] reading and overwriting `x` in place.
+/// Applies one whole butterfly stage to one transform vector in place:
+/// `w1..w4` hold the stage's `pairs` weights, `half` its half-block size, and
+/// `x` the `2·pairs` elements. The block loop runs inside the vector context,
+/// so a stage costs one dispatch. Bit-identical across backends (mul-then-add
+/// lanes, scalar tail below the vector width).
 ///
 /// # Panics
 ///
@@ -2754,72 +2677,12 @@ pub fn butterfly_stage_in_place(
     })
 }
 
-/// Backward of one whole butterfly stage: accumulates the four weight
-/// gradients into `gw = [d1, d2, d3, d4]` (each `pairs` long) and writes the
-/// input gradient into `grad_in`. One dispatch per stage; bit-identical
-/// across backends.
-///
-/// # Panics
-///
-/// Panics when slice lengths disagree or `half` does not divide the pair
-/// count.
-#[allow(clippy::too_many_arguments)]
-pub fn butterfly_stage_backward(
-    half: usize,
-    w1: &[f32],
-    w2: &[f32],
-    w3: &[f32],
-    w4: &[f32],
-    input: &[f32],
-    grad: &[f32],
-    grad_in: &mut [f32],
-    gw: [&mut [f32]; 4],
-) {
-    let pairs = w1.len();
-    assert!(
-        half > 0 && pairs.is_multiple_of(half),
-        "butterfly_stage_backward half {half} does not divide {pairs} pairs"
-    );
-    assert!(
-        w2.len() == pairs
-            && w3.len() == pairs
-            && w4.len() == pairs
-            && input.len() == 2 * pairs
-            && grad.len() == 2 * pairs
-            && grad_in.len() == 2 * pairs
-            && gw.iter().all(|d| d.len() == pairs),
-        "butterfly_stage_backward length mismatch"
-    );
-    dispatch!((half, w1, w2, w3, w4, input, grad, grad_in, gw), butterfly_stage_backward, {
-        let [d1, d2, d3, d4] = gw;
-        let mut p = 0;
-        for ((iblock, gblock), oblock) in
-            input.chunks(2 * half).zip(grad.chunks(2 * half)).zip(grad_in.chunks_mut(2 * half))
-        {
-            let (ilo, ihi) = iblock.split_at(half);
-            let (glo, ghi) = gblock.split_at(half);
-            let (olo, ohi) = oblock.split_at_mut(half);
-            for i in 0..half {
-                let (a, b) = (ilo[i], ihi[i]);
-                let (g1, g2) = (glo[i], ghi[i]);
-                d1[p + i] += g1 * a;
-                d2[p + i] += g1 * b;
-                d3[p + i] += g2 * a;
-                d4[p + i] += g2 * b;
-                olo[i] = w1[p + i] * g1 + w3[p + i] * g2;
-                ohi[i] = w2[p + i] * g1 + w4[p + i] * g2;
-            }
-            p += half;
-        }
-    })
-}
-
 // ---------------------------------------------------------------------------
 // Lane-per-row butterfly engine: `[n][width]` buffers in which element `i` of
 // `width` independent transforms is the contiguous row `i`, so that every
 // butterfly stage is a vertical vector operation with broadcast weights. The
-// butterfly-linear forward and the 2-D FFT of `fab-butterfly` both run on
-// these five entry points; all of them are mul-then-add without FMA and
+// butterfly-linear forward and backward and the 2-D FFT of `fab-butterfly`
+// all run on these six entry points; all of them are mul-then-add without FMA and
 // bit-identical across backends (the scalar backend runs the same generic
 // bodies one lane wide).
 // ---------------------------------------------------------------------------
@@ -2860,6 +2723,64 @@ pub fn butterfly_stage_lanes(
     );
     dispatch!((half, w1, w2, w3, w4, x, width), butterfly_stage_lanes, {
         unsafe { kernels::butterfly_stage_lanes::<F32x1>(half, w1, w2, w3, w4, x, width) }
+    })
+}
+
+/// The backward of [`butterfly_stage_lanes`], over `width` transforms at once.
+/// `input` is the `[n][width]` buffer the stage saw going forward and `grad`
+/// the gradient of its output; for every pair `p` (rows `i1`, `i2`) and every
+/// column, with `a = input[i1]`, `b = input[i2]`, `g1 = grad[i1]`,
+/// `g2 = grad[i2]`:
+///
+/// ```text
+/// acc[p][0] += g1·a    acc[p][1] += g1·b    acc[p][2] += g2·a    acc[p][3] += g2·b
+/// grad[i1] = w1[p]·g1 + w3[p]·g2            grad[i2] = w2[p]·g1 + w4[p]·g2
+/// ```
+///
+/// so `grad` holds the gradient of the stage's input on return and `acc`
+/// (`[pairs][4][width]`) carries one running weight-gradient sum per column:
+/// column `c` only ever adds column `c`'s products, in call order, and the
+/// caller decides how the columns are folded.
+///
+/// # Panics
+///
+/// Panics when slice lengths disagree, `width` is zero, or `half` does not
+/// divide the pair count.
+#[allow(clippy::too_many_arguments)]
+pub fn butterfly_stage_backward_lanes(
+    half: usize,
+    w1: &[f32],
+    w2: &[f32],
+    w3: &[f32],
+    w4: &[f32],
+    input: &[f32],
+    grad: &mut [f32],
+    acc: &mut [f32],
+    width: usize,
+) {
+    let pairs = w1.len();
+    assert!(
+        half > 0 && pairs.is_multiple_of(half),
+        "butterfly_stage_backward_lanes half {half} does not divide {pairs} pairs"
+    );
+    assert!(
+        width > 0
+            && w2.len() == pairs
+            && w3.len() == pairs
+            && w4.len() == pairs
+            && input.len() == 2 * pairs * width
+            && grad.len() == 2 * pairs * width
+            && acc.len() == 4 * pairs * width,
+        "butterfly_stage_backward_lanes length mismatch"
+    );
+    dispatch!((half, w1, w2, w3, w4, input, grad, acc, width), butterfly_stage_backward_lanes, {
+        // SAFETY: no target feature is needed one lane wide, and the
+        // asserts above are the kernel's length requirements.
+        unsafe {
+            kernels::butterfly_stage_backward_lanes::<F32x1>(
+                half, w1, w2, w3, w4, input, grad, acc, width,
+            )
+        }
     })
 }
 

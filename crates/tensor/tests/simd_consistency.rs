@@ -89,32 +89,20 @@ proptest! {
         let _g = lock();
         if !simd::default_backend().is_simd() { return Ok(()); }
         // A single-block stage with `half == pairs == h`: odd/prime sizes
-        // exercise the unaligned tail of every lane loop (real stages always
-        // use power-of-two halves; the kernels promise more).
+        // exercise the unaligned tail of the lane loop (real stages always
+        // use power-of-two halves; the kernel promises more).
         let (w1, w2, w3, w4) =
             (data(h, salt), data(h, salt + 1), data(h, salt + 2), data(h, salt + 3));
         let src = data(2 * h, salt + 4);
         let run = |backend| {
             with_backend(backend, || {
-                let mut dst = vec![0.0f32; 2 * h];
-                simd::butterfly_stage_into(h, &w1, &w2, &w3, &w4, &src, &mut dst);
                 let mut x = src.clone();
                 simd::butterfly_stage_in_place(h, &w1, &w2, &w3, &w4, &mut x);
-                let mut grad_in = vec![0.0f32; 2 * h];
-                let mut gw = vec![data(h, salt + 6), data(h, salt + 7), data(h, salt + 8),
-                    data(h, salt + 9)];
-                {
-                    let [d1, d2, d3, d4] = &mut gw[..] else { unreachable!() };
-                    simd::butterfly_stage_backward(
-                        h, &w1, &w2, &w3, &w4, &src, &dst, &mut grad_in,
-                        [d1, d2, d3, d4],
-                    );
-                }
-                (dst, x, grad_in, gw)
+                x
             })
         };
         prop_assert!(run(Backend::Scalar) == run(simd::default_backend()),
-            "butterfly stage kernels diverged at h={h}");
+            "butterfly stage kernel diverged at h={h}");
     }
 }
 
@@ -517,6 +505,78 @@ fn butterfly_stage_lanes_is_the_per_vector_stage_in_every_column() {
             }
         }
     }
+}
+
+/// The reverse stage against its definition, column by column: the four
+/// `g · input` products added to the pair's accumulators in that column and
+/// nowhere else, the gradient replaced by the transposed 2×2 map — on every
+/// backend, width and offset, special values included.
+#[test]
+fn butterfly_stage_backward_lanes_is_the_per_pair_definition_in_every_column() {
+    let _g = lock();
+    for width in 1..=24 {
+        for &off in OFFSETS {
+            for (pairs, half) in [(1usize, 1usize), (4, 1), (4, 2), (4, 4), (16, 4), (64, 16)] {
+                let n = 2 * pairs;
+                let w: Vec<Vec<f32>> =
+                    (0..4).map(|k| data_with_specials(pairs, k + width)).collect();
+                let input = data_with_specials(off + n * width, half + off);
+                let grad0 = data_with_specials(off + n * width, half + off + 1);
+                let acc0 = data_with_specials(off + 2 * n * width, pairs + off);
+                let run = |backend| {
+                    let (mut grad, mut acc) = (grad0.clone(), acc0.clone());
+                    with_backend(backend, || {
+                        simd::butterfly_stage_backward_lanes(
+                            half,
+                            &w[0],
+                            &w[1],
+                            &w[2],
+                            &w[3],
+                            &input[off..],
+                            &mut grad[off..],
+                            &mut acc[off..],
+                            width,
+                        )
+                    });
+                    (grad, acc)
+                };
+                let (scalar, native) = (run(Backend::Scalar), run(simd::default_backend()));
+                assert!(
+                    same_bits_or_both_nan(&scalar.0, &native.0)
+                        && same_bits_or_both_nan(&scalar.1, &native.1),
+                    "backends diverged at width={width} pairs={pairs} half={half} off={off}"
+                );
+                let (mut want_grad, mut want_acc) = (grad0.clone(), acc0.clone());
+                for p in 0..pairs {
+                    let i1 = (p / half) * 2 * half + p % half;
+                    let i2 = i1 + half;
+                    for c in 0..width {
+                        let (lo, hi) = (off + i1 * width + c, off + i2 * width + c);
+                        let (a, b, g1, g2) = (input[lo], input[hi], grad0[lo], grad0[hi]);
+                        for (k, product) in [g1 * a, g1 * b, g2 * a, g2 * b].into_iter().enumerate()
+                        {
+                            want_acc[off + (4 * p + k) * width + c] += product;
+                        }
+                        want_grad[lo] = w[0][p] * g1 + w[2][p] * g2;
+                        want_grad[hi] = w[1][p] * g1 + w[3][p] * g2;
+                    }
+                }
+                assert!(
+                    same_bits_or_both_nan(&native.0, &want_grad)
+                        && same_bits_or_both_nan(&native.1, &want_acc),
+                    "definition mismatch at width={width} pairs={pairs} half={half} off={off}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "butterfly_stage_backward_lanes length mismatch")]
+fn butterfly_stage_backward_lanes_rejects_short_accumulators() {
+    let w = [0.0f32; 4];
+    let (input, mut grad, mut acc) = ([0.0f32; 64], [0.0f32; 64], [0.0f32; 127]);
+    simd::butterfly_stage_backward_lanes(2, &w, &w, &w, &w, &input, &mut grad, &mut acc, 8);
 }
 
 /// Stage-major twiddle tables of an `n`-point transform.
