@@ -177,7 +177,7 @@ impl TrainedFabNet {
         let tokens: Vec<&[usize]> = calib.iter().map(|s| s.tokens.as_slice()).collect();
         let quant =
             fab_quant::quantize_frozen(&frozen, &tokens, &fab_quant::CalibrationConfig::default());
-        fab_serve::InferenceSession::quantized(quant)
+        fab_serve::InferenceSession::from_frozen(quant)
     }
 
     /// Simulates this model on `hardware` at its training sequence length.

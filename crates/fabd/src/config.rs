@@ -181,11 +181,9 @@ impl ProfileConfig {
             .with_examples(self.train_examples, self.test_examples)
             .with_epochs(self.epochs);
         let trained = pipeline.run(&self.model_config(), self.arch);
-        match self.precision {
-            Precision::Exact => ModelArtifact::Frozen(trained.model.freeze()),
-            Precision::FastMath => {
-                ModelArtifact::Frozen(trained.model.freeze().with_fast_math(true))
-            }
+        ModelArtifact(match self.precision {
+            Precision::Exact => trained.model.freeze(),
+            Precision::FastMath => trained.model.freeze().with_fast_math(true),
             Precision::Int8 => {
                 // Mirrors `TrainedFabNet::into_quantized_session` step for
                 // step so the artifact path serves bit-identical logits.
@@ -196,13 +194,13 @@ impl ProfileConfig {
                     self.calibration_samples,
                 );
                 let tokens: Vec<&[usize]> = calib.iter().map(|s| s.tokens.as_slice()).collect();
-                ModelArtifact::Quant(fab_quant::quantize_frozen(
+                fab_quant::quantize_frozen(
                     &frozen,
                     &tokens,
                     &fab_quant::CalibrationConfig::default(),
-                ))
+                )
             }
-        }
+        })
     }
 
     /// Wraps an artifact (fresh-trained or snapshot-restored) into the
@@ -213,10 +211,7 @@ impl ProfileConfig {
         artifact: &ModelArtifact,
         fault_injection: bool,
     ) -> InferenceSession {
-        let session = match artifact {
-            ModelArtifact::Frozen(m) => InferenceSession::from_frozen(m.clone()),
-            ModelArtifact::Quant(m) => InferenceSession::quantized(m.clone()),
-        };
+        let session = InferenceSession::from_frozen(artifact.0.clone());
         match self.panic_token {
             Some(token) if fault_injection => session.with_panic_on_token(token),
             _ => session,

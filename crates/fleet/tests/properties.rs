@@ -444,7 +444,7 @@ proptest! {
         let fleet = Fleet::new(fleet_config(num_workers));
         fleet.load(spec_p("m-f32", "f32"), InferenceSession::exact(&model)).expect("f32");
         fleet.load(spec_p("m-fast", "fastmath"), InferenceSession::new(&model)).expect("fast");
-        fleet.load(spec_p("m-int8", "int8"), InferenceSession::quantized(quant)).expect("int8");
+        fleet.load(spec_p("m-int8", "int8"), InferenceSession::from_frozen(quant)).expect("int8");
         prop_assert_eq!(
             fleet.ladder("m-f32").unwrap(),
             vec!["m-fast".to_string(), "m-int8".to_string()]

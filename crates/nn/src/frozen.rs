@@ -1,9 +1,10 @@
 //! Tape-free frozen inference: a trained [`crate::Model`] snapshotted into
 //! plain weight tensors with a batched, allocation-lean forward path.
 //!
-//! The training path records every operation on the autodiff [`Tape`], which
-//! clones activations into graph nodes and keeps backward closures alive —
-//! exactly the bookkeeping a serving runtime must not pay per request.
+//! The training path records every operation on the autodiff
+//! [`Tape`](fab_tensor::Tape), which clones activations into graph nodes and
+//! keeps backward closures alive — exactly the bookkeeping a serving runtime
+//! must not pay per request.
 //! [`Model::freeze`](crate::Model::freeze) copies the current parameter
 //! values out of their `Rc<RefCell<_>>` cells into a [`FrozenModel`]: an
 //! immutable, `Send + Sync` snapshot whose forward pass calls the PR-1
@@ -30,8 +31,23 @@
 //! [`fab_tensor::fastmath`] kernels: logits then differ from the tape path
 //! by at most ~1e-6 but remain deterministic and bit-invariant to batch
 //! composition — batching never changes a fast-math answer either.
+//!
+//! # Int8
+//!
+//! Post-training quantization (`fab-quant`) does not build a second model:
+//! it swaps parts of this one. A dense linear becomes
+//! [`FrozenLinear::Int8`] (int8 weights, per-output-row scales, a
+//! calibrated input scale; `quantize → i8×i8→i32 GEMM → fused
+//! dequant + bias (+ GELU)`), and the two embedding tables become
+//! [`FrozenEmbedding::Int8`] (per-row scales, dequantized on gather).
+//! Everything else stays f32 and runs the code above unchanged:
+//! butterfly-factorised linears, layer norms, softmax and the attention
+//! core, the Fourier mix, mean pooling. Int8 scales are static, so the
+//! batch-invariance guarantee holds bit for bit for a quantized model too.
+//! A model with int8 tables always runs with fast math off.
 
 use crate::config::{ModelConfig, ModelKind};
+use crate::qlinear::{QuantEmbedding, QuantLinear};
 use fab_butterfly::flops::{attention_core_flops, fourier_mix_flops};
 use fab_butterfly::{fourier_mix, ButterflyMatrix};
 use fab_tensor::{Tensor, PAR_GRAIN_OPS};
@@ -61,6 +77,8 @@ pub enum FrozenLinear {
         /// Output feature dimension (after truncation).
         d_out: usize,
     },
+    /// A dense map quantized to int8 (see [`QuantLinear`]).
+    Int8(QuantLinear),
 }
 
 impl FrozenLinear {
@@ -76,7 +94,8 @@ impl FrozenLinear {
     /// [`FrozenLinear::forward`] followed by GELU when `gelu` is set. The
     /// butterfly map applies padding, bias, activation and truncation
     /// inside its own tile loop
-    /// ([`ButterflyMatrix::forward_rows_fused_into`]), bit-identical to the
+    /// ([`ButterflyMatrix::forward_rows_fused_into`]) and the int8 map
+    /// inside its dequantization epilogue, both bit-identical to the
     /// separate passes the dense map still makes.
     fn forward_act(&self, x: &Tensor, gelu: bool) -> Tensor {
         match self {
@@ -94,6 +113,7 @@ impl FrozenLinear {
                 bfly.forward_rows_fused_into(x, *d_out, b.as_slice(), gelu, &mut y);
                 y
             }
+            FrozenLinear::Int8(q) => q.forward(x, gelu),
         }
     }
 
@@ -102,6 +122,7 @@ impl FrozenLinear {
         match self {
             FrozenLinear::Dense { w, .. } => w.cols(),
             FrozenLinear::Butterfly { d_out, .. } => *d_out,
+            FrozenLinear::Int8(q) => q.d_out(),
         }
     }
 }
@@ -262,9 +283,24 @@ impl FrozenAttention {
         lengths: &[usize],
         fast_math: bool,
     ) -> Tensor {
-        let q = self.wq.forward(x);
-        let k = self.wk.forward(x);
-        let v = self.wv.forward(x);
+        let (q, k, v) = match (&self.wq, &self.wk, &self.wv) {
+            // Calibration gives q/k/v one input scale, so the batch is
+            // quantized once and the int8 buffer reused across the three
+            // projections (bit-identical to three independent forwards).
+            (FrozenLinear::Int8(wq), FrozenLinear::Int8(wk), FrozenLinear::Int8(wv))
+                if wq.in_scale() == wk.in_scale() && wq.in_scale() == wv.in_scale() =>
+            {
+                let mut qx = Vec::new();
+                wq.quantize_input(x, &mut qx);
+                let rows = x.rows();
+                (
+                    wq.forward_prequantized(&qx, rows, false),
+                    wk.forward_prequantized(&qx, rows, false),
+                    wv.forward_prequantized(&qx, rows, false),
+                )
+            }
+            _ => (self.wq.forward(x), self.wk.forward(x), self.wv.forward(x)),
+        };
         // Fast-math mode pre-scales Q once (`(c·q)·kᵀ` instead of
         // `c·(q·kᵀ)`): same value up to rounding, but the scaling pass runs
         // over `[rows, dim]` instead of every `[len, len]` score matrix.
@@ -303,8 +339,8 @@ impl FrozenAttention {
 /// then a contiguous row range of `kt`, with exactly the values
 /// `slice_cols(kh).transpose()` would produce — the per-head matmul stays
 /// bit-identical to the tape path's. Exposed as the single shared core so
-/// post-training tooling (`fab-quant`'s calibration replay and quantized
-/// forward) runs exactly the math the frozen model serves.
+/// post-training tooling (`fab-quant`'s calibration replay) runs exactly
+/// the math the frozen model serves.
 ///
 /// # Panics
 ///
@@ -450,16 +486,78 @@ fn run_per_example(
     }
 }
 
+/// The token and positional embedding tables of a frozen model, both f32
+/// or both int8.
+#[derive(Debug, Clone)]
+pub enum FrozenEmbedding {
+    /// f32 tables.
+    F32 {
+        /// `[vocab, hidden]` token table.
+        tok: Tensor,
+        /// `[max_seq, hidden]` positional table.
+        pos: Tensor,
+    },
+    /// int8 tables with per-row scales, dequantized on gather.
+    Int8 {
+        /// `[vocab, hidden]` token table.
+        tok: QuantEmbedding,
+        /// `[max_seq, hidden]` positional table.
+        pos: QuantEmbedding,
+    },
+}
+
+impl FrozenEmbedding {
+    /// Writes the embedding of token `id` at position `j` into `row`: the
+    /// single gather every forward (and the calibration replay) runs. f32
+    /// tables give `tok + pos`; int8 tables give `0 + tok_q·s + pos_q·s`,
+    /// one rounding per term.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `id` or `j` is outside its table or `row` is not
+    /// `hidden` long.
+    pub fn gather_into(&self, id: usize, j: usize, row: &mut [f32]) {
+        match self {
+            FrozenEmbedding::F32 { tok, pos } => {
+                let h = row.len();
+                assert_eq!(tok.cols(), h, "embedding gather width mismatch");
+                let trow = &tok.as_slice()[id * h..(id + 1) * h];
+                let prow = &pos.as_slice()[j * h..(j + 1) * h];
+                for ((d, &t), &p) in row.iter_mut().zip(trow.iter()).zip(prow.iter()) {
+                    *d = t + p;
+                }
+            }
+            FrozenEmbedding::Int8 { tok, pos } => {
+                row.fill(0.0);
+                tok.add_row_into(id, row);
+                pos.add_row_into(j, row);
+            }
+        }
+    }
+
+    /// `[rows, cols]` of the token and of the positional table.
+    fn shapes(&self) -> ([usize; 2], [usize; 2]) {
+        match self {
+            FrozenEmbedding::F32 { tok, pos } => {
+                ([tok.rows(), tok.cols()], [pos.rows(), pos.cols()])
+            }
+            FrozenEmbedding::Int8 { tok, pos } => {
+                ([tok.rows(), tok.cols()], [pos.rows(), pos.cols()])
+            }
+        }
+    }
+}
+
 /// An immutable, `Send + Sync` inference snapshot of a trained model.
 ///
-/// Produced by [`Model::freeze`](crate::Model::freeze); see the
+/// Produced by [`Model::freeze`](crate::Model::freeze) (all f32) and turned
+/// into its int8 form by `fab_quant::quantize`; see the
 /// [module docs](self) for the execution model and exactness guarantees.
 #[derive(Debug, Clone)]
 pub struct FrozenModel {
     pub(crate) config: ModelConfig,
     pub(crate) kind: ModelKind,
-    pub(crate) tok_table: Tensor,
-    pub(crate) pos_table: Tensor,
+    pub(crate) embedding: FrozenEmbedding,
     pub(crate) blocks: Vec<FrozenBlock>,
     pub(crate) head: FrozenLinear,
     pub(crate) fast_math: bool,
@@ -467,10 +565,10 @@ pub struct FrozenModel {
 
 impl FrozenModel {
     /// Reassembles a frozen model from its parts — the inverse of the
-    /// component accessors, used by snapshot restore. A model rebuilt from
-    /// the exact tensors of a [`Model::freeze`](crate::Model::freeze)
-    /// snapshot produces bit-identical logits. Fast math starts disabled;
-    /// chain [`FrozenModel::with_fast_math`] to re-enable it.
+    /// component accessors, used by snapshot restore and by quantization. A
+    /// model rebuilt from the exact values of another produces bit-identical
+    /// logits. Fast math starts disabled; chain
+    /// [`FrozenModel::with_fast_math`] to re-enable it.
     ///
     /// # Panics
     ///
@@ -480,23 +578,15 @@ impl FrozenModel {
     pub fn from_parts(
         config: ModelConfig,
         kind: ModelKind,
-        tok_table: Tensor,
-        pos_table: Tensor,
+        embedding: FrozenEmbedding,
         blocks: Vec<FrozenBlock>,
         head: FrozenLinear,
     ) -> Self {
-        assert_eq!(
-            tok_table.shape(),
-            &[config.vocab_size, config.hidden],
-            "token table shape mismatch"
-        );
-        assert_eq!(
-            pos_table.shape(),
-            &[config.max_seq, config.hidden],
-            "positional table shape mismatch"
-        );
+        let (tok, pos) = embedding.shapes();
+        assert_eq!(tok, [config.vocab_size, config.hidden], "token table shape mismatch");
+        assert_eq!(pos, [config.max_seq, config.hidden], "positional table shape mismatch");
         assert_eq!(blocks.len(), config.num_layers, "block count mismatch");
-        Self { config, kind, tok_table, pos_table, blocks, head, fast_math: false }
+        Self { config, kind, embedding, blocks, head, fast_math: false }
     }
 
     /// The configuration of the model this snapshot was frozen from.
@@ -512,7 +602,17 @@ impl FrozenModel {
     /// logit accuracy for substantially cheaper softmax/GELU. Either way
     /// the forward stays deterministic and bit-invariant to batch
     /// composition, padding and thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics when asked to enable fast math on a model with int8 tables:
+    /// quantized models run the exact attention ordering, and their
+    /// snapshot format has no place to record anything else.
     pub fn with_fast_math(mut self, fast_math: bool) -> Self {
+        assert!(
+            !(fast_math && matches!(self.embedding, FrozenEmbedding::Int8 { .. })),
+            "a model with int8 tables runs with fast math off"
+        );
         self.fast_math = fast_math;
         self
     }
@@ -539,14 +639,35 @@ impl FrozenModel {
         &self.head
     }
 
-    /// `[vocab, hidden]` token-embedding table.
-    pub fn tok_table(&self) -> &Tensor {
-        &self.tok_table
+    /// The embedding tables, f32 or int8.
+    pub fn embedding(&self) -> &FrozenEmbedding {
+        &self.embedding
     }
 
-    /// `[max_seq, hidden]` positional-embedding table.
+    /// `[vocab, hidden]` f32 token-embedding table.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the tables are int8; [`FrozenModel::embedding`] serves
+    /// both.
+    pub fn tok_table(&self) -> &Tensor {
+        match &self.embedding {
+            FrozenEmbedding::F32 { tok, .. } => tok,
+            FrozenEmbedding::Int8 { .. } => panic!("tok_table() on a model with int8 tables"),
+        }
+    }
+
+    /// `[max_seq, hidden]` f32 positional-embedding table.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the tables are int8; [`FrozenModel::embedding`] serves
+    /// both.
     pub fn pos_table(&self) -> &Tensor {
-        &self.pos_table
+        match &self.embedding {
+            FrozenEmbedding::F32 { pos, .. } => pos,
+            FrozenEmbedding::Int8 { .. } => panic!("pos_table() on a model with int8 tables"),
+        }
     }
 
     /// Number of output classes.
@@ -559,6 +680,21 @@ impl FrozenModel {
         self.config.max_seq
     }
 
+    /// Fraction of linear maps (projections, FFN layers, head) running the
+    /// int8 path: 0.0 for an all-f32 model, below 1.0 for a quantized model
+    /// with butterfly-factorised linears, which stay f32.
+    pub fn quantized_fraction(&self) -> f64 {
+        let mut linears: Vec<&FrozenLinear> = vec![&self.head];
+        for b in &self.blocks {
+            if let FrozenMixing::Attention(a) = &b.mixing {
+                linears.extend([&a.wq, &a.wk, &a.wv, &a.wo]);
+            }
+            linears.extend([&b.ffn.lin1, &b.ffn.lin2]);
+        }
+        let int8 = linears.iter().filter(|l| matches!(l, FrozenLinear::Int8(_))).count();
+        int8 as f64 / linears.len() as f64
+    }
+
     /// Runs the encoder over a padded batch, returning the final
     /// `[B * pad_to, hidden]` hidden states (padding rows hold well-defined
     /// but meaningless values).
@@ -569,8 +705,9 @@ impl FrozenModel {
     /// is empty or longer than `pad_to`, or a token id is out of vocabulary.
     pub fn forward_batch<S: AsRef<[usize]>>(&self, batch: &[S], pad_to: usize) -> Tensor {
         let lengths: Vec<usize> = batch.iter().map(|s| s.as_ref().len()).collect();
-        let x = self.embed_batch(batch, pad_to);
-        self.run_blocks(x, pad_to, &lengths)
+        // Padding rows embed token 0; they are sliced away before any token
+        // mixing and never influence real rows.
+        self.encode(&lengths, pad_to, |i, j| batch[i].as_ref().get(j).copied().unwrap_or(0))
     }
 
     /// [`FrozenModel::forward_batch`] over a caller-managed flat token
@@ -591,12 +728,43 @@ impl FrozenModel {
         lengths: &[usize],
         pad_to: usize,
     ) -> Tensor {
-        let x = self.embed_flat(tokens_padded, lengths, pad_to);
-        self.run_blocks(x, pad_to, lengths)
+        assert_eq!(
+            tokens_padded.len(),
+            lengths.len() * pad_to,
+            "flat token buffer length mismatch"
+        );
+        self.encode(lengths, pad_to, |i, j| tokens_padded[i * pad_to + j])
     }
 
-    /// Runs the encoder block stack over an embedded flat batch.
-    fn run_blocks(&self, mut x: Tensor, pad_to: usize, lengths: &[usize]) -> Tensor {
+    /// The one checked entry behind every public forward: validates the
+    /// batch geometry, gathers the embedding of `id_at(example, position)`
+    /// for every slot of the `[B * pad_to, hidden]` batch, and runs the
+    /// block stack.
+    fn encode(
+        &self,
+        lengths: &[usize],
+        pad_to: usize,
+        id_at: impl Fn(usize, usize) -> usize,
+    ) -> Tensor {
+        assert!(!lengths.is_empty(), "cannot run a frozen model on an empty batch");
+        assert!(
+            pad_to >= 1 && pad_to <= self.config.max_seq,
+            "pad_to {pad_to} outside 1..={}",
+            self.config.max_seq
+        );
+        let hidden = self.config.hidden;
+        let vocab = self.config.vocab_size;
+        let mut x = vec![0.0f32; lengths.len() * pad_to * hidden];
+        for (i, (ex, &len)) in x.chunks_mut(pad_to * hidden).zip(lengths.iter()).enumerate() {
+            assert!(len >= 1 && len <= pad_to, "sequence length {len} outside 1..={pad_to}");
+            for (j, row) in ex.chunks_mut(hidden).enumerate() {
+                let id = id_at(i, j);
+                assert!(id < vocab, "token index {id} out of range for vocab {vocab}");
+                self.embedding.gather_into(id, j, row);
+            }
+        }
+        let mut x =
+            Tensor::from_vec(x, &[lengths.len() * pad_to, hidden]).expect("embedding batch shape");
         for block in &self.blocks {
             x = block.forward_batch(&x, pad_to, lengths, self.fast_math);
         }
@@ -605,18 +773,17 @@ impl FrozenModel {
 
     /// Returns per-example class logits for a padded batch.
     ///
-    /// Each example's logits are bit-identical to what
-    /// [`Model::predict`](crate::Model::predict) returns for that sequence
-    /// alone, independent of batch composition and padding.
+    /// Each example's logits are bit-identical to [`FrozenModel::logits`]
+    /// on that sequence alone — and, for an all-f32 model without fast
+    /// math, to [`Model::predict`](crate::Model::predict) — independent of
+    /// batch composition and padding.
     ///
     /// # Panics
     ///
     /// Panics under the same conditions as [`FrozenModel::forward_batch`].
     pub fn logits_batch<S: AsRef<[usize]>>(&self, batch: &[S], pad_to: usize) -> Vec<Vec<f32>> {
         let lengths: Vec<usize> = batch.iter().map(|s| s.as_ref().len()).collect();
-        let x = self.embed_batch(batch, pad_to);
-        let x = self.run_blocks(x, pad_to, &lengths);
-        self.pool_and_head(&x, &lengths, pad_to)
+        self.pool_and_head(&self.forward_batch(batch, pad_to), &lengths, pad_to)
     }
 
     /// [`FrozenModel::logits_batch`] over a caller-managed flat token buffer
@@ -672,77 +839,6 @@ impl FrozenModel {
     /// Predicted class for a single sequence (tape-free).
     pub fn predict_class(&self, tokens: &[usize]) -> usize {
         argmax(&self.logits(tokens))
-    }
-
-    /// Fused token + positional embedding gather for a padded batch.
-    fn embed_batch<S: AsRef<[usize]>>(&self, batch: &[S], pad_to: usize) -> Tensor {
-        assert!(!batch.is_empty(), "cannot run a frozen model on an empty batch");
-        assert!(
-            pad_to >= 1 && pad_to <= self.config.max_seq,
-            "pad_to {pad_to} outside 1..={}",
-            self.config.max_seq
-        );
-        let hidden = self.config.hidden;
-        let vocab = self.config.vocab_size;
-        let tok = self.tok_table.as_slice();
-        let pos = self.pos_table.as_slice();
-        let mut x = vec![0.0f32; batch.len() * pad_to * hidden];
-        for (s, ex) in batch.iter().zip(x.chunks_mut(pad_to * hidden)) {
-            let tokens = s.as_ref();
-            assert!(!tokens.is_empty(), "cannot run a frozen model on an empty sequence");
-            assert!(
-                tokens.len() <= pad_to,
-                "sequence length {} exceeds pad_to {pad_to}",
-                tokens.len()
-            );
-            for (j, row) in ex.chunks_mut(hidden).enumerate() {
-                // Padding rows embed token 0; they are sliced away before any
-                // token mixing and never influence real rows.
-                let id = tokens.get(j).copied().unwrap_or(0);
-                assert!(id < vocab, "token index {id} out of range for vocab {vocab}");
-                let trow = &tok[id * hidden..(id + 1) * hidden];
-                let prow = &pos[j * hidden..(j + 1) * hidden];
-                for ((d, &t), &p) in row.iter_mut().zip(trow.iter()).zip(prow.iter()) {
-                    *d = t + p;
-                }
-            }
-        }
-        Tensor::from_vec(x, &[batch.len() * pad_to, hidden]).expect("embedding batch shape")
-    }
-
-    /// Fused token + positional embedding gather over a flat padded token
-    /// buffer (see [`FrozenModel::forward_batch_flat`] for the layout).
-    fn embed_flat(&self, tokens_padded: &[usize], lengths: &[usize], pad_to: usize) -> Tensor {
-        assert!(!lengths.is_empty(), "cannot run a frozen model on an empty batch");
-        assert!(
-            pad_to >= 1 && pad_to <= self.config.max_seq,
-            "pad_to {pad_to} outside 1..={}",
-            self.config.max_seq
-        );
-        assert_eq!(
-            tokens_padded.len(),
-            lengths.len() * pad_to,
-            "flat token buffer length mismatch"
-        );
-        for &len in lengths {
-            assert!(len >= 1 && len <= pad_to, "sequence length {len} outside 1..={pad_to}");
-        }
-        let hidden = self.config.hidden;
-        let vocab = self.config.vocab_size;
-        let tok = self.tok_table.as_slice();
-        let pos = self.pos_table.as_slice();
-        let mut x = vec![0.0f32; tokens_padded.len() * hidden];
-        for (ex, ids) in x.chunks_mut(pad_to * hidden).zip(tokens_padded.chunks(pad_to)) {
-            for ((j, row), &id) in ex.chunks_mut(hidden).enumerate().zip(ids.iter()) {
-                assert!(id < vocab, "token index {id} out of range for vocab {vocab}");
-                let trow = &tok[id * hidden..(id + 1) * hidden];
-                let prow = &pos[j * hidden..(j + 1) * hidden];
-                for ((d, &t), &p) in row.iter_mut().zip(trow.iter()).zip(prow.iter()) {
-                    *d = t + p;
-                }
-            }
-        }
-        Tensor::from_vec(x, &[tokens_padded.len(), hidden]).expect("embedding batch shape")
     }
 }
 
@@ -818,6 +914,56 @@ mod tests {
             frozen.logits_batch(&batch, pad_to),
             frozen.logits_batch_flat(&flat, &lengths, pad_to)
         );
+    }
+
+    #[test]
+    fn shared_qkv_quantization_equals_three_independent_forwards() {
+        let mut rng = StdRng::seed_from_u64(15);
+        let frozen = Model::new(&tiny(), ModelKind::Transformer, &mut rng).freeze();
+        let FrozenMixing::Attention(a) = frozen.blocks()[0].mixing() else {
+            panic!("transformer block without attention")
+        };
+        let int8 = |lin: &FrozenLinear, in_scale: f32| match lin {
+            FrozenLinear::Dense { w, b } => {
+                FrozenLinear::Int8(QuantLinear::from_dense(w, b, in_scale))
+            }
+            _ => panic!("transformer projections are dense"),
+        };
+        let (pad_to, lengths) = (6usize, [4usize, 6]);
+        let x: Vec<f32> =
+            (0..2 * pad_to * a.dim()).map(|i| ((i * 37 % 101) as f32) * 0.02 - 1.0).collect();
+        let x = Tensor::from_vec(x, &[2 * pad_to, a.dim()]).expect("x");
+        // One input scale takes the quantize-once route, three scales the
+        // independent one; both must equal the projections run one by one.
+        for scales in [[0.02f32, 0.02, 0.02], [0.02, 0.03, 0.02]] {
+            let attn = FrozenAttention::new(
+                int8(a.wq(), scales[0]),
+                int8(a.wk(), scales[1]),
+                int8(a.wv(), scales[2]),
+                a.wo().clone(),
+                a.dim(),
+                a.num_heads(),
+            );
+            let (q, k, v) = (attn.wq.forward(&x), attn.wk.forward(&x), attn.wv.forward(&x));
+            let mut mixed = vec![0.0f32; x.len()];
+            for (i, &len) in lengths.iter().enumerate() {
+                let (lo, hi) = (i * pad_to, i * pad_to + len);
+                attention_mix_rows(
+                    &q.slice_rows(lo, hi),
+                    &k.slice_rows(lo, hi),
+                    &v.slice_rows(lo, hi),
+                    a.num_heads(),
+                    false,
+                    &mut mixed[lo * a.dim()..hi * a.dim()],
+                );
+            }
+            let mixed = Tensor::from_vec(mixed, &[x.rows(), a.dim()]).expect("mixed");
+            assert_eq!(
+                attn.forward_batch(&x, pad_to, &lengths, false).as_slice(),
+                attn.wo.forward(&mixed).as_slice(),
+                "scales {scales:?}"
+            );
+        }
     }
 
     #[test]

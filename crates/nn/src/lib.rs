@@ -34,14 +34,15 @@ mod layers;
 mod models;
 mod optim;
 mod param;
+mod qlinear;
 mod train;
 
 pub use blocks::{ABflyBlock, EncoderBlock, FBflyBlock, FNetBlock, TransformerBlock};
 pub use config::{ModelConfig, ModelKind};
 pub use flops::{FlopsBreakdown, ParamBreakdown};
 pub use frozen::{
-    argmax, attention_mix_rows, FrozenAttention, FrozenBlock, FrozenFeedForward, FrozenLayerNorm,
-    FrozenLinear, FrozenMixing, FrozenModel,
+    argmax, attention_mix_rows, FrozenAttention, FrozenBlock, FrozenEmbedding, FrozenFeedForward,
+    FrozenLayerNorm, FrozenLinear, FrozenMixing, FrozenModel,
 };
 pub use layers::{
     ButterflyLinear, ClassifierHead, DenseLinear, Embedding, FeedForward, FourierMixing, LayerNorm,
@@ -50,4 +51,5 @@ pub use layers::{
 pub use models::Model;
 pub use optim::{Adam, FusedAdamW, FusedSgd, Optimizer, Sgd};
 pub use param::{Bindings, Param};
+pub use qlinear::{QuantEmbedding, QuantLinear};
 pub use train::{evaluate, train_classifier, Example, TrainOptions, TrainReport, TrainStep};

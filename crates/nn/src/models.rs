@@ -2,7 +2,7 @@
 
 use crate::blocks::{ABflyBlock, EncoderBlock, FBflyBlock, FNetBlock, TransformerBlock};
 use crate::config::{ModelConfig, ModelKind};
-use crate::frozen::FrozenModel;
+use crate::frozen::{FrozenEmbedding, FrozenModel};
 use crate::layers::{ClassifierHead, Embedding};
 use crate::param::Bindings;
 use fab_tensor::{Tape, Tensor, VarId};
@@ -161,12 +161,11 @@ impl Model {
     /// Sync`, tape-free [`FrozenModel`] for inference (see the
     /// [`crate::frozen`] module docs for the exactness guarantees).
     pub fn freeze(&self) -> FrozenModel {
-        let (tok_table, pos_table) = self.embedding.freeze_tables();
+        let (tok, pos) = self.embedding.freeze_tables();
         FrozenModel {
             config: self.config.clone(),
             kind: self.kind,
-            tok_table,
-            pos_table,
+            embedding: FrozenEmbedding::F32 { tok, pos },
             blocks: self.blocks.iter().map(|b| b.freeze()).collect(),
             head: self.head.freeze(),
             fast_math: false,

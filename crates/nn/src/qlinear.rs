@@ -1,7 +1,7 @@
-//! Quantized linear maps and embedding tables.
+//! Int8 linear maps and embedding tables: the storage and kernels behind
+//! [`crate::FrozenLinear::Int8`] and [`crate::FrozenEmbedding::Int8`].
 
 use fab_butterfly::flops::dense_linear_flops;
-use fab_nn::FrozenLinear;
 use fab_tensor::{simd, Tensor, PAR_GRAIN_OPS};
 use rayon::prelude::*;
 
@@ -192,58 +192,6 @@ impl QuantLinear {
     /// Bytes of int8 weight storage (the f32 layout would be 4x).
     pub fn weight_bytes(&self) -> usize {
         self.qw.len()
-    }
-}
-
-/// A linear map that is quantized when dense and kept frozen-f32 when
-/// butterfly-factorised (butterfly stages mix in f32; see the crate docs).
-#[derive(Debug, Clone)]
-pub enum MaybeQuantLinear {
-    /// int8 path (dense layers).
-    Int8(QuantLinear),
-    /// f32 fallback (butterfly-factorised layers).
-    F32(FrozenLinear),
-}
-
-impl MaybeQuantLinear {
-    /// Quantizes dense frozen linears; passes butterfly linears through.
-    pub fn quantize(lin: &FrozenLinear, in_scale: f32) -> Self {
-        match lin {
-            FrozenLinear::Dense { w, b } => {
-                MaybeQuantLinear::Int8(QuantLinear::from_dense(w, b, in_scale))
-            }
-            butterfly => MaybeQuantLinear::F32(butterfly.clone()),
-        }
-    }
-
-    /// Applies the map; `gelu` fuses the serving GELU into the epilogue (the
-    /// f32 fallback applies [`Tensor::gelu_fastmath`], the identical scalar
-    /// kernel, after the linear map).
-    pub fn forward(&self, x: &Tensor, gelu: bool) -> Tensor {
-        match self {
-            MaybeQuantLinear::Int8(q) => q.forward(x, gelu),
-            MaybeQuantLinear::F32(lin) => {
-                let y = lin.forward(x);
-                if gelu {
-                    y.gelu_fastmath()
-                } else {
-                    y
-                }
-            }
-        }
-    }
-
-    /// Output feature dimension.
-    pub fn d_out(&self) -> usize {
-        match self {
-            MaybeQuantLinear::Int8(q) => q.d_out(),
-            MaybeQuantLinear::F32(lin) => lin.d_out(),
-        }
-    }
-
-    /// `true` on the int8 path.
-    pub fn is_quantized(&self) -> bool {
-        matches!(self, MaybeQuantLinear::Int8(_))
     }
 }
 

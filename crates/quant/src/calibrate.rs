@@ -2,7 +2,7 @@
 //! the activation ranges at every quantized GEMM input.
 
 use crate::observer::{Observer, ObserverKind};
-use crate::qmodel::QuantModel;
+use crate::qmodel::quantize;
 use fab_butterfly::fourier_mix;
 use fab_nn::{FrozenAttention, FrozenMixing, FrozenModel};
 use fab_tensor::Tensor;
@@ -45,25 +45,6 @@ struct BlockObservers {
     attn_out_in: Observer,
     ffn1_in: Observer,
     ffn2_in: Observer,
-}
-
-/// f32 embedding of one sequence from the frozen tables (the calibration
-/// replay runs the f32 path end to end).
-fn embed(frozen: &FrozenModel, tokens: &[usize]) -> Tensor {
-    let hidden = frozen.config().hidden;
-    let vocab = frozen.config().vocab_size;
-    let tok = frozen.tok_table().as_slice();
-    let pos = frozen.pos_table().as_slice();
-    let mut x = vec![0.0f32; tokens.len() * hidden];
-    for ((j, &id), row) in tokens.iter().enumerate().zip(x.chunks_mut(hidden)) {
-        assert!(id < vocab, "token index {id} out of range for vocab {vocab}");
-        let trow = &tok[id * hidden..(id + 1) * hidden];
-        let prow = &pos[j * hidden..(j + 1) * hidden];
-        for ((d, &t), &p) in row.iter_mut().zip(trow.iter()).zip(prow.iter()) {
-            *d = t + p;
-        }
-    }
-    Tensor::from_vec(x, &[tokens.len(), hidden]).expect("calibration embedding shape")
 }
 
 /// The attention core on one example, via the shared frozen-model helper
@@ -129,7 +110,14 @@ pub fn calibrate<S: AsRef<[usize]>>(
             tokens.len(),
             frozen.max_seq()
         );
-        let mut x = embed(frozen, tokens);
+        let (hidden, vocab) = (frozen.config().hidden, frozen.config().vocab_size);
+        let mut x = vec![0.0f32; tokens.len() * hidden];
+        for ((j, &id), row) in tokens.iter().enumerate().zip(x.chunks_mut(hidden)) {
+            assert!(id < vocab, "token index {id} out of range for vocab {vocab}");
+            frozen.embedding().gather_into(id, j, row);
+        }
+        let mut x =
+            Tensor::from_vec(x, &[tokens.len(), hidden]).expect("calibration embedding shape");
         for (fb, obs) in frozen.blocks().iter().zip(blocks.iter_mut()) {
             let m = match fb.mixing() {
                 FrozenMixing::Attention(a) => {
@@ -145,14 +133,12 @@ pub fn calibrate<S: AsRef<[usize]>>(
             };
             x = fb.ln1().forward_residual(&x, &m);
             obs.ffn1_in.observe(x.as_slice());
-            let h = fb.ffn().lin1().forward(&x);
-            let act = if fast_math { h.gelu_fastmath() } else { h.gelu() };
+            let act = fb.ffn().lin1().forward(&x).gelu();
             obs.ffn2_in.observe(act.as_slice());
             let f = fb.ffn().lin2().forward(&act);
             x = fb.ln2().forward_residual(&x, &f);
         }
         // Mean-pool with the accumulation order of the serving path.
-        let hidden = frozen.config().hidden;
         let mut pooled = vec![0.0f32; hidden];
         for row in x.as_slice().chunks(hidden) {
             for (d, &v) in pooled.iter_mut().zip(row.iter()) {
@@ -197,9 +183,8 @@ pub fn quantize_frozen<S: AsRef<[usize]>>(
     frozen: &FrozenModel,
     samples: &[S],
     config: &CalibrationConfig,
-) -> QuantModel {
-    let scales = calibrate(frozen, samples, config);
-    QuantModel::quantize(frozen, &scales)
+) -> FrozenModel {
+    quantize(frozen, &calibrate(frozen, samples, config))
 }
 
 #[cfg(test)]

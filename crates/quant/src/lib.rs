@@ -4,34 +4,38 @@
 //! emulation of the low-precision arithmetic the paper's accelerator runs in
 //! hardware, and the serving stack's fast path for GEMM-dominated models.
 //!
-//! The pipeline has three stages:
+//! The pipeline has three stages; the first two live here, the third is
+//! the ordinary frozen forward:
 //!
-//! 1. **Calibration** ([`calibrate`]) — activation observers ([`Observer`],
+//! 1. **Calibration** ([`calibrate()`]) — activation observers ([`Observer`],
 //!    min/max or percentile) replay deterministic calibration batches
 //!    (e.g. [`fab_lra`'s `calibration_batches`][calib]) through a
 //!    [`FrozenModel`](fab_nn::FrozenModel) and record the dynamic range at
 //!    every quantized GEMM input, producing per-tensor activation scales.
-//! 2. **Quantization** ([`QuantModel::quantize`] /
-//!    [`quantize_frozen`]) — every *dense* linear map (attention
-//!    projections, FFN layers, the classifier head) is converted to a
-//!    [`QuantLinear`]: int8 weights with **per-output-row** symmetric
-//!    scales, f32 bias, and the calibrated per-tensor input scale.
-//!    Embedding tables become int8 with per-row scales
-//!    ([`QuantEmbedding`]). Butterfly-factorised linears, softmax,
-//!    layer norm and the Fourier/attention token mixing stay in f32, with
+//! 2. **Quantization** ([`quantize`] / [`quantize_frozen`]) — returns a
+//!    copy of the model in which every *dense* linear map (attention
+//!    projections, FFN layers, the classifier head) is a
+//!    [`FrozenLinear::Int8`](fab_nn::FrozenLinear::Int8): int8 weights with
+//!    **per-output-row** symmetric scales, f32 bias, and the calibrated
+//!    per-tensor input scale ([`fab_nn::QuantLinear`]). The embedding
+//!    tables become [`FrozenEmbedding::Int8`](fab_nn::FrozenEmbedding::Int8)
+//!    with per-row scales. Butterfly-factorised linears, softmax, layer
+//!    norm and the Fourier/attention token mixing stay in f32, with
 //!    dequantization at the boundaries.
-//! 3. **Quantized inference** ([`QuantModel`]) — the int8 counterpart of
-//!    `FrozenModel`: row-wise work runs `quantize → int8×int8→i32 GEMM →
-//!    fused dequant+bias(+GELU)` through the [`fab_tensor::simd`] `q8_*`
-//!    kernels (AVX2 `maddubs`+`madd`, NEON `vmull`+`vpadal`, or the
-//!    bit-identical scalar reference — `FAB_SIMD` is honoured).
+//! 3. **Quantized inference** — there is no second model: the result of
+//!    stage 2 *is* a [`fab_nn::FrozenModel`] ([`QuantModel`] is an alias),
+//!    served by the same `logits*` entry points, sessions and snapshots.
+//!    Its int8 linears run `quantize → int8×int8→i32 GEMM → fused
+//!    dequant+bias(+GELU)` through the [`fab_tensor::simd`] `q8_*` kernels
+//!    (AVX2 `maddubs`+`madd`, NEON `vmull`+`vpadal`, or the bit-identical
+//!    scalar reference — `FAB_SIMD` is honoured).
 //!
 //! # Exactness and batch invariance
 //!
 //! Scales are **static**: fixed at calibration time, never derived from the
 //! batch being served. Combined with the exact i32 accumulation of the q8
-//! kernels and the per-example token mixing (identical structure to
-//! [`fab_nn::frozen`]), a request's quantized logits are **bit-identical**
+//! kernels and the per-example token mixing of [`fab_nn::frozen`], a
+//! request's quantized logits are **bit-identical**
 //! regardless of batch composition, padding and worker-thread count — the
 //! same guarantee the f32 serving path makes, property-tested the same way.
 //!
@@ -57,10 +61,8 @@
 
 mod calibrate;
 mod observer;
-mod qlinear;
 mod qmodel;
 
 pub use calibrate::{calibrate, quantize_frozen, ActivationScales, BlockScales, CalibrationConfig};
 pub use observer::{Observer, ObserverKind};
-pub use qlinear::{MaybeQuantLinear, QuantEmbedding, QuantLinear};
-pub use qmodel::{QuantAttention, QuantBlock, QuantFeedForward, QuantMixing, QuantModel};
+pub use qmodel::{quantize, QuantModel};

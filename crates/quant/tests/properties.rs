@@ -1,4 +1,4 @@
-//! PR-5 property tests: the quantized model must be batch-invariant
+//! PR-5 property tests: a quantized model must be batch-invariant
 //! (bit-identical logits for a request at any batch composition, padding
 //! and thread count), deterministic across SIMD backends' exact int8
 //! accumulation, and a close approximation of the f32 model it was
@@ -6,7 +6,9 @@
 
 use fab_butterfly::flops::{attention_core_flops, dense_linear_flops};
 use fab_nn::{Model, ModelConfig, ModelKind};
-use fab_quant::{calibrate, quantize_frozen, CalibrationConfig, ObserverKind, QuantModel};
+use fab_quant::{
+    calibrate, quantize, quantize_frozen, CalibrationConfig, ObserverKind, QuantModel,
+};
 use fab_tensor::simd::{self, Backend};
 use fab_tensor::PAR_GRAIN_OPS;
 use proptest::prelude::*;
@@ -115,9 +117,9 @@ fn quant_logits_do_not_depend_on_the_thread_count() {
     // bit-invariant to rayon's worker count. The batch is sized from the
     // shared grain so both parallel branches trigger on the tiny test model
     // wherever the grain is moved: enough 8-token examples that the summed
-    // attention cores (the fan-out test in qmodel.rs) and the first FFN
-    // GEMM (the band test in qlinear.rs; the rows far exceed one 64-row
-    // band) each reach `PAR_GRAIN_OPS`. `RAYON_NUM_THREADS` is
+    // attention cores (the fan-out test in fab_nn's frozen.rs) and the
+    // first FFN GEMM (the band test in its qlinear.rs; the rows far exceed
+    // one 64-row band) each reach `PAR_GRAIN_OPS`. `RAYON_NUM_THREADS` is
     // process-global, hence the lock.
     let _g = lock();
     let (_model, quant) = quantized(6, ModelKind::Transformer);
@@ -206,6 +208,28 @@ fn fabnet_keeps_butterfly_linears_in_f32() {
     assert!(frac > 0.0 && frac < 1.0, "FabNet quantized fraction {frac}");
     let (_model, dense) = quantized(10, ModelKind::Transformer);
     assert_eq!(dense.quantized_fraction(), 1.0, "Transformer must quantize every linear");
+}
+
+#[test]
+fn quantizing_a_fast_math_model_turns_fast_math_off() {
+    // Calibration replays the model it is given (fast-math attention
+    // ordering included), but the quantized result always serves the exact
+    // ordering — the one precision int8 snapshots can record.
+    for (seed, kind) in
+        [(12u64, ModelKind::Transformer), (13, ModelKind::FNet), (14, ModelKind::FabNet)]
+    {
+        let (model, quant) = quantized(seed, kind);
+        let fast = model.freeze().with_fast_math(true);
+        assert!(fast.fast_math() && !quant.fast_math(), "{kind:?}");
+        // Same scales, quantized from the exact-math freeze: the same model.
+        let samples = calib_samples(8, tiny().max_seq.min(8), tiny().vocab_size);
+        let scales = calibrate(&fast, &samples, &CalibrationConfig::default());
+        let from_exact = quantize(&model.freeze(), &scales);
+        let tokens = vec![1usize, 5, 2, 7, 3, 0, 4];
+        assert_eq!(quant.logits(&tokens), from_exact.logits(&tokens), "{kind:?}");
+        // An all-f32 model reports no int8 linears.
+        assert_eq!(fast.quantized_fraction(), 0.0);
+    }
 }
 
 #[test]

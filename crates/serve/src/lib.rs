@@ -47,10 +47,10 @@
 //!
 //! Sessions come in three kinds ([`SessionKind`], reported by
 //! [`ServerStats::session_kind`]): `exact` and `fastmath` run the f32
-//! frozen model, `int8` ([`InferenceSession::quantized`]) runs a
-//! post-training-quantized [`fab_quant::QuantModel`] whose dense GEMMs use
-//! the int8 SIMD kernels — same batcher, same invariance guarantee,
-//! substantially higher throughput on GEMM-dominated models.
+//! frozen model, `int8` is the same [`InferenceSession::from_frozen`] over
+//! a post-training-quantized model ([`fab_quant::quantize_frozen`]) whose
+//! dense GEMMs use the int8 SIMD kernels — same batcher, same invariance
+//! guarantee.
 //!
 //! # Example
 //!

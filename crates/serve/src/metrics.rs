@@ -52,7 +52,7 @@ fn bucket_upper(idx: usize) -> u64 {
 }
 
 /// A concurrent latency histogram with log-linear microsecond buckets
-/// (HDR-histogram style: power-of-two octaves, each split into [`SUBS`]
+/// (HDR-histogram style: power-of-two octaves, each split into `SUBS`
 /// linear sub-buckets).
 ///
 /// Recording is a single relaxed atomic increment; a reported quantile is

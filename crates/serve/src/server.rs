@@ -854,7 +854,7 @@ mod tests {
             .map(|i| (0..8).map(|j| (i * 7 + j * 3 + 1) % config.vocab_size).collect())
             .collect();
         let quant = quantize_frozen(&frozen, &calib, &CalibrationConfig::default());
-        let session = InferenceSession::quantized(quant.clone());
+        let session = InferenceSession::from_frozen(quant.clone());
         let server = Server::start(session, ServeConfig::default());
         let handle = server.handle();
         let tokens = vec![1usize, 2, 3, 4, 5];

@@ -1,10 +1,9 @@
-//! Inference sessions: a frozen (f32) or quantized (int8) model behind one
+//! Inference sessions: a frozen model (f32 or int8) behind the serving
 //! forward API, evaluated per example.
 
 use fab_chaos::{ChaosInjector, ChaosSite};
 use fab_nn::flops::flops_breakdown;
-use fab_nn::{FrozenModel, Model};
-use fab_quant::QuantModel;
+use fab_nn::{argmax, FrozenEmbedding, FrozenModel, Model};
 use fab_tensor::PAR_GRAIN_OPS;
 use rayon::prelude::*;
 use std::sync::Arc;
@@ -38,23 +37,16 @@ impl SessionKind {
     }
 }
 
-/// The model variant behind a session.
-#[derive(Debug, Clone)]
-enum SessionModel {
-    F32(FrozenModel),
-    Int8(QuantModel),
-}
-
-/// A tape-free inference session around a [`FrozenModel`] or a
-/// [`QuantModel`].
+/// A tape-free inference session around a [`FrozenModel`], f32 or
+/// quantized.
 ///
 /// The session is immutable and `Send + Sync`: one session is shared by
 /// every worker of a [`crate::Server`]. A batch is evaluated one sequence at
 /// a time, so a request's logits are bit-identical whatever batch it rides
-/// in and the dynamic batcher serves either model variant transparently.
+/// in.
 #[derive(Debug, Clone)]
 pub struct InferenceSession {
-    model: SessionModel,
+    model: FrozenModel,
     /// Fault injection: a marker token id that makes any forward pass
     /// containing it panic (see [`InferenceSession::with_panic_on_token`]).
     panic_token: Option<usize>,
@@ -69,33 +61,25 @@ impl InferenceSession {
     /// [`Model::predict`](fab_nn::Model::predict) (see
     /// [`fab_tensor::fastmath`]) and remain bit-invariant to batch
     /// composition and thread count. Use [`InferenceSession::exact`] for
-    /// bit-identity with the tape path, [`InferenceSession::quantized`] for
-    /// the int8 path.
+    /// bit-identity with the tape path, [`InferenceSession::from_frozen`]
+    /// on a quantized model for the int8 path.
     pub fn new(model: &Model) -> Self {
-        Self {
-            model: SessionModel::F32(model.freeze().with_fast_math(true)),
-            panic_token: None,
-            chaos: None,
-        }
+        Self::from_frozen(model.freeze().with_fast_math(true))
     }
 
     /// Freezes `model` with the exact `libm` kernels: logits are
     /// bit-identical to [`Model::predict`](fab_nn::Model::predict), at
     /// roughly 40% lower single-core throughput than [`InferenceSession::new`].
     pub fn exact(model: &Model) -> Self {
-        Self { model: SessionModel::F32(model.freeze()), panic_token: None, chaos: None }
+        Self::from_frozen(model.freeze())
     }
 
-    /// Wraps an already-frozen model (honouring its fast-math setting).
+    /// Wraps an already-frozen model, honouring its fast-math setting. A
+    /// post-training-quantized model (`fab_quant::quantize_frozen`; see
+    /// [`fab_quant`] for the calibration workflow and accuracy policy)
+    /// makes the server run int8 GEMMs on every dense linear layer.
     pub fn from_frozen(model: FrozenModel) -> Self {
-        Self { model: SessionModel::F32(model), panic_token: None, chaos: None }
-    }
-
-    /// Wraps a post-training-quantized model: the server then runs int8
-    /// GEMMs on every dense linear layer (see [`fab_quant`] for the
-    /// calibration workflow and accuracy policy).
-    pub fn quantized(model: QuantModel) -> Self {
-        Self { model: SessionModel::Int8(model), panic_token: None, chaos: None }
+        Self { model, panic_token: None, chaos: None }
     }
 
     /// Fault injection for tests and benchmarks: any forward pass whose
@@ -145,53 +129,30 @@ impl InferenceSession {
         }
     }
 
-    /// Which forward path this session runs.
+    /// Which forward path this session runs: [`SessionKind::Int8`] for a
+    /// model with int8 tables (what quantization produces), else by the
+    /// model's fast-math setting.
     pub fn kind(&self) -> SessionKind {
-        match &self.model {
-            SessionModel::F32(m) if m.fast_math() => SessionKind::FastMath,
-            SessionModel::F32(_) => SessionKind::Exact,
-            SessionModel::Int8(_) => SessionKind::Int8,
-        }
-    }
-
-    /// The underlying frozen model (`None` for int8 sessions).
-    pub fn frozen_model(&self) -> Option<&FrozenModel> {
-        match &self.model {
-            SessionModel::F32(m) => Some(m),
-            SessionModel::Int8(_) => None,
-        }
-    }
-
-    /// The underlying quantized model (`None` for f32 sessions).
-    pub fn quant_model(&self) -> Option<&QuantModel> {
-        match &self.model {
-            SessionModel::F32(_) => None,
-            SessionModel::Int8(m) => Some(m),
+        match self.model.embedding() {
+            FrozenEmbedding::Int8 { .. } => SessionKind::Int8,
+            FrozenEmbedding::F32 { .. } if self.model.fast_math() => SessionKind::FastMath,
+            FrozenEmbedding::F32 { .. } => SessionKind::Exact,
         }
     }
 
     /// Maximum sequence length the session accepts.
     pub fn max_seq(&self) -> usize {
-        match &self.model {
-            SessionModel::F32(m) => m.max_seq(),
-            SessionModel::Int8(m) => m.max_seq(),
-        }
+        self.model.max_seq()
     }
 
     /// Number of output classes.
     pub fn num_classes(&self) -> usize {
-        match &self.model {
-            SessionModel::F32(m) => m.num_classes(),
-            SessionModel::Int8(m) => m.num_classes(),
-        }
+        self.model.num_classes()
     }
 
     /// Vocabulary size of the served model; token ids must stay below it.
     pub fn vocab_size(&self) -> usize {
-        match &self.model {
-            SessionModel::F32(m) => m.config().vocab_size,
-            SessionModel::Int8(m) => m.config().vocab_size,
-        }
+        self.model.config().vocab_size
     }
 
     /// Class logits for one sequence (tape-free, unbatched).
@@ -203,25 +164,13 @@ impl InferenceSession {
     pub fn logits(&self, tokens: &[usize]) -> Vec<f32> {
         self.chaos_forward();
         self.check_panic_token(tokens);
-        self.logits_raw(tokens)
+        self.model.logits(tokens)
     }
 
-    /// The forward pass itself, with no fault-injection draws — shared by
-    /// [`InferenceSession::logits`] and [`InferenceSession::logits_batch`]
-    /// so a batch draws the chaos schedule exactly once.
-    fn logits_raw(&self, tokens: &[usize]) -> Vec<f32> {
-        match &self.model {
-            SessionModel::F32(m) => m.logits(tokens),
-            SessionModel::Int8(m) => m.logits(tokens),
-        }
-    }
-
-    /// Predicted class for one sequence (tape-free, unbatched).
+    /// Predicted class for one sequence (tape-free, unbatched): the argmax
+    /// of [`InferenceSession::logits`], fault-injection draws included.
     pub fn predict_class(&self, tokens: &[usize]) -> usize {
-        match &self.model {
-            SessionModel::F32(m) => m.predict_class(tokens),
-            SessionModel::Int8(m) => m.predict_class(tokens),
-        }
+        argmax(&self.logits(tokens))
     }
 
     /// Per-example logits for a batch the caller padded to `pad_to`.
@@ -252,16 +201,15 @@ impl InferenceSession {
             assert!(len >= 1 && len <= pad_to, "sequence length {len} outside 1..={pad_to}");
             self.check_panic_token(tokens);
         }
-        let (config, kind) = match &self.model {
-            SessionModel::F32(m) => (m.config(), m.kind()),
-            SessionModel::Int8(m) => (m.config(), m.kind()),
-        };
+        let (config, kind) = (self.model.config(), self.model.kind());
         let ops: u64 =
             batch.iter().map(|tokens| flops_breakdown(config, kind, tokens.len()).total()).sum();
+        // The model is called directly: a batch draws the chaos schedule
+        // once, above, not once per sequence.
         if ops < PAR_GRAIN_OPS {
-            return batch.iter().map(|tokens| self.logits_raw(tokens)).collect();
+            return batch.iter().map(|tokens| self.model.logits(tokens)).collect();
         }
-        (0..batch.len()).into_par_iter().map(|i| self.logits_raw(batch[i])).collect()
+        (0..batch.len()).into_par_iter().map(|i| self.model.logits(batch[i])).collect()
     }
 }
 
@@ -292,7 +240,7 @@ mod tests {
         (model, session)
     }
 
-    fn quantized_session() -> (Model, InferenceSession) {
+    fn quantized_session() -> (FrozenModel, InferenceSession) {
         let mut rng = StdRng::seed_from_u64(78);
         let config = ModelConfig::tiny_for_tests();
         let model = Model::new(&config, ModelKind::Transformer, &mut rng);
@@ -301,7 +249,7 @@ mod tests {
             .map(|i| (0..8).map(|j| (i * 5 + j * 3 + 1) % config.vocab_size).collect())
             .collect();
         let quant = quantize_frozen(&frozen, &calib, &CalibrationConfig::default());
-        (model, InferenceSession::quantized(quant))
+        (quant.clone(), InferenceSession::from_frozen(quant))
     }
 
     #[test]
@@ -318,7 +266,6 @@ mod tests {
     fn fast_math_session_stays_within_the_logit_budget() {
         let (model, session) = session();
         assert_eq!(session.kind(), SessionKind::FastMath);
-        assert!(session.frozen_model().expect("f32 session").fast_math());
         let tokens = vec![1usize, 4, 2, 9, 3, 8, 7];
         let exact = model.predict(&tokens);
         let fast = session.logits(&tokens);
@@ -329,11 +276,9 @@ mod tests {
 
     #[test]
     fn quantized_session_reports_its_kind_and_serves_batches() {
-        let (_model, session) = quantized_session();
+        let (quant, session) = quantized_session();
         assert_eq!(session.kind(), SessionKind::Int8);
         assert_eq!(session.kind().name(), "int8");
-        assert!(session.frozen_model().is_none());
-        let quant = session.quant_model().expect("int8 session");
         let mut scratch = SessionScratch::new();
         let batch: Vec<&[usize]> = vec![&[1, 2, 3], &[4, 5, 6, 7]];
         let logits = session.logits_batch(&batch, 8, &mut scratch);
@@ -342,6 +287,15 @@ mod tests {
         assert_eq!(logits[0], quant.logits(&[1, 2, 3]));
         assert_eq!(logits[1], quant.logits(&[4, 5, 6, 7]));
         assert_eq!(session.predict_class(&[1, 2, 3]), fab_nn::argmax(&logits[0]));
+    }
+
+    #[test]
+    fn predict_class_makes_the_fault_injection_checks_logits_makes() {
+        let (_model, session) = session();
+        let session = session.with_panic_on_token(9);
+        assert_eq!(session.predict_class(&[1, 2, 3]), argmax(&session.logits(&[1, 2, 3])));
+        let poisoned = std::panic::catch_unwind(|| session.predict_class(&[1, 9, 3]));
+        assert!(poisoned.is_err(), "predict_class skipped the marker-token check");
     }
 
     #[test]

@@ -164,7 +164,7 @@ fn logits_batch_equals_logits_per_sequence_for_every_session_kind_and_thread_cou
         let sessions = [
             InferenceSession::exact(&model),
             InferenceSession::new(&model),
-            InferenceSession::quantized(int8),
+            InferenceSession::from_frozen(int8),
         ];
         for session in &sessions {
             std::env::set_var("RAYON_NUM_THREADS", "1");

@@ -1,19 +1,19 @@
 //! (De)serialization of trained model artifacts into [`Snapshot`] sections.
 //!
-//! A [`ModelArtifact`] is the unit the store persists: a frozen f32 model
-//! (exact or fast-math) or a quantized int8 model, plus caller metadata
-//! (profile fingerprint, provenance). Encoding walks the model's component
-//! accessors into named sections; decoding rebuilds the model through the
-//! `from_parts`/`new` constructors in `fab-nn` / `fab-quant`. Every f32 value
-//! round-trips bit-exactly and every derived field (e.g. the quantized
-//! linear's dequantization multipliers) is recomputed, so a restored model
-//! serves logits bit-identical to the one that was saved.
+//! A [`ModelArtifact`] is the unit the store persists: one
+//! [`FrozenModel`] — exact or fast-math f32, or post-training-quantized
+//! int8 — plus caller metadata (profile fingerprint, provenance). Encoding
+//! walks the model's component accessors into named sections; decoding
+//! rebuilds it through the `from_parts`/`new` constructors in `fab-nn`.
+//! Every f32 value round-trips bit-exactly and every derived field (e.g. an
+//! int8 linear's dequantization multipliers) is recomputed, so a restored
+//! model serves logits bit-identical to the one that was saved.
 //!
 //! # Section naming
 //!
 //! ```text
 //! meta/<key>                caller metadata (string), e.g. meta/fingerprint
-//! meta/format               "frozen" | "quant"
+//! meta/format               "frozen" (f32 tables) | "quant" (int8 tables)
 //! arch                      "Transformer" | "FNet" | "FABNet"
 //! config                    u64×8: hidden, ffn_ratio, num_layers, num_abfly,
 //!                           num_heads, vocab_size, max_seq, num_classes
@@ -28,48 +28,34 @@
 //! head                      a linear
 //! ```
 //!
-//! A *frozen* linear at prefix `P` is `P/kind` = `dense` (`P/w` `[d_in,
-//! d_out]`, `P/b`) or `butterfly` (`P/bfly` = the `[stages, 2n]` weight
-//! tensor, `P/b`, `P/dims` = `[d_in, d_out]`). A *maybe-quant* linear adds
-//! `P/kind` = `int8`: `P/qw` i8 `[d_out, d_in]`, `P/w_scale`, `P/bias`,
-//! `P/in_scale` (f32×1).
+//! The format tag only says which pair of table sections is present (a
+//! `quant` model always runs with fast math off, so it has no `fast_math`
+//! section); everything after the tables is the same in both. A linear at
+//! prefix `P` is tagged by `P/kind`: `dense` (`P/w` `[d_in, d_out]`,
+//! `P/b`), `butterfly` (`P/bfly` = the `[stages, 2n]` weight tensor, `P/b`,
+//! `P/dims` = `[d_in, d_out]`) or `int8` (`P/qw` i8 `[d_out, d_in]`,
+//! `P/w_scale`, `P/bias`, `P/in_scale` f32×1) — any kind in either format.
 
 use crate::error::StoreError;
 use crate::format::Snapshot;
 use fab_butterfly::ButterflyMatrix;
 use fab_nn::{
-    FrozenAttention, FrozenBlock, FrozenFeedForward, FrozenLayerNorm, FrozenLinear, FrozenMixing,
-    FrozenModel, ModelConfig, ModelKind,
-};
-use fab_quant::{
-    MaybeQuantLinear, QuantAttention, QuantBlock, QuantEmbedding, QuantFeedForward, QuantLinear,
-    QuantMixing, QuantModel,
+    FrozenAttention, FrozenBlock, FrozenEmbedding, FrozenFeedForward, FrozenLayerNorm,
+    FrozenLinear, FrozenMixing, FrozenModel, ModelConfig, ModelKind, QuantEmbedding, QuantLinear,
 };
 use fab_tensor::Tensor;
 
 /// A persistable trained model: what the store saves and restores.
 #[derive(Debug, Clone)]
-pub enum ModelArtifact {
-    /// A frozen f32 model (exact or fast-math — `fast_math` is persisted).
-    Frozen(FrozenModel),
-    /// A post-training-quantized int8 model.
-    Quant(QuantModel),
-}
+pub struct ModelArtifact(pub FrozenModel);
 
 impl ModelArtifact {
-    /// `"frozen"` or `"quant"`.
+    /// `"quant"` for a model with int8 tables (what quantization produces),
+    /// `"frozen"` otherwise.
     pub fn format(&self) -> &'static str {
-        match self {
-            ModelArtifact::Frozen(_) => "frozen",
-            ModelArtifact::Quant(_) => "quant",
-        }
-    }
-
-    /// The architecture the artifact instantiates.
-    pub fn kind(&self) -> ModelKind {
-        match self {
-            ModelArtifact::Frozen(m) => m.kind(),
-            ModelArtifact::Quant(m) => m.kind(),
+        match self.0.embedding() {
+            FrozenEmbedding::F32 { .. } => "frozen",
+            FrozenEmbedding::Int8 { .. } => "quant",
         }
     }
 }
@@ -85,10 +71,7 @@ pub fn encode_artifact(artifact: &ModelArtifact, meta: &[(String, String)]) -> V
         snap.push_str(&format!("meta/{key}"), value);
     }
     snap.push_str("meta/format", artifact.format());
-    match artifact {
-        ModelArtifact::Frozen(m) => encode_frozen(&mut snap, m),
-        ModelArtifact::Quant(m) => encode_quant(&mut snap, m),
-    }
+    encode_model(&mut snap, &artifact.0);
     snap.encode()
 }
 
@@ -99,7 +82,7 @@ pub fn encode_artifact(artifact: &ModelArtifact, meta: &[(String, String)]) -> V
 /// Every corruption mode surfaces as a typed [`StoreError`]; structurally
 /// valid files that describe an impossible model (dimension mismatches,
 /// unknown tags) report [`StoreError::BadSection`] / [`StoreError::Malformed`]
-/// rather than panicking.
+/// rather than panicking, here or in the first forward pass.
 pub fn decode_artifact(bytes: &[u8]) -> Result<(ModelArtifact, Vec<(String, String)>), StoreError> {
     let snap = Snapshot::decode(bytes)?;
     let mut meta = Vec::new();
@@ -110,14 +93,7 @@ pub fn decode_artifact(bytes: &[u8]) -> Result<(ModelArtifact, Vec<(String, Stri
             }
         }
     }
-    let artifact = match snap.str("meta/format")? {
-        "frozen" => ModelArtifact::Frozen(decode_frozen(&snap)?),
-        "quant" => ModelArtifact::Quant(decode_quant(&snap)?),
-        other => {
-            return Err(StoreError::Malformed(format!("unknown artifact format '{other}'")));
-        }
-    };
-    Ok((artifact, meta))
+    Ok((ModelArtifact(decode_model(&snap)?), meta))
 }
 
 // ---------------------------------------------------------------------------
@@ -171,6 +147,9 @@ fn decode_config(snap: &Snapshot) -> Result<(ModelConfig, ModelKind), StoreError
         max_seq: c[6] as usize,
         num_classes: c[7] as usize,
     };
+    config
+        .validate()
+        .map_err(|reason| StoreError::BadSection { section: "config".to_string(), reason })?;
     Ok((config, kind))
 }
 
@@ -230,10 +209,10 @@ fn decode_layer_norm(snap: &Snapshot, prefix: &str) -> Result<FrozenLayerNorm, S
 }
 
 // ---------------------------------------------------------------------------
-// Frozen (f32) models
+// Linears and embedding tables
 // ---------------------------------------------------------------------------
 
-fn encode_frozen_linear(snap: &mut Snapshot, prefix: &str, lin: &FrozenLinear) {
+fn encode_linear(snap: &mut Snapshot, prefix: &str, lin: &FrozenLinear) {
     match lin {
         FrozenLinear::Dense { w, b } => {
             snap.push_str(&format!("{prefix}/kind"), "dense");
@@ -246,10 +225,17 @@ fn encode_frozen_linear(snap: &mut Snapshot, prefix: &str, lin: &FrozenLinear) {
             push_tensor(snap, &format!("{prefix}/b"), b);
             snap.push_u64(&format!("{prefix}/dims"), &[*d_in as u64, *d_out as u64]);
         }
+        FrozenLinear::Int8(q) => {
+            snap.push_str(&format!("{prefix}/kind"), "int8");
+            snap.push_i8(&format!("{prefix}/qw"), &[q.d_out() as u64, q.d_in() as u64], q.qw());
+            snap.push_f32(&format!("{prefix}/w_scale"), &[q.d_out() as u64], q.w_scales());
+            snap.push_f32(&format!("{prefix}/bias"), &[q.d_out() as u64], q.bias());
+            snap.push_f32(&format!("{prefix}/in_scale"), &[1], &[q.in_scale()]);
+        }
     }
 }
 
-fn decode_frozen_linear(snap: &Snapshot, prefix: &str) -> Result<FrozenLinear, StoreError> {
+fn decode_linear(snap: &Snapshot, prefix: &str) -> Result<FrozenLinear, StoreError> {
     match snap.str(&format!("{prefix}/kind"))? {
         "dense" => {
             let w = read_tensor_2d(snap, &format!("{prefix}/w"))?;
@@ -284,163 +270,36 @@ fn decode_frozen_linear(snap: &Snapshot, prefix: &str) -> Result<FrozenLinear, S
             }
             Ok(FrozenLinear::Butterfly { bfly, b, d_in, d_out })
         }
+        "int8" => {
+            let qw_name = format!("{prefix}/qw");
+            let &[d_out, d_in] = &snap.section(&qw_name)?.dims[..] else {
+                return Err(StoreError::BadSection {
+                    section: qw_name,
+                    reason: "expected 2-D int8 weights".to_string(),
+                });
+            };
+            // `Snapshot::decode` held the dims to the payload length, and
+            // the expected lengths below hold `w_scale` / `bias` to them.
+            let (d_out, d_in) = (d_out as usize, d_in as usize);
+            let qw = snap.i8s(&qw_name, d_out * d_in)?.to_vec();
+            let w_scale = snap.f32s(&format!("{prefix}/w_scale"), d_out)?.to_vec();
+            let bias = snap.f32s(&format!("{prefix}/bias"), d_out)?.to_vec();
+            let in_scale = snap.f32s(&format!("{prefix}/in_scale"), 1)?[0];
+            if !(in_scale.is_finite() && in_scale > 0.0) {
+                return Err(StoreError::BadSection {
+                    section: format!("{prefix}/in_scale"),
+                    reason: format!("input scale {in_scale} must be finite and positive"),
+                });
+            }
+            Ok(FrozenLinear::Int8(QuantLinear::from_parts(
+                qw, w_scale, bias, in_scale, d_in, d_out,
+            )))
+        }
         other => Err(StoreError::BadSection {
             section: format!("{prefix}/kind"),
             reason: format!("unknown linear kind '{other}'"),
         }),
     }
-}
-
-fn encode_frozen(snap: &mut Snapshot, m: &FrozenModel) {
-    encode_config(snap, m.config(), m.kind());
-    snap.push_u64("fast_math", &[u64::from(m.fast_math())]);
-    push_tensor(snap, "tok_table", m.tok_table());
-    push_tensor(snap, "pos_table", m.pos_table());
-    for (i, block) in m.blocks().iter().enumerate() {
-        let p = format!("block{i}");
-        match block.mixing() {
-            FrozenMixing::Attention(a) => {
-                snap.push_str(&format!("{p}/mixing"), "attention");
-                snap.push_u64(&format!("{p}/attn/dims"), &[a.dim() as u64, a.num_heads() as u64]);
-                encode_frozen_linear(snap, &format!("{p}/attn/wq"), a.wq());
-                encode_frozen_linear(snap, &format!("{p}/attn/wk"), a.wk());
-                encode_frozen_linear(snap, &format!("{p}/attn/wv"), a.wv());
-                encode_frozen_linear(snap, &format!("{p}/attn/wo"), a.wo());
-            }
-            FrozenMixing::Fourier => snap.push_str(&format!("{p}/mixing"), "fourier"),
-        }
-        encode_frozen_linear(snap, &format!("{p}/ffn/lin1"), block.ffn().lin1());
-        encode_frozen_linear(snap, &format!("{p}/ffn/lin2"), block.ffn().lin2());
-        encode_layer_norm(snap, &format!("{p}/ln1"), block.ln1());
-        encode_layer_norm(snap, &format!("{p}/ln2"), block.ln2());
-    }
-    encode_frozen_linear(snap, "head", m.head());
-}
-
-fn decode_frozen(snap: &Snapshot) -> Result<FrozenModel, StoreError> {
-    let (config, kind) = decode_config(snap)?;
-    let fast_math = match snap.u64s("fast_math", 1)?[0] {
-        0 => false,
-        1 => true,
-        other => {
-            return Err(StoreError::BadSection {
-                section: "fast_math".to_string(),
-                reason: format!("expected 0 or 1, found {other}"),
-            });
-        }
-    };
-    let tok_table = read_tensor_2d(snap, "tok_table")?;
-    let pos_table = read_tensor_2d(snap, "pos_table")?;
-    check_table_shapes(&config, tok_table.shape(), pos_table.shape())?;
-    let mut blocks = Vec::with_capacity(config.num_layers);
-    for i in 0..config.num_layers {
-        let p = format!("block{i}");
-        let mixing = match snap.str(&format!("{p}/mixing"))? {
-            "attention" => {
-                let dims = snap.u64s(&format!("{p}/attn/dims"), 2)?;
-                let (dim, num_heads) = (dims[0] as usize, dims[1] as usize);
-                if num_heads == 0 || !dim.is_multiple_of(num_heads) {
-                    return Err(StoreError::BadSection {
-                        section: format!("{p}/attn/dims"),
-                        reason: format!("heads {num_heads} do not divide dim {dim}"),
-                    });
-                }
-                FrozenMixing::Attention(Box::new(FrozenAttention::new(
-                    decode_frozen_linear(snap, &format!("{p}/attn/wq"))?,
-                    decode_frozen_linear(snap, &format!("{p}/attn/wk"))?,
-                    decode_frozen_linear(snap, &format!("{p}/attn/wv"))?,
-                    decode_frozen_linear(snap, &format!("{p}/attn/wo"))?,
-                    dim,
-                    num_heads,
-                )))
-            }
-            "fourier" => FrozenMixing::Fourier,
-            other => {
-                return Err(StoreError::BadSection {
-                    section: format!("{p}/mixing"),
-                    reason: format!("unknown mixing '{other}'"),
-                });
-            }
-        };
-        let ffn = FrozenFeedForward::new(
-            decode_frozen_linear(snap, &format!("{p}/ffn/lin1"))?,
-            decode_frozen_linear(snap, &format!("{p}/ffn/lin2"))?,
-        );
-        let ln1 = decode_layer_norm(snap, &format!("{p}/ln1"))?;
-        let ln2 = decode_layer_norm(snap, &format!("{p}/ln2"))?;
-        blocks.push(FrozenBlock::new(mixing, ffn, ln1, ln2));
-    }
-    let head = decode_frozen_linear(snap, "head")?;
-    Ok(FrozenModel::from_parts(config, kind, tok_table, pos_table, blocks, head)
-        .with_fast_math(fast_math))
-}
-
-fn check_table_shapes(
-    config: &ModelConfig,
-    tok: &[usize],
-    pos: &[usize],
-) -> Result<(), StoreError> {
-    if tok != [config.vocab_size, config.hidden] {
-        return Err(StoreError::BadSection {
-            section: "tok_table".to_string(),
-            reason: format!(
-                "shape {tok:?} != [vocab {}, hidden {}]",
-                config.vocab_size, config.hidden
-            ),
-        });
-    }
-    if pos != [config.max_seq, config.hidden] {
-        return Err(StoreError::BadSection {
-            section: "pos_table".to_string(),
-            reason: format!(
-                "shape {pos:?} != [max_seq {}, hidden {}]",
-                config.max_seq, config.hidden
-            ),
-        });
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Quantized (int8) models
-// ---------------------------------------------------------------------------
-
-fn encode_quant_linear(snap: &mut Snapshot, prefix: &str, lin: &MaybeQuantLinear) {
-    match lin {
-        MaybeQuantLinear::Int8(q) => {
-            snap.push_str(&format!("{prefix}/kind"), "int8");
-            snap.push_i8(&format!("{prefix}/qw"), &[q.d_out() as u64, q.d_in() as u64], q.qw());
-            snap.push_f32(&format!("{prefix}/w_scale"), &[q.d_out() as u64], q.w_scales());
-            snap.push_f32(&format!("{prefix}/bias"), &[q.d_out() as u64], q.bias());
-            snap.push_f32(&format!("{prefix}/in_scale"), &[1], &[q.in_scale()]);
-        }
-        MaybeQuantLinear::F32(lin) => encode_frozen_linear(snap, prefix, lin),
-    }
-}
-
-fn decode_quant_linear(snap: &Snapshot, prefix: &str) -> Result<MaybeQuantLinear, StoreError> {
-    if snap.str(&format!("{prefix}/kind"))? != "int8" {
-        return Ok(MaybeQuantLinear::F32(decode_frozen_linear(snap, prefix)?));
-    }
-    let qw_section = snap.section(&format!("{prefix}/qw"))?;
-    if qw_section.dims.len() != 2 {
-        return Err(StoreError::BadSection {
-            section: format!("{prefix}/qw"),
-            reason: format!("expected 2-D int8 weights, found dims {:?}", qw_section.dims),
-        });
-    }
-    let (d_out, d_in) = (qw_section.dims[0] as usize, qw_section.dims[1] as usize);
-    let qw = snap.i8s(&format!("{prefix}/qw"), d_out * d_in)?.to_vec();
-    let w_scale = snap.f32s(&format!("{prefix}/w_scale"), d_out)?.to_vec();
-    let bias = snap.f32s(&format!("{prefix}/bias"), d_out)?.to_vec();
-    let in_scale = snap.f32s(&format!("{prefix}/in_scale"), 1)?[0];
-    if !(in_scale.is_finite() && in_scale > 0.0) {
-        return Err(StoreError::BadSection {
-            section: format!("{prefix}/in_scale"),
-            reason: format!("input scale {in_scale} must be finite and positive"),
-        });
-    }
-    Ok(MaybeQuantLinear::Int8(QuantLinear::from_parts(qw, w_scale, bias, in_scale, d_in, d_out)))
 }
 
 fn encode_quant_embedding(snap: &mut Snapshot, prefix: &str, e: &QuantEmbedding) {
@@ -459,58 +318,116 @@ fn decode_quant_embedding(
     Ok(QuantEmbedding::from_parts(q, scale, rows, cols))
 }
 
-fn encode_quant(snap: &mut Snapshot, m: &QuantModel) {
+/// Reads the f32 table `name`, which must be `[rows, hidden]`.
+fn decode_table(
+    snap: &Snapshot,
+    name: &str,
+    rows: usize,
+    hidden: usize,
+) -> Result<Tensor, StoreError> {
+    let t = read_tensor_2d(snap, name)?;
+    if t.shape() != [rows, hidden] {
+        return Err(StoreError::BadSection {
+            section: name.to_string(),
+            reason: format!("shape {:?} != [{rows}, hidden {hidden}]", t.shape()),
+        });
+    }
+    Ok(t)
+}
+
+// ---------------------------------------------------------------------------
+// The model
+// ---------------------------------------------------------------------------
+
+fn encode_model(snap: &mut Snapshot, m: &FrozenModel) {
     encode_config(snap, m.config(), m.kind());
-    encode_quant_embedding(snap, "tok", m.tok());
-    encode_quant_embedding(snap, "pos", m.pos());
+    match m.embedding() {
+        FrozenEmbedding::F32 { tok, pos } => {
+            snap.push_u64("fast_math", &[u64::from(m.fast_math())]);
+            push_tensor(snap, "tok_table", tok);
+            push_tensor(snap, "pos_table", pos);
+        }
+        FrozenEmbedding::Int8 { tok, pos } => {
+            encode_quant_embedding(snap, "tok", tok);
+            encode_quant_embedding(snap, "pos", pos);
+        }
+    }
     for (i, block) in m.blocks().iter().enumerate() {
         let p = format!("block{i}");
         match block.mixing() {
-            QuantMixing::Attention(a) => {
+            FrozenMixing::Attention(a) => {
                 snap.push_str(&format!("{p}/mixing"), "attention");
                 snap.push_u64(&format!("{p}/attn/dims"), &[a.dim() as u64, a.num_heads() as u64]);
-                encode_quant_linear(snap, &format!("{p}/attn/wq"), a.wq());
-                encode_quant_linear(snap, &format!("{p}/attn/wk"), a.wk());
-                encode_quant_linear(snap, &format!("{p}/attn/wv"), a.wv());
-                encode_quant_linear(snap, &format!("{p}/attn/wo"), a.wo());
+                encode_linear(snap, &format!("{p}/attn/wq"), a.wq());
+                encode_linear(snap, &format!("{p}/attn/wk"), a.wk());
+                encode_linear(snap, &format!("{p}/attn/wv"), a.wv());
+                encode_linear(snap, &format!("{p}/attn/wo"), a.wo());
             }
-            QuantMixing::Fourier => snap.push_str(&format!("{p}/mixing"), "fourier"),
+            FrozenMixing::Fourier => snap.push_str(&format!("{p}/mixing"), "fourier"),
         }
-        encode_quant_linear(snap, &format!("{p}/ffn/lin1"), block.ffn().lin1());
-        encode_quant_linear(snap, &format!("{p}/ffn/lin2"), block.ffn().lin2());
+        encode_linear(snap, &format!("{p}/ffn/lin1"), block.ffn().lin1());
+        encode_linear(snap, &format!("{p}/ffn/lin2"), block.ffn().lin2());
         encode_layer_norm(snap, &format!("{p}/ln1"), block.ln1());
         encode_layer_norm(snap, &format!("{p}/ln2"), block.ln2());
     }
-    encode_quant_linear(snap, "head", m.head());
+    encode_linear(snap, "head", m.head());
 }
 
-fn decode_quant(snap: &Snapshot) -> Result<QuantModel, StoreError> {
+fn decode_model(snap: &Snapshot) -> Result<FrozenModel, StoreError> {
     let (config, kind) = decode_config(snap)?;
-    let tok = decode_quant_embedding(snap, "tok", config.vocab_size, config.hidden)?;
-    let pos = decode_quant_embedding(snap, "pos", config.max_seq, config.hidden)?;
-    let mut blocks = Vec::with_capacity(config.num_layers);
+    let (vocab, max_seq, hidden) = (config.vocab_size, config.max_seq, config.hidden);
+    let (embedding, fast_math) = match snap.str("meta/format")? {
+        "frozen" => {
+            let fast_math = match snap.u64s("fast_math", 1)?[0] {
+                0 => false,
+                1 => true,
+                other => {
+                    return Err(StoreError::BadSection {
+                        section: "fast_math".to_string(),
+                        reason: format!("expected 0 or 1, found {other}"),
+                    });
+                }
+            };
+            let tok = decode_table(snap, "tok_table", vocab, hidden)?;
+            let pos = decode_table(snap, "pos_table", max_seq, hidden)?;
+            (FrozenEmbedding::F32 { tok, pos }, fast_math)
+        }
+        "quant" => {
+            let tok = decode_quant_embedding(snap, "tok", vocab, hidden)?;
+            let pos = decode_quant_embedding(snap, "pos", max_seq, hidden)?;
+            (FrozenEmbedding::Int8 { tok, pos }, false)
+        }
+        other => {
+            return Err(StoreError::Malformed(format!("unknown artifact format '{other}'")));
+        }
+    };
+    // Grown block by block: `num_layers` is input, and a missing section
+    // ends the loop long before a hostile count could size an allocation.
+    let mut blocks = Vec::new();
     for i in 0..config.num_layers {
         let p = format!("block{i}");
         let mixing = match snap.str(&format!("{p}/mixing"))? {
             "attention" => {
                 let dims = snap.u64s(&format!("{p}/attn/dims"), 2)?;
                 let (dim, num_heads) = (dims[0] as usize, dims[1] as usize);
-                if num_heads == 0 || !dim.is_multiple_of(num_heads) {
+                if dim != hidden || num_heads == 0 || !dim.is_multiple_of(num_heads) {
                     return Err(StoreError::BadSection {
                         section: format!("{p}/attn/dims"),
-                        reason: format!("heads {num_heads} do not divide dim {dim}"),
+                        reason: format!(
+                            "dim {dim} with {num_heads} heads does not fit hidden {hidden}"
+                        ),
                     });
                 }
-                QuantMixing::Attention(Box::new(QuantAttention::new(
-                    decode_quant_linear(snap, &format!("{p}/attn/wq"))?,
-                    decode_quant_linear(snap, &format!("{p}/attn/wk"))?,
-                    decode_quant_linear(snap, &format!("{p}/attn/wv"))?,
-                    decode_quant_linear(snap, &format!("{p}/attn/wo"))?,
+                FrozenMixing::Attention(Box::new(FrozenAttention::new(
+                    decode_linear(snap, &format!("{p}/attn/wq"))?,
+                    decode_linear(snap, &format!("{p}/attn/wk"))?,
+                    decode_linear(snap, &format!("{p}/attn/wv"))?,
+                    decode_linear(snap, &format!("{p}/attn/wo"))?,
                     dim,
                     num_heads,
                 )))
             }
-            "fourier" => QuantMixing::Fourier,
+            "fourier" => FrozenMixing::Fourier,
             other => {
                 return Err(StoreError::BadSection {
                     section: format!("{p}/mixing"),
@@ -518,14 +435,66 @@ fn decode_quant(snap: &Snapshot) -> Result<QuantModel, StoreError> {
                 });
             }
         };
-        let ffn = QuantFeedForward::new(
-            decode_quant_linear(snap, &format!("{p}/ffn/lin1"))?,
-            decode_quant_linear(snap, &format!("{p}/ffn/lin2"))?,
+        let ffn = FrozenFeedForward::new(
+            decode_linear(snap, &format!("{p}/ffn/lin1"))?,
+            decode_linear(snap, &format!("{p}/ffn/lin2"))?,
         );
         let ln1 = decode_layer_norm(snap, &format!("{p}/ln1"))?;
         let ln2 = decode_layer_norm(snap, &format!("{p}/ln2"))?;
-        blocks.push(QuantBlock::new(mixing, ffn, ln1, ln2));
+        blocks.push(FrozenBlock::new(mixing, ffn, ln1, ln2));
     }
-    let head = decode_quant_linear(snap, "head")?;
-    Ok(QuantModel::from_parts(config, kind, tok, pos, blocks, head))
+    let head = decode_linear(snap, "head")?;
+    check_shapes(&config, &blocks, &head)?;
+    Ok(FrozenModel::from_parts(config, kind, embedding, blocks, head).with_fast_math(fast_math))
+}
+
+/// The shape walk: every linear's `(d_in, d_out)` chained through attention,
+/// FFN and head, and every layer norm's width, against `config.hidden` —
+/// each mismatch would otherwise pass decode and panic in a serving
+/// worker's first forward. (Each linear's own sections were already
+/// checked against its declared dims when it was decoded.)
+fn check_shapes(
+    config: &ModelConfig,
+    blocks: &[FrozenBlock],
+    head: &FrozenLinear,
+) -> Result<(), StoreError> {
+    let check_linear = |section: String, lin: &FrozenLinear, d_in: usize, d_out: usize| {
+        let got_in = match lin {
+            FrozenLinear::Dense { w, .. } => w.rows(),
+            FrozenLinear::Butterfly { d_in, .. } => *d_in,
+            FrozenLinear::Int8(q) => q.d_in(),
+        };
+        // A zero width (an empty FFN, `num_classes` 0) chains but cannot run.
+        if (got_in, lin.d_out()) == (d_in, d_out) && d_out > 0 {
+            return Ok(());
+        }
+        Err(StoreError::BadSection {
+            section,
+            reason: format!(
+                "linear maps {got_in} -> {}, the model needs {d_in} -> {d_out}",
+                lin.d_out()
+            ),
+        })
+    };
+    let hidden = config.hidden;
+    for (i, block) in blocks.iter().enumerate() {
+        let p = format!("block{i}");
+        if let FrozenMixing::Attention(a) = block.mixing() {
+            for (name, lin) in [("wq", a.wq()), ("wk", a.wk()), ("wv", a.wv()), ("wo", a.wo())] {
+                check_linear(format!("{p}/attn/{name}"), lin, hidden, hidden)?;
+            }
+        }
+        let (lin1, lin2) = (block.ffn().lin1(), block.ffn().lin2());
+        check_linear(format!("{p}/ffn/lin1"), lin1, hidden, lin1.d_out())?;
+        check_linear(format!("{p}/ffn/lin2"), lin2, lin1.d_out(), hidden)?;
+        for (name, ln) in [("ln1", block.ln1()), ("ln2", block.ln2())] {
+            if ln.gamma().len() != hidden {
+                return Err(StoreError::BadSection {
+                    section: format!("{p}/{name}/gamma"),
+                    reason: format!("width {} != hidden {hidden}", ln.gamma().len()),
+                });
+            }
+        }
+    }
+    check_linear("head".to_string(), head, hidden, config.num_classes)
 }

@@ -7,8 +7,8 @@
 use fab_nn::{Model, ModelConfig, ModelKind};
 use fab_quant::{quantize_frozen, CalibrationConfig};
 use fab_store::{
-    decode_artifact, encode_artifact, section_offsets, ModelArtifact, Snapshot, Store, StoreError,
-    FINGERPRINT_KEY,
+    decode_artifact, encode_artifact, section_offsets, ModelArtifact, Section, SectionData,
+    Snapshot, Store, StoreError, FINGERPRINT_KEY,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -36,14 +36,11 @@ fn artifacts(seed: u64, kind: ModelKind) -> Vec<ModelArtifact> {
     let fast = model.freeze().with_fast_math(true);
     let samples = calib_samples(8, config.max_seq.min(8), config.vocab_size);
     let quant = quantize_frozen(&fast, &samples, &CalibrationConfig::default());
-    vec![ModelArtifact::Frozen(exact), ModelArtifact::Frozen(fast), ModelArtifact::Quant(quant)]
+    vec![ModelArtifact(exact), ModelArtifact(fast), ModelArtifact(quant)]
 }
 
 fn logits_of(artifact: &ModelArtifact, tokens: &[usize]) -> Vec<f32> {
-    match artifact {
-        ModelArtifact::Frozen(m) => m.logits(tokens),
-        ModelArtifact::Quant(m) => m.logits(tokens),
-    }
+    artifact.0.logits(tokens)
 }
 
 fn probe_batches(vocab: usize, max_seq: usize) -> Vec<Vec<usize>> {
@@ -68,6 +65,8 @@ fn encode_decode_is_logit_bit_identical_for_all_archs_and_precisions() {
             let bytes = encode_artifact(artifact, &meta);
             let (restored, meta_back) = decode_artifact(&bytes).expect("decode");
             assert_eq!(meta_back, meta, "{kind:?} precision {p}");
+            assert_eq!(restored.format(), if p == 2 { "quant" } else { "frozen" });
+            assert_eq!(restored.0.fast_math(), p == 1, "{kind:?} precision {p}");
             for tokens in probe_batches(tiny().vocab_size, tiny().max_seq) {
                 assert_eq!(
                     logits_of(artifact, &tokens),
@@ -338,4 +337,139 @@ fn snapshot_format_surface_is_stable() {
         fab_store::FORMAT_VERSION
     );
     assert_eq!(Snapshot::decode(&bytes).expect("decode").str("meta/note").expect("note"), "hello");
+}
+
+/// Re-encodes `bytes` with the sections `edit` returns a replacement for
+/// swapped out (same name, new dims and payload) — a CRC-valid file that
+/// describes a different model.
+fn with_sections(
+    bytes: &[u8],
+    edit: impl Fn(&Section) -> Option<(Vec<u64>, SectionData)>,
+) -> Vec<u8> {
+    let mut out = Snapshot::new();
+    for s in Snapshot::decode(bytes).expect("decode").sections() {
+        let (dims, data) = edit(s).unwrap_or_else(|| (s.dims.clone(), s.data.clone()));
+        match data {
+            SectionData::F32(v) => out.push_f32(&s.name, &dims, &v),
+            SectionData::I8(v) => out.push_i8(&s.name, &dims, &v),
+            SectionData::U64(v) => out.push_u64(&s.name, &v),
+            SectionData::Str(v) => out.push_str(&s.name, &v),
+        }
+    }
+    out.encode()
+}
+
+#[test]
+fn checksum_valid_snapshots_of_an_impossible_model_are_bad_sections_not_panics() {
+    // Four files that pass every CRC and every per-section check yet chain
+    // shapes no forward pass survives, in both formats (the quant file's
+    // linears are int8, the frozen file's dense).
+    let config = tiny();
+    let (h, ffn) = (config.hidden, config.hidden * config.ffn_ratio);
+    let all = artifacts(21, ModelKind::Transformer);
+    for (format, artifact) in [("frozen", &all[1]), ("quant", &all[2])] {
+        let bytes = encode_artifact(artifact, &[]);
+        let f32s = |dims: &[usize]| {
+            let dims: Vec<u64> = dims.iter().map(|&d| d as u64).collect();
+            let len = dims.iter().product::<u64>() as usize;
+            Some((dims, SectionData::F32(vec![0.5; len])))
+        };
+        let i8s = |rows: usize, cols: usize| {
+            Some((vec![rows as u64, cols as u64], SectionData::I8(vec![1; rows * cols])))
+        };
+        type Edit<'a> = Box<dyn Fn(&Section) -> Option<(Vec<u64>, SectionData)> + 'a>;
+        let cases: Vec<(&str, Edit)> = vec![
+            (
+                "block0/ffn/lin1",
+                Box::new(|s| match s.name.as_str() {
+                    "block0/ffn/lin1/w" => f32s(&[h + 1, ffn]),
+                    "block0/ffn/lin1/qw" => i8s(ffn, h + 1),
+                    _ => None,
+                }),
+            ),
+            (
+                "block0/attn/dims",
+                Box::new(|s| {
+                    (s.name == "block0/attn/dims")
+                        .then(|| (vec![2], SectionData::U64(vec![2 * h as u64, 2])))
+                }),
+            ),
+            (
+                "block0/ln1/gamma",
+                Box::new(|s| match s.name.as_str() {
+                    "block0/ln1/gamma" | "block0/ln1/beta" => f32s(&[h + 1]),
+                    _ => None,
+                }),
+            ),
+            (
+                "head",
+                Box::new(|s| match s.name.as_str() {
+                    "head/w" => f32s(&[h, config.num_classes + 1]),
+                    "head/b" | "head/w_scale" | "head/bias" => f32s(&[config.num_classes + 1]),
+                    "head/qw" => i8s(config.num_classes + 1, h),
+                    _ => None,
+                }),
+            ),
+        ];
+        for (section, edit) in cases {
+            let hostile = with_sections(&bytes, edit);
+            assert_ne!(hostile, bytes, "{format}: the {section} edit matched no section");
+            match decode_artifact(&hostile) {
+                Err(StoreError::BadSection { section: got, .. }) => {
+                    assert_eq!(got, section, "{format}: wrong section blamed")
+                }
+                other => panic!("{format} {section}: expected BadSection, got {other:?}"),
+            }
+        }
+    }
+    // Shapes that chain but are empty: a zero-class head.
+    let zero_classes = with_sections(&encode_artifact(&all[1], &[]), |s| match s.name.as_str() {
+        "config" => {
+            let SectionData::U64(mut c) = s.data.clone() else { panic!("config is u64") };
+            c[7] = 0;
+            Some((vec![8], SectionData::U64(c)))
+        }
+        "head/w" => Some((vec![h as u64, 0], SectionData::F32(vec![]))),
+        "head/b" => Some((vec![0], SectionData::F32(vec![]))),
+        _ => None,
+    });
+    assert!(matches!(decode_artifact(&zero_classes), Err(StoreError::BadSection { .. })));
+}
+
+#[test]
+fn golden_fixtures_decode_reencode_byte_for_byte_and_serve_the_recorded_logits() {
+    // Snapshots written by the commit before the Frozen*/Quant* twin was
+    // merged (tiny Transformer and FABNet, `frozen` fast-math and `quant`),
+    // with each probe's logits recorded under FAB_SIMD=scalar. Old files
+    // must keep loading, re-encode to the same bytes, and serve the same
+    // bits on the scalar backend; the SIMD f32 GEMM is FMA-tiled, so other
+    // backends get the serving tolerance.
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let scalar = !fab_tensor::simd::backend().is_simd();
+    let sidecar = fs::read_to_string(dir.join("golden_logits.tsv")).expect("sidecar");
+    let mut probes = 0;
+    for line in sidecar.lines().filter(|l| !l.starts_with('#')) {
+        let fields: Vec<&str> = line.split('\t').collect();
+        let [file, tokens, bits] = fields[..] else { panic!("malformed sidecar line: {line}") };
+        let bytes = fs::read(dir.join(file)).expect("fixture");
+        let (artifact, meta) = decode_artifact(&bytes).expect("fixture decodes");
+        assert_eq!(encode_artifact(&artifact, &meta), bytes, "{file} re-encoded differently");
+        assert_eq!(file.contains("quant"), artifact.format() == "quant", "{file}");
+        let tokens: Vec<usize> = tokens.split(',').map(|t| t.parse().expect("token")).collect();
+        let want: Vec<f32> = bits
+            .split(',')
+            .map(|b| f32::from_bits(u32::from_str_radix(b, 16).expect("hex bits")))
+            .collect();
+        let got = logits_of(&artifact, &tokens);
+        if scalar {
+            assert_eq!(got, want, "{file} {tokens:?}: logits moved on the scalar backend");
+        } else {
+            assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(&want) {
+                assert!((g - w).abs() <= 1e-5, "{file} {tokens:?}: {g} vs recorded {w}");
+            }
+        }
+        probes += 1;
+    }
+    assert_eq!(probes, 12, "four fixtures, three probes each");
 }
