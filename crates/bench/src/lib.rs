@@ -3,9 +3,8 @@
 //! The reproduction harness for every quantitative table and figure in the
 //! paper's evaluation (Section VI). Each `fig_*` / `table_*` function
 //! regenerates the corresponding result as formatted text rows (paper value
-//! vs. reproduced value where applicable); the `figures` binary prints them
-//! and the Criterion benches under `benches/` measure the underlying kernels
-//! and simulations.
+//! vs. reproduced value where applicable); the `figures` binary prints them.
+//! Timing lives in the standalone `benchmark/` crate, not here.
 
 #![warn(missing_docs)]
 
@@ -13,18 +12,6 @@ use fabnet::baselines::{latency_breakdown, sota};
 use fabnet::codesign::run_codesign;
 use fabnet::nn::flops;
 use fabnet::prelude::*;
-
-/// JSON fragment (`"host": {...}`) recording the architecture, the detected
-/// CPU features and the chosen `fab_tensor::simd` backend, embedded in every
-/// bench JSON so cross-host numbers stay interpretable.
-pub fn host_info_json() -> String {
-    format!(
-        "\"host\": {{\"arch\": \"{}\", \"cpu_features\": \"{}\", \"simd_backend\": \"{}\"}}",
-        std::env::consts::ARCH,
-        fab_tensor::simd::cpu_features(),
-        fab_tensor::simd::backend().name()
-    )
-}
 
 /// Fig. 1: FLOPs percentage of attention vs. linear layers across sequence
 /// lengths for BERT-Base/Large-shaped Transformers.

@@ -1,5 +1,5 @@
 //! A loopback HTTP client for the daemon, shared by `fabctl`, the e2e
-//! tests and `bench_pr6`.
+//! tests and the `benchmark` crate.
 //!
 //! The client keeps one persistent keep-alive connection and retries
 //! transient failures — connection refused/reset and `429 Too Many

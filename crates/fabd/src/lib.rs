@@ -26,7 +26,7 @@
 //! - [`config`] — daemon + model-profile configuration, JSON round-trip.
 //! - [`daemon`] — the accept loop, routing, metrics and drain logic.
 //! - [`client`] — a retrying loopback client shared by `fabctl`, the e2e
-//!   tests and `bench_pr6`.
+//!   tests and the `benchmark` crate.
 //!
 //! ## Endpoints
 //!

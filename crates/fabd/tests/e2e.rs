@@ -233,6 +233,30 @@ fn predict_batch_answers_every_sequence_with_result_or_inline_error() {
     assert!(inline_error.contains("token"), "{inline_error}");
     assert!(results[2].get("logits").is_some(), "{}", results[2]);
     daemon.shutdown();
+
+    // A sequence that panics the forward pass (fault-injection marker
+    // token) is answered with the error a lone predict maps to 500; its
+    // batchmates are retried in isolation and answered normally.
+    let mut config = DaemonConfig { fault_injection: true, ..test_config() };
+    config.profiles[0].panic_token = Some(9);
+    let daemon = Daemon::start(config).expect("daemon starts");
+    let mut client = raw_client_for(&daemon);
+    let body = "{\"sequences\": [[1,2,3], [4,9,5], [6,7,8]]}";
+    let result =
+        client.request_json("POST", "/v1/predict_batch", body.as_bytes()).expect("batch answered");
+    let results = result.get("results").and_then(Json::as_arr).expect("results");
+    assert!(results[0].get("logits").is_some(), "{}", results[0]);
+    let inline_error = results[1].get("error").and_then(Json::as_str).expect("inline error");
+    assert!(inline_error.contains("panicked"), "{inline_error}");
+    assert!(results[2].get("logits").is_some(), "{}", results[2]);
+    let stats = client.stats().expect("stats");
+    let panics = stats.get("models").and_then(Json::as_arr).expect("models")[0]
+        .get("batch_panics")
+        .and_then(Json::as_u64);
+    assert!(panics >= Some(1), "batch_panics never moved: {stats}");
+    let err = client.predict(None, &[4, 9, 5], None).expect_err("poisoned predict");
+    assert!(matches!(err, ClientError::Status { status: 500, .. }), "{err}");
+    daemon.shutdown();
 }
 
 #[test]
@@ -275,12 +299,14 @@ fn join_returns_when_no_connection_ever_arrived() {
 fn hot_reload_bumps_the_version_and_keeps_serving() {
     let daemon = Daemon::start(test_config()).expect("daemon starts");
     let mut client = client_for(&daemon);
-    client.predict(Some("fast"), &[1, 2, 3], None).expect("v1 serves");
+    let v1 = client.predict(Some("fast"), &[1, 2, 3], None).expect("v1 serves");
 
     let ack = client.models_reload("fast").expect("reload");
     assert_eq!(ack.get("version").and_then(Json::as_u64), Some(2), "{ack}");
     assert_eq!(ack.get("state").and_then(Json::as_str), Some("ready"), "{ack}");
-    client.predict(Some("fast"), &[1, 2, 3], None).expect("v2 serves");
+    // The retrain reuses the profile's seed, so v2 is v1 bit for bit.
+    let v2 = client.predict(Some("fast"), &[1, 2, 3], None).expect("v2 serves");
+    assert_eq!(v2.get("logits"), v1.get("logits"), "same-seed reload changed the logits");
 
     // The registry lists v2 ready; v1 shows up as draining or retired.
     let models = client.models_list().expect("models");
@@ -419,7 +445,8 @@ fn priority_labels_are_validated_and_tracked_per_class() {
 
 /// Cold boot trains and persists; a restart on the same `snapshot_dir`
 /// warm-starts every profile with bit-identical logits; corrupting the
-/// newest snapshot falls back to the previous good version.
+/// newest snapshot falls back to the previous good version, and a profile
+/// with no snapshot left retrains — readiness is never lost.
 #[test]
 fn warm_start_restores_identical_logits_and_corruption_falls_back() {
     let dir = std::env::temp_dir().join(format!("fabd-warm-{}", std::process::id()));
@@ -504,12 +531,18 @@ fn warm_start_restores_identical_logits_and_corruption_falls_back() {
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x40;
     std::fs::write(&newest, &bytes).expect("corrupt snapshot");
+    // And lose every snapshot of another — what a SIGKILL before that
+    // profile's first save leaves behind: it retrains, the rest stay warm.
+    std::fs::remove_dir_all(dir.join("text-int8")).expect("delete snapshots");
     let daemon = Daemon::start(config()).expect("boot despite corruption");
     let mut client = client_for(&daemon);
     let sources = sources_of(&mut client);
     let of = |name: &str| sources.iter().find(|(n, _)| n == name).map(|(_, s)| s.as_str());
     assert_eq!(of("text-fast"), Some("fallback"), "{sources:?}");
     assert_eq!(of("text-f32"), Some("warm"), "{sources:?}");
+    assert_eq!(of("text-int8"), Some("trained"), "{sources:?}");
+    let metrics = client.metrics().expect("metrics");
+    assert!(metrics.contains("fabd_model_source{model=\"text-fast\",source=\"fallback\"} 1"));
     let fast_idx = models.iter().position(|&m| m == "text-fast").unwrap();
     assert_eq!(&logits_of(&mut client, "text-fast"), &cold[fast_idx], "fallback drifted");
     daemon.shutdown();
@@ -726,6 +759,125 @@ fn forced_degrade_reroutes_down_the_ladder_and_releases() {
     // Pinning an unknown model is a 404, not a silent no-op.
     let err = client.degrade("nope", Some(1)).expect_err("unknown model");
     assert!(matches!(err, ClientError::Status { status: 404, .. }), "{err}");
+    daemon.shutdown();
+}
+
+/// Adaptive overload control in composition — AIMD admission, the degrade
+/// ladder and chaos slow forwards at once, under a burst well past what the
+/// admission limit lets through: every request gets an HTTP answer, what
+/// is admitted is served, the ladder is used without flapping, and the
+/// level returns to 0 once the load stops.
+#[test]
+fn adaptive_overload_answers_every_admitted_request_degrades_and_recovers() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Instant;
+    const PRIMARY: &str = "f32";
+    let ladder =
+        [(PRIMARY, Precision::Exact), ("fast", Precision::FastMath), ("int8", Precision::Int8)];
+    let config = DaemonConfig {
+        fault_injection: true,
+        // Tight AIMD limits so the burst reaches the ladder; short dwell and
+        // recovery windows so one run sees the whole degrade-and-recover arc.
+        overload: OverloadConfig {
+            adaptive: true,
+            degrade: true,
+            aimd: fab_serve::AimdConfig {
+                initial_limit: 2,
+                min_limit: 1,
+                max_limit: 64,
+                slo_us: 20_000,
+                increase_every: 8,
+                decrease_pct: 70,
+                cooldown_ms: 50,
+            },
+            degrade_dwell_ms: 100,
+            recover_after_ms: 400,
+            breaker_failures: 5,
+            breaker_open_ms: 500,
+            breaker_probes: 2,
+        },
+        profiles: ladder
+            .iter()
+            .map(|&(name, p)| ProfileConfig { hidden: 32, ..ProfileConfig::tiny(name, p, 42) })
+            .collect(),
+        ..test_config()
+    };
+    let daemon = Daemon::start(config).expect("daemon starts");
+    let level_of = |client: &mut FabClient| -> usize {
+        let circuits = client.circuits().expect("circuits");
+        let rows = circuits.get("circuits").and_then(Json::as_arr).expect("array");
+        rows.iter()
+            .find(|c| c.get("model").and_then(Json::as_str) == Some(PRIMARY))
+            .and_then(|c| c.get("degrade_level").and_then(Json::as_usize))
+            .expect("primary listed")
+    };
+    let mut admin = raw_client_for(&daemon);
+    admin.chaos_configure("slow_forward", 4, 10).expect("arm slow_forward");
+
+    // 8 senders x 15 requests, one per sender every 2 ms whatever the
+    // answers do (open loop), all released at once; the level is sampled
+    // through the burst and the recovery after it.
+    let (sampling, start) = (&AtomicBool::new(true), &std::sync::Barrier::new(8));
+    let served = &daemon;
+    let (outcomes, levels, recovered) = std::thread::scope(|s| {
+        let sampler = s.spawn(move || {
+            let mut client = raw_client_for(served);
+            let mut levels = Vec::new();
+            // Bounded, so a panic on the main thread cannot strand the scope.
+            while sampling.load(Ordering::Acquire) && levels.len() < 600 {
+                levels.push(level_of(&mut client));
+                std::thread::sleep(Duration::from_millis(25));
+            }
+            levels
+        });
+        let senders: Vec<_> = (0..8usize)
+            .map(|t| {
+                s.spawn(move || {
+                    let mut client = raw_client_for(served);
+                    start.wait();
+                    let t0 = Instant::now();
+                    let send = |i: usize| {
+                        let at = Duration::from_millis(2 * i as u64);
+                        std::thread::sleep(at.saturating_sub(t0.elapsed()));
+                        let tokens: Vec<usize> =
+                            (0..4 + (t * 5 + i) % 28).map(|j| 1 + (t + i * 3 + j) % 30).collect();
+                        match client.predict(Some(PRIMARY), &tokens, None) {
+                            Ok(body) => (200, body.get("degraded") == Some(&Json::Bool(true))),
+                            Err(ClientError::Status { status, .. }) => (status, false),
+                            Err(_) => (0, false),
+                        }
+                    };
+                    (0..15).map(send).collect::<Vec<(u16, bool)>>()
+                })
+            })
+            .collect();
+        let outcomes: Vec<(u16, bool)> =
+            senders.into_iter().flat_map(|h| h.join().expect("sender thread")).collect();
+        admin.chaos_reset().expect("disarm chaos");
+        // Calm traffic: on-SLO completions are what walk the level back.
+        let r0 = Instant::now();
+        let mut recovered = false;
+        while !recovered && r0.elapsed() < Duration::from_secs(10) {
+            let _ = admin.predict(Some(PRIMARY), &[1, 2, 3], None);
+            recovered = level_of(&mut admin) == 0;
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        sampling.store(false, Ordering::Release);
+        (outcomes, sampler.join().expect("sampler thread"), recovered)
+    });
+
+    let count = |f: fn(&(u16, bool)) -> bool| outcomes.iter().filter(|o| f(o)).count();
+    let ok = count(|o| o.0 == 200);
+    let admitted = outcomes.len() - count(|o| matches!(o.0, 429 | 503 | 504));
+    assert_eq!(count(|o| o.0 == 0), 0, "requests without an HTTP answer: {outcomes:?}");
+    assert!(ok * 100 >= admitted * 99, "{ok} of {admitted} admitted answered 200: {outcomes:?}");
+    assert!(count(|o| o.1) >= 1, "no request was served by a ladder rung: {outcomes:?}");
+    // One overload episode escalates, plateaus and recovers: few reversals.
+    let steps: Vec<bool> =
+        levels.windows(2).filter(|w| w[0] != w[1]).map(|w| w[1] > w[0]).collect();
+    let flips = steps.windows(2).filter(|w| w[0] != w[1]).count();
+    assert!(flips <= 6, "degrade level flapped: {flips} direction changes in {levels:?}");
+    assert!(recovered, "level {:?} 10 s after the load stopped, not 0", levels.last());
     daemon.shutdown();
 }
 

@@ -1,9 +1,11 @@
-//! PR-3 gradient-path consistency: the arena tape's fused backward (slice
-//! kernels, specialized butterfly stages, fused pad ops) and the fused
-//! optimisers must match the seed reference path — `backward_reference` plus
-//! the reference `Adam`/`Sgd` — to within 1e-6, across model kinds, odd
-//! sequence lengths, non-power-of-two hidden sizes and rayon worker counts.
+//! Gradient-path consistency: the arena tape's fused backward (slice
+//! kernels, lane-per-row butterfly stages, fused pad ops) must equal the
+//! reference `backward_reference` bit for bit — the oracle sums in the
+//! kernels' order — and the fused optimisers must match the reference
+//! `Adam`/`Sgd` to within 1e-6, across model kinds, odd sequence lengths,
+//! non-power-of-two hidden sizes and rayon worker counts.
 
+use fab_lra::{LraTask, TaskConfig};
 use fab_nn::{
     Adam, Example, FusedAdamW, FusedSgd, Model, ModelConfig, ModelKind, Optimizer, Sgd, TrainStep,
 };
@@ -47,6 +49,17 @@ fn max_grad_diff(model: &Model, tokens: &[usize], label: usize) -> f32 {
     max
 }
 
+/// Asserts fused = reference gradients, bit for bit, at 1, 5 and 7 threads.
+fn assert_grads_bit_equal(what: &str, model: &Model, tokens: &[usize], label: usize) {
+    for threads in ["1", "5", "7"] {
+        let _guard = THREAD_ENV_LOCK.lock().unwrap();
+        std::env::set_var("RAYON_NUM_THREADS", threads);
+        let diff = max_grad_diff(model, tokens, label);
+        std::env::remove_var("RAYON_NUM_THREADS");
+        assert!(diff == 0.0, "{what} @ {threads} threads: fused vs reference grad diff {diff}");
+    }
+}
+
 #[test]
 fn fused_backward_matches_reference_across_kinds_shapes_and_threads() {
     for kind in [ModelKind::FabNet, ModelKind::FNet, ModelKind::Transformer] {
@@ -54,19 +67,27 @@ fn fused_backward_matches_reference_across_kinds_shapes_and_threads() {
         let model = Model::new(&odd_config(), kind, &mut rng);
         for (tokens_len, label) in [(1usize, 0usize), (5, 2), (7, 1), (13, 0), (24, 2)] {
             let tokens: Vec<usize> = (0..tokens_len).map(|i| (i * 7 + 3) % 19).collect();
-            for threads in ["1", "5", "7"] {
-                let _guard = THREAD_ENV_LOCK.lock().unwrap();
-                std::env::set_var("RAYON_NUM_THREADS", threads);
-                let diff = max_grad_diff(&model, &tokens, label);
-                std::env::remove_var("RAYON_NUM_THREADS");
-                assert!(
-                    diff <= 1e-6,
-                    "{kind:?} seq {tokens_len} @ {threads} threads: fused vs reference grad \
-                     diff {diff}"
-                );
-            }
+            assert_grads_bit_equal(&format!("{kind:?} seq {tokens_len}"), &model, &tokens, label);
         }
     }
+
+    // The training benchmark's shape: large enough that the kernels fan out
+    // across the worker pool, on a real LRA-Text sample.
+    let task = LraTask::Text;
+    let config = ModelConfig {
+        hidden: 64,
+        ffn_ratio: 4,
+        num_layers: 2,
+        num_abfly: 1,
+        num_heads: 4,
+        vocab_size: task.vocab_size(),
+        max_seq: 128,
+        num_classes: task.num_classes(),
+    };
+    let samples =
+        task.generate(&TaskConfig { seq_len: 64 }, 1, &mut StdRng::seed_from_u64(20220703));
+    let model = Model::new(&config, ModelKind::FabNet, &mut StdRng::seed_from_u64(42));
+    assert_grads_bit_equal("FabNet 64x2 Text@64", &model, &samples[0].tokens, samples[0].label);
 }
 
 /// Reads every trainable parameter of `model` (via a throwaway binding pass).

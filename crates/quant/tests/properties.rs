@@ -5,7 +5,8 @@
 //! quantized from.
 
 use fab_butterfly::flops::{attention_core_flops, dense_linear_flops};
-use fab_nn::{Model, ModelConfig, ModelKind};
+use fab_lra::{LraTask, TaskConfig};
+use fab_nn::{train_classifier, Example, Model, ModelConfig, ModelKind, TrainOptions};
 use fab_quant::{
     calibrate, quantize, quantize_frozen, CalibrationConfig, ObserverKind, QuantModel,
 };
@@ -186,8 +187,8 @@ fn quantized_predictions_track_the_f32_model() {
             // Untrained tiny models (hidden 16) sit at the noisy end of
             // int8: layer norms amplify the per-layer quantization error,
             // measured at ≤ ~0.25 of the logit magnitude. Trained
-            // production-size models land far tighter (bench_pr5 gates the
-            // accuracy delta end to end).
+            // production-size models land far tighter
+            // (`int8_accuracy_stays_within_one_point_of_f32_on_trained_text`).
             assert!(
                 max_diff <= 0.5 * mag,
                 "{kind:?}: int8 logits drifted {max_diff} (magnitude {mag}) on {tokens:?}"
@@ -197,6 +198,45 @@ fn quantized_predictions_track_the_f32_model() {
         }
     }
     assert!(agree * 10 >= total * 9, "int8 argmax agreed on only {agree}/{total} random inputs");
+}
+
+/// The accuracy contract end to end: a dense Transformer trained on the
+/// Text proxy, calibrated on the disjoint calibration stream, loses at most
+/// one point of held-out accuracy to int8 — and has learned the task, so
+/// the bound cannot hold vacuously.
+#[test]
+fn int8_accuracy_stays_within_one_point_of_f32_on_trained_text() {
+    let (task, seq_len, seed) = (LraTask::Text, 64, 20220705);
+    let config = ModelConfig {
+        hidden: 128,
+        ffn_ratio: 4,
+        num_layers: 2,
+        num_abfly: 2,
+        num_heads: 4,
+        vocab_size: task.vocab_size(),
+        max_seq: seq_len,
+        num_classes: task.num_classes(),
+    };
+    let task_config = TaskConfig { seq_len };
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (train, eval) = task.generate_split(&task_config, 80, 120, &mut rng);
+    let model = Model::new(&config, ModelKind::Transformer, &mut rng);
+    let examples: Vec<Example> =
+        train.iter().map(|s| Example::new(s.tokens.clone(), s.label)).collect();
+    train_classifier(&model, &examples, &[], &TrainOptions { epochs: 2, learning_rate: 1e-3 });
+
+    let frozen = model.freeze().with_fast_math(true);
+    let calib = task.calibration_batches(&task_config, seed, 16);
+    let calib_tokens: Vec<&[usize]> = calib.iter().map(|s| s.tokens.as_slice()).collect();
+    let quant = quantize_frozen(&frozen, &calib_tokens, &CalibrationConfig::default());
+
+    let accuracy = |m: &QuantModel| {
+        let hits = eval.iter().filter(|s| m.predict_class(&s.tokens) == s.label).count();
+        100.0 * hits as f64 / eval.len() as f64
+    };
+    let (f32_acc, int8_acc) = (accuracy(&frozen), accuracy(&quant));
+    assert!(f32_acc >= 90.0, "f32 model did not learn Text: {f32_acc:.1}% (chance is 50%)");
+    assert!(f32_acc - int8_acc <= 1.0, "int8 dropped {f32_acc:.1}% -> {int8_acc:.1}%");
 }
 
 #[test]

@@ -10,8 +10,7 @@ use std::time::{Duration, Instant};
 /// split into `2^SUB_BITS` equal-width buckets, bounding the quantile
 /// estimation error at `1 / 2^SUB_BITS` (≈ 6.25%) of the value instead of
 /// the old pure power-of-two layout's factor-of-two band — which made every
-/// percentile collapse onto bucket edges like `131071 µs` under load (the
-/// saturation BENCH_PR2.json recorded as `p50 = p95 = 131071`).
+/// percentile collapse onto bucket edges like `131071 µs` under load.
 const SUB_BITS: u32 = 4;
 /// Sub-buckets per octave.
 const SUBS: usize = 1 << SUB_BITS;
@@ -418,8 +417,8 @@ mod tests {
         assert!((1024..=2047).contains(&p50) || p50 == 1500, "p50 {p50}");
     }
 
-    /// The regression BENCH_PR2.json exposed: every percentile of a loaded
-    /// run collapsed onto the power-of-two bucket edge 131071 µs. A sample
+    /// With pure power-of-two buckets every percentile of a loaded run
+    /// collapses onto a bucket edge such as 131071 µs. A sample
     /// larger than 0.2 s must round-trip through the histogram with
     /// log-linear (≤ 1/16) resolution, not a factor-of-two band.
     #[test]
