@@ -7,10 +7,10 @@
 
 use crate::json::Json;
 use fab_chaos::ChaosSite;
-use fab_fleet::{ClassWeights, FleetConfig, ModelSpec, OverloadConfig, SchedulerKind, TenantQuota};
+use fab_fleet::{ClassWeights, FleetConfig, ModelSpec, OverloadConfig, TenantQuota};
 use fab_lra::{LraTask, TaskConfig};
 use fab_nn::{ModelConfig, ModelKind};
-use fab_serve::{InferenceSession, ServeConfig, Server};
+use fab_serve::{InferenceSession, ServeConfig};
 use fab_store::ModelArtifact;
 use fabnet::pipeline::TrainingPipeline;
 use std::fmt;
@@ -226,11 +226,6 @@ impl ProfileConfig {
         self.session_from_artifact(&self.build_artifact(), fault_injection)
     }
 
-    /// Starts a supervised serving worker pool for this profile.
-    pub fn start_server(&self, serve: ServeConfig, fault_injection: bool) -> Server {
-        Server::start(self.build_session(fault_injection), serve)
-    }
-
     /// The fleet-registry identity of this profile.
     pub fn spec(&self) -> ModelSpec {
         ModelSpec {
@@ -339,8 +334,6 @@ pub struct DaemonConfig {
     /// crash up to the serving layer's cap). Test rigs raise it to freeze
     /// respawns and observe the daemon with dead workers.
     pub restart_backoff_ms: u64,
-    /// Batch-formation policy installed in every model's server.
-    pub scheduler: SchedulerKind,
     /// Relative dequeue shares of the priority classes.
     pub class_weights: ClassWeights,
     /// Quota for tenants not named in `tenants` (including anonymous
@@ -387,7 +380,6 @@ impl Default for DaemonConfig {
             max_batch: 8,
             max_wait_us: 500,
             restart_backoff_ms: 10,
-            scheduler: SchedulerKind::WeightedFair,
             class_weights: ClassWeights::default(),
             default_quota: TenantQuota { rate_per_s: 1_000_000.0, burst: 1_000_000.0, weight: 1.0 },
             tenants: Vec::new(),
@@ -415,7 +407,6 @@ impl DaemonConfig {
             queue_capacity: self.queue_capacity,
             num_workers: self.num_workers,
             restart_backoff_ms: self.restart_backoff_ms,
-            ..ServeConfig::default()
         }
     }
 
@@ -423,7 +414,6 @@ impl DaemonConfig {
     pub fn fleet_config(&self) -> FleetConfig {
         FleetConfig {
             serve: self.serve_config(),
-            scheduler: self.scheduler,
             class_weights: self.class_weights.clone(),
             default_quota: self.default_quota.clone(),
             tenants: self.tenants.clone(),
@@ -493,10 +483,6 @@ impl DaemonConfig {
         }
         if let Some(b) = v.get("fault_injection").and_then(Json::as_bool) {
             config.fault_injection = b;
-        }
-        if let Some(s) = v.get("scheduler").and_then(Json::as_str) {
-            config.scheduler =
-                SchedulerKind::parse(s).ok_or_else(|| format!("unknown scheduler '{s}'"))?;
         }
         if let Some(w) = v.get("class_weights") {
             let class: &mut [(&str, &mut f64)] = &mut [
@@ -620,7 +606,6 @@ impl DaemonConfig {
             ("max_batch".to_string(), Json::Num(self.max_batch as f64)),
             ("max_wait_us".to_string(), Json::Num(self.max_wait_us as f64)),
             ("restart_backoff_ms".to_string(), Json::Num(self.restart_backoff_ms as f64)),
-            ("scheduler".to_string(), Json::Str(self.scheduler.name().to_string())),
             (
                 "class_weights".to_string(),
                 Json::Obj(vec![
@@ -883,6 +868,8 @@ mod tests {
 
     #[test]
     fn fleet_knobs_round_trip_through_json() {
+        // "scheduler" named a knob older configs may still carry; like any
+        // unknown key it is ignored.
         let text = r#"{
             "scheduler": "length-bucket",
             "class_weights": {"interactive": 8, "background": 2},
@@ -895,7 +882,6 @@ mod tests {
             "profiles": [{"name": "px", "task": "pathfinder", "arch": "fnet"}]
         }"#;
         let config = DaemonConfig::from_json_str(text).expect("parses");
-        assert_eq!(config.scheduler, SchedulerKind::LengthBucket);
         assert_eq!(config.class_weights.interactive, 8.0);
         assert_eq!(config.class_weights.batch, ClassWeights::default().batch);
         assert_eq!(config.default_quota.rate_per_s, 50.0);
@@ -913,12 +899,9 @@ mod tests {
 
         let reparsed =
             DaemonConfig::from_json_str(&config.to_json().to_string()).expect("round trip");
-        assert_eq!(reparsed.scheduler, config.scheduler);
         assert_eq!(reparsed.tenants, config.tenants);
         assert_eq!(reparsed.profiles[0].arch, config.profiles[0].arch);
-        assert!(DaemonConfig::from_json_str("{\"scheduler\": \"fifo\"}")
-            .expect_err("bad scheduler")
-            .contains("scheduler"));
+        assert!(!config.to_json().to_string().contains("scheduler"));
     }
 
     #[test]

@@ -60,4 +60,4 @@ pub use json::Json;
 // Fleet knobs a `DaemonConfig` embeds, so configuring callers (tests,
 // benches) need not depend on `fab-fleet` directly.
 pub use fab_chaos::ChaosSite;
-pub use fab_fleet::{ClassWeights, OverloadConfig, SchedulerKind, TenantQuota};
+pub use fab_fleet::{ClassWeights, OverloadConfig, TenantQuota};

@@ -116,42 +116,11 @@ impl From<ServeError> for FleetError {
     }
 }
 
-/// Which batch-formation policy each model's server runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// The tenant-aware weighted-fair [`QosPolicy`] (the default).
-    #[default]
-    WeightedFair,
-    /// fab-serve's plain length-bucket batcher (QoS labels are ignored).
-    LengthBucket,
-}
-
-impl SchedulerKind {
-    /// Canonical lowercase name (`weighted-fair` / `length-bucket`).
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedulerKind::WeightedFair => "weighted-fair",
-            SchedulerKind::LengthBucket => "length-bucket",
-        }
-    }
-
-    /// Parses a canonical name back into a kind.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "weighted-fair" => Some(SchedulerKind::WeightedFair),
-            "length-bucket" => Some(SchedulerKind::LengthBucket),
-            _ => None,
-        }
-    }
-}
-
 /// Fleet-wide configuration.
 #[derive(Debug, Clone, Default)]
 pub struct FleetConfig {
     /// Per-model server knobs (pool size, queue capacity, batching delay).
     pub serve: ServeConfig,
-    /// Scheduler installed in each model's server.
-    pub scheduler: SchedulerKind,
     /// Relative dequeue shares of the priority classes.
     pub class_weights: ClassWeights,
     /// Quota applied to tenants not named in `tenants`.
@@ -217,7 +186,7 @@ impl Fleet {
         self.registry.begin_load(spec)
     }
 
-    /// Builds a server around `session` (with this fleet's scheduler) and
+    /// Builds a server around `session` (queue ordered by [`QosPolicy`]) and
     /// commits it as the new current version of the ticket's name, recorded
     /// as [`ModelSource::Trained`].
     pub fn commit(&self, ticket: LoadTicket<'_>, session: InferenceSession) -> ModelInfo {
@@ -232,20 +201,13 @@ impl Fleet {
         session: InferenceSession,
         source: ModelSource,
     ) -> ModelInfo {
-        let max_seq = session.max_seq();
-        let server = match self.config.scheduler {
-            SchedulerKind::WeightedFair => {
-                let policy = QosPolicy::new(
-                    max_seq,
-                    Duration::from_micros(self.config.serve.max_wait_us),
-                    self.config.class_weights.clone(),
-                    self.config.per_tenant_queue_cap,
-                    Arc::clone(&self.tenants),
-                );
-                Server::start_with_policy(session, self.config.serve.clone(), Box::new(policy))
-            }
-            SchedulerKind::LengthBucket => Server::start(session, self.config.serve.clone()),
-        };
+        let policy = QosPolicy::new(
+            self.config.class_weights.clone(),
+            self.config.per_tenant_queue_cap,
+            Arc::clone(&self.tenants),
+        );
+        let server =
+            Server::start_with_policy(session, self.config.serve.clone(), Box::new(policy));
         ticket.commit_with_source(server, source)
     }
 

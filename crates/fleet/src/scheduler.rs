@@ -1,4 +1,4 @@
-//! The fleet's tenant-aware batch-formation policy: two-level weighted
+//! The fleet's tenant-aware queue discipline: two-level weighted
 //! (stride) fair queueing plugged into fab-serve's [`BatchPolicy`] trait.
 //!
 //! Requests are keyed by `(priority class, tenant)`. Dequeue picks the
@@ -13,16 +13,17 @@
 //! virtual clock, so an idle tenant cannot hoard credit and burst past
 //! active ones.
 //!
-//! Batch *shapes* come out mixed (no length bucketing). That costs
-//! nothing: the session evaluates every sequence of a batch on its own, at
-//! its own length, so logits are bit-identical to serving each request
-//! alone — scheduling order never changes results, only latency.
+//! The policy only orders the queue; when a batch leaves it is the
+//! server's one timing rule. Batches mix sequence lengths freely: the
+//! session evaluates every sequence of a batch on its own, at its own
+//! length, so logits are bit-identical to serving each request alone —
+//! scheduling order never changes results, only latency.
 
 use crate::qos::TenantTable;
-use fab_serve::policy::{BatchDecision, BatchPolicy, QueuedRequest};
+use fab_serve::policy::{BatchPolicy, QueuedRequest};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Relative dequeue shares of the three priority classes.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,8 +85,6 @@ pub struct QosPolicy {
     /// rejoin after idling.
     vclock: f64,
     depth: usize,
-    max_wait: Duration,
-    max_seq: usize,
     /// Per-tenant queue bound within this model (0 = none): one tenant
     /// cannot fill the whole shared queue even inside its rate quota.
     per_tenant_cap: usize,
@@ -93,63 +92,22 @@ pub struct QosPolicy {
 }
 
 impl QosPolicy {
-    /// Creates the policy for one model queue. `max_seq` bounds accepted
-    /// sequence lengths (normally the session's `max_seq`), `max_wait` is
-    /// the batching delay bound, `per_tenant_cap` bounds one tenant's
-    /// queued requests (0 disables), and `tenants` supplies per-tenant
-    /// weights as lanes first appear.
+    /// Creates the policy for one model queue. `per_tenant_cap` bounds one
+    /// tenant's queued requests (0 disables), and `tenants` supplies
+    /// per-tenant weights as lanes first appear.
     pub fn new(
-        max_seq: usize,
-        max_wait: Duration,
         class_weights: ClassWeights,
         per_tenant_cap: usize,
         tenants: Arc<TenantTable>,
     ) -> Self {
-        assert!(max_seq >= 1, "max_seq must be at least 1");
         Self {
             classes: Default::default(),
             class_weights: class_weights.as_array(),
             vclock: 0.0,
             depth: 0,
-            max_wait,
-            max_seq,
             per_tenant_cap,
             tenants,
         }
-    }
-
-    /// The oldest enqueue instant across every lane head.
-    fn oldest_head(&self) -> Option<Instant> {
-        self.classes
-            .iter()
-            .flat_map(|c| c.lanes.values())
-            .filter_map(|l| l.queue.front().map(|r| r.enqueued_at()))
-            .min()
-    }
-
-    /// Dequeues the globally next request per the two-level stride.
-    fn dequeue(&mut self) -> QueuedRequest {
-        let ci = (0..3)
-            .filter(|&c| self.classes[c].depth > 0)
-            .min_by(|&a, &b| self.classes[a].pass.total_cmp(&self.classes[b].pass))
-            .expect("dequeue called with depth > 0");
-        let class = &mut self.classes[ci];
-        let tenant = class
-            .lanes
-            .iter()
-            .filter(|(_, l)| !l.queue.is_empty())
-            .min_by(|(_, a), (_, b)| a.pass.total_cmp(&b.pass))
-            .map(|(name, _)| name.clone())
-            .expect("class depth > 0 implies a non-empty lane");
-        let lane = class.lanes.get_mut(&tenant).expect("lane exists");
-        let req = lane.queue.pop_front().expect("lane is non-empty");
-        lane.pass += 1.0 / lane.weight.max(WEIGHT_FLOOR);
-        class.vclock = lane.pass;
-        class.depth -= 1;
-        class.pass += 1.0 / self.class_weights[ci].max(WEIGHT_FLOOR);
-        self.vclock = class.pass;
-        self.depth -= 1;
-        req
     }
 }
 
@@ -183,26 +141,41 @@ impl BatchPolicy for QosPolicy {
         Ok(())
     }
 
-    fn next_batch(&mut self, max_batch: usize, now: Instant, rush: bool) -> BatchDecision {
-        if self.depth == 0 {
-            return BatchDecision::Idle;
-        }
-        let oldest = self.oldest_head().expect("depth > 0 implies a queued head");
-        let ready = rush || self.depth >= max_batch || now.duration_since(oldest) >= self.max_wait;
-        if !ready {
-            return BatchDecision::WaitUntil(oldest + self.max_wait);
-        }
-        let take = self.depth.min(max_batch);
-        let requests: Vec<QueuedRequest> = (0..take).map(|_| self.dequeue()).collect();
-        BatchDecision::Dispatch { requests }
+    /// Dequeues the globally next request per the two-level stride.
+    fn pop(&mut self) -> Option<QueuedRequest> {
+        let ci = (0..3)
+            .filter(|&c| self.classes[c].depth > 0)
+            .min_by(|&a, &b| self.classes[a].pass.total_cmp(&self.classes[b].pass))?;
+        let class = &mut self.classes[ci];
+        let tenant = class
+            .lanes
+            .iter()
+            .filter(|(_, l)| !l.queue.is_empty())
+            .min_by(|(_, a), (_, b)| a.pass.total_cmp(&b.pass))
+            .map(|(name, _)| name.clone())
+            .expect("class depth > 0 implies a non-empty lane");
+        let lane = class.lanes.get_mut(&tenant).expect("lane exists");
+        let req = lane.queue.pop_front().expect("lane is non-empty");
+        lane.pass += 1.0 / lane.weight.max(WEIGHT_FLOOR);
+        class.vclock = lane.pass;
+        class.depth -= 1;
+        class.pass += 1.0 / self.class_weights[ci].max(WEIGHT_FLOOR);
+        self.vclock = class.pass;
+        self.depth -= 1;
+        Some(req)
     }
 
     fn depth(&self) -> usize {
         self.depth
     }
 
-    fn max_seq_len(&self) -> usize {
-        self.max_seq
+    /// The oldest enqueue instant across every lane head.
+    fn oldest(&self) -> Option<Instant> {
+        self.classes
+            .iter()
+            .flat_map(|c| c.lanes.values())
+            .filter_map(|l| l.queue.front().map(|r| r.enqueued_at()))
+            .min()
     }
 }
 
@@ -232,26 +205,14 @@ mod tests {
     }
 
     fn drain_tenants(p: &mut QosPolicy, n: usize) -> Vec<String> {
-        let mut order = Vec::new();
-        while order.len() < n {
-            match p.next_batch(1, Instant::now(), true) {
-                BatchDecision::Dispatch { requests, .. } => order
-                    .extend(requests.iter().map(|r| r.qos().tenant.clone().expect("tenant set"))),
-                _ => panic!("rush with queued work must dispatch"),
-            }
-        }
-        order
+        (0..n)
+            .map(|_| p.pop().expect("queued work").qos().tenant.clone().expect("tenant set"))
+            .collect()
     }
 
     #[test]
     fn equal_weights_interleave_tenants() {
-        let mut p = QosPolicy::new(
-            16,
-            Duration::ZERO,
-            ClassWeights::default(),
-            0,
-            table(&[("a", 1.0), ("b", 1.0)]),
-        );
+        let mut p = QosPolicy::new(ClassWeights::default(), 0, table(&[("a", 1.0), ("b", 1.0)]));
         for _ in 0..4 {
             p.admit(req("a", Priority::Interactive)).unwrap();
             p.admit(req("b", Priority::Interactive)).unwrap();
@@ -264,13 +225,8 @@ mod tests {
 
     #[test]
     fn weights_divide_dequeues_proportionally() {
-        let mut p = QosPolicy::new(
-            16,
-            Duration::ZERO,
-            ClassWeights::default(),
-            0,
-            table(&[("heavy", 3.0), ("light", 1.0)]),
-        );
+        let mut p =
+            QosPolicy::new(ClassWeights::default(), 0, table(&[("heavy", 3.0), ("light", 1.0)]));
         for _ in 0..40 {
             p.admit(req("heavy", Priority::Batch)).unwrap();
             p.admit(req("light", Priority::Batch)).unwrap();
@@ -283,8 +239,6 @@ mod tests {
     #[test]
     fn classes_share_by_weight_not_strictly() {
         let mut p = QosPolicy::new(
-            16,
-            Duration::ZERO,
             ClassWeights { interactive: 4.0, batch: 1.0, background: 1.0 },
             0,
             table(&[]),
@@ -303,7 +257,7 @@ mod tests {
 
     #[test]
     fn idle_lane_cannot_hoard_credit() {
-        let mut p = QosPolicy::new(16, Duration::ZERO, ClassWeights::default(), 0, table(&[]));
+        let mut p = QosPolicy::new(ClassWeights::default(), 0, table(&[]));
         // "busy" works alone for a long stretch, racking up pass.
         for _ in 0..32 {
             p.admit(req("busy", Priority::Interactive)).unwrap();
@@ -322,27 +276,11 @@ mod tests {
 
     #[test]
     fn per_tenant_cap_bounds_one_tenant() {
-        let mut p = QosPolicy::new(16, Duration::ZERO, ClassWeights::default(), 2, table(&[]));
+        let mut p = QosPolicy::new(ClassWeights::default(), 2, table(&[]));
         p.admit(req("t", Priority::Interactive)).unwrap();
         p.admit(req("t", Priority::Interactive)).unwrap();
         assert!(p.admit(req("t", Priority::Interactive)).is_err(), "cap must reject");
         assert!(p.admit(req("other", Priority::Interactive)).is_ok(), "cap is per tenant");
         assert_eq!(p.depth(), 3);
-    }
-
-    #[test]
-    fn coalesces_until_max_wait_then_dispatches() {
-        let mut p =
-            QosPolicy::new(16, Duration::from_secs(5), ClassWeights::default(), 0, table(&[]));
-        p.admit(req("t", Priority::Interactive)).unwrap();
-        assert!(matches!(p.next_batch(8, Instant::now(), false), BatchDecision::WaitUntil(_)));
-        // A full batch dispatches without waiting.
-        for _ in 0..7 {
-            p.admit(req("t", Priority::Interactive)).unwrap();
-        }
-        match p.next_batch(8, Instant::now(), false) {
-            BatchDecision::Dispatch { requests } => assert_eq!(requests.len(), 8),
-            _ => panic!("a full batch must dispatch immediately"),
-        }
     }
 }

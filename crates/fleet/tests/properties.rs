@@ -15,7 +15,7 @@ use fab_fleet::{
     ClassWeights, Fleet, FleetConfig, ModelSpec, ModelState, QosPolicy, TenantQuota, TenantTable,
 };
 use fab_nn::{Model, ModelConfig, ModelKind};
-use fab_serve::policy::{BatchDecision, BatchPolicy, Priority, QueuedRequest, RequestQos};
+use fab_serve::policy::{BatchPolicy, Priority, QueuedRequest, RequestQos};
 use fab_serve::{InferenceSession, ServeConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -88,13 +88,7 @@ proptest! {
             TenantQuota::default(),
             vec![("bg".to_string(), TenantQuota { weight: bg_weight, ..TenantQuota::default() })],
         ));
-        let mut policy = QosPolicy::new(
-            16,
-            Duration::ZERO,
-            ClassWeights::default(),
-            0,
-            table,
-        );
+        let mut policy = QosPolicy::new(ClassWeights::default(), 0, table);
         let mut rng = StdRng::seed_from_u64(seed);
         let names: Vec<String> =
             (0..interactive_tenants).map(|i| format!("fg{i}")).collect();
@@ -108,18 +102,15 @@ proptest! {
         let mut dispatches = 0usize;
         loop {
             // Keep interactive saturated: every dispatched slot is refilled.
-            match policy.next_batch(1, Instant::now(), true) {
-                BatchDecision::Dispatch { requests, .. } => {
-                    prop_assert_eq!(requests.len(), 1);
-                    dispatches += 1;
-                    if requests[0].qos().tenant.as_deref() == Some("bg") {
-                        break;
-                    }
-                    let refill = &names[rng.gen_range(0..names.len())];
-                    policy.admit(qos_req(refill, Priority::Interactive)).unwrap();
-                }
-                _ => prop_assert!(false, "saturated policy must dispatch"),
+            let request = policy.pop();
+            prop_assert!(request.is_some(), "saturated policy must dispatch");
+            let request = request.expect("checked above");
+            dispatches += 1;
+            if request.qos().tenant.as_deref() == Some("bg") {
+                break;
             }
+            let refill = &names[rng.gen_range(0..names.len())];
+            policy.admit(qos_req(refill, Priority::Interactive)).unwrap();
             prop_assert!(
                 dispatches <= 64,
                 "background tenant (weight {bg_weight}) starved for {dispatches} dispatches"

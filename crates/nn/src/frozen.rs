@@ -1,5 +1,5 @@
 //! Tape-free frozen inference: a trained [`crate::Model`] snapshotted into
-//! plain weight tensors with a batched, allocation-lean forward path.
+//! plain weight tensors with one tape-free forward over a single sequence.
 //!
 //! The training path records every operation on the autodiff
 //! [`Tape`](fab_tensor::Tape), which clones activations into graph nodes and
@@ -11,26 +11,31 @@
 //! batched kernels (`Tensor::matmul`, `ButterflyMatrix::forward_rows`,
 //! `fourier_mix`, the row-parallel softmax/layer-norm) directly.
 //!
-//! # Batched execution and exactness
+//! # Per-sequence execution and exactness
 //!
-//! [`FrozenModel::forward_batch`] packs `B` sequences, padded to a common
-//! `pad_to` length, into one `[B * pad_to, hidden]` activation tensor. All
-//! row-wise work — projections (dense and butterfly), FFNs, layer norms,
-//! GELU, biases — runs fused over the whole batch, which is where dynamic
-//! batching earns its throughput. The token-mixing operators (the attention
-//! core and the 2-D Fourier mix), which couple rows *within* one sequence,
-//! run per example on that example's true-length row segment; padding rows
-//! are never mixed into real rows. Because every kernel invoked here is
-//! bit-compatible with its serial reference and computes each output row
-//! independently of the surrounding batch, the logits produced for a request
-//! are **bit-identical** to the single-request tape path regardless of batch
-//! composition, padding, or worker-thread count.
+//! A batch is a list of independently evaluated sequences. There is one
+//! forward, over one sequence's `[len, hidden]` activations: embed, the
+//! block stack, mean-pool, classifier head. [`FrozenModel::logits`] runs
+//! it; [`FrozenModel::logits_batch`] and [`FrozenModel::logits_batch_flat`]
+//! run it once per sequence and read no padding slot. A request's logits
+//! are therefore **bit-identical** whatever batch it rides in and whatever
+//! length that batch was padded to — by construction, not by a property
+//! every kernel has to keep — and, because every kernel invoked here is
+//! bit-compatible with its serial reference, whatever the worker-thread
+//! count. For an all-f32 model without fast math they also equal the
+//! single-request tape path bit for bit.
+//!
+//! [`FrozenModel::logits_observed`] is the same forward with a tap: a
+//! callback handed the activation tensors that feed the quantizable GEMMs
+//! ([`Tap`]). `fab-quant` calibrates through it, so the scales describe
+//! exactly the activations the served forward produces. Without a tap the
+//! callback is a no-op closure the compiler removes.
 //!
 //! [`FrozenModel::with_fast_math`] additionally swaps GELU (and the
 //! attention score scaling order) for the serving-grade
 //! [`fab_tensor::fastmath`] kernels: logits then differ from the tape path
-//! by at most ~1e-6 but remain deterministic and bit-invariant to batch
-//! composition — batching never changes a fast-math answer either.
+//! by at most ~1e-6 but remain deterministic, and batching cannot change a
+//! fast-math answer either.
 //!
 //! # Int8
 //!
@@ -48,10 +53,8 @@
 
 use crate::config::{ModelConfig, ModelKind};
 use crate::qlinear::{QuantEmbedding, QuantLinear};
-use fab_butterfly::flops::{attention_core_flops, fourier_mix_flops};
 use fab_butterfly::{fourier_mix, ButterflyMatrix};
-use fab_tensor::{Tensor, PAR_GRAIN_OPS};
-use rayon::prelude::*;
+use fab_tensor::Tensor;
 
 /// A frozen (inference-only) linear map: the tape-free counterpart of the
 /// [`crate::Linear`] layer implementations.
@@ -199,12 +202,20 @@ impl FrozenFeedForward {
         &self.lin2
     }
 
-    /// Applies `lin2(gelu(lin1(x)))` over a whole `[rows, hidden]` batch,
-    /// the GELU fused into `lin1`'s epilogue. `fast_math` changes nothing
+    /// Applies `lin2(gelu(lin1(x)))` to `[rows, hidden]` activations, the
+    /// GELU fused into `lin1`'s epilogue. `fast_math` changes nothing
     /// here: since PR 3 the exact and the serving-grade GELU are the same
     /// kernel ([`fab_tensor::fastmath`]).
     pub fn forward(&self, x: &Tensor, _fast_math: bool) -> Tensor {
-        self.lin2.forward(&self.lin1.forward_act(x, true))
+        self.forward_observed(x, |_| {})
+    }
+
+    /// [`FrozenFeedForward::forward`], showing `lin2`'s input (the
+    /// post-GELU activations) to `observe` on the way.
+    fn forward_observed(&self, x: &Tensor, observe: impl FnOnce(&[f32])) -> Tensor {
+        let act = self.lin1.forward_act(x, true);
+        observe(act.as_slice());
+        self.lin2.forward(&act)
     }
 }
 
@@ -271,20 +282,12 @@ impl FrozenAttention {
         self.num_heads
     }
 
-    /// Applies self-attention to a flat `[B * pad_to, dim]` batch.
-    ///
-    /// The four projections run fused over the whole batch; the
-    /// `softmax(QKᵀ)·V` core runs per example on its true-length segment, so
-    /// padding rows never contribute attention mass.
-    fn forward_batch(
-        &self,
-        x: &Tensor,
-        pad_to: usize,
-        lengths: &[usize],
-        fast_math: bool,
-    ) -> Tensor {
+    /// Applies self-attention to one sequence's `[len, dim]` activations,
+    /// showing the output projection's input (the mixed heads) to `observe`
+    /// on the way.
+    fn forward(&self, x: &Tensor, fast_math: bool, observe: impl FnOnce(&[f32])) -> Tensor {
         let (q, k, v) = match (&self.wq, &self.wk, &self.wv) {
-            // Calibration gives q/k/v one input scale, so the batch is
+            // Calibration gives q/k/v one input scale, so the input is
             // quantized once and the int8 buffer reused across the three
             // projections (bit-identical to three independent forwards).
             (FrozenLinear::Int8(wq), FrozenLinear::Int8(wk), FrozenLinear::Int8(wv))
@@ -303,28 +306,17 @@ impl FrozenAttention {
         };
         // Fast-math mode pre-scales Q once (`(c·q)·kᵀ` instead of
         // `c·(q·kᵀ)`): same value up to rounding, but the scaling pass runs
-        // over `[rows, dim]` instead of every `[len, len]` score matrix.
+        // over `[len, dim]` instead of every `[len, len]` score matrix.
         let q = if fast_math {
             let head_scale = 1.0 / ((self.dim / self.num_heads) as f32).sqrt();
             q.scale(head_scale)
         } else {
             q
         };
-        let dim = self.dim;
         let mut mixed = vec![0.0f32; x.len()];
-        let core = |i: usize, chunk: &mut [f32]| {
-            let len = lengths[i];
-            let start = i * pad_to;
-            let (qi, ki, vi) = (
-                q.slice_rows(start, start + len),
-                k.slice_rows(start, start + len),
-                v.slice_rows(start, start + len),
-            );
-            attention_mix_rows(&qi, &ki, &vi, self.num_heads, fast_math, &mut chunk[..len * dim]);
-        };
-        let ops = lengths.iter().map(|&len| attention_core_flops(len, dim)).sum();
-        run_per_example(&mut mixed, pad_to * dim, ops, core);
-        let mixed = Tensor::from_vec(mixed, &[x.rows(), dim]).expect("attention batch shape");
+        attention_mix_rows(&q, &k, &v, self.num_heads, fast_math, &mut mixed);
+        observe(&mixed);
+        let mixed = Tensor::from_vec(mixed, &[x.rows(), self.dim]).expect("attention shape");
         self.wo.forward(&mixed)
     }
 }
@@ -338,9 +330,8 @@ impl FrozenAttention {
 /// scaled. One transpose of K per example; head `h`'s transposed slice is
 /// then a contiguous row range of `kt`, with exactly the values
 /// `slice_cols(kh).transpose()` would produce — the per-head matmul stays
-/// bit-identical to the tape path's. Exposed as the single shared core so
-/// post-training tooling (`fab-quant`'s calibration replay) runs exactly
-/// the math the frozen model serves.
+/// bit-identical to the tape path's. Public so a per-component profile can
+/// time the core on its own (the benchmark's `nn.share.*` replay does).
 ///
 /// # Panics
 ///
@@ -428,62 +419,46 @@ impl FrozenBlock {
         &self.ln2
     }
 
-    /// Applies the block to a flat `[B * pad_to, hidden]` batch.
-    fn forward_batch(
+    /// Applies block `index` to one sequence's `[len, hidden]` activations,
+    /// handing `tap` the inputs of its quantizable GEMMs.
+    fn forward(
         &self,
         x: &Tensor,
-        pad_to: usize,
-        lengths: &[usize],
+        index: usize,
         fast_math: bool,
+        tap: &mut impl FnMut(Tap, &[f32]),
     ) -> Tensor {
         let m = match &self.mixing {
-            FrozenMixing::Attention(a) => a.forward_batch(x, pad_to, lengths, fast_math),
-            FrozenMixing::Fourier => fourier_batch(x, pad_to, lengths),
+            FrozenMixing::Attention(a) => {
+                tap(Tap::AttnIn(index), x.as_slice());
+                a.forward(x, fast_math, |mixed| tap(Tap::AttnCoreOut(index), mixed))
+            }
+            FrozenMixing::Fourier => fourier_mix(x),
         };
         let x = self.ln1.forward_residual(x, &m);
-        let f = self.ffn.forward(&x, fast_math);
+        tap(Tap::Ffn1In(index), x.as_slice());
+        let f = self.ffn.forward_observed(&x, |act| tap(Tap::Ffn2In(index), act));
         self.ln2.forward_residual(&x, &f)
     }
 }
 
-/// Per-example 2-D Fourier mixing over true-length segments; padding rows of
-/// the output stay zero (they re-enter only via the residual shortcut).
-fn fourier_batch(x: &Tensor, pad_to: usize, lengths: &[usize]) -> Tensor {
-    let hidden = x.cols();
-    let mut mixed = vec![0.0f32; x.len()];
-    let mix = |i: usize, chunk: &mut [f32]| {
-        let len = lengths[i];
-        let start = i * pad_to;
-        let xi = Tensor::from_vec(
-            x.as_slice()[start * hidden..(start + len) * hidden].to_vec(),
-            &[len, hidden],
-        )
-        .expect("fourier segment shape");
-        let yi = fourier_mix(&xi);
-        chunk[..len * hidden].copy_from_slice(yi.as_slice());
-    };
-    let ops = lengths.iter().map(|&len| fourier_mix_flops(len, hidden)).sum();
-    run_per_example(&mut mixed, pad_to * hidden, ops, mix);
-    Tensor::from_vec(mixed, &[x.rows(), hidden]).expect("fourier batch shape")
-}
-
-/// Runs `f(example_index, example_chunk)` over the per-example chunks of
-/// `out`, in parallel when the batch's `ops` operations reach the workspace
-/// fan-out grain. Each example is computed independently, so results do not
-/// depend on the thread count.
-fn run_per_example(
-    out: &mut [f32],
-    chunk_elems: usize,
-    ops: u64,
-    f: impl Fn(usize, &mut [f32]) + Sync,
-) {
-    if ops < PAR_GRAIN_OPS {
-        for (i, chunk) in out.chunks_mut(chunk_elems).enumerate() {
-            f(i, chunk);
-        }
-    } else {
-        out.par_chunks_mut(chunk_elems).enumerate().for_each(|(i, chunk)| f(i, chunk));
-    }
+/// Which activation tensor [`FrozenModel::logits_observed`] is showing its
+/// tap: the input of a GEMM that post-training quantization turns int8.
+/// Block variants carry the block's index in [`FrozenModel::blocks`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tap {
+    /// Input of an attention block's q/k/v projections, `[len, hidden]`.
+    AttnIn(usize),
+    /// Input of an attention block's output projection (the mixed heads),
+    /// `[len, hidden]`.
+    AttnCoreOut(usize),
+    /// Input of a block's first FFN layer, `[len, hidden]`.
+    Ffn1In(usize),
+    /// Input of a block's second FFN layer (post-GELU), `[len, ffn]`.
+    Ffn2In(usize),
+    /// Input of the classifier head: the mean-pooled hidden state,
+    /// `[hidden]`.
+    HeadIn,
 }
 
 /// The token and positional embedding tables of a frozen model, both f32
@@ -507,16 +482,10 @@ pub enum FrozenEmbedding {
 }
 
 impl FrozenEmbedding {
-    /// Writes the embedding of token `id` at position `j` into `row`: the
-    /// single gather every forward (and the calibration replay) runs. f32
+    /// Writes the embedding of token `id` at position `j` into `row`. f32
     /// tables give `tok + pos`; int8 tables give `0 + tok_q·s + pos_q·s`,
     /// one rounding per term.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `id` or `j` is outside its table or `row` is not
-    /// `hidden` long.
-    pub fn gather_into(&self, id: usize, j: usize, row: &mut [f32]) {
+    fn gather_into(&self, id: usize, j: usize, row: &mut [f32]) {
         match self {
             FrozenEmbedding::F32 { tok, pos } => {
                 let h = row.len();
@@ -695,145 +664,99 @@ impl FrozenModel {
         int8 as f64 / linears.len() as f64
     }
 
-    /// Runs the encoder over a padded batch, returning the final
-    /// `[B * pad_to, hidden]` hidden states (padding rows hold well-defined
-    /// but meaningless values).
+    /// The one forward, with a tap: embeds `tokens`, runs the block stack
+    /// over the `[len, hidden]` activations, mean-pools and applies the
+    /// classifier head, calling `tap` with each activation tensor [`Tap`]
+    /// names, in execution order, as the forward consumes it.
+    /// [`FrozenModel::logits`] is this with a no-op tap, so both return the
+    /// same bits.
     ///
     /// # Panics
     ///
-    /// Panics when `batch` is empty, `pad_to` exceeds `max_seq`, a sequence
-    /// is empty or longer than `pad_to`, or a token id is out of vocabulary.
-    pub fn forward_batch<S: AsRef<[usize]>>(&self, batch: &[S], pad_to: usize) -> Tensor {
-        let lengths: Vec<usize> = batch.iter().map(|s| s.as_ref().len()).collect();
-        // Padding rows embed token 0; they are sliced away before any token
-        // mixing and never influence real rows.
-        self.encode(&lengths, pad_to, |i, j| batch[i].as_ref().get(j).copied().unwrap_or(0))
-    }
-
-    /// [`FrozenModel::forward_batch`] over a caller-managed flat token
-    /// buffer: `tokens_padded` holds `lengths.len() * pad_to` token ids,
-    /// example `i` occupying slots `[i * pad_to, i * pad_to + lengths[i])`
-    /// with arbitrary in-vocabulary filler (conventionally 0) in the padding
-    /// slots. Serving workers reuse one such buffer across batches instead
-    /// of re-collecting sequences per request.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the buffer length is not `lengths.len() * pad_to`, a
-    /// length is zero or exceeds `pad_to`, `pad_to` exceeds `max_seq`, or a
-    /// token id is out of vocabulary.
-    pub fn forward_batch_flat(
-        &self,
-        tokens_padded: &[usize],
-        lengths: &[usize],
-        pad_to: usize,
-    ) -> Tensor {
-        assert_eq!(
-            tokens_padded.len(),
-            lengths.len() * pad_to,
-            "flat token buffer length mismatch"
-        );
-        self.encode(lengths, pad_to, |i, j| tokens_padded[i * pad_to + j])
-    }
-
-    /// The one checked entry behind every public forward: validates the
-    /// batch geometry, gathers the embedding of `id_at(example, position)`
-    /// for every slot of the `[B * pad_to, hidden]` batch, and runs the
-    /// block stack.
-    fn encode(
-        &self,
-        lengths: &[usize],
-        pad_to: usize,
-        id_at: impl Fn(usize, usize) -> usize,
-    ) -> Tensor {
-        assert!(!lengths.is_empty(), "cannot run a frozen model on an empty batch");
-        assert!(
-            pad_to >= 1 && pad_to <= self.config.max_seq,
-            "pad_to {pad_to} outside 1..={}",
-            self.config.max_seq
-        );
-        let hidden = self.config.hidden;
-        let vocab = self.config.vocab_size;
-        let mut x = vec![0.0f32; lengths.len() * pad_to * hidden];
-        for (i, (ex, &len)) in x.chunks_mut(pad_to * hidden).zip(lengths.iter()).enumerate() {
-            assert!(len >= 1 && len <= pad_to, "sequence length {len} outside 1..={pad_to}");
-            for (j, row) in ex.chunks_mut(hidden).enumerate() {
-                let id = id_at(i, j);
-                assert!(id < vocab, "token index {id} out of range for vocab {vocab}");
-                self.embedding.gather_into(id, j, row);
-            }
+    /// Panics when `tokens` is empty or longer than `max_seq`, or a token
+    /// id is out of vocabulary.
+    pub fn logits_observed(&self, tokens: &[usize], mut tap: impl FnMut(Tap, &[f32])) -> Vec<f32> {
+        let (hidden, vocab, max_seq) =
+            (self.config.hidden, self.config.vocab_size, self.config.max_seq);
+        let len = tokens.len();
+        assert!(len >= 1 && len <= max_seq, "sequence length {len} outside 1..={max_seq}");
+        let mut x = vec![0.0f32; len * hidden];
+        for (j, (row, &id)) in x.chunks_mut(hidden).zip(tokens).enumerate() {
+            assert!(id < vocab, "token index {id} out of range for vocab {vocab}");
+            self.embedding.gather_into(id, j, row);
         }
-        let mut x =
-            Tensor::from_vec(x, &[lengths.len() * pad_to, hidden]).expect("embedding batch shape");
-        for block in &self.blocks {
-            x = block.forward_batch(&x, pad_to, lengths, self.fast_math);
+        let mut x = Tensor::from_vec(x, &[len, hidden]).expect("embedding shape");
+        for (index, block) in self.blocks.iter().enumerate() {
+            x = block.forward(&x, index, self.fast_math, &mut tap);
         }
-        x
-    }
-
-    /// Returns per-example class logits for a padded batch.
-    ///
-    /// Each example's logits are bit-identical to [`FrozenModel::logits`]
-    /// on that sequence alone — and, for an all-f32 model without fast
-    /// math, to [`Model::predict`](crate::Model::predict) — independent of
-    /// batch composition and padding.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`FrozenModel::forward_batch`].
-    pub fn logits_batch<S: AsRef<[usize]>>(&self, batch: &[S], pad_to: usize) -> Vec<Vec<f32>> {
-        let lengths: Vec<usize> = batch.iter().map(|s| s.as_ref().len()).collect();
-        self.pool_and_head(&self.forward_batch(batch, pad_to), &lengths, pad_to)
-    }
-
-    /// [`FrozenModel::logits_batch`] over a caller-managed flat token buffer
-    /// (see [`FrozenModel::forward_batch_flat`] for the layout).
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as
-    /// [`FrozenModel::forward_batch_flat`].
-    pub fn logits_batch_flat(
-        &self,
-        tokens_padded: &[usize],
-        lengths: &[usize],
-        pad_to: usize,
-    ) -> Vec<Vec<f32>> {
-        let x = self.forward_batch_flat(tokens_padded, lengths, pad_to);
-        self.pool_and_head(&x, lengths, pad_to)
-    }
-
-    /// Mean-pools each example over its true-length rows (same accumulation
-    /// order as `Tensor::mean_rows`), then runs the classifier head over the
-    /// pooled `[B, hidden]` batch in one fused matmul.
-    fn pool_and_head(&self, x: &Tensor, lengths: &[usize], pad_to: usize) -> Vec<Vec<f32>> {
-        let hidden = self.config.hidden;
-        let mut pooled = vec![0.0f32; lengths.len() * hidden];
-        for (i, &len) in lengths.iter().enumerate() {
-            let dst = &mut pooled[i * hidden..(i + 1) * hidden];
-            for row in x.as_slice()[i * pad_to * hidden..].chunks(hidden).take(len) {
-                for (d, &v) in dst.iter_mut().zip(row.iter()) {
-                    *d += v;
-                }
-            }
-            for d in dst.iter_mut() {
-                *d /= len as f32;
-            }
-        }
-        let pooled =
-            Tensor::from_vec(pooled, &[lengths.len(), hidden]).expect("pooled batch shape");
-        let logits = self.head.forward(&pooled);
-        let classes = logits.cols();
-        logits.as_slice().chunks(classes).map(|row| row.to_vec()).collect()
+        let pooled = x.mean_rows();
+        tap(Tap::HeadIn, pooled.as_slice());
+        self.head.forward(&pooled).into_vec()
     }
 
     /// Class logits for a single sequence (tape-free).
     ///
     /// # Panics
     ///
-    /// Panics when `tokens` is empty or longer than `max_seq`.
+    /// Panics under the same conditions as
+    /// [`FrozenModel::logits_observed`].
     pub fn logits(&self, tokens: &[usize]) -> Vec<f32> {
-        self.logits_batch(&[tokens], tokens.len()).pop().expect("one logits row")
+        self.logits_observed(tokens, |_, _| {})
+    }
+
+    /// Per-sequence class logits for a batch whose caller sized it for
+    /// `pad_to`-long sequences: [`FrozenModel::logits`] on each sequence in
+    /// turn, so batch composition and `pad_to` cannot change an answer.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `batch` is empty, `pad_to` is outside `1..=max_seq`, a
+    /// sequence is empty or longer than `pad_to`, or a token id is out of
+    /// vocabulary.
+    pub fn logits_batch<S: AsRef<[usize]>>(&self, batch: &[S], pad_to: usize) -> Vec<Vec<f32>> {
+        assert!(!batch.is_empty(), "cannot run a frozen model on an empty batch");
+        let max_seq = self.config.max_seq;
+        assert!(pad_to >= 1 && pad_to <= max_seq, "pad_to {pad_to} outside 1..={max_seq}");
+        batch
+            .iter()
+            .map(|tokens| {
+                let tokens = tokens.as_ref();
+                let len = tokens.len();
+                assert!(len >= 1 && len <= pad_to, "sequence length {len} outside 1..={pad_to}");
+                self.logits(tokens)
+            })
+            .collect()
+    }
+
+    /// [`FrozenModel::logits_batch`] over a caller-managed flat token
+    /// buffer: `tokens_padded` holds `lengths.len() * pad_to` token ids,
+    /// example `i` occupying slots `[i * pad_to, i * pad_to + lengths[i])`.
+    /// The padding slots after it are never read.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the buffer length is not `lengths.len() * pad_to`, and
+    /// under the same conditions as [`FrozenModel::logits_batch`].
+    pub fn logits_batch_flat(
+        &self,
+        tokens_padded: &[usize],
+        lengths: &[usize],
+        pad_to: usize,
+    ) -> Vec<Vec<f32>> {
+        assert_eq!(
+            tokens_padded.len(),
+            lengths.len() * pad_to,
+            "flat token buffer length mismatch"
+        );
+        let batch: Vec<&[usize]> = lengths
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| {
+                assert!(len <= pad_to, "sequence length {len} outside 1..={pad_to}");
+                &tokens_padded[i * pad_to..i * pad_to + len]
+            })
+            .collect();
+        self.logits_batch(&batch, pad_to)
     }
 
     /// Predicted class for a single sequence (tape-free).
@@ -929,10 +852,10 @@ mod tests {
             }
             _ => panic!("transformer projections are dense"),
         };
-        let (pad_to, lengths) = (6usize, [4usize, 6]);
+        let len = 6usize;
         let x: Vec<f32> =
-            (0..2 * pad_to * a.dim()).map(|i| ((i * 37 % 101) as f32) * 0.02 - 1.0).collect();
-        let x = Tensor::from_vec(x, &[2 * pad_to, a.dim()]).expect("x");
+            (0..len * a.dim()).map(|i| ((i * 37 % 101) as f32) * 0.02 - 1.0).collect();
+        let x = Tensor::from_vec(x, &[len, a.dim()]).expect("x");
         // One input scale takes the quantize-once route, three scales the
         // independent one; both must equal the projections run one by one.
         for scales in [[0.02f32, 0.02, 0.02], [0.02, 0.03, 0.02]] {
@@ -946,20 +869,10 @@ mod tests {
             );
             let (q, k, v) = (attn.wq.forward(&x), attn.wk.forward(&x), attn.wv.forward(&x));
             let mut mixed = vec![0.0f32; x.len()];
-            for (i, &len) in lengths.iter().enumerate() {
-                let (lo, hi) = (i * pad_to, i * pad_to + len);
-                attention_mix_rows(
-                    &q.slice_rows(lo, hi),
-                    &k.slice_rows(lo, hi),
-                    &v.slice_rows(lo, hi),
-                    a.num_heads(),
-                    false,
-                    &mut mixed[lo * a.dim()..hi * a.dim()],
-                );
-            }
-            let mixed = Tensor::from_vec(mixed, &[x.rows(), a.dim()]).expect("mixed");
+            attention_mix_rows(&q, &k, &v, a.num_heads(), false, &mut mixed);
+            let mixed = Tensor::from_vec(mixed, &[len, a.dim()]).expect("mixed");
             assert_eq!(
-                attn.forward_batch(&x, pad_to, &lengths, false).as_slice(),
+                attn.forward(&x, false, |_| {}).as_slice(),
                 attn.wo.forward(&mixed).as_slice(),
                 "scales {scales:?}"
             );
@@ -977,16 +890,6 @@ mod tests {
         let c = frozen.logits_batch(&batch, tiny().max_seq);
         assert_eq!(a, b);
         assert_eq!(a, c);
-    }
-
-    #[test]
-    fn forward_batch_shape_is_flat_padded() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let model = Model::new(&tiny(), ModelKind::FNet, &mut rng);
-        let frozen = model.freeze();
-        let batch = vec![vec![1usize, 2], vec![3usize, 4, 5]];
-        let x = frozen.forward_batch(&batch, 4);
-        assert_eq!(x.shape(), &[2 * 4, tiny().hidden]);
     }
 
     #[test]

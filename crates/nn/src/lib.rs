@@ -42,7 +42,7 @@ pub use config::{ModelConfig, ModelKind};
 pub use flops::{FlopsBreakdown, ParamBreakdown};
 pub use frozen::{
     argmax, attention_mix_rows, FrozenAttention, FrozenBlock, FrozenEmbedding, FrozenFeedForward,
-    FrozenLayerNorm, FrozenLinear, FrozenMixing, FrozenModel,
+    FrozenLayerNorm, FrozenLinear, FrozenMixing, FrozenModel, Tap,
 };
 pub use layers::{
     ButterflyLinear, ClassifierHead, DenseLinear, Embedding, FeedForward, FourierMixing, LayerNorm,

@@ -1,11 +1,9 @@
-//! Calibration: replaying batches through a frozen model while observing
-//! the activation ranges at every quantized GEMM input.
+//! Calibration: running samples through a frozen model's own forward while
+//! observing the activation ranges at every quantized GEMM input.
 
 use crate::observer::{Observer, ObserverKind};
 use crate::qmodel::quantize;
-use fab_butterfly::fourier_mix;
-use fab_nn::{FrozenAttention, FrozenMixing, FrozenModel};
-use fab_tensor::Tensor;
+use fab_nn::{FrozenMixing, FrozenModel, Tap};
 
 /// Calibration knobs.
 #[derive(Debug, Clone, Default)]
@@ -47,33 +45,14 @@ struct BlockObservers {
     ffn2_in: Observer,
 }
 
-/// The attention core on one example, via the shared frozen-model helper
-/// (`fab_nn::attention_mix_rows`) so the replay runs exactly the math the
-/// serving path runs — including the fast-math query-prescale ordering.
-fn attention_core(
-    a: &FrozenAttention,
-    q: &Tensor,
-    k: &Tensor,
-    v: &Tensor,
-    fast_math: bool,
-) -> Tensor {
-    let dim = a.dim();
-    let len = q.rows();
-    let q = if fast_math {
-        let head_scale = 1.0 / ((dim / a.num_heads()) as f32).sqrt();
-        q.scale(head_scale)
-    } else {
-        q.clone()
-    };
-    let mut mixed = vec![0.0f32; len * dim];
-    fab_nn::attention_mix_rows(&q, k, v, a.num_heads(), fast_math, &mut mixed);
-    Tensor::from_vec(mixed, &[len, dim]).expect("attention core shape")
-}
-
-/// Runs the calibration batches through `frozen` (f32, per example) and
-/// returns the observed activation scales for every quantized GEMM input.
+/// Runs the calibration samples through `frozen` (f32, one sequence at a
+/// time) and returns the observed activation scales for every quantized
+/// GEMM input.
 ///
-/// Replay is per example and single-pass, so the result is deterministic
+/// The samples go through the model's own forward
+/// ([`FrozenModel::logits_observed`]), whose tap feeds the observers: the
+/// scales describe exactly the activations the served forward produces.
+/// Evaluation is per sample and single-pass, so the result is deterministic
 /// for a given sample set on every host, backend and thread count — use
 /// `LraTask::calibration_batches` for a reproducible sample stream disjoint
 /// from the eval split.
@@ -88,67 +67,30 @@ pub fn calibrate<S: AsRef<[usize]>>(
     config: &CalibrationConfig,
 ) -> ActivationScales {
     assert!(!samples.is_empty(), "calibration needs at least one sample");
+    let new_observer = || Observer::new(config.observer);
     let mut blocks: Vec<BlockObservers> = frozen
         .blocks()
         .iter()
         .map(|_| BlockObservers {
-            attn_in: Observer::new(config.observer),
-            attn_out_in: Observer::new(config.observer),
-            ffn1_in: Observer::new(config.observer),
-            ffn2_in: Observer::new(config.observer),
+            attn_in: new_observer(),
+            attn_out_in: new_observer(),
+            ffn1_in: new_observer(),
+            ffn2_in: new_observer(),
         })
         .collect();
-    let mut head_in = Observer::new(config.observer);
-    let fast_math = frozen.fast_math();
+    let mut head_in = new_observer();
 
     for sample in samples {
-        let tokens = sample.as_ref();
-        assert!(!tokens.is_empty(), "cannot calibrate on an empty sequence");
-        assert!(
-            tokens.len() <= frozen.max_seq(),
-            "calibration sequence length {} exceeds max_seq {}",
-            tokens.len(),
-            frozen.max_seq()
-        );
-        let (hidden, vocab) = (frozen.config().hidden, frozen.config().vocab_size);
-        let mut x = vec![0.0f32; tokens.len() * hidden];
-        for ((j, &id), row) in tokens.iter().enumerate().zip(x.chunks_mut(hidden)) {
-            assert!(id < vocab, "token index {id} out of range for vocab {vocab}");
-            frozen.embedding().gather_into(id, j, row);
-        }
-        let mut x =
-            Tensor::from_vec(x, &[tokens.len(), hidden]).expect("calibration embedding shape");
-        for (fb, obs) in frozen.blocks().iter().zip(blocks.iter_mut()) {
-            let m = match fb.mixing() {
-                FrozenMixing::Attention(a) => {
-                    obs.attn_in.observe(x.as_slice());
-                    let q = a.wq().forward(&x);
-                    let k = a.wk().forward(&x);
-                    let v = a.wv().forward(&x);
-                    let mixed = attention_core(a, &q, &k, &v, fast_math);
-                    obs.attn_out_in.observe(mixed.as_slice());
-                    a.wo().forward(&mixed)
-                }
-                FrozenMixing::Fourier => fourier_mix(&x),
+        frozen.logits_observed(sample.as_ref(), |tap, values| {
+            let observer = match tap {
+                Tap::AttnIn(b) => &mut blocks[b].attn_in,
+                Tap::AttnCoreOut(b) => &mut blocks[b].attn_out_in,
+                Tap::Ffn1In(b) => &mut blocks[b].ffn1_in,
+                Tap::Ffn2In(b) => &mut blocks[b].ffn2_in,
+                Tap::HeadIn => &mut head_in,
             };
-            x = fb.ln1().forward_residual(&x, &m);
-            obs.ffn1_in.observe(x.as_slice());
-            let act = fb.ffn().lin1().forward(&x).gelu();
-            obs.ffn2_in.observe(act.as_slice());
-            let f = fb.ffn().lin2().forward(&act);
-            x = fb.ln2().forward_residual(&x, &f);
-        }
-        // Mean-pool with the accumulation order of the serving path.
-        let mut pooled = vec![0.0f32; hidden];
-        for row in x.as_slice().chunks(hidden) {
-            for (d, &v) in pooled.iter_mut().zip(row.iter()) {
-                *d += v;
-            }
-        }
-        for d in pooled.iter_mut() {
-            *d /= tokens.len() as f32;
-        }
-        head_in.observe(&pooled);
+            observer.observe(values);
+        });
     }
 
     ActivationScales {
@@ -191,6 +133,7 @@ pub fn quantize_frozen<S: AsRef<[usize]>>(
 mod tests {
     use super::*;
     use fab_nn::{Model, ModelConfig, ModelKind};
+    use fab_tensor::Tensor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -217,13 +160,9 @@ mod tests {
 
     #[test]
     fn calibration_replay_matches_the_frozen_forward_bit_for_bit() {
-        // The replay re-implements the frozen forward step by step; if the
-        // two ever diverge, calibration scales stop describing the
-        // activations the serving path produces. With exact (non-fast-math)
-        // kernels the replay is bit-identical, so the head-input scale must
-        // equal max|pooled|/127 computed from FrozenModel::forward_batch's
-        // own final hidden states — any intermediate divergence propagates
-        // here.
+        // The tap must report the tensor the forward consumed: the tapped
+        // head input, pushed through the head, is the forward's own logits,
+        // and it is the tensor the head-input scale was taken from.
         for (seed, kind) in
             [(13u64, ModelKind::Transformer), (14, ModelKind::FNet), (15, ModelKind::FabNet)]
         {
@@ -237,21 +176,20 @@ mod tests {
                 std::slice::from_ref(&tokens),
                 &CalibrationConfig { observer: ObserverKind::MinMax },
             );
-            let hidden = config.hidden;
-            let x = frozen.forward_batch(std::slice::from_ref(&tokens), tokens.len());
-            let mut pooled = vec![0.0f32; hidden];
-            for row in x.as_slice().chunks(hidden) {
-                for (d, &v) in pooled.iter_mut().zip(row.iter()) {
-                    *d += v;
+            let mut pooled = Vec::new();
+            let logits = frozen.logits_observed(&tokens, |tap, values| {
+                if tap == Tap::HeadIn {
+                    pooled = values.to_vec();
                 }
-            }
-            for d in pooled.iter_mut() {
-                *d /= tokens.len() as f32;
-            }
+            });
+            assert_eq!(logits, frozen.logits(&tokens), "{kind:?}: the tap changed the logits");
             let expected = pooled.iter().fold(0.0f32, |m, &v| m.max(v.abs())) / 127.0;
+            assert_eq!(scales.head_in, expected, "{kind:?}: head scale not from the tapped tensor");
+            let pooled = Tensor::from_vec(pooled, &[1, config.hidden]).expect("pooled shape");
             assert_eq!(
-                scales.head_in, expected,
-                "{kind:?}: calibration replay diverged from the frozen forward"
+                frozen.head().forward(&pooled).into_vec(),
+                logits,
+                "{kind:?}: the tapped head input is not what the head consumed"
             );
         }
     }

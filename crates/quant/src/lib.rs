@@ -7,11 +7,13 @@
 //! The pipeline has three stages; the first two live here, the third is
 //! the ordinary frozen forward:
 //!
-//! 1. **Calibration** ([`calibrate()`]) — activation observers ([`Observer`],
-//!    min/max or percentile) replay deterministic calibration batches
-//!    (e.g. [`fab_lra`'s `calibration_batches`][calib]) through a
-//!    [`FrozenModel`](fab_nn::FrozenModel) and record the dynamic range at
-//!    every quantized GEMM input, producing per-tensor activation scales.
+//! 1. **Calibration** ([`calibrate()`]) — deterministic calibration batches
+//!    (e.g. [`fab_lra`'s `calibration_batches`][calib]) go through a
+//!    [`FrozenModel`](fab_nn::FrozenModel)'s own forward, whose tap
+//!    ([`FrozenModel::logits_observed`](fab_nn::FrozenModel::logits_observed))
+//!    shows activation observers ([`Observer`], min/max or percentile) every
+//!    quantized GEMM input; their dynamic ranges become per-tensor
+//!    activation scales.
 //! 2. **Quantization** ([`quantize`] / [`quantize_frozen`]) — returns a
 //!    copy of the model in which every *dense* linear map (attention
 //!    projections, FFN layers, the classifier head) is a
@@ -34,9 +36,9 @@
 //!
 //! Scales are **static**: fixed at calibration time, never derived from the
 //! batch being served. Combined with the exact i32 accumulation of the q8
-//! kernels and the per-example token mixing of [`fab_nn::frozen`], a
+//! kernels and the per-sequence evaluation of [`fab_nn::frozen`], a
 //! request's quantized logits are **bit-identical**
-//! regardless of batch composition, padding and worker-thread count — the
+//! regardless of batch composition and worker-thread count — the
 //! same guarantee the f32 serving path makes, property-tested the same way.
 //!
 //! [calib]: https://docs.rs/fab-lra

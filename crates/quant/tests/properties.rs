@@ -1,10 +1,10 @@
 //! PR-5 property tests: a quantized model must be batch-invariant
-//! (bit-identical logits for a request at any batch composition, padding
+//! (bit-identical logits for a request at any batch composition, `pad_to`
 //! and thread count), deterministic across SIMD backends' exact int8
 //! accumulation, and a close approximation of the f32 model it was
 //! quantized from.
 
-use fab_butterfly::flops::{attention_core_flops, dense_linear_flops};
+use fab_butterfly::flops::dense_linear_flops;
 use fab_lra::{LraTask, TaskConfig};
 use fab_nn::{train_classifier, Example, Model, ModelConfig, ModelKind, TrainOptions};
 use fab_quant::{
@@ -114,28 +114,39 @@ proptest! {
 
 #[test]
 fn quant_logits_do_not_depend_on_the_thread_count() {
-    // The per-example mixing fan-out and the banded int8 GEMM must both be
-    // bit-invariant to rayon's worker count. The batch is sized from the
-    // shared grain so both parallel branches trigger on the tiny test model
-    // wherever the grain is moved: enough 8-token examples that the summed
-    // attention cores (the fan-out test in fab_nn's frozen.rs) and the
-    // first FFN GEMM (the band test in its qlinear.rs; the rows far exceed
-    // one 64-row band) each reach `PAR_GRAIN_OPS`. `RAYON_NUM_THREADS` is
-    // process-global, hence the lock.
+    // The banded int8 GEMM and the f32 attention matmuls must both be
+    // bit-invariant to rayon's worker count. A batch is a list of
+    // independently evaluated sequences, so it is one *sequence* that has
+    // to cross the shared grain: the model is sized so that each per-head
+    // attention matmul and each int8 projection of a full-length sequence
+    // reaches `PAR_GRAIN_OPS` (checked below, wherever the grain is moved),
+    // and the projection spans more than one 64-row band, the last one
+    // ragged. `RAYON_NUM_THREADS` is process-global, hence the lock.
     let _g = lock();
-    let (_model, quant) = quantized(6, ModelKind::Transformer);
-    let config = tiny();
-    let per_example = attention_core_flops(8, config.hidden).min(dense_linear_flops(
-        8,
-        config.hidden,
-        config.hidden * config.ffn_ratio,
-    ));
-    let examples = PAR_GRAIN_OPS.div_ceil(per_example) as usize;
-    let batch: Vec<Vec<usize>> = (0..examples).map(|i| vec![(i % 14) + 1; 8]).collect();
-    let baseline = quant.logits_batch(&batch, 8);
+    let config = ModelConfig {
+        hidden: 128,
+        ffn_ratio: 2,
+        num_layers: 1,
+        num_abfly: 0,
+        num_heads: 4,
+        vocab_size: 32,
+        max_seq: 160,
+        num_classes: 2,
+    };
+    let (seq, head_dim) = (config.max_seq, config.hidden / config.num_heads);
+    assert!(dense_linear_flops(seq, head_dim, seq) >= PAR_GRAIN_OPS, "Q·Kᵀ of one head");
+    assert!(dense_linear_flops(seq, seq, head_dim) >= PAR_GRAIN_OPS, "S·V of one head");
+    assert!(dense_linear_flops(seq, config.hidden, config.hidden) >= PAR_GRAIN_OPS && seq > 64);
+    let mut rng = StdRng::seed_from_u64(6);
+    let frozen = Model::new(&config, ModelKind::Transformer, &mut rng).freeze();
+    let samples = calib_samples(4, 16, config.vocab_size);
+    let quant = quantize_frozen(&frozen, &samples, &CalibrationConfig::default());
+    assert_eq!(quant.quantized_fraction(), 1.0);
+    let tokens: Vec<usize> = (0..seq).map(|j| (j * 7 + 3) % config.vocab_size).collect();
+    let baseline = quant.logits(&tokens);
     for threads in ["1", "5", "7"] {
         std::env::set_var("RAYON_NUM_THREADS", threads);
-        let got = quant.logits_batch(&batch, 8);
+        let got = quant.logits(&tokens);
         std::env::remove_var("RAYON_NUM_THREADS");
         assert_eq!(baseline, got, "logits changed with {threads} rayon threads");
     }
@@ -282,4 +293,55 @@ fn calibration_scales_shape_matches_the_model() {
     let scales =
         calibrate(&frozen, &samples, &CalibrationConfig { observer: ObserverKind::MinMax });
     assert_eq!(scales.blocks.len(), config.num_layers);
+}
+
+/// Calibration output, pinned: the `f32::to_bits` of every activation scale
+/// (`attn_in, attn_out_in, ffn1_in, ffn2_in` per block, then `head_in`) for
+/// seeded tiny models, on the scalar backend so the bits are the same on
+/// every host. Recorded before calibration moved onto the frozen forward's
+/// tap; a change here means the scales `fabd` quantizes with have moved.
+#[test]
+fn calibration_scales_match_the_recorded_bits() {
+    use ModelKind::{FNet, FabNet, Transformer};
+    use ObserverKind::{MinMax, Percentile};
+    #[rustfmt::skip]
+    let golden: [(u64, ModelKind, ObserverKind, bool, [u32; 9]); 7] = [
+        (31, Transformer, MinMax, true,
+         [0x3a4a0bb6, 0x398797c7, 0x3cb3b501, 0x3d036909, 0x3cbffa94, 0x3ccdda85, 0x3ca131ff, 0x3d10b5d0, 0x3c872024]),
+        (31, Transformer, Percentile(0.999), true,
+         [0x3a3468d2, 0x398797c7, 0x3ca4e9d4, 0x3cf72e5d, 0x3cbe3c79, 0x3cbf9f3e, 0x3c9e1c38, 0x3d00e1c4, 0x3c872024]),
+        (31, Transformer, MinMax, false,
+         [0x3a4a0bb6, 0x398797c7, 0x3cb3b501, 0x3d036909, 0x3cbffa94, 0x3ccdda83, 0x3ca131ff, 0x3d10b5cf, 0x3c872024]),
+        (32, FNet, MinMax, true,
+         [0x3f800000, 0x3f800000, 0x3cbdac3a, 0x3d11fde6, 0x3f800000, 0x3f800000, 0x3cba6106, 0x3cfd4985, 0x3c0ddd97]),
+        (32, FNet, Percentile(0.999), true,
+         [0x3f800000, 0x3f800000, 0x3cbcf9f4, 0x3d0ab56b, 0x3f800000, 0x3f800000, 0x3cabf7f0, 0x3ce9b367, 0x3c0ddd97]),
+        (33, FabNet, MinMax, true,
+         [0x3f800000, 0x3f800000, 0x3cb6b545, 0x3ca8946f, 0x3cb6379a, 0x3c6ee30e, 0x3cb83737, 0x3cc73e0e, 0x3bfaea98]),
+        (33, FabNet, Percentile(0.999), true,
+         [0x3f800000, 0x3f800000, 0x3cb64c99, 0x3c9f3e7d, 0x3cb3870e, 0x3c4a54a9, 0x3cb4e9d4, 0x3cbfbf7f, 0x3bfaea98]),
+    ];
+    assert_eq!(ObserverKind::default(), Percentile(0.999), "the table's percentile rows");
+    let _g = lock();
+    let prev = simd::backend();
+    simd::force_backend(Backend::Scalar);
+    let got: Vec<Vec<u32>> = golden
+        .iter()
+        .map(|&(seed, kind, observer, fast_math, _)| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let frozen = Model::new(&tiny(), kind, &mut rng).freeze().with_fast_math(fast_math);
+            let samples = calib_samples(8, 8, tiny().vocab_size);
+            let scales = calibrate(&frozen, &samples, &CalibrationConfig { observer });
+            let blocks = scales.blocks.iter();
+            blocks
+                .flat_map(|b| [b.attn_in, b.attn_out_in, b.ffn1_in, b.ffn2_in])
+                .chain([scales.head_in])
+                .map(f32::to_bits)
+                .collect()
+        })
+        .collect();
+    simd::force_backend(prev);
+    for ((seed, kind, observer, fast_math, want), got) in golden.iter().zip(&got) {
+        assert_eq!(got, want, "seed {seed} {kind:?} {observer:?} fast_math {fast_math}");
+    }
 }

@@ -13,11 +13,12 @@
 //! - [`Server`] — a bounded MPSC request queue with admission control,
 //!   drained into micro-batches by a pool of std-thread workers; knobs live
 //!   in [`ServeConfig`] (`max_batch`, `max_wait_us`, `queue_capacity`,
-//!   `num_workers`, `buckets`). Batch formation is a pluggable
-//!   [`BatchPolicy`]: [`Server::start`] installs the sequence-length
-//!   [`LengthBucketPolicy`] (sequences of similar length ride together;
-//!   nothing is padded), and
-//!   [`Server::start_with_policy`] accepts any other scheduler — e.g.
+//!   `num_workers`). A batch leaves the queue when it is full or its
+//!   oldest request has waited `max_wait_us` — one rule, in the server.
+//!   The order requests leave in is a pluggable [`BatchPolicy`]:
+//!   [`Server::start`] installs the arrival-order [`FifoPolicy`]
+//!   (sequences of any length share a batch; nothing is padded), and
+//!   [`Server::start_with_policy`] accepts any other discipline — e.g.
 //!   fab-fleet's tenant-aware weighted-fair policy over [`RequestQos`]
 //!   labels ([`ServerHandle::submit_with_qos`]).
 //! - [`ServerStats`] — aggregate metrics (throughput, p50/p95/p99 latency
@@ -80,8 +81,6 @@ mod session;
 
 pub use limiter::{AimdConfig, AimdLimiter};
 pub use metrics::{HistogramSummary, LatencyHistogram, ServerStats};
-pub use policy::{
-    BatchDecision, BatchPolicy, LengthBucketPolicy, Priority, QueuedRequest, RequestQos,
-};
+pub use policy::{BatchPolicy, FifoPolicy, Priority, QueuedRequest, RequestQos};
 pub use server::{PendingPrediction, Prediction, ServeConfig, ServeError, Server, ServerHandle};
 pub use session::{InferenceSession, SessionKind, SessionScratch};

@@ -1,22 +1,23 @@
-//! Pluggable batch-formation policies.
+//! Pluggable queue disciplines, and the one rule for when a batch leaves.
 //!
-//! PR 2 hard-wired the length-bucket batcher into the server's queue; this
-//! module factors the "which requests ride the next batch" decision out
-//! into the [`BatchPolicy`] trait so alternative schedulers compose with
-//! the same worker pool, supervision, shedding, and drain machinery:
+//! A [`BatchPolicy`] owns the queued requests between admission and
+//! dispatch and decides their *order*:
 //!
-//! - [`LengthBucketPolicy`] — the original policy (per-bucket FIFO, full
-//!   bucket dispatches first, otherwise global-FIFO head after
-//!   `max_wait`), used by [`Server::start`](crate::Server::start).
+//! - [`FifoPolicy`] — one arrival-order queue, used by
+//!   [`Server::start`](crate::Server::start). Sequences of any length share
+//!   a batch: the session evaluates each on its own, so nothing is padded
+//!   and there is nothing to gain from keeping lengths apart.
 //! - `fab-fleet`'s tenant-aware weighted-fair scheduler — plugged in via
 //!   [`Server::start_with_policy`](crate::Server::start_with_policy).
 //!
-//! The contract: the server validates and constructs a [`QueuedRequest`],
-//! the policy queues it ([`BatchPolicy::admit`]) and later hands back a
-//! batch ([`BatchPolicy::next_batch`]). Everything around that decision —
-//! admission capacity, deadline shedding, panic isolation, metrics,
-//! zero-drop drain — stays in the server, so every policy
-//! inherits the PR-6 robustness guarantees unchanged.
+//! *When* a batch leaves the queue is not a policy's business: the server
+//! applies one timing rule to whatever discipline is installed (see
+//! [`Server`](crate::Server)). The contract: the server validates and constructs a
+//! [`QueuedRequest`], the policy queues it ([`BatchPolicy::admit`]) and
+//! hands requests back one at a time ([`BatchPolicy::pop`]). Everything
+//! around that — admission capacity, batch timing, deadline shedding, panic
+//! isolation, metrics, zero-drop drain — stays in the server, so every
+//! policy inherits the robustness guarantees unchanged.
 
 use crate::server::{Prediction, ServeError};
 use std::collections::VecDeque;
@@ -142,32 +143,12 @@ impl QueuedRequest {
     }
 }
 
-/// What a policy wants the calling worker to do next.
-pub enum BatchDecision {
-    /// Run these requests as one batch. Expired requests may be included —
-    /// the server sheds them after the policy hands the batch over.
-    Dispatch {
-        /// The requests riding this batch, oldest first.
-        requests: Vec<QueuedRequest>,
-    },
-    /// Work is queued but still coalescing; sleep until this instant (or
-    /// the next submission) and ask again.
-    WaitUntil(Instant),
-    /// The queue is empty.
-    Idle,
-}
-
-/// A batch-formation policy: owns the queued requests between admission
-/// and dispatch, and decides their grouping and order.
+/// A queue discipline: owns the queued requests between admission and
+/// dispatch, and decides the order they leave in.
 ///
-/// Implementations must uphold two invariants the server's guarantees
-/// build on:
-///
-/// - **No request is dropped.** Every admitted request is eventually
-///   returned by `next_batch` — `rush == true` (shutdown drain) must
-///   dispatch pending work immediately without further waiting.
-/// - **Work conservation under rush.** While the queue is non-empty,
-///   `next_batch(.., rush: true)` never returns `WaitUntil`/`Idle`.
+/// The server's no-drop guarantee builds on one invariant: every admitted
+/// request is eventually returned by [`BatchPolicy::pop`], and `pop`
+/// returns `Some` whenever [`BatchPolicy::depth`] is nonzero.
 pub trait BatchPolicy: Send {
     /// Accepts one validated request into the queue, or returns it to the
     /// server to reject with [`ServeError::Overloaded`] (policy-internal
@@ -175,108 +156,48 @@ pub trait BatchPolicy: Send {
     /// enforced by the server before calling this).
     fn admit(&mut self, req: QueuedRequest) -> Result<(), QueuedRequest>;
 
-    /// Decides the next batch of at most `max_batch` requests. `rush` is
-    /// set during shutdown: dispatch immediately instead of waiting for
-    /// batches to fill.
-    fn next_batch(&mut self, max_batch: usize, now: Instant, rush: bool) -> BatchDecision;
+    /// Removes and returns the request that should be served next. Expired
+    /// requests may be returned — the server sheds them.
+    fn pop(&mut self) -> Option<QueuedRequest>;
 
     /// Requests currently queued.
     fn depth(&self) -> usize;
 
-    /// Longest sequence this policy accepts (drives the server's
-    /// [`ServeError::SequenceTooLong`] validation and scratch sizing).
-    fn max_seq_len(&self) -> usize;
+    /// When the longest-waiting queued request was enqueued.
+    fn oldest(&self) -> Option<Instant>;
 }
 
-/// The PR-2 length-bucket policy: per-bucket FIFO queues over ascending
-/// length boundaries.
+/// Arrival-order queueing: the discipline [`Server::start`] installs.
 ///
-/// A worker first dispatches any bucket already holding a full
-/// `max_batch` (oldest head first among those); otherwise it picks the
-/// bucket whose head request is oldest (global FIFO across buckets) and
-/// dispatches it once that head has waited `max_wait` or the server is
-/// shutting down. An idle server therefore adds at most `max_wait` of
-/// batching delay, a saturated one runs full batches back to back, and a
-/// full batch never waits behind a stale request in another bucket.
-pub struct LengthBucketPolicy {
-    /// Ascending bucket boundaries; a request joins the first bucket whose
-    /// boundary covers its length.
-    buckets: Vec<usize>,
-    /// Per-bucket FIFO queues, aligned with `buckets`.
-    queues: Vec<VecDeque<QueuedRequest>>,
-    depth: usize,
-    max_wait: Duration,
+/// [`Server::start`]: crate::Server::start
+#[derive(Default)]
+pub struct FifoPolicy {
+    queue: VecDeque<QueuedRequest>,
 }
 
-impl LengthBucketPolicy {
-    /// Creates the policy over ascending, deduplicated bucket boundaries.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `buckets` is empty.
-    pub fn new(buckets: Vec<usize>, max_wait: Duration) -> Self {
-        assert!(!buckets.is_empty(), "at least one bucket boundary");
-        let queues = (0..buckets.len()).map(|_| VecDeque::new()).collect();
-        Self { buckets, queues, depth: 0, max_wait }
-    }
-}
-
-impl BatchPolicy for LengthBucketPolicy {
+impl BatchPolicy for FifoPolicy {
     fn admit(&mut self, req: QueuedRequest) -> Result<(), QueuedRequest> {
-        let bucket = self
-            .buckets
-            .iter()
-            .position(|&b| req.seq_len() <= b)
-            .expect("server validated the length against max_seq_len");
-        self.queues[bucket].push_back(req);
-        self.depth += 1;
+        self.queue.push_back(req);
         Ok(())
     }
 
-    fn next_batch(&mut self, max_batch: usize, now: Instant, rush: bool) -> BatchDecision {
-        if self.depth == 0 {
-            return BatchDecision::Idle;
-        }
-        // Prefer a bucket that can already dispatch a full batch (oldest
-        // head first among those) — a full batch must never wait behind a
-        // lone stale request in another bucket. With no full bucket, fall
-        // back to the bucket whose head has waited longest (global FIFO)
-        // and dispatch it once its wait deadline expires.
-        let heads = || {
-            self.queues.iter().enumerate().filter_map(|(b, q)| q.front().map(|r| (b, r.enqueued)))
-        };
-        let full_bucket =
-            heads().filter(|&(b, _)| self.queues[b].len() >= max_batch).min_by_key(|&(_, e)| e);
-        let (bucket, enqueued, is_full) = match full_bucket {
-            Some((b, e)) => (b, e, true),
-            None => {
-                let (b, e) =
-                    heads().min_by_key(|&(_, e)| e).expect("depth > 0 implies a non-empty bucket");
-                (b, e, false)
-            }
-        };
-        let ready = rush || is_full || now.duration_since(enqueued) >= self.max_wait;
-        if !ready {
-            return BatchDecision::WaitUntil(enqueued + self.max_wait);
-        }
-        let take = self.queues[bucket].len().min(max_batch);
-        self.depth -= take;
-        let requests: Vec<QueuedRequest> = self.queues[bucket].drain(..take).collect();
-        BatchDecision::Dispatch { requests }
+    fn pop(&mut self) -> Option<QueuedRequest> {
+        self.queue.pop_front()
     }
 
     fn depth(&self) -> usize {
-        self.depth
+        self.queue.len()
     }
 
-    fn max_seq_len(&self) -> usize {
-        *self.buckets.last().expect("at least one bucket")
+    fn oldest(&self) -> Option<Instant> {
+        self.queue.front().map(|r| r.enqueued)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::dispatch_delay;
 
     fn req(len: usize) -> QueuedRequest {
         QueuedRequest::detached(vec![1; len], None, RequestQos::default()).0
@@ -293,36 +214,34 @@ mod tests {
 
     #[test]
     fn full_bucket_dispatches_before_max_wait() {
-        let mut p = LengthBucketPolicy::new(vec![8, 16], Duration::from_secs(10));
-        for _ in 0..4 {
-            p.admit(req(5)).unwrap();
+        let mut p = FifoPolicy::default();
+        for len in [5, 5, 12, 3] {
+            p.admit(req(len)).unwrap();
         }
-        match p.next_batch(4, Instant::now(), false) {
-            BatchDecision::Dispatch { requests } => assert_eq!(requests.len(), 4),
-            _ => panic!("full bucket must dispatch immediately"),
-        }
+        let wait = Duration::from_secs(10);
+        assert_eq!(dispatch_delay(&p, 4, wait, Instant::now(), false), Some(Duration::ZERO));
+        assert!(dispatch_delay(&p, 5, wait, Instant::now(), false) > Some(Duration::ZERO));
+        let lens: Vec<usize> = std::iter::from_fn(|| p.pop()).map(|r| r.seq_len()).collect();
+        assert_eq!(lens, [5, 5, 12, 3], "arrival order, whatever the lengths");
         assert_eq!(p.depth(), 0);
     }
 
     #[test]
     fn partial_bucket_waits_until_its_head_deadline() {
-        let mut p = LengthBucketPolicy::new(vec![8], Duration::from_secs(10));
+        let mut p = FifoPolicy::default();
         p.admit(req(3)).unwrap();
-        match p.next_batch(4, Instant::now(), false) {
-            BatchDecision::WaitUntil(at) => assert!(at > Instant::now()),
-            _ => panic!("partial bucket must wait for max_wait"),
-        }
+        let (enqueued, wait) = (p.oldest().expect("one queued"), Duration::from_secs(10));
+        let early = enqueued + Duration::from_secs(4);
+        assert_eq!(dispatch_delay(&p, 4, wait, early, false), Some(Duration::from_secs(6)));
+        assert_eq!(dispatch_delay(&p, 4, wait, enqueued + wait, false), Some(Duration::ZERO));
         // Rush (shutdown drain) overrides the wait.
-        match p.next_batch(4, Instant::now(), true) {
-            BatchDecision::Dispatch { requests, .. } => assert_eq!(requests.len(), 1),
-            _ => panic!("rush must dispatch pending work"),
-        }
+        assert_eq!(dispatch_delay(&p, 4, wait, early, true), Some(Duration::ZERO));
     }
 
     #[test]
     fn empty_policy_is_idle() {
-        let mut p = LengthBucketPolicy::new(vec![8], Duration::ZERO);
-        assert!(matches!(p.next_batch(4, Instant::now(), true), BatchDecision::Idle));
-        assert_eq!(p.max_seq_len(), 8);
+        let mut p = FifoPolicy::default();
+        assert_eq!(dispatch_delay(&p, 4, Duration::ZERO, Instant::now(), true), None);
+        assert!(p.pop().is_none() && p.oldest().is_none());
     }
 }

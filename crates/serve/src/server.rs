@@ -1,16 +1,15 @@
 //! The dynamic-batching server: a bounded MPSC request queue drained into
-//! sequence-length-bucketed batches by a supervised pool of std-thread
-//! workers.
+//! micro-batches by a supervised pool of std-thread workers.
 //!
 //! ```text
-//!  clients ──submit──▶ bounded queue (admission control, per-bucket FIFO,
-//!                          │          per-request deadlines)
+//!  clients ──submit──▶ bounded queue (admission control, per-request
+//!                          │          deadlines; order set by the policy)
 //!                          │  drain ≤ max_batch, wait ≤ max_wait_us,
 //!                          │  shed expired requests before the forward pass
 //!                          ▼
-//!                length-bucketed micro-batch (sequences of similar
-//!                length; nothing is padded — the session runs one
-//!                forward per sequence, fanned out over the rayon pool)
+//!                micro-batch (a list of sequences of any length;
+//!                nothing is padded — the session runs one forward
+//!                per sequence, fanned out over the rayon pool)
 //!                          │
 //!                          ▼
 //!        worker pool ──▶ InferenceSession::logits_batch ──▶ responses
@@ -18,13 +17,14 @@
 //!        supervisor (respawns dead workers with exponential backoff)
 //! ```
 //!
-//! Batch formation is delegated to a pluggable [`BatchPolicy`]
-//! (see [`crate::policy`]): [`Server::start`] installs the PR-2
-//! [`LengthBucketPolicy`] (full bucket dispatches first, otherwise the
-//! globally-oldest head after `max_wait_us`), while
-//! [`Server::start_with_policy`] accepts any other scheduler — e.g.
-//! fab-fleet's tenant-aware weighted-fair policy — on top of the same
-//! worker pool, supervision, shedding, and drain machinery.
+//! The *order* requests leave the queue in belongs to a pluggable
+//! [`BatchPolicy`] (see [`crate::policy`]): [`Server::start`] installs the
+//! arrival-order [`FifoPolicy`], [`Server::start_with_policy`] accepts any
+//! other discipline — e.g. fab-fleet's tenant-aware weighted-fair policy —
+//! on top of the same worker pool, supervision, shedding, and drain
+//! machinery. *When* a batch leaves is one rule for every policy, written
+//! once in this module: at once during shutdown drain or when `max_batch`
+//! requests are queued, otherwise when the oldest has waited `max_wait_us`.
 //!
 //! # Robustness guarantees
 //!
@@ -46,7 +46,7 @@
 //!   the pool spin), counted in [`ServerStats::worker_restarts`].
 
 use crate::metrics::{Metrics, ServerStats};
-use crate::policy::{BatchDecision, BatchPolicy, LengthBucketPolicy, QueuedRequest, RequestQos};
+use crate::policy::{BatchPolicy, FifoPolicy, QueuedRequest, RequestQos};
 use crate::session::{InferenceSession, SessionScratch};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -64,6 +64,8 @@ pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// How long a worker must stay alive for the supervisor to consider it
 /// healthy and reset its restart backoff.
 const HEALTHY_AFTER: Duration = Duration::from_secs(5);
+/// Upper bound of the supervisor's exponential restart backoff.
+const RESTART_BACKOFF_MAX: Duration = Duration::from_secs(1);
 /// Supervisor poll interval for dead-worker detection.
 const SUPERVISE_EVERY: Duration = Duration::from_millis(2);
 
@@ -80,18 +82,10 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Number of worker threads (0 = one per available core, capped at 4).
     pub num_workers: usize,
-    /// Ascending sequence-length bucket boundaries; a request joins the
-    /// first bucket whose boundary covers its length. Empty = derive
-    /// doubling boundaries from the session's `max_seq` (16, 32, …,
-    /// max_seq).
-    pub buckets: Vec<usize>,
     /// Initial supervisor backoff before respawning a dead worker, in
-    /// milliseconds. Doubles on every consecutive death (capped at
-    /// [`ServeConfig::restart_backoff_max_ms`]) and resets once a worker
-    /// stays alive for a few seconds.
+    /// milliseconds. Doubles on every consecutive death (capped at one
+    /// second) and resets once a worker stays alive for a few seconds.
     pub restart_backoff_ms: u64,
-    /// Upper bound of the exponential restart backoff, in milliseconds.
-    pub restart_backoff_max_ms: u64,
 }
 
 impl Default for ServeConfig {
@@ -101,17 +95,14 @@ impl Default for ServeConfig {
             max_wait_us: 500,
             queue_capacity: 1024,
             num_workers: 0,
-            buckets: Vec::new(),
             restart_backoff_ms: 10,
-            restart_backoff_max_ms: 1000,
         }
     }
 }
 
 impl ServeConfig {
-    /// Validates the policy-independent knobs and fills in the worker
-    /// count.
-    fn resolved_core(mut self) -> Self {
+    /// Validates the knobs and fills in the worker count.
+    fn resolved(mut self) -> Self {
         assert!(self.max_batch >= 1, "max_batch must be at least 1");
         assert!(self.queue_capacity >= 1, "queue_capacity must be at least 1");
         assert!(self.restart_backoff_ms >= 1, "restart_backoff_ms must be at least 1");
@@ -119,27 +110,6 @@ impl ServeConfig {
             self.num_workers =
                 std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(4);
         }
-        self
-    }
-
-    /// Resolves defaults against a session: fills in worker count and
-    /// derives bucket boundaries when unset.
-    fn resolved(mut self, max_seq: usize) -> Self {
-        self = self.resolved_core();
-        if self.buckets.is_empty() {
-            let mut b = 16usize;
-            while b < max_seq {
-                self.buckets.push(b);
-                b *= 2;
-            }
-            self.buckets.push(max_seq);
-        }
-        self.buckets.sort_unstable();
-        self.buckets.dedup();
-        assert!(
-            *self.buckets.last().expect("at least one bucket") <= max_seq,
-            "bucket boundary beyond the session's max_seq {max_seq}"
-        );
         self
     }
 }
@@ -164,7 +134,7 @@ pub enum ServeError {
     /// The request's deadline expired before a forward pass was spent on
     /// it; it was shed at submission or batch-formation time.
     DeadlineExceeded,
-    /// The sequence is longer than the largest configured bucket.
+    /// The sequence is longer than the model's `max_seq`.
     SequenceTooLong {
         /// Length of the rejected sequence.
         len: usize,
@@ -198,7 +168,7 @@ impl fmt::Display for ServeError {
                 write!(f, "deadline expired before the request was served")
             }
             ServeError::SequenceTooLong { len, max } => {
-                write!(f, "sequence length {len} exceeds the largest bucket {max}")
+                write!(f, "sequence length {len} exceeds the model's max_seq {max}")
             }
             ServeError::EmptySequence => write!(f, "cannot serve an empty sequence"),
             ServeError::InvalidToken { id, vocab } => {
@@ -229,9 +199,6 @@ pub struct Prediction {
     pub service_us: u64,
     /// Number of requests in that batch.
     pub batch_size: usize,
-    /// Length of the longest sequence in that batch (the session
-    /// evaluates each sequence at its own length; nothing is padded).
-    pub padded_len: usize,
 }
 
 /// Mutex-guarded queue state (the MPSC channel core): the batch policy
@@ -260,9 +227,6 @@ struct Shared {
     state: Mutex<PolicyState>,
     work: Condvar,
     config: ServeConfig,
-    /// Longest sequence the installed policy accepts (bounds validation
-    /// and scratch sizing).
-    max_seq: usize,
     session: Arc<InferenceSession>,
     metrics: Metrics,
     /// Worker-thread registry, owned jointly by the supervisor (respawn)
@@ -290,45 +254,28 @@ impl Server {
     ///
     /// # Panics
     ///
-    /// Panics when `config` is invalid (zero `max_batch`/`queue_capacity`,
-    /// or a bucket boundary beyond the session's `max_seq`).
+    /// Panics when `config` is invalid (zero `max_batch` /
+    /// `queue_capacity` / `restart_backoff_ms`).
     pub fn start(session: InferenceSession, config: ServeConfig) -> Self {
-        let config = config.resolved(session.max_seq());
-        let policy = LengthBucketPolicy::new(
-            config.buckets.clone(),
-            Duration::from_micros(config.max_wait_us),
-        );
-        Self::launch(session, config, Box::new(policy))
+        Self::start_with_policy(session, config, Box::new(FifoPolicy::default()))
     }
 
     /// Like [`Server::start`], but with a caller-supplied [`BatchPolicy`]
-    /// instead of the default length-bucket batcher. `config.buckets` is
-    /// ignored (batch formation belongs to the policy); the pool, capacity,
-    /// and supervision knobs still apply.
+    /// ordering the queue instead of arrival order.
     ///
     /// # Panics
     ///
-    /// Panics when `config` is invalid (zero `max_batch` /
-    /// `queue_capacity` / `restart_backoff_ms`).
+    /// Panics under the same conditions as [`Server::start`].
     pub fn start_with_policy(
         session: InferenceSession,
         config: ServeConfig,
         policy: Box<dyn BatchPolicy>,
     ) -> Self {
-        Self::launch(session, config.resolved_core(), policy)
-    }
-
-    fn launch(
-        session: InferenceSession,
-        config: ServeConfig,
-        policy: Box<dyn BatchPolicy>,
-    ) -> Self {
-        let max_seq = policy.max_seq_len().min(session.max_seq());
+        let config = config.resolved();
         let shared = Arc::new(Shared {
             state: Mutex::new(PolicyState { policy, shutdown: false }),
             work: Condvar::new(),
             config: config.clone(),
-            max_seq,
             session: Arc::new(session),
             metrics: Metrics::new(),
             workers: Mutex::new(Vec::new()),
@@ -409,9 +356,8 @@ impl Server {
         // Every live worker drains the queue before exiting; this inline
         // drain only runs work when all workers died (e.g. fault injection
         // mid-shutdown) so admitted requests are still never dropped.
-        let mut scratch = SessionScratch::new();
         while let Some(batch) = next_batch(&self.shared) {
-            run_batch(&self.shared, batch, &mut scratch);
+            run_batch(&self.shared, batch);
         }
     }
 }
@@ -467,7 +413,7 @@ impl ServerHandle {
     /// Enqueues a request carrying explicit QoS labels (tenant and
     /// priority class), which QoS-aware batch policies (fab-fleet's
     /// weighted-fair scheduler) use for ordering; the default
-    /// [`LengthBucketPolicy`] ignores them.
+    /// [`FifoPolicy`] ignores them.
     ///
     /// # Errors
     ///
@@ -481,7 +427,7 @@ impl ServerHandle {
         if tokens.is_empty() {
             return Err(ServeError::EmptySequence);
         }
-        let max = self.shared.max_seq;
+        let max = self.shared.session.max_seq();
         if tokens.len() > max {
             return Err(ServeError::SequenceTooLong { len: tokens.len(), max });
         }
@@ -594,22 +540,15 @@ impl PendingPrediction {
     }
 }
 
-/// A batch drained from the queue, ready for one session call.
-struct DrainedBatch {
-    requests: Vec<QueuedRequest>,
-    padded_len: usize,
-}
-
 /// The worker loop: form a batch (blocking on the condvar while the queue
 /// is empty or the head batch is still filling), run the session, respond.
 fn worker_loop(shared: &Shared) {
-    let mut scratch = SessionScratch::new();
     loop {
         if take_injected_kill(shared) {
             return; // fault injection: this worker "dies" without cleanup
         }
         match next_batch(shared) {
-            Some(batch) => run_batch(shared, batch, &mut scratch),
+            Some(batch) => run_batch(shared, batch),
             None => return,
         }
     }
@@ -623,12 +562,33 @@ fn take_injected_kill(shared: &Shared) -> bool {
         .is_ok()
 }
 
-/// Blocks until a batch is ready (returning it) or shutdown completes with
-/// an empty queue (returning `None`). Requests whose deadline expired while
-/// queued are shed here — answered [`ServeError::DeadlineExceeded`] without
-/// a forward pass.
-fn next_batch(shared: &Shared) -> Option<DrainedBatch> {
+/// The batch-timing rule, the same for every policy: how long a worker
+/// should still sleep before taking the next batch off `policy`. `None`
+/// means the queue is empty; zero means dispatch now — on `rush` (shutdown
+/// drain), when a full `max_batch` is queued, or once the oldest request
+/// has waited `max_wait`. An idle server therefore adds at most `max_wait`
+/// of batching delay and a saturated one runs full batches back to back.
+pub(crate) fn dispatch_delay(
+    policy: &dyn BatchPolicy,
+    max_batch: usize,
+    max_wait: Duration,
+    now: Instant,
+    rush: bool,
+) -> Option<Duration> {
+    let oldest = policy.oldest()?;
+    if rush || policy.depth() >= max_batch {
+        return Some(Duration::ZERO);
+    }
+    Some((oldest + max_wait).saturating_duration_since(now))
+}
+
+/// Blocks until a batch is ready (returning it, oldest-first as the policy
+/// orders it) or shutdown completes with an empty queue (returning `None`).
+/// Requests whose deadline expired while queued are shed here — answered
+/// [`ServeError::DeadlineExceeded`] without a forward pass.
+fn next_batch(shared: &Shared) -> Option<Vec<QueuedRequest>> {
     let max_batch = shared.config.max_batch;
+    let max_wait = Duration::from_micros(shared.config.max_wait_us);
     let mut st = lock_recover(&shared.state);
     loop {
         // Honour a kill that arrived while this worker slept on the condvar
@@ -638,38 +598,34 @@ fn next_batch(shared: &Shared) -> Option<DrainedBatch> {
         if !st.shutdown && take_injected_kill(shared) {
             return None;
         }
-        let rush = st.shutdown;
-        match st.policy.next_batch(max_batch, Instant::now(), rush) {
-            BatchDecision::Dispatch { requests } => {
-                // Shed requests whose deadline expired while queued —
-                // answered without spending a forward pass on them.
-                let now = Instant::now();
-                let mut live = Vec::with_capacity(requests.len());
-                for req in requests {
+        let now = Instant::now();
+        match dispatch_delay(st.policy.as_ref(), max_batch, max_wait, now, st.shutdown) {
+            Some(Duration::ZERO) => {
+                let take = st.policy.depth().min(max_batch);
+                let mut live = Vec::with_capacity(take);
+                for _ in 0..take {
+                    let Some(req) = st.policy.pop() else { break };
                     if req.expired(now) {
                         shed_expired(shared, req);
                     } else {
                         live.push(req);
                     }
                 }
-                if live.is_empty() {
-                    continue; // the whole batch expired; look for more work
+                if !live.is_empty() {
+                    return Some(live);
                 }
-                let padded_len =
-                    live.iter().map(|r| r.tokens.len()).max().expect("non-empty batch");
-                return Some(DrainedBatch { requests: live, padded_len });
+                // Everything popped had expired; look for more work.
             }
-            BatchDecision::Idle => {
+            Some(delay) => {
+                let (guard, _) =
+                    shared.work.wait_timeout(st, delay).unwrap_or_else(PoisonError::into_inner);
+                st = guard;
+            }
+            None => {
                 if st.shutdown {
                     return None;
                 }
                 st = shared.work.wait(st).unwrap_or_else(PoisonError::into_inner);
-            }
-            BatchDecision::WaitUntil(at) => {
-                let timeout = at.saturating_duration_since(Instant::now());
-                let (guard, _) =
-                    shared.work.wait_timeout(st, timeout).unwrap_or_else(PoisonError::into_inner);
-                st = guard;
             }
         }
     }
@@ -689,11 +645,11 @@ fn shed_expired(shared: &Shared, req: QueuedRequest) {
 /// [`ServeError::ModelPanicked`] (counted in [`ServerStats::failed`]), the
 /// rest get their predictions, and the worker stays alive for the next
 /// batch either way.
-fn run_batch(shared: &Shared, batch: DrainedBatch, scratch: &mut SessionScratch) {
+fn run_batch(shared: &Shared, batch: Vec<QueuedRequest>) {
     let t0 = Instant::now();
-    let refs: Vec<&[usize]> = batch.requests.iter().map(|r| r.tokens.as_slice()).collect();
+    let refs: Vec<&[usize]> = batch.iter().map(|r| r.tokens.as_slice()).collect();
     let forward = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        shared.session.logits_batch(&refs, batch.padded_len, scratch)
+        shared.session.logits_batch(&refs, shared.session.max_seq(), &mut SessionScratch::new())
     }));
     drop(refs);
     let logits = match forward {
@@ -705,13 +661,13 @@ fn run_batch(shared: &Shared, batch: DrainedBatch, scratch: &mut SessionScratch)
         }
     };
     let service_us = t0.elapsed().as_micros() as u64;
-    let n = batch.requests.len();
+    let n = batch.len();
     let m = &shared.metrics;
     m.batches.fetch_add(1, Ordering::Relaxed);
     m.batched_examples.fetch_add(n as u64, Ordering::Relaxed);
     m.max_batch_observed.fetch_max(n as u64, Ordering::Relaxed);
     m.service.record(service_us);
-    for (req, lg) in batch.requests.into_iter().zip(logits) {
+    for (req, lg) in batch.into_iter().zip(logits) {
         let queue_wait_us = t0.duration_since(req.enqueued).as_micros() as u64;
         m.queue_wait.record(queue_wait_us);
         m.latency.record(req.enqueued.elapsed().as_micros() as u64);
@@ -724,16 +680,15 @@ fn run_batch(shared: &Shared, batch: DrainedBatch, scratch: &mut SessionScratch)
             queue_wait_us,
             service_us,
             batch_size: n,
-            padded_len: batch.padded_len,
         }));
     }
 }
 
 /// Fallback after a batched forward pass panicked: serve each request of
 /// the batch alone, so one poisonous input cannot take down its batchmates.
-fn run_batch_isolated(shared: &Shared, batch: DrainedBatch) {
+fn run_batch_isolated(shared: &Shared, batch: Vec<QueuedRequest>) {
     let m = &shared.metrics;
-    for req in batch.requests {
+    for req in batch {
         let t0 = Instant::now();
         let forward = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             shared.session.logits(&req.tokens)
@@ -755,7 +710,6 @@ fn run_batch_isolated(shared: &Shared, batch: DrainedBatch) {
                     queue_wait_us,
                     service_us,
                     batch_size: 1,
-                    padded_len: req.tokens.len(),
                 }));
             }
             Err(_) => {
@@ -801,8 +755,7 @@ fn supervisor_loop(shared: &Arc<Shared>) {
                     slot.backoff = Duration::from_millis(shared.config.restart_backoff_ms);
                 }
                 slot.respawn_at = Some(now + slot.backoff);
-                slot.backoff = (slot.backoff * 2)
-                    .min(Duration::from_millis(shared.config.restart_backoff_max_ms));
+                slot.backoff = (slot.backoff * 2).min(RESTART_BACKOFF_MAX);
             }
             if slot.handle.is_none() && slot.respawn_at.is_some_and(|at| now >= at) {
                 slot.handle = Some(spawn_worker(shared, i));
@@ -839,7 +792,6 @@ mod tests {
         assert_eq!(p.logits, model.predict(&tokens));
         assert_eq!(p.class, model.predict_class(&tokens));
         assert!(p.batch_size >= 1);
-        assert!(p.padded_len >= tokens.len());
         server.shutdown();
     }
 
@@ -910,9 +862,9 @@ mod tests {
         let pending: Vec<_> =
             (0..8).map(|i| handle.submit(vec![1, 2, 3, (i % 4) + 1]).unwrap()).collect();
         let sizes: Vec<usize> = pending.into_iter().map(|p| p.wait().unwrap().batch_size).collect();
-        // All 8 requests land in the same bucket; the batch dispatches as
-        // soon as it is full, well before the 200ms deadline, so at least
-        // the last-served requests rode a multi-request batch.
+        // The batch dispatches as soon as it is full, well before the 200ms
+        // deadline, so at least the last-served requests rode a
+        // multi-request batch.
         assert!(*sizes.iter().max().unwrap() > 1, "no batching happened: {sizes:?}");
         let stats = server.stats();
         assert_eq!(stats.completed, 8);
@@ -957,35 +909,6 @@ mod tests {
     }
 
     #[test]
-    fn full_batch_is_not_blocked_by_a_stale_request_in_another_bucket() {
-        let (_model, session) = tiny_session();
-        let config = ServeConfig {
-            max_batch: 8,
-            max_wait_us: 2_000_000, // 2s deadline: hitting it would be obvious
-            num_workers: 1,
-            buckets: vec![4, 16],
-            ..ServeConfig::default()
-        };
-        let server = Server::start(session, config);
-        let handle = server.handle();
-        // A lone short request parks in the 4-bucket...
-        let stale = handle.submit(vec![1, 2, 3]).unwrap();
-        // ...then a full batch lands in the 16-bucket.
-        let t0 = Instant::now();
-        let full: Vec<_> = (0..8).map(|_| handle.submit(vec![2; 10]).unwrap()).collect();
-        for p in full {
-            p.wait().unwrap();
-        }
-        assert!(
-            t0.elapsed() < Duration::from_millis(500),
-            "full batch waited {:?} behind a stale request in another bucket",
-            t0.elapsed()
-        );
-        server.shutdown();
-        stale.wait().unwrap();
-    }
-
-    #[test]
     fn shutdown_drains_queued_requests() {
         let (_model, session) = tiny_session();
         let config = ServeConfig { max_wait_us: 100_000, num_workers: 1, ..ServeConfig::default() };
@@ -1000,14 +923,22 @@ mod tests {
     }
 
     #[test]
-    fn mixed_lengths_land_in_matching_buckets() {
+    fn mixed_lengths_share_one_batch() {
         let (model, session) = tiny_session();
-        let server = Server::start(session, ServeConfig::default());
+        // Only a full batch can dispatch before the 10 s wait: both
+        // requests answering at all means they rode together.
+        let config = ServeConfig {
+            max_batch: 2,
+            max_wait_us: 10_000_000,
+            num_workers: 1,
+            ..ServeConfig::default()
+        };
+        let server = Server::start(session, config);
         let handle = server.handle();
-        let short = handle.infer(vec![1; 3]).unwrap();
-        let long = handle.infer(vec![1; 16]).unwrap();
-        assert!(short.padded_len >= 3 && short.padded_len <= 16);
-        assert_eq!(long.padded_len, 16);
+        let short = handle.submit(vec![1; 3]).unwrap();
+        let long = handle.submit(vec![1; 16]).unwrap();
+        let (short, long) = (short.wait().unwrap(), long.wait().unwrap());
+        assert_eq!((short.batch_size, long.batch_size), (2, 2));
         assert_eq!(short.logits, model.predict(&[1; 3]));
         assert_eq!(long.logits, model.predict(&[1; 16]));
         server.shutdown();
@@ -1105,7 +1036,6 @@ mod tests {
             // beyond the test's lifetime, so only the inline drain can
             // answer the queued requests.
             restart_backoff_ms: 60_000,
-            restart_backoff_max_ms: 60_000,
             ..ServeConfig::default()
         };
         let server = Server::start(session, config);
@@ -1156,7 +1086,7 @@ mod tests {
         };
         let server = Server::start(session, config);
         let handle = server.handle();
-        // One poisonous request plus healthy batchmates, all in one bucket.
+        // One poisonous request plus healthy batchmates, all in one batch.
         let victims: Vec<_> = (0..4).map(|_| handle.submit(vec![1, 2, 3]).unwrap()).collect();
         let poisonous = handle.submit(vec![1, marker, 3]).unwrap();
         let mut batch_fill: Vec<_> =

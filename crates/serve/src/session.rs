@@ -173,13 +173,12 @@ impl InferenceSession {
         argmax(&self.logits(tokens))
     }
 
-    /// Per-example logits for a batch the caller padded to `pad_to`.
-    ///
-    /// Every sequence is evaluated on its own, as [`InferenceSession::logits`]
-    /// would: no padded batch tensor is built, so padding rows cost nothing
-    /// and the answers equal the unbatched ones by construction. The
-    /// sequences fan out over the rayon shim's pool once the batch's
-    /// analytical operation count reaches [`PAR_GRAIN_OPS`].
+    /// Per-sequence logits for a batch: a list of sequences, each evaluated
+    /// on its own as [`InferenceSession::logits`] would, so the answers
+    /// equal the unbatched ones by construction. Nothing is padded;
+    /// `pad_to` only bounds the lengths the caller promises. The sequences
+    /// fan out over the rayon shim's pool once the batch's analytical
+    /// operation count reaches [`PAR_GRAIN_OPS`].
     ///
     /// # Panics
     ///
@@ -213,13 +212,13 @@ impl InferenceSession {
     }
 }
 
-/// Per-worker state handed to [`InferenceSession::logits_batch`]. Per-example
-/// evaluation stages nothing, so it holds no buffers.
+/// The argument [`InferenceSession::logits_batch`] takes for staging
+/// buffers. Per-sequence evaluation stages nothing, so it holds none.
 #[derive(Debug, Default, Clone)]
 pub struct SessionScratch;
 
 impl SessionScratch {
-    /// Creates the (empty) per-worker state.
+    /// Creates the (empty) state.
     pub fn new() -> Self {
         Self
     }

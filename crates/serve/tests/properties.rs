@@ -1,6 +1,6 @@
 //! PR-2 batcher property tests: logits served through the dynamic batcher
-//! (bucketed, padded batches, evaluated per example) must equal the same
-//! session's single-request answer bit for bit at any thread count — which
+//! (mixed-length batches, evaluated one sequence at a time) must equal the
+//! same session's single-request answer bit for bit at any thread count — which
 //! for an exact session is the tape path's answer, and for a fast-math
 //! session lies within 1e-5 of it — across odd batch sizes and mixed
 //! sequence lengths.
@@ -184,8 +184,8 @@ fn logits_batch_equals_logits_per_sequence_for_every_session_kind_and_thread_cou
     }
 }
 
-/// Direct (serverless) check of the bucketed/padded fused path: every pad
-/// length that a bucket could choose yields bit-identical logits.
+/// Direct (serverless) check of the frozen model's batch entry point: every
+/// `pad_to` a caller could pass yields logits bit-identical to tape predict.
 #[test]
 fn fused_batch_is_pad_invariant_and_bit_exact() {
     let _guard = THREAD_ENV_LOCK.lock().unwrap();
@@ -206,7 +206,7 @@ fn fused_batch_is_pad_invariant_and_bit_exact() {
 /// PR-6 drain property: a server shut down while requests are still queued
 /// answers every accepted request — with a prediction, or with an explicit
 /// error for requests whose deadline expired — across worker counts,
-/// bucket mixes and deadline mixes. Zero accepted requests dropped.
+/// length mixes and deadline mixes. Zero accepted requests dropped.
 mod drain {
     use super::*;
     use fab_serve::ServeError;

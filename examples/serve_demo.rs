@@ -41,11 +41,10 @@ fn main() {
     let server = trained.serve(serve_config);
     println!("\n== Server up ==");
     println!(
-        "  workers {}  max_batch {}  max_wait {}us  buckets {:?}",
+        "  workers {}  max_batch {}  max_wait {}us",
         server.config().num_workers,
         server.config().max_batch,
-        server.config().max_wait_us,
-        server.config().buckets
+        server.config().max_wait_us
     );
 
     // 3. Fire mixed-length traffic from several client threads.
@@ -64,9 +63,8 @@ fn main() {
                         Ok(p) => {
                             if i == 0 && c == 0 {
                                 println!(
-                                    "  first response: class {} (batch of {}, padded to {}, \
-                                     waited {}us)",
-                                    p.class, p.batch_size, p.padded_len, p.queue_wait_us
+                                    "  first response: class {} (batch of {}, waited {}us)",
+                                    p.class, p.batch_size, p.queue_wait_us
                                 );
                             }
                         }
