@@ -310,6 +310,17 @@ impl ButterflyMatrix {
     /// ([`simd::lanes_to_rows`]). Batches that reach the fan-out grain are
     /// split on tile boundaries; no split changes any output bit.
     ///
+    /// The padding is not transformed row by row. With `live` the next
+    /// power of two at or above `d_in`, tile rows `live..n` do not depend on
+    /// `x` until the stage that pairs them with a live row: before the stage
+    /// with `half = h >= live`, rows `h..2h` hold what the earlier stages
+    /// make of zeros — signed zeros, or NaN where a weight is not finite —
+    /// the same in every tile. Those rows are computed once per call, by
+    /// the same stage kernel over a zero tile, each stage runs on the rows
+    /// that are live by then (the prefix form of the stage kernel), and
+    /// rows `h..2h` are copied in just before stage `h`. With `d_in == n`
+    /// there is nothing to copy and every stage covers the tile.
+    ///
     /// # Panics
     ///
     /// Panics when `d_in` or `d_out` exceed the transform size, `d_out` is
@@ -329,31 +340,56 @@ impl ButterflyMatrix {
         assert!(bias.is_empty() || bias.len() == d_out, "butterfly bias length mismatch");
         out.resize_to(&[rows, d_out]);
         let lanes = simd::backend().lanes();
-        let xs = x.as_slice();
-        let run_rows = |r0: usize, chunk: &mut [f32]| {
-            crate::with_scratch(n * lanes, |tile| {
-                for (t, orows) in chunk.chunks_mut(lanes * d_out).enumerate() {
-                    let (r, nr) = (r0 + t * lanes, orows.len() / d_out);
-                    simd::rows_to_lanes(&xs[r * d_in..], d_in, nr, d_in, &[], tile, lanes);
-                    tile[d_in * lanes..].fill(0.0);
-                    for s in &self.stages {
-                        simd::butterfly_stage_lanes(
-                            s.half, &s.w1, &s.w2, &s.w3, &s.w4, tile, lanes,
-                        );
-                    }
-                    simd::lanes_to_rows(tile, lanes, nr, d_out, bias, gelu, orows, d_out);
-                }
-            });
+        let live = d_in.next_power_of_two();
+        // Stage `s` over tile rows `from..from + buf.len() / lanes`, `from` a
+        // multiple of the stage's block size.
+        let stage_rows = |s: &ButterflyStage, from: usize, buf: &mut [f32]| {
+            let (p0, p1) = (from / 2, (from + buf.len() / lanes) / 2);
+            let (w1, w2, w3, w4) = (&s.w1[p0..p1], &s.w2[p0..p1], &s.w3[p0..p1], &s.w4[p0..p1]);
+            simd::butterfly_stage_lanes(s.half, w1, w2, w3, w4, buf, lanes);
         };
-        let data = out.as_mut_slice();
-        if !self.fans_out(rows, 1) {
-            run_rows(0, data);
-        } else {
-            let rows_per_chunk = (CHUNK_ELEMS / n).max(1).next_multiple_of(lanes);
-            data.par_chunks_mut(rows_per_chunk * d_out)
-                .enumerate()
-                .for_each(|(c, chunk)| run_rows(c * rows_per_chunk, chunk));
-        }
+        crate::with_scratch((n - live) * lanes, |pad| {
+            // `pad` is tile rows `live..n` of an all-zero input. A stage
+            // below `live` advances all of them; the stage with half `h`
+            // leaves rows `h..2h` as the tiles need them and advances the
+            // rest.
+            pad.fill(0.0);
+            for s in &self.stages {
+                let from = live.max(2 * s.half);
+                if from < n {
+                    stage_rows(s, from, &mut pad[(from - live) * lanes..]);
+                }
+            }
+            let pad = &*pad;
+            let xs = x.as_slice();
+            let run_rows = |r0: usize, chunk: &mut [f32]| {
+                crate::with_scratch(n * lanes, |tile| {
+                    for (t, orows) in chunk.chunks_mut(lanes * d_out).enumerate() {
+                        let (r, nr) = (r0 + t * lanes, orows.len() / d_out);
+                        simd::rows_to_lanes(&xs[r * d_in..], d_in, nr, d_in, &[], tile, lanes);
+                        tile[d_in * lanes..live * lanes].fill(0.0);
+                        for s in &self.stages {
+                            let (h, m) = (s.half, live.max(2 * s.half));
+                            if h >= live {
+                                tile[h * lanes..m * lanes]
+                                    .copy_from_slice(&pad[(h - live) * lanes..(m - live) * lanes]);
+                            }
+                            stage_rows(s, 0, &mut tile[..m * lanes]);
+                        }
+                        simd::lanes_to_rows(tile, lanes, nr, d_out, bias, gelu, orows, d_out);
+                    }
+                });
+            };
+            let data = out.as_mut_slice();
+            if !self.fans_out(rows, 1) {
+                run_rows(0, data);
+            } else {
+                let rows_per_chunk = (CHUNK_ELEMS / n).max(1).next_multiple_of(lanes);
+                data.par_chunks_mut(rows_per_chunk * d_out)
+                    .enumerate()
+                    .for_each(|(c, chunk)| run_rows(c * rows_per_chunk, chunk));
+            }
+        });
     }
 
     /// Reloads the butterfly weights from a `[log2 n, 2 n]` tensor in place,
@@ -1030,6 +1066,53 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// The padding rows are replayed from a zero tile, not transformed. At
+    /// every pad width, with signed zeros in the input, the bits are those
+    /// of the kernel over the explicitly padded rows (`d_in == n`, where
+    /// every stage covers the whole tile) — also where a weight that is not
+    /// finite turns the padding into NaN — and, for finite weights, those of
+    /// the seed's stage chain.
+    #[test]
+    fn padded_rows_are_bit_equal_to_explicit_padding_at_every_pad_width() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let rows = simd::backend().lanes() + 1;
+        let mut rng = StdRng::seed_from_u64(43);
+        for log_n in 1..=9 {
+            let n = 1usize << log_n;
+            let finite = ButterflyMatrix::random(n, &mut rng).unwrap();
+            let mut wild = finite.clone();
+            for stage in &mut wild.stages {
+                let p = rng.gen_range(0..n / 2);
+                stage.w1[p] = f32::INFINITY;
+                stage.w4[(p + 1) % (n / 2)] = f32::NAN;
+                stage.w2[(p + 2) % (n / 2)] = f32::NEG_INFINITY;
+            }
+            for d_in in 1..=n {
+                let mut padded = Tensor::zeros(&[rows, n]);
+                for row in padded.as_mut_slice().chunks_mut(n) {
+                    for (i, v) in row[..d_in].iter_mut().enumerate() {
+                        *v = match i % 5 {
+                            0 => 0.0,
+                            1 => -0.0,
+                            _ => rng.gen_range(-2.0f32..2.0),
+                        };
+                    }
+                }
+                let x = padded.slice_cols(0, d_in);
+                for b in [&finite, &wild] {
+                    let (mut out, mut whole) = (Tensor::default(), Tensor::default());
+                    b.forward_rows_fused_into(&x, n, &[], false, &mut out);
+                    b.forward_rows_fused_into(&padded, n, &[], false, &mut whole);
+                    assert_eq!(bits(out.as_slice()), bits(whole.as_slice()), "n={n} d_in={d_in}");
+                }
+                let mut out = Tensor::default();
+                finite.forward_rows_fused_into(&x, n, &[], false, &mut out);
+                let expected = reference_layer(&finite, &x, n, &[], false);
+                assert_eq!(bits(out.as_slice()), bits(&expected), "n={n} d_in={d_in}");
             }
         }
     }

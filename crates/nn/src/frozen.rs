@@ -8,8 +8,9 @@
 //! [`Model::freeze`](crate::Model::freeze) copies the current parameter
 //! values out of their `Rc<RefCell<_>>` cells into a [`FrozenModel`]: an
 //! immutable, `Send + Sync` snapshot whose forward pass calls the PR-1
-//! batched kernels (`Tensor::matmul`, `ButterflyMatrix::forward_rows`,
-//! `fourier_mix`, the row-parallel softmax/layer-norm) directly.
+//! batched kernels (`Tensor::matmul_into`,
+//! `ButterflyMatrix::forward_rows_fused_into`, `fourier_mix_into`, the
+//! row-parallel softmax/layer-norm) directly.
 //!
 //! # Per-sequence execution and exactness
 //!
@@ -24,6 +25,21 @@
 //! bit-compatible with its serial reference, whatever the worker-thread
 //! count. For an all-f32 model without fast math they also equal the
 //! single-request tape path bit for bit.
+//!
+//! # Memory
+//!
+//! Once warm, a forward allocates nothing but the logits it returns. Every
+//! activation — the gathered embeddings, q/k/v, the mixed heads, the
+//! residual layer norms, the FFN intermediate, the pooled state — is a
+//! buffer of a workspace that only grows ([`Tensor::resize_to`]); every op
+//! writes into its output in place of returning one. A forward takes the
+//! most recently used idle workspace of the process for its duration, so
+//! there are as many as forwards have run at once (a batch fanned out over
+//! the worker pool has one per worker), and the model itself stays
+//! immutable and `Send + Sync`. Attention never holds a `[len, len]` matrix: each head is
+//! computed a fixed number of query rows at a time, so its score memory is
+//! `O(tile · len)`. Nothing here is configurable, and no value depends on
+//! what a buffer held before: every op overwrites the whole of its output.
 //!
 //! [`FrozenModel::logits_observed`] is the same forward with a tap: a
 //! callback handed the activation tensors that feed the quantizable GEMMs
@@ -53,8 +69,9 @@
 
 use crate::config::{ModelConfig, ModelKind};
 use crate::qlinear::{QuantEmbedding, QuantLinear};
-use fab_butterfly::{fourier_mix, ButterflyMatrix};
+use fab_butterfly::{fourier_mix_into, ButterflyMatrix};
 use fab_tensor::Tensor;
+use std::sync::{Mutex, PoisonError};
 
 /// A frozen (inference-only) linear map: the tape-free counterpart of the
 /// [`crate::Linear`] layer implementations.
@@ -91,32 +108,34 @@ impl FrozenLinear {
     ///
     /// Panics when `x` does not have `d_in` columns.
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        self.forward_act(x, false)
+        let mut y = Tensor::default();
+        self.forward_into(x, false, &mut Vec::new(), &mut y);
+        y
     }
 
-    /// [`FrozenLinear::forward`] followed by GELU when `gelu` is set. The
-    /// butterfly map applies padding, bias, activation and truncation
-    /// inside its own tile loop
+    /// [`FrozenLinear::forward`], followed by GELU when `gelu` is set,
+    /// writing into `out` (resized in place); `qx` stages the int8 map's
+    /// quantized input. No arm makes a second pass through a second buffer:
+    /// the dense map adds its bias and applies the activation in place on
+    /// the product, the butterfly map applies padding, bias, activation and
+    /// truncation inside its own tile loop
     /// ([`ButterflyMatrix::forward_rows_fused_into`]) and the int8 map
-    /// inside its dequantization epilogue, both bit-identical to the
-    /// separate passes the dense map still makes.
-    fn forward_act(&self, x: &Tensor, gelu: bool) -> Tensor {
+    /// inside its dequantization epilogue — all bit-identical to
+    /// `matmul`, `add_row_broadcast`, `gelu` one after the other.
+    fn forward_into(&self, x: &Tensor, gelu: bool, qx: &mut Vec<i8>, out: &mut Tensor) {
         match self {
             FrozenLinear::Dense { w, b } => {
-                let y = x.matmul(w).add_row_broadcast(b);
+                x.matmul_into(w, out);
+                out.add_row_broadcast_in_place(b);
                 if gelu {
-                    y.gelu()
-                } else {
-                    y
+                    out.gelu_in_place();
                 }
             }
             FrozenLinear::Butterfly { bfly, b, d_in, d_out } => {
                 assert_eq!(x.cols(), *d_in, "frozen butterfly input width mismatch");
-                let mut y = Tensor::default();
-                bfly.forward_rows_fused_into(x, *d_out, b.as_slice(), gelu, &mut y);
-                y
+                bfly.forward_rows_fused_into(x, *d_out, b.as_slice(), gelu, out);
             }
-            FrozenLinear::Int8(q) => q.forward(x, gelu),
+            FrozenLinear::Int8(q) => q.forward_into(x, gelu, qx, out),
         }
     }
 
@@ -175,7 +194,15 @@ impl FrozenLayerNorm {
     /// Fused residual shortcut: normalises each row of `x + fx`
     /// (bit-identical to `forward(&x.add(fx))`, one pass).
     pub fn forward_residual(&self, x: &Tensor, fx: &Tensor) -> Tensor {
-        x.add_layer_norm_rows(fx, &self.gamma, &self.beta, self.eps)
+        let mut out = Tensor::default();
+        self.forward_residual_into(x, fx, &mut out);
+        out
+    }
+
+    /// [`FrozenLayerNorm::forward_residual`] writing into `out` (resized in
+    /// place).
+    fn forward_residual_into(&self, x: &Tensor, fx: &Tensor, out: &mut Tensor) {
+        x.add_layer_norm_rows_into(fx, &self.gamma, &self.beta, self.eps, out);
     }
 }
 
@@ -207,15 +234,25 @@ impl FrozenFeedForward {
     /// here: since PR 3 the exact and the serving-grade GELU are the same
     /// kernel ([`fab_tensor::fastmath`]).
     pub fn forward(&self, x: &Tensor, _fast_math: bool) -> Tensor {
-        self.forward_observed(x, |_| {})
+        let mut out = Tensor::default();
+        self.forward_into(x, &mut Tensor::default(), &mut Vec::new(), &mut out, |_| {});
+        out
     }
 
-    /// [`FrozenFeedForward::forward`], showing `lin2`'s input (the
-    /// post-GELU activations) to `observe` on the way.
-    fn forward_observed(&self, x: &Tensor, observe: impl FnOnce(&[f32])) -> Tensor {
-        let act = self.lin1.forward_act(x, true);
+    /// [`FrozenFeedForward::forward`] writing into `out`, with `lin2`'s
+    /// input (the post-GELU activations) left in `act` and shown to
+    /// `observe` on the way.
+    fn forward_into(
+        &self,
+        x: &Tensor,
+        act: &mut Tensor,
+        qx: &mut Vec<i8>,
+        out: &mut Tensor,
+        observe: impl FnOnce(&[f32]),
+    ) {
+        self.lin1.forward_into(x, true, qx, act);
         observe(act.as_slice());
-        self.lin2.forward(&act)
+        self.lin2.forward_into(act, false, qx, out);
     }
 }
 
@@ -283,43 +320,66 @@ impl FrozenAttention {
     }
 
     /// Applies self-attention to one sequence's `[len, dim]` activations,
-    /// showing the output projection's input (the mixed heads) to `observe`
-    /// on the way.
-    fn forward(&self, x: &Tensor, fast_math: bool, observe: impl FnOnce(&[f32])) -> Tensor {
-        let (q, k, v) = match (&self.wq, &self.wk, &self.wv) {
+    /// writing into `out` and showing the output projection's input (the
+    /// mixed heads) to `observe` on the way.
+    fn forward_into(
+        &self,
+        x: &Tensor,
+        fast_math: bool,
+        bufs: &mut AttentionBuffers,
+        qx: &mut Vec<i8>,
+        out: &mut Tensor,
+        observe: impl FnOnce(&[f32]),
+    ) {
+        let AttentionBuffers { q, k, v, mixed, core } = bufs;
+        match (&self.wq, &self.wk, &self.wv) {
             // Calibration gives q/k/v one input scale, so the input is
             // quantized once and the int8 buffer reused across the three
             // projections (bit-identical to three independent forwards).
             (FrozenLinear::Int8(wq), FrozenLinear::Int8(wk), FrozenLinear::Int8(wv))
                 if wq.in_scale() == wk.in_scale() && wq.in_scale() == wv.in_scale() =>
             {
-                let mut qx = Vec::new();
-                wq.quantize_input(x, &mut qx);
-                let rows = x.rows();
-                (
-                    wq.forward_prequantized(&qx, rows, false),
-                    wk.forward_prequantized(&qx, rows, false),
-                    wv.forward_prequantized(&qx, rows, false),
-                )
+                wq.quantize_input(x, qx);
+                wq.forward_prequantized_into(qx, x.rows(), false, q);
+                wk.forward_prequantized_into(qx, x.rows(), false, k);
+                wv.forward_prequantized_into(qx, x.rows(), false, v);
             }
-            _ => (self.wq.forward(x), self.wk.forward(x), self.wv.forward(x)),
-        };
+            _ => {
+                self.wq.forward_into(x, false, qx, q);
+                self.wk.forward_into(x, false, qx, k);
+                self.wv.forward_into(x, false, qx, v);
+            }
+        }
         // Fast-math mode pre-scales Q once (`(c·q)·kᵀ` instead of
         // `c·(q·kᵀ)`): same value up to rounding, but the scaling pass runs
-        // over `[len, dim]` instead of every `[len, len]` score matrix.
-        let q = if fast_math {
+        // over `[len, dim]` instead of every `[len, len]` score matrix. The
+        // scaled copy lands in `mixed`, which the core overwrites anyway,
+        // and the two buffers trade places.
+        if fast_math {
             let head_scale = 1.0 / ((self.dim / self.num_heads) as f32).sqrt();
-            q.scale(head_scale)
-        } else {
-            q
-        };
-        let mut mixed = vec![0.0f32; x.len()];
-        attention_mix_rows(&q, &k, &v, self.num_heads, fast_math, &mut mixed);
-        observe(&mixed);
-        let mixed = Tensor::from_vec(mixed, &[x.rows(), self.dim]).expect("attention shape");
-        self.wo.forward(&mixed)
+            q.scale_into(head_scale, mixed);
+            std::mem::swap(q, mixed);
+        }
+        mixed.resize_to(&[x.rows(), self.dim]);
+        attention_core(q, k, v, self.num_heads, fast_math, mixed.as_mut_slice(), core);
+        observe(mixed.as_slice());
+        self.wo.forward_into(mixed, false, qx, out);
     }
 }
+
+/// Query rows per tile of the attention core. A head's scores exist one
+/// tile at a time, so the core holds two `[ATTN_TILE_ROWS, len]` buffers
+/// (scores and probabilities) instead of `[len, len]` matrices: 1 MB at
+/// `len` 1024, small enough to still be in L2 when the next kernel reads
+/// what the last one wrote, and `O(tile · len)` however long the sequence.
+/// 128 rows are two of the matmul's 64-row bands, so a tile's products can
+/// still fan out, and tiles cut the rows where the bands of the untiled
+/// product would. (Taller tiles mean fewer pool dispatches: 256 rows read
+/// about 6 % faster on the seq-512 and seq-1024 Transformer of a 2-core
+/// host, for twice the memory.) The height is part of neither the value nor
+/// the API: a row of scores, its softmax and its product with V never
+/// involve another row.
+const ATTN_TILE_ROWS: usize = 128;
 
 /// The f32 `softmax(QKᵀ)·V` attention core on one example's projected
 /// `[len, dim]` q/k/v, scattering the mixed heads into `out` (`len · dim`
@@ -330,8 +390,12 @@ impl FrozenAttention {
 /// scaled. One transpose of K per example; head `h`'s transposed slice is
 /// then a contiguous row range of `kt`, with exactly the values
 /// `slice_cols(kh).transpose()` would produce — the per-head matmul stays
-/// bit-identical to the tape path's. Public so a per-component profile can
-/// time the core on its own (the benchmark's `nn.share.*` replay does).
+/// bit-identical to the tape path's. Each head is computed a fixed number
+/// of query rows at a time (`ATTN_TILE_ROWS`); the tile height is part of
+/// neither the value nor the API. The work buffers are an idle
+/// workspace's, so a warm call allocates nothing. Public so a per-component
+/// profile can time the core on its own (the benchmark's `nn.share.*`
+/// replay does).
 ///
 /// # Panics
 ///
@@ -345,6 +409,21 @@ pub fn attention_mix_rows(
     prescaled: bool,
     out: &mut [f32],
 ) {
+    with_workspace(|ws| {
+        attention_core(qi, ki, vi, num_heads, prescaled, out, &mut ws.attention.core)
+    });
+}
+
+/// [`attention_mix_rows`] on the caller's buffers.
+fn attention_core(
+    qi: &Tensor,
+    ki: &Tensor,
+    vi: &Tensor,
+    num_heads: usize,
+    prescaled: bool,
+    out: &mut [f32],
+    bufs: &mut CoreBuffers,
+) {
     let dim = qi.cols();
     let len = qi.rows();
     assert!(
@@ -354,17 +433,32 @@ pub fn attention_mix_rows(
     assert_eq!(out.len(), len * dim, "attention output chunk length mismatch");
     let head_dim = dim / num_heads;
     let scale = 1.0 / (head_dim as f32).sqrt();
-    let kt = ki.transpose();
+    let CoreBuffers { kt, kh_t, vh, q_tile, scores, probs, head } = bufs;
+    ki.transpose_into(kt);
     for h in 0..num_heads {
         let (lo, hi) = (h * head_dim, (h + 1) * head_dim);
-        let qh = qi.slice_cols(lo, hi);
-        let kh_t = kt.slice_rows(lo, hi);
-        let vh = vi.slice_cols(lo, hi);
-        let raw = qh.matmul(&kh_t);
-        let scores = if prescaled { raw } else { raw.scale(scale) };
-        let head = scores.softmax_rows().matmul(&vh);
-        for (r, hrow) in head.as_slice().chunks(head_dim).enumerate() {
-            out[r * dim + lo..r * dim + hi].copy_from_slice(hrow);
+        kh_t.resize_to(&[head_dim, len]);
+        kh_t.as_mut_slice().copy_from_slice(&kt.as_slice()[lo * len..hi * len]);
+        vi.slice_cols_into(lo, hi, vh);
+        for t0 in (0..len).step_by(ATTN_TILE_ROWS) {
+            let t1 = (t0 + ATTN_TILE_ROWS).min(len);
+            q_tile.resize_to(&[t1 - t0, head_dim]);
+            let q_rows = qi.as_slice()[t0 * dim..t1 * dim].chunks(dim);
+            for (dst, row) in q_tile.as_mut_slice().chunks_mut(head_dim).zip(q_rows) {
+                dst.copy_from_slice(&row[lo..hi]);
+            }
+            q_tile.matmul_into(kh_t, scores);
+            if !prescaled {
+                scores.scale_into(scale, probs);
+                std::mem::swap(scores, probs);
+            }
+            scores.softmax_rows_into(probs);
+            probs.matmul_into(vh, head);
+            for (orow, hrow) in
+                out[t0 * dim..t1 * dim].chunks_mut(dim).zip(head.as_slice().chunks(head_dim))
+            {
+                orow[lo..hi].copy_from_slice(hrow);
+            }
         }
     }
 }
@@ -419,27 +513,123 @@ impl FrozenBlock {
         &self.ln2
     }
 
-    /// Applies block `index` to one sequence's `[len, hidden]` activations,
-    /// handing `tap` the inputs of its quantizable GEMMs.
-    fn forward(
+    /// Applies block `index` to one sequence's `[len, hidden]` activations
+    /// in `ws.x`, leaving the result there and handing `tap` the inputs of
+    /// the block's quantizable GEMMs.
+    fn forward_in(
         &self,
-        x: &Tensor,
+        ws: &mut Workspace,
         index: usize,
         fast_math: bool,
         tap: &mut impl FnMut(Tap, &[f32]),
-    ) -> Tensor {
-        let m = match &self.mixing {
+    ) {
+        let Workspace { x, y, fx, act, attention, qx, .. } = ws;
+        match &self.mixing {
             FrozenMixing::Attention(a) => {
                 tap(Tap::AttnIn(index), x.as_slice());
-                a.forward(x, fast_math, |mixed| tap(Tap::AttnCoreOut(index), mixed))
+                a.forward_into(x, fast_math, attention, qx, fx, |mixed| {
+                    tap(Tap::AttnCoreOut(index), mixed)
+                });
             }
-            FrozenMixing::Fourier => fourier_mix(x),
-        };
-        let x = self.ln1.forward_residual(x, &m);
-        tap(Tap::Ffn1In(index), x.as_slice());
-        let f = self.ffn.forward_observed(&x, |act| tap(Tap::Ffn2In(index), act));
-        self.ln2.forward_residual(&x, &f)
+            FrozenMixing::Fourier => fourier_mix_into(x, fx),
+        }
+        self.ln1.forward_residual_into(x, fx, y);
+        tap(Tap::Ffn1In(index), y.as_slice());
+        self.ffn.forward_into(y, act, qx, fx, |act| tap(Tap::Ffn2In(index), act));
+        self.ln2.forward_residual_into(y, fx, x);
     }
+}
+
+/// Every activation buffer of one frozen forward. A forward takes an idle
+/// one (see [`with_workspace`]) and every buffer only ever grows
+/// ([`Tensor::resize_to`]), so once a workspace has held the longest
+/// sequence a forward in it allocates nothing but the logits it returns.
+/// The high-water mark is about `len · (ffn + 8 · hidden) · 4` bytes plus the
+/// attention core's two score tiles, `2 · ATTN_TILE_ROWS · len · 4` bytes.
+#[derive(Debug, Default)]
+struct Workspace {
+    /// A block's input and, after it ran, its output: `[len, hidden]`.
+    x: Tensor,
+    /// The block's state between its two halves (the output of `ln1`).
+    y: Tensor,
+    /// Output of the half in flight: the token mixing, then the FFN.
+    fx: Tensor,
+    /// The FFN's `[len, ffn]` intermediate.
+    act: Tensor,
+    attention: AttentionBuffers,
+    /// The int8 form of whatever an int8 linear is reading.
+    qx: Vec<i8>,
+    /// Mean-pooled hidden state, `[1, hidden]`.
+    pooled: Tensor,
+    /// The classifier head's output, `[1, classes]`.
+    logits: Tensor,
+}
+
+/// The buffers of [`FrozenAttention::forward_into`].
+#[derive(Debug, Default)]
+struct AttentionBuffers {
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    /// The mixed heads, `[len, dim]`: the output projection's input.
+    mixed: Tensor,
+    core: CoreBuffers,
+}
+
+/// The buffers of [`attention_core`].
+#[derive(Debug, Default)]
+struct CoreBuffers {
+    /// `kᵀ`, `[dim, len]`.
+    kt: Tensor,
+    /// One head's rows of `kt` and columns of `v`.
+    kh_t: Tensor,
+    vh: Tensor,
+    /// One tile of one head's query rows, `[tile, head_dim]`.
+    q_tile: Tensor,
+    /// The tile's `[tile, len]` scores and probabilities.
+    scores: Tensor,
+    probs: Tensor,
+    /// The tile's mixed head, `[tile, head_dim]`.
+    head: Tensor,
+}
+
+/// The workspaces no forward is using, the most recently used one last.
+static IDLE_WORKSPACES: Mutex<Vec<Workspace>> = Mutex::new(Vec::new());
+
+#[cfg(test)]
+impl Workspace {
+    /// Overwrites every buffer with NaN (the int8 one with a value
+    /// quantization never produces), so a forward that reads anything it
+    /// has not written itself shows it.
+    fn poison(&mut self) {
+        let Workspace { x, y, fx, act, attention, qx, pooled, logits } = self;
+        let AttentionBuffers { q, k, v, mixed, core } = attention;
+        let CoreBuffers { kt, kh_t, vh, q_tile, scores, probs, head } = core;
+        for t in [
+            x, y, fx, act, pooled, logits, q, k, v, mixed, kt, kh_t, vh, q_tile, scores, probs,
+            head,
+        ] {
+            t.as_mut_slice().fill(f32::NAN);
+        }
+        qx.fill(i8::MIN);
+    }
+}
+
+/// Runs `f` on an idle [`Workspace`] — the one used last, so a lone caller
+/// always gets the same warm one — or on a new one when every workspace is
+/// in a forward: there are as many as there have been forwards running at
+/// once, on other threads or from inside a tap. They are shared by the
+/// process and not kept per thread because a daemon has far more threads
+/// that run forwards (every worker of every model) than forwards in
+/// flight, and each thread's buffers would sit in its own malloc arena.
+fn with_workspace<R>(f: impl FnOnce(&mut Workspace) -> R) -> R {
+    // Only `pop` and `push` run under the lock, so a poisoned one still
+    // guards a valid stack.
+    let idle = || IDLE_WORKSPACES.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut ws = idle().pop().unwrap_or_default();
+    let result = f(&mut ws);
+    idle().push(ws);
+    result
 }
 
 /// Which activation tensor [`FrozenModel::logits_observed`] is showing its
@@ -676,22 +866,33 @@ impl FrozenModel {
     /// Panics when `tokens` is empty or longer than `max_seq`, or a token
     /// id is out of vocabulary.
     pub fn logits_observed(&self, tokens: &[usize], mut tap: impl FnMut(Tap, &[f32])) -> Vec<f32> {
+        with_workspace(|ws| self.forward_in(ws, tokens, &mut tap))
+    }
+
+    /// [`FrozenModel::logits_observed`] with every activation in `ws`.
+    fn forward_in(
+        &self,
+        ws: &mut Workspace,
+        tokens: &[usize],
+        tap: &mut impl FnMut(Tap, &[f32]),
+    ) -> Vec<f32> {
         let (hidden, vocab, max_seq) =
             (self.config.hidden, self.config.vocab_size, self.config.max_seq);
         let len = tokens.len();
         assert!(len >= 1 && len <= max_seq, "sequence length {len} outside 1..={max_seq}");
-        let mut x = vec![0.0f32; len * hidden];
-        for (j, (row, &id)) in x.chunks_mut(hidden).zip(tokens).enumerate() {
+        ws.x.resize_to(&[len, hidden]);
+        for (j, (row, &id)) in ws.x.as_mut_slice().chunks_mut(hidden).zip(tokens).enumerate() {
             assert!(id < vocab, "token index {id} out of range for vocab {vocab}");
             self.embedding.gather_into(id, j, row);
         }
-        let mut x = Tensor::from_vec(x, &[len, hidden]).expect("embedding shape");
         for (index, block) in self.blocks.iter().enumerate() {
-            x = block.forward(&x, index, self.fast_math, &mut tap);
+            block.forward_in(ws, index, self.fast_math, tap);
         }
-        let pooled = x.mean_rows();
+        let Workspace { x, pooled, logits, qx, .. } = ws;
+        x.mean_rows_into(pooled);
         tap(Tap::HeadIn, pooled.as_slice());
-        self.head.forward(&pooled).into_vec()
+        self.head.forward_into(pooled, false, qx, logits);
+        logits.as_slice().to_vec()
     }
 
     /// Class logits for a single sequence (tape-free).
@@ -871,11 +1072,127 @@ mod tests {
             let mut mixed = vec![0.0f32; x.len()];
             attention_mix_rows(&q, &k, &v, a.num_heads(), false, &mut mixed);
             let mixed = Tensor::from_vec(mixed, &[len, a.dim()]).expect("mixed");
-            assert_eq!(
-                attn.forward(&x, false, |_| {}).as_slice(),
-                attn.wo.forward(&mixed).as_slice(),
-                "scales {scales:?}"
-            );
+            let mut out = Tensor::default();
+            let mut bufs = AttentionBuffers::default();
+            attn.forward_into(&x, false, &mut bufs, &mut Vec::new(), &mut out, |_| {});
+            assert_eq!(out.as_slice(), attn.wo.forward(&mixed).as_slice(), "scales {scales:?}");
+        }
+    }
+
+    /// An all-int8 copy of an f32 model with fixed input scales (q/k/v
+    /// share theirs, so attention quantizes its input once).
+    fn quantized(frozen: &FrozenModel) -> FrozenModel {
+        let int8 = |lin: &FrozenLinear| match lin {
+            FrozenLinear::Dense { w, b } => FrozenLinear::Int8(QuantLinear::from_dense(w, b, 0.04)),
+            other => other.clone(),
+        };
+        let blocks = frozen
+            .blocks()
+            .iter()
+            .map(|b| {
+                let mixing = match b.mixing() {
+                    FrozenMixing::Attention(a) => {
+                        FrozenMixing::Attention(Box::new(FrozenAttention::new(
+                            int8(a.wq()),
+                            int8(a.wk()),
+                            int8(a.wv()),
+                            int8(a.wo()),
+                            a.dim(),
+                            a.num_heads(),
+                        )))
+                    }
+                    FrozenMixing::Fourier => FrozenMixing::Fourier,
+                };
+                let ffn = FrozenFeedForward::new(int8(b.ffn().lin1()), int8(b.ffn().lin2()));
+                FrozenBlock::new(mixing, ffn, b.ln1().clone(), b.ln2().clone())
+            })
+            .collect();
+        let embedding = FrozenEmbedding::Int8 {
+            tok: QuantEmbedding::from_table(frozen.tok_table()),
+            pos: QuantEmbedding::from_table(frozen.pos_table()),
+        };
+        FrozenModel::from_parts(
+            frozen.config().clone(),
+            frozen.kind(),
+            embedding,
+            blocks,
+            int8(frozen.head()),
+        )
+    }
+
+    /// Transformer, FNet and FABNet (one attention block, one Fourier
+    /// block), each exact, fast-math and int8, long enough for several
+    /// attention tiles.
+    fn workspace_models() -> &'static [FrozenModel] {
+        static MODELS: std::sync::OnceLock<Vec<FrozenModel>> = std::sync::OnceLock::new();
+        MODELS.get_or_init(|| {
+            let config = ModelConfig {
+                hidden: 12,
+                ffn_ratio: 2,
+                num_layers: 2,
+                num_abfly: 1,
+                num_heads: 2,
+                vocab_size: 16,
+                max_seq: 512,
+                num_classes: 3,
+            };
+            [ModelKind::Transformer, ModelKind::FNet, ModelKind::FabNet]
+                .into_iter()
+                .flat_map(|kind| {
+                    let exact = Model::new(&config, kind, &mut StdRng::seed_from_u64(21)).freeze();
+                    [exact.clone().with_fast_math(true), quantized(&exact), exact]
+                })
+                .collect()
+        })
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    const WORKSPACE_LENS: [usize; 7] =
+        [1, 7, ATTN_TILE_ROWS - 1, ATTN_TILE_ROWS, ATTN_TILE_ROWS + 1, 129, 512];
+
+    // Whatever a workspace last held — another model's activations, a
+    // longer or a shorter sequence's, or NaN — a forward in it returns the
+    // bits it returns in a new one.
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn a_used_workspace_gives_the_bits_of_a_new_one(
+            calls in proptest::collection::vec((0usize..9, 0usize..7, 0usize..2), 10),
+        ) {
+            let mut used = Workspace::default();
+            for (model, len, poison) in calls {
+                let model = &workspace_models()[model];
+                let tokens: Vec<usize> =
+                    (0..WORKSPACE_LENS[len]).map(|j| (j * 7 + len * 3 + 1) % 16).collect();
+                if poison == 1 {
+                    used.poison();
+                }
+                let reused = model.forward_in(&mut used, &tokens, &mut |_, _| {});
+                let new = model.forward_in(&mut Workspace::default(), &tokens, &mut |_, _| {});
+                proptest::prop_assert_eq!(bits(&reused), bits(&new));
+            }
+        }
+    }
+
+    #[test]
+    fn a_tap_may_run_another_forward() {
+        let models = workspace_models();
+        let tokens: Vec<usize> = (0..40).map(|j| (j * 5 + 2) % 16).collect();
+        let inner_tokens: Vec<usize> = (0..150).map(|j| (j * 3 + 1) % 16).collect();
+        for (outer, inner) in [(0, 4), (2, 6), (7, 1)] {
+            let (outer, inner) = (&models[outer], &models[inner]);
+            let (alone, inner_alone) = (outer.logits(&tokens), inner.logits(&inner_tokens));
+            let mut seen = 0;
+            let observed = outer.logits_observed(&tokens, |_, _| {
+                assert_eq!(bits(&inner.logits(&inner_tokens)), bits(&inner_alone));
+                seen += 1;
+            });
+            assert!(seen > 0, "the tap never ran");
+            assert_eq!(bits(&observed), bits(&alone));
         }
     }
 

@@ -4,10 +4,19 @@
 use fab_butterfly::flops::dense_linear_flops;
 use fab_tensor::{simd, Tensor, PAR_GRAIN_OPS};
 use rayon::prelude::*;
+use std::cell::RefCell;
 
-/// Rows per parallel band of the int8 GEMM (each band is an independent
-/// exact computation, so the split never changes results).
+/// Rows per band of the int8 GEMM (each band is an independent exact
+/// computation, so the split never changes results).
 const PAR_BAND_ROWS: usize = 64;
+
+thread_local! {
+    /// The i32 accumulator of the band this thread is running. It sits here
+    /// and not in the frozen forward's workspace because the bands of a
+    /// fanned-out GEMM run on pool threads, one accumulator each, and a
+    /// band's worth (`PAR_BAND_ROWS · d_out`) is all any thread ever needs.
+    static BAND_ACC: RefCell<Vec<i32>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Floor for weight/activation scales (keeps `1 / scale` finite on
 /// degenerate all-zero tensors).
@@ -137,11 +146,16 @@ impl QuantLinear {
     ///
     /// Panics when `x` does not have `d_in` columns.
     pub fn forward(&self, x: &Tensor, gelu: bool) -> Tensor {
-        assert_eq!(x.cols(), self.d_in, "quantized linear input width mismatch");
-        let rows = x.rows();
-        let mut qx = vec![0i8; rows * self.d_in];
-        simd::q8_quantize_slice(x.as_slice(), 1.0 / self.in_scale, &mut qx);
-        self.forward_prequantized(&qx, rows, gelu)
+        let mut out = Tensor::default();
+        self.forward_into(x, gelu, &mut Vec::new(), &mut out);
+        out
+    }
+
+    /// [`QuantLinear::forward`] writing into `out` (resized in place), the
+    /// quantized input staged in `qx`.
+    pub(crate) fn forward_into(&self, x: &Tensor, gelu: bool, qx: &mut Vec<i8>, out: &mut Tensor) {
+        self.quantize_input(x, qx);
+        self.forward_prequantized_into(qx, x.rows(), gelu, out);
     }
 
     /// Quantizes a `[rows, d_in]` activation batch with this layer's input
@@ -163,30 +177,45 @@ impl QuantLinear {
     ///
     /// Panics when `qx` is not `rows · d_in` long.
     pub fn forward_prequantized(&self, qx: &[i8], rows: usize, gelu: bool) -> Tensor {
+        let mut out = Tensor::default();
+        self.forward_prequantized_into(qx, rows, gelu, &mut out);
+        out
+    }
+
+    /// [`QuantLinear::forward_prequantized`] writing into `out` (resized in
+    /// place). Rows go through the GEMM in bands of [`PAR_BAND_ROWS`],
+    /// whether or not the call fans out: a band is an independent exact
+    /// computation, so the split is bit-identical to one sweep at any thread
+    /// count, and its i32 accumulator is the running thread's [`BAND_ACC`].
+    pub(crate) fn forward_prequantized_into(
+        &self,
+        qx: &[i8],
+        rows: usize,
+        gelu: bool,
+        out: &mut Tensor,
+    ) {
         assert_eq!(qx.len(), rows * self.d_in, "prequantized input length mismatch");
-        let mut out = vec![0.0f32; rows * self.d_out];
-        let run_band = |qx_band: &[i8], out_band: &mut [f32]| {
-            let band_rows = out_band.len() / self.d_out;
-            let mut acc = vec![0i32; band_rows * self.d_out];
-            simd::q8_gemm_i32(qx_band, &self.qw, self.d_in, self.d_out, &mut acc);
-            if gelu {
-                simd::q8_dequant_bias_gelu_rows(&acc, &self.combined, &self.bias, out_band);
-            } else {
-                simd::q8_dequant_bias_rows(&acc, &self.combined, &self.bias, out_band);
-            }
-        };
-        if dense_linear_flops(rows, self.d_in, self.d_out) < PAR_GRAIN_OPS {
-            run_band(qx, &mut out);
-        } else {
-            // Row bands are independent exact computations: the parallel
-            // split is bit-identical to the serial sweep at any thread count.
-            out.par_chunks_mut(PAR_BAND_ROWS * self.d_out).enumerate().for_each(|(b, ob)| {
-                let r0 = b * PAR_BAND_ROWS;
-                let band_rows = ob.len() / self.d_out;
-                run_band(&qx[r0 * self.d_in..(r0 + band_rows) * self.d_in], ob);
+        out.resize_to(&[rows, self.d_out]);
+        let run_band = |(b, out_band): (usize, &mut [f32])| {
+            let r0 = b * PAR_BAND_ROWS;
+            let qx_band = &qx[r0 * self.d_in..(r0 + out_band.len() / self.d_out) * self.d_in];
+            BAND_ACC.with(|acc| {
+                let mut acc = acc.borrow_mut();
+                acc.resize(out_band.len(), 0);
+                simd::q8_gemm_i32(qx_band, &self.qw, self.d_in, self.d_out, &mut acc);
+                if gelu {
+                    simd::q8_dequant_bias_gelu_rows(&acc, &self.combined, &self.bias, out_band);
+                } else {
+                    simd::q8_dequant_bias_rows(&acc, &self.combined, &self.bias, out_band);
+                }
             });
+        };
+        let band_len = PAR_BAND_ROWS * self.d_out;
+        if dense_linear_flops(rows, self.d_in, self.d_out) < PAR_GRAIN_OPS {
+            out.as_mut_slice().chunks_mut(band_len).enumerate().for_each(run_band);
+        } else {
+            out.as_mut_slice().par_chunks_mut(band_len).enumerate().for_each(run_band);
         }
-        Tensor::from_vec(out, &[rows, self.d_out]).expect("quant linear output shape")
     }
 
     /// Bytes of int8 weight storage (the f32 layout would be 4x).

@@ -4,54 +4,15 @@
 //! allocations are the boxed backward closures of the custom butterfly ops,
 //! a bounded handful per step.
 //!
-//! This lives in its own integration-test binary because it installs a
-//! counting global allocator.
+//! This lives in its own integration-test binary because it installs the
+//! counting global allocator of `common`.
 
+mod common;
+
+use common::allocated_by;
 use fab_nn::{FusedAdamW, Model, ModelConfig, ModelKind, TrainStep};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-struct CountingAllocator;
-
-thread_local! {
-    /// Allocations made by this thread. `cargo test` runs the two tests of
-    /// this binary on parallel threads, so a process-wide counter would
-    /// charge each test with the other's allocations. (A `const` `Cell` has
-    /// no lazy initialiser and no destructor, so the allocator may touch it
-    /// at any point of a thread's life.)
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count_one() {
-    ALLOCATIONS.with(|n| n.set(n.get() + 1));
-}
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAllocator = CountingAllocator;
-
-/// Allocations made so far by the calling thread (every kernel of the
-/// counted model takes its serial path, so a step allocates nowhere else).
-fn allocations() -> u64 {
-    ALLOCATIONS.with(Cell::get)
-}
 
 /// An attention-only FABNet (no Fourier blocks, whose FFT still stages
 /// internal buffers) that is small enough for every kernel to take its
@@ -77,9 +38,7 @@ fn steady_state_train_steps_reuse_tape_grad_and_optimizer_buffers() {
     let mut step = TrainStep::new(FusedAdamW::new(1e-3));
 
     // First step: arenas, gradient buffers and optimiser moments warm up.
-    let before = allocations();
-    step.step(&model, &tokens, 1);
-    let first_step = allocations() - before;
+    let (first_step, _) = allocated_by(|| step.step(&model, &tokens, 1));
 
     // A few more warmup steps (second-step growth, pool fills).
     for _ in 0..3 {
@@ -92,9 +51,7 @@ fn steady_state_train_steps_reuse_tape_grad_and_optimizer_buffers() {
     let moment_cap = step.optimizer().state_capacity();
     let mut steady_max = 0u64;
     for i in 0..8 {
-        let before = allocations();
-        step.step(&model, &tokens, i % 2);
-        let during = allocations() - before;
+        let (during, _) = allocated_by(|| step.step(&model, &tokens, i % 2));
         steady_max = steady_max.max(during);
         assert_eq!(step.tape().node_capacity(), node_cap, "tape node storage grew at step {i}");
         assert_eq!(step.tape().buffer_capacity(), buffer_cap, "tape buffers grew at step {i}");

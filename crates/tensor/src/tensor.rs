@@ -640,12 +640,21 @@ impl Tensor {
     ///
     /// Panics when the column counts differ.
     pub fn add_row_broadcast_into(&self, row: &Tensor, out_t: &mut Tensor) {
+        out_t.copy_from(self);
+        out_t.add_row_broadcast_in_place(row);
+    }
+
+    /// [`Tensor::add_row_broadcast`] on `self` itself: the bias epilogue of
+    /// a `matmul_into` whose output needs no second buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the column counts differ.
+    pub fn add_row_broadcast_in_place(&mut self, row: &Tensor) {
         assert_eq!(self.shape.len(), 2, "add_row_broadcast requires a 2-D tensor");
         let n = self.shape[1];
         assert_eq!(row.len(), n, "broadcast row length {} != cols {}", row.len(), n);
-        out_t.resize_to(&self.shape);
-        out_t.data.copy_from_slice(&self.data);
-        for_each_row_band(&mut out_t.data, n, 1, |_, chunk| {
+        for_each_row_band(&mut self.data, n, 1, |_, chunk| {
             for orow in chunk.chunks_mut(n) {
                 for (d, &b) in orow.iter_mut().zip(row.data.iter()) {
                     *d += b;
@@ -718,20 +727,38 @@ impl Tensor {
         beta: &Tensor,
         eps: f32,
     ) -> Tensor {
+        let mut out = Tensor::default();
+        self.add_layer_norm_rows_into(rhs, gamma, beta, eps, &mut out);
+        out
+    }
+
+    /// [`Tensor::add_layer_norm_rows`] writing into `out` (resized in place).
+    ///
+    /// # Panics
+    ///
+    /// Panics when shapes differ, the tensors are not 2-D, or parameter
+    /// lengths differ from `cols`.
+    pub fn add_layer_norm_rows_into(
+        &self,
+        rhs: &Tensor,
+        gamma: &Tensor,
+        beta: &Tensor,
+        eps: f32,
+        out_t: &mut Tensor,
+    ) {
         assert_eq!(self.shape.len(), 2, "add_layer_norm_rows requires 2-D tensors");
         assert_eq!(self.shape, rhs.shape, "shape mismatch in add_layer_norm_rows");
-        let (m, n) = (self.shape[0], self.shape[1]);
+        let n = self.shape[1];
         assert_eq!(gamma.len(), n, "gamma length mismatch");
         assert_eq!(beta.len(), n, "beta length mismatch");
-        let mut out = vec![0.0f32; m * n];
-        for_each_row_band(&mut out, n, LAYER_NORM_OPS, |r0, chunk| {
+        out_t.resize_to(&self.shape);
+        for_each_row_band(&mut out_t.data, n, LAYER_NORM_OPS, |r0, chunk| {
             for (i, orow) in chunk.chunks_mut(n).enumerate() {
                 let a = &self.data[(r0 + i) * n..(r0 + i + 1) * n];
                 let b = &rhs.data[(r0 + i) * n..(r0 + i + 1) * n];
                 crate::simd::add_layer_norm_row(a, b, &gamma.data, &beta.data, eps, orow);
             }
         });
-        Tensor { shape: vec![m, n], data: out }
     }
 
     /// Row-wise layer normalization with learned `gamma`/`beta` of length `cols`.
@@ -789,6 +816,21 @@ impl Tensor {
     pub fn gelu_into(&self, out_t: &mut Tensor) {
         out_t.resize_to(&self.shape);
         chunked_slice_op(&self.data, &mut out_t.data, GELU_OPS, crate::simd::gelu_slice);
+    }
+
+    /// [`Tensor::gelu`] on `self` itself, bit-identical to it. The slice
+    /// kernel reads one buffer and writes another, so each chunk goes
+    /// through a stack block small enough to stay in L1.
+    pub fn gelu_in_place(&mut self) {
+        const BLOCK: usize = 256;
+        chunked_op(&mut self.data, CHUNK_ELEMS, GELU_OPS, |_, chunk| {
+            let mut block = [0.0f32; BLOCK];
+            for part in chunk.chunks_mut(BLOCK) {
+                let src = &mut block[..part.len()];
+                src.copy_from_slice(part);
+                crate::simd::gelu_slice(src, part);
+            }
+        });
     }
 
     /// GELU on [`crate::fastmath::gelu_fast`]. Since PR 3 the canonical
@@ -1169,6 +1211,25 @@ mod tests {
         let b = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]).unwrap();
         let out = a.add_row_broadcast(&b);
         assert_eq!(out.at(1, 2), 3.0);
+    }
+
+    #[test]
+    fn in_place_and_into_forms_match_the_value_returning_ops() {
+        let a =
+            Tensor::from_vec((0..600).map(|i| (i as f32 * 0.37).sin() * 3.0).collect(), &[2, 300])
+                .unwrap();
+        let b =
+            Tensor::from_vec((0..300).map(|i| (i as f32 * 0.11).cos()).collect(), &[300]).unwrap();
+        // Stale contents and a stale shape must not show through.
+        let mut out = Tensor::full(&[7, 5], f32::NAN);
+        let (gamma, beta) = (b.scale(0.5), b.scale(-0.25));
+        a.add_layer_norm_rows_into(&a.scale(0.3), &gamma, &beta, 1e-5, &mut out);
+        assert_eq!(out, a.add_layer_norm_rows(&a.scale(0.3), &gamma, &beta, 1e-5));
+        let mut y = a.clone();
+        y.add_row_broadcast_in_place(&b);
+        assert_eq!(y, a.add_row_broadcast(&b));
+        y.gelu_in_place();
+        assert_eq!(y, a.add_row_broadcast(&b).gelu());
     }
 
     #[test]
