@@ -28,17 +28,22 @@
 //!
 //! # Memory
 //!
-//! Once warm, a forward allocates nothing but the logits it returns. Every
-//! activation — the gathered embeddings, q/k/v, the mixed heads, the
-//! residual layer norms, the FFN intermediate, the pooled state — is a
-//! buffer of a workspace that only grows ([`Tensor::resize_to`]); every op
-//! writes into its output in place of returning one. A forward takes the
-//! most recently used idle workspace of the process for its duration, so
-//! there are as many as forwards have run at once (a batch fanned out over
-//! the worker pool has one per worker), and the model itself stays
-//! immutable and `Send + Sync`. Attention never holds a `[len, len]` matrix: each head is
-//! computed a fixed number of query rows at a time, so its score memory is
-//! `O(tile · len)`. Nothing here is configurable, and no value depends on
+//! Once warm, a forward allocates nothing of its own but the logits it
+//! returns. Every activation — the gathered embeddings, q/k/v, the mixed
+//! heads, the residual layer norms, the FFN intermediate, the pooled state —
+//! is a buffer of a workspace that only grows ([`Tensor::resize_to`]); every
+//! op writes into its output in place of returning one. (A kernel call that
+//! reaches [`PAR_GRAIN_OPS`] goes to the worker pool, and the rayon shim
+//! allocates its per-call bookkeeping, about ten small blocks: no such call
+//! for a short sequence, twenty for a two-layer Transformer at 1024
+//! tokens.) A forward takes the most recently used idle workspace of the
+//! process for its duration, so there are as many as forwards have run at
+//! once (a batch fanned out over the worker pool has one per worker), and
+//! the model itself stays immutable and `Send + Sync`. Attention never
+//! holds a `[len, len]` matrix: the query rows are cut into at most eight
+//! bands — the items of the core's one pool call — and a band computes one
+//! head's scores sixteen rows at a time, so the score memory is
+//! `O(128 · len)`. Nothing here is configurable, and no value depends on
 //! what a buffer held before: every op overwrites the whole of its output.
 //!
 //! [`FrozenModel::logits_observed`] is the same forward with a tap: a
@@ -69,8 +74,10 @@
 
 use crate::config::{ModelConfig, ModelKind};
 use crate::qlinear::{QuantEmbedding, QuantLinear};
+use fab_butterfly::flops::attention_core_flops;
 use fab_butterfly::{fourier_mix_into, ButterflyMatrix};
-use fab_tensor::Tensor;
+use fab_tensor::{simd, Tensor, PAR_GRAIN_OPS};
+use rayon::prelude::*;
 use std::sync::{Mutex, PoisonError};
 
 /// A frozen (inference-only) linear map: the tape-free counterpart of the
@@ -367,19 +374,25 @@ impl FrozenAttention {
     }
 }
 
-/// Query rows per tile of the attention core. A head's scores exist one
-/// tile at a time, so the core holds two `[ATTN_TILE_ROWS, len]` buffers
-/// (scores and probabilities) instead of `[len, len]` matrices: 1 MB at
-/// `len` 1024, small enough to still be in L2 when the next kernel reads
-/// what the last one wrote, and `O(tile · len)` however long the sequence.
-/// 128 rows are two of the matmul's 64-row bands, so a tile's products can
-/// still fan out, and tiles cut the rows where the bands of the untiled
-/// product would. (Taller tiles mean fewer pool dispatches: 256 rows read
-/// about 6 % faster on the seq-512 and seq-1024 Transformer of a 2-core
-/// host, for twice the memory.) The height is part of neither the value nor
-/// the API: a row of scores, its softmax and its product with V never
-/// involve another row.
-const ATTN_TILE_ROWS: usize = 128;
+/// Query rows a band of the attention core computes at a time, for one
+/// head: its scores are `[ATTN_SUB_ROWS, len]` — 64 KiB at `len` 1024 — so
+/// they are still in L1/L2 when the softmax and the product with V read
+/// what the product with Kᵀ wrote.
+const ATTN_SUB_ROWS: usize = 16;
+
+/// Most bands the core cuts a sequence's query rows into — the items of its
+/// one pool call, and the slots of its scratch: `ATTN_MAX_BANDS` sub-tiles
+/// of scores and as many of probabilities, `2 · 128 · len · 4` bytes.
+const ATTN_MAX_BANDS: usize = 8;
+
+/// Query rows per band of the attention core for a `len`-row sequence: a
+/// whole number of sub-tiles, at most [`ATTN_MAX_BANDS`] bands. A function
+/// of `len` alone — never of the thread count — although no value could
+/// tell: a row of scores, its softmax and its product with V never involve
+/// another row.
+fn attention_band_rows(len: usize) -> usize {
+    len.div_ceil(ATTN_MAX_BANDS).next_multiple_of(ATTN_SUB_ROWS)
+}
 
 /// The f32 `softmax(QKᵀ)·V` attention core on one example's projected
 /// `[len, dim]` q/k/v, scattering the mixed heads into `out` (`len · dim`
@@ -390,12 +403,14 @@ const ATTN_TILE_ROWS: usize = 128;
 /// scaled. One transpose of K per example; head `h`'s transposed slice is
 /// then a contiguous row range of `kt`, with exactly the values
 /// `slice_cols(kh).transpose()` would produce — the per-head matmul stays
-/// bit-identical to the tape path's. Each head is computed a fixed number
-/// of query rows at a time (`ATTN_TILE_ROWS`); the tile height is part of
-/// neither the value nor the API. The work buffers are an idle
-/// workspace's, so a warm call allocates nothing. Public so a per-component
-/// profile can time the core on its own (the benchmark's `nn.share.*`
-/// replay does).
+/// bit-identical to the tape path's. The query rows are cut into bands
+/// (`attention_band_rows`) that share nothing but the read-only `kt` and
+/// V: one pool call over the bands when the core reaches
+/// [`PAR_GRAIN_OPS`], a plain loop below it. Neither the cut nor the fan-out
+/// is part of the value or the API. The work buffers are an idle
+/// workspace's, so a warm call allocates nothing below the grain and the
+/// pool call's bookkeeping above it. Public so a per-component profile can
+/// time the core on its own (the benchmark's `nn.share.*` replay does).
 ///
 /// # Panics
 ///
@@ -430,34 +445,113 @@ fn attention_core(
         num_heads > 0 && dim.is_multiple_of(num_heads),
         "heads must divide the feature dimension"
     );
+    assert_eq!((ki.rows(), ki.cols()), (len, dim), "attention key shape mismatch");
+    assert_eq!((vi.rows(), vi.cols()), (len, dim), "attention value shape mismatch");
     assert_eq!(out.len(), len * dim, "attention output chunk length mismatch");
     let head_dim = dim / num_heads;
-    let scale = 1.0 / (head_dim as f32).sqrt();
-    let CoreBuffers { kt, kh_t, vh, q_tile, scores, probs, head } = bufs;
+    let CoreBuffers { kt, v_heads, q_tile, scores, probs, head } = bufs;
     ki.transpose_into(kt);
-    for h in 0..num_heads {
-        let (lo, hi) = (h * head_dim, (h + 1) * head_dim);
-        kh_t.resize_to(&[head_dim, len]);
-        kh_t.as_mut_slice().copy_from_slice(&kt.as_slice()[lo * len..hi * len]);
-        vi.slice_cols_into(lo, hi, vh);
-        for t0 in (0..len).step_by(ATTN_TILE_ROWS) {
-            let t1 = (t0 + ATTN_TILE_ROWS).min(len);
-            q_tile.resize_to(&[t1 - t0, head_dim]);
-            let q_rows = qi.as_slice()[t0 * dim..t1 * dim].chunks(dim);
-            for (dst, row) in q_tile.as_mut_slice().chunks_mut(head_dim).zip(q_rows) {
-                dst.copy_from_slice(&row[lo..hi]);
-            }
-            q_tile.matmul_into(kh_t, scores);
-            if !prescaled {
-                scores.scale_into(scale, probs);
-                std::mem::swap(scores, probs);
-            }
-            scores.softmax_rows_into(probs);
-            probs.matmul_into(vh, head);
-            for (orow, hrow) in
-                out[t0 * dim..t1 * dim].chunks_mut(dim).zip(head.as_slice().chunks(head_dim))
-            {
-                orow[lo..hi].copy_from_slice(hrow);
+    // V head-major, `[num_heads][len, head_dim]`: each head's columns as the
+    // contiguous right-hand side its product needs.
+    v_heads.resize_to(&[num_heads * len, head_dim]);
+    for (h, vh) in v_heads.as_mut_slice().chunks_mut(len * head_dim).enumerate() {
+        for (dst, row) in vh.chunks_mut(head_dim).zip(vi.as_slice().chunks(dim)) {
+            dst.copy_from_slice(&row[h * head_dim..(h + 1) * head_dim]);
+        }
+    }
+    let band_rows = attention_band_rows(len);
+    let bands = len.div_ceil(band_rows);
+    for (buf, width) in [(&mut *scores, len), (probs, len), (q_tile, head_dim), (head, head_dim)] {
+        buf.resize_to(&[bands * ATTN_SUB_ROWS, width]);
+    }
+    let inputs = BandInputs {
+        q: qi.as_slice(),
+        kt: kt.as_slice(),
+        v_heads: v_heads.as_slice(),
+        len,
+        dim,
+        head_dim,
+        scale: (!prescaled).then(|| 1.0 / (head_dim as f32).sqrt()),
+    };
+    // Band `b` owns rows `b · band_rows ..` of `out` and slot `b` of every
+    // scratch buffer.
+    let slots = out
+        .chunks_mut(band_rows * dim)
+        .zip(scores.as_mut_slice().chunks_mut(ATTN_SUB_ROWS * len))
+        .zip(probs.as_mut_slice().chunks_mut(ATTN_SUB_ROWS * len))
+        .zip(q_tile.as_mut_slice().chunks_mut(ATTN_SUB_ROWS * head_dim))
+        .zip(head.as_mut_slice().chunks_mut(ATTN_SUB_ROWS * head_dim))
+        .enumerate();
+    let run = |(b, ((((out, scores), probs), q_tile), head))| {
+        inputs.mix_band(b * band_rows, out, scores, probs, q_tile, head)
+    };
+    if attention_core_flops(len, dim) < PAR_GRAIN_OPS {
+        slots.for_each(run);
+    } else {
+        slots.collect::<Vec<_>>().into_par_iter().for_each(run);
+    }
+}
+
+/// What every band of one [`attention_core`] call reads.
+struct BandInputs<'a> {
+    /// The query, `[len, dim]`.
+    q: &'a [f32],
+    /// `kᵀ`, `[dim, len]`.
+    kt: &'a [f32],
+    /// V head-major, `[num_heads][len, head_dim]`.
+    v_heads: &'a [f32],
+    len: usize,
+    dim: usize,
+    head_dim: usize,
+    /// `1/√head_dim` when the scores still have to be scaled.
+    scale: Option<f32>,
+}
+
+impl BandInputs<'_> {
+    /// Mixes the query rows `r0 .. r0 + out.len() / dim` into `out`, every
+    /// head in turn, [`ATTN_SUB_ROWS`] rows at a time: gather the head's
+    /// query columns, multiply by its rows of `kt`, scale, softmax each
+    /// row, multiply by its V, scatter. The four scratch slices are one
+    /// sub-tile each; `matmul_band`'s per-element chain does not depend on
+    /// how rows are grouped, so neither does any value here.
+    fn mix_band(
+        &self,
+        r0: usize,
+        out: &mut [f32],
+        scores: &mut [f32],
+        probs: &mut [f32],
+        q_tile: &mut [f32],
+        head: &mut [f32],
+    ) {
+        let &BandInputs { q, kt, v_heads, len, dim, head_dim, scale } = self;
+        for h in 0..dim / head_dim {
+            let (lo, hi) = (h * head_dim, (h + 1) * head_dim);
+            let kh_t = &kt[lo * len..hi * len];
+            let vh = &v_heads[lo * len..hi * len];
+            for (t, out) in out.chunks_mut(ATTN_SUB_ROWS * dim).enumerate() {
+                let t0 = r0 + t * ATTN_SUB_ROWS;
+                let rows = out.len() / dim;
+                let q_tile = &mut q_tile[..rows * head_dim];
+                let q_rows = q[t0 * dim..(t0 + rows) * dim].chunks(dim);
+                for (dst, row) in q_tile.chunks_mut(head_dim).zip(q_rows) {
+                    dst.copy_from_slice(&row[lo..hi]);
+                }
+                let (mut scores, mut probs) = (&mut scores[..rows * len], &mut probs[..rows * len]);
+                scores.fill(0.0);
+                simd::matmul_band(q_tile, head_dim, kh_t, len, 0, scores);
+                if let Some(scale) = scale {
+                    simd::scale_slice(scores, scale, probs);
+                    std::mem::swap(&mut scores, &mut probs);
+                }
+                for (row, prow) in scores.chunks(len).zip(probs.chunks_mut(len)) {
+                    simd::softmax_row(row, prow);
+                }
+                let head = &mut head[..rows * head_dim];
+                head.fill(0.0);
+                simd::matmul_band(probs, len, vh, head_dim, 0, head);
+                for (orow, hrow) in out.chunks_mut(dim).zip(head.chunks(head_dim)) {
+                    orow[lo..hi].copy_from_slice(hrow);
+                }
             }
         }
     }
@@ -544,8 +638,10 @@ impl FrozenBlock {
 /// one (see [`with_workspace`]) and every buffer only ever grows
 /// ([`Tensor::resize_to`]), so once a workspace has held the longest
 /// sequence a forward in it allocates nothing but the logits it returns.
-/// The high-water mark is about `len · (ffn + 8 · hidden) · 4` bytes plus the
-/// attention core's two score tiles, `2 · ATTN_TILE_ROWS · len · 4` bytes.
+/// The high-water mark is about `len · (ffn + 9 · hidden) · 4` bytes plus the
+/// attention core's score slots, one sub-tile of scores and one of
+/// probabilities per band: `2 · ATTN_MAX_BANDS · ATTN_SUB_ROWS · len · 4`
+/// bytes.
 #[derive(Debug, Default)]
 struct Workspace {
     /// A block's input and, after it ran, its output: `[len, hidden]`.
@@ -581,15 +677,15 @@ struct AttentionBuffers {
 struct CoreBuffers {
     /// `kᵀ`, `[dim, len]`.
     kt: Tensor,
-    /// One head's rows of `kt` and columns of `v`.
-    kh_t: Tensor,
-    vh: Tensor,
-    /// One tile of one head's query rows, `[tile, head_dim]`.
+    /// V head-major: `[num_heads · len, head_dim]`.
+    v_heads: Tensor,
+    /// One [`ATTN_SUB_ROWS`]-row slot per band in each of the four below.
+    /// One head's query columns of a sub-tile, `[rows, head_dim]`.
     q_tile: Tensor,
-    /// The tile's `[tile, len]` scores and probabilities.
+    /// The sub-tile's `[rows, len]` scores and probabilities.
     scores: Tensor,
     probs: Tensor,
-    /// The tile's mixed head, `[tile, head_dim]`.
+    /// The sub-tile's mixed head, `[rows, head_dim]`.
     head: Tensor,
 }
 
@@ -604,10 +700,9 @@ impl Workspace {
     fn poison(&mut self) {
         let Workspace { x, y, fx, act, attention, qx, pooled, logits } = self;
         let AttentionBuffers { q, k, v, mixed, core } = attention;
-        let CoreBuffers { kt, kh_t, vh, q_tile, scores, probs, head } = core;
+        let CoreBuffers { kt, v_heads, q_tile, scores, probs, head } = core;
         for t in [
-            x, y, fx, act, pooled, logits, q, k, v, mixed, kt, kh_t, vh, q_tile, scores, probs,
-            head,
+            x, y, fx, act, pooled, logits, q, k, v, mixed, kt, v_heads, q_tile, scores, probs, head,
         ] {
             t.as_mut_slice().fill(f32::NAN);
         }
@@ -1150,8 +1245,10 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    const WORKSPACE_LENS: [usize; 7] =
-        [1, 7, ATTN_TILE_ROWS - 1, ATTN_TILE_ROWS, ATTN_TILE_ROWS + 1, 129, 512];
+    /// Lengths around the attention core's sub-tile and band edges; the
+    /// longest forks, the others run their bands as a loop.
+    const WORKSPACE_LENS: [usize; 9] =
+        [1, 7, ATTN_SUB_ROWS - 1, ATTN_SUB_ROWS, ATTN_SUB_ROWS + 1, 127, 128, 129, 512];
 
     // Whatever a workspace last held — another model's activations, a
     // longer or a shorter sequence's, or NaN — a forward in it returns the
@@ -1161,8 +1258,11 @@ mod tests {
 
         #[test]
         fn a_used_workspace_gives_the_bits_of_a_new_one(
-            calls in proptest::collection::vec((0usize..9, 0usize..7, 0usize..2), 10),
+            calls in proptest::collection::vec((0usize..9, 0usize..9, 0usize..2), 10),
         ) {
+            let hidden = workspace_models()[0].config().hidden;
+            proptest::prop_assert!(attention_core_flops(512, hidden) >= PAR_GRAIN_OPS);
+            proptest::prop_assert!(attention_core_flops(129, hidden) < PAR_GRAIN_OPS);
             let mut used = Workspace::default();
             for (model, len, poison) in calls {
                 let model = &workspace_models()[model];
@@ -1174,6 +1274,79 @@ mod tests {
                 let reused = model.forward_in(&mut used, &tokens, &mut |_, _| {});
                 let new = model.forward_in(&mut Workspace::default(), &tokens, &mut |_, _| {});
                 proptest::prop_assert_eq!(bits(&reused), bits(&new));
+            }
+        }
+    }
+
+    /// The attention core with nothing cut: head by head,
+    /// `softmax(c · q_h·k_hᵀ) · v_h` on whole tensors.
+    fn attention_untiled(
+        q: &Tensor,
+        k: &Tensor,
+        v: &Tensor,
+        num_heads: usize,
+        prescaled: bool,
+    ) -> Vec<f32> {
+        let (len, dim) = (q.rows(), q.cols());
+        let head_dim = dim / num_heads;
+        let mut out = vec![0.0f32; len * dim];
+        for h in 0..num_heads {
+            let (lo, hi) = (h * head_dim, (h + 1) * head_dim);
+            let mut scores = q.slice_cols(lo, hi).matmul(&k.slice_cols(lo, hi).transpose());
+            if !prescaled {
+                scores = scores.scale(1.0 / (head_dim as f32).sqrt());
+            }
+            let head = scores.softmax_rows().matmul(&v.slice_cols(lo, hi));
+            for (orow, hrow) in out.chunks_mut(dim).zip(head.as_slice().chunks(head_dim)) {
+                orow[lo..hi].copy_from_slice(hrow);
+            }
+        }
+        out
+    }
+
+    // Kernel against kernel: the banded, sub-tiled core gives the bits of
+    // the whole-tensor ops, at lengths on both sides of every sub-tile and
+    // band edge and of the fan-out grain. Every head has one key that is
+    // not finite in one feature; the query is ±0.0 there in most rows (the
+    // matmul skips a zero term, so those rows never meet it) and not in the
+    // others (whose score for that key is ±inf or NaN).
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4))]
+
+        #[test]
+        fn the_banded_core_gives_the_bits_of_the_untiled_one(
+            seed in 0u64..1 << 32,
+            head_dim in 1usize..10,
+        ) {
+            use rand::Rng;
+            let mut rng = StdRng::seed_from_u64(seed);
+            for len in [1usize, 7, 8, 9, 127, 128, 129, 1000] {
+                for num_heads in [1usize, 3, 4] {
+                    let dim = num_heads * head_dim;
+                    let mut random = || {
+                        let data = (0..len * dim).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+                        Tensor::from_vec(data, &[len, dim]).expect("shape")
+                    };
+                    let (mut q, mut k, v) = (random(), random(), random());
+                    for h in 0..num_heads {
+                        let wild = [f32::INFINITY, f32::NAN, f32::NEG_INFINITY][h % 3];
+                        k.as_mut_slice()[(len / 2) * dim + h * head_dim] = wild;
+                        for (i, row) in q.as_mut_slice().chunks_mut(dim).enumerate() {
+                            if i % 5 != 3 {
+                                row[h * head_dim] = if i % 2 == 0 { 0.0 } else { -0.0 };
+                            }
+                        }
+                    }
+                    for prescaled in [false, true] {
+                        let mut out = vec![0.0f32; len * dim];
+                        attention_mix_rows(&q, &k, &v, num_heads, prescaled, &mut out);
+                        let expected = attention_untiled(&q, &k, &v, num_heads, prescaled);
+                        proptest::prop_assert!(
+                            bits(&out) == bits(&expected),
+                            "len {len} heads {num_heads} head_dim {head_dim} prescaled {prescaled}"
+                        );
+                    }
+                }
             }
         }
     }

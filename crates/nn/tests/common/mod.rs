@@ -40,9 +40,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-/// `(allocations, bytes)` the calling thread makes while `f` runs. The
+/// `(allocations, bytes)` the calling thread makes while `f` runs. Most
 /// counted models are small enough for every kernel to take its serial
-/// path, so nothing is allocated on any other thread.
+/// path, so nothing is allocated on any other thread; where a kernel does
+/// fan out, the pool's bookkeeping for the call is the caller's, and a
+/// helper running a `for_each` block allocates nothing.
 pub fn allocated_by<R>(f: impl FnOnce() -> R) -> (u64, u64) {
     let before = ALLOCATED.with(Cell::get);
     let result = f();

@@ -1,7 +1,9 @@
 //! Counted-allocation proof that a warm frozen forward allocates nothing
 //! but the logits it returns: every activation lives in a workspace
 //! (`fab_nn::frozen`) that only ever grows, and a lone caller gets the same
-//! one every time.
+//! one every time. Above the fan-out grain a forward also allocates the
+//! rayon shim's bookkeeping for every pool call it makes, and the count
+//! bounds how many those are.
 //!
 //! The sibling of `train_alloc.rs`, and its own integration-test binary for
 //! the same reason: it installs the counting global allocator of `common`.
@@ -37,6 +39,12 @@ fn config() -> ModelConfig {
     }
 }
 
+/// The `longseq-offline` shape: at 512 and 1024 tokens the projections, the
+/// attention core, the FFN and the layer norms all reach the fan-out grain.
+fn forking_config() -> ModelConfig {
+    ModelConfig { hidden: 128, ffn_ratio: 4, num_heads: 4, max_seq: 1024, ..config() }
+}
+
 fn tokens(len: usize) -> Vec<usize> {
     (0..len).map(|j| (j * 5 + 3) % 16).collect()
 }
@@ -44,11 +52,15 @@ fn tokens(len: usize) -> Vec<usize> {
 /// Transformer, FNet and FABNet (an attention and a Fourier block), each
 /// exact, fast-math and calibrated int8.
 fn models() -> Vec<(String, FrozenModel)> {
+    models_of(&config(), &[ModelKind::Transformer, ModelKind::FNet, ModelKind::FabNet])
+}
+
+fn models_of(config: &ModelConfig, kinds: &[ModelKind]) -> Vec<(String, FrozenModel)> {
     let calibration: Vec<Vec<usize>> = (0..4).map(|i| tokens(12 + 4 * i)).collect();
-    [ModelKind::Transformer, ModelKind::FNet, ModelKind::FabNet]
-        .into_iter()
-        .flat_map(|kind| {
-            let exact = Model::new(&config(), kind, &mut StdRng::seed_from_u64(5)).freeze();
+    kinds
+        .iter()
+        .flat_map(|&kind| {
+            let exact = Model::new(config, kind, &mut StdRng::seed_from_u64(5)).freeze();
             let fast = exact.clone().with_fast_math(true);
             let int8 = quantize_frozen(&fast, &calibration, &CalibrationConfig::default());
             [("exact", exact), ("fast", fast), ("int8", int8)]
@@ -77,12 +89,20 @@ fn a_warm_forward_allocates_only_its_logits() {
     }
 }
 
+/// Runs [`rewarm`] once, in whichever comes first of the test that checks
+/// it and the one that runs long sequences.
+static REWARM: std::sync::Once = std::sync::Once::new();
+
 #[test]
 fn a_longer_sequence_rewarms_the_workspace_once() {
     let _alone = alone();
-    // Nothing else in this binary runs a sequence half as long as `long`
-    // (a buffer that grows may take up to twice what it was asked for), so
-    // whatever ran before, the first model through grows the workspace.
+    REWARM.call_once(rewarm);
+}
+
+fn rewarm() {
+    // Nothing that ran before this in the binary ran a sequence half as
+    // long as `long` (a buffer that grows may take up to twice what it was
+    // asked for), so the first model through grows the workspace.
     let (short, long) = (tokens(8), tokens(64));
     for (i, (label, model)) in models().into_iter().enumerate() {
         model.logits(&short);
@@ -94,5 +114,38 @@ fn a_longer_sequence_rewarms_the_workspace_once() {
         for tokens in [&long, &short, &long, &short] {
             assert_only_the_logits(&label, allocated_by(|| model.logits(tokens)));
         }
+    }
+}
+
+/// Above the grain every pool call costs the shim its bookkeeping — the
+/// items, the block slots and one `Vec` per block, all allocated by the
+/// caller: ten allocations with two threads, which the test pins because
+/// blocks are cut per thread — so the count bounds the pool calls of a
+/// forward. The two-layer Transformer makes 16 at 512 tokens and 20 at 1024
+/// (four projections, the attention core, two FFN products and the GELU per
+/// layer, and from 1024 tokens the two layer norms): 161 and 201
+/// allocations. With the core's kernels fanning out one by one it was 827
+/// and 1 543.
+#[test]
+fn a_forking_forward_allocates_a_bounded_number_of_pool_calls() {
+    let _alone = alone();
+    REWARM.call_once(rewarm);
+    let threads = std::env::var_os("RAYON_NUM_THREADS");
+    std::env::set_var("RAYON_NUM_THREADS", "2");
+    for (label, model) in models_of(&forking_config(), &[ModelKind::Transformer, ModelKind::FNet]) {
+        for len in [512, 1024] {
+            let tokens = tokens(len);
+            model.logits(&tokens);
+            model.logits(&tokens);
+            let (allocations, _) = allocated_by(|| model.logits(&tokens));
+            assert!(
+                allocations <= 400,
+                "{label} at {len} tokens: a warm forward made {allocations} allocations"
+            );
+        }
+    }
+    match threads {
+        Some(threads) => std::env::set_var("RAYON_NUM_THREADS", threads),
+        None => std::env::remove_var("RAYON_NUM_THREADS"),
     }
 }

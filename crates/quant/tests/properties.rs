@@ -4,7 +4,7 @@
 //! accumulation, and a close approximation of the f32 model it was
 //! quantized from.
 
-use fab_butterfly::flops::dense_linear_flops;
+use fab_butterfly::flops::{attention_core_flops, dense_linear_flops};
 use fab_lra::{LraTask, TaskConfig};
 use fab_nn::{train_classifier, Example, Model, ModelConfig, ModelKind, TrainOptions};
 use fab_quant::{
@@ -117,11 +117,12 @@ fn quant_logits_do_not_depend_on_the_thread_count() {
     // The banded int8 GEMM and the f32 attention matmuls must both be
     // bit-invariant to rayon's worker count. A batch is a list of
     // independently evaluated sequences, so it is one *sequence* that has
-    // to cross the shared grain: the model is sized so that each per-head
-    // attention matmul and each int8 projection of a full-length sequence
-    // reaches `PAR_GRAIN_OPS` (checked below, wherever the grain is moved),
-    // and the projection spans more than one 64-row band, the last one
-    // ragged. `RAYON_NUM_THREADS` is process-global, hence the lock.
+    // to cross the shared grain: the model is sized so that the attention
+    // core (banded over its query rows, the last band ragged) and each int8
+    // projection of a full-length sequence reach `PAR_GRAIN_OPS` (checked
+    // below, wherever the grain is moved), and the projection spans more
+    // than one 64-row band, the last one ragged. `RAYON_NUM_THREADS` is
+    // process-global, hence the lock.
     let _g = lock();
     let config = ModelConfig {
         hidden: 128,
@@ -133,9 +134,8 @@ fn quant_logits_do_not_depend_on_the_thread_count() {
         max_seq: 160,
         num_classes: 2,
     };
-    let (seq, head_dim) = (config.max_seq, config.hidden / config.num_heads);
-    assert!(dense_linear_flops(seq, head_dim, seq) >= PAR_GRAIN_OPS, "Q·Kᵀ of one head");
-    assert!(dense_linear_flops(seq, seq, head_dim) >= PAR_GRAIN_OPS, "S·V of one head");
+    let seq = config.max_seq;
+    assert!(attention_core_flops(seq, config.hidden) >= PAR_GRAIN_OPS, "the attention core");
     assert!(dense_linear_flops(seq, config.hidden, config.hidden) >= PAR_GRAIN_OPS && seq > 64);
     let mut rng = StdRng::seed_from_u64(6);
     let frozen = Model::new(&config, ModelKind::Transformer, &mut rng).freeze();

@@ -173,9 +173,13 @@ fn detect() -> Backend {
 pub fn backend() -> Backend {
     let v = BACKEND.load(Ordering::Relaxed);
     if v == BACKEND_UNINIT {
-        let b = default_backend();
-        BACKEND.store(encode(b), Ordering::Relaxed);
-        return b;
+        // Not a plain store: a `force_backend` that lands between the load
+        // above and here must not be overwritten by the default.
+        let b = encode(default_backend());
+        return match BACKEND.compare_exchange(v, b, Ordering::Relaxed, Ordering::Relaxed) {
+            Ok(_) => decode(b),
+            Err(forced) => decode(forced),
+        };
     }
     decode(v)
 }
@@ -2609,8 +2613,10 @@ pub fn add_layer_norm_row(
 /// FMA register-tile matmul over one output row band (`dst[i][j] += Σ_p
 /// lhs[i0+i][p] · rhs[p][j]`, `dst` holding whole `n`-wide rows). Zero lhs
 /// terms are skipped, matching the blocked scalar kernel's non-finite-rhs
-/// semantics. The scalar arm is a plain reference-order loop and is only a
-/// fallback — the tensor kernels keep their own scalar path.
+/// semantics. The scalar arm is a plain reference-order loop with the bits
+/// of the tensor kernels' own blocked scalar path (ascending `p`, one
+/// multiply and one add per term); `fab_nn::frozen`'s attention core calls
+/// this entry point under every backend.
 ///
 /// # Panics
 ///

@@ -34,12 +34,15 @@ const TRANSPOSE_TILE: usize = 32;
 /// Every kernel that can split its work over the rayon shim's worker pool
 /// (here, in `fab-butterfly`, `fab-nn`, `fab-quant` and `fab-serve`)
 /// estimates the call's operations — multiply and add counted separately,
-/// as in `fab_butterfly::flops` — and compares them with this constant. A
-/// pool dispatch costs about 1 µs when the call is over before a worker
-/// arrives and 5–10 µs (wake-up, hand-back) when one joins; one core
-/// sustains 3 Gop/s (Fourier mixing, softmax) to 40 Gop/s (FMA GEMM), so
-/// this many operations are 25–350 µs of work and the dispatch stays a
-/// small share of any call that pays it.
+/// as in `fab_butterfly::flops` — and compares them with this constant. On
+/// the 2-vCPU development host an empty pool call returns in 0.5 µs, and a
+/// call a parked worker joins ends about 20 µs after a perfect two-way split
+/// would (the wake-up; 40 µs of work split in two takes 36 µs, 200 µs takes
+/// 120 µs). One core sustains 3 Gop/s (Fourier mixing, softmax) to 40 Gop/s
+/// (FMA GEMM), so this many operations are 25–350 µs of work: a call at the
+/// grain roughly breaks even, and what pays is few, large calls — which is
+/// why the attention core fans out once over query-row bands, not once per
+/// product (`fab_nn::frozen`).
 pub const PAR_GRAIN_OPS: u64 = 1 << 20;
 /// Target elements per parallel chunk for row-wise and element-wise kernels.
 const CHUNK_ELEMS: usize = 1 << 13;
