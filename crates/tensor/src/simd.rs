@@ -34,11 +34,20 @@
 //!   scalar counterparts (multiplies and adds only, no FMA contraction), so
 //!   their SIMD results are bit-identical to the scalar backend for finite
 //!   inputs.
-//! * The matmul microkernel uses FMA register tiles and the row-wise
-//!   softmax / layer-norm kernels use lane-parallel [`exp_slice`]-style
-//!   exponentials and reordered reductions: those results legitimately
-//!   differ from the scalar oracle by rounding, bounded at ≤ 1e-5 relative
-//!   to the row/output magnitude (property-tested).
+//! * The GEMM band ([`matmul_band`]) uses FMA register tiles: per output
+//!   element, from `dst`, ascending `p`, ±0.0 lhs terms skipped, one FMA per
+//!   term on the first `n − n % 16` columns and a multiply then add on the
+//!   rest. That value is fixed by the arithmetic, not the tiling: every
+//!   SIMD arm gives the same bits, and a unit test holds each arm to a
+//!   scalar `f32::mul_add` oracle of exactly that contract.
+//! * The GEMM band and the row-wise softmax / layer-norm kernels (which use
+//!   lane-parallel [`exp_slice`]-style exponentials and reordered
+//!   reductions) legitimately differ from the scalar backend by rounding,
+//!   bounded at ≤ 1e-5 relative to the row/output magnitude
+//!   (property-tested).
+//! * The AVX2 backend's GEMM uses 512-bit registers where `avx512f` is
+//!   present; every other kernel stays 8-lane, because row reductions would
+//!   change bits. [`Backend::lanes`] reports the 8 lanes of those kernels.
 //!
 //! # Alignment
 //!
@@ -229,6 +238,13 @@ pub fn cpu_features() -> String {
         if std::arch::is_x86_feature_detected!("avx512f") {
             feats.push("avx512f");
         }
+        // The `vpdpbusd` int8 dot product, 512- and 256-bit encodings.
+        if std::arch::is_x86_feature_detected!("avx512vnni") {
+            feats.push("avx512vnni");
+        }
+        if std::arch::is_x86_feature_detected!("avxvnni") {
+            feats.push("avxvnni");
+        }
         feats.join(" ")
     }
     #[cfg(target_arch = "aarch64")]
@@ -245,15 +261,22 @@ pub fn cpu_features() -> String {
 // Portable vector abstraction.
 // ---------------------------------------------------------------------------
 
-/// Lane-parallel `f32` vector operations implemented by each SIMD backend.
+/// The lane operations of the GEMM band kernel ([`kernels::matmul_band`]),
+/// and all a vector type must implement to run it. [`Vf32`] extends it with
+/// what every other kernel needs; the AVX-512 `F32x16` implements only this
+/// trait, so the GEMM is the one kernel that runs 16 lanes wide.
 ///
 /// All methods are `#[inline(always)]` wrappers over single instructions so
 /// that, once a generic kernel is monomorphised inside a
 /// `#[target_feature]`-annotated entry point, the whole kernel compiles with
 /// that feature set enabled.
-trait Vf32: Copy {
+trait FmaLanes: Copy {
     /// Lanes per vector.
     const LANES: usize;
+    /// Output rows of a full GEMM register tile, two vectors wide: the
+    /// `2 · TILE_ROWS` accumulators, two rhs vectors and a broadcast must
+    /// fit the register file.
+    const TILE_ROWS: usize = 4;
     /// Unaligned load of `LANES` consecutive values.
     ///
     /// # Safety
@@ -267,14 +290,21 @@ trait Vf32: Copy {
     /// `p` must be valid for writing `LANES` `f32`s.
     unsafe fn store(self, p: *mut f32);
     fn splat(x: f32) -> Self;
+    /// Fused multiply-add `self * m + a` (single rounding).
+    fn fma(self, m: Self, a: Self) -> Self;
+    /// Nonzero iff some lane compares equal to `0.0` (either sign; NaN
+    /// never does).
+    fn zero_mask(self) -> u32;
+}
+
+/// Lane-parallel `f32` vector operations implemented by each SIMD backend.
+trait Vf32: FmaLanes {
     fn add(self, o: Self) -> Self;
     fn sub(self, o: Self) -> Self;
     fn mul(self, o: Self) -> Self;
     fn div(self, o: Self) -> Self;
     fn max(self, o: Self) -> Self;
     fn min(self, o: Self) -> Self;
-    /// Fused multiply-add `self * m + a` (single rounding).
-    fn fma(self, m: Self, a: Self) -> Self;
     /// Horizontal sum of all lanes.
     fn reduce_add(self) -> f32;
     /// Horizontal max of all lanes.
@@ -310,9 +340,8 @@ trait Vf32: Copy {
 #[derive(Clone, Copy)]
 struct F32x1(f32);
 
-impl Vf32 for F32x1 {
+impl FmaLanes for F32x1 {
     const LANES: usize = 1;
-    type Block = [Self; 1];
 
     #[inline(always)]
     unsafe fn load(p: *const f32) -> Self {
@@ -328,6 +357,20 @@ impl Vf32 for F32x1 {
     fn splat(x: f32) -> Self {
         F32x1(x)
     }
+
+    #[inline(always)]
+    fn fma(self, m: Self, a: Self) -> Self {
+        F32x1(self.0.mul_add(m.0, a.0))
+    }
+
+    #[inline(always)]
+    fn zero_mask(self) -> u32 {
+        (self.0 == 0.0) as u32
+    }
+}
+
+impl Vf32 for F32x1 {
+    type Block = [Self; 1];
 
     #[inline(always)]
     fn add(self, o: Self) -> Self {
@@ -368,11 +411,6 @@ impl Vf32 for F32x1 {
     }
 
     #[inline(always)]
-    fn fma(self, m: Self, a: Self) -> Self {
-        F32x1(self.0.mul_add(m.0, a.0))
-    }
-
-    #[inline(always)]
     fn reduce_add(self) -> f32 {
         self.0
     }
@@ -400,7 +438,7 @@ impl Vf32 for F32x1 {
 // ---------------------------------------------------------------------------
 
 mod kernels {
-    use super::Vf32;
+    use super::{FmaLanes, Vf32};
     use crate::fastmath::{exp_fast, gelu_fast, tanh_fast};
     use crate::tensor::gelu_grad_scalar;
 
@@ -910,18 +948,33 @@ mod kernels {
     const KC: usize = 128;
     /// Column block per panel pass (rhs panel stays L2-resident).
     const NC: usize = 512;
-    /// Output rows per register tile.
-    const MR: usize = 4;
+    /// Granularity of the FMA columns: the first `jb − jb % FMA_COLS`
+    /// columns of a `jb`-wide panel take one FMA per term, the rest a scalar
+    /// multiply then add. Fixed on every backend rather than taken from the
+    /// vector width: the two round differently, so the boundary is part of
+    /// the product's value. A multiple of every backend's `LANES`.
+    pub const FMA_COLS: usize = 16;
+    // Every panel but the last is all FMA columns, so the mul-add tail is
+    // the last `n % FMA_COLS` columns of the row, whatever `NC` is.
+    const _: () = assert!(NC.is_multiple_of(FMA_COLS));
 
     /// FMA register-tile matmul over one output row band:
     /// `dst[i][j] += Σ_p lhs[i0+i][p] · rhs[p][j]`, with `dst` holding whole
-    /// `n`-wide rows and `lhs` terms with a zero coefficient skipped — the
-    /// same sparsity/NaN semantics as the scalar blocked kernel, so
+    /// `n`-wide rows and `lhs` terms with a zero coefficient (±0.0) skipped —
+    /// the same sparsity/NaN semantics as the scalar blocked kernel, so
     /// `0.0 · inf` never injects NaN. Per output element the `p` sweep is
-    /// ascending with one FMA per term (scalar mul-add on the column tail),
-    /// independent of row grouping — which is what keeps
-    /// `Tensor::matmul_tn_acc`'s staged transpose product bit-identical to
-    /// the reference `transpose().matmul()`.
+    /// ascending with one FMA per term on the first `n − n % FMA_COLS`
+    /// columns and a scalar mul-add on the rest. That value depends on
+    /// neither the row grouping nor `V`: it keeps `Tensor::matmul_tn_acc`'s
+    /// staged transpose product bit-identical to the reference
+    /// `transpose().matmul()`, and the 8- and 16-lane x86 arms bit-identical
+    /// to each other.
+    ///
+    /// Register tiles are `V::TILE_ROWS` rows × 2 vectors, then 4-, 2- and
+    /// 1-row tiles of the same body for the remaining rows. The zero test
+    /// runs once per row group and depth block, vectorised: a block without
+    /// a zero takes a branch-free FMA loop (the per-term test would skip
+    /// nothing there), a block with one keeps the per-term test.
     ///
     /// # Safety
     ///
@@ -929,7 +982,7 @@ mod kernels {
     /// slice dimensions are consistent (`lhs` is `[rows_total, k]` with
     /// `i0 + dst.len()/n <= rows_total`, `rhs` is `[k, n]`).
     #[inline(always)]
-    pub unsafe fn matmul_band<V: Vf32>(
+    pub unsafe fn matmul_band<V: FmaLanes>(
         lhs: &[f32],
         k: usize,
         rhs: &[f32],
@@ -937,8 +990,8 @@ mod kernels {
         i0: usize,
         dst: &mut [f32],
     ) {
+        debug_assert_eq!(FMA_COLS % V::LANES, 0);
         let rows = dst.len() / n;
-        let w = 2 * V::LANES;
         let lp = lhs.as_ptr();
         let rp = rhs.as_ptr();
         let dp = dst.as_mut_ptr();
@@ -946,78 +999,26 @@ mod kernels {
             let kb = KC.min(k - kk);
             for jj in (0..n).step_by(NC) {
                 let jb = NC.min(n - jj);
-                let jv = jb - jb % w;
+                let jv = jb - jb % FMA_COLS;
+                let panel = unsafe {
+                    Panel {
+                        lhs: lp.add(i0 * k + kk),
+                        k,
+                        rhs: rp.add(kk * n + jj),
+                        dst: dp.add(jj),
+                        n,
+                        kb,
+                        jv,
+                    }
+                };
                 let mut r = 0;
-                // 4-row × 2-vector register tiles over the vector columns.
-                while r + MR <= rows {
-                    let a_base = [
-                        (i0 + r) * k + kk,
-                        (i0 + r + 1) * k + kk,
-                        (i0 + r + 2) * k + kk,
-                        (i0 + r + 3) * k + kk,
-                    ];
-                    let mut jt = 0;
-                    while jt < jv {
-                        let j = jj + jt;
-                        unsafe {
-                            let mut acc = [
-                                V::load(dp.add(r * n + j)),
-                                V::load(dp.add(r * n + j + V::LANES)),
-                                V::load(dp.add((r + 1) * n + j)),
-                                V::load(dp.add((r + 1) * n + j + V::LANES)),
-                                V::load(dp.add((r + 2) * n + j)),
-                                V::load(dp.add((r + 2) * n + j + V::LANES)),
-                                V::load(dp.add((r + 3) * n + j)),
-                                V::load(dp.add((r + 3) * n + j + V::LANES)),
-                            ];
-                            for p in 0..kb {
-                                let b0 = V::load(rp.add((kk + p) * n + j));
-                                let b1 = V::load(rp.add((kk + p) * n + j + V::LANES));
-                                for (ri, base) in a_base.iter().enumerate() {
-                                    let a = *lp.add(base + p);
-                                    if a != 0.0 {
-                                        let av = V::splat(a);
-                                        acc[2 * ri] = av.fma(b0, acc[2 * ri]);
-                                        acc[2 * ri + 1] = av.fma(b1, acc[2 * ri + 1]);
-                                    }
-                                }
-                            }
-                            acc[0].store(dp.add(r * n + j));
-                            acc[1].store(dp.add(r * n + j + V::LANES));
-                            acc[2].store(dp.add((r + 1) * n + j));
-                            acc[3].store(dp.add((r + 1) * n + j + V::LANES));
-                            acc[4].store(dp.add((r + 2) * n + j));
-                            acc[5].store(dp.add((r + 2) * n + j + V::LANES));
-                            acc[6].store(dp.add((r + 3) * n + j));
-                            acc[7].store(dp.add((r + 3) * n + j + V::LANES));
-                        }
-                        jt += w;
+                unsafe {
+                    if V::TILE_ROWS >= 8 {
+                        r = panel.row_tiles::<V, 8>(r, rows);
                     }
-                    r += MR;
-                }
-                // Remaining rows: single-row, 2-vector tiles.
-                while r < rows {
-                    let a_base = (i0 + r) * k + kk;
-                    let mut jt = 0;
-                    while jt < jv {
-                        let j = jj + jt;
-                        unsafe {
-                            let mut a0 = V::load(dp.add(r * n + j));
-                            let mut a1 = V::load(dp.add(r * n + j + V::LANES));
-                            for p in 0..kb {
-                                let a = *lp.add(a_base + p);
-                                if a != 0.0 {
-                                    let av = V::splat(a);
-                                    a0 = av.fma(V::load(rp.add((kk + p) * n + j)), a0);
-                                    a1 = av.fma(V::load(rp.add((kk + p) * n + j + V::LANES)), a1);
-                                }
-                            }
-                            a0.store(dp.add(r * n + j));
-                            a1.store(dp.add(r * n + j + V::LANES));
-                        }
-                        jt += w;
-                    }
-                    r += 1;
+                    r = panel.row_tiles::<V, 4>(r, rows);
+                    r = panel.row_tiles::<V, 2>(r, rows);
+                    panel.row_tiles::<V, 1>(r, rows);
                 }
                 // Column tail of the panel: scalar mul-add, ascending p.
                 if jv < jb {
@@ -1034,6 +1035,142 @@ mod kernels {
                             }
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// One `kb`-deep, `NC`-wide panel pass of [`matmul_band`]: `lhs` points
+    /// at the band's first row at the panel's depth (rows `k` apart), `rhs`
+    /// and `dst` at the panel's first column (rows `n` apart), and the FMA
+    /// tiles cover the first `jv` columns. Its methods share one safety
+    /// condition: the pointers are valid for `kb` lhs terms and `jv` columns
+    /// of every row they are asked to run, and the backend's target features
+    /// are available.
+    #[derive(Clone, Copy)]
+    struct Panel {
+        lhs: *const f32,
+        k: usize,
+        rhs: *const f32,
+        dst: *mut f32,
+        n: usize,
+        kb: usize,
+        jv: usize,
+    }
+
+    impl Panel {
+        /// Runs `R`-row tiles from row `r` while `R` rows remain; returns the
+        /// first row left over.
+        ///
+        /// # Safety
+        ///
+        /// The panel's condition (see [`Panel`]) for rows `r..rows`.
+        #[inline(always)]
+        unsafe fn row_tiles<V: FmaLanes, const R: usize>(self, mut r: usize, rows: usize) -> usize {
+            while r + R <= rows {
+                let mut a = [self.lhs; R];
+                for (ri, a) in a.iter_mut().enumerate() {
+                    *a = unsafe { self.lhs.add((r + ri) * self.k) };
+                }
+                let d = unsafe { self.dst.add(r * self.n) };
+                if unsafe { any_zero::<V, R>(&a, self.kb) } {
+                    unsafe { self.col_tiles::<V, R, true>(&a, d) };
+                } else {
+                    unsafe { self.col_tiles::<V, R, false>(&a, d) };
+                }
+                r += R;
+            }
+            r
+        }
+
+        /// The FMA columns of one row group: 2-vector tiles, then (16-lane
+        /// vectors only) a one-vector tile for a 16-column remainder.
+        ///
+        /// # Safety
+        ///
+        /// The panel's condition for the `R` rows at `a` and `d`.
+        #[inline(always)]
+        unsafe fn col_tiles<V: FmaLanes, const R: usize, const SKIP: bool>(
+            self,
+            a: &[*const f32; R],
+            d: *mut f32,
+        ) {
+            let mut j = 0;
+            while j + 2 * V::LANES <= self.jv {
+                unsafe { tile::<V, R, 2, SKIP>(a, self.rhs.add(j), self.n, self.kb, d.add(j)) };
+                j += 2 * V::LANES;
+            }
+            while j < self.jv {
+                unsafe { tile::<V, R, 1, SKIP>(a, self.rhs.add(j), self.n, self.kb, d.add(j)) };
+                j += V::LANES;
+            }
+        }
+    }
+
+    /// Whether any of the `R` lhs row segments `a[ri][..kb]` holds a ±0.0.
+    ///
+    /// # Safety
+    ///
+    /// Every `a[ri]` is valid for reading `kb` `f32`s.
+    #[inline(always)]
+    unsafe fn any_zero<V: FmaLanes, const R: usize>(a: &[*const f32; R], kb: usize) -> bool {
+        let main = kb - kb % V::LANES;
+        let mut mask = 0;
+        for &row in a {
+            let mut p = 0;
+            while p < main {
+                mask |= unsafe { V::load(row.add(p)) }.zero_mask();
+                p += V::LANES;
+            }
+            for p in main..kb {
+                mask |= (unsafe { *row.add(p) } == 0.0) as u32;
+            }
+        }
+        mask != 0
+    }
+
+    /// One `R`-row × `NV`-vector register tile over `kb` depth terms:
+    /// `d[ri][..] += Σ_p a[ri][p] · b[p][..]`, one FMA per term in
+    /// ascending `p`; with `SKIP`, terms whose `a` is ±0.0 are left out.
+    ///
+    /// # Safety
+    ///
+    /// Every `a[ri]` is valid for `kb` reads; `b` and `d` for `NV` vectors
+    /// at each of their `kb` and `R` rows, `n` apart.
+    #[inline(always)]
+    unsafe fn tile<V: FmaLanes, const R: usize, const NV: usize, const SKIP: bool>(
+        a: &[*const f32; R],
+        b: *const f32,
+        n: usize,
+        kb: usize,
+        d: *mut f32,
+    ) {
+        unsafe {
+            let mut acc = [[V::splat(0.0); NV]; R];
+            for (ri, row) in acc.iter_mut().enumerate() {
+                for (v, x) in row.iter_mut().enumerate() {
+                    *x = V::load(d.add(ri * n + v * V::LANES));
+                }
+            }
+            for p in 0..kb {
+                let mut bv = [V::splat(0.0); NV];
+                for (v, x) in bv.iter_mut().enumerate() {
+                    *x = V::load(b.add(p * n + v * V::LANES));
+                }
+                for (row, &ap) in acc.iter_mut().zip(a) {
+                    let x = *ap.add(p);
+                    if SKIP && x == 0.0 {
+                        continue;
+                    }
+                    let av = V::splat(x);
+                    for (x, &bv) in row.iter_mut().zip(&bv) {
+                        *x = av.fma(bv, *x);
+                    }
+                }
+            }
+            for (ri, row) in acc.iter().enumerate() {
+                for (v, x) in row.iter().enumerate() {
+                    x.store(d.add(ri * n + v * V::LANES));
                 }
             }
         }
@@ -1610,14 +1747,14 @@ mod kernels {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{kernels, BinOp, Vf32};
+    use super::{kernels, BinOp, FmaLanes, Vf32};
     use core::arch::x86_64::*;
 
     /// Eight `f32` lanes in one AVX register.
     #[derive(Clone, Copy)]
     pub struct F32x8(__m256);
 
-    impl Vf32 for F32x8 {
+    impl FmaLanes for F32x8 {
         const LANES: usize = 8;
 
         #[inline(always)]
@@ -1635,6 +1772,21 @@ mod x86 {
             F32x8(unsafe { _mm256_set1_ps(x) })
         }
 
+        #[inline(always)]
+        fn fma(self, m: Self, a: Self) -> Self {
+            F32x8(unsafe { _mm256_fmadd_ps(self.0, m.0, a.0) })
+        }
+
+        #[inline(always)]
+        fn zero_mask(self) -> u32 {
+            unsafe {
+                let eq = _mm256_cmp_ps::<_CMP_EQ_OQ>(self.0, _mm256_setzero_ps());
+                _mm256_movemask_ps(eq) as u32
+            }
+        }
+    }
+
+    impl Vf32 for F32x8 {
         #[inline(always)]
         fn add(self, o: Self) -> Self {
             F32x8(unsafe { _mm256_add_ps(self.0, o.0) })
@@ -1663,11 +1815,6 @@ mod x86 {
         #[inline(always)]
         fn min(self, o: Self) -> Self {
             F32x8(unsafe { _mm256_min_ps(self.0, o.0) })
-        }
-
-        #[inline(always)]
-        fn fma(self, m: Self, a: Self) -> Self {
-            F32x8(unsafe { _mm256_fmadd_ps(self.0, m.0, a.0) })
         }
 
         #[inline(always)]
@@ -1793,7 +1940,6 @@ mod x86 {
             eps: f32,
             out: &mut [f32],
         );
-        fn matmul_band(lhs: &[f32], k: usize, rhs: &[f32], n: usize, i0: usize, dst: &mut [f32]);
         fn butterfly_stage_in_place(
             half: usize,
             w1: &[f32],
@@ -1855,6 +2001,104 @@ mod x86 {
             dst: &mut [f32],
             stride: usize,
         );
+    }
+
+    // -- f32 GEMM band: 16 lanes where AVX-512 is present ------------------
+
+    /// Sixteen `f32` lanes in one AVX-512 register. Only the GEMM runs on
+    /// it: 8-row × 2-vector tiles keep 16 of the 32 zmm registers
+    /// accumulating. The row reductions stay on [`F32x8`] — a wider
+    /// reduction tree would change their bits.
+    #[derive(Clone, Copy)]
+    pub struct F32x16(__m512);
+
+    impl FmaLanes for F32x16 {
+        const LANES: usize = 16;
+        const TILE_ROWS: usize = 8;
+
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            F32x16(unsafe { _mm512_loadu_ps(p) })
+        }
+
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32) {
+            unsafe { _mm512_storeu_ps(p, self.0) }
+        }
+
+        #[inline(always)]
+        fn splat(x: f32) -> Self {
+            F32x16(unsafe { _mm512_set1_ps(x) })
+        }
+
+        #[inline(always)]
+        fn fma(self, m: Self, a: Self) -> Self {
+            F32x16(unsafe { _mm512_fmadd_ps(self.0, m.0, a.0) })
+        }
+
+        #[inline(always)]
+        fn zero_mask(self) -> u32 {
+            unsafe { _mm512_cmp_ps_mask::<_CMP_EQ_OQ>(self.0, _mm512_setzero_ps()) as u32 }
+        }
+    }
+
+    /// The AVX2 backend's GEMM band: the 16-lane instantiation where the CPU
+    /// has `avx512f` (std caches the probe), else the 8-lane one. Both give
+    /// the same bits ([`kernels::matmul_band`]'s contract).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA, and the slice dimensions must be
+    /// consistent (checked by the public wrapper).
+    pub unsafe fn matmul_band(
+        lhs: &[f32],
+        k: usize,
+        rhs: &[f32],
+        n: usize,
+        i0: usize,
+        dst: &mut [f32],
+    ) {
+        // SAFETY: avx512f is detected on this branch; the rest is this
+        // function's own contract, passed on.
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            unsafe { matmul_band_f32x16(lhs, k, rhs, n, i0, dst) }
+        } else {
+            unsafe { matmul_band_f32x8(lhs, k, rhs, n, i0, dst) }
+        }
+    }
+
+    /// 8-lane GEMM band.
+    ///
+    /// # Safety
+    ///
+    /// As [`matmul_band`].
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn matmul_band_f32x8(
+        lhs: &[f32],
+        k: usize,
+        rhs: &[f32],
+        n: usize,
+        i0: usize,
+        dst: &mut [f32],
+    ) {
+        unsafe { kernels::matmul_band::<F32x8>(lhs, k, rhs, n, i0, dst) }
+    }
+
+    /// 16-lane GEMM band.
+    ///
+    /// # Safety
+    ///
+    /// As [`matmul_band`], and the CPU must support AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn matmul_band_f32x16(
+        lhs: &[f32],
+        k: usize,
+        rhs: &[f32],
+        n: usize,
+        i0: usize,
+        dst: &mut [f32],
+    ) {
+        unsafe { kernels::matmul_band::<F32x16>(lhs, k, rhs, n, i0, dst) }
     }
 
     // -- int8 quantized kernels (PR 5) ----------------------------------
@@ -2035,14 +2279,14 @@ mod neon {
     // unsafe blocks below keep the shape identical to the x86 backend.
     #![allow(unused_unsafe)]
 
-    use super::{kernels, BinOp, Vf32};
+    use super::{kernels, BinOp, FmaLanes, Vf32};
     use core::arch::aarch64::*;
 
     /// Four `f32` lanes in one NEON register.
     #[derive(Clone, Copy)]
     pub struct F32x4(float32x4_t);
 
-    impl Vf32 for F32x4 {
+    impl FmaLanes for F32x4 {
         const LANES: usize = 4;
 
         #[inline(always)]
@@ -2060,6 +2304,18 @@ mod neon {
             F32x4(unsafe { vdupq_n_f32(x) })
         }
 
+        #[inline(always)]
+        fn fma(self, m: Self, a: Self) -> Self {
+            F32x4(unsafe { vfmaq_f32(a.0, self.0, m.0) })
+        }
+
+        #[inline(always)]
+        fn zero_mask(self) -> u32 {
+            unsafe { vmaxvq_u32(vceqq_f32(self.0, vdupq_n_f32(0.0))) }
+        }
+    }
+
+    impl Vf32 for F32x4 {
         #[inline(always)]
         fn add(self, o: Self) -> Self {
             F32x4(unsafe { vaddq_f32(self.0, o.0) })
@@ -2088,11 +2344,6 @@ mod neon {
         #[inline(always)]
         fn min(self, o: Self) -> Self {
             F32x4(unsafe { vminq_f32(self.0, o.0) })
-        }
-
-        #[inline(always)]
-        fn fma(self, m: Self, a: Self) -> Self {
-            F32x4(unsafe { vfmaq_f32(a.0, self.0, m.0) })
         }
 
         #[inline(always)]
@@ -2613,10 +2864,13 @@ pub fn add_layer_norm_row(
 /// FMA register-tile matmul over one output row band (`dst[i][j] += Σ_p
 /// lhs[i0+i][p] · rhs[p][j]`, `dst` holding whole `n`-wide rows). Zero lhs
 /// terms are skipped, matching the blocked scalar kernel's non-finite-rhs
-/// semantics. The scalar arm is a plain reference-order loop with the bits
-/// of the tensor kernels' own blocked scalar path (ascending `p`, one
-/// multiply and one add per term); `fab_nn::frozen`'s attention core calls
-/// this entry point under every backend.
+/// semantics. The SIMD arms sum each element in ascending `p` with one FMA
+/// per term on the first `n − n % 16` columns and a multiply then add on
+/// the rest, so the 8-lane and (where `avx512f` is present) 16-lane AVX2
+/// arms give the same bits. The scalar arm is a plain reference-order loop
+/// with the bits of the tensor kernels' own blocked scalar path (ascending
+/// `p`, one multiply and one add per term); `fab_nn::frozen`'s attention
+/// core calls this entry point under every backend.
 ///
 /// # Panics
 ///
@@ -3205,6 +3459,138 @@ mod tests {
                 with_backend(default_backend(), || run(&mut simd));
                 with_backend(Backend::Scalar, || run(&mut scalar));
                 assert_eq!(simd, scalar, "q8 dequant (gelu={gelu}) diverged at n={n}");
+            }
+        }
+    }
+
+    type BandKernel = unsafe fn(&[f32], usize, &[f32], usize, usize, &mut [f32]);
+
+    /// The vector instantiations of the GEMM band this CPU can run.
+    fn gemm_arms() -> Vec<(&'static str, BandKernel)> {
+        let mut arms: Vec<(&'static str, BandKernel)> = Vec::new();
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+            {
+                arms.push(("f32x8", x86::matmul_band_f32x8));
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                arms.push(("f32x16", x86::matmul_band_f32x16));
+            } else {
+                eprintln!("no avx512f: the f32x16 GEMM arm is skipped");
+            }
+        }
+        #[cfg(target_arch = "aarch64")]
+        arms.push(("f32x4", neon::matmul_band));
+        arms
+    }
+
+    /// The GEMM band's value, element by element — the contract every arm
+    /// matches bit for bit: start from `dst`, ascending `p`, ±0.0 lhs terms
+    /// skipped, one `f32::mul_add` per term on the first `n − n % 16`
+    /// columns, `+= a · b` on the rest.
+    fn matmul_band_contract(
+        lhs: &[f32],
+        k: usize,
+        rhs: &[f32],
+        n: usize,
+        i0: usize,
+        dst: &mut [f32],
+    ) {
+        let fma_cols = n - n % 16;
+        for (r, row) in dst.chunks_mut(n).enumerate() {
+            for (j, d) in row.iter_mut().enumerate() {
+                for p in 0..k {
+                    let a = lhs[(i0 + r) * k + p];
+                    if a == 0.0 {
+                        continue;
+                    }
+                    let b = rhs[p * n + j];
+                    *d = if j < fma_cols { a.mul_add(b, *d) } else { *d + a * b };
+                }
+            }
+        }
+    }
+
+    type BandOperands = (Vec<f32>, Vec<f32>, Vec<f32>, usize);
+
+    /// Operands of one band case: `(lhs, rhs, dst, i0)`. `case % 4` picks
+    /// the lhs zeros — none, one (in any row), one per row, all (±0.0
+    /// alternating) — and odd cases add a NaN lhs term and a ±inf rhs row at
+    /// the depth of the first zero, which only a skip keeps out of the sum.
+    /// `dst` starts nonzero, with a −0.0 every seventh element.
+    fn band_case(rows: usize, k: usize, n: usize, case: usize) -> BandOperands {
+        let mut s = (case as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut next = || {
+            s = s.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            ((s >> 40) as f32 / (1u64 << 24) as f32) * 4.0 - 2.0
+        };
+        let i0 = 1 + case % 3;
+        let mut lhs: Vec<f32> = (0..(i0 + rows + 1) * k).map(|_| next()).collect();
+        let mut rhs: Vec<f32> = (0..k * n).map(|_| next()).collect();
+        let mut dst: Vec<f32> = (0..rows * n).map(|_| next()).collect();
+        dst.iter_mut().step_by(7).for_each(|d| *d = -0.0);
+        let at = |r: usize, p: usize| (i0 + r) * k + p;
+        let signed_zero = |i: usize| if i.is_multiple_of(2) { 0.0 } else { -0.0 };
+        let p0 = case % k;
+        match case % 4 {
+            0 => {}
+            1 => lhs[at(case / 4 % rows, p0)] = -0.0,
+            2 => (0..rows).for_each(|r| lhs[at(r, (p0 + 31 * r) % k)] = signed_zero(r)),
+            _ => (0..rows * k).for_each(|i| lhs[at(0, 0) + i] = signed_zero(i)),
+        }
+        if case % 2 == 1 {
+            if case % 4 != 3 {
+                lhs[at(rows - 1, k / 2)] = f32::NAN;
+            }
+            for j in (0..n).step_by(5) {
+                rhs[p0 * n + j] =
+                    if j.is_multiple_of(2) { f32::INFINITY } else { f32::NEG_INFINITY };
+            }
+        }
+        (lhs, rhs, dst, i0)
+    }
+
+    #[test]
+    fn matmul_band_arms_match_the_contract_bitwise() {
+        assert_eq!(kernels::FMA_COLS, 16, "the FMA/mul-add boundary is part of the value");
+        let arms = gemm_arms();
+        let rows_set = [1usize, 2, 3, 7, 8, 9, 15, 16, 17, 64];
+        let depths = [1usize, 31, 127, 128, 129, 300];
+        let widths: Vec<usize> = (1..=40).chain([48, 511, 512, 513, 1024, 1100]).collect();
+        let mut case = 0;
+        for &rows in &rows_set {
+            for &k in &depths {
+                for &n in &widths {
+                    // Wide rows on a thinned grid: the panel edges are
+                    // what they add, not more row groups.
+                    if n > 48 && (rows * k > 17 * 129 || rows == 2 || k == 127) {
+                        continue;
+                    }
+                    case += 1;
+                    let (lhs, rhs, dst0, i0) = band_case(rows, k, n, case);
+                    let mut want = dst0.clone();
+                    matmul_band_contract(&lhs, k, &rhs, n, i0, &mut want);
+                    for &(name, kernel) in &arms {
+                        let mut got = dst0.clone();
+                        // SAFETY: `gemm_arms` lists only arms this CPU
+                        // runs; `lhs` holds rows `i0..i0 + rows`, `rhs` is
+                        // `[k, n]`.
+                        unsafe { kernel(&lhs, k, &rhs, n, i0, &mut got) };
+                        let diff =
+                            got.iter().zip(&want).position(|(g, w)| g.to_bits() != w.to_bits());
+                        if let Some(e) = diff {
+                            panic!(
+                                "{name} {rows}x{k}x{n} (case {case}) differs at ({}, {}): {} vs {}",
+                                e / n,
+                                e % n,
+                                got[e],
+                                want[e]
+                            );
+                        }
+                    }
+                }
             }
         }
     }

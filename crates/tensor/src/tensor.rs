@@ -38,11 +38,12 @@ const TRANSPOSE_TILE: usize = 32;
 /// the 2-vCPU development host an empty pool call returns in 0.5 µs, and a
 /// call a parked worker joins ends about 20 µs after a perfect two-way split
 /// would (the wake-up; 40 µs of work split in two takes 36 µs, 200 µs takes
-/// 120 µs). One core sustains 3 Gop/s (Fourier mixing, softmax) to 40 Gop/s
-/// (FMA GEMM), so this many operations are 25–350 µs of work: a call at the
-/// grain roughly breaks even, and what pays is few, large calls — which is
-/// why the attention core fans out once over query-row bands, not once per
-/// product (`fab_nn::frozen`).
+/// 120 µs). One core sustains 3 Gop/s (Fourier mixing, softmax) to ~130
+/// Gop/s (the 16-lane FMA GEMM band; ~50 with 8 lanes), so this many
+/// operations are 8–350 µs of work: a call at the grain breaks even at
+/// best (a GEMM-only one loses), and what pays is few, large calls — which
+/// is why the attention core fans out once over query-row bands, not once
+/// per product (`fab_nn::frozen`).
 pub const PAR_GRAIN_OPS: u64 = 1 << 20;
 /// Target elements per parallel chunk for row-wise and element-wise kernels.
 const CHUNK_ELEMS: usize = 1 << 13;
