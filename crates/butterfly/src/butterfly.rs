@@ -302,7 +302,9 @@ impl ButterflyMatrix {
     /// adding the bias and applying `Tensor::gelu`.
     ///
     /// Rows are processed in tiles of as many rows as the SIMD backend has
-    /// lanes: a tile is transposed to `[n][lanes]`, every stage is then one
+    /// lanes ([`simd::Backend::lanes`]: 16 where the CPU has `avx512f`, so a
+    /// 512-point tile is 32 KB): a tile is transposed to `[n][lanes]`, every
+    /// stage is then one
     /// vertical `w1·a + w2·b` / `w3·a + w4·b` with the pair's weights loaded
     /// once and broadcast ([`simd::butterfly_stage_lanes`] — stages with
     /// `half` 1, 2 and 4 are no different), and bias, activation and

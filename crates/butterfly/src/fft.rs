@@ -18,8 +18,9 @@
 //!    of the packed rows `x[2j] + i·x[2j+1]` plus a split step, and it
 //!    yields bins `0..=seq/2` only. The hidden dimension is the lane axis:
 //!    a butterfly pair is two rows, so nothing is transposed. Columns are
-//!    cut into strips narrow enough for a strip's planes to stay in cache
-//!    across the stages; strips are also the unit of the fan-out.
+//!    cut into strips of 16 — one 16-lane vector per row, and a full tile
+//!    for the gather of step 2 — whose planes stay in L2 across the stages;
+//!    strips are also the unit of the fan-out.
 //! 2. **Hidden dimension, tiles of rows.** Each of the `seq/2 + 1` bin rows
 //!    needs a complex `hidden`-point FFT; a tile of as many rows as the
 //!    backend has lanes is transposed into lane layout (bit-reversal folded
@@ -235,10 +236,11 @@ fn shared_plan(n: usize) -> &'static FftPlan {
 }
 
 /// Columns per strip of the sequence-dimension pass: a multiple of every
-/// backend's lane count (one vector per row on AVX2, the stage loop's
-/// tightest form), and narrow enough that the two planes of a 1024-point
-/// strip (32 KB) stay in L1 while the stages sweep them.
-const STRIP: usize = 8;
+/// backend's lane count (one vector per row at 16 lanes, the stage loop's
+/// tightest form), and as wide as pass 2's tile, so that pass's gather is a
+/// full-tile register transpose. The two planes of a 1024-point strip
+/// (64 KB) sit in L2 while the stages sweep them.
+const STRIP: usize = 16;
 
 /// The real part of the 2-D discrete Fourier transform used by FNet and by
 /// FABNet's FBfly block, `Re(F_seq · X · F_hid)`; see the [module docs](self)

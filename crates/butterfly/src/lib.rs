@@ -55,8 +55,8 @@ thread_local! {
 
 /// Runs `f` on a pooled per-thread buffer of `len` values whose contents
 /// are unspecified: once the pool has warmed up, no allocation. The buffer
-/// starts on a cache-line boundary, so the 32-byte lane rows the kernels cut
-/// it into never straddle two lines.
+/// starts on a cache-line boundary, so the lane rows the kernels cut it into
+/// (32 bytes at 8 lanes, 64 at 16) never straddle two lines.
 pub(crate) fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
     const LINE: usize = 64;
     let mut buf = SCRATCH.with(|s| s.borrow_mut().pop()).unwrap_or_default();

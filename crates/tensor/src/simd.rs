@@ -2,9 +2,10 @@
 //!
 //! The compute kernels of this workspace compile against the baseline target
 //! (SSE2 on `x86_64`), so the compiler's autovectorizer never emits AVX2 or
-//! FMA instructions. This module provides a portable `f32x8`/`f32x4` vector
-//! abstraction with three backends — `x86_64` AVX2+FMA intrinsics, `aarch64`
-//! NEON, and a pure-scalar fallback — selected **once at startup** via
+//! FMA instructions. This module provides a portable `f32x16`/`f32x8`/`f32x4`
+//! vector abstraction with three backends — `x86_64` AVX2+FMA intrinsics
+//! (AVX-512 where present), `aarch64` NEON, and a pure-scalar fallback —
+//! selected **once at startup** via
 //! runtime CPU-feature detection, and a set of slice-level kernels built on
 //! it that the tensor, butterfly, and serving hot paths dispatch into.
 //!
@@ -45,9 +46,18 @@
 //!   reductions) legitimately differ from the scalar backend by rounding,
 //!   bounded at ≤ 1e-5 relative to the row/output magnitude
 //!   (property-tested).
-//! * The AVX2 backend's GEMM uses 512-bit registers where `avx512f` is
-//!   present; every other kernel stays 8-lane, because row reductions would
-//!   change bits. [`Backend::lanes`] reports the 8 lanes of those kernels.
+//! * Where `avx512f` is present the AVX2 backend runs every kernel whose
+//!   lanes never meet 16 lanes wide: the GEMM band, the element-wise and
+//!   transcendental slices, the butterfly stages and the lane-per-row engine
+//!   (a kernel that takes a tile `width` when `width` is a multiple of 16).
+//!   Each lane runs the same operations at either width, and a slice's
+//!   scalar tail is the same elements at both, so the 8- and 16-lane
+//!   instantiations give the same bits. The row reductions (softmax,
+//!   log-softmax, layer norm, fused residual + layer norm) stay 8 lanes
+//!   wide: their reduction tree is part of their value, and the reduction
+//!   trait they are bound on has no 16-lane implementation, so a 16-wide
+//!   row reduction does not compile. [`Backend::lanes`] reports the width
+//!   of the lane-wise kernels.
 //!
 //! # Alignment
 //!
@@ -92,10 +102,16 @@ impl Backend {
         !matches!(self, Backend::Scalar)
     }
 
-    /// Number of `f32` lanes per vector (1 for the scalar backend).
+    /// Number of `f32` lanes per vector of the lane-wise kernels (1 for the
+    /// scalar backend): the tile width at which the lane-per-row engine runs
+    /// one vector per row. On the AVX2 backend that is 16 where the CPU has
+    /// `avx512f` and 8 otherwise; the row reductions stay 8 lanes wide
+    /// either way, their reduction tree being part of their value.
     pub fn lanes(self) -> usize {
         match self {
             Backend::Scalar => 1,
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx2 if x86::wide() => 16,
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => 8,
             #[cfg(target_arch = "aarch64")]
@@ -263,8 +279,10 @@ pub fn cpu_features() -> String {
 
 /// The lane operations of the GEMM band kernel ([`kernels::matmul_band`]),
 /// and all a vector type must implement to run it. [`Vf32`] extends it with
-/// what every other kernel needs; the AVX-512 `F32x16` implements only this
-/// trait, so the GEMM is the one kernel that runs 16 lanes wide.
+/// what the other lane-wise kernels need, and [`RowReduce`] with the
+/// horizontal reductions of the row kernels. Every vector type implements
+/// all three but the AVX-512 `F32x16`, which stops at [`Vf32`]: it runs
+/// every kernel whose lanes never meet, none that sums across them.
 ///
 /// All methods are `#[inline(always)]` wrappers over single instructions so
 /// that, once a generic kernel is monomorphised inside a
@@ -297,18 +315,23 @@ trait FmaLanes: Copy {
     fn zero_mask(self) -> u32;
 }
 
-/// Lane-parallel `f32` vector operations implemented by each SIMD backend.
+/// Lane-parallel `f32` vector operations implemented by each SIMD backend:
+/// apart from [`Vf32::transpose`], lane `i` of a result depends on lane `i`
+/// of the operands only, so a kernel built on them can give the same bits at
+/// any width.
 trait Vf32: FmaLanes {
+    /// The vector an element-wise sweep continues on once fewer than
+    /// `LANES` positions remain, before it turns scalar: `F32x8` under
+    /// `F32x16`, the type itself elsewhere. It keeps the scalar tail the
+    /// same positions at either x86 width — the vector clamp and the scalar
+    /// clamp map NaN differently, so that tail is part of the value.
+    type Narrow: Vf32;
     fn add(self, o: Self) -> Self;
     fn sub(self, o: Self) -> Self;
     fn mul(self, o: Self) -> Self;
     fn div(self, o: Self) -> Self;
     fn max(self, o: Self) -> Self;
     fn min(self, o: Self) -> Self;
-    /// Horizontal sum of all lanes.
-    fn reduce_add(self) -> f32;
-    /// Horizontal max of all lanes.
-    fn reduce_max(self) -> f32;
     /// `2^k` per lane via exponent-bit construction; lanes must hold exact
     /// integers in `[-127, 127]` (the clamped range of [`exp_slice`]).
     fn pow2i(self) -> Self;
@@ -331,6 +354,18 @@ trait Vf32: FmaLanes {
     ///
     /// Every row must be valid for reading `LANES` `f32`s.
     unsafe fn transpose(src: *const f32, stride: usize) -> Self::Block;
+}
+
+/// The horizontal reductions of the row kernels (softmax, log-softmax,
+/// layer norm). Their reduction tree is part of the value those kernels
+/// return, so only the widths the row kernels are defined on implement it —
+/// `F32x1`, `F32x8` and `F32x4`. `F32x16` does not: a 16-wide row reduction
+/// is a compile error, not a changed bit.
+trait RowReduce: Vf32 {
+    /// Horizontal sum of all lanes.
+    fn reduce_add(self) -> f32;
+    /// Horizontal max of all lanes.
+    fn reduce_max(self) -> f32;
 }
 
 /// One-lane "vector": the scalar backend of the lane kernels, which run
@@ -370,6 +405,7 @@ impl FmaLanes for F32x1 {
 }
 
 impl Vf32 for F32x1 {
+    type Narrow = Self;
     type Block = [Self; 1];
 
     #[inline(always)]
@@ -411,16 +447,6 @@ impl Vf32 for F32x1 {
     }
 
     #[inline(always)]
-    fn reduce_add(self) -> f32 {
-        self.0
-    }
-
-    #[inline(always)]
-    fn reduce_max(self) -> f32 {
-        self.0
-    }
-
-    #[inline(always)]
     fn pow2i(self) -> Self {
         F32x1(f32::from_bits(((self.0 as i32 + 127) << 23) as u32))
     }
@@ -431,6 +457,18 @@ impl Vf32 for F32x1 {
     }
 }
 
+impl RowReduce for F32x1 {
+    #[inline(always)]
+    fn reduce_add(self) -> f32 {
+        self.0
+    }
+
+    #[inline(always)]
+    fn reduce_max(self) -> f32 {
+        self.0
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Generic kernels (monomorphised per backend inside #[target_feature] entry
 // points; scalar tails use the fastmath scalar kernels, which are
@@ -438,7 +476,7 @@ impl Vf32 for F32x1 {
 // ---------------------------------------------------------------------------
 
 mod kernels {
-    use super::{FmaLanes, Vf32};
+    use super::{FmaLanes, RowReduce, Vf32};
     use crate::fastmath::{exp_fast, gelu_fast, tanh_fast};
     use crate::tensor::gelu_grad_scalar;
 
@@ -509,23 +547,108 @@ mod kernels {
         term1.add(term2)
     }
 
+    // -- element-wise kernels -------------------------------------------------
+
+    /// An element-wise kernel over positions `0..n`: output position `i`
+    /// reads input position `i` only, and the vector and scalar forms run
+    /// the same operations in the same order.
+    trait Elementwise {
+        /// Positions `i .. i + V::LANES`.
+        ///
+        /// # Safety
+        ///
+        /// Those positions are in bounds of every buffer behind `self`, and
+        /// `V`'s target features are available.
+        unsafe fn lanes<V: Vf32>(&self, i: usize);
+        /// Position `i`, on the scalar kernel.
+        ///
+        /// # Safety
+        ///
+        /// Position `i` is in bounds of every buffer behind `self`.
+        unsafe fn one(&self, i: usize);
+    }
+
+    /// Runs `op` over positions `0..n`: whole `V` vectors, then whole
+    /// [`Vf32::Narrow`] vectors, then the scalar kernel on what is left.
+    ///
+    /// # Safety
+    ///
+    /// Positions `0..n` are in bounds of every buffer behind `op`, and `V`'s
+    /// target features are available.
+    #[inline(always)]
+    unsafe fn sweep<V: Vf32>(op: &impl Elementwise, n: usize) {
+        let mut i = 0;
+        // SAFETY (all three loops): every position visited is below `n`.
+        while i + V::LANES <= n {
+            unsafe { op.lanes::<V>(i) };
+            i += V::LANES;
+        }
+        while i + V::Narrow::LANES <= n {
+            unsafe { op.lanes::<V::Narrow>(i) };
+            i += V::Narrow::LANES;
+        }
+        while i < n {
+            unsafe { op.one(i) };
+            i += 1;
+        }
+    }
+
+    /// The fastmath function a [`Map`] applies.
+    #[derive(Clone, Copy)]
+    enum Fast {
+        Exp,
+        Tanh,
+        Gelu,
+    }
+
+    /// `dst = f(src)`.
+    struct Map {
+        f: Fast,
+        src: *const f32,
+        dst: *mut f32,
+    }
+
+    impl Elementwise for Map {
+        #[inline(always)]
+        unsafe fn lanes<V: Vf32>(&self, i: usize) {
+            let x = unsafe { V::load(self.src.add(i)) };
+            let y = match self.f {
+                Fast::Exp => exp_v(x),
+                Fast::Tanh => tanh_v(x),
+                Fast::Gelu => gelu_v(x),
+            };
+            unsafe { y.store(self.dst.add(i)) };
+        }
+
+        #[inline(always)]
+        unsafe fn one(&self, i: usize) {
+            let x = unsafe { *self.src.add(i) };
+            let y = match self.f {
+                Fast::Exp => exp_fast(x),
+                Fast::Tanh => tanh_fast(x),
+                Fast::Gelu => gelu_fast(x),
+            };
+            unsafe { *self.dst.add(i) = y };
+        }
+    }
+
+    /// # Safety
+    ///
+    /// Caller guarantees `V`'s target features are available.
+    #[inline(always)]
+    unsafe fn map<V: Vf32>(f: Fast, src: &[f32], dst: &mut [f32]) {
+        debug_assert_eq!(src.len(), dst.len());
+        let op = Map { f, src: src.as_ptr(), dst: dst.as_mut_ptr() };
+        // SAFETY: both slices hold `dst.len()` values.
+        unsafe { sweep::<V>(&op, dst.len()) }
+    }
+
     /// # Safety
     ///
     /// Caller guarantees the backend's target features are available.
     #[inline(always)]
     pub unsafe fn exp_slice<V: Vf32>(src: &[f32], dst: &mut [f32]) {
-        debug_assert_eq!(src.len(), dst.len());
-        let n = src.len();
-        let main = n - n % V::LANES;
-        let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
-        let mut i = 0;
-        while i < main {
-            unsafe { exp_v(V::load(sp.add(i))).store(dp.add(i)) };
-            i += V::LANES;
-        }
-        for j in main..n {
-            unsafe { *dp.add(j) = exp_fast(*sp.add(j)) };
-        }
+        unsafe { map::<V>(Fast::Exp, src, dst) }
     }
 
     /// # Safety
@@ -533,18 +656,7 @@ mod kernels {
     /// Caller guarantees the backend's target features are available.
     #[inline(always)]
     pub unsafe fn tanh_slice<V: Vf32>(src: &[f32], dst: &mut [f32]) {
-        debug_assert_eq!(src.len(), dst.len());
-        let n = src.len();
-        let main = n - n % V::LANES;
-        let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
-        let mut i = 0;
-        while i < main {
-            unsafe { tanh_v(V::load(sp.add(i))).store(dp.add(i)) };
-            i += V::LANES;
-        }
-        for j in main..n {
-            unsafe { *dp.add(j) = tanh_fast(*sp.add(j)) };
-        }
+        unsafe { map::<V>(Fast::Tanh, src, dst) }
     }
 
     /// # Safety
@@ -552,17 +664,28 @@ mod kernels {
     /// Caller guarantees the backend's target features are available.
     #[inline(always)]
     pub unsafe fn gelu_slice<V: Vf32>(src: &[f32], dst: &mut [f32]) {
-        debug_assert_eq!(src.len(), dst.len());
-        let n = src.len();
-        let main = n - n % V::LANES;
-        let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
-        let mut i = 0;
-        while i < main {
-            unsafe { gelu_v(V::load(sp.add(i))).store(dp.add(i)) };
-            i += V::LANES;
+        unsafe { map::<V>(Fast::Gelu, src, dst) }
+    }
+
+    /// `dst += g · gelu'(x)`, the product formed before the add.
+    struct GeluGradAcc {
+        dst: *mut f32,
+        g: *const f32,
+        x: *const f32,
+    }
+
+    impl Elementwise for GeluGradAcc {
+        #[inline(always)]
+        unsafe fn lanes<V: Vf32>(&self, i: usize) {
+            unsafe {
+                let t = V::load(self.g.add(i)).mul(gelu_grad_v(V::load(self.x.add(i))));
+                V::load(self.dst.add(i)).add(t).store(self.dst.add(i));
+            }
         }
-        for j in main..n {
-            unsafe { *dp.add(j) = gelu_fast(*sp.add(j)) };
+
+        #[inline(always)]
+        unsafe fn one(&self, i: usize) {
+            unsafe { *self.dst.add(i) += *self.g.add(i) * gelu_grad_scalar(*self.x.add(i)) };
         }
     }
 
@@ -576,20 +699,40 @@ mod kernels {
     pub unsafe fn gelu_grad_acc<V: Vf32>(dst: &mut [f32], g: &[f32], x: &[f32]) {
         debug_assert_eq!(dst.len(), g.len());
         debug_assert_eq!(dst.len(), x.len());
-        let n = dst.len();
-        let main = n - n % V::LANES;
-        let (dp, gp, xp) = (dst.as_mut_ptr(), g.as_ptr(), x.as_ptr());
-        let mut i = 0;
-        while i < main {
-            unsafe {
-                let d = V::load(dp.add(i));
-                let t = V::load(gp.add(i)).mul(gelu_grad_v(V::load(xp.add(i))));
-                d.add(t).store(dp.add(i));
-            }
-            i += V::LANES;
+        let op = GeluGradAcc { dst: dst.as_mut_ptr(), g: g.as_ptr(), x: x.as_ptr() };
+        // SAFETY: all three slices hold `dst.len()` values.
+        unsafe { sweep::<V>(&op, dst.len()) }
+    }
+
+    /// `dst = a (op) b`; `a` may be `dst` itself.
+    struct Binary {
+        op: super::BinOp,
+        a: *const f32,
+        b: *const f32,
+        dst: *mut f32,
+    }
+
+    impl Elementwise for Binary {
+        #[inline(always)]
+        unsafe fn lanes<V: Vf32>(&self, i: usize) {
+            let (x, y) = unsafe { (V::load(self.a.add(i)), V::load(self.b.add(i))) };
+            let r = match self.op {
+                super::BinOp::Add => x.add(y),
+                super::BinOp::Sub => x.sub(y),
+                super::BinOp::Mul => x.mul(y),
+            };
+            unsafe { r.store(self.dst.add(i)) };
         }
-        for j in main..n {
-            unsafe { *dp.add(j) += *gp.add(j) * gelu_grad_scalar(*xp.add(j)) };
+
+        #[inline(always)]
+        unsafe fn one(&self, i: usize) {
+            let (x, y) = unsafe { (*self.a.add(i), *self.b.add(i)) };
+            let r = match self.op {
+                super::BinOp::Add => x + y,
+                super::BinOp::Sub => x - y,
+                super::BinOp::Mul => x * y,
+            };
+            unsafe { *self.dst.add(i) = r };
         }
     }
 
@@ -601,16 +744,31 @@ mod kernels {
     #[inline(always)]
     pub unsafe fn add_acc<V: Vf32>(dst: &mut [f32], src: &[f32]) {
         debug_assert_eq!(dst.len(), src.len());
-        let n = dst.len();
-        let main = n - n % V::LANES;
-        let (dp, sp) = (dst.as_mut_ptr(), src.as_ptr());
-        let mut i = 0;
-        while i < main {
-            unsafe { V::load(dp.add(i)).add(V::load(sp.add(i))).store(dp.add(i)) };
-            i += V::LANES;
+        let dp = dst.as_mut_ptr();
+        let op = Binary { op: super::BinOp::Add, a: dp, b: src.as_ptr(), dst: dp };
+        // SAFETY: both slices hold `dst.len()` values.
+        unsafe { sweep::<V>(&op, dst.len()) }
+    }
+
+    /// `dst += a · x`, `a` broadcast.
+    struct Axpy {
+        dst: *mut f32,
+        a: f32,
+        x: *const f32,
+    }
+
+    impl Elementwise for Axpy {
+        #[inline(always)]
+        unsafe fn lanes<V: Vf32>(&self, i: usize) {
+            unsafe {
+                let t = V::splat(self.a).mul(V::load(self.x.add(i)));
+                V::load(self.dst.add(i)).add(t).store(self.dst.add(i));
+            }
         }
-        for j in main..n {
-            unsafe { *dp.add(j) += *sp.add(j) };
+
+        #[inline(always)]
+        unsafe fn one(&self, i: usize) {
+            unsafe { *self.dst.add(i) += self.a * *self.x.add(i) };
         }
     }
 
@@ -623,17 +781,30 @@ mod kernels {
     #[inline(always)]
     pub unsafe fn axpy_acc<V: Vf32>(dst: &mut [f32], a: f32, x: &[f32]) {
         debug_assert_eq!(dst.len(), x.len());
-        let n = dst.len();
-        let main = n - n % V::LANES;
-        let av = V::splat(a);
-        let (dp, xp) = (dst.as_mut_ptr(), x.as_ptr());
-        let mut i = 0;
-        while i < main {
-            unsafe { V::load(dp.add(i)).add(av.mul(V::load(xp.add(i)))).store(dp.add(i)) };
-            i += V::LANES;
+        let op = Axpy { dst: dst.as_mut_ptr(), a, x: x.as_ptr() };
+        // SAFETY: both slices hold `dst.len()` values.
+        unsafe { sweep::<V>(&op, dst.len()) }
+    }
+
+    /// `dst += a · b`.
+    struct MulAcc {
+        dst: *mut f32,
+        a: *const f32,
+        b: *const f32,
+    }
+
+    impl Elementwise for MulAcc {
+        #[inline(always)]
+        unsafe fn lanes<V: Vf32>(&self, i: usize) {
+            unsafe {
+                let t = V::load(self.a.add(i)).mul(V::load(self.b.add(i)));
+                V::load(self.dst.add(i)).add(t).store(self.dst.add(i));
+            }
         }
-        for j in main..n {
-            unsafe { *dp.add(j) += a * *xp.add(j) };
+
+        #[inline(always)]
+        unsafe fn one(&self, i: usize) {
+            unsafe { *self.dst.add(i) += *self.a.add(i) * *self.b.add(i) };
         }
     }
 
@@ -646,19 +817,9 @@ mod kernels {
     pub unsafe fn mul_acc<V: Vf32>(dst: &mut [f32], a: &[f32], b: &[f32]) {
         debug_assert_eq!(dst.len(), a.len());
         debug_assert_eq!(dst.len(), b.len());
-        let n = dst.len();
-        let main = n - n % V::LANES;
-        let (dp, ap, bp) = (dst.as_mut_ptr(), a.as_ptr(), b.as_ptr());
-        let mut i = 0;
-        while i < main {
-            unsafe {
-                V::load(dp.add(i)).add(V::load(ap.add(i)).mul(V::load(bp.add(i)))).store(dp.add(i))
-            };
-            i += V::LANES;
-        }
-        for j in main..n {
-            unsafe { *dp.add(j) += *ap.add(j) * *bp.add(j) };
-        }
+        let op = MulAcc { dst: dst.as_mut_ptr(), a: a.as_ptr(), b: b.as_ptr() };
+        // SAFETY: all three slices hold `dst.len()` values.
+        unsafe { sweep::<V>(&op, dst.len()) }
     }
 
     /// # Safety
@@ -668,31 +829,27 @@ mod kernels {
     pub unsafe fn binary_slice<V: Vf32>(op: super::BinOp, a: &[f32], b: &[f32], dst: &mut [f32]) {
         debug_assert_eq!(a.len(), b.len());
         debug_assert_eq!(a.len(), dst.len());
-        let n = dst.len();
-        let main = n - n % V::LANES;
-        let (ap, bp, dp) = (a.as_ptr(), b.as_ptr(), dst.as_mut_ptr());
-        let mut i = 0;
-        while i < main {
-            unsafe {
-                let (x, y) = (V::load(ap.add(i)), V::load(bp.add(i)));
-                let r = match op {
-                    super::BinOp::Add => x.add(y),
-                    super::BinOp::Sub => x.sub(y),
-                    super::BinOp::Mul => x.mul(y),
-                };
-                r.store(dp.add(i));
-            }
-            i += V::LANES;
+        let op = Binary { op, a: a.as_ptr(), b: b.as_ptr(), dst: dst.as_mut_ptr() };
+        // SAFETY: all three slices hold `dst.len()` values.
+        unsafe { sweep::<V>(&op, dst.len()) }
+    }
+
+    /// `dst = src · c`.
+    struct Scale {
+        src: *const f32,
+        c: f32,
+        dst: *mut f32,
+    }
+
+    impl Elementwise for Scale {
+        #[inline(always)]
+        unsafe fn lanes<V: Vf32>(&self, i: usize) {
+            unsafe { V::load(self.src.add(i)).mul(V::splat(self.c)).store(self.dst.add(i)) };
         }
-        for j in main..n {
-            unsafe {
-                let (x, y) = (*ap.add(j), *bp.add(j));
-                *dp.add(j) = match op {
-                    super::BinOp::Add => x + y,
-                    super::BinOp::Sub => x - y,
-                    super::BinOp::Mul => x * y,
-                };
-            }
+
+        #[inline(always)]
+        unsafe fn one(&self, i: usize) {
+            unsafe { *self.dst.add(i) = *self.src.add(i) * self.c };
         }
     }
 
@@ -702,22 +859,15 @@ mod kernels {
     #[inline(always)]
     pub unsafe fn scale_slice<V: Vf32>(src: &[f32], c: f32, dst: &mut [f32]) {
         debug_assert_eq!(src.len(), dst.len());
-        let n = dst.len();
-        let main = n - n % V::LANES;
-        let cv = V::splat(c);
-        let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
-        let mut i = 0;
-        while i < main {
-            unsafe { V::load(sp.add(i)).mul(cv).store(dp.add(i)) };
-            i += V::LANES;
-        }
-        for j in main..n {
-            unsafe { *dp.add(j) = *sp.add(j) * c };
-        }
+        let op = Scale { src: src.as_ptr(), c, dst: dst.as_mut_ptr() };
+        // SAFETY: both slices hold `dst.len()` values.
+        unsafe { sweep::<V>(&op, dst.len()) }
     }
 
+    // -- row kernels: one reduction tree per row -----------------------------
+
     #[inline(always)]
-    unsafe fn row_max<V: Vf32>(row: &[f32]) -> f32 {
+    unsafe fn row_max<V: RowReduce>(row: &[f32]) -> f32 {
         let n = row.len();
         let main = n - n % V::LANES;
         let p = row.as_ptr();
@@ -744,7 +894,7 @@ mod kernels {
     ///
     /// Caller guarantees the backend's target features are available.
     #[inline(always)]
-    pub unsafe fn softmax_row<V: Vf32>(row: &[f32], out: &mut [f32]) {
+    pub unsafe fn softmax_row<V: RowReduce>(row: &[f32], out: &mut [f32]) {
         debug_assert_eq!(row.len(), out.len());
         let n = row.len();
         let main = n - n % V::LANES;
@@ -787,7 +937,7 @@ mod kernels {
     ///
     /// Caller guarantees the backend's target features are available.
     #[inline(always)]
-    pub unsafe fn log_softmax_row<V: Vf32>(row: &[f32], out: &mut [f32]) {
+    pub unsafe fn log_softmax_row<V: RowReduce>(row: &[f32], out: &mut [f32]) {
         debug_assert_eq!(row.len(), out.len());
         let n = row.len();
         let main = n - n % V::LANES;
@@ -817,7 +967,7 @@ mod kernels {
     }
 
     #[inline(always)]
-    unsafe fn row_sum<V: Vf32>(row: &[f32]) -> f32 {
+    unsafe fn row_sum<V: RowReduce>(row: &[f32]) -> f32 {
         let n = row.len();
         let main = n - n % V::LANES;
         let p = row.as_ptr();
@@ -835,7 +985,7 @@ mod kernels {
     }
 
     #[inline(always)]
-    unsafe fn row_var_sum<V: Vf32>(row: &[f32], mean: f32) -> f32 {
+    unsafe fn row_var_sum<V: RowReduce>(row: &[f32], mean: f32) -> f32 {
         let n = row.len();
         let main = n - n % V::LANES;
         let p = row.as_ptr();
@@ -890,7 +1040,7 @@ mod kernels {
     ///
     /// Caller guarantees the backend's target features are available.
     #[inline(always)]
-    pub unsafe fn layer_norm_row<V: Vf32>(
+    pub unsafe fn layer_norm_row<V: RowReduce>(
         row: &[f32],
         gamma: &[f32],
         beta: &[f32],
@@ -910,7 +1060,7 @@ mod kernels {
     ///
     /// Caller guarantees the backend's target features are available.
     #[inline(always)]
-    pub unsafe fn add_layer_norm_row<V: Vf32>(
+    pub unsafe fn add_layer_norm_row<V: RowReduce>(
         a: &[f32],
         b: &[f32],
         gamma: &[f32],
@@ -1178,6 +1328,37 @@ mod kernels {
 
     // -- butterfly pair kernels --------------------------------------------
 
+    /// One block of a butterfly stage on one vector: position `i` couples
+    /// `lo[i]` with `hi[i]` through weight `i` of each of `w1..w4`,
+    /// mul-then-add.
+    struct Pairs {
+        w: [*const f32; 4],
+        lo: *mut f32,
+        hi: *mut f32,
+    }
+
+    impl Elementwise for Pairs {
+        #[inline(always)]
+        unsafe fn lanes<V: Vf32>(&self, i: usize) {
+            let [w1, w2, w3, w4] = self.w;
+            unsafe {
+                let (a, b) = (V::load(self.lo.add(i)), V::load(self.hi.add(i)));
+                V::load(w1.add(i)).mul(a).add(V::load(w2.add(i)).mul(b)).store(self.lo.add(i));
+                V::load(w3.add(i)).mul(a).add(V::load(w4.add(i)).mul(b)).store(self.hi.add(i));
+            }
+        }
+
+        #[inline(always)]
+        unsafe fn one(&self, i: usize) {
+            let [w1, w2, w3, w4] = self.w;
+            unsafe {
+                let (a, b) = (*self.lo.add(i), *self.hi.add(i));
+                *self.lo.add(i) = *w1.add(i) * a + *w2.add(i) * b;
+                *self.hi.add(i) = *w3.add(i) * a + *w4.add(i) * b;
+            }
+        }
+    }
+
     /// One whole butterfly stage on one vector, in place: the block loop
     /// runs inside the vector context so a stage costs a single dispatch.
     /// `w1..w4` hold `pairs` weights, `x` holds `2·pairs` elements, and
@@ -1199,40 +1380,26 @@ mod kernels {
         w4: &[f32],
         x: &mut [f32],
     ) {
-        let pairs = w1.len();
-        let main = half - half % V::LANES;
-        let (w1p, w2p, w3p, w4p) = (w1.as_ptr(), w2.as_ptr(), w3.as_ptr(), w4.as_ptr());
         let xp = x.as_mut_ptr();
         let mut p = 0;
-        let mut base = 0;
-        while p < pairs {
-            let mut i = 0;
-            while i < main {
-                unsafe {
-                    let a = V::load(xp.add(base + i));
-                    let b = V::load(xp.add(base + half + i));
-                    V::load(w1p.add(p + i))
-                        .mul(a)
-                        .add(V::load(w2p.add(p + i)).mul(b))
-                        .store(xp.add(base + i));
-                    V::load(w3p.add(p + i))
-                        .mul(a)
-                        .add(V::load(w4p.add(p + i)).mul(b))
-                        .store(xp.add(base + half + i));
-                }
-                i += V::LANES;
-            }
-            while i < half {
-                unsafe {
-                    let a = *xp.add(base + i);
-                    let b = *xp.add(base + half + i);
-                    *xp.add(base + i) = *w1p.add(p + i) * a + *w2p.add(p + i) * b;
-                    *xp.add(base + half + i) = *w3p.add(p + i) * a + *w4p.add(p + i) * b;
-                }
-                i += 1;
+        while p < w1.len() {
+            // SAFETY: block `p / half` is weights `p..p + half` and elements
+            // `2p..2p + 2·half`, inside the slices since `half` divides the
+            // pair count and `x` holds two elements per pair.
+            unsafe {
+                let op = Pairs {
+                    w: [
+                        w1.as_ptr().add(p),
+                        w2.as_ptr().add(p),
+                        w3.as_ptr().add(p),
+                        w4.as_ptr().add(p),
+                    ],
+                    lo: xp.add(2 * p),
+                    hi: xp.add(2 * p + half),
+                };
+                sweep::<V>(&op, half);
             }
             p += half;
-            base += 2 * half;
         }
     }
 
@@ -1747,7 +1914,7 @@ mod kernels {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{kernels, BinOp, FmaLanes, Vf32};
+    use super::{kernels, BinOp, FmaLanes, RowReduce, Vf32};
     use core::arch::x86_64::*;
 
     /// Eight `f32` lanes in one AVX register.
@@ -1787,6 +1954,8 @@ mod x86 {
     }
 
     impl Vf32 for F32x8 {
+        type Narrow = Self;
+
         #[inline(always)]
         fn add(self, o: Self) -> Self {
             F32x8(unsafe { _mm256_add_ps(self.0, o.0) })
@@ -1818,30 +1987,6 @@ mod x86 {
         }
 
         #[inline(always)]
-        fn reduce_add(self) -> f32 {
-            unsafe {
-                let hi = _mm256_extractf128_ps(self.0, 1);
-                let lo = _mm256_castps256_ps128(self.0);
-                let s = _mm_add_ps(lo, hi);
-                let s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-                let s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
-                _mm_cvtss_f32(s)
-            }
-        }
-
-        #[inline(always)]
-        fn reduce_max(self) -> f32 {
-            unsafe {
-                let hi = _mm256_extractf128_ps(self.0, 1);
-                let lo = _mm256_castps256_ps128(self.0);
-                let s = _mm_max_ps(lo, hi);
-                let s = _mm_max_ps(s, _mm_movehl_ps(s, s));
-                let s = _mm_max_ss(s, _mm_shuffle_ps(s, s, 1));
-                _mm_cvtss_f32(s)
-            }
-        }
-
-        #[inline(always)]
         fn pow2i(self) -> Self {
             unsafe {
                 let k = _mm256_cvtps_epi32(self.0);
@@ -1866,6 +2011,32 @@ mod x86 {
                 let [c0, c1, c2, c3] = transpose_8x4(src, stride);
                 let [c4, c5, c6, c7] = transpose_8x4(src.add(4), stride);
                 [c0, c1, c2, c3, c4, c5, c6, c7]
+            }
+        }
+    }
+
+    impl RowReduce for F32x8 {
+        #[inline(always)]
+        fn reduce_add(self) -> f32 {
+            unsafe {
+                let hi = _mm256_extractf128_ps(self.0, 1);
+                let lo = _mm256_castps256_ps128(self.0);
+                let s = _mm_add_ps(lo, hi);
+                let s = _mm_add_ps(s, _mm_movehl_ps(s, s));
+                let s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
+                _mm_cvtss_f32(s)
+            }
+        }
+
+        #[inline(always)]
+        fn reduce_max(self) -> f32 {
+            unsafe {
+                let hi = _mm256_extractf128_ps(self.0, 1);
+                let lo = _mm256_castps256_ps128(self.0);
+                let s = _mm_max_ps(lo, hi);
+                let s = _mm_max_ps(s, _mm_movehl_ps(s, s));
+                let s = _mm_max_ss(s, _mm_shuffle_ps(s, s, 1));
+                _mm_cvtss_f32(s)
             }
         }
     }
@@ -1901,6 +2072,13 @@ mod x86 {
         }
     }
 
+    /// Whether the lane-wise kernels run 16 lanes wide: the CPU has
+    /// `avx512f` (std caches the probe).
+    #[inline]
+    pub fn wide() -> bool {
+        std::arch::is_x86_feature_detected!("avx512f")
+    }
+
     macro_rules! avx2_entry {
         ($(fn $name:ident($($arg:ident: $ty:ty),* $(,)?);)*) => {
             $(
@@ -1919,16 +2097,9 @@ mod x86 {
         };
     }
 
+    // The row reductions: 8 lanes on every x86 CPU, their reduction tree is
+    // part of their value.
     avx2_entry! {
-        fn exp_slice(src: &[f32], dst: &mut [f32]);
-        fn tanh_slice(src: &[f32], dst: &mut [f32]);
-        fn gelu_slice(src: &[f32], dst: &mut [f32]);
-        fn gelu_grad_acc(dst: &mut [f32], g: &[f32], x: &[f32]);
-        fn add_acc(dst: &mut [f32], src: &[f32]);
-        fn axpy_acc(dst: &mut [f32], a: f32, x: &[f32]);
-        fn mul_acc(dst: &mut [f32], a: &[f32], b: &[f32]);
-        fn binary_slice(op: BinOp, a: &[f32], b: &[f32], dst: &mut [f32]);
-        fn scale_slice(src: &[f32], c: f32, dst: &mut [f32]);
         fn softmax_row(row: &[f32], out: &mut [f32]);
         fn log_softmax_row(row: &[f32], out: &mut [f32]);
         fn layer_norm_row(row: &[f32], gamma: &[f32], beta: &[f32], eps: f32, out: &mut [f32]);
@@ -1940,6 +2111,86 @@ mod x86 {
             eps: f32,
             out: &mut [f32],
         );
+    }
+
+    /// The one dispatch rule of the kernels whose lanes never meet:
+    /// `f32x8::$name` and `f32x16::$name` instantiate the generic kernel at
+    /// each width, and `$name` takes the 16-lane one where [`wide`] holds
+    /// and so does the kernel's `if` condition — a kernel that takes a tile
+    /// `width` runs 16 lanes only on a multiple of 16. Both instantiations
+    /// give the same bits.
+    macro_rules! lane_entry {
+        ($(fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(if $cond:expr)?;)*) => {
+            $(
+                /// The AVX2 backend's instantiation of the generic kernel:
+                /// 16 lanes wide where the CPU has `avx512f`, else 8.
+                ///
+                /// # Safety
+                ///
+                /// The CPU must support AVX2 and FMA (guaranteed by the
+                /// runtime dispatch in the public wrappers), and the
+                /// arguments must meet the generic kernel's contract.
+                #[allow(clippy::too_many_arguments)]
+                pub unsafe fn $name($($arg: $ty),*) {
+                    // SAFETY: the 16-lane arm runs only where avx512f is
+                    // detected; the rest is this function's own contract.
+                    if wide() $(&& $cond)? {
+                        unsafe { f32x16::$name($($arg),*) }
+                    } else {
+                        unsafe { f32x8::$name($($arg),*) }
+                    }
+                }
+            )*
+
+            /// The 8-lane instantiations.
+            pub mod f32x8 {
+                use super::{kernels, BinOp, F32x8};
+                $(
+                    /// 8-lane instantiation of the generic kernel.
+                    ///
+                    /// # Safety
+                    ///
+                    /// The CPU must support AVX2 and FMA, and the arguments
+                    /// must meet the generic kernel's contract.
+                    #[target_feature(enable = "avx2,fma")]
+                    #[allow(clippy::too_many_arguments)]
+                    pub unsafe fn $name($($arg: $ty),*) {
+                        unsafe { kernels::$name::<F32x8>($($arg),*) }
+                    }
+                )*
+            }
+
+            /// The 16-lane instantiations.
+            pub mod f32x16 {
+                use super::{kernels, BinOp, F32x16};
+                $(
+                    /// 16-lane instantiation of the generic kernel.
+                    ///
+                    /// # Safety
+                    ///
+                    /// The CPU must support AVX-512F, and the arguments must
+                    /// meet the generic kernel's contract.
+                    #[target_feature(enable = "avx512f,avx2,fma")]
+                    #[allow(clippy::too_many_arguments)]
+                    pub unsafe fn $name($($arg: $ty),*) {
+                        unsafe { kernels::$name::<F32x16>($($arg),*) }
+                    }
+                )*
+            }
+        };
+    }
+
+    lane_entry! {
+        fn exp_slice(src: &[f32], dst: &mut [f32]);
+        fn tanh_slice(src: &[f32], dst: &mut [f32]);
+        fn gelu_slice(src: &[f32], dst: &mut [f32]);
+        fn gelu_grad_acc(dst: &mut [f32], g: &[f32], x: &[f32]);
+        fn add_acc(dst: &mut [f32], src: &[f32]);
+        fn axpy_acc(dst: &mut [f32], a: f32, x: &[f32]);
+        fn mul_acc(dst: &mut [f32], a: &[f32], b: &[f32]);
+        fn binary_slice(op: BinOp, a: &[f32], b: &[f32], dst: &mut [f32]);
+        fn scale_slice(src: &[f32], c: f32, dst: &mut [f32]);
+        fn matmul_band(lhs: &[f32], k: usize, rhs: &[f32], n: usize, i0: usize, dst: &mut [f32]);
         fn butterfly_stage_in_place(
             half: usize,
             w1: &[f32],
@@ -1956,7 +2207,7 @@ mod x86 {
             w4: &[f32],
             x: &mut [f32],
             width: usize,
-        );
+        ) if width.is_multiple_of(16);
         fn butterfly_stage_backward_lanes(
             half: usize,
             w1: &[f32],
@@ -1967,21 +2218,21 @@ mod x86 {
             grad: &mut [f32],
             acc: &mut [f32],
             width: usize,
-        );
+        ) if width.is_multiple_of(16);
         fn fft_stages_lanes(
             tw_re: &[f32],
             tw_im: &[f32],
             re: &mut [f32],
             im: &mut [f32],
             width: usize,
-        );
+        ) if width.is_multiple_of(16);
         fn fft_real_split_lanes(
             tw_re: &[f32],
             tw_im: &[f32],
             re: &mut [f32],
             im: &mut [f32],
             width: usize,
-        );
+        ) if width.is_multiple_of(16);
         fn rows_to_lanes(
             src: &[f32],
             stride: usize,
@@ -1990,7 +2241,7 @@ mod x86 {
             perm: &[usize],
             dst: &mut [f32],
             width: usize,
-        );
+        ) if width.is_multiple_of(16);
         fn lanes_to_rows(
             src: &[f32],
             width: usize,
@@ -2000,15 +2251,14 @@ mod x86 {
             gelu: bool,
             dst: &mut [f32],
             stride: usize,
-        );
+        ) if width.is_multiple_of(16);
     }
 
-    // -- f32 GEMM band: 16 lanes where AVX-512 is present ------------------
-
-    /// Sixteen `f32` lanes in one AVX-512 register. Only the GEMM runs on
-    /// it: 8-row × 2-vector tiles keep 16 of the 32 zmm registers
-    /// accumulating. The row reductions stay on [`F32x8`] — a wider
-    /// reduction tree would change their bits.
+    /// Sixteen `f32` lanes in one AVX-512 register, the width of every
+    /// kernel whose lanes never meet where the CPU has `avx512f`. The GEMM
+    /// runs 8-row × 2-vector tiles on it (16 of the 32 zmm registers
+    /// accumulating). It implements no [`RowReduce`](super::RowReduce): a
+    /// wider reduction tree would change the row kernels' bits.
     #[derive(Clone, Copy)]
     pub struct F32x16(__m512);
 
@@ -2042,63 +2292,98 @@ mod x86 {
         }
     }
 
-    /// The AVX2 backend's GEMM band: the 16-lane instantiation where the CPU
-    /// has `avx512f` (std caches the probe), else the 8-lane one. Both give
-    /// the same bits ([`kernels::matmul_band`]'s contract).
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2 and FMA, and the slice dimensions must be
-    /// consistent (checked by the public wrapper).
-    pub unsafe fn matmul_band(
-        lhs: &[f32],
-        k: usize,
-        rhs: &[f32],
-        n: usize,
-        i0: usize,
-        dst: &mut [f32],
-    ) {
-        // SAFETY: avx512f is detected on this branch; the rest is this
-        // function's own contract, passed on.
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            unsafe { matmul_band_f32x16(lhs, k, rhs, n, i0, dst) }
-        } else {
-            unsafe { matmul_band_f32x8(lhs, k, rhs, n, i0, dst) }
+    impl Vf32 for F32x16 {
+        type Narrow = F32x8;
+
+        #[inline(always)]
+        fn add(self, o: Self) -> Self {
+            F32x16(unsafe { _mm512_add_ps(self.0, o.0) })
+        }
+
+        #[inline(always)]
+        fn sub(self, o: Self) -> Self {
+            F32x16(unsafe { _mm512_sub_ps(self.0, o.0) })
+        }
+
+        #[inline(always)]
+        fn mul(self, o: Self) -> Self {
+            F32x16(unsafe { _mm512_mul_ps(self.0, o.0) })
+        }
+
+        #[inline(always)]
+        fn div(self, o: Self) -> Self {
+            F32x16(unsafe { _mm512_div_ps(self.0, o.0) })
+        }
+
+        /// `vmaxps`: a NaN in either operand yields `o`, as on [`F32x8`].
+        #[inline(always)]
+        fn max(self, o: Self) -> Self {
+            F32x16(unsafe { _mm512_max_ps(self.0, o.0) })
+        }
+
+        #[inline(always)]
+        fn min(self, o: Self) -> Self {
+            F32x16(unsafe { _mm512_min_ps(self.0, o.0) })
+        }
+
+        #[inline(always)]
+        fn pow2i(self) -> Self {
+            unsafe {
+                let k = _mm512_cvtps_epi32(self.0);
+                let bits = _mm512_slli_epi32::<23>(_mm512_add_epi32(k, _mm512_set1_epi32(127)));
+                F32x16(_mm512_castsi512_ps(bits))
+            }
+        }
+
+        type Block = [Self; 16];
+
+        /// Four 16×4 blocks, each built like [`transpose_8x4`]'s 8×4 one.
+        #[inline(always)]
+        unsafe fn transpose(src: *const f32, stride: usize) -> [Self; 16] {
+            unsafe {
+                let [c0, c1, c2, c3] = transpose_16x4(src, stride);
+                let [c4, c5, c6, c7] = transpose_16x4(src.add(4), stride);
+                let [c8, c9, c10, c11] = transpose_16x4(src.add(8), stride);
+                let [c12, c13, c14, c15] = transpose_16x4(src.add(12), stride);
+                [c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14, c15]
+            }
         }
     }
 
-    /// 8-lane GEMM band.
-    ///
-    /// # Safety
-    ///
-    /// As [`matmul_band`].
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn matmul_band_f32x8(
-        lhs: &[f32],
-        k: usize,
-        rhs: &[f32],
-        n: usize,
-        i0: usize,
-        dst: &mut [f32],
-    ) {
-        unsafe { kernels::matmul_band::<F32x8>(lhs, k, rhs, n, i0, dst) }
+    /// Columns `0..4` of the sixteen rows at `src + r * stride`, one column
+    /// per vector. Rows `r`, `r + 4`, `r + 8` and `r + 12` share one
+    /// register (one per 128-bit quarter), so the unpack/shuffle pairs
+    /// finish the transpose inside the quarters, with no cross-lane permute.
+    #[inline(always)]
+    unsafe fn transpose_16x4(src: *const f32, stride: usize) -> [F32x16; 4] {
+        unsafe {
+            let (r0, r1) =
+                (load_rows_quarters(src, stride), load_rows_quarters(src.add(stride), stride));
+            let (r2, r3) = (
+                load_rows_quarters(src.add(2 * stride), stride),
+                load_rows_quarters(src.add(3 * stride), stride),
+            );
+            let (t0, t1) = (_mm512_unpacklo_ps(r0, r1), _mm512_unpackhi_ps(r0, r1));
+            let (t2, t3) = (_mm512_unpacklo_ps(r2, r3), _mm512_unpackhi_ps(r2, r3));
+            [
+                F32x16(_mm512_shuffle_ps::<0x44>(t0, t2)),
+                F32x16(_mm512_shuffle_ps::<0xEE>(t0, t2)),
+                F32x16(_mm512_shuffle_ps::<0x44>(t1, t3)),
+                F32x16(_mm512_shuffle_ps::<0xEE>(t1, t3)),
+            ]
+        }
     }
 
-    /// 16-lane GEMM band.
-    ///
-    /// # Safety
-    ///
-    /// As [`matmul_band`], and the CPU must support AVX-512F.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn matmul_band_f32x16(
-        lhs: &[f32],
-        k: usize,
-        rhs: &[f32],
-        n: usize,
-        i0: usize,
-        dst: &mut [f32],
-    ) {
-        unsafe { kernels::matmul_band::<F32x16>(lhs, k, rhs, n, i0, dst) }
+    /// Four values of the row at `p` in quarter 0, and of the rows 4, 8 and
+    /// 12 strides further on in quarters 1, 2 and 3.
+    #[inline(always)]
+    unsafe fn load_rows_quarters(p: *const f32, stride: usize) -> __m512 {
+        unsafe {
+            let v = _mm512_castps128_ps512(_mm_loadu_ps(p));
+            let v = _mm512_insertf32x4::<1>(v, _mm_loadu_ps(p.add(4 * stride)));
+            let v = _mm512_insertf32x4::<2>(v, _mm_loadu_ps(p.add(8 * stride)));
+            _mm512_insertf32x4::<3>(v, _mm_loadu_ps(p.add(12 * stride)))
+        }
     }
 
     // -- int8 quantized kernels (PR 5) ----------------------------------
@@ -2279,7 +2564,7 @@ mod neon {
     // unsafe blocks below keep the shape identical to the x86 backend.
     #![allow(unused_unsafe)]
 
-    use super::{kernels, BinOp, FmaLanes, Vf32};
+    use super::{kernels, BinOp, FmaLanes, RowReduce, Vf32};
     use core::arch::aarch64::*;
 
     /// Four `f32` lanes in one NEON register.
@@ -2316,6 +2601,8 @@ mod neon {
     }
 
     impl Vf32 for F32x4 {
+        type Narrow = Self;
+
         #[inline(always)]
         fn add(self, o: Self) -> Self {
             F32x4(unsafe { vaddq_f32(self.0, o.0) })
@@ -2344,16 +2631,6 @@ mod neon {
         #[inline(always)]
         fn min(self, o: Self) -> Self {
             F32x4(unsafe { vminq_f32(self.0, o.0) })
-        }
-
-        #[inline(always)]
-        fn reduce_add(self) -> f32 {
-            unsafe { vaddvq_f32(self.0) }
-        }
-
-        #[inline(always)]
-        fn reduce_max(self) -> f32 {
-            unsafe { vmaxvq_f32(self.0) }
         }
 
         #[inline(always)]
@@ -2388,6 +2665,18 @@ mod neon {
                     F32x4(vcombine_f32(vget_high_f32(t1), vget_high_f32(t3))),
                 ]
             }
+        }
+    }
+
+    impl RowReduce for F32x4 {
+        #[inline(always)]
+        fn reduce_add(self) -> f32 {
+            unsafe { vaddvq_f32(self.0) }
+        }
+
+        #[inline(always)]
+        fn reduce_max(self) -> f32 {
+            unsafe { vmaxvq_f32(self.0) }
         }
     }
 
@@ -2944,7 +3233,9 @@ pub fn butterfly_stage_in_place(
 // butterfly-linear forward and backward and the 2-D FFT of `fab-butterfly`
 // all run on these six entry points; all of them are mul-then-add without FMA and
 // bit-identical across backends (the scalar backend runs the same generic
-// bodies one lane wide).
+// bodies one lane wide) and across the AVX2 backend's 8- and 16-lane
+// instantiations (16 where `avx512f` is present and `width` is a multiple
+// of 16).
 // ---------------------------------------------------------------------------
 
 /// One butterfly-linear stage, in place, over `width` transforms at once:
@@ -3106,9 +3397,12 @@ pub fn fft_real_split_lanes(
 /// `dst[at(c)·width + r] = src[r·stride + c]` for `c < cols`, where `at(c)`
 /// is `perm[c]` (`c` itself when `perm` is empty) and the lanes `rows..width`
 /// are zero-filled. Rows of `dst` that no column maps to are left untouched.
-/// A full tile (`rows == width`) on the active backend's own lane count
-/// ([`Backend::lanes`]) goes through the register transpose; every other
-/// shape takes the element-wise path with the same result.
+/// A full tile (`rows == width`) at the active backend's lane count
+/// ([`Backend::lanes`]: 16 on an AVX2 backend whose CPU has `avx512f`, where
+/// a 16 × 16 block is four 16 × 4 register transposes) goes through the
+/// register transpose; every other shape takes the element-wise path with
+/// the same result. Callers that tile at [`Backend::lanes`] get the
+/// register path on every full tile.
 ///
 /// # Panics
 ///
@@ -3473,10 +3767,10 @@ mod tests {
             if std::arch::is_x86_feature_detected!("avx2")
                 && std::arch::is_x86_feature_detected!("fma")
             {
-                arms.push(("f32x8", x86::matmul_band_f32x8));
+                arms.push(("f32x8", x86::f32x8::matmul_band));
             }
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                arms.push(("f32x16", x86::matmul_band_f32x16));
+            if x86::wide() {
+                arms.push(("f32x16", x86::f32x16::matmul_band));
             } else {
                 eprintln!("no avx512f: the f32x16 GEMM arm is skipped");
             }
@@ -3589,6 +3883,267 @@ mod tests {
                                 want[e]
                             );
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `n` values from an LCG in `[-4, 4)`, every `every`-th one replaced by
+    /// a value the kernels must treat alike at both widths: signed zeros,
+    /// infinities, NaN, subnormals, the extremes and the clamp edges of the
+    /// fastmath kernels (±87/88 for `exp`, ±9 for `tanh`). The NaN is the
+    /// one x86 arithmetic generates itself (`0xFFC0_0000`), so every NaN a
+    /// kernel can produce has the same bits: which operand's payload an add
+    /// keeps is the compiler's choice, and the bits compared here must not
+    /// depend on it.
+    #[cfg(target_arch = "x86_64")]
+    fn lane_data(n: usize, salt: u64, every: usize) -> Vec<f32> {
+        const SPECIALS: [f32; 15] = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(0xFFC0_0000),
+            1.0e-41,
+            -3.0e-39,
+            87.0,
+            -87.0,
+            88.0,
+            -88.0,
+            9.0,
+            -9.0,
+            f32::MAX,
+            f32::MIN,
+        ];
+        let mut s = salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..n)
+            .map(|i| {
+                s = s
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                if i % every == every - 1 {
+                    SPECIALS[(i / every + salt as usize) % SPECIALS.len()]
+                } else {
+                    ((s >> 40) as f32 / (1u64 << 24) as f32) * 8.0 - 4.0
+                }
+            })
+            .collect()
+    }
+
+    /// Panics at the first element whose bits differ between `a` and `b`.
+    #[cfg(target_arch = "x86_64")]
+    fn same_bits(what: &str, a: &[f32], b: &[f32]) {
+        assert_eq!(a.len(), b.len(), "{what}: lengths differ");
+        if let Some(e) = a.iter().zip(b).position(|(x, y)| x.to_bits() != y.to_bits()) {
+            panic!("{what}: element {e} differs: {} vs {}", a[e], b[e]);
+        }
+    }
+
+    /// Every kernel whose lanes never meet, run through its `f32x8` and its
+    /// `f32x16` instantiation on the same inputs: the outputs must have the
+    /// same bits, NaN lanes included. The 16-lane arm is what an AVX-512
+    /// host runs and `FAB_SIMD` has no value that forces the 8-lane one
+    /// there, so on such a host this test is the 8-lane arm's only check.
+    /// The transposes are also held to their index definition.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn lane_wise_kernels_give_the_same_bits_at_8_and_16_lanes() {
+        let x86_ok = std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("fma");
+        if !(x86_ok && x86::wide()) {
+            eprintln!("no avx512f: the f32x16 lane-wise arm is skipped");
+            return;
+        }
+        // `both!(|k| body)` evaluates `body` with `k` naming each arm's
+        // kernel module in turn, and returns the two results.
+        macro_rules! both {
+            (|$k:ident| $body:expr) => {{
+                // SAFETY: avx2, fma and avx512f are detected above; each
+                // call site passes its kernel's documented shapes.
+                let narrow = unsafe {
+                    use x86::f32x8 as $k;
+                    $body
+                };
+                let wide = unsafe {
+                    use x86::f32x16 as $k;
+                    $body
+                };
+                (narrow, wide)
+            }};
+        }
+
+        // Element-wise slices: every tail length against 16 and 8, on mixed
+        // inputs and on nothing but special values (NaN every 15 positions,
+        // so some NaN falls where only one width runs the scalar tail).
+        for (n, every) in (1..=40).chain(511..=513).flat_map(|n| [(n, 3), (n, 1)]) {
+            let (x, g) = (lane_data(n, 1, every), lane_data(n, 2, every + 1));
+            let acc0 = lane_data(n, 3, 5);
+            let (a, b) = both!(|k| {
+                let mut out = Vec::new();
+                for f in [k::exp_slice, k::tanh_slice, k::gelu_slice] {
+                    let mut y = vec![0.0f32; n];
+                    f(&x, &mut y);
+                    out.extend(y);
+                }
+                for op in [BinOp::Add, BinOp::Sub, BinOp::Mul] {
+                    let mut y = vec![0.0f32; n];
+                    k::binary_slice(op, &x, &g, &mut y);
+                    out.extend(y);
+                }
+                let mut y = vec![0.0f32; n];
+                k::scale_slice(&x, -1.37, &mut y);
+                out.extend(y);
+                let mut acc = acc0.clone();
+                k::gelu_grad_acc(&mut acc, &g, &x);
+                out.extend_from_slice(&acc);
+                let mut acc = acc0.clone();
+                k::add_acc(&mut acc, &x);
+                k::axpy_acc(&mut acc, 0.73, &g);
+                k::mul_acc(&mut acc, &g, &x);
+                out.extend(acc);
+                out
+            });
+            same_bits(&format!("element-wise slices, n={n} every={every}"), &a, &b);
+        }
+
+        // The per-vector butterfly stage, halves below, at and above 16.
+        for (pairs, half) in [(64usize, 1usize), (64, 2), (64, 4), (64, 8), (64, 16), (64, 32)]
+            .into_iter()
+            .chain([(64, 64), (24, 24), (40, 40), (8, 8)])
+        {
+            let w: Vec<Vec<f32>> = (0..4).map(|s| lane_data(pairs, 10 + s, 29)).collect();
+            let x0 = lane_data(2 * pairs, 14, 7);
+            let (a, b) = both!(|k| {
+                let mut x = x0.clone();
+                k::butterfly_stage_in_place(half, &w[0], &w[1], &w[2], &w[3], &mut x);
+                x
+            });
+            same_bits(&format!("butterfly_stage_in_place pairs={pairs} half={half}"), &a, &b);
+        }
+
+        // The lane engine: specials in a few columns only, so the other
+        // columns stay finite through every stage.
+        let engine_data = |rows: usize, width: usize, salt: u64| {
+            let mut v = lane_data(rows * width, salt, usize::MAX);
+            let specials = lane_data(15, salt, 1);
+            for (s, &value) in specials.iter().enumerate() {
+                v[(s * 7 % rows) * width + s % 3] = value;
+            }
+            v
+        };
+        for width in [16usize, 32, 48] {
+            for (pairs, half) in [(1usize, 1usize), (4, 1), (4, 2), (4, 4), (16, 4), (64, 16)] {
+                let n = 2 * pairs;
+                let w: Vec<Vec<f32>> =
+                    (0..4).map(|s| lane_data(pairs, 20 + s, usize::MAX)).collect();
+                let x0 = engine_data(n, width, 24);
+                let (a, b) = both!(|k| {
+                    let mut x = x0.clone();
+                    k::butterfly_stage_lanes(half, &w[0], &w[1], &w[2], &w[3], &mut x, width);
+                    x
+                });
+                same_bits(&format!("butterfly_stage_lanes width={width} half={half}"), &a, &b);
+                let grad0 = engine_data(n, width, 25);
+                let acc0 = engine_data(2 * n, width, 26);
+                let (a, b) = both!(|k| {
+                    let (mut grad, mut acc) = (grad0.clone(), acc0.clone());
+                    k::butterfly_stage_backward_lanes(
+                        half, &w[0], &w[1], &w[2], &w[3], &x0, &mut grad, &mut acc, width,
+                    );
+                    grad.extend(acc);
+                    grad
+                });
+                same_bits(
+                    &format!("butterfly_stage_backward_lanes width={width} half={half}"),
+                    &a,
+                    &b,
+                );
+            }
+            for m in [1usize, 2, 4, 16, 64] {
+                let (mut tw_re, mut tw_im) = (Vec::new(), Vec::new());
+                for h in (0..).map(|s| 1usize << s).take_while(|&h| h < 2 * m) {
+                    for j in 0..h {
+                        let theta = -std::f32::consts::PI * j as f32 / h as f32;
+                        tw_re.push(theta.cos());
+                        tw_im.push(theta.sin());
+                    }
+                }
+                let (re0, im0) = (engine_data(m + 1, width, 30), engine_data(m + 1, width, 31));
+                let (a, b) = both!(|k| {
+                    let (mut re, mut im) = (re0.clone(), im0.clone());
+                    k::fft_stages_lanes(
+                        &tw_re,
+                        &tw_im,
+                        &mut re[..m * width],
+                        &mut im[..m * width],
+                        width,
+                    );
+                    k::fft_real_split_lanes(
+                        &tw_re[m - 1..],
+                        &tw_im[m - 1..],
+                        &mut re,
+                        &mut im,
+                        width,
+                    );
+                    re.extend(im);
+                    re
+                });
+                same_bits(&format!("fft lanes width={width} m={m}"), &a, &b);
+            }
+        }
+
+        // The transposes, with and without a bit-reversal permutation, bias
+        // and GELU. `dst` starts at a sentinel: rows no column maps to stay.
+        const SENTINEL: f32 = 7.0;
+        for width in [16usize, 32, 48] {
+            for rows in [0usize, 1, 15, 16] {
+                for cols in [4usize, 8, 15, 16, 17, 33, 512] {
+                    let stride = cols + 3;
+                    let src = lane_data(rows * stride, (rows * 1000 + cols) as u64, 3);
+                    let span = cols.next_power_of_two();
+                    let bitrev: Vec<usize> = (0..span)
+                        .map(|i| i.reverse_bits() >> (usize::BITS - span.trailing_zeros()))
+                        .collect();
+                    for perm in [&[][..], &bitrev[..cols]] {
+                        let what = format!(
+                            "rows_to_lanes width={width} rows={rows} cols={cols} perm={}",
+                            !perm.is_empty()
+                        );
+                        let (a, b) = both!(|k| {
+                            let mut tile = vec![SENTINEL; span * width];
+                            k::rows_to_lanes(&src, stride, rows, cols, perm, &mut tile, width);
+                            tile
+                        });
+                        same_bits(&what, &a, &b);
+                        let mut want = vec![SENTINEL; span * width];
+                        for c in 0..cols {
+                            let at = if perm.is_empty() { c } else { perm[c] };
+                            for r in 0..width {
+                                want[at * width + r] =
+                                    if r < rows { src[r * stride + c] } else { 0.0 };
+                            }
+                        }
+                        same_bits(&format!("{what}, f32x16 vs the definition"), &b, &want);
+                    }
+                    let tile = lane_data(cols * width, (rows + cols) as u64, 3);
+                    let bias = lane_data(cols, cols as u64, 4);
+                    for (bias, gelu) in [(&[][..], false), (&bias[..], false), (&bias[..], true)] {
+                        let (a, b) = both!(|k| {
+                            let mut out = vec![SENTINEL; rows * stride];
+                            k::lanes_to_rows(
+                                &tile, width, rows, cols, bias, gelu, &mut out, stride,
+                            );
+                            out
+                        });
+                        same_bits(
+                            &format!(
+                                "lanes_to_rows width={width} rows={rows} cols={cols} bias={} gelu={gelu}",
+                                !bias.is_empty()
+                            ),
+                            &a,
+                            &b,
+                        );
                     }
                 }
             }

@@ -370,8 +370,9 @@ fn data_with_specials(n: usize, salt: usize) -> Vec<f32> {
     v
 }
 
-/// Tile widths on, below and beyond every backend's lane count.
-const WIDTHS: &[usize] = &[1, 3, 4, 7, 8, 9, 16, 24];
+/// Tile widths on, below and beyond every backend's lane count, and
+/// multiples of 16 beyond it (the AVX-512 arm's widths).
+const WIDTHS: &[usize] = &[1, 3, 4, 7, 8, 9, 16, 24, 32, 48];
 /// Offsets of the sub-slices the kernels are handed (4-byte alignment only).
 const OFFSETS: &[usize] = &[0, 1, 3, 7];
 
