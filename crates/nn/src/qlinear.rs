@@ -42,8 +42,9 @@ fn quantize_row(row: &[f32], dst: &mut [i8]) -> f32 {
 /// surrounding batch.
 #[derive(Debug, Clone)]
 pub struct QuantLinear {
-    /// `[d_out, d_in]` int8 weights (transposed relative to the f32 layout).
-    qw: Vec<i8>,
+    /// `[d_out, d_in]` int8 weights (transposed relative to the f32 layout),
+    /// prepared for the GEMM.
+    qw: simd::Q8Rhs,
     /// Per-output-row weight scales, `[d_out]`.
     w_scale: Vec<f32>,
     /// Precomputed `in_scale · w_scale[j]`, the dequantization multiplier.
@@ -79,15 +80,16 @@ impl QuantLinear {
             *s = quantize_row(frow, qrow);
         }
         let combined: Vec<f32> = w_scale.iter().map(|&s| s * in_scale).collect();
+        let qw = simd::Q8Rhs::new(qw, d_in, d_out);
         Self { qw, w_scale, combined, bias: b.as_slice().to_vec(), in_scale, d_in, d_out }
     }
 
     /// Reassembles a quantized linear from its stored parts (snapshot
     /// restore): `[d_out, d_in]` transposed int8 weights, `[d_out]` per-row
     /// weight scales and bias, and the calibrated input scale. The derived
-    /// dequantization multipliers are recomputed, never persisted, so a
-    /// restored layer is field-for-field identical to the freshly-quantized
-    /// one.
+    /// dequantization multipliers and the GEMM's prepared rhs are rebuilt,
+    /// never persisted, so a restored layer is field-for-field identical to
+    /// the freshly-quantized one.
     ///
     /// # Panics
     ///
@@ -106,6 +108,7 @@ impl QuantLinear {
         assert_eq!(w_scale.len(), d_out, "weight scale length mismatch");
         assert_eq!(bias.len(), d_out, "bias length mismatch");
         let combined: Vec<f32> = w_scale.iter().map(|&s| s * in_scale).collect();
+        let qw = simd::Q8Rhs::new(qw, d_in, d_out);
         Self { qw, w_scale, combined, bias, in_scale, d_in, d_out }
     }
 
@@ -131,7 +134,7 @@ impl QuantLinear {
 
     /// `[d_out, d_in]` transposed int8 weights (snapshot serialization).
     pub fn qw(&self) -> &[i8] {
-        &self.qw
+        self.qw.rows()
     }
 
     /// `[d_out]` f32 bias (snapshot serialization).
@@ -202,7 +205,7 @@ impl QuantLinear {
             BAND_ACC.with(|acc| {
                 let mut acc = acc.borrow_mut();
                 acc.resize(out_band.len(), 0);
-                simd::q8_gemm_i32(qx_band, &self.qw, self.d_in, self.d_out, &mut acc);
+                simd::q8_gemm_prepared(qx_band, &self.qw, &mut acc);
                 if gelu {
                     simd::q8_dequant_bias_gelu_rows(&acc, &self.combined, &self.bias, out_band);
                 } else {
@@ -218,9 +221,11 @@ impl QuantLinear {
         }
     }
 
-    /// Bytes of int8 weight storage (the f32 layout would be 4x).
+    /// Bytes of the `[d_out, d_in]` int8 weights (the f32 layout would be
+    /// 4x). A CPU with the VNNI GEMM arm also holds their packed copy, as
+    /// large again (depth padded to a multiple of 4), plus `4 · d_out` bytes.
     pub fn weight_bytes(&self) -> usize {
-        self.qw.len()
+        self.qw.rows().len()
     }
 }
 

@@ -2,12 +2,14 @@
 //! under the SIMD backend must stay close to the scalar backend across every
 //! model kind (the FMA matmul and fast-exponential softmax shift values by
 //! rounding only), and the frozen serving path must track the tape path on
-//! both backends.
+//! both backends. The int8 linear accumulates exactly, so it must give the
+//! scalar backend's bits.
 //!
 //! Tests serialise on one lock because the forced backend is process-global.
 
-use fab_nn::{Model, ModelConfig, ModelKind};
+use fab_nn::{Model, ModelConfig, ModelKind, QuantLinear};
 use fab_tensor::simd::{self, Backend};
+use fab_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::{Mutex, MutexGuard};
@@ -103,5 +105,49 @@ fn frozen_logits_match_tape_predict_on_both_backends() {
                 );
             }
         });
+    }
+}
+
+#[test]
+fn quant_linear_gives_the_scalar_bits_fresh_and_restored() {
+    // The native backend's int8 GEMM (the VNNI arm where the CPU has it)
+    // against the scalar loop, through the layer's band loop and both
+    // epilogues: a 32-column-tile shape with a `d_in % 4` tail and an 8-row
+    // tile plus rest, and a 3-class head. The layer rebuilt from its stored
+    // parts prepares its rhs again and must serve the same bits.
+    let _g = lock();
+    let data = |n: usize, salt: usize| -> Vec<f32> {
+        (0..n).map(|i| (((i * 97 + salt * 13) % 401) as f32) * 0.005 - 1.0).collect()
+    };
+    for (d_in, d_out, rows) in [(130usize, 96usize, 75usize), (64, 3, 5)] {
+        let w = Tensor::from_vec(data(d_in * d_out, 11), &[d_in, d_out]).expect("w");
+        let b = Tensor::from_vec(data(d_out, 12), &[d_out]).expect("b");
+        let x = Tensor::from_vec(data(rows * d_in, 13), &[rows, d_in]).expect("x");
+        let fresh = QuantLinear::from_dense(&w, &b, 0.008);
+        let restored = QuantLinear::from_parts(
+            fresh.qw().to_vec(),
+            fresh.w_scales().to_vec(),
+            fresh.bias().to_vec(),
+            fresh.in_scale(),
+            d_in,
+            d_out,
+        );
+        for gelu in [false, true] {
+            let bits = |q: &QuantLinear, backend| {
+                with_backend(backend, || q.forward(&x, gelu))
+                    .as_slice()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            let want = bits(&fresh, Backend::Scalar);
+            for (what, q) in [("fresh", &fresh), ("restored", &restored)] {
+                assert_eq!(
+                    bits(q, simd::default_backend()),
+                    want,
+                    "{d_in}x{d_out} gelu={gelu}: {what} layer left the scalar bits"
+                );
+            }
+        }
     }
 }

@@ -29,8 +29,10 @@
 //!    served by the same `logits*` entry points, sessions and snapshots.
 //!    Its int8 linears run `quantize → int8×int8→i32 GEMM → fused
 //!    dequant+bias(+GELU)` through the [`fab_tensor::simd`] `q8_*` kernels
-//!    (AVX2 `maddubs`+`madd`, NEON `vmull`+`vpadal`, or the bit-identical
-//!    scalar reference — `FAB_SIMD` is honoured).
+//!    (AVX-512 VNNI `vpdpbusd` over weights packed once at quantize or
+//!    restore time where the CPU has it, else AVX2 `maddubs`+`madd`, NEON
+//!    `vmull`+`vpadal`, or the bit-identical scalar reference — `FAB_SIMD`
+//!    is honoured).
 //!
 //! # Exactness and batch invariance
 //!

@@ -410,6 +410,15 @@ fn checksum_valid_snapshots_of_an_impossible_model_are_bad_sections_not_panics()
                     _ => None,
                 }),
             ),
+            (
+                // One past the deepest int8 GEMM (130 000).
+                "head",
+                Box::new(|s| match s.name.as_str() {
+                    "head/w" => f32s(&[130_001, config.num_classes]),
+                    "head/qw" => i8s(config.num_classes, 130_001),
+                    _ => None,
+                }),
+            ),
         ];
         for (section, edit) in cases {
             let hostile = with_sections(&bytes, edit);
@@ -423,17 +432,25 @@ fn checksum_valid_snapshots_of_an_impossible_model_are_bad_sections_not_panics()
         }
     }
     // Shapes that chain but are empty: a zero-class head.
-    let zero_classes = with_sections(&encode_artifact(&all[1], &[]), |s| match s.name.as_str() {
-        "config" => {
-            let SectionData::U64(mut c) = s.data.clone() else { panic!("config is u64") };
-            c[7] = 0;
-            Some((vec![8], SectionData::U64(c)))
+    for (format, artifact) in [("frozen", &all[1]), ("quant", &all[2])] {
+        let bytes = encode_artifact(artifact, &[]);
+        let zero_classes = with_sections(&bytes, |s| match s.name.as_str() {
+            "config" => {
+                let SectionData::U64(mut c) = s.data.clone() else { panic!("config is u64") };
+                c[7] = 0;
+                Some((vec![8], SectionData::U64(c)))
+            }
+            "head/w" => Some((vec![h as u64, 0], SectionData::F32(vec![]))),
+            "head/qw" => Some((vec![0, h as u64], SectionData::I8(vec![]))),
+            "head/b" | "head/w_scale" | "head/bias" => Some((vec![0], SectionData::F32(vec![]))),
+            _ => None,
+        });
+        assert_ne!(zero_classes, bytes, "{format}: the zero-class edit matched no section");
+        match decode_artifact(&zero_classes) {
+            Err(StoreError::BadSection { section, .. }) => assert_eq!(section, "head", "{format}"),
+            other => panic!("{format} zero classes: expected BadSection, got {other:?}"),
         }
-        "head/w" => Some((vec![h as u64, 0], SectionData::F32(vec![]))),
-        "head/b" => Some((vec![0], SectionData::F32(vec![]))),
-        _ => None,
-    });
-    assert!(matches!(decode_artifact(&zero_classes), Err(StoreError::BadSection { .. })));
+    }
 }
 
 #[test]

@@ -58,6 +58,10 @@
 //!   trait they are bound on has no 16-lane implementation, so a 16-wide
 //!   row reduction does not compile. [`Backend::lanes`] reports the width
 //!   of the lane-wise kernels.
+//! * The int8 GEMM ([`q8_gemm_prepared`]) accumulates exactly in i32, so
+//!   every arm gives the scalar loop's bits. Where `avx512vnni` and
+//!   `avx512bw` are present the AVX2 backend runs it as `vpdpbusd` tiles
+//!   over the packed copy a [`Q8Rhs`] keeps on such a CPU.
 //!
 //! # Alignment
 //!
@@ -1914,7 +1918,7 @@ mod kernels {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{kernels, BinOp, FmaLanes, RowReduce, Vf32};
+    use super::{kernels, BinOp, FmaLanes, RowReduce, Vf32, VnniPack};
     use core::arch::x86_64::*;
 
     /// Eight `f32` lanes in one AVX register.
@@ -2507,6 +2511,243 @@ mod x86 {
                     *op.add(i * n + j) = sum;
                     j += 1;
                 }
+            }
+        }
+    }
+
+    /// Whether the int8 GEMM has its VNNI arm: the CPU has `avx512vnni`
+    /// and `avx512bw` (std caches the probes).
+    #[inline]
+    pub fn vnni() -> bool {
+        std::arch::is_x86_feature_detected!("avx512vnni")
+            && std::arch::is_x86_feature_detected!("avx512bw")
+    }
+
+    /// AVX-512 VNNI int8×int8→i32 GEMM over a [`VnniPack`]:
+    /// `out[i][j] = Σ_p a[i·k + p] · bt[j·k + p]`, the value of
+    /// [`q8_gemm_i32`]. Register tiles are 8 rows × 32 columns (two zmm of
+    /// i32 lanes per row), then 4-, 2- and 1-row tiles; the columns end in
+    /// a 16-wide and a masked tile. Each `vpdpbusd` adds, per column lane,
+    /// four `u8 · s8` products of one depth group: the row's activation
+    /// bytes offset to `a + 128` (`a ^ 0x80`, broadcast to every lane) times
+    /// the column's weight bytes. The pack's correction `128 · Σ_p w[j][p]`
+    /// comes off at the end. The non-saturating `vpdpbusd` keeps the sum
+    /// exact mod 2³², and the true result fits in i32, so the output is
+    /// exact.
+    ///
+    /// A row tile's offset activations are staged on the stack
+    /// [`VNNI_CHUNK`] depth groups at a time, so each broadcast reads
+    /// memory; the tiles of a later chunk add to `out`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F, BW and VNNI ([`vnni`]); `a` must hold
+    /// whole `k`-wide rows, `out` as many `n`-wide ones, and `pack` must have
+    /// been built for `k` and `n` (checked by the public wrapper).
+    #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+    pub unsafe fn q8_gemm_vnni(a: &[i8], pack: &VnniPack, k: usize, n: usize, out: &mut [i32]) {
+        let tiles = VnniTiles {
+            a: a.as_ptr(),
+            k,
+            b: pack.packed.as_ptr(),
+            corr: pack.corr.as_ptr(),
+            out: out.as_mut_ptr(),
+            n,
+        };
+        let m = out.len() / n;
+        // SAFETY: this function's contract is the `VnniTiles` condition for
+        // rows `0..m`.
+        unsafe {
+            let r = tiles.row_tiles::<8>(0, m);
+            let r = tiles.row_tiles::<4>(r, m);
+            let r = tiles.row_tiles::<2>(r, m);
+            tiles.row_tiles::<1>(r, m);
+        }
+    }
+
+    /// Depth groups of four bytes per staged chunk of [`q8_gemm_vnni`]: 512
+    /// bytes of each tile row, so a depth up to 512 runs in one chunk.
+    const VNNI_CHUNK: usize = 128;
+
+    /// The operands of one [`q8_gemm_vnni`] call: `a` is `[m, k]`, `b` the
+    /// `[⌈k/4⌉][n][4]` packed weights, `corr` and every `out` row `n` wide.
+    /// Its methods share one safety condition: the pointers are valid for
+    /// those shapes and the CPU supports AVX-512F, BW and VNNI.
+    #[derive(Clone, Copy)]
+    struct VnniTiles {
+        a: *const i8,
+        k: usize,
+        b: *const i8,
+        corr: *const i32,
+        out: *mut i32,
+        n: usize,
+    }
+
+    impl VnniTiles {
+        /// Runs `R`-row tiles from row `r` while `R` rows remain; returns
+        /// the first row left over.
+        ///
+        /// # Safety
+        ///
+        /// See [`VnniTiles`].
+        #[inline(always)]
+        unsafe fn row_tiles<const R: usize>(self, mut r: usize, rows: usize) -> usize {
+            let (all, groups) = (!0, self.k.div_ceil(4));
+            let mut staged = [[0u32; VNNI_CHUNK]; R];
+            while r + R <= rows {
+                let mut q0 = 0;
+                // Once even at k = 0, so that every output is written.
+                loop {
+                    let len = VNNI_CHUNK.min(groups - q0);
+                    for (ri, s) in staged.iter_mut().enumerate() {
+                        // SAFETY: row `r + ri < rows`, and `q0 < groups`
+                        // unless `len` is 0.
+                        unsafe { self.stage(r + ri, q0, len, s) };
+                    }
+                    let last = q0 + len == groups;
+                    let c = Chunk { staged: &staged, q0, len, first: q0 == 0, last };
+                    let mut j = 0;
+                    // SAFETY: rows `r..r + R` exist; each tile covers
+                    // columns below `n`, the masked one exactly `n - j`.
+                    unsafe {
+                        while j + 32 <= self.n {
+                            self.tile::<R, 2, false>(&c, r, j, all);
+                            j += 32;
+                        }
+                        if j + 16 <= self.n {
+                            self.tile::<R, 1, false>(&c, r, j, all);
+                            j += 16;
+                        }
+                        if j < self.n {
+                            self.tile::<R, 1, true>(&c, r, j, (1 << (self.n - j)) - 1);
+                        }
+                    }
+                    q0 += len;
+                    if last {
+                        break;
+                    }
+                }
+                r += R;
+            }
+            r
+        }
+
+        /// Stages depth groups `q0..q0 + len` of row `r` into `dst`, offset
+        /// to `a + 128`. Only the row's own bytes are read: the `k % 4` tail
+        /// group is zero-filled (offset to 128), which meets the pack's zero
+        /// padding.
+        ///
+        /// # Safety
+        ///
+        /// See [`VnniTiles`]; `q0 < ⌈k/4⌉` unless `len` is 0.
+        #[inline(always)]
+        unsafe fn stage(self, r: usize, q0: usize, len: usize, dst: &mut [u32; VNNI_CHUNK]) {
+            // SAFETY: `4·q0 < k` bytes precede `src` in the row, and each
+            // load reads only the `avail ≥ 1` bytes left in it (`4·len`
+            // reaches at most 3 bytes past the row); each store stays in
+            // `dst`, whose 512 bytes are a multiple of 64 and hold `4·len`.
+            unsafe {
+                let src = self.a.add(r * self.k + 4 * q0);
+                let left = self.k - 4 * q0;
+                let d = dst.as_mut_ptr() as *mut __m512i;
+                for b in 0..(4 * len).div_ceil(64) {
+                    let avail = left - 64 * b;
+                    let mask = if avail >= 64 { !0 } else { (1u64 << avail) - 1 };
+                    let v = _mm512_maskz_loadu_epi8(mask, src.add(64 * b));
+                    _mm512_storeu_si512(d.add(b), _mm512_xor_si512(v, _mm512_set1_epi8(-128)));
+                }
+            }
+        }
+
+        /// One `R`-row × `NV`-zmm tile at output row `r`, column `j` over
+        /// one staged chunk: from zero on the first chunk, from `out` on
+        /// later ones, the correction subtracted after the last one, stored
+        /// to `out`. With `MASKED` the last zmm loads and stores only the
+        /// columns in `mask`.
+        ///
+        /// # Safety
+        ///
+        /// See [`VnniTiles`]; columns `j..` hold `16 · NV` columns, the last
+        /// 16 of them only as far as `mask` reaches when `MASKED`.
+        #[inline(always)]
+        unsafe fn tile<const R: usize, const NV: usize, const MASKED: bool>(
+            self,
+            c: &Chunk<R>,
+            r: usize,
+            j: usize,
+            mask: __mmask16,
+        ) {
+            // SAFETY (whole body): the caller's bounds; masked lanes are
+            // neither read nor written.
+            unsafe {
+                let last = |v: usize| MASKED && v == NV - 1;
+                let mut acc = [[_mm512_setzero_si512(); NV]; R];
+                if !c.first {
+                    for (ri, row) in acc.iter_mut().enumerate() {
+                        let o = self.out.add((r + ri) * self.n + j);
+                        for (v, x) in row.iter_mut().enumerate() {
+                            *x = load_lanes(o.add(16 * v), last(v), mask);
+                        }
+                    }
+                }
+                for q in 0..c.len {
+                    let bq = self.b.add(((c.q0 + q) * self.n + j) * 4) as *const i32;
+                    let mut bv = [_mm512_setzero_si512(); NV];
+                    for (v, b) in bv.iter_mut().enumerate() {
+                        *b = load_lanes(bq.add(16 * v), last(v), mask);
+                    }
+                    for (row, s) in acc.iter_mut().zip(c.staged) {
+                        let u = _mm512_set1_epi32(s[q] as i32);
+                        for (x, &b) in row.iter_mut().zip(&bv) {
+                            *x = _mm512_dpbusd_epi32(*x, u, b);
+                        }
+                    }
+                }
+                for (ri, row) in acc.iter().enumerate() {
+                    let o = self.out.add((r + ri) * self.n + j);
+                    for (v, &x) in row.iter().enumerate() {
+                        let corr = self.corr.add(j + 16 * v);
+                        let x = if c.last {
+                            _mm512_sub_epi32(x, load_lanes(corr, last(v), mask))
+                        } else {
+                            x
+                        };
+                        if last(v) {
+                            _mm512_mask_storeu_epi32(o.add(16 * v), mask, x);
+                        } else {
+                            _mm512_storeu_si512(o.add(16 * v) as *mut __m512i, x);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The staged activations of one row tile: depth groups
+    /// `q0..q0 + len`, the first and the last chunk of the depth when
+    /// `first` and `last`.
+    struct Chunk<'a, const R: usize> {
+        staged: &'a [[u32; VNNI_CHUNK]; R],
+        q0: usize,
+        len: usize,
+        first: bool,
+        last: bool,
+    }
+
+    /// Sixteen i32 lanes at `p`; with `masked`, only the lanes in `mask`
+    /// are read and the rest are zero.
+    ///
+    /// # Safety
+    ///
+    /// The lanes read are valid; the CPU supports AVX-512F.
+    #[inline(always)]
+    unsafe fn load_lanes(p: *const i32, masked: bool, mask: __mmask16) -> __m512i {
+        // SAFETY: this function's contract.
+        unsafe {
+            if masked {
+                _mm512_maskz_loadu_epi32(mask, p)
+            } else {
+                _mm512_loadu_si512(p as *const __m512i)
             }
         }
     }
@@ -3468,12 +3709,15 @@ pub fn lanes_to_rows(
 
 // ---------------------------------------------------------------------------
 // int8 quantized kernels (PR 5): symmetric per-tensor quantization, an
-// int8×int8→i32 blocked GEMM against a pre-transposed rhs, and fused
-// dequantize+bias(+GELU) epilogues. The i32 accumulation is exact (no
-// saturation by construction: inputs are clamped to [-127, 127], so every
-// i16 pair sum stays ≤ 2·127² and integer adds are associative), which makes
-// every backend bit-identical to the scalar reference — the acceptance
-// contract of the fab-quant subsystem.
+// int8×int8→i32 GEMM against a pre-transposed rhs (prepared once as a
+// `Q8Rhs`), and fused dequantize+bias(+GELU) epilogues. The i32
+// accumulation is exact, which makes every arm bit-identical to the scalar
+// reference — the acceptance contract of the fab-quant subsystem. AVX2
+// cannot saturate: inputs are clamped to [-127, 127], so every `maddubs`
+// i16 pair sum stays ≤ 2·127², and integer adds are associative. VNNI
+// offsets the activation to a + 128 for `vpdpbusd`'s u8 operand and takes
+// 128 · Σ w off each column; the non-saturating sum is exact mod 2³² and
+// the true result fits in i32.
 // ---------------------------------------------------------------------------
 
 /// Scalar quantize: `clamp(x · inv_scale, ±127)` rounded to the nearest
@@ -3534,31 +3778,136 @@ pub fn q8_quantize_slice(src: &[f32], inv_scale: f32, dst: &mut [i8]) {
     dispatch!((src, inv_scale, dst), q8_quantize_slice, { q8_quantize_scalar(src, inv_scale, dst) })
 }
 
-/// int8×int8→i32 GEMM with a pre-transposed rhs: `out[i][j] = Σ_p
-/// a[i·k + p] · bt[j·k + p]` (`a` is `[m, k]`, `bt` is `[n, k]` — the rhs
-/// stored row-major by *output* column, so every output element is a dot
-/// product of two contiguous `k`-vectors).
+/// The rhs of [`q8_gemm_prepared`], prepared once for many products: the
+/// `[n, k]` int8 rows every backend reads (the rhs stored row-major by
+/// *output* column), plus, on a CPU with the VNNI arm, their packed copy.
 ///
-/// The accumulation is exact in `i32` on every backend: inputs must lie in
-/// `[-127, 127]` (upheld by [`q8_quantize_slice`]; debug-asserted here), so
-/// the AVX2 `maddubs` pair sums never saturate and integer addition is
-/// associative — scalar, AVX2 and NEON results are **bit-identical** in any
-/// summation order.
+/// The packed copy lays the weights out as `[⌈k/4⌉][n][4]` — the four
+/// depth bytes of one group and one column fill one i32 lane, zero-padded
+/// past `k` — and holds each column's correction `128 · Σ_p w[j][p]`. It
+/// costs `n · 4⌈k/4⌉` bytes plus `4n`, beside the `n · k` rows.
+#[derive(Debug, Clone)]
+pub struct Q8Rhs {
+    rows: Vec<i8>,
+    k: usize,
+    n: usize,
+    #[cfg(target_arch = "x86_64")]
+    vnni: Option<VnniPack>,
+}
+
+/// The deepest int8 GEMM: 130_000 · 127² < 2^31, so the i32 accumulator
+/// cannot overflow.
+const Q8_MAX_DEPTH: usize = 130_000;
+
+impl Q8Rhs {
+    /// Prepares the `[n, k]` rows `bt`, whose values must lie in
+    /// `[-127, 127]` (debug-asserted). Any shape prepares, so a decoder can
+    /// hold a layer before it checks the model's shapes; the product checks
+    /// that `n > 0` and `k ≤ 130 000`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `bt` is not `n · k` long.
+    pub fn new(bt: Vec<i8>, k: usize, n: usize) -> Self {
+        assert_eq!(bt.len(), n * k, "q8 rhs dimension mismatch");
+        debug_assert!(bt.iter().all(|&v| v != i8::MIN), "q8 rhs holds -128");
+        Self {
+            #[cfg(target_arch = "x86_64")]
+            vnni: (k <= Q8_MAX_DEPTH && x86::vnni()).then(|| VnniPack::new(&bt, k, n)),
+            rows: bt,
+            k,
+            n,
+        }
+    }
+
+    /// The `[n, k]` int8 rows.
+    pub fn rows(&self) -> &[i8] {
+        &self.rows
+    }
+}
+
+/// The VNNI arm's copy of a [`Q8Rhs`]: `[⌈k/4⌉][n][4]` weight bytes and
+/// `128 · Σ_p w[j][p]` per column.
+#[cfg(target_arch = "x86_64")]
+#[derive(Debug, Clone)]
+struct VnniPack {
+    packed: Vec<i8>,
+    corr: Vec<i32>,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl VnniPack {
+    /// Packs the `[n, k]` rows `bt` for `k ≤ Q8_MAX_DEPTH`.
+    fn new(bt: &[i8], k: usize, n: usize) -> Self {
+        let mut packed = vec![0i8; k.div_ceil(4) * n * 4];
+        for (j, row) in (0..n).map(|j| (j, &bt[j * k..(j + 1) * k])) {
+            for (p, &w) in row.iter().enumerate() {
+                packed[(p / 4 * n + j) * 4 + p % 4] = w;
+            }
+        }
+        // |Σ_p w| ≤ 127 · 130_000, so 128 times it fits in i32.
+        let corr =
+            (0..n).map(|j| 128 * bt[j * k..(j + 1) * k].iter().map(|&w| w as i32).sum::<i32>());
+        Self { packed, corr: corr.collect() }
+    }
+}
+
+/// int8×int8→i32 GEMM against a prepared rhs: `out[i][j] = Σ_p
+/// a[i·k + p] · rows[j·k + p]` (`a` is `[m, k]`, `rhs` is `[n, k]`).
+///
+/// The accumulation is exact in `i32` on every arm, so every arm gives the
+/// same bits — the scalar loop, AVX2, NEON, and the AVX-512 VNNI arm the
+/// AVX2 backend takes where the rhs carries its packed copy. Inputs must
+/// lie in `[-127, 127]` (upheld by [`q8_quantize_slice`]; debug-asserted
+/// here). Two arguments make the SIMD arms exact:
+///
+/// * AVX2 `maddubs` multiplies `|a|` by `b · sign(a)`, so every i16 pair
+///   sum stays ≤ 2·127² = 32 258, below saturation; NEON widens each
+///   product to i16 exactly. Integer addition is associative, so the
+///   summation order does not matter.
+/// * VNNI `vpdpbusd` multiplies u8 by s8, so the activation is offset to
+///   `a + 128` (`a ^ 0x80`) and each column subtracts the precomputed
+///   `128 · Σ_p w[j][p]` at the end. The non-saturating form may wrap i32
+///   on the way (`Σ (a + 128) · w` reaches 255·127·k), but it is exact mod
+///   2³², and the true result `|Σ a·w| ≤ 127² · k` fits in i32 for
+///   `k ≤ 130 000`, so the wrapped difference is the exact value.
+///
+/// # Panics
+///
+/// Panics when `a` and `out` are not whole `k`- and `n`-wide rows of the
+/// same row count, when the rhs has no columns, or when `k` is large enough
+/// for the i32 accumulator to overflow (`k > 130_000`).
+pub fn q8_gemm_prepared(a: &[i8], rhs: &Q8Rhs, out: &mut [i32]) {
+    let (k, n) = (rhs.k, rhs.n);
+    assert!(n > 0 && out.len().is_multiple_of(n), "q8 gemm output not whole rows");
+    assert_eq!(a.len(), out.len() / n * k, "q8 gemm lhs dimension mismatch");
+    assert!(k <= Q8_MAX_DEPTH, "q8 gemm depth {k} risks i32 overflow");
+    debug_assert!(a.iter().all(|&v| v != i8::MIN), "q8 gemm lhs holds -128");
+    #[cfg(target_arch = "x86_64")]
+    if let (Backend::Avx2, Some(pack)) = (backend(), &rhs.vnni) {
+        if x86::vnni() {
+            // SAFETY: the probe above; the pack was built for `k` and `n`,
+            // and the shapes are checked.
+            return unsafe { x86::q8_gemm_vnni(a, pack, k, n, out) };
+        }
+    }
+    let bt = &rhs.rows[..];
+    dispatch!((a, bt, k, n, out), q8_gemm_i32, { q8_gemm_scalar(a, bt, k, n, out) })
+}
+
+/// [`q8_gemm_prepared`] with an unprepared rhs: `bt` is `[n, k]`, stored
+/// row-major by *output* column, so every output element is a dot product
+/// of two contiguous `k`-vectors. Same value on every backend.
+///
+/// It prepares `bt` on every call — a copy, and on a VNNI host the packed
+/// copy too — so a rhs used more than once belongs in a [`Q8Rhs`].
 ///
 /// # Panics
 ///
 /// Panics when the slice dimensions are inconsistent or `k` is large enough
 /// for the i32 accumulator to overflow (`k > 130_000`).
 pub fn q8_gemm_i32(a: &[i8], bt: &[i8], k: usize, n: usize, out: &mut [i32]) {
-    assert!(n > 0 && out.len().is_multiple_of(n), "q8_gemm_i32 output not whole rows");
-    let m = out.len() / n;
-    assert_eq!(a.len(), m * k, "q8_gemm_i32 lhs dimension mismatch");
-    assert_eq!(bt.len(), n * k, "q8_gemm_i32 rhs dimension mismatch");
-    // 130_000 · 127² < 2^31: the accumulator cannot overflow.
-    assert!(k <= 130_000, "q8_gemm_i32 depth {k} risks i32 overflow");
-    debug_assert!(a.iter().all(|&v| v != i8::MIN), "q8_gemm_i32 lhs holds -128");
-    debug_assert!(bt.iter().all(|&v| v != i8::MIN), "q8_gemm_i32 rhs holds -128");
-    dispatch!((a, bt, k, n, out), q8_gemm_i32, { q8_gemm_scalar(a, bt, k, n, out) })
+    q8_gemm_prepared(a, &Q8Rhs::new(bt.to_vec(), k, n), out)
 }
 
 /// Fused dequantize + bias epilogue over whole rows: `out[r][j] =
@@ -4144,6 +4493,116 @@ mod tests {
                             &a,
                             &b,
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    /// `len` int8 values in `[-127, 127]` from an LCG, every third one a
+    /// ±127 corner.
+    #[cfg(target_arch = "x86_64")]
+    fn q8_corner_data(len: usize, salt: u64) -> Vec<i8> {
+        let mut s = salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..len)
+            .map(|i| {
+                s = s
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                match i % 6 {
+                    2 => 127,
+                    5 => -127,
+                    _ => (((s >> 33) % 255) as i32 - 127) as i8,
+                }
+            })
+            .collect()
+    }
+
+    /// The int8 GEMM's x86 arms on the same inputs — the VNNI arm (where
+    /// the CPU has `avx512vnni`), the AVX2 `maddubs` arm and the scalar
+    /// loop — must give equal i32 outputs, and write nothing outside `out`.
+    /// Inputs sit at misaligned offsets; values include the ±127 corners and
+    /// the wrap edge at `k = 130 000`, where `Σ (a + 128) · w` leaves i32
+    /// and only the non-saturating `vpdpbusd` stays exact. On a VNNI host
+    /// production runs the VNNI arm and `FAB_SIMD` has no value that forces
+    /// `maddubs`, so there this test is the `maddubs` arm's only check.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn q8_gemm_arms_give_the_same_i32_outputs() {
+        let maddubs = std::arch::is_x86_feature_detected!("avx2");
+        let vnni = x86::vnni();
+        if !vnni {
+            eprintln!("no avx512vnni: the VNNI int8 GEMM arm is skipped");
+        }
+        const SENTINEL: i32 = 0x5EED_5EED;
+        let check = |what: &str, a: &[i8], bt: &[i8], k: usize, n: usize, off: usize| {
+            let m = a.len() / k;
+            let mut want = vec![0i32; m * n];
+            q8_gemm_scalar(a, bt, k, n, &mut want);
+            let pack = VnniPack::new(bt, k, n);
+            let mut arms: Vec<(&str, Vec<i32>)> = Vec::new();
+            for (name, runs) in [("maddubs", maddubs), ("vnni", vnni)] {
+                if !runs {
+                    continue;
+                }
+                let mut buf = vec![SENTINEL; off + m * n + 17];
+                let out = &mut buf[off..off + m * n];
+                // SAFETY: each arm runs only where its features are
+                // detected; `a` is `[m, k]`, `bt` `[n, k]`, `pack` built
+                // from `bt`.
+                unsafe {
+                    if name == "vnni" {
+                        x86::q8_gemm_vnni(a, &pack, k, n, out);
+                    } else {
+                        x86::q8_gemm_i32(a, bt, k, n, out);
+                    }
+                }
+                arms.push((name, buf));
+            }
+            for (name, buf) in arms {
+                let (head, rest) = buf.split_at(off);
+                let (got, tail) = rest.split_at(m * n);
+                if let Some(e) = got.iter().zip(&want).position(|(g, w)| g != w) {
+                    panic!(
+                        "{name} {what} m={m} k={k} n={n} off={off} differs at ({}, {}): {} vs {}",
+                        e / n,
+                        e % n,
+                        got[e],
+                        want[e]
+                    );
+                }
+                assert!(
+                    head.iter().chain(tail).all(|&v| v == SENTINEL),
+                    "{name} {what} m={m} k={k} n={n} off={off} wrote outside its output"
+                );
+            }
+        };
+
+        let ms: Vec<usize> = (1..=17).chain([64, 65]).collect();
+        // 515: past one staged chunk of the VNNI arm, with a `k % 4` tail.
+        let ks = [1usize, 2, 3, 4, 5, 31, 63, 64, 65, 128, 512, 515];
+        let ns = [1usize, 2, 3, 15, 16, 17, 31, 32, 33, 128, 512];
+        let mut case = 0u64;
+        for &m in &ms {
+            for &k in &ks {
+                for &n in &ns {
+                    case += 1;
+                    let off = case as usize % 4;
+                    let a = q8_corner_data(off + m * k, 2 * case);
+                    let bt = q8_corner_data(off + n * k, 2 * case + 1);
+                    check("mixed", &a[off..], &bt[off..], k, n, off);
+                }
+            }
+        }
+
+        // Constant corners, and the wrap edge: with all-127 activations
+        // every group adds 4 · 255 · (±127) and the sum leaves i32.
+        for (k, ms, ns) in [(65usize, &ms[..], &ns[..]), (130_000, &[1, 9][..], &[33][..])] {
+            for &m in ms {
+                for &n in ns {
+                    for (av, wv) in [(127i8, 127i8), (127, -127), (-127, 127), (-127, -127)] {
+                        let (a, bt) = (vec![av; m * k], vec![wv; n * k]);
+                        check(&format!("a={av} w={wv}"), &a, &bt, k, n, 0);
                     }
                 }
             }
