@@ -12,6 +12,13 @@ use rand::SeedableRng;
 /// analytic surrogate ([`HeuristicAccuracy`]).
 pub trait AccuracyEstimator {
     /// Returns the estimated accuracy in `[0, 1]` for `config`.
+    ///
+    /// The result must be a function of `config` alone: the same value on
+    /// every call, from any thread, in any order. The co-design sweep relies
+    /// on it to call this once per distinct algorithm config and share the
+    /// value across every hardware point that pairs with it. A training
+    /// estimator meets it by seeding its data and initial weights from its
+    /// own fields, never from a shared generator.
     fn estimate(&self, config: &ModelConfig) -> f64;
 
     /// Reference accuracy of the uncompressed vanilla Transformer on the same

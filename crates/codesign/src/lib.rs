@@ -8,10 +8,14 @@
 //! front from which the best design under an accuracy constraint is chosen
 //! (Fig. 18).
 //!
-//! Accuracy evaluation is pluggable: the paper trains every candidate (≈10
-//! GPU-hours); this crate accepts any [`AccuracyEstimator`] so callers can
-//! plug in real (small-scale) training via `fab-nn`/`fab-lra`, or use the
-//! built-in [`HeuristicAccuracy`] model for fast sweeps.
+//! Accuracy evaluation is pluggable: this crate accepts any
+//! [`AccuracyEstimator`] so callers can plug in real (small-scale) training
+//! via `fab-nn`/`fab-lra` ([`TrainedAccuracy`], [`MeasuredQuantAccuracy`]),
+//! or use the built-in [`HeuristicAccuracy`] model for fast sweeps. A
+//! design's accuracy depends only on its algorithm parameters, so the sweep
+//! trains each distinct algorithm config once and shares the result across
+//! every hardware point that pairs with it (60 trainings for the 6 654
+//! feasible points of [`DesignSpace::lra_vcu128`]).
 //!
 //! # Example
 //!

@@ -1,14 +1,32 @@
 //! The co-design sweep: enumerate, filter by resources, evaluate accuracy and
 //! latency in parallel, extract the Pareto front and pick the best design
 //! under an accuracy constraint (Fig. 15 and Fig. 18).
+//!
+//! A design's accuracy depends only on its algorithm parameters, so the
+//! evaluation runs in two phases per distinct algorithm [`ModelConfig`]:
+//!
+//! 1. **Per config**: one [`LayerSchedule`] and one
+//!    [`AccuracyEstimator::estimate`] call. With a training estimator this is
+//!    nearly all of the sweep's cost: trainings per sweep = distinct
+//!    algorithm configs among the feasible points (8 for the 16 points of
+//!    [`DesignSpace::tiny_for_tests`], 60 for the 6 654 feasible points of
+//!    [`DesignSpace::lra_vcu128`]).
+//! 2. **Per design point**: the config's accuracy, and its schedule simulated
+//!    on the point's own hardware (microseconds).
+//!
+//! The configs are spread over `num_threads` workers (the caller and
+//! `num_threads - 1` scoped threads, one fan-out per sweep), largest schedule
+//! in FLOPs first; each worker runs both phases for the configs it claims.
 
 use crate::accuracy::AccuracyEstimator;
 use crate::pareto::pareto_front_indices;
 use crate::space::{DesignPoint, DesignSpace};
 use fab_accel::workload::LayerSchedule;
 use fab_accel::{resources, Simulator};
-use fab_nn::ModelKind;
+use fab_nn::{ModelConfig, ModelKind};
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Options controlling a co-design run.
@@ -86,9 +104,11 @@ impl CodesignResult {
 
 /// Runs the co-design grid search.
 ///
-/// Resource-infeasible designs are discarded; the remaining points are
-/// evaluated with `estimator` (accuracy) and the `fab-accel` simulator
-/// (latency) across `options.num_threads` worker threads.
+/// Resource-infeasible designs are discarded. Each distinct algorithm config
+/// among the remaining points is evaluated once with `estimator` (accuracy),
+/// and every point with the `fab-accel` simulator on its own hardware
+/// (latency), across `options.num_threads` worker threads, the calling thread
+/// being one of them. The result does not depend on the thread count.
 pub fn run_codesign<E: AccuracyEstimator + Sync>(
     space: &DesignSpace,
     estimator: &E,
@@ -99,36 +119,81 @@ pub fn run_codesign<E: AccuracyEstimator + Sync>(
         candidates.iter().filter(|p| resources::check_fits(&p.hardware).is_ok()).cloned().collect();
     let infeasible = candidates.len() - feasible.len();
 
-    let results: Mutex<Vec<EvaluatedPoint>> = Mutex::new(Vec::with_capacity(feasible.len()));
-    let next: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-    let threads = options.num_threads.max(1);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if idx >= feasible.len() {
-                    break;
-                }
-                let point = &feasible[idx];
-                let usage = resources::estimate(&point.hardware);
-                let accuracy = estimator.estimate(&point.model);
+    // The distinct configs, each with its schedule and the indices of its
+    // feasible points.
+    let mut configs: Vec<(&ModelConfig, LayerSchedule, Vec<usize>)> = Vec::new();
+    for (i, point) in feasible.iter().enumerate() {
+        match configs.iter_mut().find(|(model, _, _)| **model == point.model) {
+            Some((_, _, members)) => members.push(i),
+            None => {
                 let schedule =
                     LayerSchedule::from_model(&point.model, ModelKind::FabNet, options.seq_len);
-                let latency_ms =
-                    Simulator::new(point.hardware.clone()).simulate(&schedule).total_ms();
-                results.lock().expect("results mutex poisoned").push(EvaluatedPoint {
-                    point: point.clone(),
-                    accuracy,
-                    latency_ms,
-                    dsps: usage.dsps,
-                    brams: usage.brams,
-                });
-            });
+                configs.push((&point.model, schedule, vec![i]));
+            }
         }
+    }
+    // Largest workload first, so that the longest trainings do not start last.
+    configs.sort_by_cached_key(|(_, schedule, _)| Reverse(schedule.total_flops()));
+
+    let results: Mutex<Vec<(usize, EvaluatedPoint)>> =
+        Mutex::new(Vec::with_capacity(feasible.len()));
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        while let Some((model, schedule, members)) =
+            configs.get(next.fetch_add(1, Ordering::Relaxed))
+        {
+            // Phase 1 for the config, then phase 2 for each of its points.
+            let accuracy = estimator.estimate(model);
+            let evaluated: Vec<(usize, EvaluatedPoint)> = members
+                .iter()
+                .map(|&i| (i, evaluate_point(&feasible[i], accuracy, schedule)))
+                .collect();
+            results.lock().expect("results mutex poisoned").extend(evaluated);
+        }
+    };
+    // The calling thread is one of the workers: a spawn costs as much as a
+    // whole analytic sweep.
+    std::thread::scope(|scope| {
+        for _ in 1..options.num_threads.min(configs.len()) {
+            scope.spawn(worker);
+        }
+        worker();
     });
 
-    let mut points = results.into_inner().expect("results mutex poisoned");
-    // Deterministic order regardless of thread interleaving.
+    let mut results = results.into_inner().expect("results mutex poisoned");
+    // Back to enumeration order, so the stable sort below breaks ties the same
+    // way at any thread count.
+    results.sort_unstable_by_key(|&(i, _)| i);
+    rank(
+        results.into_iter().map(|(_, point)| point).collect(),
+        infeasible,
+        estimator.reference_accuracy(),
+        options.max_accuracy_loss,
+    )
+}
+
+/// Prices `point` in resources and simulates `schedule`, its model's
+/// workload, on its hardware.
+fn evaluate_point(point: &DesignPoint, accuracy: f64, schedule: &LayerSchedule) -> EvaluatedPoint {
+    let usage = resources::estimate(&point.hardware);
+    EvaluatedPoint {
+        point: point.clone(),
+        accuracy,
+        latency_ms: Simulator::new(point.hardware.clone()).simulate(schedule).total_ms(),
+        dsps: usage.dsps,
+        brams: usage.brams,
+    }
+}
+
+/// Sorts evaluated points by latency (then accuracy, then DSPs), extracts the
+/// Pareto front and picks the fastest front point within `max_accuracy_loss`
+/// of `reference`.
+fn rank(
+    mut points: Vec<EvaluatedPoint>,
+    infeasible: usize,
+    reference: f64,
+    max_accuracy_loss: f64,
+) -> CodesignResult {
     points.sort_by(|a, b| {
         a.latency_ms
             .partial_cmp(&b.latency_ms)
@@ -140,18 +205,16 @@ pub fn run_codesign<E: AccuracyEstimator + Sync>(
     let accuracy: Vec<f64> = points.iter().map(|p| p.accuracy).collect();
     let latency: Vec<f64> = points.iter().map(|p| p.latency_ms).collect();
     let pareto = pareto_front_indices(&accuracy, &latency);
-    let reference = estimator.reference_accuracy();
-    let chosen = pareto
-        .iter()
-        .copied()
-        .find(|&i| points[i].accuracy >= reference - options.max_accuracy_loss);
+    let chosen =
+        pareto.iter().copied().find(|&i| points[i].accuracy >= reference - max_accuracy_loss);
     CodesignResult { points, pareto, chosen, infeasible, reference_accuracy: reference }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accuracy::HeuristicAccuracy;
+    use crate::accuracy::{HeuristicAccuracy, TrainedAccuracy};
+    use fab_lra::LraTask;
 
     #[test]
     fn codesign_produces_a_pareto_front_and_a_choice() {
@@ -170,23 +233,121 @@ mod tests {
         assert!(chosen.accuracy >= result.reference_accuracy - 0.05);
     }
 
+    /// Counts the `estimate` calls made to the estimator it wraps.
+    struct Counting<E> {
+        inner: E,
+        calls: AtomicUsize,
+    }
+
+    impl<E: AccuracyEstimator> AccuracyEstimator for Counting<E> {
+        fn estimate(&self, config: &ModelConfig) -> f64 {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.estimate(config)
+        }
+
+        fn reference_accuracy(&self) -> f64 {
+            self.inner.reference_accuracy()
+        }
+    }
+
+    /// The sweep as one `estimate` call per design point.
+    fn per_point_reference(
+        space: &DesignSpace,
+        estimator: &impl AccuracyEstimator,
+        options: &CodesignOptions,
+    ) -> CodesignResult {
+        let (mut points, mut infeasible) = (Vec::new(), 0);
+        for point in space.enumerate() {
+            if resources::check_fits(&point.hardware).is_err() {
+                infeasible += 1;
+                continue;
+            }
+            let usage = resources::estimate(&point.hardware);
+            let schedule =
+                LayerSchedule::from_model(&point.model, ModelKind::FabNet, options.seq_len);
+            points.push(EvaluatedPoint {
+                accuracy: estimator.estimate(&point.model),
+                latency_ms: Simulator::new(point.hardware.clone()).simulate(&schedule).total_ms(),
+                dsps: usage.dsps,
+                brams: usage.brams,
+                point,
+            });
+        }
+        rank(points, infeasible, estimator.reference_accuracy(), options.max_accuracy_loss)
+    }
+
+    fn distinct_feasible_configs(space: &DesignSpace) -> usize {
+        let mut configs: Vec<ModelConfig> = Vec::new();
+        for point in space.enumerate() {
+            if resources::check_fits(&point.hardware).is_ok() && !configs.contains(&point.model) {
+                configs.push(point.model);
+            }
+        }
+        configs.len()
+    }
+
+    /// Sweeps `space` with `inner` behind a call counter: `configs` calls,
+    /// and the result of the per-point loop.
+    fn check_once_per_config(
+        space: &DesignSpace,
+        inner: impl AccuracyEstimator + Sync,
+        configs: usize,
+    ) {
+        let options = CodesignOptions { seq_len: 1024, max_accuracy_loss: 0.05, num_threads: 2 };
+        let counting = Counting { inner, calls: AtomicUsize::new(0) };
+        let result = run_codesign(space, &counting, &options);
+        assert_eq!(counting.calls.load(Ordering::Relaxed), configs);
+        assert_eq!(result, per_point_reference(space, &counting.inner, &options));
+    }
+
+    #[test]
+    fn each_algorithm_config_is_estimated_once() {
+        let (tiny, lra) = (DesignSpace::tiny_for_tests(), DesignSpace::lra_vcu128());
+        assert_eq!((tiny.enumerate().len(), lra.enumerate().len()), (16, 6660));
+        check_once_per_config(&tiny, HeuristicAccuracy::lra_text(), 8);
+        check_once_per_config(&tiny, TrainedAccuracy::tiny(LraTask::Text, 6), 8);
+        let lra_configs = distinct_feasible_configs(&lra);
+        assert!(lra_configs <= 60);
+        check_once_per_config(&lra, HeuristicAccuracy::lra_text(), lra_configs);
+    }
+
     #[test]
     fn results_are_deterministic_across_thread_counts() {
         let space = DesignSpace::tiny_for_tests();
         let est = HeuristicAccuracy::lra_text();
-        let a = run_codesign(
-            &space,
-            &est,
-            &CodesignOptions { seq_len: 128, max_accuracy_loss: 0.05, num_threads: 1 },
-        );
-        let b = run_codesign(
-            &space,
-            &est,
-            &CodesignOptions { seq_len: 128, max_accuracy_loss: 0.05, num_threads: 4 },
-        );
-        assert_eq!(a.points.len(), b.points.len());
-        assert_eq!(a.pareto, b.pareto);
-        assert_eq!(a.chosen, b.chosen);
+        let run = |num_threads| {
+            run_codesign(
+                &space,
+                &est,
+                &CodesignOptions { seq_len: 128, max_accuracy_loss: 0.05, num_threads },
+            )
+        };
+        let one = run(1);
+        assert_eq!(one, run(2));
+        assert_eq!(one, run(4));
+    }
+
+    #[test]
+    fn trained_results_are_deterministic_across_thread_counts() {
+        // The shrunk space of the trained co-design flow test, with two
+        // depths so that two trainings run side by side at two threads.
+        let mut space = DesignSpace::tiny_for_tests();
+        space.hidden = vec![16];
+        space.num_layers = vec![1, 2];
+        space.num_abfly = vec![0];
+        space.pqk = vec![0];
+        space.psv = vec![0];
+        let est = TrainedAccuracy::tiny(LraTask::Text, 4);
+        let run = |num_threads| {
+            run_codesign(
+                &space,
+                &est,
+                &CodesignOptions { seq_len: 32, max_accuracy_loss: 1.0, num_threads },
+            )
+        };
+        let one = run(1);
+        assert_eq!(one.points.len(), 4);
+        assert_eq!(one, run(2));
     }
 
     #[test]

@@ -63,7 +63,8 @@ fn trained_accuracy_estimator_drives_the_sweep_at_tiny_scale() {
     let options = CodesignOptions { seq_len: 32, max_accuracy_loss: 1.0, num_threads: 1 };
     let result = run_codesign(&space, &estimator, &options);
     assert_eq!(result.points.len(), 2);
-    // Same model on both hardware points: identical accuracy, different latency.
+    // Same model on both hardware points: one training serves both, so the
+    // accuracy is identical and only the latency differs.
     assert!((result.points[0].accuracy - result.points[1].accuracy).abs() < 1e-9);
     assert!(result.points[0].latency_ms < result.points[1].latency_ms);
     assert!(result.chosen_point().is_some());
