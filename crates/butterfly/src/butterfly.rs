@@ -499,7 +499,7 @@ impl ButterflyMatrix {
     /// into `grad_x` and the `[log2 n, 2 n]` weight gradient into `grad_w`;
     /// neither padded tensor is ever materialised.
     ///
-    /// Rows go through the lane engine in tiles of [`GRAD_TILE`]: a tile is
+    /// Rows go through the lane engine in tiles of 8 (`GRAD_TILE`): a tile is
     /// transposed to `[n][8]`, the forward is recomputed stage by stage
     /// keeping every stage's input, and the stages then run in reverse
     /// ([`simd::butterfly_stage_backward_lanes`]), each turning the gradient

@@ -41,10 +41,11 @@
 //! once (a batch fanned out over the worker pool has one per worker), and
 //! the model itself stays immutable and `Send + Sync`. Attention never
 //! holds a `[len, len]` matrix: the query rows are cut into at most eight
-//! bands — the items of the core's one pool call — and a band computes one
-//! head's scores sixteen rows at a time, so the score memory is
-//! `O(128 · len)`. Nothing here is configurable, and no value depends on
-//! what a buffer held before: every op overwrites the whole of its output.
+//! bands — the items of the core's one pool call — and a band mixes one
+//! head 32 query rows at a time, reading K and V in place, so the score
+//! memory is `O(256 · len)`. Nothing here is configurable, and no value
+//! depends on what a buffer held before: every op overwrites the whole of
+//! its output.
 //!
 //! [`FrozenModel::logits_observed`] is the same forward with a tap: a
 //! callback handed the activation tensors that feed the quantizable GEMMs
@@ -338,7 +339,7 @@ impl FrozenAttention {
         out: &mut Tensor,
         observe: impl FnOnce(&[f32]),
     ) {
-        let AttentionBuffers { q, k, v, mixed, core } = bufs;
+        let AttentionBuffers { q, k, v, mixed, tiles } = bufs;
         match (&self.wq, &self.wk, &self.wv) {
             // Calibration gives q/k/v one input scale, so the input is
             // quantized once and the int8 buffer reused across the three
@@ -368,21 +369,21 @@ impl FrozenAttention {
             std::mem::swap(q, mixed);
         }
         mixed.resize_to(&[x.rows(), self.dim]);
-        attention_core(q, k, v, self.num_heads, fast_math, mixed.as_mut_slice(), core);
+        attention_core(q, k, v, self.num_heads, fast_math, mixed.as_mut_slice(), tiles);
         observe(mixed.as_slice());
         self.wo.forward_into(mixed, false, qx, out);
     }
 }
 
-/// Query rows a band of the attention core computes at a time, for one
-/// head: its scores are `[ATTN_SUB_ROWS, len]` — 64 KiB at `len` 1024 — so
-/// they are still in L1/L2 when the softmax and the product with V read
-/// what the product with Kᵀ wrote.
-const ATTN_SUB_ROWS: usize = 16;
+/// Query rows a band of the attention core hands [`simd::attention_tile`]
+/// at a time, for one head: the tile's scores are `[len, 32]` at most —
+/// 128 KiB at `len` 1024 — so they are still in L2 when the softmax and the
+/// product with V read what the product with Kᵀ wrote.
+const ATTN_SUB_ROWS: usize = 32;
 
 /// Most bands the core cuts a sequence's query rows into — the items of its
-/// one pool call, and the slots of its scratch: `ATTN_MAX_BANDS` sub-tiles
-/// of scores and as many of probabilities, `2 · 128 · len · 4` bytes.
+/// one pool call, and the slots of its scratch: `ATTN_MAX_BANDS` tiles'
+/// scratch, `8 · 32 · (len + head_dim) · 4` bytes on an AVX-512 host.
 const ATTN_MAX_BANDS: usize = 8;
 
 /// Query rows per band of the attention core for a `len`-row sequence: a
@@ -396,21 +397,22 @@ fn attention_band_rows(len: usize) -> usize {
 
 /// The f32 `softmax(QKᵀ)·V` attention core on one example's projected
 /// `[len, dim]` q/k/v, scattering the mixed heads into `out` (`len · dim`
-/// values, the layout a `concat_cols` would produce).
+/// values, the layout a `concat_cols` would produce). An empty sequence
+/// writes nothing.
 ///
 /// `prescaled` says the query was already multiplied by `1/√head_dim` (the
 /// fast-math path's `(c·q)·kᵀ` ordering); otherwise the raw scores are
-/// scaled. One transpose of K per example; head `h`'s transposed slice is
-/// then a contiguous row range of `kt`, with exactly the values
-/// `slice_cols(kh).transpose()` would produce — the per-head matmul stays
-/// bit-identical to the tape path's. The query rows are cut into bands
-/// (`attention_band_rows`) that share nothing but the read-only `kt` and
-/// V: one pool call over the bands when the core reaches
-/// [`PAR_GRAIN_OPS`], a plain loop below it. Neither the cut nor the fan-out
-/// is part of the value or the API. The work buffers are an idle
-/// workspace's, so a warm call allocates nothing below the grain and the
-/// pool call's bookkeeping above it. Public so a per-component profile can
-/// time the core on its own (the benchmark's `nn.share.*` replay does).
+/// scaled. The query rows are cut into bands (`attention_band_rows`) that
+/// share nothing but the read-only K and V: one pool call over the bands
+/// when the core reaches [`PAR_GRAIN_OPS`], a plain loop below it. A band
+/// runs [`simd::attention_tile`] once per head and 32 query rows, which
+/// reads K and V in place and gives the bits of the per-head
+/// `softmax(c · q_h·k_hᵀ) · v_h` of the tape path's kernels. Neither the
+/// cut nor the fan-out is part of the value or the API. The tiles' scratch
+/// is an idle workspace's, so a warm call allocates nothing below the grain
+/// and the pool call's bookkeeping above it. Public so a per-component
+/// profile can time the core on its own (the benchmark's `nn.share.*`
+/// replay does).
 ///
 /// # Panics
 ///
@@ -425,11 +427,11 @@ pub fn attention_mix_rows(
     out: &mut [f32],
 ) {
     with_workspace(|ws| {
-        attention_core(qi, ki, vi, num_heads, prescaled, out, &mut ws.attention.core)
+        attention_core(qi, ki, vi, num_heads, prescaled, out, &mut ws.attention.tiles)
     });
 }
 
-/// [`attention_mix_rows`] on the caller's buffers.
+/// [`attention_mix_rows`] on the caller's tile scratch.
 fn attention_core(
     qi: &Tensor,
     ki: &Tensor,
@@ -437,7 +439,7 @@ fn attention_core(
     num_heads: usize,
     prescaled: bool,
     out: &mut [f32],
-    bufs: &mut CoreBuffers,
+    tiles: &mut Tensor,
 ) {
     let dim = qi.cols();
     let len = qi.rows();
@@ -448,112 +450,31 @@ fn attention_core(
     assert_eq!((ki.rows(), ki.cols()), (len, dim), "attention key shape mismatch");
     assert_eq!((vi.rows(), vi.cols()), (len, dim), "attention value shape mismatch");
     assert_eq!(out.len(), len * dim, "attention output chunk length mismatch");
+    if out.is_empty() {
+        return;
+    }
     let head_dim = dim / num_heads;
-    let CoreBuffers { kt, v_heads, q_tile, scores, probs, head } = bufs;
-    ki.transpose_into(kt);
-    // V head-major, `[num_heads][len, head_dim]`: each head's columns as the
-    // contiguous right-hand side its product needs.
-    v_heads.resize_to(&[num_heads * len, head_dim]);
-    for (h, vh) in v_heads.as_mut_slice().chunks_mut(len * head_dim).enumerate() {
-        for (dst, row) in vh.chunks_mut(head_dim).zip(vi.as_slice().chunks(dim)) {
-            dst.copy_from_slice(&row[h * head_dim..(h + 1) * head_dim]);
-        }
-    }
     let band_rows = attention_band_rows(len);
-    let bands = len.div_ceil(band_rows);
-    for (buf, width) in [(&mut *scores, len), (probs, len), (q_tile, head_dim), (head, head_dim)] {
-        buf.resize_to(&[bands * ATTN_SUB_ROWS, width]);
-    }
-    let inputs = BandInputs {
-        q: qi.as_slice(),
-        kt: kt.as_slice(),
-        v_heads: v_heads.as_slice(),
-        len,
-        dim,
-        head_dim,
-        scale: (!prescaled).then(|| 1.0 / (head_dim as f32).sqrt()),
-    };
-    // Band `b` owns rows `b · band_rows ..` of `out` and slot `b` of every
-    // scratch buffer.
-    let slots = out
-        .chunks_mut(band_rows * dim)
-        .zip(scores.as_mut_slice().chunks_mut(ATTN_SUB_ROWS * len))
-        .zip(probs.as_mut_slice().chunks_mut(ATTN_SUB_ROWS * len))
-        .zip(q_tile.as_mut_slice().chunks_mut(ATTN_SUB_ROWS * head_dim))
-        .zip(head.as_mut_slice().chunks_mut(ATTN_SUB_ROWS * head_dim))
-        .enumerate();
-    let run = |(b, ((((out, scores), probs), q_tile), head))| {
-        inputs.mix_band(b * band_rows, out, scores, probs, q_tile, head)
-    };
-    if attention_core_flops(len, dim) < PAR_GRAIN_OPS {
-        slots.for_each(run);
-    } else {
-        slots.collect::<Vec<_>>().into_par_iter().for_each(run);
-    }
-}
-
-/// What every band of one [`attention_core`] call reads.
-struct BandInputs<'a> {
-    /// The query, `[len, dim]`.
-    q: &'a [f32],
-    /// `kᵀ`, `[dim, len]`.
-    kt: &'a [f32],
-    /// V head-major, `[num_heads][len, head_dim]`.
-    v_heads: &'a [f32],
-    len: usize,
-    dim: usize,
-    head_dim: usize,
-    /// `1/√head_dim` when the scores still have to be scaled.
-    scale: Option<f32>,
-}
-
-impl BandInputs<'_> {
-    /// Mixes the query rows `r0 .. r0 + out.len() / dim` into `out`, every
-    /// head in turn, [`ATTN_SUB_ROWS`] rows at a time: gather the head's
-    /// query columns, multiply by its rows of `kt`, scale, softmax each
-    /// row, multiply by its V, scatter. The four scratch slices are one
-    /// sub-tile each; `matmul_band`'s per-element chain does not depend on
-    /// how rows are grouped, so neither does any value here.
-    fn mix_band(
-        &self,
-        r0: usize,
-        out: &mut [f32],
-        scores: &mut [f32],
-        probs: &mut [f32],
-        q_tile: &mut [f32],
-        head: &mut [f32],
-    ) {
-        let &BandInputs { q, kt, v_heads, len, dim, head_dim, scale } = self;
-        for h in 0..dim / head_dim {
-            let (lo, hi) = (h * head_dim, (h + 1) * head_dim);
-            let kh_t = &kt[lo * len..hi * len];
-            let vh = &v_heads[lo * len..hi * len];
-            for (t, out) in out.chunks_mut(ATTN_SUB_ROWS * dim).enumerate() {
-                let t0 = r0 + t * ATTN_SUB_ROWS;
-                let rows = out.len() / dim;
-                let q_tile = &mut q_tile[..rows * head_dim];
-                let q_rows = q[t0 * dim..(t0 + rows) * dim].chunks(dim);
-                for (dst, row) in q_tile.chunks_mut(head_dim).zip(q_rows) {
-                    dst.copy_from_slice(&row[lo..hi]);
-                }
-                let (mut scores, mut probs) = (&mut scores[..rows * len], &mut probs[..rows * len]);
-                scores.fill(0.0);
-                simd::matmul_band(q_tile, head_dim, kh_t, len, 0, scores);
-                if let Some(scale) = scale {
-                    simd::scale_slice(scores, scale, probs);
-                    std::mem::swap(&mut scores, &mut probs);
-                }
-                for (row, prow) in scores.chunks(len).zip(probs.chunks_mut(len)) {
-                    simd::softmax_row(row, prow);
-                }
-                let head = &mut head[..rows * head_dim];
-                head.fill(0.0);
-                simd::matmul_band(probs, len, vh, head_dim, 0, head);
-                for (orow, hrow) in out.chunks_mut(dim).zip(head.chunks(head_dim)) {
-                    orow[lo..hi].copy_from_slice(hrow);
-                }
+    let slot = simd::attention_tile_scratch(ATTN_SUB_ROWS.min(len), len, head_dim);
+    tiles.resize_to(&[len.div_ceil(band_rows), slot]);
+    let (q, k, v) = (qi.as_slice(), ki.as_slice(), vi.as_slice());
+    let scale = (!prescaled).then(|| 1.0 / (head_dim as f32).sqrt());
+    // Band `b` owns rows `b · band_rows ..` of `out` and slot `b` of the
+    // scratch. Head by head, it mixes its rows `ATTN_SUB_ROWS` at a time.
+    let run = |(b, (out, scratch)): (usize, (&mut [f32], &mut [f32]))| {
+        let q = &q[b * band_rows * dim..][..out.len()];
+        for col in (0..dim).step_by(head_dim) {
+            let tiles = q.chunks(ATTN_SUB_ROWS * dim).zip(out.chunks_mut(ATTN_SUB_ROWS * dim));
+            for (q, out) in tiles {
+                simd::attention_tile(q, k, v, dim, col, head_dim, scale, scratch, out);
             }
         }
+    };
+    let slots = out.chunks_mut(band_rows * dim).zip(tiles.as_mut_slice().chunks_mut(slot));
+    if attention_core_flops(len, dim) < PAR_GRAIN_OPS {
+        slots.enumerate().for_each(run);
+    } else {
+        slots.enumerate().collect::<Vec<_>>().into_par_iter().for_each(run);
     }
 }
 
@@ -638,10 +559,10 @@ impl FrozenBlock {
 /// one (see [`with_workspace`]) and every buffer only ever grows
 /// ([`Tensor::resize_to`]), so once a workspace has held the longest
 /// sequence a forward in it allocates nothing but the logits it returns.
-/// The high-water mark is about `len · (ffn + 9 · hidden) · 4` bytes plus the
-/// attention core's score slots, one sub-tile of scores and one of
-/// probabilities per band: `2 · ATTN_MAX_BANDS · ATTN_SUB_ROWS · len · 4`
-/// bytes.
+/// The high-water mark is about `len · (ffn + 7 · hidden) · 4` bytes plus the
+/// attention core's tile scratch, one slot per band:
+/// `ATTN_MAX_BANDS · simd::attention_tile_scratch(ATTN_SUB_ROWS, len,
+/// head_dim) · 4` bytes, `8 · 32 · (len + head_dim) · 4` on an AVX-512 host.
 #[derive(Debug, Default)]
 struct Workspace {
     /// A block's input and, after it ran, its output: `[len, hidden]`.
@@ -669,24 +590,8 @@ struct AttentionBuffers {
     v: Tensor,
     /// The mixed heads, `[len, dim]`: the output projection's input.
     mixed: Tensor,
-    core: CoreBuffers,
-}
-
-/// The buffers of [`attention_core`].
-#[derive(Debug, Default)]
-struct CoreBuffers {
-    /// `kᵀ`, `[dim, len]`.
-    kt: Tensor,
-    /// V head-major: `[num_heads · len, head_dim]`.
-    v_heads: Tensor,
-    /// One [`ATTN_SUB_ROWS`]-row slot per band in each of the four below.
-    /// One head's query columns of a sub-tile, `[rows, head_dim]`.
-    q_tile: Tensor,
-    /// The sub-tile's `[rows, len]` scores and probabilities.
-    scores: Tensor,
-    probs: Tensor,
-    /// The sub-tile's mixed head, `[rows, head_dim]`.
-    head: Tensor,
+    /// The scratch of [`attention_core`]'s tiles, one slot per band.
+    tiles: Tensor,
 }
 
 /// The workspaces no forward is using, the most recently used one last.
@@ -699,11 +604,8 @@ impl Workspace {
     /// has not written itself shows it.
     fn poison(&mut self) {
         let Workspace { x, y, fx, act, attention, qx, pooled, logits } = self;
-        let AttentionBuffers { q, k, v, mixed, core } = attention;
-        let CoreBuffers { kt, v_heads, q_tile, scores, probs, head } = core;
-        for t in [
-            x, y, fx, act, pooled, logits, q, k, v, mixed, kt, v_heads, q_tile, scores, probs, head,
-        ] {
+        let AttentionBuffers { q, k, v, mixed, tiles } = attention;
+        for t in [x, y, fx, act, pooled, logits, q, k, v, mixed, tiles] {
             t.as_mut_slice().fill(f32::NAN);
         }
         qx.fill(i8::MIN);
@@ -1076,6 +978,7 @@ pub fn argmax(logits: &[f32]) -> usize {
 mod tests {
     use super::*;
     use crate::{Model, ModelConfig, ModelKind};
+    use proptest::prelude::Strategy;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1304,6 +1207,10 @@ mod tests {
         out
     }
 
+    /// Head widths of the banded core's property: every width below one
+    /// 8-lane vector and on both sides of the 16-column FMA blocks.
+    const CORE_HEAD_DIMS: [usize; 14] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 32, 33, 48];
+
     // Kernel against kernel: the banded, sub-tiled core gives the bits of
     // the whole-tensor ops, at lengths on both sides of every sub-tile and
     // band edge and of the fan-out grain. Every head has one key that is
@@ -1311,16 +1218,16 @@ mod tests {
     // matmul skips a zero term, so those rows never meet it) and not in the
     // others (whose score for that key is ±inf or NaN).
     proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4))]
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
 
         #[test]
         fn the_banded_core_gives_the_bits_of_the_untiled_one(
             seed in 0u64..1 << 32,
-            head_dim in 1usize..10,
+            head_dim in (0..CORE_HEAD_DIMS.len()).prop_map(|i| CORE_HEAD_DIMS[i]),
         ) {
             use rand::Rng;
             let mut rng = StdRng::seed_from_u64(seed);
-            for len in [1usize, 7, 8, 9, 127, 128, 129, 1000] {
+            for len in [1usize, 7, 8, 9, 31, 32, 33, 127, 128, 129, 1000] {
                 for num_heads in [1usize, 3, 4] {
                     let dim = num_heads * head_dim;
                     let mut random = || {
@@ -1348,6 +1255,14 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn an_empty_sequence_mixes_to_nothing() {
+        let empty = Tensor::from_vec(Vec::new(), &[0, 8]).expect("empty");
+        for prescaled in [false, true] {
+            attention_mix_rows(&empty, &empty, &empty, 2, prescaled, &mut []);
         }
     }
 

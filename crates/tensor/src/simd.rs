@@ -58,6 +58,13 @@
 //!   trait they are bound on has no 16-lane implementation, so a 16-wide
 //!   row reduction does not compile. [`Backend::lanes`] reports the width
 //!   of the lane-wise kernels.
+//! * The attention tile ([`attention_tile`]) gives the bits of the row
+//!   composition on the same backend — [`matmul_band`] with Kᵀ,
+//!   [`scale_slice`], [`softmax_row`], [`matmul_band`] with V — which is
+//!   what the scalar and NEON backends run. The AVX2 backend keeps one query
+//!   row per lane, at 8 or 16 lanes like the kernels above, and each lane
+//!   replays the 8-lane softmax's reduction tree and the GEMM band's
+//!   per-element chain; a unit test holds both widths to the composition.
 //! * The int8 GEMM ([`q8_gemm_prepared`]) accumulates exactly in i32, so
 //!   every arm gives the scalar loop's bits. Where `avx512vnni` and
 //!   `avx512bw` are present the AVX2 backend runs it as `vpdpbusd` tiles
@@ -283,10 +290,12 @@ pub fn cpu_features() -> String {
 
 /// The lane operations of the GEMM band kernel ([`kernels::matmul_band`]),
 /// and all a vector type must implement to run it. [`Vf32`] extends it with
-/// what the other lane-wise kernels need, and [`RowReduce`] with the
-/// horizontal reductions of the row kernels. Every vector type implements
-/// all three but the AVX-512 `F32x16`, which stops at [`Vf32`]: it runs
-/// every kernel whose lanes never meet, none that sums across them.
+/// what the other lane-wise kernels need, [`RowReduce`] with the
+/// horizontal reductions of the row kernels and [`LaneSelect`] with the
+/// selects of the attention tile. Every vector type implements the first
+/// two; the AVX-512 `F32x16` implements no [`RowReduce`] — it runs every
+/// kernel whose lanes never meet, none that sums across them — and only
+/// the two x86 types implement [`LaneSelect`].
 ///
 /// All methods are `#[inline(always)]` wrappers over single instructions so
 /// that, once a generic kernel is monomorphised inside a
@@ -370,6 +379,19 @@ trait RowReduce: Vf32 {
     fn reduce_add(self) -> f32;
     /// Horizontal max of all lanes.
     fn reduce_max(self) -> f32;
+}
+
+/// The lane selects of [`kernels::attention_tile`], which keeps one query
+/// row per lane and replays, lane by lane, what the row kernels do to one
+/// row: the steps where a scalar loop branches (a skipped zero term, a NaN
+/// the scalar clamp keeps, `f32::max`) become selects. Only the x86 vector
+/// types implement it: the tile is bit-exact against the 8-lane row
+/// kernels, so only the backend whose row kernels are 8 lanes wide runs it.
+trait LaneSelect: Vf32 {
+    /// Lane-wise `if self == ±0.0 { yes } else { no }`.
+    fn where_zero(self, yes: Self, no: Self) -> Self;
+    /// Lane-wise `if self.is_nan() { yes } else { no }`.
+    fn where_nan(self, yes: Self, no: Self) -> Self;
 }
 
 /// One-lane "vector": the scalar backend of the lane kernels, which run
@@ -480,7 +502,7 @@ impl RowReduce for F32x1 {
 // ---------------------------------------------------------------------------
 
 mod kernels {
-    use super::{FmaLanes, RowReduce, Vf32};
+    use super::{FmaLanes, LaneSelect, RowReduce, Vf32};
     use crate::fastmath::{exp_fast, gelu_fast, tanh_fast};
     use crate::tensor::gelu_grad_scalar;
 
@@ -1330,6 +1352,364 @@ mod kernels {
         }
     }
 
+    // -- the attention tile: query rows in lanes ------------------------------
+
+    /// One head of `softmax(c · Q·Kᵀ) · V` for a run of query rows, with the
+    /// rows in the lanes of `NV` vectors (`NV · LANES` rows a tile: 2
+    /// vectors, and one for a last run of at most `LANES` rows). `q` and
+    /// `out` hold the rows, `k` and `v` the `len` keys, all `dim` wide; the
+    /// head is columns `col .. col + head_dim`, and `scale` multiplies the
+    /// scores when it is given. Per tile:
+    ///
+    /// 1. `Qᵀ[p][row]`, gathered into `scratch` (a short last tile repeats
+    ///    its last row, so the padding lanes hold no value the rows do not);
+    /// 2. `Sᵀ[key][row] = Σ_p q[row][p] · k[key][p]` from broadcasts of K's
+    ///    rows, read in place, and the 8 partial maxima on the way;
+    /// 3. the softmax down the keys, `exp` in place, then `P = e · (1/Σ)`;
+    /// 4. `Oᵀ[c][row] = Σ_key P[key][row] · v[key][c]` from broadcasts of V's
+    ///    rows, into the `Qᵀ` slot; then scattered into `out`.
+    ///
+    /// Each lane replays exactly the operations the row composition
+    /// (`matmul_band`, `scale_slice`, `softmax_row` at 8 lanes,
+    /// `matmul_band`) applies to its row, so the tile has its bits:
+    ///
+    /// * both products follow the GEMM band's contract per element — from
+    ///   +0, ascending depth, ±0.0 `q` / `P` terms skipped (a lane select),
+    ///   one FMA `(q, k, acc)` / `(p, v, acc)` per term, and a multiply then
+    ///   add on the last `len % FMA_COLS` keys / `head_dim % FMA_COLS` head
+    ///   columns. `P` is in fact never ±0 for a finite row of scores, but a
+    ///   row with NaN can drop a larger score from its max and overflow the
+    ///   sum to `inf`, so the skip stays;
+    /// * the max and the sum take 8 partials, partial `l` over keys
+    ///   `≡ l (mod 8)` below `len − len % 8` with the running value first,
+    ///   combined by the tree of `F32x8::reduce_max` / `reduce_add`; the
+    ///   keys past them follow in order, the max with `f32::max` (NaN
+    ///   ignored) and `exp` with the scalar clamp, which keeps a NaN where
+    ///   the vector one makes it −87.
+    ///
+    /// # Safety
+    ///
+    /// `V`'s target features are available; `q` and `out` hold whole rows,
+    /// `k` and `v` `len ≥ 1` rows, of `dim ≥ col + head_dim` values; `scratch`
+    /// holds `2 · LANES · (len + head_dim)` values.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    pub unsafe fn attention_tile<V: LaneSelect>(
+        q: &[f32],
+        k: &[f32],
+        v: &[f32],
+        dim: usize,
+        col: usize,
+        head_dim: usize,
+        scale: Option<f32>,
+        scratch: &mut [f32],
+        out: &mut [f32],
+    ) {
+        let len = k.len() / dim;
+        debug_assert!(scratch.len() >= 2 * V::LANES * (len + head_dim));
+        let rows = q.len() / dim;
+        let mut r = 0;
+        while r < rows {
+            let n = (rows - r).min(2 * V::LANES);
+            let nv = if n > V::LANES { 2 } else { 1 };
+            let (qt, s) = scratch.split_at_mut(nv * V::LANES * head_dim);
+            // SAFETY: rows `r .. r + n` are rows of `q` and `out`; the two
+            // scratch slots hold `head_dim` and `len` rows of `nv` vectors.
+            unsafe {
+                let tile = Tile {
+                    k: k.as_ptr().add(col),
+                    v: v.as_ptr().add(col),
+                    dim,
+                    len,
+                    head_dim,
+                    scale,
+                    qt: qt.as_mut_ptr(),
+                    s: s.as_mut_ptr(),
+                };
+                let (q, out) = (q.as_ptr().add(r * dim + col), out.as_mut_ptr().add(r * dim + col));
+                if nv == 2 {
+                    tile.run::<V, 2>(q, n, out);
+                } else {
+                    tile.run::<V, 1>(q, n, out);
+                }
+            }
+            r += n;
+        }
+    }
+
+    /// One tile of [`attention_tile`]: `k` and `v` point at the head's first
+    /// column of key row 0 (rows `dim` apart), `qt` at the `Qᵀ` / `Oᵀ` slot
+    /// (`head_dim` rows of `NV` vectors) and `s` at the `Sᵀ` / `P` slot
+    /// (`len` rows of `NV` vectors). Its methods share one safety
+    /// condition: those pointers are valid for that, and `V`'s target
+    /// features are available.
+    #[derive(Clone, Copy)]
+    struct Tile {
+        k: *const f32,
+        v: *const f32,
+        dim: usize,
+        len: usize,
+        head_dim: usize,
+        scale: Option<f32>,
+        qt: *mut f32,
+        s: *mut f32,
+    }
+
+    /// `((p0 ∘ p4) ∘ (p2 ∘ p6)) ∘ ((p1 ∘ p5) ∘ (p3 ∘ p7))`: the tree in which
+    /// `F32x8::reduce_add` / `reduce_max` combine their lanes.
+    #[inline(always)]
+    fn tree<V: Copy>(p: [V; 8], f: impl Fn(V, V) -> V) -> V {
+        f(f(f(p[0], p[4]), f(p[2], p[6])), f(f(p[1], p[5]), f(p[3], p[7])))
+    }
+
+    impl Tile {
+        /// Mixes `n ≤ NV · LANES` query rows, the first at `q`, into `out`
+        /// (rows `dim` apart, both at the head's first column).
+        ///
+        /// # Safety
+        ///
+        /// The tile's condition (see [`Tile`]), and `q` / `out` valid for
+        /// `n` rows.
+        #[inline(always)]
+        unsafe fn run<V: LaneSelect, const NV: usize>(
+            self,
+            q: *const f32,
+            n: usize,
+            out: *mut f32,
+        ) {
+            let w = NV * V::LANES;
+            let mut q_zero = 0;
+            for p in 0..self.head_dim {
+                for l in 0..w {
+                    unsafe { *self.qt.add(p * w + l) = *q.add(l.min(n - 1) * self.dim + p) };
+                }
+                for j in 0..NV {
+                    q_zero |= unsafe { V::load(self.qt.add(p * w + j * V::LANES)) }.zero_mask();
+                }
+            }
+            let maxima = unsafe {
+                if q_zero != 0 {
+                    self.scores::<V, NV, true>()
+                } else {
+                    self.scores::<V, NV, false>()
+                }
+            };
+            unsafe {
+                if self.softmax::<V, NV>(maxima) {
+                    self.mix::<V, NV, true>();
+                } else {
+                    self.mix::<V, NV, false>();
+                }
+                for r in 0..n {
+                    for c in 0..self.head_dim {
+                        *out.add(r * self.dim + c) = *self.qt.add(c * w + r);
+                    }
+                }
+            }
+        }
+
+        /// `Sᵀ`, scaled, into the `s` slot; returns the 8 partial maxima
+        /// (`NEG_INFINITY` where no key reached one).
+        ///
+        /// # Safety
+        ///
+        /// The tile's condition, with `Qᵀ` gathered.
+        #[inline(always)]
+        unsafe fn scores<V: LaneSelect, const NV: usize, const SKIP: bool>(self) -> [[V; NV]; 8] {
+            let mut maxima = [[V::splat(f32::NEG_INFINITY); NV]; 8];
+            let fma_end = self.len - self.len % FMA_COLS;
+            let mut key = 0;
+            unsafe {
+                if V::TILE_ROWS >= 8 {
+                    key = self.score_keys::<V, NV, 8, true, SKIP>(key, fma_end, &mut maxima);
+                }
+                // `fma_end` is a multiple of 16: the FMA keys are whole blocks.
+                key = self.score_keys::<V, NV, 4, true, SKIP>(key, fma_end, &mut maxima);
+                key = self.score_keys::<V, NV, 4, false, SKIP>(key, self.len, &mut maxima);
+                self.score_keys::<V, NV, 1, false, SKIP>(key, self.len, &mut maxima);
+            }
+            maxima
+        }
+
+        /// Runs `K`-key blocks of [`Tile::scores`] from `key` while `K` keys
+        /// remain below `end`, with one FMA per term (`FMA`) or a multiply
+        /// then add; returns the first key left over. Keys below
+        /// `len − len % 8` fold into their partial max.
+        ///
+        /// # Safety
+        ///
+        /// The tile's condition, with `Qᵀ` gathered.
+        #[inline(always)]
+        unsafe fn score_keys<
+            V: LaneSelect,
+            const NV: usize,
+            const K: usize,
+            const FMA: bool,
+            const SKIP: bool,
+        >(
+            self,
+            mut key: usize,
+            end: usize,
+            maxima: &mut [[V; NV]; 8],
+        ) -> usize {
+            let w = NV * V::LANES;
+            let main = self.len - self.len % 8;
+            while key + K <= end {
+                let mut acc = [[V::splat(0.0); NV]; K];
+                let mut kr = [self.k; K];
+                for (i, kr) in kr.iter_mut().enumerate() {
+                    *kr = unsafe { self.k.add((key + i) * self.dim) };
+                }
+                for p in 0..self.head_dim {
+                    let mut qv = [V::splat(0.0); NV];
+                    for (j, x) in qv.iter_mut().enumerate() {
+                        *x = unsafe { V::load(self.qt.add(p * w + j * V::LANES)) };
+                    }
+                    for (acc, &kr) in acc.iter_mut().zip(&kr) {
+                        let kv = unsafe { V::splat_ptr(kr.add(p)) };
+                        for (a, &qv) in acc.iter_mut().zip(&qv) {
+                            let t = if FMA { qv.fma(kv, *a) } else { a.add(qv.mul(kv)) };
+                            *a = if SKIP { qv.where_zero(*a, t) } else { t };
+                        }
+                    }
+                }
+                for (i, acc) in acc.iter().enumerate() {
+                    for (j, &a) in acc.iter().enumerate() {
+                        let s = match self.scale {
+                            Some(c) => a.mul(V::splat(c)),
+                            None => a,
+                        };
+                        unsafe { s.store(self.s.add((key + i) * w + j * V::LANES)) };
+                        if key + i < main {
+                            let m = &mut maxima[(key + i) % 8][j];
+                            *m = if key + i < 8 { s } else { m.max(s) };
+                        }
+                    }
+                }
+                key += K;
+            }
+            key
+        }
+
+        /// The softmax down the keys of the `s` slot, in place, from the
+        /// partial maxima; returns whether some `P` is ±0.0.
+        ///
+        /// # Safety
+        ///
+        /// The tile's condition, with `Sᵀ` computed.
+        #[inline(always)]
+        unsafe fn softmax<V: LaneSelect, const NV: usize>(self, maxima: [[V; NV]; 8]) -> bool {
+            let w = NV * V::LANES;
+            let main = self.len - self.len % 8;
+            let at = |key: usize, j: usize| unsafe { self.s.add(key * w + j * V::LANES) };
+            let mut m = [V::splat(f32::NEG_INFINITY); NV];
+            let mut sum = [V::splat(0.0); NV];
+            for j in 0..NV {
+                if main > 0 {
+                    m[j] = tree(maxima.map(|p| p[j]), V::max);
+                }
+                for key in main..self.len {
+                    let x = unsafe { V::load(at(key, j)) };
+                    m[j] = m[j].where_nan(x, x.max(m[j]));
+                }
+            }
+            let mut partial = [[V::splat(0.0); NV]; 8];
+            for key in (0..main).step_by(8) {
+                for (l, partial) in partial.iter_mut().enumerate() {
+                    for (j, sum) in partial.iter_mut().enumerate() {
+                        let e = exp_v(unsafe { V::load(at(key + l, j)) }.sub(m[j]));
+                        unsafe { e.store(at(key + l, j)) };
+                        *sum = sum.add(e);
+                    }
+                }
+            }
+            for (j, sum) in sum.iter_mut().enumerate() {
+                *sum = tree(partial.map(|p| p[j]), V::add);
+                for key in main..self.len {
+                    let x = unsafe { V::load(at(key, j)) }.sub(m[j]);
+                    let e = x.where_nan(x, exp_v(x));
+                    unsafe { e.store(at(key, j)) };
+                    *sum = sum.add(e);
+                }
+            }
+            let inv = sum.map(|s| V::splat(1.0).div(s));
+            let mut zero = 0;
+            for key in 0..self.len {
+                for (j, &inv) in inv.iter().enumerate() {
+                    let p = unsafe { V::load(at(key, j)) }.mul(inv);
+                    unsafe { p.store(at(key, j)) };
+                    zero |= p.zero_mask();
+                }
+            }
+            zero != 0
+        }
+
+        /// `Oᵀ = Pᵀ·V` into the `Qᵀ` slot, head column by head column.
+        ///
+        /// # Safety
+        ///
+        /// The tile's condition, with `P` computed.
+        #[inline(always)]
+        unsafe fn mix<V: LaneSelect, const NV: usize, const SKIP: bool>(self) {
+            let fma_end = self.head_dim - self.head_dim % FMA_COLS;
+            let mut c = 0;
+            unsafe {
+                if V::TILE_ROWS >= 8 {
+                    c = self.mix_cols::<V, NV, 8, true, SKIP>(c, fma_end);
+                }
+                c = self.mix_cols::<V, NV, 4, true, SKIP>(c, fma_end);
+                c = self.mix_cols::<V, NV, 4, false, SKIP>(c, self.head_dim);
+                self.mix_cols::<V, NV, 1, false, SKIP>(c, self.head_dim);
+            }
+        }
+
+        /// Runs `C`-column blocks of [`Tile::mix`] from head column `c` while
+        /// `C` columns remain below `end`; returns the first column left
+        /// over.
+        ///
+        /// # Safety
+        ///
+        /// The tile's condition, with `P` computed.
+        #[inline(always)]
+        unsafe fn mix_cols<
+            V: LaneSelect,
+            const NV: usize,
+            const C: usize,
+            const FMA: bool,
+            const SKIP: bool,
+        >(
+            self,
+            mut c: usize,
+            end: usize,
+        ) -> usize {
+            let w = NV * V::LANES;
+            while c + C <= end {
+                let mut acc = [[V::splat(0.0); NV]; C];
+                for key in 0..self.len {
+                    let mut pv = [V::splat(0.0); NV];
+                    for (j, x) in pv.iter_mut().enumerate() {
+                        *x = unsafe { V::load(self.s.add(key * w + j * V::LANES)) };
+                    }
+                    let vr = unsafe { self.v.add(key * self.dim + c) };
+                    for (i, acc) in acc.iter_mut().enumerate() {
+                        let vv = unsafe { V::splat_ptr(vr.add(i)) };
+                        for (a, &pv) in acc.iter_mut().zip(&pv) {
+                            let t = if FMA { pv.fma(vv, *a) } else { a.add(pv.mul(vv)) };
+                            *a = if SKIP { pv.where_zero(*a, t) } else { t };
+                        }
+                    }
+                }
+                for (i, acc) in acc.iter().enumerate() {
+                    for (j, a) in acc.iter().enumerate() {
+                        unsafe { a.store(self.qt.add((c + i) * w + j * V::LANES)) };
+                    }
+                }
+                c += C;
+            }
+            c
+        }
+    }
+
     // -- butterfly pair kernels --------------------------------------------
 
     /// One block of a butterfly stage on one vector: position `i` couples
@@ -1918,7 +2298,7 @@ mod kernels {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{kernels, BinOp, FmaLanes, RowReduce, Vf32, VnniPack};
+    use super::{kernels, BinOp, FmaLanes, LaneSelect, RowReduce, Vf32, VnniPack};
     use core::arch::x86_64::*;
 
     /// Eight `f32` lanes in one AVX register.
@@ -2041,6 +2421,24 @@ mod x86 {
                 let s = _mm_max_ps(s, _mm_movehl_ps(s, s));
                 let s = _mm_max_ss(s, _mm_shuffle_ps(s, s, 1));
                 _mm_cvtss_f32(s)
+            }
+        }
+    }
+
+    impl LaneSelect for F32x8 {
+        #[inline(always)]
+        fn where_zero(self, yes: Self, no: Self) -> Self {
+            unsafe {
+                let zero = _mm256_cmp_ps::<_CMP_EQ_OQ>(self.0, _mm256_setzero_ps());
+                F32x8(_mm256_blendv_ps(no.0, yes.0, zero))
+            }
+        }
+
+        #[inline(always)]
+        fn where_nan(self, yes: Self, no: Self) -> Self {
+            unsafe {
+                let nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(self.0, self.0);
+                F32x8(_mm256_blendv_ps(no.0, yes.0, nan))
             }
         }
     }
@@ -2256,6 +2654,17 @@ mod x86 {
             dst: &mut [f32],
             stride: usize,
         ) if width.is_multiple_of(16);
+        fn attention_tile(
+            q: &[f32],
+            k: &[f32],
+            v: &[f32],
+            dim: usize,
+            col: usize,
+            head_dim: usize,
+            scale: Option<f32>,
+            scratch: &mut [f32],
+            out: &mut [f32],
+        );
     }
 
     /// Sixteen `f32` lanes in one AVX-512 register, the width of every
@@ -2350,6 +2759,24 @@ mod x86 {
                 let [c8, c9, c10, c11] = transpose_16x4(src.add(8), stride);
                 let [c12, c13, c14, c15] = transpose_16x4(src.add(12), stride);
                 [c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14, c15]
+            }
+        }
+    }
+
+    impl LaneSelect for F32x16 {
+        #[inline(always)]
+        fn where_zero(self, yes: Self, no: Self) -> Self {
+            unsafe {
+                let zero = _mm512_cmp_ps_mask::<_CMP_EQ_OQ>(self.0, _mm512_setzero_ps());
+                F32x16(_mm512_mask_blend_ps(zero, no.0, yes.0))
+            }
+        }
+
+        #[inline(always)]
+        fn where_nan(self, yes: Self, no: Self) -> Self {
+            unsafe {
+                let nan = _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(self.0, self.0);
+                F32x16(_mm512_mask_blend_ps(nan, no.0, yes.0))
             }
         }
     }
@@ -3426,6 +3853,117 @@ pub fn matmul_band(lhs: &[f32], k: usize, rhs: &[f32], n: usize, i0: usize, dst:
     })
 }
 
+/// Floats of `scratch` one [`attention_tile`] call over `rows` query rows,
+/// `len` keys and a `head_dim`-wide head needs on the active backend.
+pub fn attention_tile_scratch(rows: usize, len: usize, head_dim: usize) -> usize {
+    match backend() {
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 => 2 * Backend::Avx2.lanes() * (len + head_dim),
+        _ => rows * (head_dim + len) + head_dim * len + len,
+    }
+}
+
+/// One head of the attention core for a few query rows: `out`'s head
+/// columns become `softmax(c · q_h·k_hᵀ) · v_h`. `q` and `out` hold the
+/// rows and `k` / `v` the keys, all `dim` wide; the head is columns
+/// `col .. col + head_dim`, and `scale` (`c`) multiplies the scores when it
+/// is given. K and V are read in place; the work happens in `scratch`
+/// ([`attention_tile_scratch`] floats, contents ignored), and no other
+/// column of `out` is written.
+///
+/// The value is the row composition's on the same backend — gather,
+/// [`matmul_band`] with Kᵀ, [`scale_slice`], [`softmax_row`] per row,
+/// [`matmul_band`] with V, scatter — bit for bit. The scalar and NEON
+/// backends run that composition. The AVX2 backend keeps one query row per
+/// lane (16 lanes where `avx512f` is present) and replays in every lane the
+/// 8-lane row kernels' reduction tree (`kernels::attention_tile`).
+///
+/// # Panics
+///
+/// Panics when the head is not within `dim`, the slices do not hold whole
+/// rows, there is no key, or `scratch` is too short.
+#[allow(clippy::too_many_arguments)]
+pub fn attention_tile(
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    dim: usize,
+    col: usize,
+    head_dim: usize,
+    scale: Option<f32>,
+    scratch: &mut [f32],
+    out: &mut [f32],
+) {
+    assert!(head_dim > 0 && col + head_dim <= dim, "attention_tile head out of range");
+    assert!(q.len().is_multiple_of(dim) && k.len().is_multiple_of(dim), "attention_tile rows");
+    assert!(!k.is_empty() && k.len() == v.len(), "attention_tile keys");
+    assert_eq!(q.len(), out.len(), "attention_tile output length mismatch");
+    let (rows, len) = (q.len() / dim, k.len() / dim);
+    assert!(
+        scratch.len() >= attention_tile_scratch(rows, len, head_dim),
+        "attention_tile scratch too short"
+    );
+    match backend() {
+        // SAFETY: the AVX2 backend is only ever selected on a CPU with AVX2
+        // and FMA, and the asserts above are the kernel's contract.
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 => unsafe {
+            x86::attention_tile(q, k, v, dim, col, head_dim, scale, scratch, out)
+        },
+        _ => attention_tile_rows(q, k, v, dim, col, head_dim, scale, scratch, out),
+    }
+}
+
+/// [`attention_tile`] as the row kernels compute it, one query row of
+/// scores at a time: the value of every backend's tile, and the scalar and
+/// NEON backends' tile itself.
+#[allow(clippy::too_many_arguments)]
+fn attention_tile_rows(
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    dim: usize,
+    col: usize,
+    head_dim: usize,
+    scale: Option<f32>,
+    scratch: &mut [f32],
+    out: &mut [f32],
+) {
+    let (rows, len) = (q.len() / dim, k.len() / dim);
+    let (q_tile, rest) = scratch.split_at_mut(rows * head_dim);
+    let (kv, rest) = rest.split_at_mut(head_dim * len);
+    let (scores, rest) = rest.split_at_mut(rows * len);
+    let tmp = &mut rest[..len];
+    let cols = |r: usize| r * dim + col..r * dim + col + head_dim;
+    for (r, dst) in q_tile.chunks_mut(head_dim).enumerate() {
+        dst.copy_from_slice(&q[cols(r)]);
+    }
+    // `kv` holds the head's Kᵀ, `[head_dim, len]`, then its V, `[len, head_dim]`.
+    for key in 0..len {
+        for (p, &x) in k[cols(key)].iter().enumerate() {
+            kv[p * len + key] = x;
+        }
+    }
+    scores.fill(0.0);
+    matmul_band(q_tile, head_dim, kv, len, 0, scores);
+    for row in scores.chunks_mut(len) {
+        match scale {
+            Some(c) => scale_slice(row, c, tmp),
+            None => tmp.copy_from_slice(row),
+        }
+        softmax_row(tmp, row);
+    }
+    for (key, dst) in kv.chunks_mut(head_dim).enumerate() {
+        dst.copy_from_slice(&v[cols(key)]);
+    }
+    let mixed = q_tile;
+    mixed.fill(0.0);
+    matmul_band(scores, len, kv, head_dim, 0, mixed);
+    for (r, src) in mixed.chunks(head_dim).enumerate() {
+        out[cols(r)].copy_from_slice(src);
+    }
+}
+
 /// Applies one whole butterfly stage to one transform vector in place:
 /// `w1..w4` hold the stage's `pairs` weights, `half` its half-block size, and
 /// `x` the `2·pairs` elements. The block loop runs inside the vector context,
@@ -4497,6 +5035,121 @@ mod tests {
                 }
             }
         }
+    }
+
+    type TileKernel =
+        unsafe fn(&[f32], &[f32], &[f32], usize, usize, usize, Option<f32>, &mut [f32], &mut [f32]);
+
+    /// Operands of one attention tile case, `(q, k, v)`: `rows` query and
+    /// `len` key rows `head_dim + 3` wide, the head at column 2. Values are
+    /// an LCG's in `[-4, 4)`; query row `r` is scaled by
+    /// `[0.05, 0.5, 2, 8][r % 4]`, so some rows' scores spread far past the
+    /// −87 clamp of `exp` and others not. The query is ±0.0 in the head's
+    /// first column in two rows of three and in its last column in one row
+    /// of five. K holds a NaN (x86's own, `0xFFC0_0000`) at keys `len / 4`
+    /// and `len − 1`, `−inf` at `len / 3` and `+inf` at `len / 2`, each in
+    /// a column some rows skip and others meet.
+    #[cfg(target_arch = "x86_64")]
+    fn tile_case(rows: usize, len: usize, head_dim: usize) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+        let dim = head_dim + 3;
+        let mut s = (rows * 1_000_003 + len * 1009 + head_dim) as u64 | 1;
+        let mut next = move || {
+            s = s.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            ((s >> 40) as f32 / (1u64 << 24) as f32) * 8.0 - 4.0
+        };
+        let mut q: Vec<f32> = (0..rows * dim).map(|_| next()).collect();
+        let k: Vec<f32> = (0..len * dim).map(|_| next()).collect();
+        let v: Vec<f32> = (0..len * dim).map(|_| next()).collect();
+        let mut k = k;
+        for (r, row) in q.chunks_mut(dim).enumerate() {
+            row.iter_mut().for_each(|x| *x *= [0.05, 0.5, 2.0, 8.0][r % 4]);
+            let signed_zero = if r % 2 == 0 { 0.0 } else { -0.0 };
+            if r % 3 != 1 {
+                row[2] = signed_zero;
+            }
+            if r % 5 == 0 {
+                row[2 + head_dim - 1] = -signed_zero;
+            }
+        }
+        let nan = f32::from_bits(0xFFC0_0000);
+        for (key, p, x) in [
+            (len / 4, 1 % head_dim, nan),
+            (len / 3, head_dim / 2, f32::NEG_INFINITY),
+            (len / 2, head_dim - 1, f32::INFINITY),
+            (len - 1, 0, nan),
+        ] {
+            k[key * dim + 2 + p] = x;
+        }
+        (q, k, v)
+    }
+
+    /// Each vector instantiation of the attention tile this CPU runs
+    /// (`f32x8`, and `f32x16` where `avx512f` is present) gives the bits of
+    /// the row composition on the same backend — `matmul_band`,
+    /// `scale_slice`, `softmax_row`, `matmul_band` — with the scratch full
+    /// of NaN and the output's other columns left as they were. The lengths
+    /// straddle the 8-partial and 16-column edges of the keys, the head
+    /// widths the FMA columns of the product with V, and the row counts the
+    /// one- and two-vector tiles. Production on an AVX-512 host runs the
+    /// 16-lane arm, and `FAB_SIMD` has no value that forces the 8-lane one
+    /// there, so this test is the 8-lane tile's only check on such a host.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn attention_tile_arms_give_the_row_composition_bits() {
+        if !(std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("fma"))
+        {
+            eprintln!("no avx2+fma: the attention tile arms are skipped");
+            return;
+        }
+        let mut arms: Vec<(&str, TileKernel)> = vec![("f32x8", x86::f32x8::attention_tile)];
+        if x86::wide() {
+            arms.push(("f32x16", x86::f32x16::attention_tile));
+        } else {
+            eprintln!("no avx512f: the f32x16 attention tile arm is skipped");
+        }
+        let _g = guard();
+        with_backend(Backend::Avx2, || {
+            for len in [1usize, 7, 8, 9, 15, 16, 17, 31, 32, 33, 127, 128, 129, 1000] {
+                for head_dim in [1usize, 7, 8, 15, 16, 17, 32, 33] {
+                    for rows in [1usize, 15, 16, 17, 31, 32] {
+                        let dim = head_dim + 3;
+                        let (q, k, v) = tile_case(rows, len, head_dim);
+                        let need = (32 * (len + head_dim))
+                            .max(rows * (head_dim + len) + head_dim * len + len);
+                        for scale in [None, Some(1.0 / (head_dim as f32).sqrt())] {
+                            let run = |tile: TileKernel| {
+                                let mut scratch = vec![f32::NAN; need];
+                                let mut out = vec![7.0f32; rows * dim];
+                                // SAFETY: only arms this CPU runs are listed,
+                                // and the scratch holds 32 lanes' worth.
+                                unsafe {
+                                    tile(
+                                        &q,
+                                        &k,
+                                        &v,
+                                        dim,
+                                        2,
+                                        head_dim,
+                                        scale,
+                                        &mut scratch,
+                                        &mut out,
+                                    )
+                                };
+                                out
+                            };
+                            let want = run(attention_tile_rows);
+                            for &(name, tile) in &arms {
+                                let what = format!(
+                                    "{name} len {len} head_dim {head_dim} rows {rows} scale {scale:?}"
+                                );
+                                same_bits(&what, &run(tile), &want);
+                            }
+                        }
+                    }
+                }
+            }
+        });
     }
 
     /// `len` int8 values in `[-127, 127]` from an LCG, every third one a

@@ -312,11 +312,10 @@ impl Tensor {
     /// Matrix multiplication `self × rhs` for 2-D tensors.
     ///
     /// The kernel is cache-blocked (`i`-`k`-`j` loop order with
-    /// [`MATMUL_KC`]×[`MATMUL_NC`] rhs panels) and parallelised over
-    /// [`MATMUL_BAND_ROWS`]-row output bands. On the scalar
-    /// [`crate::simd`] backend, per output element the accumulation order is
-    /// identical to [`Tensor::matmul_reference`], so the two kernels produce
-    /// bit-identical results. On a SIMD backend the inner loops run as FMA
+    /// 128 × 512 rhs panels) and parallelised over 64-row output bands. On
+    /// the scalar [`crate::simd`] backend, per output element the
+    /// accumulation order is identical to [`Tensor::matmul_reference`], so
+    /// the two kernels produce bit-identical results. On a SIMD backend the inner loops run as FMA
     /// register tiles: the `p` sweep stays ascending and zero lhs terms are
     /// still skipped, but fused multiply-adds legitimately change rounding —
     /// results stay within ≤ 1e-5 of the scalar oracle relative to the
@@ -514,7 +513,7 @@ impl Tensor {
 
     /// Returns the transpose of a 2-D tensor.
     ///
-    /// Works in [`TRANSPOSE_TILE`]² tiles so both the read and the write side
+    /// Works in 32 × 32 tiles so both the read and the write side
     /// stay cache-resident, with the tile rows fanned out in parallel for
     /// large matrices.
     ///
