@@ -20,12 +20,18 @@ fn lock() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Runs `f` on backend `b`, then puts the previous backend back — also when
+/// `f` panics, so a failed test leaves no backend forced for the next one.
 fn with_backend<R>(b: Backend, f: impl FnOnce() -> R) -> R {
-    let prev = simd::backend();
+    struct Restore(Backend);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            simd::force_backend(self.0);
+        }
+    }
+    let _restore = Restore(simd::backend());
     simd::force_backend(b);
-    let r = f();
-    simd::force_backend(prev);
-    r
+    f()
 }
 
 fn config() -> ModelConfig {

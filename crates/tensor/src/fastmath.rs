@@ -31,12 +31,12 @@
 //! magnitudes beyond the clamp boundaries (including ±∞ and ±`f32::MAX`)
 //! saturate to the boundary values **bit-identically on every backend**.
 //! NaN inputs are the one place backends legitimately differ — the scalar
-//! `f32::clamp` propagates NaN, while the vector `max`/`min` clamp follows
-//! the ISA: AVX2 `maxps` maps a NaN lane to the lower clamp boundary (so
-//! `exp` yields `exp_fast(-87)` and `tanh` yields `-1.0`, while `gelu`
-//! still yields NaN), whereas NEON `fmax`/`fmin` propagate NaN like the
-//! scalar kernel. This is pinned per backend by
-//! `crates/tensor/tests/fastmath_extremes.rs`.
+//! `f32::clamp` propagates NaN, and so does the scalar backend's one-lane
+//! `max`/`min`, while the AVX2 backend's vector clamp follows the ISA:
+//! `maxps` maps a NaN lane to the lower clamp boundary (so `exp` yields
+//! `exp_fast(-87)` and `tanh` yields `-1.0`, while `gelu` still yields
+//! NaN). This is pinned per backend by
+//! `crates/tensor/tests/fastmath_extremes.rs` and the `simd` unit tests.
 
 /// Fast `e^x`.
 ///

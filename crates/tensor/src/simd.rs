@@ -2,12 +2,12 @@
 //!
 //! The compute kernels of this workspace compile against the baseline target
 //! (SSE2 on `x86_64`), so the compiler's autovectorizer never emits AVX2 or
-//! FMA instructions. This module provides a portable `f32x16`/`f32x8`/`f32x4`
-//! vector abstraction with three backends — `x86_64` AVX2+FMA intrinsics
-//! (AVX-512 where present), `aarch64` NEON, and a pure-scalar fallback —
-//! selected **once at startup** via
-//! runtime CPU-feature detection, and a set of slice-level kernels built on
-//! it that the tensor, butterfly, and serving hot paths dispatch into.
+//! FMA instructions. This module provides a portable `f32x16`/`f32x8`/`f32x1`
+//! vector abstraction with two backends — `x86_64` AVX2+FMA intrinsics
+//! (AVX-512 where present) and a pure-scalar fallback, which every other
+//! target runs — selected **once at startup** via runtime CPU-feature
+//! detection, and a set of slice-level kernels built on it that the tensor,
+//! butterfly, and serving hot paths dispatch into.
 //!
 //! # Backend selection
 //!
@@ -16,19 +16,26 @@
 //!
 //! | `FAB_SIMD`        | effect                                             |
 //! |-------------------|----------------------------------------------------|
-//! | unset, `native`   | best backend the CPU supports (AVX2+FMA, NEON)     |
-//! | `off`, `scalar`   | pure-scalar kernels, bit-identical to the pre-SIMD |
-//! |                   | code paths                                         |
-//! | `avx2`, `neon`    | force a specific SIMD backend (panics when the CPU |
-//! |                   | or architecture does not support it)               |
+//! | unset, `native`   | best backend the CPU supports (AVX2+FMA, else      |
+//! |                   | scalar)                                            |
+//! | `off`, `scalar`   | the scalar backend                                 |
+//! | `avx2`            | force the AVX2 backend (panics when the CPU or     |
+//! |                   | architecture does not support it)                  |
 //!
 //! Tests and benches can additionally override the selection in-process via
 //! [`force_backend`].
 //!
 //! # Numerical contract
 //!
-//! * The **scalar** backend routes every kernel through exactly the loops the
-//!   pre-SIMD code ran: results are bit-identical to the historical kernels.
+//! * The **scalar** backend runs every kernel whose lanes never meet as the
+//!   one-lane instantiation (`F32x1`) of the generic body the vector arms
+//!   run: operation for operation the per-element scalar expression
+//!   ([`crate::fastmath::exp_fast`], `d + a·x`, `w1·a + w2·b`, …), a NaN
+//!   kept the way `f32::clamp` keeps it. Only the oracle kernels keep a
+//!   scalar body of their own, because that value is what the vector arms
+//!   are measured against: the row kernels (libm softmax and log-softmax,
+//!   iterator-sum layer norm), [`matmul_band`]'s multiply-then-add loop,
+//!   the attention tile's row composition and the int8 loops.
 //! * The element-wise transcendental kernels ([`exp_slice`], [`tanh_slice`],
 //!   [`gelu_slice`], [`gelu_grad_acc`]) and the butterfly pair kernels
 //!   evaluate the *same operations in the same order* per lane as their
@@ -39,8 +46,9 @@
 //!   element, from `dst`, ascending `p`, ±0.0 lhs terms skipped, one FMA per
 //!   term on the first `n − n % 16` columns and a multiply then add on the
 //!   rest. That value is fixed by the arithmetic, not the tiling: every
-//!   SIMD arm gives the same bits, and a unit test holds each arm to a
-//!   scalar `f32::mul_add` oracle of exactly that contract.
+//!   arm gives the same bits, and the test module's differential table
+//!   holds each arm to a scalar `f32::mul_add` oracle of exactly that
+//!   contract.
 //! * The GEMM band and the row-wise softmax / layer-norm kernels (which use
 //!   lane-parallel [`exp_slice`]-style exponentials and reordered
 //!   reductions) legitimately differ from the scalar backend by rounding,
@@ -61,10 +69,10 @@
 //! * The attention tile ([`attention_tile`]) gives the bits of the row
 //!   composition on the same backend — [`matmul_band`] with Kᵀ,
 //!   [`scale_slice`], [`softmax_row`], [`matmul_band`] with V — which is
-//!   what the scalar and NEON backends run. The AVX2 backend keeps one query
-//!   row per lane, at 8 or 16 lanes like the kernels above, and each lane
-//!   replays the 8-lane softmax's reduction tree and the GEMM band's
-//!   per-element chain; a unit test holds both widths to the composition.
+//!   what the scalar backend runs. The AVX2 backend keeps one query row per
+//!   lane, at 8 or 16 lanes like the kernels above, and each lane replays
+//!   the 8-lane softmax's reduction tree and the GEMM band's per-element
+//!   chain; the differential table holds both widths to the composition.
 //! * The int8 GEMM ([`q8_gemm_prepared`]) accumulates exactly in i32, so
 //!   every arm gives the scalar loop's bits. Where `avx512vnni` and
 //!   `avx512bw` are present the AVX2 backend runs it as `vpdpbusd` tiles
@@ -73,38 +81,33 @@
 //! # Alignment
 //!
 //! Tensor storage is plain `Vec<f32>` (4-byte alignment). Every vector
-//! load/store in this module is an *unaligned* access (`loadu`/`storeu`;
-//! NEON `vld1q`/`vst1q` have no alignment requirement), so kernels accept
-//! slices at arbitrary offsets — including deliberately misaligned
-//! sub-slices — at no correctness cost and, on every AVX2-era core,
-//! no measurable throughput cost for sequential access. A regression test
-//! exercises offsets 0–3 against the scalar oracle.
+//! load/store in this module is an *unaligned* access (`loadu`/`storeu`),
+//! so kernels accept slices at arbitrary offsets — including deliberately
+//! misaligned sub-slices — at no correctness cost and, on every AVX2-era
+//! core, no measurable throughput cost for sequential access. The
+//! differential table runs every arm at offsets 0–3.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// The vector instruction set driving the dispatched kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// Pure-scalar fallback: bit-identical to the pre-SIMD kernels.
+    /// Pure-scalar fallback: the generic bodies one lane wide, and the
+    /// oracle kernels' own scalar loops.
     Scalar,
     /// 8-lane AVX2 + FMA (x86_64, runtime-detected).
     #[cfg(target_arch = "x86_64")]
     Avx2,
-    /// 4-lane NEON (aarch64 baseline).
-    #[cfg(target_arch = "aarch64")]
-    Neon,
 }
 
 impl Backend {
-    /// Short lower-case name (`scalar` / `avx2` / `neon`), as recorded in the
+    /// Short lower-case name (`scalar` / `avx2`), as recorded in the
     /// bench JSON files.
     pub fn name(self) -> &'static str {
         match self {
             Backend::Scalar => "scalar",
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => "avx2",
-            #[cfg(target_arch = "aarch64")]
-            Backend::Neon => "neon",
         }
     }
 
@@ -125,8 +128,6 @@ impl Backend {
             Backend::Avx2 if x86::wide() => 16,
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => 8,
-            #[cfg(target_arch = "aarch64")]
-            Backend::Neon => 4,
         }
     }
 }
@@ -135,8 +136,6 @@ const BACKEND_UNINIT: u8 = 0;
 const BACKEND_SCALAR: u8 = 1;
 #[cfg(target_arch = "x86_64")]
 const BACKEND_AVX2: u8 = 2;
-#[cfg(target_arch = "aarch64")]
-const BACKEND_NEON: u8 = 3;
 
 static BACKEND: AtomicU8 = AtomicU8::new(BACKEND_UNINIT);
 
@@ -145,8 +144,6 @@ fn encode(b: Backend) -> u8 {
         Backend::Scalar => BACKEND_SCALAR,
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => BACKEND_AVX2,
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => BACKEND_NEON,
     }
 }
 
@@ -155,8 +152,6 @@ fn decode(v: u8) -> Backend {
         BACKEND_SCALAR => Backend::Scalar,
         #[cfg(target_arch = "x86_64")]
         BACKEND_AVX2 => Backend::Avx2,
-        #[cfg(target_arch = "aarch64")]
-        BACKEND_NEON => Backend::Neon,
         _ => unreachable!("invalid backend code {v}"),
     }
 }
@@ -180,11 +175,7 @@ pub fn default_backend() -> Backend {
             );
             Backend::Avx2
         }
-        #[cfg(target_arch = "aarch64")]
-        Some("neon") => Backend::Neon,
-        Some(other) => {
-            panic!("invalid FAB_SIMD value `{other}` (expected off|scalar|native|avx2|neon)")
-        }
+        Some(other) => panic!("invalid FAB_SIMD value `{other}` (expected off|scalar|native|avx2)"),
     }
 }
 
@@ -196,11 +187,6 @@ fn detect() -> Backend {
             return Backend::Avx2;
         }
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        return Backend::Neon;
-    }
-    #[allow(unreachable_code)]
     Backend::Scalar
 }
 
@@ -265,6 +251,10 @@ pub fn cpu_features() -> String {
         if std::arch::is_x86_feature_detected!("avx512f") {
             feats.push("avx512f");
         }
+        // The int8 GEMM's VNNI arm needs it beside `avx512vnni` (`x86::vnni`).
+        if std::arch::is_x86_feature_detected!("avx512bw") {
+            feats.push("avx512bw");
+        }
         // The `vpdpbusd` int8 dot product, 512- and 256-bit encodings.
         if std::arch::is_x86_feature_detected!("avx512vnni") {
             feats.push("avx512vnni");
@@ -274,11 +264,7 @@ pub fn cpu_features() -> String {
         }
         feats.join(" ")
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        "neon".to_string()
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         String::new()
     }
@@ -293,9 +279,9 @@ pub fn cpu_features() -> String {
 /// what the other lane-wise kernels need, [`RowReduce`] with the
 /// horizontal reductions of the row kernels and [`LaneSelect`] with the
 /// selects of the attention tile. Every vector type implements the first
-/// two; the AVX-512 `F32x16` implements no [`RowReduce`] — it runs every
-/// kernel whose lanes never meet, none that sums across them — and only
-/// the two x86 types implement [`LaneSelect`].
+/// two; only `F32x8` implements [`RowReduce`] — the AVX-512 `F32x16` runs
+/// every kernel whose lanes never meet, none that sums across them — and
+/// only the two x86 types implement [`LaneSelect`].
 ///
 /// All methods are `#[inline(always)]` wrappers over single instructions so
 /// that, once a generic kernel is monomorphised inside a
@@ -371,9 +357,10 @@ trait Vf32: FmaLanes {
 
 /// The horizontal reductions of the row kernels (softmax, log-softmax,
 /// layer norm). Their reduction tree is part of the value those kernels
-/// return, so only the widths the row kernels are defined on implement it —
-/// `F32x1`, `F32x8` and `F32x4`. `F32x16` does not: a 16-wide row reduction
-/// is a compile error, not a changed bit.
+/// return, so only the width the row kernels are defined on implements it:
+/// `F32x8`, the AVX2 backend's (the scalar backend runs their scalar
+/// oracles). `F32x16` does not: a 16-wide row reduction is a compile error,
+/// not a changed bit.
 trait RowReduce: Vf32 {
     /// Horizontal sum of all lanes.
     fn reduce_add(self) -> f32;
@@ -385,8 +372,9 @@ trait RowReduce: Vf32 {
 /// row per lane and replays, lane by lane, what the row kernels do to one
 /// row: the steps where a scalar loop branches (a skipped zero term, a NaN
 /// the scalar clamp keeps, `f32::max`) become selects. Only the x86 vector
-/// types implement it: the tile is bit-exact against the 8-lane row
-/// kernels, so only the backend whose row kernels are 8 lanes wide runs it.
+/// types implement it: the tile replays the 8-lane row kernels, which only
+/// the AVX2 backend runs; the scalar backend runs the row composition
+/// itself.
 trait LaneSelect: Vf32 {
     /// Lane-wise `if self == ±0.0 { yes } else { no }`.
     fn where_zero(self, yes: Self, no: Self) -> Self;
@@ -480,18 +468,6 @@ impl Vf32 for F32x1 {
     #[inline(always)]
     unsafe fn transpose(src: *const f32, _stride: usize) -> [Self; 1] {
         [F32x1(unsafe { *src })]
-    }
-}
-
-impl RowReduce for F32x1 {
-    #[inline(always)]
-    fn reduce_add(self) -> f32 {
-        self.0
-    }
-
-    #[inline(always)]
-    fn reduce_max(self) -> f32 {
-        self.0
     }
 }
 
@@ -3223,344 +3199,10 @@ mod x86 {
 }
 
 // ---------------------------------------------------------------------------
-// aarch64 NEON backend (NEON is baseline on aarch64, so no runtime probe).
-// ---------------------------------------------------------------------------
-
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    // NEON intrinsics are safe on aarch64 (the feature is baseline); the
-    // unsafe blocks below keep the shape identical to the x86 backend.
-    #![allow(unused_unsafe)]
-
-    use super::{kernels, BinOp, FmaLanes, RowReduce, Vf32};
-    use core::arch::aarch64::*;
-
-    /// Four `f32` lanes in one NEON register.
-    #[derive(Clone, Copy)]
-    pub struct F32x4(float32x4_t);
-
-    impl FmaLanes for F32x4 {
-        const LANES: usize = 4;
-
-        #[inline(always)]
-        unsafe fn load(p: *const f32) -> Self {
-            F32x4(unsafe { vld1q_f32(p) })
-        }
-
-        #[inline(always)]
-        unsafe fn store(self, p: *mut f32) {
-            unsafe { vst1q_f32(p, self.0) }
-        }
-
-        #[inline(always)]
-        fn splat(x: f32) -> Self {
-            F32x4(unsafe { vdupq_n_f32(x) })
-        }
-
-        #[inline(always)]
-        fn fma(self, m: Self, a: Self) -> Self {
-            F32x4(unsafe { vfmaq_f32(a.0, self.0, m.0) })
-        }
-
-        #[inline(always)]
-        fn zero_mask(self) -> u32 {
-            unsafe { vmaxvq_u32(vceqq_f32(self.0, vdupq_n_f32(0.0))) }
-        }
-    }
-
-    impl Vf32 for F32x4 {
-        type Narrow = Self;
-
-        #[inline(always)]
-        fn add(self, o: Self) -> Self {
-            F32x4(unsafe { vaddq_f32(self.0, o.0) })
-        }
-
-        #[inline(always)]
-        fn sub(self, o: Self) -> Self {
-            F32x4(unsafe { vsubq_f32(self.0, o.0) })
-        }
-
-        #[inline(always)]
-        fn mul(self, o: Self) -> Self {
-            F32x4(unsafe { vmulq_f32(self.0, o.0) })
-        }
-
-        #[inline(always)]
-        fn div(self, o: Self) -> Self {
-            F32x4(unsafe { vdivq_f32(self.0, o.0) })
-        }
-
-        #[inline(always)]
-        fn max(self, o: Self) -> Self {
-            F32x4(unsafe { vmaxq_f32(self.0, o.0) })
-        }
-
-        #[inline(always)]
-        fn min(self, o: Self) -> Self {
-            F32x4(unsafe { vminq_f32(self.0, o.0) })
-        }
-
-        #[inline(always)]
-        fn pow2i(self) -> Self {
-            unsafe {
-                let k = vcvtq_s32_f32(self.0);
-                let bits = vshlq_n_s32(vaddq_s32(k, vdupq_n_s32(127)), 23);
-                F32x4(vreinterpretq_f32_s32(bits))
-            }
-        }
-
-        #[inline(always)]
-        unsafe fn splat_ptr(p: *const f32) -> Self {
-            F32x4(unsafe { vld1q_dup_f32(p) })
-        }
-
-        type Block = [Self; 4];
-
-        #[inline(always)]
-        unsafe fn transpose(src: *const f32, stride: usize) -> [Self; 4] {
-            unsafe {
-                let (r0, r1) = (vld1q_f32(src), vld1q_f32(src.add(stride)));
-                let (r2, r3) = (vld1q_f32(src.add(2 * stride)), vld1q_f32(src.add(3 * stride)));
-                // t0 = a0 b0 a2 b2, t1 = a1 b1 a3 b3 (rows a, b); t2, t3
-                // the same for rows c, d.
-                let (t0, t1) = (vtrn1q_f32(r0, r1), vtrn2q_f32(r0, r1));
-                let (t2, t3) = (vtrn1q_f32(r2, r3), vtrn2q_f32(r2, r3));
-                [
-                    F32x4(vcombine_f32(vget_low_f32(t0), vget_low_f32(t2))),
-                    F32x4(vcombine_f32(vget_low_f32(t1), vget_low_f32(t3))),
-                    F32x4(vcombine_f32(vget_high_f32(t0), vget_high_f32(t2))),
-                    F32x4(vcombine_f32(vget_high_f32(t1), vget_high_f32(t3))),
-                ]
-            }
-        }
-    }
-
-    impl RowReduce for F32x4 {
-        #[inline(always)]
-        fn reduce_add(self) -> f32 {
-            unsafe { vaddvq_f32(self.0) }
-        }
-
-        #[inline(always)]
-        fn reduce_max(self) -> f32 {
-            unsafe { vmaxvq_f32(self.0) }
-        }
-    }
-
-    macro_rules! neon_entry {
-        ($(fn $name:ident($($arg:ident: $ty:ty),* $(,)?);)*) => {
-            $(
-                /// NEON instantiation of the generic kernel.
-                ///
-                /// # Safety
-                ///
-                /// NEON must be available (baseline on aarch64).
-                #[allow(clippy::too_many_arguments)]
-                pub unsafe fn $name($($arg: $ty),*) {
-                    unsafe { kernels::$name::<F32x4>($($arg),*) }
-                }
-            )*
-        };
-    }
-
-    neon_entry! {
-        fn exp_slice(src: &[f32], dst: &mut [f32]);
-        fn tanh_slice(src: &[f32], dst: &mut [f32]);
-        fn gelu_slice(src: &[f32], dst: &mut [f32]);
-        fn gelu_grad_acc(dst: &mut [f32], g: &[f32], x: &[f32]);
-        fn add_acc(dst: &mut [f32], src: &[f32]);
-        fn axpy_acc(dst: &mut [f32], a: f32, x: &[f32]);
-        fn mul_acc(dst: &mut [f32], a: &[f32], b: &[f32]);
-        fn binary_slice(op: BinOp, a: &[f32], b: &[f32], dst: &mut [f32]);
-        fn scale_slice(src: &[f32], c: f32, dst: &mut [f32]);
-        fn softmax_row(row: &[f32], out: &mut [f32]);
-        fn log_softmax_row(row: &[f32], out: &mut [f32]);
-        fn layer_norm_row(row: &[f32], gamma: &[f32], beta: &[f32], eps: f32, out: &mut [f32]);
-        fn add_layer_norm_row(
-            a: &[f32],
-            b: &[f32],
-            gamma: &[f32],
-            beta: &[f32],
-            eps: f32,
-            out: &mut [f32],
-        );
-        fn matmul_band(lhs: &[f32], k: usize, rhs: &[f32], n: usize, i0: usize, dst: &mut [f32]);
-        fn butterfly_stage_in_place(
-            half: usize,
-            w1: &[f32],
-            w2: &[f32],
-            w3: &[f32],
-            w4: &[f32],
-            x: &mut [f32],
-        );
-        fn butterfly_stage_lanes(
-            half: usize,
-            w1: &[f32],
-            w2: &[f32],
-            w3: &[f32],
-            w4: &[f32],
-            x: &mut [f32],
-            width: usize,
-        );
-        fn butterfly_stage_backward_lanes(
-            half: usize,
-            w1: &[f32],
-            w2: &[f32],
-            w3: &[f32],
-            w4: &[f32],
-            input: &[f32],
-            grad: &mut [f32],
-            acc: &mut [f32],
-            width: usize,
-        );
-        fn fft_stages_lanes(
-            tw_re: &[f32],
-            tw_im: &[f32],
-            re: &mut [f32],
-            im: &mut [f32],
-            width: usize,
-        );
-        fn fft_real_split_lanes(
-            tw_re: &[f32],
-            tw_im: &[f32],
-            re: &mut [f32],
-            im: &mut [f32],
-            width: usize,
-        );
-        fn rows_to_lanes(
-            src: &[f32],
-            stride: usize,
-            rows: usize,
-            cols: usize,
-            perm: &[usize],
-            dst: &mut [f32],
-            width: usize,
-        );
-        fn lanes_to_rows(
-            src: &[f32],
-            width: usize,
-            rows: usize,
-            cols: usize,
-            bias: &[f32],
-            gelu: bool,
-            dst: &mut [f32],
-            stride: usize,
-        );
-    }
-
-    // -- int8 quantized kernels (PR 5) ----------------------------------
-
-    /// NEON int8 quantization (`vcvtnq` = round-to-nearest-even, matching
-    /// the scalar magic-number rounding bit for bit on finite inputs).
-    ///
-    /// # Safety
-    ///
-    /// NEON must be available (baseline on aarch64).
-    pub unsafe fn q8_quantize_slice(src: &[f32], inv_scale: f32, dst: &mut [i8]) {
-        let n = src.len();
-        let main = n - n % 8;
-        let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
-        unsafe {
-            let inv = vdupq_n_f32(inv_scale);
-            let lo = vdupq_n_f32(-127.0);
-            let hi = vdupq_n_f32(127.0);
-            let mut i = 0;
-            while i < main {
-                let v0 = vminq_f32(vmaxq_f32(vmulq_f32(vld1q_f32(sp.add(i)), inv), lo), hi);
-                let v1 = vminq_f32(vmaxq_f32(vmulq_f32(vld1q_f32(sp.add(i + 4)), inv), lo), hi);
-                let w =
-                    vcombine_s16(vqmovn_s32(vcvtnq_s32_f32(v0)), vqmovn_s32(vcvtnq_s32_f32(v1)));
-                vst1_s8(dp.add(i), vqmovn_s16(w));
-                i += 8;
-            }
-            for j in main..n {
-                *dp.add(j) = super::q8_quantize_one(*sp.add(j), inv_scale);
-            }
-        }
-    }
-
-    /// NEON int8×int8→i32 GEMM over a pre-transposed rhs: `vmull_s8`
-    /// widening multiplies (exact in i16) pair-accumulated into i32 lanes
-    /// (`vpadalq`), bit-identical to the scalar kernel in any summation
-    /// order.
-    ///
-    /// # Safety
-    ///
-    /// NEON must be available; slice dimensions must be consistent (checked
-    /// by the public wrapper).
-    pub unsafe fn q8_gemm_i32(a: &[i8], bt: &[i8], k: usize, n: usize, out: &mut [i32]) {
-        let m = out.len() / n;
-        let kv = k - k % 16;
-        let (ap0, bp0, op) = (a.as_ptr(), bt.as_ptr(), out.as_mut_ptr());
-        unsafe {
-            for i in 0..m {
-                let ap = ap0.add(i * k);
-                for j in 0..n {
-                    let bp = bp0.add(j * k);
-                    let mut acc = vdupq_n_s32(0);
-                    let mut p = 0;
-                    while p < kv {
-                        let va = vld1q_s8(ap.add(p));
-                        let vb = vld1q_s8(bp.add(p));
-                        let pl = vmull_s8(vget_low_s8(va), vget_low_s8(vb));
-                        let ph = vmull_s8(vget_high_s8(va), vget_high_s8(vb));
-                        acc = vpadalq_s16(acc, pl);
-                        acc = vpadalq_s16(acc, ph);
-                        p += 16;
-                    }
-                    let mut sum = vaddvq_s32(acc);
-                    for p in kv..k {
-                        sum += *ap.add(p) as i32 * *bp.add(p) as i32;
-                    }
-                    *op.add(i * n + j) = sum;
-                }
-            }
-        }
-    }
-
-    /// NEON fused dequantize + bias (+ optional GELU) epilogue over whole
-    /// rows (mul-then-add lanes + the [`kernels::gelu_v`] lane kernel,
-    /// bit-identical to the scalar loop).
-    ///
-    /// # Safety
-    ///
-    /// NEON must be available (baseline on aarch64).
-    pub unsafe fn q8_dequant_rows(
-        acc: &[i32],
-        scale: &[f32],
-        bias: &[f32],
-        gelu: bool,
-        out: &mut [f32],
-    ) {
-        let n = scale.len();
-        let rows = out.len() / n;
-        let main = n - n % 4;
-        let (sp, bp) = (scale.as_ptr(), bias.as_ptr());
-        unsafe {
-            for r in 0..rows {
-                let arow = acc.as_ptr().add(r * n);
-                let orow = out.as_mut_ptr().add(r * n);
-                let mut i = 0;
-                while i < main {
-                    let v = vcvtq_f32_s32(vld1q_s32(arow.add(i)));
-                    let v = vaddq_f32(vmulq_f32(v, vld1q_f32(sp.add(i))), vld1q_f32(bp.add(i)));
-                    let v = if gelu { kernels::gelu_v(F32x4(v)).0 } else { v };
-                    vst1q_f32(orow.add(i), v);
-                    i += 4;
-                }
-                for j in main..n {
-                    let y = *arow.add(j) as f32 * *sp.add(j) + *bp.add(j);
-                    *orow.add(j) = if gelu { crate::fastmath::gelu_fast(y) } else { y };
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Dispatched public kernels. The scalar arms reproduce the pre-SIMD loops
-// verbatim so `FAB_SIMD=scalar` stays bit-identical to the historical code.
+// Dispatched public kernels. The scalar backend runs each kernel's generic
+// body one lane wide (`F32x1`), except the oracle kernels — the row
+// reductions, `matmul_band`, `attention_tile` and the int8 loops — whose
+// scalar loop is the value the vector arms are measured against.
 // ---------------------------------------------------------------------------
 
 /// Element-wise binary operation selector for [`binary_slice`].
@@ -3574,13 +3216,21 @@ pub enum BinOp {
     Mul,
 }
 
+/// Runs kernel `$name` on the active backend: `x86::$name` on the AVX2
+/// backend, and on the scalar backend the generic body one lane wide
+/// (`kernels::$name::<F32x1>`) or, for an oracle kernel, the block after
+/// `else`. The caller's asserts are the kernel's contract.
 macro_rules! dispatch {
-    (($($arg:expr),*), $name:ident, $scalar:block) => {
+    ($name:ident($($arg:expr),*)) => {
+        // SAFETY: one lane wide the body needs no target feature.
+        dispatch!($name($($arg),*) else { unsafe { kernels::$name::<F32x1>($($arg),*) } })
+    };
+    ($name:ident($($arg:expr),*) else $scalar:block) => {
         match backend() {
+            // SAFETY: the AVX2 backend is only ever selected on a CPU with
+            // AVX2 and FMA.
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => unsafe { x86::$name($($arg),*) },
-            #[cfg(target_arch = "aarch64")]
-            Backend::Neon => unsafe { neon::$name($($arg),*) },
             Backend::Scalar => $scalar,
         }
     };
@@ -3594,11 +3244,7 @@ macro_rules! dispatch {
 /// Panics when the slice lengths differ.
 pub fn exp_slice(src: &[f32], dst: &mut [f32]) {
     assert_eq!(src.len(), dst.len(), "exp_slice length mismatch");
-    dispatch!((src, dst), exp_slice, {
-        for (d, &x) in dst.iter_mut().zip(src.iter()) {
-            *d = crate::fastmath::exp_fast(x);
-        }
-    })
+    dispatch!(exp_slice(src, dst))
 }
 
 /// Lane-parallel [`crate::fastmath::tanh_fast`] over a slice. SIMD lanes are
@@ -3609,11 +3255,7 @@ pub fn exp_slice(src: &[f32], dst: &mut [f32]) {
 /// Panics when the slice lengths differ.
 pub fn tanh_slice(src: &[f32], dst: &mut [f32]) {
     assert_eq!(src.len(), dst.len(), "tanh_slice length mismatch");
-    dispatch!((src, dst), tanh_slice, {
-        for (d, &x) in dst.iter_mut().zip(src.iter()) {
-            *d = crate::fastmath::tanh_fast(x);
-        }
-    })
+    dispatch!(tanh_slice(src, dst))
 }
 
 /// Lane-parallel [`crate::fastmath::gelu_fast`] (the canonical GELU scalar)
@@ -3624,11 +3266,7 @@ pub fn tanh_slice(src: &[f32], dst: &mut [f32]) {
 /// Panics when the slice lengths differ.
 pub fn gelu_slice(src: &[f32], dst: &mut [f32]) {
     assert_eq!(src.len(), dst.len(), "gelu_slice length mismatch");
-    dispatch!((src, dst), gelu_slice, {
-        for (d, &x) in dst.iter_mut().zip(src.iter()) {
-            *d = crate::fastmath::gelu_fast(x);
-        }
-    })
+    dispatch!(gelu_slice(src, dst))
 }
 
 /// `dst += g · gelu'(x)` — the GELU backward slice. SIMD lanes are
@@ -3640,11 +3278,7 @@ pub fn gelu_slice(src: &[f32], dst: &mut [f32]) {
 pub fn gelu_grad_acc(dst: &mut [f32], g: &[f32], x: &[f32]) {
     assert_eq!(dst.len(), g.len(), "gelu_grad_acc length mismatch");
     assert_eq!(dst.len(), x.len(), "gelu_grad_acc length mismatch");
-    dispatch!((dst, g, x), gelu_grad_acc, {
-        for ((d, &gv), &xv) in dst.iter_mut().zip(g.iter()).zip(x.iter()) {
-            *d += gv * crate::tensor::gelu_grad_scalar(xv);
-        }
-    })
+    dispatch!(gelu_grad_acc(dst, g, x))
 }
 
 /// `dst += src`, element-wise (exact in every backend).
@@ -3654,11 +3288,7 @@ pub fn gelu_grad_acc(dst: &mut [f32], g: &[f32], x: &[f32]) {
 /// Panics when the slice lengths differ.
 pub fn add_acc(dst: &mut [f32], src: &[f32]) {
     assert_eq!(dst.len(), src.len(), "add_acc length mismatch");
-    dispatch!((dst, src), add_acc, {
-        for (d, &s) in dst.iter_mut().zip(src.iter()) {
-            *d += s;
-        }
-    })
+    dispatch!(add_acc(dst, src))
 }
 
 /// `dst += a · x` (mul-then-add; bit-identical to the scalar loop).
@@ -3668,11 +3298,7 @@ pub fn add_acc(dst: &mut [f32], src: &[f32]) {
 /// Panics when the slice lengths differ.
 pub fn axpy_acc(dst: &mut [f32], a: f32, x: &[f32]) {
     assert_eq!(dst.len(), x.len(), "axpy_acc length mismatch");
-    dispatch!((dst, a, x), axpy_acc, {
-        for (d, &xv) in dst.iter_mut().zip(x.iter()) {
-            *d += a * xv;
-        }
-    })
+    dispatch!(axpy_acc(dst, a, x))
 }
 
 /// `dst += a · b` element-wise (mul-then-add; bit-identical to the scalar
@@ -3684,11 +3310,7 @@ pub fn axpy_acc(dst: &mut [f32], a: f32, x: &[f32]) {
 pub fn mul_acc(dst: &mut [f32], a: &[f32], b: &[f32]) {
     assert_eq!(dst.len(), a.len(), "mul_acc length mismatch");
     assert_eq!(dst.len(), b.len(), "mul_acc length mismatch");
-    dispatch!((dst, a, b), mul_acc, {
-        for ((d, &av), &bv) in dst.iter_mut().zip(a.iter()).zip(b.iter()) {
-            *d += av * bv;
-        }
-    })
+    dispatch!(mul_acc(dst, a, b))
 }
 
 /// Element-wise `dst = a (op) b` (exact in every backend).
@@ -3699,15 +3321,7 @@ pub fn mul_acc(dst: &mut [f32], a: &[f32], b: &[f32]) {
 pub fn binary_slice(op: BinOp, a: &[f32], b: &[f32], dst: &mut [f32]) {
     assert_eq!(a.len(), b.len(), "binary_slice length mismatch");
     assert_eq!(a.len(), dst.len(), "binary_slice length mismatch");
-    dispatch!((op, a, b, dst), binary_slice, {
-        for ((d, &x), &y) in dst.iter_mut().zip(a.iter()).zip(b.iter()) {
-            *d = match op {
-                BinOp::Add => x + y,
-                BinOp::Sub => x - y,
-                BinOp::Mul => x * y,
-            };
-        }
-    })
+    dispatch!(binary_slice(op, a, b, dst))
 }
 
 /// `dst = src · c` (exact in every backend).
@@ -3717,11 +3331,7 @@ pub fn binary_slice(op: BinOp, a: &[f32], b: &[f32], dst: &mut [f32]) {
 /// Panics when the slice lengths differ.
 pub fn scale_slice(src: &[f32], c: f32, dst: &mut [f32]) {
     assert_eq!(src.len(), dst.len(), "scale_slice length mismatch");
-    dispatch!((src, c, dst), scale_slice, {
-        for (d, &x) in dst.iter_mut().zip(src.iter()) {
-            *d = x * c;
-        }
-    })
+    dispatch!(scale_slice(src, c, dst))
 }
 
 /// Numerically-stable softmax of one row. The scalar backend runs the
@@ -3734,7 +3344,7 @@ pub fn scale_slice(src: &[f32], c: f32, dst: &mut [f32]) {
 /// Panics when the slice lengths differ.
 pub fn softmax_row(row: &[f32], out: &mut [f32]) {
     assert_eq!(row.len(), out.len(), "softmax_row length mismatch");
-    dispatch!((row, out), softmax_row, {
+    dispatch!(softmax_row(row, out) else {
         let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
         let mut sum = 0.0f32;
         for (d, &x) in out.iter_mut().zip(row.iter()) {
@@ -3756,7 +3366,7 @@ pub fn softmax_row(row: &[f32], out: &mut [f32]) {
 /// Panics when the slice lengths differ.
 pub fn log_softmax_row(row: &[f32], out: &mut [f32]) {
     assert_eq!(row.len(), out.len(), "log_softmax_row length mismatch");
-    dispatch!((row, out), log_softmax_row, {
+    dispatch!(log_softmax_row(row, out) else {
         let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
         let log_sum: f32 = row.iter().map(|&x| (x - max).exp()).sum::<f32>().ln();
         for (d, &x) in out.iter_mut().zip(row.iter()) {
@@ -3776,7 +3386,7 @@ pub fn layer_norm_row(row: &[f32], gamma: &[f32], beta: &[f32], eps: f32, out: &
     assert_eq!(out.len(), n, "layer_norm_row length mismatch");
     assert_eq!(gamma.len(), n, "layer_norm_row gamma length mismatch");
     assert_eq!(beta.len(), n, "layer_norm_row beta length mismatch");
-    dispatch!((row, gamma, beta, eps, out), layer_norm_row, {
+    dispatch!(layer_norm_row(row, gamma, beta, eps, out) else {
         let mean = row.iter().sum::<f32>() / n as f32;
         let var = row.iter().map(|&x| (x - mean) * (x - mean)).sum::<f32>() / n as f32;
         let inv = 1.0 / (var + eps).sqrt();
@@ -3805,7 +3415,7 @@ pub fn add_layer_norm_row(
     assert_eq!(out.len(), n, "add_layer_norm_row length mismatch");
     assert_eq!(gamma.len(), n, "add_layer_norm_row gamma length mismatch");
     assert_eq!(beta.len(), n, "add_layer_norm_row beta length mismatch");
-    dispatch!((a, b, gamma, beta, eps, out), add_layer_norm_row, {
+    dispatch!(add_layer_norm_row(a, b, gamma, beta, eps, out) else {
         for ((d, &x), &y) in out.iter_mut().zip(a.iter()).zip(b.iter()) {
             *d = x + y;
         }
@@ -3837,7 +3447,7 @@ pub fn matmul_band(lhs: &[f32], k: usize, rhs: &[f32], n: usize, i0: usize, dst:
     let rows = dst.len() / n;
     assert!((i0 + rows) * k <= lhs.len(), "matmul_band lhs too short");
     assert!(k * n <= rhs.len(), "matmul_band rhs too short");
-    dispatch!((lhs, k, rhs, n, i0, dst), matmul_band, {
+    dispatch!(matmul_band(lhs, k, rhs, n, i0, dst) else {
         for (i, drow) in dst.chunks_mut(n).enumerate() {
             for p in 0..k {
                 let a = lhs[(i0 + i) * k + p];
@@ -3873,8 +3483,8 @@ pub fn attention_tile_scratch(rows: usize, len: usize, head_dim: usize) -> usize
 ///
 /// The value is the row composition's on the same backend — gather,
 /// [`matmul_band`] with Kᵀ, [`scale_slice`], [`softmax_row`] per row,
-/// [`matmul_band`] with V, scatter — bit for bit. The scalar and NEON
-/// backends run that composition. The AVX2 backend keeps one query row per
+/// [`matmul_band`] with V, scatter — bit for bit. The scalar backend runs
+/// that composition. The AVX2 backend keeps one query row per
 /// lane (16 lanes where `avx512f` is present) and replays in every lane the
 /// 8-lane row kernels' reduction tree (`kernels::attention_tile`).
 ///
@@ -3903,20 +3513,14 @@ pub fn attention_tile(
         scratch.len() >= attention_tile_scratch(rows, len, head_dim),
         "attention_tile scratch too short"
     );
-    match backend() {
-        // SAFETY: the AVX2 backend is only ever selected on a CPU with AVX2
-        // and FMA, and the asserts above are the kernel's contract.
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe {
-            x86::attention_tile(q, k, v, dim, col, head_dim, scale, scratch, out)
-        },
-        _ => attention_tile_rows(q, k, v, dim, col, head_dim, scale, scratch, out),
-    }
+    dispatch!(attention_tile(q, k, v, dim, col, head_dim, scale, scratch, out) else {
+        attention_tile_rows(q, k, v, dim, col, head_dim, scale, scratch, out)
+    })
 }
 
 /// [`attention_tile`] as the row kernels compute it, one query row of
-/// scores at a time: the value of every backend's tile, and the scalar and
-/// NEON backends' tile itself.
+/// scores at a time: the value of every backend's tile, and the scalar
+/// backend's tile itself.
 #[allow(clippy::too_many_arguments)]
 fn attention_tile_rows(
     q: &[f32],
@@ -3991,18 +3595,7 @@ pub fn butterfly_stage_in_place(
         w2.len() == pairs && w3.len() == pairs && w4.len() == pairs && x.len() == 2 * pairs,
         "butterfly_stage_in_place length mismatch"
     );
-    dispatch!((half, w1, w2, w3, w4, x), butterfly_stage_in_place, {
-        let mut p = 0;
-        for block in x.chunks_mut(2 * half) {
-            let (lo, hi) = block.split_at_mut(half);
-            for i in 0..half {
-                let (a, b) = (lo[i], hi[i]);
-                lo[i] = w1[p + i] * a + w2[p + i] * b;
-                hi[i] = w3[p + i] * a + w4[p + i] * b;
-            }
-            p += half;
-        }
-    })
+    dispatch!(butterfly_stage_in_place(half, w1, w2, w3, w4, x))
 }
 
 // ---------------------------------------------------------------------------
@@ -4051,9 +3644,7 @@ pub fn butterfly_stage_lanes(
             && x.len() == 2 * pairs * width,
         "butterfly_stage_lanes length mismatch"
     );
-    dispatch!((half, w1, w2, w3, w4, x, width), butterfly_stage_lanes, {
-        unsafe { kernels::butterfly_stage_lanes::<F32x1>(half, w1, w2, w3, w4, x, width) }
-    })
+    dispatch!(butterfly_stage_lanes(half, w1, w2, w3, w4, x, width))
 }
 
 /// The backward of [`butterfly_stage_lanes`], over `width` transforms at once.
@@ -4103,15 +3694,7 @@ pub fn butterfly_stage_backward_lanes(
             && acc.len() == 4 * pairs * width,
         "butterfly_stage_backward_lanes length mismatch"
     );
-    dispatch!((half, w1, w2, w3, w4, input, grad, acc, width), butterfly_stage_backward_lanes, {
-        // SAFETY: no target feature is needed one lane wide, and the
-        // asserts above are the kernel's length requirements.
-        unsafe {
-            kernels::butterfly_stage_backward_lanes::<F32x1>(
-                half, w1, w2, w3, w4, input, grad, acc, width,
-            )
-        }
-    })
+    dispatch!(butterfly_stage_backward_lanes(half, w1, w2, w3, w4, input, grad, acc, width))
 }
 
 /// All `log2 n` radix-2 decimation-in-time stages of `width` independent
@@ -4136,9 +3719,7 @@ pub fn fft_stages_lanes(
     let n = re.len() / width;
     assert!(n.is_power_of_two() && re.len() == n * width, "fft_stages_lanes size {n}");
     assert!(tw_re.len() >= n - 1 && tw_im.len() >= n - 1, "fft_stages_lanes twiddles too short");
-    dispatch!((tw_re, tw_im, re, im, width), fft_stages_lanes, {
-        unsafe { kernels::fft_stages_lanes::<F32x1>(tw_re, tw_im, re, im, width) }
-    })
+    dispatch!(fft_stages_lanes(tw_re, tw_im, re, im, width))
 }
 
 /// The split step of a real-input FFT, for `width` transforms at once. On
@@ -4167,9 +3748,7 @@ pub fn fft_real_split_lanes(
     );
     let m = rows - 1;
     assert!(tw_re.len() > m / 2 && tw_im.len() > m / 2, "fft_real_split_lanes twiddles too short");
-    dispatch!((tw_re, tw_im, re, im, width), fft_real_split_lanes, {
-        unsafe { kernels::fft_real_split_lanes::<F32x1>(tw_re, tw_im, re, im, width) }
-    })
+    dispatch!(fft_real_split_lanes(tw_re, tw_im, re, im, width))
 }
 
 /// Gathers a tile of `rows <= width` row-major rows into lane layout:
@@ -4208,9 +3787,7 @@ pub fn rows_to_lanes(
             "rows_to_lanes permutation out of range"
         );
     }
-    dispatch!((src, stride, rows, cols, perm, dst, width), rows_to_lanes, {
-        unsafe { kernels::rows_to_lanes::<F32x1>(src, stride, rows, cols, perm, dst, width) }
-    })
+    dispatch!(rows_to_lanes(src, stride, rows, cols, perm, dst, width))
 }
 
 /// Scatters a lane-layout tile back to `rows <= width` row-major rows,
@@ -4240,9 +3817,7 @@ pub fn lanes_to_rows(
     assert!(cols * width <= src.len(), "lanes_to_rows src too short");
     assert!(bias.is_empty() || bias.len() == cols, "lanes_to_rows bias length mismatch");
     assert!(rows == 0 || (rows - 1) * stride + cols <= dst.len(), "lanes_to_rows dst too short");
-    dispatch!((src, width, rows, cols, bias, gelu, dst, stride), lanes_to_rows, {
-        unsafe { kernels::lanes_to_rows::<F32x1>(src, width, rows, cols, bias, gelu, dst, stride) }
-    })
+    dispatch!(lanes_to_rows(src, width, rows, cols, bias, gelu, dst, stride))
 }
 
 // ---------------------------------------------------------------------------
@@ -4259,8 +3834,8 @@ pub fn lanes_to_rows(
 // ---------------------------------------------------------------------------
 
 /// Scalar quantize: `clamp(x · inv_scale, ±127)` rounded to the nearest
-/// integer, ties to even (the magic-number trick, matching `cvtps`/`vcvtnq`
-/// on the SIMD backends bit for bit).
+/// integer, ties to even (the magic-number trick, matching `cvtps` on the
+/// AVX2 backend bit for bit).
 #[inline]
 fn q8_quantize_one(x: f32, inv_scale: f32) -> i8 {
     const MAGIC: f32 = 12_582_912.0; // 1.5 * 2^23
@@ -4313,7 +3888,7 @@ fn q8_dequant_scalar(acc: &[i32], scale: &[f32], bias: &[f32], gelu: bool, out: 
 /// Panics when the slice lengths differ.
 pub fn q8_quantize_slice(src: &[f32], inv_scale: f32, dst: &mut [i8]) {
     assert_eq!(src.len(), dst.len(), "q8_quantize_slice length mismatch");
-    dispatch!((src, inv_scale, dst), q8_quantize_slice, { q8_quantize_scalar(src, inv_scale, dst) })
+    dispatch!(q8_quantize_slice(src, inv_scale, dst) else { q8_quantize_scalar(src, inv_scale, dst) })
 }
 
 /// The rhs of [`q8_gemm_prepared`], prepared once for many products: the
@@ -4394,15 +3969,14 @@ impl VnniPack {
 /// a[i·k + p] · rows[j·k + p]` (`a` is `[m, k]`, `rhs` is `[n, k]`).
 ///
 /// The accumulation is exact in `i32` on every arm, so every arm gives the
-/// same bits — the scalar loop, AVX2, NEON, and the AVX-512 VNNI arm the
-/// AVX2 backend takes where the rhs carries its packed copy. Inputs must
+/// same bits — the scalar loop, AVX2 `maddubs`, and the AVX-512 VNNI arm
+/// the AVX2 backend takes where the rhs carries its packed copy. Inputs must
 /// lie in `[-127, 127]` (upheld by [`q8_quantize_slice`]; debug-asserted
 /// here). Two arguments make the SIMD arms exact:
 ///
 /// * AVX2 `maddubs` multiplies `|a|` by `b · sign(a)`, so every i16 pair
-///   sum stays ≤ 2·127² = 32 258, below saturation; NEON widens each
-///   product to i16 exactly. Integer addition is associative, so the
-///   summation order does not matter.
+///   sum stays ≤ 2·127² = 32 258, below saturation. Integer addition is
+///   associative, so the summation order does not matter.
 /// * VNNI `vpdpbusd` multiplies u8 by s8, so the activation is offset to
 ///   `a + 128` (`a ^ 0x80`) and each column subtracts the precomputed
 ///   `128 · Σ_p w[j][p]` at the end. The non-saturating form may wrap i32
@@ -4430,7 +4004,7 @@ pub fn q8_gemm_prepared(a: &[i8], rhs: &Q8Rhs, out: &mut [i32]) {
         }
     }
     let bt = &rhs.rows[..];
-    dispatch!((a, bt, k, n, out), q8_gemm_i32, { q8_gemm_scalar(a, bt, k, n, out) })
+    dispatch!(q8_gemm_i32(a, bt, k, n, out) else { q8_gemm_scalar(a, bt, k, n, out) })
 }
 
 /// [`q8_gemm_prepared`] with an unprepared rhs: `bt` is `[n, k]`, stored
@@ -4476,14 +4050,23 @@ fn q8_dequant_dispatch(acc: &[i32], scale: &[f32], bias: &[f32], gelu: bool, out
     assert_eq!(bias.len(), n, "q8 dequant bias length mismatch");
     assert_eq!(acc.len(), out.len(), "q8 dequant acc/out length mismatch");
     assert!(n > 0 && out.len().is_multiple_of(n), "q8 dequant output not whole rows");
-    dispatch!((acc, scale, bias, gelu, out), q8_dequant_rows, {
+    dispatch!(q8_dequant_rows(acc, scale, bias, gelu, out) else {
         q8_dequant_scalar(acc, scale, bias, gelu, out)
     })
 }
 
 #[cfg(test)]
 mod tests {
+    //! One differential table over the dispatched entry points. Each entry
+    //! names its class — what its arms are held to — and one harness,
+    //! [`sweep`], runs every arm this CPU has (`F32x1`, `f32x8`, `f32x16`,
+    //! `maddubs`, VNNI) on adversarial shapes and values, printing the arms
+    //! it has to skip. The tests after the table each sweep one [`View`] of
+    //! it, one kernel family per test.
+
     use super::*;
+    use crate::fastmath::{exp_fast, gelu_fast, tanh_fast};
+    use crate::tensor::gelu_grad_scalar;
     use std::sync::{Mutex, MutexGuard};
 
     /// Serialises tests that toggle the process-global backend.
@@ -4493,184 +4076,555 @@ mod tests {
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// Runs `f` on backend `b`, then puts the previous backend back — also
+    /// when `f` panics, so a failed test leaves no backend forced.
     fn with_backend<R>(b: Backend, f: impl FnOnce() -> R) -> R {
-        let prev = backend();
+        struct Restore(Backend);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                force_backend(self.0);
+            }
+        }
+        let _restore = Restore(backend());
         force_backend(b);
-        let r = f();
-        force_backend(prev);
-        r
+        f()
     }
 
-    fn data(n: usize, salt: usize) -> Vec<f32> {
-        (0..n).map(|i| (((i * 37 + salt * 11) % 223) as f32) * 0.021 - 2.3).collect()
+    // -- the harness ----------------------------------------------------------
+
+    /// One way to run an entry point. [`ARMS`] lists them in the order the
+    /// harness picks a case's reference from: the first arm that runs it.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Arm {
+        /// The kernel's own scalar statement, where its entry states one:
+        /// a scalar oracle loop, the GEMM band's value contract, an index
+        /// definition, or the row composition.
+        Oracle,
+        /// The generic body one lane wide: the scalar backend's arm.
+        F32x1,
+        /// The generic body 8 lanes wide, or an AVX2 kernel of its own.
+        F32x8,
+        /// The generic body 16 lanes wide (AVX-512F).
+        F32x16,
+        /// The AVX2 `maddubs` int8 GEMM.
+        Maddubs,
+        /// The AVX-512 VNNI int8 GEMM.
+        Vnni,
     }
 
-    #[test]
-    fn backend_name_and_lanes_are_consistent() {
-        let b = backend();
-        assert_eq!(b.is_simd(), b.lanes() > 1);
-        assert!(!b.name().is_empty());
-        assert!(!cpu_features().is_empty() || b == Backend::Scalar);
-    }
+    const ARMS: [Arm; 6] =
+        [Arm::Oracle, Arm::F32x1, Arm::F32x8, Arm::F32x16, Arm::Maddubs, Arm::Vnni];
 
-    #[test]
-    fn transcendental_slices_are_bit_identical_across_backends() {
-        let _g = guard();
-        if !default_backend().is_simd() {
-            return;
-        }
-        for n in [1usize, 7, 8, 15, 64, 97, 1000] {
-            let x = data(n, 1);
-            for kernel in [exp_slice, tanh_slice, gelu_slice] {
-                let mut simd = vec![0.0f32; n];
-                let mut scalar = vec![0.0f32; n];
-                with_backend(default_backend(), || kernel(&x, &mut simd));
-                with_backend(Backend::Scalar, || kernel(&x, &mut scalar));
-                assert_eq!(simd, scalar, "transcendental lanes diverged at n={n}");
+    impl Arm {
+        /// Whether this CPU runs the arm.
+        fn runs(self) -> bool {
+            #[cfg(target_arch = "x86_64")]
+            let avx2 = std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma");
+            match self {
+                Arm::Oracle | Arm::F32x1 => true,
+                #[cfg(target_arch = "x86_64")]
+                Arm::F32x8 | Arm::Maddubs => avx2,
+                #[cfg(target_arch = "x86_64")]
+                Arm::F32x16 => avx2 && x86::wide(),
+                #[cfg(target_arch = "x86_64")]
+                Arm::Vnni => avx2 && x86::vnni(),
+                #[cfg(not(target_arch = "x86_64"))]
+                _ => false,
             }
         }
     }
 
-    #[test]
-    fn softmax_row_matches_scalar_oracle_within_1e6() {
-        let _g = guard();
-        if !default_backend().is_simd() {
-            return;
-        }
-        for n in [1usize, 5, 8, 13, 64, 101] {
-            let x = data(n, 2);
-            let mut simd = vec![0.0f32; n];
-            let mut scalar = vec![0.0f32; n];
-            with_backend(default_backend(), || softmax_row(&x, &mut simd));
-            with_backend(Backend::Scalar, || softmax_row(&x, &mut scalar));
-            for (a, b) in simd.iter().zip(scalar.iter()) {
-                assert!((a - b).abs() <= 1e-6, "softmax diverged at n={n}: {a} vs {b}");
-            }
-        }
+    /// What one arm of a case produced.
+    enum Out {
+        F32(Vec<f32>),
+        Int(Vec<i64>),
     }
 
-    #[test]
-    fn accumulate_kernels_match_scalar_bitwise() {
+    /// What an entry point's arms are held to. Floats compare bit for bit,
+    /// any NaN equal to any other (which operand's payload an add keeps is
+    /// the compiler's choice), except in [`Class::Oracle`]; integers
+    /// compare exactly.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Class {
+        /// The bits of the generic body one lane wide, or of the kernel's
+        /// definition where its entry states one (which the one-lane body
+        /// is then held to as well).
+        OneLane,
+        /// [`Class::OneLane`] on NaN-free inputs. A NaN input meets the
+        /// fastmath clamp, which the one-lane body keeps like `f32::clamp`
+        /// and the vector arms map to the lower bound (`maxps`), so on such
+        /// a case the vector arms are held to each other.
+        OneLaneFinite,
+        /// Exactly the scalar loop's integers or bits: the int8 kernels.
+        Exact,
+        /// Within 1e-5 of the scalar oracle, relative to the largest
+        /// finite output (at least 1): the row reductions, swept on finite
+        /// moderate values because a non-finite row has no tolerance.
+        Oracle,
+        /// The bits of the row composition on the AVX2 backend:
+        /// [`attention_tile`].
+        RowComposition,
+    }
+
+    /// The test that sweeps an entry: one kernel family each.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum View {
+        Transcendental,
+        Accumulate,
+        LaneEngine,
+        Gemm,
+        Rows,
+        Attention,
+        Q8Quantize,
+        Q8Gemm,
+        Q8Dequant,
+    }
+
+    /// `run(arm)` runs one case on `arm` and returns its output, `None`
+    /// where the entry point has no such arm.
+    type Run<'a> = &'a dyn Fn(Arm) -> Option<Out>;
+    /// Receives each case of an entry: its description, whether an input
+    /// holds NaN, and its runner.
+    type Case<'a> = &'a mut dyn FnMut(&str, bool, Run);
+
+    struct Entry {
+        name: &'static str,
+        class: Class,
+        view: View,
+        cases: fn(Case),
+    }
+
+    /// Runs every entry of `view` on every arm this CPU has and holds each
+    /// case's arms to its reference: the first arm of [`ARMS`] that runs
+    /// the case — with NaN in a [`Class::OneLaneFinite`] case, the first
+    /// vector arm.
+    fn sweep(view: View) {
         let _g = guard();
-        if !default_backend().is_simd() {
-            return;
+        for arm in ARMS.into_iter().filter(|a| !a.runs()) {
+            eprintln!("this CPU has no {arm:?} arm: it is skipped");
         }
-        for n in [3usize, 8, 17, 256] {
-            let a = data(n, 3);
-            let b = data(n, 4);
-            let mut d1 = data(n, 5);
-            let mut d2 = d1.clone();
-            with_backend(default_backend(), || {
-                add_acc(&mut d1, &a);
-                axpy_acc(&mut d1, 0.37, &b);
-                mul_acc(&mut d1, &a, &b);
-                gelu_grad_acc(&mut d1, &a, &b);
+        for entry in TABLE.iter().filter(|e| e.view == view) {
+            let (mut cases, mut compared) = (0, [0usize; ARMS.len()]);
+            (entry.cases)(&mut |what, nan, run| {
+                cases += 1;
+                let vector_only = nan && entry.class == Class::OneLaneFinite;
+                let mut arms = ARMS
+                    .into_iter()
+                    .filter(|a| a.runs() && (!vector_only || matches!(a, Arm::F32x8 | Arm::F32x16)))
+                    .filter_map(|a| run(a).map(|out| (a, out)));
+                let Some((reference, want)) = arms.next() else { return };
+                for (arm, got) in arms {
+                    let what = format!("{} {what}: {arm:?} vs {reference:?}", entry.name);
+                    entry.class.compare(&what, &got, &want);
+                    compared[arm as usize] += 1;
+                }
             });
-            with_backend(Backend::Scalar, || {
-                add_acc(&mut d2, &a);
-                axpy_acc(&mut d2, 0.37, &b);
-                mul_acc(&mut d2, &a, &b);
-                gelu_grad_acc(&mut d2, &a, &b);
-            });
-            assert_eq!(d1, d2, "accumulate kernels diverged at n={n}");
+            let compared: Vec<String> = ARMS
+                .into_iter()
+                .zip(compared)
+                .filter(|&(_, n)| n > 0)
+                .map(|(arm, n)| format!("{arm:?} ×{n}"))
+                .collect();
+            eprintln!(
+                "{}: {cases} cases, arms held to the reference: {}",
+                entry.name,
+                compared.join(", ")
+            );
         }
     }
 
-    fn q8_data(n: usize, salt: i32) -> Vec<i8> {
-        (0..n).map(|i| (((i as i32 * 41 + salt * 17) % 255) - 127) as i8).collect()
-    }
-
-    #[test]
-    fn q8_quantize_matches_scalar_bitwise() {
-        let _g = guard();
-        if !default_backend().is_simd() {
-            return;
-        }
-        for n in [1usize, 7, 8, 9, 31, 64, 100] {
-            let x = data(n, 6);
-            let mut simd = vec![0i8; n];
-            let mut scalar = vec![0i8; n];
-            with_backend(default_backend(), || q8_quantize_slice(&x, 37.5, &mut simd));
-            with_backend(Backend::Scalar, || q8_quantize_slice(&x, 37.5, &mut scalar));
-            assert_eq!(simd, scalar, "q8 quantize diverged at n={n}");
-            assert!(scalar.iter().all(|&q| q > i8::MIN), "q8 quantize produced -128");
-        }
-    }
-
-    #[test]
-    fn q8_gemm_matches_scalar_bitwise() {
-        let _g = guard();
-        if !default_backend().is_simd() {
-            return;
-        }
-        for (m, n, k) in [(1usize, 1usize, 1usize), (3, 5, 7), (4, 4, 32), (5, 9, 33), (7, 3, 100)]
-        {
-            let a = q8_data(m * k, 1);
-            let bt = q8_data(n * k, 2);
-            let mut simd = vec![0i32; m * n];
-            let mut scalar = vec![0i32; m * n];
-            with_backend(default_backend(), || q8_gemm_i32(&a, &bt, k, n, &mut simd));
-            with_backend(Backend::Scalar, || q8_gemm_i32(&a, &bt, k, n, &mut scalar));
-            assert_eq!(simd, scalar, "q8 gemm diverged at m={m} n={n} k={k}");
-        }
-    }
-
-    #[test]
-    fn q8_dequant_epilogues_match_scalar_bitwise() {
-        let _g = guard();
-        if !default_backend().is_simd() {
-            return;
-        }
-        for n in [1usize, 5, 8, 13, 64] {
-            let rows = 3;
-            let acc: Vec<i32> =
-                (0..rows * n).map(|i| (i as i32 * 7919 % 40_000) - 20_000).collect();
-            let scale = data(n, 8);
-            let bias = data(n, 9);
-            for gelu in [false, true] {
-                let mut simd = vec![0.0f32; rows * n];
-                let mut scalar = vec![0.0f32; rows * n];
-                let run = |out: &mut [f32]| {
-                    if gelu {
-                        q8_dequant_bias_gelu_rows(&acc, &scale, &bias, out);
-                    } else {
-                        q8_dequant_bias_rows(&acc, &scale, &bias, out);
+    impl Class {
+        fn compare(self, what: &str, got: &Out, want: &Out) {
+            match (got, want) {
+                (Out::Int(g), Out::Int(w)) => {
+                    assert_eq!(g.len(), w.len(), "{what}: lengths differ");
+                    if let Some(e) = g.iter().zip(w).position(|(g, w)| g != w) {
+                        panic!("{what}: element {e} differs: {} vs {}", g[e], w[e]);
                     }
-                };
-                with_backend(default_backend(), || run(&mut simd));
-                with_backend(Backend::Scalar, || run(&mut scalar));
-                assert_eq!(simd, scalar, "q8 dequant (gelu={gelu}) diverged at n={n}");
+                }
+                (Out::F32(g), Out::F32(w)) => {
+                    assert_eq!(g.len(), w.len(), "{what}: lengths differ");
+                    let scale =
+                        w.iter().filter(|x| x.is_finite()).fold(1.0f32, |m, x| m.max(x.abs()));
+                    let near =
+                        |g: f32, w: f32| self == Class::Oracle && (g - w).abs() <= 1e-5 * scale;
+                    let same = |g: f32, w: f32| {
+                        g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()) || near(g, w)
+                    };
+                    if let Some(e) = g.iter().zip(w).position(|(&g, &w)| !same(g, w)) {
+                        panic!("{what}: element {e} differs: {:e} vs {:e}", g[e], w[e]);
+                    }
+                }
+                _ => panic!("{what}: the arms return different kinds of output"),
             }
         }
     }
 
-    type BandKernel = unsafe fn(&[f32], usize, &[f32], usize, usize, &mut [f32]);
-
-    /// The vector instantiations of the GEMM band this CPU can run.
-    fn gemm_arms() -> Vec<(&'static str, BandKernel)> {
-        let mut arms: Vec<(&'static str, BandKernel)> = Vec::new();
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-            {
-                arms.push(("f32x8", x86::f32x8::matmul_band));
+    /// `true` once `kernels::$name` has run on `$arm`'s width — `F32x1`, or
+    /// the `f32x8` / `f32x16` instantiation — and `false` for any other arm.
+    macro_rules! lanes {
+        ($arm:expr, $name:ident($($arg:expr),* $(,)?)) => {
+            // SAFETY: the harness runs only arms whose target features this
+            // CPU has, and every case passes its kernel's shapes.
+            match $arm {
+                Arm::F32x1 => {
+                    unsafe { kernels::$name::<F32x1>($($arg),*) };
+                    true
+                }
+                #[cfg(target_arch = "x86_64")]
+                Arm::F32x8 => {
+                    unsafe { x86::f32x8::$name($($arg),*) };
+                    true
+                }
+                #[cfg(target_arch = "x86_64")]
+                Arm::F32x16 => {
+                    unsafe { x86::f32x16::$name($($arg),*) };
+                    true
+                }
+                _ => false,
             }
-            if x86::wide() {
-                arms.push(("f32x16", x86::f32x16::matmul_band));
-            } else {
-                eprintln!("no avx512f: the f32x16 GEMM arm is skipped");
-            }
-        }
-        #[cfg(target_arch = "aarch64")]
-        arms.push(("f32x4", neon::matmul_band));
-        arms
+        };
     }
 
-    /// The GEMM band's value, element by element — the contract every arm
-    /// matches bit for bit: start from `dst`, ascending `p`, ±0.0 lhs terms
-    /// skipped, one `f32::mul_add` per term on the first `n − n % 16`
-    /// columns, `+= a · b` on the rest.
+    /// `true` once `$name` has run on `$arm` — on [`Arm::Oracle`] the
+    /// public entry point on the scalar backend, on [`Arm::F32x8`] the AVX2
+    /// kernel `x86::$name` — and `false` for any other arm.
+    macro_rules! scalar_or_avx2 {
+        ($arm:expr, $name:ident($($arg:expr),* $(,)?)) => {
+            match $arm {
+                Arm::Oracle => {
+                    with_backend(Backend::Scalar, || $name($($arg),*));
+                    true
+                }
+                // SAFETY: the harness runs the arm only where AVX2 and FMA
+                // are detected, and every case passes its kernel's shapes.
+                #[cfg(target_arch = "x86_64")]
+                Arm::F32x8 => {
+                    unsafe { x86::$name($($arg),*) };
+                    true
+                }
+                _ => false,
+            }
+        };
+    }
+
+    // -- adversarial values and shapes ----------------------------------------
+
+    /// Values every arm must treat alike: signed zeros, subnormals, the
+    /// clamp edges of the fastmath kernels (±87/88 for `exp`, ±9 for
+    /// `tanh`), then the extremes and infinities, then NaN payloads (quiet
+    /// of either sign, x86's default, a signalling pattern).
+    const SPECIALS: [f32; 18] = [
+        0.0,
+        -0.0,
+        1.0e-41,
+        -3.0e-39,
+        87.0,
+        -87.0,
+        88.0,
+        -88.0,
+        9.0,
+        -9.0,
+        f32::MAX,
+        f32::MIN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        f32::from_bits(0xFFC0_0000),
+        f32::from_bits(0x7FA0_0001),
+        f32::from_bits(0xFFFF_FFFF),
+    ];
+    /// The finite moderate [`SPECIALS`], and those without NaN.
+    const MODERATE: &[f32] = SPECIALS.split_at(10).0;
+    const NO_NAN: &[f32] = SPECIALS.split_at(14).0;
+
+    /// [`SPECIALS`] with NaN or [`NO_NAN`].
+    fn specials(nan: bool) -> &'static [f32] {
+        if nan {
+            &SPECIALS
+        } else {
+            NO_NAN
+        }
+    }
+
+    /// `n` values from an LCG in `[-4, 4)`, every `every`-th one replaced by
+    /// one of `specials`.
+    fn values(n: usize, salt: u64, every: usize, specials: &[f32]) -> Vec<f32> {
+        let mut s = salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..n)
+            .map(|i| {
+                s = s
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                if i % every == every - 1 {
+                    specials[(i / every + salt as usize) % specials.len()]
+                } else {
+                    ((s >> 40) as f32 / (1u64 << 24) as f32) * 8.0 - 4.0
+                }
+            })
+            .collect()
+    }
+
+    /// Slice lengths on both sides of every vector width and past 512.
+    fn lengths() -> impl Iterator<Item = usize> {
+        (1..=40).chain(511..=513)
+    }
+
+    /// An element-wise kernel on one arm: `variant`, the inputs `a` and `b`
+    /// and the output (or accumulator) `d`, all one length.
+    type SliceKernel = fn(Arm, usize, &[f32], &[f32], &mut [f32]) -> bool;
+
+    /// Every length at offsets 0–3, on mixed values and on nothing but
+    /// special values, each with and without NaN, for each of `variants`.
+    /// The output is the whole destination buffer, so a write past the
+    /// slice shows.
+    fn slice_cases(case: Case, variants: usize, kernel: SliceKernel) {
+        for n in lengths() {
+            for off in 0..4 {
+                for (every, nan) in [(3, false), (1, false), (3, true), (1, true)] {
+                    let salt = (n * 8 + off * 2 + every) as u64;
+                    let a = values(off + n, salt, every, specials(nan));
+                    let b = values(off + n, salt + 1, every + 1, specials(nan));
+                    let d0 = values(off + n + 3, salt + 2, 5, specials(nan));
+                    for variant in 0..variants {
+                        let what = format!("n={n} off={off} every={every} variant={variant}");
+                        case(&what, nan, &|arm| {
+                            let mut d = d0.clone();
+                            let d_n = &mut d[off..off + n];
+                            kernel(arm, variant, &a[off..], &b[off..], d_n).then_some(Out::F32(d))
+                        });
+                    }
+                }
+            }
+        }
+    }
+
+    /// The scalars of `axpy_acc` and `scale_slice`, by variant.
+    const BROADCASTS: [f32; 4] = [0.73, -1.37, -0.0, f32::INFINITY];
+
+    /// The butterfly stage on one vector: stages of 64 pairs at every power
+    /// of two half, whole-vector stages around the vector widths, and
+    /// single-block stages of every half up to 40, at offsets 0–3.
+    fn stage_cases(case: Case) {
+        let shapes = [(64usize, 1usize), (64, 2), (64, 4), (64, 8), (64, 16), (64, 32), (64, 64)]
+            .into_iter()
+            .chain((1..=40).map(|h| (h, h)));
+        for (pairs, half) in shapes {
+            for off in 0..4 {
+                for nan in [false, true] {
+                    let salt = (pairs * 64 + half * 4 + off) as u64;
+                    let w: Vec<Vec<f32>> =
+                        (0..4).map(|s| values(pairs, salt + s, 29, specials(nan))).collect();
+                    let x0 = values(off + 2 * pairs, salt + 4, 7, specials(nan));
+                    let what = format!("pairs={pairs} half={half} off={off}");
+                    case(&what, nan, &|arm| {
+                        let mut x = x0.clone();
+                        let [w1, w2, w3, w4] = [&w[0], &w[1], &w[2], &w[3]];
+                        lanes!(arm, butterfly_stage_in_place(half, w1, w2, w3, w4, &mut x[off..]))
+                            .then_some(Out::F32(x))
+                    });
+                }
+            }
+        }
+    }
+
+    /// Tile widths of the lane engine: one lane, below and between the
+    /// vector widths, and the 16-lane arm's multiples of 16.
+    const WIDTHS: [usize; 7] = [1, 3, 8, 16, 24, 32, 48];
+    /// Butterfly stages `(pairs, half)` of the lane engine.
+    const ENGINE_STAGES: [(usize, usize); 6] = [(1, 1), (4, 1), (4, 2), (4, 4), (16, 4), (64, 16)];
+
+    /// Calls `f(width, off, data)` for every engine width, offsets 0 and 3,
+    /// with and without NaN; `data(rows, salt)` is an `[rows][width]`
+    /// buffer at offset `off` with a special value every 61 elements, so
+    /// most columns stay finite through every stage.
+    fn engine_shapes(mut f: impl FnMut(usize, usize, bool, &dyn Fn(usize, u64) -> Vec<f32>)) {
+        for width in WIDTHS {
+            for off in [0, 3] {
+                for nan in [false, true] {
+                    let data = |rows, salt| values(off + rows * width, salt, 61, specials(nan));
+                    f(width, off, nan, &data);
+                }
+            }
+        }
+    }
+
+    /// A butterfly stage of the lane engine, forward or (`backward`) its
+    /// gradient; the backward's output is the gradient and then the
+    /// accumulators.
+    fn engine_stage_cases(case: Case, backward: bool) {
+        engine_shapes(|width, off, nan, data| {
+            for (pairs, half) in ENGINE_STAGES {
+                let n = 2 * pairs;
+                let salt = (width * 100 + pairs * 10 + half) as u64;
+                let w: Vec<Vec<f32>> =
+                    (0..4).map(|s| values(pairs, salt + s, 13, specials(nan))).collect();
+                let (x0, grad0, acc0) =
+                    (data(n, salt + 4), data(n, salt + 5), data(2 * n, salt + 6));
+                let what = format!("width={width} pairs={pairs} half={half} off={off}");
+                case(&what, nan, &|arm| {
+                    let [w1, w2, w3, w4] = [&w[0], &w[1], &w[2], &w[3]];
+                    let (mut x, mut acc) = (x0.clone(), acc0.clone());
+                    if !backward {
+                        let ran = lanes!(
+                            arm,
+                            butterfly_stage_lanes(half, w1, w2, w3, w4, &mut x[off..], width)
+                        );
+                        return ran.then_some(Out::F32(x));
+                    }
+                    let mut grad = grad0.clone();
+                    let (input, grad_n, acc_n) = (&x[off..], &mut grad[off..], &mut acc[off..]);
+                    let ran = lanes!(
+                        arm,
+                        butterfly_stage_backward_lanes(
+                            half, w1, w2, w3, w4, input, grad_n, acc_n, width
+                        )
+                    );
+                    grad.extend(acc);
+                    ran.then_some(Out::F32(grad))
+                });
+            }
+        });
+    }
+
+    /// Stage-major twiddles of a `2m`-point transform: the stage with
+    /// half-size `h` at `h − 1 ..`; the last stage is the real split's.
+    fn twiddles(m: usize) -> (Vec<f32>, Vec<f32>) {
+        let (mut re, mut im) = (Vec::new(), Vec::new());
+        for h in (0..).map(|s| 1usize << s).take_while(|&h| h < 2 * m) {
+            for j in 0..h {
+                let theta = -std::f32::consts::PI * j as f32 / h as f32;
+                re.push(theta.cos());
+                im.push(theta.sin());
+            }
+        }
+        (re, im)
+    }
+
+    /// The FFT kernels on `m + 1` rows: `split` runs the real split over
+    /// all of them, else the stages over the first `m`.
+    fn fft_cases(case: Case, split: bool) {
+        engine_shapes(|width, off, nan, data| {
+            for m in [1usize, 2, 4, 16, 64] {
+                let (tw_re, tw_im) = twiddles(m);
+                let salt = (width * 100 + m) as u64;
+                let (re0, im0) = (data(m + 1, salt), data(m + 1, salt + 1));
+                let what = format!("width={width} m={m} off={off}");
+                case(&what, nan, &|arm| {
+                    let (mut re, mut im) = (re0.clone(), im0.clone());
+                    let (r, i) = (&mut re[off..], &mut im[off..]);
+                    let ran = if split {
+                        let (tr, ti) = (&tw_re[m - 1..], &tw_im[m - 1..]);
+                        lanes!(arm, fft_real_split_lanes(tr, ti, r, i, width))
+                    } else {
+                        let (r, i) = (&mut r[..m * width], &mut i[..m * width]);
+                        lanes!(arm, fft_stages_lanes(&tw_re, &tw_im, r, i, width))
+                    };
+                    re.extend(im);
+                    ran.then_some(Out::F32(re))
+                });
+            }
+        });
+    }
+
+    /// What the transposes leave in an element they do not write.
+    const SENTINEL: f32 = 7.0;
+
+    /// Calls `f(width, rows, cols, off, nan)` for the transpose shapes:
+    /// empty, single-row, half, one-short and full tiles; column counts
+    /// around the vector widths and 512.
+    fn transpose_shapes(mut f: impl FnMut(usize, usize, usize, usize, bool)) {
+        for width in [1usize, 3, 8, 16, 32, 48] {
+            let mut rows_set = vec![0, 1, width / 2, width - 1, width];
+            rows_set.dedup();
+            for rows in rows_set {
+                for cols in [4usize, 8, 15, 16, 17, 33, 512] {
+                    for off in [0, 3] {
+                        for nan in [false, true] {
+                            f(width, rows, cols, off, nan);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `rows_to_lanes` against its index definition, with and without a
+    /// bit-reversal permutation.
+    fn rows_to_lanes_cases(case: Case) {
+        transpose_shapes(|width, rows, cols, off, nan| {
+            let stride = cols + 3;
+            let salt = (width * 10_000 + rows * 1000 + cols) as u64;
+            let src = values(off + rows * stride, salt, 3, specials(nan));
+            let src = &src[off..];
+            let span = cols.next_power_of_two();
+            let bitrev: Vec<usize> = (0..span)
+                .map(|i| i.reverse_bits() >> (usize::BITS - span.trailing_zeros()))
+                .collect();
+            for perm in [&[][..], &bitrev[..cols]] {
+                let what = format!(
+                    "width={width} rows={rows} cols={cols} off={off} perm={}",
+                    !perm.is_empty()
+                );
+                case(&what, nan, &|arm| {
+                    let mut tile = vec![SENTINEL; span * width];
+                    if arm == Arm::Oracle {
+                        for c in 0..cols {
+                            let at = if perm.is_empty() { c } else { perm[c] };
+                            for r in 0..width {
+                                tile[at * width + r] =
+                                    if r < rows { src[r * stride + c] } else { 0.0 };
+                            }
+                        }
+                        return Some(Out::F32(tile));
+                    }
+                    lanes!(arm, rows_to_lanes(src, stride, rows, cols, perm, &mut tile, width))
+                        .then_some(Out::F32(tile))
+                });
+            }
+        });
+    }
+
+    /// `lanes_to_rows` against its definition, with no bias, a bias, and a
+    /// bias and GELU.
+    fn lanes_to_rows_cases(case: Case) {
+        transpose_shapes(|width, rows, cols, off, nan| {
+            let stride = cols + 3;
+            let salt = (width * 10_000 + rows * 1000 + cols) as u64;
+            let tile = values(off + cols * width, salt, 3, specials(nan));
+            let tile = &tile[off..];
+            let bias = values(cols, salt + 1, 4, specials(nan));
+            for (bias, gelu) in [(&[][..], false), (&bias[..], false), (&bias[..], true)] {
+                let what = format!(
+                    "width={width} rows={rows} cols={cols} off={off} bias={} gelu={gelu}",
+                    !bias.is_empty()
+                );
+                case(&what, nan, &|arm| {
+                    let mut out = vec![SENTINEL; rows * stride];
+                    if arm == Arm::Oracle {
+                        for r in 0..rows {
+                            for c in 0..cols {
+                                let y = tile[c * width + r];
+                                let y = if bias.is_empty() { y } else { y + bias[c] };
+                                out[r * stride + c] = if gelu { gelu_fast(y) } else { y };
+                            }
+                        }
+                        return Some(Out::F32(out));
+                    }
+                    lanes!(
+                        arm,
+                        lanes_to_rows(tile, width, rows, cols, bias, gelu, &mut out, stride)
+                    )
+                    .then_some(Out::F32(out))
+                });
+            }
+        });
+    }
+
+    /// The GEMM band's value, element by element: from `dst`, ascending
+    /// `p`, ±0.0 lhs terms skipped, one `f32::mul_add` per term on the
+    /// first `n − n % 16` columns, `+= a · b` on the rest.
     fn matmul_band_contract(
         lhs: &[f32],
         k: usize,
@@ -4694,14 +4648,17 @@ mod tests {
         }
     }
 
-    type BandOperands = (Vec<f32>, Vec<f32>, Vec<f32>, usize);
-
     /// Operands of one band case: `(lhs, rhs, dst, i0)`. `case % 4` picks
     /// the lhs zeros — none, one (in any row), one per row, all (±0.0
     /// alternating) — and odd cases add a NaN lhs term and a ±inf rhs row at
     /// the depth of the first zero, which only a skip keeps out of the sum.
     /// `dst` starts nonzero, with a −0.0 every seventh element.
-    fn band_case(rows: usize, k: usize, n: usize, case: usize) -> BandOperands {
+    fn band_case(
+        rows: usize,
+        k: usize,
+        n: usize,
+        case: usize,
+    ) -> (Vec<f32>, Vec<f32>, Vec<f32>, usize) {
         let mut s = (case as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let mut next = || {
             s = s.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
@@ -4733,312 +4690,67 @@ mod tests {
         (lhs, rhs, dst, i0)
     }
 
-    #[test]
-    fn matmul_band_arms_match_the_contract_bitwise() {
-        assert_eq!(kernels::FMA_COLS, 16, "the FMA/mul-add boundary is part of the value");
-        let arms = gemm_arms();
-        let rows_set = [1usize, 2, 3, 7, 8, 9, 15, 16, 17, 64];
-        let depths = [1usize, 31, 127, 128, 129, 300];
+    /// Row counts around the 8-, 4-, 2- and 1-row tiles, depths around the
+    /// 128-deep blocks, widths 1…40 and 48, and 511–1100 on a thinned grid.
+    fn matmul_band_cases(case: Case) {
         let widths: Vec<usize> = (1..=40).chain([48, 511, 512, 513, 1024, 1100]).collect();
-        let mut case = 0;
-        for &rows in &rows_set {
-            for &k in &depths {
+        let mut id = 0;
+        for rows in [1usize, 2, 3, 7, 8, 9, 15, 16, 17, 64] {
+            for k in [1usize, 31, 127, 128, 129, 300] {
                 for &n in &widths {
-                    // Wide rows on a thinned grid: the panel edges are
-                    // what they add, not more row groups.
+                    // Wide rows on a thinned grid: the panel edges are what
+                    // they add, not more row groups.
                     if n > 48 && (rows * k > 17 * 129 || rows == 2 || k == 127) {
                         continue;
                     }
-                    case += 1;
-                    let (lhs, rhs, dst0, i0) = band_case(rows, k, n, case);
-                    let mut want = dst0.clone();
-                    matmul_band_contract(&lhs, k, &rhs, n, i0, &mut want);
-                    for &(name, kernel) in &arms {
-                        let mut got = dst0.clone();
-                        // SAFETY: `gemm_arms` lists only arms this CPU
-                        // runs; `lhs` holds rows `i0..i0 + rows`, `rhs` is
-                        // `[k, n]`.
-                        unsafe { kernel(&lhs, k, &rhs, n, i0, &mut got) };
-                        let diff =
-                            got.iter().zip(&want).position(|(g, w)| g.to_bits() != w.to_bits());
-                        if let Some(e) = diff {
-                            panic!(
-                                "{name} {rows}x{k}x{n} (case {case}) differs at ({}, {}): {} vs {}",
-                                e / n,
-                                e % n,
-                                got[e],
-                                want[e]
-                            );
+                    id += 1;
+                    let (lhs, rhs, dst0, i0) = band_case(rows, k, n, id);
+                    let what = format!("{rows}x{k}x{n} (case {id})");
+                    case(&what, id % 2 == 1, &|arm| {
+                        let mut dst = dst0.clone();
+                        if arm == Arm::Oracle {
+                            matmul_band_contract(&lhs, k, &rhs, n, i0, &mut dst);
+                            return Some(Out::F32(dst));
                         }
-                    }
+                        lanes!(arm, matmul_band(&lhs, k, &rhs, n, i0, &mut dst))
+                            .then_some(Out::F32(dst))
+                    });
                 }
             }
         }
     }
 
-    /// `n` values from an LCG in `[-4, 4)`, every `every`-th one replaced by
-    /// a value the kernels must treat alike at both widths: signed zeros,
-    /// infinities, NaN, subnormals, the extremes and the clamp edges of the
-    /// fastmath kernels (±87/88 for `exp`, ±9 for `tanh`). The NaN is the
-    /// one x86 arithmetic generates itself (`0xFFC0_0000`), so every NaN a
-    /// kernel can produce has the same bits: which operand's payload an add
-    /// keeps is the compiler's choice, and the bits compared here must not
-    /// depend on it.
-    #[cfg(target_arch = "x86_64")]
-    fn lane_data(n: usize, salt: u64, every: usize) -> Vec<f32> {
-        const SPECIALS: [f32; 15] = [
-            0.0,
-            -0.0,
-            f32::INFINITY,
-            f32::NEG_INFINITY,
-            f32::from_bits(0xFFC0_0000),
-            1.0e-41,
-            -3.0e-39,
-            87.0,
-            -87.0,
-            88.0,
-            -88.0,
-            9.0,
-            -9.0,
-            f32::MAX,
-            f32::MIN,
-        ];
-        let mut s = salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        (0..n)
-            .map(|i| {
-                s = s
-                    .wrapping_mul(6_364_136_223_846_793_005)
-                    .wrapping_add(1_442_695_040_888_963_407);
-                if i % every == every - 1 {
-                    SPECIALS[(i / every + salt as usize) % SPECIALS.len()]
-                } else {
-                    ((s >> 40) as f32 / (1u64 << 24) as f32) * 8.0 - 4.0
-                }
-            })
-            .collect()
-    }
+    /// A row kernel on one arm: `row`, a second row `b` (the residual of
+    /// the fused layer norm), `gamma`, `beta` and the output.
+    type RowKernel = fn(Arm, &[f32], &[f32], &[f32], &[f32], &mut [f32]) -> bool;
 
-    /// Panics at the first element whose bits differ between `a` and `b`.
-    #[cfg(target_arch = "x86_64")]
-    fn same_bits(what: &str, a: &[f32], b: &[f32]) {
-        assert_eq!(a.len(), b.len(), "{what}: lengths differ");
-        if let Some(e) = a.iter().zip(b).position(|(x, y)| x.to_bits() != y.to_bits()) {
-            panic!("{what}: element {e} differs: {} vs {}", a[e], b[e]);
-        }
-    }
-
-    /// Every kernel whose lanes never meet, run through its `f32x8` and its
-    /// `f32x16` instantiation on the same inputs: the outputs must have the
-    /// same bits, NaN lanes included. The 16-lane arm is what an AVX-512
-    /// host runs and `FAB_SIMD` has no value that forces the 8-lane one
-    /// there, so on such a host this test is the 8-lane arm's only check.
-    /// The transposes are also held to their index definition.
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn lane_wise_kernels_give_the_same_bits_at_8_and_16_lanes() {
-        let x86_ok = std::arch::is_x86_feature_detected!("avx2")
-            && std::arch::is_x86_feature_detected!("fma");
-        if !(x86_ok && x86::wide()) {
-            eprintln!("no avx512f: the f32x16 lane-wise arm is skipped");
-            return;
-        }
-        // `both!(|k| body)` evaluates `body` with `k` naming each arm's
-        // kernel module in turn, and returns the two results.
-        macro_rules! both {
-            (|$k:ident| $body:expr) => {{
-                // SAFETY: avx2, fma and avx512f are detected above; each
-                // call site passes its kernel's documented shapes.
-                let narrow = unsafe {
-                    use x86::f32x8 as $k;
-                    $body
-                };
-                let wide = unsafe {
-                    use x86::f32x16 as $k;
-                    $body
-                };
-                (narrow, wide)
-            }};
-        }
-
-        // Element-wise slices: every tail length against 16 and 8, on mixed
-        // inputs and on nothing but special values (NaN every 15 positions,
-        // so some NaN falls where only one width runs the scalar tail).
-        for (n, every) in (1..=40).chain(511..=513).flat_map(|n| [(n, 3), (n, 1)]) {
-            let (x, g) = (lane_data(n, 1, every), lane_data(n, 2, every + 1));
-            let acc0 = lane_data(n, 3, 5);
-            let (a, b) = both!(|k| {
-                let mut out = Vec::new();
-                for f in [k::exp_slice, k::tanh_slice, k::gelu_slice] {
-                    let mut y = vec![0.0f32; n];
-                    f(&x, &mut y);
-                    out.extend(y);
-                }
-                for op in [BinOp::Add, BinOp::Sub, BinOp::Mul] {
-                    let mut y = vec![0.0f32; n];
-                    k::binary_slice(op, &x, &g, &mut y);
-                    out.extend(y);
-                }
-                let mut y = vec![0.0f32; n];
-                k::scale_slice(&x, -1.37, &mut y);
-                out.extend(y);
-                let mut acc = acc0.clone();
-                k::gelu_grad_acc(&mut acc, &g, &x);
-                out.extend_from_slice(&acc);
-                let mut acc = acc0.clone();
-                k::add_acc(&mut acc, &x);
-                k::axpy_acc(&mut acc, 0.73, &g);
-                k::mul_acc(&mut acc, &g, &x);
-                out.extend(acc);
-                out
-            });
-            same_bits(&format!("element-wise slices, n={n} every={every}"), &a, &b);
-        }
-
-        // The per-vector butterfly stage, halves below, at and above 16.
-        for (pairs, half) in [(64usize, 1usize), (64, 2), (64, 4), (64, 8), (64, 16), (64, 32)]
-            .into_iter()
-            .chain([(64, 64), (24, 24), (40, 40), (8, 8)])
-        {
-            let w: Vec<Vec<f32>> = (0..4).map(|s| lane_data(pairs, 10 + s, 29)).collect();
-            let x0 = lane_data(2 * pairs, 14, 7);
-            let (a, b) = both!(|k| {
-                let mut x = x0.clone();
-                k::butterfly_stage_in_place(half, &w[0], &w[1], &w[2], &w[3], &mut x);
-                x
-            });
-            same_bits(&format!("butterfly_stage_in_place pairs={pairs} half={half}"), &a, &b);
-        }
-
-        // The lane engine: specials in a few columns only, so the other
-        // columns stay finite through every stage.
-        let engine_data = |rows: usize, width: usize, salt: u64| {
-            let mut v = lane_data(rows * width, salt, usize::MAX);
-            let specials = lane_data(15, salt, 1);
-            for (s, &value) in specials.iter().enumerate() {
-                v[(s * 7 % rows) * width + s % 3] = value;
-            }
-            v
-        };
-        for width in [16usize, 32, 48] {
-            for (pairs, half) in [(1usize, 1usize), (4, 1), (4, 2), (4, 4), (16, 4), (64, 16)] {
-                let n = 2 * pairs;
-                let w: Vec<Vec<f32>> =
-                    (0..4).map(|s| lane_data(pairs, 20 + s, usize::MAX)).collect();
-                let x0 = engine_data(n, width, 24);
-                let (a, b) = both!(|k| {
-                    let mut x = x0.clone();
-                    k::butterfly_stage_lanes(half, &w[0], &w[1], &w[2], &w[3], &mut x, width);
-                    x
-                });
-                same_bits(&format!("butterfly_stage_lanes width={width} half={half}"), &a, &b);
-                let grad0 = engine_data(n, width, 25);
-                let acc0 = engine_data(2 * n, width, 26);
-                let (a, b) = both!(|k| {
-                    let (mut grad, mut acc) = (grad0.clone(), acc0.clone());
-                    k::butterfly_stage_backward_lanes(
-                        half, &w[0], &w[1], &w[2], &w[3], &x0, &mut grad, &mut acc, width,
-                    );
-                    grad.extend(acc);
-                    grad
-                });
-                same_bits(
-                    &format!("butterfly_stage_backward_lanes width={width} half={half}"),
-                    &a,
-                    &b,
-                );
-            }
-            for m in [1usize, 2, 4, 16, 64] {
-                let (mut tw_re, mut tw_im) = (Vec::new(), Vec::new());
-                for h in (0..).map(|s| 1usize << s).take_while(|&h| h < 2 * m) {
-                    for j in 0..h {
-                        let theta = -std::f32::consts::PI * j as f32 / h as f32;
-                        tw_re.push(theta.cos());
-                        tw_im.push(theta.sin());
-                    }
-                }
-                let (re0, im0) = (engine_data(m + 1, width, 30), engine_data(m + 1, width, 31));
-                let (a, b) = both!(|k| {
-                    let (mut re, mut im) = (re0.clone(), im0.clone());
-                    k::fft_stages_lanes(
-                        &tw_re,
-                        &tw_im,
-                        &mut re[..m * width],
-                        &mut im[..m * width],
-                        width,
-                    );
-                    k::fft_real_split_lanes(
-                        &tw_re[m - 1..],
-                        &tw_im[m - 1..],
-                        &mut re,
-                        &mut im,
-                        width,
-                    );
-                    re.extend(im);
-                    re
-                });
-                same_bits(&format!("fft lanes width={width} m={m}"), &a, &b);
-            }
-        }
-
-        // The transposes, with and without a bit-reversal permutation, bias
-        // and GELU. `dst` starts at a sentinel: rows no column maps to stay.
-        const SENTINEL: f32 = 7.0;
-        for width in [16usize, 32, 48] {
-            for rows in [0usize, 1, 15, 16] {
-                for cols in [4usize, 8, 15, 16, 17, 33, 512] {
-                    let stride = cols + 3;
-                    let src = lane_data(rows * stride, (rows * 1000 + cols) as u64, 3);
-                    let span = cols.next_power_of_two();
-                    let bitrev: Vec<usize> = (0..span)
-                        .map(|i| i.reverse_bits() >> (usize::BITS - span.trailing_zeros()))
+    /// Every length at offsets 0–3, on moderate values and on values spread
+    /// far past the `exp` clamp.
+    fn row_cases(case: Case, kernel: RowKernel) {
+        for n in lengths() {
+            for off in 0..4 {
+                for spread in [1.0f32, 30.0] {
+                    let salt = (n * 4 + off) as u64;
+                    let rows: Vec<Vec<f32>> = (0..4)
+                        .map(|s| {
+                            values(off + n, salt + s, 7, MODERATE)
+                                .iter()
+                                .map(|x| x * spread)
+                                .collect()
+                        })
                         .collect();
-                    for perm in [&[][..], &bitrev[..cols]] {
-                        let what = format!(
-                            "rows_to_lanes width={width} rows={rows} cols={cols} perm={}",
-                            !perm.is_empty()
-                        );
-                        let (a, b) = both!(|k| {
-                            let mut tile = vec![SENTINEL; span * width];
-                            k::rows_to_lanes(&src, stride, rows, cols, perm, &mut tile, width);
-                            tile
-                        });
-                        same_bits(&what, &a, &b);
-                        let mut want = vec![SENTINEL; span * width];
-                        for c in 0..cols {
-                            let at = if perm.is_empty() { c } else { perm[c] };
-                            for r in 0..width {
-                                want[at * width + r] =
-                                    if r < rows { src[r * stride + c] } else { 0.0 };
-                            }
-                        }
-                        same_bits(&format!("{what}, f32x16 vs the definition"), &b, &want);
-                    }
-                    let tile = lane_data(cols * width, (rows + cols) as u64, 3);
-                    let bias = lane_data(cols, cols as u64, 4);
-                    for (bias, gelu) in [(&[][..], false), (&bias[..], false), (&bias[..], true)] {
-                        let (a, b) = both!(|k| {
-                            let mut out = vec![SENTINEL; rows * stride];
-                            k::lanes_to_rows(
-                                &tile, width, rows, cols, bias, gelu, &mut out, stride,
-                            );
-                            out
-                        });
-                        same_bits(
-                            &format!(
-                                "lanes_to_rows width={width} rows={rows} cols={cols} bias={} gelu={gelu}",
-                                !bias.is_empty()
-                            ),
-                            &a,
-                            &b,
-                        );
-                    }
+                    let what = format!("n={n} off={off} spread={spread}");
+                    case(&what, false, &|arm| {
+                        let mut out = vec![SENTINEL; off + n + 3];
+                        let [a, b, g, beta] =
+                            [&rows[0], &rows[1], &rows[2], &rows[3]].map(|r| &r[off..]);
+                        let ran = kernel(arm, a, b, g, beta, &mut out[off..off + n]);
+                        ran.then_some(Out::F32(out))
+                    });
                 }
             }
         }
     }
-
-    type TileKernel =
-        unsafe fn(&[f32], &[f32], &[f32], usize, usize, usize, Option<f32>, &mut [f32], &mut [f32]);
 
     /// Operands of one attention tile case, `(q, k, v)`: `rows` query and
     /// `len` key rows `head_dim + 3` wide, the head at column 2. Values are
@@ -5046,10 +4758,9 @@ mod tests {
     /// `[0.05, 0.5, 2, 8][r % 4]`, so some rows' scores spread far past the
     /// −87 clamp of `exp` and others not. The query is ±0.0 in the head's
     /// first column in two rows of three and in its last column in one row
-    /// of five. K holds a NaN (x86's own, `0xFFC0_0000`) at keys `len / 4`
-    /// and `len − 1`, `−inf` at `len / 3` and `+inf` at `len / 2`, each in
-    /// a column some rows skip and others meet.
-    #[cfg(target_arch = "x86_64")]
+    /// of five. K holds a NaN at keys `len / 4` (x86's default) and
+    /// `len − 1` (a positive quiet one), `−inf` at `len / 3` and `+inf` at
+    /// `len / 2`, each in a column some rows skip and others meet.
     fn tile_case(rows: usize, len: usize, head_dim: usize) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
         let dim = head_dim + 3;
         let mut s = (rows * 1_000_003 + len * 1009 + head_dim) as u64 | 1;
@@ -5058,9 +4769,8 @@ mod tests {
             ((s >> 40) as f32 / (1u64 << 24) as f32) * 8.0 - 4.0
         };
         let mut q: Vec<f32> = (0..rows * dim).map(|_| next()).collect();
-        let k: Vec<f32> = (0..len * dim).map(|_| next()).collect();
+        let mut k: Vec<f32> = (0..len * dim).map(|_| next()).collect();
         let v: Vec<f32> = (0..len * dim).map(|_| next()).collect();
-        let mut k = k;
         for (r, row) in q.chunks_mut(dim).enumerate() {
             row.iter_mut().for_each(|x| *x *= [0.05, 0.5, 2.0, 8.0][r % 4]);
             let signed_zero = if r % 2 == 0 { 0.0 } else { -0.0 };
@@ -5071,90 +4781,107 @@ mod tests {
                 row[2 + head_dim - 1] = -signed_zero;
             }
         }
-        let nan = f32::from_bits(0xFFC0_0000);
         for (key, p, x) in [
-            (len / 4, 1 % head_dim, nan),
+            (len / 4, 1 % head_dim, f32::from_bits(0xFFC0_0000)),
             (len / 3, head_dim / 2, f32::NEG_INFINITY),
             (len / 2, head_dim - 1, f32::INFINITY),
-            (len - 1, 0, nan),
+            (len - 1, 0, f32::NAN),
         ] {
             k[key * dim + 2 + p] = x;
         }
         (q, k, v)
     }
 
-    /// Each vector instantiation of the attention tile this CPU runs
-    /// (`f32x8`, and `f32x16` where `avx512f` is present) gives the bits of
-    /// the row composition on the same backend — `matmul_band`,
-    /// `scale_slice`, `softmax_row`, `matmul_band` — with the scratch full
-    /// of NaN and the output's other columns left as they were. The lengths
-    /// straddle the 8-partial and 16-column edges of the keys, the head
-    /// widths the FMA columns of the product with V, and the row counts the
-    /// one- and two-vector tiles. Production on an AVX-512 host runs the
-    /// 16-lane arm, and `FAB_SIMD` has no value that forces the 8-lane one
-    /// there, so this test is the 8-lane tile's only check on such a host.
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn attention_tile_arms_give_the_row_composition_bits() {
-        if !(std::arch::is_x86_feature_detected!("avx2")
-            && std::arch::is_x86_feature_detected!("fma"))
-        {
-            eprintln!("no avx2+fma: the attention tile arms are skipped");
-            return;
-        }
-        let mut arms: Vec<(&str, TileKernel)> = vec![("f32x8", x86::f32x8::attention_tile)];
-        if x86::wide() {
-            arms.push(("f32x16", x86::f32x16::attention_tile));
-        } else {
-            eprintln!("no avx512f: the f32x16 attention tile arm is skipped");
-        }
-        let _g = guard();
-        with_backend(Backend::Avx2, || {
-            for len in [1usize, 7, 8, 9, 15, 16, 17, 31, 32, 33, 127, 128, 129, 1000] {
-                for head_dim in [1usize, 7, 8, 15, 16, 17, 32, 33] {
-                    for rows in [1usize, 15, 16, 17, 31, 32] {
-                        let dim = head_dim + 3;
-                        let (q, k, v) = tile_case(rows, len, head_dim);
-                        let need = (32 * (len + head_dim))
-                            .max(rows * (head_dim + len) + head_dim * len + len);
-                        for scale in [None, Some(1.0 / (head_dim as f32).sqrt())] {
-                            let run = |tile: TileKernel| {
-                                let mut scratch = vec![f32::NAN; need];
-                                let mut out = vec![7.0f32; rows * dim];
-                                // SAFETY: only arms this CPU runs are listed,
-                                // and the scratch holds 32 lanes' worth.
-                                unsafe {
-                                    tile(
-                                        &q,
-                                        &k,
-                                        &v,
-                                        dim,
-                                        2,
-                                        head_dim,
-                                        scale,
-                                        &mut scratch,
-                                        &mut out,
-                                    )
-                                };
-                                out
+    /// Lengths around the 8-partial and 16-key edges, head widths around
+    /// the 16-column FMA blocks, 1–32 rows (one- and two-vector tiles),
+    /// prescaled or not; the scratch full of NaN and the output's other
+    /// columns at a sentinel.
+    fn attention_tile_cases(case: Case) {
+        type TileKernel = unsafe fn(
+            &[f32],
+            &[f32],
+            &[f32],
+            usize,
+            usize,
+            usize,
+            Option<f32>,
+            &mut [f32],
+            &mut [f32],
+        );
+        for len in [1usize, 7, 8, 9, 15, 16, 17, 31, 32, 33, 127, 128, 129, 1000] {
+            for head_dim in [1usize, 7, 8, 15, 16, 17, 32, 33] {
+                for rows in [1usize, 15, 16, 17, 31, 32] {
+                    let dim = head_dim + 3;
+                    let (q, k, v) = tile_case(rows, len, head_dim);
+                    let need =
+                        (32 * (len + head_dim)).max(rows * (head_dim + len) + head_dim * len + len);
+                    for scale in [None, Some(1.0 / (head_dim as f32).sqrt())] {
+                        let what =
+                            format!("len={len} head_dim={head_dim} rows={rows} scale={scale:?}");
+                        case(&what, true, &|arm| {
+                            let tile: TileKernel = match arm {
+                                #[cfg(target_arch = "x86_64")]
+                                Arm::Oracle if Arm::F32x8.runs() => attention_tile_rows,
+                                #[cfg(target_arch = "x86_64")]
+                                Arm::F32x8 => x86::f32x8::attention_tile,
+                                #[cfg(target_arch = "x86_64")]
+                                Arm::F32x16 => x86::f32x16::attention_tile,
+                                _ => return None,
                             };
-                            let want = run(attention_tile_rows);
-                            for &(name, tile) in &arms {
-                                let what = format!(
-                                    "{name} len {len} head_dim {head_dim} rows {rows} scale {scale:?}"
-                                );
-                                same_bits(&what, &run(tile), &want);
-                            }
-                        }
+                            let mut scratch = vec![f32::NAN; need];
+                            let mut out = vec![SENTINEL; rows * dim];
+                            let (s, o) = (&mut scratch, &mut out);
+                            // SAFETY: the harness runs only arms this CPU
+                            // has; the scratch holds 32 lanes' worth. The
+                            // row composition runs on the AVX2 backend,
+                            // whose row kernels the tile replays.
+                            with_backend_avx2(|| unsafe {
+                                tile(&q, &k, &v, dim, 2, head_dim, scale, s, o)
+                            });
+                            Some(Out::F32(out))
+                        });
                     }
                 }
             }
-        });
+        }
+    }
+
+    /// Runs `f` on the AVX2 backend where there is one.
+    fn with_backend_avx2<R>(f: impl FnOnce() -> R) -> R {
+        #[cfg(target_arch = "x86_64")]
+        if Arm::F32x8.runs() {
+            return with_backend(Backend::Avx2, f);
+        }
+        f()
+    }
+
+    /// Quantize inputs: round-to-even ties, the ±127 clamp edges and
+    /// beyond, and the non-NaN specials (NaN is unspecified there).
+    fn q8_quantize_cases(case: Case) {
+        const TIES: [f32; 12] =
+            [0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 126.5, -126.5, 127.5, -127.5, 128.0, -128.0];
+        for n in lengths() {
+            for off in 0..4 {
+                for inv_scale in [1.0f32, 37.5, 101.0] {
+                    let salt = (n * 4 + off) as u64;
+                    let mut src = values(off + n, salt, 3, NO_NAN);
+                    for (i, x) in src.iter_mut().enumerate().skip(off).step_by(4) {
+                        *x = TIES[i % TIES.len()] / inv_scale;
+                    }
+                    let what = format!("n={n} off={off} inv_scale={inv_scale}");
+                    case(&what, false, &|arm| {
+                        let mut dst = vec![99i8; off + n + 3];
+                        let (s, d) = (&src[off..], &mut dst[off..off + n]);
+                        scalar_or_avx2!(arm, q8_quantize_slice(s, inv_scale, d))
+                            .then(|| Out::Int(dst.iter().map(|&q| q as i64).collect()))
+                    });
+                }
+            }
+        }
     }
 
     /// `len` int8 values in `[-127, 127]` from an LCG, every third one a
     /// ±127 corner.
-    #[cfg(target_arch = "x86_64")]
     fn q8_corner_data(len: usize, salt: u64) -> Vec<i8> {
         let mut s = salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         (0..len)
@@ -5171,94 +4898,327 @@ mod tests {
             .collect()
     }
 
-    /// The int8 GEMM's x86 arms on the same inputs — the VNNI arm (where
-    /// the CPU has `avx512vnni`), the AVX2 `maddubs` arm and the scalar
-    /// loop — must give equal i32 outputs, and write nothing outside `out`.
-    /// Inputs sit at misaligned offsets; values include the ±127 corners and
-    /// the wrap edge at `k = 130 000`, where `Σ (a + 128) · w` leaves i32
-    /// and only the non-saturating `vpdpbusd` stays exact. On a VNNI host
-    /// production runs the VNNI arm and `FAB_SIMD` has no value that forces
-    /// `maddubs`, so there this test is the `maddubs` arm's only check.
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn q8_gemm_arms_give_the_same_i32_outputs() {
-        let maddubs = std::arch::is_x86_feature_detected!("avx2");
-        let vnni = x86::vnni();
-        if !vnni {
-            eprintln!("no avx512vnni: the VNNI int8 GEMM arm is skipped");
-        }
-        const SENTINEL: i32 = 0x5EED_5EED;
-        let check = |what: &str, a: &[i8], bt: &[i8], k: usize, n: usize, off: usize| {
+    /// m 1–17/64/65 × k around the 4-byte groups, the 32-byte `maddubs`
+    /// chunks and the VNNI arm's 512-byte staged chunk × n around its 16-
+    /// and 32-column tiles, at offsets 0–3; constant ±127 corners; and the
+    /// wrap edge at `k = 130 000`, where `Σ (a + 128) · w` leaves i32 and
+    /// only the non-saturating `vpdpbusd` stays exact. The output is a
+    /// sentinel buffer around `out`, so a write outside it shows.
+    fn q8_gemm_cases(case: Case) {
+        let gemm = |case: Case, what: &str, a: &[i8], bt: &[i8], k: usize, n: usize, off: usize| {
             let m = a.len() / k;
-            let mut want = vec![0i32; m * n];
-            q8_gemm_scalar(a, bt, k, n, &mut want);
-            let pack = VnniPack::new(bt, k, n);
-            let mut arms: Vec<(&str, Vec<i32>)> = Vec::new();
-            for (name, runs) in [("maddubs", maddubs), ("vnni", vnni)] {
-                if !runs {
-                    continue;
-                }
-                let mut buf = vec![SENTINEL; off + m * n + 17];
+            #[cfg(target_arch = "x86_64")]
+            let pack = Arm::Vnni.runs().then(|| VnniPack::new(bt, k, n));
+            case(what, false, &|arm| {
+                let mut buf = vec![0x5EED_5EEDi32; off + m * n + 17];
                 let out = &mut buf[off..off + m * n];
-                // SAFETY: each arm runs only where its features are
-                // detected; `a` is `[m, k]`, `bt` `[n, k]`, `pack` built
-                // from `bt`.
-                unsafe {
-                    if name == "vnni" {
-                        x86::q8_gemm_vnni(a, &pack, k, n, out);
-                    } else {
-                        x86::q8_gemm_i32(a, bt, k, n, out);
-                    }
+                // SAFETY: the harness runs only arms this CPU has; `a` is
+                // `[m, k]`, `bt` `[n, k]`, and the pack was built from `bt`.
+                match arm {
+                    Arm::Oracle => q8_gemm_scalar(a, bt, k, n, out),
+                    #[cfg(target_arch = "x86_64")]
+                    Arm::Maddubs => unsafe { x86::q8_gemm_i32(a, bt, k, n, out) },
+                    #[cfg(target_arch = "x86_64")]
+                    Arm::Vnni => unsafe { x86::q8_gemm_vnni(a, pack.as_ref()?, k, n, out) },
+                    _ => return None,
                 }
-                arms.push((name, buf));
-            }
-            for (name, buf) in arms {
-                let (head, rest) = buf.split_at(off);
-                let (got, tail) = rest.split_at(m * n);
-                if let Some(e) = got.iter().zip(&want).position(|(g, w)| g != w) {
-                    panic!(
-                        "{name} {what} m={m} k={k} n={n} off={off} differs at ({}, {}): {} vs {}",
-                        e / n,
-                        e % n,
-                        got[e],
-                        want[e]
-                    );
-                }
-                assert!(
-                    head.iter().chain(tail).all(|&v| v == SENTINEL),
-                    "{name} {what} m={m} k={k} n={n} off={off} wrote outside its output"
-                );
-            }
+                Some(Out::Int(buf.iter().map(|&x| x as i64).collect()))
+            });
         };
-
         let ms: Vec<usize> = (1..=17).chain([64, 65]).collect();
-        // 515: past one staged chunk of the VNNI arm, with a `k % 4` tail.
         let ks = [1usize, 2, 3, 4, 5, 31, 63, 64, 65, 128, 512, 515];
         let ns = [1usize, 2, 3, 15, 16, 17, 31, 32, 33, 128, 512];
-        let mut case = 0u64;
+        let mut id = 0u64;
         for &m in &ms {
             for &k in &ks {
                 for &n in &ns {
-                    case += 1;
-                    let off = case as usize % 4;
-                    let a = q8_corner_data(off + m * k, 2 * case);
-                    let bt = q8_corner_data(off + n * k, 2 * case + 1);
-                    check("mixed", &a[off..], &bt[off..], k, n, off);
+                    id += 1;
+                    let off = id as usize % 4;
+                    let a = q8_corner_data(off + m * k, 2 * id);
+                    let bt = q8_corner_data(off + n * k, 2 * id + 1);
+                    gemm(
+                        case,
+                        &format!("mixed m={m} k={k} n={n} off={off}"),
+                        &a[off..],
+                        &bt[off..],
+                        k,
+                        n,
+                        off,
+                    );
                 }
             }
         }
-
-        // Constant corners, and the wrap edge: with all-127 activations
-        // every group adds 4 · 255 · (±127) and the sum leaves i32.
         for (k, ms, ns) in [(65usize, &ms[..], &ns[..]), (130_000, &[1, 9][..], &[33][..])] {
             for &m in ms {
                 for &n in ns {
                     for (av, wv) in [(127i8, 127i8), (127, -127), (-127, 127), (-127, -127)] {
                         let (a, bt) = (vec![av; m * k], vec![wv; n * k]);
-                        check(&format!("a={av} w={wv}"), &a, &bt, k, n, 0);
+                        gemm(case, &format!("a={av} w={wv} m={m} k={k} n={n}"), &a, &bt, k, n, 0);
                     }
                 }
             }
         }
+    }
+
+    /// Accumulators across the i32 range (the f32 conversion rounds past
+    /// 2²⁴), scales and biases with every special value.
+    fn q8_dequant_cases(case: Case, gelu: bool) {
+        for n in lengths() {
+            for rows in [1usize, 3] {
+                for nan in [false, true] {
+                    let salt = (n * 4 + rows) as u64;
+                    let acc: Vec<i32> = (0..rows * n)
+                        .map(|i| match i % 5 {
+                            0 => i32::MAX - i as i32,
+                            1 => i32::MIN + i as i32,
+                            _ => (i as i32).wrapping_mul(7919) % 40_000 - 20_000,
+                        })
+                        .collect();
+                    let scale = values(n, salt, 3, specials(nan));
+                    let bias = values(n, salt + 1, 4, specials(nan));
+                    let what = format!("n={n} rows={rows}");
+                    case(&what, nan, &|arm| {
+                        let mut out = vec![SENTINEL; rows * n + 3];
+                        let o = &mut out[..rows * n];
+                        let ran = match arm {
+                            Arm::Oracle => {
+                                q8_dequant_scalar(&acc, &scale, &bias, gelu, o);
+                                true
+                            }
+                            #[cfg(target_arch = "x86_64")]
+                            Arm::F32x8 => {
+                                // SAFETY: the harness runs the arm only where
+                                // AVX2 is detected; `acc` and `o` are whole rows.
+                                unsafe { x86::q8_dequant_rows(&acc, &scale, &bias, gelu, o) };
+                                true
+                            }
+                            _ => false,
+                        };
+                        ran.then_some(Out::F32(out))
+                    });
+                }
+            }
+        }
+    }
+
+    // -- the table --------------------------------------------------------------
+
+    /// `name: class, view, cases;` per dispatched entry point.
+    macro_rules! table {
+        ($($name:ident: $class:ident, $view:ident, $cases:expr;)*) => {
+            /// Every dispatched entry point, its class and its view.
+            const TABLE: &[Entry] = &[$(Entry {
+                name: stringify!($name),
+                class: Class::$class,
+                view: View::$view,
+                cases: $cases,
+            }),*];
+        };
+    }
+
+    table! {
+        exp_slice: OneLaneFinite, Transcendental,
+            |c| slice_cases(c, 1, |arm, _, a, _, d| lanes!(arm, exp_slice(a, d)));
+        tanh_slice: OneLaneFinite, Transcendental,
+            |c| slice_cases(c, 1, |arm, _, a, _, d| lanes!(arm, tanh_slice(a, d)));
+        gelu_slice: OneLane, Transcendental,
+            |c| slice_cases(c, 1, |arm, _, a, _, d| lanes!(arm, gelu_slice(a, d)));
+        gelu_grad_acc: OneLane, Transcendental,
+            |c| slice_cases(c, 1, |arm, _, g, x, d| lanes!(arm, gelu_grad_acc(d, g, x)));
+        add_acc: OneLane, Accumulate,
+            |c| slice_cases(c, 1, |arm, _, a, _, d| lanes!(arm, add_acc(d, a)));
+        axpy_acc: OneLane, Accumulate, |c| slice_cases(c, BROADCASTS.len(), |arm, i, x, _, d| {
+            lanes!(arm, axpy_acc(d, BROADCASTS[i], x))
+        });
+        mul_acc: OneLane, Accumulate,
+            |c| slice_cases(c, 1, |arm, _, a, b, d| lanes!(arm, mul_acc(d, a, b)));
+        binary_slice: OneLane, Accumulate, |c| slice_cases(c, 3, |arm, i, a, b, d| {
+            lanes!(arm, binary_slice([BinOp::Add, BinOp::Sub, BinOp::Mul][i], a, b, d))
+        });
+        scale_slice: OneLane, Accumulate, |c| slice_cases(c, BROADCASTS.len(), |arm, i, x, _, d| {
+            lanes!(arm, scale_slice(x, BROADCASTS[i], d))
+        });
+        butterfly_stage_in_place: OneLane, LaneEngine, stage_cases;
+        butterfly_stage_lanes: OneLane, LaneEngine, |c| engine_stage_cases(c, false);
+        butterfly_stage_backward_lanes: OneLane, LaneEngine, |c| engine_stage_cases(c, true);
+        fft_stages_lanes: OneLane, LaneEngine, |c| fft_cases(c, false);
+        fft_real_split_lanes: OneLane, LaneEngine, |c| fft_cases(c, true);
+        rows_to_lanes: OneLane, LaneEngine, rows_to_lanes_cases;
+        lanes_to_rows: OneLane, LaneEngine, lanes_to_rows_cases;
+        matmul_band: OneLane, Gemm, matmul_band_cases;
+        softmax_row: Oracle, Rows,
+            |c| row_cases(c, |arm, a, _, _, _, o| scalar_or_avx2!(arm, softmax_row(a, o)));
+        log_softmax_row: Oracle, Rows,
+            |c| row_cases(c, |arm, a, _, _, _, o| scalar_or_avx2!(arm, log_softmax_row(a, o)));
+        layer_norm_row: Oracle, Rows, |c| row_cases(c, |arm, a, _, g, b, o| {
+            scalar_or_avx2!(arm, layer_norm_row(a, g, b, 1e-5, o))
+        });
+        add_layer_norm_row: Oracle, Rows, |c| row_cases(c, |arm, a, r, g, b, o| {
+            scalar_or_avx2!(arm, add_layer_norm_row(a, r, g, b, 1e-5, o))
+        });
+        attention_tile: RowComposition, Attention, attention_tile_cases;
+        q8_quantize_slice: Exact, Q8Quantize, q8_quantize_cases;
+        q8_gemm_prepared: Exact, Q8Gemm, q8_gemm_cases;
+        q8_dequant_bias_rows: Exact, Q8Dequant, |c| q8_dequant_cases(c, false);
+        q8_dequant_bias_gelu_rows: Exact, Q8Dequant, |c| q8_dequant_cases(c, true);
+    }
+
+    // -- the table's views ------------------------------------------------------
+
+    /// `exp`, `tanh`, GELU and the GELU backward slice.
+    #[test]
+    fn transcendental_slices_are_bit_identical_across_backends() {
+        sweep(View::Transcendental);
+    }
+
+    /// The accumulators, `binary_slice` and `scale_slice`.
+    #[test]
+    fn accumulate_kernels_match_scalar_bitwise() {
+        sweep(View::Accumulate);
+    }
+
+    /// The butterfly stage on one vector and the lane-per-row engine: its
+    /// stages, the FFT kernels and the two transposes, held to their index
+    /// definitions. On an AVX-512 host production runs the 16-lane arm and
+    /// `FAB_SIMD` has no value that forces the 8-lane one, so there this is
+    /// the 8-lane engine's only check.
+    #[test]
+    fn lane_wise_kernels_give_the_same_bits_at_8_and_16_lanes() {
+        sweep(View::LaneEngine);
+    }
+
+    /// The GEMM band's arms against a scalar `f32::mul_add` oracle of its
+    /// value contract.
+    #[test]
+    fn matmul_band_arms_match_the_contract_bitwise() {
+        assert_eq!(kernels::FMA_COLS, 16, "the FMA/mul-add boundary is part of the value");
+        sweep(View::Gemm);
+    }
+
+    /// Softmax, log-softmax, layer norm and the fused residual + layer
+    /// norm against their libm / iterator-sum oracles.
+    #[test]
+    fn row_kernels_stay_within_1e5_of_their_scalar_oracle() {
+        sweep(View::Rows);
+    }
+
+    /// Both widths of the attention tile against the row composition.
+    #[test]
+    fn attention_tile_arms_give_the_row_composition_bits() {
+        sweep(View::Attention);
+    }
+
+    #[test]
+    fn q8_quantize_matches_scalar_bitwise() {
+        sweep(View::Q8Quantize);
+    }
+
+    /// VNNI, `maddubs` and the scalar loop. On a VNNI host production runs
+    /// the VNNI arm and `FAB_SIMD` has no value that forces `maddubs`, so
+    /// there this is the `maddubs` arm's only check.
+    #[test]
+    fn q8_gemm_arms_give_the_same_i32_outputs() {
+        sweep(View::Q8Gemm);
+    }
+
+    #[test]
+    fn q8_dequant_epilogues_match_scalar_bitwise() {
+        sweep(View::Q8Dequant);
+    }
+
+    // -- what the harness rests on ------------------------------------------------
+
+    #[test]
+    fn backend_name_and_lanes_are_consistent() {
+        let b = backend();
+        assert_eq!(b.is_simd(), b.lanes() > 1);
+        assert!(!b.name().is_empty());
+        assert!(!cpu_features().is_empty() || b == Backend::Scalar);
+    }
+
+    /// The scalar backend's slice kernels are the per-element scalar
+    /// expressions bit for bit, on every special value: the one-lane body
+    /// is the value every other arm of these kernels is held to, and its
+    /// `max` / `min` keep a NaN the way `f32::clamp` does. A NaN matches
+    /// any NaN — which of two NaN operands' payloads an add keeps is the
+    /// compiler's choice — but never a number.
+    #[test]
+    fn scalar_backend_slices_are_the_per_element_scalar_expressions() {
+        let _g = guard();
+        let same = |what: &str, got: &[f32], want: &[f32]| {
+            let differs =
+                |(g, w): (&f32, &f32)| g.to_bits() != w.to_bits() && !(g.is_nan() && w.is_nan());
+            if let Some(e) = got.iter().zip(want).position(differs) {
+                panic!("{what}: element {e} differs: {:e} vs {:e}", got[e], want[e]);
+            }
+        };
+        for (n, every) in [(SPECIALS.len(), 1), (97, 3)] {
+            let (x, a, b, d0) = (
+                values(n, 1, every, &SPECIALS),
+                values(n, 2, every, &SPECIALS),
+                values(n, 3, every, &SPECIALS),
+                values(n, 4, 5, &SPECIALS),
+            );
+            let map = |f: fn(f32) -> f32, v: &[f32]| v.iter().map(|&v| f(v)).collect::<Vec<f32>>();
+            let zip = |f: &dyn Fn(f32, f32, f32) -> f32| -> Vec<f32> {
+                (0..n).map(|i| f(d0[i], a[i], x[i])).collect()
+            };
+            with_backend(Backend::Scalar, || {
+                let mut y = vec![0.0f32; n];
+                exp_slice(&x, &mut y);
+                same("exp_slice", &y, &map(exp_fast, &x));
+                tanh_slice(&x, &mut y);
+                same("tanh_slice", &y, &map(tanh_fast, &x));
+                gelu_slice(&x, &mut y);
+                same("gelu_slice", &y, &map(gelu_fast, &x));
+                let mut d = d0.clone();
+                gelu_grad_acc(&mut d, &a, &x);
+                same("gelu_grad_acc", &d, &zip(&|d, g, x| d + g * gelu_grad_scalar(x)));
+                let mut d = d0.clone();
+                add_acc(&mut d, &a);
+                same("add_acc", &d, &zip(&|d, a, _| d + a));
+                for c in BROADCASTS {
+                    let mut d = d0.clone();
+                    axpy_acc(&mut d, c, &x);
+                    same("axpy_acc", &d, &zip(&|d, _, x| d + c * x));
+                    scale_slice(&x, c, &mut y);
+                    same("scale_slice", &y, &zip(&|_, _, x| x * c));
+                }
+                let mut d = d0.clone();
+                mul_acc(&mut d, &a, &x);
+                same("mul_acc", &d, &zip(&|d, a, x| d + a * x));
+                for (op, f) in [
+                    (BinOp::Add, (|a, b| a + b) as fn(f32, f32) -> f32),
+                    (BinOp::Sub, |a, b| a - b),
+                    (BinOp::Mul, |a, b| a * b),
+                ] {
+                    binary_slice(op, &a, &x, &mut y);
+                    same("binary_slice", &y, &zip(&|_, a, x| f(a, x)));
+                }
+                // One block of `n / 2` pairs: lo = d0[..h], hi = d0[h..2h].
+                let h = n / 2;
+                let mut v = d0[..2 * h].to_vec();
+                butterfly_stage_in_place(h, &a[..h], &b[..h], &x[..h], &a[h..2 * h], &mut v);
+                let (lo, hi) = d0[..2 * h].split_at(h);
+                let want_lo: Vec<f32> = (0..h).map(|i| a[i] * lo[i] + b[i] * hi[i]).collect();
+                let want_hi: Vec<f32> = (0..h).map(|i| x[i] * lo[i] + a[h + i] * hi[i]).collect();
+                same("butterfly_stage_in_place lo", &v[..h], &want_lo);
+                same("butterfly_stage_in_place hi", &v[h..], &want_hi);
+            });
+        }
+    }
+
+    /// A panic inside `with_backend` still puts the previous backend back:
+    /// otherwise every later "SIMD vs scalar" test of the binary would
+    /// compare the scalar backend with itself.
+    #[test]
+    fn a_panic_inside_with_backend_restores_the_backend() {
+        let _g = guard();
+        let before = backend();
+        let caught = std::panic::catch_unwind(|| {
+            with_backend(Backend::Scalar, || panic!("a failing backend test"));
+        });
+        assert!(caught.is_err());
+        assert_eq!(backend(), before);
     }
 }

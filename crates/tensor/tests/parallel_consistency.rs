@@ -37,12 +37,18 @@ fn grain_matmul_rows(at_least: usize, k: usize, n: usize) -> usize {
     at_least.max((PAR_GRAIN_OPS as usize).div_ceil(2 * k * n))
 }
 
+/// Runs `f` on backend `b`, then puts the previous backend back — also when
+/// `f` panics, so a failed test leaves no backend forced for the next one.
 fn with_backend<R>(b: Backend, f: impl FnOnce() -> R) -> R {
-    let prev = simd::backend();
+    struct Restore(Backend);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            simd::force_backend(self.0);
+        }
+    }
+    let _restore = Restore(simd::backend());
     simd::force_backend(b);
-    let r = f();
-    simd::force_backend(prev);
-    r
+    f()
 }
 
 fn filled(shape: &[usize], salt: usize) -> Tensor {
