@@ -6,8 +6,8 @@
 use fab_butterfly::fft::{dft_naive, fft, fft2_real};
 use fab_butterfly::flops::{butterfly_linear_flops, fourier_mix_flops};
 use fab_butterfly::{fourier_mix, fourier_mix_backward, ButterflyMatrix, Complex};
-use fab_tensor::simd::{self, Backend};
-use fab_tensor::{Tensor, PAR_GRAIN_OPS};
+use fab_tensor::simd::{self, with_backend, Backend};
+use fab_tensor::{with_rayon_threads, Tensor, PAR_GRAIN_OPS};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -21,13 +21,13 @@ static THREAD_ENV_LOCK: Mutex<()> = Mutex::new(());
 /// every run returns the bits of the first.
 fn assert_same_bits_in_every_configuration(what: &str, f: impl Fn() -> Vec<f32>) {
     let _guard = THREAD_ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let previous = simd::backend();
     let mut first: Option<Vec<u32>> = None;
     for backend in [Backend::Scalar, simd::default_backend()] {
-        simd::force_backend(backend);
-        for threads in ["1", "2", "5", "7"] {
-            std::env::set_var("RAYON_NUM_THREADS", threads);
-            let bits: Vec<u32> = f().iter().map(|v| v.to_bits()).collect();
+        for threads in [1, 2, 5, 7] {
+            let bits: Vec<u32> = with_backend(backend, || with_rayon_threads(threads, &f))
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
             match &first {
                 None => first = Some(bits),
                 Some(expected) => assert!(
@@ -38,8 +38,6 @@ fn assert_same_bits_in_every_configuration(what: &str, f: impl Fn() -> Vec<f32>)
             }
         }
     }
-    std::env::remove_var("RAYON_NUM_THREADS");
-    simd::force_backend(previous);
 }
 
 fn random_vec(len: usize, rng: &mut StdRng) -> Vec<f32> {

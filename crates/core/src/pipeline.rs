@@ -5,7 +5,8 @@ use fab_accel::workload::LayerSchedule;
 use fab_accel::{power, resources, AcceleratorConfig, LatencyReport, Simulator};
 use fab_lra::{LraTask, TaskConfig};
 use fab_nn::{
-    evaluate, train_classifier, Example, Model, ModelConfig, ModelKind, TrainOptions, TrainReport,
+    evaluate, train_classifier, Example, FrozenModel, Model, ModelConfig, ModelKind, TrainOptions,
+    TrainReport,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -162,22 +163,17 @@ impl TrainedFabNet {
     }
 
     /// Post-training-quantizes the trained weights into an int8
-    /// [`InferenceSession`](fab_serve::InferenceSession): calibrates on
-    /// `calibration_samples` sequences from the task's deterministic
-    /// calibration stream (disjoint from the train/eval splits by
-    /// construction, see `LraTask::calibration_batches`), then quantizes
-    /// every dense linear layer (see [`fab_quant`]).
+    /// [`InferenceSession`](fab_serve::InferenceSession) by
+    /// [`quantize_for_serving`], calibrating on `calibration_samples`
+    /// sequences of this model's task, sequence length and seed.
     pub fn into_quantized_session(self, calibration_samples: usize) -> fab_serve::InferenceSession {
-        let frozen = self.model.freeze().with_fast_math(true);
-        let calib = self.task.calibration_batches(
-            &TaskConfig { seq_len: self.seq_len },
+        fab_serve::InferenceSession::from_frozen(quantize_for_serving(
+            self.model.freeze(),
+            self.task,
+            self.seq_len,
             self.seed,
             calibration_samples,
-        );
-        let tokens: Vec<&[usize]> = calib.iter().map(|s| s.tokens.as_slice()).collect();
-        let quant =
-            fab_quant::quantize_frozen(&frozen, &tokens, &fab_quant::CalibrationConfig::default());
-        fab_serve::InferenceSession::from_frozen(quant)
+        ))
     }
 
     /// Simulates this model on `hardware` at its training sequence length.
@@ -200,6 +196,28 @@ impl TrainedFabNet {
             report,
         }
     }
+}
+
+/// The int8 serving recipe: turns on fast math for the f32 remainder,
+/// calibrates on `calibration_samples` sequences of `task`'s calibration
+/// stream at `seq_len` (seeded by `seed`, disjoint from the train/eval
+/// splits), and quantizes every dense linear layer with the default
+/// [`fab_quant::CalibrationConfig`].
+///
+/// `frozen` is the exact freeze of a trained model; every int8 model this
+/// workspace serves goes through here, so the same weights and arguments
+/// always give the same int8 model.
+pub fn quantize_for_serving(
+    frozen: FrozenModel,
+    task: LraTask,
+    seq_len: usize,
+    seed: u64,
+    calibration_samples: usize,
+) -> FrozenModel {
+    let frozen = frozen.with_fast_math(true);
+    let calib = task.calibration_batches(&TaskConfig { seq_len }, seed, calibration_samples);
+    let tokens: Vec<&[usize]> = calib.iter().map(|s| s.tokens.as_slice()).collect();
+    fab_quant::quantize_frozen(&frozen, &tokens, &fab_quant::CalibrationConfig::default())
 }
 
 /// Latency, power and resource summary of one model on one hardware design.

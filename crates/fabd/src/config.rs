@@ -8,11 +8,11 @@
 use crate::json::Json;
 use fab_chaos::ChaosSite;
 use fab_fleet::{ClassWeights, FleetConfig, ModelSpec, OverloadConfig, TenantQuota};
-use fab_lra::{LraTask, TaskConfig};
-use fab_nn::{ModelConfig, ModelKind};
+use fab_lra::LraTask;
+use fab_nn::{FrozenModel, ModelConfig, ModelKind};
 use fab_serve::{InferenceSession, ServeConfig};
 use fab_store::ModelArtifact;
-use fabnet::pipeline::TrainingPipeline;
+use fabnet::pipeline::{quantize_for_serving, TrainingPipeline};
 use std::fmt;
 
 /// Which forward path a profile serves.
@@ -77,6 +77,14 @@ fn arch_name(kind: ModelKind) -> &'static str {
 
 /// One named model profile: a tiny model trained at startup and served
 /// behind `/v1/predict` under `"model": "<name>"`.
+///
+/// The fields fall in two parts. The *training recipe* — task, arch,
+/// seq_len, hidden, layers, heads, epochs, train/test examples and seed —
+/// is everything that reaches [`TrainingPipeline`]; profiles that agree on
+/// it (the same training key) train bit-identical weights. The
+/// *serving view* — precision, `calibration_samples` and `panic_token` —
+/// only shapes what is served from those weights, so the precision rungs
+/// of one model share a single training run at boot.
 #[derive(Debug, Clone)]
 pub struct ProfileConfig {
     /// Routing name (`"model"` field of predict requests).
@@ -108,6 +116,29 @@ pub struct ProfileConfig {
     /// Fault-injection marker: the session panics on this token id.
     /// Honored only when the daemon runs with `fault_injection` enabled.
     pub panic_token: Option<usize>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Trainings [`ProfileConfig::train_exact`] ran on this thread, for the
+    /// tests that count how often a boot trains.
+    pub(crate) static TRAININGS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// The training recipe of a [`ProfileConfig`]: equal keys train
+/// bit-identical weights, whatever the profiles' names and serving views.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct TrainingKey {
+    task: LraTask,
+    arch: ModelKind,
+    seq_len: usize,
+    hidden: usize,
+    layers: usize,
+    heads: usize,
+    epochs: usize,
+    train_examples: usize,
+    test_examples: usize,
+    seed: u64,
 }
 
 impl ProfileConfig {
@@ -150,57 +181,82 @@ impl ProfileConfig {
         }
     }
 
+    /// This profile's training recipe: every field that reaches
+    /// [`TrainingPipeline`], and nothing else.
+    pub(crate) fn training_key(&self) -> TrainingKey {
+        TrainingKey {
+            task: self.task,
+            arch: self.arch,
+            seq_len: self.seq_len,
+            hidden: self.hidden,
+            layers: self.layers,
+            heads: self.heads,
+            epochs: self.epochs,
+            train_examples: self.train_examples,
+            test_examples: self.test_examples,
+            seed: self.seed,
+        }
+    }
+
     /// A string capturing every knob that changes what this profile trains
-    /// and serves. Stored in snapshots; a mismatch at load time means the
-    /// snapshot describes a *different* model (stale config) and must not
-    /// be warm-started.
+    /// and serves: the training key plus the precision and calibration
+    /// size of the serving view. Stored in snapshots; a mismatch at load
+    /// time means the snapshot describes a *different* model (stale config)
+    /// and must not be warm-started. (The `v1` layout puts the precision
+    /// right after the arch; snapshots on disk pin that order.)
     pub fn fingerprint(&self) -> String {
+        let key = self.training_key();
         format!(
             "v1/task={}/arch={}/precision={}/seq={}/hidden={}/layers={}/heads={}/epochs={}/\
              train={}/test={}/seed={}/calib={}",
-            self.task.name(),
-            arch_name(self.arch),
+            key.task.name(),
+            arch_name(key.arch),
             self.precision.name(),
-            self.seq_len,
-            self.hidden,
-            self.layers,
-            self.heads,
-            self.epochs,
-            self.train_examples,
-            self.test_examples,
-            self.seed,
+            key.seq_len,
+            key.hidden,
+            key.layers,
+            key.heads,
+            key.epochs,
+            key.train_examples,
+            key.test_examples,
+            key.seed,
             self.calibration_samples,
         )
+    }
+
+    /// Trains this profile's recipe and freezes the weights exactly: the
+    /// model every profile with the same training key serves from.
+    pub(crate) fn train_exact(&self) -> FrozenModel {
+        #[cfg(test)]
+        TRAININGS.with(|n| n.set(n.get() + 1));
+        let pipeline = TrainingPipeline::new(self.task, self.seq_len, self.seed)
+            .with_examples(self.train_examples, self.test_examples)
+            .with_epochs(self.epochs);
+        pipeline.run(&self.model_config(), self.arch).model.freeze()
+    }
+
+    /// The artifact this profile serves, from the exact frozen model of its
+    /// training key: `Exact` as it is, `FastMath` with the fast-math flag
+    /// on, `Int8` through the one int8 serving recipe.
+    pub(crate) fn artifact_from_exact(&self, exact: &FrozenModel) -> ModelArtifact {
+        ModelArtifact(match self.precision {
+            Precision::Exact => exact.clone(),
+            Precision::FastMath => exact.clone().with_fast_math(true),
+            Precision::Int8 => quantize_for_serving(
+                exact.clone(),
+                self.task,
+                self.seq_len,
+                self.seed,
+                self.calibration_samples,
+            ),
+        })
     }
 
     /// Trains this profile and freezes it into a persistable
     /// [`ModelArtifact`] — exactly the model [`ProfileConfig::build_session`]
     /// would serve, in storable form.
     pub fn build_artifact(&self) -> ModelArtifact {
-        let pipeline = TrainingPipeline::new(self.task, self.seq_len, self.seed)
-            .with_examples(self.train_examples, self.test_examples)
-            .with_epochs(self.epochs);
-        let trained = pipeline.run(&self.model_config(), self.arch);
-        ModelArtifact(match self.precision {
-            Precision::Exact => trained.model.freeze(),
-            Precision::FastMath => trained.model.freeze().with_fast_math(true),
-            Precision::Int8 => {
-                // Mirrors `TrainedFabNet::into_quantized_session` step for
-                // step so the artifact path serves bit-identical logits.
-                let frozen = trained.model.freeze().with_fast_math(true);
-                let calib = self.task.calibration_batches(
-                    &TaskConfig { seq_len: self.seq_len },
-                    self.seed,
-                    self.calibration_samples,
-                );
-                let tokens: Vec<&[usize]> = calib.iter().map(|s| s.tokens.as_slice()).collect();
-                fab_quant::quantize_frozen(
-                    &frozen,
-                    &tokens,
-                    &fab_quant::CalibrationConfig::default(),
-                )
-            }
-        })
+        self.artifact_from_exact(&self.train_exact())
     }
 
     /// Wraps an artifact (fresh-trained or snapshot-restored) into the
@@ -824,6 +880,49 @@ mod tests {
         let mut renamed = base.clone();
         renamed.name = "b".to_string();
         assert_eq!(renamed.fingerprint(), base.fingerprint());
+
+        // The training key moves with every field that reaches the
+        // pipeline, and with nothing else.
+        let training_edits: [fn(&mut ProfileConfig); 10] = [
+            |p| p.task = LraTask::Retrieval,
+            |p| p.arch = ModelKind::Transformer,
+            |p| p.seq_len += 1,
+            |p| p.hidden += 1,
+            |p| p.layers += 1,
+            |p| p.heads += 1,
+            |p| p.epochs += 1,
+            |p| p.train_examples += 1,
+            |p| p.test_examples += 1,
+            |p| p.seed += 1,
+        ];
+        for (i, edit) in training_edits.iter().enumerate() {
+            let mut p = base.clone();
+            edit(&mut p);
+            assert_ne!(p.training_key(), base.training_key(), "training edit {i}");
+            assert_ne!(p.fingerprint(), base.fingerprint(), "training edit {i}");
+        }
+        let serving_edits: [fn(&mut ProfileConfig); 4] = [
+            |p| p.name = "b".to_string(),
+            |p| p.precision = Precision::Int8,
+            |p| p.calibration_samples += 1,
+            |p| p.panic_token = Some(3),
+        ];
+        for (i, edit) in serving_edits.iter().enumerate() {
+            let mut p = base.clone();
+            edit(&mut p);
+            assert_eq!(p.training_key(), base.training_key(), "serving edit {i}");
+        }
+    }
+
+    #[test]
+    fn fingerprint_string_is_pinned() {
+        // Snapshot directories written by earlier builds carry this string;
+        // a changed layout would turn every warm boot into a retrain.
+        assert_eq!(
+            ProfileConfig::tiny("a", Precision::FastMath, 7).fingerprint(),
+            "v1/task=Text/arch=fabnet/precision=fastmath/seq=32/hidden=16/layers=1/heads=2/\
+             epochs=1/train=16/test=8/seed=7/calib=8"
+        );
     }
 
     #[test]

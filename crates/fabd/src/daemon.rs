@@ -29,11 +29,12 @@
 //! shares across tenants, and `POST /admin/models` hot-loads, reloads, or
 //! unloads named models without dropping in-flight requests.
 
-use crate::config::{DaemonConfig, ProfileConfig};
+use crate::config::{DaemonConfig, ProfileConfig, TrainingKey};
 use crate::http::{read_request, write_response, Request, Response};
 use crate::json::Json;
 use fab_chaos::{ChaosInjector, ChaosSite};
 use fab_fleet::{Fleet, FleetError, GuardStats, ModelInfo, ModelSource, ModelState};
+use fab_nn::FrozenModel;
 use fab_serve::{InferenceSession, Prediction, Priority, ServeError, ServerStats};
 use fab_store::{ModelArtifact, Store, FINGERPRINT_KEY};
 use std::collections::HashMap;
@@ -155,6 +156,12 @@ impl Daemon {
     /// when `snapshot_dir` is set and the stored fingerprint matches,
     /// training from scratch otherwise (and persisting the result).
     ///
+    /// Boot trains each distinct training key once: the profiles that must
+    /// train and share a key (the `f32` / `fast` / `int8` rungs of one
+    /// model) build their artifacts from one exact frozen model, trained
+    /// when the first of them needs it and dropped when boot ends. Warm and
+    /// fallback profiles never train.
+    ///
     /// The accept loop runs *during* model loading so probes get answers:
     /// `/healthz` is up immediately, `/readyz` stays `503 loading` until
     /// every profile is ready. `start` itself still blocks until the
@@ -212,8 +219,9 @@ impl Daemon {
             .map_err(|e| format!("spawn accept loop: {e}"))?;
 
         let boot = Instant::now();
+        let mut trained = HashMap::new();
         for p in shared.config.profiles.clone() {
-            if let Err(e) = boot_profile(&shared, &p) {
+            if let Err(e) = boot_profile(&shared, &p, &mut trained) {
                 // Tear the half-started daemon down cleanly: stop the
                 // accept loop before reporting the failure.
                 shared.begin_drain();
@@ -292,12 +300,21 @@ impl Daemon {
 /// Brings one profile up at boot: last-good snapshot when available and
 /// fingerprint-matched (`warm`, or `fallback` when an older version had to
 /// stand in for a corrupt newest), fresh training otherwise (`trained`,
-/// persisted for the next boot).
-fn boot_profile(shared: &Arc<DaemonShared>, profile: &ProfileConfig) -> Result<(), String> {
+/// persisted for the next boot). A profile that trains takes its training
+/// key's exact model from `trained`, training it on first use.
+fn boot_profile(
+    shared: &Arc<DaemonShared>,
+    profile: &ProfileConfig,
+    trained: &mut HashMap<TrainingKey, FrozenModel>,
+) -> Result<(), String> {
     let ticket = shared
         .fleet
         .begin_load(profile.spec())
         .map_err(|e| format!("load profile {}: {e}", profile.name))?;
+    let mut train = || {
+        let exact = trained.entry(profile.training_key()).or_insert_with(|| profile.train_exact());
+        profile.artifact_from_exact(exact)
+    };
     let fingerprint = profile.fingerprint();
     let (artifact, source) = match &shared.store {
         Some(store) => match store.load_last_good(&profile.name, Some(&fingerprint)) {
@@ -313,12 +330,12 @@ fn boot_profile(shared: &Arc<DaemonShared>, profile: &ProfileConfig) -> Result<(
             // No snapshot, stale fingerprint, or every version corrupt:
             // retrain and persist the result.
             Err(_) => {
-                let artifact = profile.build_artifact();
+                let artifact = train();
                 persist_artifact(shared, &profile.name, &artifact, &fingerprint);
                 (artifact, ModelSource::Trained)
             }
         },
-        None => (profile.build_artifact(), ModelSource::Trained),
+        None => (train(), ModelSource::Trained),
     };
     let session = attach_chaos(
         shared,
@@ -1421,4 +1438,73 @@ fn render_metrics(shared: &DaemonShared) -> String {
             writeln!(out, "fabd_chaos_injected_total{{site=\"{}\"}} {}", s.site.name(), s.injected);
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{Precision, TRAININGS};
+    use fab_store::encode_artifact;
+    use std::cell::Cell;
+
+    /// Boots `config` and returns, per profile, its source and the FABSNAP
+    /// bytes of its booted artifact, plus the trainings the boot ran.
+    fn boot(config: &DaemonConfig) -> (Vec<(ModelSource, Vec<u8>)>, usize) {
+        let before = TRAININGS.with(Cell::get);
+        let daemon = Daemon::start(config.clone()).expect("daemon boots");
+        let trainings = TRAININGS.with(Cell::get) - before;
+        let sources: HashMap<String, ModelSource> =
+            daemon.shared.fleet.models().into_iter().map(|m| (m.spec.name, m.source)).collect();
+        let booted = {
+            let artifacts = daemon.shared.artifacts.lock().unwrap_or_else(PoisonError::into_inner);
+            config
+                .profiles
+                .iter()
+                .map(|p| (sources[&p.name], encode_artifact(&artifacts[&p.name], &[])))
+                .collect()
+        };
+        daemon.shutdown();
+        (booted, trainings)
+    }
+
+    #[test]
+    fn a_cold_boot_trains_each_training_key_once() {
+        // The three precision rungs of one recipe, plus one profile of
+        // another seed: two training keys.
+        let mut profiles: Vec<ProfileConfig> =
+            [("f32", Precision::Exact), ("fast", Precision::FastMath), ("int8", Precision::Int8)]
+                .iter()
+                .map(|&(name, precision)| ProfileConfig::tiny(name, precision, 5))
+                .collect();
+        profiles.push(ProfileConfig::tiny("other", Precision::FastMath, 6));
+        let dir = std::env::temp_dir().join(format!("fabd-boot-keys-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut config = DaemonConfig {
+            addr: "127.0.0.1:0".to_string(),
+            profiles: profiles.clone(),
+            ..DaemonConfig::default()
+        };
+        let independent: Vec<Vec<u8>> =
+            profiles.iter().map(|p| encode_artifact(&p.build_artifact(), &[])).collect();
+
+        // Without a store, and with an empty one: one training per key, and
+        // every profile serves the bytes of its own independent build.
+        for snapshot_dir in [None, Some(dir.to_string_lossy().into_owned())] {
+            config.snapshot_dir = snapshot_dir;
+            let (booted, trainings) = boot(&config);
+            assert_eq!(trainings, 2, "store {:?}", config.snapshot_dir);
+            for ((p, (source, bytes)), want) in profiles.iter().zip(&booted).zip(&independent) {
+                assert_eq!(*source, ModelSource::Trained, "{}", p.name);
+                assert!(bytes == want, "{}: booted artifact differs from build_artifact", p.name);
+            }
+        }
+        // Warm profiles never train, and restore the same bytes.
+        let (booted, trainings) = boot(&config);
+        assert_eq!(trainings, 0);
+        for ((p, (source, bytes)), want) in profiles.iter().zip(&booted).zip(&independent) {
+            assert_eq!(*source, ModelSource::Warm, "{}", p.name);
+            assert!(bytes == want, "{}: warm artifact differs from build_artifact", p.name);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

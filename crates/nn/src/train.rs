@@ -45,8 +45,6 @@ pub struct TrainReport {
     pub epoch_losses: Vec<f32>,
     /// Accuracy on the held-out set after training.
     pub test_accuracy: f32,
-    /// Accuracy on the training set after training.
-    pub train_accuracy: f32,
 }
 
 impl TrainReport {
@@ -159,11 +157,7 @@ pub fn train_classifier(
         }
         epoch_losses.push(total / train.len().max(1) as f32);
     }
-    TrainReport {
-        epoch_losses,
-        test_accuracy: evaluate(model, test),
-        train_accuracy: evaluate(model, train),
-    }
+    TrainReport { epoch_losses, test_accuracy: evaluate(model, test) }
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@ mod common;
 use common::allocated_by;
 use fab_nn::{FrozenModel, Model, ModelConfig, ModelKind};
 use fab_quant::{quantize_frozen, CalibrationConfig};
+use fab_tensor::with_rayon_threads;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::{Mutex, MutexGuard};
@@ -130,22 +131,19 @@ fn rewarm() {
 fn a_forking_forward_allocates_a_bounded_number_of_pool_calls() {
     let _alone = alone();
     REWARM.call_once(rewarm);
-    let threads = std::env::var_os("RAYON_NUM_THREADS");
-    std::env::set_var("RAYON_NUM_THREADS", "2");
-    for (label, model) in models_of(&forking_config(), &[ModelKind::Transformer, ModelKind::FNet]) {
-        for len in [512, 1024] {
-            let tokens = tokens(len);
-            model.logits(&tokens);
-            model.logits(&tokens);
-            let (allocations, _) = allocated_by(|| model.logits(&tokens));
-            assert!(
-                allocations <= 400,
-                "{label} at {len} tokens: a warm forward made {allocations} allocations"
-            );
+    with_rayon_threads(2, || {
+        let models = models_of(&forking_config(), &[ModelKind::Transformer, ModelKind::FNet]);
+        for (label, model) in models {
+            for len in [512, 1024] {
+                let tokens = tokens(len);
+                model.logits(&tokens);
+                model.logits(&tokens);
+                let (allocations, _) = allocated_by(|| model.logits(&tokens));
+                assert!(
+                    allocations <= 400,
+                    "{label} at {len} tokens: a warm forward made {allocations} allocations"
+                );
+            }
         }
-    }
-    match threads {
-        Some(threads) => std::env::set_var("RAYON_NUM_THREADS", threads),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
-    }
+    });
 }

@@ -9,7 +9,7 @@ use fab_lra::{LraTask, TaskConfig};
 use fab_nn::{
     Adam, Example, FusedAdamW, FusedSgd, Model, ModelConfig, ModelKind, Optimizer, Sgd, TrainStep,
 };
-use fab_tensor::Tensor;
+use fab_tensor::{with_rayon_threads, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Mutex;
@@ -51,11 +51,9 @@ fn max_grad_diff(model: &Model, tokens: &[usize], label: usize) -> f32 {
 
 /// Asserts fused = reference gradients, bit for bit, at 1, 5 and 7 threads.
 fn assert_grads_bit_equal(what: &str, model: &Model, tokens: &[usize], label: usize) {
-    for threads in ["1", "5", "7"] {
+    for threads in [1, 5, 7] {
         let _guard = THREAD_ENV_LOCK.lock().unwrap();
-        std::env::set_var("RAYON_NUM_THREADS", threads);
-        let diff = max_grad_diff(model, tokens, label);
-        std::env::remove_var("RAYON_NUM_THREADS");
+        let diff = with_rayon_threads(threads, || max_grad_diff(model, tokens, label));
         assert!(diff == 0.0, "{what} @ {threads} threads: fused vs reference grad diff {diff}");
     }
 }
@@ -169,14 +167,14 @@ fn train_step_losses_are_thread_count_invariant() {
     let config = odd_config();
     let tokens: Vec<usize> = (0..17).map(|i| (i * 5 + 1) % 19).collect();
     let mut baseline: Option<Vec<f32>> = None;
-    for threads in ["1", "5", "7"] {
+    for threads in [1, 5, 7] {
         let _guard = THREAD_ENV_LOCK.lock().unwrap();
-        std::env::set_var("RAYON_NUM_THREADS", threads);
-        let mut rng = StdRng::seed_from_u64(13);
-        let model = Model::new(&config, ModelKind::FabNet, &mut rng);
-        let mut step = TrainStep::new(FusedAdamW::new(1e-3));
-        let losses: Vec<f32> = (0..6).map(|i| step.step(&model, &tokens, i % 3)).collect();
-        std::env::remove_var("RAYON_NUM_THREADS");
+        let losses: Vec<f32> = with_rayon_threads(threads, || {
+            let mut rng = StdRng::seed_from_u64(13);
+            let model = Model::new(&config, ModelKind::FabNet, &mut rng);
+            let mut step = TrainStep::new(FusedAdamW::new(1e-3));
+            (0..6).map(|i| step.step(&model, &tokens, i % 3)).collect()
+        });
         match &baseline {
             None => baseline = Some(losses),
             Some(b) => assert_eq!(b, &losses, "losses diverged at {threads} threads"),

@@ -4,6 +4,7 @@
 //! `RAYON_NUM_THREADS=1`.
 
 use fab_nn::{evaluate, Example, Model, ModelConfig, ModelKind};
+use fab_tensor::with_rayon_threads;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Mutex;
@@ -28,11 +29,9 @@ fn predict_batch_matches_serial_predict_across_thread_counts() {
         let model = Model::new(&config, kind, &mut rng);
         let batch = mixed_length_batch(&mut rng, 9, config.vocab_size, config.max_seq);
         let serial: Vec<Vec<f32>> = batch.iter().map(|t| model.predict(t)).collect();
-        for threads in ["1", "5", "7"] {
+        for threads in [1, 5, 7] {
             let _guard = THREAD_ENV_LOCK.lock().unwrap();
-            std::env::set_var("RAYON_NUM_THREADS", threads);
-            let parallel = model.predict_batch(&batch);
-            std::env::remove_var("RAYON_NUM_THREADS");
+            let parallel = with_rayon_threads(threads, || model.predict_batch(&batch));
             assert_eq!(serial, parallel, "{kind:?} diverged at {threads} threads");
         }
     }
@@ -50,11 +49,9 @@ fn evaluate_matches_serial_accuracy_across_thread_counts() {
     let serial = examples.iter().filter(|ex| model.predict_class(&ex.tokens) == ex.label).count()
         as f32
         / examples.len() as f32;
-    for threads in ["1", "4"] {
+    for threads in [1, 4] {
         let _guard = THREAD_ENV_LOCK.lock().unwrap();
-        std::env::set_var("RAYON_NUM_THREADS", threads);
-        let parallel = evaluate(&model, &examples);
-        std::env::remove_var("RAYON_NUM_THREADS");
+        let parallel = with_rayon_threads(threads, || evaluate(&model, &examples));
         assert_eq!(serial, parallel, "accuracy diverged at {threads} threads");
     }
 }

@@ -8,7 +8,7 @@
 //! Tests serialise on one lock because the forced backend is process-global.
 
 use fab_nn::{Model, ModelConfig, ModelKind, QuantLinear};
-use fab_tensor::simd::{self, Backend};
+use fab_tensor::simd::{self, with_backend, Backend};
 use fab_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -18,20 +18,6 @@ static LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Runs `f` on backend `b`, then puts the previous backend back — also when
-/// `f` panics, so a failed test leaves no backend forced for the next one.
-fn with_backend<R>(b: Backend, f: impl FnOnce() -> R) -> R {
-    struct Restore(Backend);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            simd::force_backend(self.0);
-        }
-    }
-    let _restore = Restore(simd::backend());
-    simd::force_backend(b);
-    f()
 }
 
 fn config() -> ModelConfig {

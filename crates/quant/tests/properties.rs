@@ -10,8 +10,8 @@ use fab_nn::{train_classifier, Example, Model, ModelConfig, ModelKind, TrainOpti
 use fab_quant::{
     calibrate, quantize, quantize_frozen, CalibrationConfig, ObserverKind, QuantModel,
 };
-use fab_tensor::simd::{self, Backend};
-use fab_tensor::PAR_GRAIN_OPS;
+use fab_tensor::simd::{self, with_backend, Backend};
+use fab_tensor::{with_rayon_threads, PAR_GRAIN_OPS};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -144,10 +144,8 @@ fn quant_logits_do_not_depend_on_the_thread_count() {
     assert_eq!(quant.quantized_fraction(), 1.0);
     let tokens: Vec<usize> = (0..seq).map(|j| (j * 7 + 3) % config.vocab_size).collect();
     let baseline = quant.logits(&tokens);
-    for threads in ["1", "5", "7"] {
-        std::env::set_var("RAYON_NUM_THREADS", threads);
-        let got = quant.logits(&tokens);
-        std::env::remove_var("RAYON_NUM_THREADS");
+    for threads in [1, 5, 7] {
+        let got = with_rayon_threads(threads, || quant.logits(&tokens));
         assert_eq!(baseline, got, "logits changed with {threads} rayon threads");
     }
 }
@@ -166,12 +164,8 @@ fn quant_logits_are_bit_identical_across_simd_backends() {
     }
     let (_model, quant) = quantized(7, ModelKind::Transformer);
     let tokens = vec![1usize, 5, 2, 7, 3, 0, 4];
-    let prev = simd::backend();
-    simd::force_backend(Backend::Scalar);
-    let scalar = quant.logits(&tokens);
-    simd::force_backend(simd::default_backend());
-    let vect = quant.logits(&tokens);
-    simd::force_backend(prev);
+    let scalar = with_backend(Backend::Scalar, || quant.logits(&tokens));
+    let vect = with_backend(simd::default_backend(), || quant.logits(&tokens));
     let max_diff =
         scalar.iter().zip(vect.iter()).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max);
     assert!(max_diff <= 1e-4, "quant logits diverged {max_diff} across backends");
@@ -323,24 +317,23 @@ fn calibration_scales_match_the_recorded_bits() {
     ];
     assert_eq!(ObserverKind::default(), Percentile(0.999), "the table's percentile rows");
     let _g = lock();
-    let prev = simd::backend();
-    simd::force_backend(Backend::Scalar);
-    let got: Vec<Vec<u32>> = golden
-        .iter()
-        .map(|&(seed, kind, observer, fast_math, _)| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let frozen = Model::new(&tiny(), kind, &mut rng).freeze().with_fast_math(fast_math);
-            let samples = calib_samples(8, 8, tiny().vocab_size);
-            let scales = calibrate(&frozen, &samples, &CalibrationConfig { observer });
-            let blocks = scales.blocks.iter();
-            blocks
-                .flat_map(|b| [b.attn_in, b.attn_out_in, b.ffn1_in, b.ffn2_in])
-                .chain([scales.head_in])
-                .map(f32::to_bits)
-                .collect()
-        })
-        .collect();
-    simd::force_backend(prev);
+    let got: Vec<Vec<u32>> = with_backend(Backend::Scalar, || {
+        golden
+            .iter()
+            .map(|&(seed, kind, observer, fast_math, _)| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let frozen = Model::new(&tiny(), kind, &mut rng).freeze().with_fast_math(fast_math);
+                let samples = calib_samples(8, 8, tiny().vocab_size);
+                let scales = calibrate(&frozen, &samples, &CalibrationConfig { observer });
+                let blocks = scales.blocks.iter();
+                blocks
+                    .flat_map(|b| [b.attn_in, b.attn_out_in, b.ffn1_in, b.ffn2_in])
+                    .chain([scales.head_in])
+                    .map(f32::to_bits)
+                    .collect()
+            })
+            .collect()
+    });
     for ((seed, kind, observer, fast_math, want), got) in golden.iter().zip(&got) {
         assert_eq!(got, want, "seed {seed} {kind:?} {observer:?} fast_math {fast_math}");
     }

@@ -9,7 +9,7 @@ use fab_nn::flops::flops_breakdown;
 use fab_nn::{Model, ModelConfig, ModelKind};
 use fab_quant::{quantize_frozen, CalibrationConfig};
 use fab_serve::{InferenceSession, ServeConfig, Server, SessionScratch};
-use fab_tensor::PAR_GRAIN_OPS;
+use fab_tensor::{with_rayon_threads, PAR_GRAIN_OPS};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -62,20 +62,21 @@ proptest! {
         seed in 0u64..500,
     ) {
         let _guard = THREAD_ENV_LOCK.lock().unwrap();
-        std::env::set_var("RAYON_NUM_THREADS", "1");
-        let kind = if seed % 2 == 0 { ModelKind::FabNet } else { ModelKind::FNet };
-        let model = model_for(seed, kind);
-        let config = ModelConfig::tiny_for_tests();
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xbadc0de);
-        let batch = mixed_batch(&mut rng, batch_size, config.vocab_size, config.max_seq);
-        let serve_config = ServeConfig {
-            max_batch: 5, // odd vs the batch sizes: forces partial batches
-            max_wait_us: 2_000,
-            num_workers: 2,
-            ..ServeConfig::default()
-        };
-        let served = serve_all(&model, true, serve_config, &batch);
-        std::env::remove_var("RAYON_NUM_THREADS");
+        let (model, batch, served) = with_rayon_threads(1, || {
+            let kind = if seed % 2 == 0 { ModelKind::FabNet } else { ModelKind::FNet };
+            let model = model_for(seed, kind);
+            let config = ModelConfig::tiny_for_tests();
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xbadc0de);
+            let batch = mixed_batch(&mut rng, batch_size, config.vocab_size, config.max_seq);
+            let serve_config = ServeConfig {
+                max_batch: 5, // odd vs the batch sizes: forces partial batches
+                max_wait_us: 2_000,
+                num_workers: 2,
+                ..ServeConfig::default()
+            };
+            let served = serve_all(&model, true, serve_config, &batch);
+            (model, batch, served)
+        });
         for (tokens, got) in batch.iter().zip(served.iter()) {
             let reference = model.predict(tokens);
             prop_assert!(
@@ -167,19 +168,18 @@ fn logits_batch_equals_logits_per_sequence_for_every_session_kind_and_thread_cou
             InferenceSession::from_frozen(int8),
         ];
         for session in &sessions {
-            std::env::set_var("RAYON_NUM_THREADS", "1");
-            let single: Vec<Vec<f32>> = batch.iter().map(|t| session.logits(t)).collect();
-            for threads in ["1", "2", "5", "7"] {
-                std::env::set_var("RAYON_NUM_THREADS", threads);
-                let batched =
-                    session.logits_batch(&refs, config.max_seq, &mut SessionScratch::new());
+            let single: Vec<Vec<f32>> =
+                with_rayon_threads(1, || batch.iter().map(|t| session.logits(t)).collect());
+            for threads in [1, 2, 5, 7] {
+                let batched = with_rayon_threads(threads, || {
+                    session.logits_batch(&refs, config.max_seq, &mut SessionScratch::new())
+                });
                 assert!(
                     batched == single,
                     "{kind:?} {} session: logits_batch != logits at {threads} threads",
                     session.kind().name()
                 );
             }
-            std::env::remove_var("RAYON_NUM_THREADS");
         }
     }
 }
@@ -189,18 +189,18 @@ fn logits_batch_equals_logits_per_sequence_for_every_session_kind_and_thread_cou
 #[test]
 fn fused_batch_is_pad_invariant_and_bit_exact() {
     let _guard = THREAD_ENV_LOCK.lock().unwrap();
-    std::env::set_var("RAYON_NUM_THREADS", "1");
-    let model = model_for(41, ModelKind::FabNet);
-    let frozen = model.freeze();
-    let config = ModelConfig::tiny_for_tests();
-    let mut rng = StdRng::seed_from_u64(99);
-    let batch = mixed_batch(&mut rng, 7, config.vocab_size, 9);
-    let max_len = batch.iter().map(Vec::len).max().unwrap();
-    let reference: Vec<Vec<f32>> = batch.iter().map(|t| model.predict(t)).collect();
-    for pad_to in max_len..=config.max_seq {
-        assert_eq!(frozen.logits_batch(&batch, pad_to), reference, "pad_to {pad_to}");
-    }
-    std::env::remove_var("RAYON_NUM_THREADS");
+    with_rayon_threads(1, || {
+        let model = model_for(41, ModelKind::FabNet);
+        let frozen = model.freeze();
+        let config = ModelConfig::tiny_for_tests();
+        let mut rng = StdRng::seed_from_u64(99);
+        let batch = mixed_batch(&mut rng, 7, config.vocab_size, 9);
+        let max_len = batch.iter().map(Vec::len).max().unwrap();
+        let reference: Vec<Vec<f32>> = batch.iter().map(|t| model.predict(t)).collect();
+        for pad_to in max_len..=config.max_seq {
+            assert_eq!(frozen.logits_batch(&batch, pad_to), reference, "pad_to {pad_to}");
+        }
+    });
 }
 
 /// PR-6 drain property: a server shut down while requests are still queued

@@ -42,4 +42,4 @@ pub use autodiff::{BackwardCtx, BackwardFn, GradWriter, ParentValues, Tape, VarI
 pub use error::TensorError;
 pub use gradcheck::check_gradient;
 pub use init::{kaiming_uniform, normal, uniform};
-pub use tensor::{Tensor, PAR_GRAIN_OPS};
+pub use tensor::{with_rayon_threads, Tensor, PAR_GRAIN_OPS};

@@ -226,6 +226,21 @@ pub fn force_backend(b: Backend) {
     BACKEND.store(encode(b), Ordering::Relaxed);
 }
 
+/// Runs `f` on backend `b` (see [`force_backend`]), then puts the previous
+/// backend back — also when `f` panics, so a failed test leaves no backend
+/// forced for the next one.
+pub fn with_backend<R>(b: Backend, f: impl FnOnce() -> R) -> R {
+    struct Restore(Backend);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            force_backend(self.0);
+        }
+    }
+    let _restore = Restore(backend());
+    force_backend(b);
+    f()
+}
+
 /// Space-separated list of the SIMD-relevant CPU features detected at
 /// runtime, recorded in the bench JSON files so cross-host numbers stay
 /// interpretable.
@@ -4074,20 +4089,6 @@ mod tests {
 
     fn guard() -> MutexGuard<'static, ()> {
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Runs `f` on backend `b`, then puts the previous backend back — also
-    /// when `f` panics, so a failed test leaves no backend forced.
-    fn with_backend<R>(b: Backend, f: impl FnOnce() -> R) -> R {
-        struct Restore(Backend);
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                force_backend(self.0);
-            }
-        }
-        let _restore = Restore(backend());
-        force_backend(b);
-        f()
     }
 
     // -- the harness ----------------------------------------------------------

@@ -45,6 +45,26 @@ const TRANSPOSE_TILE: usize = 32;
 /// is why the attention core fans out once over query-row bands, not once
 /// per product (`fab_nn::frozen`).
 pub const PAR_GRAIN_OPS: u64 = 1 << 20;
+
+/// Runs `f` with `RAYON_NUM_THREADS` set to `threads`, then puts the
+/// previous value back (or unsets it) — also when `f` panics, so a caller
+/// running under `RAYON_NUM_THREADS=1` stays on one thread after it.
+/// Intended for tests that compare results across thread counts; the
+/// variable is process-global, so callers serialise themselves.
+pub fn with_rayon_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<std::ffi::OsString>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            match self.0.take() {
+                Some(previous) => std::env::set_var("RAYON_NUM_THREADS", previous),
+                None => std::env::remove_var("RAYON_NUM_THREADS"),
+            }
+        }
+    }
+    let _restore = Restore(std::env::var_os("RAYON_NUM_THREADS"));
+    std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
+    f()
+}
 /// Target elements per parallel chunk for row-wise and element-wise kernels.
 const CHUNK_ELEMS: usize = 1 << 13;
 

@@ -27,27 +27,13 @@
 use fab_tensor::fastmath::{
     exp_fast, exp_fast_slice, gelu_fast, gelu_fast_slice, tanh_fast, tanh_fast_slice,
 };
-use fab_tensor::simd::{self, Backend};
+use fab_tensor::simd::{self, with_backend, Backend};
 use std::sync::{Mutex, MutexGuard};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Runs `f` on backend `b`, then puts the previous backend back — also when
-/// `f` panics, so a failed test leaves no backend forced for the next one.
-fn with_backend<R>(b: Backend, f: impl FnOnce() -> R) -> R {
-    struct Restore(Backend);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            simd::force_backend(self.0);
-        }
-    }
-    let _restore = Restore(simd::backend());
-    simd::force_backend(b);
-    f()
 }
 
 #[test]

@@ -9,8 +9,8 @@
 //! ≤ 1e-5 relative tolerance instead. Every test serialises on one lock
 //! because both `RAYON_NUM_THREADS` and the forced backend are process-global.
 
-use fab_tensor::simd::{self, Backend};
-use fab_tensor::{Tensor, PAR_GRAIN_OPS};
+use fab_tensor::simd::{self, with_backend, Backend};
+use fab_tensor::{with_rayon_threads, Tensor, PAR_GRAIN_OPS};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
 
@@ -35,20 +35,6 @@ fn grain_rows(cols: usize) -> usize {
 /// (2·m·k·n operations) crosses the grain.
 fn grain_matmul_rows(at_least: usize, k: usize, n: usize) -> usize {
     at_least.max((PAR_GRAIN_OPS as usize).div_ceil(2 * k * n))
-}
-
-/// Runs `f` on backend `b`, then puts the previous backend back — also when
-/// `f` panics, so a failed test leaves no backend forced for the next one.
-fn with_backend<R>(b: Backend, f: impl FnOnce() -> R) -> R {
-    struct Restore(Backend);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            simd::force_backend(self.0);
-        }
-    }
-    let _restore = Restore(simd::backend());
-    simd::force_backend(b);
-    f()
 }
 
 fn filled(shape: &[usize], salt: usize) -> Tensor {
@@ -158,11 +144,9 @@ fn zero_lhs_elements_skip_non_finite_rhs_rows_like_the_reference() {
 #[test]
 fn kernels_match_reference_with_a_single_rayon_thread() {
     let _g = lock();
-    std::env::set_var("RAYON_NUM_THREADS", "1");
     let a = filled(&[grain_matmul_rows(130, 127, 140), 127], 10);
     let b = filled(&[127, 140], 11);
-    let serial = a.matmul(&b);
-    std::env::remove_var("RAYON_NUM_THREADS");
+    let serial = with_rayon_threads(1, || a.matmul(&b));
     let parallel = a.matmul(&b);
     assert!(serial == parallel, "thread count changed matmul results");
     let scalar_ref = with_backend(Backend::Scalar, || a.matmul_reference(&b));
@@ -173,13 +157,11 @@ fn kernels_match_reference_with_a_single_rayon_thread() {
 #[test]
 fn kernels_match_reference_with_many_rayon_threads() {
     let _g = lock();
-    std::env::set_var("RAYON_NUM_THREADS", "7");
     let x = filled(&[grain_rows(65), 65], 12);
-    let many = x.softmax_rows();
     let gamma = filled(&[65], 13);
     let beta = filled(&[65], 14);
-    let ln_many = x.layer_norm_rows(&gamma, &beta, 1e-5);
-    std::env::remove_var("RAYON_NUM_THREADS");
+    let (many, ln_many) =
+        with_rayon_threads(7, || (x.softmax_rows(), x.layer_norm_rows(&gamma, &beta, 1e-5)));
     assert!(many == x.softmax_rows());
     assert!(ln_many == x.layer_norm_rows(&gamma, &beta, 1e-5));
 }
