@@ -26,10 +26,26 @@ use rayon::prelude::*;
 const CHUNK_ELEMS: usize = 1 << 13;
 
 /// Rows per tile of the batched backward, and partial sums per chunk of its
-/// weight gradient. Fixed on every backend rather than taken from
-/// [`simd::Backend::lanes`]: the weight gradient sums across rows, so the
-/// tile width is part of the result.
-const GRAD_TILE: usize = 8;
+/// weight gradient: one `f32x16` per lane row on AVX-512, two `f32x8` on
+/// AVX2, sixteen one-lane columns on the scalar backend. Fixed on every
+/// backend rather than taken from [`simd::Backend::lanes`]: the weight
+/// gradient sums across rows, so the tile width is part of the result.
+const GRAD_TILE: usize = 16;
+
+/// Fewest tiles per chunk of the batched backward. Each stage of a chunk
+/// fills and folds `2 · n · GRAD_TILE` accumulators once, whatever the
+/// chunk's tiles, so the fold stays a small share of the stage work at
+/// every `n` — the per-chunk cost that one-tile chunks at large `n` made a
+/// cliff.
+const GRAD_CHUNK_TILES: usize = 4;
+
+/// Rows per chunk of the batched backward: whole tiles, `CHUNK_ELEMS / n`
+/// rows or [`GRAD_CHUNK_TILES`] tiles, whichever is more — a function of
+/// `n` alone, so the weight gradient's summation order is the same at every
+/// thread count.
+fn grad_chunk_rows(n: usize) -> usize {
+    (CHUNK_ELEMS / n).max(GRAD_CHUNK_TILES * GRAD_TILE).next_multiple_of(GRAD_TILE)
+}
 
 /// One butterfly factor (stage): a block-diagonal matrix of 2×2 blocks of
 /// diagonal matrices with half-block size `half`.
@@ -499,25 +515,39 @@ impl ButterflyMatrix {
     /// into `grad_x` and the `[log2 n, 2 n]` weight gradient into `grad_w`;
     /// neither padded tensor is ever materialised.
     ///
-    /// Rows go through the lane engine in tiles of 8 (`GRAD_TILE`): a tile is
-    /// transposed to `[n][8]`, the forward is recomputed stage by stage
-    /// keeping every stage's input, and the stages then run in reverse
-    /// ([`simd::butterfly_stage_backward_lanes`]), each turning the gradient
-    /// of its output into that of its input and adding its `g · input`
-    /// products to per-lane accumulators. Row `r`'s input gradient involves
-    /// no other row and is bit-identical to [`ButterflyMatrix::backward`] of
-    /// that row.
+    /// Rows go through the lane engine in tiles of 16 on every backend
+    /// (`GRAD_TILE`: one `f32x16` per lane row on AVX-512, two `f32x8` on
+    /// AVX2, sixteen one-lane columns on the scalar backend), the tiles of a
+    /// chunk side by side in each lane row so that every stage is one call
+    /// over all of them. The forward is recomputed as
+    /// [`ButterflyMatrix::forward_rows_fused_into`] computes it, keeping
+    /// every stage's input: each stage runs out of place
+    /// ([`simd::butterfly_stage_lanes_into`]) on the rows that are live by
+    /// then, and the padding rows of the stage inputs — what the stages
+    /// make of the zero columns `d_in..n` before they pair them with a live
+    /// row, the same in every tile — are computed once per call and copied
+    /// into the rows a stage pairs with live ones. The stages then run in
+    /// reverse ([`simd::butterfly_stage_backward_lanes`], padding rows read
+    /// from the first tile), each turning the gradient of its output into
+    /// that of its input and adding its `g · input` products to per-lane
+    /// accumulators. Row `r`'s input gradient involves no other row and is
+    /// bit-identical to [`ButterflyMatrix::backward`] of that row. (The
+    /// backward stages skip nothing: a product `g · 0` is NaN when `g` is
+    /// not finite, so no pair is structurally zero there without reading
+    /// it.)
     ///
     /// The weight gradient is a sum over rows, and this is **the** order it
     /// is taken in, on every backend, at every `RAYON_NUM_THREADS` and
-    /// whether or not the call fans out: rows are cut into chunks of
-    /// `CHUNK_ELEMS / n` (at least one); inside a chunk the row at offset
-    /// `i` adds its products to partial sum `i mod 8`, rows in ascending
-    /// order; the chunk's gradient is `p0 + p1 + … + p7` evaluated left to
-    /// right; and the chunks are added to `grad_w` in ascending order.
-    /// [`ButterflyMatrix::backward_rows_reference_into`] spells the same
-    /// sum out on plain scalar loops. (A partial last tile runs its unused
-    /// lanes on zeros, which add exact zeros unless a weight is not finite.)
+    /// whether or not the call fans out: rows are cut into chunks of whole
+    /// tiles whose size depends on `n` alone (`CHUNK_ELEMS / n` rows, at
+    /// least four tiles); inside a chunk the row at offset `i` adds its
+    /// products to partial sum `i mod 16`, rows in ascending order; the
+    /// chunk's gradient is the sixteen partials folded by halves — `q_k =
+    /// p_k + p_{k+8}`, `r_k = q_k + q_{k+4}`, `s_k = r_k + r_{k+2}`, `s_0 +
+    /// s_1` ([`simd::fold_lanes16`]); and the chunks are added to `grad_w`
+    /// in ascending order. [`ButterflyMatrix::backward_rows_reference_into`]
+    /// spells the same sum out on plain scalar loops. A partial last tile's
+    /// unused lanes add nothing, also where a weight is not finite.
     ///
     /// # Panics
     ///
@@ -538,95 +568,162 @@ impl ButterflyMatrix {
         assert_eq!(grad_x.len(), rows * d_in, "input gradient length mismatch");
         let gw_len = self.num_stages() * 2 * n;
         assert_eq!(grad_w.len(), gw_len, "weight gradient length mismatch");
-        let rows_per_chunk = (CHUNK_ELEMS / n).max(1);
+        let rows_per_chunk = grad_chunk_rows(n);
         let gx_chunks = grad_x.chunks_mut(rows_per_chunk * d_in);
-        if !self.fans_out(rows, 3) {
-            crate::with_scratch(gw_len, |partial| {
+        crate::with_scratch(self.stages.len() * n * GRAD_TILE, |pad| {
+            self.pad_stage_inputs(d_in, pad);
+            let pad = &*pad;
+            if !self.fans_out(rows, 3) {
                 for (c, gx) in gx_chunks.enumerate() {
-                    self.backward_chunk(x, grad_out, c * rows_per_chunk, gx, partial);
+                    self.backward_chunk(x, grad_out, c * rows_per_chunk, gx, pad, grad_w, true);
+                }
+                return;
+            }
+            crate::with_scratch(gx_chunks.len() * gw_len, |partials| {
+                gx_chunks
+                    .zip(partials.chunks_mut(gw_len))
+                    .collect::<Vec<_>>()
+                    .into_par_iter()
+                    .enumerate()
+                    .for_each(|(c, (gx, partial))| {
+                        let r0 = c * rows_per_chunk;
+                        self.backward_chunk(x, grad_out, r0, gx, pad, partial, false);
+                    });
+                for partial in partials.chunks(gw_len) {
                     simd::add_acc(grad_w, partial);
                 }
             });
-            return;
-        }
-        crate::with_scratch(gx_chunks.len() * gw_len, |partials| {
-            gx_chunks
-                .zip(partials.chunks_mut(gw_len))
-                .collect::<Vec<_>>()
-                .into_par_iter()
-                .enumerate()
-                .for_each(|(c, (gx, partial))| {
-                    self.backward_chunk(x, grad_out, c * rows_per_chunk, gx, partial);
-                });
-            for partial in partials.chunks(gw_len) {
-                simd::add_acc(grad_w, partial);
-            }
         });
     }
 
+    /// Computes the padding of every stage input of one tile, `[stages][n][T]`
+    /// (other rows untouched): rows `d_in..n` of stage 0's input are zero,
+    /// and with `live` the next power of two at or above `d_in`, rows
+    /// `live.max(2 · half)..n` of the input of the stage after the one with
+    /// `half` are that stage applied to the same rows of its own input. They
+    /// are the same in every tile; [`ButterflyMatrix::padding_from`] gives
+    /// where they start.
+    fn pad_stage_inputs(&self, d_in: usize, pad: &mut [f32]) {
+        const T: usize = GRAD_TILE;
+        let (n, tile) = (self.n, self.n * T);
+        let live = d_in.next_power_of_two();
+        pad[d_in * T..tile].fill(0.0);
+        for (s, stage) in self.stages[..self.stages.len() - 1].iter().enumerate() {
+            let from = live.max(2 * stage.half);
+            if from < n {
+                let (seen, next) = pad[s * tile..].split_at_mut(tile);
+                let p = from / 2;
+                let (w1, w2, w3, w4) =
+                    (&stage.w1[p..], &stage.w2[p..], &stage.w3[p..], &stage.w4[p..]);
+                let (src, dst) = (&seen[from * T..], &mut next[from * T..tile]);
+                simd::butterfly_stage_lanes_into(stage.half, w1, w2, w3, w4, src, dst, T);
+            }
+        }
+    }
+
+    /// The first padding row of stage `s`'s input for an input `d_in`
+    /// wide: `d_in` for the first stage, else `live.max(2 · half)` of the
+    /// stage before, `live` being the next power of two at or above `d_in`.
+    fn padding_from(&self, s: usize, d_in: usize) -> usize {
+        match s {
+            0 => d_in,
+            _ => d_in.next_power_of_two().max(2 * self.stages[s - 1].half),
+        }
+    }
+
     /// One chunk of [`ButterflyMatrix::backward_rows_padded_into`]: the rows
-    /// from `r0` on that `gx` has room for. Adds their input gradients into
-    /// `gx` and overwrites `gw` with the chunk's weight gradient.
+    /// from `r0` on that `gx` has room for, with the stage inputs' padding
+    /// rows from [`ButterflyMatrix::pad_stage_inputs`]. Adds their input
+    /// gradients into `gx`, and the chunk's weight gradient into `gw`
+    /// (`add`) or over it.
+    ///
+    /// The chunk's tiles sit side by side: row `i` of every buffer holds
+    /// element `i` of all the chunk's rows, `tiles · T` lanes, so that each
+    /// stage, forward or backward, is one call over every tile.
+    #[allow(clippy::too_many_arguments)]
     fn backward_chunk(
         &self,
         x: &Tensor,
         grad_out: &Tensor,
         r0: usize,
         gx: &mut [f32],
+        pad: &[f32],
         gw: &mut [f32],
+        add: bool,
     ) {
         const T: usize = GRAD_TILE;
         let n = self.n;
         let (d_in, d_out) = (x.cols(), grad_out.cols());
         let (xs, gs) = (x.as_slice(), grad_out.as_slice());
         let stages = self.stages.len();
-        // One stage's slice of every per-tile buffer: `[n][T]` values, twice
-        // that many `[pair][4][T]` accumulators.
-        let tile = n * T;
-        crate::with_scratch((3 * stages + 2) * tile, |buf| {
-            let (acc, buf) = buf.split_at_mut(stages * 2 * tile);
-            let (inputs, buf) = buf.split_at_mut(stages * tile);
-            let (grad, dx) = buf.split_at_mut(tile);
-            acc.fill(0.0);
-            for (t, gx_rows) in gx.chunks_mut(T * d_in).enumerate() {
-                let (r, nr) = (r0 + t * T, gx_rows.len() / d_in);
-                // Recompute the forward, keeping the input of every stage.
-                simd::rows_to_lanes(&xs[r * d_in..], d_in, nr, d_in, &[], &mut inputs[..tile], T);
-                inputs[d_in * T..tile].fill(0.0);
-                for (s, stage) in self.stages[..stages - 1].iter().enumerate() {
-                    let (seen, next) = inputs[s * tile..(s + 2) * tile].split_at_mut(tile);
-                    next.copy_from_slice(seen);
-                    simd::butterfly_stage_lanes(
-                        stage.half, &stage.w1, &stage.w2, &stage.w3, &stage.w4, next, T,
-                    );
+        let live = d_in.next_power_of_two();
+        let rows = gx.len() / d_in;
+        let width = rows.next_multiple_of(T);
+        // `[stages][n][width]` stage inputs, the `[n][width]` gradient, and
+        // one stage's `[4][pairs][T]` accumulators.
+        let slab = n * width;
+        crate::with_scratch((stages + 1) * slab + 2 * n * T + rows * d_in + 2 * n, |buf| {
+            let (inputs, buf) = buf.split_at_mut(stages * slab);
+            let (grad, buf) = buf.split_at_mut(slab);
+            let (acc, buf) = buf.split_at_mut(2 * n * T);
+            let (dx, sums) = buf.split_at_mut(rows * d_in);
+            // Recompute the forward on the live rows, out of place, keeping
+            // the input of every stage.
+            simd::rows_to_lanes(&xs[r0 * d_in..], d_in, rows, d_in, &[], inputs, width);
+            for (s, stage) in self.stages.iter().enumerate() {
+                // Rows `from..m` are padding the stage pairs with live rows,
+                // wanted in every tile; rows `m..n` stay padding through it
+                // and are read from the first tile only.
+                let last = s + 1 == stages;
+                let from = self.padding_from(s, d_in);
+                let m = if last { from } else { live.max(2 * stage.half) };
+                let (seen, next) = inputs[s * slab..].split_at_mut(slab);
+                let pad = &pad[s * n * T..(s + 1) * n * T];
+                for (i, row) in seen.chunks_exact_mut(width).enumerate().skip(from) {
+                    let values = &pad[i * T..(i + 1) * T];
+                    let tiles = if i < m { width } else { T };
+                    for lanes in row[..tiles].chunks_exact_mut(T) {
+                        lanes.copy_from_slice(values);
+                    }
                 }
-                simd::rows_to_lanes(&gs[r * d_out..], d_out, nr, d_out, &[], grad, T);
-                grad[d_out * T..].fill(0.0);
-                for (s, stage) in self.stages.iter().enumerate().rev() {
-                    simd::butterfly_stage_backward_lanes(
-                        stage.half,
-                        &stage.w1,
-                        &stage.w2,
-                        &stage.w3,
-                        &stage.w4,
-                        &inputs[s * tile..(s + 1) * tile],
-                        grad,
-                        &mut acc[s * 2 * tile..(s + 1) * 2 * tile],
-                        T,
-                    );
-                }
-                let dx = &mut dx[..nr * d_in];
-                simd::lanes_to_rows(grad, T, nr, d_in, &[], false, dx, d_in);
-                simd::add_acc(gx_rows, dx);
-            }
-            // Fold each accumulator's lanes, first to last.
-            let half_n = n / 2;
-            for (gw_stage, acc_stage) in gw.chunks_mut(2 * n).zip(acc.chunks(2 * tile)) {
-                for (i, lanes) in acc_stage.chunks_exact(T).enumerate() {
-                    let (p, k) = (i / 4, i % 4);
-                    gw_stage[k * half_n + p] = lanes[1..].iter().fold(lanes[0], |sum, &l| sum + l);
+                if !last {
+                    let p = m / 2;
+                    let (w1, w2, w3, w4) =
+                        (&stage.w1[..p], &stage.w2[..p], &stage.w3[..p], &stage.w4[..p]);
+                    let (src, dst) = (&seen[..m * width], &mut next[..m * width]);
+                    simd::butterfly_stage_lanes_into(stage.half, w1, w2, w3, w4, src, dst, width);
                 }
             }
+            simd::rows_to_lanes(&gs[r0 * d_out..], d_out, rows, d_out, &[], grad, width);
+            grad[d_out * width..].fill(0.0);
+            // The stages in reverse, every tile at once; the lanes past
+            // `rows` (a partial last tile's) add nothing.
+            for (s, stage) in self.stages.iter().enumerate().rev() {
+                acc.fill(0.0);
+                simd::butterfly_stage_backward_lanes(
+                    stage.half,
+                    &stage.w1,
+                    &stage.w2,
+                    &stage.w3,
+                    &stage.w4,
+                    &inputs[s * slab..(s + 1) * slab],
+                    grad,
+                    acc,
+                    T,
+                    rows,
+                    self.padding_from(s, d_in),
+                );
+                // Fold each accumulator's lanes by halves.
+                let gw_stage = &mut gw[s * 2 * n..(s + 1) * 2 * n];
+                if add {
+                    simd::fold_lanes16(acc, sums);
+                    simd::add_acc(gw_stage, sums);
+                } else {
+                    simd::fold_lanes16(acc, gw_stage);
+                }
+            }
+            simd::lanes_to_rows(grad, width, rows, d_in, &[], false, dx, d_in);
+            simd::add_acc(gx, dx);
         });
     }
 
@@ -658,7 +755,7 @@ impl ButterflyMatrix {
         let mut states = vec![0.0f32; stages * n];
         let (mut grad, mut grad_tmp) = (vec![0.0f32; n], vec![0.0f32; n]);
         let mut partials = vec![0.0f32; GRAD_TILE * gw_len];
-        let rows_per_chunk = (CHUNK_ELEMS / n).max(1);
+        let rows_per_chunk = grad_chunk_rows(n);
         let (xs, gs) = (x.as_slice(), grad_out.as_slice());
         for (c, gx_chunk) in grad_x.chunks_mut(rows_per_chunk * n).enumerate() {
             partials.fill(0.0);
@@ -680,11 +777,15 @@ impl ButterflyMatrix {
                 }
             }
             for (i, d) in grad_w.iter_mut().enumerate() {
-                let mut sum = partials[i];
-                for partial in 1..GRAD_TILE {
-                    sum += partials[partial * gw_len + i];
+                let mut p: [f32; GRAD_TILE] = std::array::from_fn(|k| partials[k * gw_len + i]);
+                let mut half = GRAD_TILE / 2;
+                while half > 0 {
+                    for k in 0..half {
+                        p[k] += p[k + half];
+                    }
+                    half /= 2;
                 }
-                *d += sum;
+                *d += p[0];
             }
         }
     }

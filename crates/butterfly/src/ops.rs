@@ -31,7 +31,7 @@ thread_local! {
 ///
 /// Gradients are computed directly on the factorised form — the dense `n × n`
 /// matrix is never materialised, matching the `O(n log n)` compute of the
-/// paper's butterfly layers. The backward pass runs eight rows per lane
+/// paper's butterfly layers. The backward pass runs sixteen rows per lane
 /// tile through [`ButterflyMatrix::backward_rows_into`], which also fixes the
 /// order the weight gradient is summed in; under the reference backward it
 /// runs the seed's scalar per-row loops instead, with bit-identical results.

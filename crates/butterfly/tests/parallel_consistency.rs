@@ -100,6 +100,14 @@ fn fft2_real_reference(x: &[f32], seq: usize, hidden: usize) -> Vec<f32> {
     grid.iter().map(|v| v.re).collect()
 }
 
+/// Row counts on both sides of the backward's 16-row tile and of a chunk's
+/// four tiles.
+const ROWS: [usize; 8] = [1, 15, 16, 17, 31, 33, 64, 65];
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -119,7 +127,9 @@ proptest! {
     }
 
     #[test]
-    fn batched_backward_rows_matches_per_vector_backward(rows in 1usize..17, log_n in 1u32..6, seed in 0u64..500) {
+    fn batched_backward_rows_matches_per_vector_backward(
+        rows in (0..ROWS.len()).prop_map(|i| ROWS[i]), log_n in 1u32..13, seed in 0u64..500
+    ) {
         let n = 1usize << log_n;
         let mut rng = StdRng::seed_from_u64(seed);
         let bfly = ButterflyMatrix::random(n, &mut rng).unwrap();
@@ -138,8 +148,21 @@ proptest! {
             grad_w_reference = grad_w_reference.add(&gw);
         }
         // Weight gradients are reduced chunk-wise, so summation order (and
-        // hence the last float bits) may differ from the running per-row sum.
-        prop_assert!(grad_w.allclose(&grad_w_reference, 1e-4), "weight gradients diverged");
+        // hence the last float bits) may differ from the running per-row sum
+        // — by rounding relative to the sums, which reach the thousands at
+        // n = 4096 — but not from the oracle's, which takes the same order.
+        let near = grad_w
+            .as_slice()
+            .iter()
+            .zip(grad_w_reference.as_slice())
+            .all(|(a, b)| (a - b).abs() <= 1e-4 * (1.0 + b.abs()));
+        prop_assert!(near, "weight gradients diverged");
+        let (gx, gw) = bfly.backward_rows_reference(&x, &g);
+        prop_assert!(
+            bits(grad_x.as_slice()) == bits(gx.as_slice())
+                && bits(grad_w.as_slice()) == bits(gw.as_slice()),
+            "{rows}x{n}: the lane route left the oracle"
+        );
     }
 
     #[test]
@@ -238,27 +261,36 @@ fn batched_kernels_match_with_a_single_rayon_thread() {
 
 /// The weight gradient's summation order does not depend on whether a call
 /// fans out: a batch made of one chunk of rows repeated `k` times has that
-/// chunk's gradient added `k` times over, below the grain and above it.
+/// chunk's gradient added `k` times over, below the grain and above it — at
+/// every thread count and backend, and with the oracle's bits.
 #[test]
 fn weight_gradient_order_is_the_same_on_both_sides_of_the_fan_out_grain() {
-    let n = 64;
-    // Rows per chunk: `CHUNK_ELEMS / n` of `butterfly.rs`.
-    let chunk_rows = (1 << 13) / n;
-    let grain_chunks = PAR_GRAIN_OPS.div_ceil(3 * butterfly_linear_flops(chunk_rows, n)) as usize;
-    assert!(grain_chunks >= 3, "the grain moved below two chunks; pick a smaller n");
-    let mut rng = StdRng::seed_from_u64(33);
-    let bfly = ButterflyMatrix::random(n, &mut rng).unwrap();
-    let (x, g) = (random_vec(chunk_rows * n, &mut rng), random_vec(chunk_rows * n, &mut rng));
-    let repeated =
-        |v: &[f32], k: usize| Tensor::from_vec(v.repeat(k), &[k * chunk_rows, n]).unwrap();
-    let (_, one_chunk) = bfly.backward_rows(&repeated(&x, 1), &repeated(&g, 1));
-    for chunks in [grain_chunks - 1, grain_chunks] {
-        let (_, gw) = bfly.backward_rows(&repeated(&x, chunks), &repeated(&g, chunks));
-        let mut expected = vec![0.0f32; gw.len()];
-        for _ in 0..chunks {
-            expected.iter_mut().zip(one_chunk.as_slice()).for_each(|(e, c)| *e += c);
+    for n in [16, 64, 128] {
+        // Rows per chunk: `grad_chunk_rows` of `butterfly.rs`.
+        let chunk_rows = ((1 << 13) / n).max(64);
+        let grain_chunks =
+            PAR_GRAIN_OPS.div_ceil(3 * butterfly_linear_flops(chunk_rows, n)) as usize;
+        assert!(grain_chunks >= 3, "the grain moved below two chunks; pick a smaller n");
+        let mut rng = StdRng::seed_from_u64(33);
+        let bfly = ButterflyMatrix::random(n, &mut rng).unwrap();
+        let (x, g) = (random_vec(chunk_rows * n, &mut rng), random_vec(chunk_rows * n, &mut rng));
+        let repeated =
+            |v: &[f32], k: usize| Tensor::from_vec(v.repeat(k), &[k * chunk_rows, n]).unwrap();
+        let (_, one_chunk) = bfly.backward_rows(&repeated(&x, 1), &repeated(&g, 1));
+        for chunks in [grain_chunks - 1, grain_chunks] {
+            let (x, g) = (repeated(&x, chunks), repeated(&g, chunks));
+            let mut expected = vec![0.0f32; one_chunk.len()];
+            for _ in 0..chunks {
+                expected.iter_mut().zip(one_chunk.as_slice()).for_each(|(e, c)| *e += c);
+            }
+            let oracle = bfly.backward_rows_reference(&x, &g).1;
+            assert_eq!(oracle.as_slice(), expected, "oracle: {chunks} chunks of {chunk_rows} rows");
+            assert_same_bits_in_every_configuration("backward_rows", || {
+                let (_, gw) = bfly.backward_rows(&x, &g);
+                assert_eq!(gw.as_slice(), expected, "n={n}: {chunks} chunks of {chunk_rows} rows");
+                gw.into_vec()
+            });
         }
-        assert_eq!(gw.as_slice(), expected, "{chunks} chunks of {chunk_rows} rows");
     }
 }
 

@@ -92,7 +92,9 @@ pub struct TrainedAccuracy {
     pub epochs: usize,
     /// Random seed for data generation and model initialisation.
     pub seed: u64,
-    /// Reference accuracy measured for the dense Transformer at the same scale.
+    /// The accuracy the sweep's constraint is taken against: a fixed number
+    /// the recipe states, not a measurement (`tiny` states 0.8); nothing
+    /// trains a dense Transformer to obtain it.
     pub reference: f64,
 }
 
@@ -234,7 +236,10 @@ impl MeasuredQuantAccuracy {
             &fab_quant::CalibrationConfig { observer: self.observer },
         );
         let correct = test.iter().filter(|ex| quant.predict_class(&ex.tokens) == ex.label).count();
-        QuantAccuracyReport { f32_accuracy, int8_accuracy: correct as f64 / test.len() as f64 }
+        // An empty held-out split reads 0.0 on both sides, as `evaluate`
+        // reports it for the f32 model.
+        let int8_accuracy = if test.is_empty() { 0.0 } else { correct as f64 / test.len() as f64 };
+        QuantAccuracyReport { f32_accuracy, int8_accuracy }
     }
 }
 
@@ -317,5 +322,11 @@ mod tests {
         // The estimator surface reports the quantized accuracy.
         assert_eq!(est.estimate(&config), report.int8_accuracy);
         assert_eq!(est.reference_accuracy(), est.base.reference);
+        // No held-out examples: both sides read 0.0 — a number the sweep
+        // can rank, not the NaN an unguarded division gives.
+        let mut empty = est.clone();
+        empty.base.test_examples = 0;
+        let report = empty.measure(&config);
+        assert_eq!((report.f32_accuracy, report.int8_accuracy), (0.0, 0.0));
     }
 }

@@ -349,6 +349,9 @@ trait Vf32: FmaLanes {
     /// `2^k` per lane via exponent-bit construction; lanes must hold exact
     /// integers in `[-127, 127]` (the clamped range of [`exp_slice`]).
     fn pow2i(self) -> Self;
+    /// Lanes `0..n` of `self` and the rest of `other` (`n` may exceed
+    /// `LANES`: then all of `self`).
+    fn first_lanes(self, other: Self, n: usize) -> Self;
     /// Loads one value and broadcasts it to every lane.
     ///
     /// # Safety
@@ -368,6 +371,37 @@ trait Vf32: FmaLanes {
     ///
     /// Every row must be valid for reading `LANES` `f32`s.
     unsafe fn transpose(src: *const f32, stride: usize) -> Self::Block;
+    /// Folds each of the `LANES` rows of 16 values at `src + 16 · r` by
+    /// halves — `p[k] + p[k + 8]`, then `+ [k + 4]`, `+ [k + 2]`, `+ [k +
+    /// 1]`, the lower lane always the left operand — into lane `r`. This
+    /// default transposes the rows and adds whole vectors in that order;
+    /// a type may run the same sums on a shuffle network instead.
+    ///
+    /// # Safety
+    ///
+    /// `16 · LANES` values from `src` must be valid for reading, and
+    /// `LANES` must divide 16.
+    #[inline(always)]
+    unsafe fn fold16(src: *const f32) -> Self {
+        let mut p = [Self::splat(0.0); 16];
+        let mut j = 0;
+        while j < 16 {
+            // SAFETY: rows `0..LANES` at stride 16 hold columns `j..j + LANES`.
+            let block = unsafe { Self::transpose(src.add(j), 16) };
+            for (k, v) in block.into_iter().enumerate() {
+                p[j + k] = v;
+            }
+            j += Self::LANES;
+        }
+        let mut half = 8;
+        while half > 0 {
+            for k in 0..half {
+                p[k] = p[k].add(p[k + half]);
+            }
+            half /= 2;
+        }
+        p[0]
+    }
 }
 
 /// The horizontal reductions of the row kernels (softmax, log-softmax,
@@ -481,6 +515,15 @@ impl Vf32 for F32x1 {
     }
 
     #[inline(always)]
+    fn first_lanes(self, other: Self, n: usize) -> Self {
+        if n > 0 {
+            self
+        } else {
+            other
+        }
+    }
+
+    #[inline(always)]
     unsafe fn transpose(src: *const f32, _stride: usize) -> [Self; 1] {
         [F32x1(unsafe { *src })]
     }
@@ -493,7 +536,7 @@ impl Vf32 for F32x1 {
 // ---------------------------------------------------------------------------
 
 mod kernels {
-    use super::{FmaLanes, LaneSelect, RowReduce, Vf32};
+    use super::{F32x1, FmaLanes, LaneSelect, RowReduce, Vf32};
     use crate::fastmath::{exp_fast, gelu_fast, tanh_fast};
     use crate::tensor::gelu_grad_scalar;
 
@@ -1873,10 +1916,12 @@ mod kernels {
     }
 
     /// Butterfly-linear pair: `lo' = w1·lo + w2·hi`, `hi' = w3·lo + w4·hi`,
-    /// mul-then-add.
+    /// mul-then-add, reading `src` and writing `dst` (the same buffer for
+    /// a stage in place).
     struct Real2x2 {
         w: [*const f32; 4],
-        x: *mut f32,
+        src: *const f32,
+        dst: *mut f32,
     }
 
     impl<V: Vf32> PairOp<V> for Real2x2 {
@@ -1890,9 +1935,9 @@ mod kernels {
         #[inline(always)]
         unsafe fn apply(&self, [w1, w2, w3, w4]: [V; 4], lo: usize, hi: usize, _col: usize) {
             unsafe {
-                let (a, b) = (V::load(self.x.add(lo)), V::load(self.x.add(hi)));
-                w1.mul(a).add(w2.mul(b)).store(self.x.add(lo));
-                w3.mul(a).add(w4.mul(b)).store(self.x.add(hi));
+                let (a, b) = (V::load(self.src.add(lo)), V::load(self.src.add(hi)));
+                w1.mul(a).add(w2.mul(b)).store(self.dst.add(lo));
+                w3.mul(a).add(w4.mul(b)).store(self.dst.add(hi));
             }
         }
 
@@ -1901,9 +1946,9 @@ mod kernels {
             unsafe {
                 let [w1, w2, w3, w4] = self.w;
                 let (w1, w2, w3, w4) = (*w1.add(p), *w2.add(p), *w3.add(p), *w4.add(p));
-                let (a, b) = (*self.x.add(lo), *self.x.add(hi));
-                *self.x.add(lo) = w1 * a + w2 * b;
-                *self.x.add(hi) = w3 * a + w4 * b;
+                let (a, b) = (*self.src.add(lo), *self.src.add(hi));
+                *self.dst.add(lo) = w1 * a + w2 * b;
+                *self.dst.add(hi) = w3 * a + w4 * b;
             }
         }
     }
@@ -1978,9 +2023,64 @@ mod kernels {
         debug_assert!(half > 0 && w1.len().is_multiple_of(half));
         debug_assert!(w2.len() == w1.len() && w3.len() == w1.len() && w4.len() == w1.len());
         debug_assert_eq!(x.len(), n * width);
-        let op =
-            Real2x2 { w: [w1.as_ptr(), w2.as_ptr(), w3.as_ptr(), w4.as_ptr()], x: x.as_mut_ptr() };
+        let dst = x.as_mut_ptr();
+        let op = Real2x2 { w: [w1.as_ptr(), w2.as_ptr(), w3.as_ptr(), w4.as_ptr()], src: dst, dst };
         unsafe { stage_lanes::<V, _>(&op, n, half, width, half) };
+    }
+
+    /// [`butterfly_stage_lanes`] out of place: reads `src`, writes `dst`.
+    ///
+    /// # Safety
+    ///
+    /// As [`butterfly_stage_lanes`], with `src.len() == dst.len() == 2 *
+    /// pairs * width`.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    pub unsafe fn butterfly_stage_lanes_into<V: Vf32>(
+        half: usize,
+        w1: &[f32],
+        w2: &[f32],
+        w3: &[f32],
+        w4: &[f32],
+        src: &[f32],
+        dst: &mut [f32],
+        width: usize,
+    ) {
+        let n = 2 * w1.len();
+        debug_assert!(half > 0 && w1.len().is_multiple_of(half));
+        debug_assert!(w2.len() == w1.len() && w3.len() == w1.len() && w4.len() == w1.len());
+        debug_assert!(src.len() == n * width && dst.len() == n * width);
+        let op = Real2x2 {
+            w: [w1.as_ptr(), w2.as_ptr(), w3.as_ptr(), w4.as_ptr()],
+            src: src.as_ptr(),
+            dst: dst.as_mut_ptr(),
+        };
+        unsafe { stage_lanes::<V, _>(&op, n, half, width, half) };
+    }
+
+    /// Folds each 16-value row of `src` into one element of `dst` by halves
+    /// ([`Vf32::fold16`]), `LANES` rows per step and the rows after the last
+    /// full step one lane wide.
+    ///
+    /// # Safety
+    ///
+    /// Caller guarantees the backend's target features are available and
+    /// that `src.len() == 16 * dst.len()`.
+    #[inline(always)]
+    pub unsafe fn fold_lanes16<V: Vf32>(src: &[f32], dst: &mut [f32]) {
+        debug_assert_eq!(src.len(), 16 * dst.len());
+        let (sp, dp, rows) = (src.as_ptr(), dst.as_mut_ptr(), dst.len());
+        let mut c = 0;
+        while c + V::LANES <= rows {
+            // SAFETY: rows `c..c + LANES` of `src` are in bounds.
+            unsafe { V::fold16(sp.add(16 * c)).store(dp.add(c)) };
+            c += V::LANES;
+        }
+        while c < rows {
+            // SAFETY: row `c` is inside `src`, element `c` inside `dst`.
+            unsafe { *dp.add(c) = F32x1::fold16(sp.add(16 * c)).0 };
+            c += 1;
+        }
     }
 
     /// The reverse of [`Real2x2`] for the butterfly-linear gradients. With
@@ -1988,13 +2088,36 @@ mod kernels {
     /// outputs: the four products `g1·a`, `g1·b`, `g2·a`, `g2·b` are added to
     /// the pair's accumulator rows, then `g1' = w1·g1 + w3·g2` and
     /// `g2' = w2·g1 + w4·g2` replace the gradients — mul-then-add.
+    ///
+    /// The buffers hold `tiles` tiles of `width` lanes side by side in each
+    /// row (the driver sees one tile: its offsets are mapped to the row's
+    /// first tile, and the op walks the others in order, the accumulators
+    /// loaded and stored once). Lanes from `live` on, counted along the row,
+    /// add nothing; input rows from offset `shared` (in the driver's
+    /// one-tile offsets) on are read from the first tile.
     struct Real2x2Backward {
         w: [*const f32; 4],
         input: *const f32,
         grad: *mut f32,
-        /// `[pairs][4][width]`.
+        /// `[4][pairs][width]`.
         acc: *mut f32,
         width: usize,
+        pairs: usize,
+        tiles: usize,
+        live: usize,
+        shared: usize,
+    }
+
+    impl Real2x2Backward {
+        /// The memory offsets of the driver's one-tile offsets `lo`, `hi` in
+        /// column `col`, and how far each moves from one tile's input to
+        /// the next.
+        #[inline(always)]
+        fn tile_offsets(&self, lo: usize, hi: usize, col: usize) -> [usize; 4] {
+            let at = |x: usize| (x - col) * self.tiles + col;
+            let step = |x: usize| if x < self.shared { self.width } else { 0 };
+            [at(lo), at(hi), step(lo), step(hi)]
+        }
     }
 
     impl<V: Vf32> PairOp<V> for Real2x2Backward {
@@ -2003,22 +2126,48 @@ mod kernels {
 
         #[inline(always)]
         unsafe fn weights(&self, p: usize) -> Self::W {
-            unsafe { (splat4(self.w, p), self.acc.add(4 * p * self.width)) }
+            unsafe { (splat4(self.w, p), self.acc.add(p * self.width)) }
         }
 
         #[inline(always)]
         unsafe fn apply(&self, ([w1, w2, w3, w4], acc): Self::W, lo: usize, hi: usize, col: usize) {
             unsafe {
-                let (a, b) = (V::load(self.input.add(lo)), V::load(self.input.add(hi)));
-                let (g1, g2) = (V::load(self.grad.add(lo)), V::load(self.grad.add(hi)));
-                let (d1, d2) = (acc.add(col), acc.add(self.width + col));
-                let (d3, d4) = (acc.add(2 * self.width + col), acc.add(3 * self.width + col));
-                V::load(d1).add(g1.mul(a)).store(d1);
-                V::load(d2).add(g1.mul(b)).store(d2);
-                V::load(d3).add(g2.mul(a)).store(d3);
-                V::load(d4).add(g2.mul(b)).store(d4);
-                w1.mul(g1).add(w3.mul(g2)).store(self.grad.add(lo));
-                w2.mul(g1).add(w4.mul(g2)).store(self.grad.add(hi));
+                let k = self.pairs * self.width;
+                let (d1, d2, d3, d4) =
+                    (acc.add(col), acc.add(k + col), acc.add(2 * k + col), acc.add(3 * k + col));
+                let (mut s1, mut s2, mut s3, mut s4) =
+                    (V::load(d1), V::load(d2), V::load(d3), V::load(d4));
+                let [lo, hi, step_lo, step_hi] = self.tile_offsets(lo, hi, col);
+                let (mut ilo, mut ihi, mut glo, mut ghi) = (lo, hi, lo, hi);
+                // One tile: `$add` adds a product to an accumulator.
+                macro_rules! tile {
+                    ($add:expr) => {{
+                        let (a, b) = (V::load(self.input.add(ilo)), V::load(self.input.add(ihi)));
+                        let (g1, g2) = (V::load(self.grad.add(glo)), V::load(self.grad.add(ghi)));
+                        s1 = $add(s1, g1.mul(a));
+                        s2 = $add(s2, g1.mul(b));
+                        s3 = $add(s3, g2.mul(a));
+                        s4 = $add(s4, g2.mul(b));
+                        w1.mul(g1).add(w3.mul(g2)).store(self.grad.add(glo));
+                        w2.mul(g1).add(w4.mul(g2)).store(self.grad.add(ghi));
+                        (ilo, ihi, glo, ghi) =
+                            (ilo + step_lo, ihi + step_hi, glo + self.width, ghi + self.width);
+                    }};
+                }
+                // The tiles whose every lane is live, then the rest lane by
+                // lane.
+                let full = (self.live / self.width).min(self.tiles);
+                for _ in 0..full {
+                    tile!(V::add);
+                }
+                for t in full..self.tiles {
+                    let keep = self.live.saturating_sub(t * self.width + col);
+                    tile!(|s: V, p: V| s.add(p).first_lanes(s, keep));
+                }
+                s1.store(d1);
+                s2.store(d2);
+                s3.store(d3);
+                s4.store(d4);
             }
         }
 
@@ -2027,30 +2176,43 @@ mod kernels {
             unsafe {
                 let [w1, w2, w3, w4] = self.w;
                 let (w1, w2, w3, w4) = (*w1.add(p), *w2.add(p), *w3.add(p), *w4.add(p));
-                let (a, b) = (*self.input.add(lo), *self.input.add(hi));
-                let (g1, g2) = (*self.grad.add(lo), *self.grad.add(hi));
-                let acc = self.acc.add(4 * p * self.width + col);
-                *acc += g1 * a;
-                *acc.add(self.width) += g1 * b;
-                *acc.add(2 * self.width) += g2 * a;
-                *acc.add(3 * self.width) += g2 * b;
-                *self.grad.add(lo) = w1 * g1 + w3 * g2;
-                *self.grad.add(hi) = w2 * g1 + w4 * g2;
+                let k = self.pairs * self.width;
+                let acc = self.acc.add(p * self.width + col);
+                let [lo, hi, step_lo, step_hi] = self.tile_offsets(lo, hi, col);
+                let (mut ilo, mut ihi, mut glo, mut ghi) = (lo, hi, lo, hi);
+                for t in 0..self.tiles {
+                    let (a, b) = (*self.input.add(ilo), *self.input.add(ihi));
+                    let (g1, g2) = (*self.grad.add(glo), *self.grad.add(ghi));
+                    if t * self.width + col < self.live {
+                        *acc += g1 * a;
+                        *acc.add(k) += g1 * b;
+                        *acc.add(2 * k) += g2 * a;
+                        *acc.add(3 * k) += g2 * b;
+                    }
+                    *self.grad.add(glo) = w1 * g1 + w3 * g2;
+                    *self.grad.add(ghi) = w2 * g1 + w4 * g2;
+                    (ilo, ihi, glo, ghi) =
+                        (ilo + step_lo, ihi + step_hi, glo + self.width, ghi + self.width);
+                }
             }
         }
     }
 
-    /// One butterfly-linear stage backward over `[n][width]` buffers,
-    /// `n = 2 · w1.len()`: `input` is what the stage saw going forward,
-    /// `grad` the gradient of its output on entry and of its input on
-    /// return, `acc` the `[pairs][4][width]` weight-gradient accumulators.
+    /// One butterfly-linear stage backward, `n = 2 · w1.len()`: `input`
+    /// holds what the stage saw going forward and `grad` the gradient of its
+    /// output on entry and of its input on return, both `[n][tiles ·
+    /// width]`; `acc` holds the `[4][pairs][width]` weight-gradient
+    /// accumulators, which take the tiles' products in tile order. Lanes
+    /// from `live` on add nothing, and input rows `shared..n` are read from
+    /// the first tile.
     ///
     /// # Safety
     ///
     /// Caller guarantees the backend's target features are available, that
     /// the four weight slices have equal length `pairs`, that `half` divides
-    /// `pairs`, that `input.len() == grad.len() == 2 * pairs * width` and
-    /// that `acc.len() == 4 * pairs * width`.
+    /// `pairs`, that `input.len() == grad.len()` is a nonzero multiple of
+    /// `2 * pairs * width`, that `shared <= 2 * pairs` and that
+    /// `acc.len() == 4 * pairs * width`.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     pub unsafe fn butterfly_stage_backward_lanes<V: Vf32>(
@@ -2063,22 +2225,30 @@ mod kernels {
         grad: &mut [f32],
         acc: &mut [f32],
         width: usize,
+        live: usize,
+        shared: usize,
     ) {
         let n = 2 * w1.len();
+        let tile = n * width;
         debug_assert!(half > 0 && w1.len().is_multiple_of(half));
         debug_assert!(w2.len() == w1.len() && w3.len() == w1.len() && w4.len() == w1.len());
-        debug_assert!(input.len() == n * width && grad.len() == n * width);
-        debug_assert_eq!(acc.len(), 2 * n * width);
+        debug_assert!(input.len().is_multiple_of(tile) && grad.len() == input.len());
+        debug_assert!(shared <= n && acc.len() == 2 * tile);
         let op = Real2x2Backward {
             w: [w1.as_ptr(), w2.as_ptr(), w3.as_ptr(), w4.as_ptr()],
             input: input.as_ptr(),
             grad: grad.as_mut_ptr(),
             acc: acc.as_mut_ptr(),
             width,
+            pairs: w1.len(),
+            tiles: input.len() / tile,
+            live,
+            shared: shared * width,
         };
-        // SAFETY: the driver visits rows `0..n` of `input` / `grad` and
-        // pairs `0..n/2` of the weights and of `acc`, all inside the
-        // lengths asserted above.
+        // SAFETY: the driver visits rows `0..n`, lanes `0..width`, and the
+        // op the same lanes of every tile of those rows (of the first tile,
+        // for shared input rows), and pairs `0..n/2` of the weights and of
+        // each quarter of `acc`, all inside the lengths asserted above.
         unsafe { stage_lanes::<V, _>(&op, n, half, width, half) };
     }
 
@@ -2217,6 +2387,28 @@ mod kernels {
                 }
                 c += V::LANES;
             }
+        } else if width.is_multiple_of(V::LANES) && rows >= V::LANES {
+            // Several tiles side by side: the register transpose per group
+            // of `LANES` rows, then the rest of those columns' lanes.
+            let full = rows - rows % V::LANES;
+            while c + V::LANES <= cols {
+                for g in (0..full).step_by(V::LANES) {
+                    let block = unsafe { V::transpose(sp.add(g * stride + c), stride) };
+                    for (k, v) in block.into_iter().enumerate() {
+                        debug_assert!((at(c + k) + 1) * width <= dst.len());
+                        unsafe { v.store(dp.add(at(c + k) * width + g)) };
+                    }
+                }
+                c += V::LANES;
+            }
+            for col in 0..c {
+                for r in full..width {
+                    unsafe {
+                        *dp.add(at(col) * width + r) =
+                            if r < rows { *sp.add(r * stride + col) } else { 0.0 };
+                    }
+                }
+            }
         }
         while c < cols {
             debug_assert!((at(c) + 1) * width <= dst.len());
@@ -2265,6 +2457,22 @@ mod kernels {
                         let v = if bias.is_empty() { v } else { v.add(V::load(bp.add(c))) };
                         let v = if gelu { gelu_v(v) } else { v };
                         v.store(dp.add(r * stride + c));
+                    }
+                }
+                c += V::LANES;
+            }
+        } else if width.is_multiple_of(V::LANES) {
+            // Several tiles side by side: the register transpose per group
+            // of `LANES` rows, a last partial group storing its live rows.
+            while c + V::LANES <= cols {
+                for g in (0..rows).step_by(V::LANES) {
+                    let block = unsafe { V::transpose(sp.add(c * width + g), width) };
+                    for (k, v) in block.into_iter().enumerate().take(rows - g) {
+                        unsafe {
+                            let v = if bias.is_empty() { v } else { v.add(V::load(bp.add(c))) };
+                            let v = if gelu { gelu_v(v) } else { v };
+                            v.store(dp.add((g + k) * stride + c));
+                        }
                     }
                 }
                 c += V::LANES;
@@ -2367,6 +2575,15 @@ mod x86 {
                 let k = _mm256_cvtps_epi32(self.0);
                 let bits = _mm256_slli_epi32(_mm256_add_epi32(k, _mm256_set1_epi32(127)), 23);
                 F32x8(_mm256_castsi256_ps(bits))
+            }
+        }
+
+        #[inline(always)]
+        fn first_lanes(self, other: Self, n: usize) -> Self {
+            unsafe {
+                let n = _mm256_set1_epi32(n.min(8) as i32);
+                let keep = _mm256_cmpgt_epi32(n, _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+                F32x8(_mm256_blendv_ps(other.0, self.0, _mm256_castsi256_ps(keep)))
             }
         }
 
@@ -2601,6 +2818,17 @@ mod x86 {
             x: &mut [f32],
             width: usize,
         ) if width.is_multiple_of(16);
+        fn butterfly_stage_lanes_into(
+            half: usize,
+            w1: &[f32],
+            w2: &[f32],
+            w3: &[f32],
+            w4: &[f32],
+            src: &[f32],
+            dst: &mut [f32],
+            width: usize,
+        ) if width.is_multiple_of(16);
+        fn fold_lanes16(src: &[f32], dst: &mut [f32]);
         fn butterfly_stage_backward_lanes(
             half: usize,
             w1: &[f32],
@@ -2611,6 +2839,8 @@ mod x86 {
             grad: &mut [f32],
             acc: &mut [f32],
             width: usize,
+            live: usize,
+            shared: usize,
         ) if width.is_multiple_of(16);
         fn fft_stages_lanes(
             tw_re: &[f32],
@@ -2739,6 +2969,12 @@ mod x86 {
             }
         }
 
+        #[inline(always)]
+        fn first_lanes(self, other: Self, n: usize) -> Self {
+            let keep = if n >= 16 { u16::MAX } else { (1u16 << n) - 1 };
+            F32x16(unsafe { _mm512_mask_blend_ps(keep, other.0, self.0) })
+        }
+
         type Block = [Self; 16];
 
         /// Four 16×4 blocks, each built like [`transpose_8x4`]'s 8×4 one.
@@ -2750,6 +2986,45 @@ mod x86 {
                 let [c8, c9, c10, c11] = transpose_16x4(src.add(8), stride);
                 let [c12, c13, c14, c15] = transpose_16x4(src.add(12), stride);
                 [c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14, c15]
+            }
+        }
+
+        /// The halving fold on a shuffle network: each level pairs two
+        /// registers, gathers the lower halves of their live sums into one
+        /// and the upper halves into another, and adds the two — 30
+        /// shuffles for sixteen rows where the transpose takes 80. The
+        /// last permute puts row `r` in lane `r`.
+        #[inline(always)]
+        unsafe fn fold16(src: *const f32) -> Self {
+            unsafe {
+                let v: [__m512; 16] = core::array::from_fn(|r| _mm512_loadu_ps(src.add(16 * r)));
+                // Quarters of 128 bits: rows 2i, 2i + 1, sums `p[k] + p[k + 8]`.
+                let w: [__m512; 8] = core::array::from_fn(|i| {
+                    let (a, b) = (v[2 * i], v[2 * i + 1]);
+                    let lo = _mm512_shuffle_f32x4::<0x44>(a, b);
+                    let hi = _mm512_shuffle_f32x4::<0xEE>(a, b);
+                    _mm512_add_ps(lo, hi)
+                });
+                // Quarter m: row 4j + m, sums `q[k] + q[k + 4]`.
+                let x: [__m512; 4] = core::array::from_fn(|j| {
+                    let (a, b) = (w[2 * j], w[2 * j + 1]);
+                    let lo = _mm512_shuffle_f32x4::<0x88>(a, b);
+                    let hi = _mm512_shuffle_f32x4::<0xDD>(a, b);
+                    _mm512_add_ps(lo, hi)
+                });
+                // Quarter m: rows m and 4 + m (8 + m and 12 + m), `r[k] + r[k + 2]`.
+                let y: [__m512; 2] = core::array::from_fn(|j| {
+                    let (a, b) = (x[2 * j], x[2 * j + 1]);
+                    let lo = _mm512_shuffle_ps::<0x44>(a, b);
+                    let hi = _mm512_shuffle_ps::<0xEE>(a, b);
+                    _mm512_add_ps(lo, hi)
+                });
+                // Lane 4m + t: row 4t + m, `s[0] + s[1]`.
+                let lo = _mm512_shuffle_ps::<0x88>(y[0], y[1]);
+                let hi = _mm512_shuffle_ps::<0xDD>(y[0], y[1]);
+                let z = _mm512_add_ps(lo, hi);
+                let order = _mm512_setr_epi32(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15);
+                F32x16(_mm512_permutexvar_ps(order, z))
             }
         }
     }
@@ -3618,7 +3893,7 @@ pub fn butterfly_stage_in_place(
 // `width` independent transforms is the contiguous row `i`, so that every
 // butterfly stage is a vertical vector operation with broadcast weights. The
 // butterfly-linear forward and backward and the 2-D FFT of `fab-butterfly`
-// all run on these six entry points; all of them are mul-then-add without FMA and
+// all run on these eight entry points; none of them uses FMA, and all are
 // bit-identical across backends (the scalar backend runs the same generic
 // bodies one lane wide) and across the AVX2 backend's 8- and 16-lane
 // instantiations (16 where `avx512f` is present and `width` is a multiple
@@ -3662,6 +3937,59 @@ pub fn butterfly_stage_lanes(
     dispatch!(butterfly_stage_lanes(half, w1, w2, w3, w4, x, width))
 }
 
+/// [`butterfly_stage_lanes`] out of place: `dst` receives the stage applied
+/// to `src`, bit for bit what the in-place stage leaves in a copy of `src`.
+/// Like the in-place stage, it applies to a prefix of the rows when given
+/// the prefix's weights.
+///
+/// # Panics
+///
+/// Panics when slice lengths disagree, `width` is zero, or `half` does not
+/// divide the pair count.
+#[allow(clippy::too_many_arguments)]
+pub fn butterfly_stage_lanes_into(
+    half: usize,
+    w1: &[f32],
+    w2: &[f32],
+    w3: &[f32],
+    w4: &[f32],
+    src: &[f32],
+    dst: &mut [f32],
+    width: usize,
+) {
+    let pairs = w1.len();
+    assert!(
+        half > 0 && pairs.is_multiple_of(half),
+        "butterfly_stage_lanes_into half {half} does not divide {pairs} pairs"
+    );
+    assert!(
+        width > 0
+            && w2.len() == pairs
+            && w3.len() == pairs
+            && w4.len() == pairs
+            && src.len() == 2 * pairs * width
+            && dst.len() == src.len(),
+        "butterfly_stage_lanes_into length mismatch"
+    );
+    dispatch!(butterfly_stage_lanes_into(half, w1, w2, w3, w4, src, dst, width))
+}
+
+/// Folds 16-wide lane rows: `dst[c]` is the sixteen values `p =
+/// src[16c..16c + 16]` summed by halves — `q[k] = p[k] + p[k + 8]` for
+/// `k < 8`, then `r[k] = q[k] + q[k + 4]`, `s[k] = r[k] + r[k + 2]` and
+/// `dst[c] = s[0] + s[1]` — the fixed order in which the per-lane partial
+/// sums of a 16-row weight-gradient tile
+/// ([`butterfly_stage_backward_lanes`]) are combined. Every backend gives
+/// the bits of that scalar tree.
+///
+/// # Panics
+///
+/// Panics when `src.len() != 16 · dst.len()`.
+pub fn fold_lanes16(src: &[f32], dst: &mut [f32]) {
+    assert_eq!(src.len(), 16 * dst.len(), "fold_lanes16 length mismatch");
+    dispatch!(fold_lanes16(src, dst))
+}
+
 /// The backward of [`butterfly_stage_lanes`], over `width` transforms at once.
 /// `input` is the `[n][width]` buffer the stage saw going forward and `grad`
 /// the gradient of its output; for every pair `p` (rows `i1`, `i2`) and every
@@ -3669,19 +3997,31 @@ pub fn butterfly_stage_lanes(
 /// `g2 = grad[i2]`:
 ///
 /// ```text
-/// acc[p][0] += g1·a    acc[p][1] += g1·b    acc[p][2] += g2·a    acc[p][3] += g2·b
+/// acc[0][p] += g1·a    acc[1][p] += g1·b    acc[2][p] += g2·a    acc[3][p] += g2·b
 /// grad[i1] = w1[p]·g1 + w3[p]·g2            grad[i2] = w2[p]·g1 + w4[p]·g2
 /// ```
 ///
 /// so `grad` holds the gradient of the stage's input on return and `acc`
-/// (`[pairs][4][width]`) carries one running weight-gradient sum per column:
-/// column `c` only ever adds column `c`'s products, in call order, and the
-/// caller decides how the columns are folded.
+/// (`[4][pairs][width]`, the weight tensor's `[w1 | w2 | w3 | w4]` order)
+/// carries one running weight-gradient sum per column: column `c` only ever
+/// adds column `c`'s products, in call order, and the caller decides how the
+/// columns are folded.
+///
+/// The rows may hold several tiles of `width` columns side by side
+/// (`input` and `grad` are then `[n][tiles · width]`): each tile goes
+/// through the stage in turn, its column `c` adding to accumulator column
+/// `c` after the tile before — the bits of one call per tile, with the
+/// accumulators loaded and stored once per pair instead of once per tile.
+/// Columns from `live` on (counted along the whole row) add nothing: they
+/// are a partial last tile's unused lanes. Input rows `shared..n` are the
+/// same in every tile and read from the first (pass `n` where no row is
+/// shared); the other tiles' copies of them are never read. One tile with
+/// `live = width` and `shared = n` is the plain stage.
 ///
 /// # Panics
 ///
-/// Panics when slice lengths disagree, `width` is zero, or `half` does not
-/// divide the pair count.
+/// Panics when slice lengths disagree, `width` is zero, `live` exceeds the
+/// row, `shared` exceeds `n`, or `half` does not divide the pair count.
 #[allow(clippy::too_many_arguments)]
 pub fn butterfly_stage_backward_lanes(
     half: usize,
@@ -3693,23 +4033,31 @@ pub fn butterfly_stage_backward_lanes(
     grad: &mut [f32],
     acc: &mut [f32],
     width: usize,
+    live: usize,
+    shared: usize,
 ) {
     let pairs = w1.len();
     assert!(
         half > 0 && pairs.is_multiple_of(half),
         "butterfly_stage_backward_lanes half {half} does not divide {pairs} pairs"
     );
+    let tile = 2 * pairs * width;
     assert!(
         width > 0
             && w2.len() == pairs
             && w3.len() == pairs
             && w4.len() == pairs
-            && input.len() == 2 * pairs * width
-            && grad.len() == 2 * pairs * width
-            && acc.len() == 4 * pairs * width,
+            && !input.is_empty()
+            && input.len().is_multiple_of(tile)
+            && grad.len() == input.len()
+            && acc.len() == 2 * tile
+            && live <= input.len() / (2 * pairs)
+            && shared <= 2 * pairs,
         "butterfly_stage_backward_lanes length mismatch"
     );
-    dispatch!(butterfly_stage_backward_lanes(half, w1, w2, w3, w4, input, grad, acc, width))
+    dispatch!(butterfly_stage_backward_lanes(
+        half, w1, w2, w3, w4, input, grad, acc, width, live, shared
+    ))
 }
 
 /// All `log2 n` radix-2 decimation-in-time stages of `width` independent
@@ -3773,9 +4121,11 @@ pub fn fft_real_split_lanes(
 /// A full tile (`rows == width`) at the active backend's lane count
 /// ([`Backend::lanes`]: 16 on an AVX2 backend whose CPU has `avx512f`, where
 /// a 16 × 16 block is four 16 × 4 register transposes) goes through the
-/// register transpose; every other shape takes the element-wise path with
-/// the same result. Callers that tile at [`Backend::lanes`] get the
-/// register path on every full tile.
+/// register transpose, and so do the whole groups of that many rows of a
+/// wider tile whose width is a multiple of it (several tiles side by side);
+/// every other shape takes the element-wise path with the same result.
+/// Callers that tile at [`Backend::lanes`] get the register path on every
+/// full tile.
 ///
 /// # Panics
 ///
@@ -4451,42 +4801,103 @@ mod tests {
         }
     }
 
-    /// A butterfly stage of the lane engine, forward or (`backward`) its
-    /// gradient; the backward's output is the gradient and then the
-    /// accumulators.
-    fn engine_stage_cases(case: Case, backward: bool) {
+    /// A butterfly stage of the lane engine: in place, out of place
+    /// (`Stage::Into`, which must leave its source alone), or its gradient
+    /// (`Stage::Backward`: output the gradient and then the accumulators),
+    /// the gradient on one tile and on rows of three tiles side by side,
+    /// with the last tile partial and half the input rows shared.
+    fn engine_stage_cases(case: Case, stage: Stage) {
         engine_shapes(|width, off, nan, data| {
             for (pairs, half) in ENGINE_STAGES {
                 let n = 2 * pairs;
                 let salt = (width * 100 + pairs * 10 + half) as u64;
                 let w: Vec<Vec<f32>> =
                     (0..4).map(|s| values(pairs, salt + s, 13, specials(nan))).collect();
-                let (x0, grad0, acc0) =
-                    (data(n, salt + 4), data(n, salt + 5), data(2 * n, salt + 6));
-                let what = format!("width={width} pairs={pairs} half={half} off={off}");
-                case(&what, nan, &|arm| {
-                    let [w1, w2, w3, w4] = [&w[0], &w[1], &w[2], &w[3]];
-                    let (mut x, mut acc) = (x0.clone(), acc0.clone());
-                    if !backward {
-                        let ran = lanes!(
-                            arm,
-                            butterfly_stage_lanes(half, w1, w2, w3, w4, &mut x[off..], width)
-                        );
-                        return ran.then_some(Out::F32(x));
+                let [w1, w2, w3, w4] = [&w[0], &w[1], &w[2], &w[3]];
+                let tilings: &[(usize, usize, usize)] = match stage {
+                    Stage::Backward => {
+                        &[(1, width, n), (3, 3 * width, n / 2), (3, 2 * width + 1, 0)]
                     }
-                    let mut grad = grad0.clone();
-                    let (input, grad_n, acc_n) = (&x[off..], &mut grad[off..], &mut acc[off..]);
-                    let ran = lanes!(
-                        arm,
-                        butterfly_stage_backward_lanes(
-                            half, w1, w2, w3, w4, input, grad_n, acc_n, width
-                        )
+                    _ => &[(1, width, n)],
+                };
+                for &(tiles, live, shared) in tilings {
+                    let rows = n * tiles;
+                    let (x0, grad0, acc0) =
+                        (data(rows, salt + 4), data(rows, salt + 5), data(2 * n, salt + 6));
+                    let what = format!(
+                        "width={width} pairs={pairs} half={half} off={off} tiles={tiles} \
+                         live={live} shared={shared}"
                     );
-                    grad.extend(acc);
-                    ran.then_some(Out::F32(grad))
-                });
+                    case(&what, nan, &|arm| {
+                        let (mut x, mut acc) = (x0.clone(), acc0.clone());
+                        let ran = match stage {
+                            Stage::InPlace => lanes!(
+                                arm,
+                                butterfly_stage_lanes(half, w1, w2, w3, w4, &mut x[off..], width)
+                            ),
+                            Stage::Into => {
+                                let mut y = grad0.clone();
+                                let (src, dst) = (&x[off..], &mut y[off..]);
+                                let ran = lanes!(
+                                    arm,
+                                    butterfly_stage_lanes_into(
+                                        half, w1, w2, w3, w4, src, dst, width
+                                    )
+                                );
+                                x.extend(y);
+                                ran
+                            }
+                            Stage::Backward => {
+                                let mut grad = grad0.clone();
+                                let (input, g, a) = (&x[off..], &mut grad[off..], &mut acc[off..]);
+                                let ran = lanes!(
+                                    arm,
+                                    butterfly_stage_backward_lanes(
+                                        half, w1, w2, w3, w4, input, g, a, width, live, shared
+                                    )
+                                );
+                                x = grad;
+                                x.extend(acc);
+                                ran
+                            }
+                        };
+                        ran.then_some(Out::F32(x))
+                    });
+                }
             }
         });
+    }
+
+    /// The three stage kernels of [`engine_stage_cases`].
+    #[derive(Clone, Copy)]
+    enum Stage {
+        InPlace,
+        Into,
+        Backward,
+    }
+
+    /// `fold_lanes16` against the halving tree spelled out on scalars.
+    fn fold_cases(case: Case) {
+        for rows in [1usize, 7, 8, 15, 16, 17, 33, 64] {
+            for off in [0, 3] {
+                for nan in [false, true] {
+                    let src = values(off + 16 * rows, (rows * 10 + off) as u64, 5, specials(nan));
+                    let src = &src[off..];
+                    case(&format!("rows={rows} off={off}"), nan, &|arm| {
+                        let mut dst = vec![SENTINEL; rows];
+                        if arm == Arm::Oracle {
+                            for (d, p) in dst.iter_mut().zip(src.chunks(16)) {
+                                let q: Vec<f32> = (0..8).map(|k| p[k] + p[k + 8]).collect();
+                                let r: Vec<f32> = (0..4).map(|k| q[k] + q[k + 4]).collect();
+                                *d = (r[0] + r[2]) + (r[1] + r[3]);
+                            }
+                            return Some(Out::F32(dst));
+                        }
+                        lanes!(arm, fold_lanes16(src, &mut dst)).then_some(Out::F32(dst))
+                    });
+                }
+            }
+        }
     }
 
     /// Stage-major twiddles of a `2m`-point transform: the stage with
@@ -5040,8 +5451,11 @@ mod tests {
             lanes!(arm, scale_slice(x, BROADCASTS[i], d))
         });
         butterfly_stage_in_place: OneLane, LaneEngine, stage_cases;
-        butterfly_stage_lanes: OneLane, LaneEngine, |c| engine_stage_cases(c, false);
-        butterfly_stage_backward_lanes: OneLane, LaneEngine, |c| engine_stage_cases(c, true);
+        butterfly_stage_lanes: OneLane, LaneEngine, |c| engine_stage_cases(c, Stage::InPlace);
+        butterfly_stage_lanes_into: OneLane, LaneEngine, |c| engine_stage_cases(c, Stage::Into);
+        butterfly_stage_backward_lanes: OneLane, LaneEngine,
+            |c| engine_stage_cases(c, Stage::Backward);
+        fold_lanes16: OneLane, LaneEngine, fold_cases;
         fft_stages_lanes: OneLane, LaneEngine, |c| fft_cases(c, false);
         fft_real_split_lanes: OneLane, LaneEngine, |c| fft_cases(c, true);
         rows_to_lanes: OneLane, LaneEngine, rows_to_lanes_cases;

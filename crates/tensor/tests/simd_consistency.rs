@@ -462,6 +462,8 @@ fn butterfly_stage_backward_lanes_is_the_per_pair_definition_in_every_column() {
                             &mut grad[off..],
                             &mut acc[off..],
                             width,
+                            width,
+                            n,
                         )
                     });
                     (grad, acc)
@@ -481,7 +483,7 @@ fn butterfly_stage_backward_lanes_is_the_per_pair_definition_in_every_column() {
                         let (a, b, g1, g2) = (input[lo], input[hi], grad0[lo], grad0[hi]);
                         for (k, product) in [g1 * a, g1 * b, g2 * a, g2 * b].into_iter().enumerate()
                         {
-                            want_acc[off + (4 * p + k) * width + c] += product;
+                            want_acc[off + (k * pairs + p) * width + c] += product;
                         }
                         want_grad[lo] = w[0][p] * g1 + w[2][p] * g2;
                         want_grad[hi] = w[1][p] * g1 + w[3][p] * g2;
@@ -502,7 +504,7 @@ fn butterfly_stage_backward_lanes_is_the_per_pair_definition_in_every_column() {
 fn butterfly_stage_backward_lanes_rejects_short_accumulators() {
     let w = [0.0f32; 4];
     let (input, mut grad, mut acc) = ([0.0f32; 64], [0.0f32; 64], [0.0f32; 127]);
-    simd::butterfly_stage_backward_lanes(2, &w, &w, &w, &w, &input, &mut grad, &mut acc, 8);
+    simd::butterfly_stage_backward_lanes(2, &w, &w, &w, &w, &input, &mut grad, &mut acc, 8, 8, 8);
 }
 
 /// Stage-major twiddle tables of an `n`-point transform.
