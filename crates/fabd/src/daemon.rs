@@ -32,8 +32,9 @@
 use crate::config::{DaemonConfig, ProfileConfig, TrainingKey};
 use crate::http::{read_request, write_response, Request, Response};
 use crate::json::Json;
+use crate::stats::{self, ModelRow, Snapshot};
 use fab_chaos::{ChaosInjector, ChaosSite};
-use fab_fleet::{Fleet, FleetError, GuardStats, ModelInfo, ModelSource, ModelState};
+use fab_fleet::{Fleet, FleetError, ModelInfo, ModelSource, ModelState};
 use fab_nn::FrozenModel;
 use fab_serve::{InferenceSession, Prediction, Priority, ServeError, ServerStats};
 use fab_store::{ModelArtifact, Store, FINGERPRINT_KEY};
@@ -57,19 +58,19 @@ struct HttpCounters {
     connections_total: AtomicU64,
     connections_rejected: AtomicU64,
     requests_total: AtomicU64,
-    responses_2xx: AtomicU64,
-    responses_4xx: AtomicU64,
-    responses_5xx: AtomicU64,
+    /// Responses by status class: 2xx, 4xx, everything else.
+    responses: [AtomicU64; 3],
     read_errors: AtomicU64,
 }
 
 impl HttpCounters {
     fn count_status(&self, status: u16) {
-        match status {
-            200..=299 => self.responses_2xx.fetch_add(1, Ordering::Relaxed),
-            400..=499 => self.responses_4xx.fetch_add(1, Ordering::Relaxed),
-            _ => self.responses_5xx.fetch_add(1, Ordering::Relaxed),
+        let class = match status {
+            200..=299 => 0,
+            400..=499 => 1,
+            _ => 2,
         };
+        self.responses[class].fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -362,7 +363,7 @@ fn attach_chaos(shared: &DaemonShared, session: InferenceSession) -> InferenceSe
 
 /// Best-effort snapshot persistence. A full disk or yanked volume must
 /// never take serving down, so save failures are swallowed here; they
-/// surface as a missing `snapshot_version` in `/v1/models`.
+/// surface as a `null` `snapshot_version` in `/v1/models`.
 fn persist_artifact(
     shared: &DaemonShared,
     model: &str,
@@ -558,9 +559,12 @@ fn route(shared: &Arc<DaemonShared>, request: &Request) -> Response {
                 Response::text(200, "ready\n")
             }
         }
-        ("GET", "/metrics") => Response::text(200, render_metrics(shared)),
-        ("GET", "/v1/models") => list_models(shared),
-        ("GET", "/v1/stats") => stats_json(shared),
+        ("GET", "/metrics") => Response::text(200, stats::prometheus(&snapshot(shared))),
+        ("GET", "/v1/models") => {
+            let models = model_rows(shared).iter().map(stats::model_json).collect();
+            Response::json(200, Json::Obj(vec![("models".to_string(), Json::Arr(models))]))
+        }
+        ("GET", "/v1/stats") => Response::json(200, stats::json(&snapshot(shared))),
         ("GET", "/v1/circuits") => circuits_json(shared),
         ("POST", "/v1/predict") => predict(shared, request, false),
         ("POST", "/v1/predict_batch") => predict(shared, request, true),
@@ -610,36 +614,13 @@ fn inject_worker_exit(shared: &DaemonShared, request: &Request) -> Response {
 /// `GET /v1/circuits`: overload posture of every ready model — breaker
 /// state, admission limiter, degrade ladder and current rung.
 fn circuits_json(shared: &DaemonShared) -> Response {
-    let circuits: Vec<Json> = shared
-        .fleet
-        .guard_stats()
-        .into_iter()
-        .map(|(name, g)| {
-            let ladder = shared.fleet.ladder(&name).unwrap_or_default();
-            Json::Obj(vec![
-                ("model".to_string(), Json::Str(name)),
-                ("circuit".to_string(), Json::Str(g.circuit.name().to_string())),
-                ("breaker_enabled".to_string(), Json::Bool(g.breaker_enabled)),
-                ("consecutive_failures".to_string(), Json::Num(g.consecutive_failures as f64)),
-                ("breaker_rejected".to_string(), Json::Num(g.breaker_rejected as f64)),
-                ("adaptive".to_string(), Json::Bool(g.adaptive)),
-                ("admission_limit".to_string(), Json::Num(g.limit as f64)),
-                ("inflight".to_string(), Json::Num(g.inflight as f64)),
-                ("limiter_rejected".to_string(), Json::Num(g.limiter_rejected as f64)),
-                ("degrade_level".to_string(), Json::Num(g.degrade_level as f64)),
-                (
-                    "forced_level".to_string(),
-                    match g.forced_level {
-                        Some(l) => Json::Num(l as f64),
-                        None => Json::Null,
-                    },
-                ),
-                ("degraded_total".to_string(), Json::Num(g.degraded_total as f64)),
-                ("ladder".to_string(), Json::Arr(ladder.into_iter().map(Json::Str).collect())),
-            ])
-        })
-        .collect();
-    Response::json(200, Json::Obj(vec![("circuits".to_string(), Json::Arr(circuits))]))
+    let circuits = shared.fleet.guard_stats().into_iter().map(|(name, g)| {
+        let ladder = shared.fleet.ladder(&name).unwrap_or_default();
+        let mut obj = stats::object("model", &name, stats::GUARD, &g);
+        obj.push(("ladder".to_string(), Json::Arr(ladder.into_iter().map(Json::Str).collect())));
+        Json::Obj(obj)
+    });
+    Response::json(200, Json::Obj(vec![("circuits".to_string(), Json::Arr(circuits.collect()))]))
 }
 
 /// `POST /admin/degrade`: pins or releases a model's degrade rung. Body:
@@ -684,19 +665,10 @@ fn admin_degrade(shared: &DaemonShared, request: &Request) -> Response {
     }
 }
 
-fn chaos_site_json(s: &fab_chaos::SiteStatus) -> Json {
-    Json::Obj(vec![
-        ("site".to_string(), Json::Str(s.site.name().to_string())),
-        ("every".to_string(), Json::Num(s.every as f64)),
-        ("param_ms".to_string(), Json::Num(s.param_ms as f64)),
-        ("injected".to_string(), Json::Num(s.injected as f64)),
-    ])
-}
-
 /// `GET /admin/chaos`: current per-site injection rates and fire counts.
 /// Read-only, so it answers even without `fault_injection` (all-off).
 fn chaos_status(shared: &DaemonShared) -> Response {
-    let sites: Vec<Json> = shared.chaos.status().iter().map(chaos_site_json).collect();
+    let sites: Vec<Json> = shared.chaos.status().iter().map(stats::site_json).collect();
     Response::json(200, Json::Obj(vec![("sites".to_string(), Json::Arr(sites))]))
 }
 
@@ -956,7 +928,7 @@ fn admin_models(shared: &DaemonShared, request: &Request) -> Response {
                         .lock()
                         .unwrap_or_else(PoisonError::into_inner)
                         .remove(&name);
-                    Response::json(200, model_info_json(shared, &info))
+                    Response::json(200, stats::model_json(&model_row(shared, info, None)))
                 }
                 Err(e) => fleet_error_response(&e),
             }
@@ -993,7 +965,7 @@ fn load_profile(shared: &DaemonShared, profile: ProfileConfig) -> Response {
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .insert(profile.name.clone(), profile);
-    Response::json(200, model_info_json(shared, &info))
+    Response::json(200, stats::model_json(&model_row(shared, info, None)))
 }
 
 /// `POST /admin/snapshot`: re-persists every loaded model's artifact as a
@@ -1066,378 +1038,51 @@ fn snapshot_list(shared: &DaemonShared) -> Response {
     }
 }
 
-fn model_info_json(shared: &DaemonShared, info: &ModelInfo) -> Json {
-    let mut obj = vec![
-        ("name".to_string(), Json::Str(info.spec.name.clone())),
-        ("version".to_string(), Json::Num(info.version as f64)),
-        ("state".to_string(), Json::Str(info.state.name().to_string())),
-        ("task".to_string(), Json::Str(info.spec.task.clone())),
-        ("arch".to_string(), Json::Str(info.spec.arch.clone())),
-        ("precision".to_string(), Json::Str(info.spec.precision.clone())),
-        ("source".to_string(), Json::Str(info.source.name().to_string())),
-    ];
-    let versions = shared.snapshot_versions.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(v) = versions.get(&info.spec.name) {
-        obj.push(("snapshot_version".to_string(), Json::Num(*v as f64)));
-    }
-    Json::Obj(obj)
-}
-
-fn list_models(shared: &DaemonShared) -> Response {
-    // Ready models carry live server stats; loading/draining/retired
-    // entries list identity and lifecycle state only.
-    let ready: HashMap<(String, u64), ServerStats> = shared
-        .fleet
-        .model_stats()
-        .into_iter()
-        .map(|(info, s)| ((info.spec.name, info.version), s))
-        .collect();
-    let guards: HashMap<String, GuardStats> = shared.fleet.guard_stats().into_iter().collect();
-    let models: Vec<Json> = shared
-        .fleet
-        .models()
-        .into_iter()
-        .map(|info| {
-            let mut obj = match model_info_json(shared, &info) {
-                Json::Obj(obj) => obj,
-                _ => unreachable!("model_info_json returns an object"),
-            };
-            if let Some(stats) = ready.get(&(info.spec.name.clone(), info.version)) {
-                obj.push(("kind".to_string(), Json::Str(stats.session_kind.to_string())));
-                obj.push(("workers".to_string(), Json::Num(stats.workers as f64)));
-                obj.push(("completed".to_string(), Json::Num(stats.completed as f64)));
-            }
-            if let Some(g) = guards.get(&info.spec.name) {
-                obj.push(("circuit".to_string(), Json::Str(g.circuit.name().to_string())));
-                obj.push(("degrade_level".to_string(), Json::Num(g.degrade_level as f64)));
-            }
-            Json::Obj(obj)
-        })
-        .collect();
-    Response::json(200, Json::Obj(vec![("models".to_string(), Json::Arr(models))]))
-}
-
-fn stats_json(shared: &DaemonShared) -> Response {
-    let guards: HashMap<String, GuardStats> = shared.fleet.guard_stats().into_iter().collect();
-    let models: Vec<Json> = shared
-        .fleet
-        .model_stats()
-        .into_iter()
-        .map(|(info, s)| {
-            let g = guards.get(&info.spec.name);
-            let mut obj = vec![
-                ("name".to_string(), Json::Str(info.spec.name.clone())),
-                ("version".to_string(), Json::Num(info.version as f64)),
-                ("state".to_string(), Json::Str(info.state.name().to_string())),
-                ("task".to_string(), Json::Str(info.spec.task.clone())),
-                ("precision".to_string(), Json::Str(info.spec.precision.clone())),
-                ("kind".to_string(), Json::Str(s.session_kind.to_string())),
-                ("submitted".to_string(), Json::Num(s.submitted as f64)),
-                ("completed".to_string(), Json::Num(s.completed as f64)),
-                ("rejected".to_string(), Json::Num(s.rejected as f64)),
-                ("failed".to_string(), Json::Num(s.failed as f64)),
-                ("shed_expired".to_string(), Json::Num(s.shed_expired as f64)),
-                ("batch_panics".to_string(), Json::Num(s.batch_panics as f64)),
-                ("worker_restarts".to_string(), Json::Num(s.worker_restarts as f64)),
-                ("queue_depth".to_string(), Json::Num(s.queue_depth as f64)),
-                ("throughput_rps".to_string(), Json::Num(s.throughput_rps)),
-                ("mean_batch_occupancy".to_string(), Json::Num(s.mean_batch_occupancy)),
-                ("latency_p50_us".to_string(), Json::Num(s.latency.p50_us as f64)),
-                ("latency_p95_us".to_string(), Json::Num(s.latency.p95_us as f64)),
-                ("latency_p99_us".to_string(), Json::Num(s.latency.p99_us as f64)),
-                ("latency_max_us".to_string(), Json::Num(s.latency.max_us as f64)),
-            ];
-            if let Some(g) = g {
-                obj.push(("circuit".to_string(), Json::Str(g.circuit.name().to_string())));
-                obj.push(("degrade_level".to_string(), Json::Num(g.degrade_level as f64)));
-                obj.push(("admission_limit".to_string(), Json::Num(g.limit as f64)));
-                obj.push(("inflight".to_string(), Json::Num(g.inflight as f64)));
-                obj.push(("degraded_total".to_string(), Json::Num(g.degraded_total as f64)));
-                obj.push(("limiter_rejected".to_string(), Json::Num(g.limiter_rejected as f64)));
-                obj.push(("breaker_rejected".to_string(), Json::Num(g.breaker_rejected as f64)));
-            }
-            Json::Obj(obj)
-        })
-        .collect();
-    let tenants: Vec<Json> = shared
-        .fleet
-        .tenant_stats()
-        .into_iter()
-        .map(|t| {
-            Json::Obj(vec![
-                ("tenant".to_string(), Json::Str(t.tenant)),
-                ("rate_per_s".to_string(), Json::Num(t.rate_per_s)),
-                ("weight".to_string(), Json::Num(t.weight)),
-                ("submitted".to_string(), Json::Num(t.submitted as f64)),
-                ("completed".to_string(), Json::Num(t.completed as f64)),
-                ("failed".to_string(), Json::Num(t.failed as f64)),
-                ("quota_rejected".to_string(), Json::Num(t.quota_rejected as f64)),
-                ("latency_p50_us".to_string(), Json::Num(t.latency.p50_us as f64)),
-                ("latency_p99_us".to_string(), Json::Num(t.latency.p99_us as f64)),
-            ])
-        })
-        .collect();
-    let classes: Vec<Json> = shared
-        .fleet
-        .class_latency()
-        .into_iter()
-        .map(|(class, l)| {
-            Json::Obj(vec![
-                ("class".to_string(), Json::Str(class.to_string())),
-                ("completed".to_string(), Json::Num(l.count as f64)),
-                ("latency_p50_us".to_string(), Json::Num(l.p50_us as f64)),
-                ("latency_p99_us".to_string(), Json::Num(l.p99_us as f64)),
-            ])
-        })
-        .collect();
+/// Reads everything the stats views render.
+fn snapshot(shared: &DaemonShared) -> Snapshot {
     let c = &shared.counters;
-    Response::json(
-        200,
-        Json::Obj(vec![
-            ("uptime_s".to_string(), Json::Num(shared.started.elapsed().as_secs_f64())),
-            ("draining".to_string(), Json::Bool(shared.draining.load(Ordering::SeqCst))),
-            (
-                "open_connections".to_string(),
-                Json::Num(shared.open_connections.load(Ordering::Acquire) as f64),
-            ),
-            (
-                "active_requests".to_string(),
-                Json::Num(shared.active_requests.load(Ordering::Acquire) as f64),
-            ),
-            (
-                "connections_total".to_string(),
-                Json::Num(c.connections_total.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "connections_rejected".to_string(),
-                Json::Num(c.connections_rejected.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "http_requests".to_string(),
-                Json::Num(c.requests_total.load(Ordering::Relaxed) as f64),
-            ),
-            ("models".to_string(), Json::Arr(models)),
-            ("tenants".to_string(), Json::Arr(tenants)),
-            ("classes".to_string(), Json::Arr(classes)),
-        ]),
-    )
-}
-
-/// Renders the Prometheus text exposition format.
-fn render_metrics(shared: &DaemonShared) -> String {
-    use std::fmt::Write;
-    let mut out = String::with_capacity(4096);
-    let c = &shared.counters;
+    let count = |a: &AtomicU64| a.load(Ordering::Relaxed);
     let draining = shared.draining.load(Ordering::SeqCst);
-    let ready = shared.ready.load(Ordering::SeqCst) && !draining;
-    let mut gauge = |name: &str, help: &str, value: f64| {
-        let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}");
-    };
-    gauge(
-        "fabd_ready",
-        "1 while accepting traffic, 0 while loading or draining",
-        f64::from(u8::from(ready)),
-    );
-    gauge(
-        "fabd_up_seconds",
-        "Seconds since the daemon started",
-        shared.started.elapsed().as_secs_f64(),
-    );
-    gauge(
-        "fabd_warm_start_seconds",
-        "Wall-clock seconds from boot to every profile ready",
-        f64::from_bits(shared.warm_start_seconds.load(Ordering::Relaxed)),
-    );
-    gauge(
-        "fabd_connections_open",
-        "Currently open connections",
-        shared.open_connections.load(Ordering::Acquire) as f64,
-    );
-    let mut counter = |name: &str, help: &str, value: u64| {
-        let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}");
-    };
-    counter(
-        "fabd_connections_total",
-        "Connections accepted",
-        c.connections_total.load(Ordering::Relaxed),
-    );
-    counter(
-        "fabd_connections_rejected_total",
-        "Connections shed at the connection limit",
-        c.connections_rejected.load(Ordering::Relaxed),
-    );
-    counter(
-        "fabd_http_requests_total",
-        "HTTP requests parsed",
-        c.requests_total.load(Ordering::Relaxed),
-    );
-    counter(
-        "fabd_http_read_errors_total",
-        "Connections dropped for malformed or timed-out reads",
-        c.read_errors.load(Ordering::Relaxed),
-    );
-    for (class, value) in [
-        ("2xx", c.responses_2xx.load(Ordering::Relaxed)),
-        ("4xx", c.responses_4xx.load(Ordering::Relaxed)),
-        ("5xx", c.responses_5xx.load(Ordering::Relaxed)),
-    ] {
-        let _ = writeln!(out, "fabd_http_responses_total{{class=\"{class}\"}} {value}");
+    Snapshot {
+        ready: shared.ready.load(Ordering::SeqCst) && !draining,
+        draining,
+        uptime_s: shared.started.elapsed().as_secs_f64(),
+        warm_start_s: f64::from_bits(shared.warm_start_seconds.load(Ordering::Relaxed)),
+        open_connections: shared.open_connections.load(Ordering::Acquire),
+        active_requests: shared.active_requests.load(Ordering::Acquire),
+        connections_total: count(&c.connections_total),
+        connections_rejected: count(&c.connections_rejected),
+        http_requests: count(&c.requests_total),
+        read_errors: count(&c.read_errors),
+        responses: c.responses.each_ref().map(count),
+        models: model_rows(shared),
+        tenants: shared.fleet.tenant_stats(),
+        classes: shared.fleet.class_latency(),
+        chaos: shared.chaos.status(),
     }
+}
 
-    let per_model = [
-        ("fabd_requests_submitted_total", "Requests accepted into the queue"),
-        ("fabd_requests_completed_total", "Requests answered with a prediction"),
-        ("fabd_requests_rejected_total", "Requests shed by admission control"),
-        ("fabd_requests_failed_total", "Requests answered with an explicit model error"),
-        ("fabd_shed_expired_total", "Requests shed because their deadline expired"),
-        ("fabd_batch_panics_total", "Batched forward passes that panicked"),
-        ("fabd_worker_restarts_total", "Worker threads respawned by the supervisor"),
-    ];
-    let model_stats = shared.fleet.model_stats();
-    let stats: Vec<(&str, &ServerStats)> =
-        model_stats.iter().map(|(info, s)| (info.spec.name.as_str(), s)).collect();
-    for (name, help) in per_model {
-        let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} counter");
-        for (model, s) in &stats {
-            let value = match name {
-                "fabd_requests_submitted_total" => s.submitted,
-                "fabd_requests_completed_total" => s.completed,
-                "fabd_requests_rejected_total" => s.rejected,
-                "fabd_requests_failed_total" => s.failed,
-                "fabd_shed_expired_total" => s.shed_expired,
-                "fabd_batch_panics_total" => s.batch_panics,
-                _ => s.worker_restarts,
-            };
-            let _ = writeln!(out, "{name}{{model=\"{model}\"}} {value}");
-        }
-    }
-    let _ = writeln!(
-        out,
-        "# HELP fabd_queue_depth Requests waiting in the queue\n# TYPE fabd_queue_depth gauge"
-    );
-    for (model, s) in &stats {
-        let _ = writeln!(out, "fabd_queue_depth{{model=\"{model}\"}} {}", s.queue_depth);
-    }
-    let _ = writeln!(
-        out,
-        "# HELP fabd_latency_us End-to-end request latency quantiles\n# TYPE fabd_latency_us gauge"
-    );
-    for (model, s) in &stats {
-        for (q, v) in
-            [("0.5", s.latency.p50_us), ("0.95", s.latency.p95_us), ("0.99", s.latency.p99_us)]
-        {
-            let _ = writeln!(out, "fabd_latency_us{{model=\"{model}\",quantile=\"{q}\"}} {v}");
-        }
-    }
-    let _ = writeln!(
-        out,
-        "# HELP fabd_model_version Current registry version of each ready model\n\
-         # TYPE fabd_model_version gauge"
-    );
-    for (info, _) in &model_stats {
-        let _ =
-            writeln!(out, "fabd_model_version{{model=\"{}\"}} {}", info.spec.name, info.version);
-    }
-    let _ = writeln!(
-        out,
-        "# HELP fabd_model_source How each ready model was obtained \
-         (warm = snapshot, trained = fresh training, fallback = older snapshot)\n\
-         # TYPE fabd_model_source gauge"
-    );
-    for (info, _) in &model_stats {
-        let _ = writeln!(
-            out,
-            "fabd_model_source{{model=\"{}\",source=\"{}\"}} 1",
-            info.spec.name,
-            info.source.name()
-        );
-    }
-    let _ = writeln!(
-        out,
-        "# HELP fabd_tenant_requests_total Per-tenant request outcomes\n\
-         # TYPE fabd_tenant_requests_total counter"
-    );
-    for t in shared.fleet.tenant_stats() {
-        for (outcome, value) in [
-            ("submitted", t.submitted),
-            ("completed", t.completed),
-            ("failed", t.failed),
-            ("quota_rejected", t.quota_rejected),
-        ] {
-            let _ = writeln!(
-                out,
-                "fabd_tenant_requests_total{{tenant=\"{}\",outcome=\"{outcome}\"}} {value}",
-                t.tenant
-            );
-        }
-    }
-    let _ = writeln!(
-        out,
-        "# HELP fabd_class_latency_us Fleet-wide latency quantiles per priority class\n\
-         # TYPE fabd_class_latency_us gauge"
-    );
-    for (class, l) in shared.fleet.class_latency() {
-        for (q, v) in [("0.5", l.p50_us), ("0.99", l.p99_us)] {
-            let _ =
-                writeln!(out, "fabd_class_latency_us{{class=\"{class}\",quantile=\"{q}\"}} {v}");
-        }
-    }
-    let guards = shared.fleet.guard_stats();
-    let _ = writeln!(
-        out,
-        "# HELP fabd_circuit_state Per-model breaker state \
-         (0 = closed, 1 = half-open, 2 = open)\n# TYPE fabd_circuit_state gauge"
-    );
-    for (model, g) in &guards {
-        let _ = writeln!(out, "fabd_circuit_state{{model=\"{model}\"}} {}", g.circuit.gauge());
-    }
-    let _ = writeln!(
-        out,
-        "# HELP fabd_admission_limit Current AIMD concurrency limit per model\n\
-         # TYPE fabd_admission_limit gauge"
-    );
-    for (model, g) in &guards {
-        let _ = writeln!(out, "fabd_admission_limit{{model=\"{model}\"}} {}", g.limit);
-    }
-    let _ = writeln!(
-        out,
-        "# HELP fabd_degrade_level Current precision-degrade rung per model \
-         (0 = primary)\n# TYPE fabd_degrade_level gauge"
-    );
-    for (model, g) in &guards {
-        let _ = writeln!(out, "fabd_degrade_level{{model=\"{model}\"}} {}", g.degrade_level);
-    }
-    let _ = writeln!(
-        out,
-        "# HELP fabd_degraded_requests_total Requests answered by a lower-precision rung\n\
-         # TYPE fabd_degraded_requests_total counter"
-    );
-    for (model, g) in &guards {
-        let _ =
-            writeln!(out, "fabd_degraded_requests_total{{model=\"{model}\"}} {}", g.degraded_total);
-    }
-    let _ = writeln!(
-        out,
-        "# HELP fabd_breaker_rejected_total Requests fast-failed by an open circuit\n\
-         # TYPE fabd_breaker_rejected_total counter"
-    );
-    for (model, g) in &guards {
-        let _ = writeln!(
-            out,
-            "fabd_breaker_rejected_total{{model=\"{model}\"}} {}",
-            g.breaker_rejected
-        );
-    }
-    let _ = writeln!(
-        out,
-        "# HELP fabd_chaos_injected_total Faults fired per chaos site since boot\n\
-         # TYPE fabd_chaos_injected_total counter"
-    );
-    for s in shared.chaos.status() {
-        let _ =
-            writeln!(out, "fabd_chaos_injected_total{{site=\"{}\"}} {}", s.site.name(), s.injected);
-    }
-    out
+/// Every registry entry: the ready ones with their server stats, each with
+/// the guard of its name.
+fn model_rows(shared: &DaemonShared) -> Vec<ModelRow> {
+    let mut servers: HashMap<_, _> = shared
+        .fleet
+        .model_stats()
+        .into_iter()
+        .map(|(i, s)| ((i.spec.name, i.version), s))
+        .collect();
+    let guards: HashMap<_, _> = shared.fleet.guard_stats().into_iter().collect();
+    let rows = shared.fleet.models().into_iter().map(|info| {
+        let server = servers.remove(&(info.spec.name.clone(), info.version));
+        ModelRow { guard: guards.get(&info.spec.name).cloned(), ..model_row(shared, info, server) }
+    });
+    rows.collect()
+}
+
+/// `info` with the snapshot version last persisted for its name.
+fn model_row(shared: &DaemonShared, info: ModelInfo, server: Option<ServerStats>) -> ModelRow {
+    let versions = shared.snapshot_versions.lock().unwrap_or_else(PoisonError::into_inner);
+    ModelRow { snapshot_version: versions.get(&info.spec.name).copied(), info, server, guard: None }
 }
 
 #[cfg(test)]

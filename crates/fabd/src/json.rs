@@ -128,15 +128,27 @@ impl Json {
             _ => None,
         }
     }
+}
 
-    /// Builds a string value.
-    pub fn str(s: impl Into<String>) -> Json {
-        Json::Str(s.into())
-    }
+// Scalar conversions: the stats table's getters render their fields
+// through these.
+macro_rules! json_from {
+    ($($t:ty: |$v:ident| $e:expr),*) => {$(
+        impl From<$t> for Json {
+            fn from($v: $t) -> Json {
+                $e
+            }
+        }
+    )*};
+}
+json_from!(u32: |n| Json::Num(n.into()), u64: |n| Json::Num(n as f64),
+    usize: |n| Json::Num(n as f64), f64: |n| Json::Num(n), bool: |b| Json::Bool(b),
+    &str: |s| Json::Str(s.to_string()));
 
-    /// Builds a number value.
-    pub fn num(n: f64) -> Json {
-        Json::Num(n)
+/// `None` is `null`.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
     }
 }
 
@@ -407,9 +419,9 @@ mod tests {
         assert_eq!(Json::parse("null").unwrap(), Json::Null);
         assert_eq!(Json::parse(" true ").unwrap(), Json::Bool(true));
         assert_eq!(Json::parse("-12.5e1").unwrap(), Json::Num(-125.0));
-        assert_eq!(Json::parse(r#""a\nb""#).unwrap(), Json::str("a\nb"));
-        assert_eq!(Json::parse(r#""\u00e9\u20ac""#).unwrap(), Json::str("é€"));
-        assert_eq!(Json::parse(r#""\ud83d\ude00""#).unwrap(), Json::str("😀"));
+        assert_eq!(Json::parse(r#""a\nb""#).unwrap(), Json::from("a\nb"));
+        assert_eq!(Json::parse(r#""\u00e9\u20ac""#).unwrap(), Json::from("é€"));
+        assert_eq!(Json::parse(r#""\ud83d\ude00""#).unwrap(), Json::from("😀"));
     }
 
     #[test]
@@ -475,7 +487,7 @@ mod tests {
         assert_eq!(Json::Num(1.5).as_u64(), None);
         assert_eq!(Json::Num(-1.0).as_u64(), None);
         assert_eq!(Json::Num(7.0).as_usize(), Some(7));
-        assert_eq!(Json::str("x").as_f64(), None);
+        assert_eq!(Json::from("x").as_f64(), None);
         assert_eq!(Json::Null.get("k"), None);
     }
 }

@@ -24,7 +24,9 @@
 //! - [`json`] — a depth-limited JSON parser/serializer (the vendored
 //!   `serde` is a no-op shim).
 //! - [`config`] — daemon + model-profile configuration, JSON round-trip.
-//! - [`daemon`] — the accept loop, routing, metrics and drain logic.
+//! - [`daemon`] — the accept loop, routing and drain logic; every stat it
+//!   exports is one row of a private table (`stats.rs`) that `/metrics`,
+//!   `/v1/stats`, `/v1/models`, `/v1/circuits` and `/admin/chaos` render.
 //! - [`client`] — a retrying loopback client shared by `fabctl`, the e2e
 //!   tests and the `benchmark` crate.
 //!
@@ -34,9 +36,9 @@
 //! |---|---|
 //! | `POST /v1/predict` | One sequence → logits/class; takes `X-Tenant` / `X-Priority` (or body fields); `429` + `Retry-After` when over quota or overloaded, `504` past deadline |
 //! | `POST /v1/predict_batch` | Many sequences, per-sequence results/errors |
-//! | `GET /v1/models`, `GET /v1/stats` | Model registry (name/version/state) / JSON stats incl. per-tenant and per-class |
+//! | `GET /v1/models`, `GET /v1/stats` | Model registry with each ready model's stats / every stat as JSON (daemon, models, tenants, classes, chaos sites) |
 //! | `GET /v1/circuits` | Per-model breaker state, AIMD admission limit, degrade ladder and rung |
-//! | `GET /metrics` | Prometheus text exposition |
+//! | `GET /metrics` | Prometheus text exposition of the same stats, label values escaped |
 //! | `GET /healthz`, `GET /readyz` | Liveness / readiness (`503` while loading or draining) |
 //! | `POST /admin/models` | Hot load / reload / unload a model (zero-drop swap) |
 //! | `POST /admin/snapshot` | Re-persist every loaded model to the snapshot store; `GET` lists snapshots on disk |
@@ -52,6 +54,7 @@ pub mod config;
 pub mod daemon;
 pub mod http;
 pub mod json;
+mod stats;
 
 pub use client::{ClientError, FabClient, RetryPolicy};
 pub use config::{DaemonConfig, Precision, ProfileConfig};

@@ -64,6 +64,15 @@ fn predicts_through_all_three_precision_profiles() {
     let metrics = client.metrics().expect("metrics");
     assert!(metrics.contains("fabd_requests_completed_total{model=\"text-int8\"} 1"), "{metrics}");
     assert!(metrics.contains("fabd_ready 1"), "{metrics}");
+    // The batcher's wait and the forward's time, per model, from the
+    // running daemon; one request has been served, so the forward took time.
+    let p99 = |family: &str| {
+        let series = format!("{family}{{model=\"text-int8\",quantile=\"0.99\"}} ");
+        let value = metrics.lines().find_map(|l| l.strip_prefix(&series));
+        value.and_then(|v| v.parse::<u64>().ok()).unwrap_or_else(|| panic!("{series}: {metrics}"))
+    };
+    p99("fabd_queue_wait_us");
+    assert!(p99("fabd_service_us") > 0, "{metrics}");
     daemon.shutdown();
 }
 
