@@ -338,6 +338,7 @@ fn boot_profile(
         },
         None => (train(), ModelSource::Trained),
     };
+    let artifact = share_weights(shared, profile, artifact);
     let session = attach_chaos(
         shared,
         profile.session_from_artifact(&artifact, shared.config.fault_injection),
@@ -349,6 +350,33 @@ fn boot_profile(
         .unwrap_or_else(PoisonError::into_inner)
         .insert(profile.name.clone(), artifact);
     Ok(())
+}
+
+/// `artifact`, or the same model on the weights of a loaded model of the
+/// same training key when those are bit-equal: a warm boot restores each
+/// rung's snapshot on its own and a reload retrains, and both would
+/// otherwise keep a second copy of weights already resident. A cold boot's
+/// rungs share their training key's one f32 set already, and the check
+/// costs them a pointer comparison (a warm one a walk over the weights).
+fn share_weights(
+    shared: &DaemonShared,
+    profile: &ProfileConfig,
+    artifact: ModelArtifact,
+) -> ModelArtifact {
+    let key = profile.training_key();
+    let peers: Vec<String> = (shared.profiles.lock().unwrap_or_else(PoisonError::into_inner))
+        .iter()
+        .filter(|(name, p)| **name != profile.name && p.training_key() == key)
+        .map(|(name, _)| name.clone())
+        .collect();
+    let loaded: Vec<ModelArtifact> = {
+        let artifacts = shared.artifacts.lock().unwrap_or_else(PoisonError::into_inner);
+        peers.iter().filter_map(|name| artifacts.get(name).cloned()).collect()
+    };
+    match loaded.into_iter().find(|peer| peer.0.same_weights(&artifact.0)) {
+        Some(peer) => ModelArtifact(peer.0.with_fast_math(artifact.0.fast_math())),
+        None => artifact,
+    }
 }
 
 /// Wires the daemon's chaos injector into a session's forward path. Only
@@ -948,7 +976,7 @@ fn load_profile(shared: &DaemonShared, profile: ProfileConfig) -> Response {
         Ok(ticket) => ticket,
         Err(e) => return fleet_error_response(&e),
     };
-    let artifact = profile.build_artifact();
+    let artifact = share_weights(shared, &profile, profile.build_artifact());
     let session = attach_chaos(
         shared,
         profile.session_from_artifact(&artifact, shared.config.fault_injection),
@@ -1055,6 +1083,7 @@ fn snapshot(shared: &DaemonShared) -> Snapshot {
         http_requests: count(&c.requests_total),
         read_errors: count(&c.read_errors),
         responses: c.responses.each_ref().map(count),
+        resident_weight_bytes: resident_weight_bytes(shared),
         models: model_rows(shared),
         tenants: shared.fleet.tenant_stats(),
         classes: shared.fleet.class_latency(),
@@ -1079,10 +1108,30 @@ fn model_rows(shared: &DaemonShared) -> Vec<ModelRow> {
     rows.collect()
 }
 
-/// `info` with the snapshot version last persisted for its name.
+/// `info` with the snapshot version last persisted for its name and, while
+/// it is ready, the bytes of the weights it serves from.
 fn model_row(shared: &DaemonShared, info: ModelInfo, server: Option<ServerStats>) -> ModelRow {
+    let ready = info.state == ModelState::Ready;
+    let weight_bytes = (shared.artifacts.lock().unwrap_or_else(PoisonError::into_inner))
+        .get(&info.spec.name)
+        .filter(|_| ready)
+        .map(|a| a.0.weight_bytes());
     let versions = shared.snapshot_versions.lock().unwrap_or_else(PoisonError::into_inner);
-    ModelRow { snapshot_version: versions.get(&info.spec.name).copied(), info, server, guard: None }
+    let snapshot_version = versions.get(&info.spec.name).copied();
+    ModelRow { snapshot_version, weight_bytes, info, server, guard: None }
+}
+
+/// Bytes of the distinct weight sets behind the loaded models' artifacts
+/// (which their sessions share), each set counted once.
+fn resident_weight_bytes(shared: &DaemonShared) -> usize {
+    let artifacts = shared.artifacts.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut sets: Vec<&FrozenModel> = Vec::new();
+    for artifact in artifacts.values() {
+        if !sets.iter().any(|set| set.shares_weights(&artifact.0)) {
+            sets.push(&artifact.0);
+        }
+    }
+    sets.iter().map(|set| set.weight_bytes()).sum()
 }
 
 #[cfg(test)]
@@ -1100,6 +1149,7 @@ mod tests {
         let trainings = TRAININGS.with(Cell::get) - before;
         let sources: HashMap<String, ModelSource> =
             daemon.shared.fleet.models().into_iter().map(|m| (m.spec.name, m.source)).collect();
+        assert_one_set_per_key_and_format(&daemon, config);
         let booted = {
             let artifacts = daemon.shared.artifacts.lock().unwrap_or_else(PoisonError::into_inner);
             config
@@ -1110,6 +1160,47 @@ mod tests {
         };
         daemon.shutdown();
         (booted, trainings)
+    }
+
+    /// Every profile's session and artifact are on one weight set, and two
+    /// profiles are on the same set exactly when they have one training
+    /// key and the same table format (f32 or int8). The stats report each
+    /// model's set and count the distinct sets once.
+    fn assert_one_set_per_key_and_format(daemon: &Daemon, config: &DaemonConfig) {
+        let artifacts = daemon.shared.artifacts.lock().unwrap_or_else(PoisonError::into_inner);
+        let models: Vec<FrozenModel> = (config.profiles.iter())
+            .map(|p| {
+                let artifact = &artifacts[&p.name].0;
+                let handle = daemon.shared.fleet.get(&p.name).expect("loaded");
+                let session = handle.server().session().model();
+                assert!(session.shares_weights(artifact), "{}: two sets", p.name);
+                assert!(std::ptr::eq(session.blocks(), artifact.blocks()), "{}", p.name);
+                artifact.clone()
+            })
+            .collect();
+        drop(artifacts);
+        let int8 = |p: &ProfileConfig| p.precision == Precision::Int8;
+        for (a, ma) in config.profiles.iter().zip(&models) {
+            for (b, mb) in config.profiles.iter().zip(&models) {
+                let same = a.training_key() == b.training_key() && int8(a) == int8(b);
+                assert_eq!(ma.shares_weights(mb), same, "{} / {}", a.name, b.name);
+                assert_eq!(std::ptr::eq(ma.blocks(), mb.blocks()), same, "{} / {}", a.name, b.name);
+            }
+        }
+        let mut sets: Vec<&FrozenModel> = Vec::new();
+        for m in &models {
+            if !sets.iter().any(|set| std::ptr::eq(set.blocks(), m.blocks())) {
+                sets.push(m);
+            }
+        }
+        let snap = snapshot(&daemon.shared);
+        assert_eq!(snap.resident_weight_bytes, sets.iter().map(|s| s.weight_bytes()).sum());
+        for row in &snap.models {
+            let i = config.profiles.iter().position(|p| p.name == row.info.spec.name);
+            let ready = row.info.state == ModelState::Ready;
+            let want = i.filter(|_| ready).map(|i| models[i].weight_bytes());
+            assert_eq!(row.weight_bytes, want, "{} {:?}", row.info.spec.name, row.info.state);
+        }
     }
 
     #[test]
@@ -1151,5 +1242,23 @@ mod tests {
             assert!(bytes == want, "{}: warm artifact differs from build_artifact", p.name);
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_reloaded_rung_joins_the_weight_set_of_its_training_key() {
+        let profiles: Vec<ProfileConfig> =
+            [("f32", Precision::Exact), ("fast", Precision::FastMath), ("int8", Precision::Int8)]
+                .iter()
+                .map(|&(name, precision)| ProfileConfig::tiny(name, precision, 8))
+                .collect();
+        let config =
+            DaemonConfig { addr: "127.0.0.1:0".to_string(), profiles, ..DaemonConfig::default() };
+        let daemon = Daemon::start(config.clone()).expect("daemon boots");
+        for p in &config.profiles {
+            let response = load_profile(&daemon.shared, p.clone());
+            assert_eq!(response.status, 200, "reload {}", p.name);
+            assert_one_set_per_key_and_format(&daemon, &config);
+        }
+        daemon.shutdown();
     }
 }

@@ -61,6 +61,8 @@ pub(crate) struct Snapshot {
     pub(crate) read_errors: u64,
     /// Responses by status class: 2xx, 4xx, everything else.
     pub(crate) responses: [u64; 3],
+    /// Bytes of the distinct weight sets the loaded models serve from.
+    pub(crate) resident_weight_bytes: usize,
     /// Every registry entry; the ready ones carry their server stats.
     pub(crate) models: Vec<ModelRow>,
     pub(crate) tenants: Vec<TenantStats>,
@@ -73,6 +75,8 @@ pub(crate) struct Snapshot {
 pub(crate) struct ModelRow {
     pub(crate) info: ModelInfo,
     pub(crate) snapshot_version: Option<u64>,
+    /// Bytes of the weights a ready model serves from.
+    pub(crate) weight_bytes: Option<usize>,
     pub(crate) server: Option<ServerStats>,
     pub(crate) guard: Option<GuardStats>,
 }
@@ -101,6 +105,9 @@ const DAEMON: &[Family<Snapshot>] = &[
         "http_responses_2xx" [class = "2xx"]: |d| d.responses[0];
         "http_responses_4xx" [class = "4xx"]: |d| d.responses[1];
         "http_responses_5xx" [class = "5xx"]: |d| d.responses[2]),
+    family!(gauge "fabd_resident_weight_bytes"
+        "Bytes of the distinct weight sets the loaded models serve from, a shared set counted once";
+        "resident_weight_bytes": |d| d.resident_weight_bytes),
 ];
 
 /// A registry entry's identity; `/metrics` lists the ready entries only.
@@ -114,6 +121,9 @@ const MODEL: &[Family<ModelRow>] = &[
         "source": |m| m.info.source.name()),
     family!(gauge "fabd_snapshot_version" "Last persisted snapshot version of each ready model";
         "snapshot_version": |m| m.snapshot_version),
+    family!(gauge "fabd_model_weight_bytes"
+        "Bytes of the weights each ready model serves from, in full even where rungs share them";
+        "weight_bytes": |m| m.weight_bytes),
 ];
 
 const SERVER: &[Family<ServerStats>] = &[
@@ -384,6 +394,7 @@ mod tests {
         ModelRow {
             info: ModelInfo { spec, version: rng.gen_range(1..9), source, state },
             snapshot_version: rng.gen_bool(0.5).then(|| count(rng)),
+            weight_bytes: ready.then(|| rng.gen_range(0..1 << 30)),
             server: ready.then_some(server),
             guard: Some(guard),
         }
@@ -430,6 +441,7 @@ mod tests {
             http_requests: count(rng),
             read_errors: count(rng),
             responses: [count(rng), count(rng), count(rng)],
+            resident_weight_bytes: rng.gen_range(0..1 << 30),
             models,
             tenants,
             classes: ["interactive", "batch", "background"].map(|c| (c, summary(rng))),

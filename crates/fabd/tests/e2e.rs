@@ -48,6 +48,13 @@ fn predicts_through_all_three_precision_profiles() {
     let kinds: Vec<&str> =
         listed.iter().filter_map(|m| m.get("kind").and_then(Json::as_str)).collect();
     assert_eq!(kinds, ["exact", "fastmath", "int8"]);
+    // The exact and fastmath rungs serve from one f32 weight set, int8 from
+    // its own: the resident gauge counts the shared set once.
+    let weights: Vec<u64> =
+        listed.iter().filter_map(|m| m.get("weight_bytes").and_then(Json::as_u64)).collect();
+    assert_eq!(weights.len(), 3, "{models}");
+    assert_eq!(weights[0], weights[1], "{models}");
+    assert!(weights[2] < weights[0], "{models}");
 
     for model in ["text-f32", "text-fast", "text-int8"] {
         let result = client.predict(Some(model), &[1, 2, 3, 4, 5], None).expect(model);
@@ -64,6 +71,8 @@ fn predicts_through_all_three_precision_profiles() {
     let metrics = client.metrics().expect("metrics");
     assert!(metrics.contains("fabd_requests_completed_total{model=\"text-int8\"} 1"), "{metrics}");
     assert!(metrics.contains("fabd_ready 1"), "{metrics}");
+    let resident = format!("fabd_resident_weight_bytes {}\n", weights[0] + weights[2]);
+    assert!(metrics.contains(&resident), "{metrics}");
     // The batcher's wait and the forward's time, per model, from the
     // running daemon; one request has been served, so the forward took time.
     let p99 = |family: &str| {

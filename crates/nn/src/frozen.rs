@@ -39,7 +39,8 @@
 //! tokens.) A forward takes the most recently used idle workspace of the
 //! process for its duration, so there are as many as forwards have run at
 //! once (a batch fanned out over the worker pool has one per worker), and
-//! the model itself stays immutable and `Send + Sync`. Attention never
+//! the model itself stays immutable and `Send + Sync`: its weights are one
+//! reference-counted set that every clone of it shares. Attention never
 //! holds a `[len, len]` matrix: the query rows are cut into at most eight
 //! bands — the items of the core's one pool call — and a band mixes one
 //! head 32 query rows at a time, reading K and V in place, so the score
@@ -53,11 +54,13 @@
 //! exactly the activations the served forward produces. Without a tap the
 //! callback is a no-op closure the compiler removes.
 //!
-//! [`FrozenModel::with_fast_math`] additionally swaps GELU (and the
-//! attention score scaling order) for the serving-grade
-//! [`fab_tensor::fastmath`] kernels: logits then differ from the tape path
-//! by at most ~1e-6 but remain deterministic, and batching cannot change a
-//! fast-math answer either.
+//! [`FrozenModel::with_fast_math`] changes one thing: attention scales
+//! the query once, `(c·q)·kᵀ`, instead of every score, `c·(q·kᵀ)`. GELU
+//! and softmax are the [`fab_tensor::fastmath`] kernels either way, so the
+//! switch sheds no compute: the two forwards take the same time within
+//! noise. Logits then differ from the tape path by at most ~1e-6 —
+//! not at all where `c = 1/√head_dim` is a power of two — but remain
+//! deterministic, and batching cannot change a fast-math answer either.
 //!
 //! # Int8
 //!
@@ -76,10 +79,10 @@
 use crate::config::{ModelConfig, ModelKind};
 use crate::qlinear::{QuantEmbedding, QuantLinear};
 use fab_butterfly::flops::attention_core_flops;
-use fab_butterfly::{fourier_mix_into, ButterflyMatrix};
+use fab_butterfly::{fourier_mix_into, ButterflyMatrix, ButterflyStage};
 use fab_tensor::{simd, Tensor, PAR_GRAIN_OPS};
 use rayon::prelude::*;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// A frozen (inference-only) linear map: the tape-free counterpart of the
 /// [`crate::Linear`] layer implementations.
@@ -709,14 +712,25 @@ impl FrozenEmbedding {
 /// Produced by [`Model::freeze`](crate::Model::freeze) (all f32) and turned
 /// into its int8 form by `fab_quant::quantize`; see the
 /// [module docs](self) for the execution model and exactness guarantees.
+///
+/// The weights sit behind one [`Arc`]: a clone, [`FrozenModel::with_fast_math`]
+/// and every serving copy made from them (a session, a stored artifact) bump
+/// a reference count and share one resident set. Only the fast-math flag is
+/// each handle's own.
 #[derive(Debug, Clone)]
 pub struct FrozenModel {
-    pub(crate) config: ModelConfig,
-    pub(crate) kind: ModelKind,
-    pub(crate) embedding: FrozenEmbedding,
-    pub(crate) blocks: Vec<FrozenBlock>,
-    pub(crate) head: FrozenLinear,
-    pub(crate) fast_math: bool,
+    weights: Arc<Weights>,
+    fast_math: bool,
+}
+
+/// Everything of a [`FrozenModel`] but its fast-math flag.
+#[derive(Debug)]
+struct Weights {
+    config: ModelConfig,
+    kind: ModelKind,
+    embedding: FrozenEmbedding,
+    blocks: Vec<FrozenBlock>,
+    head: FrozenLinear,
 }
 
 impl FrozenModel {
@@ -742,22 +756,26 @@ impl FrozenModel {
         assert_eq!(tok, [config.vocab_size, config.hidden], "token table shape mismatch");
         assert_eq!(pos, [config.max_seq, config.hidden], "positional table shape mismatch");
         assert_eq!(blocks.len(), config.num_layers, "block count mismatch");
-        Self { config, kind, embedding, blocks, head, fast_math: false }
+        let weights = Arc::new(Weights { config, kind, embedding, blocks, head });
+        Self { weights, fast_math: false }
     }
 
     /// The configuration of the model this snapshot was frozen from.
     pub fn config(&self) -> &ModelConfig {
-        &self.config
+        &self.weights.config
     }
 
-    /// Selects the transcendental kernels: `false` (the
-    /// [`Model::freeze`](crate::Model::freeze) default) uses the exact
-    /// `libm`-based GELU/softmax, keeping logits bit-identical to
-    /// [`Model::predict`](crate::Model::predict); `true` switches to the
-    /// serving-grade [`fab_tensor::fastmath`] kernels, trading ≤ ~1e-6 of
-    /// logit accuracy for substantially cheaper softmax/GELU. Either way
-    /// the forward stays deterministic and bit-invariant to batch
-    /// composition, padding and thread count.
+    /// Selects the attention score scaling order: `false` (the
+    /// [`Model::freeze`](crate::Model::freeze) default) scales each score,
+    /// `c·(q·kᵀ)`, keeping logits bit-identical to
+    /// [`Model::predict`](crate::Model::predict); `true` scales the query
+    /// once, `(c·q)·kᵀ`, which may move a logit by ~1e-6. That order is
+    /// the only difference: GELU and softmax are the same kernels either
+    /// way, so the fast-math forward is not measurably cheaper, and where
+    /// `c = 1/√head_dim` is a power of two (head_dim 16, 64, …) its logits
+    /// are the exact ones bit for bit. Either way the forward stays
+    /// deterministic and bit-invariant to batch composition, padding and
+    /// thread count. The returned model shares this one's weights.
     ///
     /// # Panics
     ///
@@ -766,38 +784,102 @@ impl FrozenModel {
     /// snapshot format has no place to record anything else.
     pub fn with_fast_math(mut self, fast_math: bool) -> Self {
         assert!(
-            !(fast_math && matches!(self.embedding, FrozenEmbedding::Int8 { .. })),
+            !(fast_math && matches!(self.weights.embedding, FrozenEmbedding::Int8 { .. })),
             "a model with int8 tables runs with fast math off"
         );
         self.fast_math = fast_math;
         self
     }
 
-    /// Whether the serving-grade fast-math kernels are enabled.
+    /// Whether the fast-math score scaling order is enabled.
     pub fn fast_math(&self) -> bool {
         self.fast_math
     }
 
+    /// Whether `self` and `other` are handles on one resident weight set
+    /// (one is a clone of the other, or both of a third), whatever their
+    /// fast-math flags.
+    pub fn shares_weights(&self, other: &FrozenModel) -> bool {
+        Arc::ptr_eq(&self.weights, &other.weights)
+    }
+
+    /// Whether `self` and `other` hold bit-equal weights (`to_bits` of every
+    /// f32, every int8 value, every shape and the configuration), whatever
+    /// their fast-math flags: true when they share one set, and otherwise
+    /// the check that two separately built or restored models may be
+    /// served from one set without moving a logit bit.
+    pub fn same_weights(&self, other: &FrozenModel) -> bool {
+        let (a, b) = (&*self.weights, &*other.weights);
+        let blocks = a.blocks.len() == b.blocks.len()
+            && a.blocks.iter().zip(&b.blocks).all(|(x, y)| same_block(x, y));
+        self.shares_weights(other)
+            || (a.config == b.config
+                && a.kind == b.kind
+                && same_embedding(&a.embedding, &b.embedding)
+                && blocks
+                && same_linear(&a.head, &b.head))
+    }
+
+    /// Bytes of the weight values the model holds, as FABSNAP1 stores them:
+    /// 4 per f32 value (tables, matrices, butterfly factors, biases, layer
+    /// norms, int8 scales) and 1 per int8 value. Handles that share weights
+    /// ([`FrozenModel::shares_weights`]) report the same set. A VNNI host's
+    /// packed copy of int8 weights is not counted (see
+    /// [`QuantLinear::weight_bytes`]).
+    pub fn weight_bytes(&self) -> usize {
+        let f32s = |ts: &[&Tensor]| 4 * ts.iter().map(|t| t.len()).sum::<usize>();
+        let table = |t: &QuantEmbedding| t.table_bytes() + 4 * t.scales().len();
+        let tables = match &self.weights.embedding {
+            FrozenEmbedding::F32 { tok, pos } => f32s(&[tok, pos]),
+            FrozenEmbedding::Int8 { tok, pos } => table(tok) + table(pos),
+        };
+        let linear = |l: &&FrozenLinear| match l {
+            FrozenLinear::Dense { w, b } => f32s(&[w, b]),
+            FrozenLinear::Butterfly { bfly, b, .. } => 4 * bfly.num_params() + f32s(&[b]),
+            // The int8 weights, then the row scales, the bias and the input scale.
+            FrozenLinear::Int8(q) => {
+                q.weight_bytes() + 4 * (q.w_scales().len() + q.bias().len() + 1)
+            }
+        };
+        let norms = |b: &FrozenBlock| f32s(&[&b.ln1.gamma, &b.ln1.beta, &b.ln2.gamma, &b.ln2.beta]);
+        tables
+            + self.linears().iter().map(linear).sum::<usize>()
+            + self.weights.blocks.iter().map(norms).sum::<usize>()
+    }
+
+    /// Every linear map: the classifier head, then each block's attention
+    /// projections and FFN layers.
+    fn linears(&self) -> Vec<&FrozenLinear> {
+        let mut linears: Vec<&FrozenLinear> = vec![&self.weights.head];
+        for b in &self.weights.blocks {
+            if let FrozenMixing::Attention(a) = &b.mixing {
+                linears.extend([&a.wq, &a.wk, &a.wv, &a.wo]);
+            }
+            linears.extend([&b.ffn.lin1, &b.ffn.lin2]);
+        }
+        linears
+    }
+
     /// Which architecture the snapshot instantiates.
     pub fn kind(&self) -> ModelKind {
-        self.kind
+        self.weights.kind
     }
 
     /// The frozen encoder blocks, in execution order. Exposed (together
     /// with the other component accessors) so post-training tooling such as
     /// `fab-quant` can walk the snapshot layer by layer.
     pub fn blocks(&self) -> &[FrozenBlock] {
-        &self.blocks
+        &self.weights.blocks
     }
 
     /// The classifier head applied to the mean-pooled hidden state.
     pub fn head(&self) -> &FrozenLinear {
-        &self.head
+        &self.weights.head
     }
 
     /// The embedding tables, f32 or int8.
     pub fn embedding(&self) -> &FrozenEmbedding {
-        &self.embedding
+        &self.weights.embedding
     }
 
     /// `[vocab, hidden]` f32 token-embedding table.
@@ -807,7 +889,7 @@ impl FrozenModel {
     /// Panics when the tables are int8; [`FrozenModel::embedding`] serves
     /// both.
     pub fn tok_table(&self) -> &Tensor {
-        match &self.embedding {
+        match &self.weights.embedding {
             FrozenEmbedding::F32 { tok, .. } => tok,
             FrozenEmbedding::Int8 { .. } => panic!("tok_table() on a model with int8 tables"),
         }
@@ -820,7 +902,7 @@ impl FrozenModel {
     /// Panics when the tables are int8; [`FrozenModel::embedding`] serves
     /// both.
     pub fn pos_table(&self) -> &Tensor {
-        match &self.embedding {
+        match &self.weights.embedding {
             FrozenEmbedding::F32 { pos, .. } => pos,
             FrozenEmbedding::Int8 { .. } => panic!("pos_table() on a model with int8 tables"),
         }
@@ -828,25 +910,19 @@ impl FrozenModel {
 
     /// Number of output classes.
     pub fn num_classes(&self) -> usize {
-        self.head.d_out()
+        self.weights.head.d_out()
     }
 
     /// Maximum supported sequence length.
     pub fn max_seq(&self) -> usize {
-        self.config.max_seq
+        self.weights.config.max_seq
     }
 
     /// Fraction of linear maps (projections, FFN layers, head) running the
     /// int8 path: 0.0 for an all-f32 model, below 1.0 for a quantized model
     /// with butterfly-factorised linears, which stay f32.
     pub fn quantized_fraction(&self) -> f64 {
-        let mut linears: Vec<&FrozenLinear> = vec![&self.head];
-        for b in &self.blocks {
-            if let FrozenMixing::Attention(a) = &b.mixing {
-                linears.extend([&a.wq, &a.wk, &a.wv, &a.wo]);
-            }
-            linears.extend([&b.ffn.lin1, &b.ffn.lin2]);
-        }
+        let linears = self.linears();
         let int8 = linears.iter().filter(|l| matches!(l, FrozenLinear::Int8(_))).count();
         int8 as f64 / linears.len() as f64
     }
@@ -873,22 +949,22 @@ impl FrozenModel {
         tokens: &[usize],
         tap: &mut impl FnMut(Tap, &[f32]),
     ) -> Vec<f32> {
-        let (hidden, vocab, max_seq) =
-            (self.config.hidden, self.config.vocab_size, self.config.max_seq);
+        let Weights { config, embedding, blocks, head, .. } = &*self.weights;
+        let (hidden, vocab, max_seq) = (config.hidden, config.vocab_size, config.max_seq);
         let len = tokens.len();
         assert!(len >= 1 && len <= max_seq, "sequence length {len} outside 1..={max_seq}");
         ws.x.resize_to(&[len, hidden]);
         for (j, (row, &id)) in ws.x.as_mut_slice().chunks_mut(hidden).zip(tokens).enumerate() {
             assert!(id < vocab, "token index {id} out of range for vocab {vocab}");
-            self.embedding.gather_into(id, j, row);
+            embedding.gather_into(id, j, row);
         }
-        for (index, block) in self.blocks.iter().enumerate() {
+        for (index, block) in blocks.iter().enumerate() {
             block.forward_in(ws, index, self.fast_math, tap);
         }
         let Workspace { x, pooled, logits, qx, .. } = ws;
         x.mean_rows_into(pooled);
         tap(Tap::HeadIn, pooled.as_slice());
-        self.head.forward_into(pooled, false, qx, logits);
+        head.forward_into(pooled, false, qx, logits);
         logits.as_slice().to_vec()
     }
 
@@ -913,7 +989,7 @@ impl FrozenModel {
     /// vocabulary.
     pub fn logits_batch<S: AsRef<[usize]>>(&self, batch: &[S], pad_to: usize) -> Vec<Vec<f32>> {
         assert!(!batch.is_empty(), "cannot run a frozen model on an empty batch");
-        let max_seq = self.config.max_seq;
+        let max_seq = self.weights.config.max_seq;
         assert!(pad_to >= 1 && pad_to <= max_seq, "pad_to {pad_to} outside 1..={max_seq}");
         batch
             .iter()
@@ -963,6 +1039,87 @@ impl FrozenModel {
     }
 }
 
+/// Whether two f32 slices hold the same bits (`+0.0` and `-0.0` differ,
+/// a NaN equals its own payload).
+fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+fn same_tensor(a: &Tensor, b: &Tensor) -> bool {
+    a.shape() == b.shape() && same_bits(a.as_slice(), b.as_slice())
+}
+
+fn same_linear(a: &FrozenLinear, b: &FrozenLinear) -> bool {
+    use FrozenLinear::{Butterfly, Dense, Int8};
+    let same_stage = |s: &ButterflyStage, t: &ButterflyStage| {
+        let bits = |(w1, w2, w3, w4): (f32, f32, f32, f32)| [w1, w2, w3, w4].map(f32::to_bits);
+        s.half() == t.half()
+            && s.pairs() == t.pairs()
+            && (0..s.pairs()).all(|p| bits(s.weights(p)) == bits(t.weights(p)))
+    };
+    match (a, b) {
+        (Dense { w, b }, Dense { w: w2, b: b2 }) => same_tensor(w, w2) && same_tensor(b, b2),
+        (
+            Butterfly { bfly, b, d_in, d_out },
+            Butterfly { bfly: f2, b: b2, d_in: i2, d_out: o2 },
+        ) => {
+            (d_in, d_out) == (i2, o2)
+                && same_tensor(b, b2)
+                && bfly.size() == f2.size()
+                && bfly.num_stages() == f2.num_stages()
+                && bfly.stages().iter().zip(f2.stages()).all(|(s, t)| same_stage(s, t))
+        }
+        (Int8(p), Int8(q)) => {
+            (p.d_in(), p.d_out()) == (q.d_in(), q.d_out())
+                && p.qw() == q.qw()
+                && same_bits(p.w_scales(), q.w_scales())
+                && same_bits(p.bias(), q.bias())
+                && p.in_scale().to_bits() == q.in_scale().to_bits()
+        }
+        _ => false,
+    }
+}
+
+fn same_embedding(a: &FrozenEmbedding, b: &FrozenEmbedding) -> bool {
+    let same_table = |s: &QuantEmbedding, t: &QuantEmbedding| {
+        (s.rows(), s.cols()) == (t.rows(), t.cols())
+            && s.q() == t.q()
+            && same_bits(s.scales(), t.scales())
+    };
+    match (a, b) {
+        (FrozenEmbedding::F32 { tok, pos }, FrozenEmbedding::F32 { tok: t2, pos: p2 }) => {
+            same_tensor(tok, t2) && same_tensor(pos, p2)
+        }
+        (FrozenEmbedding::Int8 { tok, pos }, FrozenEmbedding::Int8 { tok: t2, pos: p2 }) => {
+            same_table(tok, t2) && same_table(pos, p2)
+        }
+        _ => false,
+    }
+}
+
+fn same_block(a: &FrozenBlock, b: &FrozenBlock) -> bool {
+    let same_norm = |s: &FrozenLayerNorm, t: &FrozenLayerNorm| {
+        same_tensor(&s.gamma, &t.gamma)
+            && same_tensor(&s.beta, &t.beta)
+            && s.eps.to_bits() == t.eps.to_bits()
+    };
+    let mixing = match (&a.mixing, &b.mixing) {
+        (FrozenMixing::Attention(s), FrozenMixing::Attention(t)) => {
+            (s.dim, s.num_heads) == (t.dim, t.num_heads)
+                && [(&s.wq, &t.wq), (&s.wk, &t.wk), (&s.wv, &t.wv), (&s.wo, &t.wo)]
+                    .into_iter()
+                    .all(|(x, y)| same_linear(x, y))
+        }
+        (FrozenMixing::Fourier, FrozenMixing::Fourier) => true,
+        _ => false,
+    };
+    mixing
+        && same_linear(&a.ffn.lin1, &b.ffn.lin1)
+        && same_linear(&a.ffn.lin2, &b.ffn.lin2)
+        && same_norm(&a.ln1, &b.ln1)
+        && same_norm(&a.ln2, &b.ln2)
+}
+
 /// Index of the largest logit, matching the tie-breaking (first maximum
 /// wins) of [`Model::predict_class`](crate::Model::predict_class). Exposed
 /// so serving layers classify exactly the way the model does.
@@ -1003,6 +1160,55 @@ mod tests {
             let frozen = model.freeze();
             let tokens = vec![1usize, 5, 2, 7, 3, 0, 4];
             assert_eq!(model.predict(&tokens), frozen.logits(&tokens), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn an_f32_model_weighs_four_bytes_a_parameter() {
+        for (seed, kind) in
+            [(1, ModelKind::FabNet), (2, ModelKind::FNet), (3, ModelKind::Transformer)]
+        {
+            let model = Model::new(&tiny(), kind, &mut StdRng::seed_from_u64(seed));
+            let frozen = model.freeze();
+            assert_eq!(frozen.weight_bytes(), 4 * model.num_params(), "{kind:?}");
+            let int8 = quantized(&frozen);
+            assert!(int8.weight_bytes() < frozen.weight_bytes(), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn same_weights_compares_the_bits_of_every_weight() {
+        for (seed, kind) in
+            [(1, ModelKind::FabNet), (2, ModelKind::FNet), (3, ModelKind::Transformer)]
+        {
+            let model = Model::new(&tiny(), kind, &mut StdRng::seed_from_u64(seed));
+            let (a, b) = (model.freeze(), model.freeze());
+            assert!(!a.shares_weights(&b) && a.same_weights(&b), "{kind:?}");
+            assert!(a.same_weights(&a.clone().with_fast_math(true)), "{kind:?}");
+            assert!(quantized(&a).same_weights(&quantized(&b)), "{kind:?}");
+            assert!(!quantized(&a).same_weights(&a), "{kind:?}");
+            let other = Model::new(&tiny(), kind, &mut StdRng::seed_from_u64(seed + 10));
+            assert!(!a.same_weights(&other.freeze()), "{kind:?}");
+
+            // A head bias of +0.0 and one of -0.0 are equal values, not
+            // equal weights.
+            let FrozenLinear::Dense { w, b } = a.head() else { panic!("the head is dense") };
+            let with_bias = |v: f32| {
+                let mut b = b.clone();
+                b.as_mut_slice()[0] = v;
+                let head = FrozenLinear::Dense { w: w.clone(), b };
+                let (config, embedding) = (a.config().clone(), a.embedding().clone());
+                FrozenModel::from_parts(config, kind, embedding, a.blocks().to_vec(), head)
+            };
+            assert!(with_bias(0.0).same_weights(&with_bias(0.0)), "{kind:?}");
+            assert!(!with_bias(0.0).same_weights(&with_bias(-0.0)), "{kind:?}");
+            // So are two layer-norm epsilons.
+            let mut blocks = a.blocks().to_vec();
+            let ln = blocks[0].ln1.clone();
+            blocks[0].ln1 = FrozenLayerNorm::new(ln.gamma, ln.beta, ln.eps * 2.0);
+            let (config, embedding) = (a.config().clone(), a.embedding().clone());
+            let eps = FrozenModel::from_parts(config, kind, embedding, blocks, a.head().clone());
+            assert!(!a.same_weights(&eps), "{kind:?}");
         }
     }
 

@@ -162,14 +162,13 @@ impl Model {
     /// [`crate::frozen`] module docs for the exactness guarantees).
     pub fn freeze(&self) -> FrozenModel {
         let (tok, pos) = self.embedding.freeze_tables();
-        FrozenModel {
-            config: self.config.clone(),
-            kind: self.kind,
-            embedding: FrozenEmbedding::F32 { tok, pos },
-            blocks: self.blocks.iter().map(|b| b.freeze()).collect(),
-            head: self.head.freeze(),
-            fast_math: false,
-        }
+        FrozenModel::from_parts(
+            self.config.clone(),
+            self.kind,
+            FrozenEmbedding::F32 { tok, pos },
+            self.blocks.iter().map(|b| b.freeze()).collect(),
+            self.head.freeze(),
+        )
     }
 
     /// Returns per-example logits for a batch of sequences.

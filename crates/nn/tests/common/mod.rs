@@ -1,6 +1,7 @@
 //! A counting global allocator shared by the allocation tests
-//! (`train_alloc.rs`, `forward_alloc.rs`); each of them is its own
-//! integration-test binary because it installs one.
+//! (`train_alloc.rs`, `forward_alloc.rs`, and `fab-serve`'s
+//! `shared_weights.rs`, which includes this file by path); each of them is
+//! its own integration-test binary because it installs one.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

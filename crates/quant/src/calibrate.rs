@@ -3,7 +3,7 @@
 
 use crate::observer::{Observer, ObserverKind};
 use crate::qmodel::quantize;
-use fab_nn::{FrozenMixing, FrozenModel, Tap};
+use fab_nn::{FrozenLinear, FrozenMixing, FrozenModel, Tap};
 
 /// Calibration knobs.
 #[derive(Debug, Clone, Default)]
@@ -13,11 +13,14 @@ pub struct CalibrationConfig {
     pub observer: ObserverKind,
 }
 
-/// Calibrated activation scales of one encoder block.
+/// Calibrated activation scales of one encoder block. A scale whose
+/// consumer is not a dense linear — the attention projections of a Fourier
+/// block, which has none, and every butterfly-factorised linear, which
+/// quantization leaves f32 — is the sentinel 1.0: calibration does not
+/// observe that input.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockScales {
-    /// Input scale of the attention q/k/v projections (1.0 for Fourier
-    /// blocks, which have no quantized projections).
+    /// Input scale of the attention q/k/v projections.
     pub attn_in: f32,
     /// Input scale of the attention output projection.
     pub attn_out_in: f32,
@@ -37,13 +40,9 @@ pub struct ActivationScales {
     pub head_in: f32,
 }
 
-/// Observers for one block's quantized GEMM inputs.
-struct BlockObservers {
-    attn_in: Observer,
-    attn_out_in: Observer,
-    ffn1_in: Observer,
-    ffn2_in: Observer,
-}
+/// Observers for one block's quantized GEMM inputs, in [`BlockScales`]
+/// order; `None` where the consumer is not a dense linear.
+type BlockObservers = [Option<Observer>; 4];
 
 /// Runs the calibration samples through `frozen` (f32, one sequence at a
 /// time) and returns the observed activation scales for every quantized
@@ -52,8 +51,10 @@ struct BlockObservers {
 /// The samples go through the model's own forward
 /// ([`FrozenModel::logits_observed`]), whose tap feeds the observers: the
 /// scales describe exactly the activations the served forward produces.
-/// Evaluation is per sample and single-pass, so the result is deterministic
-/// for a given sample set on every host, backend and thread count — use
+/// Only the inputs of dense linears are observed; the others get the 1.0
+/// sentinel (see [`BlockScales`]). Evaluation is per sample and
+/// single-pass, so the result is deterministic for a given sample set on
+/// every host, backend and thread count — use
 /// `LraTask::calibration_batches` for a reproducible sample stream disjoint
 /// from the eval split.
 ///
@@ -67,51 +68,49 @@ pub fn calibrate<S: AsRef<[usize]>>(
     config: &CalibrationConfig,
 ) -> ActivationScales {
     assert!(!samples.is_empty(), "calibration needs at least one sample");
-    let new_observer = || Observer::new(config.observer);
+    let observer = |lin: &FrozenLinear| {
+        matches!(lin, FrozenLinear::Dense { .. }).then(|| Observer::new(config.observer))
+    };
     let mut blocks: Vec<BlockObservers> = frozen
         .blocks()
         .iter()
-        .map(|_| BlockObservers {
-            attn_in: new_observer(),
-            attn_out_in: new_observer(),
-            ffn1_in: new_observer(),
-            ffn2_in: new_observer(),
+        .map(|b| {
+            let (attn_in, attn_out_in) = match b.mixing() {
+                FrozenMixing::Attention(a) => (observer(a.wq()), observer(a.wo())),
+                FrozenMixing::Fourier => (None, None),
+            };
+            [attn_in, attn_out_in, observer(b.ffn().lin1()), observer(b.ffn().lin2())]
         })
         .collect();
-    let mut head_in = new_observer();
+    let mut head_in = observer(frozen.head());
 
     for sample in samples {
         frozen.logits_observed(sample.as_ref(), |tap, values| {
             let observer = match tap {
-                Tap::AttnIn(b) => &mut blocks[b].attn_in,
-                Tap::AttnCoreOut(b) => &mut blocks[b].attn_out_in,
-                Tap::Ffn1In(b) => &mut blocks[b].ffn1_in,
-                Tap::Ffn2In(b) => &mut blocks[b].ffn2_in,
+                Tap::AttnIn(b) => &mut blocks[b][0],
+                Tap::AttnCoreOut(b) => &mut blocks[b][1],
+                Tap::Ffn1In(b) => &mut blocks[b][2],
+                Tap::Ffn2In(b) => &mut blocks[b][3],
                 Tap::HeadIn => &mut head_in,
             };
-            observer.observe(values);
+            if let Some(observer) = observer {
+                observer.observe(values);
+            }
         });
     }
 
+    let scale = |o: &Option<Observer>| o.as_ref().map_or(1.0, Observer::scale);
     ActivationScales {
-        blocks: frozen
-            .blocks()
+        blocks: blocks
             .iter()
-            .zip(blocks.iter())
-            .map(|(fb, o)| {
-                // Fourier blocks have no quantized projections: their
-                // attention observers never see data, so emit the documented
-                // 1.0 sentinel instead of the observer's degenerate floor.
-                let attention = matches!(fb.mixing(), FrozenMixing::Attention(_));
-                BlockScales {
-                    attn_in: if attention { o.attn_in.scale() } else { 1.0 },
-                    attn_out_in: if attention { o.attn_out_in.scale() } else { 1.0 },
-                    ffn1_in: o.ffn1_in.scale(),
-                    ffn2_in: o.ffn2_in.scale(),
-                }
+            .map(|[attn_in, attn_out_in, ffn1_in, ffn2_in]| BlockScales {
+                attn_in: scale(attn_in),
+                attn_out_in: scale(attn_out_in),
+                ffn1_in: scale(ffn1_in),
+                ffn2_in: scale(ffn2_in),
             })
             .collect(),
-        head_in: head_in.scale(),
+        head_in: scale(&head_in),
     }
 }
 
@@ -204,6 +203,66 @@ mod tests {
         let scales = calibrate(&frozen, &samples, &CalibrationConfig::default());
         for bs in &scales.blocks {
             assert_eq!((bs.attn_in, bs.attn_out_in), (1.0, 1.0));
+        }
+    }
+
+    #[test]
+    fn only_the_inputs_of_dense_linears_are_observed() {
+        // Block 0 is a Transformer block (dense projections and FFN), block
+        // 1 an ABfly block (butterfly projections and FFN); the head is
+        // dense.
+        let config = ModelConfig::tiny_for_tests();
+        let freeze = |kind, seed| Model::new(&config, kind, &mut StdRng::seed_from_u64(seed));
+        let (dense, bfly) = (freeze(ModelKind::Transformer, 17), freeze(ModelKind::FabNet, 18));
+        let (dense, bfly) = (dense.freeze(), bfly.freeze());
+        let abfly = bfly.blocks()[1].clone();
+        let FrozenMixing::Attention(a) = abfly.mixing() else { panic!("block 1 is ABfly") };
+        for lin in [a.wq(), a.wo(), abfly.ffn().lin1(), abfly.ffn().lin2()] {
+            assert!(matches!(lin, FrozenLinear::Butterfly { .. }));
+        }
+        let model = FrozenModel::from_parts(
+            config.clone(),
+            ModelKind::FabNet,
+            dense.embedding().clone(),
+            vec![dense.blocks()[0].clone(), abfly],
+            dense.head().clone(),
+        );
+        let samples = calib_samples(6, 8, config.vocab_size);
+        let calibration = CalibrationConfig::default();
+        let got = calibrate(&model, &samples, &calibration);
+
+        // Every tap observed, as calibration did before it skipped any.
+        let mut every: Vec<(Tap, Observer)> = Vec::new();
+        for sample in &samples {
+            model.logits_observed(sample, |tap, values| {
+                let i = every.iter().position(|(t, _)| *t == tap).unwrap_or_else(|| {
+                    every.push((tap, Observer::new(calibration.observer)));
+                    every.len() - 1
+                });
+                every[i].1.observe(values);
+            });
+        }
+        let observed = |tap| every.iter().find(|(t, _)| *t == tap).expect("tapped").1.scale();
+        let all = |b| BlockScales {
+            attn_in: observed(Tap::AttnIn(b)),
+            attn_out_in: observed(Tap::AttnCoreOut(b)),
+            ffn1_in: observed(Tap::Ffn1In(b)),
+            ffn2_in: observed(Tap::Ffn2In(b)),
+        };
+        assert_eq!(got.blocks[0], all(0), "dense scales moved");
+        assert_eq!(got.head_in, observed(Tap::HeadIn), "the head scale moved");
+        let sentinel = BlockScales { attn_in: 1.0, attn_out_in: 1.0, ffn1_in: 1.0, ffn2_in: 1.0 };
+        assert_eq!(got.blocks[1], sentinel);
+        assert_ne!(all(1).ffn1_in, 1.0, "an observed butterfly input reads the sentinel anyway");
+
+        // Quantization reads no butterfly scale: the int8 model is the one
+        // every observed scale gives, bit for bit.
+        let before = ActivationScales { blocks: vec![all(0), all(1)], head_in: got.head_in };
+        let (now, then) = (quantize(&model, &got), quantize(&model, &before));
+        for sample in &samples {
+            let bits = |m: &FrozenModel| m.logits(sample).iter().map(|x| x.to_bits()).collect();
+            let (now, then): (Vec<u32>, Vec<u32>) = (bits(&now), bits(&then));
+            assert_eq!(now, then);
         }
     }
 

@@ -294,6 +294,9 @@ fn calibration_scales_shape_matches_the_model() {
 /// seeded tiny models, on the scalar backend so the bits are the same on
 /// every host. Recorded before calibration moved onto the frozen forward's
 /// tap; a change here means the scales `fabd` quantizes with have moved.
+/// FABNet's blocks are all butterfly linears, which stay f32: their inputs
+/// are not observed and read the 1.0 sentinel (`0x3f800000`); its dense
+/// head keeps the scale recorded before that.
 #[test]
 fn calibration_scales_match_the_recorded_bits() {
     use ModelKind::{FNet, FabNet, Transformer};
@@ -311,9 +314,9 @@ fn calibration_scales_match_the_recorded_bits() {
         (32, FNet, Percentile(0.999), true,
          [0x3f800000, 0x3f800000, 0x3cbcf9f4, 0x3d0ab56b, 0x3f800000, 0x3f800000, 0x3cabf7f0, 0x3ce9b367, 0x3c0ddd97]),
         (33, FabNet, MinMax, true,
-         [0x3f800000, 0x3f800000, 0x3cb6b545, 0x3ca8946f, 0x3cb6379a, 0x3c6ee30e, 0x3cb83737, 0x3cc73e0e, 0x3bfaea98]),
+         [0x3f800000, 0x3f800000, 0x3f800000, 0x3f800000, 0x3f800000, 0x3f800000, 0x3f800000, 0x3f800000, 0x3bfaea98]),
         (33, FabNet, Percentile(0.999), true,
-         [0x3f800000, 0x3f800000, 0x3cb64c99, 0x3c9f3e7d, 0x3cb3870e, 0x3c4a54a9, 0x3cb4e9d4, 0x3cbfbf7f, 0x3bfaea98]),
+         [0x3f800000, 0x3f800000, 0x3f800000, 0x3f800000, 0x3f800000, 0x3f800000, 0x3f800000, 0x3f800000, 0x3bfaea98]),
     ];
     assert_eq!(ObserverKind::default(), Percentile(0.999), "the table's percentile rows");
     let _g = lock();

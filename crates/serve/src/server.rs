@@ -489,6 +489,11 @@ impl ServerHandle {
         self.submit(tokens)?.wait()
     }
 
+    /// The session this server's workers run.
+    pub fn session(&self) -> &InferenceSession {
+        &self.shared.session
+    }
+
     /// Snapshots the aggregate serving metrics.
     pub fn stats(&self) -> ServerStats {
         let depth = lock_recover(&self.shared.state).policy.depth();

@@ -56,20 +56,21 @@ pub struct InferenceSession {
 }
 
 impl InferenceSession {
-    /// Freezes `model`'s current weights into a new f32 session with the
-    /// serving-grade fast-math kernels enabled: logits stay within ~1e-6 of
-    /// [`Model::predict`](fab_nn::Model::predict) (see
-    /// [`fab_tensor::fastmath`]) and remain bit-invariant to batch
-    /// composition and thread count. Use [`InferenceSession::exact`] for
-    /// bit-identity with the tape path, [`InferenceSession::from_frozen`]
-    /// on a quantized model for the int8 path.
+    /// Freezes `model`'s current weights into a new f32 session with fast
+    /// math on (attention scales the query instead of the scores; see
+    /// [`FrozenModel::with_fast_math`]): logits stay within ~1e-6 of
+    /// [`Model::predict`](fab_nn::Model::predict) and remain bit-invariant
+    /// to batch composition and thread count. Use
+    /// [`InferenceSession::exact`] for bit-identity with the tape path,
+    /// [`InferenceSession::from_frozen`] on a quantized model for the int8
+    /// path.
     pub fn new(model: &Model) -> Self {
         Self::from_frozen(model.freeze().with_fast_math(true))
     }
 
-    /// Freezes `model` with the exact `libm` kernels: logits are
-    /// bit-identical to [`Model::predict`](fab_nn::Model::predict), at
-    /// roughly 40% lower single-core throughput than [`InferenceSession::new`].
+    /// Freezes `model` with fast math off: logits are bit-identical to
+    /// [`Model::predict`](fab_nn::Model::predict), at the speed of
+    /// [`InferenceSession::new`].
     pub fn exact(model: &Model) -> Self {
         Self::from_frozen(model.freeze())
     }
@@ -77,9 +78,15 @@ impl InferenceSession {
     /// Wraps an already-frozen model, honouring its fast-math setting. A
     /// post-training-quantized model (`fab_quant::quantize_frozen`; see
     /// [`fab_quant`] for the calibration workflow and accuracy policy)
-    /// makes the server run int8 GEMMs on every dense linear layer.
+    /// makes the server run int8 GEMMs on every dense linear layer. The
+    /// session shares `model`'s weights with every other handle on them.
     pub fn from_frozen(model: FrozenModel) -> Self {
         Self { model, panic_token: None, chaos: None }
+    }
+
+    /// The frozen model this session runs.
+    pub fn model(&self) -> &FrozenModel {
+        &self.model
     }
 
     /// Fault injection for tests and benchmarks: any forward pass whose

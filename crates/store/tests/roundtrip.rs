@@ -78,6 +78,22 @@ fn encode_decode_is_logit_bit_identical_for_all_archs_and_precisions() {
     }
 }
 
+#[test]
+fn a_restored_model_has_the_weights_it_was_saved_with() {
+    for (seed, kind) in KINDS.iter().copied().enumerate() {
+        let artifacts = artifacts(seed as u64 + 60, kind);
+        for (p, artifact) in artifacts.iter().enumerate() {
+            let restored = decode_artifact(&encode_artifact(artifact, &[])).expect("decode").0;
+            assert!(!restored.0.shares_weights(&artifact.0));
+            assert!(restored.0.same_weights(&artifact.0), "{kind:?} precision {p}");
+        }
+        // Exact and fast-math were frozen one after the other, int8 is
+        // quantized: two equal weight sets and a third.
+        assert!(artifacts[0].0.same_weights(&artifacts[1].0), "{kind:?}");
+        assert!(!artifacts[0].0.same_weights(&artifacts[2].0), "{kind:?}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
