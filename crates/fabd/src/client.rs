@@ -91,7 +91,9 @@ pub struct FabClient {
     max_body: usize,
     retry: RetryPolicy,
     rng: StdRng,
-    stream: Option<TcpStream>,
+    /// The open connection, read through one buffer for its whole life and
+    /// written through `get_mut`.
+    conn: Option<BufReader<TcpStream>>,
 }
 
 impl FabClient {
@@ -108,7 +110,7 @@ impl FabClient {
             max_body: 16 * 1024 * 1024,
             retry,
             rng: StdRng::seed_from_u64(seed),
-            stream: None,
+            conn: None,
         }
     }
 
@@ -118,15 +120,15 @@ impl FabClient {
         self
     }
 
-    fn connect(&mut self) -> io::Result<&mut TcpStream> {
-        if self.stream.is_none() {
+    fn connect(&mut self) -> io::Result<&mut BufReader<TcpStream>> {
+        if self.conn.is_none() {
             let stream = TcpStream::connect(&self.addr)?;
             stream.set_nodelay(true)?;
             stream.set_read_timeout(Some(self.timeout))?;
             stream.set_write_timeout(Some(self.timeout))?;
-            self.stream = Some(stream);
+            self.conn = Some(BufReader::new(stream));
         }
-        Ok(self.stream.as_mut().expect("stream just set"))
+        Ok(self.conn.as_mut().expect("connection just set"))
     }
 
     /// One request/response exchange on the persistent connection, no
@@ -140,18 +142,16 @@ impl FabClient {
     ) -> Result<ClientResponse, ClientError> {
         let max_body = self.max_body;
         let result = (|| {
-            let stream = self.connect().map_err(ClientError::Io)?;
-            write_request(stream, method, target, &[], body).map_err(ClientError::Io)?;
-            let read_half = stream.try_clone().map_err(ClientError::Io)?;
-            let mut reader = BufReader::new(read_half);
-            read_response(&mut reader, max_body).map_err(|e| match e {
+            let conn = self.connect().map_err(ClientError::Io)?;
+            write_request(conn.get_mut(), method, target, &[], body).map_err(ClientError::Io)?;
+            read_response(conn, max_body).map_err(|e| match e {
                 HttpError::Io(io) => ClientError::Io(io),
                 other => ClientError::Protocol(other),
             })
         })();
         match &result {
-            Err(_) => self.stream = None,
-            Ok(resp) if !resp.keep_alive() => self.stream = None,
+            Err(_) => self.conn = None,
+            Ok(resp) if !resp.keep_alive() => self.conn = None,
             Ok(_) => {}
         }
         result

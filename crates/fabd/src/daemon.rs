@@ -7,7 +7,8 @@
 //!    connections; excess ones are answered `503` and closed immediately so
 //!    an accept flood cannot exhaust threads.
 //! 2. **Socket timeouts** — every connection carries read/write timeouts; a
-//!    slow-loris peer is cut off with `408` when the read timeout fires.
+//!    slow-loris peer is cut off with `408` when the read timeout fires
+//!    mid-request; an idle keep-alive connection is closed without one.
 //! 3. **Tenant quotas** — requests are charged against their tenant's
 //!    token bucket (`X-Tenant` header or body field); an empty bucket
 //!    answers `429` with a hint from the tenant's own refill rate.
@@ -493,9 +494,7 @@ fn serve_connection(stream: TcpStream, shared: Arc<DaemonShared>) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(config.read_timeout_ms.max(1))));
     let _ = stream.set_write_timeout(Some(Duration::from_millis(config.write_timeout_ms.max(1))));
-    let Ok(read_half) = stream.try_clone() else { return };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
+    let mut reader = BufReader::new(stream);
     loop {
         let request = match read_request(&mut reader, config.max_body_bytes) {
             Ok(Some(request)) => request,
@@ -505,7 +504,7 @@ fn serve_connection(stream: TcpStream, shared: Arc<DaemonShared>) {
                 let status = e.status();
                 shared.counters.count_status(status);
                 let _ = write_response(
-                    &mut writer,
+                    reader.get_mut(),
                     &error_response(status, &e.to_string(), None),
                     false,
                 );
@@ -517,7 +516,7 @@ fn serve_connection(stream: TcpStream, shared: Arc<DaemonShared>) {
         let keep_alive = request.keep_alive() && !shared.draining.load(Ordering::SeqCst);
         let response = route(&shared, &request);
         shared.counters.count_status(response.status);
-        let write = write_response(&mut writer, &response, keep_alive);
+        let write = write_response(reader.get_mut(), &response, keep_alive);
         drop(in_flight);
         if write.is_err() || !keep_alive {
             return;

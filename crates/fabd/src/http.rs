@@ -6,7 +6,15 @@
 //! header and body sizes, `Content-Length`-only framing (chunked encoding is
 //! rejected with `501`), and every socket it reads from carries read/write
 //! timeouts — a slow-loris client holds a connection slot only until the
-//! read timeout fires, never a worker thread forever.
+//! read timeout fires, never a worker thread forever. A read timeout before
+//! the first byte of a request is an idle keep-alive connection: it is
+//! closed without an answer.
+//!
+//! Framing rule: every message leaves in one write. [`write_response`] and
+//! [`write_request`] build head and body in one buffer and hand it to the
+//! writer in a single `write_all`. Both ends set `TCP_NODELAY`, so a write
+//! is a segment: a message split over several writes leaves as several
+//! segments, each of which wakes the reader on the other side.
 
 use std::fmt;
 use std::io::{self, BufRead, Write};
@@ -50,25 +58,22 @@ impl From<io::Error> for HttpError {
     }
 }
 
+/// Whether a socket error is a read/write timeout firing.
+fn timed_out(e: &io::Error) -> bool {
+    matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
+}
+
 impl HttpError {
     /// Whether this failure came from a read/write timeout (a slow or
     /// stalled peer) rather than bad bytes.
     pub fn is_timeout(&self) -> bool {
-        matches!(
-            self,
-            HttpError::Io(e)
-                if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
-        )
+        matches!(self, HttpError::Io(e) if timed_out(e))
     }
 
     /// The HTTP status code a server should answer this failure with.
     pub fn status(&self) -> u16 {
         match self {
-            HttpError::Io(e)
-                if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
-            {
-                408
-            }
+            HttpError::Io(e) if timed_out(e) => 408,
             HttpError::Io(_) => 400,
             HttpError::Malformed(_) => 400,
             HttpError::TooLarge(_) => 431,
@@ -154,7 +159,8 @@ fn read_line(reader: &mut impl BufRead, max: usize) -> Result<Option<String>, Ht
 }
 
 /// Reads one request from `reader`. Returns `Ok(None)` when the peer closed
-/// the connection cleanly before sending anything (keep-alive end).
+/// the connection cleanly, or the read timed out, before sending anything
+/// (keep-alive end).
 ///
 /// # Errors
 ///
@@ -164,6 +170,14 @@ pub fn read_request(
     reader: &mut impl BufRead,
     max_body: usize,
 ) -> Result<Option<Request>, HttpError> {
+    // An idle keep-alive connection whose read timeout fires before a first
+    // byte is closed, not answered: a `408` nobody asked for would be read
+    // by the client as the answer to its next request.
+    match reader.fill_buf() {
+        Ok(_) => {}
+        Err(e) if timed_out(&e) => return Ok(None),
+        Err(e) => return Err(e.into()),
+    }
     let Some(request_line) = read_line(reader, MAX_LINE_BYTES)? else {
         return Ok(None);
     };
@@ -283,7 +297,7 @@ pub fn reason(status: u16) -> &'static str {
 }
 
 /// Writes `response`, setting `Connection: keep-alive`/`close` to match
-/// `keep_alive`.
+/// `keep_alive`, in one `write_all` of head and body together.
 ///
 /// # Errors
 ///
@@ -294,24 +308,23 @@ pub fn write_response(
     response: &Response,
     keep_alive: bool,
 ) -> io::Result<()> {
-    write!(
+    send(
         writer,
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
-        response.status,
-        reason(response.status),
-        response.content_type,
-        response.body.len(),
-        if keep_alive { "keep-alive" } else { "close" },
-    )?;
-    for (name, value) in &response.headers {
-        write!(writer, "{name}: {value}\r\n")?;
-    }
-    writer.write_all(b"\r\n")?;
-    writer.write_all(&response.body)?;
-    writer.flush()
+        format_args!(
+            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
+            response.status,
+            reason(response.status),
+            response.content_type,
+            response.body.len(),
+            if keep_alive { "keep-alive" } else { "close" },
+        ),
+        &response.headers,
+        &response.body,
+    )
 }
 
-/// Writes one client request with an optional body.
+/// Writes one client request with an optional body, in one `write_all` of
+/// head and body together.
 ///
 /// # Errors
 ///
@@ -323,16 +336,37 @@ pub fn write_request(
     headers: &[(String, String)],
     body: &[u8],
 ) -> io::Result<()> {
-    write!(
+    send(
         writer,
-        "{method} {target} HTTP/1.1\r\nHost: fabd\r\nContent-Length: {}\r\n",
-        body.len()
-    )?;
+        format_args!(
+            "{method} {target} HTTP/1.1\r\nHost: fabd\r\nContent-Length: {}\r\n",
+            body.len()
+        ),
+        headers,
+        body,
+    )
+}
+
+/// Room reserved for a message head ahead of its body.
+const HEAD_RESERVE: usize = 256;
+
+/// Builds the message — `start` (the first line and the automatic headers),
+/// `headers`, the blank line, `body` — in one buffer and hands it to
+/// `writer` in one `write_all`.
+fn send(
+    writer: &mut impl Write,
+    start: fmt::Arguments<'_>,
+    headers: &[(String, String)],
+    body: &[u8],
+) -> io::Result<()> {
+    let mut wire = Vec::with_capacity(HEAD_RESERVE + body.len());
+    wire.write_fmt(start)?;
     for (name, value) in headers {
-        write!(writer, "{name}: {value}\r\n")?;
+        write!(wire, "{name}: {value}\r\n")?;
     }
-    writer.write_all(b"\r\n")?;
-    writer.write_all(body)?;
+    wire.extend_from_slice(b"\r\n");
+    wire.extend_from_slice(body);
+    writer.write_all(&wire)?;
     writer.flush()
 }
 
@@ -374,8 +408,15 @@ pub fn read_response(
     reader: &mut impl BufRead,
     max_body: usize,
 ) -> Result<ClientResponse, HttpError> {
-    let status_line =
-        read_line(reader, MAX_LINE_BYTES)?.ok_or(HttpError::Malformed("EOF before status"))?;
+    // A close before the status line is a socket failure, not bad bytes: the
+    // server dropped the connection (idle keep-alive timeout, restart), so
+    // the caller may reconnect and retry.
+    let status_line = read_line(reader, MAX_LINE_BYTES)?.ok_or_else(|| {
+        HttpError::Io(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "connection closed before status",
+        ))
+    })?;
     let mut parts = status_line.split(' ');
     let version = parts.next().unwrap_or("");
     if !version.starts_with("HTTP/1.") {
@@ -494,5 +535,77 @@ mod tests {
         assert_eq!(req.method, "POST");
         assert_eq!(req.header("x-deadline-ms"), Some("100"));
         assert_eq!(req.body, b"{\"tokens\":[1]}");
+    }
+
+    /// A writer that takes every byte offered and counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_message_is_one_write() {
+        let responses = [
+            Response::json(429, "{\"error\":\"overloaded\"}").with_header("Retry-After", 2),
+            Response::text(200, ""),
+            Response::text(200, "x".repeat(1 << 20)),
+        ];
+        for resp in &responses {
+            let mut w = CountingWriter::default();
+            write_response(&mut w, resp, true).unwrap();
+            assert_eq!(w.writes, 1, "{} byte body", resp.body.len());
+            let parsed = read_response(&mut BufReader::new(w.bytes.as_slice()), 2 << 20).unwrap();
+            assert_eq!(parsed.body, resp.body);
+        }
+        let mut w = CountingWriter::default();
+        write_request(&mut w, "POST", "/v1/predict", &[], b"{\"tokens\":[1]}").unwrap();
+        assert_eq!(w.writes, 1);
+        assert_eq!(parse(&w.bytes).unwrap().unwrap().body, b"{\"tokens\":[1]}");
+    }
+
+    /// A socket that delivers its bytes, then fails as a read timeout does.
+    struct Stalls(&'static [u8]);
+
+    impl io::Read for Stalls {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.0.is_empty() {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let n = buf.len().min(self.0.len());
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_timeout_before_the_first_byte_closes_quietly_but_mid_request_is_408() {
+        let idle = read_request(&mut BufReader::new(Stalls(b"")), DEFAULT_MAX_BODY_BYTES);
+        assert!(idle.unwrap().is_none());
+        let partial =
+            read_request(&mut BufReader::new(Stalls(b"POST / HTTP/1.1\r\nContent-Le")), 1024);
+        assert_eq!(partial.unwrap_err().status(), 408);
+    }
+
+    #[test]
+    fn a_close_before_the_status_line_is_a_socket_error() {
+        let err = read_response(&mut BufReader::new(&b""[..]), 1024).unwrap_err();
+        assert!(
+            matches!(&err, HttpError::Io(e) if e.kind() == io::ErrorKind::UnexpectedEof),
+            "{err}"
+        );
     }
 }

@@ -99,7 +99,8 @@ const DAEMON: &[Family<Snapshot>] = &[
     family!(counter "fabd_http_requests_total" "HTTP requests parsed";
         "http_requests": |d| d.http_requests),
     family!(counter "fabd_http_read_errors_total"
-        "Connections dropped for malformed or timed-out reads";
+        "Connections dropped for a malformed or oversized request \
+        or one cut off mid-way by the read timeout";
         "http_read_errors": |d| d.read_errors),
     family!(counter "fabd_http_responses_total" "HTTP responses written, by status class";
         "http_responses_2xx" [class = "2xx"]: |d| d.responses[0];

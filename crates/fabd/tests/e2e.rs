@@ -138,6 +138,80 @@ fn slow_loris_connections_are_cut_off_by_the_read_timeout() {
     daemon.shutdown();
 }
 
+/// A keep-alive connection left idle past the read timeout is closed with
+/// no answer: the client's next request meets a closed socket (a retryable
+/// I/O error), never an unsolicited `408` read as its answer, and the close
+/// counts as neither a read error nor a 4xx.
+#[test]
+fn idle_keep_alive_close_is_silent_and_the_next_request_reconnects() {
+    let config = DaemonConfig { read_timeout_ms: 150, ..test_config() };
+    let daemon = Daemon::start(config).expect("daemon starts");
+    let idle = Duration::from_millis(400);
+
+    let mut client = client_for(&daemon);
+    client.predict(None, &[1, 2, 3], None).expect("first predict");
+    std::thread::sleep(idle);
+    client.predict(None, &[1, 2, 3], None).expect("default policy reconnects");
+
+    let mut raw = raw_client_for(&daemon);
+    raw.predict(None, &[1, 2, 3], None).expect("first predict");
+    std::thread::sleep(idle);
+    let err = raw.predict(None, &[1, 2, 3], None).expect_err("the idle connection was closed");
+    assert!(matches!(err, ClientError::Io(_)), "{err}");
+
+    let stats = client.stats().expect("stats");
+    for key in ["http_read_errors", "http_responses_4xx"] {
+        assert_eq!(stats.get(key).and_then(Json::as_u64), Some(0), "{key}: {stats}");
+    }
+    daemon.shutdown();
+}
+
+/// One client makes dozens of mixed exchanges on one connection — single
+/// and batch predictions, the metrics page, a 404 — and every answer is the
+/// one to its own request: the client's one reader per connection never
+/// loses its place in the byte stream.
+#[test]
+fn one_keep_alive_connection_carries_mixed_exchanges_in_step() {
+    let daemon = Daemon::start(test_config()).expect("daemon starts");
+    let mut client = raw_client_for(&daemon);
+    let batch: Vec<String> = (0..8).map(|i| format!("[{}, {}, 3]", i + 1, i + 2)).collect();
+    let batch_body = format!("{{\"sequences\": [{}]}}", batch.join(", "));
+    for i in 0..52 {
+        match i % 4 {
+            0 => {
+                let result = client.predict(None, &[1 + i % 7, 2, 3, 4], None).expect("predict");
+                let logits = result.get("logits").and_then(Json::as_arr).expect("logits");
+                let class = result.get("class").and_then(Json::as_usize).expect("class");
+                assert!(class < logits.len(), "exchange {i}: {result}");
+            }
+            1 => {
+                let result = client
+                    .request_json("POST", "/v1/predict_batch", batch_body.as_bytes())
+                    .expect("predict_batch");
+                let results = result.get("results").and_then(Json::as_arr).expect("results");
+                assert_eq!(results.len(), 8, "exchange {i}: {result}");
+                assert!(results.iter().all(|r| r.get("logits").is_some()), "{result}");
+            }
+            2 => {
+                // The page counts every request parsed so far, this one too.
+                let metrics = client.metrics().expect("metrics");
+                let parsed = format!("fabd_http_requests_total {}\n", i + 1);
+                assert!(metrics.contains(&parsed), "exchange {i}: {metrics}");
+            }
+            _ => {
+                let resp = client.request("GET", "/made/up", b"").expect("404 answer");
+                assert_eq!(resp.status, 404, "exchange {i}");
+                let body = Json::parse(&resp.body_text()).expect("JSON error body");
+                assert!(body.get("error").is_some(), "exchange {i}: {body}");
+            }
+        }
+    }
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.get("connections_total").and_then(Json::as_u64), Some(1), "{stats}");
+    assert_eq!(stats.get("http_requests").and_then(Json::as_u64), Some(53), "{stats}");
+    daemon.shutdown();
+}
+
 #[test]
 fn explicit_zero_deadline_is_shed_with_504() {
     let daemon = Daemon::start(test_config()).expect("daemon starts");
