@@ -20,7 +20,6 @@ use fab_tensor::simd;
 use fab_tensor::{Tensor, PAR_GRAIN_OPS};
 use rand::rngs::StdRng;
 use rand::Rng;
-use rayon::prelude::*;
 
 /// Target elements per parallel row chunk.
 const CHUNK_ELEMS: usize = 1 << 13;
@@ -403,9 +402,9 @@ impl ButterflyMatrix {
                 run_rows(0, data);
             } else {
                 let rows_per_chunk = (CHUNK_ELEMS / n).max(1).next_multiple_of(lanes);
-                data.par_chunks_mut(rows_per_chunk * d_out)
-                    .enumerate()
-                    .for_each(|(c, chunk)| run_rows(c * rows_per_chunk, chunk));
+                rayon::fork_chunks_mut([(data, rows_per_chunk * d_out)], |c, [chunk]| {
+                    run_rows(c * rows_per_chunk, chunk)
+                });
             }
         });
     }
@@ -569,26 +568,24 @@ impl ButterflyMatrix {
         let gw_len = self.num_stages() * 2 * n;
         assert_eq!(grad_w.len(), gw_len, "weight gradient length mismatch");
         let rows_per_chunk = grad_chunk_rows(n);
-        let gx_chunks = grad_x.chunks_mut(rows_per_chunk * d_in);
+        let gx_len = rows_per_chunk * d_in;
         crate::with_scratch(self.stages.len() * n * GRAD_TILE, |pad| {
             self.pad_stage_inputs(d_in, pad);
             let pad = &*pad;
             if !self.fans_out(rows, 3) {
-                for (c, gx) in gx_chunks.enumerate() {
+                for (c, gx) in grad_x.chunks_mut(gx_len).enumerate() {
                     self.backward_chunk(x, grad_out, c * rows_per_chunk, gx, pad, grad_w, true);
                 }
                 return;
             }
-            crate::with_scratch(gx_chunks.len() * gw_len, |partials| {
-                gx_chunks
-                    .zip(partials.chunks_mut(gw_len))
-                    .collect::<Vec<_>>()
-                    .into_par_iter()
-                    .enumerate()
-                    .for_each(|(c, (gx, partial))| {
+            crate::with_scratch(grad_x.len().div_ceil(gx_len) * gw_len, |partials| {
+                rayon::fork_chunks_mut(
+                    [(grad_x, gx_len), (partials, gw_len)],
+                    |c, [gx, partial]| {
                         let r0 = c * rows_per_chunk;
                         self.backward_chunk(x, grad_out, r0, gx, pad, partial, false);
-                    });
+                    },
+                );
                 for partial in partials.chunks(gw_len) {
                     simd::add_acc(grad_w, partial);
                 }

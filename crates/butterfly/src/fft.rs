@@ -34,7 +34,6 @@
 use crate::flops::fourier_mix_flops;
 use crate::{log2_exact, next_pow2, with_scratch, Complex};
 use fab_tensor::{simd, PAR_GRAIN_OPS};
-use rayon::prelude::*;
 use std::sync::OnceLock;
 
 /// Returns the bit-reversal permutation of `0..n`.
@@ -283,13 +282,11 @@ pub(crate) fn fft2_real_padded_into(x: &[f32], seq: usize, hid: usize, out: &mut
     let parallel = fourier_mix_flops(s, h) >= PAR_GRAIN_OPS;
     let lanes = simd::backend().lanes();
     with_scratch(h / w * strip_len, |y| {
-        let pass1 = |(j, strip): (usize, &mut [f32])| {
-            seq_pass(x, seq, hid, plan_s, j * w, w, strip);
-        };
+        let pass1 = |j: usize, strip: &mut [f32]| seq_pass(x, seq, hid, plan_s, j * w, w, strip);
         if parallel {
-            y.par_chunks_mut(strip_len).enumerate().for_each(pass1);
+            rayon::fork_chunks_mut([(y, strip_len)], |j, [strip]| pass1(j, strip));
         } else {
-            y.chunks_mut(strip_len).enumerate().for_each(pass1);
+            y.chunks_mut(strip_len).enumerate().for_each(|(j, strip)| pass1(j, strip));
         }
 
         let y = &*y;
@@ -321,9 +318,12 @@ pub(crate) fn fft2_real_padded_into(x: &[f32], seq: usize, hid: usize, out: &mut
             });
         };
         // Direct rows are handed out from the front of `out`, mirror rows
-        // from its back, so every tile gets two disjoint plain slices.
+        // from its back, so every tile gets two disjoint plain slices. The
+        // mirror slices are not one slice cut at one length (the first
+        // tiles' are short or empty), so a parallel call lists the tiles
+        // first: its one allocation, which `forward_alloc` counts.
         let mut rest = out;
-        let mut jobs = Vec::new();
+        let mut jobs = Vec::with_capacity(if parallel { (m + 1).div_ceil(lanes) } else { 0 });
         for a in (0..=m).step_by(lanes) {
             let b = (a + lanes).min(m + 1);
             // Bin rows 0 and `m` mirror onto themselves, and rows of the
@@ -341,7 +341,10 @@ pub(crate) fn fft2_real_padded_into(x: &[f32], seq: usize, hid: usize, out: &mut
         }
         debug_assert!(rest.is_empty());
         if parallel {
-            jobs.into_par_iter().for_each(|(rows, direct, mirror)| tile(rows, direct, mirror));
+            rayon::fork_chunks_mut([(&mut jobs, 1)], |_, [job]| {
+                let (rows, direct, mirror) = &mut job[0];
+                tile(*rows, direct, mirror);
+            });
         }
     });
 }

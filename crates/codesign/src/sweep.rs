@@ -14,9 +14,9 @@
 //! 2. **Per design point**: the config's accuracy, and its schedule simulated
 //!    on the point's own hardware (microseconds).
 //!
-//! The configs are spread over `num_threads` workers (the caller and
-//! `num_threads - 1` scoped threads, one fan-out per sweep), largest schedule
-//! in FLOPs first; each worker runs both phases for the configs it claims.
+//! The configs are spread over up to `num_threads` threads of the worker
+//! pool (the caller among them, one fork per sweep), largest schedule in
+//! FLOPs first; each thread runs both phases for the configs it claims.
 
 use crate::accuracy::AccuracyEstimator;
 use crate::pareto::pareto_front_indices;
@@ -26,7 +26,6 @@ use fab_accel::{resources, Simulator};
 use fab_nn::{ModelConfig, ModelKind};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Options controlling a co-design run.
@@ -37,7 +36,8 @@ pub struct CodesignOptions {
     /// Maximum tolerated accuracy loss relative to the estimator's reference
     /// (the paper constrains this to 1% on LRA-Text, 0.5% elsewhere).
     pub max_accuracy_loss: f64,
-    /// Number of worker threads for the sweep.
+    /// Most threads the sweep runs on, the caller included: the width of
+    /// its one fork over the worker pool (see [`rayon::fork_wide`]).
     pub num_threads: usize,
 }
 
@@ -107,8 +107,9 @@ impl CodesignResult {
 /// Resource-infeasible designs are discarded. Each distinct algorithm config
 /// among the remaining points is evaluated once with `estimator` (accuracy),
 /// and every point with the `fab-accel` simulator on its own hardware
-/// (latency), across `options.num_threads` worker threads, the calling thread
-/// being one of them. The result does not depend on the thread count.
+/// (latency), on up to `options.num_threads` threads of the worker pool, the
+/// calling thread being one of them. The result does not depend on the
+/// thread count.
 pub fn run_codesign<E: AccuracyEstimator + Sync>(
     space: &DesignSpace,
     estimator: &E,
@@ -137,27 +138,15 @@ pub fn run_codesign<E: AccuracyEstimator + Sync>(
 
     let results: Mutex<Vec<(usize, EvaluatedPoint)>> =
         Mutex::new(Vec::with_capacity(feasible.len()));
-    let next = AtomicUsize::new(0);
-    let worker = || {
-        while let Some((model, schedule, members)) =
-            configs.get(next.fetch_add(1, Ordering::Relaxed))
-        {
-            // Phase 1 for the config, then phase 2 for each of its points.
-            let accuracy = estimator.estimate(model);
-            let evaluated: Vec<(usize, EvaluatedPoint)> = members
-                .iter()
-                .map(|&i| (i, evaluate_point(&feasible[i], accuracy, schedule)))
-                .collect();
-            results.lock().expect("results mutex poisoned").extend(evaluated);
-        }
-    };
-    // The calling thread is one of the workers: a spawn costs as much as a
-    // whole analytic sweep.
-    std::thread::scope(|scope| {
-        for _ in 1..options.num_threads.min(configs.len()) {
-            scope.spawn(worker);
-        }
-        worker();
+    rayon::fork_wide(options.num_threads, configs.len(), |c| {
+        let (model, schedule, members) = &configs[c];
+        // Phase 1 for the config, then phase 2 for each of its points.
+        let accuracy = estimator.estimate(model);
+        let evaluated: Vec<(usize, EvaluatedPoint)> = members
+            .iter()
+            .map(|&i| (i, evaluate_point(&feasible[i], accuracy, schedule)))
+            .collect();
+        results.lock().expect("results mutex poisoned").extend(evaluated);
     });
 
     let mut results = results.into_inner().expect("results mutex poisoned");
@@ -215,6 +204,7 @@ mod tests {
     use super::*;
     use crate::accuracy::{HeuristicAccuracy, TrainedAccuracy};
     use fab_lra::LraTask;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn codesign_produces_a_pareto_front_and_a_choice() {

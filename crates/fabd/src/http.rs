@@ -128,34 +128,51 @@ impl Request {
     }
 }
 
-/// Reads one CRLF- (or bare-LF-) terminated line, bounded by `max` bytes.
+/// Reads one CRLF- (or bare-LF-) terminated line, bounded by `max` bytes
+/// before the LF. Scans what the reader has buffered for the LF and takes
+/// it in one piece, not one `read` per byte.
 fn read_line(reader: &mut impl BufRead, max: usize) -> Result<Option<String>, HttpError> {
     let mut line = Vec::new();
     loop {
-        let mut byte = [0u8; 1];
-        match reader.read(&mut byte)? {
-            0 => {
-                if line.is_empty() {
-                    return Ok(None); // clean EOF between requests
-                }
-                return Err(HttpError::Malformed("EOF inside a line"));
+        let buf = reader.fill_buf()?;
+        if buf.is_empty() {
+            if line.is_empty() {
+                return Ok(None); // clean EOF between requests
             }
-            _ => {
-                if byte[0] == b'\n' {
-                    if line.last() == Some(&b'\r') {
-                        line.pop();
-                    }
-                    let text = String::from_utf8(line)
-                        .map_err(|_| HttpError::Malformed("non-UTF-8 line"))?;
-                    return Ok(Some(text));
-                }
-                if line.len() >= max {
-                    return Err(HttpError::TooLarge("line"));
-                }
-                line.push(byte[0]);
+            return Err(HttpError::Malformed("EOF inside a line"));
+        }
+        let end = buf.iter().position(|&b| b == b'\n');
+        let take = end.unwrap_or(buf.len());
+        if line.len() + take > max {
+            return Err(HttpError::TooLarge("line"));
+        }
+        line.extend_from_slice(&buf[..take]);
+        reader.consume(take + usize::from(end.is_some()));
+        if end.is_some() {
+            if line.last() == Some(&b'\r') {
+                line.pop();
             }
+            let text =
+                String::from_utf8(line).map_err(|_| HttpError::Malformed("non-UTF-8 line"))?;
+            return Ok(Some(text));
         }
     }
+}
+
+/// The body length `headers` declare, `None` without `Content-Length`. A
+/// value must be all ASCII digits (`usize`'s parse would take `+4`), and
+/// repeated headers must agree: two parsers that read one message's
+/// framing differently are how requests get smuggled.
+fn content_length(headers: &[(String, String)]) -> Result<Option<usize>, HttpError> {
+    let mut values = headers.iter().filter(|(k, _)| k == "content-length").map(|(_, v)| v);
+    let Some(first) = values.next() else { return Ok(None) };
+    if values.any(|v| v != first) {
+        return Err(HttpError::Malformed("conflicting Content-Length headers"));
+    }
+    if first.is_empty() || !first.bytes().all(|b| b.is_ascii_digit()) {
+        return Err(HttpError::Malformed("Content-Length"));
+    }
+    first.parse().map(Some).map_err(|_| HttpError::Malformed("Content-Length"))
 }
 
 /// Reads one request from `reader`. Returns `Ok(None)` when the peer closed
@@ -199,11 +216,9 @@ pub fn read_request(
     if header("transfer-encoding").is_some() {
         return Err(HttpError::Unsupported("Transfer-Encoding"));
     }
-    let body = match header("content-length") {
+    let body = match content_length(&headers)? {
         None => Vec::new(),
-        Some(v) => {
-            let len: usize =
-                v.trim().parse().map_err(|_| HttpError::Malformed("Content-Length"))?;
+        Some(len) => {
             if len > max_body {
                 return Err(HttpError::TooLarge("body"));
             }
@@ -425,13 +440,7 @@ pub fn read_response(
     let status: u16 =
         parts.next().unwrap_or("").parse().map_err(|_| HttpError::Malformed("status code"))?;
     let headers = read_headers(reader)?;
-    let length = headers
-        .iter()
-        .find(|(k, _)| k == "content-length")
-        .map(|(_, v)| v.trim().parse::<usize>())
-        .transpose()
-        .map_err(|_| HttpError::Malformed("Content-Length"))?
-        .unwrap_or(0);
+    let length = content_length(&headers)?.unwrap_or(0);
     if length > max_body {
         return Err(HttpError::TooLarge("body"));
     }
@@ -478,10 +487,63 @@ mod tests {
             b"GET / HTTP/1.1\r\nbroken header line\r\n\r\n",
             b"GET / HTTP/1.1\r\n: novalue\r\n\r\n",
             b"\xff\xfe\x00\x01\r\n\r\n",
+            b"POST / HTTP/1.1\r\nContent-Length: +4\r\n\r\nabcd",
+            b"POST / HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 5\r\n\r\nabcde",
         ];
         for raw in cases {
             assert!(parse(raw).is_err(), "accepted {raw:?}");
         }
+        // The client parser frames bodies by the same rule.
+        for head in ["Content-Length: +4", "Content-Length: 4\r\nContent-Length: 5"] {
+            let raw = format!("HTTP/1.1 200 OK\r\n{head}\r\n\r\nabcde");
+            let parsed = read_response(&mut BufReader::new(raw.as_bytes()), DEFAULT_MAX_BODY_BYTES);
+            assert_eq!(parsed.unwrap_err().status(), 400, "accepted {raw:?}");
+        }
+    }
+
+    /// A reader that hands out one byte per `read`.
+    struct Trickle<'a>(&'a [u8]);
+
+    impl io::Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let Some((&b, rest)) = self.0.split_first() else { return Ok(0) };
+            match buf.first_mut() {
+                Some(slot) => {
+                    *slot = b;
+                    self.0 = rest;
+                    Ok(1)
+                }
+                None => Ok(0),
+            }
+        }
+    }
+
+    #[test]
+    fn lines_read_the_same_a_byte_at_a_time() {
+        let raw = b"POST /v1/predict HTTP/1.1\nHost: h\r\nContent-Length: 2\r\n\r\n{}";
+        let whole = parse(raw).unwrap().unwrap();
+        let trickled = read_request(&mut BufReader::new(Trickle(raw)), DEFAULT_MAX_BODY_BYTES);
+        let trickled = trickled.unwrap().unwrap();
+        assert_eq!((trickled.method, trickled.target), (whole.method, whole.target));
+        assert_eq!((trickled.headers, trickled.body), (whole.headers, whole.body));
+
+        let line = |raw: &[u8], max| read_line(&mut BufReader::new(Trickle(raw)), max);
+        // Exactly `max` bytes before the LF fit, the CR among them; one more
+        // does not.
+        assert_eq!(line(b"abcd\nrest", 4).unwrap().as_deref(), Some("abcd"));
+        assert_eq!(line(b"abc\r\n", 4).unwrap().as_deref(), Some("abc"));
+        assert_eq!(line(b"abcde\n", 4).unwrap_err().status(), 431);
+        assert_eq!(line(b"abcd\r\n", 4).unwrap_err().status(), 431);
+        // EOF: between lines it is the end, inside one it is an error.
+        assert!(line(b"", 4).unwrap().is_none());
+        assert!(matches!(line(b"ab", 4), Err(HttpError::Malformed("EOF inside a line"))));
+        assert!(matches!(line(b"\xff\n", 4), Err(HttpError::Malformed("non-UTF-8 line"))));
+        // Whole buffers too: the cap holds across refills of a small buffer.
+        let mut small = BufReader::with_capacity(3, &b"abcdefgh\nxy\n"[..]);
+        assert_eq!(read_line(&mut small, 8).unwrap().as_deref(), Some("abcdefgh"));
+        assert_eq!(read_line(&mut small, 8).unwrap().as_deref(), Some("xy"));
+        let mut small = BufReader::with_capacity(3, &b"abcdefgh\n"[..]);
+        assert_eq!(read_line(&mut small, 7).unwrap_err().status(), 431);
     }
 
     #[test]

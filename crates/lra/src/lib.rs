@@ -34,7 +34,6 @@ mod text;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Seed salt separating [`LraTask::calibration_batches`] streams from the
@@ -139,7 +138,7 @@ impl LraTask {
     ///
     /// Each sample is produced from its own child RNG (seeded sequentially
     /// from `rng`), so generation is deterministic for a given seed *and*
-    /// large batches can be built in parallel across rayon workers.
+    /// large batches can be built in parallel on the worker pool.
     ///
     /// # Panics
     ///
@@ -149,8 +148,8 @@ impl LraTask {
         assert!(config.seq_len >= 16, "LRA proxy tasks need seq_len >= 16");
         let seeds: Vec<u64> = (0..n).map(|_| rng.gen_range(0..u64::MAX)).collect();
         let seq_len = config.seq_len;
-        let make = |(i, seed): (usize, u64)| {
-            let mut sample_rng = StdRng::seed_from_u64(seed);
+        let make = |i: usize| {
+            let mut sample_rng = StdRng::seed_from_u64(seeds[i]);
             match self {
                 LraTask::ListOps => listops::sample(seq_len, &mut sample_rng),
                 LraTask::Text => text::sample(seq_len, i, &mut sample_rng),
@@ -159,7 +158,9 @@ impl LraTask {
                 LraTask::Pathfinder => pathfinder::sample(seq_len, i, &mut sample_rng),
             }
         };
-        seeds.into_iter().enumerate().collect::<Vec<_>>().into_par_iter().map(make).collect()
+        let mut samples = vec![None; n];
+        rayon::fork_chunks_mut([(&mut samples, 1)], |i, [out]| out[0] = Some(make(i)));
+        samples.into_iter().map(|s| s.expect("every index is generated")).collect()
     }
 
     /// Generates `n` deterministic calibration samples for post-training

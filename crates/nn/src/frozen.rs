@@ -33,20 +33,19 @@
 //! heads, the residual layer norms, the FFN intermediate, the pooled state —
 //! is a buffer of a workspace that only grows ([`Tensor::resize_to`]); every
 //! op writes into its output in place of returning one. (A kernel call that
-//! reaches [`PAR_GRAIN_OPS`] goes to the worker pool, and the rayon shim
-//! allocates its per-call bookkeeping, about ten small blocks: no such call
-//! for a short sequence, twenty for a two-layer Transformer at 1024
-//! tokens.) A forward takes the most recently used idle workspace of the
-//! process for its duration, so there are as many as forwards have run at
-//! once (a batch fanned out over the worker pool has one per worker), and
-//! the model itself stays immutable and `Send + Sync`: its weights are one
-//! reference-counted set that every clone of it shares. Attention never
-//! holds a `[len, len]` matrix: the query rows are cut into at most eight
-//! bands — the items of the core's one pool call — and a band mixes one
-//! head 32 query rows at a time, reading K and V in place, so the score
-//! memory is `O(256 · len)`. Nothing here is configurable, and no value
-//! depends on what a buffer held before: every op overwrites the whole of
-//! its output.
+//! reaches [`PAR_GRAIN_OPS`] goes to the worker pool, which allocates
+//! nothing either; a short sequence makes no such call, a two-layer
+//! Transformer at 1024 tokens twenty.) A forward takes the most recently
+//! used idle workspace of the process for its duration, so there are as
+//! many as forwards have run at once (a batch fanned out over the worker
+//! pool has one per worker), and the model itself stays immutable and
+//! `Send + Sync`: its weights are one reference-counted set that every
+//! clone of it shares. Attention never holds a `[len, len]` matrix: the
+//! query rows are cut into at most eight bands — the indices of the core's
+//! one pool call — and a band mixes one head 32 query rows at a time,
+//! reading K and V in place, so the score memory is `O(256 · len)`. Nothing
+//! here is configurable, and no value depends on what a buffer held before:
+//! every op overwrites the whole of its output.
 //!
 //! [`FrozenModel::logits_observed`] is the same forward with a tap: a
 //! callback handed the activation tensors that feed the quantizable GEMMs
@@ -81,7 +80,6 @@ use crate::qlinear::{QuantEmbedding, QuantLinear};
 use fab_butterfly::flops::attention_core_flops;
 use fab_butterfly::{fourier_mix_into, ButterflyMatrix, ButterflyStage};
 use fab_tensor::{simd, Tensor, PAR_GRAIN_OPS};
-use rayon::prelude::*;
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// A frozen (inference-only) linear map: the tape-free counterpart of the
@@ -464,7 +462,7 @@ fn attention_core(
     let scale = (!prescaled).then(|| 1.0 / (head_dim as f32).sqrt());
     // Band `b` owns rows `b · band_rows ..` of `out` and slot `b` of the
     // scratch. Head by head, it mixes its rows `ATTN_SUB_ROWS` at a time.
-    let run = |(b, (out, scratch)): (usize, (&mut [f32], &mut [f32]))| {
+    let run = |b: usize, [out, scratch]: [&mut [f32]; 2]| {
         let q = &q[b * band_rows * dim..][..out.len()];
         for col in (0..dim).step_by(head_dim) {
             let tiles = q.chunks(ATTN_SUB_ROWS * dim).zip(out.chunks_mut(ATTN_SUB_ROWS * dim));
@@ -473,11 +471,13 @@ fn attention_core(
             }
         }
     };
-    let slots = out.chunks_mut(band_rows * dim).zip(tiles.as_mut_slice().chunks_mut(slot));
+    let (band_len, tiles) = (band_rows * dim, tiles.as_mut_slice());
     if attention_core_flops(len, dim) < PAR_GRAIN_OPS {
-        slots.enumerate().for_each(run);
+        for (b, bands) in out.chunks_mut(band_len).zip(tiles.chunks_mut(slot)).enumerate() {
+            run(b, [bands.0, bands.1]);
+        }
     } else {
-        slots.enumerate().collect::<Vec<_>>().into_par_iter().for_each(run);
+        rayon::fork_chunks_mut([(out, band_len), (tiles, slot)], run);
     }
 }
 

@@ -7,7 +7,6 @@ use crate::layers::{ClassifierHead, Embedding};
 use crate::param::Bindings;
 use fab_tensor::{Tape, Tensor, VarId};
 use rand::rngs::StdRng;
-use rayon::prelude::*;
 
 /// A sequence-classification model assembled from encoder blocks according to
 /// a [`ModelConfig`] and [`ModelKind`].
@@ -173,13 +172,15 @@ impl Model {
 
     /// Returns per-example logits for a batch of sequences.
     ///
-    /// The model is frozen once and the examples fan out across rayon
-    /// workers; each example's logits are bit-identical to
+    /// The model is frozen once and the examples fan out over the worker
+    /// pool; each example's logits are bit-identical to
     /// [`Model::predict`] on that sequence (the tape and frozen paths run
     /// the same kernels in the same order).
     pub fn predict_batch(&self, batch: &[Vec<usize>]) -> Vec<Vec<f32>> {
         let frozen = self.freeze();
-        (0..batch.len()).into_par_iter().map(|i| frozen.logits(&batch[i])).collect()
+        let mut logits = vec![Vec::new(); batch.len()];
+        rayon::fork_chunks_mut([(&mut logits, 1)], |i, [out]| out[0] = frozen.logits(&batch[i]));
+        logits
     }
 
     /// Returns a short human-readable description of the block stack, e.g.

@@ -11,7 +11,6 @@
 
 use crate::param::Bindings;
 use fab_tensor::{Tape, Tensor, PAR_GRAIN_OPS};
-use rayon::prelude::*;
 
 /// Approximate operations per parameter element of the fused updates, for
 /// the workspace fan-out grain: AdamW's two moment updates, bias
@@ -157,9 +156,6 @@ fn clip_scale(tape: &Tape, bindings: &Bindings, clip_norm: Option<f32>) -> f32 {
     }
 }
 
-/// One matched `(params, grads, m, v)` chunk of a fused update.
-type UpdateChunk<'a> = (&'a mut [f32], &'a [f32], &'a mut [f32], &'a mut [f32]);
-
 /// Splits four parameter-length slices into matched chunks and runs `f` over
 /// them, in parallel when the parameter's update reaches the fan-out grain.
 /// Small (i.e. most) parameters run serially with zero allocation.
@@ -171,21 +167,17 @@ where
         f(p, g, m, v);
         return;
     }
-    let chunks: Vec<UpdateChunk<'_>> = p
-        .chunks_mut(CHUNK_ELEMS)
-        .zip(g.chunks(CHUNK_ELEMS))
-        .zip(m.chunks_mut(CHUNK_ELEMS))
-        .zip(v.chunks_mut(CHUNK_ELEMS))
-        .map(|(((p, g), m), v)| (p, g, m, v))
-        .collect();
-    chunks.into_par_iter().for_each(|(p, g, m, v)| f(p, g, m, v));
+    rayon::fork_chunks_mut(
+        [(p, CHUNK_ELEMS), (m, CHUNK_ELEMS), (v, CHUNK_ELEMS)],
+        |c, [p, m, v]| f(p, &g[c * CHUNK_ELEMS..][..p.len()], m, v),
+    );
 }
 
 /// AdamW with the full update fused into one pass per parameter: gradient
 /// clip scaling, first/second moment update, bias correction, decoupled
 /// weight decay and parameter write-back happen element-wise in a single
 /// sweep, with no intermediate tensors. Large parameters fan the sweep out
-/// over rayon chunks.
+/// over the worker pool in chunks.
 ///
 /// With `weight_decay == 0` and clipping disabled the update is
 /// bit-identical to the reference [`Adam`] optimiser (same expression
@@ -378,11 +370,10 @@ impl Optimizer for FusedSgd {
                     if p.len() as u64 * SGD_OPS < PAR_GRAIN_OPS {
                         update(p, grad.as_slice());
                     } else {
-                        let chunks: Vec<(&mut [f32], &[f32])> = p
-                            .chunks_mut(CHUNK_ELEMS)
-                            .zip(grad.as_slice().chunks(CHUNK_ELEMS))
-                            .collect();
-                        chunks.into_par_iter().for_each(|(p, g)| update(p, g));
+                        let g = grad.as_slice();
+                        rayon::fork_chunks_mut([(p, CHUNK_ELEMS)], |c, [p]| {
+                            update(p, &g[c * CHUNK_ELEMS..][..p.len()])
+                        });
                     }
                 });
             });

@@ -3,7 +3,6 @@
 
 use fab_butterfly::flops::dense_linear_flops;
 use fab_tensor::{simd, Tensor, PAR_GRAIN_OPS};
-use rayon::prelude::*;
 use std::cell::RefCell;
 
 /// Rows per band of the int8 GEMM (each band is an independent exact
@@ -199,7 +198,7 @@ impl QuantLinear {
     ) {
         assert_eq!(qx.len(), rows * self.d_in, "prequantized input length mismatch");
         out.resize_to(&[rows, self.d_out]);
-        let run_band = |(b, out_band): (usize, &mut [f32])| {
+        let run_band = |b: usize, out_band: &mut [f32]| {
             let r0 = b * PAR_BAND_ROWS;
             let qx_band = &qx[r0 * self.d_in..(r0 + out_band.len() / self.d_out) * self.d_in];
             BAND_ACC.with(|acc| {
@@ -215,9 +214,9 @@ impl QuantLinear {
         };
         let band_len = PAR_BAND_ROWS * self.d_out;
         if dense_linear_flops(rows, self.d_in, self.d_out) < PAR_GRAIN_OPS {
-            out.as_mut_slice().chunks_mut(band_len).enumerate().for_each(run_band);
+            out.as_mut_slice().chunks_mut(band_len).enumerate().for_each(|(b, o)| run_band(b, o));
         } else {
-            out.as_mut_slice().par_chunks_mut(band_len).enumerate().for_each(run_band);
+            rayon::fork_chunks_mut([(out.as_mut_slice(), band_len)], |b, [o]| run_band(b, o));
         }
     }
 

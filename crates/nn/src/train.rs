@@ -5,7 +5,7 @@ use crate::models::Model;
 use crate::optim::{FusedAdamW, Optimizer};
 use crate::param::Bindings;
 use fab_tensor::Tape;
-use rayon::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A single labelled training example.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,7 +57,7 @@ impl TrainReport {
 /// Classification accuracy of `model` on `examples`.
 ///
 /// The model is frozen once (tape-free snapshot) and the examples are
-/// evaluated in parallel across rayon workers; predictions are bit-identical
+/// evaluated in parallel on the worker pool; predictions are bit-identical
 /// to the serial per-example tape path, so the reported accuracy does not
 /// depend on the thread count.
 pub fn evaluate(model: &Model, examples: &[Example]) -> f32 {
@@ -67,11 +67,12 @@ pub fn evaluate(model: &Model, examples: &[Example]) -> f32 {
     // One forward pass per item is far above the pool's dispatch cost, so
     // the examples fan out whatever their number.
     let frozen = model.freeze();
-    let correct: usize = (0..examples.len())
-        .into_par_iter()
-        .map(|i| usize::from(frozen.predict_class(&examples[i].tokens) == examples[i].label))
-        .sum();
-    correct as f32 / examples.len() as f32
+    let correct = AtomicUsize::new(0);
+    rayon::fork(examples.len(), |i| {
+        let hit = frozen.predict_class(&examples[i].tokens) == examples[i].label;
+        correct.fetch_add(usize::from(hit), Ordering::Relaxed);
+    });
+    correct.into_inner() as f32 / examples.len() as f32
 }
 
 /// Reusable training-step scratch: one arena [`Tape`], one [`Bindings`] list

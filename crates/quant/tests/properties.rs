@@ -17,6 +17,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::{Mutex, MutexGuard};
 
+/// Held by every test: two of them switch the process-wide SIMD backend
+/// (`with_backend`), and a forward that sees the switch halfway sizes its
+/// attention scratch for one backend and runs the other's tile.
 static LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> MutexGuard<'static, ()> {
@@ -43,6 +46,7 @@ fn quantized(seed: u64, kind: ModelKind) -> (Model, QuantModel) {
 
 #[test]
 fn batched_quant_logits_match_single_requests_bit_for_bit() {
+    let _g = lock();
     for (seed, kind) in
         [(1u64, ModelKind::Transformer), (2, ModelKind::FNet), (3, ModelKind::FabNet)]
     {
@@ -59,6 +63,7 @@ fn batched_quant_logits_match_single_requests_bit_for_bit() {
 
 #[test]
 fn padding_length_does_not_change_quant_logits() {
+    let _g = lock();
     let (_model, quant) = quantized(4, ModelKind::Transformer);
     let batch = vec![vec![1usize, 2, 3, 4, 5]];
     let a = quant.logits_batch(&batch, 5);
@@ -70,6 +75,7 @@ fn padding_length_does_not_change_quant_logits() {
 
 #[test]
 fn flat_buffer_path_matches_sequence_path() {
+    let _g = lock();
     let (_model, quant) = quantized(5, ModelKind::Transformer);
     let batch: Vec<Vec<usize>> = vec![vec![1, 2, 3], vec![4, 5, 6, 7, 0], vec![2; 6]];
     let pad_to = 6;
@@ -173,6 +179,7 @@ fn quant_logits_are_bit_identical_across_simd_backends() {
 
 #[test]
 fn quantized_predictions_track_the_f32_model() {
+    let _g = lock();
     // Accuracy sanity: int8 must agree with the f32 frozen model on the
     // overwhelming majority of inputs (identical argmax), and logits must
     // stay close in absolute terms.
@@ -211,6 +218,7 @@ fn quantized_predictions_track_the_f32_model() {
 /// the bound cannot hold vacuously.
 #[test]
 fn int8_accuracy_stays_within_one_point_of_f32_on_trained_text() {
+    let _g = lock();
     let (task, seq_len, seed) = (LraTask::Text, 64, 20220705);
     let config = ModelConfig {
         hidden: 128,
@@ -246,6 +254,7 @@ fn int8_accuracy_stays_within_one_point_of_f32_on_trained_text() {
 
 #[test]
 fn fabnet_keeps_butterfly_linears_in_f32() {
+    let _g = lock();
     let (_model, quant) = quantized(10, ModelKind::FabNet);
     // FabNet linears are butterfly-factorised: only embeddings + the dense
     // classifier head quantize, so the fraction is strictly between 0 and 1.
@@ -257,6 +266,7 @@ fn fabnet_keeps_butterfly_linears_in_f32() {
 
 #[test]
 fn quantizing_a_fast_math_model_turns_fast_math_off() {
+    let _g = lock();
     // Calibration replays the model it is given (fast-math attention
     // ordering included), but the quantized result always serves the exact
     // ordering — the one precision int8 snapshots can record.
@@ -279,6 +289,7 @@ fn quantizing_a_fast_math_model_turns_fast_math_off() {
 
 #[test]
 fn calibration_scales_shape_matches_the_model() {
+    let _g = lock();
     let mut rng = StdRng::seed_from_u64(11);
     let config = tiny();
     let model = Model::new(&config, ModelKind::FabNet, &mut rng);

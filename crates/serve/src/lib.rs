@@ -9,7 +9,7 @@
 //! - [`InferenceSession`] — a trained model frozen into a tape-free,
 //!   `Send + Sync` forward path ([`fab_nn::FrozenModel`]) shared by all
 //!   workers; a batch is one forward per sequence, fanned out over the
-//!   rayon shim's worker pool.
+//!   worker pool (`rayon::fork_chunks_mut`).
 //! - [`Server`] — a bounded MPSC request queue with admission control,
 //!   drained into micro-batches by a pool of std-thread workers; knobs live
 //!   in [`ServeConfig`] (`max_batch`, `max_wait_us`, `queue_capacity`,

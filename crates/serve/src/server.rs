@@ -9,7 +9,7 @@
 //!                          ▼
 //!                micro-batch (a list of sequences of any length;
 //!                nothing is padded — the session runs one forward
-//!                per sequence, fanned out over the rayon pool)
+//!                per sequence, fanned out over the worker pool)
 //!                          │
 //!                          ▼
 //!        worker pool ──▶ InferenceSession::logits_batch ──▶ responses

@@ -5,7 +5,6 @@ use fab_chaos::{ChaosInjector, ChaosSite};
 use fab_nn::flops::flops_breakdown;
 use fab_nn::{argmax, FrozenEmbedding, FrozenModel, Model};
 use fab_tensor::PAR_GRAIN_OPS;
-use rayon::prelude::*;
 use std::sync::Arc;
 
 /// Which forward path a session runs — reported by
@@ -184,7 +183,7 @@ impl InferenceSession {
     /// on its own as [`InferenceSession::logits`] would, so the answers
     /// equal the unbatched ones by construction. Nothing is padded;
     /// `pad_to` only bounds the lengths the caller promises. The sequences
-    /// fan out over the rayon shim's pool once the batch's analytical
+    /// fan out over the worker pool once the batch's analytical
     /// operation count reaches [`PAR_GRAIN_OPS`].
     ///
     /// # Panics
@@ -215,7 +214,9 @@ impl InferenceSession {
         if ops < PAR_GRAIN_OPS {
             return batch.iter().map(|tokens| self.model.logits(tokens)).collect();
         }
-        (0..batch.len()).into_par_iter().map(|i| self.model.logits(batch[i])).collect()
+        let mut logits = vec![Vec::new(); batch.len()];
+        rayon::fork_chunks_mut([(&mut logits, 1)], |i, [out]| out[0] = self.model.logits(batch[i]));
+        logits
     }
 }
 

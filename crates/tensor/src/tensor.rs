@@ -1,5 +1,4 @@
 use crate::TensorError;
-use rayon::prelude::*;
 use std::fmt;
 
 // ---------------------------------------------------------------------------
@@ -31,8 +30,8 @@ const TRANSPOSE_TILE: usize = 32;
 /// The workspace's one fan-out grain: a kernel call estimated at fewer
 /// scalar operations than this runs on the calling thread.
 ///
-/// Every kernel that can split its work over the rayon shim's worker pool
-/// (here, in `fab-butterfly`, `fab-nn`, `fab-quant` and `fab-serve`)
+/// Every kernel that can split its work over the worker pool (`rayon::fork`;
+/// here, in `fab-butterfly`, `fab-nn` and `fab-serve`)
 /// estimates the call's operations — multiply and add counted separately,
 /// as in `fab_butterfly::flops` — and compares them with this constant. On
 /// the 2-vCPU development host an empty pool call returns in 0.5 µs, and a
@@ -78,7 +77,7 @@ const GELU_OPS: u64 = 16; // rational tanh
 const MAP_OPS: u64 = 1;
 
 /// Runs `f(chunk_index, chunk)` over `out` cut into `chunk_len`-element
-/// chunks — on the rayon pool when the kernel, at about `ops_per_elem`
+/// chunks — on the worker pool when the kernel, at about `ops_per_elem`
 /// operations per output element, reaches [`PAR_GRAIN_OPS`], else as one
 /// call `f(0, out)` on the calling thread. The one fan-out decision of
 /// every kernel in this file; `f` must give the same result however `out`
@@ -92,7 +91,7 @@ fn chunked_op(
     if (out.len() as u64) * ops_per_elem < PAR_GRAIN_OPS {
         f(0, out);
     } else {
-        out.par_chunks_mut(chunk_len).enumerate().for_each(|(c, chunk)| f(c, chunk));
+        rayon::fork_chunks_mut([(out, chunk_len)], |c, [chunk]| f(c, chunk));
     }
 }
 
