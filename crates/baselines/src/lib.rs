@@ -15,6 +15,7 @@
 //!   paper's 128-multiplier / 1 GHz normalisation.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod device;
 pub mod mac_baseline;

@@ -7,6 +7,7 @@
 //! Timing lives in the standalone `benchmark/` crate, not here.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use fabnet::baselines::{latency_breakdown, sota};
 use fabnet::codesign::run_codesign;

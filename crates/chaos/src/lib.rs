@@ -28,6 +28,7 @@
 //! store, daemon) can hook a site without new build edges.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;

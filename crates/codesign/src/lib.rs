@@ -29,6 +29,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod accuracy;
 mod pareto;

@@ -36,6 +36,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use fab_accel as accel;
 pub use fab_baselines as baselines;

@@ -5,6 +5,8 @@
 //! `429 Too Many Requests` with jittered exponential backoff, honouring
 //! the server's `Retry-After` hint.
 
+#![forbid(unsafe_code)]
+
 use fabd::{ClientError, FabClient, Json, RetryPolicy};
 use std::process::ExitCode;
 use std::time::Duration;

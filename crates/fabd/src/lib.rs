@@ -48,6 +48,7 @@
 //! | `POST /admin/chaos` | Arm/clear chaos sites (fault-injection builds only); `GET` reports per-site fire counts |
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod client;
 pub mod config;

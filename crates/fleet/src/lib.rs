@@ -34,6 +34,7 @@
 //! a batch on its own).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod overload;
 pub mod qos;

@@ -72,6 +72,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod limiter;
 mod metrics;

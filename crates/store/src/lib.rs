@@ -26,6 +26,7 @@
 //!    caller's final fallback is retraining.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod artifact;
 mod crc32;

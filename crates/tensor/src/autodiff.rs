@@ -1583,6 +1583,8 @@ mod tests {
 
     #[test]
     fn reset_then_rerecord_matches_fresh_tape() {
+        // Compares GEMM and row-kernel bits: no backend switch in between.
+        let _g = crate::simd::tests::guard();
         let reused = Tape::new();
         let (loss, _) = mixed_graph(&reused);
         reused.backward(loss);

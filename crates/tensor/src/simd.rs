@@ -86,6 +86,18 @@
 //! misaligned sub-slices — at no correctness cost and, on every AVX2-era
 //! core, no measurable throughput cost for sequential access. The
 //! differential table runs every arm at offsets 0–3.
+//!
+//! # Where `unsafe` lives
+//!
+//! The generic kernel bodies are safe code: they take slices, slice once
+//! per row or chunk, and the vector types' loads and stores take slices
+//! too, so every access is bounds-checked or in bounds by construction.
+//! `unsafe` is left in three places, each block under a `SAFETY:` comment:
+//! the vector types' methods (one intrinsic each), the int8 intrinsic
+//! kernels, and the one dispatch site per backend. All three rest on one
+//! condition: a vector type is only ever used inside a `#[target_feature]`
+//! entry point of this module, and those are reached only after runtime
+//! detection found the features they enable.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -301,7 +313,10 @@ pub fn cpu_features() -> String {
 /// All methods are `#[inline(always)]` wrappers over single instructions so
 /// that, once a generic kernel is monomorphised inside a
 /// `#[target_feature]`-annotated entry point, the whole kernel compiles with
-/// that feature set enabled.
+/// that feature set enabled. Memory is passed as slices: a load or store
+/// touches the first `LANES` values and panics on a shorter slice, so a
+/// kernel that slices once per row or chunk gets every access in bounds by
+/// construction.
 trait FmaLanes: Copy {
     /// Lanes per vector.
     const LANES: usize;
@@ -309,18 +324,10 @@ trait FmaLanes: Copy {
     /// `2 · TILE_ROWS` accumulators, two rhs vectors and a broadcast must
     /// fit the register file.
     const TILE_ROWS: usize = 4;
-    /// Unaligned load of `LANES` consecutive values.
-    ///
-    /// # Safety
-    ///
-    /// `p` must be valid for reading `LANES` `f32`s.
-    unsafe fn load(p: *const f32) -> Self;
-    /// Unaligned store of `LANES` consecutive values.
-    ///
-    /// # Safety
-    ///
-    /// `p` must be valid for writing `LANES` `f32`s.
-    unsafe fn store(self, p: *mut f32);
+    /// Unaligned load of `s[..LANES]`.
+    fn load(s: &[f32]) -> Self;
+    /// Unaligned store to `d[..LANES]`.
+    fn store(self, d: &mut [f32]);
     fn splat(x: f32) -> Self;
     /// Fused multiply-add `self * m + a` (single rounding).
     fn fma(self, m: Self, a: Self) -> Self;
@@ -352,46 +359,27 @@ trait Vf32: FmaLanes {
     /// Lanes `0..n` of `self` and the rest of `other` (`n` may exceed
     /// `LANES`: then all of `self`).
     fn first_lanes(self, other: Self, n: usize) -> Self;
-    /// Loads one value and broadcasts it to every lane.
-    ///
-    /// # Safety
-    ///
-    /// `p` must be valid for reading one `f32`.
-    #[inline(always)]
-    unsafe fn splat_ptr(p: *const f32) -> Self {
-        Self::splat(unsafe { *p })
-    }
     /// `LANES` vectors, indexable by position.
     type Block: IntoIterator<Item = Self>;
-    /// Transposes the `LANES × LANES` block whose row `r` starts at
-    /// `src + r * stride`: vector `c` of the result holds element `c` of
-    /// every row, row `r` in lane `r`.
-    ///
-    /// # Safety
-    ///
-    /// Every row must be valid for reading `LANES` `f32`s.
-    unsafe fn transpose(src: *const f32, stride: usize) -> Self::Block;
-    /// Folds each of the `LANES` rows of 16 values at `src + 16 · r` by
-    /// halves — `p[k] + p[k + 8]`, then `+ [k + 4]`, `+ [k + 2]`, `+ [k +
-    /// 1]`, the lower lane always the left operand — into lane `r`. This
-    /// default transposes the rows and adds whole vectors in that order;
-    /// a type may run the same sums on a shuffle network instead.
-    ///
-    /// # Safety
-    ///
-    /// `16 · LANES` values from `src` must be valid for reading, and
-    /// `LANES` must divide 16.
+    /// Transposes the `LANES × LANES` block whose row `r` is
+    /// `src[r * stride..][..LANES]`: vector `c` of the result holds element
+    /// `c` of every row, row `r` in lane `r`. Panics when `src` ends before
+    /// the last row.
+    fn transpose(src: &[f32], stride: usize) -> Self::Block;
+    /// Folds each of the `LANES` rows of 16 values of `src` (row `r` is
+    /// `src[16 · r..][..16]`) by halves — `p[k] + p[k + 8]`, then
+    /// `+ [k + 4]`, `+ [k + 2]`, `+ [k + 1]`, the lower lane always the left
+    /// operand — into lane `r`. This default transposes the rows and adds
+    /// whole vectors in that order; a type may run the same sums on a
+    /// shuffle network instead. `LANES` divides 16.
     #[inline(always)]
-    unsafe fn fold16(src: *const f32) -> Self {
+    fn fold16(src: &[f32]) -> Self {
         let mut p = [Self::splat(0.0); 16];
-        let mut j = 0;
-        while j < 16 {
-            // SAFETY: rows `0..LANES` at stride 16 hold columns `j..j + LANES`.
-            let block = unsafe { Self::transpose(src.add(j), 16) };
-            for (k, v) in block.into_iter().enumerate() {
+        for j in (0..16).step_by(Self::LANES) {
+            // Rows `0..LANES` at stride 16 hold columns `j..j + LANES`.
+            for (k, v) in Self::transpose(&src[j..], 16).into_iter().enumerate() {
                 p[j + k] = v;
             }
-            j += Self::LANES;
         }
         let mut half = 8;
         while half > 0 {
@@ -442,13 +430,13 @@ impl FmaLanes for F32x1 {
     const LANES: usize = 1;
 
     #[inline(always)]
-    unsafe fn load(p: *const f32) -> Self {
-        F32x1(unsafe { *p })
+    fn load(s: &[f32]) -> Self {
+        F32x1(s[0])
     }
 
     #[inline(always)]
-    unsafe fn store(self, p: *mut f32) {
-        unsafe { *p = self.0 }
+    fn store(self, d: &mut [f32]) {
+        d[0] = self.0;
     }
 
     #[inline(always)]
@@ -524,15 +512,16 @@ impl Vf32 for F32x1 {
     }
 
     #[inline(always)]
-    unsafe fn transpose(src: *const f32, _stride: usize) -> [Self; 1] {
-        [F32x1(unsafe { *src })]
+    fn transpose(src: &[f32], _stride: usize) -> [Self; 1] {
+        [F32x1(src[0])]
     }
 }
 
 // ---------------------------------------------------------------------------
 // Generic kernels (monomorphised per backend inside #[target_feature] entry
 // points; scalar tails use the fastmath scalar kernels, which are
-// bit-identical to the vector lanes).
+// bit-identical to the vector lanes). Every body is safe code: it slices
+// once per row or chunk, and the lane types' loads and stores take slices.
 // ---------------------------------------------------------------------------
 
 mod kernels {
@@ -611,46 +600,40 @@ mod kernels {
 
     /// An element-wise kernel over positions `0..n`: output position `i`
     /// reads input position `i` only, and the vector and scalar forms run
-    /// the same operations in the same order.
+    /// the same operations in the same order. Every slice behind `self`
+    /// holds `n` values.
     trait Elementwise {
         /// Positions `i .. i + V::LANES`.
-        ///
-        /// # Safety
-        ///
-        /// Those positions are in bounds of every buffer behind `self`, and
-        /// `V`'s target features are available.
-        unsafe fn lanes<V: Vf32>(&self, i: usize);
+        fn lanes<V: Vf32>(&mut self, i: usize);
         /// Position `i`, on the scalar kernel.
-        ///
-        /// # Safety
-        ///
-        /// Position `i` is in bounds of every buffer behind `self`.
-        unsafe fn one(&self, i: usize);
+        fn one(&mut self, i: usize);
     }
 
     /// Runs `op` over positions `0..n`: whole `V` vectors, then whole
     /// [`Vf32::Narrow`] vectors, then the scalar kernel on what is left.
-    ///
-    /// # Safety
-    ///
-    /// Positions `0..n` are in bounds of every buffer behind `op`, and `V`'s
-    /// target features are available.
     #[inline(always)]
-    unsafe fn sweep<V: Vf32>(op: &impl Elementwise, n: usize) {
+    fn sweep<V: Vf32>(op: &mut impl Elementwise, n: usize) {
         let mut i = 0;
-        // SAFETY (all three loops): every position visited is below `n`.
         while i + V::LANES <= n {
-            unsafe { op.lanes::<V>(i) };
+            op.lanes::<V>(i);
             i += V::LANES;
         }
         while i + V::Narrow::LANES <= n {
-            unsafe { op.lanes::<V::Narrow>(i) };
+            op.lanes::<V::Narrow>(i);
             i += V::Narrow::LANES;
         }
         while i < n {
-            unsafe { op.one(i) };
+            op.one(i);
             i += 1;
         }
+    }
+
+    /// Positions `i .. i + U::LANES`. Its end is the bound [`sweep`] tests
+    /// before it hands `i` to an op, so indexing a slice of the swept length
+    /// with it needs no other check.
+    #[inline(always)]
+    fn at<U: FmaLanes>(i: usize) -> core::ops::Range<usize> {
+        i..i + U::LANES
     }
 
     /// The fastmath function a [`Map`] applies.
@@ -662,445 +645,355 @@ mod kernels {
     }
 
     /// `dst = f(src)`.
-    struct Map {
+    struct Map<'a> {
         f: Fast,
-        src: *const f32,
-        dst: *mut f32,
+        src: &'a [f32],
+        dst: &'a mut [f32],
     }
 
-    impl Elementwise for Map {
+    impl Elementwise for Map<'_> {
         #[inline(always)]
-        unsafe fn lanes<V: Vf32>(&self, i: usize) {
-            let x = unsafe { V::load(self.src.add(i)) };
+        fn lanes<V: Vf32>(&mut self, i: usize) {
+            let x = V::load(&self.src[at::<V>(i)]);
             let y = match self.f {
                 Fast::Exp => exp_v(x),
                 Fast::Tanh => tanh_v(x),
                 Fast::Gelu => gelu_v(x),
             };
-            unsafe { y.store(self.dst.add(i)) };
+            y.store(&mut self.dst[at::<V>(i)]);
         }
 
         #[inline(always)]
-        unsafe fn one(&self, i: usize) {
-            let x = unsafe { *self.src.add(i) };
-            let y = match self.f {
+        fn one(&mut self, i: usize) {
+            let x = self.src[i];
+            self.dst[i] = match self.f {
                 Fast::Exp => exp_fast(x),
                 Fast::Tanh => tanh_fast(x),
                 Fast::Gelu => gelu_fast(x),
             };
-            unsafe { *self.dst.add(i) = y };
         }
     }
 
-    /// # Safety
-    ///
-    /// Caller guarantees `V`'s target features are available.
     #[inline(always)]
-    unsafe fn map<V: Vf32>(f: Fast, src: &[f32], dst: &mut [f32]) {
-        debug_assert_eq!(src.len(), dst.len());
-        let op = Map { f, src: src.as_ptr(), dst: dst.as_mut_ptr() };
-        // SAFETY: both slices hold `dst.len()` values.
-        unsafe { sweep::<V>(&op, dst.len()) }
+    fn map<V: Vf32>(f: Fast, src: &[f32], dst: &mut [f32]) {
+        let n = dst.len();
+        sweep::<V>(&mut Map { f, src: &src[..n], dst }, n);
     }
 
-    /// # Safety
-    ///
-    /// Caller guarantees the backend's target features are available.
     #[inline(always)]
-    pub unsafe fn exp_slice<V: Vf32>(src: &[f32], dst: &mut [f32]) {
-        unsafe { map::<V>(Fast::Exp, src, dst) }
+    pub fn exp_slice<V: Vf32>(src: &[f32], dst: &mut [f32]) {
+        map::<V>(Fast::Exp, src, dst)
     }
 
-    /// # Safety
-    ///
-    /// Caller guarantees the backend's target features are available.
     #[inline(always)]
-    pub unsafe fn tanh_slice<V: Vf32>(src: &[f32], dst: &mut [f32]) {
-        unsafe { map::<V>(Fast::Tanh, src, dst) }
+    pub fn tanh_slice<V: Vf32>(src: &[f32], dst: &mut [f32]) {
+        map::<V>(Fast::Tanh, src, dst)
     }
 
-    /// # Safety
-    ///
-    /// Caller guarantees the backend's target features are available.
     #[inline(always)]
-    pub unsafe fn gelu_slice<V: Vf32>(src: &[f32], dst: &mut [f32]) {
-        unsafe { map::<V>(Fast::Gelu, src, dst) }
+    pub fn gelu_slice<V: Vf32>(src: &[f32], dst: &mut [f32]) {
+        map::<V>(Fast::Gelu, src, dst)
     }
 
     /// `dst += g · gelu'(x)`, the product formed before the add.
-    struct GeluGradAcc {
-        dst: *mut f32,
-        g: *const f32,
-        x: *const f32,
+    struct GeluGradAcc<'a> {
+        dst: &'a mut [f32],
+        g: &'a [f32],
+        x: &'a [f32],
     }
 
-    impl Elementwise for GeluGradAcc {
+    impl Elementwise for GeluGradAcc<'_> {
         #[inline(always)]
-        unsafe fn lanes<V: Vf32>(&self, i: usize) {
-            unsafe {
-                let t = V::load(self.g.add(i)).mul(gelu_grad_v(V::load(self.x.add(i))));
-                V::load(self.dst.add(i)).add(t).store(self.dst.add(i));
-            }
+        fn lanes<V: Vf32>(&mut self, i: usize) {
+            let t = V::load(&self.g[at::<V>(i)]).mul(gelu_grad_v(V::load(&self.x[at::<V>(i)])));
+            let d = &mut self.dst[at::<V>(i)];
+            V::load(d).add(t).store(d);
         }
 
         #[inline(always)]
-        unsafe fn one(&self, i: usize) {
-            unsafe { *self.dst.add(i) += *self.g.add(i) * gelu_grad_scalar(*self.x.add(i)) };
+        fn one(&mut self, i: usize) {
+            self.dst[i] += self.g[i] * gelu_grad_scalar(self.x[i]);
         }
     }
 
     /// `dst += g * gelu'(x)`, with the product formed as mul-then-add so the
     /// result is bit-identical to the scalar backward loop.
-    ///
-    /// # Safety
-    ///
-    /// Caller guarantees the backend's target features are available.
     #[inline(always)]
-    pub unsafe fn gelu_grad_acc<V: Vf32>(dst: &mut [f32], g: &[f32], x: &[f32]) {
-        debug_assert_eq!(dst.len(), g.len());
-        debug_assert_eq!(dst.len(), x.len());
-        let op = GeluGradAcc { dst: dst.as_mut_ptr(), g: g.as_ptr(), x: x.as_ptr() };
-        // SAFETY: all three slices hold `dst.len()` values.
-        unsafe { sweep::<V>(&op, dst.len()) }
+    pub fn gelu_grad_acc<V: Vf32>(dst: &mut [f32], g: &[f32], x: &[f32]) {
+        let n = dst.len();
+        sweep::<V>(&mut GeluGradAcc { dst, g: &g[..n], x: &x[..n] }, n);
     }
 
-    /// `dst = a (op) b`; `a` may be `dst` itself.
-    struct Binary {
+    /// `dst = a (op) b`.
+    struct Binary<'a> {
         op: super::BinOp,
-        a: *const f32,
-        b: *const f32,
-        dst: *mut f32,
+        a: &'a [f32],
+        b: &'a [f32],
+        dst: &'a mut [f32],
     }
 
-    impl Elementwise for Binary {
+    /// `(op)` on one pair of vectors.
+    #[inline(always)]
+    fn binary<V: Vf32>(op: super::BinOp, x: V, y: V) -> V {
+        match op {
+            super::BinOp::Add => x.add(y),
+            super::BinOp::Sub => x.sub(y),
+            super::BinOp::Mul => x.mul(y),
+        }
+    }
+
+    impl Elementwise for Binary<'_> {
         #[inline(always)]
-        unsafe fn lanes<V: Vf32>(&self, i: usize) {
-            let (x, y) = unsafe { (V::load(self.a.add(i)), V::load(self.b.add(i))) };
-            let r = match self.op {
-                super::BinOp::Add => x.add(y),
-                super::BinOp::Sub => x.sub(y),
-                super::BinOp::Mul => x.mul(y),
-            };
-            unsafe { r.store(self.dst.add(i)) };
+        fn lanes<V: Vf32>(&mut self, i: usize) {
+            let r = binary(self.op, V::load(&self.a[at::<V>(i)]), V::load(&self.b[at::<V>(i)]));
+            r.store(&mut self.dst[at::<V>(i)]);
         }
 
         #[inline(always)]
-        unsafe fn one(&self, i: usize) {
-            let (x, y) = unsafe { (*self.a.add(i), *self.b.add(i)) };
-            let r = match self.op {
-                super::BinOp::Add => x + y,
-                super::BinOp::Sub => x - y,
-                super::BinOp::Mul => x * y,
-            };
-            unsafe { *self.dst.add(i) = r };
+        fn one(&mut self, i: usize) {
+            self.dst[i] = binary(self.op, F32x1(self.a[i]), F32x1(self.b[i])).0;
+        }
+    }
+
+    /// `dst += src`.
+    struct AddAcc<'a> {
+        dst: &'a mut [f32],
+        src: &'a [f32],
+    }
+
+    impl Elementwise for AddAcc<'_> {
+        #[inline(always)]
+        fn lanes<V: Vf32>(&mut self, i: usize) {
+            let d = &mut self.dst[at::<V>(i)];
+            V::load(d).add(V::load(&self.src[at::<V>(i)])).store(d);
+        }
+
+        #[inline(always)]
+        fn one(&mut self, i: usize) {
+            self.dst[i] += self.src[i];
         }
     }
 
     /// `dst += src` (exact, order-preserving).
-    ///
-    /// # Safety
-    ///
-    /// Caller guarantees the backend's target features are available.
     #[inline(always)]
-    pub unsafe fn add_acc<V: Vf32>(dst: &mut [f32], src: &[f32]) {
-        debug_assert_eq!(dst.len(), src.len());
-        let dp = dst.as_mut_ptr();
-        let op = Binary { op: super::BinOp::Add, a: dp, b: src.as_ptr(), dst: dp };
-        // SAFETY: both slices hold `dst.len()` values.
-        unsafe { sweep::<V>(&op, dst.len()) }
+    pub fn add_acc<V: Vf32>(dst: &mut [f32], src: &[f32]) {
+        let n = dst.len();
+        sweep::<V>(&mut AddAcc { dst, src: &src[..n] }, n);
     }
 
     /// `dst += a · x`, `a` broadcast.
-    struct Axpy {
-        dst: *mut f32,
+    struct Axpy<'a> {
+        dst: &'a mut [f32],
         a: f32,
-        x: *const f32,
+        x: &'a [f32],
     }
 
-    impl Elementwise for Axpy {
+    impl Elementwise for Axpy<'_> {
         #[inline(always)]
-        unsafe fn lanes<V: Vf32>(&self, i: usize) {
-            unsafe {
-                let t = V::splat(self.a).mul(V::load(self.x.add(i)));
-                V::load(self.dst.add(i)).add(t).store(self.dst.add(i));
-            }
+        fn lanes<V: Vf32>(&mut self, i: usize) {
+            let t = V::splat(self.a).mul(V::load(&self.x[at::<V>(i)]));
+            let d = &mut self.dst[at::<V>(i)];
+            V::load(d).add(t).store(d);
         }
 
         #[inline(always)]
-        unsafe fn one(&self, i: usize) {
-            unsafe { *self.dst.add(i) += self.a * *self.x.add(i) };
+        fn one(&mut self, i: usize) {
+            self.dst[i] += self.a * self.x[i];
         }
     }
 
     /// `dst += a * x` with mul-then-add per lane (bit-identical to the scalar
     /// loop).
-    ///
-    /// # Safety
-    ///
-    /// Caller guarantees the backend's target features are available.
     #[inline(always)]
-    pub unsafe fn axpy_acc<V: Vf32>(dst: &mut [f32], a: f32, x: &[f32]) {
-        debug_assert_eq!(dst.len(), x.len());
-        let op = Axpy { dst: dst.as_mut_ptr(), a, x: x.as_ptr() };
-        // SAFETY: both slices hold `dst.len()` values.
-        unsafe { sweep::<V>(&op, dst.len()) }
+    pub fn axpy_acc<V: Vf32>(dst: &mut [f32], a: f32, x: &[f32]) {
+        let n = dst.len();
+        sweep::<V>(&mut Axpy { dst, a, x: &x[..n] }, n);
     }
 
     /// `dst += a · b`.
-    struct MulAcc {
-        dst: *mut f32,
-        a: *const f32,
-        b: *const f32,
+    struct MulAcc<'a> {
+        dst: &'a mut [f32],
+        a: &'a [f32],
+        b: &'a [f32],
     }
 
-    impl Elementwise for MulAcc {
+    impl Elementwise for MulAcc<'_> {
         #[inline(always)]
-        unsafe fn lanes<V: Vf32>(&self, i: usize) {
-            unsafe {
-                let t = V::load(self.a.add(i)).mul(V::load(self.b.add(i)));
-                V::load(self.dst.add(i)).add(t).store(self.dst.add(i));
-            }
+        fn lanes<V: Vf32>(&mut self, i: usize) {
+            let t = V::load(&self.a[at::<V>(i)]).mul(V::load(&self.b[at::<V>(i)]));
+            let d = &mut self.dst[at::<V>(i)];
+            V::load(d).add(t).store(d);
         }
 
         #[inline(always)]
-        unsafe fn one(&self, i: usize) {
-            unsafe { *self.dst.add(i) += *self.a.add(i) * *self.b.add(i) };
+        fn one(&mut self, i: usize) {
+            self.dst[i] += self.a[i] * self.b[i];
         }
     }
 
     /// `dst += a * b` element-wise, mul-then-add per lane.
-    ///
-    /// # Safety
-    ///
-    /// Caller guarantees the backend's target features are available.
     #[inline(always)]
-    pub unsafe fn mul_acc<V: Vf32>(dst: &mut [f32], a: &[f32], b: &[f32]) {
-        debug_assert_eq!(dst.len(), a.len());
-        debug_assert_eq!(dst.len(), b.len());
-        let op = MulAcc { dst: dst.as_mut_ptr(), a: a.as_ptr(), b: b.as_ptr() };
-        // SAFETY: all three slices hold `dst.len()` values.
-        unsafe { sweep::<V>(&op, dst.len()) }
+    pub fn mul_acc<V: Vf32>(dst: &mut [f32], a: &[f32], b: &[f32]) {
+        let n = dst.len();
+        sweep::<V>(&mut MulAcc { dst, a: &a[..n], b: &b[..n] }, n);
     }
 
-    /// # Safety
-    ///
-    /// Caller guarantees the backend's target features are available.
     #[inline(always)]
-    pub unsafe fn binary_slice<V: Vf32>(op: super::BinOp, a: &[f32], b: &[f32], dst: &mut [f32]) {
-        debug_assert_eq!(a.len(), b.len());
-        debug_assert_eq!(a.len(), dst.len());
-        let op = Binary { op, a: a.as_ptr(), b: b.as_ptr(), dst: dst.as_mut_ptr() };
-        // SAFETY: all three slices hold `dst.len()` values.
-        unsafe { sweep::<V>(&op, dst.len()) }
+    pub fn binary_slice<V: Vf32>(op: super::BinOp, a: &[f32], b: &[f32], dst: &mut [f32]) {
+        let n = dst.len();
+        sweep::<V>(&mut Binary { op, a: &a[..n], b: &b[..n], dst }, n);
     }
 
     /// `dst = src · c`.
-    struct Scale {
-        src: *const f32,
+    struct Scale<'a> {
+        src: &'a [f32],
         c: f32,
-        dst: *mut f32,
+        dst: &'a mut [f32],
     }
 
-    impl Elementwise for Scale {
+    impl Elementwise for Scale<'_> {
         #[inline(always)]
-        unsafe fn lanes<V: Vf32>(&self, i: usize) {
-            unsafe { V::load(self.src.add(i)).mul(V::splat(self.c)).store(self.dst.add(i)) };
+        fn lanes<V: Vf32>(&mut self, i: usize) {
+            V::load(&self.src[at::<V>(i)]).mul(V::splat(self.c)).store(&mut self.dst[at::<V>(i)]);
         }
 
         #[inline(always)]
-        unsafe fn one(&self, i: usize) {
-            unsafe { *self.dst.add(i) = *self.src.add(i) * self.c };
+        fn one(&mut self, i: usize) {
+            self.dst[i] = self.src[i] * self.c;
         }
     }
 
-    /// # Safety
-    ///
-    /// Caller guarantees the backend's target features are available.
     #[inline(always)]
-    pub unsafe fn scale_slice<V: Vf32>(src: &[f32], c: f32, dst: &mut [f32]) {
-        debug_assert_eq!(src.len(), dst.len());
-        let op = Scale { src: src.as_ptr(), c, dst: dst.as_mut_ptr() };
-        // SAFETY: both slices hold `dst.len()` values.
-        unsafe { sweep::<V>(&op, dst.len()) }
+    pub fn scale_slice<V: Vf32>(src: &[f32], c: f32, dst: &mut [f32]) {
+        let n = dst.len();
+        sweep::<V>(&mut Scale { src: &src[..n], c, dst }, n);
     }
 
     // -- row kernels: one reduction tree per row -----------------------------
 
     #[inline(always)]
-    unsafe fn row_max<V: RowReduce>(row: &[f32]) -> f32 {
-        let n = row.len();
-        let main = n - n % V::LANES;
-        let p = row.as_ptr();
+    fn row_max<V: RowReduce>(row: &[f32]) -> f32 {
+        let mut chunks = row.chunks_exact(V::LANES);
         let mut m = f32::NEG_INFINITY;
-        if main > 0 {
-            let mut vm = unsafe { V::load(p) };
-            let mut i = V::LANES;
-            while i < main {
-                vm = vm.max(unsafe { V::load(p.add(i)) });
-                i += V::LANES;
-            }
-            m = vm.reduce_max();
+        if let Some(first) = chunks.next() {
+            m = chunks.by_ref().fold(V::load(first), |vm, c| vm.max(V::load(c))).reduce_max();
         }
-        for j in main..n {
-            m = m.max(unsafe { *p.add(j) });
-        }
-        m
+        chunks.remainder().iter().fold(m, |m, &x| m.max(x))
     }
 
     /// Row-wise softmax with lane-parallel fast exponentials; within ≤ 1e-6
     /// of the scalar (libm) oracle.
-    ///
-    /// # Safety
-    ///
-    /// Caller guarantees the backend's target features are available.
     #[inline(always)]
-    pub unsafe fn softmax_row<V: RowReduce>(row: &[f32], out: &mut [f32]) {
-        debug_assert_eq!(row.len(), out.len());
-        let n = row.len();
-        let main = n - n % V::LANES;
-        let m = unsafe { row_max::<V>(row) };
+    pub fn softmax_row<V: RowReduce>(row: &[f32], out: &mut [f32]) {
+        let main = row.len() - row.len() % V::LANES;
+        let m = row_max::<V>(row);
         let mv = V::splat(m);
-        let (sp, dp) = (row.as_ptr(), out.as_mut_ptr());
+        let (src, src_tail) = row.split_at(main);
+        let (dst, dst_tail) = out[..row.len()].split_at_mut(main);
         let mut vsum = V::splat(0.0);
-        let mut i = 0;
-        while i < main {
-            unsafe {
-                let e = exp_v(V::load(sp.add(i)).sub(mv));
-                e.store(dp.add(i));
-                vsum = vsum.add(e);
-            }
-            i += V::LANES;
+        for (s, d) in src.chunks_exact(V::LANES).zip(dst.chunks_exact_mut(V::LANES)) {
+            let e = exp_v(V::load(s).sub(mv));
+            e.store(d);
+            vsum = vsum.add(e);
         }
         let mut sum = vsum.reduce_add();
-        for j in main..n {
-            unsafe {
-                let e = exp_fast(*sp.add(j) - m);
-                *dp.add(j) = e;
-                sum += e;
-            }
+        for (&x, d) in src_tail.iter().zip(dst_tail.iter_mut()) {
+            let e = exp_fast(x - m);
+            *d = e;
+            sum += e;
         }
         let inv = 1.0 / sum;
         let iv = V::splat(inv);
-        let mut i = 0;
-        while i < main {
-            unsafe { V::load(dp.add(i)).mul(iv).store(dp.add(i)) };
-            i += V::LANES;
+        for d in dst.chunks_exact_mut(V::LANES) {
+            V::load(d).mul(iv).store(d);
         }
-        for j in main..n {
-            unsafe { *dp.add(j) *= inv };
+        for d in dst_tail {
+            *d *= inv;
         }
     }
 
     /// Row-wise log-softmax (`x - max - ln Σ exp(x - max)`).
-    ///
-    /// # Safety
-    ///
-    /// Caller guarantees the backend's target features are available.
     #[inline(always)]
-    pub unsafe fn log_softmax_row<V: RowReduce>(row: &[f32], out: &mut [f32]) {
-        debug_assert_eq!(row.len(), out.len());
-        let n = row.len();
-        let main = n - n % V::LANES;
-        let m = unsafe { row_max::<V>(row) };
+    pub fn log_softmax_row<V: RowReduce>(row: &[f32], out: &mut [f32]) {
+        let main = row.len() - row.len() % V::LANES;
+        let m = row_max::<V>(row);
         let mv = V::splat(m);
-        let (sp, dp) = (row.as_ptr(), out.as_mut_ptr());
+        let (src, src_tail) = row.split_at(main);
+        let (dst, dst_tail) = out[..row.len()].split_at_mut(main);
         let mut vsum = V::splat(0.0);
-        let mut i = 0;
-        while i < main {
-            unsafe { vsum = vsum.add(exp_v(V::load(sp.add(i)).sub(mv))) };
-            i += V::LANES;
+        for s in src.chunks_exact(V::LANES) {
+            vsum = vsum.add(exp_v(V::load(s).sub(mv)));
         }
         let mut sum = vsum.reduce_add();
-        for j in main..n {
-            unsafe { sum += exp_fast(*sp.add(j) - m) };
+        for &x in src_tail {
+            sum += exp_fast(x - m);
         }
         let log_sum = sum.ln();
         let lv = V::splat(log_sum);
-        let mut i = 0;
-        while i < main {
-            unsafe { V::load(sp.add(i)).sub(mv).sub(lv).store(dp.add(i)) };
-            i += V::LANES;
+        for (s, d) in src.chunks_exact(V::LANES).zip(dst.chunks_exact_mut(V::LANES)) {
+            V::load(s).sub(mv).sub(lv).store(d);
         }
-        for j in main..n {
-            unsafe { *dp.add(j) = *sp.add(j) - m - log_sum };
+        for (&x, d) in src_tail.iter().zip(dst_tail) {
+            *d = x - m - log_sum;
         }
     }
 
     #[inline(always)]
-    unsafe fn row_sum<V: RowReduce>(row: &[f32]) -> f32 {
-        let n = row.len();
-        let main = n - n % V::LANES;
-        let p = row.as_ptr();
-        let mut vs = V::splat(0.0);
-        let mut i = 0;
-        while i < main {
-            vs = vs.add(unsafe { V::load(p.add(i)) });
-            i += V::LANES;
-        }
-        let mut s = vs.reduce_add();
-        for j in main..n {
-            s += unsafe { *p.add(j) };
-        }
-        s
+    fn row_sum<V: RowReduce>(row: &[f32]) -> f32 {
+        let chunks = row.chunks_exact(V::LANES);
+        let tail = chunks.remainder();
+        let s = chunks.fold(V::splat(0.0), |vs, c| vs.add(V::load(c))).reduce_add();
+        tail.iter().fold(s, |s, &x| s + x)
     }
 
     #[inline(always)]
-    unsafe fn row_var_sum<V: RowReduce>(row: &[f32], mean: f32) -> f32 {
-        let n = row.len();
-        let main = n - n % V::LANES;
-        let p = row.as_ptr();
+    fn row_var_sum<V: RowReduce>(row: &[f32], mean: f32) -> f32 {
         let mv = V::splat(mean);
-        let mut vs = V::splat(0.0);
-        let mut i = 0;
-        while i < main {
-            let t = unsafe { V::load(p.add(i)) }.sub(mv);
-            vs = vs.add(t.mul(t));
-            i += V::LANES;
-        }
-        let mut s = vs.reduce_add();
-        for j in main..n {
-            let t = unsafe { *p.add(j) } - mean;
-            s += t * t;
-        }
-        s
+        let chunks = row.chunks_exact(V::LANES);
+        let tail = chunks.remainder();
+        let vs = chunks.fold(V::splat(0.0), |vs, c| {
+            let t = V::load(c).sub(mv);
+            vs.add(t.mul(t))
+        });
+        tail.iter().fold(vs.reduce_add(), |s, &x| {
+            let t = x - mean;
+            s + t * t
+        })
     }
 
-    #[inline(always)]
-    unsafe fn normalize_row<V: Vf32>(
-        row: &[f32],
-        gamma: &[f32],
-        beta: &[f32],
+    /// `out = gamma · (x − mean) · inv + beta`, `x` read from `row` when
+    /// it is given and from `out` itself otherwise.
+    struct Normalize<'a> {
+        row: Option<&'a [f32]>,
+        gamma: &'a [f32],
+        beta: &'a [f32],
         mean: f32,
         inv: f32,
-        out: &mut [f32],
-    ) {
-        let n = row.len();
-        let main = n - n % V::LANES;
-        let (sp, gp, bp, dp) = (row.as_ptr(), gamma.as_ptr(), beta.as_ptr(), out.as_mut_ptr());
-        let (mv, iv) = (V::splat(mean), V::splat(inv));
-        let mut i = 0;
-        while i < main {
-            unsafe {
-                let x = V::load(sp.add(i));
-                let g = V::load(gp.add(i));
-                let b = V::load(bp.add(i));
-                g.mul(x.sub(mv)).mul(iv).add(b).store(dp.add(i));
-            }
-            i += V::LANES;
+        out: &'a mut [f32],
+    }
+
+    impl Elementwise for Normalize<'_> {
+        #[inline(always)]
+        fn lanes<V: Vf32>(&mut self, i: usize) {
+            let x = V::load(match self.row {
+                Some(row) => &row[at::<V>(i)],
+                None => &self.out[at::<V>(i)],
+            });
+            let (g, b) = (V::load(&self.gamma[at::<V>(i)]), V::load(&self.beta[at::<V>(i)]));
+            let (mean, inv) = (V::splat(self.mean), V::splat(self.inv));
+            g.mul(x.sub(mean)).mul(inv).add(b).store(&mut self.out[at::<V>(i)]);
         }
-        for j in main..n {
-            unsafe { *dp.add(j) = *gp.add(j) * (*sp.add(j) - mean) * inv + *bp.add(j) };
+
+        #[inline(always)]
+        fn one(&mut self, i: usize) {
+            self.lanes::<F32x1>(i);
         }
     }
 
     /// Row-wise layer norm; mean/variance reductions are lane-reordered
     /// (≤ 1e-6 of the scalar oracle).
-    ///
-    /// # Safety
-    ///
-    /// Caller guarantees the backend's target features are available.
     #[inline(always)]
-    pub unsafe fn layer_norm_row<V: RowReduce>(
+    pub fn layer_norm_row<V: RowReduce>(
         row: &[f32],
         gamma: &[f32],
         beta: &[f32],
@@ -1108,19 +1001,16 @@ mod kernels {
         out: &mut [f32],
     ) {
         let n = row.len();
-        let mean = unsafe { row_sum::<V>(row) } / n as f32;
-        let var = unsafe { row_var_sum::<V>(row, mean) } / n as f32;
+        let mean = row_sum::<V>(row) / n as f32;
+        let var = row_var_sum::<V>(row, mean) / n as f32;
         let inv = 1.0 / (var + eps).sqrt();
-        unsafe { normalize_row::<V>(row, gamma, beta, mean, inv, out) };
+        let (gamma, beta, out) = (&gamma[..n], &beta[..n], &mut out[..n]);
+        sweep::<V>(&mut Normalize { row: Some(row), gamma, beta, mean, inv, out }, n);
     }
 
     /// Fused `(a + b)` + row-wise layer norm, writing the normalised sum.
-    ///
-    /// # Safety
-    ///
-    /// Caller guarantees the backend's target features are available.
     #[inline(always)]
-    pub unsafe fn add_layer_norm_row<V: RowReduce>(
+    pub fn add_layer_norm_row<V: RowReduce>(
         a: &[f32],
         b: &[f32],
         gamma: &[f32],
@@ -1128,27 +1018,13 @@ mod kernels {
         eps: f32,
         out: &mut [f32],
     ) {
-        unsafe { binary_slice::<V>(super::BinOp::Add, a, b, out) };
+        binary_slice::<V>(super::BinOp::Add, a, b, out);
         let n = out.len();
-        let mean = unsafe { row_sum::<V>(out) } / n as f32;
-        let var = unsafe { row_var_sum::<V>(out, mean) } / n as f32;
+        let mean = row_sum::<V>(out) / n as f32;
+        let var = row_var_sum::<V>(out, mean) / n as f32;
         let inv = 1.0 / (var + eps).sqrt();
-        let (gp, bp, dp) = (gamma.as_ptr(), beta.as_ptr(), out.as_mut_ptr());
-        let main = n - n % V::LANES;
-        let (mv, iv) = (V::splat(mean), V::splat(inv));
-        let mut i = 0;
-        while i < main {
-            unsafe {
-                let x = V::load(dp.add(i));
-                let g = V::load(gp.add(i));
-                let bb = V::load(bp.add(i));
-                g.mul(x.sub(mv)).mul(iv).add(bb).store(dp.add(i));
-            }
-            i += V::LANES;
-        }
-        for j in main..n {
-            unsafe { *dp.add(j) = *gp.add(j) * (*dp.add(j) - mean) * inv + *bp.add(j) };
-        }
+        let (gamma, beta) = (&gamma[..n], &beta[..n]);
+        sweep::<V>(&mut Normalize { row: None, gamma, beta, mean, inv, out }, n);
     }
 
     // -- matmul microkernel -------------------------------------------------
@@ -1186,13 +1062,10 @@ mod kernels {
     /// a zero takes a branch-free FMA loop (the per-term test would skip
     /// nothing there), a block with one keeps the per-term test.
     ///
-    /// # Safety
-    ///
-    /// Caller guarantees the backend's target features are available and the
-    /// slice dimensions are consistent (`lhs` is `[rows_total, k]` with
-    /// `i0 + dst.len()/n <= rows_total`, `rhs` is `[k, n]`).
+    /// `lhs` is `[rows_total, k]` with `i0 + dst.len()/n <= rows_total` and
+    /// `rhs` is `[k, n]`; a shorter slice panics.
     #[inline(always)]
-    pub unsafe fn matmul_band<V: FmaLanes>(
+    pub fn matmul_band<V: FmaLanes>(
         lhs: &[f32],
         k: usize,
         rhs: &[f32],
@@ -1202,91 +1075,77 @@ mod kernels {
     ) {
         debug_assert_eq!(FMA_COLS % V::LANES, 0);
         let rows = dst.len() / n;
-        let lp = lhs.as_ptr();
-        let rp = rhs.as_ptr();
-        let dp = dst.as_mut_ptr();
+        let lhs = &lhs[i0 * k..][..rows * k];
         for kk in (0..k).step_by(KC) {
             let kb = KC.min(k - kk);
             for jj in (0..n).step_by(NC) {
                 let jb = NC.min(n - jj);
                 let jv = jb - jb % FMA_COLS;
-                let panel = unsafe {
-                    Panel {
-                        lhs: lp.add(i0 * k + kk),
-                        k,
-                        rhs: rp.add(kk * n + jj),
-                        dst: dp.add(jj),
-                        n,
-                        kb,
-                        jv,
-                    }
-                };
+                let rhs = &rhs[kk * n..][..kb * n];
+                let panel = Panel { lhs: &lhs[kk..], k, rhs, n, jj, kb, jv };
+                let dst = &mut dst[jj..];
                 let mut r = 0;
-                unsafe {
-                    if V::TILE_ROWS >= 8 {
-                        r = panel.row_tiles::<V, 8>(r, rows);
-                    }
-                    r = panel.row_tiles::<V, 4>(r, rows);
-                    r = panel.row_tiles::<V, 2>(r, rows);
-                    panel.row_tiles::<V, 1>(r, rows);
+                if V::TILE_ROWS >= 8 {
+                    r = panel.row_tiles::<V, 8>(r, rows, dst);
                 }
+                r = panel.row_tiles::<V, 4>(r, rows, dst);
+                r = panel.row_tiles::<V, 2>(r, rows, dst);
+                panel.row_tiles::<V, 1>(r, rows, dst);
                 // Column tail of the panel: scalar mul-add, ascending p.
-                if jv < jb {
-                    for r in 0..rows {
-                        for p in 0..kb {
-                            let a = unsafe { *lp.add((i0 + r) * k + kk + p) };
-                            if a == 0.0 {
-                                continue;
-                            }
-                            for j in (jj + jv)..(jj + jb) {
-                                unsafe {
-                                    *dp.add(r * n + j) += a * *rp.add((kk + p) * n + j);
-                                }
-                            }
-                        }
+                for r in 0..rows {
+                    let a = panel.lhs_row(r);
+                    for (j, d) in dst[r * n..][jv..jb].iter_mut().enumerate() {
+                        let b = rhs[jj + jv + j..].iter().step_by(n);
+                        let terms = a.iter().zip(b).filter(|&(&a, _)| a != 0.0);
+                        *d = terms.fold(*d, |d, (&a, &b)| d + a * b);
                     }
                 }
             }
         }
     }
 
-    /// One `kb`-deep, `NC`-wide panel pass of [`matmul_band`]: `lhs` points
+    /// One `kb`-deep, `NC`-wide panel pass of [`matmul_band`]: `lhs` starts
     /// at the band's first row at the panel's depth (rows `k` apart), `rhs`
-    /// and `dst` at the panel's first column (rows `n` apart), and the FMA
-    /// tiles cover the first `jv` columns. Its methods share one safety
-    /// condition: the pointers are valid for `kb` lhs terms and `jv` columns
-    /// of every row they are asked to run, and the backend's target features
-    /// are available.
+    /// holds the panel's `kb` whole depth rows (`n` wide), the panel starts
+    /// at column `jj` and the `dst` its methods take there (rows `n`
+    /// apart), and the FMA tiles cover the first `jv` columns.
     #[derive(Clone, Copy)]
-    struct Panel {
-        lhs: *const f32,
+    struct Panel<'a> {
+        lhs: &'a [f32],
         k: usize,
-        rhs: *const f32,
-        dst: *mut f32,
+        rhs: &'a [f32],
         n: usize,
+        jj: usize,
         kb: usize,
         jv: usize,
     }
 
-    impl Panel {
+    impl Panel<'_> {
+        /// The panel's `kb` terms of band row `r`.
+        #[inline(always)]
+        fn lhs_row(&self, r: usize) -> &[f32] {
+            &self.lhs[r * self.k..][..self.kb]
+        }
+
         /// Runs `R`-row tiles from row `r` while `R` rows remain; returns the
         /// first row left over.
-        ///
-        /// # Safety
-        ///
-        /// The panel's condition (see [`Panel`]) for rows `r..rows`.
         #[inline(always)]
-        unsafe fn row_tiles<V: FmaLanes, const R: usize>(self, mut r: usize, rows: usize) -> usize {
+        fn row_tiles<V: FmaLanes, const R: usize>(
+            &self,
+            mut r: usize,
+            rows: usize,
+            dst: &mut [f32],
+        ) -> usize {
             while r + R <= rows {
-                let mut a = [self.lhs; R];
+                let mut a: [&[f32]; R] = [&[]; R];
                 for (ri, a) in a.iter_mut().enumerate() {
-                    *a = unsafe { self.lhs.add((r + ri) * self.k) };
+                    *a = self.lhs_row(r + ri);
                 }
-                let d = unsafe { self.dst.add(r * self.n) };
-                if unsafe { any_zero::<V, R>(&a, self.kb) } {
-                    unsafe { self.col_tiles::<V, R, true>(&a, d) };
+                let d = &mut dst[r * self.n..];
+                if any_zero::<V>(&a) {
+                    self.col_tiles::<V, R, true>(&a, d);
                 } else {
-                    unsafe { self.col_tiles::<V, R, false>(&a, d) };
+                    self.col_tiles::<V, R, false>(&a, d);
                 }
                 r += R;
             }
@@ -1295,93 +1154,83 @@ mod kernels {
 
         /// The FMA columns of one row group: 2-vector tiles, then (16-lane
         /// vectors only) a one-vector tile for a 16-column remainder.
-        ///
-        /// # Safety
-        ///
-        /// The panel's condition for the `R` rows at `a` and `d`.
         #[inline(always)]
-        unsafe fn col_tiles<V: FmaLanes, const R: usize, const SKIP: bool>(
-            self,
-            a: &[*const f32; R],
-            d: *mut f32,
+        fn col_tiles<V: FmaLanes, const R: usize, const SKIP: bool>(
+            &self,
+            a: &[&[f32]; R],
+            d: &mut [f32],
         ) {
             let mut j = 0;
             while j + 2 * V::LANES <= self.jv {
-                unsafe { tile::<V, R, 2, SKIP>(a, self.rhs.add(j), self.n, self.kb, d.add(j)) };
+                tile::<V, R, 2, SKIP>(a, self.rhs, self.jj + j, self.n, &mut d[j..]);
                 j += 2 * V::LANES;
             }
             while j < self.jv {
-                unsafe { tile::<V, R, 1, SKIP>(a, self.rhs.add(j), self.n, self.kb, d.add(j)) };
+                tile::<V, R, 1, SKIP>(a, self.rhs, self.jj + j, self.n, &mut d[j..]);
                 j += V::LANES;
             }
         }
     }
 
-    /// Whether any of the `R` lhs row segments `a[ri][..kb]` holds a ±0.0.
-    ///
-    /// # Safety
-    ///
-    /// Every `a[ri]` is valid for reading `kb` `f32`s.
+    /// Whether any of the lhs row segments `a` holds a ±0.0.
     #[inline(always)]
-    unsafe fn any_zero<V: FmaLanes, const R: usize>(a: &[*const f32; R], kb: usize) -> bool {
-        let main = kb - kb % V::LANES;
+    fn any_zero<V: FmaLanes>(a: &[&[f32]]) -> bool {
         let mut mask = 0;
-        for &row in a {
-            let mut p = 0;
-            while p < main {
-                mask |= unsafe { V::load(row.add(p)) }.zero_mask();
-                p += V::LANES;
+        for row in a {
+            let chunks = row.chunks_exact(V::LANES);
+            let tail = chunks.remainder();
+            for c in chunks {
+                mask |= V::load(c).zero_mask();
             }
-            for p in main..kb {
-                mask |= (unsafe { *row.add(p) } == 0.0) as u32;
+            for &x in tail {
+                mask |= (x == 0.0) as u32;
             }
         }
         mask != 0
     }
 
-    /// One `R`-row × `NV`-vector register tile over `kb` depth terms:
-    /// `d[ri][..] += Σ_p a[ri][p] · b[p][..]`, one FMA per term in
-    /// ascending `p`; with `SKIP`, terms whose `a` is ±0.0 are left out.
-    ///
-    /// # Safety
-    ///
-    /// Every `a[ri]` is valid for `kb` reads; `b` and `d` for `NV` vectors
-    /// at each of their `kb` and `R` rows, `n` apart.
+    /// One `R`-row × `NV`-vector register tile over the `a[ri].len()` depth
+    /// terms: `d[ri][..] += Σ_p a[ri][p] · b[p][c..]` (`b` whole `n`-wide
+    /// rows, rows of `d` `n` apart), one FMA per term in ascending `p`; with
+    /// `SKIP`, terms whose `a` is ±0.0 are left out. The `a` rows are
+    /// equally long.
     #[inline(always)]
-    unsafe fn tile<V: FmaLanes, const R: usize, const NV: usize, const SKIP: bool>(
-        a: &[*const f32; R],
-        b: *const f32,
+    fn tile<V: FmaLanes, const R: usize, const NV: usize, const SKIP: bool>(
+        a: &[&[f32]; R],
+        b: &[f32],
+        c: usize,
         n: usize,
-        kb: usize,
-        d: *mut f32,
+        d: &mut [f32],
     ) {
-        unsafe {
-            let mut acc = [[V::splat(0.0); NV]; R];
-            for (ri, row) in acc.iter_mut().enumerate() {
-                for (v, x) in row.iter_mut().enumerate() {
-                    *x = V::load(d.add(ri * n + v * V::LANES));
+        let w = NV * V::LANES;
+        let mut acc = [[V::splat(0.0); NV]; R];
+        for (ri, row) in acc.iter_mut().enumerate() {
+            let d = &d[ri * n..][..w];
+            for (v, x) in row.iter_mut().enumerate() {
+                *x = V::load(&d[v * V::LANES..]);
+            }
+        }
+        for (p, b) in (0..a[0].len()).zip(b.chunks_exact(n)) {
+            let b = &b[c..c + w];
+            let mut bv = [V::splat(0.0); NV];
+            for (v, x) in bv.iter_mut().enumerate() {
+                *x = V::load(&b[v * V::LANES..]);
+            }
+            for (row, a) in acc.iter_mut().zip(a) {
+                let x = a[p];
+                if SKIP && x == 0.0 {
+                    continue;
+                }
+                let av = V::splat(x);
+                for (x, &bv) in row.iter_mut().zip(&bv) {
+                    *x = av.fma(bv, *x);
                 }
             }
-            for p in 0..kb {
-                let mut bv = [V::splat(0.0); NV];
-                for (v, x) in bv.iter_mut().enumerate() {
-                    *x = V::load(b.add(p * n + v * V::LANES));
-                }
-                for (row, &ap) in acc.iter_mut().zip(a) {
-                    let x = *ap.add(p);
-                    if SKIP && x == 0.0 {
-                        continue;
-                    }
-                    let av = V::splat(x);
-                    for (x, &bv) in row.iter_mut().zip(&bv) {
-                        *x = av.fma(bv, *x);
-                    }
-                }
-            }
-            for (ri, row) in acc.iter().enumerate() {
-                for (v, x) in row.iter().enumerate() {
-                    x.store(d.add(ri * n + v * V::LANES));
-                }
+        }
+        for (ri, row) in acc.iter().enumerate() {
+            let d = &mut d[ri * n..][..w];
+            for (v, x) in row.iter().enumerate() {
+                x.store(&mut d[v * V::LANES..]);
             }
         }
     }
@@ -1421,14 +1270,12 @@ mod kernels {
     ///   ignored) and `exp` with the scalar clamp, which keeps a NaN where
     ///   the vector one makes it −87.
     ///
-    /// # Safety
-    ///
-    /// `V`'s target features are available; `q` and `out` hold whole rows,
-    /// `k` and `v` `len ≥ 1` rows, of `dim ≥ col + head_dim` values; `scratch`
-    /// holds `2 · LANES · (len + head_dim)` values.
+    /// `q` and `out` hold whole rows, `k` and `v` `len ≥ 1` rows, of
+    /// `dim ≥ col + head_dim` values, and `scratch` holds
+    /// `2 · LANES · (len + head_dim)` values; a shorter slice panics.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    pub unsafe fn attention_tile<V: LaneSelect>(
+    pub fn attention_tile<V: LaneSelect>(
         q: &[f32],
         k: &[f32],
         v: &[f32],
@@ -1440,53 +1287,37 @@ mod kernels {
         out: &mut [f32],
     ) {
         let len = k.len() / dim;
-        debug_assert!(scratch.len() >= 2 * V::LANES * (len + head_dim));
         let rows = q.len() / dim;
         let mut r = 0;
         while r < rows {
             let n = (rows - r).min(2 * V::LANES);
             let nv = if n > V::LANES { 2 } else { 1 };
             let (qt, s) = scratch.split_at_mut(nv * V::LANES * head_dim);
-            // SAFETY: rows `r .. r + n` are rows of `q` and `out`; the two
-            // scratch slots hold `head_dim` and `len` rows of `nv` vectors.
-            unsafe {
-                let tile = Tile {
-                    k: k.as_ptr().add(col),
-                    v: v.as_ptr().add(col),
-                    dim,
-                    len,
-                    head_dim,
-                    scale,
-                    qt: qt.as_mut_ptr(),
-                    s: s.as_mut_ptr(),
-                };
-                let (q, out) = (q.as_ptr().add(r * dim + col), out.as_mut_ptr().add(r * dim + col));
-                if nv == 2 {
-                    tile.run::<V, 2>(q, n, out);
-                } else {
-                    tile.run::<V, 1>(q, n, out);
-                }
+            let mut tile =
+                Tile { k: &k[col..], v: &v[col..], dim, len, head_dim, scale, qt, s: &mut s[..] };
+            let (q, out) = (&q[r * dim + col..], &mut out[r * dim + col..]);
+            if nv == 2 {
+                tile.run::<V, 2>(q, n, out);
+            } else {
+                tile.run::<V, 1>(q, n, out);
             }
             r += n;
         }
     }
 
-    /// One tile of [`attention_tile`]: `k` and `v` point at the head's first
-    /// column of key row 0 (rows `dim` apart), `qt` at the `Qᵀ` / `Oᵀ` slot
-    /// (`head_dim` rows of `NV` vectors) and `s` at the `Sᵀ` / `P` slot
-    /// (`len` rows of `NV` vectors). Its methods share one safety
-    /// condition: those pointers are valid for that, and `V`'s target
-    /// features are available.
-    #[derive(Clone, Copy)]
-    struct Tile {
-        k: *const f32,
-        v: *const f32,
+    /// One tile of [`attention_tile`]: `k` and `v` start at the head's first
+    /// column of key row 0 (rows `dim` apart), `qt` is the `Qᵀ` / `Oᵀ` slot
+    /// (`head_dim` rows of `NV` vectors) and `s` the `Sᵀ` / `P` slot (`len`
+    /// rows of `NV` vectors, and possibly more).
+    struct Tile<'a> {
+        k: &'a [f32],
+        v: &'a [f32],
         dim: usize,
         len: usize,
         head_dim: usize,
         scale: Option<f32>,
-        qt: *mut f32,
-        s: *mut f32,
+        qt: &'a mut [f32],
+        s: &'a mut [f32],
     }
 
     /// `((p0 ∘ p4) ∘ (p2 ∘ p6)) ∘ ((p1 ∘ p5) ∘ (p3 ∘ p7))`: the tree in which
@@ -1496,72 +1327,68 @@ mod kernels {
         f(f(f(p[0], p[4]), f(p[2], p[6])), f(f(p[1], p[5]), f(p[3], p[7])))
     }
 
-    impl Tile {
-        /// Mixes `n ≤ NV · LANES` query rows, the first at `q`, into `out`
-        /// (rows `dim` apart, both at the head's first column).
-        ///
-        /// # Safety
-        ///
-        /// The tile's condition (see [`Tile`]), and `q` / `out` valid for
-        /// `n` rows.
+    /// The `NV` vectors of a `NV · LANES`-wide row.
+    #[inline(always)]
+    fn load_row<V: FmaLanes, const NV: usize>(row: &[f32]) -> [V; NV] {
+        let row = &row[..NV * V::LANES];
+        let mut v = [V::splat(0.0); NV];
+        for (j, x) in v.iter_mut().enumerate() {
+            *x = V::load(&row[j * V::LANES..]);
+        }
+        v
+    }
+
+    impl Tile<'_> {
+        /// Mixes `n ≤ NV · LANES` query rows of `q` into `out` (rows `dim`
+        /// apart, both from the head's first column).
         #[inline(always)]
-        unsafe fn run<V: LaneSelect, const NV: usize>(
-            self,
-            q: *const f32,
-            n: usize,
-            out: *mut f32,
-        ) {
+        fn run<V: LaneSelect, const NV: usize>(&mut self, q: &[f32], n: usize, out: &mut [f32]) {
             let w = NV * V::LANES;
-            let mut q_zero = 0;
-            for p in 0..self.head_dim {
-                for l in 0..w {
-                    unsafe { *self.qt.add(p * w + l) = *q.add(l.min(n - 1) * self.dim + p) };
-                }
-                for j in 0..NV {
-                    q_zero |= unsafe { V::load(self.qt.add(p * w + j * V::LANES)) }.zero_mask();
+            let qt = &mut self.qt[..self.head_dim * w];
+            for l in 0..w {
+                let row = &q[l.min(n - 1) * self.dim..][..self.head_dim];
+                for (&x, qt) in row.iter().zip(qt.chunks_exact_mut(w)) {
+                    qt[l] = x;
                 }
             }
-            let maxima = unsafe {
-                if q_zero != 0 {
-                    self.scores::<V, NV, true>()
-                } else {
-                    self.scores::<V, NV, false>()
+            let mut q_zero = 0;
+            for qt in qt.chunks_exact(w) {
+                for x in load_row::<V, NV>(qt) {
+                    q_zero |= x.zero_mask();
                 }
+            }
+            let maxima = if q_zero != 0 {
+                self.scores::<V, NV, true>()
+            } else {
+                self.scores::<V, NV, false>()
             };
-            unsafe {
-                if self.softmax::<V, NV>(maxima) {
-                    self.mix::<V, NV, true>();
-                } else {
-                    self.mix::<V, NV, false>();
-                }
-                for r in 0..n {
-                    for c in 0..self.head_dim {
-                        *out.add(r * self.dim + c) = *self.qt.add(c * w + r);
-                    }
+            if self.softmax::<V, NV>(maxima) {
+                self.mix::<V, NV, true>();
+            } else {
+                self.mix::<V, NV, false>();
+            }
+            for r in 0..n {
+                let row = &mut out[r * self.dim..][..self.head_dim];
+                for (o, qt) in row.iter_mut().zip(self.qt.chunks_exact(w)) {
+                    *o = qt[r];
                 }
             }
         }
 
         /// `Sᵀ`, scaled, into the `s` slot; returns the 8 partial maxima
-        /// (`NEG_INFINITY` where no key reached one).
-        ///
-        /// # Safety
-        ///
-        /// The tile's condition, with `Qᵀ` gathered.
+        /// (`NEG_INFINITY` where no key reached one). `Qᵀ` is gathered.
         #[inline(always)]
-        unsafe fn scores<V: LaneSelect, const NV: usize, const SKIP: bool>(self) -> [[V; NV]; 8] {
+        fn scores<V: LaneSelect, const NV: usize, const SKIP: bool>(&mut self) -> [[V; NV]; 8] {
             let mut maxima = [[V::splat(f32::NEG_INFINITY); NV]; 8];
             let fma_end = self.len - self.len % FMA_COLS;
             let mut key = 0;
-            unsafe {
-                if V::TILE_ROWS >= 8 {
-                    key = self.score_keys::<V, NV, 8, true, SKIP>(key, fma_end, &mut maxima);
-                }
-                // `fma_end` is a multiple of 16: the FMA keys are whole blocks.
-                key = self.score_keys::<V, NV, 4, true, SKIP>(key, fma_end, &mut maxima);
-                key = self.score_keys::<V, NV, 4, false, SKIP>(key, self.len, &mut maxima);
-                self.score_keys::<V, NV, 1, false, SKIP>(key, self.len, &mut maxima);
+            if V::TILE_ROWS >= 8 {
+                key = self.score_keys::<V, NV, 8, true, SKIP>(key, fma_end, &mut maxima);
             }
+            // `fma_end` is a multiple of 16: the FMA keys are whole blocks.
+            key = self.score_keys::<V, NV, 4, true, SKIP>(key, fma_end, &mut maxima);
+            key = self.score_keys::<V, NV, 4, false, SKIP>(key, self.len, &mut maxima);
+            self.score_keys::<V, NV, 1, false, SKIP>(key, self.len, &mut maxima);
             maxima
         }
 
@@ -1569,19 +1396,15 @@ mod kernels {
         /// remain below `end`, with one FMA per term (`FMA`) or a multiply
         /// then add; returns the first key left over. Keys below
         /// `len − len % 8` fold into their partial max.
-        ///
-        /// # Safety
-        ///
-        /// The tile's condition, with `Qᵀ` gathered.
         #[inline(always)]
-        unsafe fn score_keys<
+        fn score_keys<
             V: LaneSelect,
             const NV: usize,
             const K: usize,
             const FMA: bool,
             const SKIP: bool,
         >(
-            self,
+            &mut self,
             mut key: usize,
             end: usize,
             maxima: &mut [[V; NV]; 8],
@@ -1590,17 +1413,14 @@ mod kernels {
             let main = self.len - self.len % 8;
             while key + K <= end {
                 let mut acc = [[V::splat(0.0); NV]; K];
-                let mut kr = [self.k; K];
+                let mut kr: [&[f32]; K] = [&[]; K];
                 for (i, kr) in kr.iter_mut().enumerate() {
-                    *kr = unsafe { self.k.add((key + i) * self.dim) };
+                    *kr = &self.k[(key + i) * self.dim..][..self.head_dim];
                 }
-                for p in 0..self.head_dim {
-                    let mut qv = [V::splat(0.0); NV];
-                    for (j, x) in qv.iter_mut().enumerate() {
-                        *x = unsafe { V::load(self.qt.add(p * w + j * V::LANES)) };
-                    }
-                    for (acc, &kr) in acc.iter_mut().zip(&kr) {
-                        let kv = unsafe { V::splat_ptr(kr.add(p)) };
+                for (p, qt) in (0..self.head_dim).zip(self.qt.chunks_exact(w)) {
+                    let qv = load_row::<V, NV>(qt);
+                    for (acc, kr) in acc.iter_mut().zip(&kr) {
+                        let kv = V::splat(kr[p]);
                         for (a, &qv) in acc.iter_mut().zip(&qv) {
                             let t = if FMA { qv.fma(kv, *a) } else { a.add(qv.mul(kv)) };
                             *a = if SKIP { qv.where_zero(*a, t) } else { t };
@@ -1608,12 +1428,13 @@ mod kernels {
                     }
                 }
                 for (i, acc) in acc.iter().enumerate() {
+                    let row = &mut self.s[(key + i) * w..][..w];
                     for (j, &a) in acc.iter().enumerate() {
                         let s = match self.scale {
                             Some(c) => a.mul(V::splat(c)),
                             None => a,
                         };
-                        unsafe { s.store(self.s.add((key + i) * w + j * V::LANES)) };
+                        s.store(&mut row[j * V::LANES..]);
                         if key + i < main {
                             let m = &mut maxima[(key + i) % 8][j];
                             *m = if key + i < 8 { s } else { m.max(s) };
@@ -1626,107 +1447,97 @@ mod kernels {
         }
 
         /// The softmax down the keys of the `s` slot, in place, from the
-        /// partial maxima; returns whether some `P` is ±0.0.
-        ///
-        /// # Safety
-        ///
-        /// The tile's condition, with `Sᵀ` computed.
+        /// partial maxima; returns whether some `P` is ±0.0. `Sᵀ` is
+        /// computed.
         #[inline(always)]
-        unsafe fn softmax<V: LaneSelect, const NV: usize>(self, maxima: [[V; NV]; 8]) -> bool {
+        fn softmax<V: LaneSelect, const NV: usize>(&mut self, maxima: [[V; NV]; 8]) -> bool {
             let w = NV * V::LANES;
             let main = self.len - self.len % 8;
-            let at = |key: usize, j: usize| unsafe { self.s.add(key * w + j * V::LANES) };
+            let s = &mut self.s[..self.len * w];
+            let (body, tail) = s.split_at_mut(main * w);
             let mut m = [V::splat(f32::NEG_INFINITY); NV];
             let mut sum = [V::splat(0.0); NV];
             for j in 0..NV {
                 if main > 0 {
                     m[j] = tree(maxima.map(|p| p[j]), V::max);
                 }
-                for key in main..self.len {
-                    let x = unsafe { V::load(at(key, j)) };
+                for row in tail.chunks_exact(w) {
+                    let x = V::load(&row[j * V::LANES..]);
                     m[j] = m[j].where_nan(x, x.max(m[j]));
                 }
             }
             let mut partial = [[V::splat(0.0); NV]; 8];
-            for key in (0..main).step_by(8) {
-                for (l, partial) in partial.iter_mut().enumerate() {
+            for block in body.chunks_exact_mut(8 * w) {
+                for (row, partial) in block.chunks_exact_mut(w).zip(&mut partial) {
                     for (j, sum) in partial.iter_mut().enumerate() {
-                        let e = exp_v(unsafe { V::load(at(key + l, j)) }.sub(m[j]));
-                        unsafe { e.store(at(key + l, j)) };
+                        let x = &mut row[j * V::LANES..];
+                        let e = exp_v(V::load(x).sub(m[j]));
+                        e.store(x);
                         *sum = sum.add(e);
                     }
                 }
             }
             for (j, sum) in sum.iter_mut().enumerate() {
                 *sum = tree(partial.map(|p| p[j]), V::add);
-                for key in main..self.len {
-                    let x = unsafe { V::load(at(key, j)) }.sub(m[j]);
-                    let e = x.where_nan(x, exp_v(x));
-                    unsafe { e.store(at(key, j)) };
+                for row in tail.chunks_exact_mut(w) {
+                    let x = &mut row[j * V::LANES..];
+                    let d = V::load(x).sub(m[j]);
+                    let e = d.where_nan(d, exp_v(d));
+                    e.store(x);
                     *sum = sum.add(e);
                 }
             }
             let inv = sum.map(|s| V::splat(1.0).div(s));
             let mut zero = 0;
-            for key in 0..self.len {
+            for row in s.chunks_exact_mut(w) {
                 for (j, &inv) in inv.iter().enumerate() {
-                    let p = unsafe { V::load(at(key, j)) }.mul(inv);
-                    unsafe { p.store(at(key, j)) };
+                    let x = &mut row[j * V::LANES..];
+                    let p = V::load(x).mul(inv);
+                    p.store(x);
                     zero |= p.zero_mask();
                 }
             }
             zero != 0
         }
 
-        /// `Oᵀ = Pᵀ·V` into the `Qᵀ` slot, head column by head column.
-        ///
-        /// # Safety
-        ///
-        /// The tile's condition, with `P` computed.
+        /// `Oᵀ = Pᵀ·V` into the `Qᵀ` slot, head column by head column. `P`
+        /// is computed.
         #[inline(always)]
-        unsafe fn mix<V: LaneSelect, const NV: usize, const SKIP: bool>(self) {
+        fn mix<V: LaneSelect, const NV: usize, const SKIP: bool>(&mut self) {
             let fma_end = self.head_dim - self.head_dim % FMA_COLS;
             let mut c = 0;
-            unsafe {
-                if V::TILE_ROWS >= 8 {
-                    c = self.mix_cols::<V, NV, 8, true, SKIP>(c, fma_end);
-                }
-                c = self.mix_cols::<V, NV, 4, true, SKIP>(c, fma_end);
-                c = self.mix_cols::<V, NV, 4, false, SKIP>(c, self.head_dim);
-                self.mix_cols::<V, NV, 1, false, SKIP>(c, self.head_dim);
+            if V::TILE_ROWS >= 8 {
+                c = self.mix_cols::<V, NV, 8, true, SKIP>(c, fma_end);
             }
+            c = self.mix_cols::<V, NV, 4, true, SKIP>(c, fma_end);
+            c = self.mix_cols::<V, NV, 4, false, SKIP>(c, self.head_dim);
+            self.mix_cols::<V, NV, 1, false, SKIP>(c, self.head_dim);
         }
 
         /// Runs `C`-column blocks of [`Tile::mix`] from head column `c` while
         /// `C` columns remain below `end`; returns the first column left
         /// over.
-        ///
-        /// # Safety
-        ///
-        /// The tile's condition, with `P` computed.
         #[inline(always)]
-        unsafe fn mix_cols<
+        fn mix_cols<
             V: LaneSelect,
             const NV: usize,
             const C: usize,
             const FMA: bool,
             const SKIP: bool,
         >(
-            self,
+            &mut self,
             mut c: usize,
             end: usize,
         ) -> usize {
             let w = NV * V::LANES;
             while c + C <= end {
                 let mut acc = [[V::splat(0.0); NV]; C];
-                for key in 0..self.len {
-                    let mut pv = [V::splat(0.0); NV];
-                    for (j, x) in pv.iter_mut().enumerate() {
-                        *x = unsafe { V::load(self.s.add(key * w + j * V::LANES)) };
-                    }
-                    let vr = unsafe { self.v.add(key * self.dim + c) };
-                    for (i, acc) in acc.iter_mut().enumerate() {
-                        let vv = unsafe { V::splat_ptr(vr.add(i)) };
+                let keys = (0..self.len).zip(self.s.chunks_exact(w)).zip(self.v.chunks(self.dim));
+                for ((_, srow), vrow) in keys {
+                    let pv = load_row::<V, NV>(srow);
+                    let vr = &vrow[c..][..C];
+                    for (acc, &x) in acc.iter_mut().zip(vr) {
+                        let vv = V::splat(x);
                         for (a, &pv) in acc.iter_mut().zip(&pv) {
                             let t = if FMA { pv.fma(vv, *a) } else { a.add(pv.mul(vv)) };
                             *a = if SKIP { pv.where_zero(*a, t) } else { t };
@@ -1734,8 +1545,9 @@ mod kernels {
                     }
                 }
                 for (i, acc) in acc.iter().enumerate() {
+                    let row = &mut self.qt[(c + i) * w..][..w];
                     for (j, a) in acc.iter().enumerate() {
-                        unsafe { a.store(self.qt.add((c + i) * w + j * V::LANES)) };
+                        a.store(&mut row[j * V::LANES..]);
                     }
                 }
                 c += C;
@@ -1749,31 +1561,34 @@ mod kernels {
     /// One block of a butterfly stage on one vector: position `i` couples
     /// `lo[i]` with `hi[i]` through weight `i` of each of `w1..w4`,
     /// mul-then-add.
-    struct Pairs {
-        w: [*const f32; 4],
-        lo: *mut f32,
-        hi: *mut f32,
+    struct Pairs<'a> {
+        w: [&'a [f32]; 4],
+        lo: &'a mut [f32],
+        hi: &'a mut [f32],
     }
 
-    impl Elementwise for Pairs {
+    impl Pairs<'_> {
+        /// The pair at positions `i .. i + U::LANES`.
         #[inline(always)]
-        unsafe fn lanes<V: Vf32>(&self, i: usize) {
+        fn apply<U: Vf32>(&mut self, i: usize) {
             let [w1, w2, w3, w4] = self.w;
-            unsafe {
-                let (a, b) = (V::load(self.lo.add(i)), V::load(self.hi.add(i)));
-                V::load(w1.add(i)).mul(a).add(V::load(w2.add(i)).mul(b)).store(self.lo.add(i));
-                V::load(w3.add(i)).mul(a).add(V::load(w4.add(i)).mul(b)).store(self.hi.add(i));
-            }
+            let (a, b) = (U::load(&self.lo[at::<U>(i)]), U::load(&self.hi[at::<U>(i)]));
+            let (w1, w2) = (U::load(&w1[at::<U>(i)]), U::load(&w2[at::<U>(i)]));
+            w1.mul(a).add(w2.mul(b)).store(&mut self.lo[at::<U>(i)]);
+            let (w3, w4) = (U::load(&w3[at::<U>(i)]), U::load(&w4[at::<U>(i)]));
+            w3.mul(a).add(w4.mul(b)).store(&mut self.hi[at::<U>(i)]);
+        }
+    }
+
+    impl Elementwise for Pairs<'_> {
+        #[inline(always)]
+        fn lanes<V: Vf32>(&mut self, i: usize) {
+            self.apply::<V>(i);
         }
 
         #[inline(always)]
-        unsafe fn one(&self, i: usize) {
-            let [w1, w2, w3, w4] = self.w;
-            unsafe {
-                let (a, b) = (*self.lo.add(i), *self.hi.add(i));
-                *self.lo.add(i) = *w1.add(i) * a + *w2.add(i) * b;
-                *self.hi.add(i) = *w3.add(i) * a + *w4.add(i) * b;
-            }
+        fn one(&mut self, i: usize) {
+            self.apply::<F32x1>(i);
         }
     }
 
@@ -1784,13 +1599,8 @@ mod kernels {
     /// `x[2bh + i]` with `x[2bh + h + i]`). Mul-then-add per lane with a
     /// scalar tail for `half` below the vector width — bit-identical to the
     /// scalar stage loop.
-    ///
-    /// # Safety
-    ///
-    /// Caller guarantees the backend's target features are available and
-    /// that `half` divides `w1.len()`.
     #[inline(always)]
-    pub unsafe fn butterfly_stage_in_place<V: Vf32>(
+    pub fn butterfly_stage_in_place<V: Vf32>(
         half: usize,
         w1: &[f32],
         w2: &[f32],
@@ -1798,26 +1608,11 @@ mod kernels {
         w4: &[f32],
         x: &mut [f32],
     ) {
-        let xp = x.as_mut_ptr();
-        let mut p = 0;
-        while p < w1.len() {
-            // SAFETY: block `p / half` is weights `p..p + half` and elements
-            // `2p..2p + 2·half`, inside the slices since `half` divides the
-            // pair count and `x` holds two elements per pair.
-            unsafe {
-                let op = Pairs {
-                    w: [
-                        w1.as_ptr().add(p),
-                        w2.as_ptr().add(p),
-                        w3.as_ptr().add(p),
-                        w4.as_ptr().add(p),
-                    ],
-                    lo: xp.add(2 * p),
-                    hi: xp.add(2 * p + half),
-                };
-                sweep::<V>(&op, half);
-            }
-            p += half;
+        let (w1, w2) = (w1.chunks_exact(half), w2.chunks_exact(half));
+        let w = w1.zip(w2).zip(w3.chunks_exact(half)).zip(w4.chunks_exact(half));
+        for (block, (((w1, w2), w3), w4)) in x.chunks_exact_mut(2 * half).zip(w) {
+            let (lo, hi) = block.split_at_mut(half);
+            sweep::<V>(&mut Pairs { w: [w1, w2, w3, w4], lo, hi }, half);
         }
     }
 
@@ -1830,187 +1625,190 @@ mod kernels {
     // vertical vector operation. `rows_to_lanes` / `lanes_to_rows` move a
     // tile of ordinary row-major rows into and out of that layout.
 
-    /// The operation one butterfly pair applies to its two rows; the
-    /// difference between a butterfly-linear stage and an FFT stage.
-    trait PairOp<V: Vf32> {
-        /// The pair's weights, broadcast.
-        type W: Copy;
-        /// Loads and broadcasts the weights of pair `p`.
-        unsafe fn weights(&self, p: usize) -> Self::W;
-        /// Applies the pair to the `LANES` elements at offsets `lo` / `hi`,
-        /// which lie `col` elements into their rows.
-        unsafe fn apply(&self, w: Self::W, lo: usize, hi: usize, col: usize);
-        /// [`PairOp::apply`] on the single element at `lo` / `hi`.
-        unsafe fn apply_one(&self, p: usize, lo: usize, hi: usize, col: usize);
+    /// A butterfly stage's operation, one block at a time; the difference
+    /// between a butterfly-linear stage, its backward and an FFT stage.
+    trait PairOp {
+        /// Runs the `half` pairs of the block of `2 · half` rows from row
+        /// `base`: pair `i` couples rows `base + i` and `base + half + i`
+        /// through weight `p0 + i`, and is swept across the `width` columns
+        /// by [`cols`].
+        fn block<V: Vf32>(&mut self, base: usize, half: usize, width: usize, p0: usize);
     }
 
     /// The stage driver shared by every pair operation: blocks of `2·half`
-    /// rows, `half` pairs per block, each pair swept across `width` in
-    /// vectors with an element-wise tail. Pair `i` of a block takes weight
-    /// `i` plus `block_step` per preceding block (`half` for butterfly
-    /// weights, which differ per block; 0 for FFT twiddles, which repeat).
-    ///
-    /// # Safety
-    ///
-    /// The rows `0..n` of width `width` and the weights `op` indexes must be
-    /// in bounds of the buffers behind `op`.
+    /// rows of an `n`-row buffer. Pair `i` of a block takes weight `i` plus
+    /// `block_step` per preceding block (`half` for butterfly weights, which
+    /// differ per block; 0 for FFT twiddles, which repeat).
     #[inline(always)]
-    unsafe fn stage_lanes<V: Vf32, Op: PairOp<V>>(
-        op: &Op,
+    fn stage_lanes<V: Vf32>(
+        op: &mut impl PairOp,
         n: usize,
         half: usize,
         width: usize,
         block_step: usize,
     ) {
-        let main = width - width % V::LANES;
-        let mut wbase = 0;
-        let mut base = 0;
-        while base < n {
-            let (mut lo, mut hi) = (base * width, (base + half) * width);
+        for (b, base) in (0..n).step_by(2 * half).enumerate() {
+            // Rows one vector wide (a tile of rows on the backend's own
+            // width), the common case, get the width as a constant.
             if width == V::LANES {
-                // One vector per row (a tile of rows on the backend's own
-                // width): nothing but the pair operation in the loop.
-                for i in 0..half {
-                    unsafe { op.apply(op.weights(wbase + i), lo, hi, 0) };
-                    lo += V::LANES;
-                    hi += V::LANES;
-                }
+                op.block::<V>(base, half, V::LANES, b * block_step);
             } else {
-                for i in 0..half {
-                    let w = unsafe { op.weights(wbase + i) };
-                    let mut v = 0;
-                    while v < main {
-                        unsafe { op.apply(w, lo + v, hi + v, v) };
-                        v += V::LANES;
-                    }
-                    while v < width {
-                        unsafe { op.apply_one(wbase + i, lo + v, hi + v, v) };
-                        v += 1;
-                    }
-                    lo += width;
-                    hi += width;
-                }
+                op.block::<V>(base, half, width, b * block_step);
             }
-            wbase += block_step;
-            base += 2 * half;
         }
     }
 
-    /// The four weights of butterfly-linear pair `p`, each broadcast.
-    ///
-    /// # Safety
-    ///
-    /// Every pointer of `w` must be valid for reading element `p`.
+    /// One pair's rows across their `width` columns: a single vector where
+    /// a row is one vector wide (a tile of rows on the backend's own
+    /// width), else [`sweep`].
     #[inline(always)]
-    unsafe fn splat4<V: Vf32>(w: [*const f32; 4], p: usize) -> [V; 4] {
-        let [w1, w2, w3, w4] = w;
-        // SAFETY: the caller guarantees element `p` of all four slices.
-        unsafe {
-            [
-                V::splat_ptr(w1.add(p)),
-                V::splat_ptr(w2.add(p)),
-                V::splat_ptr(w3.add(p)),
-                V::splat_ptr(w4.add(p)),
-            ]
+    fn cols<V: Vf32>(pair: &mut impl Elementwise, width: usize) {
+        if width == V::LANES {
+            pair.lanes::<V>(0);
+        } else {
+            sweep::<V>(pair, width);
         }
     }
 
-    /// Butterfly-linear pair: `lo' = w1·lo + w2·hi`, `hi' = w3·lo + w4·hi`,
-    /// mul-then-add, reading `src` and writing `dst` (the same buffer for
-    /// a stage in place).
-    struct Real2x2 {
-        w: [*const f32; 4],
-        src: *const f32,
-        dst: *mut f32,
+    /// The lo and hi halves of the block of `2 · len` values from `at`.
+    #[inline(always)]
+    fn halves(x: &mut [f32], at: usize, len: usize) -> (&mut [f32], &mut [f32]) {
+        x[at..][..2 * len].split_at_mut(len)
     }
 
-    impl<V: Vf32> PairOp<V> for Real2x2 {
-        type W = [V; 4];
+    /// Row `i` of `width`-wide rows.
+    #[inline(always)]
+    fn row(x: &mut [f32], i: usize, width: usize) -> &mut [f32] {
+        &mut x[i * width..][..width]
+    }
 
-        #[inline(always)]
-        unsafe fn weights(&self, p: usize) -> [V; 4] {
-            unsafe { splat4(self.w, p) }
-        }
+    /// Four weights, each broadcast.
+    #[inline(always)]
+    fn splat4<U: Vf32>([w1, w2, w3, w4]: [f32; 4]) -> [U; 4] {
+        [U::splat(w1), U::splat(w2), U::splat(w3), U::splat(w4)]
+    }
 
+    /// Weights `p0 .. p0 + half` of each of four weight slices, by pair.
+    #[inline(always)]
+    fn weights4<'w>(
+        [w1, w2, w3, w4]: [&'w [f32]; 4],
+        p0: usize,
+        half: usize,
+    ) -> impl Iterator<Item = [f32; 4]> + 'w {
+        let w = |w: &'w [f32]| w[p0..][..half].iter();
+        w(w1).zip(w(w2)).zip(w(w3)).zip(w(w4)).map(|(((&a, &b), &c), &d)| [a, b, c, d])
+    }
+
+    /// Butterfly-linear stage: `lo' = w1·lo + w2·hi`, `hi' = w3·lo + w4·hi`,
+    /// mul-then-add, written to `dst` and read from `src` (from `dst`
+    /// itself when there is none: a stage in place).
+    struct Real2x2<'a> {
+        w: [&'a [f32]; 4],
+        src: Option<&'a [f32]>,
+        dst: &'a mut [f32],
+    }
+
+    /// One pair of a [`Real2x2`] stage: its weights, its two source rows
+    /// (none in place) and its two destination rows.
+    struct Real2x2Pair<'r> {
+        w: [f32; 4],
+        src: Option<(&'r [f32], &'r [f32])>,
+        lo: &'r mut [f32],
+        hi: &'r mut [f32],
+    }
+
+    impl PairOp for Real2x2<'_> {
         #[inline(always)]
-        unsafe fn apply(&self, [w1, w2, w3, w4]: [V; 4], lo: usize, hi: usize, _col: usize) {
-            unsafe {
-                let (a, b) = (V::load(self.src.add(lo)), V::load(self.src.add(hi)));
-                w1.mul(a).add(w2.mul(b)).store(self.dst.add(lo));
-                w3.mul(a).add(w4.mul(b)).store(self.dst.add(hi));
+        fn block<V: Vf32>(&mut self, base: usize, half: usize, width: usize, p0: usize) {
+            let (at, len) = (base * width, half * width);
+            let (lo, hi) = halves(self.dst, at, len);
+            let src = self.src.map(|s| s[at..][..2 * len].split_at(len));
+            let rows = lo.chunks_exact_mut(width).zip(hi.chunks_exact_mut(width));
+            for (i, ((lo, hi), w)) in rows.zip(weights4(self.w, p0, half)).enumerate() {
+                let src = src.map(|(a, b)| (&a[i * width..][..width], &b[i * width..][..width]));
+                cols::<V>(&mut Real2x2Pair { w, src, lo, hi }, width);
             }
         }
+    }
+
+    impl Elementwise for Real2x2Pair<'_> {
+        #[inline(always)]
+        fn lanes<U: Vf32>(&mut self, i: usize) {
+            let [w1, w2, w3, w4] = splat4::<U>(self.w);
+            let (a, b) = match self.src {
+                Some((lo, hi)) => (U::load(&lo[at::<U>(i)]), U::load(&hi[at::<U>(i)])),
+                None => (U::load(&self.lo[at::<U>(i)]), U::load(&self.hi[at::<U>(i)])),
+            };
+            w1.mul(a).add(w2.mul(b)).store(&mut self.lo[at::<U>(i)]);
+            w3.mul(a).add(w4.mul(b)).store(&mut self.hi[at::<U>(i)]);
+        }
 
         #[inline(always)]
-        unsafe fn apply_one(&self, p: usize, lo: usize, hi: usize, _col: usize) {
-            unsafe {
-                let [w1, w2, w3, w4] = self.w;
-                let (w1, w2, w3, w4) = (*w1.add(p), *w2.add(p), *w3.add(p), *w4.add(p));
-                let (a, b) = (*self.src.add(lo), *self.src.add(hi));
-                *self.dst.add(lo) = w1 * a + w2 * b;
-                *self.dst.add(hi) = w3 * a + w4 * b;
-            }
+        fn one(&mut self, i: usize) {
+            self.lanes::<F32x1>(i);
         }
     }
 
-    /// Radix-2 decimation-in-time FFT pair on split planes: `t = w·hi`,
+    /// Radix-2 decimation-in-time FFT stage on split planes: `t = w·hi`,
     /// `lo' = lo + t`, `hi' = lo − t`, the complex product spelled as
     /// `re·re − im·im` / `re·im + im·re` with no FMA.
-    struct Twiddle {
-        w: [*const f32; 2],
-        re: *mut f32,
-        im: *mut f32,
+    struct Twiddle<'a> {
+        w: [&'a [f32]; 2],
+        re: &'a mut [f32],
+        im: &'a mut [f32],
     }
 
-    impl<V: Vf32> PairOp<V> for Twiddle {
-        type W = [V; 2];
+    /// One pair of a [`Twiddle`] stage: its twiddle and its lo and hi rows
+    /// of each plane.
+    struct TwiddlePair<'r> {
+        w: [f32; 2],
+        re: [&'r mut [f32]; 2],
+        im: [&'r mut [f32]; 2],
+    }
 
+    impl PairOp for Twiddle<'_> {
         #[inline(always)]
-        unsafe fn weights(&self, p: usize) -> [V; 2] {
-            let [wr, wi] = self.w;
-            unsafe { [V::splat_ptr(wr.add(p)), V::splat_ptr(wi.add(p))] }
+        fn block<V: Vf32>(&mut self, base: usize, half: usize, width: usize, p0: usize) {
+            let (at, len) = (base * width, half * width);
+            let (rlo, rhi) = halves(self.re, at, len);
+            let (ilo, ihi) = halves(self.im, at, len);
+            let w = self.w[0][p0..][..half].iter().zip(&self.w[1][p0..][..half]);
+            let re = rlo.chunks_exact_mut(width).zip(rhi.chunks_exact_mut(width));
+            let im = ilo.chunks_exact_mut(width).zip(ihi.chunks_exact_mut(width));
+            for (((rlo, rhi), (ilo, ihi)), (&wr, &wi)) in re.zip(im).zip(w) {
+                let pair = &mut TwiddlePair { w: [wr, wi], re: [rlo, rhi], im: [ilo, ihi] };
+                cols::<V>(pair, width);
+            }
+        }
+    }
+
+    impl Elementwise for TwiddlePair<'_> {
+        #[inline(always)]
+        fn lanes<U: Vf32>(&mut self, i: usize) {
+            let (wr, wi) = (U::splat(self.w[0]), U::splat(self.w[1]));
+            let [rlo, rhi] = &mut self.re;
+            let [ilo, ihi] = &mut self.im;
+            let (ar, ai) = (U::load(&rlo[at::<U>(i)]), U::load(&ilo[at::<U>(i)]));
+            let (br, bi) = (U::load(&rhi[at::<U>(i)]), U::load(&ihi[at::<U>(i)]));
+            let tr = br.mul(wr).sub(bi.mul(wi));
+            let ti = br.mul(wi).add(bi.mul(wr));
+            ar.add(tr).store(&mut rlo[at::<U>(i)]);
+            ai.add(ti).store(&mut ilo[at::<U>(i)]);
+            ar.sub(tr).store(&mut rhi[at::<U>(i)]);
+            ai.sub(ti).store(&mut ihi[at::<U>(i)]);
         }
 
         #[inline(always)]
-        unsafe fn apply(&self, [wr, wi]: [V; 2], lo: usize, hi: usize, _col: usize) {
-            unsafe {
-                let (ar, ai) = (V::load(self.re.add(lo)), V::load(self.im.add(lo)));
-                let (br, bi) = (V::load(self.re.add(hi)), V::load(self.im.add(hi)));
-                let tr = br.mul(wr).sub(bi.mul(wi));
-                let ti = br.mul(wi).add(bi.mul(wr));
-                ar.add(tr).store(self.re.add(lo));
-                ai.add(ti).store(self.im.add(lo));
-                ar.sub(tr).store(self.re.add(hi));
-                ai.sub(ti).store(self.im.add(hi));
-            }
-        }
-
-        #[inline(always)]
-        unsafe fn apply_one(&self, p: usize, lo: usize, hi: usize, _col: usize) {
-            unsafe {
-                let (wr, wi) = (*self.w[0].add(p), *self.w[1].add(p));
-                let (ar, ai) = (*self.re.add(lo), *self.im.add(lo));
-                let (br, bi) = (*self.re.add(hi), *self.im.add(hi));
-                let tr = br * wr - bi * wi;
-                let ti = br * wi + bi * wr;
-                *self.re.add(lo) = ar + tr;
-                *self.im.add(lo) = ai + ti;
-                *self.re.add(hi) = ar - tr;
-                *self.im.add(hi) = ai - ti;
-            }
+        fn one(&mut self, i: usize) {
+            self.lanes::<F32x1>(i);
         }
     }
 
     /// One butterfly-linear stage over an `[n][width]` buffer, `n = 2 ·
-    /// w1.len()`.
-    ///
-    /// # Safety
-    ///
-    /// Caller guarantees the backend's target features are available, that
-    /// the four weight slices have equal length `pairs`, that `half` divides
-    /// `pairs`, and that `x.len() == 2 * pairs * width`.
+    /// w1.len()`. The four weight slices have equal length `pairs`, `half`
+    /// divides `pairs`, and `x.len() == 2 * pairs * width`.
     #[inline(always)]
-    pub unsafe fn butterfly_stage_lanes<V: Vf32>(
+    pub fn butterfly_stage_lanes<V: Vf32>(
         half: usize,
         w1: &[f32],
         w2: &[f32],
@@ -2020,23 +1818,15 @@ mod kernels {
         width: usize,
     ) {
         let n = 2 * w1.len();
-        debug_assert!(half > 0 && w1.len().is_multiple_of(half));
-        debug_assert!(w2.len() == w1.len() && w3.len() == w1.len() && w4.len() == w1.len());
-        debug_assert_eq!(x.len(), n * width);
-        let dst = x.as_mut_ptr();
-        let op = Real2x2 { w: [w1.as_ptr(), w2.as_ptr(), w3.as_ptr(), w4.as_ptr()], src: dst, dst };
-        unsafe { stage_lanes::<V, _>(&op, n, half, width, half) };
+        let op = &mut Real2x2 { w: [w1, w2, w3, w4], src: None, dst: x };
+        stage_lanes::<V>(op, n, half, width, half);
     }
 
-    /// [`butterfly_stage_lanes`] out of place: reads `src`, writes `dst`.
-    ///
-    /// # Safety
-    ///
-    /// As [`butterfly_stage_lanes`], with `src.len() == dst.len() == 2 *
-    /// pairs * width`.
+    /// [`butterfly_stage_lanes`] out of place: reads `src`, writes `dst`,
+    /// both `2 * pairs * width` long.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    pub unsafe fn butterfly_stage_lanes_into<V: Vf32>(
+    pub fn butterfly_stage_lanes_into<V: Vf32>(
         half: usize,
         w1: &[f32],
         w2: &[f32],
@@ -2047,39 +1837,23 @@ mod kernels {
         width: usize,
     ) {
         let n = 2 * w1.len();
-        debug_assert!(half > 0 && w1.len().is_multiple_of(half));
-        debug_assert!(w2.len() == w1.len() && w3.len() == w1.len() && w4.len() == w1.len());
-        debug_assert!(src.len() == n * width && dst.len() == n * width);
-        let op = Real2x2 {
-            w: [w1.as_ptr(), w2.as_ptr(), w3.as_ptr(), w4.as_ptr()],
-            src: src.as_ptr(),
-            dst: dst.as_mut_ptr(),
-        };
-        unsafe { stage_lanes::<V, _>(&op, n, half, width, half) };
+        let op = &mut Real2x2 { w: [w1, w2, w3, w4], src: Some(src), dst };
+        stage_lanes::<V>(op, n, half, width, half);
     }
 
     /// Folds each 16-value row of `src` into one element of `dst` by halves
     /// ([`Vf32::fold16`]), `LANES` rows per step and the rows after the last
-    /// full step one lane wide.
-    ///
-    /// # Safety
-    ///
-    /// Caller guarantees the backend's target features are available and
-    /// that `src.len() == 16 * dst.len()`.
+    /// full step one lane wide. `src.len() == 16 * dst.len()`.
     #[inline(always)]
-    pub unsafe fn fold_lanes16<V: Vf32>(src: &[f32], dst: &mut [f32]) {
-        debug_assert_eq!(src.len(), 16 * dst.len());
-        let (sp, dp, rows) = (src.as_ptr(), dst.as_mut_ptr(), dst.len());
-        let mut c = 0;
-        while c + V::LANES <= rows {
-            // SAFETY: rows `c..c + LANES` of `src` are in bounds.
-            unsafe { V::fold16(sp.add(16 * c)).store(dp.add(c)) };
-            c += V::LANES;
+    pub fn fold_lanes16<V: Vf32>(src: &[f32], dst: &mut [f32]) {
+        let src = &src[..16 * dst.len()];
+        let mut d = dst.chunks_exact_mut(V::LANES);
+        let mut s = src.chunks_exact(16 * V::LANES);
+        for (d, s) in (&mut d).zip(&mut s) {
+            V::fold16(s).store(d);
         }
-        while c < rows {
-            // SAFETY: row `c` is inside `src`, element `c` inside `dst`.
-            unsafe { *dp.add(c) = F32x1::fold16(sp.add(16 * c)).0 };
-            c += 1;
+        for (d, s) in d.into_remainder().iter_mut().zip(s.remainder().chunks_exact(16)) {
+            *d = F32x1::fold16(s).0;
         }
     }
 
@@ -2089,112 +1863,106 @@ mod kernels {
     /// the pair's accumulator rows, then `g1' = w1·g1 + w3·g2` and
     /// `g2' = w2·g1 + w4·g2` replace the gradients — mul-then-add.
     ///
-    /// The buffers hold `tiles` tiles of `width` lanes side by side in each
-    /// row (the driver sees one tile: its offsets are mapped to the row's
-    /// first tile, and the op walks the others in order, the accumulators
-    /// loaded and stored once). Lanes from `live` on, counted along the row,
-    /// add nothing; input rows from offset `shared` (in the driver's
-    /// one-tile offsets) on are read from the first tile.
-    struct Real2x2Backward {
-        w: [*const f32; 4],
-        input: *const f32,
-        grad: *mut f32,
+    /// `input` and `grad` rows hold `tiles` tiles of `width` lanes side by
+    /// side; the pair walks them in order, its accumulators loaded and
+    /// stored once. Lanes from `live` on, counted along the row, add
+    /// nothing; input rows from `shared` on are read from their first tile.
+    struct Real2x2Backward<'a> {
+        w: [&'a [f32]; 4],
+        input: &'a [f32],
+        grad: &'a mut [f32],
         /// `[4][pairs][width]`.
-        acc: *mut f32,
-        width: usize,
-        pairs: usize,
+        acc: &'a mut [f32],
         tiles: usize,
         live: usize,
+        /// The tiles whose every lane is live.
+        full: usize,
         shared: usize,
     }
 
-    impl Real2x2Backward {
-        /// The memory offsets of the driver's one-tile offsets `lo`, `hi` in
-        /// column `col`, and how far each moves from one tile's input to
-        /// the next.
+    /// One pair of a [`Real2x2Backward`] stage: its weights, its input rows
+    /// (each one tile wide when shared, else whole), its gradient rows and
+    /// its four `width`-wide accumulator rows.
+    struct BackwardPair<'r> {
+        w: [f32; 4],
+        input: [&'r [f32]; 2],
+        grad: [&'r mut [f32]; 2],
+        acc: [&'r mut [f32]; 4],
+        width: usize,
+        tiles: usize,
+        live: usize,
+        full: usize,
+    }
+
+    impl PairOp for Real2x2Backward<'_> {
         #[inline(always)]
-        fn tile_offsets(&self, lo: usize, hi: usize, col: usize) -> [usize; 4] {
-            let at = |x: usize| (x - col) * self.tiles + col;
-            let step = |x: usize| if x < self.shared { self.width } else { 0 };
-            [at(lo), at(hi), step(lo), step(hi)]
+        fn block<V: Vf32>(&mut self, base: usize, half: usize, width: usize, p0: usize) {
+            let (tiles, row_len) = (self.tiles, self.tiles * width);
+            let (glo, ghi) = halves(self.grad, base * row_len, half * row_len);
+            let k = self.acc.len() / 4;
+            let (a12, a34) = self.acc.split_at_mut(2 * k);
+            let ((a1, a2), (a3, a4)) = (a12.split_at_mut(k), a34.split_at_mut(k));
+            let input = |r: usize| {
+                &self.input[r * row_len..][..if r < self.shared { row_len } else { width }]
+            };
+            for (i, w) in weights4(self.w, p0, half).enumerate() {
+                let p = p0 + i;
+                let acc =
+                    [row(a1, p, width), row(a2, p, width), row(a3, p, width), row(a4, p, width)];
+                let grad = [row(glo, i, row_len), row(ghi, i, row_len)];
+                let input = [input(base + i), input(base + half + i)];
+                let (live, full) = (self.live, self.full);
+                cols::<V>(
+                    &mut BackwardPair { w, input, grad, acc, width, tiles, live, full },
+                    width,
+                );
+            }
         }
     }
 
-    impl<V: Vf32> PairOp<V> for Real2x2Backward {
-        /// The broadcast weights and the pair's first accumulator row.
-        type W = ([V; 4], *mut f32);
-
+    impl Elementwise for BackwardPair<'_> {
         #[inline(always)]
-        unsafe fn weights(&self, p: usize) -> Self::W {
-            unsafe { (splat4(self.w, p), self.acc.add(p * self.width)) }
+        fn lanes<U: Vf32>(&mut self, col: usize) {
+            let [w1, w2, w3, w4] = splat4::<U>(self.w);
+            let [a1, a2, a3, a4] = &mut self.acc;
+            let (mut s1, mut s2) = (U::load(&a1[at::<U>(col)]), U::load(&a2[at::<U>(col)]));
+            let (mut s3, mut s4) = (U::load(&a3[at::<U>(col)]), U::load(&a4[at::<U>(col)]));
+            let [ilo, ihi] = self.input;
+            // A shared input row is one tile long: every tile reads it.
+            let step = |row: &[f32]| if row.len() > self.width { self.width } else { 0 };
+            let (slo, shi) = (step(ilo), step(ihi));
+            let [glo, ghi] = &mut self.grad;
+            // Tile `$t`; `$add` adds a product to an accumulator.
+            macro_rules! tile {
+                ($t:expr, $add:expr) => {{
+                    let (i, g) = (at::<U>($t * slo + col), at::<U>($t * self.width + col));
+                    let (a, b) = (U::load(&ilo[i]), U::load(&ihi[at::<U>($t * shi + col)]));
+                    let (g1, g2) = (U::load(&glo[g.clone()]), U::load(&ghi[g.clone()]));
+                    s1 = $add(s1, g1.mul(a));
+                    s2 = $add(s2, g1.mul(b));
+                    s3 = $add(s3, g2.mul(a));
+                    s4 = $add(s4, g2.mul(b));
+                    w1.mul(g1).add(w3.mul(g2)).store(&mut glo[g.clone()]);
+                    w2.mul(g1).add(w4.mul(g2)).store(&mut ghi[g]);
+                }};
+            }
+            // The tiles whose every lane is live, then the rest lane by lane.
+            for t in 0..self.full {
+                tile!(t, U::add);
+            }
+            for t in self.full..self.tiles {
+                let keep = self.live.saturating_sub(t * self.width + col);
+                tile!(t, |s: U, p: U| s.add(p).first_lanes(s, keep));
+            }
+            s1.store(&mut a1[at::<U>(col)]);
+            s2.store(&mut a2[at::<U>(col)]);
+            s3.store(&mut a3[at::<U>(col)]);
+            s4.store(&mut a4[at::<U>(col)]);
         }
 
         #[inline(always)]
-        unsafe fn apply(&self, ([w1, w2, w3, w4], acc): Self::W, lo: usize, hi: usize, col: usize) {
-            unsafe {
-                let k = self.pairs * self.width;
-                let (d1, d2, d3, d4) =
-                    (acc.add(col), acc.add(k + col), acc.add(2 * k + col), acc.add(3 * k + col));
-                let (mut s1, mut s2, mut s3, mut s4) =
-                    (V::load(d1), V::load(d2), V::load(d3), V::load(d4));
-                let [lo, hi, step_lo, step_hi] = self.tile_offsets(lo, hi, col);
-                let (mut ilo, mut ihi, mut glo, mut ghi) = (lo, hi, lo, hi);
-                // One tile: `$add` adds a product to an accumulator.
-                macro_rules! tile {
-                    ($add:expr) => {{
-                        let (a, b) = (V::load(self.input.add(ilo)), V::load(self.input.add(ihi)));
-                        let (g1, g2) = (V::load(self.grad.add(glo)), V::load(self.grad.add(ghi)));
-                        s1 = $add(s1, g1.mul(a));
-                        s2 = $add(s2, g1.mul(b));
-                        s3 = $add(s3, g2.mul(a));
-                        s4 = $add(s4, g2.mul(b));
-                        w1.mul(g1).add(w3.mul(g2)).store(self.grad.add(glo));
-                        w2.mul(g1).add(w4.mul(g2)).store(self.grad.add(ghi));
-                        (ilo, ihi, glo, ghi) =
-                            (ilo + step_lo, ihi + step_hi, glo + self.width, ghi + self.width);
-                    }};
-                }
-                // The tiles whose every lane is live, then the rest lane by
-                // lane.
-                let full = (self.live / self.width).min(self.tiles);
-                for _ in 0..full {
-                    tile!(V::add);
-                }
-                for t in full..self.tiles {
-                    let keep = self.live.saturating_sub(t * self.width + col);
-                    tile!(|s: V, p: V| s.add(p).first_lanes(s, keep));
-                }
-                s1.store(d1);
-                s2.store(d2);
-                s3.store(d3);
-                s4.store(d4);
-            }
-        }
-
-        #[inline(always)]
-        unsafe fn apply_one(&self, p: usize, lo: usize, hi: usize, col: usize) {
-            unsafe {
-                let [w1, w2, w3, w4] = self.w;
-                let (w1, w2, w3, w4) = (*w1.add(p), *w2.add(p), *w3.add(p), *w4.add(p));
-                let k = self.pairs * self.width;
-                let acc = self.acc.add(p * self.width + col);
-                let [lo, hi, step_lo, step_hi] = self.tile_offsets(lo, hi, col);
-                let (mut ilo, mut ihi, mut glo, mut ghi) = (lo, hi, lo, hi);
-                for t in 0..self.tiles {
-                    let (a, b) = (*self.input.add(ilo), *self.input.add(ihi));
-                    let (g1, g2) = (*self.grad.add(glo), *self.grad.add(ghi));
-                    if t * self.width + col < self.live {
-                        *acc += g1 * a;
-                        *acc.add(k) += g1 * b;
-                        *acc.add(2 * k) += g2 * a;
-                        *acc.add(3 * k) += g2 * b;
-                    }
-                    *self.grad.add(glo) = w1 * g1 + w3 * g2;
-                    *self.grad.add(ghi) = w2 * g1 + w4 * g2;
-                    (ilo, ihi, glo, ghi) =
-                        (ilo + step_lo, ihi + step_hi, glo + self.width, ghi + self.width);
-                }
-            }
+        fn one(&mut self, col: usize) {
+            self.lanes::<F32x1>(col);
         }
     }
 
@@ -2204,18 +1972,13 @@ mod kernels {
     /// width]`; `acc` holds the `[4][pairs][width]` weight-gradient
     /// accumulators, which take the tiles' products in tile order. Lanes
     /// from `live` on add nothing, and input rows `shared..n` are read from
-    /// the first tile.
-    ///
-    /// # Safety
-    ///
-    /// Caller guarantees the backend's target features are available, that
-    /// the four weight slices have equal length `pairs`, that `half` divides
-    /// `pairs`, that `input.len() == grad.len()` is a nonzero multiple of
-    /// `2 * pairs * width`, that `shared <= 2 * pairs` and that
+    /// the first tile. The four weight slices have equal length `pairs`,
+    /// `half` divides `pairs`, `input.len() == grad.len()` is a nonzero
+    /// multiple of `2 * pairs * width`, `shared <= 2 * pairs` and
     /// `acc.len() == 4 * pairs * width`.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    pub unsafe fn butterfly_stage_backward_lanes<V: Vf32>(
+    pub fn butterfly_stage_backward_lanes<V: Vf32>(
         half: usize,
         w1: &[f32],
         w2: &[f32],
@@ -2229,41 +1992,21 @@ mod kernels {
         shared: usize,
     ) {
         let n = 2 * w1.len();
-        let tile = n * width;
-        debug_assert!(half > 0 && w1.len().is_multiple_of(half));
-        debug_assert!(w2.len() == w1.len() && w3.len() == w1.len() && w4.len() == w1.len());
-        debug_assert!(input.len().is_multiple_of(tile) && grad.len() == input.len());
-        debug_assert!(shared <= n && acc.len() == 2 * tile);
-        let op = Real2x2Backward {
-            w: [w1.as_ptr(), w2.as_ptr(), w3.as_ptr(), w4.as_ptr()],
-            input: input.as_ptr(),
-            grad: grad.as_mut_ptr(),
-            acc: acc.as_mut_ptr(),
-            width,
-            pairs: w1.len(),
-            tiles: input.len() / tile,
-            live,
-            shared: shared * width,
-        };
-        // SAFETY: the driver visits rows `0..n`, lanes `0..width`, and the
-        // op the same lanes of every tile of those rows (of the first tile,
-        // for shared input rows), and pairs `0..n/2` of the weights and of
-        // each quarter of `acc`, all inside the lengths asserted above.
-        unsafe { stage_lanes::<V, _>(&op, n, half, width, half) };
+        let tiles = input.len() / (n * width);
+        let full = (live / width).min(tiles);
+        let w = [w1, w2, w3, w4];
+        let op = &mut Real2x2Backward { w, input, grad, acc, tiles, live, full, shared };
+        stage_lanes::<V>(op, n, half, width, half);
     }
 
     /// Every stage (`half` = 1, 2, … `n/2`) of an `n`-point FFT over split
     /// `[n][width]` planes whose rows are already in bit-reversed order.
     /// `tw_re` / `tw_im` are stage-major: the stage with half-size `h` reads
-    /// entries `h − 1 .. 2h − 1`.
-    ///
-    /// # Safety
-    ///
-    /// Caller guarantees the backend's target features are available, that
-    /// `re.len() == im.len() == n * width` for a power of two `n`, and that
-    /// both twiddle slices hold at least `n − 1` entries.
+    /// entries `h − 1 .. 2h − 1`. `re.len() == im.len() == n * width` for a
+    /// power of two `n`, and both twiddle slices hold at least `n − 1`
+    /// entries.
     #[inline(always)]
-    pub unsafe fn fft_stages_lanes<V: Vf32>(
+    pub fn fft_stages_lanes<V: Vf32>(
         tw_re: &[f32],
         tw_im: &[f32],
         re: &mut [f32],
@@ -2271,17 +2014,53 @@ mod kernels {
         width: usize,
     ) {
         let n = re.len() / width;
-        debug_assert!(n.is_power_of_two() && re.len() == n * width && im.len() == re.len());
-        debug_assert!(tw_re.len() >= n - 1 && tw_im.len() >= n - 1);
         let mut half = 1;
         while half < n {
-            let op = Twiddle {
-                w: unsafe { [tw_re.as_ptr().add(half - 1), tw_im.as_ptr().add(half - 1)] },
-                re: re.as_mut_ptr(),
-                im: im.as_mut_ptr(),
-            };
-            unsafe { stage_lanes::<V, _>(&op, n, half, width, 0) };
+            let w = [&tw_re[half - 1..], &tw_im[half - 1..]];
+            stage_lanes::<V>(&mut Twiddle { w, re: &mut *re, im: &mut *im }, n, half, width, 0);
             half *= 2;
+        }
+    }
+
+    /// One bin pair of [`fft_real_split_lanes`]: row `k` of each plane, and
+    /// row `m − k` where it is another row (for bin 0, row `m`, the extra
+    /// row). `Z[m − k]` is read from that row, or from row `k` for bin 0
+    /// and for `k = m − k`, where the one row takes both results and keeps
+    /// the last.
+    struct SplitPair<'r> {
+        tw: [f32; 2],
+        lo: [&'r mut [f32]; 2],
+        hi: Option<[&'r mut [f32]; 2]>,
+        hi_from_lo: bool,
+    }
+
+    impl Elementwise for SplitPair<'_> {
+        #[inline(always)]
+        fn lanes<U: Vf32>(&mut self, v: usize) {
+            let (half, c, s) = (U::splat(0.5), U::splat(self.tw[0]), U::splat(self.tw[1]));
+            let [re, im] = &mut self.lo;
+            let (zr, zi) = (U::load(&re[at::<U>(v)]), U::load(&im[at::<U>(v)]));
+            let (yr, yi) = match &self.hi {
+                Some([hr, hi]) if !self.hi_from_lo => {
+                    (U::load(&hr[at::<U>(v)]), U::load(&hi[at::<U>(v)]))
+                }
+                _ => (zr, zi),
+            };
+            let (ar, ai) = (half.mul(zr.add(yr)), half.mul(zi.sub(yi)));
+            let (br, bi) = (half.mul(zi.add(yi)), half.mul(yr.sub(zr)));
+            let tr = c.mul(br).sub(s.mul(bi));
+            let ti = c.mul(bi).add(s.mul(br));
+            if let Some([hr, hi]) = &mut self.hi {
+                ar.sub(tr).store(&mut hr[at::<U>(v)]);
+                ti.sub(ai).store(&mut hi[at::<U>(v)]);
+            }
+            ar.add(tr).store(&mut re[at::<U>(v)]);
+            ai.add(ti).store(&mut im[at::<U>(v)]);
+        }
+
+        #[inline(always)]
+        fn one(&mut self, v: usize) {
+            self.lanes::<F32x1>(v);
         }
     }
 
@@ -2291,14 +2070,10 @@ mod kernels {
     /// mirror). With `A = (Z[k] + conj Z[m−k]) / 2` and
     /// `B = (Z[k] − conj Z[m−k]) / 2i`, `X[k] = A + w^k·B` and
     /// `X[m−k] = conj(A − w^k·B)`; `tw_re`/`tw_im` hold `w^k = e^{−iπk/m}`.
-    ///
-    /// # Safety
-    ///
-    /// Caller guarantees the backend's target features are available, that
     /// `re.len() == im.len() == (m + 1) * width` for a power of two `m`, and
-    /// that both twiddle slices hold at least `m / 2 + 1` entries.
+    /// both twiddle slices hold at least `m / 2 + 1` entries.
     #[inline(always)]
-    pub unsafe fn fft_real_split_lanes<V: Vf32>(
+    pub fn fft_real_split_lanes<V: Vf32>(
         tw_re: &[f32],
         tw_im: &[f32],
         re: &mut [f32],
@@ -2306,48 +2081,21 @@ mod kernels {
         width: usize,
     ) {
         let m = re.len() / width - 1;
-        debug_assert!(m.is_power_of_two() && re.len() == (m + 1) * width && im.len() == re.len());
-        debug_assert!(tw_re.len() > m / 2 && tw_im.len() > m / 2);
-        let main = width - width % V::LANES;
-        let (rp, ip) = (re.as_mut_ptr(), im.as_mut_ptr());
-        let half = V::splat(0.5);
         for k in 0..=m / 2 {
             // Bin 0 pairs with itself and its partner lands in the extra row.
-            let (src, dst) = (if k == 0 { 0 } else { (m - k) * width }, (m - k) * width);
-            let lo = k * width;
-            let (c, s) = unsafe { (*tw_re.as_ptr().add(k), *tw_im.as_ptr().add(k)) };
-            let (cv, sv) = (V::splat(c), V::splat(s));
-            let mut v = 0;
-            while v < main {
-                unsafe {
-                    let (zr, zi) = (V::load(rp.add(lo + v)), V::load(ip.add(lo + v)));
-                    let (yr, yi) = (V::load(rp.add(src + v)), V::load(ip.add(src + v)));
-                    let (ar, ai) = (half.mul(zr.add(yr)), half.mul(zi.sub(yi)));
-                    let (br, bi) = (half.mul(zi.add(yi)), half.mul(yr.sub(zr)));
-                    let tr = cv.mul(br).sub(sv.mul(bi));
-                    let ti = cv.mul(bi).add(sv.mul(br));
-                    ar.sub(tr).store(rp.add(dst + v));
-                    ti.sub(ai).store(ip.add(dst + v));
-                    ar.add(tr).store(rp.add(lo + v));
-                    ai.add(ti).store(ip.add(lo + v));
-                }
-                v += V::LANES;
-            }
-            while v < width {
-                unsafe {
-                    let (zr, zi) = (*rp.add(lo + v), *ip.add(lo + v));
-                    let (yr, yi) = (*rp.add(src + v), *ip.add(src + v));
-                    let (ar, ai) = (0.5 * (zr + yr), 0.5 * (zi - yi));
-                    let (br, bi) = (0.5 * (zi + yi), 0.5 * (yr - zr));
-                    let tr = c * br - s * bi;
-                    let ti = c * bi + s * br;
-                    *rp.add(dst + v) = ar - tr;
-                    *ip.add(dst + v) = ti - ai;
-                    *rp.add(lo + v) = ar + tr;
-                    *ip.add(lo + v) = ai + ti;
-                }
-                v += 1;
-            }
+            let hi = if k == 0 { m } else { m - k };
+            let tw = [tw_re[k], tw_im[k]];
+            let pair = &mut if k < hi {
+                let (rlo, rhi) = re.split_at_mut(hi * width);
+                let (ilo, ihi) = im.split_at_mut(hi * width);
+                let lo = [&mut rlo[k * width..][..width], &mut ilo[k * width..][..width]];
+                let hi = Some([&mut rhi[..width], &mut ihi[..width]]);
+                SplitPair { tw, lo, hi, hi_from_lo: k == 0 }
+            } else {
+                let lo = [&mut re[k * width..][..width], &mut im[k * width..][..width]];
+                SplitPair { tw, lo, hi: None, hi_from_lo: true }
+            };
+            cols::<V>(pair, width);
         }
     }
 
@@ -2355,16 +2103,11 @@ mod kernels {
     /// `dst[at(c)·width + r] = src[r·stride + c]` for `r < rows`, `c < cols`,
     /// with `at(c) = perm[c]` (or `c` when `perm` is empty) and zeros in the
     /// lanes `rows..width`. Full tiles on the backend's own width go through
-    /// the register transpose.
-    ///
-    /// # Safety
-    ///
-    /// Caller guarantees the backend's target features are available, that
-    /// `rows <= width`, that `src` holds `rows` rows of `cols` values at
-    /// `stride`, that `perm` is empty or `cols` long, and that every
+    /// the register transpose. `rows <= width`, `src` holds `rows` rows of
+    /// `cols` values at `stride`, `perm` is empty or `cols` long, and every
     /// `at(c) · width + width <= dst.len()`.
     #[inline(always)]
-    pub unsafe fn rows_to_lanes<V: Vf32>(
+    pub fn rows_to_lanes<V: Vf32>(
         src: &[f32],
         stride: usize,
         rows: usize,
@@ -2373,17 +2116,20 @@ mod kernels {
         dst: &mut [f32],
         width: usize,
     ) {
-        debug_assert!(rows <= width && (perm.is_empty() || perm.len() == cols));
-        debug_assert!(rows == 0 || (rows - 1) * stride + cols <= src.len());
         let at = |c: usize| if perm.is_empty() { c } else { perm[c] };
-        let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
         let mut c = 0;
         if width == V::LANES && rows == V::LANES {
             while c + V::LANES <= cols {
-                let block = unsafe { V::transpose(sp.add(c), stride) };
-                for (k, v) in block.into_iter().enumerate() {
-                    debug_assert!((at(c + k) + 1) * width <= dst.len());
-                    unsafe { v.store(dp.add(at(c + k) * width)) };
+                let block = V::transpose(&src[c..], stride);
+                if perm.is_empty() {
+                    let d = &mut dst[c * V::LANES..][..V::LANES * V::LANES];
+                    for (v, d) in block.into_iter().zip(d.chunks_exact_mut(V::LANES)) {
+                        v.store(d);
+                    }
+                } else {
+                    for (k, v) in block.into_iter().enumerate() {
+                        v.store(&mut dst[perm[c + k] * width..]);
+                    }
                 }
                 c += V::LANES;
             }
@@ -2393,48 +2139,37 @@ mod kernels {
             let full = rows - rows % V::LANES;
             while c + V::LANES <= cols {
                 for g in (0..full).step_by(V::LANES) {
-                    let block = unsafe { V::transpose(sp.add(g * stride + c), stride) };
+                    let block = V::transpose(&src[g * stride + c..], stride);
                     for (k, v) in block.into_iter().enumerate() {
-                        debug_assert!((at(c + k) + 1) * width <= dst.len());
-                        unsafe { v.store(dp.add(at(c + k) * width + g)) };
+                        v.store(&mut dst[at(c + k) * width + g..]);
                     }
                 }
                 c += V::LANES;
             }
             for col in 0..c {
-                for r in full..width {
-                    unsafe {
-                        *dp.add(at(col) * width + r) =
-                            if r < rows { *sp.add(r * stride + col) } else { 0.0 };
-                    }
+                let d = &mut dst[at(col) * width..][..width];
+                for (r, d) in d.iter_mut().enumerate().skip(full) {
+                    *d = if r < rows { src[r * stride + col] } else { 0.0 };
                 }
             }
         }
-        while c < cols {
-            debug_assert!((at(c) + 1) * width <= dst.len());
-            for r in 0..width {
-                unsafe {
-                    *dp.add(at(c) * width + r) =
-                        if r < rows { *sp.add(r * stride + c) } else { 0.0 };
-                }
+        for c in c..cols {
+            let d = &mut dst[at(c) * width..][..width];
+            for (r, d) in d.iter_mut().enumerate() {
+                *d = if r < rows { src[r * stride + c] } else { 0.0 };
             }
-            c += 1;
         }
     }
 
     /// Scatters a lane-layout tile back to row-major rows with the
     /// epilogue applied on the way: `dst[r·stride + c] = act(src[c·width +
     /// r] + bias[c])` for `r < rows`, `c < cols`; an empty `bias` adds
-    /// nothing and `act` is GELU or the identity.
-    ///
-    /// # Safety
-    ///
-    /// Caller guarantees the backend's target features are available, that
-    /// `rows <= width`, `cols * width <= src.len()`, `bias` is empty or
-    /// `cols` long, and `dst` holds `rows` rows of `cols` values at `stride`.
+    /// nothing and `act` is GELU or the identity. `rows <= width`,
+    /// `cols * width <= src.len()`, `bias` is empty or `cols` long, and
+    /// `dst` holds `rows` rows of `cols` values at `stride`.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    pub unsafe fn lanes_to_rows<V: Vf32>(
+    pub fn lanes_to_rows<V: Vf32>(
         src: &[f32],
         width: usize,
         rows: usize,
@@ -2444,20 +2179,19 @@ mod kernels {
         dst: &mut [f32],
         stride: usize,
     ) {
-        debug_assert!(rows <= width && cols * width <= src.len());
-        debug_assert!(bias.is_empty() || bias.len() == cols);
-        debug_assert!(rows == 0 || (rows - 1) * stride + cols <= dst.len());
-        let (sp, bp, dp) = (src.as_ptr(), bias.as_ptr(), dst.as_mut_ptr());
+        /// The epilogue on columns `c .. c + LANES` of one row, into `d`.
+        #[inline(always)]
+        fn epilogue<V: Vf32>(v: V, bias: &[f32], c: usize, gelu: bool, d: &mut [f32]) {
+            let v = if bias.is_empty() { v } else { v.add(V::load(&bias[c..])) };
+            let v = if gelu { gelu_v(v) } else { v };
+            v.store(d);
+        }
         let mut c = 0;
         if width == V::LANES {
             while c + V::LANES <= cols {
-                let block = unsafe { V::transpose(sp.add(c * width), width) };
+                let block = V::transpose(&src[c * width..], width);
                 for (r, v) in block.into_iter().enumerate().take(rows) {
-                    unsafe {
-                        let v = if bias.is_empty() { v } else { v.add(V::load(bp.add(c))) };
-                        let v = if gelu { gelu_v(v) } else { v };
-                        v.store(dp.add(r * stride + c));
-                    }
+                    epilogue(v, bias, c, gelu, &mut dst[r * stride + c..]);
                 }
                 c += V::LANES;
             }
@@ -2466,27 +2200,20 @@ mod kernels {
             // of `LANES` rows, a last partial group storing its live rows.
             while c + V::LANES <= cols {
                 for g in (0..rows).step_by(V::LANES) {
-                    let block = unsafe { V::transpose(sp.add(c * width + g), width) };
+                    let block = V::transpose(&src[c * width + g..], width);
                     for (k, v) in block.into_iter().enumerate().take(rows - g) {
-                        unsafe {
-                            let v = if bias.is_empty() { v } else { v.add(V::load(bp.add(c))) };
-                            let v = if gelu { gelu_v(v) } else { v };
-                            v.store(dp.add((g + k) * stride + c));
-                        }
+                        epilogue(v, bias, c, gelu, &mut dst[(g + k) * stride + c..]);
                     }
                 }
                 c += V::LANES;
             }
         }
-        while c < cols {
+        for c in c..cols {
             for r in 0..rows {
-                unsafe {
-                    let y = *sp.add(c * width + r);
-                    let y = if bias.is_empty() { y } else { y + *bp.add(c) };
-                    *dp.add(r * stride + c) = if gelu { gelu_fast(y) } else { y };
-                }
+                let y = src[c * width + r];
+                let y = if bias.is_empty() { y } else { y + bias[c] };
+                dst[r * stride + c] = if gelu { gelu_fast(y) } else { y };
             }
-            c += 1;
         }
     }
 }
@@ -2500,6 +2227,10 @@ mod x86 {
     use super::{kernels, BinOp, FmaLanes, LaneSelect, RowReduce, Vf32, VnniPack};
     use core::arch::x86_64::*;
 
+    // "AVX is enabled" in the lane impls' `SAFETY:` comments is the module
+    // docs' condition: a lane type is only used inside a `#[target_feature]`
+    // entry point reached after runtime detection.
+
     /// Eight `f32` lanes in one AVX register.
     #[derive(Clone, Copy)]
     pub struct F32x8(__m256);
@@ -2508,27 +2239,34 @@ mod x86 {
         const LANES: usize = 8;
 
         #[inline(always)]
-        unsafe fn load(p: *const f32) -> Self {
-            F32x8(unsafe { _mm256_loadu_ps(p) })
+        fn load(s: &[f32]) -> Self {
+            let s = &s[..8];
+            // SAFETY: `s` holds 8 values; AVX is enabled (see above).
+            F32x8(unsafe { _mm256_loadu_ps(s.as_ptr()) })
         }
 
         #[inline(always)]
-        unsafe fn store(self, p: *mut f32) {
-            unsafe { _mm256_storeu_ps(p, self.0) }
+        fn store(self, d: &mut [f32]) {
+            let d = &mut d[..8];
+            // SAFETY: `d` holds 8 values; AVX is enabled.
+            unsafe { _mm256_storeu_ps(d.as_mut_ptr(), self.0) }
         }
 
         #[inline(always)]
         fn splat(x: f32) -> Self {
+            // SAFETY: AVX is enabled.
             F32x8(unsafe { _mm256_set1_ps(x) })
         }
 
         #[inline(always)]
         fn fma(self, m: Self, a: Self) -> Self {
+            // SAFETY: FMA is enabled.
             F32x8(unsafe { _mm256_fmadd_ps(self.0, m.0, a.0) })
         }
 
         #[inline(always)]
         fn zero_mask(self) -> u32 {
+            // SAFETY: AVX is enabled.
             unsafe {
                 let eq = _mm256_cmp_ps::<_CMP_EQ_OQ>(self.0, _mm256_setzero_ps());
                 _mm256_movemask_ps(eq) as u32
@@ -2541,36 +2279,43 @@ mod x86 {
 
         #[inline(always)]
         fn add(self, o: Self) -> Self {
+            // SAFETY: AVX is enabled.
             F32x8(unsafe { _mm256_add_ps(self.0, o.0) })
         }
 
         #[inline(always)]
         fn sub(self, o: Self) -> Self {
+            // SAFETY: AVX is enabled.
             F32x8(unsafe { _mm256_sub_ps(self.0, o.0) })
         }
 
         #[inline(always)]
         fn mul(self, o: Self) -> Self {
+            // SAFETY: AVX is enabled.
             F32x8(unsafe { _mm256_mul_ps(self.0, o.0) })
         }
 
         #[inline(always)]
         fn div(self, o: Self) -> Self {
+            // SAFETY: AVX is enabled.
             F32x8(unsafe { _mm256_div_ps(self.0, o.0) })
         }
 
         #[inline(always)]
         fn max(self, o: Self) -> Self {
+            // SAFETY: AVX is enabled.
             F32x8(unsafe { _mm256_max_ps(self.0, o.0) })
         }
 
         #[inline(always)]
         fn min(self, o: Self) -> Self {
+            // SAFETY: AVX is enabled.
             F32x8(unsafe { _mm256_min_ps(self.0, o.0) })
         }
 
         #[inline(always)]
         fn pow2i(self) -> Self {
+            // SAFETY: AVX2 is enabled.
             unsafe {
                 let k = _mm256_cvtps_epi32(self.0);
                 let bits = _mm256_slli_epi32(_mm256_add_epi32(k, _mm256_set1_epi32(127)), 23);
@@ -2580,16 +2325,12 @@ mod x86 {
 
         #[inline(always)]
         fn first_lanes(self, other: Self, n: usize) -> Self {
+            // SAFETY: AVX2 is enabled.
             unsafe {
                 let n = _mm256_set1_epi32(n.min(8) as i32);
                 let keep = _mm256_cmpgt_epi32(n, _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
                 F32x8(_mm256_blendv_ps(other.0, self.0, _mm256_castsi256_ps(keep)))
             }
-        }
-
-        #[inline(always)]
-        unsafe fn splat_ptr(p: *const f32) -> Self {
-            F32x8(unsafe { _mm256_broadcast_ss(&*p) })
         }
 
         type Block = [Self; 8];
@@ -2598,18 +2339,18 @@ mod x86 {
         /// unpack/shuffle pairs below finish the transpose inside the
         /// 128-bit lanes: 16 shuffles per block, no cross-lane permute.
         #[inline(always)]
-        unsafe fn transpose(src: *const f32, stride: usize) -> [Self; 8] {
-            unsafe {
-                let [c0, c1, c2, c3] = transpose_8x4(src, stride);
-                let [c4, c5, c6, c7] = transpose_8x4(src.add(4), stride);
-                [c0, c1, c2, c3, c4, c5, c6, c7]
-            }
+        fn transpose(src: &[f32], stride: usize) -> [Self; 8] {
+            let rows = row_slices::<8>(src, stride);
+            let [c0, c1, c2, c3] = transpose_8x4(&rows, 0);
+            let [c4, c5, c6, c7] = transpose_8x4(&rows, 4);
+            [c0, c1, c2, c3, c4, c5, c6, c7]
         }
     }
 
     impl RowReduce for F32x8 {
         #[inline(always)]
         fn reduce_add(self) -> f32 {
+            // SAFETY: AVX is enabled.
             unsafe {
                 let hi = _mm256_extractf128_ps(self.0, 1);
                 let lo = _mm256_castps256_ps128(self.0);
@@ -2622,6 +2363,7 @@ mod x86 {
 
         #[inline(always)]
         fn reduce_max(self) -> f32 {
+            // SAFETY: AVX is enabled.
             unsafe {
                 let hi = _mm256_extractf128_ps(self.0, 1);
                 let lo = _mm256_castps256_ps128(self.0);
@@ -2636,6 +2378,7 @@ mod x86 {
     impl LaneSelect for F32x8 {
         #[inline(always)]
         fn where_zero(self, yes: Self, no: Self) -> Self {
+            // SAFETY: AVX is enabled.
             unsafe {
                 let zero = _mm256_cmp_ps::<_CMP_EQ_OQ>(self.0, _mm256_setzero_ps());
                 F32x8(_mm256_blendv_ps(no.0, yes.0, zero))
@@ -2644,6 +2387,7 @@ mod x86 {
 
         #[inline(always)]
         fn where_nan(self, yes: Self, no: Self) -> Self {
+            // SAFETY: AVX is enabled.
             unsafe {
                 let nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(self.0, self.0);
                 F32x8(_mm256_blendv_ps(no.0, yes.0, nan))
@@ -2651,16 +2395,29 @@ mod x86 {
         }
     }
 
-    /// Columns `0..4` of the eight rows at `src + r * stride`, one column
-    /// per vector.
+    /// The `N` rows `src[r * stride..][..N]` of a block to transpose.
     #[inline(always)]
-    unsafe fn transpose_8x4(src: *const f32, stride: usize) -> [F32x8; 4] {
+    fn row_slices<const N: usize>(src: &[f32], stride: usize) -> [&[f32]; N] {
+        let mut rows: [&[f32]; N] = [&[]; N];
+        for (r, row) in rows.iter_mut().enumerate() {
+            *row = &src[r * stride..][..N];
+        }
+        rows
+    }
+
+    /// Columns `c..c + 4` of the eight `rows`, one column per vector.
+    #[inline(always)]
+    fn transpose_8x4(rows: &[&[f32]; 8], c: usize) -> [F32x8; 4] {
+        let (r0, r1) = (
+            load_rows_r_r4(&rows[0][c..], &rows[4][c..]),
+            load_rows_r_r4(&rows[1][c..], &rows[5][c..]),
+        );
+        let (r2, r3) = (
+            load_rows_r_r4(&rows[2][c..], &rows[6][c..]),
+            load_rows_r_r4(&rows[3][c..], &rows[7][c..]),
+        );
+        // SAFETY: AVX is enabled.
         unsafe {
-            let (r0, r1) = (load_rows_r_r4(src, stride), load_rows_r_r4(src.add(stride), stride));
-            let (r2, r3) = (
-                load_rows_r_r4(src.add(2 * stride), stride),
-                load_rows_r_r4(src.add(3 * stride), stride),
-            );
             let (t0, t1) = (_mm256_unpacklo_ps(r0, r1), _mm256_unpackhi_ps(r0, r1));
             let (t2, t3) = (_mm256_unpacklo_ps(r2, r3), _mm256_unpackhi_ps(r2, r3));
             [
@@ -2672,12 +2429,13 @@ mod x86 {
         }
     }
 
-    /// Four values of the row at `p` in the low half, of the row four
-    /// strides further on in the high half.
+    /// Four values of `lo` in the low half, of `hi` in the high half.
     #[inline(always)]
-    unsafe fn load_rows_r_r4(p: *const f32, stride: usize) -> __m256 {
+    fn load_rows_r_r4(lo: &[f32], hi: &[f32]) -> __m256 {
+        let (lo, hi) = (&lo[..4], &hi[..4]);
+        // SAFETY: `lo` and `hi` hold 4 values each; AVX is enabled.
         unsafe {
-            let (lo, hi) = (_mm_loadu_ps(p), _mm_loadu_ps(p.add(4 * stride)));
+            let (lo, hi) = (_mm_loadu_ps(lo.as_ptr()), _mm_loadu_ps(hi.as_ptr()));
             _mm256_insertf128_ps::<1>(_mm256_castps128_ps256(lo), hi)
         }
     }
@@ -2693,15 +2451,10 @@ mod x86 {
         ($(fn $name:ident($($arg:ident: $ty:ty),* $(,)?);)*) => {
             $(
                 /// AVX2+FMA instantiation of the generic kernel.
-                ///
-                /// # Safety
-                ///
-                /// The CPU must support AVX2 and FMA (guaranteed by the
-                /// runtime dispatch in the public wrappers).
                 #[target_feature(enable = "avx2,fma")]
                 #[allow(clippy::too_many_arguments)]
-                pub unsafe fn $name($($arg: $ty),*) {
-                    unsafe { kernels::$name::<F32x8>($($arg),*) }
+                pub fn $name($($arg: $ty),*) {
+                    kernels::$name::<F32x8>($($arg),*)
                 }
             )*
         };
@@ -2734,20 +2487,14 @@ mod x86 {
             $(
                 /// The AVX2 backend's instantiation of the generic kernel:
                 /// 16 lanes wide where the CPU has `avx512f`, else 8.
-                ///
-                /// # Safety
-                ///
-                /// The CPU must support AVX2 and FMA (guaranteed by the
-                /// runtime dispatch in the public wrappers), and the
-                /// arguments must meet the generic kernel's contract.
+                #[target_feature(enable = "avx2,fma")]
                 #[allow(clippy::too_many_arguments)]
-                pub unsafe fn $name($($arg: $ty),*) {
-                    // SAFETY: the 16-lane arm runs only where avx512f is
-                    // detected; the rest is this function's own contract.
+                pub fn $name($($arg: $ty),*) {
                     if wide() $(&& $cond)? {
+                        // SAFETY: `wide()` detected avx512f.
                         unsafe { f32x16::$name($($arg),*) }
                     } else {
-                        unsafe { f32x8::$name($($arg),*) }
+                        f32x8::$name($($arg),*)
                     }
                 }
             )*
@@ -2757,15 +2504,10 @@ mod x86 {
                 use super::{kernels, BinOp, F32x8};
                 $(
                     /// 8-lane instantiation of the generic kernel.
-                    ///
-                    /// # Safety
-                    ///
-                    /// The CPU must support AVX2 and FMA, and the arguments
-                    /// must meet the generic kernel's contract.
                     #[target_feature(enable = "avx2,fma")]
                     #[allow(clippy::too_many_arguments)]
-                    pub unsafe fn $name($($arg: $ty),*) {
-                        unsafe { kernels::$name::<F32x8>($($arg),*) }
+                    pub fn $name($($arg: $ty),*) {
+                        kernels::$name::<F32x8>($($arg),*)
                     }
                 )*
             }
@@ -2775,15 +2517,10 @@ mod x86 {
                 use super::{kernels, BinOp, F32x16};
                 $(
                     /// 16-lane instantiation of the generic kernel.
-                    ///
-                    /// # Safety
-                    ///
-                    /// The CPU must support AVX-512F, and the arguments must
-                    /// meet the generic kernel's contract.
                     #[target_feature(enable = "avx512f,avx2,fma")]
                     #[allow(clippy::too_many_arguments)]
-                    pub unsafe fn $name($($arg: $ty),*) {
-                        unsafe { kernels::$name::<F32x16>($($arg),*) }
+                    pub fn $name($($arg: $ty),*) {
+                        kernels::$name::<F32x16>($($arg),*)
                     }
                 )*
             }
@@ -2901,27 +2638,34 @@ mod x86 {
         const TILE_ROWS: usize = 8;
 
         #[inline(always)]
-        unsafe fn load(p: *const f32) -> Self {
-            F32x16(unsafe { _mm512_loadu_ps(p) })
+        fn load(s: &[f32]) -> Self {
+            let s = &s[..16];
+            // SAFETY: `s` holds 16 values; AVX-512F is enabled.
+            F32x16(unsafe { _mm512_loadu_ps(s.as_ptr()) })
         }
 
         #[inline(always)]
-        unsafe fn store(self, p: *mut f32) {
-            unsafe { _mm512_storeu_ps(p, self.0) }
+        fn store(self, d: &mut [f32]) {
+            let d = &mut d[..16];
+            // SAFETY: `d` holds 16 values; AVX-512F is enabled.
+            unsafe { _mm512_storeu_ps(d.as_mut_ptr(), self.0) }
         }
 
         #[inline(always)]
         fn splat(x: f32) -> Self {
+            // SAFETY: AVX-512F is enabled.
             F32x16(unsafe { _mm512_set1_ps(x) })
         }
 
         #[inline(always)]
         fn fma(self, m: Self, a: Self) -> Self {
+            // SAFETY: AVX-512F is enabled.
             F32x16(unsafe { _mm512_fmadd_ps(self.0, m.0, a.0) })
         }
 
         #[inline(always)]
         fn zero_mask(self) -> u32 {
+            // SAFETY: AVX-512F is enabled.
             unsafe { _mm512_cmp_ps_mask::<_CMP_EQ_OQ>(self.0, _mm512_setzero_ps()) as u32 }
         }
     }
@@ -2931,37 +2675,44 @@ mod x86 {
 
         #[inline(always)]
         fn add(self, o: Self) -> Self {
+            // SAFETY: AVX-512F is enabled.
             F32x16(unsafe { _mm512_add_ps(self.0, o.0) })
         }
 
         #[inline(always)]
         fn sub(self, o: Self) -> Self {
+            // SAFETY: AVX-512F is enabled.
             F32x16(unsafe { _mm512_sub_ps(self.0, o.0) })
         }
 
         #[inline(always)]
         fn mul(self, o: Self) -> Self {
+            // SAFETY: AVX-512F is enabled.
             F32x16(unsafe { _mm512_mul_ps(self.0, o.0) })
         }
 
         #[inline(always)]
         fn div(self, o: Self) -> Self {
+            // SAFETY: AVX-512F is enabled.
             F32x16(unsafe { _mm512_div_ps(self.0, o.0) })
         }
 
         /// `vmaxps`: a NaN in either operand yields `o`, as on [`F32x8`].
         #[inline(always)]
         fn max(self, o: Self) -> Self {
+            // SAFETY: AVX-512F is enabled.
             F32x16(unsafe { _mm512_max_ps(self.0, o.0) })
         }
 
         #[inline(always)]
         fn min(self, o: Self) -> Self {
+            // SAFETY: AVX-512F is enabled.
             F32x16(unsafe { _mm512_min_ps(self.0, o.0) })
         }
 
         #[inline(always)]
         fn pow2i(self) -> Self {
+            // SAFETY: AVX-512F is enabled.
             unsafe {
                 let k = _mm512_cvtps_epi32(self.0);
                 let bits = _mm512_slli_epi32::<23>(_mm512_add_epi32(k, _mm512_set1_epi32(127)));
@@ -2972,6 +2723,7 @@ mod x86 {
         #[inline(always)]
         fn first_lanes(self, other: Self, n: usize) -> Self {
             let keep = if n >= 16 { u16::MAX } else { (1u16 << n) - 1 };
+            // SAFETY: AVX-512F is enabled.
             F32x16(unsafe { _mm512_mask_blend_ps(keep, other.0, self.0) })
         }
 
@@ -2979,14 +2731,13 @@ mod x86 {
 
         /// Four 16×4 blocks, each built like [`transpose_8x4`]'s 8×4 one.
         #[inline(always)]
-        unsafe fn transpose(src: *const f32, stride: usize) -> [Self; 16] {
-            unsafe {
-                let [c0, c1, c2, c3] = transpose_16x4(src, stride);
-                let [c4, c5, c6, c7] = transpose_16x4(src.add(4), stride);
-                let [c8, c9, c10, c11] = transpose_16x4(src.add(8), stride);
-                let [c12, c13, c14, c15] = transpose_16x4(src.add(12), stride);
-                [c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14, c15]
-            }
+        fn transpose(src: &[f32], stride: usize) -> [Self; 16] {
+            let rows = row_slices::<16>(src, stride);
+            let [c0, c1, c2, c3] = transpose_16x4(&rows, 0);
+            let [c4, c5, c6, c7] = transpose_16x4(&rows, 4);
+            let [c8, c9, c10, c11] = transpose_16x4(&rows, 8);
+            let [c12, c13, c14, c15] = transpose_16x4(&rows, 12);
+            [c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14, c15]
         }
 
         /// The halving fold on a shuffle network: each level pairs two
@@ -2995,12 +2746,13 @@ mod x86 {
         /// shuffles for sixteen rows where the transpose takes 80. The
         /// last permute puts row `r` in lane `r`.
         #[inline(always)]
-        unsafe fn fold16(src: *const f32) -> Self {
+        fn fold16(src: &[f32]) -> Self {
+            let v: [Self; 16] = core::array::from_fn(|r| Self::load(&src[16 * r..]));
+            // SAFETY: AVX-512F is enabled.
             unsafe {
-                let v: [__m512; 16] = core::array::from_fn(|r| _mm512_loadu_ps(src.add(16 * r)));
                 // Quarters of 128 bits: rows 2i, 2i + 1, sums `p[k] + p[k + 8]`.
                 let w: [__m512; 8] = core::array::from_fn(|i| {
-                    let (a, b) = (v[2 * i], v[2 * i + 1]);
+                    let (a, b) = (v[2 * i].0, v[2 * i + 1].0);
                     let lo = _mm512_shuffle_f32x4::<0x44>(a, b);
                     let hi = _mm512_shuffle_f32x4::<0xEE>(a, b);
                     _mm512_add_ps(lo, hi)
@@ -3032,6 +2784,7 @@ mod x86 {
     impl LaneSelect for F32x16 {
         #[inline(always)]
         fn where_zero(self, yes: Self, no: Self) -> Self {
+            // SAFETY: AVX-512F is enabled.
             unsafe {
                 let zero = _mm512_cmp_ps_mask::<_CMP_EQ_OQ>(self.0, _mm512_setzero_ps());
                 F32x16(_mm512_mask_blend_ps(zero, no.0, yes.0))
@@ -3040,6 +2793,7 @@ mod x86 {
 
         #[inline(always)]
         fn where_nan(self, yes: Self, no: Self) -> Self {
+            // SAFETY: AVX-512F is enabled.
             unsafe {
                 let nan = _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(self.0, self.0);
                 F32x16(_mm512_mask_blend_ps(nan, no.0, yes.0))
@@ -3047,19 +2801,18 @@ mod x86 {
         }
     }
 
-    /// Columns `0..4` of the sixteen rows at `src + r * stride`, one column
-    /// per vector. Rows `r`, `r + 4`, `r + 8` and `r + 12` share one
-    /// register (one per 128-bit quarter), so the unpack/shuffle pairs
-    /// finish the transpose inside the quarters, with no cross-lane permute.
+    /// Columns `c..c + 4` of the sixteen `rows`, one column per vector.
+    /// Rows `r`, `r + 4`, `r + 8` and `r + 12` share one register (one per
+    /// 128-bit quarter), so the unpack/shuffle pairs finish the transpose
+    /// inside the quarters, with no cross-lane permute.
     #[inline(always)]
-    unsafe fn transpose_16x4(src: *const f32, stride: usize) -> [F32x16; 4] {
+    fn transpose_16x4(rows: &[&[f32]; 16], c: usize) -> [F32x16; 4] {
+        let q =
+            |r: usize| [&rows[r][c..], &rows[r + 4][c..], &rows[r + 8][c..], &rows[r + 12][c..]];
+        let (r0, r1) = (load_rows_quarters(q(0)), load_rows_quarters(q(1)));
+        let (r2, r3) = (load_rows_quarters(q(2)), load_rows_quarters(q(3)));
+        // SAFETY: AVX-512F is enabled.
         unsafe {
-            let (r0, r1) =
-                (load_rows_quarters(src, stride), load_rows_quarters(src.add(stride), stride));
-            let (r2, r3) = (
-                load_rows_quarters(src.add(2 * stride), stride),
-                load_rows_quarters(src.add(3 * stride), stride),
-            );
             let (t0, t1) = (_mm512_unpacklo_ps(r0, r1), _mm512_unpackhi_ps(r0, r1));
             let (t2, t3) = (_mm512_unpacklo_ps(r2, r3), _mm512_unpackhi_ps(r2, r3));
             [
@@ -3071,64 +2824,66 @@ mod x86 {
         }
     }
 
-    /// Four values of the row at `p` in quarter 0, and of the rows 4, 8 and
-    /// 12 strides further on in quarters 1, 2 and 3.
+    /// Four values of each of `q` in the four 128-bit quarters, in order.
     #[inline(always)]
-    unsafe fn load_rows_quarters(p: *const f32, stride: usize) -> __m512 {
+    fn load_rows_quarters(q: [&[f32]; 4]) -> __m512 {
+        let [q0, q1, q2, q3] = q;
+        let (q0, q1, q2, q3) = (&q0[..4], &q1[..4], &q2[..4], &q3[..4]);
+        // SAFETY: each quarter slice holds 4 values; AVX-512F is enabled.
         unsafe {
-            let v = _mm512_castps128_ps512(_mm_loadu_ps(p));
-            let v = _mm512_insertf32x4::<1>(v, _mm_loadu_ps(p.add(4 * stride)));
-            let v = _mm512_insertf32x4::<2>(v, _mm_loadu_ps(p.add(8 * stride)));
-            _mm512_insertf32x4::<3>(v, _mm_loadu_ps(p.add(12 * stride)))
+            let v = _mm512_castps128_ps512(_mm_loadu_ps(q0.as_ptr()));
+            let v = _mm512_insertf32x4::<1>(v, _mm_loadu_ps(q1.as_ptr()));
+            let v = _mm512_insertf32x4::<2>(v, _mm_loadu_ps(q2.as_ptr()));
+            _mm512_insertf32x4::<3>(v, _mm_loadu_ps(q3.as_ptr()))
         }
     }
 
     // -- int8 quantized kernels (PR 5) ----------------------------------
 
     /// Horizontal sum of the eight `i32` lanes (exact: integer adds).
-    #[inline(always)]
-    unsafe fn hsum_epi32(v: __m256i) -> i32 {
-        unsafe {
-            let lo = _mm256_castsi256_si128(v);
-            let hi = _mm256_extracti128_si256(v, 1);
-            let s = _mm_add_epi32(lo, hi);
-            let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b01_00_11_10));
-            let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b00_00_00_01));
-            _mm_cvtsi128_si32(s)
-        }
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn hsum_epi32(v: __m256i) -> i32 {
+        let lo = _mm256_castsi256_si128(v);
+        let hi = _mm256_extracti128_si256(v, 1);
+        let s = _mm_add_epi32(lo, hi);
+        let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b01_00_11_10));
+        let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b00_00_00_01));
+        _mm_cvtsi128_si32(s)
+    }
+
+    /// The first 32 bytes of `s`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn load_i8x32(s: &[i8]) -> __m256i {
+        let s = &s[..32];
+        // SAFETY: `s` holds 32 bytes.
+        unsafe { _mm256_loadu_si256(s.as_ptr().cast()) }
     }
 
     /// AVX2 int8 quantization: `dst = clamp(round_ties_even(src · inv), ±127)`
     /// via `cvtps` (MXCSR default = round-to-nearest-even), matching the
     /// scalar magic-number rounding bit for bit on finite inputs.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2 (guaranteed by the runtime dispatch).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn q8_quantize_slice(src: &[f32], inv_scale: f32, dst: &mut [i8]) {
-        let n = src.len();
-        let main = n - n % 8;
-        let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
-        unsafe {
-            let inv = _mm256_set1_ps(inv_scale);
-            let lo = _mm256_set1_ps(-127.0);
-            let hi = _mm256_set1_ps(127.0);
-            let mut i = 0;
-            while i < main {
-                let v = _mm256_mul_ps(_mm256_loadu_ps(sp.add(i)), inv);
-                let v = _mm256_min_ps(_mm256_max_ps(v, lo), hi);
-                let q = _mm256_cvtps_epi32(v);
-                let l = _mm256_castsi256_si128(q);
-                let h = _mm256_extracti128_si256(q, 1);
-                let w = _mm_packs_epi32(l, h);
-                let b = _mm_packs_epi16(w, w);
-                _mm_storel_epi64(dp.add(i) as *mut __m128i, b);
-                i += 8;
-            }
-            for j in main..n {
-                *dp.add(j) = super::q8_quantize_one(*sp.add(j), inv_scale);
-            }
+    pub fn q8_quantize_slice(src: &[f32], inv_scale: f32, dst: &mut [i8]) {
+        let inv = _mm256_set1_ps(inv_scale);
+        let lo = _mm256_set1_ps(-127.0);
+        let hi = _mm256_set1_ps(127.0);
+        let mut s = src.chunks_exact(8);
+        let mut d = dst[..src.len()].chunks_exact_mut(8);
+        for (s, d) in (&mut s).zip(&mut d) {
+            let v = _mm256_mul_ps(F32x8::load(s).0, inv);
+            let v = _mm256_min_ps(_mm256_max_ps(v, lo), hi);
+            let q = _mm256_cvtps_epi32(v);
+            let l = _mm256_castsi256_si128(q);
+            let h = _mm256_extracti128_si256(q, 1);
+            let w = _mm_packs_epi32(l, h);
+            let b = _mm_packs_epi16(w, w);
+            // SAFETY: `d` holds the 8 bytes the store writes.
+            unsafe { _mm_storel_epi64(d.as_mut_ptr().cast(), b) };
+        }
+        for (d, &x) in d.into_remainder().iter_mut().zip(s.remainder()) {
+            *d = super::q8_quantize_one(x, inv_scale);
         }
     }
 
@@ -3136,75 +2891,47 @@ mod x86 {
     /// pair kernel). The sign trick (`|a| ⊗ (b·sign a)`) keeps every i16
     /// pair sum at ≤ 2·127² = 32258, below saturation, so the i32
     /// accumulation is exact and bit-identical to the scalar kernel in any
-    /// summation order.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2; all inputs must lie in `[-127, 127]` and
-    /// the slice dimensions must be consistent (checked by the public
-    /// wrapper).
+    /// summation order. All inputs must lie in `[-127, 127]` (checked by the
+    /// public wrapper); a slice too short for the shapes panics.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn q8_gemm_i32(a: &[i8], bt: &[i8], k: usize, n: usize, out: &mut [i32]) {
-        let m = out.len() / n;
-        let kv = k - k % 32;
-        let (ap0, bp0, op) = (a.as_ptr(), bt.as_ptr(), out.as_mut_ptr());
-        unsafe {
-            let ones = _mm256_set1_epi16(1);
-            for i in 0..m {
-                let ap = ap0.add(i * k);
-                let mut j = 0;
-                // 1-row × 4-column tiles: |a| is computed once per chunk and
-                // reused across the four rhs columns.
-                while j + 4 <= n {
-                    let bps = [
-                        bp0.add(j * k),
-                        bp0.add((j + 1) * k),
-                        bp0.add((j + 2) * k),
-                        bp0.add((j + 3) * k),
-                    ];
-                    let mut acc = [_mm256_setzero_si256(); 4];
-                    let mut p = 0;
-                    while p < kv {
-                        let va = _mm256_loadu_si256(ap.add(p) as *const __m256i);
-                        let abs_a = _mm256_sign_epi8(va, va);
-                        for (c, &bp) in bps.iter().enumerate() {
-                            let vb = _mm256_loadu_si256(bp.add(p) as *const __m256i);
-                            let sb = _mm256_sign_epi8(vb, va);
-                            let d16 = _mm256_maddubs_epi16(abs_a, sb);
-                            acc[c] = _mm256_add_epi32(acc[c], _mm256_madd_epi16(d16, ones));
-                        }
-                        p += 32;
-                    }
-                    for (c, &bp) in bps.iter().enumerate() {
-                        let mut sum = hsum_epi32(acc[c]);
-                        for p in kv..k {
-                            sum += *ap.add(p) as i32 * *bp.add(p) as i32;
-                        }
-                        *op.add(i * n + j + c) = sum;
-                    }
-                    j += 4;
-                }
-                while j < n {
-                    let bp = bp0.add(j * k);
-                    let mut acc = _mm256_setzero_si256();
-                    let mut p = 0;
-                    while p < kv {
-                        let va = _mm256_loadu_si256(ap.add(p) as *const __m256i);
-                        let abs_a = _mm256_sign_epi8(va, va);
-                        let vb = _mm256_loadu_si256(bp.add(p) as *const __m256i);
-                        let sb = _mm256_sign_epi8(vb, va);
-                        let d16 = _mm256_maddubs_epi16(abs_a, sb);
-                        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(d16, ones));
-                        p += 32;
-                    }
-                    let mut sum = hsum_epi32(acc);
-                    for p in kv..k {
-                        sum += *ap.add(p) as i32 * *bp.add(p) as i32;
-                    }
-                    *op.add(i * n + j) = sum;
-                    j += 1;
-                }
+    pub fn q8_gemm_i32(a: &[i8], bt: &[i8], k: usize, n: usize, out: &mut [i32]) {
+        let col = |j: usize| &bt[j * k..][..k];
+        for (i, orow) in out.chunks_exact_mut(n).enumerate() {
+            let arow = &a[i * k..][..k];
+            // 1-row × 4-column tiles: |a| is computed once per chunk and
+            // reused across the four rhs columns.
+            let mut j = 0;
+            while j + 4 <= n {
+                let b = [col(j), col(j + 1), col(j + 2), col(j + 3)];
+                dots::<4>(arow, b, &mut orow[j..j + 4]);
+                j += 4;
             }
+            for j in j..n {
+                dots::<1>(arow, [col(j)], &mut orow[j..j + 1]);
+            }
+        }
+    }
+
+    /// `out[c] = Σ_p arow[p] · b[c][p]` for the `C` columns `b` of
+    /// [`q8_gemm_i32`], each as long as `arow`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn dots<const C: usize>(arow: &[i8], b: [&[i8]; C], out: &mut [i32]) {
+        let kv = arow.len() - arow.len() % 32;
+        let ones = _mm256_set1_epi16(1);
+        let mut acc = [_mm256_setzero_si256(); C];
+        for p in (0..kv).step_by(32) {
+            let va = load_i8x32(&arow[p..]);
+            let abs_a = _mm256_sign_epi8(va, va);
+            for (acc, b) in acc.iter_mut().zip(&b) {
+                let sb = _mm256_sign_epi8(load_i8x32(&b[p..]), va);
+                let d16 = _mm256_maddubs_epi16(abs_a, sb);
+                *acc = _mm256_add_epi32(*acc, _mm256_madd_epi16(d16, ones));
+            }
+        }
+        for ((o, &acc), b) in out.iter_mut().zip(&acc).zip(&b) {
+            let tail = arow[kv..].iter().zip(&b[kv..]);
+            *o = tail.fold(hsum_epi32(acc), |s, (&x, &y)| s + x as i32 * y as i32);
         }
     }
 
@@ -3232,13 +2959,17 @@ mod x86 {
     /// [`VNNI_CHUNK`] depth groups at a time, so each broadcast reads
     /// memory; the tiles of a later chunk add to `out`.
     ///
-    /// # Safety
+    /// # Panics
     ///
-    /// The CPU must support AVX-512F, BW and VNNI ([`vnni`]); `a` must hold
-    /// whole `k`-wide rows, `out` as many `n`-wide ones, and `pack` must have
-    /// been built for `k` and `n` (checked by the public wrapper).
+    /// Panics when `a` holds fewer rows than `out`, or `pack` was built for
+    /// a smaller shape than `k` and `n`.
     #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
-    pub unsafe fn q8_gemm_vnni(a: &[i8], pack: &VnniPack, k: usize, n: usize, out: &mut [i32]) {
+    pub fn q8_gemm_vnni(a: &[i8], pack: &VnniPack, k: usize, n: usize, out: &mut [i32]) {
+        let m = out.len() / n;
+        assert!(
+            a.len() >= m * k && pack.packed.len() >= k.div_ceil(4) * n * 4 && pack.corr.len() >= n,
+            "q8_gemm_vnni shapes"
+        );
         let tiles = VnniTiles {
             a: a.as_ptr(),
             k,
@@ -3247,9 +2978,9 @@ mod x86 {
             out: out.as_mut_ptr(),
             n,
         };
-        let m = out.len() / n;
-        // SAFETY: this function's contract is the `VnniTiles` condition for
-        // rows `0..m`.
+        // SAFETY: the assert above and `m` whole `n`-wide rows of `out` are
+        // the `VnniTiles` condition for rows `0..m`; the CPU features are
+        // this function's own.
         unsafe {
             let r = tiles.row_tiles::<8>(0, m);
             let r = tiles.row_tiles::<4>(r, m);
@@ -3370,7 +3101,7 @@ mod x86 {
             j: usize,
             mask: __mmask16,
         ) {
-            // SAFETY (whole body): the caller's bounds; masked lanes are
+            // SAFETY: (whole body) the caller's bounds; masked lanes are
             // neither read nor written.
             unsafe {
                 let last = |v: usize| MASKED && v == NV - 1;
@@ -3448,41 +3179,22 @@ mod x86 {
     /// AVX2 fused dequantize + bias (+ optional GELU) epilogue over whole
     /// rows: `out = acc·scale + bias` with mul-then-add lanes and the
     /// [`kernels::gelu_v`] lane kernel, bit-identical to the scalar loop.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2 (guaranteed by the runtime dispatch).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn q8_dequant_rows(
-        acc: &[i32],
-        scale: &[f32],
-        bias: &[f32],
-        gelu: bool,
-        out: &mut [f32],
-    ) {
+    pub fn q8_dequant_rows(acc: &[i32], scale: &[f32], bias: &[f32], gelu: bool, out: &mut [f32]) {
         let n = scale.len();
-        let rows = out.len() / n;
-        let main = n - n % 8;
-        let (sp, bp) = (scale.as_ptr(), bias.as_ptr());
-        unsafe {
-            for r in 0..rows {
-                let arow = acc.as_ptr().add(r * n);
-                let orow = out.as_mut_ptr().add(r * n);
-                let mut i = 0;
-                while i < main {
-                    let v = _mm256_cvtepi32_ps(_mm256_loadu_si256(arow.add(i) as *const __m256i));
-                    let v = _mm256_add_ps(
-                        _mm256_mul_ps(v, _mm256_loadu_ps(sp.add(i))),
-                        _mm256_loadu_ps(bp.add(i)),
-                    );
-                    let v = if gelu { kernels::gelu_v(F32x8(v)).0 } else { v };
-                    _mm256_storeu_ps(orow.add(i), v);
-                    i += 8;
-                }
-                for j in main..n {
-                    let y = *arow.add(j) as f32 * *sp.add(j) + *bp.add(j);
-                    *orow.add(j) = if gelu { crate::fastmath::gelu_fast(y) } else { y };
-                }
+        let (main, bias) = (n - n % 8, &bias[..n]);
+        for (arow, orow) in acc.chunks_exact(n).zip(out.chunks_exact_mut(n)) {
+            let coefs = scale.chunks_exact(8).zip(bias.chunks_exact(8));
+            for ((a, o), (s, b)) in arow.chunks_exact(8).zip(orow.chunks_exact_mut(8)).zip(coefs) {
+                let a = &a[..8];
+                // SAFETY: `a` holds 8 `i32`s.
+                let v = F32x8(_mm256_cvtepi32_ps(unsafe { _mm256_loadu_si256(a.as_ptr().cast()) }));
+                let v = v.mul(F32x8::load(s)).add(F32x8::load(b));
+                (if gelu { kernels::gelu_v(v) } else { v }).store(o);
+            }
+            for j in main..n {
+                let y = arow[j] as f32 * scale[j] + bias[j];
+                orow[j] = if gelu { crate::fastmath::gelu_fast(y) } else { y };
             }
         }
     }
@@ -3512,8 +3224,7 @@ pub enum BinOp {
 /// `else`. The caller's asserts are the kernel's contract.
 macro_rules! dispatch {
     ($name:ident($($arg:expr),*)) => {
-        // SAFETY: one lane wide the body needs no target feature.
-        dispatch!($name($($arg),*) else { unsafe { kernels::$name::<F32x1>($($arg),*) } })
+        dispatch!($name($($arg),*) else { kernels::$name::<F32x1>($($arg),*) })
     };
     ($name:ident($($arg:expr),*) else $scalar:block) => {
         match backend() {
@@ -4363,8 +4074,8 @@ pub fn q8_gemm_prepared(a: &[i8], rhs: &Q8Rhs, out: &mut [i32]) {
     #[cfg(target_arch = "x86_64")]
     if let (Backend::Avx2, Some(pack)) = (backend(), &rhs.vnni) {
         if x86::vnni() {
-            // SAFETY: the probe above; the pack was built for `k` and `n`,
-            // and the shapes are checked.
+            // SAFETY: the AVX2 backend runs on a CPU with AVX2 and FMA,
+            // and the probe above found AVX-512F, BW and VNNI.
             return unsafe { x86::q8_gemm_vnni(a, pack, k, n, out) };
         }
     }
@@ -4421,7 +4132,7 @@ fn q8_dequant_dispatch(acc: &[i32], scale: &[f32], bias: &[f32], gelu: bool, out
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     //! One differential table over the dispatched entry points. Each entry
     //! names its class — what its arms are held to — and one harness,
     //! [`sweep`], runs every arm this CPU has (`F32x1`, `f32x8`, `f32x16`,
@@ -4434,10 +4145,11 @@ mod tests {
     use crate::tensor::gelu_grad_scalar;
     use std::sync::{Mutex, MutexGuard};
 
-    /// Serialises tests that toggle the process-global backend.
+    /// Serialises the tests of this crate that toggle the process-global
+    /// backend, or whose result depends on it.
     static LOCK: Mutex<()> = Mutex::new(());
 
-    fn guard() -> MutexGuard<'static, ()> {
+    pub(crate) fn guard() -> MutexGuard<'static, ()> {
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -4616,20 +4328,20 @@ mod tests {
     /// the `f32x8` / `f32x16` instantiation — and `false` for any other arm.
     macro_rules! lanes {
         ($arm:expr, $name:ident($($arg:expr),* $(,)?)) => {
-            // SAFETY: the harness runs only arms whose target features this
-            // CPU has, and every case passes its kernel's shapes.
             match $arm {
                 Arm::F32x1 => {
-                    unsafe { kernels::$name::<F32x1>($($arg),*) };
+                    kernels::$name::<F32x1>($($arg),*);
                     true
                 }
                 #[cfg(target_arch = "x86_64")]
                 Arm::F32x8 => {
+                    // SAFETY: the harness runs only arms this CPU has.
                     unsafe { x86::f32x8::$name($($arg),*) };
                     true
                 }
                 #[cfg(target_arch = "x86_64")]
                 Arm::F32x16 => {
+                    // SAFETY: the harness runs only arms this CPU has.
                     unsafe { x86::f32x16::$name($($arg),*) };
                     true
                 }
@@ -4648,10 +4360,10 @@ mod tests {
                     with_backend(Backend::Scalar, || $name($($arg),*));
                     true
                 }
-                // SAFETY: the harness runs the arm only where AVX2 and FMA
-                // are detected, and every case passes its kernel's shapes.
                 #[cfg(target_arch = "x86_64")]
                 Arm::F32x8 => {
+                    // SAFETY: the harness runs the arm only where AVX2 and
+                    // FMA are detected.
                     unsafe { x86::$name($($arg),*) };
                     true
                 }
@@ -5324,12 +5036,12 @@ mod tests {
             case(what, false, &|arm| {
                 let mut buf = vec![0x5EED_5EEDi32; off + m * n + 17];
                 let out = &mut buf[off..off + m * n];
-                // SAFETY: the harness runs only arms this CPU has; `a` is
-                // `[m, k]`, `bt` `[n, k]`, and the pack was built from `bt`.
                 match arm {
                     Arm::Oracle => q8_gemm_scalar(a, bt, k, n, out),
+                    // SAFETY: the harness runs only arms this CPU has.
                     #[cfg(target_arch = "x86_64")]
                     Arm::Maddubs => unsafe { x86::q8_gemm_i32(a, bt, k, n, out) },
+                    // SAFETY: the harness runs only arms this CPU has.
                     #[cfg(target_arch = "x86_64")]
                     Arm::Vnni => unsafe { x86::q8_gemm_vnni(a, pack.as_ref()?, k, n, out) },
                     _ => return None,

@@ -1237,6 +1237,8 @@ mod tests {
 
     #[test]
     fn in_place_and_into_forms_match_the_value_returning_ops() {
+        // Compares row-kernel bits: no backend switch in between.
+        let _g = crate::simd::tests::guard();
         let a =
             Tensor::from_vec((0..600).map(|i| (i as f32 * 0.37).sin() * 3.0).collect(), &[2, 300])
                 .unwrap();
