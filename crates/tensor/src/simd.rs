@@ -89,15 +89,23 @@
 //!
 //! # Where `unsafe` lives
 //!
-//! The generic kernel bodies are safe code: they take slices, slice once
-//! per row or chunk, and the vector types' loads and stores take slices
-//! too, so every access is bounds-checked or in bounds by construction.
-//! `unsafe` is left in three places, each block under a `SAFETY:` comment:
-//! the vector types' methods (one intrinsic each), the int8 intrinsic
-//! kernels, and the one dispatch site per backend. All three rest on one
-//! condition: a vector type is only ever used inside a `#[target_feature]`
-//! entry point of this module, and those are reached only after runtime
-//! detection found the features they enable.
+//! The generic kernel bodies take slices, slice once per row or chunk,
+//! and the vector types' loads and stores take slices too, so an access is
+//! bounds-checked or in bounds by construction. `unsafe` is left in three
+//! places, each block under a `SAFETY:` comment: the vector types' methods
+//! (one intrinsic each), the int8 intrinsic kernels, and the one dispatch
+//! site per backend. All three rest on one condition: a vector type is
+//! only ever used inside a `#[target_feature]` entry point of this module,
+//! and those are reached only after runtime detection found the features
+//! they enable.
+//!
+//! A few hot loops also index unchecked, each under bounds asserted once
+//! outside it, because a check per access cost them a measured share:
+//! the butterfly lane engine's pair operations (per stage), the
+//! lane-layout stores of `rows_to_lanes` (multi-tile, per column block)
+//! and `lanes_to_rows` (per call), the GEMM tile's depth loop (per tile)
+//! and the attention tile's gather, scores and mix (per tile). The x86
+//! transposes check a block's last row once.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -520,8 +528,9 @@ impl Vf32 for F32x1 {
 // ---------------------------------------------------------------------------
 // Generic kernels (monomorphised per backend inside #[target_feature] entry
 // points; scalar tails use the fastmath scalar kernels, which are
-// bit-identical to the vector lanes). Every body is safe code: it slices
-// once per row or chunk, and the lane types' loads and stores take slices.
+// bit-identical to the vector lanes). The bodies slice once per row or
+// chunk, and the lane types' loads and stores take slices; the hot loops
+// the module docs list index unchecked under bounds asserted outside.
 // ---------------------------------------------------------------------------
 
 mod kernels {
@@ -1203,6 +1212,14 @@ mod kernels {
         d: &mut [f32],
     ) {
         let w = NV * V::LANES;
+        // The depth loop indexes unchecked: a check per term cost the band
+        // 2–5 %. These bounds hold for every term.
+        let kb = a[0].len();
+        let mut rows: [&[f32]; R] = [&[]; R];
+        for (row, a) in rows.iter_mut().zip(a) {
+            *row = &a[..kb];
+        }
+        assert!(w <= n && c <= n - w && b.len() / n >= kb, "tile rhs");
         let mut acc = [[V::splat(0.0); NV]; R];
         for (ri, row) in acc.iter_mut().enumerate() {
             let d = &d[ri * n..][..w];
@@ -1210,20 +1227,23 @@ mod kernels {
                 *x = V::load(&d[v * V::LANES..]);
             }
         }
-        for (p, b) in (0..a[0].len()).zip(b.chunks_exact(n)) {
-            let b = &b[c..c + w];
-            let mut bv = [V::splat(0.0); NV];
-            for (v, x) in bv.iter_mut().enumerate() {
-                *x = V::load(&b[v * V::LANES..]);
-            }
-            for (row, a) in acc.iter_mut().zip(a) {
-                let x = a[p];
-                if SKIP && x == 0.0 {
-                    continue;
+        for p in 0..kb {
+            // SAFETY: every row holds `kb` terms, and the rhs vectors end at
+            // `p · n + c + w <= (kb − 1) · n + n <= b.len()`.
+            unsafe {
+                let mut bv = [V::splat(0.0); NV];
+                for (v, x) in bv.iter_mut().enumerate() {
+                    *x = load_at(b, p * n + c + v * V::LANES);
                 }
-                let av = V::splat(x);
-                for (x, &bv) in row.iter_mut().zip(&bv) {
-                    *x = av.fma(bv, *x);
+                for (row, a) in acc.iter_mut().zip(&rows) {
+                    let x = *a.get_unchecked(p);
+                    if SKIP && x == 0.0 {
+                        continue;
+                    }
+                    let av = V::splat(x);
+                    for (x, &bv) in row.iter_mut().zip(&bv) {
+                        *x = av.fma(bv, *x);
+                    }
                 }
             }
         }
@@ -1288,6 +1308,8 @@ mod kernels {
     ) {
         let len = k.len() / dim;
         let rows = q.len() / dim;
+        assert!(head_dim <= dim && col <= dim - head_dim, "attention_tile head");
+        assert_eq!(v.len(), k.len(), "attention_tile keys");
         let mut r = 0;
         while r < rows {
             let n = (rows - r).min(2 * V::LANES);
@@ -1327,6 +1349,12 @@ mod kernels {
         f(f(f(p[0], p[4]), f(p[2], p[6])), f(f(p[1], p[5]), f(p[3], p[7])))
     }
 
+    /// Vector `j` of each of eight partials.
+    #[inline(always)]
+    fn column<V: Copy, const NV: usize>(p: &[[V; NV]; 8], j: usize) -> [V; 8] {
+        [p[0][j], p[1][j], p[2][j], p[3][j], p[4][j], p[5][j], p[6][j], p[7][j]]
+    }
+
     /// The `NV` vectors of a `NV · LANES`-wide row.
     #[inline(always)]
     fn load_row<V: FmaLanes, const NV: usize>(row: &[f32]) -> [V; NV] {
@@ -1345,14 +1373,16 @@ mod kernels {
         fn run<V: LaneSelect, const NV: usize>(&mut self, q: &[f32], n: usize, out: &mut [f32]) {
             let w = NV * V::LANES;
             let qt = &mut self.qt[..self.head_dim * w];
-            for l in 0..w {
-                let row = &q[l.min(n - 1) * self.dim..][..self.head_dim];
-                for (&x, qt) in row.iter().zip(qt.chunks_exact_mut(w)) {
-                    qt[l] = x;
-                }
-            }
+            // The gather indexes unchecked: a check per element cost the
+            // tile 3–5 % at 128 keys.
+            let q = &q[..(n - 1) * self.dim + self.head_dim];
             let mut q_zero = 0;
-            for qt in qt.chunks_exact(w) {
+            for (p, qt) in qt.chunks_exact_mut(w).enumerate() {
+                for (l, x) in qt.iter_mut().enumerate() {
+                    // SAFETY: `p < head_dim`, so the index is below
+                    // `(n − 1) · dim + head_dim`, the length of `q`.
+                    *x = unsafe { *q.get_unchecked(l.min(n - 1) * self.dim + p) };
+                }
                 for x in load_row::<V, NV>(qt) {
                     q_zero |= x.zero_mask();
                 }
@@ -1367,7 +1397,8 @@ mod kernels {
             } else {
                 self.mix::<V, NV, false>();
             }
-            for r in 0..n {
+            // `n <= w`; the clamp tells the compiler `qt[r]` is in bounds.
+            for r in 0..n.min(w) {
                 let row = &mut out[r * self.dim..][..self.head_dim];
                 for (o, qt) in row.iter_mut().zip(self.qt.chunks_exact(w)) {
                     *o = qt[r];
@@ -1411,24 +1442,25 @@ mod kernels {
         ) -> usize {
             let w = NV * V::LANES;
             let main = self.len - self.len % 8;
+            let end = end.min(self.len);
             while key + K <= end {
                 let mut acc = [[V::splat(0.0); NV]; K];
-                let mut kr: [&[f32]; K] = [&[]; K];
-                for (i, kr) in kr.iter_mut().enumerate() {
-                    *kr = &self.k[(key + i) * self.dim..][..self.head_dim];
-                }
                 for (p, qt) in (0..self.head_dim).zip(self.qt.chunks_exact(w)) {
                     let qv = load_row::<V, NV>(qt);
-                    for (acc, kr) in acc.iter_mut().zip(&kr) {
-                        let kv = V::splat(kr[p]);
+                    for (i, acc) in acc.iter_mut().enumerate() {
+                        // SAFETY: key `key + i < len` and `p < head_dim`, so
+                        // the index is below `(len − 1) · dim + head_dim`,
+                        // which `k` holds (asserted in `attention_tile`).
+                        let x = unsafe { *self.k.get_unchecked((key + i) * self.dim + p) };
+                        let kv = V::splat(x);
                         for (a, &qv) in acc.iter_mut().zip(&qv) {
                             let t = if FMA { qv.fma(kv, *a) } else { a.add(qv.mul(kv)) };
                             *a = if SKIP { qv.where_zero(*a, t) } else { t };
                         }
                     }
                 }
-                for (i, acc) in acc.iter().enumerate() {
-                    let row = &mut self.s[(key + i) * w..][..w];
+                let rows = self.s[key * w..][..K * w].chunks_exact_mut(w);
+                for (i, (acc, row)) in acc.iter().zip(rows).enumerate() {
                     for (j, &a) in acc.iter().enumerate() {
                         let s = match self.scale {
                             Some(c) => a.mul(V::splat(c)),
@@ -1459,7 +1491,7 @@ mod kernels {
             let mut sum = [V::splat(0.0); NV];
             for j in 0..NV {
                 if main > 0 {
-                    m[j] = tree(maxima.map(|p| p[j]), V::max);
+                    m[j] = tree(column(&maxima, j), V::max);
                 }
                 for row in tail.chunks_exact(w) {
                     let x = V::load(&row[j * V::LANES..]);
@@ -1478,7 +1510,7 @@ mod kernels {
                 }
             }
             for (j, sum) in sum.iter_mut().enumerate() {
-                *sum = tree(partial.map(|p| p[j]), V::add);
+                *sum = tree(column(&partial, j), V::add);
                 for row in tail.chunks_exact_mut(w) {
                     let x = &mut row[j * V::LANES..];
                     let d = V::load(x).sub(m[j]);
@@ -1487,7 +1519,10 @@ mod kernels {
                     *sum = sum.add(e);
                 }
             }
-            let inv = sum.map(|s| V::splat(1.0).div(s));
+            let mut inv = [V::splat(1.0); NV];
+            for (inv, &sum) in inv.iter_mut().zip(&sum) {
+                *inv = inv.div(sum);
+            }
             let mut zero = 0;
             for row in s.chunks_exact_mut(w) {
                 for (j, &inv) in inv.iter().enumerate() {
@@ -1529,15 +1564,17 @@ mod kernels {
             mut c: usize,
             end: usize,
         ) -> usize {
-            let w = NV * V::LANES;
+            let (w, end) = (NV * V::LANES, end.min(self.head_dim));
             while c + C <= end {
                 let mut acc = [[V::splat(0.0); NV]; C];
-                let keys = (0..self.len).zip(self.s.chunks_exact(w)).zip(self.v.chunks(self.dim));
-                for ((_, srow), vrow) in keys {
+                for (key, srow) in self.s[..self.len * w].chunks_exact(w).enumerate() {
                     let pv = load_row::<V, NV>(srow);
-                    let vr = &vrow[c..][..C];
-                    for (acc, &x) in acc.iter_mut().zip(vr) {
-                        let vv = V::splat(x);
+                    let vr = key * self.dim + c;
+                    for (i, acc) in acc.iter_mut().enumerate() {
+                        // SAFETY: `key < len` and `c + C <= head_dim`, and `v`
+                        // holds `(len − 1) · dim + head_dim` values (asserted
+                        // in `attention_tile`).
+                        let vv = V::splat(unsafe { *self.v.get_unchecked(vr + i) });
                         for (a, &pv) in acc.iter_mut().zip(&pv) {
                             let t = if FMA { pv.fma(vv, *a) } else { a.add(pv.mul(vv)) };
                             *a = if SKIP { pv.where_zero(*a, t) } else { t };
@@ -1624,128 +1661,188 @@ mod kernels {
     // the row, and every stage — `half` 1, 2 and 4 included — is the same
     // vertical vector operation. `rows_to_lanes` / `lanes_to_rows` move a
     // tile of ordinary row-major rows into and out of that layout.
+    //
+    // The pair operations index unchecked. At the benchmark's hidden 128 a
+    // tile's stage is a few hundred vector operations, and slicing per block
+    // and per access cost 1.2–1.5× per stage. Instead each op's constructor
+    // asserts its buffers against its [`Stage`] once, and [`stage_lanes`]
+    // visits only that stage's pairs.
 
-    /// A butterfly stage's operation, one block at a time; the difference
-    /// between a butterfly-linear stage, its backward and an FFT stage.
-    trait PairOp {
-        /// Runs the `half` pairs of the block of `2 · half` rows from row
-        /// `base`: pair `i` couples rows `base + i` and `base + half + i`
-        /// through weight `p0 + i`, and is swept across the `width` columns
-        /// by [`cols`].
-        fn block<V: Vf32>(&mut self, base: usize, half: usize, width: usize, p0: usize);
+    /// `U::load(&s[i..])`, unchecked.
+    ///
+    /// # Safety
+    ///
+    /// `i + U::LANES <= s.len()`.
+    #[inline(always)]
+    unsafe fn load_at<U: FmaLanes>(s: &[f32], i: usize) -> U {
+        // SAFETY: the caller's bound.
+        U::load(unsafe { s.get_unchecked(i..i + U::LANES) })
     }
 
-    /// The stage driver shared by every pair operation: blocks of `2·half`
-    /// rows of an `n`-row buffer. Pair `i` of a block takes weight `i` plus
+    /// `v.store(&mut d[i..])`, unchecked.
+    ///
+    /// # Safety
+    ///
+    /// `i + U::LANES <= d.len()`.
+    #[inline(always)]
+    unsafe fn store_at<U: FmaLanes>(v: U, d: &mut [f32], i: usize) {
+        // SAFETY: the caller's bound.
+        v.store(unsafe { d.get_unchecked_mut(i..i + U::LANES) })
+    }
+
+    /// Weight `p` of each of four weight slices, broadcast.
+    ///
+    /// # Safety
+    ///
+    /// `p` is below the length of every slice.
+    #[inline(always)]
+    unsafe fn splat4<U: Vf32>([w1, w2, w3, w4]: [&[f32]; 4], p: usize) -> [U; 4] {
+        // SAFETY: the caller's bound.
+        let [w1, w2, w3, w4] = unsafe {
+            [*w1.get_unchecked(p), *w2.get_unchecked(p), *w3.get_unchecked(p), *w4.get_unchecked(p)]
+        };
+        [U::splat(w1), U::splat(w2), U::splat(w3), U::splat(w4)]
+    }
+
+    /// The blocks and pairs of one stage over `[n][width]` buffers: blocks
+    /// of `2 · half` rows, pair `i` of the block from row `base` coupling
+    /// rows `base + i` and `base + half + i` through weight `i` plus
     /// `block_step` per preceding block (`half` for butterfly weights, which
     /// differ per block; 0 for FFT twiddles, which repeat).
-    #[inline(always)]
-    fn stage_lanes<V: Vf32>(
-        op: &mut impl PairOp,
+    #[derive(Clone, Copy)]
+    struct Stage {
         n: usize,
         half: usize,
         width: usize,
         block_step: usize,
-    ) {
-        for (b, base) in (0..n).step_by(2 * half).enumerate() {
-            // Rows one vector wide (a tile of rows on the backend's own
-            // width), the common case, get the width as a constant.
-            if width == V::LANES {
-                op.block::<V>(base, half, V::LANES, b * block_step);
-            } else {
-                op.block::<V>(base, half, width, b * block_step);
+    }
+
+    impl Stage {
+        /// Panics unless `half` and `width` are nonzero and, for a nonzero
+        /// `n`, `half <= n / 2`. A stage of no rows has no block whatever
+        /// its `half`; a last block that `n` cuts short is not a block (the
+        /// public entry points assert that `2 · half` divides `n`).
+        #[inline(always)]
+        fn new(n: usize, half: usize, width: usize, block_step: usize) -> Self {
+            assert!(half > 0 && width > 0 && (n == 0 || half <= n / 2), "stage shape");
+            let half = if n == 0 { 1 } else { half };
+            Stage { n, half, width, block_step }
+        }
+
+        /// The values of one `[n][width]` buffer, unless that overflows.
+        #[inline(always)]
+        fn values(self) -> Option<usize> {
+            self.n.checked_mul(self.width)
+        }
+    }
+
+    /// A butterfly stage's pair operation: the difference between a
+    /// butterfly-linear stage, its backward and an FFT stage. Whoever
+    /// builds one asserts that its buffers hold the rows `0..n` of its
+    /// [`Stage`] and its weights every weight a pair of the stage takes.
+    trait PairOp {
+        fn stage(&self) -> Stage;
+        /// Pair `p` on the `U::LANES` columns from `col` of its rows, which
+        /// start at offsets `lo` and `hi`.
+        ///
+        /// # Safety
+        ///
+        /// `lo` and `hi` are `width` times the rows of a pair of
+        /// [`PairOp::stage`], `p` is its weight, and `col + U::LANES <=
+        /// width`.
+        unsafe fn apply<U: Vf32>(&mut self, p: usize, lo: usize, hi: usize, col: usize);
+    }
+
+    /// Runs every pair of `op`'s stage, each swept across the width in
+    /// vectors with an element-wise tail.
+    #[inline(always)]
+    fn stage_lanes<V: Vf32>(op: &mut impl PairOp) {
+        let Stage { n, half, width, block_step } = op.stage();
+        let main = width - width % V::LANES;
+        let (mut p0, mut base) = (0, 0);
+        while base + 2 * half <= n {
+            let (mut lo, mut hi) = (base * width, (base + half) * width);
+            // SAFETY: pair `p0 + i` of the block from row `base` couples
+            // rows `lo / width` and `hi / width`, and every vector ends at
+            // `main <= width`.
+            unsafe {
+                if width == V::LANES {
+                    // One vector per row (a tile of rows on the backend's
+                    // own width): nothing but the pair operation in the loop.
+                    for i in 0..half {
+                        op.apply::<V>(p0 + i, lo, hi, 0);
+                        lo += V::LANES;
+                        hi += V::LANES;
+                    }
+                } else {
+                    for i in 0..half {
+                        let mut col = 0;
+                        while col < main {
+                            op.apply::<V>(p0 + i, lo, hi, col);
+                            col += V::LANES;
+                        }
+                        for col in main..width {
+                            op.apply::<F32x1>(p0 + i, lo, hi, col);
+                        }
+                        lo += width;
+                        hi += width;
+                    }
+                }
             }
+            p0 += block_step;
+            base += 2 * half;
         }
-    }
-
-    /// One pair's rows across their `width` columns: a single vector where
-    /// a row is one vector wide (a tile of rows on the backend's own
-    /// width), else [`sweep`].
-    #[inline(always)]
-    fn cols<V: Vf32>(pair: &mut impl Elementwise, width: usize) {
-        if width == V::LANES {
-            pair.lanes::<V>(0);
-        } else {
-            sweep::<V>(pair, width);
-        }
-    }
-
-    /// The lo and hi halves of the block of `2 · len` values from `at`.
-    #[inline(always)]
-    fn halves(x: &mut [f32], at: usize, len: usize) -> (&mut [f32], &mut [f32]) {
-        x[at..][..2 * len].split_at_mut(len)
-    }
-
-    /// Row `i` of `width`-wide rows.
-    #[inline(always)]
-    fn row(x: &mut [f32], i: usize, width: usize) -> &mut [f32] {
-        &mut x[i * width..][..width]
-    }
-
-    /// Four weights, each broadcast.
-    #[inline(always)]
-    fn splat4<U: Vf32>([w1, w2, w3, w4]: [f32; 4]) -> [U; 4] {
-        [U::splat(w1), U::splat(w2), U::splat(w3), U::splat(w4)]
-    }
-
-    /// Weights `p0 .. p0 + half` of each of four weight slices, by pair.
-    #[inline(always)]
-    fn weights4<'w>(
-        [w1, w2, w3, w4]: [&'w [f32]; 4],
-        p0: usize,
-        half: usize,
-    ) -> impl Iterator<Item = [f32; 4]> + 'w {
-        let w = |w: &'w [f32]| w[p0..][..half].iter();
-        w(w1).zip(w(w2)).zip(w(w3)).zip(w(w4)).map(|(((&a, &b), &c), &d)| [a, b, c, d])
     }
 
     /// Butterfly-linear stage: `lo' = w1·lo + w2·hi`, `hi' = w3·lo + w4·hi`,
-    /// mul-then-add, written to `dst` and read from `src` (from `dst`
-    /// itself when there is none: a stage in place).
-    struct Real2x2<'a> {
+    /// mul-then-add, written to `dst` and read from `src` (`INTO`) or from
+    /// `dst` itself (a stage in place).
+    struct Real2x2<'a, const INTO: bool> {
+        stage: Stage,
         w: [&'a [f32]; 4],
-        src: Option<&'a [f32]>,
+        src: &'a [f32],
         dst: &'a mut [f32],
     }
 
-    /// One pair of a [`Real2x2`] stage: its weights, its two source rows
-    /// (none in place) and its two destination rows.
-    struct Real2x2Pair<'r> {
-        w: [f32; 4],
-        src: Option<(&'r [f32], &'r [f32])>,
-        lo: &'r mut [f32],
-        hi: &'r mut [f32],
+    impl<'a, const INTO: bool> Real2x2<'a, INTO> {
+        /// The stage with half-block `half` on `[2 · pairs][width]` buffers,
+        /// `pairs` weights each; `src` is not read in place.
+        #[inline(always)]
+        fn new(
+            half: usize,
+            w: [&'a [f32]; 4],
+            src: &'a [f32],
+            dst: &'a mut [f32],
+            width: usize,
+        ) -> Self {
+            let pairs = w[0].len();
+            let stage = Stage::new(2 * pairs, half, width, half);
+            assert!(w.iter().all(|w| w.len() == pairs), "stage weights");
+            assert!(stage.values() == Some(dst.len()), "stage rows");
+            assert!(!INTO || src.len() == dst.len(), "stage rows");
+            Real2x2 { stage, w, src, dst }
+        }
     }
 
-    impl PairOp for Real2x2<'_> {
+    impl<const INTO: bool> PairOp for Real2x2<'_, INTO> {
         #[inline(always)]
-        fn block<V: Vf32>(&mut self, base: usize, half: usize, width: usize, p0: usize) {
-            let (at, len) = (base * width, half * width);
-            let (lo, hi) = halves(self.dst, at, len);
-            let src = self.src.map(|s| s[at..][..2 * len].split_at(len));
-            let rows = lo.chunks_exact_mut(width).zip(hi.chunks_exact_mut(width));
-            for (i, ((lo, hi), w)) in rows.zip(weights4(self.w, p0, half)).enumerate() {
-                let src = src.map(|(a, b)| (&a[i * width..][..width], &b[i * width..][..width]));
-                cols::<V>(&mut Real2x2Pair { w, src, lo, hi }, width);
+        fn stage(&self) -> Stage {
+            self.stage
+        }
+
+        #[inline(always)]
+        unsafe fn apply<U: Vf32>(&mut self, p: usize, lo: usize, hi: usize, col: usize) {
+            let (lo, hi) = (lo + col, hi + col);
+            // SAFETY: weight `p` is below `n / 2`, the weights' length, and
+            // both rows lie below `n`, so both vectors lie inside the `n ·
+            // width` values of `src` and `dst`.
+            unsafe {
+                let [w1, w2, w3, w4] = splat4::<U>(self.w, p);
+                let src = if INTO { self.src } else { &*self.dst };
+                let (a, b) = (load_at::<U>(src, lo), load_at::<U>(src, hi));
+                store_at(w1.mul(a).add(w2.mul(b)), self.dst, lo);
+                store_at(w3.mul(a).add(w4.mul(b)), self.dst, hi);
             }
-        }
-    }
-
-    impl Elementwise for Real2x2Pair<'_> {
-        #[inline(always)]
-        fn lanes<U: Vf32>(&mut self, i: usize) {
-            let [w1, w2, w3, w4] = splat4::<U>(self.w);
-            let (a, b) = match self.src {
-                Some((lo, hi)) => (U::load(&lo[at::<U>(i)]), U::load(&hi[at::<U>(i)])),
-                None => (U::load(&self.lo[at::<U>(i)]), U::load(&self.hi[at::<U>(i)])),
-            };
-            w1.mul(a).add(w2.mul(b)).store(&mut self.lo[at::<U>(i)]);
-            w3.mul(a).add(w4.mul(b)).store(&mut self.hi[at::<U>(i)]);
-        }
-
-        #[inline(always)]
-        fn one(&mut self, i: usize) {
-            self.lanes::<F32x1>(i);
         }
     }
 
@@ -1753,54 +1850,36 @@ mod kernels {
     /// `lo' = lo + t`, `hi' = lo − t`, the complex product spelled as
     /// `re·re − im·im` / `re·im + im·re` with no FMA.
     struct Twiddle<'a> {
+        stage: Stage,
         w: [&'a [f32]; 2],
         re: &'a mut [f32],
         im: &'a mut [f32],
     }
 
-    /// One pair of a [`Twiddle`] stage: its twiddle and its lo and hi rows
-    /// of each plane.
-    struct TwiddlePair<'r> {
-        w: [f32; 2],
-        re: [&'r mut [f32]; 2],
-        im: [&'r mut [f32]; 2],
-    }
-
     impl PairOp for Twiddle<'_> {
         #[inline(always)]
-        fn block<V: Vf32>(&mut self, base: usize, half: usize, width: usize, p0: usize) {
-            let (at, len) = (base * width, half * width);
-            let (rlo, rhi) = halves(self.re, at, len);
-            let (ilo, ihi) = halves(self.im, at, len);
-            let w = self.w[0][p0..][..half].iter().zip(&self.w[1][p0..][..half]);
-            let re = rlo.chunks_exact_mut(width).zip(rhi.chunks_exact_mut(width));
-            let im = ilo.chunks_exact_mut(width).zip(ihi.chunks_exact_mut(width));
-            for (((rlo, rhi), (ilo, ihi)), (&wr, &wi)) in re.zip(im).zip(w) {
-                let pair = &mut TwiddlePair { w: [wr, wi], re: [rlo, rhi], im: [ilo, ihi] };
-                cols::<V>(pair, width);
+        fn stage(&self) -> Stage {
+            self.stage
+        }
+
+        #[inline(always)]
+        unsafe fn apply<U: Vf32>(&mut self, p: usize, lo: usize, hi: usize, col: usize) {
+            let ([wr, wi], lo, hi) = (self.w, lo + col, hi + col);
+            let (re, im) = (&mut *self.re, &mut *self.im);
+            // SAFETY: twiddle `p` is below `half`, the twiddles' length, and
+            // both rows lie below `n`, so both vectors lie inside the `n ·
+            // width` values of each plane.
+            unsafe {
+                let (wr, wi) = (U::splat(*wr.get_unchecked(p)), U::splat(*wi.get_unchecked(p)));
+                let (ar, ai) = (load_at::<U>(re, lo), load_at::<U>(im, lo));
+                let (br, bi) = (load_at::<U>(re, hi), load_at::<U>(im, hi));
+                let tr = br.mul(wr).sub(bi.mul(wi));
+                let ti = br.mul(wi).add(bi.mul(wr));
+                store_at(ar.add(tr), re, lo);
+                store_at(ai.add(ti), im, lo);
+                store_at(ar.sub(tr), re, hi);
+                store_at(ai.sub(ti), im, hi);
             }
-        }
-    }
-
-    impl Elementwise for TwiddlePair<'_> {
-        #[inline(always)]
-        fn lanes<U: Vf32>(&mut self, i: usize) {
-            let (wr, wi) = (U::splat(self.w[0]), U::splat(self.w[1]));
-            let [rlo, rhi] = &mut self.re;
-            let [ilo, ihi] = &mut self.im;
-            let (ar, ai) = (U::load(&rlo[at::<U>(i)]), U::load(&ilo[at::<U>(i)]));
-            let (br, bi) = (U::load(&rhi[at::<U>(i)]), U::load(&ihi[at::<U>(i)]));
-            let tr = br.mul(wr).sub(bi.mul(wi));
-            let ti = br.mul(wi).add(bi.mul(wr));
-            ar.add(tr).store(&mut rlo[at::<U>(i)]);
-            ai.add(ti).store(&mut ilo[at::<U>(i)]);
-            ar.sub(tr).store(&mut rhi[at::<U>(i)]);
-            ai.sub(ti).store(&mut ihi[at::<U>(i)]);
-        }
-
-        #[inline(always)]
-        fn one(&mut self, i: usize) {
-            self.lanes::<F32x1>(i);
         }
     }
 
@@ -1817,9 +1896,7 @@ mod kernels {
         x: &mut [f32],
         width: usize,
     ) {
-        let n = 2 * w1.len();
-        let op = &mut Real2x2 { w: [w1, w2, w3, w4], src: None, dst: x };
-        stage_lanes::<V>(op, n, half, width, half);
+        stage_lanes::<V>(&mut Real2x2::<false>::new(half, [w1, w2, w3, w4], &[], x, width));
     }
 
     /// [`butterfly_stage_lanes`] out of place: reads `src`, writes `dst`,
@@ -1836,9 +1913,7 @@ mod kernels {
         dst: &mut [f32],
         width: usize,
     ) {
-        let n = 2 * w1.len();
-        let op = &mut Real2x2 { w: [w1, w2, w3, w4], src: Some(src), dst };
-        stage_lanes::<V>(op, n, half, width, half);
+        stage_lanes::<V>(&mut Real2x2::<true>::new(half, [w1, w2, w3, w4], src, dst, width));
     }
 
     /// Folds each 16-value row of `src` into one element of `dst` by halves
@@ -1864,10 +1939,12 @@ mod kernels {
     /// `g2' = w2·g1 + w4·g2` replace the gradients — mul-then-add.
     ///
     /// `input` and `grad` rows hold `tiles` tiles of `width` lanes side by
-    /// side; the pair walks them in order, its accumulators loaded and
-    /// stored once. Lanes from `live` on, counted along the row, add
+    /// side (the stage sees one tile; the op maps its offsets to the row's
+    /// first tile and walks the others in order, the accumulators loaded
+    /// and stored once). Lanes from `live` on, counted along the row, add
     /// nothing; input rows from `shared` on are read from their first tile.
     struct Real2x2Backward<'a> {
+        stage: Stage,
         w: [&'a [f32]; 4],
         input: &'a [f32],
         grad: &'a mut [f32],
@@ -1877,92 +1954,76 @@ mod kernels {
         live: usize,
         /// The tiles whose every lane is live.
         full: usize,
+        /// `shared · width`: the offset of the first shared row in a tile.
         shared: usize,
-    }
-
-    /// One pair of a [`Real2x2Backward`] stage: its weights, its input rows
-    /// (each one tile wide when shared, else whole), its gradient rows and
-    /// its four `width`-wide accumulator rows.
-    struct BackwardPair<'r> {
-        w: [f32; 4],
-        input: [&'r [f32]; 2],
-        grad: [&'r mut [f32]; 2],
-        acc: [&'r mut [f32]; 4],
-        width: usize,
-        tiles: usize,
-        live: usize,
-        full: usize,
     }
 
     impl PairOp for Real2x2Backward<'_> {
         #[inline(always)]
-        fn block<V: Vf32>(&mut self, base: usize, half: usize, width: usize, p0: usize) {
-            let (tiles, row_len) = (self.tiles, self.tiles * width);
-            let (glo, ghi) = halves(self.grad, base * row_len, half * row_len);
-            let k = self.acc.len() / 4;
-            let (a12, a34) = self.acc.split_at_mut(2 * k);
-            let ((a1, a2), (a3, a4)) = (a12.split_at_mut(k), a34.split_at_mut(k));
-            let input = |r: usize| {
-                &self.input[r * row_len..][..if r < self.shared { row_len } else { width }]
-            };
-            for (i, w) in weights4(self.w, p0, half).enumerate() {
-                let p = p0 + i;
-                let acc =
-                    [row(a1, p, width), row(a2, p, width), row(a3, p, width), row(a4, p, width)];
-                let grad = [row(glo, i, row_len), row(ghi, i, row_len)];
-                let input = [input(base + i), input(base + half + i)];
-                let (live, full) = (self.live, self.full);
-                cols::<V>(
-                    &mut BackwardPair { w, input, grad, acc, width, tiles, live, full },
-                    width,
-                );
+        fn stage(&self) -> Stage {
+            self.stage
+        }
+
+        #[inline(always)]
+        unsafe fn apply<U: Vf32>(&mut self, p: usize, lo: usize, hi: usize, col: usize) {
+            let (width, tiles) = (self.stage.width, self.tiles);
+            // Pair `p`'s accumulators at `col`: row `p` of each quarter.
+            let (a, k) = (p * width + col, self.acc.len() / 4);
+            // How far each input row moves per tile: a shared row's tiles
+            // all read its first.
+            let step = |x: usize| if x < self.shared { width } else { 0 };
+            let (step_lo, step_hi) = (step(lo), step(hi));
+            let (lo, hi) = (lo * tiles + col, hi * tiles + col);
+            let (input, grad, acc) = (self.input, &mut *self.grad, &mut *self.acc);
+            // SAFETY: weight `p` is below `pairs`, the weights' length, and
+            // its row of each quarter lies inside the `4 · pairs · width`
+            // values of `acc`; both rows lie below `n`, so every tile
+            // `< tiles` of them lies inside the `n · tiles · width` values
+            // of `input` and `grad`.
+            unsafe {
+                let [w1, w2, w3, w4] = splat4::<U>(self.w, p);
+                let (mut s1, mut s2) = (load_at::<U>(acc, a), load_at::<U>(acc, a + k));
+                let (mut s3, mut s4) = (load_at::<U>(acc, a + 2 * k), load_at::<U>(acc, a + 3 * k));
+                // The next tile's input and gradient offsets.
+                let (mut ilo, mut ihi, mut glo, mut ghi) = (lo, hi, lo, hi);
+                // One tile, adding to lanes `..$keep` of the accumulators
+                // (to all of them with `None`).
+                macro_rules! tile {
+                    ($keep:expr) => {{
+                        let (a, b) = (load_at::<U>(input, ilo), load_at::<U>(input, ihi));
+                        let (g1, g2) = (load_at::<U>(grad, glo), load_at::<U>(grad, ghi));
+                        s1 = add_lanes(s1, g1.mul(a), $keep);
+                        s2 = add_lanes(s2, g1.mul(b), $keep);
+                        s3 = add_lanes(s3, g2.mul(a), $keep);
+                        s4 = add_lanes(s4, g2.mul(b), $keep);
+                        store_at(w1.mul(g1).add(w3.mul(g2)), grad, glo);
+                        store_at(w2.mul(g1).add(w4.mul(g2)), grad, ghi);
+                        (ilo, ihi) = (ilo + step_lo, ihi + step_hi);
+                        (glo, ghi) = (glo + width, ghi + width);
+                    }};
+                }
+                // The tiles whose every lane is live, then the rest lane by
+                // lane.
+                for _ in 0..self.full {
+                    tile!(None);
+                }
+                for t in self.full..tiles {
+                    tile!(Some(self.live.saturating_sub(t * width + col)));
+                }
+                store_at(s1, acc, a);
+                store_at(s2, acc, a + k);
+                store_at(s3, acc, a + 2 * k);
+                store_at(s4, acc, a + 3 * k);
             }
         }
     }
 
-    impl Elementwise for BackwardPair<'_> {
-        #[inline(always)]
-        fn lanes<U: Vf32>(&mut self, col: usize) {
-            let [w1, w2, w3, w4] = splat4::<U>(self.w);
-            let [a1, a2, a3, a4] = &mut self.acc;
-            let (mut s1, mut s2) = (U::load(&a1[at::<U>(col)]), U::load(&a2[at::<U>(col)]));
-            let (mut s3, mut s4) = (U::load(&a3[at::<U>(col)]), U::load(&a4[at::<U>(col)]));
-            let [ilo, ihi] = self.input;
-            // A shared input row is one tile long: every tile reads it.
-            let step = |row: &[f32]| if row.len() > self.width { self.width } else { 0 };
-            let (slo, shi) = (step(ilo), step(ihi));
-            let [glo, ghi] = &mut self.grad;
-            // Tile `$t`; `$add` adds a product to an accumulator.
-            macro_rules! tile {
-                ($t:expr, $add:expr) => {{
-                    let (i, g) = (at::<U>($t * slo + col), at::<U>($t * self.width + col));
-                    let (a, b) = (U::load(&ilo[i]), U::load(&ihi[at::<U>($t * shi + col)]));
-                    let (g1, g2) = (U::load(&glo[g.clone()]), U::load(&ghi[g.clone()]));
-                    s1 = $add(s1, g1.mul(a));
-                    s2 = $add(s2, g1.mul(b));
-                    s3 = $add(s3, g2.mul(a));
-                    s4 = $add(s4, g2.mul(b));
-                    w1.mul(g1).add(w3.mul(g2)).store(&mut glo[g.clone()]);
-                    w2.mul(g1).add(w4.mul(g2)).store(&mut ghi[g]);
-                }};
-            }
-            // The tiles whose every lane is live, then the rest lane by lane.
-            for t in 0..self.full {
-                tile!(t, U::add);
-            }
-            for t in self.full..self.tiles {
-                let keep = self.live.saturating_sub(t * self.width + col);
-                tile!(t, |s: U, p: U| s.add(p).first_lanes(s, keep));
-            }
-            s1.store(&mut a1[at::<U>(col)]);
-            s2.store(&mut a2[at::<U>(col)]);
-            s3.store(&mut a3[at::<U>(col)]);
-            s4.store(&mut a4[at::<U>(col)]);
-        }
-
-        #[inline(always)]
-        fn one(&mut self, col: usize) {
-            self.lanes::<F32x1>(col);
+    /// `s + p` on lanes `..keep` (all with `None`), `s` on the rest.
+    #[inline(always)]
+    fn add_lanes<U: Vf32>(s: U, p: U, keep: Option<usize>) -> U {
+        match keep {
+            None => s.add(p),
+            Some(keep) => s.add(p).first_lanes(s, keep),
         }
     }
 
@@ -1991,12 +2052,16 @@ mod kernels {
         live: usize,
         shared: usize,
     ) {
-        let n = 2 * w1.len();
-        let tiles = input.len() / (n * width);
-        let full = (live / width).min(tiles);
-        let w = [w1, w2, w3, w4];
-        let op = &mut Real2x2Backward { w, input, grad, acc, tiles, live, full, shared };
-        stage_lanes::<V>(op, n, half, width, half);
+        let (w, pairs) = ([w1, w2, w3, w4], w1.len());
+        let stage = Stage::new(2 * pairs, half, width, half);
+        let tile = stage.values().filter(|&tile| tile > 0).expect("stage rows");
+        assert!(w.iter().all(|w| w.len() == pairs), "stage weights");
+        let tiles = input.len() / tile;
+        assert!(tiles * tile == input.len() && grad.len() == input.len(), "stage rows");
+        assert!(acc.len() == 2 * tile && shared <= stage.n, "stage accumulators");
+        let (full, shared) = ((live / width).min(tiles), shared * width);
+        let op = &mut Real2x2Backward { stage, w, input, grad, acc, tiles, live, full, shared };
+        stage_lanes::<V>(op);
     }
 
     /// Every stage (`half` = 1, 2, … `n/2`) of an `n`-point FFT over split
@@ -2014,53 +2079,46 @@ mod kernels {
         width: usize,
     ) {
         let n = re.len() / width;
+        assert!(re.len() == n * width && im.len() == re.len(), "fft planes");
         let mut half = 1;
         while half < n {
-            let w = [&tw_re[half - 1..], &tw_im[half - 1..]];
-            stage_lanes::<V>(&mut Twiddle { w, re: &mut *re, im: &mut *im }, n, half, width, 0);
+            let stage = Stage::new(n, half, width, 0);
+            let w = [&tw_re[half - 1..][..half], &tw_im[half - 1..][..half]];
+            stage_lanes::<V>(&mut Twiddle { stage, w, re: &mut *re, im: &mut *im });
             half *= 2;
         }
     }
 
-    /// One bin pair of [`fft_real_split_lanes`]: row `k` of each plane, and
-    /// row `m − k` where it is another row (for bin 0, row `m`, the extra
-    /// row). `Z[m − k]` is read from that row, or from row `k` for bin 0
-    /// and for `k = m − k`, where the one row takes both results and keeps
-    /// the last.
-    struct SplitPair<'r> {
-        tw: [f32; 2],
-        lo: [&'r mut [f32]; 2],
-        hi: Option<[&'r mut [f32]; 2]>,
-        hi_from_lo: bool,
-    }
-
-    impl Elementwise for SplitPair<'_> {
-        #[inline(always)]
-        fn lanes<U: Vf32>(&mut self, v: usize) {
-            let (half, c, s) = (U::splat(0.5), U::splat(self.tw[0]), U::splat(self.tw[1]));
-            let [re, im] = &mut self.lo;
-            let (zr, zi) = (U::load(&re[at::<U>(v)]), U::load(&im[at::<U>(v)]));
-            let (yr, yi) = match &self.hi {
-                Some([hr, hi]) if !self.hi_from_lo => {
-                    (U::load(&hr[at::<U>(v)]), U::load(&hi[at::<U>(v)]))
-                }
-                _ => (zr, zi),
-            };
+    /// Bin pair `k` of [`fft_real_split_lanes`] on the `U::LANES` columns
+    /// from offset `lo` of row `k`: reads `Z[k]` there and `Z[m − k]` at
+    /// `src`, writes `X[k]` back and `X[m − k]` to `dst` (first: where the
+    /// three are one row, it keeps `X[k]`).
+    ///
+    /// # Safety
+    ///
+    /// `lo`, `src` and `dst` plus `U::LANES` are at most `re.len() ==
+    /// im.len()`.
+    #[inline(always)]
+    unsafe fn split_bin<U: Vf32>(
+        [re, im]: [&mut [f32]; 2],
+        [c, s]: [f32; 2],
+        lo: usize,
+        src: usize,
+        dst: usize,
+    ) {
+        let (half, c, s) = (U::splat(0.5), U::splat(c), U::splat(s));
+        // SAFETY: the caller's bounds.
+        unsafe {
+            let (zr, zi) = (load_at::<U>(re, lo), load_at::<U>(im, lo));
+            let (yr, yi) = (load_at::<U>(re, src), load_at::<U>(im, src));
             let (ar, ai) = (half.mul(zr.add(yr)), half.mul(zi.sub(yi)));
             let (br, bi) = (half.mul(zi.add(yi)), half.mul(yr.sub(zr)));
             let tr = c.mul(br).sub(s.mul(bi));
             let ti = c.mul(bi).add(s.mul(br));
-            if let Some([hr, hi]) = &mut self.hi {
-                ar.sub(tr).store(&mut hr[at::<U>(v)]);
-                ti.sub(ai).store(&mut hi[at::<U>(v)]);
-            }
-            ar.add(tr).store(&mut re[at::<U>(v)]);
-            ai.add(ti).store(&mut im[at::<U>(v)]);
-        }
-
-        #[inline(always)]
-        fn one(&mut self, v: usize) {
-            self.lanes::<F32x1>(v);
+            store_at(ar.sub(tr), re, dst);
+            store_at(ti.sub(ai), im, dst);
+            store_at(ar.add(tr), re, lo);
+            store_at(ai.add(ti), im, lo);
         }
     }
 
@@ -2080,22 +2138,25 @@ mod kernels {
         im: &mut [f32],
         width: usize,
     ) {
-        let m = re.len() / width - 1;
+        let rows = re.len() / width;
+        assert!(rows >= 2 && re.len() == rows * width && im.len() == re.len(), "split planes");
+        let (m, main) = (rows - 1, width - width % V::LANES);
         for k in 0..=m / 2 {
             // Bin 0 pairs with itself and its partner lands in the extra row.
-            let hi = if k == 0 { m } else { m - k };
-            let tw = [tw_re[k], tw_im[k]];
-            let pair = &mut if k < hi {
-                let (rlo, rhi) = re.split_at_mut(hi * width);
-                let (ilo, ihi) = im.split_at_mut(hi * width);
-                let lo = [&mut rlo[k * width..][..width], &mut ilo[k * width..][..width]];
-                let hi = Some([&mut rhi[..width], &mut ihi[..width]]);
-                SplitPair { tw, lo, hi, hi_from_lo: k == 0 }
-            } else {
-                let lo = [&mut re[k * width..][..width], &mut im[k * width..][..width]];
-                SplitPair { tw, lo, hi: None, hi_from_lo: true }
-            };
-            cols::<V>(pair, width);
+            let (src, dst) = (if k == 0 { 0 } else { (m - k) * width }, (m - k) * width);
+            let (lo, tw) = (k * width, [tw_re[k], tw_im[k]]);
+            // SAFETY: rows `k`, `m − k` and `m` lie below `m + 1`, and every
+            // vector ends at `main <= width`.
+            unsafe {
+                let mut v = 0;
+                while v < main {
+                    split_bin::<V>([&mut *re, &mut *im], tw, lo + v, src + v, dst + v);
+                    v += V::LANES;
+                }
+                for v in main..width {
+                    split_bin::<F32x1>([&mut *re, &mut *im], tw, lo + v, src + v, dst + v);
+                }
+            }
         }
     }
 
@@ -2133,15 +2194,24 @@ mod kernels {
                 }
                 c += V::LANES;
             }
-        } else if width.is_multiple_of(V::LANES) && rows >= V::LANES {
+        } else if width.is_multiple_of(V::LANES) && V::LANES <= rows && rows <= width {
             // Several tiles side by side: the register transpose per group
-            // of `LANES` rows, then the rest of those columns' lanes.
-            let full = rows - rows % V::LANES;
+            // of `LANES` rows, then the rest of those columns' lanes. Each
+            // destination row is checked once per column block: a check per
+            // store cost the gather 1.5×.
+            let (full, dst_rows) = (rows - rows % V::LANES, dst.len() / width);
             while c + V::LANES <= cols {
+                let mut at_c = [0; 16];
+                for (k, at_c) in at_c.iter_mut().enumerate().take(V::LANES) {
+                    assert!(at(c + k) < dst_rows, "rows_to_lanes dst too short");
+                    *at_c = at(c + k) * width;
+                }
                 for g in (0..full).step_by(V::LANES) {
                     let block = V::transpose(&src[g * stride + c..], stride);
-                    for (k, v) in block.into_iter().enumerate() {
-                        v.store(&mut dst[at(c + k) * width + g..]);
+                    for (v, &row) in block.into_iter().zip(&at_c) {
+                        // SAFETY: `row + width <= dst.len()` (asserted above)
+                        // and `g + LANES <= full <= width`.
+                        unsafe { store_at(v, dst, row + g) };
                     }
                 }
                 c += V::LANES;
@@ -2179,19 +2249,30 @@ mod kernels {
         dst: &mut [f32],
         stride: usize,
     ) {
-        /// The epilogue on columns `c .. c + LANES` of one row, into `d`.
+        /// The epilogue on columns `c .. c + LANES` of one row.
         #[inline(always)]
-        fn epilogue<V: Vf32>(v: V, bias: &[f32], c: usize, gelu: bool, d: &mut [f32]) {
+        fn epilogue<V: Vf32>(v: V, bias: &[f32], c: usize, gelu: bool) -> V {
             let v = if bias.is_empty() { v } else { v.add(V::load(&bias[c..])) };
-            let v = if gelu { gelu_v(v) } else { v };
-            v.store(d);
+            if gelu {
+                gelu_v(v)
+            } else {
+                v
+            }
         }
+        // The register paths store unchecked (a check per store cost the
+        // 16-row tile 10–30 %): row `r < rows`, columns `c .. c + LANES <=
+        // cols` end at `(rows − 1) · stride + cols <= dst.len()`.
+        let end = rows.checked_sub(1).map(|last| last.checked_mul(stride)?.checked_add(cols));
+        let fits = end.is_none_or(|end| end.is_some_and(|end| end <= dst.len()));
+        assert!(cols <= stride && fits, "lanes_to_rows dst too short");
         let mut c = 0;
         if width == V::LANES {
             while c + V::LANES <= cols {
                 let block = V::transpose(&src[c * width..], width);
                 for (r, v) in block.into_iter().enumerate().take(rows) {
-                    epilogue(v, bias, c, gelu, &mut dst[r * stride + c..]);
+                    let v = epilogue(v, bias, c, gelu);
+                    // SAFETY: `r < rows` and `c + LANES <= cols` (above).
+                    unsafe { store_at(v, dst, r * stride + c) };
                 }
                 c += V::LANES;
             }
@@ -2202,7 +2283,9 @@ mod kernels {
                 for g in (0..rows).step_by(V::LANES) {
                     let block = V::transpose(&src[c * width + g..], width);
                     for (k, v) in block.into_iter().enumerate().take(rows - g) {
-                        epilogue(v, bias, c, gelu, &mut dst[(g + k) * stride + c..]);
+                        let v = epilogue(v, bias, c, gelu);
+                        // SAFETY: `g + k < rows` and `c + LANES <= cols`.
+                        unsafe { store_at(v, dst, (g + k) * stride + c) };
                     }
                 }
                 c += V::LANES;
@@ -2395,12 +2478,19 @@ mod x86 {
         }
     }
 
-    /// The `N` rows `src[r * stride..][..N]` of a block to transpose.
+    /// The `N` rows `src[r * stride..][..N]` of a block to transpose;
+    /// panics when `src` ends before the last row. One bound for the block:
+    /// a check per row cost the 16-row tile transposes 1.4–1.7×.
     #[inline(always)]
     fn row_slices<const N: usize>(src: &[f32], stride: usize) -> [&[f32]; N] {
+        // `stride <= src.len()` keeps `(N − 1) · stride` from overflowing:
+        // an `f32` slice holds fewer than `usize::MAX / 64` values.
+        let fits = stride <= src.len() && (N - 1) * stride + N <= src.len();
+        assert!(fits, "transpose block out of range");
         let mut rows: [&[f32]; N] = [&[]; N];
         for (r, row) in rows.iter_mut().enumerate() {
-            *row = &src[r * stride..][..N];
+            // SAFETY: `r * stride + N <= (N - 1) * stride + N <= src.len()`.
+            *row = unsafe { src.get_unchecked(r * stride..r * stride + N) };
         }
         rows
     }
@@ -2628,7 +2718,7 @@ mod x86 {
     /// Sixteen `f32` lanes in one AVX-512 register, the width of every
     /// kernel whose lanes never meet where the CPU has `avx512f`. The GEMM
     /// runs 8-row × 2-vector tiles on it (16 of the 32 zmm registers
-    /// accumulating). It implements no [`RowReduce`](super::RowReduce): a
+    /// accumulating). It implements no [`RowReduce`]: a
     /// wider reduction tree would change the row kernels' bits.
     #[derive(Clone, Copy)]
     pub struct F32x16(__m512);
@@ -2747,30 +2837,38 @@ mod x86 {
         /// last permute puts row `r` in lane `r`.
         #[inline(always)]
         fn fold16(src: &[f32]) -> Self {
-            let v: [Self; 16] = core::array::from_fn(|r| Self::load(&src[16 * r..]));
+            let src = &src[..256];
+            let mut v = [Self::splat(0.0); 16];
+            for (v, row) in v.iter_mut().zip(src.chunks_exact(16)) {
+                *v = Self::load(row);
+            }
             // SAFETY: AVX-512F is enabled.
             unsafe {
+                let zero = _mm512_setzero_ps();
                 // Quarters of 128 bits: rows 2i, 2i + 1, sums `p[k] + p[k + 8]`.
-                let w: [__m512; 8] = core::array::from_fn(|i| {
+                let mut w = [zero; 8];
+                for (i, w) in w.iter_mut().enumerate() {
                     let (a, b) = (v[2 * i].0, v[2 * i + 1].0);
                     let lo = _mm512_shuffle_f32x4::<0x44>(a, b);
                     let hi = _mm512_shuffle_f32x4::<0xEE>(a, b);
-                    _mm512_add_ps(lo, hi)
-                });
+                    *w = _mm512_add_ps(lo, hi);
+                }
                 // Quarter m: row 4j + m, sums `q[k] + q[k + 4]`.
-                let x: [__m512; 4] = core::array::from_fn(|j| {
+                let mut x = [zero; 4];
+                for (j, x) in x.iter_mut().enumerate() {
                     let (a, b) = (w[2 * j], w[2 * j + 1]);
                     let lo = _mm512_shuffle_f32x4::<0x88>(a, b);
                     let hi = _mm512_shuffle_f32x4::<0xDD>(a, b);
-                    _mm512_add_ps(lo, hi)
-                });
+                    *x = _mm512_add_ps(lo, hi);
+                }
                 // Quarter m: rows m and 4 + m (8 + m and 12 + m), `r[k] + r[k + 2]`.
-                let y: [__m512; 2] = core::array::from_fn(|j| {
+                let mut y = [zero; 2];
+                for (j, y) in y.iter_mut().enumerate() {
                     let (a, b) = (x[2 * j], x[2 * j + 1]);
                     let lo = _mm512_shuffle_ps::<0x44>(a, b);
                     let hi = _mm512_shuffle_ps::<0xEE>(a, b);
-                    _mm512_add_ps(lo, hi)
-                });
+                    *y = _mm512_add_ps(lo, hi);
+                }
                 // Lane 4m + t: row 4t + m, `s[0] + s[1]`.
                 let lo = _mm512_shuffle_ps::<0x88>(y[0], y[1]);
                 let hi = _mm512_shuffle_ps::<0xDD>(y[0], y[1]);
