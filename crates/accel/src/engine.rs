@@ -151,7 +151,7 @@ mod tests {
         let expected = bfly.forward(&x);
         // Re-execute the first stage by hand through the BU and the remaining
         // stage through the reference to make sure per-butterfly semantics match.
-        let stage0 = &bfly.stages()[0];
+        let stage0 = bfly.stage(0);
         let mut after0 = x.to_vec();
         for p in 0..stage0.pairs() {
             let (i1, i2) = stage0.pair_indices(p);
@@ -159,7 +159,7 @@ mod tests {
             after0[i1] = o1;
             after0[i2] = o2;
         }
-        let stage1 = &bfly.stages()[1];
+        let stage1 = bfly.stage(1);
         let mut after1 = after0.clone();
         for p in 0..stage1.pairs() {
             let (i1, i2) = stage1.pair_indices(p);

@@ -23,7 +23,7 @@ pub fn execute_butterfly_linear(matrix: &ButterflyMatrix, x: &[f32]) -> Vec<f32>
     assert_eq!(x.len(), matrix.size(), "input length must match the butterfly size");
     let bu = AdaptableButterflyUnit::new();
     let mut data = x.to_vec();
-    for (stage_idx, stage) in matrix.stages().iter().enumerate() {
+    for (stage_idx, stage) in matrix.stages().enumerate() {
         let pairs = stage_pairs(matrix.size(), stage_idx);
         let snapshot = data.clone();
         for (p, &(i1, i2)) in pairs.iter().enumerate() {

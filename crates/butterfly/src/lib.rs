@@ -41,7 +41,7 @@ mod fourier;
 mod ops;
 pub mod sparsity;
 
-pub use butterfly::{ButterflyMatrix, ButterflyStage, PooledButterfly};
+pub use butterfly::{ButterflyMatrix, ButterflyStage};
 pub use complex::Complex;
 pub use error::ButterflyError;
 pub use fourier::{fourier_mix, fourier_mix_backward, fourier_mix_into};

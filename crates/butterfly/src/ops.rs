@@ -3,26 +3,24 @@
 //!
 //! The operators are built for the arena tape's steady-state training loop:
 //! forward values are computed straight into the tape's reused output
-//! buffers, the factorised [`ButterflyMatrix`] is checked out of a
-//! thread-local pool (and reloaded in place) instead of being rebuilt from
-//! the weight tensor on every step, and the backward closures accumulate
-//! into the tape's gradient buffers through the batched lane kernels, whose
-//! work buffers come from the crate's per-thread scratch pool — no
-//! allocation once warm. Under
+//! buffers, the butterfly kernels read the weight parent's value in place
+//! ([`ButterflyMatrix::view`]: the tape's `[log2 n, 2 n]` weight tensor is
+//! the layout the kernels run on, in the forward and in the backward), and
+//! the backward closures accumulate into the tape's gradient buffers through
+//! the batched lane kernels, whose work buffers come from the crate's
+//! per-thread scratch pool — no allocation once warm. Under
 //! [`Tape::backward_reference`](fab_tensor::Tape) the same closures route to
 //! the scalar per-row reference kernel, which takes the weight-gradient sum
 //! in the same order, so the reference pass is a bit-exact oracle.
 
+use crate::fft::fft2_real_padded_into;
 use crate::fourier::fourier_mix_into;
-use crate::PooledButterfly;
-use fab_tensor::{Tape, Tensor, VarId};
-use std::cell::RefCell;
+use crate::ButterflyMatrix;
+use fab_tensor::{simd, Tape, Tensor, VarId};
 
-thread_local! {
-    /// Reused staging tensor for the fourier-mix backward (the transform is
-    /// self-adjoint but must be accumulated, not assigned, into the parent
-    /// gradient).
-    static MIX_SCRATCH: RefCell<Tensor> = RefCell::new(Tensor::default());
+/// The butterfly matrix of a weight parent's value, read in place.
+fn view(w: &Tensor) -> ButterflyMatrix<&[f32]> {
+    ButterflyMatrix::view(w).expect("invalid butterfly weight tensor")
 }
 
 /// Records a butterfly linear transform `y = B(x)` on the tape, where the
@@ -40,21 +38,15 @@ thread_local! {
 ///
 /// Panics when the weight variable does not have a valid butterfly layout or
 /// `x` does not have `n` columns.
-///
-/// [`ButterflyMatrix::backward_rows_into`]: crate::ButterflyMatrix::backward_rows_into
 pub fn butterfly_linear_op(tape: &Tape, x: VarId, weights: VarId) -> VarId {
-    let bfly = tape
-        .with_value(weights, PooledButterfly::from_weight_tensor)
-        .expect("invalid butterfly weight tensor");
-    let y = tape.push_custom_deferred("butterfly_linear", &[x, weights], |pv, out| {
-        bfly.forward_rows_into(pv.get(0), out);
-    });
-    tape.set_backward(
-        y,
-        Box::new(move |ctx| {
+    tape.push_custom(
+        "butterfly_linear",
+        &[x, weights],
+        |pv, out| view(pv.get(1)).forward_rows_into(pv.get(0), out),
+        Box::new(|ctx| {
             let reference = ctx.reference();
             let (g, pv, gw) = ctx.split();
-            let xv = pv.get(0);
+            let (xv, bfly) = (pv.get(0), view(pv.get(1)));
             let (dx, dw) = gw.into_parent_grad_pair(0, 1);
             if reference {
                 bfly.backward_rows_reference_into(xv, g, dx, dw);
@@ -62,8 +54,7 @@ pub fn butterfly_linear_op(tape: &Tape, x: VarId, weights: VarId) -> VarId {
                 bfly.backward_rows_into(xv, g, dx, dw);
             }
         }),
-    );
-    y
+    )
 }
 
 /// Records a **fused pad + butterfly + truncate** linear transform: rows of
@@ -79,18 +70,14 @@ pub fn butterfly_linear_op(tape: &Tape, x: VarId, weights: VarId) -> VarId {
 /// Panics when the weight variable does not have a valid butterfly layout or
 /// `d_in`/`d_out` exceed the transform size.
 pub fn butterfly_linear_padded_op(tape: &Tape, x: VarId, weights: VarId, d_out: usize) -> VarId {
-    let bfly = tape
-        .with_value(weights, PooledButterfly::from_weight_tensor)
-        .expect("invalid butterfly weight tensor");
-    let y = tape.push_custom_deferred("butterfly_linear_padded", &[x, weights], |pv, out| {
-        bfly.forward_rows_fused_into(pv.get(0), d_out, &[], false, out);
-    });
-    tape.set_backward(
-        y,
+    tape.push_custom(
+        "butterfly_linear_padded",
+        &[x, weights],
+        |pv, out| view(pv.get(1)).forward_rows_fused_into(pv.get(0), d_out, &[], false, out),
         Box::new(move |ctx| {
             let reference = ctx.reference();
             let (g, pv, gw) = ctx.split();
-            let xv = pv.get(0);
+            let (xv, bfly) = (pv.get(0), view(pv.get(1)));
             let (dx, dw) = gw.into_parent_grad_pair(0, 1);
             if reference {
                 // Seed-fidelity path: materialise the pads and run the
@@ -121,43 +108,34 @@ pub fn butterfly_linear_padded_op(tape: &Tape, x: VarId, weights: VarId, d_out: 
                 bfly.backward_rows_padded_into(xv, g, dx, dw);
             }
         }),
-    );
-    y
+    )
 }
 
 /// Records the FNet 2-D Fourier token-mixing transform on the tape.
 ///
 /// The operation has no trainable parameters; its backward pass applies the
 /// same transform to the upstream gradient (the map is self-adjoint),
-/// staging the result in a thread-local tensor before accumulating it into
-/// the parent gradient buffer.
+/// staging the result in a buffer of the crate's per-thread scratch pool
+/// before adding it into the parent gradient buffer.
 pub fn fourier_mix_op(tape: &Tape, x: VarId) -> VarId {
-    let y = tape.push_custom_deferred("fourier_mix", &[x], |pv, out| {
-        fourier_mix_into(pv.get(0), out);
-    });
-    tape.set_backward(
-        y,
+    tape.push_custom(
+        "fourier_mix",
+        &[x],
+        |pv, out| fourier_mix_into(pv.get(0), out),
         Box::new(|ctx| {
-            let (g, _pv, gw) = ctx.split();
-            let mut gw = gw;
-            MIX_SCRATCH.with(|s| {
-                let mut tmp = s.borrow_mut();
-                fourier_mix_into(g, &mut tmp);
-                let dst = gw.parent_grad(0);
-                for (d, &v) in dst.iter_mut().zip(tmp.as_slice().iter()) {
-                    *d += v;
-                }
+            let (g, _, mut gw) = ctx.split();
+            crate::with_scratch(g.len(), |fg| {
+                fft2_real_padded_into(g.as_slice(), g.rows(), g.cols(), fg);
+                simd::add_acc(gw.parent_grad(0), fg);
             });
         }),
-    );
-    y
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ButterflyMatrix;
-    use fab_tensor::{check_gradient, Tensor};
+    use fab_tensor::check_gradient;
     use rand::{rngs::StdRng, SeedableRng};
 
     #[test]

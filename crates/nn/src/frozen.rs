@@ -78,7 +78,7 @@
 use crate::config::{ModelConfig, ModelKind};
 use crate::qlinear::{QuantEmbedding, QuantLinear};
 use fab_butterfly::flops::attention_core_flops;
-use fab_butterfly::{fourier_mix_into, ButterflyMatrix, ButterflyStage};
+use fab_butterfly::{fourier_mix_into, ButterflyMatrix};
 use fab_tensor::{simd, Tensor, PAR_GRAIN_OPS};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -1051,12 +1051,6 @@ fn same_tensor(a: &Tensor, b: &Tensor) -> bool {
 
 fn same_linear(a: &FrozenLinear, b: &FrozenLinear) -> bool {
     use FrozenLinear::{Butterfly, Dense, Int8};
-    let same_stage = |s: &ButterflyStage, t: &ButterflyStage| {
-        let bits = |(w1, w2, w3, w4): (f32, f32, f32, f32)| [w1, w2, w3, w4].map(f32::to_bits);
-        s.half() == t.half()
-            && s.pairs() == t.pairs()
-            && (0..s.pairs()).all(|p| bits(s.weights(p)) == bits(t.weights(p)))
-    };
     match (a, b) {
         (Dense { w, b }, Dense { w: w2, b: b2 }) => same_tensor(w, w2) && same_tensor(b, b2),
         (
@@ -1065,9 +1059,7 @@ fn same_linear(a: &FrozenLinear, b: &FrozenLinear) -> bool {
         ) => {
             (d_in, d_out) == (i2, o2)
                 && same_tensor(b, b2)
-                && bfly.size() == f2.size()
-                && bfly.num_stages() == f2.num_stages()
-                && bfly.stages().iter().zip(f2.stages()).all(|(s, t)| same_stage(s, t))
+                && same_bits(bfly.as_slice(), f2.as_slice())
         }
         (Int8(p), Int8(q)) => {
             (p.d_in(), p.d_out()) == (q.d_in(), q.d_out())

@@ -157,7 +157,7 @@ impl Linear for ButterflyLinear {
 
     fn freeze(&self) -> FrozenLinear {
         FrozenLinear::Butterfly {
-            bfly: ButterflyMatrix::from_weight_tensor(&self.w.value())
+            bfly: ButterflyMatrix::try_from(self.w.value())
                 .expect("trained butterfly weights keep their layout"),
             b: self.b.value(),
             d_in: self.d_in,

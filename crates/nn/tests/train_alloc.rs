@@ -1,8 +1,10 @@
 //! Counted-allocation proof of the PR-3 tentpole: once the arena tape, the
 //! gradient buffers and the optimiser moments have warmed up, a steady-state
-//! training step performs (almost) no heap allocation — the only remaining
-//! allocations are the boxed backward closures of the custom butterfly ops,
-//! a bounded handful per step.
+//! training step performs (almost) no heap allocation — a bounded handful
+//! per step: each bound parameter's copy of its name, the boxed backward
+//! closures that capture a value (the padded butterfly op's output width)
+//! and the attention layers' head lists. The butterfly and Fourier ops read
+//! their weights and stage their work in place and allocate nothing.
 //!
 //! This lives in its own integration-test binary because it installs the
 //! counting global allocator of `common`.
@@ -14,9 +16,8 @@ use fab_nn::{FusedAdamW, Model, ModelConfig, ModelKind, TrainStep};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// An attention-only FABNet (no Fourier blocks, whose FFT still stages
-/// internal buffers) that is small enough for every kernel to take its
-/// serial path — so the measurement is deterministic.
+/// An attention-only FABNet that is small enough for every kernel to take
+/// its serial path — so the measurement is deterministic.
 fn abfly_config() -> ModelConfig {
     ModelConfig {
         hidden: 16,
@@ -30,19 +31,19 @@ fn abfly_config() -> ModelConfig {
     }
 }
 
-#[test]
-fn steady_state_train_steps_reuse_tape_grad_and_optimizer_buffers() {
-    let mut rng = StdRng::seed_from_u64(3);
-    let model = Model::new(&abfly_config(), ModelKind::FabNet, &mut rng);
+/// Warms a train step on `model` up, then holds the steady state: flat
+/// tape, gradient and moment capacities and a bounded handful of
+/// allocations per step.
+fn assert_steady_state(model: &Model) {
     let tokens = [1usize, 2, 3, 4, 5, 6, 7, 0];
     let mut step = TrainStep::new(FusedAdamW::new(1e-3));
 
     // First step: arenas, gradient buffers and optimiser moments warm up.
-    let (first_step, _) = allocated_by(|| step.step(&model, &tokens, 1));
+    let (first_step, _) = allocated_by(|| step.step(model, &tokens, 1));
 
     // A few more warmup steps (second-step growth, pool fills).
     for _ in 0..3 {
-        step.step(&model, &tokens, 0);
+        step.step(model, &tokens, 0);
     }
 
     // Steady state: capacities must be flat and per-step allocations tiny.
@@ -51,16 +52,15 @@ fn steady_state_train_steps_reuse_tape_grad_and_optimizer_buffers() {
     let moment_cap = step.optimizer().state_capacity();
     let mut steady_max = 0u64;
     for i in 0..8 {
-        let (during, _) = allocated_by(|| step.step(&model, &tokens, i % 2));
+        let (during, _) = allocated_by(|| step.step(model, &tokens, i % 2));
         steady_max = steady_max.max(during);
         assert_eq!(step.tape().node_capacity(), node_cap, "tape node storage grew at step {i}");
         assert_eq!(step.tape().buffer_capacity(), buffer_cap, "tape buffers grew at step {i}");
         assert_eq!(step.optimizer().state_capacity(), moment_cap, "moments grew at step {i}");
     }
 
-    // The only steady-state allocations are the boxed custom-op backward
-    // closures (one small Box per butterfly op) and the per-attention-layer
-    // head list — a bounded handful, orders of magnitude below warmup.
+    // The steady-state allocations (see the module docs) are a bounded
+    // handful, orders of magnitude below warmup.
     assert!(
         steady_max <= 64,
         "steady-state step allocated {steady_max} times (expected a bounded handful)"
@@ -70,6 +70,21 @@ fn steady_state_train_steps_reuse_tape_grad_and_optimizer_buffers() {
         "steady-state step ({steady_max} allocs) is not clearly cheaper than warmup \
          ({first_step} allocs)"
     );
+}
+
+#[test]
+fn steady_state_train_steps_reuse_tape_grad_and_optimizer_buffers() {
+    let mut rng = StdRng::seed_from_u64(3);
+    assert_steady_state(&Model::new(&abfly_config(), ModelKind::FabNet, &mut rng));
+}
+
+/// FBfly blocks only: the Fourier mixing op's backward and the butterfly
+/// FFN under the same bound.
+#[test]
+fn fourier_mixing_train_steps_are_steady_too() {
+    let mut rng = StdRng::seed_from_u64(3);
+    let config = ModelConfig { num_abfly: 0, ..abfly_config() };
+    assert_steady_state(&Model::new(&config, ModelKind::FabNet, &mut rng));
 }
 
 /// Changing the sequence length re-warms the tape once, after which the new

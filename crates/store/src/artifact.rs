@@ -250,11 +250,10 @@ fn decode_linear(snap: &Snapshot, prefix: &str) -> Result<FrozenLinear, StoreErr
         }
         "butterfly" => {
             let wt = read_tensor_2d(snap, &format!("{prefix}/bfly"))?;
-            let bfly =
-                ButterflyMatrix::from_weight_tensor(&wt).map_err(|e| StoreError::BadSection {
-                    section: format!("{prefix}/bfly"),
-                    reason: format!("butterfly weights rejected: {e:?}"),
-                })?;
+            let bfly = ButterflyMatrix::try_from(wt).map_err(|e| StoreError::BadSection {
+                section: format!("{prefix}/bfly"),
+                reason: format!("butterfly weights rejected: {e:?}"),
+            })?;
             let b = read_tensor(snap, &format!("{prefix}/b"))?;
             let dims = snap.u64s(&format!("{prefix}/dims"), 2)?;
             let (d_in, d_out) = (dims[0] as usize, dims[1] as usize);

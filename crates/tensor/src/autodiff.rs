@@ -38,7 +38,7 @@ impl VarId {
 pub type BackwardFn = Box<dyn Fn(&mut BackwardCtx<'_>)>;
 
 /// Read-only view of a node's parent values, handed to the value-computing
-/// closure of [`Tape::push_custom_deferred`] and the built-in forward ops.
+/// closure of [`Tape::push_custom`] and the built-in forward ops.
 pub struct ParentValues<'a> {
     values: &'a [Tensor],
     ids: &'a [usize],
@@ -199,29 +199,15 @@ enum OpKind {
     SoftmaxRows,
     Relu,
     Gelu,
-    LayerNorm {
-        eps: f32,
-    },
+    LayerNorm { eps: f32 },
     AddRowBroadcast,
     MeanPoolRows,
-    SliceCols {
-        start: usize,
-        end: usize,
-    },
+    SliceCols { start: usize, end: usize },
     ConcatCols,
     Sum,
-    CrossEntropy {
-        lstart: usize,
-        lcount: usize,
-    },
-    Embedding {
-        istart: usize,
-        icount: usize,
-    },
+    CrossEntropy { lstart: usize, lcount: usize },
+    Embedding { istart: usize, icount: usize },
     Custom(BackwardFn),
-    /// A custom node recorded with [`Tape::push_custom_deferred`] whose
-    /// backward has not been attached yet via [`Tape::set_backward`].
-    Pending,
 }
 
 struct Meta {
@@ -286,8 +272,7 @@ impl TapeInner {
 /// allocation.
 ///
 /// Downstream crates can register custom differentiable operators (e.g. the
-/// butterfly linear transform) via [`Tape::push_custom`] /
-/// [`Tape::push_custom_deferred`].
+/// butterfly linear transform) via [`Tape::push_custom`].
 ///
 /// # Example
 ///
@@ -324,7 +309,7 @@ impl Tape {
     /// Rewinds the tape so the next step can re-record from scratch, while
     /// retaining the capacity of every node, value, gradient and arena
     /// buffer. Boxed custom backward closures of the previous episode are
-    /// dropped eagerly (returning any pooled resources they captured).
+    /// dropped eagerly.
     pub fn reset(&self) {
         let mut inner = self.inner.borrow_mut();
         let len = inner.len;
@@ -375,64 +360,23 @@ impl Tape {
         VarId(idx)
     }
 
-    /// Records a custom operation with an explicit backward function.
-    ///
-    /// `parents` lists the variables the value was computed from; `backward`
-    /// accumulates parent gradients through its [`BackwardCtx`]. The node is
-    /// named `"custom"` in diagnostics; use [`Tape::push_custom_named`] to
-    /// attach a descriptive operation name.
-    pub fn push_custom(&self, value: Tensor, parents: &[VarId], backward: BackwardFn) -> VarId {
-        self.push_custom_named("custom", value, parents, backward)
-    }
-
-    /// Records a custom operation like [`Tape::push_custom`], tagging the
-    /// node with `op` so diagnostics (e.g. the [`Tape::grad`] panic) can name
-    /// the operation that produced it.
-    pub fn push_custom_named(
+    /// Records a custom operation. `compute` receives the parent values and
+    /// the tape's reused output buffer (call [`Tensor::resize_to`] then fill
+    /// it), so a steady-state step allocates no value; `backward`
+    /// accumulates the parents' gradients through its [`BackwardCtx`],
+    /// reading their values there. `op` names the node in diagnostics (e.g.
+    /// the [`Tape::grad`] panic).
+    pub fn push_custom<F>(
         &self,
         op: &'static str,
-        value: Tensor,
         parents: &[VarId],
+        compute: F,
         backward: BackwardFn,
-    ) -> VarId {
-        let mut inner = self.inner.borrow_mut();
-        let idx = inner.node(op, OpKind::Custom(backward), parents);
-        inner.values[idx] = value;
-        VarId(idx)
-    }
-
-    /// Records a custom operation whose value is computed *into* the tape's
-    /// reused output buffer — the allocation-free variant of
-    /// [`Tape::push_custom_named`]: `compute` receives the parent values and
-    /// a mutable output tensor (call [`Tensor::resize_to`] then fill it).
-    /// The backward function **must** be attached afterwards with
-    /// [`Tape::set_backward`]; this two-phase form lets the backward closure
-    /// take ownership of resources (e.g. a pooled kernel object) that the
-    /// value computation also needs to borrow.
-    pub fn push_custom_deferred<F>(&self, op: &'static str, parents: &[VarId], compute: F) -> VarId
+    ) -> VarId
     where
         F: FnOnce(ParentValues<'_>, &mut Tensor),
     {
-        self.push_op(op, OpKind::Pending, parents, compute)
-    }
-
-    /// Attaches the backward function of a node recorded with
-    /// [`Tape::push_custom_deferred`] (or replaces an existing custom
-    /// backward).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the node is a built-in operation or a leaf.
-    pub fn set_backward(&self, id: VarId, backward: BackwardFn) {
-        let mut inner = self.inner.borrow_mut();
-        assert!(id.0 < inner.len, "variable is not live on this tape");
-        let meta = &mut inner.metas[id.0];
-        assert!(
-            matches!(meta.kind, OpKind::Pending | OpKind::Custom(_)),
-            "set_backward requires a custom node (op `{}`)",
-            meta.op
-        );
-        meta.kind = OpKind::Custom(backward);
+        self.push_op(op, OpKind::Custom(backward), parents, compute)
     }
 
     fn push_op<F>(&self, op: &'static str, kind: OpKind, parents: &[VarId], compute: F) -> VarId
@@ -449,8 +393,7 @@ impl Tape {
         VarId(idx)
     }
 
-    /// The name of the operation that produced `id` (`"leaf"` for leaves,
-    /// `"custom"` for unnamed custom operations).
+    /// The name of the operation that produced `id` (`"leaf"` for leaves).
     pub fn op_name(&self, id: VarId) -> &'static str {
         self.inner.borrow().metas[id.0].op
     }
@@ -758,9 +701,6 @@ impl Tape {
                         reference: false,
                     };
                     f(&mut ctx);
-                }
-                OpKind::Pending => {
-                    panic!("custom node `{}` has no backward (set_backward missing)", meta.op)
                 }
             }
         }
@@ -1119,7 +1059,6 @@ fn reference_builtin_backward(
     let mut out: Vec<Tensor> = Vec::with_capacity(parents.len());
     match kind {
         OpKind::Leaf | OpKind::Custom(_) => unreachable!("handled by the caller"),
-        OpKind::Pending => panic!("custom node has no backward (set_backward missing)"),
         OpKind::Add => {
             out.push(g.clone());
             out.push(g.clone());
@@ -1622,11 +1561,10 @@ mod tests {
         let tape = Tape::new();
         let x = tape.leaf(t(vec![2.0, 3.0], &[1, 2]));
         // y = x * x as a custom op with x recorded twice as a parent.
-        let value = tape.value(x).mul(&tape.value(x));
-        let y = tape.push_custom_named(
+        let y = tape.push_custom(
             "square",
-            value,
             &[x, x],
+            |pv, out| pv.get(0).mul_into(pv.get(1), out),
             Box::new(|ctx| {
                 for i in 0..2 {
                     let other = ctx.parent(1 - i).clone();
