@@ -1,7 +1,6 @@
 //! Hardware configuration: parallelism parameters, clock, memory system and
 //! target FPGA devices.
 
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -48,7 +47,7 @@ impl fmt::Display for AcceleratorError {
 impl Error for AcceleratorError {}
 
 /// Off-chip memory technology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemoryKind {
     /// High-bandwidth memory (VCU128, server scenario).
     Hbm,
@@ -68,7 +67,7 @@ impl MemoryKind {
 }
 
 /// An FPGA device with its available resources (Table VII "Available" row).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FpgaDevice {
     /// Device name.
     pub name: String,
@@ -112,7 +111,7 @@ impl FpgaDevice {
 
 /// The accelerator's design parameters — the hardware half of the paper's
 /// joint design space (Section V-C).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AcceleratorConfig {
     /// Number of Butterfly Engines in the Butterfly Processor (`P_BE`).
     pub num_be: usize,

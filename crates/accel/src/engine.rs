@@ -2,10 +2,9 @@
 //! Engine and the Attention Engine (Fig. 6 and Fig. 7 of the paper).
 
 use fab_butterfly::Complex;
-use serde::{Deserialize, Serialize};
 
 /// The two runtime configurations of an adaptable Butterfly Unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ButterflyUnitMode {
     /// FFT mode: complex symmetric twiddle, one complex multiply per butterfly.
     Fft,
@@ -70,7 +69,7 @@ impl AdaptableButterflyUnit {
 
 /// Cycle model of a Butterfly Engine: `num_bu` adaptable Butterfly Units fed
 /// by the banked butterfly memory, processing one butterfly per unit per cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ButterflyEngineModel {
     /// Number of butterfly units in the engine (`P_BU`).
     pub num_bu: usize,
@@ -102,7 +101,7 @@ impl ButterflyEngineModel {
 }
 
 /// Cycle model of an Attention Engine (one QK unit + one SV unit, Fig. 6c).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttentionEngineModel {
     /// Multipliers in the QK unit (`P_qk`).
     pub pqk: usize,

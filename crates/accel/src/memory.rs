@@ -10,10 +10,8 @@
 //! then fetches storage columns and a small index-coalescing crossbar
 //! re-forms butterfly pairs (Figs. 9–11).
 
-use serde::{Deserialize, Serialize};
-
 /// How tensor elements are assigned to memory banks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Layout {
     /// `bank = index / columns` (each bank stores a contiguous chunk).
     RowMajor,
@@ -73,7 +71,7 @@ pub fn stage_pairs(n: usize, stage: usize) -> Vec<(usize, usize)> {
 }
 
 /// Result of simulating the operand fetches of one butterfly stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageAccessReport {
     /// Cycles needed to fetch all operands.
     pub cycles: u64,
@@ -184,7 +182,7 @@ pub fn simulate_stage_access(
 }
 
 /// Aggregated conflict behaviour across every stage of a size-`n` transform.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransformAccessReport {
     /// Per-stage reports in stage order.
     pub stages: Vec<StageAccessReport>,

@@ -7,10 +7,9 @@
 //! and static baseline because they have no HBM stacks.
 
 use crate::config::{AcceleratorConfig, MemoryKind};
-use serde::{Deserialize, Serialize};
 
 /// Power breakdown in watts (Table VI rows).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerBreakdown {
     /// Clock distribution.
     pub clocking: f64,

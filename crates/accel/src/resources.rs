@@ -8,10 +8,9 @@
 //! reported design points (BE-40 and BE-120 on the VCU128).
 
 use crate::config::{AcceleratorConfig, AcceleratorError, FpgaDevice, MemoryKind};
-use serde::{Deserialize, Serialize};
 
 /// Estimated FPGA resource usage of a design point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResourceUsage {
     /// Look-up tables.
     pub luts: u64,
@@ -70,7 +69,7 @@ pub fn estimate(config: &AcceleratorConfig) -> ResourceUsage {
 }
 
 /// Per-resource utilisation of a device, as percentages.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Utilization {
     /// LUT utilisation (%).
     pub luts: f64,

@@ -10,10 +10,9 @@
 use crate::config::AcceleratorConfig;
 use crate::engine::{AttentionEngineModel, ButterflyEngineModel};
 use crate::workload::{LayerOp, LayerSchedule};
-use serde::{Deserialize, Serialize};
 
 /// Timing of a single scheduled operation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayerTiming {
     /// The operation.
     pub op: LayerOp,
@@ -33,7 +32,7 @@ impl LayerTiming {
 }
 
 /// End-to-end latency report for one model forward pass.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyReport {
     /// Clock frequency the cycle counts are referenced to (MHz).
     pub clock_mhz: f64,

@@ -3,10 +3,9 @@
 
 use fab_butterfly::next_pow2;
 use fab_nn::{ModelConfig, ModelKind};
-use serde::{Deserialize, Serialize};
 
 /// One hardware-level operation in the schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LayerOp {
     /// A butterfly linear transform of (padded) size `n` applied to `rows` rows,
     /// executed on the Butterfly Processor.
@@ -119,7 +118,7 @@ impl LayerOp {
 
 /// A block boundary marker: the ops of one encoder block, kept together so the
 /// simulator can apply the fine-grained BP↔AP pipelining within a block.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockOps {
     /// Human-readable block name ("FBfly", "ABfly", "Transformer", "FNet").
     pub name: String,
@@ -128,7 +127,7 @@ pub struct BlockOps {
 }
 
 /// The full operation schedule of one model forward pass.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LayerSchedule {
     /// Sequence length the schedule was generated for.
     pub seq_len: usize,

@@ -11,10 +11,9 @@
 use fab_accel::workload::LayerSchedule;
 use fab_nn::flops::FlopsBreakdown;
 use fab_nn::{ModelConfig, ModelKind};
-use serde::{Deserialize, Serialize};
 
 /// The platforms of Table IV.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceKind {
     /// Nvidia V100 (server GPU).
     V100,
@@ -29,7 +28,7 @@ pub enum DeviceKind {
 }
 
 /// Roofline description of one platform.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceModel {
     /// Which device this models.
     pub kind: DeviceKind,
@@ -148,7 +147,7 @@ impl DeviceModel {
 
 /// Execution-time breakdown of a Transformer forward pass on a device
 /// (Fig. 3 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyBreakdown {
     /// Seconds spent in attention (score/value) computation.
     pub attention_s: f64,

@@ -15,10 +15,9 @@
 //! unlocks the full reduction.
 
 use fab_accel::workload::{LayerOp, LayerSchedule};
-use serde::{Deserialize, Serialize};
 
 /// The baseline accelerator configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MacBaseline {
     /// Total number of multipliers.
     pub multipliers: usize,
@@ -104,7 +103,7 @@ impl Default for MacBaseline {
 }
 
 /// Latency report of the baseline accelerator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BaselineReport {
     /// Clock frequency of the design (MHz).
     pub clock_mhz: f64,

@@ -3,10 +3,8 @@
 //! reported as implemented), together with helpers to assemble the full
 //! comparison table including this work.
 
-use serde::{Deserialize, Serialize};
-
 /// Implementation technology of a published accelerator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Technology {
     /// ASIC, with the process node in nanometres.
     Asic(u32),
@@ -15,7 +13,7 @@ pub enum Technology {
 }
 
 /// One row of Table V.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SotaAccelerator {
     /// Accelerator name.
     pub name: &'static str,
@@ -111,7 +109,7 @@ pub fn paper_this_work() -> SotaAccelerator {
 }
 
 /// A row of the assembled comparison (Table V) including derived metrics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComparisonRow {
     /// Accelerator name.
     pub name: String,

@@ -7,10 +7,8 @@
 //! checkable: each pattern can generate its boolean attention mask and report
 //! its access properties, and the variant catalogue is available as data.
 
-use serde::{Deserialize, Serialize};
-
 /// The five basic sparsity patterns of Fig. 4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SparsityPattern {
     /// Low-rank projection of the attention matrix (e.g. Linformer).
     LowRank,
@@ -25,7 +23,7 @@ pub enum SparsityPattern {
 }
 
 /// How a pattern reads its operands from memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DataAccess {
     /// Requires both sequential row and column reads.
     RowAndColumn,
@@ -36,7 +34,7 @@ pub enum DataAccess {
 }
 
 /// The information range a pattern can capture in one application.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InfoRange {
     /// Only long-range/global token relationships.
     Global,
@@ -164,7 +162,7 @@ impl SparsityPattern {
 
 /// A published efficient-Transformer variant and the sparsity patterns it
 /// combines (Table II).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VariantSpec {
     /// Variant name as given in the paper.
     pub name: &'static str,

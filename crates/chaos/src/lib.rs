@@ -15,14 +15,20 @@
 //! - `panic_forward` — panic inside the forward pass (exercises the
 //!   batch-isolation retry and, when persistent, circuit breakers),
 //! - `snapshot_save` — fail a snapshot write with an injected I/O error,
-//! - `accept_stall` — stall the daemon's accept loop.
+//! - `accept_stall` — stall the daemon's accept loop,
+//! - `worker_exit` — make a serve worker exit as if it had died
+//!   (exercises supervision and the inline shutdown drain),
+//! - `poison_token` — panic the forward pass of a sequence that carries
+//!   the site's parameter as a token id (exercises per-request isolation:
+//!   only a sequence with the marker draws, so its batchmates never fail).
 //!
 //! Each site is off until configured with a rate `every` (fire on draws
 //! where `xorshift() % every == 0`; `1` = always, `0` = off) and an
-//! optional millisecond parameter for the delay sites. Configuration is
-//! lock-free and runtime-mutable — the daemon exposes it behind the same
-//! `fault_injection` gate as `inject_worker_exit` — and every fired
-//! injection is counted for the `fabd_chaos_injected_total{site}` metric.
+//! optional parameter: the delay in milliseconds for the stall sites, the
+//! marker token id for `poison_token`. Configuration is lock-free and
+//! runtime-mutable — the daemon arms it only behind its `fault_injection`
+//! gate — and every fired injection is counted for the
+//! `fabd_chaos_injected_total{site}` metric.
 //!
 //! The crate is std-only and dependency-free so every layer (serve,
 //! store, daemon) can hook a site without new build edges.
@@ -44,15 +50,22 @@ pub enum ChaosSite {
     SnapshotSave,
     /// Stall the accept loop by [`SiteStatus::param_ms`].
     AcceptStall,
+    /// Make a serve worker exit at its next loop iteration.
+    WorkerExit,
+    /// Panic the forward pass of a sequence containing the token id
+    /// [`SiteStatus::param_ms`] (see [`ChaosInjector::poisons`]).
+    PoisonToken,
 }
 
 impl ChaosSite {
     /// Every site, in the order used by snapshots and metrics.
-    pub const ALL: [ChaosSite; 4] = [
+    pub const ALL: [ChaosSite; 6] = [
         ChaosSite::SlowForward,
         ChaosSite::PanicForward,
         ChaosSite::SnapshotSave,
         ChaosSite::AcceptStall,
+        ChaosSite::WorkerExit,
+        ChaosSite::PoisonToken,
     ];
 
     /// Canonical snake_case name (metric label / admin API value).
@@ -62,6 +75,8 @@ impl ChaosSite {
             ChaosSite::PanicForward => "panic_forward",
             ChaosSite::SnapshotSave => "snapshot_save",
             ChaosSite::AcceptStall => "accept_stall",
+            ChaosSite::WorkerExit => "worker_exit",
+            ChaosSite::PoisonToken => "poison_token",
         }
     }
 
@@ -71,12 +86,7 @@ impl ChaosSite {
     }
 
     fn index(self) -> usize {
-        match self {
-            ChaosSite::SlowForward => 0,
-            ChaosSite::PanicForward => 1,
-            ChaosSite::SnapshotSave => 2,
-            ChaosSite::AcceptStall => 3,
-        }
+        self as usize
     }
 }
 
@@ -86,7 +96,8 @@ impl ChaosSite {
 struct SiteState {
     /// Fire on draws where `xorshift() % every == 0`; 0 disables.
     every: AtomicU64,
-    /// Millisecond parameter for the delay sites.
+    /// Delay in milliseconds (stall sites) or marker token id
+    /// (`poison_token`).
     param_ms: AtomicU64,
     /// xorshift64* state; never zero.
     rng: AtomicU64,
@@ -101,7 +112,8 @@ pub struct SiteStatus {
     pub site: ChaosSite,
     /// Current rate (0 = off, 1 = every draw, N = ~1/N of draws).
     pub every: u64,
-    /// Millisecond parameter (delay sites only; 0 otherwise).
+    /// Delay in milliseconds for the stall sites, marker token id for
+    /// `poison_token`; 0 otherwise.
     pub param_ms: u64,
     /// Faults fired at this site since the injector was created.
     pub injected: u64,
@@ -122,7 +134,7 @@ fn mix_seed(seed: u64, site: usize) -> u64 {
 #[derive(Debug)]
 pub struct ChaosInjector {
     seed: u64,
-    sites: [SiteState; 4],
+    sites: [SiteState; ChaosSite::ALL.len()],
 }
 
 impl ChaosInjector {
@@ -147,7 +159,8 @@ impl ChaosInjector {
 
     /// Sets one site's schedule: fire on ~1 of `every` draws (`1` =
     /// always, `0` = off), with `param_ms` as the delay for the stall
-    /// sites. Does not reset the site's stream or fired count.
+    /// sites or the marker token id for `poison_token`. Does not reset the
+    /// site's stream or fired count.
     pub fn configure(&self, site: ChaosSite, every: u64, param_ms: u64) {
         let s = &self.sites[site.index()];
         s.param_ms.store(param_ms, Ordering::Relaxed);
@@ -202,6 +215,19 @@ impl ChaosInjector {
         } else {
             None
         }
+    }
+
+    /// Draws `poison_token` for one sequence when it carries the site's
+    /// marker token id: `true` means the caller must panic its forward
+    /// pass. A sequence without the marker never draws, so it cannot fail
+    /// and does not advance the stream; a disarmed site costs one load.
+    pub fn poisons(&self, tokens: &[usize]) -> bool {
+        let s = &self.sites[ChaosSite::PoisonToken.index()];
+        if s.every.load(Ordering::Relaxed) == 0 {
+            return false;
+        }
+        let marker = s.param_ms.load(Ordering::Relaxed);
+        tokens.iter().any(|&t| t as u64 == marker) && self.fires(ChaosSite::PoisonToken)
     }
 
     /// Faults fired at `site` since creation.
@@ -303,6 +329,17 @@ mod tests {
         let replay: Vec<bool> = (0..16).map(|_| inj.fires(ChaosSite::PanicForward)).collect();
         assert_eq!(first, replay);
         assert!(inj.injected(ChaosSite::PanicForward) >= fired_before);
+    }
+
+    #[test]
+    fn poison_token_draws_only_for_sequences_carrying_the_marker() {
+        let inj = ChaosInjector::new(3);
+        assert!(!inj.poisons(&[0, 9]), "a disarmed site never fires");
+        inj.configure(ChaosSite::PoisonToken, 1, 9);
+        assert!(!inj.poisons(&[1, 2, 3]));
+        assert_eq!(inj.injected(ChaosSite::PoisonToken), 0, "a clean sequence drew");
+        assert!(inj.poisons(&[4, 9, 5]));
+        assert_eq!(inj.injected(ChaosSite::PoisonToken), 1);
     }
 
     #[test]

@@ -2,11 +2,10 @@
 
 use fab_accel::{AcceleratorConfig, FpgaDevice};
 use fab_nn::ModelConfig;
-use serde::{Deserialize, Serialize};
 
 /// One candidate point: a FABNet configuration paired with an accelerator
 /// configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesignPoint {
     /// FABNet hyper-parameters.
     pub model: ModelConfig,
@@ -15,7 +14,7 @@ pub struct DesignPoint {
 }
 
 /// The grid of values explored by the co-design search.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesignSpace {
     /// Hidden sizes `D_hid`.
     pub hidden: Vec<usize>,

@@ -24,12 +24,11 @@ use crate::space::{DesignPoint, DesignSpace};
 use fab_accel::workload::LayerSchedule;
 use fab_accel::{resources, Simulator};
 use fab_nn::{ModelConfig, ModelKind};
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::sync::Mutex;
 
 /// Options controlling a co-design run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CodesignOptions {
     /// Sequence length of the target task.
     pub seq_len: usize,
@@ -48,7 +47,7 @@ impl Default for CodesignOptions {
 }
 
 /// One evaluated design point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvaluatedPoint {
     /// The candidate configuration.
     pub point: DesignPoint,
@@ -63,7 +62,7 @@ pub struct EvaluatedPoint {
 }
 
 /// The outcome of a co-design run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CodesignResult {
     /// Every feasible, evaluated design point.
     pub points: Vec<EvaluatedPoint>,

@@ -37,7 +37,8 @@ commands:
   chaos                 show chaos sites (rates and fire counts)
   chaos set <site> <every> [param_ms]
                         arm a chaos site (fault-injection daemons only;
-                        every=0 disables, every=1 fires on each draw)
+                        every=0 disables, every=1 fires on each draw;
+                        param_ms is the marker token id for poison_token)
   chaos reset           disarm every chaos site
   snapshot              persist every loaded model to the snapshot store now
   snapshot list         list snapshot versions on disk

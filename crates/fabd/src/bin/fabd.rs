@@ -35,7 +35,7 @@ const USAGE: &str =
 Serves the configured model profiles over HTTP/1.1.
   --config <file>     JSON config file ({} serves the built-in defaults)
   --addr <host:port>  override the listen address (port 0 = ephemeral)
-  --fault-injection   enable /admin/inject_worker_exit and panic_token profiles
+  --fault-injection   allow arming chaos sites (config 'chaos' section, /admin/chaos)
   --print-config      print the effective config as JSON and exit";
 
 fn parse_args() -> Result<(DaemonConfig, bool), String> {

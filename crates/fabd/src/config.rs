@@ -1,8 +1,8 @@
 //! Daemon configuration: listener/robustness knobs plus the named model
 //! profiles the daemon trains and serves.
 //!
-//! Config files are JSON (parsed with [`crate::json`], since the vendored
-//! `serde` is a no-op shim); every field is optional and falls back to the
+//! Config files are JSON (parsed with [`crate::json`]; the workspace has no
+//! serialization crate); every field is optional and falls back to the
 //! built-in default, so `{}` is a valid config.
 
 use crate::json::Json;
@@ -82,9 +82,9 @@ fn arch_name(kind: ModelKind) -> &'static str {
 /// seq_len, hidden, layers, heads, epochs, train/test examples and seed —
 /// is everything that reaches [`TrainingPipeline`]; profiles that agree on
 /// it (the same training key) train bit-identical weights. The
-/// *serving view* — precision, `calibration_samples` and `panic_token` —
-/// only shapes what is served from those weights, so the precision rungs
-/// of one model share a single training run at boot.
+/// *serving view* — precision and `calibration_samples` — only shapes
+/// what is served from those weights, so the precision rungs of one model
+/// share a single training run at boot.
 #[derive(Debug, Clone)]
 pub struct ProfileConfig {
     /// Routing name (`"model"` field of predict requests).
@@ -113,9 +113,6 @@ pub struct ProfileConfig {
     pub seed: u64,
     /// Calibration sequences for int8 profiles.
     pub calibration_samples: usize,
-    /// Fault-injection marker: the session panics on this token id.
-    /// Honored only when the daemon runs with `fault_injection` enabled.
-    pub panic_token: Option<usize>,
 }
 
 #[cfg(test)]
@@ -163,7 +160,6 @@ impl ProfileConfig {
             test_examples: 8,
             seed,
             calibration_samples: 8,
-            panic_token: None,
         }
     }
 
@@ -260,26 +256,22 @@ impl ProfileConfig {
     }
 
     /// Wraps an artifact (fresh-trained or snapshot-restored) into the
-    /// [`InferenceSession`] this profile serves, re-arming the
-    /// `panic_token` marker when `fault_injection` allows it.
+    /// [`InferenceSession`] this profile serves. `_fault_injection` is
+    /// inert — injected faults are chaos sites, which the daemon attaches
+    /// to its sessions itself — and stays for existing callers.
     pub fn session_from_artifact(
         &self,
         artifact: &ModelArtifact,
-        fault_injection: bool,
+        _fault_injection: bool,
     ) -> InferenceSession {
-        let session = InferenceSession::from_frozen(artifact.0.clone());
-        match self.panic_token {
-            Some(token) if fault_injection => session.with_panic_on_token(token),
-            _ => session,
-        }
+        InferenceSession::from_frozen(artifact.0.clone())
     }
 
     /// Trains this profile and freezes it into an [`InferenceSession`].
-    ///
-    /// `fault_injection` gates the `panic_token` marker: a production daemon
-    /// never arms it, no matter what the config file says.
-    pub fn build_session(&self, fault_injection: bool) -> InferenceSession {
-        self.session_from_artifact(&self.build_artifact(), fault_injection)
+    /// `_fault_injection` is inert, as in
+    /// [`ProfileConfig::session_from_artifact`].
+    pub fn build_session(&self, _fault_injection: bool) -> InferenceSession {
+        self.session_from_artifact(&self.build_artifact(), false)
     }
 
     /// The fleet-registry identity of this profile.
@@ -327,14 +319,11 @@ impl ProfileConfig {
         if let Some(n) = v.get("seed").and_then(Json::as_u64) {
             profile.seed = n;
         }
-        if let Some(n) = v.get("panic_token").and_then(Json::as_usize) {
-            profile.panic_token = Some(n);
-        }
         Ok(profile)
     }
 
     pub(crate) fn to_json(&self) -> Json {
-        let mut obj = vec![
+        Json::Obj(vec![
             ("name".to_string(), Json::Str(self.name.clone())),
             ("task".to_string(), Json::Str(self.task.name().to_string())),
             ("arch".to_string(), Json::Str(arch_name(self.arch).to_string())),
@@ -348,11 +337,7 @@ impl ProfileConfig {
             ("test_examples".to_string(), Json::Num(self.test_examples as f64)),
             ("seed".to_string(), Json::Num(self.seed as f64)),
             ("calibration_samples".to_string(), Json::Num(self.calibration_samples as f64)),
-        ];
-        if let Some(t) = self.panic_token {
-            obj.push(("panic_token".to_string(), Json::Num(t as f64)));
-        }
-        Json::Obj(obj)
+        ])
     }
 }
 
@@ -375,7 +360,7 @@ pub struct DaemonConfig {
     /// How long a graceful drain waits for open connections to finish
     /// before force-stopping the listener loop.
     pub drain_timeout_ms: u64,
-    /// Enables `/admin/inject_worker_exit` and profile `panic_token`s.
+    /// Enables chaos arming, by the `chaos` section or `/admin/chaos`.
     /// Off by default; only test/bench rigs turn it on.
     pub fault_injection: bool,
     /// Per-profile serving queue capacity.
@@ -901,11 +886,10 @@ mod tests {
             assert_ne!(p.training_key(), base.training_key(), "training edit {i}");
             assert_ne!(p.fingerprint(), base.fingerprint(), "training edit {i}");
         }
-        let serving_edits: [fn(&mut ProfileConfig); 4] = [
+        let serving_edits: [fn(&mut ProfileConfig); 3] = [
             |p| p.name = "b".to_string(),
             |p| p.precision = Precision::Int8,
             |p| p.calibration_samples += 1,
-            |p| p.panic_token = Some(3),
         ];
         for (i, edit) in serving_edits.iter().enumerate() {
             let mut p = base.clone();
@@ -1070,10 +1054,12 @@ mod tests {
     }
 
     #[test]
-    fn panic_token_is_gated_on_fault_injection() {
-        let mut profile = ProfileConfig::tiny("t", Precision::FastMath, 3);
-        profile.panic_token = Some(7);
-        assert_eq!(profile.build_session(false).panic_token(), None);
-        assert_eq!(profile.build_session(true).panic_token(), Some(7));
+    fn poison_token_site_is_gated_on_fault_injection() {
+        let text = r#"{"chaos": {"sites": [{"site": "poison_token", "every": 1, "param_ms": 7}]}}"#;
+        let mut config = DaemonConfig::from_json_str(text).expect("parses");
+        assert_eq!(config.chaos_sites, vec![(ChaosSite::PoisonToken, 1, 7)]);
+        config.validate().expect_err("poison_token without fault_injection");
+        config.fault_injection = true;
+        config.validate().expect("poison_token allowed under fault_injection");
     }
 }

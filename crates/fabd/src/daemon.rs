@@ -340,10 +340,7 @@ fn boot_profile(
         None => (train(), ModelSource::Trained),
     };
     let artifact = share_weights(shared, profile, artifact);
-    let session = attach_chaos(
-        shared,
-        profile.session_from_artifact(&artifact, shared.config.fault_injection),
-    );
+    let session = attach_chaos(shared, profile.session_from_artifact(&artifact, false));
     shared.fleet.commit_with_source(ticket, session, source);
     shared
         .artifacts
@@ -602,39 +599,16 @@ fn route(shared: &Arc<DaemonShared>, request: &Request) -> Response {
         ("POST", "/admin/models") => admin_models(shared, request),
         ("POST", "/admin/snapshot") => snapshot_all(shared),
         ("GET", "/admin/snapshot") => snapshot_list(shared),
-        ("POST", "/admin/inject_worker_exit") => inject_worker_exit(shared, request),
         ("POST", "/admin/degrade") => admin_degrade(shared, request),
         ("POST", "/admin/chaos") => admin_chaos(shared, request),
         ("GET", "/admin/chaos") => chaos_status(shared),
         (
             _,
-            "/healthz"
-            | "/readyz"
-            | "/metrics"
-            | "/v1/models"
-            | "/v1/stats"
-            | "/v1/circuits"
-            | "/v1/predict"
-            | "/v1/predict_batch"
-            | "/admin/shutdown"
-            | "/admin/models"
-            | "/admin/snapshot"
-            | "/admin/inject_worker_exit"
-            | "/admin/degrade"
-            | "/admin/chaos",
+            "/healthz" | "/readyz" | "/metrics" | "/v1/models" | "/v1/stats" | "/v1/circuits"
+            | "/v1/predict" | "/v1/predict_batch" | "/admin/shutdown" | "/admin/models"
+            | "/admin/snapshot" | "/admin/degrade" | "/admin/chaos",
         ) => error_response(405, "method not allowed", None),
         _ => error_response(404, "no such route", None),
-    }
-}
-
-fn inject_worker_exit(shared: &DaemonShared, request: &Request) -> Response {
-    if !shared.config.fault_injection {
-        return error_response(403, "fault injection is disabled", None);
-    }
-    let name = request.query_param("model").unwrap_or(&shared.default_model);
-    match shared.fleet.inject_worker_exit(name) {
-        Ok(()) => Response::json(200, Json::Obj(vec![("injected".to_string(), Json::Bool(true))])),
-        Err(e) => fleet_error_response(&e),
     }
 }
 
@@ -656,13 +630,9 @@ fn circuits_json(shared: &DaemonShared) -> Response {
 /// an operator brownout control, not a fault injector, so it works without
 /// `fault_injection`.
 fn admin_degrade(shared: &DaemonShared, request: &Request) -> Response {
-    let text = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => return error_response(400, "body is not UTF-8", None),
-    };
-    let body = match Json::parse(text) {
+    let body = match json_body(request) {
         Ok(body) => body,
-        Err(e) => return error_response(400, &format!("body JSON: {e}"), None),
+        Err(resp) => return resp,
     };
     let model = body
         .get("model")
@@ -701,20 +671,16 @@ fn chaos_status(shared: &DaemonShared) -> Response {
 
 /// `POST /admin/chaos`: arms or clears chaos sites at runtime. Body:
 /// `{"reset": true}` disarms everything; `{"sites": [{"site": "...",
-/// "every": N, "param_ms": M}, ...]}` reconfigures the listed sites.
-/// Gated on `fault_injection` exactly like `inject_worker_exit` — a
-/// production daemon cannot be armed over HTTP.
+/// "every": N, "param_ms": M}, ...]}` reconfigures the listed sites
+/// (`param_ms` is the marker token id for `poison_token`). Gated on
+/// `fault_injection` — a production daemon cannot be armed over HTTP.
 fn admin_chaos(shared: &DaemonShared, request: &Request) -> Response {
     if !shared.config.fault_injection {
         return error_response(403, "fault injection is disabled", None);
     }
-    let text = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => return error_response(400, "body is not UTF-8", None),
-    };
-    let body = match Json::parse(text) {
+    let body = match json_body(request) {
         Ok(body) => body,
-        Err(e) => return error_response(400, &format!("body JSON: {e}"), None),
+        Err(resp) => return resp,
     };
     if body.get("reset").and_then(Json::as_bool) == Some(true) {
         shared.chaos.reset();
@@ -802,14 +768,18 @@ fn prediction_json(model: &str, served_by: &str, degraded: bool, p: &Prediction)
     ])
 }
 
+/// The request body as JSON, or the `400` answering a body that is not
+/// UTF-8 or not JSON.
+fn json_body(request: &Request) -> Result<Json, Response> {
+    let text = std::str::from_utf8(&request.body)
+        .map_err(|_| error_response(400, "body is not UTF-8", None))?;
+    Json::parse(text).map_err(|e| error_response(400, &format!("body JSON: {e}"), None))
+}
+
 fn predict(shared: &DaemonShared, request: &Request, batch: bool) -> Response {
-    let text = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => return error_response(400, "body is not UTF-8", None),
-    };
-    let body = match Json::parse(text) {
+    let body = match json_body(request) {
         Ok(body) => body,
-        Err(e) => return error_response(400, &format!("body JSON: {e}"), None),
+        Err(resp) => return resp,
     };
     let model = body.get("model").and_then(Json::as_str).unwrap_or(&shared.default_model);
     let (tenant, priority) = match request_qos(request, &body) {
@@ -902,13 +872,9 @@ fn predict(shared: &DaemonShared, request: &Request, batch: bool) -> Response {
 ///   current version drains in the background. The profile definition is
 ///   kept, so a later `reload` revives the name.
 fn admin_models(shared: &DaemonShared, request: &Request) -> Response {
-    let text = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => return error_response(400, "body is not UTF-8", None),
-    };
-    let body = match Json::parse(text) {
+    let body = match json_body(request) {
         Ok(body) => body,
-        Err(e) => return error_response(400, &format!("body JSON: {e}"), None),
+        Err(resp) => return resp,
     };
     let named = |body: &Json| -> Result<String, Response> {
         body.get("model")
@@ -976,10 +942,7 @@ fn load_profile(shared: &DaemonShared, profile: ProfileConfig) -> Response {
         Err(e) => return fleet_error_response(&e),
     };
     let artifact = share_weights(shared, &profile, profile.build_artifact());
-    let session = attach_chaos(
-        shared,
-        profile.session_from_artifact(&artifact, shared.config.fault_injection),
-    );
+    let session = attach_chaos(shared, profile.session_from_artifact(&artifact, false));
     let info = shared.fleet.commit_with_source(ticket, session, ModelSource::Trained);
     persist_artifact(shared, &profile.name, &artifact, &profile.fingerprint());
     shared

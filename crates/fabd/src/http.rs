@@ -101,24 +101,10 @@ impl Request {
         self.target.split('?').next().unwrap_or(&self.target)
     }
 
-    /// The target's query string, without the `?`.
-    pub fn query(&self) -> Option<&str> {
-        self.target.split_once('?').map(|(_, q)| q)
-    }
-
     /// Case-insensitive header lookup.
     pub fn header(&self, name: &str) -> Option<&str> {
         let name = name.to_ascii_lowercase();
         self.headers.iter().find(|(k, _)| *k == name).map(|(_, v)| v.as_str())
-    }
-
-    /// Looks up `key` in the query string (`k=v` pairs joined by `&`).
-    pub fn query_param(&self, key: &str) -> Option<&str> {
-        self.query()?
-            .split('&')
-            .filter_map(|pair| pair.split_once('='))
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| v)
     }
 
     /// Whether the client asked to keep the connection open (HTTP/1.1
@@ -465,7 +451,7 @@ mod tests {
         let req = parse(raw).unwrap().unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path(), "/v1/predict");
-        assert_eq!(req.query_param("x"), Some("1"));
+        assert_eq!(req.target, "/v1/predict?x=1");
         assert_eq!(req.header("x-deadline-ms"), Some("250"));
         assert_eq!(req.body, b"{\"\"}");
         assert!(req.keep_alive());

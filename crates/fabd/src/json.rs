@@ -1,7 +1,7 @@
 //! A minimal JSON value, parser and serializer.
 //!
-//! The workspace's `serde` is an offline no-op shim (no crates.io access),
-//! so the daemon's wire format is hand-rolled: a recursive-descent parser
+//! The workspace builds offline with no serialization crate, so the
+//! daemon's wire format is hand-rolled: a recursive-descent parser
 //! with depth and size limits (malformed or hostile bytes must never panic
 //! the daemon) and a `Display`-based serializer. Numbers are `f64`, like
 //! JavaScript; object keys keep insertion order.

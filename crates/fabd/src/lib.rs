@@ -21,8 +21,8 @@
 //!
 //! - [`http`] — defensive HTTP/1.1 framing: size limits, timeouts,
 //!   `Content-Length`-only bodies, keep-alive.
-//! - [`json`] — a depth-limited JSON parser/serializer (the vendored
-//!   `serde` is a no-op shim).
+//! - [`json`] — a depth-limited JSON parser/serializer (the workspace has
+//!   no serialization crate).
 //! - [`config`] — daemon + model-profile configuration, JSON round-trip.
 //! - [`daemon`] — the accept loop, routing and drain logic; every stat it
 //!   exports is one row of a private table (`stats.rs`) that `/metrics`,
@@ -44,8 +44,7 @@
 //! | `POST /admin/snapshot` | Re-persist every loaded model to the snapshot store; `GET` lists snapshots on disk |
 //! | `POST /admin/shutdown` | Start a graceful drain |
 //! | `POST /admin/degrade` | Pin a model to a degrade rung (`level`) or release it (`null`) |
-//! | `POST /admin/inject_worker_exit` | Kill a worker (fault-injection builds only) |
-//! | `POST /admin/chaos` | Arm/clear chaos sites (fault-injection builds only); `GET` reports per-site fire counts |
+//! | `POST /admin/chaos` | Arm/clear chaos sites — the only fault injection, daemon-wide (fault-injection builds only); `GET` reports per-site fire counts |
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

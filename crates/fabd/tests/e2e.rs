@@ -235,8 +235,8 @@ fn explicit_zero_deadline_is_shed_with_504() {
     daemon.shutdown();
 }
 
-/// Deterministic overload: fault injection kills the only worker while the
-/// supervisor's backoff keeps it down, so one in-flight request plus a full
+/// Deterministic overload: chaos `worker_exit` kills the only worker while
+/// the supervisor's backoff keeps it down, so one in-flight request plus a full
 /// queue pins admission control shut. New requests get `429` with a
 /// `Retry-After` hint; the stranded request is still answered by the
 /// zero-drop drain at shutdown.
@@ -253,10 +253,11 @@ fn overload_answers_429_with_retry_after_and_drain_answers_the_stranded_request(
     let mut client = raw_client_for(&daemon);
 
     client.predict(None, &[1, 2, 3], None).expect("serves while healthy");
-    client.request_json("POST", "/admin/inject_worker_exit", b"").expect("fault injection enabled");
+    client.chaos_configure("worker_exit", 1, 0).expect("fault injection enabled");
 
-    // This request wakes the worker, which honours the kill before taking
-    // it: the request stays queued (depth 1 of 1) until the drain.
+    // This request wakes the worker, which draws the armed site and dies
+    // before taking it: the request stays queued (depth 1 of 1) until the
+    // drain.
     let addr = daemon.addr().to_string();
     let stranded = std::thread::spawn(move || {
         let policy = RetryPolicy { max_retries: 0, base_ms: 1, max_ms: 1 };
@@ -326,13 +327,13 @@ fn predict_batch_answers_every_sequence_with_result_or_inline_error() {
     assert!(results[2].get("logits").is_some(), "{}", results[2]);
     daemon.shutdown();
 
-    // A sequence that panics the forward pass (fault-injection marker
-    // token) is answered with the error a lone predict maps to 500; its
+    // A sequence that panics the forward pass (chaos `poison_token` on
+    // token 9) is answered with the error a lone predict maps to 500; its
     // batchmates are retried in isolation and answered normally.
-    let mut config = DaemonConfig { fault_injection: true, ..test_config() };
-    config.profiles[0].panic_token = Some(9);
+    let config = DaemonConfig { fault_injection: true, ..test_config() };
     let daemon = Daemon::start(config).expect("daemon starts");
     let mut client = raw_client_for(&daemon);
+    client.chaos_configure("poison_token", 1, 9).expect("arm chaos");
     let body = "{\"sequences\": [[1,2,3], [4,9,5], [6,7,8]]}";
     let result =
         client.request_json("POST", "/v1/predict_batch", body.as_bytes()).expect("batch answered");
@@ -348,6 +349,10 @@ fn predict_batch_answers_every_sequence_with_result_or_inline_error() {
     assert!(panics >= Some(1), "batch_panics never moved: {stats}");
     let err = client.predict(None, &[4, 9, 5], None).expect_err("poisoned predict");
     assert!(matches!(err, ClientError::Status { status: 500, .. }), "{err}");
+    // Two fires per poisoned request (its batch, then its isolated retry),
+    // two requests: the clean sequences never drew.
+    let metrics = client.metrics().expect("metrics");
+    assert!(metrics.contains("fabd_chaos_injected_total{site=\"poison_token\"} 4"), "{metrics}");
     daemon.shutdown();
 }
 
@@ -973,8 +978,8 @@ fn adaptive_overload_answers_every_admitted_request_degrades_and_recovers() {
     daemon.shutdown();
 }
 
-/// Chaos arming over HTTP needs `fault_injection`, exactly like
-/// `inject_worker_exit`; the read-only status stays available either way.
+/// Chaos arming over HTTP needs `fault_injection`; the read-only status
+/// stays available either way, and the retired worker-kill route is gone.
 #[test]
 fn chaos_admin_is_gated_on_fault_injection() {
     let daemon = Daemon::start(test_config()).expect("daemon starts");
@@ -984,11 +989,14 @@ fn chaos_admin_is_gated_on_fault_injection() {
     assert!(matches!(err, ClientError::Status { status: 403, .. }), "{err}");
     let status = client.chaos_status().expect("status readable without fault_injection");
     let sites = status.get("sites").and_then(Json::as_arr).expect("sites");
-    assert_eq!(sites.len(), 4, "{status}");
+    assert_eq!(sites.len(), 6, "{status}");
     assert!(
         sites.iter().all(|s| s.get("every").and_then(Json::as_u64) == Some(0)),
         "armed without fault_injection: {status}"
     );
+    let resp = client.request("POST", "/admin/inject_worker_exit", b"").expect("answered");
+    assert_eq!(resp.status, 404, "{}", resp.body_text());
+    assert!(resp.body_text().contains("no such route"), "{}", resp.body_text());
     daemon.shutdown();
 }
 

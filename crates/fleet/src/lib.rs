@@ -488,15 +488,6 @@ impl Fleet {
         std::array::from_fn(|i| (Priority::ALL[i].name(), self.class_latency[i].summary()))
     }
 
-    /// Fault injection: makes one worker of `name`'s current version exit.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::NoSuchModel`] / [`FleetError::ModelLoading`].
-    pub fn inject_worker_exit(&self, name: &str) -> Result<(), FleetError> {
-        self.registry.get(name).map(|h| h.server().inject_worker_exit())
-    }
-
     /// Unloads every model and waits for all drains: every admitted
     /// request is answered before this returns. Idempotent.
     pub fn shutdown(&self) {

@@ -35,14 +35,13 @@ mod text;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Seed salt separating [`LraTask::calibration_batches`] streams from the
 /// train/eval streams of [`LraTask::generate`] under the same user seed.
 pub const CALIBRATION_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// One labelled sequence sample.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sample {
     /// Token ids in `0..vocab_size`.
     pub tokens: Vec<usize>,
@@ -58,7 +57,7 @@ impl Sample {
 }
 
 /// Generation parameters shared by all tasks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskConfig {
     /// Sequence length of every generated sample.
     pub seq_len: usize,
@@ -71,7 +70,7 @@ impl Default for TaskConfig {
 }
 
 /// The five LRA tasks (Section VI-A of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LraTask {
     /// Hierarchical list-operation evaluation (10-way classification).
     ListOps,

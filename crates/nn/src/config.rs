@@ -1,9 +1,7 @@
 //! Model hyper-parameters (the algorithm half of the co-design space).
 
-use serde::{Deserialize, Serialize};
-
 /// Which of the three evaluated architectures a [`crate::Model`] instantiates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// The vanilla Transformer encoder (dense attention + dense FFN).
     Transformer,
@@ -30,7 +28,7 @@ impl ModelKind {
 /// The four algorithm parameters explored by the paper's co-design flow are
 /// `hidden` (D_hid), `ffn_ratio` (R_ffn), `num_layers` (N_total) and
 /// `num_abfly` (N_ABfly); the remaining fields describe the task interface.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelConfig {
     /// Hidden (embedding) dimension `D_hid`.
     pub hidden: usize,

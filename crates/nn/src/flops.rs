@@ -9,10 +9,9 @@
 use crate::config::{ModelConfig, ModelKind};
 use fab_butterfly::flops as k;
 use fab_butterfly::next_pow2;
-use serde::{Deserialize, Serialize};
 
 /// Forward-pass FLOPs of one model, split by component.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FlopsBreakdown {
     /// The attention score/value computation (`Q·K^T`, softmax, `S·V`).
     pub attention_core: u64,
@@ -42,7 +41,7 @@ impl FlopsBreakdown {
 }
 
 /// Trainable-parameter counts of one model, split by component.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ParamBreakdown {
     /// Token and positional embedding tables.
     pub embedding: u64,

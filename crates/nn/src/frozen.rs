@@ -370,7 +370,8 @@ impl FrozenAttention {
             std::mem::swap(q, mixed);
         }
         mixed.resize_to(&[x.rows(), self.dim]);
-        attention_core(q, k, v, self.num_heads, fast_math, mixed.as_mut_slice(), tiles);
+        let backend = simd::backend();
+        attention_core(backend, q, k, v, self.num_heads, fast_math, mixed.as_mut_slice(), tiles);
         observe(mixed.as_slice());
         self.wo.forward_into(mixed, false, qx, out);
     }
@@ -428,12 +429,17 @@ pub fn attention_mix_rows(
     out: &mut [f32],
 ) {
     with_workspace(|ws| {
-        attention_core(qi, ki, vi, num_heads, prescaled, out, &mut ws.attention.tiles)
+        let tiles = &mut ws.attention.tiles;
+        attention_core(simd::backend(), qi, ki, vi, num_heads, prescaled, out, tiles)
     });
 }
 
-/// [`attention_mix_rows`] on the caller's tile scratch.
+/// [`attention_mix_rows`] on the caller's tile scratch, every tile on
+/// `backend`: the scratch is sized for the backend its tiles run on, even
+/// when the active backend is switched during the call.
+#[allow(clippy::too_many_arguments)]
 fn attention_core(
+    backend: simd::Backend,
     qi: &Tensor,
     ki: &Tensor,
     vi: &Tensor,
@@ -456,7 +462,7 @@ fn attention_core(
     }
     let head_dim = dim / num_heads;
     let band_rows = attention_band_rows(len);
-    let slot = simd::attention_tile_scratch(ATTN_SUB_ROWS.min(len), len, head_dim);
+    let slot = simd::attention_tile_scratch(backend, ATTN_SUB_ROWS.min(len), len, head_dim);
     tiles.resize_to(&[len.div_ceil(band_rows), slot]);
     let (q, k, v) = (qi.as_slice(), ki.as_slice(), vi.as_slice());
     let scale = (!prescaled).then(|| 1.0 / (head_dim as f32).sqrt());
@@ -467,7 +473,7 @@ fn attention_core(
         for col in (0..dim).step_by(head_dim) {
             let tiles = q.chunks(ATTN_SUB_ROWS * dim).zip(out.chunks_mut(ATTN_SUB_ROWS * dim));
             for (q, out) in tiles {
-                simd::attention_tile(q, k, v, dim, col, head_dim, scale, scratch, out);
+                simd::attention_tile(backend, q, k, v, dim, col, head_dim, scale, scratch, out);
             }
         }
     };
@@ -564,8 +570,8 @@ impl FrozenBlock {
 /// sequence a forward in it allocates nothing but the logits it returns.
 /// The high-water mark is about `len · (ffn + 7 · hidden) · 4` bytes plus the
 /// attention core's tile scratch, one slot per band:
-/// `ATTN_MAX_BANDS · simd::attention_tile_scratch(ATTN_SUB_ROWS, len,
-/// head_dim) · 4` bytes, `8 · 32 · (len + head_dim) · 4` on an AVX-512 host.
+/// `ATTN_MAX_BANDS · simd::attention_tile_scratch(backend, ATTN_SUB_ROWS,
+/// len, head_dim) · 4` bytes, `8 · 32 · (len + head_dim) · 4` on an AVX-512 host.
 #[derive(Debug, Default)]
 struct Workspace {
     /// A block's input and, after it ran, its output: `[len, hidden]`.
@@ -1453,6 +1459,42 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The core sizes its tiles' scratch for the backend it is handed and
+    /// runs every tile there, whatever the active backend: the scalar tile
+    /// needs more scratch than the vector one, so a core that sized for
+    /// one backend and ran tiles on another would panic "scratch too short".
+    #[test]
+    fn the_core_runs_its_tiles_on_the_backend_it_sized_them_for() {
+        use rand::Rng;
+        use simd::Backend;
+        let (len, num_heads, head_dim) = (100, 4, 8);
+        let dim = num_heads * head_dim;
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut random = || {
+            let data = (0..len * dim).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+            Tensor::from_vec(data, &[len, dim]).expect("shape")
+        };
+        let (q, k, v) = (random(), random(), random());
+        let expected = attention_untiled(&q, &k, &v, num_heads, false);
+        let mut backends = vec![Backend::Scalar];
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+            backends.push(Backend::Avx2);
+            let slot = |b| simd::attention_tile_scratch(b, ATTN_SUB_ROWS, len, head_dim);
+            assert!(slot(Backend::Scalar) > slot(Backend::Avx2));
+        }
+        for backend in backends {
+            let (mut out, mut tiles) = (vec![0.0f32; len * dim], Tensor::default());
+            attention_core(backend, &q, &k, &v, num_heads, false, &mut out, &mut tiles);
+            if backend == simd::backend() {
+                assert_eq!(bits(&out), bits(&expected), "{backend:?}");
+            }
+            // Another backend differs from the active one by FMA rounding.
+            let drift = out.iter().zip(&expected).map(|(a, b)| (a - b).abs()).fold(0.0, f32::max);
+            assert!(drift <= 1e-5, "{backend:?} drifted {drift}");
         }
     }
 

@@ -12,13 +12,14 @@ use std::rc::Rc;
 #[derive(Clone, Debug)]
 pub struct Param {
     inner: Rc<RefCell<Tensor>>,
-    name: String,
+    /// Shared, so the clone [`Param::bind`] records allocates nothing.
+    name: Rc<str>,
 }
 
 impl Param {
     /// Wraps a tensor as a trainable parameter with a diagnostic name.
     pub fn new(name: impl Into<String>, value: Tensor) -> Self {
-        Self { inner: Rc::new(RefCell::new(value)), name: name.into() }
+        Self { inner: Rc::new(RefCell::new(value)), name: Rc::from(name.into()) }
     }
 
     /// Returns a clone of the current parameter value.

@@ -1,9 +1,9 @@
 //! Counted-allocation proof of the PR-3 tentpole: once the arena tape, the
 //! gradient buffers and the optimiser moments have warmed up, a steady-state
 //! training step performs (almost) no heap allocation — a bounded handful
-//! per step: each bound parameter's copy of its name, the boxed backward
-//! closures that capture a value (the padded butterfly op's output width)
-//! and the attention layers' head lists. The butterfly and Fourier ops read
+//! per step: the boxed backward closures that capture a value (the padded
+//! butterfly op's output width) and the attention layers' head lists. A
+//! bound parameter's name is shared, not copied. The butterfly and Fourier ops read
 //! their weights and stage their work in place and allocate nothing.
 //!
 //! This lives in its own integration-test binary because it installs the
@@ -32,9 +32,9 @@ fn abfly_config() -> ModelConfig {
 }
 
 /// Warms a train step on `model` up, then holds the steady state: flat
-/// tape, gradient and moment capacities and a bounded handful of
+/// tape, gradient and moment capacities and at most `max_allocs`
 /// allocations per step.
-fn assert_steady_state(model: &Model) {
+fn assert_steady_state(model: &Model, max_allocs: u64) {
     let tokens = [1usize, 2, 3, 4, 5, 6, 7, 0];
     let mut step = TrainStep::new(FusedAdamW::new(1e-3));
 
@@ -62,8 +62,8 @@ fn assert_steady_state(model: &Model) {
     // The steady-state allocations (see the module docs) are a bounded
     // handful, orders of magnitude below warmup.
     assert!(
-        steady_max <= 64,
-        "steady-state step allocated {steady_max} times (expected a bounded handful)"
+        steady_max <= max_allocs,
+        "steady-state step allocated {steady_max} times (expected at most {max_allocs})"
     );
     assert!(
         steady_max * 10 <= first_step,
@@ -75,7 +75,8 @@ fn assert_steady_state(model: &Model) {
 #[test]
 fn steady_state_train_steps_reuse_tape_grad_and_optimizer_buffers() {
     let mut rng = StdRng::seed_from_u64(3);
-    assert_steady_state(&Model::new(&abfly_config(), ModelKind::FabNet, &mut rng));
+    // Measured: 6 per step.
+    assert_steady_state(&Model::new(&abfly_config(), ModelKind::FabNet, &mut rng), 8);
 }
 
 /// FBfly blocks only: the Fourier mixing op's backward and the butterfly
@@ -84,7 +85,8 @@ fn steady_state_train_steps_reuse_tape_grad_and_optimizer_buffers() {
 fn fourier_mixing_train_steps_are_steady_too() {
     let mut rng = StdRng::seed_from_u64(3);
     let config = ModelConfig { num_abfly: 0, ..abfly_config() };
-    assert_steady_state(&Model::new(&config, ModelKind::FabNet, &mut rng));
+    // Measured: 4 per step.
+    assert_steady_state(&Model::new(&config, ModelKind::FabNet, &mut rng), 6);
 }
 
 /// Changing the sequence length re-warms the tape once, after which the new

@@ -41,10 +41,10 @@
 //! batchmates, queue locks recover from poisoning, a supervisor respawns
 //! dead worker threads with exponential backoff, and graceful shutdown
 //! answers every admitted request — inline on the shutting-down thread if
-//! every worker died. Fault-injection hooks
-//! ([`Server::inject_worker_exit`],
-//! [`InferenceSession::with_panic_on_token`]) let tests and benches prove
-//! all of it.
+//! every worker died. One fault-injection hook,
+//! [`InferenceSession::with_chaos`], lets tests and benches prove all of
+//! it: its seeded [`fab_chaos`] sites slow or panic a forward pass, poison
+//! one sequence by token id, and kill serving workers.
 //!
 //! Sessions come in three kinds ([`SessionKind`], reported by
 //! [`ServerStats::session_kind`]): `exact` and `fastmath` run the f32

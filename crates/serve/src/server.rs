@@ -48,8 +48,9 @@
 use crate::metrics::{Metrics, ServerStats};
 use crate::policy::{BatchPolicy, FifoPolicy, QueuedRequest, RequestQos};
 use crate::session::{InferenceSession, SessionScratch};
+use fab_chaos::ChaosSite;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -232,9 +233,6 @@ struct Shared {
     /// Worker-thread registry, owned jointly by the supervisor (respawn)
     /// and shutdown (join).
     workers: Mutex<Vec<WorkerSlot>>,
-    /// Fault injection: each pending unit makes one worker thread exit at
-    /// its next loop iteration, simulating a dead worker.
-    kill_workers: AtomicUsize,
 }
 
 /// The dynamic-batching inference server.
@@ -279,7 +277,6 @@ impl Server {
             session: Arc::new(session),
             metrics: Metrics::new(),
             workers: Mutex::new(Vec::new()),
-            kill_workers: AtomicUsize::new(0),
         });
         {
             let mut slots = lock_recover(&shared.workers);
@@ -316,14 +313,6 @@ impl Server {
     /// Snapshots the aggregate serving metrics.
     pub fn stats(&self) -> ServerStats {
         self.handle().stats()
-    }
-
-    /// Fault injection for tests and benchmarks: makes one worker thread
-    /// exit (as if it had died) at its next loop iteration. The supervisor
-    /// detects the death and respawns the slot with fresh scratch after its
-    /// backoff, incrementing [`ServerStats::worker_restarts`].
-    pub fn inject_worker_exit(&self) {
-        self.handle().inject_worker_exit()
     }
 
     /// Drains the queue, stops the workers and waits for them to exit.
@@ -503,14 +492,6 @@ impl ServerHandle {
             self.shared.session.kind().name(),
         )
     }
-
-    /// Fault injection for tests and benchmarks: see
-    /// [`Server::inject_worker_exit`].
-    pub fn inject_worker_exit(&self) {
-        self.shared.kill_workers.fetch_add(1, Ordering::Relaxed);
-        // Wake sleeping workers so one observes the kill promptly.
-        self.shared.work.notify_all();
-    }
 }
 
 /// A submitted request whose prediction has not arrived yet.
@@ -549,7 +530,7 @@ impl PendingPrediction {
 /// is empty or the head batch is still filling), run the session, respond.
 fn worker_loop(shared: &Shared) {
     loop {
-        if take_injected_kill(shared) {
+        if chaos_kills(shared) {
             return; // fault injection: this worker "dies" without cleanup
         }
         match next_batch(shared) {
@@ -559,12 +540,11 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Consumes one pending injected worker kill, if any.
-fn take_injected_kill(shared: &Shared) -> bool {
-    shared
-        .kill_workers
-        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-        .is_ok()
+/// Draws the session's `worker_exit` chaos site: `true` means this worker
+/// must exit now. The supervisor detects the death and respawns the slot
+/// after its backoff, counted in [`ServerStats::worker_restarts`].
+fn chaos_kills(shared: &Shared) -> bool {
+    shared.session.chaos().is_some_and(|chaos| chaos.fires(ChaosSite::WorkerExit))
 }
 
 /// The batch-timing rule, the same for every policy: how long a worker
@@ -596,11 +576,10 @@ fn next_batch(shared: &Shared) -> Option<Vec<QueuedRequest>> {
     let max_wait = Duration::from_micros(shared.config.max_wait_us);
     let mut st = lock_recover(&shared.state);
     loop {
-        // Honour a kill that arrived while this worker slept on the condvar
-        // (fault injection cannot be outwaited by an idle pool) — but never
+        // Draw a kill each time this worker wakes on the condvar — but never
         // during shutdown, when this loop is also the inline drain of last
         // resort and must answer every remaining request.
-        if !st.shutdown && take_injected_kill(shared) {
+        if !st.shutdown && chaos_kills(shared) {
             return None;
         }
         let now = Instant::now();
@@ -774,6 +753,7 @@ fn supervisor_loop(shared: &Arc<Shared>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fab_chaos::ChaosInjector;
     use fab_nn::{Model, ModelConfig, ModelKind};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -785,6 +765,13 @@ mod tests {
         let model = Model::new(&ModelConfig::tiny_for_tests(), ModelKind::FabNet, &mut rng);
         let session = InferenceSession::exact(&model);
         (model, session)
+    }
+
+    /// [`tiny_session`] with a chaos schedule attached, every site off.
+    fn chaos_session() -> (Model, InferenceSession, Arc<ChaosInjector>) {
+        let (model, session) = tiny_session();
+        let chaos = Arc::new(ChaosInjector::new(11));
+        (model, session.with_chaos(Arc::clone(&chaos)), chaos)
     }
 
     #[test]
@@ -999,7 +986,7 @@ mod tests {
 
     #[test]
     fn killed_workers_are_respawned_by_the_supervisor() {
-        let (model, session) = tiny_session();
+        let (model, session, chaos) = chaos_session();
         let config = ServeConfig {
             num_workers: 1,
             restart_backoff_ms: 1,
@@ -1009,31 +996,34 @@ mod tests {
         let server = Server::start(session, config);
         let handle = server.handle();
         handle.infer(vec![1, 2, 3]).expect("pre-kill request served");
-        server.inject_worker_exit();
-        // The (sole) worker dies; the supervisor must respawn it and the
-        // server must keep answering. Allow generous time for backoff.
+        // The next request wakes the (sole) worker, which draws the armed
+        // site and dies; disarm once it fired so the respawn survives.
+        chaos.configure(ChaosSite::WorkerExit, 1, 0);
+        let stranded = handle.submit(vec![2, 3, 4]).expect("admitted");
         let deadline = Instant::now() + Duration::from_secs(10);
-        let mut served = None;
-        while Instant::now() < deadline {
-            match handle.submit(vec![2, 3, 4]) {
-                Ok(p) => {
-                    if let Some(result) = p.wait_timeout(Duration::from_millis(500)) {
-                        served = Some(result.expect("respawned worker serves"));
-                        break;
-                    }
-                }
-                Err(e) => panic!("submission failed during respawn: {e}"),
-            }
+        while chaos.injected(ChaosSite::WorkerExit) == 0 {
+            assert!(Instant::now() < deadline, "worker_exit never fired");
+            std::thread::sleep(Duration::from_millis(1));
         }
-        let p = served.expect("supervisor never respawned the worker");
-        assert_eq!(p.logits, model.predict(&[2, 3, 4]));
+        chaos.configure(ChaosSite::WorkerExit, 0, 0);
+        // The supervisor must respawn the worker, which then answers the
+        // request the dead one left queued. Allow generous time for backoff.
+        let served = stranded
+            .wait_timeout(Duration::from_secs(10))
+            .expect("supervisor never respawned the worker")
+            .expect("respawned worker serves");
+        assert_eq!(served.logits, model.predict(&[2, 3, 4]));
+        handle.infer(vec![1, 2, 3]).expect("the respawned worker keeps serving");
         assert!(server.stats().worker_restarts >= 1, "restart not counted");
         server.shutdown();
     }
 
     #[test]
     fn shutdown_drains_inline_when_every_worker_died() {
-        let (model, session) = tiny_session();
+        let (model, session, chaos) = chaos_session();
+        // Armed before start: each worker draws at the top of its loop and
+        // dies before taking any work.
+        chaos.configure(ChaosSite::WorkerExit, 1, 0);
         let config = ServeConfig {
             num_workers: 2,
             max_wait_us: 500_000,
@@ -1045,10 +1035,11 @@ mod tests {
         };
         let server = Server::start(session, config);
         let handle = server.handle();
-        server.inject_worker_exit();
-        server.inject_worker_exit();
-        // Give the workers time to observe the kill and die.
-        std::thread::sleep(Duration::from_millis(50));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while chaos.injected(ChaosSite::WorkerExit) < 2 {
+            assert!(Instant::now() < deadline, "not every worker died");
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let pending: Vec<_> = (0..4).map(|_| handle.submit(vec![1, 2, 3]).unwrap()).collect();
         server.shutdown();
         for p in pending {
@@ -1079,10 +1070,9 @@ mod tests {
 
     #[test]
     fn panicking_batch_spares_its_batchmates() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let model = Model::new(&ModelConfig::tiny_for_tests(), ModelKind::FabNet, &mut rng);
+        let (model, session, chaos) = chaos_session();
         let marker = 7usize;
-        let session = InferenceSession::exact(&model).with_panic_on_token(marker);
+        chaos.configure(ChaosSite::PoisonToken, 1, marker as u64);
         let config = ServeConfig {
             max_batch: 8,
             max_wait_us: 100_000,
@@ -1106,6 +1096,8 @@ mod tests {
         let stats = server.stats();
         assert!(stats.batch_panics >= 1, "panic not counted: {stats}");
         assert_eq!(stats.failed, 1);
+        // Only the poisoned sequence drew: once batched, once alone.
+        assert_eq!(chaos.injected(ChaosSite::PoisonToken), stats.batch_panics + 1);
         // The worker survived: a fresh request is served.
         handle.infer(vec![4, 5, 6]).expect("worker keeps serving after the panic");
         server.shutdown();

@@ -46,11 +46,9 @@ impl SessionKind {
 #[derive(Debug, Clone)]
 pub struct InferenceSession {
     model: FrozenModel,
-    /// Fault injection: a marker token id that makes any forward pass
-    /// containing it panic (see [`InferenceSession::with_panic_on_token`]).
-    panic_token: Option<usize>,
-    /// Fault injection: the shared chaos schedule consulted at the top of
-    /// every forward pass (see [`InferenceSession::with_chaos`]).
+    /// Fault injection: the shared chaos schedule consulted by every
+    /// forward pass and by the serving workers (see
+    /// [`InferenceSession::with_chaos`]).
     chaos: Option<Arc<ChaosInjector>>,
 }
 
@@ -80,7 +78,7 @@ impl InferenceSession {
     /// makes the server run int8 GEMMs on every dense linear layer. The
     /// session shares `model`'s weights with every other handle on them.
     pub fn from_frozen(model: FrozenModel) -> Self {
-        Self { model, panic_token: None, chaos: None }
+        Self { model, chaos: None }
     }
 
     /// The frozen model this session runs.
@@ -88,29 +86,22 @@ impl InferenceSession {
         &self.model
     }
 
-    /// Fault injection for tests and benchmarks: any forward pass whose
-    /// input contains `token` panics, exercising the server's batch
-    /// isolation, `batch_panics` accounting, and worker supervision. Never
-    /// enable this on a production profile.
-    pub fn with_panic_on_token(mut self, token: usize) -> Self {
-        self.panic_token = Some(token);
-        self
-    }
-
-    /// The configured fault-injection marker token, if any.
-    pub fn panic_token(&self) -> Option<usize> {
-        self.panic_token
-    }
-
     /// Fault injection for tests and benchmarks: consult `chaos`'s seeded
-    /// schedule at the top of every forward pass — a `slow_forward` fire
-    /// stretches the pass by the configured delay, a `panic_forward` fire
-    /// panics it (exercising batch isolation and circuit breakers). Like
-    /// [`InferenceSession::with_panic_on_token`], never enable this on a
-    /// production profile.
+    /// schedule. At the top of every forward pass a `slow_forward` fire
+    /// stretches the pass by the configured delay and a `panic_forward`
+    /// fire panics it (exercising batch isolation and circuit breakers); a
+    /// `poison_token` fire panics the forward of the one sequence carrying
+    /// the marker token; a [`crate::Server`] running this session lets a
+    /// `worker_exit` fire kill one of its workers (exercising supervision).
+    /// Never enable this on a production profile.
     pub fn with_chaos(mut self, chaos: Arc<ChaosInjector>) -> Self {
         self.chaos = Some(chaos);
         self
+    }
+
+    /// The chaos schedule attached by [`InferenceSession::with_chaos`].
+    pub(crate) fn chaos(&self) -> Option<&ChaosInjector> {
+        self.chaos.as_deref()
     }
 
     /// Draws the forward-pass chaos sites: one `slow_forward` and one
@@ -125,13 +116,11 @@ impl InferenceSession {
         }
     }
 
-    /// Trips the fault-injection panic when `tokens` carries the marker.
-    fn check_panic_token(&self, tokens: &[usize]) {
-        if let Some(marker) = self.panic_token {
-            assert!(
-                !tokens.contains(&marker),
-                "fault injection: marker token {marker} in the forward input"
-            );
+    /// Draws `poison_token` for one sequence and panics its forward on a
+    /// fire.
+    fn chaos_poison(&self, tokens: &[usize]) {
+        if self.chaos.as_ref().is_some_and(|chaos| chaos.poisons(tokens)) {
+            panic!("fault injection: chaos poison_token fired");
         }
     }
 
@@ -169,7 +158,7 @@ impl InferenceSession {
     /// out-of-vocabulary id.
     pub fn logits(&self, tokens: &[usize]) -> Vec<f32> {
         self.chaos_forward();
-        self.check_panic_token(tokens);
+        self.chaos_poison(tokens);
         self.model.logits(tokens)
     }
 
@@ -204,7 +193,7 @@ impl InferenceSession {
         for tokens in batch {
             let len = tokens.len();
             assert!(len >= 1 && len <= pad_to, "sequence length {len} outside 1..={pad_to}");
-            self.check_panic_token(tokens);
+            self.chaos_poison(tokens);
         }
         let (config, kind) = (self.model.config(), self.model.kind());
         let ops: u64 =
@@ -299,7 +288,9 @@ mod tests {
     #[test]
     fn predict_class_makes_the_fault_injection_checks_logits_makes() {
         let (_model, session) = session();
-        let session = session.with_panic_on_token(9);
+        let chaos = Arc::new(ChaosInjector::new(0));
+        chaos.configure(ChaosSite::PoisonToken, 1, 9);
+        let session = session.with_chaos(chaos);
         assert_eq!(session.predict_class(&[1, 2, 3]), argmax(&session.logits(&[1, 2, 3])));
         let poisoned = std::panic::catch_unwind(|| session.predict_class(&[1, 9, 3]));
         assert!(poisoned.is_err(), "predict_class skipped the marker-token check");

@@ -3316,18 +3316,23 @@ pub enum BinOp {
     Mul,
 }
 
-/// Runs kernel `$name` on the active backend: `x86::$name` on the AVX2
-/// backend, and on the scalar backend the generic body one lane wide
-/// (`kernels::$name::<F32x1>`) or, for an oracle kernel, the block after
-/// `else`. The caller's asserts are the kernel's contract.
+/// Runs kernel `$name` on the active backend (or on the backend given
+/// before a `;`): `x86::$name` on the AVX2 backend, and on the scalar
+/// backend the generic body one lane wide (`kernels::$name::<F32x1>`) or,
+/// for an oracle kernel, the block after `else`. The caller's asserts are
+/// the kernel's contract; a caller naming the backend asserts the CPU has
+/// it.
 macro_rules! dispatch {
     ($name:ident($($arg:expr),*)) => {
         dispatch!($name($($arg),*) else { kernels::$name::<F32x1>($($arg),*) })
     };
     ($name:ident($($arg:expr),*) else $scalar:block) => {
-        match backend() {
-            // SAFETY: the AVX2 backend is only ever selected on a CPU with
-            // AVX2 and FMA.
+        dispatch!(backend(); $name($($arg),*) else $scalar)
+    };
+    ($backend:expr; $name:ident($($arg:expr),*) else $scalar:block) => {
+        match $backend {
+            // SAFETY: the AVX2 backend is only ever selected, or named by a
+            // caller that asserted it, on a CPU with AVX2 and FMA.
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => unsafe { x86::$name($($arg),*) },
             Backend::Scalar => $scalar,
@@ -3562,10 +3567,10 @@ pub fn matmul_band(lhs: &[f32], k: usize, rhs: &[f32], n: usize, i0: usize, dst:
     })
 }
 
-/// Floats of `scratch` one [`attention_tile`] call over `rows` query rows,
-/// `len` keys and a `head_dim`-wide head needs on the active backend.
-pub fn attention_tile_scratch(rows: usize, len: usize, head_dim: usize) -> usize {
-    match backend() {
+/// Floats of `scratch` one [`attention_tile`] call on `backend` over
+/// `rows` query rows, `len` keys and a `head_dim`-wide head needs.
+pub fn attention_tile_scratch(backend: Backend, rows: usize, len: usize, head_dim: usize) -> usize {
+    match backend {
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => 2 * Backend::Avx2.lanes() * (len + head_dim),
         _ => rows * (head_dim + len) + head_dim * len + len,
@@ -3587,12 +3592,18 @@ pub fn attention_tile_scratch(rows: usize, len: usize, head_dim: usize) -> usize
 /// lane (16 lanes where `avx512f` is present) and replays in every lane the
 /// 8-lane row kernels' reduction tree (`kernels::attention_tile`).
 ///
+/// The tile runs on `backend`, not on the active one: a caller that sized
+/// its scratch for one backend (usually [`backend`], read once) keeps to
+/// it even if the active backend is switched while its tiles run.
+///
 /// # Panics
 ///
-/// Panics when the head is not within `dim`, the slices do not hold whole
-/// rows, there is no key, or `scratch` is too short.
+/// Panics when the CPU lacks `backend`, the head is not within `dim`, the
+/// slices do not hold whole rows, there is no key, or `scratch` is too
+/// short.
 #[allow(clippy::too_many_arguments)]
 pub fn attention_tile(
+    backend: Backend,
     q: &[f32],
     k: &[f32],
     v: &[f32],
@@ -3603,16 +3614,20 @@ pub fn attention_tile(
     scratch: &mut [f32],
     out: &mut [f32],
 ) {
+    assert!(
+        backend == Backend::Scalar || backend == detect(),
+        "attention_tile backend unsupported"
+    );
     assert!(head_dim > 0 && col + head_dim <= dim, "attention_tile head out of range");
     assert!(q.len().is_multiple_of(dim) && k.len().is_multiple_of(dim), "attention_tile rows");
     assert!(!k.is_empty() && k.len() == v.len(), "attention_tile keys");
     assert_eq!(q.len(), out.len(), "attention_tile output length mismatch");
     let (rows, len) = (q.len() / dim, k.len() / dim);
     assert!(
-        scratch.len() >= attention_tile_scratch(rows, len, head_dim),
+        scratch.len() >= attention_tile_scratch(backend, rows, len, head_dim),
         "attention_tile scratch too short"
     );
-    dispatch!(attention_tile(q, k, v, dim, col, head_dim, scale, scratch, out) else {
+    dispatch!(backend; attention_tile(q, k, v, dim, col, head_dim, scale, scratch, out) else {
         attention_tile_rows(q, k, v, dim, col, head_dim, scale, scratch, out)
     })
 }
