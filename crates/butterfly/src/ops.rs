@@ -213,7 +213,10 @@ mod tests {
 
     /// The fused pad+butterfly+truncate op must match the explicit
     /// `concat(zeros) → butterfly → slice` chain in value and in every
-    /// gradient, on both the fused and the reference backward.
+    /// gradient, on both the fused and the reference backward. The chain
+    /// pads and trims with tensors: the input is zero-padded before it is
+    /// recorded, the loss sees only the first `d_out` columns through a 0/1
+    /// mask, and `dx` is the padded input's gradient cut back to `d_in`.
     #[test]
     fn padded_op_matches_unfused_chain() {
         let mut rng = StdRng::seed_from_u64(31);
@@ -239,22 +242,26 @@ mod tests {
             let (rdx, rdw) = (tape.grad(xv), tape.grad(wv));
 
             // Unfused chain.
-            let tape2 = Tape::new();
-            let xv2 = tape2.leaf(x.clone());
-            let wv2 = tape2.leaf(w.clone());
-            let padded = if d_in < n {
-                let zeros = tape2.leaf(Tensor::zeros(&[rows, n - d_in]));
-                tape2.concat_cols(&[xv2, zeros])
-            } else {
-                xv2
+            let padded = match Tensor::zeros(&[rows, n - d_in]) {
+                zeros if d_in < n => Tensor::concat_cols(&[&x, &zeros]),
+                _ => x.clone(),
             };
-            let full = butterfly_linear_op(&tape2, padded, wv2);
-            let trimmed = if d_out < n { tape2.slice_cols(full, 0, d_out) } else { full };
-            let loss2 = tape2.sum(trimmed);
+            let mask = Tensor::from_vec(
+                (0..rows * n).map(|i| if i % n < d_out { 1.0 } else { 0.0 }).collect(),
+                &[rows, n],
+            )
+            .unwrap();
+            let tape2 = Tape::new();
+            let xv2 = tape2.leaf(padded);
+            let wv2 = tape2.leaf(w.clone());
+            let full = butterfly_linear_op(&tape2, xv2, wv2);
+            let masked = tape2.mul(full, tape2.leaf(mask));
+            let loss2 = tape2.sum(masked);
             tape2.backward(loss2);
+            let trimmed = tape2.value(full).slice_cols(0, d_out);
 
-            assert_eq!(fval, tape2.value(trimmed), "value mismatch at {d_in}/{d_out}");
-            assert_eq!(fdx, tape2.grad(xv2), "dx mismatch at {d_in}/{d_out}");
+            assert_eq!(fval, trimmed, "value mismatch at {d_in}/{d_out}");
+            assert_eq!(fdx, tape2.grad(xv2).slice_cols(0, d_in), "dx mismatch at {d_in}/{d_out}");
             assert_eq!(fdw, tape2.grad(wv2), "dw mismatch at {d_in}/{d_out}");
             assert_eq!(fdx, rdx, "fused vs reference dx mismatch at {d_in}/{d_out}");
             assert_eq!(fdw, rdw, "fused vs reference dw mismatch at {d_in}/{d_out}");

@@ -2,18 +2,22 @@
 //! tests and the `benchmark` crate.
 //!
 //! The client keeps one persistent keep-alive connection and retries
-//! transient failures — connection refused/reset and `429 Too Many
-//! Requests` — with jittered exponential backoff, honouring the server's
-//! `Retry-After` hint when one is present. Anything else (4xx validation
-//! errors, 5xx model failures, 504 deadline misses) is surfaced to the
-//! caller immediately: retrying a deterministic failure only adds load.
+//! transient failures — a connection that could not be made or failed
+//! before the request was sent, and `429 Too Many Requests` — with
+//! jittered exponential backoff, honouring the server's `Retry-After` hint
+//! when one is present. A failure after the request was sent (a read
+//! timeout, a reset) is retried only for `GET`: the server may have run
+//! the request, and sending a `POST` again would run it twice (RFC 9110
+//! §9.2.2). Anything else (4xx validation errors, 5xx model failures, 504
+//! deadline misses) is surfaced to the caller immediately: retrying a
+//! deterministic failure only adds load.
 
 use crate::http::{read_response, write_request, ClientResponse, HttpError};
 use crate::json::Json;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
-use std::io::{self, BufReader};
+use std::io::{self, BufReader, ErrorKind};
 use std::net::TcpStream;
 use std::thread;
 use std::time::Duration;
@@ -54,8 +58,17 @@ impl RetryPolicy {
 /// Why a client call failed after exhausting its retries.
 #[derive(Debug)]
 pub enum ClientError {
-    /// Could not connect or the socket failed mid-request.
+    /// Could not connect, or the connection failed before the request was
+    /// sent: the server never saw the request.
     Io(io::Error),
+    /// The request was sent, then no answer came: the read timed out, or
+    /// the connection closed or reset. The server may have run it.
+    Unanswered {
+        /// What ended the wait.
+        error: io::Error,
+        /// The client's read timeout.
+        timeout: Duration,
+    },
     /// The response was not valid HTTP.
     Protocol(HttpError),
     /// The server answered with an error status (after retries for 429).
@@ -73,6 +86,14 @@ impl fmt::Display for ClientError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ClientError::Io(e) => write!(f, "connection failed: {e}"),
+            ClientError::Unanswered { error, timeout } => match error.kind() {
+                ErrorKind::WouldBlock | ErrorKind::TimedOut => write!(
+                    f,
+                    "no answer within the {}ms read timeout after the request was sent",
+                    timeout.as_millis()
+                ),
+                _ => write!(f, "connection failed after the request was sent: {error}"),
+            },
             ClientError::Protocol(e) => write!(f, "protocol error: {e}"),
             ClientError::Status { status, body } => {
                 write!(f, "server answered {status}: {body}")
@@ -120,8 +141,23 @@ impl FabClient {
         self
     }
 
+    /// The open connection, or a new one. A kept-alive connection is first
+    /// checked for a close the server sent while it sat idle, so that close
+    /// fails here, before the request is sent.
     fn connect(&mut self) -> io::Result<&mut BufReader<TcpStream>> {
-        if self.conn.is_none() {
+        if let Some(conn) = &self.conn {
+            let stream = conn.get_ref();
+            stream.set_nonblocking(true)?;
+            let peeked = stream.peek(&mut [0u8; 1]);
+            stream.set_nonblocking(false)?;
+            match peeked {
+                Ok(0) => {
+                    return Err(io::Error::new(ErrorKind::ConnectionAborted, "closed while idle"))
+                }
+                Err(e) if e.kind() != ErrorKind::WouldBlock => return Err(e),
+                _ => {}
+            }
+        } else {
             let stream = TcpStream::connect(&self.addr)?;
             stream.set_nodelay(true)?;
             stream.set_read_timeout(Some(self.timeout))?;
@@ -133,19 +169,22 @@ impl FabClient {
 
     /// One request/response exchange on the persistent connection, no
     /// retries. Drops the connection on any failure so the next attempt
-    /// reconnects from scratch.
+    /// reconnects from scratch. A failure to connect or to write is
+    /// [`ClientError::Io`] (a request cut short cannot be parsed, let alone
+    /// run); one while waiting for the answer is
+    /// [`ClientError::Unanswered`].
     fn exchange(
         &mut self,
         method: &str,
         target: &str,
         body: &[u8],
     ) -> Result<ClientResponse, ClientError> {
-        let max_body = self.max_body;
+        let (max_body, timeout) = (self.max_body, self.timeout);
         let result = (|| {
             let conn = self.connect().map_err(ClientError::Io)?;
             write_request(conn.get_mut(), method, target, &[], body).map_err(ClientError::Io)?;
             read_response(conn, max_body).map_err(|e| match e {
-                HttpError::Io(io) => ClientError::Io(io),
+                HttpError::Io(error) => ClientError::Unanswered { error, timeout },
                 other => ClientError::Protocol(other),
             })
         })();
@@ -158,7 +197,8 @@ impl FabClient {
     }
 
     /// Issues a request, retrying transient failures (connect errors and
-    /// 429) with jittered exponential backoff.
+    /// 429, and for `GET` a request that got no answer) with jittered
+    /// exponential backoff.
     ///
     /// # Errors
     ///
@@ -186,7 +226,8 @@ impl FabClient {
                     (hint.is_some(), hint, Ok(resp))
                 }
                 Ok(resp) => (false, None, Ok(resp)),
-                Err(ClientError::Io(e)) => (true, None, Err(ClientError::Io(e))),
+                Err(e @ ClientError::Io(_)) => (true, None, Err(e)),
+                Err(e @ ClientError::Unanswered { .. }) => (method == "GET", None, Err(e)),
                 Err(e) => (false, None, Err(e)),
             };
             if !retryable || attempt >= self.retry.max_retries {

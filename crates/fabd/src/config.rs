@@ -115,13 +115,6 @@ pub struct ProfileConfig {
     pub calibration_samples: usize,
 }
 
-#[cfg(test)]
-thread_local! {
-    /// Trainings [`ProfileConfig::train_exact`] ran on this thread, for the
-    /// tests that count how often a boot trains.
-    pub(crate) static TRAININGS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
 /// The training recipe of a [`ProfileConfig`]: equal keys train
 /// bit-identical weights, whatever the profiles' names and serving views.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -223,8 +216,6 @@ impl ProfileConfig {
     /// Trains this profile's recipe and freezes the weights exactly: the
     /// model every profile with the same training key serves from.
     pub(crate) fn train_exact(&self) -> FrozenModel {
-        #[cfg(test)]
-        TRAININGS.with(|n| n.set(n.get() + 1));
         let pipeline = TrainingPipeline::new(self.task, self.seq_len, self.seed)
             .with_examples(self.train_examples, self.test_examples)
             .with_epochs(self.epochs);

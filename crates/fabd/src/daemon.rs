@@ -38,7 +38,7 @@ use fab_chaos::{ChaosInjector, ChaosSite};
 use fab_fleet::{Fleet, FleetError, ModelInfo, ModelSource, ModelState};
 use fab_nn::FrozenModel;
 use fab_serve::{InferenceSession, Prediction, Priority, ServeError, ServerStats};
-use fab_store::{ModelArtifact, Store, FINGERPRINT_KEY};
+use fab_store::{ModelArtifact, Recovered, Store, FINGERPRINT_KEY};
 use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -94,6 +94,8 @@ struct DaemonShared {
     /// Wall-clock seconds from boot to all profiles ready, stored as f64
     /// bits (written once by the boot thread, read by `/metrics`).
     warm_start_seconds: AtomicU64,
+    /// Training keys the boot trained (set once, when boot ends).
+    boot_trainings: AtomicUsize,
     /// Last persisted snapshot version per model name.
     snapshot_versions: Mutex<HashMap<String, u64>>,
     /// The storable artifact behind each loaded model, kept so
@@ -160,9 +162,10 @@ impl Daemon {
     ///
     /// Boot trains each distinct training key once: the profiles that must
     /// train and share a key (the `f32` / `fast` / `int8` rungs of one
-    /// model) build their artifacts from one exact frozen model, trained
-    /// when the first of them needs it and dropped when boot ends. Warm and
-    /// fallback profiles never train.
+    /// model) build their artifacts from one exact frozen model, dropped
+    /// when boot ends. Warm and fallback profiles never train. The keys
+    /// that train do so side by side, on the worker pool; the profiles are
+    /// then committed and persisted one by one in config order.
     ///
     /// The accept loop runs *during* model loading so probes get answers:
     /// `/healthz` is up immediately, `/readyz` stays `503 loading` until
@@ -204,6 +207,7 @@ impl Daemon {
             store,
             ready: AtomicBool::new(false),
             warm_start_seconds: AtomicU64::new(0),
+            boot_trainings: AtomicUsize::new(0),
             snapshot_versions: Mutex::new(HashMap::new()),
             artifacts: Mutex::new(HashMap::new()),
             chaos,
@@ -221,15 +225,12 @@ impl Daemon {
             .map_err(|e| format!("spawn accept loop: {e}"))?;
 
         let boot = Instant::now();
-        let mut trained = HashMap::new();
-        for p in shared.config.profiles.clone() {
-            if let Err(e) = boot_profile(&shared, &p, &mut trained) {
-                // Tear the half-started daemon down cleanly: stop the
-                // accept loop before reporting the failure.
-                shared.begin_drain();
-                let _ = accept_thread.join();
-                return Err(e);
-            }
+        if let Err(e) = boot_profiles(&shared) {
+            // Tear the half-started daemon down cleanly: stop the
+            // accept loop before reporting the failure.
+            shared.begin_drain();
+            let _ = accept_thread.join();
+            return Err(e);
         }
         shared.warm_start_seconds.store(boot.elapsed().as_secs_f64().to_bits(), Ordering::Relaxed);
         shared.ready.store(true, Ordering::SeqCst);
@@ -299,45 +300,77 @@ impl Daemon {
     }
 }
 
-/// Brings one profile up at boot: last-good snapshot when available and
-/// fingerprint-matched (`warm`, or `fallback` when an older version had to
-/// stand in for a corrupt newest), fresh training otherwise (`trained`,
-/// persisted for the next boot). A profile that trains takes its training
-/// key's exact model from `trained`, training it on first use.
+/// Brings every configured profile up at boot. Each profile takes its last
+/// good snapshot when one is stored under its fingerprint (`warm`, or
+/// `fallback` when an older version had to stand in for a corrupt newest)
+/// and is trained otherwise (`trained`, persisted for the next boot).
+///
+/// First every profile's snapshot is looked up; that settles which distinct
+/// training keys must train. Those train side by side, one pool call over
+/// the keys — on the pool's threads, so a boot starts no thread of its own
+/// and the kernels of each training run inline on its thread. Each training
+/// is the same function of its key on any thread, so the served bytes do
+/// not depend on the thread count. Then the profiles are committed, and the
+/// trained ones persisted, in config order.
+fn boot_profiles(shared: &Arc<DaemonShared>) -> Result<(), String> {
+    let profiles = &shared.config.profiles;
+    let restored: Vec<Option<Recovered>> = match &shared.store {
+        Some(store) => (profiles.iter())
+            .map(|p| store.load_last_good(&p.name, Some(&p.fingerprint())).ok())
+            .collect(),
+        None => profiles.iter().map(|_| None).collect(),
+    };
+    let mut keys: Vec<&ProfileConfig> = Vec::new();
+    for (p, rec) in profiles.iter().zip(&restored) {
+        if rec.is_none() && !keys.iter().any(|k| k.training_key() == p.training_key()) {
+            keys.push(p);
+        }
+    }
+    let mut models: Vec<Option<FrozenModel>> = keys.iter().map(|_| None).collect();
+    if !models.is_empty() {
+        rayon::fork_chunks_mut([(&mut models[..], 1)], |i, [slot]| {
+            slot[0] = Some(keys[i].train_exact());
+        });
+    }
+    shared.boot_trainings.store(keys.len(), Ordering::Relaxed);
+    let trained: HashMap<TrainingKey, FrozenModel> = (keys.iter().map(|p| p.training_key()))
+        .zip(models.into_iter().map(|m| m.expect("every key trained")))
+        .collect();
+    for (p, rec) in profiles.iter().zip(restored) {
+        boot_profile(shared, p, rec, &trained)?;
+    }
+    Ok(())
+}
+
+/// Commits one profile at boot: `restored` when its snapshot loaded, else
+/// its training key's exact model from `trained`, persisted.
 fn boot_profile(
     shared: &Arc<DaemonShared>,
     profile: &ProfileConfig,
-    trained: &mut HashMap<TrainingKey, FrozenModel>,
+    restored: Option<Recovered>,
+    trained: &HashMap<TrainingKey, FrozenModel>,
 ) -> Result<(), String> {
     let ticket = shared
         .fleet
         .begin_load(profile.spec())
         .map_err(|e| format!("load profile {}: {e}", profile.name))?;
-    let mut train = || {
-        let exact = trained.entry(profile.training_key()).or_insert_with(|| profile.train_exact());
-        profile.artifact_from_exact(exact)
-    };
-    let fingerprint = profile.fingerprint();
-    let (artifact, source) = match &shared.store {
-        Some(store) => match store.load_last_good(&profile.name, Some(&fingerprint)) {
-            Ok(rec) => {
-                let source = if rec.fallback { ModelSource::Fallback } else { ModelSource::Warm };
-                shared
-                    .snapshot_versions
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .insert(profile.name.clone(), rec.version);
-                (rec.artifact, source)
-            }
-            // No snapshot, stale fingerprint, or every version corrupt:
-            // retrain and persist the result.
-            Err(_) => {
-                let artifact = train();
-                persist_artifact(shared, &profile.name, &artifact, &fingerprint);
-                (artifact, ModelSource::Trained)
-            }
-        },
-        None => (train(), ModelSource::Trained),
+    let (artifact, source) = match restored {
+        Some(rec) => {
+            let source = if rec.fallback { ModelSource::Fallback } else { ModelSource::Warm };
+            shared
+                .snapshot_versions
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .insert(profile.name.clone(), rec.version);
+            (rec.artifact, source)
+        }
+        // No snapshot, stale fingerprint, or every version corrupt:
+        // the freshly trained model, persisted for the next boot.
+        None => {
+            let artifact = profile.artifact_from_exact(&trained[&profile.training_key()]);
+            persist_artifact(shared, &profile.name, &artifact, &profile.fingerprint());
+            (artifact, ModelSource::Trained)
+        }
     };
     let artifact = share_weights(shared, profile, artifact);
     let session = attach_chaos(shared, profile.session_from_artifact(&artifact, false));
@@ -1099,16 +1132,14 @@ fn resident_weight_bytes(shared: &DaemonShared) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{Precision, TRAININGS};
+    use crate::config::Precision;
     use fab_store::encode_artifact;
-    use std::cell::Cell;
 
     /// Boots `config` and returns, per profile, its source and the FABSNAP
     /// bytes of its booted artifact, plus the trainings the boot ran.
     fn boot(config: &DaemonConfig) -> (Vec<(ModelSource, Vec<u8>)>, usize) {
-        let before = TRAININGS.with(Cell::get);
         let daemon = Daemon::start(config.clone()).expect("daemon boots");
-        let trainings = TRAININGS.with(Cell::get) - before;
+        let trainings = daemon.shared.boot_trainings.load(Ordering::Relaxed);
         let sources: HashMap<String, ModelSource> =
             daemon.shared.fleet.models().into_iter().map(|m| (m.spec.name, m.source)).collect();
         assert_one_set_per_key_and_format(&daemon, config);
@@ -1204,6 +1235,30 @@ mod tests {
             assert!(bytes == want, "{}: warm artifact differs from build_artifact", p.name);
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The keys train side by side on the pool; each is the same function
+    /// of its key on any thread, so a one-thread boot serves the same bytes.
+    #[test]
+    fn a_cold_boot_serves_the_same_bytes_at_any_thread_count() {
+        let mut profiles: Vec<ProfileConfig> =
+            [("f32", Precision::Exact), ("int8", Precision::Int8)]
+                .iter()
+                .map(|&(name, precision)| ProfileConfig::tiny(name, precision, 5))
+                .collect();
+        profiles.push(ProfileConfig {
+            arch: fab_nn::ModelKind::Transformer,
+            ..ProfileConfig::tiny("tfm", Precision::Exact, 6)
+        });
+        let config =
+            DaemonConfig { addr: "127.0.0.1:0".to_string(), profiles, ..DaemonConfig::default() };
+        let (one, trainings) = fabnet::tensor::with_rayon_threads(1, || boot(&config));
+        assert_eq!(trainings, 2);
+        let (default, trainings) = boot(&config);
+        assert_eq!(trainings, 2);
+        for ((p, (_, one)), (_, default)) in config.profiles.iter().zip(&one).zip(&default) {
+            assert!(one == default, "{}: the served bytes depend on the thread count", p.name);
+        }
     }
 
     #[test]

@@ -367,10 +367,11 @@ fn drain_flips_readyz_stops_accepting_and_join_completes() {
     assert!(daemon.is_draining());
 
     // The drain ack closed our keep-alive connection; a fresh readyz either
-    // reports 503 (raced the accept loop) or cannot connect at all.
+    // reports 503 (raced the accept loop), cannot connect at all, or (the
+    // close still in flight) is sent and never answered.
     match client.ready() {
         Ok(ready) => assert!(!ready, "readyz stayed 200 during drain"),
-        Err(ClientError::Io(_)) => {}
+        Err(ClientError::Io(_) | ClientError::Unanswered { .. }) => {}
         Err(other) => panic!("unexpected failure: {other}"),
     }
     daemon.join();
@@ -975,6 +976,37 @@ fn adaptive_overload_answers_every_admitted_request_degrades_and_recovers() {
     let flips = steps.windows(2).filter(|w| w[0] != w[1]).count();
     assert!(flips <= 6, "degrade level flapped: {flips} direction changes in {levels:?}");
     assert!(recovered, "level {:?} 10 s after the load stopped, not 0", levels.last());
+    daemon.shutdown();
+}
+
+/// A `predict` the daemon admitted but did not answer within the client's
+/// read timeout is not sent again, whatever the retry budget: the daemon
+/// runs it once (one `slow_forward` draw per forward), and the error names
+/// the timeout.
+#[test]
+fn an_unanswered_predict_is_not_sent_again() {
+    let config = DaemonConfig { fault_injection: true, ..test_config() };
+    let daemon = Daemon::start(config).expect("daemon starts");
+    let mut admin = client_for(&daemon);
+    admin.chaos_configure("slow_forward", 1, 400).expect("arm slow_forward");
+    let injected = |admin: &mut FabClient| -> String {
+        let metrics = admin.metrics().expect("metrics");
+        let site = "fabd_chaos_injected_total{site=\"slow_forward\"} ";
+        let line = metrics.lines().find(|l| l.starts_with(site)).expect("slow_forward series");
+        line[site.len()..].to_string()
+    };
+    for (max_retries, forwards) in [(0, "1"), (2, "2")] {
+        let policy = RetryPolicy { max_retries, base_ms: 1, max_ms: 1 };
+        let mut client = FabClient::with_policy(&daemon.addr().to_string(), policy, 3)
+            .with_timeout(Duration::from_millis(150));
+        let err = client.predict(None, &[1, 2, 3], None).expect_err("the answer is late");
+        assert!(matches!(err, ClientError::Unanswered { .. }), "{err}");
+        assert!(err.to_string().contains("150ms read timeout"), "{err}");
+        // Every forward a retry would have caused has started by now.
+        std::thread::sleep(Duration::from_millis(1500));
+        assert_eq!(injected(&mut admin), forwards, "max_retries {max_retries}");
+    }
+    admin.chaos_reset().expect("disarm chaos");
     daemon.shutdown();
 }
 

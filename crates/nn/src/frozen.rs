@@ -33,7 +33,7 @@
 //! heads, the residual layer norms, the FFN intermediate, the pooled state —
 //! is a buffer of a workspace that only grows ([`Tensor::resize_to`]); every
 //! op writes into its output in place of returning one. (A kernel call that
-//! reaches [`PAR_GRAIN_OPS`] goes to the worker pool, which allocates
+//! reaches [`fab_tensor::PAR_GRAIN_OPS`] goes to the worker pool, which allocates
 //! nothing either; a short sequence makes no such call, a two-layer
 //! Transformer at 1024 tokens twenty.) A forward takes the most recently
 //! used idle workspace of the process for its duration, so there are as
@@ -77,9 +77,8 @@
 
 use crate::config::{ModelConfig, ModelKind};
 use crate::qlinear::{QuantEmbedding, QuantLinear};
-use fab_butterfly::flops::attention_core_flops;
 use fab_butterfly::{fourier_mix_into, ButterflyMatrix};
-use fab_tensor::{simd, Tensor, PAR_GRAIN_OPS};
+use fab_tensor::{attention, simd, Tensor};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// A frozen (inference-only) linear map: the tape-free counterpart of the
@@ -371,50 +370,23 @@ impl FrozenAttention {
         }
         mixed.resize_to(&[x.rows(), self.dim]);
         let backend = simd::backend();
-        attention_core(backend, q, k, v, self.num_heads, fast_math, mixed.as_mut_slice(), tiles);
+        let heads = self.num_heads;
+        attention::forward(backend, q, k, v, heads, fast_math, mixed.as_mut_slice(), tiles);
         observe(mixed.as_slice());
         self.wo.forward_into(mixed, false, qx, out);
     }
 }
 
-/// Query rows a band of the attention core hands [`simd::attention_tile`]
-/// at a time, for one head: the tile's scores are `[len, 32]` at most —
-/// 128 KiB at `len` 1024 — so they are still in L2 when the softmax and the
-/// product with V read what the product with Kᵀ wrote.
-const ATTN_SUB_ROWS: usize = 32;
-
-/// Most bands the core cuts a sequence's query rows into — the items of its
-/// one pool call, and the slots of its scratch: `ATTN_MAX_BANDS` tiles'
-/// scratch, `8 · 32 · (len + head_dim) · 4` bytes on an AVX-512 host.
-const ATTN_MAX_BANDS: usize = 8;
-
-/// Query rows per band of the attention core for a `len`-row sequence: a
-/// whole number of sub-tiles, at most [`ATTN_MAX_BANDS`] bands. A function
-/// of `len` alone — never of the thread count — although no value could
-/// tell: a row of scores, its softmax and its product with V never involve
-/// another row.
-fn attention_band_rows(len: usize) -> usize {
-    len.div_ceil(ATTN_MAX_BANDS).next_multiple_of(ATTN_SUB_ROWS)
-}
-
 /// The f32 `softmax(QKᵀ)·V` attention core on one example's projected
 /// `[len, dim]` q/k/v, scattering the mixed heads into `out` (`len · dim`
-/// values, the layout a `concat_cols` would produce). An empty sequence
-/// writes nothing.
+/// values, the layout a `concat_cols` would produce): the tape's attention
+/// op's kernel, [`attention::forward`], on an idle workspace's tile scratch
+/// and the active backend. An empty sequence writes nothing.
 ///
 /// `prescaled` says the query was already multiplied by `1/√head_dim` (the
 /// fast-math path's `(c·q)·kᵀ` ordering); otherwise the raw scores are
-/// scaled. The query rows are cut into bands (`attention_band_rows`) that
-/// share nothing but the read-only K and V: one pool call over the bands
-/// when the core reaches [`PAR_GRAIN_OPS`], a plain loop below it. A band
-/// runs [`simd::attention_tile`] once per head and 32 query rows, which
-/// reads K and V in place and gives the bits of the per-head
-/// `softmax(c · q_h·k_hᵀ) · v_h` of the tape path's kernels. Neither the
-/// cut nor the fan-out is part of the value or the API. The tiles' scratch
-/// is an idle workspace's, so a warm call allocates nothing below the grain
-/// and the pool call's bookkeeping above it. Public so a per-component
-/// profile can time the core on its own (the benchmark's `nn.share.*`
-/// replay does).
+/// scaled. Public so a per-component profile can time the core on its own
+/// (the benchmark's `nn.share.*` replay does).
 ///
 /// # Panics
 ///
@@ -430,61 +402,8 @@ pub fn attention_mix_rows(
 ) {
     with_workspace(|ws| {
         let tiles = &mut ws.attention.tiles;
-        attention_core(simd::backend(), qi, ki, vi, num_heads, prescaled, out, tiles)
+        attention::forward(simd::backend(), qi, ki, vi, num_heads, prescaled, out, tiles)
     });
-}
-
-/// [`attention_mix_rows`] on the caller's tile scratch, every tile on
-/// `backend`: the scratch is sized for the backend its tiles run on, even
-/// when the active backend is switched during the call.
-#[allow(clippy::too_many_arguments)]
-fn attention_core(
-    backend: simd::Backend,
-    qi: &Tensor,
-    ki: &Tensor,
-    vi: &Tensor,
-    num_heads: usize,
-    prescaled: bool,
-    out: &mut [f32],
-    tiles: &mut Tensor,
-) {
-    let dim = qi.cols();
-    let len = qi.rows();
-    assert!(
-        num_heads > 0 && dim.is_multiple_of(num_heads),
-        "heads must divide the feature dimension"
-    );
-    assert_eq!((ki.rows(), ki.cols()), (len, dim), "attention key shape mismatch");
-    assert_eq!((vi.rows(), vi.cols()), (len, dim), "attention value shape mismatch");
-    assert_eq!(out.len(), len * dim, "attention output chunk length mismatch");
-    if out.is_empty() {
-        return;
-    }
-    let head_dim = dim / num_heads;
-    let band_rows = attention_band_rows(len);
-    let slot = simd::attention_tile_scratch(backend, ATTN_SUB_ROWS.min(len), len, head_dim);
-    tiles.resize_to(&[len.div_ceil(band_rows), slot]);
-    let (q, k, v) = (qi.as_slice(), ki.as_slice(), vi.as_slice());
-    let scale = (!prescaled).then(|| 1.0 / (head_dim as f32).sqrt());
-    // Band `b` owns rows `b · band_rows ..` of `out` and slot `b` of the
-    // scratch. Head by head, it mixes its rows `ATTN_SUB_ROWS` at a time.
-    let run = |b: usize, [out, scratch]: [&mut [f32]; 2]| {
-        let q = &q[b * band_rows * dim..][..out.len()];
-        for col in (0..dim).step_by(head_dim) {
-            let tiles = q.chunks(ATTN_SUB_ROWS * dim).zip(out.chunks_mut(ATTN_SUB_ROWS * dim));
-            for (q, out) in tiles {
-                simd::attention_tile(backend, q, k, v, dim, col, head_dim, scale, scratch, out);
-            }
-        }
-    };
-    let (band_len, tiles) = (band_rows * dim, tiles.as_mut_slice());
-    if attention_core_flops(len, dim) < PAR_GRAIN_OPS {
-        for (b, bands) in out.chunks_mut(band_len).zip(tiles.chunks_mut(slot)).enumerate() {
-            run(b, [bands.0, bands.1]);
-        }
-    } else {
-        rayon::fork_chunks_mut([(out, band_len), (tiles, slot)], run);
-    }
 }
 
 /// The token-mixing half of a frozen encoder block.
@@ -570,7 +489,7 @@ impl FrozenBlock {
 /// sequence a forward in it allocates nothing but the logits it returns.
 /// The high-water mark is about `len · (ffn + 7 · hidden) · 4` bytes plus the
 /// attention core's tile scratch, one slot per band:
-/// `ATTN_MAX_BANDS · simd::attention_tile_scratch(backend, ATTN_SUB_ROWS,
+/// `8 · simd::attention_tile_scratch(backend, attention::SUB_ROWS,
 /// len, head_dim) · 4` bytes, `8 · 32 · (len + head_dim) · 4` on an AVX-512 host.
 #[derive(Debug, Default)]
 struct Workspace {
@@ -599,7 +518,7 @@ struct AttentionBuffers {
     v: Tensor,
     /// The mixed heads, `[len, dim]`: the output projection's input.
     mixed: Tensor,
-    /// The scratch of [`attention_core`]'s tiles, one slot per band.
+    /// The scratch of [`attention::forward`]'s tiles, one slot per band.
     tiles: Tensor,
 }
 
@@ -1133,6 +1052,9 @@ pub fn argmax(logits: &[f32]) -> usize {
 mod tests {
     use super::*;
     use crate::{Model, ModelConfig, ModelKind};
+    use fab_butterfly::flops::attention_core_flops;
+    use fab_tensor::attention::SUB_ROWS;
+    use fab_tensor::PAR_GRAIN_OPS;
     use proptest::prelude::Strategy;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1355,7 +1277,7 @@ mod tests {
     /// Lengths around the attention core's sub-tile and band edges; the
     /// longest forks, the others run their bands as a loop.
     const WORKSPACE_LENS: [usize; 9] =
-        [1, 7, ATTN_SUB_ROWS - 1, ATTN_SUB_ROWS, ATTN_SUB_ROWS + 1, 127, 128, 129, 512];
+        [1, 7, SUB_ROWS - 1, SUB_ROWS, SUB_ROWS + 1, 127, 128, 129, 512];
 
     // Whatever a workspace last held — another model's activations, a
     // longer or a shorter sequence's, or NaN — a forward in it returns the
@@ -1483,12 +1405,12 @@ mod tests {
         #[cfg(target_arch = "x86_64")]
         if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
             backends.push(Backend::Avx2);
-            let slot = |b| simd::attention_tile_scratch(b, ATTN_SUB_ROWS, len, head_dim);
+            let slot = |b| simd::attention_tile_scratch(b, SUB_ROWS, len, head_dim);
             assert!(slot(Backend::Scalar) > slot(Backend::Avx2));
         }
         for backend in backends {
             let (mut out, mut tiles) = (vec![0.0f32; len * dim], Tensor::default());
-            attention_core(backend, &q, &k, &v, num_heads, false, &mut out, &mut tiles);
+            attention::forward(backend, &q, &k, &v, num_heads, false, &mut out, &mut tiles);
             if backend == simd::backend() {
                 assert_eq!(bits(&out), bits(&expected), "{backend:?}");
             }

@@ -214,21 +214,8 @@ impl MultiHeadAttention {
         let q = self.wq.forward(tape, x, bindings);
         let k = self.wk.forward(tape, x, bindings);
         let v = self.wv.forward(tape, x, bindings);
-        let head_dim = self.dim / self.num_heads;
-        let scale = 1.0 / (head_dim as f32).sqrt();
-        let mut heads = Vec::with_capacity(self.num_heads);
-        for h in 0..self.num_heads {
-            let (lo, hi) = (h * head_dim, (h + 1) * head_dim);
-            let qh = tape.slice_cols(q, lo, hi);
-            let kh = tape.slice_cols(k, lo, hi);
-            let vh = tape.slice_cols(v, lo, hi);
-            let kt = tape.transpose(kh);
-            let scores = tape.scale(tape.matmul(qh, kt), scale);
-            let probs = tape.softmax_rows(scores);
-            heads.push(tape.matmul(probs, vh));
-        }
-        let concat = tape.concat_cols(&heads);
-        self.wo.forward(tape, concat, bindings)
+        let mixed = tape.attention(q, k, v, self.num_heads);
+        self.wo.forward(tape, mixed, bindings)
     }
 
     /// Number of trainable scalars across the four projections.

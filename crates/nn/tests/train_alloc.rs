@@ -2,9 +2,9 @@
 //! gradient buffers and the optimiser moments have warmed up, a steady-state
 //! training step performs (almost) no heap allocation — a bounded handful
 //! per step: the boxed backward closures that capture a value (the padded
-//! butterfly op's output width) and the attention layers' head lists. A
-//! bound parameter's name is shared, not copied. The butterfly and Fourier ops read
-//! their weights and stage their work in place and allocate nothing.
+//! butterfly op's output width). A bound parameter's name is shared, not
+//! copied. The butterfly, Fourier and attention ops read their weights and
+//! inputs and stage their work in place and allocate nothing.
 //!
 //! This lives in its own integration-test binary because it installs the
 //! counting global allocator of `common`.
@@ -75,7 +75,7 @@ fn assert_steady_state(model: &Model, max_allocs: u64) {
 #[test]
 fn steady_state_train_steps_reuse_tape_grad_and_optimizer_buffers() {
     let mut rng = StdRng::seed_from_u64(3);
-    // Measured: 6 per step.
+    // Measured: 4 per step.
     assert_steady_state(&Model::new(&abfly_config(), ModelKind::FabNet, &mut rng), 8);
 }
 
@@ -87,6 +87,16 @@ fn fourier_mixing_train_steps_are_steady_too() {
     let config = ModelConfig { num_abfly: 0, ..abfly_config() };
     // Measured: 4 per step.
     assert_steady_state(&Model::new(&config, ModelKind::FabNet, &mut rng), 6);
+}
+
+/// Dense projections around the attention op: the op's backward is a
+/// built-in tape kind and stages its work in the tape's scratch, so it
+/// allocates nothing per step either.
+#[test]
+fn transformer_train_steps_are_steady_too() {
+    let mut rng = StdRng::seed_from_u64(3);
+    // Measured: 0 per step.
+    assert_steady_state(&Model::new(&abfly_config(), ModelKind::Transformer, &mut rng), 0);
 }
 
 /// Changing the sequence length re-warms the tape once, after which the new

@@ -11,6 +11,15 @@
 //! (materialised transposes, per-node gradient tensors, `add`-chained
 //! accumulation) alive as a ground-truth oracle and benchmark baseline; the
 //! arena backward is validated against it in the property tests.
+//!
+//! The built-in ops: [`Tape::add`], [`Tape::sub`], [`Tape::mul`],
+//! [`Tape::scale`], [`Tape::matmul`], [`Tape::attention`] (multi-head
+//! self-attention as one node, on the kernels of [`crate::attention`]),
+//! [`Tape::relu`], [`Tape::gelu`], [`Tape::layer_norm`],
+//! [`Tape::add_row_broadcast`], [`Tape::mean_pool_rows`], [`Tape::sum`],
+//! [`Tape::mean_all`], [`Tape::cross_entropy`], [`Tape::embedding`] and
+//! [`Tape::embedding_iota`]. Other crates add theirs through
+//! [`Tape::push_custom`] (the butterfly and Fourier layers do).
 
 use crate::tensor::gelu_grad_scalar;
 use crate::Tensor;
@@ -195,15 +204,12 @@ enum OpKind {
     Mul,
     Scale(f32),
     Matmul,
-    Transpose,
-    SoftmaxRows,
+    Attention { heads: usize },
     Relu,
     Gelu,
     LayerNorm { eps: f32 },
     AddRowBroadcast,
     MeanPoolRows,
-    SliceCols { start: usize, end: usize },
-    ConcatCols,
     Sum,
     CrossEntropy { lstart: usize, lcount: usize },
     Embedding { istart: usize, icount: usize },
@@ -238,6 +244,9 @@ struct TapeInner {
     /// `Bᵀ` staged here instead of freshly allocated).
     mm_t: Tensor,
     mm_out: Tensor,
+    /// Scratch of the attention kernels: the forward's tiles while a node
+    /// is recorded, the backward's per-head slots while it runs.
+    attn: Tensor,
 }
 
 impl TapeInner {
@@ -515,6 +524,7 @@ impl Tape {
             tn_scratch,
             mm_t,
             mm_out,
+            attn,
             ..
         } = inner;
 
@@ -599,20 +609,16 @@ impl Tape {
                         grad_buf(vbelow, gbelow, has, parents[1]),
                     );
                 }
-                OpKind::Transpose => {
-                    g.transpose_acc(grad_buf(vbelow, gbelow, has, parents[0]));
-                }
-                OpKind::SoftmaxRows => {
-                    let y = value;
-                    let n = y.cols();
-                    let dst = grad_buf(vbelow, gbelow, has, parents[0]);
-                    for ((dxr, gr), yr) in
-                        dst.chunks_mut(n).zip(g.as_slice().chunks(n)).zip(y.as_slice().chunks(n))
-                    {
-                        let dot: f32 = gr.iter().zip(yr.iter()).map(|(&gv, &yv)| gv * yv).sum();
-                        for ((d, &gv), &yv) in dxr.iter_mut().zip(gr.iter()).zip(yr.iter()) {
-                            *d += yv * (gv - dot);
-                        }
+                OpKind::Attention { heads } => {
+                    // dQ, dK and dV are staged, then added: the three
+                    // parents may be one variable.
+                    let [q, k, v] = [0, 1, 2].map(|i| &vbelow[parents[i]]);
+                    let n = value.len();
+                    let staged = &mut scratch[0];
+                    staged.resize(3 * n, 0.0);
+                    crate::attention::backward(q, k, v, value, g, *heads, attn, staged);
+                    for (i, &p) in parents.iter().enumerate() {
+                        acc_slice(grad_buf(vbelow, gbelow, has, p), &staged[i * n..(i + 1) * n]);
                     }
                 }
                 OpKind::Relu => {
@@ -648,27 +654,6 @@ impl Tape {
                     let dst = grad_buf(vbelow, gbelow, has, parents[0]);
                     for dxr in dst.chunks_mut(n) {
                         crate::simd::axpy_acc(dxr, scale, &g.as_slice()[..n]);
-                    }
-                }
-                OpKind::SliceCols { start, end } => {
-                    let (start, end) = (*start, *end);
-                    let n = vbelow[parents[0]].cols();
-                    let w = end - start;
-                    let dst = grad_buf(vbelow, gbelow, has, parents[0]);
-                    for (dxr, gr) in dst.chunks_mut(n).zip(g.as_slice().chunks(w)) {
-                        acc_slice(&mut dxr[start..end], gr);
-                    }
-                }
-                OpKind::ConcatCols => {
-                    let total = g.cols();
-                    let mut off = 0;
-                    for i in 0..parents.len() {
-                        let w = vbelow[parents[i]].cols();
-                        let dst = grad_buf(vbelow, gbelow, has, parents[i]);
-                        for (dxr, gr) in dst.chunks_mut(w).zip(g.as_slice().chunks(total)) {
-                            acc_slice(dxr, &gr[off..off + w]);
-                        }
-                        off += w;
                     }
                 }
                 OpKind::Sum => {
@@ -735,16 +720,29 @@ impl Tape {
         })
     }
 
-    /// Transpose of a 2-D variable.
-    pub fn transpose(&self, a: VarId) -> VarId {
-        self.push_op("transpose", OpKind::Transpose, &[a], |pv, out| pv.get(0).transpose_into(out))
-    }
-
-    /// Row-wise softmax.
-    pub fn softmax_rows(&self, a: VarId) -> VarId {
-        self.push_op("softmax_rows", OpKind::SoftmaxRows, &[a], |pv, out| {
-            pv.get(0).softmax_rows_into(out)
-        })
+    /// Multi-head self-attention of `[len, dim]` query, key and value
+    /// variables: head `h` (columns `h · d .. (h + 1) · d`, `d = dim /
+    /// num_heads`) of the `[len, dim]` result is `softmax(c · q_h·k_hᵀ) ·
+    /// v_h` with `c = 1/√d`. The value is [`crate::attention::forward`]'s,
+    /// the frozen forward's bits; the node keeps nothing but that value, and
+    /// its backward ([`crate::attention::backward`]) recomputes the
+    /// probabilities tile by tile, so the tape holds no `[len, len]` matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the shapes differ or `num_heads` does not divide `dim`.
+    pub fn attention(&self, q: VarId, k: VarId, v: VarId, num_heads: usize) -> VarId {
+        let mut inner = self.inner.borrow_mut();
+        let inner = &mut *inner;
+        let idx = inner.node("attention", OpKind::Attention { heads: num_heads }, &[q, k, v]);
+        let (below, rest) = inner.values.split_at_mut(idx);
+        let (qv, kv, vv) = (&below[q.0], &below[k.0], &below[v.0]);
+        let out = &mut rest[0];
+        out.resize_to(&[qv.rows(), qv.cols()]);
+        let backend = crate::simd::backend();
+        let out = out.as_mut_slice();
+        crate::attention::forward(backend, qv, kv, vv, num_heads, false, out, &mut inner.attn);
+        VarId(idx)
     }
 
     /// Rectified linear unit.
@@ -775,44 +773,6 @@ impl Tape {
     pub fn mean_pool_rows(&self, x: VarId) -> VarId {
         self.push_op("mean_pool_rows", OpKind::MeanPoolRows, &[x], |pv, out| {
             pv.get(0).mean_rows_into(out)
-        })
-    }
-
-    /// Extracts columns `[start, end)` of a 2-D variable.
-    pub fn slice_cols(&self, x: VarId, start: usize, end: usize) -> VarId {
-        self.push_op("slice_cols", OpKind::SliceCols { start, end }, &[x], |pv, out| {
-            pv.get(0).slice_cols_into(start, end, out)
-        })
-    }
-
-    /// Concatenates 2-D variables along the column axis.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `parts` is empty.
-    pub fn concat_cols(&self, parts: &[VarId]) -> VarId {
-        assert!(!parts.is_empty(), "concat_cols requires at least one variable");
-        self.push_op("concat_cols", OpKind::ConcatCols, parts, |pv, out| {
-            let m = pv.get(0).rows();
-            let mut total = 0;
-            for i in 0..pv.len() {
-                let p = pv.get(i);
-                assert_eq!(p.shape().len(), 2, "concat_cols requires 2-D variables");
-                assert_eq!(p.rows(), m, "concat_cols row count mismatch");
-                total += p.cols();
-            }
-            out.resize_to(&[m, total]);
-            let od = out.as_mut_slice();
-            for i in 0..m {
-                let mut off = 0;
-                for pi in 0..pv.len() {
-                    let p = pv.get(pi);
-                    let n = p.cols();
-                    od[i * total + off..i * total + off + n]
-                        .copy_from_slice(&p.as_slice()[i * n..(i + 1) * n]);
-                    off += n;
-                }
-            }
         })
     }
 
@@ -1076,19 +1036,45 @@ fn reference_builtin_backward(
             out.push(g.matmul(&pv(1).transpose()));
             out.push(pv(0).transpose().matmul(g));
         }
-        OpKind::Transpose => out.push(g.transpose()),
-        OpKind::SoftmaxRows => {
-            let y = value;
-            let (m, n) = (y.rows(), y.cols());
-            let mut dx = Tensor::zeros(&[m, n]);
-            let rows = dx.as_mut_slice().chunks_mut(n);
-            for ((dxr, gr), yr) in rows.zip(g.as_slice().chunks(n)).zip(y.as_slice().chunks(n)) {
-                let dot: f32 = gr.iter().zip(yr.iter()).map(|(&gv, &yv)| gv * yv).sum();
-                for ((d, &gv), &yv) in dxr.iter_mut().zip(gr.iter()).zip(yr.iter()) {
-                    *d = yv * (gv - dot);
+        OpKind::Attention { heads } => {
+            // `attention::backward` untiled, head by head: every `[len, len]`
+            // matrix materialised, every product one whole-tensor matmul
+            // (which sums in the tiles' order).
+            let (o, len, dim) = (value, value.rows(), value.cols());
+            let head_dim = dim / heads;
+            let c = 1.0 / (head_dim as f32).sqrt();
+            let mut grads = [(); 3].map(|_| Tensor::zeros(&[len, dim]));
+            for lo in (0..dim).step_by(head_dim.max(1)) {
+                let [q, k, v] = [0, 1, 2].map(|i| pv(i).slice_cols(lo, lo + head_dim));
+                let gh = g.slice_cols(lo, lo + head_dim);
+                let p = q.matmul(&k.transpose()).scale(c).softmax_rows();
+                let dp = gh.matmul(&v.scale(c).transpose());
+                let mut ds = p.clone();
+                let w = len.max(1);
+                for (r, (dsr, dpr)) in
+                    ds.as_mut_slice().chunks_mut(w).zip(dp.as_slice().chunks(w)).enumerate()
+                {
+                    let terms = gh.as_slice()[r * head_dim..][..head_dim].iter();
+                    let o = &o.as_slice()[r * dim + lo..][..head_dim];
+                    let delta = -c * terms.zip(o).fold(0.0, |acc, (&g, &o)| acc + g * o);
+                    for (d, &dp) in dsr.iter_mut().zip(dpr) {
+                        *d *= dp + delta;
+                    }
+                }
+                let head = [
+                    ds.matmul(&k),
+                    q.transpose().matmul(&ds).transpose(),
+                    gh.transpose().matmul(&p).transpose(),
+                ];
+                for (grad, head) in grads.iter_mut().zip(&head) {
+                    let rows =
+                        grad.as_mut_slice().chunks_mut(dim).zip(head.as_slice().chunks(head_dim));
+                    for (row, src) in rows {
+                        row[lo..lo + head_dim].copy_from_slice(src);
+                    }
                 }
             }
-            out.push(dx);
+            out.extend(grads);
         }
         OpKind::Relu => out.push(
             Tensor::from_vec(
@@ -1177,23 +1163,6 @@ fn reference_builtin_backward(
             }
             out.push(dx);
         }
-        OpKind::SliceCols { start, end } => {
-            let (m, n) = (pv(0).rows(), pv(0).cols());
-            let mut dx = Tensor::zeros(&[m, n]);
-            let w = end - start;
-            for (dxr, gr) in dx.as_mut_slice().chunks_mut(n).zip(g.as_slice().chunks(w)) {
-                dxr[*start..*end].copy_from_slice(gr);
-            }
-            out.push(dx);
-        }
-        OpKind::ConcatCols => {
-            let mut off = 0;
-            for i in 0..parents.len() {
-                let w = pv(i).cols();
-                out.push(g.slice_cols(off, off + w));
-                off += w;
-            }
-        }
         OpKind::Sum => {
             let s = g.as_slice()[0];
             out.push(Tensor::full(pv(0).shape(), s));
@@ -1275,19 +1244,25 @@ mod tests {
     }
 
     #[test]
-    fn softmax_gradient_matches_finite_differences() {
-        let x = t(vec![0.5, -1.0, 2.0, 0.3, 0.1, -0.4], &[2, 3]);
-        let ok = check_gradient(
-            |tape, xv| {
-                let s = tape.softmax_rows(xv);
-                let w = tape.leaf(t(vec![1.0, 2.0, -1.0, 0.5, 1.5, -0.5], &[2, 3]));
-                let y = tape.mul(s, w);
-                tape.sum(y)
-            },
-            &x,
-            1e-2,
-        );
-        assert!(ok);
+    fn attention_gradient_matches_finite_differences() {
+        let x = t(vec![0.5, -1.0, 2.0, 0.3, 0.1, -0.4, 0.9, -0.6, 1.2, 0.0, -0.8, 0.4], &[3, 4]);
+        for heads in [1, 2] {
+            let ok = check_gradient(
+                |tape, xv| {
+                    let k =
+                        tape.leaf(t((0..12).map(|i| (i as f32 * 0.37).sin()).collect(), &[3, 4]));
+                    // The query is the value too: both gradients reach `x`.
+                    let s = tape.attention(xv, k, xv, heads);
+                    let w =
+                        tape.leaf(t((0..12).map(|i| (i as f32 * 0.71).cos()).collect(), &[3, 4]));
+                    let y = tape.mul(s, w);
+                    tape.sum(y)
+                },
+                &x,
+                1e-2,
+            );
+            assert!(ok, "{heads} heads");
+        }
     }
 
     #[test]
@@ -1321,24 +1296,6 @@ mod tests {
         let ok = check_gradient(
             |tape, xv| {
                 let y = tape.gelu(xv);
-                tape.sum(y)
-            },
-            &x,
-            1e-2,
-        );
-        assert!(ok);
-    }
-
-    #[test]
-    fn slice_concat_gradients_roundtrip() {
-        let x = t(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
-        let ok = check_gradient(
-            |tape, xv| {
-                let a = tape.slice_cols(xv, 0, 1);
-                let b = tape.slice_cols(xv, 1, 3);
-                let back = tape.concat_cols(&[b, a]);
-                let w = tape.leaf(t(vec![0.3, -0.2, 0.5, 0.7, -0.4, 0.6], &[2, 3]));
-                let y = tape.mul(back, w);
                 tape.sum(y)
             },
             &x,
@@ -1437,13 +1394,8 @@ mod tests {
         let h = tape.add_row_broadcast(h, bias);
         let h = tape.gelu(h);
         let hn = tape.layer_norm(h, gamma, beta, 1e-5);
-        let s = tape.softmax_rows(hn);
-        let left = tape.slice_cols(s, 0, 2);
-        let right = tape.slice_cols(s, 2, 4);
-        let joined = tape.concat_cols(&[right, left]);
-        let ht = tape.transpose(joined);
-        let back = tape.transpose(ht);
-        let mixed = tape.matmul(back, w);
+        let s = tape.attention(hn, h, x, 2);
+        let mixed = tape.matmul(s, w);
         let res = tape.add(mixed, x);
         let scaled = tape.scale(res, 0.7);
         let prod = tape.mul(scaled, x);

@@ -31,6 +31,7 @@
 #![warn(missing_docs)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 
+pub mod attention;
 mod autodiff;
 mod error;
 pub mod fastmath;

@@ -1327,6 +1327,50 @@ mod kernels {
         }
     }
 
+    /// The probabilities [`attention_tile`] mixes V with: `p[row][key] =
+    /// softmax(c · q·kᵀ)[row][key]` for the `rows` query rows of `q` (`p`
+    /// is `[rows, len]`), from the same tiles, so with the same bits.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    pub fn attention_probs<V: LaneSelect>(
+        q: &[f32],
+        k: &[f32],
+        dim: usize,
+        col: usize,
+        head_dim: usize,
+        scale: Option<f32>,
+        scratch: &mut [f32],
+        p: &mut [f32],
+    ) {
+        let len = k.len() / dim;
+        let rows = q.len() / dim;
+        assert!(head_dim <= dim && col <= dim - head_dim, "attention_probs head");
+        assert_eq!(p.len(), len * rows, "attention_probs output");
+        let mut r = 0;
+        while r < rows {
+            let n = (rows - r).min(2 * V::LANES);
+            let nv = if n > V::LANES { 2 } else { 1 };
+            let w = nv * V::LANES;
+            let (qt, s) = scratch.split_at_mut(w * head_dim);
+            let mut tile =
+                Tile { k: &k[col..], v: &[], dim, len, head_dim, scale, qt, s: &mut s[..] };
+            let q = &q[r * dim + col..];
+            if nv == 2 {
+                tile.probs::<V, 2>(q, n);
+            } else {
+                tile.probs::<V, 1>(q, n);
+            }
+            // `Pᵀ` is in the `s` slot: key by key, one lane per row.
+            let p = &mut p[r * len..][..n * len];
+            for (key, src) in s[..len * w].chunks_exact(w).enumerate() {
+                for (row, &x) in p.chunks_exact_mut(len).zip(src) {
+                    row[key] = x;
+                }
+            }
+            r += n;
+        }
+    }
+
     /// One tile of [`attention_tile`]: `k` and `v` start at the head's first
     /// column of key row 0 (rows `dim` apart), `qt` is the `Qᵀ` / `Oᵀ` slot
     /// (`head_dim` rows of `NV` vectors) and `s` the `Sᵀ` / `P` slot (`len`
@@ -1372,6 +1416,26 @@ mod kernels {
         #[inline(always)]
         fn run<V: LaneSelect, const NV: usize>(&mut self, q: &[f32], n: usize, out: &mut [f32]) {
             let w = NV * V::LANES;
+            if self.probs::<V, NV>(q, n) {
+                self.mix::<V, NV, true>();
+            } else {
+                self.mix::<V, NV, false>();
+            }
+            // `n <= w`; the clamp tells the compiler `qt[r]` is in bounds.
+            for r in 0..n.min(w) {
+                let row = &mut out[r * self.dim..][..self.head_dim];
+                for (o, qt) in row.iter_mut().zip(self.qt.chunks_exact(w)) {
+                    *o = qt[r];
+                }
+            }
+        }
+
+        /// `Pᵀ` of `n ≤ NV · LANES` query rows of `q` into the `s` slot:
+        /// `Qᵀ` gathered, then [`Tile::scores`] and [`Tile::softmax`];
+        /// returns whether some `P` is ±0.0.
+        #[inline(always)]
+        fn probs<V: LaneSelect, const NV: usize>(&mut self, q: &[f32], n: usize) -> bool {
+            let w = NV * V::LANES;
             let qt = &mut self.qt[..self.head_dim * w];
             // The gather indexes unchecked: a check per element cost the
             // tile 3–5 % at 128 keys.
@@ -1392,18 +1456,7 @@ mod kernels {
             } else {
                 self.scores::<V, NV, false>()
             };
-            if self.softmax::<V, NV>(maxima) {
-                self.mix::<V, NV, true>();
-            } else {
-                self.mix::<V, NV, false>();
-            }
-            // `n <= w`; the clamp tells the compiler `qt[r]` is in bounds.
-            for r in 0..n.min(w) {
-                let row = &mut out[r * self.dim..][..self.head_dim];
-                for (o, qt) in row.iter_mut().zip(self.qt.chunks_exact(w)) {
-                    *o = qt[r];
-                }
-            }
+            self.softmax::<V, NV>(maxima)
         }
 
         /// `Sᵀ`, scaled, into the `s` slot; returns the 8 partial maxima
@@ -2713,6 +2766,16 @@ mod x86 {
             scratch: &mut [f32],
             out: &mut [f32],
         );
+        fn attention_probs(
+            q: &[f32],
+            k: &[f32],
+            dim: usize,
+            col: usize,
+            head_dim: usize,
+            scale: Option<f32>,
+            scratch: &mut [f32],
+            p: &mut [f32],
+        );
     }
 
     /// Sixteen `f32` lanes in one AVX-512 register, the width of every
@@ -3632,6 +3695,101 @@ pub fn attention_tile(
     })
 }
 
+/// The probabilities [`attention_tile`] mixes V with: `p` (`[rows,
+/// len]`) gets `softmax(c · q_h·k_hᵀ)` of the `rows` query rows of `q`,
+/// with the tile's own bits on `backend` (the same gather, scores and
+/// softmax). `scratch` holds
+/// [`attention_tile_scratch`]`(backend, rows, len, head_dim)` floats.
+///
+/// # Panics
+///
+/// As [`attention_tile`], or when `p` does not hold `rows · len` values.
+#[allow(clippy::too_many_arguments)]
+pub fn attention_probs(
+    backend: Backend,
+    q: &[f32],
+    k: &[f32],
+    dim: usize,
+    col: usize,
+    head_dim: usize,
+    scale: Option<f32>,
+    scratch: &mut [f32],
+    p: &mut [f32],
+) {
+    assert!(
+        backend == Backend::Scalar || backend == detect(),
+        "attention_probs backend unsupported"
+    );
+    assert!(head_dim > 0 && col + head_dim <= dim, "attention_probs head out of range");
+    assert!(q.len().is_multiple_of(dim) && k.len().is_multiple_of(dim), "attention_probs rows");
+    assert!(!k.is_empty(), "attention_probs keys");
+    let (rows, len) = (q.len() / dim, k.len() / dim);
+    assert_eq!(p.len(), rows * len, "attention_probs output length mismatch");
+    assert!(
+        scratch.len() >= attention_tile_scratch(backend, rows, len, head_dim),
+        "attention_probs scratch too short"
+    );
+    dispatch!(backend; attention_probs(q, k, dim, col, head_dim, scale, scratch, p) else {
+        attention_probs_composed(q, k, dim, col, head_dim, scale, scratch, p)
+    })
+}
+
+/// [`attention_probs`] as the row kernels compute it: the value of every
+/// backend's probabilities, and the scalar backend's own.
+#[allow(clippy::too_many_arguments)]
+fn attention_probs_composed(
+    q: &[f32],
+    k: &[f32],
+    dim: usize,
+    col: usize,
+    head_dim: usize,
+    scale: Option<f32>,
+    scratch: &mut [f32],
+    p: &mut [f32],
+) {
+    let [_, _, scores] = attention_probs_rows(q, k, dim, col, head_dim, scale, scratch);
+    p.copy_from_slice(scores);
+}
+
+/// The first half of [`attention_tile_rows`]: the tile's `P` (`[rows,
+/// len]`), one query row of scores at a time. Returns `scratch` cut into
+/// the gathered q (`[rows, head_dim]`), the head's Kᵀ (`[head_dim, len]`)
+/// and `P`.
+fn attention_probs_rows<'s>(
+    q: &[f32],
+    k: &[f32],
+    dim: usize,
+    col: usize,
+    head_dim: usize,
+    scale: Option<f32>,
+    scratch: &'s mut [f32],
+) -> [&'s mut [f32]; 3] {
+    let (rows, len) = (q.len() / dim, k.len() / dim);
+    let (q_tile, rest) = scratch.split_at_mut(rows * head_dim);
+    let (kt, rest) = rest.split_at_mut(head_dim * len);
+    let (scores, rest) = rest.split_at_mut(rows * len);
+    let tmp = &mut rest[..len];
+    let cols = |r: usize| r * dim + col..r * dim + col + head_dim;
+    for (r, dst) in q_tile.chunks_mut(head_dim).enumerate() {
+        dst.copy_from_slice(&q[cols(r)]);
+    }
+    for key in 0..len {
+        for (p, &x) in k[cols(key)].iter().enumerate() {
+            kt[p * len + key] = x;
+        }
+    }
+    scores.fill(0.0);
+    matmul_band(q_tile, head_dim, kt, len, 0, scores);
+    for row in scores.chunks_mut(len) {
+        match scale {
+            Some(c) => scale_slice(row, c, tmp),
+            None => tmp.copy_from_slice(row),
+        }
+        softmax_row(tmp, row);
+    }
+    [q_tile, kt, scores]
+}
+
 /// [`attention_tile`] as the row kernels compute it, one query row of
 /// scores at a time: the value of every backend's tile, and the scalar
 /// backend's tile itself.
@@ -3647,39 +3805,79 @@ fn attention_tile_rows(
     scratch: &mut [f32],
     out: &mut [f32],
 ) {
-    let (rows, len) = (q.len() / dim, k.len() / dim);
-    let (q_tile, rest) = scratch.split_at_mut(rows * head_dim);
-    let (kv, rest) = rest.split_at_mut(head_dim * len);
-    let (scores, rest) = rest.split_at_mut(rows * len);
-    let tmp = &mut rest[..len];
     let cols = |r: usize| r * dim + col..r * dim + col + head_dim;
-    for (r, dst) in q_tile.chunks_mut(head_dim).enumerate() {
-        dst.copy_from_slice(&q[cols(r)]);
-    }
-    // `kv` holds the head's Kᵀ, `[head_dim, len]`, then its V, `[len, head_dim]`.
-    for key in 0..len {
-        for (p, &x) in k[cols(key)].iter().enumerate() {
-            kv[p * len + key] = x;
-        }
-    }
-    scores.fill(0.0);
-    matmul_band(q_tile, head_dim, kv, len, 0, scores);
-    for row in scores.chunks_mut(len) {
-        match scale {
-            Some(c) => scale_slice(row, c, tmp),
-            None => tmp.copy_from_slice(row),
-        }
-        softmax_row(tmp, row);
-    }
+    let [mixed, kv, scores] = attention_probs_rows(q, k, dim, col, head_dim, scale, scratch);
+    // `kv` held the head's Kᵀ, `[head_dim, len]`; now its V, `[len, head_dim]`.
     for (key, dst) in kv.chunks_mut(head_dim).enumerate() {
         dst.copy_from_slice(&v[cols(key)]);
     }
-    let mixed = q_tile;
     mixed.fill(0.0);
-    matmul_band(scores, len, kv, head_dim, 0, mixed);
+    matmul_band(scores, k.len() / dim, kv, head_dim, 0, mixed);
     for (r, src) in mixed.chunks(head_dim).enumerate() {
         out[cols(r)].copy_from_slice(src);
     }
+}
+
+/// The backward of one head of [`attention_tile`] for a few query rows,
+/// from the tile's probabilities rather than a stored copy (FlashAttention's
+/// backward, Dao et al. 2022): [`attention_probs`] recomputes them. All
+/// operands are head-local and contiguous. `p` is that `P` (`[rows,
+/// len]`); `dout` (the gradient of the tile's output) holds the tile's
+/// `[rows, head_dim]` rows, and `dout_t` and `q_t` are doutᵀ and the tile's
+/// qᵀ (`[head_dim, rows]`); `delta[r]` is `−c · Σ dout[r] ∘ o[r]` with `o`
+/// the tile's output and `c` the scores' scale; `k` holds the head's
+/// `[len, head_dim]` keys and `cvt` its values transposed times `c`. With
+/// `dS = P ∘ (dout·cvt + delta)` — the scaled scores' gradient,
+/// `c · P ∘ (dout·vᵀ − Σ dout ∘ o)`, formed in `p`, the product taken from
+/// +0 and `delta` added after — it accumulates
+///
+/// * `dq += dS · k`, `[rows, head_dim]`;
+/// * `dkt += q_t · dS` and `dvt += dout_t · P`, both `[head_dim, len]`
+///   (dK and dV transposed).
+///
+/// Every product is a [`matmul_band`] sweep, which adds to its output in
+/// ascending depth: calling this for a head's tiles in ascending order sums
+/// `dkt` and `dvt` over the query rows in one fixed order, whatever thread
+/// runs the calls; and each sum is the one the whole-tensor products
+/// (`matmul` of the head's `[len, len]` matrices) take, so an untiled
+/// computation gives the same bits. `scratch` holds `rows · len` floats
+/// (contents ignored).
+///
+/// # Panics
+///
+/// Panics when a slice does not hold whole rows of the shapes above, there
+/// is no key, or `scratch` is too short.
+pub fn attention_tile_backward(
+    p: &mut [f32],
+    [dout, dout_t, q_t, delta]: [&[f32]; 4],
+    [k, cvt]: [&[f32]; 2],
+    scratch: &mut [f32],
+    [dq, dkt, dvt]: [&mut [f32]; 3],
+) {
+    let rows = delta.len();
+    assert!(rows > 0 && dout.len().is_multiple_of(rows), "attention backward rows");
+    let head_dim = dout.len() / rows;
+    assert!(head_dim > 0 && p.len().is_multiple_of(rows), "attention backward head");
+    let len = p.len() / rows;
+    assert!(
+        len > 0 && k.len() == len * head_dim && cvt.len() == k.len(),
+        "attention backward keys"
+    );
+    assert!(dout_t.len() == dout.len() && q_t.len() == dout.len(), "attention backward rows");
+    assert!(dq.len() == dout.len(), "attention backward dq");
+    assert!(dkt.len() == k.len() && dvt.len() == k.len(), "attention backward dk / dv");
+    matmul_band(dout_t, rows, p, len, 0, dvt);
+    let dp = &mut scratch[..rows * len];
+    dp.fill(0.0);
+    matmul_band(dout, head_dim, cvt, len, 0, dp);
+    for ((p, dp), &delta) in p.chunks_exact_mut(len).zip(dp.chunks_exact(len)).zip(delta) {
+        for (p, &dp) in p.iter_mut().zip(dp) {
+            *p *= dp + delta;
+        }
+    }
+    let ds = &*p;
+    matmul_band(ds, len, k, head_dim, 0, dq);
+    matmul_band(q_t, rows, ds, len, 0, dkt);
 }
 
 /// Applies one whole butterfly stage to one transform vector in place:
@@ -5045,6 +5243,8 @@ pub(crate) mod tests {
             &mut [f32],
             &mut [f32],
         );
+        type ProbsKernel =
+            unsafe fn(&[f32], &[f32], usize, usize, usize, Option<f32>, &mut [f32], &mut [f32]);
         for len in [1usize, 7, 8, 9, 15, 16, 17, 31, 32, 33, 127, 128, 129, 1000] {
             for head_dim in [1usize, 7, 8, 15, 16, 17, 32, 33] {
                 for rows in [1usize, 15, 16, 17, 31, 32] {
@@ -5076,6 +5276,27 @@ pub(crate) mod tests {
                                 tile(&q, &k, &v, dim, 2, head_dim, scale, s, o)
                             });
                             Some(Out::F32(out))
+                        });
+                        // The same tiles' probabilities, as the backward
+                        // recomputes them.
+                        case(&format!("probs {what}"), true, &|arm| {
+                            let probs: ProbsKernel = match arm {
+                                #[cfg(target_arch = "x86_64")]
+                                Arm::Oracle if Arm::F32x8.runs() => attention_probs_composed,
+                                #[cfg(target_arch = "x86_64")]
+                                Arm::F32x8 => x86::f32x8::attention_probs,
+                                #[cfg(target_arch = "x86_64")]
+                                Arm::F32x16 => x86::f32x16::attention_probs,
+                                _ => return None,
+                            };
+                            let mut scratch = vec![f32::NAN; need];
+                            let mut p = vec![SENTINEL; rows * len];
+                            let (s, p_out) = (&mut scratch, &mut p);
+                            // SAFETY: as for the tile above.
+                            with_backend_avx2(|| unsafe {
+                                probs(&q, &k, dim, 2, head_dim, scale, s, p_out)
+                            });
+                            Some(Out::F32(p))
                         });
                     }
                 }
