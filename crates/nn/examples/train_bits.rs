@@ -12,9 +12,10 @@
 //! cargo run --release -p fab-nn --example train_bits > train.txt
 //! ```
 //!
-//! The models are seeded: a Transformer, a FABNet of Fourier blocks only
-//! and a FABNet with one ABfly block, hidden 64 in 4 heads of 16 and in 2
-//! of 32. The lengths straddle the attention op's 32-row tiles and the
+//! The models are seeded: a Transformer, an FNet, a FABNet of Fourier
+//! blocks only and a FABNet with one ABfly block, hidden 64 in 4 heads of
+//! 16 and in 2 of 32, so every block kind (Transformer, FNet, FBfly,
+//! ABfly) trains. The lengths straddle the attention op's 32-row tiles and the
 //! fan-out grain, and every length trains a fresh model.
 
 use fab_nn::{FusedAdamW, Model, ModelConfig, ModelKind, TrainStep};
@@ -43,6 +44,7 @@ fn main() {
     let models = [
         ("transformer", ModelKind::Transformer, 0, 4),
         ("transformer-h2", ModelKind::Transformer, 0, 2),
+        ("fnet", ModelKind::FNet, 0, 4),
         ("fabnet", ModelKind::FabNet, 0, 4),
         ("fabnet-abfly", ModelKind::FabNet, 1, 4),
         ("fabnet-abfly-h2", ModelKind::FabNet, 1, 2),

@@ -1,350 +1,164 @@
-//! Encoder blocks: the vanilla Transformer block, the FNet block, and the
-//! paper's ABfly and FBfly blocks (Fig. 5).
+//! The encoder block: token mixing (attention or Fourier) and an FFN, each
+//! wrapped in a shortcut addition and layer normalisation, with every
+//! linear map dense or butterfly. The four combinations are the vanilla
+//! Transformer and FNet blocks and the paper's ABfly and FBfly blocks
+//! (Fig. 5).
 //!
-//! Blocks compose the batched layers of [`crate::layers`]; a block forward
-//! records one tape node per fused batch operation (projection, mixing,
-//! normalisation), so both the forward and the backward sweep execute on the
-//! row-parallel kernels of `fab-tensor` / `fab-butterfly`.
+//! A block forward records one tape node per fused batch operation
+//! (projection, mixing, normalisation), so both the forward and the
+//! backward sweep execute on the row-parallel kernels of `fab-tensor` /
+//! `fab-butterfly`.
 
-use crate::frozen::{FrozenBlock, FrozenMixing};
-use crate::layers::{FeedForward, FourierMixing, LayerNorm, MultiHeadAttention};
-use crate::param::Bindings;
+use crate::config::ModelConfig;
+use crate::frozen::{FrozenAttention, FrozenBlock, FrozenFeedForward, FrozenMixing};
+use crate::layers::{LayerNorm, Linear, Mixing};
+use crate::param::{Bindings, Param};
 use fab_tensor::{Tape, VarId};
 use rand::rngs::StdRng;
 
-/// A single encoder block mapping `[seq, hidden]` to `[seq, hidden]`.
-pub trait EncoderBlock {
+/// One encoder block mapping `[seq, hidden]` to `[seq, hidden]`: the
+/// trainable counterpart of [`FrozenBlock`].
+pub(crate) struct Block {
+    mixing: Mixing,
+    /// The expanding and the contracting map, GELU between them.
+    ffn: [Linear; 2],
+    ln1: LayerNorm,
+    ln2: LayerNorm,
+}
+
+impl Block {
+    /// A block with attention (else Fourier) mixing and butterfly (else
+    /// dense) linear maps, sized by `config`.
+    pub(crate) fn new(
+        name: &str,
+        attention: bool,
+        butterfly: bool,
+        config: &ModelConfig,
+        rng: &mut StdRng,
+    ) -> Self {
+        let (h, r) = (config.hidden, config.ffn_ratio);
+        let mixing = if attention {
+            Mixing::attention(butterfly, &format!("{name}.attn"), h, config.num_heads, rng)
+        } else {
+            Mixing::Fourier
+        };
+        let ffn1 = Linear::new(butterfly, &format!("{name}.ffn.ffn1"), h, h * r, rng);
+        let ffn2 = Linear::new(butterfly, &format!("{name}.ffn.ffn2"), h * r, h, rng);
+        Self {
+            mixing,
+            ffn: [ffn1, ffn2],
+            ln1: LayerNorm::new(&format!("{name}.ln1"), h),
+            ln2: LayerNorm::new(&format!("{name}.ln2"), h),
+        }
+    }
+
     /// Applies the block.
-    fn forward(&self, tape: &Tape, x: VarId, bindings: &mut Bindings) -> VarId;
-    /// Number of trainable scalars in the block.
-    fn num_params(&self) -> usize;
-    /// FLOPs of one forward pass over a `seq`-length input.
-    fn flops(&self, seq: usize) -> u64;
+    pub(crate) fn forward(&self, tape: &Tape, x: VarId, bindings: &mut Bindings) -> VarId {
+        let m = self.mixing.forward(tape, x, bindings);
+        let x = self.ln1.forward(tape, tape.add(x, m), bindings);
+        let h = self.ffn[0].forward(tape, x, bindings);
+        let f = self.ffn[1].forward(tape, tape.gelu(h), bindings);
+        self.ln2.forward(tape, tape.add(x, f), bindings)
+    }
+
     /// Short name used in schedules and reports.
-    fn name(&self) -> &'static str;
-    /// Whether the block contains a (dense-score) attention module, which the
-    /// accelerator must schedule on the Attention Processor.
-    fn uses_attention(&self) -> bool;
+    pub(crate) fn name(&self) -> &'static str {
+        match (&self.mixing, &self.ffn[0]) {
+            (Mixing::Attention { .. }, Linear::Dense { .. }) => "Transformer",
+            (Mixing::Fourier, Linear::Dense { .. }) => "FNet",
+            (Mixing::Attention { .. }, Linear::Butterfly { .. }) => "ABfly",
+            (Mixing::Fourier, Linear::Butterfly { .. }) => "FBfly",
+        }
+    }
+
+    /// Every parameter of the block.
+    pub(crate) fn params(&self) -> impl Iterator<Item = &Param> {
+        let proj = match &self.mixing {
+            Mixing::Attention { proj, .. } => &proj[..],
+            Mixing::Fourier => &[],
+        };
+        let linears = proj.iter().chain(&self.ffn).flat_map(Linear::params);
+        linears.chain(self.ln1.params()).chain(self.ln2.params())
+    }
+
     /// Snapshots the block's current weights into its tape-free frozen form
     /// (see [`crate::FrozenModel`]).
-    fn freeze(&self) -> FrozenBlock;
-}
-
-fn residual_ln(tape: &Tape, ln: &LayerNorm, x: VarId, fx: VarId, bindings: &mut Bindings) -> VarId {
-    let sum = tape.add(x, fx);
-    ln.forward(tape, sum, bindings)
-}
-
-/// The vanilla Transformer encoder block: dense multi-head attention followed
-/// by a dense FFN, each wrapped in shortcut addition and layer normalisation.
-pub struct TransformerBlock {
-    attn: MultiHeadAttention,
-    ffn: FeedForward,
-    ln1: LayerNorm,
-    ln2: LayerNorm,
-    hidden: usize,
-}
-
-impl TransformerBlock {
-    /// Creates a block with dense attention and a dense FFN.
-    pub fn new(
-        name: &str,
-        hidden: usize,
-        heads: usize,
-        ffn_ratio: usize,
-        rng: &mut StdRng,
-    ) -> Self {
-        Self {
-            attn: MultiHeadAttention::new_dense(&format!("{name}.attn"), hidden, heads, rng),
-            ffn: FeedForward::new_dense(&format!("{name}.ffn"), hidden, ffn_ratio, rng),
-            ln1: LayerNorm::new(&format!("{name}.ln1"), hidden),
-            ln2: LayerNorm::new(&format!("{name}.ln2"), hidden),
-            hidden,
-        }
-    }
-}
-
-impl EncoderBlock for TransformerBlock {
-    fn forward(&self, tape: &Tape, x: VarId, bindings: &mut Bindings) -> VarId {
-        let a = self.attn.forward(tape, x, bindings);
-        let x = residual_ln(tape, &self.ln1, x, a, bindings);
-        let f = self.ffn.forward(tape, x, bindings);
-        residual_ln(tape, &self.ln2, x, f, bindings)
-    }
-
-    fn num_params(&self) -> usize {
-        self.attn.num_params()
-            + self.ffn.num_params()
-            + self.ln1.num_params()
-            + self.ln2.num_params()
-    }
-
-    fn flops(&self, seq: usize) -> u64 {
-        self.attn.flops(seq)
-            + self.ffn.flops(seq)
-            + 2 * fab_butterfly::flops::layer_norm_flops(seq, self.hidden)
-    }
-
-    fn name(&self) -> &'static str {
-        "Transformer"
-    }
-
-    fn uses_attention(&self) -> bool {
-        true
-    }
-
-    fn freeze(&self) -> FrozenBlock {
-        FrozenBlock {
-            mixing: FrozenMixing::Attention(Box::new(self.attn.freeze())),
-            ffn: self.ffn.freeze(),
-            ln1: self.ln1.freeze(),
-            ln2: self.ln2.freeze(),
-        }
-    }
-}
-
-/// The FNet encoder block: parameter-free Fourier token mixing followed by a
-/// dense FFN.
-pub struct FNetBlock {
-    fourier: FourierMixing,
-    ffn: FeedForward,
-    ln1: LayerNorm,
-    ln2: LayerNorm,
-    hidden: usize,
-}
-
-impl FNetBlock {
-    /// Creates a block with Fourier mixing and a dense FFN.
-    pub fn new(name: &str, hidden: usize, ffn_ratio: usize, rng: &mut StdRng) -> Self {
-        Self {
-            fourier: FourierMixing::new(),
-            ffn: FeedForward::new_dense(&format!("{name}.ffn"), hidden, ffn_ratio, rng),
-            ln1: LayerNorm::new(&format!("{name}.ln1"), hidden),
-            ln2: LayerNorm::new(&format!("{name}.ln2"), hidden),
-            hidden,
-        }
-    }
-}
-
-impl EncoderBlock for FNetBlock {
-    fn forward(&self, tape: &Tape, x: VarId, bindings: &mut Bindings) -> VarId {
-        let m = self.fourier.forward(tape, x);
-        let x = residual_ln(tape, &self.ln1, x, m, bindings);
-        let f = self.ffn.forward(tape, x, bindings);
-        residual_ln(tape, &self.ln2, x, f, bindings)
-    }
-
-    fn num_params(&self) -> usize {
-        self.ffn.num_params() + self.ln1.num_params() + self.ln2.num_params()
-    }
-
-    fn flops(&self, seq: usize) -> u64 {
-        self.fourier.flops(seq, self.hidden)
-            + self.ffn.flops(seq)
-            + 2 * fab_butterfly::flops::layer_norm_flops(seq, self.hidden)
-    }
-
-    fn name(&self) -> &'static str {
-        "FNet"
-    }
-
-    fn uses_attention(&self) -> bool {
-        false
-    }
-
-    fn freeze(&self) -> FrozenBlock {
-        FrozenBlock {
-            mixing: FrozenMixing::Fourier,
-            ffn: self.ffn.freeze(),
-            ln1: self.ln1.freeze(),
-            ln2: self.ln2.freeze(),
-        }
-    }
-}
-
-/// FABNet's ABfly block: butterfly-factorised Q/K/V/output projections around
-/// a vanilla attention core, followed by a butterfly FFN.
-pub struct ABflyBlock {
-    attn: MultiHeadAttention,
-    ffn: FeedForward,
-    ln1: LayerNorm,
-    ln2: LayerNorm,
-    hidden: usize,
-}
-
-impl ABflyBlock {
-    /// Creates an ABfly block.
-    pub fn new(
-        name: &str,
-        hidden: usize,
-        heads: usize,
-        ffn_ratio: usize,
-        rng: &mut StdRng,
-    ) -> Self {
-        Self {
-            attn: MultiHeadAttention::new_butterfly(&format!("{name}.attn"), hidden, heads, rng),
-            ffn: FeedForward::new_butterfly(&format!("{name}.ffn"), hidden, ffn_ratio, rng),
-            ln1: LayerNorm::new(&format!("{name}.ln1"), hidden),
-            ln2: LayerNorm::new(&format!("{name}.ln2"), hidden),
-            hidden,
-        }
-    }
-}
-
-impl EncoderBlock for ABflyBlock {
-    fn forward(&self, tape: &Tape, x: VarId, bindings: &mut Bindings) -> VarId {
-        let a = self.attn.forward(tape, x, bindings);
-        let x = residual_ln(tape, &self.ln1, x, a, bindings);
-        let f = self.ffn.forward(tape, x, bindings);
-        residual_ln(tape, &self.ln2, x, f, bindings)
-    }
-
-    fn num_params(&self) -> usize {
-        self.attn.num_params()
-            + self.ffn.num_params()
-            + self.ln1.num_params()
-            + self.ln2.num_params()
-    }
-
-    fn flops(&self, seq: usize) -> u64 {
-        self.attn.flops(seq)
-            + self.ffn.flops(seq)
-            + 2 * fab_butterfly::flops::layer_norm_flops(seq, self.hidden)
-    }
-
-    fn name(&self) -> &'static str {
-        "ABfly"
-    }
-
-    fn uses_attention(&self) -> bool {
-        true
-    }
-
-    fn freeze(&self) -> FrozenBlock {
-        FrozenBlock {
-            mixing: FrozenMixing::Attention(Box::new(self.attn.freeze())),
-            ffn: self.ffn.freeze(),
-            ln1: self.ln1.freeze(),
-            ln2: self.ln2.freeze(),
-        }
-    }
-}
-
-/// FABNet's FBfly block: Fourier token mixing followed by a butterfly FFN —
-/// every multiply in the block follows the unified butterfly dataflow.
-pub struct FBflyBlock {
-    fourier: FourierMixing,
-    ffn: FeedForward,
-    ln1: LayerNorm,
-    ln2: LayerNorm,
-    hidden: usize,
-}
-
-impl FBflyBlock {
-    /// Creates an FBfly block.
-    pub fn new(name: &str, hidden: usize, ffn_ratio: usize, rng: &mut StdRng) -> Self {
-        Self {
-            fourier: FourierMixing::new(),
-            ffn: FeedForward::new_butterfly(&format!("{name}.ffn"), hidden, ffn_ratio, rng),
-            ln1: LayerNorm::new(&format!("{name}.ln1"), hidden),
-            ln2: LayerNorm::new(&format!("{name}.ln2"), hidden),
-            hidden,
-        }
-    }
-}
-
-impl EncoderBlock for FBflyBlock {
-    fn forward(&self, tape: &Tape, x: VarId, bindings: &mut Bindings) -> VarId {
-        let m = self.fourier.forward(tape, x);
-        let x = residual_ln(tape, &self.ln1, x, m, bindings);
-        let f = self.ffn.forward(tape, x, bindings);
-        residual_ln(tape, &self.ln2, x, f, bindings)
-    }
-
-    fn num_params(&self) -> usize {
-        self.ffn.num_params() + self.ln1.num_params() + self.ln2.num_params()
-    }
-
-    fn flops(&self, seq: usize) -> u64 {
-        self.fourier.flops(seq, self.hidden)
-            + self.ffn.flops(seq)
-            + 2 * fab_butterfly::flops::layer_norm_flops(seq, self.hidden)
-    }
-
-    fn name(&self) -> &'static str {
-        "FBfly"
-    }
-
-    fn uses_attention(&self) -> bool {
-        false
-    }
-
-    fn freeze(&self) -> FrozenBlock {
-        FrozenBlock {
-            mixing: FrozenMixing::Fourier,
-            ffn: self.ffn.freeze(),
-            ln1: self.ln1.freeze(),
-            ln2: self.ln2.freeze(),
-        }
+    pub(crate) fn freeze(&self) -> FrozenBlock {
+        let mixing = match &self.mixing {
+            Mixing::Attention { proj, heads } => {
+                let [q, k, v, o] = proj.each_ref().map(Linear::freeze);
+                let dim = o.d_out();
+                FrozenMixing::Attention(Box::new(FrozenAttention::new(q, k, v, o, dim, *heads)))
+            }
+            Mixing::Fourier => FrozenMixing::Fourier,
+        };
+        let ffn = FrozenFeedForward::new(self.ffn[0].freeze(), self.ffn[1].freeze());
+        FrozenBlock::new(mixing, ffn, self.ln1.freeze(), self.ln2.freeze())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ModelKind;
+    use crate::flops::flops_breakdown;
     use fab_tensor::Tensor;
     use rand::SeedableRng;
 
-    fn run_block(block: &dyn EncoderBlock, seq: usize, hidden: usize) -> Vec<usize> {
-        let tape = Tape::new();
-        let mut b = Bindings::new();
-        let x = tape.leaf(Tensor::ones(&[seq, hidden]));
-        let y = block.forward(&tape, x, &mut b);
-        tape.shape(y)
+    fn config(hidden: usize, heads: usize, ffn_ratio: usize) -> ModelConfig {
+        ModelConfig { hidden, num_heads: heads, ffn_ratio, ..ModelConfig::tiny_for_tests() }
+    }
+
+    /// `(attention, butterfly)` of the Transformer, FNet, ABfly and FBfly
+    /// blocks.
+    const KINDS: [(bool, bool); 4] = [(true, false), (false, false), (true, true), (false, true)];
+
+    fn num_params(block: &Block) -> usize {
+        block.params().map(Param::len).sum()
     }
 
     #[test]
     fn all_blocks_preserve_shape() {
         let mut rng = StdRng::seed_from_u64(1);
-        let blocks: Vec<Box<dyn EncoderBlock>> = vec![
-            Box::new(TransformerBlock::new("t", 8, 2, 2, &mut rng)),
-            Box::new(FNetBlock::new("f", 8, 2, &mut rng)),
-            Box::new(ABflyBlock::new("a", 8, 2, 2, &mut rng)),
-            Box::new(FBflyBlock::new("b", 8, 2, &mut rng)),
-        ];
-        for block in &blocks {
-            assert_eq!(run_block(block.as_ref(), 4, 8), vec![4, 8], "{}", block.name());
+        for (attention, butterfly) in KINDS {
+            let block = Block::new("b", attention, butterfly, &config(8, 2, 2), &mut rng);
+            let tape = Tape::new();
+            let mut b = Bindings::new();
+            let x = tape.leaf(Tensor::ones(&[4, 8]));
+            let y = block.forward(&tape, x, &mut b);
+            assert_eq!(tape.shape(y), vec![4, 8], "{}", block.name());
         }
     }
 
     #[test]
     fn butterfly_blocks_have_fewer_params() {
         let mut rng = StdRng::seed_from_u64(2);
-        let dense = TransformerBlock::new("t", 64, 4, 4, &mut rng);
-        let bfly = ABflyBlock::new("a", 64, 4, 4, &mut rng);
-        assert!(dense.num_params() > 3 * bfly.num_params());
-        let fnet = FNetBlock::new("f", 64, 4, &mut rng);
-        let fbfly = FBflyBlock::new("b", 64, 4, &mut rng);
-        assert!(fnet.num_params() > 3 * fbfly.num_params());
+        let [t, f, a, b] =
+            KINDS.map(|(att, bfly)| Block::new("b", att, bfly, &config(64, 4, 4), &mut rng));
+        assert!(num_params(&t) > 3 * num_params(&a));
+        assert!(num_params(&f) > 3 * num_params(&b));
     }
 
     #[test]
     fn fbfly_is_cheapest_in_flops() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let t = TransformerBlock::new("t", 64, 4, 4, &mut rng);
-        let a = ABflyBlock::new("a", 64, 4, 4, &mut rng);
-        let f = FBflyBlock::new("b", 64, 4, &mut rng);
+        // One block each: a Transformer, an ABfly and an FBfly block.
+        let one = config(64, 4, 4).with_layers(1);
         let seq = 256;
-        assert!(t.flops(seq) > a.flops(seq));
-        assert!(a.flops(seq) > f.flops(seq));
+        let t = flops_breakdown(&one, ModelKind::Transformer, seq).total();
+        let a = flops_breakdown(&one.clone().with_abfly(1), ModelKind::FabNet, seq).total();
+        let f = flops_breakdown(&one.with_abfly(0), ModelKind::FabNet, seq).total();
+        assert!(t > a);
+        assert!(a > f);
     }
 
     #[test]
     fn attention_flag_matches_block_type() {
         let mut rng = StdRng::seed_from_u64(4);
-        assert!(TransformerBlock::new("t", 8, 2, 2, &mut rng).uses_attention());
-        assert!(ABflyBlock::new("a", 8, 2, 2, &mut rng).uses_attention());
-        assert!(!FNetBlock::new("f", 8, 2, &mut rng).uses_attention());
-        assert!(!FBflyBlock::new("b", 8, 2, &mut rng).uses_attention());
+        let names = ["Transformer", "FNet", "ABfly", "FBfly"];
+        for ((attention, butterfly), name) in KINDS.into_iter().zip(names) {
+            let block = Block::new("b", attention, butterfly, &config(8, 2, 2), &mut rng);
+            assert_eq!(matches!(block.mixing, Mixing::Attention { .. }), attention, "{name}");
+            assert_eq!(block.name(), name);
+        }
     }
 }

@@ -197,27 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn analytic_flops_match_constructed_model() {
-        let config = ModelConfig::tiny_for_tests();
-        let mut rng = StdRng::seed_from_u64(0);
-        let seq = 16;
-        for kind in [ModelKind::Transformer, ModelKind::FNet, ModelKind::FabNet] {
-            let model = Model::new(&config, kind, &mut rng);
-            let analytic = flops_breakdown(&config, kind, seq);
-            // Block-level FLOPs exclude the residual-add "other" term counted here.
-            let diff = analytic.total() as i64 - model.flops(seq) as i64;
-            let slack = (2 * config.num_layers * seq * config.hidden) as i64;
-            assert!(
-                diff.abs() <= slack,
-                "kind {:?}: {} vs {}",
-                kind,
-                analytic.total(),
-                model.flops(seq)
-            );
-        }
-    }
-
-    #[test]
     fn linear_layers_dominate_short_sequences_for_bert() {
         // Fig. 1: at sequence length 128 linear layers are > 80% of operations.
         let config = ModelConfig::bert_base();

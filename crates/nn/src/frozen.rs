@@ -82,7 +82,7 @@ use fab_tensor::{attention, simd, Tensor};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// A frozen (inference-only) linear map: the tape-free counterpart of the
-/// [`crate::Linear`] layer implementations.
+/// trainable [`crate::Model`]'s dense and butterfly linear maps.
 #[derive(Debug, Clone)]
 pub enum FrozenLinear {
     /// Dense `y = x W + b`.
@@ -93,8 +93,8 @@ pub enum FrozenLinear {
         b: Tensor,
     },
     /// Butterfly-factorised map with zero-padding to the power-of-two
-    /// transform size and truncation back to `d_out`, exactly as in
-    /// [`crate::ButterflyLinear`].
+    /// transform size and truncation back to `d_out`, exactly as in the
+    /// trainable model's butterfly layers.
     Butterfly {
         /// The factorised butterfly matrix of size `n`.
         bfly: ButterflyMatrix,

@@ -1,9 +1,17 @@
 //! # fab-nn
 //!
-//! Neural-network layers, blocks and end-to-end models for the FABNet
-//! reproduction: the vanilla Transformer encoder, FNet, and FABNet itself
-//! (the paper's hybrid of FBfly and ABfly blocks), together with analytic
-//! FLOP/parameter models, optimisers and a small training loop.
+//! End-to-end models for the FABNet reproduction: the vanilla Transformer
+//! encoder, FNet, and FABNet itself (the paper's hybrid of FBfly and ABfly
+//! blocks), together with analytic FLOP/parameter models, optimisers and a
+//! small training loop.
+//!
+//! A model comes in two modes with one shape: the trainable [`Model`],
+//! recorded on the autodiff tape, and the tape-free [`FrozenModel`] that
+//! [`Model::freeze`] snapshots for inference (f32, or int8 through
+//! `fab-quant`). Both are an embedding, a stack of encoder blocks and a
+//! classification head; each block is token mixing (attention or Fourier)
+//! and an FFN, with every linear map dense or butterfly — the Transformer,
+//! FNet, ABfly and FBfly blocks of the paper's Fig. 5.
 //!
 //! Everything is built on the [`fab_tensor`] autodiff tape and the
 //! [`fab_butterfly`] kernels, so a FABNet trained here exercises exactly the
@@ -38,16 +46,11 @@ mod param;
 mod qlinear;
 mod train;
 
-pub use blocks::{ABflyBlock, EncoderBlock, FBflyBlock, FNetBlock, TransformerBlock};
 pub use config::{ModelConfig, ModelKind};
 pub use flops::{FlopsBreakdown, ParamBreakdown};
 pub use frozen::{
     argmax, attention_mix_rows, FrozenAttention, FrozenBlock, FrozenEmbedding, FrozenFeedForward,
     FrozenLayerNorm, FrozenLinear, FrozenMixing, FrozenModel, Tap,
-};
-pub use layers::{
-    ButterflyLinear, ClassifierHead, DenseLinear, Embedding, FeedForward, FourierMixing, LayerNorm,
-    Linear, MultiHeadAttention,
 };
 pub use models::Model;
 pub use optim::{Adam, FusedAdamW, FusedSgd, Optimizer, Sgd};

@@ -1,15 +1,16 @@
 //! End-to-end classification models: Transformer, FNet and FABNet.
 
-use crate::blocks::{ABflyBlock, EncoderBlock, FBflyBlock, FNetBlock, TransformerBlock};
+use crate::blocks::Block;
 use crate::config::{ModelConfig, ModelKind};
-use crate::frozen::{FrozenEmbedding, FrozenModel};
-use crate::layers::{ClassifierHead, Embedding};
-use crate::param::Bindings;
-use fab_tensor::{Tape, Tensor, VarId};
+use crate::frozen::{argmax, FrozenEmbedding, FrozenModel};
+use crate::layers::{Embedding, Linear};
+use crate::param::{Bindings, Param};
+use fab_tensor::{Tape, VarId};
 use rand::rngs::StdRng;
 
 /// A sequence-classification model assembled from encoder blocks according to
-/// a [`ModelConfig`] and [`ModelKind`].
+/// a [`ModelConfig`] and [`ModelKind`]: the trainable counterpart of
+/// [`FrozenModel`], with the same parts.
 ///
 /// For [`ModelKind::FabNet`] the block stack follows Fig. 5: `num_fbfly()`
 /// FBfly blocks at the bottom and `num_abfly` ABfly blocks stacked on top.
@@ -17,8 +18,9 @@ pub struct Model {
     config: ModelConfig,
     kind: ModelKind,
     embedding: Embedding,
-    blocks: Vec<Box<dyn EncoderBlock>>,
-    head: ClassifierHead,
+    blocks: Vec<Block>,
+    /// Maps the mean-pooled `[1, hidden]` features to the class logits.
+    head: Linear,
 }
 
 impl Model {
@@ -29,39 +31,18 @@ impl Model {
     /// Panics when the configuration fails [`ModelConfig::validate`].
     pub fn new(config: &ModelConfig, kind: ModelKind, rng: &mut StdRng) -> Self {
         config.validate().expect("invalid model configuration");
-        let embedding =
-            Embedding::new("embed", config.vocab_size, config.max_seq, config.hidden, rng);
-        let mut blocks: Vec<Box<dyn EncoderBlock>> = Vec::with_capacity(config.num_layers);
-        for i in 0..config.num_layers {
-            let name = format!("block{i}");
-            let block: Box<dyn EncoderBlock> = match kind {
-                ModelKind::Transformer => Box::new(TransformerBlock::new(
-                    &name,
-                    config.hidden,
-                    config.num_heads,
-                    config.ffn_ratio,
-                    rng,
-                )),
-                ModelKind::FNet => {
-                    Box::new(FNetBlock::new(&name, config.hidden, config.ffn_ratio, rng))
-                }
-                ModelKind::FabNet => {
-                    if i < config.num_fbfly() {
-                        Box::new(FBflyBlock::new(&name, config.hidden, config.ffn_ratio, rng))
-                    } else {
-                        Box::new(ABflyBlock::new(
-                            &name,
-                            config.hidden,
-                            config.num_heads,
-                            config.ffn_ratio,
-                            rng,
-                        ))
-                    }
-                }
-            };
-            blocks.push(block);
-        }
-        let head = ClassifierHead::new("head", config.hidden, config.num_classes, rng);
+        let embedding = Embedding::new(config.vocab_size, config.max_seq, config.hidden, rng);
+        let blocks = (0..config.num_layers)
+            .map(|i| {
+                let (attention, butterfly) = match kind {
+                    ModelKind::Transformer => (true, false),
+                    ModelKind::FNet => (false, false),
+                    ModelKind::FabNet => (i >= config.num_fbfly(), true),
+                };
+                Block::new(&format!("block{i}"), attention, butterfly, config, rng)
+            })
+            .collect();
+        let head = Linear::new(false, "head", config.hidden, config.num_classes, rng);
         Self { config: config.clone(), kind, embedding, blocks, head }
     }
 
@@ -73,11 +54,6 @@ impl Model {
     /// Which architecture this model instantiates.
     pub fn kind(&self) -> ModelKind {
         self.kind
-    }
-
-    /// The encoder blocks in execution order.
-    pub fn blocks(&self) -> &[Box<dyn EncoderBlock>] {
-        &self.blocks
     }
 
     /// Records the full forward pass on `tape`, returning `[1, classes]` logits.
@@ -97,7 +73,7 @@ impl Model {
         for block in &self.blocks {
             x = block.forward(tape, x, bindings);
         }
-        self.head.forward(tape, x, bindings)
+        self.head.forward(tape, tape.mean_pool_rows(x), bindings)
     }
 
     /// Convenience inference entry point: returns the class logits for a
@@ -109,14 +85,10 @@ impl Model {
         tape.value(logits).into_vec()
     }
 
-    /// Returns the predicted class for a token sequence.
+    /// Returns the predicted class for a token sequence (the first maximum
+    /// wins, as in [`argmax`]).
     pub fn predict_class(&self, tokens: &[usize]) -> usize {
-        let logits = self.predict(tokens);
-        logits
-            .iter()
-            .enumerate()
-            .fold((0usize, f32::NEG_INFINITY), |acc, (i, &v)| if v > acc.1 { (i, v) } else { acc })
-            .0
+        argmax(&self.predict(tokens))
     }
 
     /// Records a training step's loss for `(tokens, label)` and returns the
@@ -144,28 +116,21 @@ impl Model {
 
     /// Total number of trainable scalar parameters (embedding + blocks + head).
     pub fn num_params(&self) -> usize {
-        self.embedding.num_params()
-            + self.blocks.iter().map(|b| b.num_params()).sum::<usize>()
-            + self.head.num_params()
-    }
-
-    /// Total forward FLOPs of the encoder blocks for a `seq`-length input
-    /// (embedding lookups and the classifier head are negligible and excluded,
-    /// as in the paper's operation counts).
-    pub fn flops(&self, seq: usize) -> u64 {
-        self.blocks.iter().map(|b| b.flops(seq)).sum()
+        let blocks = self.blocks.iter().flat_map(Block::params);
+        let params = self.embedding.params().into_iter().chain(blocks).chain(self.head.params());
+        params.map(Param::len).sum()
     }
 
     /// Snapshots the current parameter values into an immutable, `Send +
     /// Sync`, tape-free [`FrozenModel`] for inference (see the
     /// [`crate::frozen`] module docs for the exactness guarantees).
     pub fn freeze(&self) -> FrozenModel {
-        let (tok, pos) = self.embedding.freeze_tables();
+        let [tok, pos] = self.embedding.params().map(Param::value);
         FrozenModel::from_parts(
             self.config.clone(),
             self.kind,
             FrozenEmbedding::F32 { tok, pos },
-            self.blocks.iter().map(|b| b.freeze()).collect(),
+            self.blocks.iter().map(Block::freeze).collect(),
             self.head.freeze(),
         )
     }
@@ -199,23 +164,12 @@ impl Model {
             .collect::<Vec<_>>()
             .join(" + ")
     }
-
-    /// Returns the hidden-state tensor after the final encoder block for a
-    /// token sequence (used by the accelerator cross-validation tests).
-    pub fn encode(&self, tokens: &[usize]) -> Tensor {
-        let tape = Tape::new();
-        let mut bindings = Bindings::new();
-        let mut x = self.embedding.forward(&tape, tokens, &mut bindings);
-        for block in &self.blocks {
-            x = block.forward(&tape, x, &mut bindings);
-        }
-        tape.value(x)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flops::{flops_breakdown, param_breakdown};
     use rand::SeedableRng;
 
     fn tiny() -> ModelConfig {
@@ -279,13 +233,35 @@ mod tests {
 
     #[test]
     fn flops_ordering_matches_paper() {
-        let mut rng = StdRng::seed_from_u64(5);
         let config = tiny().with_hidden(64).with_abfly(0);
-        let t = Model::new(&config, ModelKind::Transformer, &mut rng);
-        let f = Model::new(&config, ModelKind::FNet, &mut rng);
-        let fab = Model::new(&config, ModelKind::FabNet, &mut rng);
         let seq = 128;
-        assert!(t.flops(seq) > f.flops(seq));
-        assert!(f.flops(seq) > fab.flops(seq));
+        let [t, f, fab] = [ModelKind::Transformer, ModelKind::FNet, ModelKind::FabNet]
+            .map(|kind| flops_breakdown(&config, kind, seq).total());
+        assert!(t > f);
+        assert!(f > fab);
+    }
+
+    #[test]
+    fn one_loss_binds_every_parameter_exactly_once() {
+        let kinds = [
+            (ModelKind::Transformer, 0),
+            (ModelKind::FNet, 0),
+            (ModelKind::FabNet, 0),
+            (ModelKind::FabNet, 1),
+        ];
+        for (kind, num_abfly) in kinds {
+            let config = tiny().with_abfly(num_abfly);
+            let model = Model::new(&config, kind, &mut StdRng::seed_from_u64(6));
+            let (_tape, _loss, bindings) = model.loss(&[1, 2, 3], 0);
+            let summary = model.architecture_summary();
+            assert_eq!(bindings.num_scalars(), model.num_params(), "{summary}");
+            let analytic = param_breakdown(&config, kind).total();
+            assert_eq!(model.num_params() as u64, analytic, "{summary}");
+            let mut names: Vec<&str> = bindings.iter().map(|(_, p)| p.name()).collect();
+            names.sort_unstable();
+            let bound = names.len();
+            names.dedup();
+            assert_eq!(names.len(), bound, "{summary}: a parameter is bound twice");
+        }
     }
 }

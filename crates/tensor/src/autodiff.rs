@@ -15,11 +15,10 @@
 //! The built-in ops: [`Tape::add`], [`Tape::sub`], [`Tape::mul`],
 //! [`Tape::scale`], [`Tape::matmul`], [`Tape::attention`] (multi-head
 //! self-attention as one node, on the kernels of [`crate::attention`]),
-//! [`Tape::relu`], [`Tape::gelu`], [`Tape::layer_norm`],
-//! [`Tape::add_row_broadcast`], [`Tape::mean_pool_rows`], [`Tape::sum`],
-//! [`Tape::mean_all`], [`Tape::cross_entropy`], [`Tape::embedding`] and
-//! [`Tape::embedding_iota`]. Other crates add theirs through
-//! [`Tape::push_custom`] (the butterfly and Fourier layers do).
+//! [`Tape::gelu`], [`Tape::layer_norm`], [`Tape::add_row_broadcast`],
+//! [`Tape::mean_pool_rows`], [`Tape::sum`], [`Tape::cross_entropy`],
+//! [`Tape::embedding`] and [`Tape::embedding_iota`]. Other crates add theirs
+//! through [`Tape::push_custom`] (the butterfly and Fourier layers do).
 
 use crate::tensor::gelu_grad_scalar;
 use crate::Tensor;
@@ -205,7 +204,6 @@ enum OpKind {
     Scale(f32),
     Matmul,
     Attention { heads: usize },
-    Relu,
     Gelu,
     LayerNorm { eps: f32 },
     AddRowBroadcast,
@@ -621,13 +619,6 @@ impl Tape {
                         acc_slice(grad_buf(vbelow, gbelow, has, p), &staged[i * n..(i + 1) * n]);
                     }
                 }
-                OpKind::Relu => {
-                    let xv = vbelow[parents[0]].as_slice();
-                    let dst = grad_buf(vbelow, gbelow, has, parents[0]);
-                    for ((d, &gv), &x) in dst.iter_mut().zip(g.as_slice()).zip(xv) {
-                        *d += if x > 0.0 { gv } else { 0.0 };
-                    }
-                }
                 OpKind::Gelu => {
                     let xv = vbelow[parents[0]].as_slice();
                     let dst = grad_buf(vbelow, gbelow, has, parents[0]);
@@ -745,11 +736,6 @@ impl Tape {
         VarId(idx)
     }
 
-    /// Rectified linear unit.
-    pub fn relu(&self, a: VarId) -> VarId {
-        self.push_op("relu", OpKind::Relu, &[a], |pv, out| pv.get(0).map_into(|x| x.max(0.0), out))
-    }
-
     /// Gaussian error linear unit (tanh approximation).
     pub fn gelu(&self, a: VarId) -> VarId {
         self.push_op("gelu", OpKind::Gelu, &[a], |pv, out| pv.get(0).gelu_into(out))
@@ -782,13 +768,6 @@ impl Tape {
             out.resize_to(&[1, 1]);
             out.as_mut_slice()[0] = pv.get(0).sum();
         })
-    }
-
-    /// Mean of all elements, producing a `[1, 1]` value.
-    pub fn mean_all(&self, x: VarId) -> VarId {
-        let n = self.with_value(x, Tensor::len) as f32;
-        let s = self.sum(x);
-        self.scale(s, 1.0 / n)
     }
 
     /// Mean cross-entropy between row logits and integer `labels`.
@@ -1076,17 +1055,6 @@ fn reference_builtin_backward(
             }
             out.extend(grads);
         }
-        OpKind::Relu => out.push(
-            Tensor::from_vec(
-                g.as_slice()
-                    .iter()
-                    .zip(pv(0).as_slice().iter())
-                    .map(|(&gv, &xv)| if xv > 0.0 { gv } else { 0.0 })
-                    .collect(),
-                g.shape(),
-            )
-            .expect("relu gradient shape"),
-        ),
         OpKind::Gelu => out.push(
             Tensor::from_vec(
                 g.as_slice()
@@ -1353,14 +1321,14 @@ mod tests {
         let tape = Tape::new();
         let x = tape.leaf(t(vec![1.0, 2.0], &[1, 2]));
         let y = tape.mul(x, x);
-        let unused = tape.relu(x);
+        let unused = tape.gelu(x);
         let loss = tape.sum(y);
         tape.backward(loss);
-        assert_eq!(tape.op_name(unused), "relu");
+        assert_eq!(tape.op_name(unused), "gelu");
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| tape.grad(unused)))
             .expect_err("grad of an unused node must panic");
         let msg = err.downcast_ref::<String>().expect("string panic payload");
-        assert!(msg.contains("op `relu`"), "panic message should name the op: {msg}");
+        assert!(msg.contains("op `gelu`"), "panic message should name the op: {msg}");
         assert!(msg.contains("does not influence"), "panic message should explain: {msg}");
     }
 
@@ -1400,7 +1368,7 @@ mod tests {
         let scaled = tape.scale(res, 0.7);
         let prod = tape.mul(scaled, x);
         let pooled = tape.mean_pool_rows(prod);
-        let r = tape.relu(pooled);
+        let r = tape.gelu(pooled);
         let su = tape.sum(r);
         let logits = tape.matmul(x, w);
         let ce = tape.cross_entropy(logits, &[1, 0, 3]);
