@@ -46,6 +46,12 @@ fn grad_chunk_rows(n: usize) -> usize {
     (CHUNK_ELEMS / n).max(GRAD_CHUNK_TILES * GRAD_TILE).next_multiple_of(GRAD_TILE)
 }
 
+/// Rows per parallel chunk of a pass over `[n][lanes]` tiles: about
+/// [`CHUNK_ELEMS`] values of tile, in whole tiles.
+pub(crate) fn lane_chunk_rows(n: usize, lanes: usize) -> usize {
+    (CHUNK_ELEMS / n).max(1).next_multiple_of(lanes)
+}
+
 /// One butterfly factor (stage): a block-diagonal matrix of 2×2 blocks of
 /// diagonal matrices with half-block size `half`, viewed in place in one
 /// `[w1 | w2 | w3 | w4]` row of its matrix's weights.
@@ -148,6 +154,15 @@ impl<'a> ButterflyStage<'a> {
                 simd::butterfly_stage_in_place(half, self.w1, self.w2, self.w3, self.w4, x);
             }
         }
+    }
+
+    /// The stage over the rows `from..from + buf.len() / lanes` of a
+    /// `[n][lanes]` tile, `from` a multiple of the block size.
+    fn lanes(&self, from: usize, buf: &mut [f32], lanes: usize) {
+        let (p0, p1) = (from / 2, (from + buf.len() / lanes) / 2);
+        let (w1, w2, w3, w4) =
+            (&self.w1[p0..p1], &self.w2[p0..p1], &self.w3[p0..p1], &self.w4[p0..p1]);
+        simd::butterfly_stage_lanes(self.half, w1, w2, w3, w4, buf, lanes);
     }
 
     /// The seed's generic out-of-place stage application, kept verbatim as
@@ -318,7 +333,7 @@ impl<W: AsRef<[f32]> + Sync> ButterflyMatrix<W> {
     /// Whether `passes` butterfly transforms of `rows` rows (1 for a
     /// forward, 3 for a backward: the input gradient plus the two weight
     /// gradient products per stage) reach the workspace fan-out grain.
-    fn fans_out(&self, rows: usize, passes: u64) -> bool {
+    pub(crate) fn fans_out(&self, rows: usize, passes: u64) -> bool {
         passes * crate::flops::butterfly_linear_flops(rows, self.n) >= PAR_GRAIN_OPS
     }
 
@@ -386,17 +401,17 @@ impl<W: AsRef<[f32]> + Sync> ButterflyMatrix<W> {
     /// Panics when the tensor is not 2-D with `n` columns.
     pub fn forward_rows_into(&self, x: &Tensor, out: &mut Tensor) {
         assert_eq!(x.cols(), self.n, "butterfly row width mismatch");
-        self.forward_rows_fused_into(x, self.n, &[], false, out);
+        self.forward_rows_fused_into(x, self.n, &[], out);
     }
 
     /// The whole butterfly linear layer over rows, the one batched forward
-    /// route of this type: `out[r] = act(B · pad(x[r]) + bias)[..d_out]` for
-    /// a `[rows, d_in]` input with `d_in <= n`, where an empty `bias` adds
-    /// nothing and `act` is [`fab_tensor::fastmath::gelu_fast`] when `gelu`
-    /// is set. It collapses the `concat → butterfly → slice → bias → GELU`
-    /// chain of the padded butterfly layer into one kernel, bit-identical
-    /// to zero-padding, [`ButterflyMatrix::forward`] per row, slicing,
-    /// adding the bias and applying `Tensor::gelu`.
+    /// route of this type: `out[r] = (B · pad(x[r]))[..d_out] + bias` for a
+    /// `[rows, d_in]` input with `d_in <= n`, where an empty `bias` adds
+    /// nothing. It collapses the `concat → butterfly → slice → bias` chain
+    /// of the padded butterfly layer into one kernel, bit-identical to
+    /// zero-padding, [`ButterflyMatrix::forward`] per row, slicing and
+    /// adding the bias. (A butterfly FFN, whose first layer ends in GELU,
+    /// runs as [`crate::ButterflyFfn`] instead.)
     ///
     /// Rows are processed in tiles of as many rows as the SIMD backend has
     /// lanes ([`simd::Backend::lanes`]: 16 where the CPU has `avx512f`, so a
@@ -404,8 +419,8 @@ impl<W: AsRef<[f32]> + Sync> ButterflyMatrix<W> {
     /// stage is then one
     /// vertical `w1·a + w2·b` / `w3·a + w4·b` with the pair's weights loaded
     /// once and broadcast ([`simd::butterfly_stage_lanes`] — stages with
-    /// `half` 1, 2 and 4 are no different), and bias, activation and
-    /// truncation are applied while the tile is transposed back
+    /// `half` 1, 2 and 4 are no different), and bias and truncation are
+    /// applied while the tile is transposed back
     /// ([`simd::lanes_to_rows`]). Batches that reach the fan-out grain are
     /// split on tile boundaries; no split changes any output bit.
     ///
@@ -429,7 +444,6 @@ impl<W: AsRef<[f32]> + Sync> ButterflyMatrix<W> {
         x: &Tensor,
         d_out: usize,
         bias: &[f32],
-        gelu: bool,
         out: &mut Tensor,
     ) {
         let n = self.n;
@@ -439,26 +453,8 @@ impl<W: AsRef<[f32]> + Sync> ButterflyMatrix<W> {
         assert!(bias.is_empty() || bias.len() == d_out, "butterfly bias length mismatch");
         out.resize_to(&[rows, d_out]);
         let lanes = simd::backend().lanes();
-        let live = d_in.next_power_of_two();
-        // Stage `s` over tile rows `from..from + buf.len() / lanes`, `from` a
-        // multiple of the stage's block size.
-        let stage_rows = |s: ButterflyStage<'_>, from: usize, buf: &mut [f32]| {
-            let (p0, p1) = (from / 2, (from + buf.len() / lanes) / 2);
-            let (w1, w2, w3, w4) = (&s.w1[p0..p1], &s.w2[p0..p1], &s.w3[p0..p1], &s.w4[p0..p1]);
-            simd::butterfly_stage_lanes(s.half, w1, w2, w3, w4, buf, lanes);
-        };
-        crate::with_scratch((n - live) * lanes, |pad| {
-            // `pad` is tile rows `live..n` of an all-zero input. A stage
-            // below `live` advances all of them; the stage with half `h`
-            // leaves rows `h..2h` as the tiles need them and advances the
-            // rest.
-            pad.fill(0.0);
-            for s in self.stages() {
-                let from = live.max(2 * s.half);
-                if from < n {
-                    stage_rows(s, from, &mut pad[(from - live) * lanes..]);
-                }
-            }
+        crate::with_scratch(self.padding_values(d_in, lanes), |pad| {
+            self.padding_lanes(d_in, pad, lanes);
             let pad = &*pad;
             let xs = x.as_slice();
             let run_rows = |r0: usize, chunk: &mut [f32]| {
@@ -466,16 +462,8 @@ impl<W: AsRef<[f32]> + Sync> ButterflyMatrix<W> {
                     for (t, orows) in chunk.chunks_mut(lanes * d_out).enumerate() {
                         let (r, nr) = (r0 + t * lanes, orows.len() / d_out);
                         simd::rows_to_lanes(&xs[r * d_in..], d_in, nr, d_in, &[], tile, lanes);
-                        tile[d_in * lanes..live * lanes].fill(0.0);
-                        for s in self.stages() {
-                            let (h, m) = (s.half, live.max(2 * s.half));
-                            if h >= live {
-                                tile[h * lanes..m * lanes]
-                                    .copy_from_slice(&pad[(h - live) * lanes..(m - live) * lanes]);
-                            }
-                            stage_rows(s, 0, &mut tile[..m * lanes]);
-                        }
-                        simd::lanes_to_rows(tile, lanes, nr, d_out, bias, gelu, orows, d_out);
+                        self.stages_lanes(d_in, pad, tile, lanes);
+                        simd::lanes_to_rows(tile, lanes, nr, d_out, bias, orows, d_out);
                     }
                 });
             };
@@ -483,12 +471,51 @@ impl<W: AsRef<[f32]> + Sync> ButterflyMatrix<W> {
             if !self.fans_out(rows, 1) {
                 run_rows(0, data);
             } else {
-                let rows_per_chunk = (CHUNK_ELEMS / n).max(1).next_multiple_of(lanes);
+                let rows_per_chunk = lane_chunk_rows(n, lanes);
                 rayon::fork_chunks_mut([(data, rows_per_chunk * d_out)], |c, [chunk]| {
                     run_rows(c * rows_per_chunk, chunk)
                 });
             }
         });
+    }
+
+    /// Values of the padding rows [`ButterflyMatrix::padding_lanes`] writes
+    /// for a `d_in`-wide input: tile rows `live..n`, `lanes` wide.
+    pub(crate) fn padding_values(&self, d_in: usize, lanes: usize) -> usize {
+        (self.n - d_in.next_power_of_two()) * lanes
+    }
+
+    /// Tile rows `live..n` of an all-zero `d_in`-wide input, `lanes` wide,
+    /// into `pad` ([`ButterflyMatrix::padding_values`] long): a stage below
+    /// `live` advances all of them; the stage with half `h` leaves rows
+    /// `h..2h` as the tiles need them and advances the rest.
+    pub(crate) fn padding_lanes(&self, d_in: usize, pad: &mut [f32], lanes: usize) {
+        let live = d_in.next_power_of_two();
+        pad.fill(0.0);
+        for s in self.stages() {
+            let from = live.max(2 * s.half);
+            if from < self.n {
+                s.lanes(from, &mut pad[(from - live) * lanes..], lanes);
+            }
+        }
+    }
+
+    /// Every stage on a `[n][lanes]` tile whose rows `0..d_in` hold the
+    /// input, the rest anything: rows `d_in..live` are zeroed, and the
+    /// padding rows `h..2h` of `pad` ([`ButterflyMatrix::padding_lanes`])
+    /// are copied in just before the stage with half `h` pairs them with
+    /// live rows. Each stage runs on the rows that are live by then.
+    pub(crate) fn stages_lanes(&self, d_in: usize, pad: &[f32], tile: &mut [f32], lanes: usize) {
+        let live = d_in.next_power_of_two();
+        tile[d_in * lanes..live * lanes].fill(0.0);
+        for s in self.stages() {
+            let (h, m) = (s.half, live.max(2 * s.half));
+            if h >= live {
+                tile[h * lanes..m * lanes]
+                    .copy_from_slice(&pad[(h - live) * lanes..(m - live) * lanes]);
+            }
+            s.lanes(0, &mut tile[..m * lanes], lanes);
+        }
     }
 
     /// Backward pass for one vector: given the gradient with respect to the
@@ -759,7 +786,7 @@ impl<W: AsRef<[f32]> + Sync> ButterflyMatrix<W> {
                     simd::fold_lanes16(acc, gw_stage);
                 }
             }
-            simd::lanes_to_rows(grad, width, rows, d_in, &[], false, dx, d_in);
+            simd::lanes_to_rows(grad, width, rows, d_in, &[], dx, d_in);
             simd::add_acc(gx, dx);
         });
     }
@@ -1040,13 +1067,7 @@ mod tests {
     /// The layer the rows kernel fuses, spelled out on the retained seed
     /// stage loop: pad, every stage through `apply_into_reference`,
     /// truncate, add the bias, apply GELU.
-    fn reference_layer(
-        b: &ButterflyMatrix,
-        x: &Tensor,
-        d_out: usize,
-        bias: &[f32],
-        gelu: bool,
-    ) -> Vec<f32> {
+    fn reference_layer(b: &ButterflyMatrix, x: &Tensor, d_out: usize, bias: &[f32]) -> Vec<f32> {
         let n = b.size();
         let mut out = Vec::with_capacity(x.rows() * d_out);
         for row in x.as_slice().chunks(x.cols()) {
@@ -1058,8 +1079,7 @@ mod tests {
                 std::mem::swap(&mut cur, &mut next);
             }
             for (c, &v) in cur[..d_out].iter().enumerate() {
-                let y = if bias.is_empty() { v } else { v + bias[c] };
-                out.push(if gelu { fab_tensor::fastmath::gelu_fast(y) } else { y });
+                out.push(if bias.is_empty() { v } else { v + bias[c] });
             }
         }
         out
@@ -1085,18 +1105,16 @@ mod tests {
                         &[rows, d_in],
                     )
                     .unwrap();
-                    for (bias, gelu) in
-                        [(&[][..], false), (&bias[..d_out], false), (&bias[..d_out], true)]
-                    {
+                    for bias in [&[][..], &bias[..d_out]] {
                         let mut out = Tensor::default();
-                        b.forward_rows_fused_into(&x, d_out, bias, gelu, &mut out);
-                        let expected = reference_layer(&b, &x, d_out, bias, gelu);
+                        b.forward_rows_fused_into(&x, d_out, bias, &mut out);
+                        let expected = reference_layer(&b, &x, d_out, bias);
                         assert!(
                             out.as_slice()
                                 .iter()
                                 .map(|v| v.to_bits())
                                 .eq(expected.iter().map(|v| v.to_bits())),
-                            "n={n} rows={rows} d_in={d_in} d_out={d_out} bias={} gelu={gelu}",
+                            "n={n} rows={rows} d_in={d_in} d_out={d_out} bias={}",
                             !bias.is_empty()
                         );
                     }
@@ -1141,13 +1159,13 @@ mod tests {
                 let x = padded.slice_cols(0, d_in);
                 for b in [&finite, &wild] {
                     let (mut out, mut whole) = (Tensor::default(), Tensor::default());
-                    b.forward_rows_fused_into(&x, n, &[], false, &mut out);
-                    b.forward_rows_fused_into(&padded, n, &[], false, &mut whole);
+                    b.forward_rows_fused_into(&x, n, &[], &mut out);
+                    b.forward_rows_fused_into(&padded, n, &[], &mut whole);
                     assert_eq!(bits(out.as_slice()), bits(whole.as_slice()), "n={n} d_in={d_in}");
                 }
                 let mut out = Tensor::default();
-                finite.forward_rows_fused_into(&x, n, &[], false, &mut out);
-                let expected = reference_layer(&finite, &x, n, &[], false);
+                finite.forward_rows_fused_into(&x, n, &[], &mut out);
+                let expected = reference_layer(&finite, &x, n, &[]);
                 assert_eq!(bits(out.as_slice()), bits(&expected), "n={n} d_in={d_in}");
             }
         }

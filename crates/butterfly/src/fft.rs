@@ -303,7 +303,7 @@ pub(crate) fn fft2_real_padded_into(x: &[f32], seq: usize, hid: usize, out: &mut
                     simd::rows_to_lanes(&im[a * w..], w, b - a, w, perm, tim, lanes);
                 }
                 simd::fft_stages_lanes(&plan_h.tw_re, &plan_h.tw_im, tre, tim, lanes);
-                simd::lanes_to_rows(tre, lanes, b - a, h, &[], false, rows, h);
+                simd::lanes_to_rows(tre, lanes, b - a, h, &[], rows, h);
                 for (drow, z) in direct.chunks_mut(hid).zip(rows.chunks(h)) {
                     drow.copy_from_slice(&z[..hid]);
                 }

@@ -35,6 +35,7 @@
 mod butterfly;
 mod complex;
 mod error;
+mod ffn;
 pub mod fft;
 pub mod flops;
 mod fourier;
@@ -44,6 +45,7 @@ pub mod sparsity;
 pub use butterfly::{ButterflyMatrix, ButterflyStage};
 pub use complex::Complex;
 pub use error::ButterflyError;
+pub use ffn::{ButterflyFfn, LayerNorm};
 pub use fourier::{fourier_mix, fourier_mix_backward, fourier_mix_into};
 pub use ops::{butterfly_linear_op, butterfly_linear_padded_op, fourier_mix_op};
 

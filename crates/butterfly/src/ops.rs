@@ -73,7 +73,7 @@ pub fn butterfly_linear_padded_op(tape: &Tape, x: VarId, weights: VarId, d_out: 
     tape.push_custom(
         "butterfly_linear_padded",
         &[x, weights],
-        |pv, out| view(pv.get(1)).forward_rows_fused_into(pv.get(0), d_out, &[], false, out),
+        |pv, out| view(pv.get(1)).forward_rows_fused_into(pv.get(0), d_out, &[], out),
         Box::new(move |ctx| {
             let reference = ctx.reference();
             let (g, pv, gw) = ctx.split();

@@ -5,7 +5,7 @@
 
 use fab_butterfly::fft::{dft_naive, fft, fft2_real};
 use fab_butterfly::flops::{butterfly_linear_flops, fourier_mix_flops};
-use fab_butterfly::{fourier_mix, fourier_mix_backward, ButterflyMatrix, Complex};
+use fab_butterfly::{fourier_mix, fourier_mix_backward, ButterflyFfn, ButterflyMatrix, Complex};
 use fab_tensor::simd::{self, with_backend, Backend};
 use fab_tensor::{with_rayon_threads, Tensor, PAR_GRAIN_OPS};
 use proptest::prelude::*;
@@ -294,9 +294,9 @@ fn weight_gradient_order_is_the_same_on_both_sides_of_the_fan_out_grain() {
     }
 }
 
-/// The fused layer — padded input, truncated output, bias, GELU — past the
+/// The fused layer — padded input, truncated output, bias — past the
 /// fan-out grain with a row count that leaves a partial tile on every
-/// backend, against the per-row `forward` with the epilogue spelled out.
+/// backend, against the per-row `forward` with the bias spelled out.
 #[test]
 fn fused_butterfly_layer_is_bit_identical_at_every_thread_count_and_backend() {
     let mut rng = StdRng::seed_from_u64(21);
@@ -305,29 +305,55 @@ fn fused_butterfly_layer_is_bit_identical_at_every_thread_count_and_backend() {
         let rows = grain_rows(n);
         let x = filled(rows, d_in, n);
         let bias = random_vec(d_out, &mut rng);
-        for gelu in [false, true] {
-            let mut expected = Vec::with_capacity(rows * d_out);
-            for row in x.as_slice().chunks(d_in) {
-                let mut padded = row.to_vec();
-                padded.resize(n, 0.0);
-                let y: Vec<f32> =
-                    bfly.forward(&padded)[..d_out].iter().zip(&bias).map(|(v, b)| v + b).collect();
-                let y = Tensor::from_vec(y, &[1, d_out]).unwrap();
-                expected.extend_from_slice(if gelu { y.gelu() } else { y }.as_slice());
-            }
-            assert_same_bits_in_every_configuration("forward_rows_fused_into", || {
-                let mut out = Tensor::default();
-                bfly.forward_rows_fused_into(&x, d_out, &bias, gelu, &mut out);
-                assert!(
-                    out.as_slice()
-                        .iter()
-                        .map(|v| v.to_bits())
-                        .eq(expected.iter().map(|v| v.to_bits())),
-                    "fused layer diverged from the per-row chain at n={n} gelu={gelu}"
-                );
-                out.into_vec()
-            });
+        let mut expected = Vec::with_capacity(rows * d_out);
+        for row in x.as_slice().chunks(d_in) {
+            let mut padded = row.to_vec();
+            padded.resize(n, 0.0);
+            expected.extend(bfly.forward(&padded)[..d_out].iter().zip(&bias).map(|(v, b)| v + b));
         }
+        assert_same_bits_in_every_configuration("forward_rows_fused_into", || {
+            let mut out = Tensor::default();
+            bfly.forward_rows_fused_into(&x, d_out, &bias, &mut out);
+            assert!(
+                out.as_slice().iter().map(|v| v.to_bits()).eq(expected.iter().map(|v| v.to_bits())),
+                "fused layer diverged from the per-row chain at n={n}"
+            );
+            out.into_vec()
+        });
+    }
+}
+
+/// The butterfly FFN as one lane pass — the first map padded, GELU
+/// between, the second map's input narrower than its butterfly when
+/// `ffn < n` — past the fan-out grain, against the two fused layers with
+/// `Tensor::gelu` between them.
+#[test]
+fn butterfly_ffn_is_bit_identical_at_every_thread_count_and_backend() {
+    let mut rng = StdRng::seed_from_u64(22);
+    for (n, hidden, ffn) in [(512usize, 128usize, 512usize), (64, 20, 60)] {
+        let (up, down) = (
+            ButterflyMatrix::random(n, &mut rng).unwrap(),
+            ButterflyMatrix::random(n, &mut rng).unwrap(),
+        );
+        let (up_bias, down_bias) = (random_vec(ffn, &mut rng), random_vec(hidden, &mut rng));
+        let rows = grain_rows(n);
+        let x = filled(rows, hidden, n);
+        let (mut act, mut expected) = (Tensor::default(), Tensor::default());
+        up.forward_rows_fused_into(&x, ffn, &up_bias, &mut act);
+        down.forward_rows_fused_into(&act.gelu(), hidden, &down_bias, &mut expected);
+        let pass = ButterflyFfn::new(&up, &up_bias, &down, &down_bias);
+        assert_same_bits_in_every_configuration("ButterflyFfn::forward_rows_into", || {
+            let mut out = Tensor::default();
+            pass.forward_rows_into(&x, &mut out);
+            assert!(
+                out.as_slice()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .eq(expected.as_slice().iter().map(|v| v.to_bits())),
+                "the lane pass diverged from the two fused layers at n={n} ffn={ffn}"
+            );
+            out.into_vec()
+        });
     }
 }
 

@@ -13,7 +13,9 @@
 //! ```
 //!
 //! The models are seeded and untrained: Transformer, FNet, FABNet (Fourier
-//! blocks only) and FABNet with one ABfly block, each exact, fast-math and
+//! blocks only), FABNet with one ABfly block and a FABNet with one ABfly
+//! block at hidden 24 and `ffn_ratio` 3 (widths that are not powers of two,
+//! and an FFN narrower than its butterflies), each exact, fast-math and
 //! calibrated int8. Lengths ascend and then descend, so every forward but
 //! the first runs in a workspace a different shape has used, and they
 //! straddle the attention core's sub-tile and band edges and the fan-out
@@ -34,9 +36,9 @@ fn tokens(len: usize, salt: usize) -> Vec<usize> {
 
 /// `(label, frozen model, the trained model when the frozen one is exact)`.
 fn models() -> Vec<(String, FrozenModel, Option<Model>)> {
-    let config = |num_abfly| ModelConfig {
-        hidden: 64,
-        ffn_ratio: 2,
+    let config = |hidden, ffn_ratio, num_abfly| ModelConfig {
+        hidden,
+        ffn_ratio,
         num_layers: 2,
         num_abfly,
         num_heads: 4,
@@ -46,14 +48,15 @@ fn models() -> Vec<(String, FrozenModel, Option<Model>)> {
     };
     let calibration: Vec<Vec<usize>> = (0..4).map(|i| tokens(24 + 8 * i, i)).collect();
     [
-        ("transformer", ModelKind::Transformer, 0),
-        ("fnet", ModelKind::FNet, 0),
-        ("fabnet", ModelKind::FabNet, 0),
-        ("fabnet-abfly", ModelKind::FabNet, 1),
+        ("transformer", ModelKind::Transformer, config(64, 2, 0)),
+        ("fnet", ModelKind::FNet, config(64, 2, 0)),
+        ("fabnet", ModelKind::FabNet, config(64, 2, 0)),
+        ("fabnet-abfly", ModelKind::FabNet, config(64, 2, 1)),
+        ("fabnet-h24-ffn3", ModelKind::FabNet, config(24, 3, 1)),
     ]
     .into_iter()
-    .flat_map(|(name, kind, num_abfly)| {
-        let model = Model::new(&config(num_abfly), kind, &mut StdRng::seed_from_u64(11));
+    .flat_map(|(name, kind, config)| {
+        let model = Model::new(&config, kind, &mut StdRng::seed_from_u64(11));
         let exact = model.freeze();
         let fast = exact.clone().with_fast_math(true);
         let int8 = quantize_frozen(&fast, &calibration, &CalibrationConfig::default());

@@ -10,7 +10,9 @@
 //! immutable, `Send + Sync` snapshot whose forward pass calls the PR-1
 //! batched kernels (`Tensor::matmul_into`,
 //! `ButterflyMatrix::forward_rows_fused_into`, `fourier_mix_into`, the
-//! row-parallel softmax/layer-norm) directly.
+//! row-parallel softmax/layer-norm) directly; a block whose FFN is
+//! butterfly-factorised runs its second half as one lane pass
+//! ([`ButterflyFfn`]).
 //!
 //! # Per-sequence execution and exactness
 //!
@@ -77,7 +79,7 @@
 
 use crate::config::{ModelConfig, ModelKind};
 use crate::qlinear::{QuantEmbedding, QuantLinear};
-use fab_butterfly::{fourier_mix_into, ButterflyMatrix};
+use fab_butterfly::{fourier_mix_into, ButterflyFfn, ButterflyMatrix, LayerNorm};
 use fab_tensor::{attention, simd, Tensor};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -123,13 +125,16 @@ impl FrozenLinear {
 
     /// [`FrozenLinear::forward`], followed by GELU when `gelu` is set,
     /// writing into `out` (resized in place); `qx` stages the int8 map's
-    /// quantized input. No arm makes a second pass through a second buffer:
-    /// the dense map adds its bias and applies the activation in place on
-    /// the product, the butterfly map applies padding, bias, activation and
-    /// truncation inside its own tile loop
-    /// ([`ButterflyMatrix::forward_rows_fused_into`]) and the int8 map
-    /// inside its dequantization epilogue — all bit-identical to
-    /// `matmul`, `add_row_broadcast`, `gelu` one after the other.
+    /// quantized input. No arm makes a second pass through a second buffer
+    /// but a butterfly map's GELU: the dense map adds its bias and applies
+    /// the activation in place on the product, the butterfly map applies
+    /// padding, bias and truncation inside its own tile loop
+    /// ([`ButterflyMatrix::forward_rows_fused_into`]) and the int8 map bias
+    /// and activation inside its dequantization epilogue — all
+    /// bit-identical to `matmul`, `add_row_broadcast`, `gelu` one after the
+    /// other. (A butterfly map reads `gelu` only as the first layer of an
+    /// FFN whose second layer is not a butterfly; two butterfly layers run
+    /// as one [`ButterflyFfn`].)
     fn forward_into(&self, x: &Tensor, gelu: bool, qx: &mut Vec<i8>, out: &mut Tensor) {
         match self {
             FrozenLinear::Dense { w, b } => {
@@ -141,7 +146,10 @@ impl FrozenLinear {
             }
             FrozenLinear::Butterfly { bfly, b, d_in, d_out } => {
                 assert_eq!(x.cols(), *d_in, "frozen butterfly input width mismatch");
-                bfly.forward_rows_fused_into(x, *d_out, b.as_slice(), gelu, out);
+                bfly.forward_rows_fused_into(x, *d_out, b.as_slice(), out);
+                if gelu {
+                    out.gelu_in_place();
+                }
             }
             FrozenLinear::Int8(q) => q.forward_into(x, gelu, qx, out),
         }
@@ -212,6 +220,11 @@ impl FrozenLayerNorm {
     fn forward_residual_into(&self, x: &Tensor, fx: &Tensor, out: &mut Tensor) {
         x.add_layer_norm_rows_into(fx, &self.gamma, &self.beta, self.eps, out);
     }
+
+    /// The parameters as a butterfly FFN block's lane pass reads them.
+    fn lane_params(&self) -> LayerNorm<'_> {
+        LayerNorm { gamma: self.gamma.as_slice(), beta: self.beta.as_slice(), eps: self.eps }
+    }
 }
 
 /// Frozen two-layer feed-forward network with GELU activation.
@@ -238,18 +251,38 @@ impl FrozenFeedForward {
     }
 
     /// Applies `lin2(gelu(lin1(x)))` to `[rows, hidden]` activations, the
-    /// GELU fused into `lin1`'s epilogue. `fast_math` changes nothing
-    /// here: since PR 3 the exact and the serving-grade GELU are the same
-    /// kernel ([`fab_tensor::fastmath`]).
+    /// GELU fused into `lin1`'s epilogue; two butterfly maps run as one
+    /// pass over lane tiles ([`ButterflyFfn`]) with the same bits.
+    /// `fast_math` changes nothing here: the exact and the serving-grade
+    /// GELU are the same kernel ([`fab_tensor::fastmath`]).
     pub fn forward(&self, x: &Tensor, _fast_math: bool) -> Tensor {
         let mut out = Tensor::default();
-        self.forward_into(x, &mut Tensor::default(), &mut Vec::new(), &mut out, |_| {});
+        match self.butterfly() {
+            Some(ffn) => ffn.forward_rows_into(x, &mut out),
+            None => self.forward_into(x, &mut Tensor::default(), &mut Vec::new(), &mut out, |_| {}),
+        }
         out
     }
 
-    /// [`FrozenFeedForward::forward`] writing into `out`, with `lin2`'s
-    /// input (the post-GELU activations) left in `act` and shown to
-    /// `observe` on the way.
+    /// Both maps as one [`ButterflyFfn`], when both are butterfly maps
+    /// that fit together (`hidden → ffn → hidden`).
+    fn butterfly(&self) -> Option<ButterflyFfn<'_>> {
+        match (&self.lin1, &self.lin2) {
+            (
+                FrozenLinear::Butterfly { bfly: up, b: up_bias, d_in: hidden, d_out: ffn },
+                FrozenLinear::Butterfly { bfly: down, b: down_bias, d_in, d_out },
+            ) if (d_in, d_out) == (ffn, hidden)
+                && (up_bias.len(), down_bias.len()) == (*ffn, *hidden) =>
+            {
+                Some(ButterflyFfn::new(up, up_bias.as_slice(), down, down_bias.as_slice()))
+            }
+            _ => None,
+        }
+    }
+
+    /// [`FrozenFeedForward::forward`] of a dense (or int8) FFN writing into
+    /// `out`, with `lin2`'s input (the post-GELU activations) left in `act`
+    /// and shown to `observe` on the way.
     fn forward_into(
         &self,
         x: &Tensor,
@@ -458,7 +491,10 @@ impl FrozenBlock {
 
     /// Applies block `index` to one sequence's `[len, hidden]` activations
     /// in `ws.x`, leaving the result there and handing `tap` the inputs of
-    /// the block's quantizable GEMMs.
+    /// the block's quantizable GEMMs. A butterfly FFN runs with both layer
+    /// norms as one pass over lane tiles ([`ButterflyFfn::block_rows_into`])
+    /// from `ws.x` into `ws.y`, which then trade places, with the bits of
+    /// the row-major composition a dense FFN runs.
     fn forward_in(
         &self,
         ws: &mut Workspace,
@@ -476,6 +512,11 @@ impl FrozenBlock {
             }
             FrozenMixing::Fourier => fourier_mix_into(x, fx),
         }
+        if let Some(ffn) = self.ffn.butterfly() {
+            ffn.block_rows_into(x, fx, self.ln1.lane_params(), self.ln2.lane_params(), y);
+            std::mem::swap(x, y);
+            return;
+        }
         self.ln1.forward_residual_into(x, fx, y);
         tap(Tap::Ffn1In(index), y.as_slice());
         self.ffn.forward_into(y, act, qx, fx, |act| tap(Tap::Ffn2In(index), act));
@@ -487,19 +528,27 @@ impl FrozenBlock {
 /// one (see [`with_workspace`]) and every buffer only ever grows
 /// ([`Tensor::resize_to`]), so once a workspace has held the longest
 /// sequence a forward in it allocates nothing but the logits it returns.
-/// The high-water mark is about `len · (ffn + 7 · hidden) · 4` bytes plus the
-/// attention core's tile scratch, one slot per band:
-/// `8 · simd::attention_tile_scratch(backend, attention::SUB_ROWS,
-/// len, head_dim) · 4` bytes, `8 · 32 · (len + head_dim) · 4` on an AVX-512 host.
+/// With dense FFNs (Transformer, FNet) the high-water mark is about
+/// `len · (ffn + 7 · hidden) · 4` bytes plus the attention core's tile
+/// scratch, one slot per band: `8 · simd::attention_tile_scratch(backend,
+/// attention::SUB_ROWS, len, head_dim) · 4` bytes, `8 · 32 · (len +
+/// head_dim) · 4` on an AVX-512 host. FABNet's butterfly FFN blocks keep
+/// no `[len, ffn]` intermediate: they use `x`, `y` and `fx` only —
+/// `len · 3 · hidden · 4` bytes, plus `q`, `k`, `v`, `mixed` and the tile
+/// scratch (`len · 4 · hidden · 4` more) once the model has an ABfly block
+/// — and each thread of their lane pass keeps one `(n + hidden) · lanes ·
+/// 4`-byte tile, `n` the butterfly size (40 KB at hidden 128, 16 lanes).
 #[derive(Debug, Default)]
 struct Workspace {
     /// A block's input and, after it ran, its output: `[len, hidden]`.
     x: Tensor,
-    /// The block's state between its two halves (the output of `ln1`).
+    /// A dense-FFN block's state between its two halves (the output of
+    /// `ln1`); a butterfly-FFN block's output, before it trades places
+    /// with `x`.
     y: Tensor,
-    /// Output of the half in flight: the token mixing, then the FFN.
+    /// Output of the half in flight: the token mixing, then a dense FFN.
     fx: Tensor,
-    /// The FFN's `[len, ffn]` intermediate.
+    /// A dense FFN's `[len, ffn]` intermediate.
     act: Tensor,
     attention: AttentionBuffers,
     /// The int8 form of whatever an int8 linear is reading.
@@ -567,9 +616,11 @@ pub enum Tap {
     /// Input of an attention block's output projection (the mixed heads),
     /// `[len, hidden]`.
     AttnCoreOut(usize),
-    /// Input of a block's first FFN layer, `[len, hidden]`.
+    /// Input of a dense FFN's first layer, `[len, hidden]`. A butterfly
+    /// FFN's inputs are not quantizable and never leave its lane tiles, so
+    /// its block fires neither this nor [`Tap::Ffn2In`].
     Ffn1In(usize),
-    /// Input of a block's second FFN layer (post-GELU), `[len, ffn]`.
+    /// Input of a dense FFN's second layer (post-GELU), `[len, ffn]`.
     Ffn2In(usize),
     /// Input of the classifier head: the mean-pooled hidden state,
     /// `[hidden]`.

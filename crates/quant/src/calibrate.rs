@@ -242,18 +242,23 @@ mod tests {
                 every[i].1.observe(values);
             });
         }
+        let tapped = |tap| every.iter().any(|(t, _)| *t == tap);
         let observed = |tap| every.iter().find(|(t, _)| *t == tap).expect("tapped").1.scale();
+        // A butterfly FFN's inputs never leave its lane tiles: its taps do
+        // not fire, a dense FFN's do.
+        assert!(tapped(Tap::Ffn1In(0)) && tapped(Tap::Ffn2In(0)), "the dense FFN was not tapped");
+        assert!(!tapped(Tap::Ffn1In(1)) && !tapped(Tap::Ffn2In(1)), "a butterfly FFN was tapped");
         let all = |b| BlockScales {
             attn_in: observed(Tap::AttnIn(b)),
             attn_out_in: observed(Tap::AttnCoreOut(b)),
-            ffn1_in: observed(Tap::Ffn1In(b)),
-            ffn2_in: observed(Tap::Ffn2In(b)),
+            ffn1_in: if tapped(Tap::Ffn1In(b)) { observed(Tap::Ffn1In(b)) } else { 1.0 },
+            ffn2_in: if tapped(Tap::Ffn2In(b)) { observed(Tap::Ffn2In(b)) } else { 1.0 },
         };
         assert_eq!(got.blocks[0], all(0), "dense scales moved");
         assert_eq!(got.head_in, observed(Tap::HeadIn), "the head scale moved");
         let sentinel = BlockScales { attn_in: 1.0, attn_out_in: 1.0, ffn1_in: 1.0, ffn2_in: 1.0 };
         assert_eq!(got.blocks[1], sentinel);
-        assert_ne!(all(1).ffn1_in, 1.0, "an observed butterfly input reads the sentinel anyway");
+        assert_ne!(all(1).attn_in, 1.0, "an observed butterfly input reads the sentinel anyway");
 
         // Quantization reads no butterfly scale: the int8 model is the one
         // every observed scale gives, bit for bit.

@@ -1,5 +1,7 @@
 //! Activation-range observers used during calibration.
 
+use fab_tensor::simd;
+
 /// Smallest step size an observer reports: guards against degenerate
 /// all-zero activations producing a zero scale (and a divide-by-zero at
 /// quantization time).
@@ -98,15 +100,28 @@ impl Observer {
         Self { kind, max_abs: 0.0, hist }
     }
 
-    /// Streams one slice of activations.
+    /// Streams one slice of activations. The histogram takes them in runs
+    /// of one range ([`simd::abs_histogram_run`], a vector at a time) and
+    /// grows at each value above it, so the counts are those of recording
+    /// the values one by one.
     pub fn observe(&mut self, xs: &[f32]) {
-        for &x in xs {
-            let a = x.abs();
-            if a > self.max_abs {
-                self.max_abs = a;
+        let Some(h) = &mut self.hist else {
+            for &x in xs {
+                self.max_abs = self.max_abs.max(x.abs());
             }
-            if let Some(h) = &mut self.hist {
-                h.record(a);
+            return;
+        };
+        let mut rest = xs;
+        while !rest.is_empty() {
+            let (binned, max) = simd::abs_histogram_run(rest, h.range, &mut h.counts);
+            h.total += binned as u64;
+            self.max_abs = self.max_abs.max(max);
+            rest = &rest[binned..];
+            if let Some((&x, tail)) = rest.split_first() {
+                // `|x|` is above the range, so not NaN.
+                self.max_abs = self.max_abs.max(x.abs());
+                h.record(x.abs());
+                rest = tail;
             }
         }
     }
@@ -179,6 +194,81 @@ mod tests {
         o.observe(&[300.0]); // forces multiple range doublings
                              // The median must stay near 0.25 despite the folds.
         assert!(o.range() <= 1.0, "median range {} blew up after folding", o.range());
+    }
+
+    /// `observe` as it was before it binned in runs: one value at a time.
+    fn observed_one_by_one(kind: ObserverKind, slices: &[Vec<f32>]) -> Observer {
+        let mut o = Observer::new(kind);
+        for &x in slices.iter().flatten() {
+            let a = x.abs();
+            if a > o.max_abs {
+                o.max_abs = a;
+            }
+            if let Some(h) = &mut o.hist {
+                h.record(a);
+            }
+        }
+        o
+    }
+
+    /// Slices around the vector width with NaN, ±0, values equal to the
+    /// range (1, then 2 and 4 once it grew), growths at every lane of a
+    /// step and in the scalar tail, and an infinity that takes the range
+    /// to infinity.
+    fn awkward_slices() -> Vec<Vec<Vec<f32>>> {
+        let mut state = 0x2545_f491_u32;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 17;
+            state ^= state << 5;
+            (state % 2001) as f32 / 1000.0 - 1.0
+        };
+        let specials = [f32::NAN, -f32::NAN, 0.0, -0.0, 1.0, -1.0, 2.0, 4.0];
+        let mut cases = Vec::new();
+        for len in [1usize, 7, 8, 9, 15, 16, 17, 40, 1000] {
+            for grow_at in [None, Some(0), Some(3), Some(7), Some(8), Some(len / 2), Some(len - 1)]
+            {
+                let mut xs: Vec<f32> = (0..len).map(|_| next()).collect();
+                for (i, &v) in specials.iter().enumerate() {
+                    if let Some(x) = xs.get_mut((i * 5 + len / 3) % len) {
+                        *x = v;
+                    }
+                }
+                if let Some(at) = grow_at.filter(|&at| at < len) {
+                    xs[at] = -3.0 - at as f32;
+                    if let Some(x) = xs.get_mut(at + 1) {
+                        *x = 4.0;
+                    }
+                }
+                // The same values again: they bin against the grown range.
+                cases.push(vec![xs.clone(), xs]);
+            }
+        }
+        cases.push(vec![vec![0.5, f32::INFINITY, 0.25, f32::NAN, 7.0], vec![1.0; 9]]);
+        cases.push(vec![vec![-0.0; 17], vec![f32::NAN; 9], vec![]]);
+        cases
+    }
+
+    // On the active backend; `fab_tensor::simd`'s differential table holds
+    // every arm of the run kernel to the per-value loop.
+    #[test]
+    fn binning_in_runs_gives_the_counts_of_one_value_at_a_time() {
+        for slices in awkward_slices() {
+            for kind in [ObserverKind::Percentile(0.999), ObserverKind::MinMax] {
+                let expected = observed_one_by_one(kind, &slices);
+                let mut got = Observer::new(kind);
+                for xs in &slices {
+                    got.observe(xs);
+                }
+                let case = format!("{kind:?} {slices:?}");
+                assert_eq!(got.max_abs.to_bits(), expected.max_abs.to_bits(), "{case}");
+                assert_eq!(got.scale().to_bits(), expected.scale().to_bits(), "{case}");
+                let hist = |o: &Observer| {
+                    o.hist.as_ref().map(|h| (h.counts.clone(), h.range.to_bits(), h.total))
+                };
+                assert_eq!(hist(&got), hist(&expected), "{case}");
+            }
+        }
     }
 
     #[test]

@@ -359,6 +359,8 @@ trait Vf32: FmaLanes {
     fn sub(self, o: Self) -> Self;
     fn mul(self, o: Self) -> Self;
     fn div(self, o: Self) -> Self;
+    /// Correctly rounded square root, the value of `f32::sqrt`.
+    fn sqrt(self) -> Self;
     fn max(self, o: Self) -> Self;
     fn min(self, o: Self) -> Self;
     /// `2^k` per lane via exponent-bit construction; lanes must hold exact
@@ -485,6 +487,11 @@ impl Vf32 for F32x1 {
     #[inline(always)]
     fn div(self, o: Self) -> Self {
         F32x1(self.0 / o.0)
+    }
+
+    #[inline(always)]
+    fn sqrt(self) -> Self {
+        F32x1(self.0.sqrt())
     }
 
     #[inline(always)]
@@ -2284,10 +2291,9 @@ mod kernels {
         }
     }
 
-    /// Scatters a lane-layout tile back to row-major rows with the
-    /// epilogue applied on the way: `dst[r·stride + c] = act(src[c·width +
-    /// r] + bias[c])` for `r < rows`, `c < cols`; an empty `bias` adds
-    /// nothing and `act` is GELU or the identity. `rows <= width`,
+    /// Scatters a lane-layout tile back to row-major rows with the bias
+    /// added on the way: `dst[r·stride + c] = src[c·width + r] + bias[c]`
+    /// for `r < rows`, `c < cols`; an empty `bias` adds nothing. `rows <= width`,
     /// `cols * width <= src.len()`, `bias` is empty or `cols` long, and
     /// `dst` holds `rows` rows of `cols` values at `stride`.
     #[allow(clippy::too_many_arguments)]
@@ -2298,18 +2304,16 @@ mod kernels {
         rows: usize,
         cols: usize,
         bias: &[f32],
-        gelu: bool,
         dst: &mut [f32],
         stride: usize,
     ) {
-        /// The epilogue on columns `c .. c + LANES` of one row.
+        /// The bias on columns `c .. c + LANES` of one row.
         #[inline(always)]
-        fn epilogue<V: Vf32>(v: V, bias: &[f32], c: usize, gelu: bool) -> V {
-            let v = if bias.is_empty() { v } else { v.add(V::load(&bias[c..])) };
-            if gelu {
-                gelu_v(v)
-            } else {
+        fn epilogue<V: Vf32>(v: V, bias: &[f32], c: usize) -> V {
+            if bias.is_empty() {
                 v
+            } else {
+                v.add(V::load(&bias[c..]))
             }
         }
         // The register paths store unchecked (a check per store cost the
@@ -2323,7 +2327,7 @@ mod kernels {
             while c + V::LANES <= cols {
                 let block = V::transpose(&src[c * width..], width);
                 for (r, v) in block.into_iter().enumerate().take(rows) {
-                    let v = epilogue(v, bias, c, gelu);
+                    let v = epilogue(v, bias, c);
                     // SAFETY: `r < rows` and `c + LANES <= cols` (above).
                     unsafe { store_at(v, dst, r * stride + c) };
                 }
@@ -2336,7 +2340,7 @@ mod kernels {
                 for g in (0..rows).step_by(V::LANES) {
                     let block = V::transpose(&src[c * width + g..], width);
                     for (k, v) in block.into_iter().enumerate().take(rows - g) {
-                        let v = epilogue(v, bias, c, gelu);
+                        let v = epilogue(v, bias, c);
                         // SAFETY: `g + k < rows` and `c + LANES <= cols`.
                         unsafe { store_at(v, dst, (g + k) * stride + c) };
                     }
@@ -2347,9 +2351,124 @@ mod kernels {
         for c in c..cols {
             for r in 0..rows {
                 let y = src[c * width + r];
-                let y = if bias.is_empty() { y } else { y + bias[c] };
-                dst[r * stride + c] = if gelu { gelu_fast(y) } else { y };
+                dst[r * stride + c] = if bias.is_empty() { y } else { y + bias[c] };
             }
+        }
+    }
+
+    // -- lane-layout epilogues ----------------------------------------------
+    //
+    // What a butterfly FFN block does between and after its stages, on the
+    // `[n][width]` tile the stages leave: a bias (and GELU) per feature row,
+    // and the residual layer norm per lane, so a tile goes back to rows once.
+
+    /// `x = act(x + bias)` on one feature row of a lane tile.
+    struct BiasAct<'a> {
+        row: &'a mut [f32],
+        bias: f32,
+        gelu: bool,
+    }
+
+    impl Elementwise for BiasAct<'_> {
+        #[inline(always)]
+        fn lanes<V: Vf32>(&mut self, i: usize) {
+            let d = &mut self.row[at::<V>(i)];
+            let y = V::load(d).add(V::splat(self.bias));
+            (if self.gelu { gelu_v(y) } else { y }).store(d);
+        }
+
+        #[inline(always)]
+        fn one(&mut self, i: usize) {
+            self.lanes::<F32x1>(i);
+        }
+    }
+
+    /// `x[c][r] = act(x[c][r] + bias[c])` over an `[n][width]` buffer,
+    /// `n = bias.len()`, `act` GELU or the identity.
+    #[inline(always)]
+    pub fn bias_gelu_lanes<V: Vf32>(x: &mut [f32], bias: &[f32], gelu: bool, width: usize) {
+        for (row, &bias) in x.chunks_exact_mut(width).zip(bias) {
+            sweep::<V>(&mut BiasAct { row, bias, gelu }, width);
+        }
+    }
+
+    /// `b = layer_norm(a + b)` in every lane of two `[n][width]` buffers,
+    /// `n = gamma.len()`: lane `r` holds one row, and gets the bits the
+    /// AVX2 backend's [`add_layer_norm_row`] gives it. The sum and the
+    /// squared deviations each run as eight partial sums over the whole
+    /// groups of eight features, combined in `F32x8::reduce_add`'s
+    /// [`tree`], with the `n % 8` features after them folded in one by one.
+    #[inline(always)]
+    pub fn add_layer_norm_lanes<V: Vf32>(
+        a: &[f32],
+        b: &mut [f32],
+        gamma: &[f32],
+        beta: &[f32],
+        eps: f32,
+        width: usize,
+    ) {
+        let main = width - width % V::LANES;
+        let mut col = 0;
+        while col < main {
+            norm_lanes::<V>(a, b, gamma, beta, eps, width, col);
+            col += V::LANES;
+        }
+        for col in main..width {
+            norm_lanes::<F32x1>(a, b, gamma, beta, eps, width, col);
+        }
+    }
+
+    /// [`add_layer_norm_lanes`] on the `U::LANES` lanes from `col`.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn norm_lanes<U: Vf32>(
+        a: &[f32],
+        b: &mut [f32],
+        gamma: &[f32],
+        beta: &[f32],
+        eps: f32,
+        width: usize,
+        col: usize,
+    ) {
+        let n = gamma.len();
+        let groups = n - n % 8;
+        let at = |c: usize| c * width + col;
+        let mut p = [U::splat(0.0); 8];
+        for g in (0..groups).step_by(8) {
+            for (j, p) in p.iter_mut().enumerate() {
+                let d = &mut b[at(g + j)..];
+                let x = U::load(&a[at(g + j)..]).add(U::load(d));
+                x.store(d);
+                *p = p.add(x);
+            }
+        }
+        let mut sum = tree(p, U::add);
+        for c in groups..n {
+            let d = &mut b[at(c)..];
+            let x = U::load(&a[at(c)..]).add(U::load(d));
+            x.store(d);
+            sum = sum.add(x);
+        }
+        let count = U::splat(n as f32);
+        let mean = sum.div(count);
+        let deviation = |c: usize| U::load(&b[at(c)..]).sub(mean);
+        let mut p = [U::splat(0.0); 8];
+        for g in (0..groups).step_by(8) {
+            for (j, p) in p.iter_mut().enumerate() {
+                let t = deviation(g + j);
+                *p = p.add(t.mul(t));
+            }
+        }
+        let mut var = tree(p, U::add);
+        for c in groups..n {
+            let t = deviation(c);
+            var = var.add(t.mul(t));
+        }
+        let inv = U::splat(1.0).div(var.div(count).add(U::splat(eps)).sqrt());
+        for (c, (&g, &beta)) in gamma.iter().zip(beta).enumerate() {
+            let d = &mut b[at(c)..];
+            let y = U::splat(g).mul(U::load(d).sub(mean)).mul(inv).add(U::splat(beta));
+            y.store(d);
         }
     }
 }
@@ -2435,6 +2554,12 @@ mod x86 {
         fn div(self, o: Self) -> Self {
             // SAFETY: AVX is enabled.
             F32x8(unsafe { _mm256_div_ps(self.0, o.0) })
+        }
+
+        #[inline(always)]
+        fn sqrt(self) -> Self {
+            // SAFETY: AVX is enabled.
+            F32x8(unsafe { _mm256_sqrt_ps(self.0) })
         }
 
         #[inline(always)]
@@ -2751,9 +2876,18 @@ mod x86 {
             rows: usize,
             cols: usize,
             bias: &[f32],
-            gelu: bool,
             dst: &mut [f32],
             stride: usize,
+        ) if width.is_multiple_of(16);
+        fn bias_gelu_lanes(x: &mut [f32], bias: &[f32], gelu: bool, width: usize)
+            if width.is_multiple_of(16);
+        fn add_layer_norm_lanes(
+            a: &[f32],
+            b: &mut [f32],
+            gamma: &[f32],
+            beta: &[f32],
+            eps: f32,
+            width: usize,
         ) if width.is_multiple_of(16);
         fn attention_tile(
             q: &[f32],
@@ -2848,6 +2982,12 @@ mod x86 {
         fn div(self, o: Self) -> Self {
             // SAFETY: AVX-512F is enabled.
             F32x16(unsafe { _mm512_div_ps(self.0, o.0) })
+        }
+
+        #[inline(always)]
+        fn sqrt(self) -> Self {
+            // SAFETY: AVX-512F is enabled.
+            F32x16(unsafe { _mm512_sqrt_ps(self.0) })
         }
 
         /// `vmaxps`: a NaN in either operand yields `o`, as on [`F32x8`].
@@ -3020,6 +3160,44 @@ mod x86 {
         let s = &s[..32];
         // SAFETY: `s` holds 32 bytes.
         unsafe { _mm256_loadu_si256(s.as_ptr().cast()) }
+    }
+
+    /// AVX2 [`super::abs_histogram_run`]: eight values a step, the run's
+    /// end found with one compare per vector, the bins with the scalar
+    /// expression's division, product and truncation (`cvttps` makes a NaN
+    /// `i32::MIN`, which the clamp takes to bin 0 as `as usize` does). The
+    /// step holding the first value over `range` and the last `len % 8`
+    /// values go through the scalar loop.
+    #[target_feature(enable = "avx2")]
+    pub fn abs_histogram_run(src: &[f32], range: f32, counts: &mut [u64]) -> (usize, f32) {
+        let last = counts.len() as i32 - 1;
+        let (r, bins) = (_mm256_set1_ps(range), _mm256_set1_ps(counts.len() as f32));
+        let magnitude = _mm256_castsi256_ps(_mm256_set1_epi32(i32::MAX));
+        let (zero, top) = (_mm256_setzero_si256(), _mm256_set1_epi32(last));
+        let mut max = _mm256_setzero_ps();
+        let mut binned = 0;
+        let mut at = [0i32; 8];
+        for chunk in src.chunks_exact(8) {
+            let a = _mm256_and_ps(F32x8::load(chunk).0, magnitude);
+            if _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GT_OQ>(a, r)) != 0 {
+                break;
+            }
+            // `vmaxps` keeps the second operand where `a` is NaN.
+            max = _mm256_max_ps(a, max);
+            let bin = _mm256_cvttps_epi32(_mm256_mul_ps(_mm256_div_ps(a, r), bins));
+            let bin = _mm256_min_epi32(_mm256_max_epi32(bin, zero), top);
+            // SAFETY: `at` holds the 32 bytes the store writes.
+            unsafe { _mm256_storeu_si256(at.as_mut_ptr().cast(), bin) };
+            for &b in &at {
+                counts[b as usize] += 1;
+            }
+            binned += 8;
+        }
+        let mut lanes = [0.0f32; 8];
+        F32x8(max).store(&mut lanes);
+        let max = lanes.iter().fold(0.0f32, |m, &a| if a > m { a } else { m });
+        let (tail, tail_max) = super::abs_histogram_run_scalar(&src[binned..], range, counts);
+        (binned + tail, if tail_max > max { tail_max } else { max })
     }
 
     /// AVX2 int8 quantization: `dst = clamp(round_ties_even(src · inv), ±127)`
@@ -4178,11 +4356,10 @@ pub fn rows_to_lanes(
 }
 
 /// Scatters a lane-layout tile back to `rows <= width` row-major rows,
-/// applying the linear-layer epilogue while the tile is in cache:
-/// `dst[r·stride + c] = act(src[c·width + r] + bias[c])` for `c < cols`.
-/// An empty `bias` adds nothing (not even `+0.0`); `act` is
-/// [`crate::fastmath::gelu_fast`] when `gelu` is set, else the identity.
-/// Taking `cols` smaller than the tile truncates the output for free.
+/// adding the linear layer's bias while the tile is in cache:
+/// `dst[r·stride + c] = src[c·width + r] + bias[c]` for `c < cols`. An
+/// empty `bias` adds nothing (not even `+0.0`). Taking `cols` smaller than
+/// the tile truncates the output for free.
 ///
 /// # Panics
 ///
@@ -4196,7 +4373,6 @@ pub fn lanes_to_rows(
     rows: usize,
     cols: usize,
     bias: &[f32],
-    gelu: bool,
     dst: &mut [f32],
     stride: usize,
 ) {
@@ -4204,7 +4380,75 @@ pub fn lanes_to_rows(
     assert!(cols * width <= src.len(), "lanes_to_rows src too short");
     assert!(bias.is_empty() || bias.len() == cols, "lanes_to_rows bias length mismatch");
     assert!(rows == 0 || (rows - 1) * stride + cols <= dst.len(), "lanes_to_rows dst too short");
-    dispatch!(lanes_to_rows(src, width, rows, cols, bias, gelu, dst, stride))
+    dispatch!(lanes_to_rows(src, width, rows, cols, bias, dst, stride))
+}
+
+/// `x[c][r] = act(x[c][r] + bias[c])` over an `[n][width]` lane-layout
+/// buffer (`n = bias.len()`), `act` [`crate::fastmath::gelu_fast`] when
+/// `gelu` is set and the identity otherwise: a linear layer's epilogue on
+/// a tile that stays in lane layout, with the bits of
+/// `Tensor::add_row_broadcast` and `Tensor::gelu` on its rows.
+///
+/// # Panics
+///
+/// Panics when `width` is zero or `x` does not hold `bias.len() · width`
+/// values.
+pub fn bias_gelu_lanes(x: &mut [f32], bias: &[f32], gelu: bool, width: usize) {
+    assert!(width > 0 && Some(x.len()) == bias.len().checked_mul(width), "bias_gelu_lanes shape");
+    dispatch!(bias_gelu_lanes(x, bias, gelu, width))
+}
+
+/// Fused `(a + b)` + layer normalisation of every lane of two `[n][width]`
+/// lane-layout buffers (`n = gamma.len()`), written into `b`: lane `r`
+/// gets the bits [`add_layer_norm_row`] gives the row `a[..][r] +
+/// b[..][r]` on the same backend. The AVX2 backend replays the row
+/// kernel's 8-lane reduction tree in each lane (at 8 or 16 lanes, like
+/// the other lane-wise kernels); the scalar backend runs the row oracle's
+/// sequential sums lane by lane.
+///
+/// # Panics
+///
+/// Panics when `width` is zero, `gamma` and `beta` differ in length, or
+/// `a` or `b` do not hold `gamma.len() · width` values.
+pub fn add_layer_norm_lanes(
+    a: &[f32],
+    b: &mut [f32],
+    gamma: &[f32],
+    beta: &[f32],
+    eps: f32,
+    width: usize,
+) {
+    let values = gamma.len().checked_mul(width);
+    assert!(width > 0 && beta.len() == gamma.len(), "add_layer_norm_lanes shape");
+    assert!(Some(a.len()) == values && Some(b.len()) == values, "add_layer_norm_lanes shape");
+    dispatch!(add_layer_norm_lanes(a, b, gamma, beta, eps, width) else {
+        add_layer_norm_lanes_scalar(a, b, gamma, beta, eps, width)
+    })
+}
+
+/// The scalar backend's [`add_layer_norm_lanes`]: [`add_layer_norm_row`]'s
+/// oracle on each lane.
+fn add_layer_norm_lanes_scalar(
+    a: &[f32],
+    b: &mut [f32],
+    gamma: &[f32],
+    beta: &[f32],
+    eps: f32,
+    width: usize,
+) {
+    let n = gamma.len();
+    for r in 0..width {
+        let at = |c: usize| c * width + r;
+        for c in 0..n {
+            b[at(c)] = a[at(c)] + b[at(c)];
+        }
+        let mean = (0..n).map(|c| b[at(c)]).sum::<f32>() / n as f32;
+        let var = (0..n).map(|c| (b[at(c)] - mean) * (b[at(c)] - mean)).sum::<f32>() / n as f32;
+        let inv = 1.0 / (var + eps).sqrt();
+        for (c, (&g, &beta)) in gamma.iter().zip(beta).enumerate() {
+            b[at(c)] = g * (b[at(c)] - mean) * inv + beta;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -4276,6 +4520,41 @@ fn q8_dequant_scalar(acc: &[i32], scale: &[f32], bias: &[f32], gelu: bool, out: 
 pub fn q8_quantize_slice(src: &[f32], inv_scale: f32, dst: &mut [i8]) {
     assert_eq!(src.len(), dst.len(), "q8_quantize_slice length mismatch");
     dispatch!(q8_quantize_slice(src, inv_scale, dst) else { q8_quantize_scalar(src, inv_scale, dst) })
+}
+
+/// Bins the magnitudes of `src` into an absolute-value histogram of
+/// `counts.len()` equal bins over `[0, range]`, up to the first value whose
+/// magnitude exceeds `range`: value `x` adds one to bin `min((|x| / range ·
+/// bins) as usize, bins − 1)` (a NaN to bin 0). Returns how many values it
+/// binned and the largest magnitude among them, NaN ignored (`0.0` for
+/// none). Every backend gives the per-value loop's counts; a calibration
+/// observer grows its range at the value this stops on and calls again.
+///
+/// # Panics
+///
+/// Panics when `counts` is empty or longer than 2²⁰.
+pub fn abs_histogram_run(src: &[f32], range: f32, counts: &mut [u64]) -> (usize, f32) {
+    assert!((1..=1 << 20).contains(&counts.len()), "abs_histogram_run bin count");
+    dispatch!(abs_histogram_run(src, range, counts) else {
+        abs_histogram_run_scalar(src, range, counts)
+    })
+}
+
+/// The per-value loop of [`abs_histogram_run`].
+fn abs_histogram_run_scalar(src: &[f32], range: f32, counts: &mut [u64]) -> (usize, f32) {
+    let bins = counts.len();
+    let mut max = 0.0f32;
+    for (i, &x) in src.iter().enumerate() {
+        let a = x.abs();
+        if a > range {
+            return (i, max);
+        }
+        if a > max {
+            max = a;
+        }
+        counts[((a / range * bins as f32) as usize).min(bins - 1)] += 1;
+    }
+    (src.len(), max)
 }
 
 /// The rhs of [`q8_gemm_prepared`], prepared once for many products: the
@@ -4536,8 +4815,9 @@ pub(crate) mod tests {
         /// finite output (at least 1): the row reductions, swept on finite
         /// moderate values because a non-finite row has no tolerance.
         Oracle,
-        /// The bits of the row composition on the AVX2 backend:
-        /// [`attention_tile`].
+        /// The bits of the row kernels' composition on one backend:
+        /// [`attention_tile`] (the AVX2 backend's) and
+        /// [`add_layer_norm_lanes`] (each backend's).
         RowComposition,
     }
 
@@ -4553,6 +4833,7 @@ pub(crate) mod tests {
         Q8Quantize,
         Q8Gemm,
         Q8Dequant,
+        Histogram,
     }
 
     /// `run(arm)` runs one case on `arm` and returns its output, `None`
@@ -5021,8 +5302,7 @@ pub(crate) mod tests {
         });
     }
 
-    /// `lanes_to_rows` against its definition, with no bias, a bias, and a
-    /// bias and GELU.
+    /// `lanes_to_rows` against its definition, with and without a bias.
     fn lanes_to_rows_cases(case: Case) {
         transpose_shapes(|width, rows, cols, off, nan| {
             let stride = cols + 3;
@@ -5030,9 +5310,9 @@ pub(crate) mod tests {
             let tile = values(off + cols * width, salt, 3, specials(nan));
             let tile = &tile[off..];
             let bias = values(cols, salt + 1, 4, specials(nan));
-            for (bias, gelu) in [(&[][..], false), (&bias[..], false), (&bias[..], true)] {
+            for bias in [&[][..], &bias[..]] {
                 let what = format!(
-                    "width={width} rows={rows} cols={cols} off={off} bias={} gelu={gelu}",
+                    "width={width} rows={rows} cols={cols} off={off} bias={}",
                     !bias.is_empty()
                 );
                 case(&what, nan, &|arm| {
@@ -5041,20 +5321,156 @@ pub(crate) mod tests {
                         for r in 0..rows {
                             for c in 0..cols {
                                 let y = tile[c * width + r];
-                                let y = if bias.is_empty() { y } else { y + bias[c] };
-                                out[r * stride + c] = if gelu { gelu_fast(y) } else { y };
+                                out[r * stride + c] = if bias.is_empty() { y } else { y + bias[c] };
                             }
                         }
                         return Some(Out::F32(out));
                     }
-                    lanes!(
-                        arm,
-                        lanes_to_rows(tile, width, rows, cols, bias, gelu, &mut out, stride)
-                    )
-                    .then_some(Out::F32(out))
+                    lanes!(arm, lanes_to_rows(tile, width, rows, cols, bias, &mut out, stride))
+                        .then_some(Out::F32(out))
                 });
             }
         });
+    }
+
+    /// `bias_gelu_lanes` against its definition, with and without GELU, on
+    /// every engine width and 1, 7 and 64 feature rows.
+    fn bias_gelu_lanes_cases(case: Case) {
+        engine_shapes(|width, off, nan, data| {
+            for n in [1usize, 7, 64] {
+                let salt = (width * 100 + n) as u64;
+                let (x0, bias) = (data(n, salt), values(n, salt + 1, 4, specials(nan)));
+                for gelu in [false, true] {
+                    let what = format!("width={width} n={n} off={off} gelu={gelu}");
+                    case(&what, nan, &|arm| {
+                        let mut x = x0.clone();
+                        if arm == Arm::Oracle {
+                            for (c, row) in x[off..].chunks_exact_mut(width).enumerate() {
+                                for v in row {
+                                    let y = *v + bias[c];
+                                    *v = if gelu { gelu_fast(y) } else { y };
+                                }
+                            }
+                            return Some(Out::F32(x));
+                        }
+                        lanes!(arm, bias_gelu_lanes(&mut x[off..], &bias, gelu, width))
+                            .then_some(Out::F32(x))
+                    });
+                }
+            }
+        });
+    }
+
+    /// `add_layer_norm_lanes` against [`add_layer_norm_row`] run on each
+    /// lane's row. On the AVX2 backend's rows the generic body is held to
+    /// them at 1, 8 and 16 lanes; on the scalar backend's rows, the scalar
+    /// backend's own lane loop (as [`Arm::F32x1`]). Every engine width,
+    /// 1–40 and 128 features (whole groups of eight and every tail), offsets
+    /// 0 and 3, on moderate values and on values spread 30 times wider.
+    fn add_layer_norm_lanes_cases(case: Case) {
+        let mut backends = vec![Backend::Scalar];
+        #[cfg(target_arch = "x86_64")]
+        if Arm::F32x8.runs() {
+            backends.push(Backend::Avx2);
+        }
+        for backend in backends {
+            for width in WIDTHS {
+                for n in (1..=40).chain([128]) {
+                    for (off, spread) in [(0, 1.0f32), (3, 30.0)] {
+                        let salt = (width * 1000 + n * 4 + off) as u64;
+                        let [a, b0, gamma, beta] = [0, 1, 2, 3].map(|s| {
+                            let v = values(off + n * width, salt + s, 7, MODERATE);
+                            v.iter().map(|x| x * spread).collect::<Vec<f32>>()
+                        });
+                        let (gamma, beta) = (&gamma[..n], &beta[..n]);
+                        let what = format!("{backend:?} width={width} n={n} off={off}");
+                        case(&what, false, &|arm| {
+                            let mut b = b0.clone();
+                            let ran = match (arm, backend) {
+                                (Arm::Oracle, _) => {
+                                    let (mut ra, mut rb, mut out) =
+                                        (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+                                    for r in 0..width {
+                                        for c in 0..n {
+                                            ra[c] = a[off + c * width + r];
+                                            rb[c] = b[off + c * width + r];
+                                        }
+                                        with_backend(backend, || {
+                                            add_layer_norm_row(
+                                                &ra, &rb, gamma, beta, 1e-5, &mut out,
+                                            )
+                                        });
+                                        for c in 0..n {
+                                            b[off + c * width + r] = out[c];
+                                        }
+                                    }
+                                    true
+                                }
+                                (Arm::F32x1, Backend::Scalar) => {
+                                    let (a, b) = (&a[off..], &mut b[off..]);
+                                    add_layer_norm_lanes_scalar(a, b, gamma, beta, 1e-5, width);
+                                    true
+                                }
+                                (_, Backend::Scalar) => false,
+                                #[cfg(target_arch = "x86_64")]
+                                (_, Backend::Avx2) => lanes!(
+                                    arm,
+                                    add_layer_norm_lanes(
+                                        &a[off..],
+                                        &mut b[off..],
+                                        gamma,
+                                        beta,
+                                        1e-5,
+                                        width
+                                    )
+                                ),
+                            };
+                            ran.then_some(Out::F32(b))
+                        });
+                    }
+                }
+            }
+        }
+    }
+
+    /// `abs_histogram_run` against its per-value loop: every length, ranges
+    /// of 1, 0.5 and infinity, 2048, 3 and 1 bins, on values that are NaN,
+    /// ±0, equal to the range, or above it at one position of a vector step
+    /// or of the tail. The output is the counts, then the binned count and
+    /// the magnitude's bits.
+    fn abs_histogram_run_cases(case: Case) {
+        for n in lengths() {
+            for (range, bins) in [(1.0f32, 2048usize), (0.5, 3), (f32::INFINITY, 2048), (1.0, 1)] {
+                for over in [None, Some(0), Some(n / 2), Some(n - 1)] {
+                    let salt = (n * 16 + bins) as u64;
+                    let mut src: Vec<f32> = values(n, salt, 3, &SPECIALS)
+                        .iter()
+                        .map(|x| if x.abs() > range { x / 8.0 } else { *x })
+                        .collect();
+                    src.iter_mut().skip(1).step_by(5).for_each(|x| *x = -range);
+                    src.iter_mut().skip(2).step_by(11).for_each(|x| *x = f32::NAN);
+                    if let Some(at) = over {
+                        src[at] = if range.is_finite() { range * 1.5 } else { f32::NAN };
+                    }
+                    let what = format!("n={n} range={range} bins={bins} over={over:?}");
+                    case(&what, true, &|arm| {
+                        let mut counts = vec![0u64; bins];
+                        let (binned, max) = match arm {
+                            Arm::Oracle => abs_histogram_run_scalar(&src, range, &mut counts),
+                            // SAFETY: the harness runs only arms this CPU has.
+                            #[cfg(target_arch = "x86_64")]
+                            Arm::F32x8 => unsafe {
+                                x86::abs_histogram_run(&src, range, &mut counts)
+                            },
+                            _ => return None,
+                        };
+                        let mut out: Vec<i64> = counts.iter().map(|&c| c as i64).collect();
+                        out.extend([binned as i64, max.to_bits() as i64]);
+                        Some(Out::Int(out))
+                    });
+                }
+            }
+        }
     }
 
     /// The GEMM band's value, element by element: from `dst`, ascending
@@ -5522,6 +5938,9 @@ pub(crate) mod tests {
         q8_gemm_prepared: Exact, Q8Gemm, q8_gemm_cases;
         q8_dequant_bias_rows: Exact, Q8Dequant, |c| q8_dequant_cases(c, false);
         q8_dequant_bias_gelu_rows: Exact, Q8Dequant, |c| q8_dequant_cases(c, true);
+        bias_gelu_lanes: OneLane, LaneEngine, bias_gelu_lanes_cases;
+        add_layer_norm_lanes: RowComposition, Rows, add_layer_norm_lanes_cases;
+        abs_histogram_run: Exact, Histogram, abs_histogram_run_cases;
     }
 
     // -- the table's views ------------------------------------------------------
@@ -5557,7 +5976,8 @@ pub(crate) mod tests {
     }
 
     /// Softmax, log-softmax, layer norm and the fused residual + layer
-    /// norm against their libm / iterator-sum oracles.
+    /// norm against their libm / iterator-sum oracles, and the lane form of
+    /// the fused one against the row kernel on each backend, bit for bit.
     #[test]
     fn row_kernels_stay_within_1e5_of_their_scalar_oracle() {
         sweep(View::Rows);
@@ -5585,6 +6005,12 @@ pub(crate) mod tests {
     #[test]
     fn q8_dequant_epilogues_match_scalar_bitwise() {
         sweep(View::Q8Dequant);
+    }
+
+    /// The calibration histogram's run kernel against its per-value loop.
+    #[test]
+    fn abs_histogram_run_matches_the_per_value_loop() {
+        sweep(View::Histogram);
     }
 
     // -- what the harness rests on ------------------------------------------------

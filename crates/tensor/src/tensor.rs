@@ -820,11 +820,6 @@ impl Tensor {
         });
     }
 
-    /// Rectified linear unit.
-    pub fn relu(&self) -> Tensor {
-        self.map(|x| x.max(0.0))
-    }
-
     /// Gaussian error linear unit (tanh approximation, as used by BERT),
     /// lane-parallel on the active [`crate::simd`] backend (SIMD lanes are
     /// bit-identical to the scalar kernel).
@@ -1219,9 +1214,8 @@ mod tests {
     }
 
     #[test]
-    fn relu_and_gelu_basic_properties() {
+    fn gelu_basic_properties() {
         let a = Tensor::from_vec(vec![-1.0, 0.0, 2.0], &[1, 3]).unwrap();
-        assert_eq!(a.relu().as_slice(), &[0.0, 0.0, 2.0]);
         let g = a.gelu();
         assert!(g.at(0, 0) < 0.0 && g.at(0, 0) > -0.2);
         assert!((g.at(0, 2) - 2.0).abs() < 0.1);

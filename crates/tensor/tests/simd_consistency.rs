@@ -339,11 +339,9 @@ fn lane_transposes_match_their_index_definition_at_every_shape_and_offset() {
                             }
                         }
 
-                        // And back, with and without the epilogue.
+                        // And back, with and without the bias.
                         let bias = data_with_specials(cols, 3);
-                        for (bias, gelu) in
-                            [(&[][..], false), (&bias[..], false), (&bias[..], true)]
-                        {
+                        for bias in [&[][..], &bias[..]] {
                             let mut out_back = vec![7.0f32; off + width * stride];
                             with_backend(backend, || {
                                 simd::lanes_to_rows(
@@ -352,7 +350,6 @@ fn lane_transposes_match_their_index_definition_at_every_shape_and_offset() {
                                     rows,
                                     cols,
                                     bias,
-                                    gelu,
                                     &mut out_back[off..],
                                     stride,
                                 )
@@ -361,13 +358,11 @@ fn lane_transposes_match_their_index_definition_at_every_shape_and_offset() {
                             for r in 0..rows {
                                 for c in 0..cols {
                                     let y = tile[c * width + r];
-                                    let y = if bias.is_empty() { y } else { y + bias[c] };
-                                    let want =
-                                        if gelu { fab_tensor::fastmath::gelu_fast(y) } else { y };
+                                    let want = if bias.is_empty() { y } else { y + bias[c] };
                                     assert!(
                                         same_bits_or_both_nan(&[out[r * stride + c]], &[want]),
                                         "lanes_to_rows width={width} rows={rows} cols={cols} \
-                                         off={off} gelu={gelu}: {} vs {want}",
+                                         off={off}: {} vs {want}",
                                         out[r * stride + c]
                                     );
                                 }
@@ -639,5 +634,5 @@ fn rows_to_lanes_rejects_a_permutation_that_leaves_the_tile() {
 #[should_panic(expected = "lanes_to_rows dst too short")]
 fn lanes_to_rows_rejects_a_short_destination() {
     let mut dst = vec![0.0f32; 8 * 4 - 1];
-    simd::lanes_to_rows(&[0.0; 32], 8, 8, 4, &[], false, &mut dst, 4);
+    simd::lanes_to_rows(&[0.0; 32], 8, 8, 4, &[], &mut dst, 4);
 }
