@@ -55,17 +55,6 @@ pub enum MemoryKind {
     Ddr4,
 }
 
-impl MemoryKind {
-    /// Theoretical peak bandwidth in GB/s of a single stack/channel as used
-    /// in the paper (one HBM stack = 450 GB/s, edge DDR4 ≈ 19.2 GB/s).
-    pub fn peak_bandwidth_gbps(self) -> f64 {
-        match self {
-            MemoryKind::Hbm => 450.0,
-            MemoryKind::Ddr4 => 19.2,
-        }
-    }
-}
-
 /// An FPGA device with its available resources (Table VII "Available" row).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FpgaDevice {
@@ -97,7 +86,7 @@ impl FpgaDevice {
     }
 
     /// Xilinx Zynq 7045 (edge/mobile scenario).
-    pub fn zynq7045() -> Self {
+    pub(crate) fn zynq7045() -> Self {
         Self {
             name: "Xilinx Zynq 7045".to_string(),
             luts: 218_600,
@@ -212,28 +201,14 @@ impl AcceleratorConfig {
         self
     }
 
-    /// Returns a copy with naive (non-pipelined) BP/AP scheduling, used by the
-    /// pipelining ablation.
-    pub fn without_fine_grained_pipelining(mut self) -> Self {
-        self.fine_grained_pipelining = false;
-        self
-    }
-
     /// Total number of hardware multipliers: `P_be · P_bu · 4` in the BP plus
     /// `P_head · (P_qk + P_sv)` in the AP (the DSP equation of Section V-C).
     pub fn num_multipliers(&self) -> usize {
         self.num_be * self.num_bu * 4 + self.num_heads_units * (self.pqk + self.psv)
     }
 
-    /// Peak throughput in GOP/s at the configured clock (each multiplier
-    /// performs one multiply-accumulate, i.e. 2 ops, per cycle; the paper's
-    /// "128 GOPS" normalisation counts 640 DSPs × 200 MHz).
-    pub fn peak_gops(&self) -> f64 {
-        self.num_multipliers() as f64 * self.clock_mhz * 1e6 / 1e9
-    }
-
     /// Bytes transferable from off-chip memory per clock cycle.
-    pub fn bytes_per_cycle(&self) -> f64 {
+    pub(crate) fn bytes_per_cycle(&self) -> f64 {
         self.bandwidth_gbps * 1e9 / (self.clock_mhz * 1e6)
     }
 
@@ -243,7 +218,7 @@ impl AcceleratorConfig {
     ///
     /// Returns [`AcceleratorError::ZeroParallelism`] when `num_be` or
     /// `num_bu` is zero.
-    pub fn validate(&self) -> Result<(), AcceleratorError> {
+    pub(crate) fn validate(&self) -> Result<(), AcceleratorError> {
         if self.num_be == 0 {
             return Err(AcceleratorError::ZeroParallelism { parameter: "num_be" });
         }
@@ -281,7 +256,8 @@ mod tests {
         // Section VI-F: 640 DSPs x 200 MHz = 128 GOPS, the same budget as a
         // 128-multiplier ASIC at 1 GHz.
         let c = AcceleratorConfig::vcu128_be40();
-        assert!((c.peak_gops() - 128.0).abs() < 1e-6);
+        let peak_gops = c.num_multipliers() as f64 * c.clock_mhz / 1e3;
+        assert!((peak_gops - 128.0).abs() < 1e-6);
     }
 
     #[test]

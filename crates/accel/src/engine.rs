@@ -3,31 +3,19 @@
 
 use fab_butterfly::Complex;
 
-/// The two runtime configurations of an adaptable Butterfly Unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ButterflyUnitMode {
-    /// FFT mode: complex symmetric twiddle, one complex multiply per butterfly.
-    Fft,
-    /// Butterfly linear transform mode: four independent real twiddles.
-    Linear,
-}
-
 /// Functional model of one adaptable Butterfly Unit (Fig. 7a).
 ///
 /// The unit owns four real multipliers, two real adders/subtractors and two
 /// complex adders/subtractors; multiplexers select which operands reach the
 /// multipliers so the same datapath serves both modes.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct AdaptableButterflyUnit;
+pub(crate) struct AdaptableButterflyUnit;
 
 impl AdaptableButterflyUnit {
     /// Creates a butterfly unit model.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self
     }
-
-    /// Number of real-valued multipliers in the unit (fixed by the design).
-    pub const MULTIPLIERS: usize = 4;
 
     /// Executes one butterfly in linear-transform mode (Fig. 7b):
     ///
@@ -37,7 +25,7 @@ impl AdaptableButterflyUnit {
     /// ```
     ///
     /// consuming exactly the unit's four multipliers and two real adders.
-    pub fn linear(&self, in1: f32, in2: f32, w: (f32, f32, f32, f32)) -> (f32, f32) {
+    pub(crate) fn linear(&self, in1: f32, in2: f32, w: (f32, f32, f32, f32)) -> (f32, f32) {
         let (w1, w2, w3, w4) = w;
         // Four real multiplies.
         let m1 = w1 * in1;
@@ -55,7 +43,7 @@ impl AdaptableButterflyUnit {
     /// out1 = in1 + t
     /// out2 = in1 - t
     /// ```
-    pub fn fft(&self, in1: Complex, in2: Complex, w: Complex) -> (Complex, Complex) {
+    pub(crate) fn fft(&self, in1: Complex, in2: Complex, w: Complex) -> (Complex, Complex) {
         // The four real multipliers compute the complex product w * in2.
         let m1 = w.re * in2.re;
         let m2 = w.im * in2.im;
@@ -70,7 +58,7 @@ impl AdaptableButterflyUnit {
 /// Cycle model of a Butterfly Engine: `num_bu` adaptable Butterfly Units fed
 /// by the banked butterfly memory, processing one butterfly per unit per cycle.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ButterflyEngineModel {
+pub(crate) struct ButterflyEngineModel {
     /// Number of butterfly units in the engine (`P_BU`).
     pub num_bu: usize,
 }
@@ -81,28 +69,28 @@ impl ButterflyEngineModel {
     /// # Panics
     ///
     /// Panics when `num_bu` is zero.
-    pub fn new(num_bu: usize) -> Self {
+    pub(crate) fn new(num_bu: usize) -> Self {
         assert!(num_bu > 0, "a butterfly engine needs at least one butterfly unit");
         Self { num_bu }
     }
 
     /// Cycles to run a size-`n` butterfly transform (FFT or linear) over one
     /// row: `log2(n)` stages of `n/2` butterflies each.
-    pub fn cycles_per_row(&self, n: usize) -> u64 {
+    pub(crate) fn cycles_per_row(&self, n: usize) -> u64 {
         let stages = (n as f64).log2().ceil() as u64;
         let butterflies = stages * (n as u64 / 2);
         butterflies.div_ceil(self.num_bu as u64)
     }
 
     /// Cycles to process `rows` rows of a size-`n` transform on one engine.
-    pub fn cycles(&self, rows: usize, n: usize) -> u64 {
+    pub(crate) fn cycles(&self, rows: usize, n: usize) -> u64 {
         rows as u64 * self.cycles_per_row(n)
     }
 }
 
 /// Cycle model of an Attention Engine (one QK unit + one SV unit, Fig. 6c).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AttentionEngineModel {
+pub(crate) struct AttentionEngineModel {
     /// Multipliers in the QK unit (`P_qk`).
     pub pqk: usize,
     /// Multipliers in the SV unit (`P_sv`).
@@ -111,13 +99,13 @@ pub struct AttentionEngineModel {
 
 impl AttentionEngineModel {
     /// Creates the model.
-    pub fn new(pqk: usize, psv: usize) -> Self {
+    pub(crate) fn new(pqk: usize, psv: usize) -> Self {
         Self { pqk, psv }
     }
 
     /// Cycles for the `Q·K^T` product (plus the pipelined softmax) of one
     /// attention layer on one engine.
-    pub fn qk_cycles(&self, seq: usize, hidden: usize) -> u64 {
+    pub(crate) fn qk_cycles(&self, seq: usize, hidden: usize) -> u64 {
         if self.pqk == 0 {
             return u64::MAX;
         }
@@ -126,7 +114,7 @@ impl AttentionEngineModel {
     }
 
     /// Cycles for the `S·V` product of one attention layer on one engine.
-    pub fn sv_cycles(&self, seq: usize, hidden: usize) -> u64 {
+    pub(crate) fn sv_cycles(&self, seq: usize, hidden: usize) -> u64 {
         if self.psv == 0 {
             return u64::MAX;
         }
@@ -185,7 +173,12 @@ mod tests {
 
     #[test]
     fn butterfly_unit_has_four_multipliers() {
-        assert_eq!(AdaptableButterflyUnit::MULTIPLIERS, 4);
+        // Linear mode reaches each of its four real twiddles through its own
+        // multiplier: a unit input on one port reads out exactly two of them.
+        let bu = AdaptableButterflyUnit::new();
+        let w = (2.0, 3.0, 5.0, 7.0);
+        assert_eq!(bu.linear(1.0, 0.0, w), (2.0, 5.0));
+        assert_eq!(bu.linear(0.0, 1.0, w), (3.0, 7.0));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use fab_tensor::Tensor;
 /// # Panics
 ///
 /// Panics when `x.len()` does not match the butterfly size.
-pub fn execute_butterfly_linear(matrix: &ButterflyMatrix, x: &[f32]) -> Vec<f32> {
+pub(crate) fn execute_butterfly_linear(matrix: &ButterflyMatrix, x: &[f32]) -> Vec<f32> {
     assert_eq!(x.len(), matrix.size(), "input length must match the butterfly size");
     let bu = AdaptableButterflyUnit::new();
     let mut data = x.to_vec();

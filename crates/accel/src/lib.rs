@@ -51,7 +51,4 @@ mod simulator;
 pub mod workload;
 
 pub use config::{AcceleratorConfig, AcceleratorError, FpgaDevice, MemoryKind};
-pub use engine::{
-    AdaptableButterflyUnit, AttentionEngineModel, ButterflyEngineModel, ButterflyUnitMode,
-};
 pub use simulator::{LatencyReport, LayerTiming, Simulator};

@@ -25,7 +25,7 @@ pub enum Layout {
 /// recursion `P_0 = 0`, `P_{2^{n-1}..2^n-1} = P_{0..2^{n-1}-1} - 1`, which the
 /// hardware computes with a bit-count (Fig. 9b). The shift is returned as a
 /// non-negative rotation amount modulo `banks`.
-pub fn starting_positions(num_cols: usize, banks: usize) -> Vec<usize> {
+pub(crate) fn starting_positions(num_cols: usize, banks: usize) -> Vec<usize> {
     (0..num_cols).map(|c| (c.count_ones() as usize) % banks.max(1)).collect()
 }
 
@@ -86,7 +86,7 @@ pub struct StageAccessReport {
 
 impl StageAccessReport {
     /// Whether the stage was served at full bank bandwidth with no stalls.
-    pub fn is_conflict_free(&self) -> bool {
+    pub(crate) fn is_conflict_free(&self) -> bool {
         self.conflicts == 0 && self.cycles == self.ideal_cycles
     }
 }
@@ -103,7 +103,7 @@ impl StageAccessReport {
 /// # Panics
 ///
 /// Panics on invalid `n`/`banks`/`stage` combinations (see [`stage_pairs`]).
-pub fn simulate_stage_access(
+pub(crate) fn simulate_stage_access(
     layout: Layout,
     n: usize,
     banks: usize,

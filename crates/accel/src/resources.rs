@@ -7,7 +7,7 @@
 //! buffers`); LUT and register counts are linear fits through the two
 //! reported design points (BE-40 and BE-120 on the VCU128).
 
-use crate::config::{AcceleratorConfig, AcceleratorError, FpgaDevice, MemoryKind};
+use crate::config::{AcceleratorConfig, AcceleratorError, MemoryKind};
 
 /// Estimated FPGA resource usage of a design point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,29 +68,6 @@ pub fn estimate(config: &AcceleratorConfig) -> ResourceUsage {
     ResourceUsage { luts, registers, dsps, brams, hbm_stacks }
 }
 
-/// Per-resource utilisation of a device, as percentages.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Utilization {
-    /// LUT utilisation (%).
-    pub luts: f64,
-    /// Register utilisation (%).
-    pub registers: f64,
-    /// DSP utilisation (%).
-    pub dsps: f64,
-    /// BRAM utilisation (%).
-    pub brams: f64,
-}
-
-/// Computes the utilisation of `usage` on `device`.
-pub fn utilization(usage: &ResourceUsage, device: &FpgaDevice) -> Utilization {
-    Utilization {
-        luts: 100.0 * usage.luts as f64 / device.luts as f64,
-        registers: 100.0 * usage.registers as f64 / device.registers as f64,
-        dsps: 100.0 * usage.dsps as f64 / device.dsps as f64,
-        brams: 100.0 * usage.brams as f64 / device.brams as f64,
-    }
-}
-
 /// Checks that a design fits on its target device.
 ///
 /// # Errors
@@ -117,6 +94,29 @@ pub fn check_fits(config: &AcceleratorConfig) -> Result<ResourceUsage, Accelerat
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::FpgaDevice;
+
+    /// Per-resource utilisation of a device, as percentages.
+    struct Utilization {
+        /// LUT utilisation (%).
+        luts: f64,
+        /// Register utilisation (%).
+        registers: f64,
+        /// DSP utilisation (%).
+        dsps: f64,
+        /// BRAM utilisation (%).
+        brams: f64,
+    }
+
+    /// Computes the utilisation of `usage` on `device`.
+    fn utilization(usage: &ResourceUsage, device: &FpgaDevice) -> Utilization {
+        Utilization {
+            luts: 100.0 * usage.luts as f64 / device.luts as f64,
+            registers: 100.0 * usage.registers as f64 / device.registers as f64,
+            dsps: 100.0 * usage.dsps as f64 / device.dsps as f64,
+            brams: 100.0 * usage.brams as f64 / device.brams as f64,
+        }
+    }
 
     fn within(actual: u64, expected: u64, tolerance: f64) -> bool {
         let diff = (actual as f64 - expected as f64).abs();

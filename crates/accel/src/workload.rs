@@ -109,11 +109,6 @@ impl LayerOp {
     pub fn is_attention(&self) -> bool {
         matches!(self, LayerOp::AttentionCore { .. })
     }
-
-    /// Whether the op runs on the Butterfly Processor.
-    pub fn is_butterfly(&self) -> bool {
-        matches!(self, LayerOp::ButterflyLinear { .. } | LayerOp::Fft2d { .. })
-    }
 }
 
 /// A block boundary marker: the ops of one encoder block, kept together so the
@@ -243,13 +238,8 @@ impl LayerSchedule {
         self.ops().map(|op| op.flops()).sum()
     }
 
-    /// Total off-chip traffic in bytes for a given numeric precision.
-    pub fn total_bytes(&self, precision: usize) -> u64 {
-        self.ops().map(|op| op.bytes_in(precision) + op.bytes_out(precision)).sum()
-    }
-
     /// Whether any op requires the Attention Processor.
-    pub fn needs_attention(&self) -> bool {
+    pub(crate) fn needs_attention(&self) -> bool {
         self.ops().any(|op| op.is_attention())
     }
 }
@@ -318,6 +308,8 @@ mod tests {
         let short = LayerSchedule::from_model(&config, ModelKind::FabNet, 128);
         let long = LayerSchedule::from_model(&config, ModelKind::FabNet, 1024);
         assert!(long.total_flops() > 6 * short.total_flops());
-        assert!(long.total_bytes(2) > 4 * short.total_bytes(2));
+        let bytes =
+            |s: &LayerSchedule| -> u64 { s.ops().map(|op| op.bytes_in(2) + op.bytes_out(2)).sum() };
+        assert!(bytes(&long) > 4 * bytes(&short));
     }
 }

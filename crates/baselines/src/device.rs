@@ -105,7 +105,7 @@ impl DeviceModel {
     }
 
     /// Latency of a single operation given its FLOPs and memory traffic.
-    pub fn op_latency_s(&self, flops: u64, bytes: u64) -> f64 {
+    pub(crate) fn op_latency_s(&self, flops: u64, bytes: u64) -> f64 {
         let compute = flops as f64 / (self.effective_gflops * 1e9);
         let memory = bytes as f64 / (self.bandwidth_gbps * 1e9);
         compute.max(memory) + self.per_op_overhead_s
@@ -113,7 +113,7 @@ impl DeviceModel {
 
     /// Latency of an attention score/value operation, which runs at
     /// [`DeviceModel::attention_efficiency`] of the dense-GEMM throughput.
-    pub fn attention_latency_s(&self, flops: u64, bytes: u64) -> f64 {
+    pub(crate) fn attention_latency_s(&self, flops: u64, bytes: u64) -> f64 {
         let compute = flops as f64 / (self.effective_gflops * self.attention_efficiency * 1e9);
         let memory = bytes as f64 / (self.bandwidth_gbps * 1e9);
         compute.max(memory) + self.per_op_overhead_s
@@ -132,11 +132,6 @@ impl DeviceModel {
                 }
             })
             .sum()
-    }
-
-    /// Energy per prediction in joules for a given latency.
-    pub fn energy_per_prediction(&self, latency_s: f64) -> f64 {
-        latency_s * self.power_w
     }
 
     /// Achieved GOP/s per watt for a workload with `flops` operations.
@@ -159,7 +154,7 @@ pub struct LatencyBreakdown {
 
 impl LatencyBreakdown {
     /// Total seconds.
-    pub fn total_s(&self) -> f64 {
+    pub(crate) fn total_s(&self) -> f64 {
         self.attention_s + self.linear_s + self.other_s
     }
 
@@ -261,8 +256,6 @@ mod tests {
     #[test]
     fn energy_metrics_are_consistent() {
         let d = DeviceModel::new(DeviceKind::JetsonNano);
-        let e = d.energy_per_prediction(0.01);
-        assert!((e - 0.1).abs() < 1e-9);
         assert!(d.gops_per_watt(1_000_000_000, 0.01) > 0.0);
     }
 }

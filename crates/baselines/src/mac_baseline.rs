@@ -47,12 +47,6 @@ impl MacBaseline {
         }
     }
 
-    /// Returns a copy with a different multiplier budget.
-    pub fn with_multipliers(mut self, multipliers: usize) -> Self {
-        self.multipliers = multipliers;
-        self
-    }
-
     /// Bytes transferable per cycle.
     fn bytes_per_cycle(&self) -> f64 {
         self.bandwidth_gbps * 1e9 / (self.clock_mhz * 1e6)
@@ -116,11 +110,6 @@ impl BaselineReport {
     pub fn total_seconds(&self) -> f64 {
         self.total_cycles as f64 / (self.clock_mhz * 1e6)
     }
-
-    /// Latency in milliseconds.
-    pub fn total_ms(&self) -> f64 {
-        self.total_seconds() * 1e3
-    }
 }
 
 #[cfg(test)]
@@ -166,7 +155,7 @@ mod tests {
     #[test]
     fn latency_scales_with_multiplier_budget() {
         let sched = schedule(ModelKind::Transformer, 512);
-        let small = MacBaseline::vcu128_2048().with_multipliers(512).simulate(&sched);
+        let small = MacBaseline { multipliers: 512, ..MacBaseline::vcu128_2048() }.simulate(&sched);
         let big = MacBaseline::vcu128_2048().simulate(&sched);
         assert!(small.total_cycles > 2 * big.total_cycles);
     }

@@ -30,18 +30,18 @@ pub struct SotaAccelerator {
 
 impl SotaAccelerator {
     /// Throughput in predictions per second.
-    pub fn throughput_pred_per_s(&self) -> f64 {
+    pub(crate) fn throughput_pred_per_s(&self) -> f64 {
         1e3 / self.latency_ms
     }
 
     /// Energy efficiency in predictions per joule.
-    pub fn energy_eff_pred_per_j(&self) -> f64 {
+    pub(crate) fn energy_eff_pred_per_j(&self) -> f64 {
         self.throughput_pred_per_s() / self.power_w
     }
 }
 
 /// The seven published accelerators of Table V with their normalised numbers.
-pub fn sota_catalogue() -> Vec<SotaAccelerator> {
+pub(crate) fn sota_catalogue() -> Vec<SotaAccelerator> {
     use Technology::*;
     vec![
         SotaAccelerator {

@@ -84,11 +84,6 @@ impl<'a> ButterflyStage<'a> {
         Self { half, w1, w2, w3, w4 }
     }
 
-    /// Half-block size (`2^s` for stage `s`).
-    pub fn half(&self) -> usize {
-        self.half
-    }
-
     /// Number of butterfly pairs in this stage.
     pub fn pairs(&self) -> usize {
         self.w1.len()
@@ -122,7 +117,7 @@ impl<'a> ButterflyStage<'a> {
     /// # Panics
     ///
     /// Panics when `x.len() != 2 * pairs`.
-    pub fn apply_in_place(&self, x: &mut [f32]) {
+    pub(crate) fn apply_in_place(&self, x: &mut [f32]) {
         assert_eq!(x.len(), 2 * self.pairs(), "stage input length mismatch");
         let half = self.half;
         match half {
@@ -197,7 +192,7 @@ impl<'a> ButterflyStage<'a> {
 /// conversion sits between them.
 ///
 /// `W` holds the rows: an owned `Vec<f32>` by default, or a borrowed
-/// `&[f32]` ([`ButterflyMatrix::view`]) that runs the kernels on a weight
+/// `&[f32]` (`ButterflyMatrix::view`) that runs the kernels on a weight
 /// tensor in place, as the tape operators of [`crate::butterfly_linear_op`]
 /// do.
 ///
@@ -241,7 +236,7 @@ impl ButterflyMatrix {
     ///
     /// Returns [`ButterflyError::NotPowerOfTwo`] when `n` is not a power of
     /// two greater than or equal to 2.
-    pub fn try_identity(n: usize) -> Result<Self, ButterflyError> {
+    pub(crate) fn try_identity(n: usize) -> Result<Self, ButterflyError> {
         if n < 2 || !n.is_power_of_two() {
             return Err(ButterflyError::NotPowerOfTwo { size: n });
         }
@@ -314,7 +309,7 @@ impl<'a> ButterflyMatrix<&'a [f32]> {
     ///
     /// Returns [`ButterflyError::WeightShapeMismatch`] exactly like
     /// [`ButterflyMatrix::from_weight_tensor`].
-    pub fn view(w: &'a Tensor) -> Result<Self, ButterflyError> {
+    pub(crate) fn view(w: &'a Tensor) -> Result<Self, ButterflyError> {
         Ok(Self { n: weight_size(w.shape())?, w: w.as_slice() })
     }
 }
@@ -540,7 +535,7 @@ impl<W: AsRef<[f32]> + Sync> ButterflyMatrix<W> {
     /// the output gradients `grad_out` (same shape): returns `(grad_x,
     /// grad_w)` where `grad_x` has the shape of `x` and `grad_w` the
     /// `[log2 n, 2 n]` weight layout, summed over rows
-    /// ([`ButterflyMatrix::backward_rows_into`] into fresh tensors).
+    /// (`ButterflyMatrix::backward_rows_into` into fresh tensors).
     ///
     /// # Panics
     ///
@@ -561,7 +556,7 @@ impl<W: AsRef<[f32]> + Sync> ButterflyMatrix<W> {
     /// # Panics
     ///
     /// Panics when shapes do not match the butterfly size.
-    pub fn backward_rows_into(
+    pub(crate) fn backward_rows_into(
         &self,
         x: &Tensor,
         grad_out: &Tensor,
@@ -611,7 +606,7 @@ impl<W: AsRef<[f32]> + Sync> ButterflyMatrix<W> {
     /// chunk's gradient is the sixteen partials folded by halves — `q_k =
     /// p_k + p_{k+8}`, `r_k = q_k + q_{k+4}`, `s_k = r_k + r_{k+2}`, `s_0 +
     /// s_1` ([`simd::fold_lanes16`]); and the chunks are added to `grad_w`
-    /// in ascending order. [`ButterflyMatrix::backward_rows_reference_into`]
+    /// in ascending order. `ButterflyMatrix::backward_rows_reference_into`
     /// spells the same sum out on plain scalar loops. A partial last tile's
     /// unused lanes add nothing, also where a weight is not finite.
     ///
@@ -802,7 +797,7 @@ impl<W: AsRef<[f32]> + Sync> ButterflyMatrix<W> {
     /// # Panics
     ///
     /// Panics when shapes do not match the butterfly size.
-    pub fn backward_rows_reference_into(
+    pub(crate) fn backward_rows_reference_into(
         &self,
         x: &Tensor,
         grad_out: &Tensor,

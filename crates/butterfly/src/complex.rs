@@ -17,13 +17,8 @@ impl Complex {
     }
 
     /// The additive identity.
-    pub fn zero() -> Self {
+    pub(crate) fn zero() -> Self {
         Self { re: 0.0, im: 0.0 }
-    }
-
-    /// The multiplicative identity.
-    pub fn one() -> Self {
-        Self { re: 1.0, im: 0.0 }
     }
 
     /// `e^{i theta}` on the unit circle.
@@ -32,12 +27,12 @@ impl Complex {
     }
 
     /// Complex conjugate.
-    pub fn conj(self) -> Self {
+    pub(crate) fn conj(self) -> Self {
         Self { re: self.re, im: -self.im }
     }
 
     /// Squared magnitude.
-    pub fn norm_sqr(self) -> f32 {
+    pub(crate) fn norm_sqr(self) -> f32 {
         self.re * self.re + self.im * self.im
     }
 

@@ -70,7 +70,7 @@ pub fn bit_reverse_permutation(n: usize) -> Vec<usize> {
 /// use fab_butterfly::fft::FftPlan;
 /// use fab_butterfly::Complex;
 /// let plan = FftPlan::new(8);
-/// let mut data = vec![Complex::one(); 8];
+/// let mut data = vec![Complex::new(1.0, 0.0); 8];
 /// plan.execute(&mut data, false);
 /// assert!((data[0].re - 8.0).abs() < 1e-5);
 /// ```
@@ -107,11 +107,6 @@ impl FftPlan {
             half *= 2;
         }
         Self { n, perm, tw_re, tw_im }
-    }
-
-    /// Transform size.
-    pub fn size(&self) -> usize {
-        self.n
     }
 
     /// Executes the (inverse) transform in place, including the `1/n`
@@ -165,7 +160,7 @@ impl FftPlan {
 /// # Panics
 ///
 /// Panics when the length of `data` is not a power of two.
-pub fn fft_in_place(data: &mut [Complex], inverse: bool) {
+pub(crate) fn fft_in_place(data: &mut [Complex], inverse: bool) {
     FftPlan::new(data.len()).execute(data, inverse);
 }
 
@@ -189,16 +184,6 @@ pub fn ifft(data: &[Complex]) -> Vec<Complex> {
     let mut out = data.to_vec();
     fft_in_place(&mut out, true);
     out
-}
-
-/// Forward FFT of a real slice.
-///
-/// # Panics
-///
-/// Panics when the length is not a power of two.
-pub fn fft_real(data: &[f32]) -> Vec<Complex> {
-    let complex: Vec<Complex> = data.iter().map(|&x| Complex::from(x)).collect();
-    fft(&complex)
 }
 
 /// Naive `O(n^2)` DFT, used as a ground-truth oracle in tests and by the
@@ -383,6 +368,11 @@ fn seq_pass(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Forward FFT of a real slice.
+    fn fft_real(data: &[f32]) -> Vec<Complex> {
+        fft(&data.iter().map(|&x| Complex::from(x)).collect::<Vec<_>>())
+    }
 
     fn close(a: f32, b: f32) -> bool {
         (a - b).abs() < 1e-3

@@ -19,7 +19,7 @@ pub fn butterfly_linear_flops(rows: usize, n: usize) -> u64 {
 
 /// FLOPs of a radix-2 complex FFT of length `n`: `n/2 log2 n` butterflies,
 /// each one complex multiply (6 real ops) and two complex adds (4 real ops).
-pub fn fft_flops(n: usize) -> u64 {
+pub(crate) fn fft_flops(n: usize) -> u64 {
     let stages = (n as f64).log2().ceil() as u64;
     stages * (n as u64 / 2) * 10
 }
@@ -44,12 +44,6 @@ pub fn attention_core_flops(seq: usize, hidden: usize) -> u64 {
     let softmax = 5 * seq as u64 * seq as u64;
     let sv = 2 * seq as u64 * seq as u64 * hidden as u64;
     qk + softmax + sv
-}
-
-/// FLOPs of the four dense projections (Q, K, V and output) of a multi-head
-/// attention layer.
-pub fn attention_projection_flops(seq: usize, hidden: usize) -> u64 {
-    4 * dense_linear_flops(seq, hidden, hidden)
 }
 
 /// FLOPs of a dense feed-forward network with expansion ratio `r`.
@@ -96,7 +90,7 @@ mod tests {
         // Fig. 1: for short sequences the FFN + projections dominate attention core.
         let seq = 128;
         let hidden = 768;
-        let linear = attention_projection_flops(seq, hidden) + ffn_flops(seq, hidden, 4);
+        let linear = 4 * dense_linear_flops(seq, hidden, hidden) + ffn_flops(seq, hidden, 4);
         let attn = attention_core_flops(seq, hidden);
         assert!(linear > 4 * attn);
     }
@@ -106,7 +100,7 @@ mod tests {
         // Fig. 1: for long sequences the attention core dominates.
         let seq = 8192;
         let hidden = 768;
-        let linear = attention_projection_flops(seq, hidden) + ffn_flops(seq, hidden, 4);
+        let linear = 4 * dense_linear_flops(seq, hidden, hidden) + ffn_flops(seq, hidden, 4);
         let attn = attention_core_flops(seq, hidden);
         assert!(attn > linear);
     }

@@ -15,7 +15,7 @@
 //! # Example
 //!
 //! ```rust
-//! use fab_butterfly::{ButterflyMatrix, fft};
+//! use fab_butterfly::{fft, ButterflyMatrix, Complex};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! // A random 8x8 butterfly matrix multiplies a vector in O(n log n).
@@ -25,7 +25,7 @@
 //! assert_eq!(y.len(), 8);
 //!
 //! // The FFT follows the same butterfly dataflow with complex twiddles.
-//! let spectrum = fft::fft_real(&[1.0, 0.0, 0.0, 0.0]);
+//! let spectrum = fft::fft(&[1.0, 0.0, 0.0, 0.0].map(Complex::from));
 //! assert_eq!(spectrum.len(), 4);
 //! ```
 
@@ -96,7 +96,7 @@ pub fn next_pow2(n: usize) -> usize {
 /// # Panics
 ///
 /// Panics when `n` is not a power of two or is smaller than 2.
-pub fn log2_exact(n: usize) -> usize {
+pub(crate) fn log2_exact(n: usize) -> usize {
     assert!(n >= 2 && n.is_power_of_two(), "{n} is not a power of two >= 2");
     n.trailing_zeros() as usize
 }

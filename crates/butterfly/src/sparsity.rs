@@ -89,7 +89,7 @@ impl SparsityPattern {
     /// # Panics
     ///
     /// Panics when `n` is zero or `density` is not in `(0, 1]`.
-    pub fn mask(self, n: usize, density: f64) -> Vec<Vec<bool>> {
+    pub(crate) fn mask(self, n: usize, density: f64) -> Vec<Vec<bool>> {
         assert!(n > 0, "mask size must be positive");
         assert!(density > 0.0 && density <= 1.0, "density must be in (0, 1]");
         let mut mask = vec![vec![false; n]; n];

@@ -152,11 +152,6 @@ impl ChaosInjector {
         }
     }
 
-    /// The seed the per-site streams were derived from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Sets one site's schedule: fire on ~1 of `every` draws (`1` =
     /// always, `0` = off), with `param_ms` as the delay for the stall
     /// sites or the marker token id for `poison_token`. Does not reset the
@@ -203,7 +198,7 @@ impl ChaosInjector {
     }
 
     /// The site's millisecond parameter as a [`Duration`].
-    pub fn param(&self, site: ChaosSite) -> Duration {
+    pub(crate) fn param(&self, site: ChaosSite) -> Duration {
         Duration::from_millis(self.sites[site.index()].param_ms.load(Ordering::Relaxed))
     }
 

@@ -54,11 +54,6 @@ impl HeuristicAccuracy {
     pub fn lra_image() -> Self {
         Self { reference: 0.379, chance: 0.1, capacity_scale: 220.0, abfly_bonus: 0.01 }
     }
-
-    /// Surrogate for an arbitrary task with a given reference and chance accuracy.
-    pub fn with_reference(reference: f64, chance: f64) -> Self {
-        Self { reference, chance, capacity_scale: 150.0, abfly_bonus: 0.005 }
-    }
 }
 
 impl AccuracyEstimator for HeuristicAccuracy {
@@ -116,7 +111,7 @@ impl TrainedAccuracy {
     /// returning the trained model, the held-out examples and the f32 test
     /// accuracy — the building block shared by [`TrainedAccuracy`] and
     /// [`MeasuredQuantAccuracy`].
-    pub fn train_candidate(
+    pub(crate) fn train_candidate(
         &self,
         config: &ModelConfig,
         kind: ModelKind,
@@ -151,7 +146,7 @@ impl TrainedAccuracy {
     }
 
     /// Trains and evaluates one candidate, returning its held-out accuracy.
-    pub fn train_and_evaluate(&self, config: &ModelConfig) -> f64 {
+    pub(crate) fn train_and_evaluate(&self, config: &ModelConfig) -> f64 {
         self.train_candidate(config, ModelKind::FabNet).2
     }
 }
@@ -169,19 +164,11 @@ impl AccuracyEstimator for TrainedAccuracy {
 /// The f32 and int8 accuracies of one candidate, measured on the same
 /// held-out split.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QuantAccuracyReport {
+pub(crate) struct QuantAccuracyReport {
     /// Held-out accuracy of the trained f32 model.
     pub f32_accuracy: f64,
     /// Held-out accuracy after post-training int8 quantization.
     pub int8_accuracy: f64,
-}
-
-impl QuantAccuracyReport {
-    /// The f32 → int8 accuracy drop in points (positive = int8 lost
-    /// accuracy).
-    pub fn delta_points(&self) -> f64 {
-        (self.f32_accuracy - self.int8_accuracy) * 100.0
-    }
 }
 
 /// Accuracy evaluation through the **measured** int8 path: trains the
@@ -208,19 +195,9 @@ pub struct MeasuredQuantAccuracy {
 }
 
 impl MeasuredQuantAccuracy {
-    /// A configuration small enough for tests, on a dense architecture.
-    pub fn tiny(task: LraTask, seed: u64) -> Self {
-        Self {
-            base: TrainedAccuracy::tiny(task, seed),
-            kind: ModelKind::Transformer,
-            calibration_samples: 8,
-            observer: fab_quant::ObserverKind::default(),
-        }
-    }
-
     /// Trains, quantizes and evaluates one candidate, returning both
     /// accuracies.
-    pub fn measure(&self, config: &ModelConfig) -> QuantAccuracyReport {
+    pub(crate) fn measure(&self, config: &ModelConfig) -> QuantAccuracyReport {
         let (model, test, f32_accuracy) = self.base.train_candidate(config, self.kind);
         let frozen = model.freeze().with_fast_math(true);
         let task_config = TaskConfig { seq_len: self.base.seq_len };
@@ -259,6 +236,16 @@ impl AccuracyEstimator for MeasuredQuantAccuracy {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A measured estimator small enough for tests, on a dense architecture.
+    fn tiny_measured(task: LraTask, seed: u64) -> MeasuredQuantAccuracy {
+        MeasuredQuantAccuracy {
+            base: TrainedAccuracy::tiny(task, seed),
+            kind: ModelKind::Transformer,
+            calibration_samples: 8,
+            observer: fab_quant::ObserverKind::default(),
+        }
+    }
 
     #[test]
     fn heuristic_accuracy_increases_with_capacity() {
@@ -304,7 +291,7 @@ mod tests {
 
     #[test]
     fn measured_quant_accuracy_reports_both_paths() {
-        let est = MeasuredQuantAccuracy::tiny(LraTask::Text, 5);
+        let est = tiny_measured(LraTask::Text, 5);
         let config = ModelConfig {
             hidden: 16,
             ffn_ratio: 2,
@@ -318,7 +305,6 @@ mod tests {
         let report = est.measure(&config);
         assert!((0.0..=1.0).contains(&report.f32_accuracy));
         assert!((0.0..=1.0).contains(&report.int8_accuracy));
-        assert_eq!(report.delta_points(), (report.f32_accuracy - report.int8_accuracy) * 100.0);
         // The estimator surface reports the quantized accuracy.
         assert_eq!(est.estimate(&config), report.int8_accuracy);
         assert_eq!(est.reference_accuracy(), est.base.reference);

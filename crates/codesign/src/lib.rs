@@ -36,10 +36,6 @@ mod pareto;
 mod space;
 mod sweep;
 
-pub use accuracy::{
-    AccuracyEstimator, HeuristicAccuracy, MeasuredQuantAccuracy, QuantAccuracyReport,
-    TrainedAccuracy,
-};
-pub use pareto::pareto_front_indices;
+pub use accuracy::{AccuracyEstimator, HeuristicAccuracy, MeasuredQuantAccuracy, TrainedAccuracy};
 pub use space::{DesignPoint, DesignSpace};
 pub use sweep::{run_codesign, CodesignOptions, CodesignResult, EvaluatedPoint};

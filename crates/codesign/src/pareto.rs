@@ -10,7 +10,7 @@
 /// # Panics
 ///
 /// Panics when the two slices have different lengths.
-pub fn pareto_front_indices(accuracy: &[f64], latency: &[f64]) -> Vec<usize> {
+pub(crate) fn pareto_front_indices(accuracy: &[f64], latency: &[f64]) -> Vec<usize> {
     assert_eq!(accuracy.len(), latency.len(), "objective vectors must have equal length");
     let n = accuracy.len();
     let mut front: Vec<usize> = (0..n)

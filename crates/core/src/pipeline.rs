@@ -5,7 +5,7 @@ use fab_accel::workload::LayerSchedule;
 use fab_accel::{power, resources, AcceleratorConfig, LatencyReport, Simulator};
 use fab_lra::{LraTask, TaskConfig};
 use fab_nn::{
-    evaluate, train_classifier, Example, FrozenModel, Model, ModelConfig, ModelKind, TrainOptions,
+    train_classifier, Example, FrozenModel, Model, ModelConfig, ModelKind, TrainOptions,
     TrainReport,
 };
 use rand::rngs::StdRng;
@@ -71,13 +71,8 @@ impl TrainingPipeline {
         self
     }
 
-    /// The proxy task this pipeline trains on.
-    pub fn task(&self) -> LraTask {
-        self.task
-    }
-
     /// Generates the train/test split for this pipeline's task.
-    pub fn dataset(&self) -> (Vec<Example>, Vec<Example>) {
+    pub(crate) fn dataset(&self) -> (Vec<Example>, Vec<Example>) {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let config = TaskConfig { seq_len: self.seq_len };
         let (train, test) =
@@ -116,12 +111,6 @@ impl TrainingPipeline {
             seed: self.seed,
         }
     }
-
-    /// Evaluates an already-trained model on a freshly generated test set.
-    pub fn reevaluate(&self, trained: &TrainedFabNet) -> f32 {
-        let (_, test) = self.dataset();
-        evaluate(&trained.model, &test)
-    }
 }
 
 /// A trained model together with its training report and the hooks needed to
@@ -145,14 +134,14 @@ pub struct TrainedFabNet {
 
 impl TrainedFabNet {
     /// Builds the accelerator operation schedule for this model.
-    pub fn schedule(&self, seq_len: usize) -> LayerSchedule {
+    pub(crate) fn schedule(&self, seq_len: usize) -> LayerSchedule {
         LayerSchedule::from_model(&self.config, self.kind, seq_len)
     }
 
     /// Freezes the trained weights into a tape-free
     /// [`InferenceSession`](fab_serve::InferenceSession) ready to be served
     /// by a dynamic-batching [`Server`](fab_serve::Server).
-    pub fn into_session(self) -> fab_serve::InferenceSession {
+    pub(crate) fn into_session(self) -> fab_serve::InferenceSession {
         fab_serve::InferenceSession::new(&self.model)
     }
 
@@ -160,20 +149,6 @@ impl TrainedFabNet {
     /// over them.
     pub fn serve(self, config: fab_serve::ServeConfig) -> fab_serve::Server {
         fab_serve::Server::start(self.into_session(), config)
-    }
-
-    /// Post-training-quantizes the trained weights into an int8
-    /// [`InferenceSession`](fab_serve::InferenceSession) by
-    /// [`quantize_for_serving`], calibrating on `calibration_samples`
-    /// sequences of this model's task, sequence length and seed.
-    pub fn into_quantized_session(self, calibration_samples: usize) -> fab_serve::InferenceSession {
-        fab_serve::InferenceSession::from_frozen(quantize_for_serving(
-            self.model.freeze(),
-            self.task,
-            self.seq_len,
-            self.seed,
-            calibration_samples,
-        ))
     }
 
     /// Simulates this model on `hardware` at its training sequence length.
@@ -240,6 +215,29 @@ pub struct HardwareEvaluation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fab_nn::evaluate;
+
+    /// Evaluates an already-trained model on a freshly generated test set.
+    fn reevaluate(pipeline: &TrainingPipeline, trained: &TrainedFabNet) -> f32 {
+        let (_, test) = pipeline.dataset();
+        evaluate(&trained.model, &test)
+    }
+
+    /// Post-training-quantizes the trained weights into an int8 session, as
+    /// fabd's int8 keys do, calibrating on `calibration_samples` sequences of
+    /// the model's task, sequence length and seed.
+    fn into_quantized_session(
+        trained: TrainedFabNet,
+        calibration_samples: usize,
+    ) -> fab_serve::InferenceSession {
+        fab_serve::InferenceSession::from_frozen(quantize_for_serving(
+            trained.model.freeze(),
+            trained.task,
+            trained.seq_len,
+            trained.seed,
+            calibration_samples,
+        ))
+    }
 
     fn tiny_config() -> ModelConfig {
         ModelConfig {
@@ -295,7 +293,7 @@ mod tests {
             TrainingPipeline::new(LraTask::Text, 32, 9).with_examples(8, 4).with_epochs(1);
         let trained = pipeline.run(&tiny_config(), ModelKind::Transformer);
         let reference = trained.model.predict(&[1, 2, 3, 4, 5]);
-        let session = trained.into_quantized_session(8);
+        let session = into_quantized_session(trained, 8);
         assert_eq!(session.kind(), fab_serve::SessionKind::Int8);
         let server = fab_serve::Server::start(session, fab_serve::ServeConfig::default());
         let prediction = server.handle().infer(vec![1, 2, 3, 4, 5]).expect("request served");
@@ -331,7 +329,8 @@ mod tests {
             assert!(max_diff <= 1e-5, "{task:?} served logits diverged by {max_diff}");
             server.shutdown();
 
-            let session = pipeline.run(&tiny_config(), ModelKind::FabNet).into_quantized_session(8);
+            let session =
+                into_quantized_session(pipeline.run(&tiny_config(), ModelKind::FabNet), 8);
             assert_eq!(session.kind(), fab_serve::SessionKind::Int8);
             let qserver = fab_serve::Server::start(session, fab_serve::ServeConfig::default());
             let qpred = qserver.handle().infer(tokens).expect("request served");
@@ -345,7 +344,7 @@ mod tests {
         let pipeline =
             TrainingPipeline::new(LraTask::Retrieval, 32, 5).with_examples(12, 8).with_epochs(1);
         let trained = pipeline.run(&tiny_config(), ModelKind::FNet);
-        let again = pipeline.reevaluate(&trained);
+        let again = reevaluate(&pipeline, &trained);
         assert!((again - trained.report.test_accuracy).abs() < 1e-6);
     }
 }

@@ -28,7 +28,7 @@ pub enum Precision {
 
 impl Precision {
     /// Parses `"f32"`/`"exact"`, `"fastmath"`, `"int8"` (case-insensitive).
-    pub fn parse(s: &str) -> Option<Self> {
+    pub(crate) fn parse(s: &str) -> Option<Self> {
         match s.to_ascii_lowercase().as_str() {
             "exact" | "f32" => Some(Precision::Exact),
             "fastmath" | "fast_math" | "fast-math" => Some(Precision::FastMath),
@@ -38,13 +38,37 @@ impl Precision {
     }
 
     /// Canonical name, matching [`fab_serve::SessionKind::name`].
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Precision::Exact => "exact",
             Precision::FastMath => "fastmath",
             Precision::Int8 => "int8",
         }
     }
+}
+
+const INT: &str = "a non-negative integer";
+const NUM: &str = "a number";
+const STR: &str = "a string";
+const BOOL: &str = "true or false";
+const ARR: &str = "an array";
+const OBJ: &str = "an object";
+
+/// Reads the optional field `key` of `v` with `read`: `None` when the key
+/// is absent, an error naming the key when its value is not `what`. Keys
+/// the parser never asks for stay ignored.
+fn field<'a, T>(
+    v: &'a Json,
+    key: &str,
+    what: &str,
+    read: impl Fn(&'a Json) -> Option<T>,
+) -> Result<Option<T>, String> {
+    v.get(key).map(|x| read(x).ok_or_else(|| format!("'{key}' must be {what}"))).transpose()
+}
+
+/// `v` itself when it is a JSON object (a config section).
+fn object(v: &Json) -> Option<&Json> {
+    v.as_obj().map(|_| v)
 }
 
 fn parse_task(s: &str) -> Option<LraTask> {
@@ -138,7 +162,7 @@ impl ProfileConfig {
     }
 
     /// A tiny profile on any LRA-proxy task.
-    pub fn tiny_task(name: &str, task: LraTask, precision: Precision, seed: u64) -> Self {
+    pub(crate) fn tiny_task(name: &str, task: LraTask, precision: Precision, seed: u64) -> Self {
         Self {
             name: name.to_string(),
             task,
@@ -276,19 +300,16 @@ impl ProfileConfig {
     }
 
     pub(crate) fn from_json(v: &Json) -> Result<Self, String> {
-        let name = v
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("profile missing string field 'name'")?
-            .to_string();
-        let mut profile = ProfileConfig::tiny(&name, Precision::FastMath, 7);
-        if let Some(s) = v.get("task").and_then(Json::as_str) {
+        let name =
+            field(v, "name", STR, Json::as_str)?.ok_or("profile missing string field 'name'")?;
+        let mut profile = ProfileConfig::tiny(name, Precision::FastMath, 7);
+        if let Some(s) = field(v, "task", STR, Json::as_str)? {
             profile.task = parse_task(s).ok_or_else(|| format!("unknown task '{s}'"))?;
         }
-        if let Some(s) = v.get("arch").and_then(Json::as_str) {
+        if let Some(s) = field(v, "arch", STR, Json::as_str)? {
             profile.arch = parse_arch(s).ok_or_else(|| format!("unknown arch '{s}'"))?;
         }
-        if let Some(s) = v.get("precision").and_then(Json::as_str) {
+        if let Some(s) = field(v, "precision", STR, Json::as_str)? {
             profile.precision =
                 Precision::parse(s).ok_or_else(|| format!("unknown precision '{s}'"))?;
         }
@@ -303,11 +324,11 @@ impl ProfileConfig {
             ("calibration_samples", &mut profile.calibration_samples),
         ];
         for (key, slot) in fields {
-            if let Some(n) = v.get(key).and_then(Json::as_usize) {
+            if let Some(n) = field(v, key, INT, Json::as_usize)? {
                 **slot = n;
             }
         }
-        if let Some(n) = v.get("seed").and_then(Json::as_u64) {
+        if let Some(n) = field(v, "seed", INT, Json::as_u64)? {
             profile.seed = n;
         }
         Ok(profile)
@@ -454,38 +475,21 @@ impl DaemonConfig {
         }
     }
 
-    /// The full-coverage fleet: every LRA-proxy task at every precision —
-    /// 15 profiles named `<task>-<f32|fast|int8>`, one process.
-    pub fn full_fleet() -> Self {
-        let precisions =
-            [(Precision::Exact, "f32"), (Precision::FastMath, "fast"), (Precision::Int8, "int8")];
-        let profiles = LraTask::ALL
-            .iter()
-            .enumerate()
-            .flat_map(|(i, &task)| {
-                precisions.iter().map(move |&(precision, suffix)| {
-                    let name = format!("{}-{suffix}", task.name().to_ascii_lowercase());
-                    ProfileConfig::tiny_task(&name, task, precision, 11 + i as u64)
-                })
-            })
-            .collect();
-        Self { profiles, ..Self::default() }
-    }
-
     /// Parses a JSON config document. Unknown fields are ignored; missing
     /// fields keep their defaults.
     ///
     /// # Errors
     ///
     /// Returns a human-readable message on malformed JSON, a non-object
-    /// root, bad profile entries, or duplicate profile names.
+    /// root, a known field holding the wrong type, bad profile entries, or
+    /// any value `Self::validate`'s structural checks reject.
     pub fn from_json_str(text: &str) -> Result<Self, String> {
         let v = Json::parse(text).map_err(|e| format!("config JSON: {e}"))?;
         if v.as_obj().is_none() {
             return Err("config root must be a JSON object".to_string());
         }
         let mut config = DaemonConfig::default();
-        if let Some(s) = v.get("addr").and_then(Json::as_str) {
+        if let Some(s) = field(&v, "addr", STR, Json::as_str)? {
             config.addr = s.to_string();
         }
         let fields: &mut [(&str, &mut u64)] = &mut [
@@ -497,7 +501,7 @@ impl DaemonConfig {
             ("restart_backoff_ms", &mut config.restart_backoff_ms),
         ];
         for (key, slot) in fields {
-            if let Some(n) = v.get(key).and_then(Json::as_u64) {
+            if let Some(n) = field(&v, key, INT, Json::as_u64)? {
                 **slot = n;
             }
         }
@@ -509,78 +513,73 @@ impl DaemonConfig {
             ("max_batch", &mut config.max_batch),
         ];
         for (key, slot) in fields {
-            if let Some(n) = v.get(key).and_then(Json::as_usize) {
+            if let Some(n) = field(&v, key, INT, Json::as_usize)? {
                 **slot = n;
             }
         }
-        if let Some(b) = v.get("fault_injection").and_then(Json::as_bool) {
+        if let Some(b) = field(&v, "fault_injection", BOOL, Json::as_bool)? {
             config.fault_injection = b;
         }
-        if let Some(w) = v.get("class_weights") {
+        if let Some(w) = field(&v, "class_weights", OBJ, object)? {
             let class: &mut [(&str, &mut f64)] = &mut [
                 ("interactive", &mut config.class_weights.interactive),
                 ("batch", &mut config.class_weights.batch),
                 ("background", &mut config.class_weights.background),
             ];
             for (key, slot) in class {
-                if let Some(n) = w.get(key).and_then(Json::as_f64) {
+                if let Some(n) = field(w, key, NUM, Json::as_f64)? {
                     **slot = n;
                 }
             }
         }
-        if let Some(q) = v.get("default_quota") {
-            config.default_quota = quota_from_json(q, &config.default_quota);
+        if let Some(q) = field(&v, "default_quota", OBJ, object)? {
+            config.default_quota = quota_from_json(q, &config.default_quota)?;
         }
-        if let Some(n) = v.get("per_tenant_queue_cap").and_then(Json::as_usize) {
+        if let Some(n) = field(&v, "per_tenant_queue_cap", INT, Json::as_usize)? {
             config.per_tenant_queue_cap = n;
         }
-        if let Some(list) = v.get("tenants").and_then(Json::as_arr) {
+        if let Some(list) = field(&v, "tenants", ARR, Json::as_arr)? {
             // Configured tenants start from the library default quota, not
             // the daemon's unlimited one: naming a tenant means limiting it.
             let base = TenantQuota::default();
             config.tenants = list
                 .iter()
                 .map(|t| {
-                    let name = t
-                        .get("name")
-                        .and_then(Json::as_str)
-                        .ok_or("tenant missing string field 'name'")?
-                        .to_string();
-                    Ok((name, quota_from_json(t, &base)))
+                    let name = field(t, "name", STR, Json::as_str)?
+                        .ok_or("tenant missing string field 'name'")?;
+                    Ok((name.to_string(), quota_from_json(t, &base)?))
                 })
                 .collect::<Result<_, String>>()?;
         }
-        if let Some(s) = v.get("snapshot_dir").and_then(Json::as_str) {
+        if let Some(s) = field(&v, "snapshot_dir", STR, Json::as_str)? {
             config.snapshot_dir = Some(s.to_string());
         }
-        if let Some(n) = v.get("snapshot_keep").and_then(Json::as_usize) {
+        if let Some(n) = field(&v, "snapshot_keep", INT, Json::as_usize)? {
             config.snapshot_keep = n;
         }
-        if let Some(o) = v.get("overload") {
+        if let Some(o) = field(&v, "overload", OBJ, object)? {
             config.overload = overload_from_json(o, &config.overload)?;
         }
-        if let Some(c) = v.get("chaos") {
-            if let Some(n) = c.get("seed").and_then(Json::as_u64) {
+        if let Some(c) = field(&v, "chaos", OBJ, object)? {
+            if let Some(n) = field(c, "seed", INT, Json::as_u64)? {
                 config.chaos_seed = n;
             }
-            if let Some(list) = c.get("sites").and_then(Json::as_arr) {
+            if let Some(list) = field(c, "sites", ARR, Json::as_arr)? {
                 config.chaos_sites = list
                     .iter()
                     .map(|s| {
-                        let name = s
-                            .get("site")
-                            .and_then(Json::as_str)
+                        let name = field(s, "site", STR, Json::as_str)?
                             .ok_or("chaos site missing string field 'site'")?;
                         let site = ChaosSite::parse(name)
                             .ok_or_else(|| format!("unknown chaos site '{name}'"))?;
-                        let every = s.get("every").and_then(Json::as_u64).unwrap_or(0);
-                        let param_ms = s.get("param_ms").and_then(Json::as_u64).unwrap_or(0);
+                        let every = field(s, "every", INT, Json::as_u64)?.unwrap_or(0);
+                        let param_ms = field(s, "param_ms", INT, Json::as_u64)?.unwrap_or(0);
                         Ok((site, every, param_ms))
                     })
                     .collect::<Result<_, String>>()?;
             }
         }
-        if let Some(list) = v.get("profiles").and_then(Json::as_arr) {
+        if let Some(list) = field(&v, "profiles", ARR, Json::as_arr)? {
             config.profiles =
                 list.iter().map(ProfileConfig::from_json).collect::<Result<_, _>>()?;
         }
@@ -589,7 +588,10 @@ impl DaemonConfig {
     }
 
     /// Structural checks shared by the JSON parser and [`Self::validate`]:
-    /// at least one profile, no duplicate names.
+    /// at least one profile, no duplicate names, and none of the serving
+    /// knobs or profile shapes that would otherwise panic at boot — most of
+    /// them only after the models have trained — or, as `max_connections`
+    /// 0 does, answer every connection with a 503.
     fn validate_profiles(&self) -> Result<(), String> {
         if self.profiles.is_empty() {
             return Err("config must declare at least one profile".to_string());
@@ -599,6 +601,26 @@ impl DaemonConfig {
         if let Some(pair) = names.windows(2).find(|w| w[0] == w[1]) {
             return Err(format!("duplicate profile names in config: '{}'", pair[0]));
         }
+        for (key, n) in [
+            ("max_connections", self.max_connections as u64),
+            ("max_batch", self.max_batch as u64),
+            ("queue_capacity", self.queue_capacity as u64),
+            ("restart_backoff_ms", self.restart_backoff_ms),
+        ] {
+            if n == 0 {
+                return Err(format!("{key} must be at least 1"));
+            }
+        }
+        for p in &self.profiles {
+            // Every LRA-proxy task generates samples of at least 16 tokens.
+            if p.seq_len < 16 {
+                return Err(format!("profile '{}': seq_len {} is below 16", p.name, p.seq_len));
+            }
+            if p.precision == Precision::Int8 && p.calibration_samples == 0 {
+                return Err(format!("profile '{}': int8 needs calibration_samples >= 1", p.name));
+            }
+            p.model_config().validate().map_err(|e| format!("profile '{}': {e}", p.name))?;
+        }
         Ok(())
     }
 
@@ -606,7 +628,7 @@ impl DaemonConfig {
     /// probe. Opening the store creates `snapshot_dir` if missing and
     /// write-probes it, so an unwritable root fails here — at boot, with a
     /// clear message — instead of after minutes of training.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         self.validate_profiles()?;
         if let Some(dir) = &self.snapshot_dir {
             fab_store::Store::open(std::path::Path::new(dir))
@@ -623,7 +645,7 @@ impl DaemonConfig {
     }
 
     /// Serializes the full effective configuration (for `--print-config`).
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let mut obj = vec![
             ("addr".to_string(), Json::Str(self.addr.clone())),
             ("max_connections".to_string(), Json::Num(self.max_connections as f64)),
@@ -698,15 +720,15 @@ impl DaemonConfig {
 
 fn overload_from_json(v: &Json, base: &OverloadConfig) -> Result<OverloadConfig, String> {
     let mut o = base.clone();
-    if let Some(b) = v.get("adaptive").and_then(Json::as_bool) {
+    if let Some(b) = field(v, "adaptive", BOOL, Json::as_bool)? {
         o.adaptive = b;
     }
-    if let Some(b) = v.get("degrade").and_then(Json::as_bool) {
+    if let Some(b) = field(v, "degrade", BOOL, Json::as_bool)? {
         o.degrade = b;
     }
     // The admission SLO is configured in milliseconds (like every other
     // daemon latency knob) and stored in microseconds.
-    if let Some(n) = v.get("slo_ms").and_then(Json::as_u64) {
+    if let Some(n) = field(v, "slo_ms", INT, Json::as_u64)? {
         o.aimd.slo_us = n.saturating_mul(1_000);
     }
     let fields: &mut [(&str, &mut u64)] = &mut [
@@ -721,14 +743,14 @@ fn overload_from_json(v: &Json, base: &OverloadConfig) -> Result<OverloadConfig,
         ("breaker_open_ms", &mut o.breaker_open_ms),
     ];
     for (key, slot) in fields {
-        if let Some(n) = v.get(key).and_then(Json::as_u64) {
+        if let Some(n) = field(v, key, INT, Json::as_u64)? {
             **slot = n;
         }
     }
-    if let Some(n) = v.get("breaker_failures").and_then(Json::as_u64) {
+    if let Some(n) = field(v, "breaker_failures", INT, Json::as_u64)? {
         o.breaker_failures = u32::try_from(n).map_err(|_| "breaker_failures too large")?;
     }
-    if let Some(n) = v.get("breaker_probes").and_then(Json::as_u64) {
+    if let Some(n) = field(v, "breaker_probes", INT, Json::as_u64)? {
         o.breaker_probes = u32::try_from(n).map_err(|_| "breaker_probes too large")?;
     }
     if o.aimd.decrease_pct == 0 || o.aimd.decrease_pct >= 100 {
@@ -759,12 +781,12 @@ fn overload_to_json(o: &OverloadConfig) -> Json {
     ])
 }
 
-fn quota_from_json(v: &Json, base: &TenantQuota) -> TenantQuota {
-    TenantQuota {
-        rate_per_s: v.get("rate_per_s").and_then(Json::as_f64).unwrap_or(base.rate_per_s),
-        burst: v.get("burst").and_then(Json::as_f64).unwrap_or(base.burst),
-        weight: v.get("weight").and_then(Json::as_f64).unwrap_or(base.weight),
-    }
+fn quota_from_json(v: &Json, base: &TenantQuota) -> Result<TenantQuota, String> {
+    Ok(TenantQuota {
+        rate_per_s: field(v, "rate_per_s", NUM, Json::as_f64)?.unwrap_or(base.rate_per_s),
+        burst: field(v, "burst", NUM, Json::as_f64)?.unwrap_or(base.burst),
+        weight: field(v, "weight", NUM, Json::as_f64)?.unwrap_or(base.weight),
+    })
 }
 
 fn quota_to_json(q: &TenantQuota) -> Vec<(String, Json)> {
@@ -813,6 +835,23 @@ mod tests {
             ("{\"profiles\": [{\"name\": \"a\", \"precision\": \"f64\"}]}", "precision"),
             ("{\"profiles\": [{\"name\": \"a\"}, {\"name\": \"a\"}]}", "duplicate"),
             ("{nope}", "JSON"),
+            // Values boot would panic on (most of them after training), or a
+            // daemon that answers every connection with a 503.
+            (r#"{"max_batch": 0, "profiles": [{"name": "a"}]}"#, "max_batch must be at least 1"),
+            (r#"{"queue_capacity": 0}"#, "queue_capacity must be at least 1"),
+            (r#"{"max_connections": 0}"#, "max_connections must be at least 1"),
+            (r#"{"restart_backoff_ms": 0}"#, "restart_backoff_ms must be at least 1"),
+            (r#"{"profiles": [{"name": "a", "hidden": 10, "heads": 3}]}"#, "not divisible"),
+            (r#"{"profiles": [{"name": "a", "seq_len": 0}]}"#, "seq_len 0 is below 16"),
+            (
+                r#"{"profiles": [{"name": "a", "precision": "int8", "calibration_samples": 0}]}"#,
+                "int8 needs calibration_samples >= 1",
+            ),
+            // A known key holding the wrong type is an error, not a default.
+            (r#"{"max_batch": "0"}"#, "'max_batch' must be a non-negative integer"),
+            (r#"{"num_workers": -3}"#, "'num_workers' must be a non-negative integer"),
+            (r#"{"profiles": [{"name": "a", "hidden": "10"}]}"#, "'hidden' must be"),
+            (r#"{"profiles": [{"name": "a", "task": 5}]}"#, "'task' must be a string"),
         ] {
             let err = DaemonConfig::from_json_str(text).expect_err(text);
             assert!(err.contains(needle), "{text}: {err}");
@@ -920,24 +959,6 @@ mod tests {
         }
         assert_eq!(Precision::parse("F32"), Some(Precision::Exact));
         assert!(Precision::parse("bf16").is_none());
-    }
-
-    #[test]
-    fn full_fleet_covers_every_task_at_every_precision() {
-        let config = DaemonConfig::full_fleet();
-        assert_eq!(config.profiles.len(), 15);
-        let mut names: Vec<&str> = config.profiles.iter().map(|p| p.name.as_str()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), 15, "profile names must be unique");
-        for task in LraTask::ALL {
-            for precision in [Precision::Exact, Precision::FastMath, Precision::Int8] {
-                assert!(
-                    config.profiles.iter().any(|p| p.task == task && p.precision == precision),
-                    "missing {task:?} at {precision:?}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -242,21 +242,10 @@ impl Daemon {
         self.addr
     }
 
-    /// Names of the currently ready models, sorted.
-    pub fn model_names(&self) -> Vec<String> {
-        self.shared
-            .fleet
-            .models()
-            .into_iter()
-            .filter(|m| m.state == ModelState::Ready)
-            .map(|m| m.spec.name)
-            .collect()
-    }
-
     /// Starts a graceful drain: `/readyz` flips to `503`, the accept loop
     /// stops taking connections, in-flight requests keep being served.
     /// Idempotent.
-    pub fn initiate_drain(&self) {
+    pub(crate) fn initiate_drain(&self) {
         self.shared.begin_drain();
     }
 

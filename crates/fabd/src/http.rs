@@ -20,11 +20,9 @@ use std::fmt;
 use std::io::{self, BufRead, Write};
 
 /// Longest accepted request/status line, in bytes.
-pub const MAX_LINE_BYTES: usize = 8 * 1024;
+pub(crate) const MAX_LINE_BYTES: usize = 8 * 1024;
 /// Most headers accepted per message.
-pub const MAX_HEADERS: usize = 64;
-/// Default largest accepted body, in bytes.
-pub const DEFAULT_MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
+pub(crate) const MAX_HEADERS: usize = 64;
 
 /// Why an HTTP message could not be read.
 #[derive(Debug)]
@@ -64,14 +62,8 @@ fn timed_out(e: &io::Error) -> bool {
 }
 
 impl HttpError {
-    /// Whether this failure came from a read/write timeout (a slow or
-    /// stalled peer) rather than bad bytes.
-    pub fn is_timeout(&self) -> bool {
-        matches!(self, HttpError::Io(e) if timed_out(e))
-    }
-
     /// The HTTP status code a server should answer this failure with.
-    pub fn status(&self) -> u16 {
+    pub(crate) fn status(&self) -> u16 {
         match self {
             HttpError::Io(e) if timed_out(e) => 408,
             HttpError::Io(_) => 400,
@@ -97,19 +89,19 @@ pub struct Request {
 
 impl Request {
     /// The target's path component.
-    pub fn path(&self) -> &str {
+    pub(crate) fn path(&self) -> &str {
         self.target.split('?').next().unwrap_or(&self.target)
     }
 
     /// Case-insensitive header lookup.
-    pub fn header(&self, name: &str) -> Option<&str> {
+    pub(crate) fn header(&self, name: &str) -> Option<&str> {
         let name = name.to_ascii_lowercase();
         self.headers.iter().find(|(k, _)| *k == name).map(|(_, v)| v.as_str())
     }
 
     /// Whether the client asked to keep the connection open (HTTP/1.1
     /// defaults to keep-alive unless `Connection: close` is sent).
-    pub fn keep_alive(&self) -> bool {
+    pub(crate) fn keep_alive(&self) -> bool {
         !self.header("connection").is_some_and(|v| v.eq_ignore_ascii_case("close"))
     }
 }
@@ -262,7 +254,7 @@ impl Response {
     }
 
     /// A plain-text response.
-    pub fn text(status: u16, body: impl Into<String>) -> Self {
+    pub(crate) fn text(status: u16, body: impl Into<String>) -> Self {
         Self {
             status,
             headers: Vec::new(),
@@ -272,14 +264,14 @@ impl Response {
     }
 
     /// Adds a header.
-    pub fn with_header(mut self, name: &str, value: impl fmt::Display) -> Self {
+    pub(crate) fn with_header(mut self, name: &str, value: impl fmt::Display) -> Self {
         self.headers.push((name.to_string(), value.to_string()));
         self
     }
 }
 
 /// The reason phrase for the status codes the daemon emits.
-pub fn reason(status: u16) -> &'static str {
+pub(crate) fn reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
         400 => "Bad Request",
@@ -384,7 +376,7 @@ pub struct ClientResponse {
 
 impl ClientResponse {
     /// Case-insensitive header lookup.
-    pub fn header(&self, name: &str) -> Option<&str> {
+    pub(crate) fn header(&self, name: &str) -> Option<&str> {
         let name = name.to_ascii_lowercase();
         self.headers.iter().find(|(k, _)| *k == name).map(|(_, v)| v.as_str())
     }
@@ -395,7 +387,7 @@ impl ClientResponse {
     }
 
     /// Whether the server will keep the connection open.
-    pub fn keep_alive(&self) -> bool {
+    pub(crate) fn keep_alive(&self) -> bool {
         !self.header("connection").is_some_and(|v| v.eq_ignore_ascii_case("close"))
     }
 }
@@ -439,6 +431,9 @@ pub fn read_response(
 mod tests {
     use super::*;
     use std::io::BufReader;
+
+    /// Largest accepted body in the parser tests, in bytes.
+    const DEFAULT_MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
 
     fn parse(raw: &[u8]) -> Result<Option<Request>, HttpError> {
         read_request(&mut BufReader::new(raw), DEFAULT_MAX_BODY_BYTES)

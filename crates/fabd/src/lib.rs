@@ -21,13 +21,13 @@
 //!
 //! - [`http`] — defensive HTTP/1.1 framing: size limits, timeouts,
 //!   `Content-Length`-only bodies, keep-alive.
-//! - [`json`] — a depth-limited JSON parser/serializer (the workspace has
+//! - `json` — a depth-limited JSON parser/serializer (the workspace has
 //!   no serialization crate).
-//! - [`config`] — daemon + model-profile configuration, JSON round-trip.
-//! - [`daemon`] — the accept loop, routing and drain logic; every stat it
+//! - `config` — daemon + model-profile configuration, JSON round-trip.
+//! - `daemon` — the accept loop, routing and drain logic; every stat it
 //!   exports is one row of a private table (`stats.rs`) that `/metrics`,
 //!   `/v1/stats`, `/v1/models`, `/v1/circuits` and `/admin/chaos` render.
-//! - [`client`] — a retrying loopback client shared by `fabctl`, the e2e
+//! - `client` — a retrying loopback client shared by `fabctl`, the e2e
 //!   tests and the `benchmark` crate.
 //!
 //! ## Endpoints
@@ -49,17 +49,17 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod client;
-pub mod config;
-pub mod daemon;
+mod client;
+mod config;
+mod daemon;
 pub mod http;
-pub mod json;
+mod json;
 mod stats;
 
 pub use client::{ClientError, FabClient, RetryPolicy};
 pub use config::{DaemonConfig, Precision, ProfileConfig};
 pub use daemon::Daemon;
-pub use json::Json;
+pub use json::{Json, JsonError};
 // Fleet knobs a `DaemonConfig` embeds, so configuring callers (tests,
 // benches) need not depend on `fab-fleet` directly.
 pub use fab_chaos::ChaosSite;

@@ -7,7 +7,7 @@
 //!
 //! Three pieces compose the subsystem:
 //!
-//! - [`Registry`] — named, versioned, ref-counted model entries with a
+//! - `Registry` — named, versioned, ref-counted model entries with a
 //!   loading → ready → draining → retired lifecycle and atomic swap:
 //!   hot load/unload/reload never drops an in-flight request (the PR-6
 //!   zero-drop drain invariant holds across a reload).
@@ -36,20 +36,21 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod overload;
-pub mod qos;
-pub mod registry;
-pub mod scheduler;
+mod overload;
+mod qos;
+mod registry;
+mod scheduler;
 
 pub use overload::{
-    CircuitBreaker, CircuitDecision, CircuitState, DegradeController, GuardStats, ModelGuard,
-    OverloadConfig,
+    CircuitBreaker, CircuitDecision, CircuitState, DegradeController, GuardStats, OverloadConfig,
 };
-pub use qos::{TenantCounters, TenantQuota, TenantStats, TenantTable, DEFAULT_TENANT};
-pub use registry::{
-    LoadTicket, ModelHandle, ModelInfo, ModelSource, ModelSpec, ModelState, Registry,
-};
+pub use qos::{TenantCounters, TenantQuota, TenantStats, TenantTable};
+pub use registry::{LoadTicket, ModelHandle, ModelInfo, ModelSource, ModelSpec, ModelState};
 pub use scheduler::{ClassWeights, QosPolicy};
+
+use overload::ModelGuard;
+use qos::DEFAULT_TENANT;
+use registry::Registry;
 
 use fab_serve::{
     HistogramSummary, InferenceSession, LatencyHistogram, Prediction, Priority, RequestQos,
@@ -166,18 +167,8 @@ impl Fleet {
         }
     }
 
-    /// The fleet's configuration.
-    pub fn config(&self) -> &FleetConfig {
-        &self.config
-    }
-
-    /// The tenant directory (for metric scrapes).
-    pub fn tenants(&self) -> &TenantTable {
-        &self.tenants
-    }
-
     /// Marks `spec.name` as loading and returns the ticket to commit the
-    /// trained session with ([`Fleet::commit`]). A ready version of the
+    /// trained session with (`Fleet::commit`). A ready version of the
     /// name keeps serving until the commit swaps it out.
     ///
     /// # Errors
@@ -190,11 +181,11 @@ impl Fleet {
     /// Builds a server around `session` (queue ordered by [`QosPolicy`]) and
     /// commits it as the new current version of the ticket's name, recorded
     /// as [`ModelSource::Trained`].
-    pub fn commit(&self, ticket: LoadTicket<'_>, session: InferenceSession) -> ModelInfo {
+    pub(crate) fn commit(&self, ticket: LoadTicket<'_>, session: InferenceSession) -> ModelInfo {
         self.commit_with_source(ticket, session, ModelSource::Trained)
     }
 
-    /// [`Fleet::commit`] with an explicit provenance tag — warm starts and
+    /// `Fleet::commit` with an explicit provenance tag — warm starts and
     /// snapshot fallbacks record where the version came from.
     pub fn commit_with_source(
         &self,
@@ -212,7 +203,7 @@ impl Fleet {
         ticket.commit_with_source(server, source)
     }
 
-    /// One-step [`Fleet::begin_load`] + [`Fleet::commit`] for callers that
+    /// One-step [`Fleet::begin_load`] + `Fleet::commit` for callers that
     /// already hold the session.
     ///
     /// # Errors
@@ -248,7 +239,7 @@ impl Fleet {
 
     /// Submits one request: resolves the model, consults its circuit
     /// breaker, charges the tenant's bucket (`None` = the shared
-    /// [`DEFAULT_TENANT`]), routes through the overload controls (which
+    /// `DEFAULT_TENANT`), routes through the overload controls (which
     /// may reroute to a cheaper precision of the same task), and enqueues
     /// with the tenant/priority labels the scheduler orders by.
     ///

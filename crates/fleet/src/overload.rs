@@ -101,19 +101,14 @@ impl DegradeController {
         self.forced.unwrap_or(self.level)
     }
 
-    /// The adaptive level, ignoring any forced override.
-    pub fn adaptive_level(&self) -> usize {
-        self.level
-    }
-
     /// The forced override, if any.
-    pub fn forced(&self) -> Option<usize> {
+    pub(crate) fn forced(&self) -> Option<usize> {
         self.forced
     }
 
     /// Pins the effective level (admin/chaos use); `None` returns control
     /// to the adaptive law.
-    pub fn force(&mut self, level: Option<usize>) {
+    pub(crate) fn force(&mut self, level: Option<usize>) {
         self.forced = level;
     }
 
@@ -153,13 +148,6 @@ impl DegradeController {
         self.last_change = Some(now);
         self.calm_since = Some(now);
         true
-    }
-
-    /// Clamps the adaptive and forced levels to `max` (the ladder may
-    /// shrink when a model is unloaded).
-    pub fn clamp_to(&mut self, max: usize) {
-        self.level = self.level.min(max);
-        self.forced = self.forced.map(|f| f.min(max));
     }
 }
 
@@ -241,7 +229,7 @@ impl CircuitBreaker {
     }
 
     /// Whether the breaker is active (`threshold > 0`).
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.threshold > 0
     }
 
@@ -330,7 +318,7 @@ impl CircuitBreaker {
 /// One model name's overload-control state: limiter + degrade controller
 /// + breaker, shared between submission and completion.
 #[derive(Debug)]
-pub struct ModelGuard {
+pub(crate) struct ModelGuard {
     config: OverloadConfig,
     limiter: AimdLimiter,
     degrade: Mutex<DegradeController>,
@@ -341,7 +329,7 @@ pub struct ModelGuard {
 
 impl ModelGuard {
     /// A fresh guard from the fleet's overload config.
-    pub fn new(config: OverloadConfig) -> Self {
+    pub(crate) fn new(config: OverloadConfig) -> Self {
         let limiter = AimdLimiter::new(config.aimd.clone());
         let degrade = DegradeController::new(
             Duration::from_millis(config.degrade_dwell_ms),
@@ -362,19 +350,14 @@ impl ModelGuard {
         }
     }
 
-    /// The guard's config (the fleet's, shared by every model).
-    pub fn config(&self) -> &OverloadConfig {
-        &self.config
-    }
-
     /// The admission limiter.
-    pub fn limiter(&self) -> &AimdLimiter {
+    pub(crate) fn limiter(&self) -> &AimdLimiter {
         &self.limiter
     }
 
     /// Asks the breaker about one request. A disabled breaker
     /// (`breaker_failures: 0`) admits without touching any lock.
-    pub fn admit_circuit(&self, now: Instant) -> CircuitDecision {
+    pub(crate) fn admit_circuit(&self, now: Instant) -> CircuitDecision {
         if self.config.breaker_failures == 0 {
             return CircuitDecision::Admit;
         }
@@ -387,7 +370,7 @@ impl ModelGuard {
 
     /// Feeds a completion outcome into the breaker (no-op when the
     /// breaker is disabled).
-    pub fn circuit_outcome(&self, now: Instant, hard_failure: bool) {
+    pub(crate) fn circuit_outcome(&self, now: Instant, hard_failure: bool) {
         if self.config.breaker_failures == 0 {
             return;
         }
@@ -400,24 +383,19 @@ impl ModelGuard {
     }
 
     /// The effective degrade level.
-    pub fn degrade_level(&self) -> usize {
+    pub(crate) fn degrade_level(&self) -> usize {
         lock_recover(&self.degrade).level()
     }
 
-    /// The forced degrade override, if any.
-    pub fn forced_level(&self) -> Option<usize> {
-        lock_recover(&self.degrade).forced()
-    }
-
     /// Pins (or releases) the degrade level, clamped to `max`.
-    pub fn force_level(&self, level: Option<usize>, max: usize) -> usize {
+    pub(crate) fn force_level(&self, level: Option<usize>, max: usize) -> usize {
         let mut degrade = lock_recover(&self.degrade);
         degrade.force(level.map(|l| l.min(max)));
         degrade.level()
     }
 
     /// Feeds one pressure event; returns `true` when the level escalated.
-    pub fn pressure(&self, now: Instant) -> bool {
+    pub(crate) fn pressure(&self, now: Instant) -> bool {
         if !self.config.degrade {
             return false;
         }
@@ -425,25 +403,20 @@ impl ModelGuard {
     }
 
     /// Feeds one calm event; returns `true` when the level recovered.
-    pub fn calm(&self, now: Instant) -> bool {
+    pub(crate) fn calm(&self, now: Instant) -> bool {
         if !self.config.degrade {
             return false;
         }
         lock_recover(&self.degrade).on_calm(now)
     }
 
-    /// Clamps the degrade level to the current ladder length.
-    pub fn clamp_level(&self, max: usize) {
-        lock_recover(&self.degrade).clamp_to(max);
-    }
-
     /// Counts one request actually rerouted to a cheaper precision.
-    pub fn count_degraded(&self) {
+    pub(crate) fn count_degraded(&self) {
         self.degraded_total.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Point-in-time stats for `/v1/circuits`, `/v1/stats`, and metrics.
-    pub fn stats(&self, now: Instant) -> GuardStats {
+    pub(crate) fn stats(&self, now: Instant) -> GuardStats {
         let degrade = lock_recover(&self.degrade);
         let breaker = lock_recover(&self.breaker);
         GuardStats {
@@ -462,7 +435,7 @@ impl ModelGuard {
     }
 }
 
-/// A point-in-time snapshot of one model's [`ModelGuard`].
+/// A point-in-time snapshot of one model's `ModelGuard`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GuardStats {
     /// Whether the AIMD limiter gates admission for this model.
@@ -492,7 +465,7 @@ pub struct GuardStats {
 /// Ranks a [`ModelSpec`](crate::ModelSpec) precision string on the
 /// degradation ladder: lower is more precise. Unknown precisions return
 /// `None` and never participate in degradation.
-pub fn precision_rank(precision: &str) -> Option<usize> {
+pub(crate) fn precision_rank(precision: &str) -> Option<usize> {
     match precision {
         "f32" | "exact" => Some(0),
         "fastmath" | "fast" => Some(1),
@@ -560,7 +533,7 @@ mod tests {
         assert_eq!(c.level(), 0);
         c.force(Some(2));
         assert_eq!(c.level(), 2);
-        assert_eq!(c.adaptive_level(), 0);
+        assert_eq!(c.level, 0, "the adaptive level is untouched");
         c.force(None);
         assert_eq!(c.level(), 0);
     }

@@ -17,7 +17,7 @@ use std::time::Instant;
 
 /// Tenant name used when a request carries no `X-Tenant` label: anonymous
 /// traffic shares one bucket and one scheduling lane.
-pub const DEFAULT_TENANT: &str = "default";
+pub(crate) const DEFAULT_TENANT: &str = "default";
 
 /// Per-tenant admission quota and scheduling weight.
 #[derive(Debug, Clone, PartialEq)]
@@ -130,7 +130,7 @@ impl TenantTable {
     /// returns the tenant's counters (for outcome bookkeeping); on an
     /// empty bucket returns the tenant's own refill-derived retry hint in
     /// milliseconds and counts the rejection.
-    pub fn charge(&self, tenant: &str) -> Result<Arc<TenantCounters>, u64> {
+    pub(crate) fn charge(&self, tenant: &str) -> Result<Arc<TenantCounters>, u64> {
         let mut map = self.locked();
         let default_quota = self.default_quota.clone();
         let entry = map.entry(tenant.to_string()).or_insert_with(|| TenantEntry {
@@ -149,12 +149,12 @@ impl TenantTable {
 
     /// The tenant's weighted-fair share (default quota's weight for
     /// tenants never seen or configured).
-    pub fn weight(&self, tenant: &str) -> f64 {
+    pub(crate) fn weight(&self, tenant: &str) -> f64 {
         self.locked().get(tenant).map_or(self.default_quota.weight, |e| e.quota.weight)
     }
 
     /// Snapshots every known tenant, sorted by name.
-    pub fn snapshot(&self) -> Vec<TenantStats> {
+    pub(crate) fn snapshot(&self) -> Vec<TenantStats> {
         let map = self.locked();
         let mut stats: Vec<TenantStats> = map
             .iter()

@@ -136,18 +136,8 @@ pub struct ModelHandle {
 
 impl ModelHandle {
     /// The model's identity.
-    pub fn spec(&self) -> &ModelSpec {
+    pub(crate) fn spec(&self) -> &ModelSpec {
         &self.entry.spec
-    }
-
-    /// The version this handle pins (1 for the first load, +1 per reload).
-    pub fn version(&self) -> u64 {
-        self.entry.version
-    }
-
-    /// Where this version came from (warm / trained / fallback).
-    pub fn source(&self) -> ModelSource {
-        self.entry.source
     }
 
     /// The serving handle for submitting requests.
@@ -170,7 +160,7 @@ pub struct ModelInfo {
 }
 
 /// The fleet's name → model map. See the module docs for the lifecycle.
-pub struct Registry {
+pub(crate) struct Registry {
     ready: RwLock<HashMap<String, Arc<ModelEntry>>>,
     /// Names with a load in progress (blocks concurrent loads, renders as
     /// `loading` in listings).
@@ -195,7 +185,7 @@ impl Default for Registry {
 
 impl Registry {
     /// An empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             ready: RwLock::new(HashMap::new()),
             loading: Mutex::new(HashMap::new()),
@@ -214,7 +204,7 @@ impl Registry {
     ///
     /// [`FleetError::AlreadyLoading`] when a load of the same name is in
     /// progress.
-    pub fn begin_load(&self, spec: ModelSpec) -> Result<LoadTicket<'_>, FleetError> {
+    pub(crate) fn begin_load(&self, spec: ModelSpec) -> Result<LoadTicket<'_>, FleetError> {
         let mut loading = lock_recover(&self.loading);
         if loading.contains_key(&spec.name) {
             return Err(FleetError::AlreadyLoading(spec.name));
@@ -229,7 +219,7 @@ impl Registry {
     ///
     /// [`FleetError::ModelLoading`] when the name's first load is still in
     /// progress, [`FleetError::NoSuchModel`] otherwise.
-    pub fn get(&self, name: &str) -> Result<ModelHandle, FleetError> {
+    pub(crate) fn get(&self, name: &str) -> Result<ModelHandle, FleetError> {
         let ready = self.ready.read().unwrap_or_else(PoisonError::into_inner);
         if let Some(entry) = ready.get(name) {
             return Ok(ModelHandle { entry: Arc::clone(entry) });
@@ -247,7 +237,7 @@ impl Registry {
     /// # Errors
     ///
     /// [`FleetError::NoSuchModel`] when no ready version exists.
-    pub fn unload(&self, name: &str) -> Result<ModelInfo, FleetError> {
+    pub(crate) fn unload(&self, name: &str) -> Result<ModelInfo, FleetError> {
         let old = self
             .ready
             .write()
@@ -308,7 +298,7 @@ impl Registry {
 
     /// Lists every known entry — loading marks, ready/draining versions,
     /// and recently retired ones — sorted by name then version.
-    pub fn list(&self) -> Vec<ModelInfo> {
+    pub(crate) fn list(&self) -> Vec<ModelInfo> {
         let mut out: Vec<ModelInfo> = Vec::new();
         for spec in lock_recover(&self.loading).values() {
             out.push(ModelInfo {
@@ -348,7 +338,7 @@ impl Registry {
 
     /// Snapshots `(info, handle)` for every ready entry, for stats and
     /// metric scrapes.
-    pub fn ready_models(&self) -> Vec<(ModelInfo, ModelHandle)> {
+    pub(crate) fn ready_models(&self) -> Vec<(ModelInfo, ModelHandle)> {
         let ready = self.ready.read().unwrap_or_else(PoisonError::into_inner);
         let mut out: Vec<(ModelInfo, ModelHandle)> = ready
             .values()
@@ -371,7 +361,7 @@ impl Registry {
     /// Unloads everything and waits for every drain to finish. Idempotent;
     /// callers must have released their [`ModelHandle`]s or this blocks
     /// until they do.
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         let names: Vec<String> = {
             let ready = self.ready.read().unwrap_or_else(PoisonError::into_inner);
             ready.keys().cloned().collect()
@@ -394,23 +384,12 @@ pub struct LoadTicket<'a> {
 }
 
 impl LoadTicket<'_> {
-    /// The spec being loaded.
-    pub fn spec(&self) -> &ModelSpec {
-        self.spec.as_ref().expect("ticket not yet consumed")
-    }
-
     /// Installs `server` as the new current version of the name: assigns
     /// the next version number, swaps it in atomically, and sends any
-    /// previous version to drain in the background. The version is recorded
-    /// as [`ModelSource::Trained`]; snapshot restores use
-    /// [`LoadTicket::commit_with_source`].
-    pub fn commit(self, server: Server) -> ModelInfo {
-        self.commit_with_source(server, ModelSource::Trained)
-    }
-
-    /// [`LoadTicket::commit`] with an explicit provenance tag (warm /
-    /// trained / fallback), surfaced in listings, stats and metrics.
-    pub fn commit_with_source(mut self, server: Server, source: ModelSource) -> ModelInfo {
+    /// previous version to drain in the background. `source` is the
+    /// version's provenance tag (warm / trained / fallback), surfaced in
+    /// listings, stats and metrics.
+    pub(crate) fn commit_with_source(mut self, server: Server, source: ModelSource) -> ModelInfo {
         let spec = self.spec.take().expect("ticket not yet consumed");
         let registry = self.registry;
         let version = {

@@ -10,10 +10,10 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 /// 3-bit quantised pixel intensities.
-pub const VOCAB: usize = 8;
+pub(crate) const VOCAB: usize = 8;
 
 /// Generates one image sample of `seq_len` pixels; `index` balances classes.
-pub fn sample(seq_len: usize, index: usize, rng: &mut StdRng) -> Sample {
+pub(crate) fn sample(seq_len: usize, index: usize, rng: &mut StdRng) -> Sample {
     let label = index % 4;
     let side = (seq_len as f64).sqrt().floor() as usize;
     let side = side.max(4);

@@ -38,7 +38,7 @@ use rand::{Rng, SeedableRng};
 
 /// Seed salt separating [`LraTask::calibration_batches`] streams from the
 /// train/eval streams of [`LraTask::generate`] under the same user seed.
-pub const CALIBRATION_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
+pub(crate) const CALIBRATION_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// One labelled sequence sample.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,7 +51,7 @@ pub struct Sample {
 
 impl Sample {
     /// Creates a sample.
-    pub fn new(tokens: Vec<usize>, label: usize) -> Self {
+    pub(crate) fn new(tokens: Vec<usize>, label: usize) -> Self {
         Self { tokens, label }
     }
 }
@@ -167,7 +167,7 @@ impl LraTask {
     /// quantization (`fab-quant`).
     ///
     /// The stream is derived from `seed` through a fixed salt
-    /// ([`CALIBRATION_SALT`]), so for any given `(seed, n)` it is
+    /// (`CALIBRATION_SALT`), so for any given `(seed, n)` it is
     /// bit-reproducible across hosts and thread counts **and disjoint from
     /// every [`LraTask::generate`] / [`LraTask::generate_split`] stream
     /// seeded with the same `seed`** — calibrating on these batches never

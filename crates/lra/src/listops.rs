@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 /// Vocabulary: digits 0–9, three operators, brackets and padding.
-pub const VOCAB: usize = 16;
+pub(crate) const VOCAB: usize = 16;
 
 const OP_MAX: usize = 10;
 const OP_MIN: usize = 11;
@@ -65,7 +65,7 @@ fn serialize(node: &Node, out: &mut Vec<usize>) {
 }
 
 /// Generates one ListOps sample of exactly `seq_len` tokens.
-pub fn sample(seq_len: usize, rng: &mut StdRng) -> Sample {
+pub(crate) fn sample(seq_len: usize, rng: &mut StdRng) -> Sample {
     loop {
         let root = Node::Expr(
             *[OP_MAX, OP_MIN, OP_MED].get(rng.gen_range(0usize..3)).expect("op index"),

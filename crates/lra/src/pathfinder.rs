@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 /// Vocabulary: empty, path cell, distractor cell, endpoint marker.
-pub const VOCAB: usize = 4;
+pub(crate) const VOCAB: usize = 4;
 
 const EMPTY: usize = 0;
 const PATH: usize = 1;
@@ -14,7 +14,7 @@ const DISTRACTOR: usize = 2;
 const ENDPOINT: usize = 3;
 
 /// Generates one pathfinder sample of `seq_len` cells; `index` balances labels.
-pub fn sample(seq_len: usize, index: usize, rng: &mut StdRng) -> Sample {
+pub(crate) fn sample(seq_len: usize, index: usize, rng: &mut StdRng) -> Sample {
     let label = index % 2;
     let side = (seq_len as f64).sqrt().floor() as usize;
     let side = side.max(4);

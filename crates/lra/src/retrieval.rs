@@ -7,14 +7,14 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 /// Vocabulary: separator, 8 key tokens and filler bytes.
-pub const VOCAB: usize = 32;
+pub(crate) const VOCAB: usize = 32;
 
 const SEP: usize = 0;
 const KEY_BASE: usize = 1;
 const NUM_KEYS: usize = 8;
 
 /// Generates one retrieval sample of `seq_len` tokens; `index` balances labels.
-pub fn sample(seq_len: usize, index: usize, rng: &mut StdRng) -> Sample {
+pub(crate) fn sample(seq_len: usize, index: usize, rng: &mut StdRng) -> Sample {
     let label = index % 2;
     let half = seq_len / 2;
     let mut tokens: Vec<usize> =

@@ -9,13 +9,13 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 /// Byte-like vocabulary.
-pub const VOCAB: usize = 32;
+pub(crate) const VOCAB: usize = 32;
 
 const MARKER_A: usize = 2;
 const MARKER_B: usize = 3;
 
 /// Generates one text sample of `seq_len` tokens; `index` balances labels.
-pub fn sample(seq_len: usize, index: usize, rng: &mut StdRng) -> Sample {
+pub(crate) fn sample(seq_len: usize, index: usize, rng: &mut StdRng) -> Sample {
     let label = index % 2;
     let mut tokens: Vec<usize> = (0..seq_len).map(|_| rng.gen_range(4..VOCAB)).collect();
     // The majority marker wins by a clear margin scattered across the sequence.

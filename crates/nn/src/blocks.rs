@@ -142,7 +142,7 @@ mod tests {
     #[test]
     fn fbfly_is_cheapest_in_flops() {
         // One block each: a Transformer, an ABfly and an FBfly block.
-        let one = config(64, 4, 4).with_layers(1);
+        let one = ModelConfig { num_layers: 1, ..config(64, 4, 4) };
         let seq = 256;
         let t = flops_breakdown(&one, ModelKind::Transformer, seq).total();
         let a = flops_breakdown(&one.clone().with_abfly(1), ModelKind::FabNet, seq).total();

@@ -128,18 +128,6 @@ impl ModelConfig {
         self.num_layers.saturating_sub(self.num_abfly)
     }
 
-    /// Returns a copy with a different hidden size.
-    pub fn with_hidden(mut self, hidden: usize) -> Self {
-        self.hidden = hidden;
-        self
-    }
-
-    /// Returns a copy with a different layer count.
-    pub fn with_layers(mut self, layers: usize) -> Self {
-        self.num_layers = layers;
-        self
-    }
-
     /// Returns a copy with a different number of ABfly blocks.
     pub fn with_abfly(mut self, abfly: usize) -> Self {
         self.num_abfly = abfly;
@@ -205,7 +193,7 @@ mod tests {
 
     #[test]
     fn builder_style_modifiers_apply() {
-        let c = ModelConfig::fabnet_base().with_hidden(256).with_layers(6).with_abfly(2);
-        assert_eq!((c.hidden, c.num_layers, c.num_abfly), (256, 6, 2));
+        let c = ModelConfig::fabnet_base().with_abfly(2);
+        assert_eq!(c.num_abfly, 2);
     }
 }

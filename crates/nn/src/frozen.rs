@@ -202,13 +202,8 @@ impl FrozenLayerNorm {
         self.eps
     }
 
-    /// Normalises each row of `x`.
-    pub fn forward(&self, x: &Tensor) -> Tensor {
-        x.layer_norm_rows(&self.gamma, &self.beta, self.eps)
-    }
-
     /// Fused residual shortcut: normalises each row of `x + fx`
-    /// (bit-identical to `forward(&x.add(fx))`, one pass).
+    /// (bit-identical to `layer_norm_rows` of `x.add(fx)`, one pass).
     pub fn forward_residual(&self, x: &Tensor, fx: &Tensor) -> Tensor {
         let mut out = Tensor::default();
         self.forward_residual_into(x, fx, &mut out);
@@ -686,8 +681,8 @@ impl FrozenEmbedding {
 /// An immutable, `Send + Sync` inference snapshot of a trained model.
 ///
 /// Produced by [`Model::freeze`](crate::Model::freeze) (all f32) and turned
-/// into its int8 form by `fab_quant::quantize`; see the
-/// [module docs](self) for the execution model and exactness guarantees.
+/// into its int8 form by `fab_quant::quantize`; the execution model and
+/// exactness guarantees are set out at the top of `frozen.rs`.
 ///
 /// The weights sit behind one [`Arc`]: a clone, [`FrozenModel::with_fast_math`]
 /// and every serving copy made from them (a session, a stored artifact) bump
@@ -801,7 +796,7 @@ impl FrozenModel {
     /// norms, int8 scales) and 1 per int8 value. Handles that share weights
     /// ([`FrozenModel::shares_weights`]) report the same set. A VNNI host's
     /// packed copy of int8 weights is not counted (see
-    /// [`QuantLinear::weight_bytes`]).
+    /// `QuantLinear::weight_bytes`).
     pub fn weight_bytes(&self) -> usize {
         let f32s = |ts: &[&Tensor]| 4 * ts.iter().map(|t| t.len()).sum::<usize>();
         let table = |t: &QuantEmbedding| t.table_bytes() + 4 * t.scales().len();

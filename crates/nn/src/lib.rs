@@ -38,7 +38,7 @@
 mod blocks;
 mod config;
 pub mod flops;
-pub mod frozen;
+mod frozen;
 mod layers;
 mod models;
 mod optim;
@@ -53,7 +53,7 @@ pub use frozen::{
     FrozenLayerNorm, FrozenLinear, FrozenMixing, FrozenModel, Tap,
 };
 pub use models::Model;
-pub use optim::{Adam, FusedAdamW, FusedSgd, Optimizer, Sgd};
+pub use optim::{Adam, FusedAdamW, Optimizer};
 pub use param::{Bindings, Param};
 pub use qlinear::{QuantEmbedding, QuantLinear};
 pub use train::{evaluate, train_classifier, Example, TrainOptions, TrainReport, TrainStep};

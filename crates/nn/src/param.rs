@@ -18,7 +18,7 @@ pub struct Param {
 
 impl Param {
     /// Wraps a tensor as a trainable parameter with a diagnostic name.
-    pub fn new(name: impl Into<String>, value: Tensor) -> Self {
+    pub(crate) fn new(name: impl Into<String>, value: Tensor) -> Self {
         Self { inner: Rc::new(RefCell::new(value)), name: Rc::from(name.into()) }
     }
 
@@ -27,13 +27,8 @@ impl Param {
         self.inner.borrow().clone()
     }
 
-    /// Replaces the parameter value.
-    pub fn set(&self, value: Tensor) {
-        *self.inner.borrow_mut() = value;
-    }
-
     /// Applies `f` to the parameter value in place.
-    pub fn update<F: FnOnce(&mut Tensor)>(&self, f: F) {
+    pub(crate) fn update<F: FnOnce(&mut Tensor)>(&self, f: F) {
         f(&mut self.inner.borrow_mut());
     }
 
@@ -58,7 +53,7 @@ impl Param {
     /// The value is copied into the tape's reused leaf buffer
     /// ([`Tape::leaf_copy`]), so re-binding the same parameters every
     /// training step performs no allocation.
-    pub fn bind(&self, tape: &Tape, bindings: &mut Bindings) -> VarId {
+    pub(crate) fn bind(&self, tape: &Tape, bindings: &mut Bindings) -> VarId {
         let id = tape.leaf_copy(&self.inner.borrow());
         bindings.push(id, self.clone());
         id
@@ -78,7 +73,7 @@ impl Bindings {
     }
 
     /// Records that `param` was bound to tape variable `id`.
-    pub fn push(&mut self, id: VarId, param: Param) {
+    pub(crate) fn push(&mut self, id: VarId, param: Param) {
         self.entries.push((id, param));
     }
 
@@ -101,11 +96,6 @@ impl Bindings {
     /// Iterates over the bound `(VarId, Param)` pairs in binding order.
     pub fn iter(&self) -> impl Iterator<Item = &(VarId, Param)> {
         self.entries.iter()
-    }
-
-    /// Total number of scalar parameters bound.
-    pub fn num_scalars(&self) -> usize {
-        self.entries.iter().map(|(_, p)| p.len()).sum()
     }
 }
 
@@ -130,6 +120,6 @@ mod tests {
         let id = p.bind(&tape, &mut bindings);
         assert_eq!(tape.value(id).as_slice(), &[1.0, 1.0, 1.0]);
         assert_eq!(bindings.len(), 1);
-        assert_eq!(bindings.num_scalars(), 3);
+        assert_eq!(bindings.iter().map(|(_, p)| p.len()).sum::<usize>(), 3);
     }
 }

@@ -161,10 +161,10 @@ impl QuantLinear {
     }
 
     /// Quantizes a `[rows, d_in]` activation batch with this layer's input
-    /// scale, for use with [`QuantLinear::forward_prequantized`]. Layers
+    /// scale, for use with [`QuantLinear::forward_prequantized_into`]. Layers
     /// sharing one calibrated input scale (e.g. attention q/k/v) quantize
     /// the batch once and reuse the int8 buffer.
-    pub fn quantize_input(&self, x: &Tensor, qx: &mut Vec<i8>) {
+    pub(crate) fn quantize_input(&self, x: &Tensor, qx: &mut Vec<i8>) {
         assert_eq!(x.cols(), self.d_in, "quantized linear input width mismatch");
         qx.clear();
         qx.resize(x.len(), 0);
@@ -173,20 +173,9 @@ impl QuantLinear {
 
     /// [`QuantLinear::forward`] over an already-quantized input batch (as
     /// produced by [`QuantLinear::quantize_input`] with the same
-    /// `in_scale`).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `qx` is not `rows · d_in` long.
-    pub fn forward_prequantized(&self, qx: &[i8], rows: usize, gelu: bool) -> Tensor {
-        let mut out = Tensor::default();
-        self.forward_prequantized_into(qx, rows, gelu, &mut out);
-        out
-    }
-
-    /// [`QuantLinear::forward_prequantized`] writing into `out` (resized in
-    /// place). Rows go through the GEMM in bands of [`PAR_BAND_ROWS`],
-    /// whether or not the call fans out: a band is an independent exact
+    /// `in_scale`), writing into `out` (resized in place). Rows go through
+    /// the GEMM in bands of [`PAR_BAND_ROWS`], whether or not the call fans
+    /// out: a band is an independent exact
     /// computation, so the split is bit-identical to one sweep at any thread
     /// count, and its i32 accumulator is the running thread's [`BAND_ACC`].
     pub(crate) fn forward_prequantized_into(
@@ -223,7 +212,7 @@ impl QuantLinear {
     /// Bytes of the `[d_out, d_in]` int8 weights (the f32 layout would be
     /// 4x). A CPU with the VNNI GEMM arm also holds their packed copy, as
     /// large again (depth padded to a multiple of 4), plus `4 · d_out` bytes.
-    pub fn weight_bytes(&self) -> usize {
+    pub(crate) fn weight_bytes(&self) -> usize {
         self.qw.rows().len()
     }
 }
@@ -299,7 +288,7 @@ impl QuantEmbedding {
     }
 
     /// Bytes of int8 table storage.
-    pub fn table_bytes(&self) -> usize {
+    pub(crate) fn table_bytes(&self) -> usize {
         self.q.len()
     }
 }

@@ -129,11 +129,6 @@ impl<O: Optimizer> TrainStep<O> {
     pub fn optimizer(&self) -> &O {
         &self.optimizer
     }
-
-    /// Mutable access to the optimiser (e.g. to adjust the schedule).
-    pub fn optimizer_mut(&mut self) -> &mut O {
-        &mut self.optimizer
-    }
 }
 
 /// Trains `model` on `train` with the fused AdamW optimiser and reports

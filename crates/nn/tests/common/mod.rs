@@ -46,7 +46,7 @@ static ALLOC: CountingAllocator = CountingAllocator;
 /// path, so nothing is allocated on any other thread; where a kernel does
 /// fan out, the pool's bookkeeping for the call is the caller's, and a
 /// helper running a `for_each` block allocates nothing.
-pub fn allocated_by<R>(f: impl FnOnce() -> R) -> (u64, u64) {
+pub(crate) fn allocated_by<R>(f: impl FnOnce() -> R) -> (u64, u64) {
     let before = ALLOCATED.with(Cell::get);
     let result = f();
     let after = ALLOCATED.with(Cell::get);

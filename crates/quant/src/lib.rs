@@ -37,7 +37,7 @@
 //!
 //! Scales are **static**: fixed at calibration time, never derived from the
 //! batch being served. Combined with the exact i32 accumulation of the q8
-//! kernels and the per-sequence evaluation of [`fab_nn::frozen`], a
+//! kernels and the per-sequence evaluation of fab-nn's frozen forward, a
 //! request's quantized logits are **bit-identical**
 //! regardless of batch composition and worker-thread count — the
 //! same guarantee the f32 serving path makes, property-tested the same way.

@@ -92,7 +92,7 @@ impl Observer {
     /// # Panics
     ///
     /// Panics when a percentile is outside `(0, 1]`.
-    pub fn new(kind: ObserverKind) -> Self {
+    pub(crate) fn new(kind: ObserverKind) -> Self {
         if let ObserverKind::Percentile(q) = kind {
             assert!(q > 0.0 && q <= 1.0, "percentile {q} outside (0, 1]");
         }
@@ -104,7 +104,7 @@ impl Observer {
     /// of one range ([`simd::abs_histogram_run`], a vector at a time) and
     /// grows at each value above it, so the counts are those of recording
     /// the values one by one.
-    pub fn observe(&mut self, xs: &[f32]) {
+    pub(crate) fn observe(&mut self, xs: &[f32]) {
         let Some(h) = &mut self.hist else {
             for &x in xs {
                 self.max_abs = self.max_abs.max(x.abs());
@@ -128,7 +128,7 @@ impl Observer {
 
     /// The representable absolute range the observer selects (`127 ·
     /// scale`).
-    pub fn range(&self) -> f32 {
+    pub(crate) fn range(&self) -> f32 {
         match (&self.kind, &self.hist) {
             (ObserverKind::MinMax, _) => self.max_abs,
             (ObserverKind::Percentile(q), Some(h)) => h.quantile(*q).min(self.max_abs),
@@ -138,7 +138,7 @@ impl Observer {
 
     /// The quantization step size: `range / 127`, floored at a tiny positive
     /// value so downstream `1 / scale` stays finite.
-    pub fn scale(&self) -> f32 {
+    pub(crate) fn scale(&self) -> f32 {
         (self.range() / 127.0).max(MIN_SCALE)
     }
 }

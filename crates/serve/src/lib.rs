@@ -16,7 +16,7 @@
 //!   `num_workers`). A batch leaves the queue when it is full or its
 //!   oldest request has waited `max_wait_us` — one rule, in the server.
 //!   The order requests leave in is a pluggable [`BatchPolicy`]:
-//!   [`Server::start`] installs the arrival-order [`FifoPolicy`]
+//!   [`Server::start`] installs the arrival-order `FifoPolicy`
 //!   (sequences of any length share a batch; nothing is padded), and
 //!   [`Server::start_with_policy`] accepts any other discipline — e.g.
 //!   fab-fleet's tenant-aware weighted-fair policy over [`RequestQos`]
@@ -27,7 +27,7 @@
 //!
 //! Batching never changes results: whatever batch a request rides in, its
 //! logits are bit-identical to the same session answering it alone (see
-//! [`fab_nn::frozen`] for why). Relative to the tape path,
+//! the top of fab-nn's `frozen.rs` for why). Relative to the tape path,
 //! [`InferenceSession::exact`] is bit-identical to `Model::predict`, while
 //! the default [`InferenceSession::new`] enables the serving-grade
 //! fast-math kernels and stays within ~1e-6 of it.
@@ -82,6 +82,6 @@ mod session;
 
 pub use limiter::{AimdConfig, AimdLimiter};
 pub use metrics::{HistogramSummary, LatencyHistogram, ServerStats};
-pub use policy::{BatchPolicy, FifoPolicy, Priority, QueuedRequest, RequestQos};
+pub use policy::{BatchPolicy, Priority, QueuedRequest, RequestQos};
 pub use server::{PendingPrediction, Prediction, ServeConfig, ServeError, Server, ServerHandle};
 pub use session::{InferenceSession, SessionKind, SessionScratch};

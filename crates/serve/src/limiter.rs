@@ -163,11 +163,6 @@ impl AimdLimiter {
     pub fn rejected(&self) -> u64 {
         self.rejected.load(Ordering::Relaxed)
     }
-
-    /// The limiter's configuration (clamps applied).
-    pub fn config(&self) -> &AimdConfig {
-        &self.config
-    }
 }
 
 #[cfg(test)]

@@ -91,14 +91,14 @@ impl LatencyHistogram {
     }
 
     /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
 
     /// Estimates the `q`-quantile (`0 < q <= 1`) in microseconds: the upper
     /// boundary of the bucket containing the target rank, clamped to the
     /// observed maximum. Returns 0 when nothing was recorded.
-    pub fn quantile_us(&self, q: f64) -> u64 {
+    pub(crate) fn quantile_us(&self, q: f64) -> u64 {
         let total = self.count();
         if total == 0 {
             return 0;

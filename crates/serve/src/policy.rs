@@ -3,7 +3,7 @@
 //! A [`BatchPolicy`] owns the queued requests between admission and
 //! dispatch and decides their *order*:
 //!
-//! - [`FifoPolicy`] — one arrival-order queue, used by
+//! - `FifoPolicy` — one arrival-order queue, used by
 //!   [`Server::start`](crate::Server::start). Sequences of any length share
 //!   a batch: the session evaluates each on its own, so nothing is padded
 //!   and there is nothing to gain from keeping lengths apart.
@@ -109,11 +109,6 @@ pub struct QueuedRequest {
 }
 
 impl QueuedRequest {
-    /// Sequence length in tokens.
-    pub fn seq_len(&self) -> usize {
-        self.tokens.len()
-    }
-
     /// When the request entered the queue.
     pub fn enqueued_at(&self) -> Instant {
         self.enqueued
@@ -125,7 +120,7 @@ impl QueuedRequest {
     }
 
     /// Whether the request's deadline has passed at `now`.
-    pub fn expired(&self, now: Instant) -> bool {
+    pub(crate) fn expired(&self, now: Instant) -> bool {
         self.deadline.is_some_and(|d| now >= d)
     }
 
@@ -171,7 +166,7 @@ pub trait BatchPolicy: Send {
 ///
 /// [`Server::start`]: crate::Server::start
 #[derive(Default)]
-pub struct FifoPolicy {
+pub(crate) struct FifoPolicy {
     queue: VecDeque<QueuedRequest>,
 }
 
@@ -221,7 +216,7 @@ mod tests {
         let wait = Duration::from_secs(10);
         assert_eq!(dispatch_delay(&p, 4, wait, Instant::now(), false), Some(Duration::ZERO));
         assert!(dispatch_delay(&p, 5, wait, Instant::now(), false) > Some(Duration::ZERO));
-        let lens: Vec<usize> = std::iter::from_fn(|| p.pop()).map(|r| r.seq_len()).collect();
+        let lens: Vec<usize> = std::iter::from_fn(|| p.pop()).map(|r| r.tokens.len()).collect();
         assert_eq!(lens, [5, 5, 12, 3], "arrival order, whatever the lengths");
         assert_eq!(p.depth(), 0);
     }

@@ -402,7 +402,7 @@ impl ServerHandle {
     /// Enqueues a request carrying explicit QoS labels (tenant and
     /// priority class), which QoS-aware batch policies (fab-fleet's
     /// weighted-fair scheduler) use for ordering; the default
-    /// [`FifoPolicy`] ignores them.
+    /// `FifoPolicy` ignores them.
     ///
     /// # Errors
     ///

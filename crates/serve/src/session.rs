@@ -136,17 +136,12 @@ impl InferenceSession {
     }
 
     /// Maximum sequence length the session accepts.
-    pub fn max_seq(&self) -> usize {
+    pub(crate) fn max_seq(&self) -> usize {
         self.model.max_seq()
     }
 
-    /// Number of output classes.
-    pub fn num_classes(&self) -> usize {
-        self.model.num_classes()
-    }
-
     /// Vocabulary size of the served model; token ids must stay below it.
-    pub fn vocab_size(&self) -> usize {
+    pub(crate) fn vocab_size(&self) -> usize {
         self.model.config().vocab_size
     }
 

@@ -25,7 +25,7 @@ const TABLE: [u32; 256] = {
 
 /// CRC32 of `bytes` (init `0xFFFF_FFFF`, final xor, reflected — the value
 /// `crc32()` in zlib would produce).
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {
         crc = (crc >> 8) ^ TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];

@@ -81,18 +81,13 @@ impl SectionData {
     }
 
     /// Number of scalar elements (bytes for strings).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             SectionData::F32(v) => v.len(),
             SectionData::I8(v) => v.len(),
             SectionData::U64(v) => v.len(),
             SectionData::Str(s) => s.len(),
         }
-    }
-
-    /// Whether the payload is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -155,7 +150,7 @@ impl Snapshot {
     /// # Errors
     ///
     /// [`StoreError::MissingSection`].
-    pub fn section(&self, name: &str) -> Result<&Section, StoreError> {
+    pub(crate) fn section(&self, name: &str) -> Result<&Section, StoreError> {
         self.sections
             .iter()
             .find(|s| s.name == name)
@@ -167,7 +162,7 @@ impl Snapshot {
     /// # Errors
     ///
     /// [`StoreError::MissingSection`] / [`StoreError::BadSection`].
-    pub fn f32s(&self, name: &str, expect_len: usize) -> Result<&[f32], StoreError> {
+    pub(crate) fn f32s(&self, name: &str, expect_len: usize) -> Result<&[f32], StoreError> {
         match &self.section(name)?.data {
             SectionData::F32(v) if v.len() == expect_len => Ok(v),
             SectionData::F32(v) => Err(StoreError::BadSection {
@@ -183,7 +178,7 @@ impl Snapshot {
     /// # Errors
     ///
     /// [`StoreError::MissingSection`] / [`StoreError::BadSection`].
-    pub fn i8s(&self, name: &str, expect_len: usize) -> Result<&[i8], StoreError> {
+    pub(crate) fn i8s(&self, name: &str, expect_len: usize) -> Result<&[i8], StoreError> {
         match &self.section(name)?.data {
             SectionData::I8(v) if v.len() == expect_len => Ok(v),
             SectionData::I8(v) => Err(StoreError::BadSection {
@@ -199,7 +194,7 @@ impl Snapshot {
     /// # Errors
     ///
     /// [`StoreError::MissingSection`] / [`StoreError::BadSection`].
-    pub fn u64s(&self, name: &str, expect_len: usize) -> Result<&[u64], StoreError> {
+    pub(crate) fn u64s(&self, name: &str, expect_len: usize) -> Result<&[u64], StoreError> {
         match &self.section(name)?.data {
             SectionData::U64(v) if v.len() == expect_len => Ok(v),
             SectionData::U64(v) => Err(StoreError::BadSection {

@@ -35,7 +35,6 @@ mod format;
 mod store;
 
 pub use artifact::{decode_artifact, encode_artifact, ModelArtifact};
-pub use crc32::crc32;
 pub use error::StoreError;
 pub use format::{section_offsets, Section, SectionData, Snapshot, FORMAT_VERSION, MAGIC};
 pub use store::{Recovered, SnapshotInfo, Store, FINGERPRINT_KEY};

@@ -86,11 +86,6 @@ impl Store {
         Ok(Self { root: root.to_path_buf() })
     }
 
-    /// The store's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     /// Persists a new snapshot version for `model`, crash-safely, and
     /// returns the version number. `meta` should include the profile
     /// fingerprint under [`FINGERPRINT_KEY`] so loads can reject stale
@@ -170,20 +165,6 @@ impl Store {
         Err(StoreError::NoSnapshot(model.to_string()))
     }
 
-    /// Loads one specific version, fully validated.
-    ///
-    /// # Errors
-    ///
-    /// Any decode-time [`StoreError`], or [`StoreError::Io`] when the file
-    /// cannot be read.
-    pub fn load_version(&self, model: &str, version: u64) -> Result<Recovered, StoreError> {
-        validate_model_name(model)?;
-        let path = self.snapshot_path(model, version);
-        let bytes = fs::read(&path).map_err(|e| StoreError::io(&path, e))?;
-        let (artifact, meta) = decode_artifact(&bytes)?;
-        Ok(Recovered { artifact, meta, version, fallback: false })
-    }
-
     /// All snapshots in the store, sorted by model then version.
     ///
     /// # Errors
@@ -206,7 +187,7 @@ impl Store {
     /// # Errors
     ///
     /// [`StoreError::Io`] when the root cannot be scanned.
-    pub fn models(&self) -> Result<Vec<String>, StoreError> {
+    pub(crate) fn models(&self) -> Result<Vec<String>, StoreError> {
         let mut models = Vec::new();
         let entries = fs::read_dir(&self.root).map_err(|e| StoreError::io(&self.root, e))?;
         for entry in entries.flatten() {

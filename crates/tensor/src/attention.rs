@@ -2,15 +2,15 @@
 //! `softmax(c · q_h·k_hᵀ) · v_h` for every head `h` of one sequence's
 //! projected `[len, dim]` q, k and v, and its gradient. The frozen forward
 //! and the tape's attention op both run [`forward`], so their values agree
-//! by construction; [`backward`] recomputes the probabilities tile by tile
+//! by construction; `backward` recomputes the probabilities tile by tile
 //! (FlashAttention's backward, Dao et al. 2022), so neither pass keeps a
 //! `[len, len]` matrix.
 
 use crate::simd::{self, Backend};
 use crate::{Tensor, PAR_GRAIN_OPS};
 
-/// Query rows a band of the core hands [`simd::attention_tile`] (and the
-/// backward [`simd::attention_tile_backward`]) at a time, for one head: a
+/// Query rows a band of the core hands `simd::attention_tile` (and the
+/// backward `simd::attention_tile_backward`) at a time, for one head: a
 /// tile's scores are `[len, 32]` at most — 128 KiB at `len` 1024 — so they
 /// are still in L2 when the softmax and the product with V read what the
 /// product with Kᵀ wrote.
@@ -58,7 +58,7 @@ fn shape(q: &Tensor, k: &Tensor, v: &Tensor, num_heads: usize) -> (usize, usize,
 /// scaled, `c·(q·kᵀ)`. The query rows are cut into bands (`band_rows`)
 /// that share nothing but the read-only K and V: one pool call over the
 /// bands when the core reaches [`PAR_GRAIN_OPS`], a plain loop below it. A
-/// band runs [`simd::attention_tile`] once per head and [`SUB_ROWS`] query
+/// band runs `simd::attention_tile` once per head and [`SUB_ROWS`] query
 /// rows, on `backend`, which reads K and V in place and gives the bits of
 /// the per-head `softmax(c · q_h·k_hᵀ) · v_h` of the whole-tensor kernels.
 /// Neither the cut nor the fan-out is part of the value. `tiles` is the
@@ -129,9 +129,9 @@ fn head_slot(backend: Backend, len: usize, head_dim: usize) -> usize {
 ///
 /// Each head runs on its own slot of `scratch`. It gathers its K and Vᵀ
 /// once, then takes its query rows [`SUB_ROWS`] at a time, tiles
-/// ascending: [`simd::attention_probs`] recomputes the tile's
+/// ascending: `simd::attention_probs` recomputes the tile's
 /// probabilities — the forward's tiles, so the forward's bits — and
-/// [`simd::attention_tile_backward`] writes the tile's rows of dQ and adds
+/// `simd::attention_tile_backward` writes the tile's rows of dQ and adds
 /// its share to the head's dK and dV. dK and dV so add up over the tiles
 /// in one fixed order. The scores' scale `c` is folded into the tile's
 /// operands: Vᵀ is gathered times `c`, and `Σ dout ∘ o` enters negated and
@@ -145,7 +145,7 @@ fn head_slot(backend: Backend, len: usize, head_dim: usize) -> usize {
 /// Panics when the shapes are inconsistent or `grads` does not hold
 /// `3 · len · dim` values.
 #[allow(clippy::too_many_arguments)]
-pub fn backward(
+pub(crate) fn backward(
     q: &Tensor,
     k: &Tensor,
     v: &Tensor,

@@ -28,19 +28,12 @@ use std::cell::RefCell;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VarId(usize);
 
-impl VarId {
-    /// Returns the position of this variable on its tape.
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
 /// Backward function of a custom tape node.
 ///
-/// The function receives a [`BackwardCtx`] exposing the upstream gradient,
-/// the node value and the parent values, and must *accumulate* (`+=`) each
-/// parent's gradient into the slice returned by [`BackwardCtx::parent_grad`]
-/// (zero-initialised on first access). [`BackwardCtx::reference`] reports
+/// The function receives a [`BackwardCtx`] whose [`BackwardCtx::split`]
+/// exposes the upstream gradient and the parent values, and must
+/// *accumulate* (`+=`) each parent's gradient into the slice returned by
+/// [`GradWriter::parent_grad`] (zero-initialised on first access). [`BackwardCtx::reference`] reports
 /// whether the seed-fidelity reference backward is running, letting custom
 /// operators route to their unoptimised reference kernels.
 pub type BackwardFn = Box<dyn Fn(&mut BackwardCtx<'_>)>;
@@ -57,22 +50,11 @@ impl ParentValues<'_> {
     pub fn get(&self, i: usize) -> &Tensor {
         &self.values[self.ids[i]]
     }
-
-    /// Number of parents.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Returns `true` when the node has no parents.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
 }
 
 /// Context handed to a custom operator's backward implementation.
 pub struct BackwardCtx<'a> {
     upstream: &'a Tensor,
-    value: &'a Tensor,
     values: &'a [Tensor],
     parents: &'a [usize],
     grads: &'a mut [Tensor],
@@ -81,26 +63,6 @@ pub struct BackwardCtx<'a> {
 }
 
 impl BackwardCtx<'_> {
-    /// The gradient of the loss with respect to this node's value.
-    pub fn upstream(&self) -> &Tensor {
-        self.upstream
-    }
-
-    /// The node's forward value.
-    pub fn value(&self) -> &Tensor {
-        self.value
-    }
-
-    /// Number of parents of the node.
-    pub fn num_parents(&self) -> usize {
-        self.parents.len()
-    }
-
-    /// The value of parent `i`.
-    pub fn parent(&self, i: usize) -> &Tensor {
-        &self.values[self.parents[i]]
-    }
-
     /// `true` when [`Tape::backward_reference`] is running: custom operators
     /// should use their unfused reference kernels so the reference pass
     /// reproduces the seed arithmetic end to end.
@@ -108,17 +70,8 @@ impl BackwardCtx<'_> {
         self.reference
     }
 
-    /// Accumulation view of parent `i`'s gradient buffer (shaped like the
-    /// parent value, zero-initialised on first access). Implementations must
-    /// `+=` into it; the same parent may appear more than once.
-    pub fn parent_grad(&mut self, i: usize) -> &mut [f32] {
-        let p = self.parents[i];
-        ensure_grad(self.values, self.grads, self.has_grad, p);
-        self.grads[p].as_mut_slice()
-    }
-
-    /// Splits the context into the (upstream gradient, node value) pair, a
-    /// read view of the parent values, and a [`GradWriter`] — letting a
+    /// Splits the context into the upstream gradient, a read view of the
+    /// parent values, and a [`GradWriter`] — letting a
     /// backward kernel hold parent values and gradient buffers at the same
     /// time.
     pub fn split(&mut self) -> (&Tensor, ParentValues<'_>, GradWriter<'_>) {
@@ -199,9 +152,7 @@ fn acc_slice(dst: &mut [f32], src: &[f32]) {
 enum OpKind {
     Leaf,
     Add,
-    Sub,
     Mul,
-    Scale(f32),
     Matmul,
     Attention { heads: usize },
     Gelu,
@@ -304,13 +255,8 @@ impl Tape {
     }
 
     /// Number of nodes recorded since the last [`Tape::reset`].
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.borrow().len
-    }
-
-    /// Returns `true` when no nodes have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Rewinds the tape so the next step can re-record from scratch, while
@@ -401,7 +347,7 @@ impl Tape {
     }
 
     /// The name of the operation that produced `id` (`"leaf"` for leaves).
-    pub fn op_name(&self, id: VarId) -> &'static str {
+    pub(crate) fn op_name(&self, id: VarId) -> &'static str {
         self.inner.borrow().metas[id.0].op
     }
 
@@ -411,7 +357,7 @@ impl Tape {
     }
 
     /// Applies `f` to the value held by `id` without cloning it.
-    pub fn with_value<R>(&self, id: VarId, f: impl FnOnce(&Tensor) -> R) -> R {
+    pub(crate) fn with_value<R>(&self, id: VarId, f: impl FnOnce(&Tensor) -> R) -> R {
         let inner = self.inner.borrow();
         assert!(id.0 < inner.len, "variable is not live on this tape");
         f(&inner.values[id.0])
@@ -544,7 +490,6 @@ impl Tape {
                 if let OpKind::Custom(f) = &meta.kind {
                     let mut ctx = BackwardCtx {
                         upstream: g,
-                        value,
                         values: vbelow,
                         parents,
                         grads: gbelow,
@@ -572,13 +517,6 @@ impl Tape {
                     acc_slice(grad_buf(vbelow, gbelow, has, parents[0]), g.as_slice());
                     acc_slice(grad_buf(vbelow, gbelow, has, parents[1]), g.as_slice());
                 }
-                OpKind::Sub => {
-                    acc_slice(grad_buf(vbelow, gbelow, has, parents[0]), g.as_slice());
-                    let dst = grad_buf(vbelow, gbelow, has, parents[1]);
-                    for (d, &gv) in dst.iter_mut().zip(g.as_slice()) {
-                        *d += -gv;
-                    }
-                }
                 OpKind::Mul => {
                     {
                         let bv = vbelow[parents[1]].as_slice();
@@ -588,11 +526,6 @@ impl Tape {
                     let av = vbelow[parents[0]].as_slice();
                     let dst = grad_buf(vbelow, gbelow, has, parents[1]);
                     crate::simd::mul_acc(dst, g.as_slice(), av);
-                }
-                OpKind::Scale(c) => {
-                    let c = *c;
-                    let dst = grad_buf(vbelow, gbelow, has, parents[0]);
-                    crate::simd::axpy_acc(dst, c, g.as_slice());
                 }
                 OpKind::Matmul => {
                     // dA += g · Bᵀ on the blocked matmul kernel, with Bᵀ and
@@ -669,7 +602,6 @@ impl Tape {
                 OpKind::Custom(f) => {
                     let mut ctx = BackwardCtx {
                         upstream: g,
-                        value,
                         values: vbelow,
                         parents,
                         grads: gbelow,
@@ -689,19 +621,9 @@ impl Tape {
         self.push_op("add", OpKind::Add, &[a, b], |pv, out| pv.get(0).add_into(pv.get(1), out))
     }
 
-    /// Element-wise subtraction.
-    pub fn sub(&self, a: VarId, b: VarId) -> VarId {
-        self.push_op("sub", OpKind::Sub, &[a, b], |pv, out| pv.get(0).sub_into(pv.get(1), out))
-    }
-
     /// Element-wise multiplication.
     pub fn mul(&self, a: VarId, b: VarId) -> VarId {
         self.push_op("mul", OpKind::Mul, &[a, b], |pv, out| pv.get(0).mul_into(pv.get(1), out))
-    }
-
-    /// Multiplication by a compile-time constant scalar.
-    pub fn scale(&self, a: VarId, c: f32) -> VarId {
-        self.push_op("scale", OpKind::Scale(c), &[a], |pv, out| pv.get(0).scale_into(c, out))
     }
 
     /// Matrix multiplication of two 2-D variables.
@@ -716,7 +638,7 @@ impl Tape {
     /// num_heads`) of the `[len, dim]` result is `softmax(c · q_h·k_hᵀ) ·
     /// v_h` with `c = 1/√d`. The value is [`crate::attention::forward`]'s,
     /// the frozen forward's bits; the node keeps nothing but that value, and
-    /// its backward ([`crate::attention::backward`]) recomputes the
+    /// its backward (`crate::attention::backward`) recomputes the
     /// probabilities tile by tile, so the tape holds no `[len, len]` matrix.
     ///
     /// # Panics
@@ -1002,15 +924,10 @@ fn reference_builtin_backward(
             out.push(g.clone());
             out.push(g.clone());
         }
-        OpKind::Sub => {
-            out.push(g.clone());
-            out.push(g.scale(-1.0));
-        }
         OpKind::Mul => {
             out.push(g.mul(pv(1)));
             out.push(g.mul(pv(0)));
         }
-        OpKind::Scale(c) => out.push(g.scale(*c)),
         OpKind::Matmul => {
             out.push(g.matmul(&pv(1).transpose()));
             out.push(pv(0).transpose().matmul(g));
@@ -1365,8 +1282,7 @@ mod tests {
         let s = tape.attention(hn, h, x, 2);
         let mixed = tape.matmul(s, w);
         let res = tape.add(mixed, x);
-        let scaled = tape.scale(res, 0.7);
-        let prod = tape.mul(scaled, x);
+        let prod = tape.mul(res, x);
         let pooled = tape.mean_pool_rows(prod);
         let r = tape.gelu(pooled);
         let su = tape.sum(r);
@@ -1430,7 +1346,7 @@ mod tests {
         let buf_cap = tape.buffer_capacity();
         for _ in 0..5 {
             tape.reset();
-            assert!(tape.is_empty());
+            assert_eq!(tape.len(), 0);
             let (loss, leaves) = mixed_graph(&tape);
             tape.backward(loss);
             assert!(tape.try_grad(leaves[0]).is_some());
@@ -1486,16 +1402,15 @@ mod tests {
             &[x, x],
             |pv, out| pv.get(0).mul_into(pv.get(1), out),
             Box::new(|ctx| {
+                let (upstream, pv, mut grads) = ctx.split();
                 for i in 0..2 {
-                    let other = ctx.parent(1 - i).clone();
-                    let g: Vec<f32> = ctx
-                        .upstream()
+                    let g: Vec<f32> = upstream
                         .as_slice()
                         .iter()
-                        .zip(other.as_slice())
+                        .zip(pv.get(1 - i).as_slice())
                         .map(|(&gv, &o)| gv * o)
                         .collect();
-                    acc_slice(ctx.parent_grad(i), &g);
+                    acc_slice(grads.parent_grad(i), &g);
                 }
             }),
         );

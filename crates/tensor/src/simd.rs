@@ -23,7 +23,7 @@
 //! |                   | architecture does not support it)                  |
 //!
 //! Tests and benches can additionally override the selection in-process via
-//! [`force_backend`].
+//! `force_backend`.
 //!
 //! # Numerical contract
 //!
@@ -36,8 +36,8 @@
 //!   are measured against: the row kernels (libm softmax and log-softmax,
 //!   iterator-sum layer norm), [`matmul_band`]'s multiply-then-add loop,
 //!   the attention tile's row composition and the int8 loops.
-//! * The element-wise transcendental kernels ([`exp_slice`], [`tanh_slice`],
-//!   [`gelu_slice`], [`gelu_grad_acc`]) and the butterfly pair kernels
+//! * The element-wise transcendental kernels (`exp_slice`, `tanh_slice`,
+//!   `gelu_slice`, [`gelu_grad_acc`]) and the butterfly pair kernels
 //!   evaluate the *same operations in the same order* per lane as their
 //!   scalar counterparts (multiplies and adds only, no FMA contraction), so
 //!   their SIMD results are bit-identical to the scalar backend for finite
@@ -50,7 +50,7 @@
 //!   holds each arm to a scalar `f32::mul_add` oracle of exactly that
 //!   contract.
 //! * The GEMM band and the row-wise softmax / layer-norm kernels (which use
-//!   lane-parallel [`exp_slice`]-style exponentials and reordered
+//!   lane-parallel `exp_slice`-style exponentials and reordered
 //!   reductions) legitimately differ from the scalar backend by rounding,
 //!   bounded at ≤ 1e-5 relative to the row/output magnitude
 //!   (property-tested).
@@ -66,9 +66,9 @@
 //!   trait they are bound on has no 16-lane implementation, so a 16-wide
 //!   row reduction does not compile. [`Backend::lanes`] reports the width
 //!   of the lane-wise kernels.
-//! * The attention tile ([`attention_tile`]) gives the bits of the row
+//! * The attention tile (`attention_tile`) gives the bits of the row
 //!   composition on the same backend — [`matmul_band`] with Kᵀ,
-//!   [`scale_slice`], [`softmax_row`], [`matmul_band`] with V — which is
+//!   `scale_slice`, [`softmax_row`], [`matmul_band`] with V — which is
 //!   what the scalar backend runs. The AVX2 backend keeps one query row per
 //!   lane, at 8 or 16 lanes like the kernels above, and each lane replays
 //!   the 8-lane softmax's reduction tree and the GEMM band's per-element
@@ -177,7 +177,7 @@ fn decode(v: u8) -> Backend {
 }
 
 /// The backend runtime detection alone would pick (ignoring any
-/// [`force_backend`] override but honouring `FAB_SIMD`).
+/// `force_backend` override but honouring `FAB_SIMD`).
 ///
 /// # Panics
 ///
@@ -234,7 +234,7 @@ pub fn backend() -> Backend {
 /// # Panics
 ///
 /// Panics when a SIMD backend is forced on a CPU that does not support it.
-pub fn force_backend(b: Backend) {
+pub(crate) fn force_backend(b: Backend) {
     #[cfg(target_arch = "x86_64")]
     if b == Backend::Avx2 {
         assert!(
@@ -246,7 +246,7 @@ pub fn force_backend(b: Backend) {
     BACKEND.store(encode(b), Ordering::Relaxed);
 }
 
-/// Runs `f` on backend `b` (see [`force_backend`]), then puts the previous
+/// Runs `f` on backend `b` (see `force_backend`), then puts the previous
 /// backend back — also when `f` panics, so a failed test leaves no backend
 /// forced for the next one.
 pub fn with_backend<R>(b: Backend, f: impl FnOnce() -> R) -> R {
@@ -595,7 +595,7 @@ mod kernels {
     }
 
     #[inline(always)]
-    pub fn gelu_v<V: Vf32>(x: V) -> V {
+    pub(super) fn gelu_v<V: Vf32>(x: V) -> V {
         let t = tanh_v(gelu_inner_v(x));
         V::splat(0.5).mul(x).mul(V::splat(1.0).add(t))
     }
@@ -697,17 +697,17 @@ mod kernels {
     }
 
     #[inline(always)]
-    pub fn exp_slice<V: Vf32>(src: &[f32], dst: &mut [f32]) {
+    pub(super) fn exp_slice<V: Vf32>(src: &[f32], dst: &mut [f32]) {
         map::<V>(Fast::Exp, src, dst)
     }
 
     #[inline(always)]
-    pub fn tanh_slice<V: Vf32>(src: &[f32], dst: &mut [f32]) {
+    pub(super) fn tanh_slice<V: Vf32>(src: &[f32], dst: &mut [f32]) {
         map::<V>(Fast::Tanh, src, dst)
     }
 
     #[inline(always)]
-    pub fn gelu_slice<V: Vf32>(src: &[f32], dst: &mut [f32]) {
+    pub(super) fn gelu_slice<V: Vf32>(src: &[f32], dst: &mut [f32]) {
         map::<V>(Fast::Gelu, src, dst)
     }
 
@@ -735,7 +735,7 @@ mod kernels {
     /// `dst += g * gelu'(x)`, with the product formed as mul-then-add so the
     /// result is bit-identical to the scalar backward loop.
     #[inline(always)]
-    pub fn gelu_grad_acc<V: Vf32>(dst: &mut [f32], g: &[f32], x: &[f32]) {
+    pub(super) fn gelu_grad_acc<V: Vf32>(dst: &mut [f32], g: &[f32], x: &[f32]) {
         let n = dst.len();
         sweep::<V>(&mut GeluGradAcc { dst, g: &g[..n], x: &x[..n] }, n);
     }
@@ -792,7 +792,7 @@ mod kernels {
 
     /// `dst += src` (exact, order-preserving).
     #[inline(always)]
-    pub fn add_acc<V: Vf32>(dst: &mut [f32], src: &[f32]) {
+    pub(super) fn add_acc<V: Vf32>(dst: &mut [f32], src: &[f32]) {
         let n = dst.len();
         sweep::<V>(&mut AddAcc { dst, src: &src[..n] }, n);
     }
@@ -821,7 +821,7 @@ mod kernels {
     /// `dst += a * x` with mul-then-add per lane (bit-identical to the scalar
     /// loop).
     #[inline(always)]
-    pub fn axpy_acc<V: Vf32>(dst: &mut [f32], a: f32, x: &[f32]) {
+    pub(super) fn axpy_acc<V: Vf32>(dst: &mut [f32], a: f32, x: &[f32]) {
         let n = dst.len();
         sweep::<V>(&mut Axpy { dst, a, x: &x[..n] }, n);
     }
@@ -849,13 +849,13 @@ mod kernels {
 
     /// `dst += a * b` element-wise, mul-then-add per lane.
     #[inline(always)]
-    pub fn mul_acc<V: Vf32>(dst: &mut [f32], a: &[f32], b: &[f32]) {
+    pub(super) fn mul_acc<V: Vf32>(dst: &mut [f32], a: &[f32], b: &[f32]) {
         let n = dst.len();
         sweep::<V>(&mut MulAcc { dst, a: &a[..n], b: &b[..n] }, n);
     }
 
     #[inline(always)]
-    pub fn binary_slice<V: Vf32>(op: super::BinOp, a: &[f32], b: &[f32], dst: &mut [f32]) {
+    pub(super) fn binary_slice<V: Vf32>(op: super::BinOp, a: &[f32], b: &[f32], dst: &mut [f32]) {
         let n = dst.len();
         sweep::<V>(&mut Binary { op, a: &a[..n], b: &b[..n], dst }, n);
     }
@@ -880,7 +880,7 @@ mod kernels {
     }
 
     #[inline(always)]
-    pub fn scale_slice<V: Vf32>(src: &[f32], c: f32, dst: &mut [f32]) {
+    pub(super) fn scale_slice<V: Vf32>(src: &[f32], c: f32, dst: &mut [f32]) {
         let n = dst.len();
         sweep::<V>(&mut Scale { src: &src[..n], c, dst }, n);
     }
@@ -900,7 +900,7 @@ mod kernels {
     /// Row-wise softmax with lane-parallel fast exponentials; within ≤ 1e-6
     /// of the scalar (libm) oracle.
     #[inline(always)]
-    pub fn softmax_row<V: RowReduce>(row: &[f32], out: &mut [f32]) {
+    pub(super) fn softmax_row<V: RowReduce>(row: &[f32], out: &mut [f32]) {
         let main = row.len() - row.len() % V::LANES;
         let m = row_max::<V>(row);
         let mv = V::splat(m);
@@ -930,7 +930,7 @@ mod kernels {
 
     /// Row-wise log-softmax (`x - max - ln Σ exp(x - max)`).
     #[inline(always)]
-    pub fn log_softmax_row<V: RowReduce>(row: &[f32], out: &mut [f32]) {
+    pub(super) fn log_softmax_row<V: RowReduce>(row: &[f32], out: &mut [f32]) {
         let main = row.len() - row.len() % V::LANES;
         let m = row_max::<V>(row);
         let mv = V::splat(m);
@@ -1009,7 +1009,7 @@ mod kernels {
     /// Row-wise layer norm; mean/variance reductions are lane-reordered
     /// (≤ 1e-6 of the scalar oracle).
     #[inline(always)]
-    pub fn layer_norm_row<V: RowReduce>(
+    pub(super) fn layer_norm_row<V: RowReduce>(
         row: &[f32],
         gamma: &[f32],
         beta: &[f32],
@@ -1026,7 +1026,7 @@ mod kernels {
 
     /// Fused `(a + b)` + row-wise layer norm, writing the normalised sum.
     #[inline(always)]
-    pub fn add_layer_norm_row<V: RowReduce>(
+    pub(super) fn add_layer_norm_row<V: RowReduce>(
         a: &[f32],
         b: &[f32],
         gamma: &[f32],
@@ -1055,7 +1055,7 @@ mod kernels {
     /// multiply then add. Fixed on every backend rather than taken from the
     /// vector width: the two round differently, so the boundary is part of
     /// the product's value. A multiple of every backend's `LANES`.
-    pub const FMA_COLS: usize = 16;
+    pub(super) const FMA_COLS: usize = 16;
     // Every panel but the last is all FMA columns, so the mul-add tail is
     // the last `n % FMA_COLS` columns of the row, whatever `NC` is.
     const _: () = assert!(NC.is_multiple_of(FMA_COLS));
@@ -1081,7 +1081,7 @@ mod kernels {
     /// `lhs` is `[rows_total, k]` with `i0 + dst.len()/n <= rows_total` and
     /// `rhs` is `[k, n]`; a shorter slice panics.
     #[inline(always)]
-    pub fn matmul_band<V: FmaLanes>(
+    pub(super) fn matmul_band<V: FmaLanes>(
         lhs: &[f32],
         k: usize,
         rhs: &[f32],
@@ -1302,7 +1302,7 @@ mod kernels {
     /// `2 · LANES · (len + head_dim)` values; a shorter slice panics.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    pub fn attention_tile<V: LaneSelect>(
+    pub(super) fn attention_tile<V: LaneSelect>(
         q: &[f32],
         k: &[f32],
         v: &[f32],
@@ -1339,7 +1339,7 @@ mod kernels {
     /// is `[rows, len]`), from the same tiles, so with the same bits.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    pub fn attention_probs<V: LaneSelect>(
+    pub(super) fn attention_probs<V: LaneSelect>(
         q: &[f32],
         k: &[f32],
         dim: usize,
@@ -1697,7 +1697,7 @@ mod kernels {
     /// scalar tail for `half` below the vector width — bit-identical to the
     /// scalar stage loop.
     #[inline(always)]
-    pub fn butterfly_stage_in_place<V: Vf32>(
+    pub(super) fn butterfly_stage_in_place<V: Vf32>(
         half: usize,
         w1: &[f32],
         w2: &[f32],
@@ -1947,7 +1947,7 @@ mod kernels {
     /// w1.len()`. The four weight slices have equal length `pairs`, `half`
     /// divides `pairs`, and `x.len() == 2 * pairs * width`.
     #[inline(always)]
-    pub fn butterfly_stage_lanes<V: Vf32>(
+    pub(super) fn butterfly_stage_lanes<V: Vf32>(
         half: usize,
         w1: &[f32],
         w2: &[f32],
@@ -1963,7 +1963,7 @@ mod kernels {
     /// both `2 * pairs * width` long.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    pub fn butterfly_stage_lanes_into<V: Vf32>(
+    pub(super) fn butterfly_stage_lanes_into<V: Vf32>(
         half: usize,
         w1: &[f32],
         w2: &[f32],
@@ -1980,7 +1980,7 @@ mod kernels {
     /// ([`Vf32::fold16`]), `LANES` rows per step and the rows after the last
     /// full step one lane wide. `src.len() == 16 * dst.len()`.
     #[inline(always)]
-    pub fn fold_lanes16<V: Vf32>(src: &[f32], dst: &mut [f32]) {
+    pub(super) fn fold_lanes16<V: Vf32>(src: &[f32], dst: &mut [f32]) {
         let src = &src[..16 * dst.len()];
         let mut d = dst.chunks_exact_mut(V::LANES);
         let mut s = src.chunks_exact(16 * V::LANES);
@@ -2099,7 +2099,7 @@ mod kernels {
     /// `acc.len() == 4 * pairs * width`.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    pub fn butterfly_stage_backward_lanes<V: Vf32>(
+    pub(super) fn butterfly_stage_backward_lanes<V: Vf32>(
         half: usize,
         w1: &[f32],
         w2: &[f32],
@@ -2131,7 +2131,7 @@ mod kernels {
     /// power of two `n`, and both twiddle slices hold at least `n − 1`
     /// entries.
     #[inline(always)]
-    pub fn fft_stages_lanes<V: Vf32>(
+    pub(super) fn fft_stages_lanes<V: Vf32>(
         tw_re: &[f32],
         tw_im: &[f32],
         re: &mut [f32],
@@ -2191,7 +2191,7 @@ mod kernels {
     /// `re.len() == im.len() == (m + 1) * width` for a power of two `m`, and
     /// both twiddle slices hold at least `m / 2 + 1` entries.
     #[inline(always)]
-    pub fn fft_real_split_lanes<V: Vf32>(
+    pub(super) fn fft_real_split_lanes<V: Vf32>(
         tw_re: &[f32],
         tw_im: &[f32],
         re: &mut [f32],
@@ -2228,7 +2228,7 @@ mod kernels {
     /// `cols` values at `stride`, `perm` is empty or `cols` long, and every
     /// `at(c) · width + width <= dst.len()`.
     #[inline(always)]
-    pub fn rows_to_lanes<V: Vf32>(
+    pub(super) fn rows_to_lanes<V: Vf32>(
         src: &[f32],
         stride: usize,
         rows: usize,
@@ -2298,7 +2298,7 @@ mod kernels {
     /// `dst` holds `rows` rows of `cols` values at `stride`.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    pub fn lanes_to_rows<V: Vf32>(
+    pub(super) fn lanes_to_rows<V: Vf32>(
         src: &[f32],
         width: usize,
         rows: usize,
@@ -2386,7 +2386,7 @@ mod kernels {
     /// `x[c][r] = act(x[c][r] + bias[c])` over an `[n][width]` buffer,
     /// `n = bias.len()`, `act` GELU or the identity.
     #[inline(always)]
-    pub fn bias_gelu_lanes<V: Vf32>(x: &mut [f32], bias: &[f32], gelu: bool, width: usize) {
+    pub(super) fn bias_gelu_lanes<V: Vf32>(x: &mut [f32], bias: &[f32], gelu: bool, width: usize) {
         for (row, &bias) in x.chunks_exact_mut(width).zip(bias) {
             sweep::<V>(&mut BiasAct { row, bias, gelu }, width);
         }
@@ -2399,7 +2399,7 @@ mod kernels {
     /// groups of eight features, combined in `F32x8::reduce_add`'s
     /// [`tree`], with the `n % 8` features after them folded in one by one.
     #[inline(always)]
-    pub fn add_layer_norm_lanes<V: Vf32>(
+    pub(super) fn add_layer_norm_lanes<V: Vf32>(
         a: &[f32],
         b: &mut [f32],
         gamma: &[f32],
@@ -2488,7 +2488,7 @@ mod x86 {
 
     /// Eight `f32` lanes in one AVX register.
     #[derive(Clone, Copy)]
-    pub struct F32x8(__m256);
+    pub(super) struct F32x8(__m256);
 
     impl FmaLanes for F32x8 {
         const LANES: usize = 8;
@@ -2711,7 +2711,7 @@ mod x86 {
     /// Whether the lane-wise kernels run 16 lanes wide: the CPU has
     /// `avx512f` (std caches the probe).
     #[inline]
-    pub fn wide() -> bool {
+    pub(super) fn wide() -> bool {
         std::arch::is_x86_feature_detected!("avx512f")
     }
 
@@ -2721,7 +2721,7 @@ mod x86 {
                 /// AVX2+FMA instantiation of the generic kernel.
                 #[target_feature(enable = "avx2,fma")]
                 #[allow(clippy::too_many_arguments)]
-                pub fn $name($($arg: $ty),*) {
+                pub(crate) fn $name($($arg: $ty),*) {
                     kernels::$name::<F32x8>($($arg),*)
                 }
             )*
@@ -2757,7 +2757,7 @@ mod x86 {
                 /// 16 lanes wide where the CPU has `avx512f`, else 8.
                 #[target_feature(enable = "avx2,fma")]
                 #[allow(clippy::too_many_arguments)]
-                pub fn $name($($arg: $ty),*) {
+                pub(crate) fn $name($($arg: $ty),*) {
                     if wide() $(&& $cond)? {
                         // SAFETY: `wide()` detected avx512f.
                         unsafe { f32x16::$name($($arg),*) }
@@ -2768,26 +2768,26 @@ mod x86 {
             )*
 
             /// The 8-lane instantiations.
-            pub mod f32x8 {
+            pub(super) mod f32x8 {
                 use super::{kernels, BinOp, F32x8};
                 $(
                     /// 8-lane instantiation of the generic kernel.
                     #[target_feature(enable = "avx2,fma")]
                     #[allow(clippy::too_many_arguments)]
-                    pub fn $name($($arg: $ty),*) {
+                    pub(crate) fn $name($($arg: $ty),*) {
                         kernels::$name::<F32x8>($($arg),*)
                     }
                 )*
             }
 
             /// The 16-lane instantiations.
-            pub mod f32x16 {
+            pub(super) mod f32x16 {
                 use super::{kernels, BinOp, F32x16};
                 $(
                     /// 16-lane instantiation of the generic kernel.
                     #[target_feature(enable = "avx512f,avx2,fma")]
                     #[allow(clippy::too_many_arguments)]
-                    pub fn $name($($arg: $ty),*) {
+                    pub(crate) fn $name($($arg: $ty),*) {
                         kernels::$name::<F32x16>($($arg),*)
                     }
                 )*
@@ -2918,7 +2918,7 @@ mod x86 {
     /// accumulating). It implements no [`RowReduce`]: a
     /// wider reduction tree would change the row kernels' bits.
     #[derive(Clone, Copy)]
-    pub struct F32x16(__m512);
+    pub(super) struct F32x16(__m512);
 
     impl FmaLanes for F32x16 {
         const LANES: usize = 16;
@@ -3169,7 +3169,7 @@ mod x86 {
     /// step holding the first value over `range` and the last `len % 8`
     /// values go through the scalar loop.
     #[target_feature(enable = "avx2")]
-    pub fn abs_histogram_run(src: &[f32], range: f32, counts: &mut [u64]) -> (usize, f32) {
+    pub(super) fn abs_histogram_run(src: &[f32], range: f32, counts: &mut [u64]) -> (usize, f32) {
         let last = counts.len() as i32 - 1;
         let (r, bins) = (_mm256_set1_ps(range), _mm256_set1_ps(counts.len() as f32));
         let magnitude = _mm256_castsi256_ps(_mm256_set1_epi32(i32::MAX));
@@ -3204,7 +3204,7 @@ mod x86 {
     /// via `cvtps` (MXCSR default = round-to-nearest-even), matching the
     /// scalar magic-number rounding bit for bit on finite inputs.
     #[target_feature(enable = "avx2")]
-    pub fn q8_quantize_slice(src: &[f32], inv_scale: f32, dst: &mut [i8]) {
+    pub(super) fn q8_quantize_slice(src: &[f32], inv_scale: f32, dst: &mut [i8]) {
         let inv = _mm256_set1_ps(inv_scale);
         let lo = _mm256_set1_ps(-127.0);
         let hi = _mm256_set1_ps(127.0);
@@ -3233,7 +3233,7 @@ mod x86 {
     /// summation order. All inputs must lie in `[-127, 127]` (checked by the
     /// public wrapper); a slice too short for the shapes panics.
     #[target_feature(enable = "avx2")]
-    pub fn q8_gemm_i32(a: &[i8], bt: &[i8], k: usize, n: usize, out: &mut [i32]) {
+    pub(super) fn q8_gemm_i32(a: &[i8], bt: &[i8], k: usize, n: usize, out: &mut [i32]) {
         let col = |j: usize| &bt[j * k..][..k];
         for (i, orow) in out.chunks_exact_mut(n).enumerate() {
             let arow = &a[i * k..][..k];
@@ -3277,7 +3277,7 @@ mod x86 {
     /// Whether the int8 GEMM has its VNNI arm: the CPU has `avx512vnni`
     /// and `avx512bw` (std caches the probes).
     #[inline]
-    pub fn vnni() -> bool {
+    pub(super) fn vnni() -> bool {
         std::arch::is_x86_feature_detected!("avx512vnni")
             && std::arch::is_x86_feature_detected!("avx512bw")
     }
@@ -3303,7 +3303,7 @@ mod x86 {
     /// Panics when `a` holds fewer rows than `out`, or `pack` was built for
     /// a smaller shape than `k` and `n`.
     #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
-    pub fn q8_gemm_vnni(a: &[i8], pack: &VnniPack, k: usize, n: usize, out: &mut [i32]) {
+    pub(super) fn q8_gemm_vnni(a: &[i8], pack: &VnniPack, k: usize, n: usize, out: &mut [i32]) {
         let m = out.len() / n;
         assert!(
             a.len() >= m * k && pack.packed.len() >= k.div_ceil(4) * n * 4 && pack.corr.len() >= n,
@@ -3519,7 +3519,13 @@ mod x86 {
     /// rows: `out = acc·scale + bias` with mul-then-add lanes and the
     /// [`kernels::gelu_v`] lane kernel, bit-identical to the scalar loop.
     #[target_feature(enable = "avx2")]
-    pub fn q8_dequant_rows(acc: &[i32], scale: &[f32], bias: &[f32], gelu: bool, out: &mut [f32]) {
+    pub(super) fn q8_dequant_rows(
+        acc: &[i32],
+        scale: &[f32],
+        bias: &[f32],
+        gelu: bool,
+        out: &mut [f32],
+    ) {
         let n = scale.len();
         let (main, bias) = (n - n % 8, &bias[..n]);
         for (arow, orow) in acc.chunks_exact(n).zip(out.chunks_exact_mut(n)) {
@@ -3548,7 +3554,7 @@ mod x86 {
 
 /// Element-wise binary operation selector for [`binary_slice`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BinOp {
+pub(crate) enum BinOp {
     /// `a + b`
     Add,
     /// `a - b`
@@ -3587,7 +3593,7 @@ macro_rules! dispatch {
 /// # Panics
 ///
 /// Panics when the slice lengths differ.
-pub fn exp_slice(src: &[f32], dst: &mut [f32]) {
+pub(crate) fn exp_slice(src: &[f32], dst: &mut [f32]) {
     assert_eq!(src.len(), dst.len(), "exp_slice length mismatch");
     dispatch!(exp_slice(src, dst))
 }
@@ -3598,7 +3604,7 @@ pub fn exp_slice(src: &[f32], dst: &mut [f32]) {
 /// # Panics
 ///
 /// Panics when the slice lengths differ.
-pub fn tanh_slice(src: &[f32], dst: &mut [f32]) {
+pub(crate) fn tanh_slice(src: &[f32], dst: &mut [f32]) {
     assert_eq!(src.len(), dst.len(), "tanh_slice length mismatch");
     dispatch!(tanh_slice(src, dst))
 }
@@ -3609,7 +3615,7 @@ pub fn tanh_slice(src: &[f32], dst: &mut [f32]) {
 /// # Panics
 ///
 /// Panics when the slice lengths differ.
-pub fn gelu_slice(src: &[f32], dst: &mut [f32]) {
+pub(crate) fn gelu_slice(src: &[f32], dst: &mut [f32]) {
     assert_eq!(src.len(), dst.len(), "gelu_slice length mismatch");
     dispatch!(gelu_slice(src, dst))
 }
@@ -3641,7 +3647,7 @@ pub fn add_acc(dst: &mut [f32], src: &[f32]) {
 /// # Panics
 ///
 /// Panics when the slice lengths differ.
-pub fn axpy_acc(dst: &mut [f32], a: f32, x: &[f32]) {
+pub(crate) fn axpy_acc(dst: &mut [f32], a: f32, x: &[f32]) {
     assert_eq!(dst.len(), x.len(), "axpy_acc length mismatch");
     dispatch!(axpy_acc(dst, a, x))
 }
@@ -3652,7 +3658,7 @@ pub fn axpy_acc(dst: &mut [f32], a: f32, x: &[f32]) {
 /// # Panics
 ///
 /// Panics when the slice lengths differ.
-pub fn mul_acc(dst: &mut [f32], a: &[f32], b: &[f32]) {
+pub(crate) fn mul_acc(dst: &mut [f32], a: &[f32], b: &[f32]) {
     assert_eq!(dst.len(), a.len(), "mul_acc length mismatch");
     assert_eq!(dst.len(), b.len(), "mul_acc length mismatch");
     dispatch!(mul_acc(dst, a, b))
@@ -3663,7 +3669,7 @@ pub fn mul_acc(dst: &mut [f32], a: &[f32], b: &[f32]) {
 /// # Panics
 ///
 /// Panics when the slice lengths differ.
-pub fn binary_slice(op: BinOp, a: &[f32], b: &[f32], dst: &mut [f32]) {
+pub(crate) fn binary_slice(op: BinOp, a: &[f32], b: &[f32], dst: &mut [f32]) {
     assert_eq!(a.len(), b.len(), "binary_slice length mismatch");
     assert_eq!(a.len(), dst.len(), "binary_slice length mismatch");
     dispatch!(binary_slice(op, a, b, dst))
@@ -3674,14 +3680,14 @@ pub fn binary_slice(op: BinOp, a: &[f32], b: &[f32], dst: &mut [f32]) {
 /// # Panics
 ///
 /// Panics when the slice lengths differ.
-pub fn scale_slice(src: &[f32], c: f32, dst: &mut [f32]) {
+pub(crate) fn scale_slice(src: &[f32], c: f32, dst: &mut [f32]) {
     assert_eq!(src.len(), dst.len(), "scale_slice length mismatch");
     dispatch!(scale_slice(src, c, dst))
 }
 
 /// Numerically-stable softmax of one row. The scalar backend runs the
 /// historical libm loop bit for bit; SIMD backends use lane-parallel
-/// [`exp_slice`]-style exponentials and reordered sums (≤ 1e-6 of the scalar
+/// `exp_slice`-style exponentials and reordered sums (≤ 1e-6 of the scalar
 /// oracle).
 ///
 /// # Panics
@@ -3709,7 +3715,7 @@ pub fn softmax_row(row: &[f32], out: &mut [f32]) {
 /// # Panics
 ///
 /// Panics when the slice lengths differ.
-pub fn log_softmax_row(row: &[f32], out: &mut [f32]) {
+pub(crate) fn log_softmax_row(row: &[f32], out: &mut [f32]) {
     assert_eq!(row.len(), out.len(), "log_softmax_row length mismatch");
     dispatch!(log_softmax_row(row, out) else {
         let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
@@ -3726,7 +3732,7 @@ pub fn log_softmax_row(row: &[f32], out: &mut [f32]) {
 /// # Panics
 ///
 /// Panics when the slice lengths differ.
-pub fn layer_norm_row(row: &[f32], gamma: &[f32], beta: &[f32], eps: f32, out: &mut [f32]) {
+pub(crate) fn layer_norm_row(row: &[f32], gamma: &[f32], beta: &[f32], eps: f32, out: &mut [f32]) {
     let n = row.len();
     assert_eq!(out.len(), n, "layer_norm_row length mismatch");
     assert_eq!(gamma.len(), n, "layer_norm_row gamma length mismatch");
@@ -3747,7 +3753,7 @@ pub fn layer_norm_row(row: &[f32], gamma: &[f32], beta: &[f32], eps: f32, out: &
 /// # Panics
 ///
 /// Panics when the slice lengths differ.
-pub fn add_layer_norm_row(
+pub(crate) fn add_layer_norm_row(
     a: &[f32],
     b: &[f32],
     gamma: &[f32],
@@ -3808,7 +3814,7 @@ pub fn matmul_band(lhs: &[f32], k: usize, rhs: &[f32], n: usize, i0: usize, dst:
     })
 }
 
-/// Floats of `scratch` one [`attention_tile`] call on `backend` over
+/// Floats of `scratch` one `attention_tile` call on `backend` over
 /// `rows` query rows, `len` keys and a `head_dim`-wide head needs.
 pub fn attention_tile_scratch(backend: Backend, rows: usize, len: usize, head_dim: usize) -> usize {
     match backend {
@@ -3843,7 +3849,7 @@ pub fn attention_tile_scratch(backend: Backend, rows: usize, len: usize, head_di
 /// slices do not hold whole rows, there is no key, or `scratch` is too
 /// short.
 #[allow(clippy::too_many_arguments)]
-pub fn attention_tile(
+pub(crate) fn attention_tile(
     backend: Backend,
     q: &[f32],
     k: &[f32],
@@ -3883,7 +3889,7 @@ pub fn attention_tile(
 ///
 /// As [`attention_tile`], or when `p` does not hold `rows · len` values.
 #[allow(clippy::too_many_arguments)]
-pub fn attention_probs(
+pub(crate) fn attention_probs(
     backend: Backend,
     q: &[f32],
     k: &[f32],
@@ -4025,7 +4031,7 @@ fn attention_tile_rows(
 ///
 /// Panics when a slice does not hold whole rows of the shapes above, there
 /// is no key, or `scratch` is too short.
-pub fn attention_tile_backward(
+pub(crate) fn attention_tile_backward(
     p: &mut [f32],
     [dout, dout_t, q_t, delta]: [&[f32]; 4],
     [k, cvt]: [&[f32]; 2],
@@ -4400,7 +4406,7 @@ pub fn bias_gelu_lanes(x: &mut [f32], bias: &[f32], gelu: bool, width: usize) {
 
 /// Fused `(a + b)` + layer normalisation of every lane of two `[n][width]`
 /// lane-layout buffers (`n = gamma.len()`), written into `b`: lane `r`
-/// gets the bits [`add_layer_norm_row`] gives the row `a[..][r] +
+/// gets the bits `add_layer_norm_row` gives the row `a[..][r] +
 /// b[..][r]` on the same backend. The AVX2 backend replays the row
 /// kernel's 8-lane reduction tree in each lane (at 8 or 16 lanes, like
 /// the other lane-wise kernels); the scalar backend runs the row oracle's

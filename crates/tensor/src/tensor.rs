@@ -74,7 +74,6 @@ const CHUNK_ELEMS: usize = 1 << 13;
 const SOFTMAX_OPS: u64 = 16; // max, exp, sum, divide
 const LAYER_NORM_OPS: u64 = 8; // mean, variance, normalise, scale, shift
 const GELU_OPS: u64 = 16; // rational tanh
-const MAP_OPS: u64 = 1;
 
 /// Runs `f(chunk_index, chunk)` over `out` cut into `chunk_len`-element
 /// chunks — on the worker pool when the kernel, at about `ops_per_elem`
@@ -180,19 +179,10 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if `shape` is empty.
-    pub fn full(shape: &[usize], value: f32) -> Self {
+    pub(crate) fn full(shape: &[usize], value: f32) -> Self {
         assert!(!shape.is_empty(), "tensor shape must not be empty");
         let volume = shape.iter().product();
         Self { shape: shape.to_vec(), data: vec![value; volume] }
-    }
-
-    /// Creates an `n × n` identity matrix.
-    pub fn eye(n: usize) -> Self {
-        let mut t = Self::zeros(&[n, n]);
-        for i in 0..n {
-            t.data[i * n + i] = 1.0;
-        }
-        t
     }
 
     /// Returns the shape of the tensor.
@@ -226,7 +216,7 @@ impl Tensor {
     /// Heap capacity of the underlying storage in `f32` elements. Used by the
     /// allocation-reuse tests to assert that steady-state training steps do
     /// not grow tape buffers.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.data.capacity()
     }
 
@@ -272,21 +262,6 @@ impl Tensor {
         self.data[r * self.shape[1] + c] = v;
     }
 
-    /// Reshapes the tensor without copying data.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::LengthMismatch`] when the new shape has a
-    /// different volume.
-    pub fn reshape(mut self, shape: &[usize]) -> Result<Self, TensorError> {
-        let volume: usize = shape.iter().product();
-        if volume != self.data.len() || shape.is_empty() {
-            return Err(TensorError::LengthMismatch { len: self.data.len(), expected: volume });
-        }
-        self.shape = shape.to_vec();
-        Ok(self)
-    }
-
     /// Reshapes the tensor in place, reusing the existing heap storage.
     ///
     /// Existing element values are unspecified afterwards (callers are
@@ -309,7 +284,7 @@ impl Tensor {
     }
 
     /// Copies `src` (shape and data) into `self`, reusing storage.
-    pub fn copy_from(&mut self, src: &Tensor) {
+    pub(crate) fn copy_from(&mut self, src: &Tensor) {
         self.resize_to(&src.shape);
         self.data.copy_from_slice(&src.data);
     }
@@ -317,7 +292,7 @@ impl Tensor {
     /// [`Tensor::resize_to`] with every element zeroed — exactly one pass
     /// over the buffer regardless of whether it grows (a plain `resize_to` +
     /// `fill(0.0)` would zero freshly grown storage twice).
-    pub fn resize_zeroed(&mut self, shape: &[usize]) {
+    pub(crate) fn resize_zeroed(&mut self, shape: &[usize]) {
         assert!(!shape.is_empty(), "tensor shape must not be empty");
         let volume: usize = shape.iter().product();
         self.data.clear();
@@ -450,7 +425,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics when shapes disagree.
-    pub fn matmul_tn_acc(&self, rhs: &Tensor, scratch: &mut Vec<f32>, out: &mut [f32]) {
+    pub(crate) fn matmul_tn_acc(&self, rhs: &Tensor, scratch: &mut Vec<f32>, out: &mut [f32]) {
         assert_eq!(self.shape.len(), 2, "matmul_tn_acc lhs must be 2-D");
         assert_eq!(rhs.shape.len(), 2, "matmul_tn_acc rhs must be 2-D");
         let (m, k) = (self.shape[0], self.shape[1]);
@@ -551,7 +526,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics when the tensor is not 2-D.
-    pub fn transpose_into(&self, out_t: &mut Tensor) {
+    pub(crate) fn transpose_into(&self, out_t: &mut Tensor) {
         assert_eq!(self.shape.len(), 2, "transpose requires a 2-D tensor");
         let (m, n) = (self.shape[0], self.shape[1]);
         out_t.resize_to(&[n, m]);
@@ -578,7 +553,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics when the tensor is not 2-D or `out` has the wrong length.
-    pub fn transpose_acc(&self, out: &mut [f32]) {
+    pub(crate) fn transpose_acc(&self, out: &mut [f32]) {
         assert_eq!(self.shape.len(), 2, "transpose_acc requires a 2-D tensor");
         let (m, n) = (self.shape[0], self.shape[1]);
         assert_eq!(out.len(), m * n, "transpose_acc output length mismatch");
@@ -630,21 +605,6 @@ impl Tensor {
         out
     }
 
-    /// Adds a scalar to every element.
-    pub fn add_scalar(&self, c: f32) -> Tensor {
-        self.map(|x| x + c)
-    }
-
-    /// Applies `f` element-wise, returning a new tensor.
-    ///
-    /// Large tensors are processed in parallel chunks; `f` must therefore be
-    /// [`Sync`] (pure element-wise closures always are).
-    pub fn map<F: Fn(f32) -> f32 + Sync>(&self, f: F) -> Tensor {
-        let mut out = Tensor::default();
-        self.map_into(f, &mut out);
-        out
-    }
-
     /// Adds a `[1, cols]` (or 1-D `[cols]`) row vector to every row of a 2-D tensor.
     ///
     /// # Panics
@@ -661,7 +621,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics when the column counts differ.
-    pub fn add_row_broadcast_into(&self, row: &Tensor, out_t: &mut Tensor) {
+    pub(crate) fn add_row_broadcast_into(&self, row: &Tensor, out_t: &mut Tensor) {
         out_t.copy_from(self);
         out_t.add_row_broadcast_in_place(row);
     }
@@ -830,7 +790,7 @@ impl Tensor {
     }
 
     /// [`Tensor::gelu`] writing into `out` (resized in place).
-    pub fn gelu_into(&self, out_t: &mut Tensor) {
+    pub(crate) fn gelu_into(&self, out_t: &mut Tensor) {
         out_t.resize_to(&self.shape);
         chunked_slice_op(&self.data, &mut out_t.data, GELU_OPS, crate::simd::gelu_slice);
     }
@@ -859,7 +819,7 @@ impl Tensor {
     }
 
     /// Sum of all elements.
-    pub fn sum(&self) -> f32 {
+    pub(crate) fn sum(&self) -> f32 {
         self.data.iter().sum()
     }
 
@@ -904,29 +864,6 @@ impl Tensor {
         }
     }
 
-    /// Index of the maximum element of each row of a 2-D tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the tensor is not 2-D or has zero columns.
-    pub fn argmax_rows(&self) -> Vec<usize> {
-        assert_eq!(self.shape.len(), 2, "argmax_rows requires a 2-D tensor");
-        let (m, n) = (self.shape[0], self.shape[1]);
-        assert!(n > 0, "argmax_rows requires at least one column");
-        (0..m)
-            .map(|i| {
-                let row = &self.data[i * n..(i + 1) * n];
-                row.iter()
-                    .enumerate()
-                    .fold(
-                        (0usize, f32::NEG_INFINITY),
-                        |acc, (j, &v)| if v > acc.1 { (j, v) } else { acc },
-                    )
-                    .0
-            })
-            .collect()
-    }
-
     /// Extracts columns `[start, end)` of a 2-D tensor.
     ///
     /// # Panics
@@ -943,7 +880,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics when the range is invalid for the tensor.
-    pub fn slice_cols_into(&self, start: usize, end: usize, out_t: &mut Tensor) {
+    pub(crate) fn slice_cols_into(&self, start: usize, end: usize, out_t: &mut Tensor) {
         assert_eq!(self.shape.len(), 2, "slice_cols requires a 2-D tensor");
         let (m, n) = (self.shape[0], self.shape[1]);
         assert!(start < end && end <= n, "invalid column range {start}..{end} for {n} cols");
@@ -983,7 +920,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics when `parts` is empty or row counts differ.
-    pub fn concat_cols_into(parts: &[&Tensor], out_t: &mut Tensor) {
+    pub(crate) fn concat_cols_into(parts: &[&Tensor], out_t: &mut Tensor) {
         assert!(!parts.is_empty(), "concat_cols requires at least one tensor");
         let m = parts[0].shape[0];
         for p in parts {
@@ -1004,11 +941,6 @@ impl Tensor {
         }
     }
 
-    /// Frobenius norm of the tensor.
-    pub fn norm(&self) -> f32 {
-        self.data.iter().map(|&x| x * x).sum::<f32>().sqrt()
-    }
-
     /// Returns `true` when every element of `self` is within `tol` of the
     /// corresponding element of `other` and shapes match.
     pub fn allclose(&self, other: &Tensor, tol: f32) -> bool {
@@ -1021,17 +953,8 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics when shapes differ.
-    pub fn add_into(&self, rhs: &Tensor, out: &mut Tensor) {
+    pub(crate) fn add_into(&self, rhs: &Tensor, out: &mut Tensor) {
         self.zip_into(rhs, "add", crate::simd::BinOp::Add, out);
-    }
-
-    /// [`Tensor::sub`] writing into `out` (resized in place).
-    ///
-    /// # Panics
-    ///
-    /// Panics when shapes differ.
-    pub fn sub_into(&self, rhs: &Tensor, out: &mut Tensor) {
-        self.zip_into(rhs, "sub", crate::simd::BinOp::Sub, out);
     }
 
     /// [`Tensor::mul`] writing into `out` (resized in place).
@@ -1039,7 +962,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics when shapes differ.
-    pub fn mul_into(&self, rhs: &Tensor, out: &mut Tensor) {
+    pub(crate) fn mul_into(&self, rhs: &Tensor, out: &mut Tensor) {
         self.zip_into(rhs, "mul", crate::simd::BinOp::Mul, out);
     }
 
@@ -1047,16 +970,6 @@ impl Tensor {
     pub fn scale_into(&self, c: f32, out_t: &mut Tensor) {
         out_t.resize_to(&self.shape);
         chunked_slice_op(&self.data, &mut out_t.data, 1, |s, d| crate::simd::scale_slice(s, c, d));
-    }
-
-    /// [`Tensor::map`] writing into `out` (resized in place).
-    pub fn map_into<F: Fn(f32) -> f32 + Sync>(&self, f: F, out_t: &mut Tensor) {
-        out_t.resize_to(&self.shape);
-        chunked_slice_op(&self.data, &mut out_t.data, MAP_OPS, |src, dst| {
-            for (d, &x) in dst.iter_mut().zip(src.iter()) {
-                *d = f(x);
-            }
-        });
     }
 
     fn zip_into(
@@ -1137,7 +1050,10 @@ mod tests {
     #[test]
     fn matmul_identity_is_noop() {
         let a = Tensor::from_vec((0..12).map(|x| x as f32).collect(), &[3, 4]).unwrap();
-        let i = Tensor::eye(4);
+        let mut i = Tensor::zeros(&[4, 4]);
+        for k in 0..4 {
+            i.set(k, k, 1.0);
+        }
         assert!(a.matmul(&i).allclose(&a, 1e-6));
     }
 
@@ -1161,7 +1077,7 @@ mod tests {
     #[test]
     fn softmax_is_shift_invariant() {
         let a = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[1, 3]).unwrap();
-        let b = a.add_scalar(100.0);
+        let b = Tensor::from_vec(vec![101.0, 102.0, 103.0], &[1, 3]).unwrap();
         assert!(a.softmax_rows().allclose(&b.softmax_rows(), 1e-5));
     }
 
@@ -1169,7 +1085,8 @@ mod tests {
     fn log_softmax_matches_log_of_softmax() {
         let a = Tensor::from_vec(vec![0.3, -1.2, 2.0, 0.7], &[2, 2]).unwrap();
         let ls = a.log_softmax_rows();
-        let s = a.softmax_rows().map(|x| x.ln());
+        let s = a.softmax_rows();
+        let s = Tensor::from_vec(s.as_slice().iter().map(|x| x.ln()).collect(), s.shape()).unwrap();
         assert!(ls.allclose(&s, 1e-5));
     }
 
@@ -1188,12 +1105,12 @@ mod tests {
     }
 
     #[test]
-    fn mean_rows_and_argmax() {
+    fn mean_rows_averages_each_column() {
         let a = Tensor::from_vec(vec![1.0, 5.0, 3.0, 3.0], &[2, 2]).unwrap();
         let m = a.mean_rows();
         assert_eq!(m.shape(), &[1, 2]);
         assert!((m.at(0, 0) - 2.0).abs() < 1e-6);
-        assert_eq!(a.argmax_rows(), vec![1, 0]);
+        assert!((m.at(0, 1) - 4.0).abs() < 1e-6);
     }
 
     #[test]
